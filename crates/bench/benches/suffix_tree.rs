@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the suffix-tree stage: the mechanism behind
 //! the paper's Table 6 (single global tree vs paralleled trees).
 
-use calibro_suffix::{detect_group, detect_parallel, partition, SuffixTree, TaggedSequence};
+use calibro_suffix::{detect_group, detect_parallel, partition_stable, SuffixTree, TaggedSequence};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ fn bench_global_vs_parallel(c: &mut Criterion) {
         b.iter(|| detect_group(&seqs, 2));
     });
     group.bench_function("parallel_8x6", |b| {
-        b.iter(|| detect_parallel(partition(seqs.clone(), 8), 2, 6));
+        b.iter(|| detect_parallel(partition_stable(seqs.clone(), 8), 2, 6));
     });
     group.finish();
 }

@@ -2,6 +2,11 @@
 //! (temp file + rename) and read strictly (magic, format version,
 //! checksum, full structural validation).
 //!
+//! Framing, file I/O and the validation gauntlet are written once,
+//! generically over [`LaneEntry`]; what differs per lane — magic, file
+//! extension, payload codec, structural validator — is the entry type's
+//! `LaneEntry` impl at the bottom of this file.
+//!
 //! Instructions are stored as their encoded machine words — the same
 //! canonical encoding the linker emits — so a loaded entry re-encodes
 //! bit-identically. Every serializer destructures its input
@@ -22,6 +27,7 @@ use crate::entry::{
 };
 use crate::error::CacheError;
 use crate::hash::CacheKey;
+use crate::peer::PeerLane;
 
 /// Bumped whenever the on-disk layout changes; old entries are rejected
 /// as corrupt (and overwritten on the next store).
@@ -31,25 +37,50 @@ use crate::hash::CacheKey;
 /// shared-dictionary lane.
 pub const FORMAT_VERSION: u32 = 3;
 
-const MAGIC: [u8; 4] = *b"CALC";
-const GROUP_MAGIC: [u8; 4] = *b"CALG";
-const MERGE_MAGIC: [u8; 4] = *b"CALM";
-const DICT_MAGIC: [u8; 4] = *b"CALD";
+/// Exactly what differs between the store's lanes. Everything else —
+/// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
+/// atomic disk writes, strict reads, peer adoption — is written once
+/// over this trait.
+pub trait LaneEntry: Sized + Send + Sync + 'static {
+    /// Frame magic, the first four bytes of every interchange frame.
+    const MAGIC: [u8; 4];
+    /// File extension of the lane's disk entries (`<key>.<EXT>`).
+    const EXT: &'static str;
+    /// The lane's fleet wire code; `None` keeps the lane local-only
+    /// (it never consults the peer source and no peer can ask for it).
+    const PEER_LANE: Option<PeerLane>;
 
-fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.calc", key.to_hex()))
+    /// Serializes the payload (the frame body after the header).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the entry contains an instruction
+    /// that does not encode (such an entry could never link anyway).
+    fn encode(&self) -> Result<Vec<u8>, String>;
+
+    /// Decodes a payload, rejecting truncation, unknown tags,
+    /// implausible lengths and trailing bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first malformed field.
+    fn decode(payload: &[u8]) -> Result<Self, String>;
+
+    /// Structural validation: every index a later stage will follow
+    /// must be in bounds, so a poisoned entry is rejected with a typed
+    /// error instead of panicking or miscompiling downstream.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated invariant.
+    fn validate(&self) -> Result<(), String>;
+
+    /// Approximate resident size in bytes, for the lane's byte budget.
+    fn approx_bytes(&self) -> usize;
 }
 
-fn group_path(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.calg", key.to_hex()))
-}
-
-fn merge_path(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.calm", key.to_hex()))
-}
-
-fn dict_path(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.cald", key.to_hex()))
+fn entry_path<V: LaneEntry>(dir: &Path, key: CacheKey) -> PathBuf {
+    dir.join(format!("{}.{}", key.to_hex(), V::EXT))
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -64,16 +95,26 @@ fn fnv64(bytes: &[u8]) -> u64 {
 // Store.
 // ---------------------------------------------------------------------
 
-fn frame(magic: [u8; 4], key: CacheKey, payload: &[u8]) -> Vec<u8> {
+/// Serializes `entry` into the checksummed interchange frame — the
+/// exact bytes [`store`] persists. The frame doubles as the peer-wire
+/// payload so a fetched artifact passes through the same magic /
+/// version / key / checksum gauntlet as a disk read.
+///
+/// # Errors
+///
+/// Returns a description when the entry contains an instruction that
+/// does not encode.
+pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Result<Vec<u8>, String> {
+    let payload = entry.encode()?;
     let mut bytes = Vec::with_capacity(payload.len() + 40);
-    bytes.extend_from_slice(&magic);
+    bytes.extend_from_slice(&V::MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&key.hi.to_le_bytes());
     bytes.extend_from_slice(&key.lo.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
+    bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    Ok(bytes)
 }
 
 /// Write-then-rename, removing the tmp file if either step fails so a
@@ -110,33 +151,18 @@ pub(crate) fn sweep_stale_tmp(dir: &Path) -> usize {
     removed
 }
 
-/// Persists `entry` under `dir`, best-effort atomic.
+/// Persists `entry` under `dir` as `<key>.<EXT>`, best-effort atomic.
 ///
 /// # Errors
 ///
 /// Returns [`CacheError::Io`] on filesystem failures and
 /// [`CacheError::Corrupt`] when the entry contains an instruction that
 /// does not encode (such an entry could never link anyway).
-pub fn store(dir: &Path, key: CacheKey, entry: &CacheEntry) -> Result<(), CacheError> {
-    let path = entry_path(dir, key);
-    let payload = serialize_entry(entry)
+pub(crate) fn store<V: LaneEntry>(dir: &Path, key: CacheKey, entry: &V) -> Result<(), CacheError> {
+    let path = entry_path::<V>(dir, key);
+    let bytes = to_frame(key, entry)
         .map_err(|detail| CacheError::Corrupt { path: path.clone(), detail })?;
-    let bytes = frame(MAGIC, key, &payload);
-    let tmp = dir.join(format!("{}.tmp{}", key.to_hex(), std::process::id()));
-    write_atomic(dir, &path, &tmp, &bytes)
-}
-
-/// Persists a group plan under `dir` as `<key>.calg`, best-effort
-/// atomic like [`store`].
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] on filesystem failures.
-pub fn store_group(dir: &Path, key: CacheKey, entry: &GroupPlanEntry) -> Result<(), CacheError> {
-    let path = group_path(dir, key);
-    let payload = serialize_group(entry);
-    let bytes = frame(GROUP_MAGIC, key, &payload);
-    let tmp = dir.join(format!("{}.calg.tmp{}", key.to_hex(), std::process::id()));
+    let tmp = dir.join(format!("{}.{}.tmp{}", key.to_hex(), V::EXT, std::process::id()));
     write_atomic(dir, &path, &tmp, &bytes)
 }
 
@@ -146,227 +172,36 @@ pub fn store_group(dir: &Path, key: CacheKey, entry: &GroupPlanEntry) -> Result<
 ///
 /// Returns [`CacheError`] when the file exists but cannot be read or
 /// fails any validation step.
-pub fn load(dir: &Path, key: CacheKey) -> Result<Option<CacheEntry>, CacheError> {
-    let path = entry_path(dir, key);
-    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
-    let corrupt =
-        |detail: &str| CacheError::Corrupt { path: path.clone(), detail: detail.to_owned() };
-    let payload = checked_payload(&bytes, MAGIC, key).map_err(|d| corrupt(&d))?;
-    let entry = deserialize_entry(payload).map_err(|d| corrupt(&d))?;
-    validate_entry(&entry).map_err(|d| corrupt(&d))?;
-    Ok(Some(entry))
+pub(crate) fn load<V: LaneEntry>(dir: &Path, key: CacheKey) -> Result<Option<V>, CacheError> {
+    let path = entry_path::<V>(dir, key);
+    let bytes = match std::fs::read(&path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(CacheError::Io { path, detail: e.to_string() }),
+    };
+    from_frame(key, &bytes).map(Some).map_err(|detail| CacheError::Corrupt { path, detail })
 }
 
-/// Loads and validates the group plan for `key`, `Ok(None)` when absent.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] when the file exists but cannot be read or
-/// fails any validation step.
-pub fn load_group(dir: &Path, key: CacheKey) -> Result<Option<GroupPlanEntry>, CacheError> {
-    let path = group_path(dir, key);
-    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
-    let corrupt =
-        |detail: &str| CacheError::Corrupt { path: path.clone(), detail: detail.to_owned() };
-    let payload = checked_payload(&bytes, GROUP_MAGIC, key).map_err(|d| corrupt(&d))?;
-    let entry = deserialize_group(payload).map_err(|d| corrupt(&d))?;
-    validate_group_entry(&entry).map_err(|d| corrupt(&d))?;
-    Ok(Some(entry))
-}
-
-/// `true` when a persisted method artifact for `key` exists under `dir`
-/// (no validation — used by the drain flush to skip rewrites).
-pub(crate) fn has_entry(dir: &Path, key: CacheKey) -> bool {
-    entry_path(dir, key).exists()
-}
-
-/// Group-plan twin of [`has_entry`].
-pub(crate) fn has_group(dir: &Path, key: CacheKey) -> bool {
-    group_path(dir, key).exists()
-}
-
-/// Persists a merge plan under `dir` as `<key>.calm`, best-effort
-/// atomic like [`store`].
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] on filesystem failures.
-pub fn store_merge(dir: &Path, key: CacheKey, entry: &MergePlanEntry) -> Result<(), CacheError> {
-    let path = merge_path(dir, key);
-    let payload = serialize_merge(entry);
-    let bytes = frame(MERGE_MAGIC, key, &payload);
-    let tmp = dir.join(format!("{}.calm.tmp{}", key.to_hex(), std::process::id()));
-    write_atomic(dir, &path, &tmp, &bytes)
-}
-
-/// Loads and validates the merge plan for `key`, `Ok(None)` when absent.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] when the file exists but cannot be read or
-/// fails any validation step.
-pub fn load_merge(dir: &Path, key: CacheKey) -> Result<Option<MergePlanEntry>, CacheError> {
-    let path = merge_path(dir, key);
-    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
-    let corrupt =
-        |detail: &str| CacheError::Corrupt { path: path.clone(), detail: detail.to_owned() };
-    let payload = checked_payload(&bytes, MERGE_MAGIC, key).map_err(|d| corrupt(&d))?;
-    let entry = deserialize_merge(payload).map_err(|d| corrupt(&d))?;
-    validate_merge_entry(&entry).map_err(|d| corrupt(&d))?;
-    Ok(Some(entry))
-}
-
-/// Merge-plan twin of [`has_entry`].
-pub(crate) fn has_merge(dir: &Path, key: CacheKey) -> bool {
-    merge_path(dir, key).exists()
-}
-
-/// Persists a shared-dictionary body under `dir` as `<key>.cald`,
-/// best-effort atomic like [`store`].
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] on filesystem failures and
-/// [`CacheError::Corrupt`] when the body contains an instruction that
-/// does not encode.
-pub fn store_dict(dir: &Path, key: CacheKey, entry: &DictEntry) -> Result<(), CacheError> {
-    let path = dict_path(dir, key);
-    let payload = serialize_dict(entry)
-        .map_err(|detail| CacheError::Corrupt { path: path.clone(), detail })?;
-    let bytes = frame(DICT_MAGIC, key, &payload);
-    let tmp = dir.join(format!("{}.cald.tmp{}", key.to_hex(), std::process::id()));
-    write_atomic(dir, &path, &tmp, &bytes)
-}
-
-/// Loads and validates the dictionary body for `key`, `Ok(None)` when
-/// absent.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] when the file exists but cannot be read or
-/// fails any validation step.
-pub fn load_dict(dir: &Path, key: CacheKey) -> Result<Option<DictEntry>, CacheError> {
-    let path = dict_path(dir, key);
-    let Some(bytes) = read_if_present(&path)? else { return Ok(None) };
-    let corrupt =
-        |detail: &str| CacheError::Corrupt { path: path.clone(), detail: detail.to_owned() };
-    let payload = checked_payload(&bytes, DICT_MAGIC, key).map_err(|d| corrupt(&d))?;
-    let entry = deserialize_dict(payload).map_err(|d| corrupt(&d))?;
-    validate_dict_entry(&entry).map_err(|d| corrupt(&d))?;
-    Ok(Some(entry))
-}
-
-/// Dictionary twin of [`has_entry`].
-pub(crate) fn has_dict(dir: &Path, key: CacheKey) -> bool {
-    dict_path(dir, key).exists()
-}
-
-/// Serializes `entry` into the checksummed interchange frame — the
-/// exact bytes [`store`] persists. The frame doubles as the peer-wire
-/// payload so a fetched artifact passes through the same magic /
-/// version / key / checksum gauntlet as a disk read.
-///
-/// # Errors
-///
-/// Returns a description when the entry contains an instruction that
-/// does not encode.
-pub fn entry_to_bytes(key: CacheKey, entry: &CacheEntry) -> Result<Vec<u8>, String> {
-    Ok(frame(MAGIC, key, &serialize_entry(entry)?))
+/// `true` when a persisted entry for `key` exists under `dir` (no
+/// validation — used by the drain flush to skip rewrites).
+pub(crate) fn has<V: LaneEntry>(dir: &Path, key: CacheKey) -> bool {
+    entry_path::<V>(dir, key).exists()
 }
 
 /// Decodes and fully validates an interchange frame produced by
-/// [`entry_to_bytes`] (or read raw from a `.calc` file).
+/// [`to_frame`], read raw from a lane file, or fetched from a peer —
+/// the one gauntlet every byte entering a lane from outside passes.
 ///
 /// # Errors
 ///
 /// Returns a description of the first failed check: header shape,
 /// magic, format version, key match, payload length, checksum, decode,
 /// or structural validation.
-pub fn entry_from_bytes(key: CacheKey, bytes: &[u8]) -> Result<CacheEntry, String> {
-    let payload = checked_payload(bytes, MAGIC, key)?;
-    let entry = deserialize_entry(payload)?;
-    validate_entry(&entry)?;
-    Ok(entry)
-}
-
-/// Group-plan twin of [`entry_to_bytes`].
-#[must_use]
-pub fn group_to_bytes(key: CacheKey, entry: &GroupPlanEntry) -> Vec<u8> {
-    frame(GROUP_MAGIC, key, &serialize_group(entry))
-}
-
-/// Group-plan twin of [`entry_from_bytes`].
-///
-/// # Errors
-///
-/// Returns a description of the first failed check, as in
-/// [`entry_from_bytes`].
-pub fn group_from_bytes(key: CacheKey, bytes: &[u8]) -> Result<GroupPlanEntry, String> {
-    let payload = checked_payload(bytes, GROUP_MAGIC, key)?;
-    let entry = deserialize_group(payload)?;
-    validate_group_entry(&entry)?;
-    Ok(entry)
-}
-
-/// Merge-plan twin of [`entry_to_bytes`].
-#[must_use]
-pub fn merge_to_bytes(key: CacheKey, entry: &MergePlanEntry) -> Vec<u8> {
-    frame(MERGE_MAGIC, key, &serialize_merge(entry))
-}
-
-/// Merge-plan twin of [`entry_from_bytes`].
-///
-/// # Errors
-///
-/// Returns a description of the first failed check, as in
-/// [`entry_from_bytes`].
-pub fn merge_from_bytes(key: CacheKey, bytes: &[u8]) -> Result<MergePlanEntry, String> {
-    let payload = checked_payload(bytes, MERGE_MAGIC, key)?;
-    let entry = deserialize_merge(payload)?;
-    validate_merge_entry(&entry)?;
-    Ok(entry)
-}
-
-/// Dictionary twin of [`entry_to_bytes`].
-///
-/// # Errors
-///
-/// Returns a description when the body contains an instruction that
-/// does not encode.
-pub fn dict_to_bytes(key: CacheKey, entry: &DictEntry) -> Result<Vec<u8>, String> {
-    Ok(frame(DICT_MAGIC, key, &serialize_dict(entry)?))
-}
-
-/// Dictionary twin of [`entry_from_bytes`] — the gauntlet every
-/// peer-fetched dictionary body passes: magic, format version, key
-/// match, checksum, decode, then structural validation. A corrupt body
-/// surfaces here as an error the store counts under `dict_peer_errors`,
-/// never as a servable entry.
-///
-/// # Errors
-///
-/// Returns a description of the first failed check, as in
-/// [`entry_from_bytes`].
-pub fn dict_from_bytes(key: CacheKey, bytes: &[u8]) -> Result<DictEntry, String> {
-    let payload = checked_payload(bytes, DICT_MAGIC, key)?;
-    let entry = deserialize_dict(payload)?;
-    validate_dict_entry(&entry)?;
-    Ok(entry)
-}
-
-fn read_if_present(path: &Path) -> Result<Option<Vec<u8>>, CacheError> {
-    match std::fs::read(path) {
-        Ok(b) => Ok(Some(b)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(CacheError::Io { path: path.to_path_buf(), detail: e.to_string() }),
-    }
-}
-
-fn checked_payload(bytes: &[u8], magic: [u8; 4], key: CacheKey) -> Result<&[u8], String> {
+pub fn from_frame<V: LaneEntry>(key: CacheKey, bytes: &[u8]) -> Result<V, String> {
     if bytes.len() < 40 {
         return Err("truncated header".to_owned());
     }
-    if bytes[0..4] != magic {
+    if bytes[0..4] != V::MAGIC {
         return Err("bad magic".to_owned());
     }
     let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
@@ -377,21 +212,22 @@ fn checked_payload(bytes: &[u8], magic: [u8; 4], key: CacheKey) -> Result<&[u8],
     if word(8) != key.hi || word(16) != key.lo {
         return Err("key mismatch".to_owned());
     }
-    let len = word(24) as usize;
-    if bytes.len() != 40 + len {
+    if word(24) != (bytes.len() - 40) as u64 {
         return Err("payload length mismatch".to_owned());
     }
     let payload = &bytes[40..];
     if fnv64(payload) != word(32) {
         return Err("checksum mismatch".to_owned());
     }
-    Ok(payload)
+    let entry = V::decode(payload)?;
+    entry.validate()?;
+    Ok(entry)
 }
 
 /// Structural validation of a loaded entry: every index the LTBO and
 /// link stages will follow must be in bounds, so a poisoned entry is
 /// rejected here with a typed error instead of panicking downstream.
-pub fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
+fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     let m = &entry.compiled;
     let code_len = m.insns.len();
     let size_words = code_len + m.pool.len();
@@ -445,7 +281,7 @@ pub fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
 /// only, at least two strictly non-overlapping ascending occurrences,
 /// all within the group text — so a poisoned plan is rejected with a
 /// typed error instead of corrupting the outline downstream.
-pub fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
+fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
     for (i, c) in entry.candidates.iter().enumerate() {
         if c.len == 0 {
             return Err(format!("candidate {i} has zero length"));
@@ -484,7 +320,7 @@ pub fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
 /// diff positions must be sorted and distinct — so a poisoned plan is
 /// rejected with a typed error instead of corrupting the merge replay
 /// downstream.
-pub fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
+fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
     let mut seen = vec![false; entry.member_count as usize];
     for (i, g) in entry.groups.iter().enumerate() {
         if g.members.len() < 2 {
@@ -526,7 +362,7 @@ pub fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
 /// convention must name valid, distinct registers — so a poisoned or
 /// maliciously crafted peer reply is rejected with a typed error before
 /// it can enter any epoch layout.
-pub fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
+fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
     if entry.insns.is_empty() {
         return Err("empty dictionary body".to_owned());
     }
@@ -691,7 +527,7 @@ fn serialize_entry(entry: &CacheEntry) -> Result<Vec<u8>, String> {
     Ok(w.0)
 }
 
-fn serialize_group(entry: &GroupPlanEntry) -> Vec<u8> {
+fn serialize_group(entry: &GroupPlanEntry) -> Result<Vec<u8>, String> {
     let GroupPlanEntry { text_len, candidates } = entry;
     let mut w = Writer(Vec::new());
     w.len(*text_len);
@@ -708,7 +544,7 @@ fn serialize_group(entry: &GroupPlanEntry) -> Vec<u8> {
             w.u64(s);
         }
     }
-    w.0
+    Ok(w.0)
 }
 
 struct Reader<'a> {
@@ -916,7 +752,7 @@ fn deserialize_group(payload: &[u8]) -> Result<GroupPlanEntry, String> {
     Ok(GroupPlanEntry { text_len, candidates })
 }
 
-fn serialize_merge(entry: &MergePlanEntry) -> Vec<u8> {
+fn serialize_merge(entry: &MergePlanEntry) -> Result<Vec<u8>, String> {
     let MergePlanEntry { member_count, groups } = entry;
     let mut w = Writer(Vec::new());
     w.u32(*member_count);
@@ -933,7 +769,7 @@ fn serialize_merge(entry: &MergePlanEntry) -> Vec<u8> {
             w.u32(d);
         }
     }
-    w.0
+    Ok(w.0)
 }
 
 fn serialize_dict(entry: &DictEntry) -> Result<Vec<u8>, String> {
@@ -997,12 +833,50 @@ fn deserialize_merge(payload: &[u8]) -> Result<MergePlanEntry, String> {
     Ok(MergePlanEntry { member_count, groups })
 }
 
+// ---------------------------------------------------------------------
+// The four lanes.
+// ---------------------------------------------------------------------
+
+/// The lane table: one row per entry type — frame magic, file
+/// extension, fleet wire code, then the payload codec and structural
+/// validator defined above.
+macro_rules! lanes {
+    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $encode:path, $decode:path, $validate:path;)*) => {$(
+        impl LaneEntry for $entry {
+            const MAGIC: [u8; 4] = *$magic;
+            const EXT: &'static str = $ext;
+            const PEER_LANE: Option<PeerLane> = $peer;
+            fn encode(&self) -> Result<Vec<u8>, String> {
+                $encode(self)
+            }
+            fn decode(payload: &[u8]) -> Result<Self, String> {
+                $decode(payload)
+            }
+            fn validate(&self) -> Result<(), String> {
+                $validate(self)
+            }
+            fn approx_bytes(&self) -> usize {
+                <$entry>::approx_bytes(self)
+            }
+        }
+    )*};
+}
+
+// The merge lane is local-only: a plan is cheaper to recompute than a
+// network exchange, so the fleet protocol carries no code for it.
+lanes! {
+    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), serialize_entry, deserialize_entry, validate_entry;
+    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), serialize_group, deserialize_group, validate_group_entry;
+    MergePlanEntry: b"CALM", "calm", None, serialize_merge, deserialize_merge, validate_merge_entry;
+    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), serialize_dict, deserialize_dict, validate_dict_entry;
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use calibro_isa::Reg;
 
-    fn sample_entry() -> CacheEntry {
+    pub(crate) fn sample_entry() -> CacheEntry {
         CacheEntry {
             compiled: CompiledMethod {
                 method: calibro_dex::MethodId(5),
@@ -1041,48 +915,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_through_disk() {
-        let dir = std::env::temp_dir().join(format!("calibro-cache-test-{}", std::process::id()));
-        let key = CacheKey { hi: 0x1234, lo: 0x5678 };
-        let entry = sample_entry();
-        store(&dir, key, &entry).expect("store succeeds");
-        let back = load(&dir, key).expect("load succeeds").expect("entry present");
-        assert_eq!(back.compiled.insns, entry.compiled.insns);
-        assert_eq!(back.compiled.pool, entry.compiled.pool);
-        assert_eq!(back.compiled.relocs, entry.compiled.relocs);
-        assert_eq!(back.compiled.metadata, entry.compiled.metadata);
-        assert_eq!(back.compiled.stack_maps, entry.compiled.stack_maps);
-        assert_eq!(back.pass_stats, entry.pass_stats);
-        assert_eq!(back.ref_env, entry.ref_env);
-        assert_eq!(back.template, entry.template);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_entry_is_none() {
-        let dir = std::env::temp_dir().join("calibro-cache-test-missing");
-        assert!(load(&dir, CacheKey { hi: 1, lo: 2 }).unwrap().is_none());
-    }
-
-    #[test]
-    fn corrupt_payload_is_rejected() {
-        let dir =
-            std::env::temp_dir().join(format!("calibro-cache-test-cor-{}", std::process::id()));
-        let key = CacheKey { hi: 0xAB, lo: 0xCD };
-        store(&dir, key, &sample_entry()).expect("store succeeds");
-        let path = entry_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        match load(&dir, key) {
-            Err(CacheError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("checksum"), "unexpected detail: {detail}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
+    pub(crate) fn sample_group() -> GroupPlanEntry {
+        GroupPlanEntry {
+            text_len: 20,
+            candidates: vec![calibro_suffix::OutlineCandidate {
+                len: 3,
+                positions: vec![0, 5, 11],
+                symbols: vec![100, 101, 102],
+            }],
         }
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    pub(crate) fn sample_merge() -> MergePlanEntry {
+        MergePlanEntry {
+            member_count: 5,
+            groups: vec![
+                MergePlanGroup { rep: 0, members: vec![0, 2], diff_positions: vec![1, 4] },
+                MergePlanGroup { rep: 3, members: vec![3, 4], diff_positions: vec![] },
+            ],
+        }
+    }
+
+    pub(crate) fn sample_dict() -> DictEntry {
+        DictEntry {
+            insns: vec![
+                Insn::AddImm {
+                    wide: true,
+                    set_flags: false,
+                    rd: Reg::X0,
+                    rn: Reg::X1,
+                    imm12: 3,
+                    shift12: false,
+                },
+                Insn::OrrReg { wide: true, rd: Reg::X2, rn: Reg::ZR, rm: Reg::X0, shift: 0 },
+            ],
+            regs: vec![0, 1, 2],
+        }
+    }
+
+    /// The key the committed fixtures are framed under.
+    pub(crate) const FIXTURE_KEY: CacheKey =
+        CacheKey { hi: 0x0123_4567_89ab_cdef, lo: 0xfedc_ba98_7654_3210 };
+
+    /// The four `tests/fixtures/` files, written by the per-lane
+    /// `store_*` functions of the commit before the lanes were unified
+    /// (PR 15) from the `sample_*` entries above.
+    pub(crate) const FIXTURES: [(&str, &[u8]); 4] = [
+        ("calc", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calc")),
+        ("calg", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calg")),
+        ("calm", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calm")),
+        ("cald", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.cald")),
+    ];
+
+    fn assert_frame_pinned<V: LaneEntry>(sample: &V) {
+        let (_, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("lane fixture");
+        assert_eq!(to_frame(FIXTURE_KEY, sample).unwrap(), *fixture, ".{} frame moved", V::EXT);
+        let back: V = from_frame(FIXTURE_KEY, fixture).expect("old frame still decodes");
+        assert_eq!(to_frame(FIXTURE_KEY, &back).unwrap(), *fixture, ".{} re-encode", V::EXT);
+    }
+
+    #[test]
+    fn frames_are_byte_identical_to_the_pre_unification_writers() {
+        assert_frame_pinned(&sample_entry());
+        assert_frame_pinned(&sample_group());
+        assert_frame_pinned(&sample_merge());
+        assert_frame_pinned(&sample_dict());
     }
 
     #[test]
@@ -1096,46 +993,6 @@ mod tests {
         let mut entry = sample_entry();
         entry.compiled.relocs[0].at = 50;
         assert!(validate_entry(&entry).is_err());
-    }
-
-    fn sample_group() -> GroupPlanEntry {
-        GroupPlanEntry {
-            text_len: 20,
-            candidates: vec![calibro_suffix::OutlineCandidate {
-                len: 3,
-                positions: vec![0, 5, 11],
-                symbols: vec![100, 101, 102],
-            }],
-        }
-    }
-
-    #[test]
-    fn group_plan_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("calibro-grp-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 0x99, lo: 0x11 };
-        let entry = sample_group();
-        store_group(&dir, key, &entry).expect("store succeeds");
-        let back = load_group(&dir, key).expect("load succeeds").expect("entry present");
-        assert_eq!(back, entry);
-        // A method-entry probe for the same key stays independent.
-        assert!(load(&dir, key).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_group_plan_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("calibro-grp-cor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 7, lo: 8 };
-        store_group(&dir, key, &sample_group()).expect("store succeeds");
-        let path = group_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_group(&dir, key), Err(CacheError::Corrupt { .. })));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1153,46 +1010,6 @@ mod tests {
         let mut g = sample_group();
         g.candidates[0].positions = vec![4];
         assert!(validate_group_entry(&g).is_err(), "single occurrence accepted");
-    }
-
-    fn sample_merge() -> MergePlanEntry {
-        MergePlanEntry {
-            member_count: 5,
-            groups: vec![
-                MergePlanGroup { rep: 0, members: vec![0, 2], diff_positions: vec![1, 4] },
-                MergePlanGroup { rep: 3, members: vec![3, 4], diff_positions: vec![] },
-            ],
-        }
-    }
-
-    #[test]
-    fn merge_plan_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("calibro-mrg-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 0x77, lo: 0x33 };
-        let entry = sample_merge();
-        store_merge(&dir, key, &entry).expect("store succeeds");
-        let back = load_merge(&dir, key).expect("load succeeds").expect("entry present");
-        assert_eq!(back, entry);
-        // Same-key probes on the other lanes stay independent.
-        assert!(load(&dir, key).unwrap().is_none());
-        assert!(load_group(&dir, key).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_merge_plan_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("calibro-mrg-cor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 9, lo: 10 };
-        store_merge(&dir, key, &sample_merge()).expect("store succeeds");
-        let path = merge_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_merge(&dir, key), Err(CacheError::Corrupt { .. })));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1213,68 +1030,6 @@ mod tests {
         let mut m = sample_merge();
         m.groups[0].diff_positions = vec![4, 1];
         assert!(validate_merge_entry(&m).is_err(), "unsorted diff positions accepted");
-    }
-
-    fn sample_dict() -> DictEntry {
-        DictEntry {
-            insns: vec![
-                Insn::AddImm {
-                    wide: true,
-                    set_flags: false,
-                    rd: Reg::X0,
-                    rn: Reg::X1,
-                    imm12: 3,
-                    shift12: false,
-                },
-                Insn::OrrReg { wide: true, rd: Reg::X2, rn: Reg::ZR, rm: Reg::X0, shift: 0 },
-            ],
-            regs: vec![0, 1, 2],
-        }
-    }
-
-    #[test]
-    fn dict_body_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("calibro-dct-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 0x55, lo: 0x66 };
-        let entry = sample_dict();
-        store_dict(&dir, key, &entry).expect("store succeeds");
-        let back = load_dict(&dir, key).expect("load succeeds").expect("entry present");
-        assert_eq!(back, entry);
-        // Same-key probes on the other lanes stay independent.
-        assert!(load(&dir, key).unwrap().is_none());
-        assert!(load_group(&dir, key).unwrap().is_none());
-        assert!(load_merge(&dir, key).unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_dict_body_is_rejected() {
-        let dir = std::env::temp_dir().join(format!("calibro-dct-cor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 13, lo: 14 };
-        store_dict(&dir, key, &sample_dict()).expect("store succeeds");
-        let path = dict_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_dict(&dir, key), Err(CacheError::Corrupt { .. })));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dict_interchange_frame_rejects_wrong_key_and_tamper() {
-        let key = CacheKey { hi: 1, lo: 2 };
-        let entry = sample_dict();
-        let bytes = dict_to_bytes(key, &entry).unwrap();
-        assert_eq!(dict_from_bytes(key, &bytes).unwrap(), entry);
-        // A frame served under the wrong key must not validate.
-        assert!(dict_from_bytes(CacheKey { hi: 1, lo: 3 }, &bytes).is_err());
-        let mut tampered = bytes.clone();
-        let last = tampered.len() - 1;
-        tampered[last] ^= 0xFF;
-        assert!(dict_from_bytes(key, &tampered).is_err());
     }
 
     #[test]
@@ -1299,7 +1054,7 @@ mod tests {
         // Make the rename target un-creatable: a *directory* occupies
         // the entry path, so rename(tmp, path) fails after the tmp is
         // written.
-        std::fs::create_dir_all(entry_path(&dir, key)).unwrap();
+        std::fs::create_dir_all(entry_path::<CacheEntry>(&dir, key)).unwrap();
         assert!(matches!(store(&dir, key, &sample_entry()), Err(CacheError::Io { .. })));
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1318,14 +1073,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let key = CacheKey { hi: 21, lo: 22 };
         store(&dir, key, &sample_entry()).unwrap();
-        store_group(&dir, key, &sample_group()).unwrap();
+        store(&dir, key, &sample_group()).unwrap();
         // Simulate two killed writers (a method entry and a group plan).
-        std::fs::write(dir.join(format!("{}.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
+        std::fs::write(dir.join(format!("{}.calc.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
         std::fs::write(dir.join(format!("{}.calg.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
         assert_eq!(sweep_stale_tmp(&dir), 2);
         // Real entries survive and still load.
-        assert!(load(&dir, key).unwrap().is_some());
-        assert!(load_group(&dir, key).unwrap().is_some());
+        assert!(load::<CacheEntry>(&dir, key).unwrap().is_some());
+        assert!(load::<GroupPlanEntry>(&dir, key).unwrap().is_some());
         assert_eq!(sweep_stale_tmp(&dir), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -31,24 +31,22 @@ mod disk;
 mod entry;
 mod error;
 mod hash;
+mod lane;
 mod method_hash;
 mod peer;
 mod policy;
 mod store;
 
-pub use disk::{
-    dict_from_bytes, dict_to_bytes, entry_from_bytes, entry_to_bytes, group_from_bytes,
-    group_to_bytes, merge_from_bytes, merge_to_bytes, validate_dict_entry, validate_entry,
-    validate_group_entry, validate_merge_entry, FORMAT_VERSION,
-};
+pub use disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
     sequence_content_key, CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
     SymbolTemplate, TemplateSlot,
 };
 pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};
+pub use lane::Lane;
 pub use method_hash::{hash_method, hash_program};
-pub use peer::{PeerError, PeerSource};
+pub use peer::{PeerError, PeerFetch, PeerLane, PeerSource};
 pub use store::{ArtifactStore, CacheConfig, CacheStats};
 
 /// Schema salt folded into every cache key: the crate version plus a

@@ -1,28 +1,41 @@
 //! The peer tier of the store's read path.
 //!
 //! A fleet of daemons shares one logical cache: when a key misses both
-//! memory and disk, the store asks an injected [`PeerSource`] before
+//! memory and disk, the lane asks an injected [`PeerSource`] before
 //! reporting a miss, so a sibling shard's warm lane is consulted before
 //! anything is recompiled. The trait lives here (not in the server
 //! crate) because the dependency points the other way: `calibro-server`
 //! implements it over the framed wire protocol and injects it via
 //! [`ArtifactStore::set_peer_source`](crate::ArtifactStore::set_peer_source).
 //!
-//! Contract for implementations: returned entries must already be
-//! checksum-validated and structurally validated (the wire payload is
-//! the same framed format the disk layer writes, so
-//! [`entry_from_bytes`](crate::entry_from_bytes) /
-//! [`group_from_bytes`](crate::group_from_bytes) give that for free).
-//! The store trusts a returned entry exactly as far as it trusts a disk
-//! read — wrong bytes must surface as [`PeerError`], never as an entry.
+//! A source moves *frames*, not entries: the payload is the checksummed
+//! interchange frame the disk layer writes, and the receiving lane runs
+//! it through [`from_frame`](crate::from_frame) — the very gauntlet a
+//! local disk read passes — before it will hold the entry. Wrong bytes
+//! therefore count as a peer error and degrade to a local miss; they can
+//! never become an entry.
 
-use crate::entry::{CacheEntry, DictEntry, GroupPlanEntry};
 use crate::hash::CacheKey;
 
-/// Why a peer fetch failed. Every failure mode in the fleet fault
-/// matrix maps to one variant; the store counts them under
-/// `peer_errors` and degrades to a local compile — a peer problem can
-/// slow a build down but never fail or corrupt it.
+/// The lanes that have a peer tier, in wire-code order. The merge-plan
+/// lane is absent on purpose: a plan is cheaper to recompute than a
+/// network exchange, so it stays local (memory + disk) and the fleet
+/// protocol has no code for it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PeerLane {
+    /// Per-method compile artifacts (`.calc` frames).
+    Method,
+    /// LTBO group plans (`.calg` frames).
+    Group,
+    /// Shared-dictionary bodies (`.cald` frames).
+    Dict,
+}
+
+/// Why a peer fetch failed. Every transport failure mode in the fleet
+/// fault matrix maps to one variant (a frame that arrives but fails
+/// validation is caught by the receiving lane instead); all of them
+/// count under `peer_errors` and degrade to a local compile — a peer
+/// problem can slow a build down but never fail or corrupt it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // variant fields are uniformly (peer endpoint, detail)
 pub enum PeerError {
@@ -36,9 +49,6 @@ pub enum PeerError {
     /// The peer spoke the protocol wrong: an oversized frame, an
     /// unexpected message kind, or an undecodable reply body.
     Garbage { peer: String, detail: String },
-    /// The artifact arrived but failed checksum or structural
-    /// validation — the one failure mode that must never be served.
-    Checksum { peer: String, detail: String },
     /// The peer answered with a typed server-side error.
     Remote { peer: String, detail: String },
 }
@@ -58,9 +68,6 @@ impl core::fmt::Display for PeerError {
             PeerError::Garbage { peer, detail } => {
                 write!(f, "peer {peer}: protocol garbage: {detail}")
             }
-            PeerError::Checksum { peer, detail } => {
-                write!(f, "peer {peer}: artifact failed validation: {detail}")
-            }
             PeerError::Remote { peer, detail } => {
                 write!(f, "peer {peer}: remote error: {detail}")
             }
@@ -70,49 +77,28 @@ impl core::fmt::Display for PeerError {
 
 impl std::error::Error for PeerError {}
 
-/// A source of cache entries one network hop away. `fetch_*` returns
-/// the validated entry together with the recompute cost (µs) the
-/// origin shard recorded for it, so the receiving store can slot it
-/// into its cost-aware eviction policy at the right priority.
+/// One key's outcome of a peer fetch: the framed artifact bytes (not
+/// yet validated) with the recompute cost (µs) the origin shard
+/// recorded — so the receiving lane can slot the entry into its
+/// cost-aware eviction policy at the right priority — or `None` when
+/// every reachable peer answered not-found.
+pub type PeerFetch = Result<Option<(Vec<u8>, u64)>, PeerError>;
+
+/// A source of interchange frames one network hop away.
 pub trait PeerSource: Send + Sync {
-    /// Fetches a method artifact by content key from the fleet.
+    /// Fetches the frame stored under `key` in `lane` from the fleet.
     ///
     /// # Errors
     ///
-    /// Returns a [`PeerError`] classifying the transport or validation
-    /// failure; `Ok(None)` means every reachable peer answered
-    /// not-found.
-    fn fetch_entry(&self, key: CacheKey) -> Result<Option<(CacheEntry, u64)>, PeerError>;
+    /// Returns a [`PeerError`] classifying the transport failure.
+    fn fetch(&self, lane: PeerLane, key: CacheKey) -> PeerFetch;
 
-    /// Fetches a group plan by content key from the fleet.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`fetch_entry`](Self::fetch_entry).
-    fn fetch_group(&self, key: CacheKey) -> Result<Option<(GroupPlanEntry, u64)>, PeerError>;
-
-    /// Fetches a shared-dictionary body by canonical key from the
-    /// fleet. Defaults to not-found so sources predating the dictionary
-    /// lane (and test doubles that only exercise the method lanes)
-    /// compose unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`fetch_entry`](Self::fetch_entry).
-    fn fetch_dict(&self, key: CacheKey) -> Result<Option<(DictEntry, u64)>, PeerError> {
-        let _ = key;
-        Ok(None)
-    }
-
-    /// Fetches many method artifacts at once, one result per input key
-    /// in order. The default loops [`fetch_entry`](Self::fetch_entry);
-    /// wire implementations override it to pipeline the whole batch on
-    /// one connection, so a cold build's thousand misses cost one
-    /// network round of streaming instead of a thousand round trips.
-    fn fetch_entries(
-        &self,
-        keys: &[CacheKey],
-    ) -> Vec<Result<Option<(CacheEntry, u64)>, PeerError>> {
-        keys.iter().map(|&key| self.fetch_entry(key)).collect()
+    /// Fetches many frames at once, one result per input key in order.
+    /// The default loops [`fetch`](Self::fetch); wire implementations
+    /// override it to pipeline the whole batch on one connection, so a
+    /// cold build's thousand misses cost one network round of streaming
+    /// instead of a thousand round trips.
+    fn fetch_many(&self, lane: PeerLane, keys: &[CacheKey]) -> Vec<PeerFetch> {
+        keys.iter().map(|&key| self.fetch(lane, key)).collect()
     }
 }

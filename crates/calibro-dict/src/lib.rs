@@ -18,8 +18,8 @@
 //!   per-candidate routing and [`DictStats`] (module [`registry`]).
 //! - Persistence and the fleet tier live in `calibro-cache`'s
 //!   dictionary lane ([`DictEntry`](calibro_cache::DictEntry), `.cald`
-//!   frames, `PeerSource::fetch_dict`); this crate consumes them
-//!   through [`ArtifactStore`](calibro_cache::ArtifactStore).
+//!   frames, `PeerLane::Dict`); this crate consumes them through
+//!   [`ArtifactStore::dicts`](calibro_cache::ArtifactStore::dicts).
 
 #![warn(missing_docs)]
 

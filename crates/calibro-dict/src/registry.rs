@@ -410,9 +410,11 @@ impl DictSession {
         // one exists (disk or peer), otherwise publish ours. Either
         // way the key is only *staged* — this build outlines privately
         // and byte-identical reruns stay byte-identical until a seal.
-        let adopted = match store.get_dict(key) {
+        let adopted = match store.dicts().get(key) {
             Ok(Some(existing)) => existing,
-            Ok(None) | Err(_) => store.insert_dict(key, DictEntry { insns: body.to_vec(), regs }),
+            Ok(None) | Err(_) => {
+                store.dicts().insert(key, DictEntry { insns: body.to_vec(), regs })
+            }
         };
         if self.registry.publish(key, adopted) {
             self.stats.publishes += 1;
@@ -559,7 +561,7 @@ mod tests {
         let store = ArtifactStore::default();
         let fleet_body = body(7, 2);
         let (key, regs) = canonical_key(&fleet_body);
-        store.insert_dict(key, DictEntry { insns: fleet_body.clone(), regs });
+        store.dicts().insert(key, DictEntry { insns: fleet_body.clone(), regs });
         let mut s = reg.session();
         assert_eq!(s.route(&body(7, 4), &store), None);
         assert_eq!(s.stats().publishes, 1, "adoption counts as this build's publish");

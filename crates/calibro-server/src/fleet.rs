@@ -12,9 +12,10 @@
 //!    shard's memory and disk tiers, the shard asks its siblings (in
 //!    rendezvous order for the key, so the likely owner is asked first)
 //!    over the existing framed protocol before recompiling. Payloads
-//!    are the checksummed disk-frame bytes, validated on arrival with
-//!    the same gauntlet as a local disk read — a malicious or corrupt
-//!    peer can cost time, never correctness.
+//!    are the checksummed disk-frame bytes of whichever lane was asked
+//!    for; this layer only moves them, and the receiving store lane
+//!    validates them with the same gauntlet as a local disk read — a
+//!    malicious or corrupt peer can cost time, never correctness.
 //!
 //! [`FleetRouter`] is the client-side half: it routes whole build
 //! requests by program fingerprint so repeat builds of the same program
@@ -27,9 +28,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use calibro::{options_fingerprint, program_salt, BuildOptions, CacheKey, StableHasher};
-use calibro_cache::{
-    entry_from_bytes, group_from_bytes, CacheEntry, GroupPlanEntry, PeerError, PeerSource,
-};
+use calibro_cache::{PeerError, PeerFetch, PeerSource};
 use calibro_dex::DexFile;
 
 use crate::client::Client;
@@ -246,14 +245,6 @@ const BATCH_CHUNK: usize = 256;
 /// on one stream.
 const FETCH_STREAMS: usize = 4;
 
-/// One key's raw outcome within a batch: the framed artifact bytes and
-/// the origin's recompute cost, not found, or a per-key peer error.
-type FramedOutcome = Result<Option<(Vec<u8>, u64)>, PeerError>;
-
-/// One key's validated outcome: the decoded entry plus its recorded
-/// recompute cost.
-type EntryOutcome = Result<Option<(CacheEntry, u64)>, PeerError>;
-
 struct PeerClient {
     spec: ShardSpec,
     /// Idle-connection stack: a fetch checks one out for exclusive use
@@ -277,33 +268,11 @@ impl PeerClient {
         format!("shard {} ({})", self.spec.id, self.spec.endpoint)
     }
 
-    /// One `PeerGet`/`PeerArtifact` exchange. Returns the raw framed
-    /// artifact bytes (not yet validated) and the origin's recompute
-    /// cost.
-    fn fetch(&self, lane: PeerLane, key: CacheKey) -> Result<Option<(Vec<u8>, u64)>, PeerError> {
-        let pooled = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-        let mut stream = match pooled {
-            Some(s) => s,
-            None => {
-                let dialed = self
-                    .spec
-                    .endpoint
-                    .connect()
-                    .map_err(|e| PeerError::Connect { peer: self.name(), detail: e.to_string() })?;
-                BufReader::with_capacity(64 * 1024, dialed)
-            }
-        };
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = self.exchange(&mut stream, request_id, lane, key);
-        if result.is_ok() {
-            let mut pool = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if pool.len() < POOL_IDLE_CAP {
-                pool.push(stream);
-            }
-        }
-        // On error the stream is dropped: its framing can no longer be
-        // trusted, so the next fetch dials fresh.
-        result
+    /// One key's exchange: a pipelined batch of one. Returns the raw
+    /// framed artifact bytes (validated by the receiving lane, not here)
+    /// and the origin's recompute cost.
+    fn fetch(&self, lane: PeerLane, key: CacheKey) -> PeerFetch {
+        self.fetch_chunk(lane, &[key])?.pop().expect("one reply per request")
     }
 
     /// One pipelined exchange for up to [`BATCH_CHUNK`] keys: writes
@@ -316,11 +285,7 @@ impl PeerClient {
     /// A transport failure fails the whole remaining batch — the stream
     /// cannot be resynchronized — while a per-key `RESP_ERROR` is
     /// recorded for its key and the batch continues.
-    fn fetch_chunk(
-        &self,
-        lane: PeerLane,
-        keys: &[CacheKey],
-    ) -> Result<Vec<FramedOutcome>, PeerError> {
+    fn fetch_chunk(&self, lane: PeerLane, keys: &[CacheKey]) -> Result<Vec<PeerFetch>, PeerError> {
         debug_assert!(keys.len() <= BATCH_CHUNK);
         let pooled = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
         let mut stream = match pooled {
@@ -368,7 +333,7 @@ impl PeerClient {
         request_id: u64,
         lane: PeerLane,
         key: CacheKey,
-    ) -> Result<FramedOutcome, PeerError> {
+    ) -> Result<PeerFetch, PeerError> {
         let event = proto::read_frame(stream, DEFAULT_MAX_FRAME)
             .map_err(|e| PeerError::Hangup { peer: self.name(), detail: e.to_string() })?;
         match event {
@@ -411,25 +376,13 @@ impl PeerClient {
             }),
         }
     }
-
-    fn exchange(
-        &self,
-        stream: &mut BufReader<FleetStream>,
-        request_id: u64,
-        lane: PeerLane,
-        key: CacheKey,
-    ) -> Result<Option<(Vec<u8>, u64)>, PeerError> {
-        let request = PeerGet { request_id, lane, key };
-        proto::write_frame(stream.get_mut(), REQ_PEER_GET, &request.encode())
-            .map_err(|e| PeerError::Hangup { peer: self.name(), detail: e.to_string() })?;
-        self.read_reply(stream, request_id, lane, key)?
-    }
 }
 
-/// The daemon-side peer tier: fetches artifacts from sibling shards,
-/// validating every payload before it reaches the store. Installed via
+/// The daemon-side peer tier: fetches interchange frames from sibling
+/// shards for whichever lane asks. Installed via
 /// [`ArtifactStore::set_peer_source`](calibro_cache::ArtifactStore::set_peer_source)
-/// when the daemon is started with a peer list.
+/// when the daemon is started with a peer list; the store lane
+/// validates every frame before it will hold the entry.
 pub struct FleetPeerSource {
     peers: Vec<PeerClient>,
     peer_ids: Vec<u32>,
@@ -453,38 +406,26 @@ impl FleetPeerSource {
         self.peers.len()
     }
 
-    /// Probes the siblings in rendezvous order for `key`. First hit
+    fn peer(&self, id: u32) -> &PeerClient {
+        self.peers
+            .iter()
+            .find(|p| p.spec.id == id)
+            .expect("rendezvous order only permutes known peer ids")
+    }
+
+    /// Probes the siblings in rendezvous order for `key`, skipping
+    /// `exclude` (a sibling a batched probe already asked). First hit
     /// wins; not-found moves on; a transport error is remembered but
     /// the remaining siblings still get their chance — only if *no*
     /// sibling produced the artifact does the first error surface.
-    fn fetch_framed(
-        &self,
-        lane: PeerLane,
-        key: CacheKey,
-    ) -> Result<Option<(Vec<u8>, u64, String)>, PeerError> {
-        self.fetch_framed_excluding(lane, key, None)
-    }
-
-    /// [`fetch_framed`](Self::fetch_framed), skipping `exclude` — used
-    /// after a batched probe already asked that sibling.
-    fn fetch_framed_excluding(
-        &self,
-        lane: PeerLane,
-        key: CacheKey,
-        exclude: Option<u32>,
-    ) -> Result<Option<(Vec<u8>, u64, String)>, PeerError> {
+    fn fetch_excluding(&self, lane: PeerLane, key: CacheKey, exclude: Option<u32>) -> PeerFetch {
         let mut first_error: Option<PeerError> = None;
         for id in rendezvous_order(key, &self.peer_ids) {
             if Some(id) == exclude {
                 continue;
             }
-            let peer = self
-                .peers
-                .iter()
-                .find(|p| p.spec.id == id)
-                .expect("rendezvous order only permutes known peer ids");
-            match peer.fetch(lane, key) {
-                Ok(Some((frame, cost_us))) => return Ok(Some((frame, cost_us, peer.name()))),
+            match self.peer(id).fetch(lane, key) {
+                Ok(Some(found)) => return Ok(Some(found)),
                 Ok(None) => {}
                 Err(e) => first_error = first_error.or(Some(e)),
             }
@@ -495,68 +436,27 @@ impl FleetPeerSource {
         }
     }
 
-    fn validate_entry_frame(
-        key: CacheKey,
-        frame: &[u8],
-        cost_us: u64,
-        peer: String,
-    ) -> Result<Option<(CacheEntry, u64)>, PeerError> {
-        let entry =
-            entry_from_bytes(key, frame).map_err(|detail| PeerError::Checksum { peer, detail })?;
-        Ok(Some((entry, cost_us)))
-    }
-
     /// Resolves one chunk of (slot, key) pairs against `peer`,
-    /// returning each slot's validated outcome. A batch-level transport
-    /// failure is fanned out to every slot in the chunk.
+    /// returning each slot's outcome. A batch-level transport failure
+    /// is fanned out to every slot in the chunk.
     fn resolve_chunk(
         &self,
         peer: &PeerClient,
+        lane: PeerLane,
         keys: &[CacheKey],
         chunk: &[usize],
-    ) -> Vec<(usize, EntryOutcome)> {
+    ) -> Vec<(usize, PeerFetch)> {
         let chunk_keys: Vec<CacheKey> = chunk.iter().map(|&s| keys[s]).collect();
-        match peer.fetch_chunk(PeerLane::Method, &chunk_keys) {
-            Ok(results) => chunk
-                .iter()
-                .zip(results)
-                .map(|(&slot, result)| {
-                    let outcome = match result {
-                        Ok(Some((frame, cost_us))) => {
-                            Self::validate_entry_frame(keys[slot], &frame, cost_us, peer.name())
-                        }
-                        Ok(None) => Ok(None),
-                        Err(e) => Err(e),
-                    };
-                    (slot, outcome)
-                })
-                .collect(),
+        match peer.fetch_chunk(lane, &chunk_keys) {
+            Ok(results) => chunk.iter().copied().zip(results).collect(),
             Err(e) => chunk.iter().map(|&slot| (slot, Err(e.clone()))).collect(),
         }
     }
 }
 
 impl PeerSource for FleetPeerSource {
-    fn fetch_entry(&self, key: CacheKey) -> Result<Option<(CacheEntry, u64)>, PeerError> {
-        match self.fetch_framed(PeerLane::Method, key)? {
-            None => Ok(None),
-            Some((frame, cost_us, peer)) => {
-                let entry = entry_from_bytes(key, &frame)
-                    .map_err(|detail| PeerError::Checksum { peer, detail })?;
-                Ok(Some((entry, cost_us)))
-            }
-        }
-    }
-
-    fn fetch_group(&self, key: CacheKey) -> Result<Option<(GroupPlanEntry, u64)>, PeerError> {
-        match self.fetch_framed(PeerLane::Group, key)? {
-            None => Ok(None),
-            Some((frame, cost_us, peer)) => {
-                let entry = group_from_bytes(key, &frame)
-                    .map_err(|detail| PeerError::Checksum { peer, detail })?;
-                Ok(Some((entry, cost_us)))
-            }
-        }
+    fn fetch(&self, lane: PeerLane, key: CacheKey) -> PeerFetch {
+        self.fetch_excluding(lane, key, None)
     }
 
     /// Batched fetch: groups the keys by their first-choice sibling
@@ -565,20 +465,17 @@ impl PeerSource for FleetPeerSource {
     /// build's misses cost one streaming round per peer instead of a
     /// round trip per key. Chunks run on up to [`FETCH_STREAMS`]
     /// concurrent connections (each engaging its own connection thread
-    /// on the serving daemon), overlapping serve, transfer, and
-    /// validation. Keys the first choice missed or failed are retried
-    /// against the remaining siblings one by one — only when there
-    /// *are* remaining siblings, so the sole peer of a two-shard fleet
-    /// is never consulted twice for the same key.
-    fn fetch_entries(
-        &self,
-        keys: &[CacheKey],
-    ) -> Vec<Result<Option<(CacheEntry, u64)>, PeerError>> {
+    /// on the serving daemon), overlapping serve and transfer. Keys the
+    /// first choice missed or failed are retried against the remaining
+    /// siblings one by one — only when there *are* remaining siblings,
+    /// so the sole peer of a two-shard fleet is never consulted twice
+    /// for the same key.
+    fn fetch_many(&self, lane: PeerLane, keys: &[CacheKey]) -> Vec<PeerFetch> {
         if self.peers.is_empty() {
             return keys.iter().map(|_| Ok(None)).collect();
         }
         // slot index → result; filled per peer group below.
-        let mut out: Vec<Option<EntryOutcome>> = keys.iter().map(|_| None).collect();
+        let mut out: Vec<Option<PeerFetch>> = keys.iter().map(|_| None).collect();
         let mut by_peer: Vec<(u32, Vec<usize>)> = Vec::new();
         for (slot, &key) in keys.iter().enumerate() {
             let first = rendezvous_order(key, &self.peer_ids)[0];
@@ -588,16 +485,12 @@ impl PeerSource for FleetPeerSource {
             }
         }
         for (id, slots) in by_peer {
-            let peer = self
-                .peers
-                .iter()
-                .find(|p| p.spec.id == id)
-                .expect("rendezvous order only permutes known peer ids");
+            let peer = self.peer(id);
             let chunks: Vec<&[usize]> = slots.chunks(BATCH_CHUNK).collect();
             let streams = chunks.len().min(FETCH_STREAMS);
             if streams <= 1 {
                 for chunk in chunks {
-                    for (slot, outcome) in self.resolve_chunk(peer, keys, chunk) {
+                    for (slot, outcome) in self.resolve_chunk(peer, lane, keys, chunk) {
                         out[slot] = Some(outcome);
                     }
                 }
@@ -612,7 +505,7 @@ impl PeerSource for FleetPeerSource {
                                     #[allow(clippy::cast_possible_truncation)]
                                     let i = next.fetch_add(1, Ordering::Relaxed) as usize;
                                     let Some(chunk) = chunks.get(i) else { break };
-                                    resolved.extend(self.resolve_chunk(peer, keys, chunk));
+                                    resolved.extend(self.resolve_chunk(peer, lane, keys, chunk));
                                 }
                                 resolved
                             })
@@ -630,25 +523,15 @@ impl PeerSource for FleetPeerSource {
             // Misses and failures get a second chance with the *other*
             // siblings (first-choice already had its say).
             if self.peers.len() > 1 {
-                for slot in 0..keys.len() {
-                    let retry = matches!(out[slot], Some(Ok(None)) | Some(Err(_)))
-                        && rendezvous_order(keys[slot], &self.peer_ids)[0] == id;
-                    if !retry {
+                for &slot in &slots {
+                    if matches!(out[slot], Some(Ok(Some(_)))) {
                         continue;
                     }
-                    let fallback =
-                        self.fetch_framed_excluding(PeerLane::Method, keys[slot], Some(id));
-                    out[slot] = Some(match fallback {
-                        Ok(Some((frame, cost_us, peer_name))) => {
-                            Self::validate_entry_frame(keys[slot], &frame, cost_us, peer_name)
-                        }
-                        Ok(None) => match out[slot].take() {
-                            // Keep the first-choice error: the key was
-                            // never proven absent fleet-wide.
-                            Some(Err(e)) => Err(e),
-                            _ => Ok(None),
-                        },
-                        Err(e) => Err(e),
+                    out[slot] = Some(match self.fetch_excluding(lane, keys[slot], Some(id)) {
+                        // Keep the first-choice error: the key was
+                        // never proven absent fleet-wide.
+                        Ok(None) => out[slot].take().expect("first choice answered every slot"),
+                        fallback => fallback,
                     });
                 }
             }
@@ -795,7 +678,7 @@ mod tests {
         // Port 1 on localhost: nothing listens there.
         let specs = vec![ShardSpec { id: 7, endpoint: ShardEndpoint::Tcp("127.0.0.1:1".into()) }];
         let source = FleetPeerSource::new(specs, 0);
-        match source.fetch_entry(key(1)) {
+        match source.fetch(PeerLane::Method, key(1)) {
             Err(PeerError::Connect { .. }) => {}
             other => panic!("expected Connect error, got {other:?}"),
         }

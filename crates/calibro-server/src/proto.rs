@@ -408,33 +408,23 @@ pub fn decode_error(body: &[u8]) -> Result<(u64, ServeError), WireError> {
     Ok((request_id, error))
 }
 
-/// Which store lane a peer fetch targets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PeerLane {
-    /// Per-method compile artifacts (`.calc` frames).
-    Method,
-    /// LTBO group plans (`.calg` frames).
-    Group,
-    /// Shared-dictionary bodies (`.cald` frames).
-    Dict,
+/// Which store lane a peer fetch targets (the lanes with a peer tier).
+pub use calibro_cache::PeerLane;
+
+fn lane_code(lane: PeerLane) -> u8 {
+    match lane {
+        PeerLane::Method => 0,
+        PeerLane::Group => 1,
+        PeerLane::Dict => 2,
+    }
 }
 
-impl PeerLane {
-    fn code(self) -> u8 {
-        match self {
-            PeerLane::Method => 0,
-            PeerLane::Group => 1,
-            PeerLane::Dict => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<PeerLane, WireError> {
-        match code {
-            0 => Ok(PeerLane::Method),
-            1 => Ok(PeerLane::Group),
-            2 => Ok(PeerLane::Dict),
-            tag => Err(WireError::InvalidTag { what: "PeerLane", tag }),
-        }
+fn lane_from_code(code: u8) -> Result<PeerLane, WireError> {
+    match code {
+        0 => Ok(PeerLane::Method),
+        1 => Ok(PeerLane::Group),
+        2 => Ok(PeerLane::Dict),
+        tag => Err(WireError::InvalidTag { what: "PeerLane", tag }),
     }
 }
 
@@ -456,7 +446,7 @@ impl PeerGet {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(self.request_id);
-        w.u8(self.lane.code());
+        w.u8(lane_code(self.lane));
         write_key(&mut w, self.key);
         w.into_bytes()
     }
@@ -469,7 +459,7 @@ impl PeerGet {
     pub fn decode(body: &[u8]) -> Result<PeerGet, WireError> {
         let mut r = Reader::new(body);
         let request_id = r.u64("request_id")?;
-        let lane = PeerLane::from_code(r.u8("lane")?)?;
+        let lane = lane_from_code(r.u8("lane")?)?;
         let key = read_key(&mut r)?;
         r.finish()?;
         Ok(PeerGet { request_id, lane, key })
@@ -501,7 +491,7 @@ impl PeerArtifact {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(self.request_id);
-        w.u8(self.lane.code());
+        w.u8(lane_code(self.lane));
         write_key(&mut w, self.key);
         match &self.artifact {
             None => w.u8(0),
@@ -522,7 +512,7 @@ impl PeerArtifact {
     pub fn decode(body: &[u8]) -> Result<PeerArtifact, WireError> {
         let mut r = Reader::new(body);
         let request_id = r.u64("request_id")?;
-        let lane = PeerLane::from_code(r.u8("lane")?)?;
+        let lane = lane_from_code(r.u8("lane")?)?;
         let key = read_key(&mut r)?;
         let artifact = match r.u8("artifact tag")? {
             0 => None,
@@ -903,6 +893,11 @@ impl DictStatsReply {
     }
 }
 
+// Every `CacheStats` field is a row of calibro-cache's counter table, which
+// the stats body transports by iteration: a field declared outside the table
+// fails compilation here instead of silently not being transported.
+const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * CacheStats::LEN);
+
 /// A point-in-time view of the daemon, returned by the `stats` request.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -954,7 +949,7 @@ pub struct ServerStats {
     /// Request-latency histogram bucket counts (see
     /// [`crate::histogram`]).
     pub latency_buckets: Vec<u64>,
-    /// Cumulative shared-store counters (both lanes + contention).
+    /// Cumulative shared-store counters (all four lanes + contention).
     pub cache: CacheStats,
 }
 
@@ -994,102 +989,7 @@ impl ServerStats {
         for &b in &self.latency_buckets {
             w.u64(b);
         }
-        // Exhaustive destructuring: adding a CacheStats field fails
-        // compilation here instead of silently not being transported.
-        let CacheStats {
-            hits,
-            misses,
-            stores,
-            evictions,
-            disk_hits,
-            disk_stores,
-            promotions,
-            peer_hits,
-            peer_misses,
-            peer_errors,
-            evict_cost_us,
-            group_hits,
-            group_misses,
-            group_stores,
-            group_evictions,
-            group_disk_hits,
-            group_disk_stores,
-            group_promotions,
-            group_peer_hits,
-            group_peer_misses,
-            group_peer_errors,
-            group_evict_cost_us,
-            merge_hits,
-            merge_misses,
-            merge_stores,
-            merge_evictions,
-            merge_disk_hits,
-            merge_disk_stores,
-            merge_promotions,
-            merge_evict_cost_us,
-            dict_hits,
-            dict_misses,
-            dict_stores,
-            dict_evictions,
-            dict_disk_hits,
-            dict_disk_stores,
-            dict_promotions,
-            dict_peer_hits,
-            dict_peer_misses,
-            dict_peer_errors,
-            dict_evict_cost_us,
-            lock_contention,
-            group_lock_contention,
-            merge_lock_contention,
-            dict_lock_contention,
-        } = self.cache;
-        for v in [
-            hits,
-            misses,
-            stores,
-            evictions,
-            disk_hits,
-            disk_stores,
-            promotions,
-            peer_hits,
-            peer_misses,
-            peer_errors,
-            evict_cost_us,
-            group_hits,
-            group_misses,
-            group_stores,
-            group_evictions,
-            group_disk_hits,
-            group_disk_stores,
-            group_promotions,
-            group_peer_hits,
-            group_peer_misses,
-            group_peer_errors,
-            group_evict_cost_us,
-            merge_hits,
-            merge_misses,
-            merge_stores,
-            merge_evictions,
-            merge_disk_hits,
-            merge_disk_stores,
-            merge_promotions,
-            merge_evict_cost_us,
-            dict_hits,
-            dict_misses,
-            dict_stores,
-            dict_evictions,
-            dict_disk_hits,
-            dict_disk_stores,
-            dict_promotions,
-            dict_peer_hits,
-            dict_peer_misses,
-            dict_peer_errors,
-            dict_evict_cost_us,
-            lock_contention,
-            group_lock_contention,
-            merge_lock_contention,
-            dict_lock_contention,
-        ] {
+        for v in self.cache.to_array() {
             w.u64(v);
         }
         w.into_bytes()
@@ -1129,53 +1029,11 @@ impl ServerStats {
         }
         let latency_buckets =
             (0..n).map(|_| r.u64("bucket")).collect::<Result<Vec<u64>, WireError>>()?;
-        let cache = CacheStats {
-            hits: r.u64("hits")?,
-            misses: r.u64("misses")?,
-            stores: r.u64("stores")?,
-            evictions: r.u64("evictions")?,
-            disk_hits: r.u64("disk_hits")?,
-            disk_stores: r.u64("disk_stores")?,
-            promotions: r.u64("promotions")?,
-            peer_hits: r.u64("peer_hits")?,
-            peer_misses: r.u64("peer_misses")?,
-            peer_errors: r.u64("peer_errors")?,
-            evict_cost_us: r.u64("evict_cost_us")?,
-            group_hits: r.u64("group_hits")?,
-            group_misses: r.u64("group_misses")?,
-            group_stores: r.u64("group_stores")?,
-            group_evictions: r.u64("group_evictions")?,
-            group_disk_hits: r.u64("group_disk_hits")?,
-            group_disk_stores: r.u64("group_disk_stores")?,
-            group_promotions: r.u64("group_promotions")?,
-            group_peer_hits: r.u64("group_peer_hits")?,
-            group_peer_misses: r.u64("group_peer_misses")?,
-            group_peer_errors: r.u64("group_peer_errors")?,
-            group_evict_cost_us: r.u64("group_evict_cost_us")?,
-            merge_hits: r.u64("merge_hits")?,
-            merge_misses: r.u64("merge_misses")?,
-            merge_stores: r.u64("merge_stores")?,
-            merge_evictions: r.u64("merge_evictions")?,
-            merge_disk_hits: r.u64("merge_disk_hits")?,
-            merge_disk_stores: r.u64("merge_disk_stores")?,
-            merge_promotions: r.u64("merge_promotions")?,
-            merge_evict_cost_us: r.u64("merge_evict_cost_us")?,
-            dict_hits: r.u64("dict_hits")?,
-            dict_misses: r.u64("dict_misses")?,
-            dict_stores: r.u64("dict_stores")?,
-            dict_evictions: r.u64("dict_evictions")?,
-            dict_disk_hits: r.u64("dict_disk_hits")?,
-            dict_disk_stores: r.u64("dict_disk_stores")?,
-            dict_promotions: r.u64("dict_promotions")?,
-            dict_peer_hits: r.u64("dict_peer_hits")?,
-            dict_peer_misses: r.u64("dict_peer_misses")?,
-            dict_peer_errors: r.u64("dict_peer_errors")?,
-            dict_evict_cost_us: r.u64("dict_evict_cost_us")?,
-            lock_contention: r.u64("lock_contention")?,
-            group_lock_contention: r.u64("group_lock_contention")?,
-            merge_lock_contention: r.u64("merge_lock_contention")?,
-            dict_lock_contention: r.u64("dict_lock_contention")?,
-        };
+        let mut cache = [0u64; CacheStats::LEN];
+        for (slot, name) in cache.iter_mut().zip(CacheStats::NAMES) {
+            *slot = r.u64(name)?;
+        }
+        let cache = CacheStats::from_array(cache);
         r.finish()?;
         Ok(ServerStats {
             uptime_us,
@@ -1296,25 +1154,31 @@ mod tests {
             generations_sealed: 4,
             refreshes_triggered: 2,
             latency_buckets: vec![0, 5, 10, 0, 2],
-            cache: CacheStats {
-                hits: 9,
-                misses: 4,
-                peer_hits: 6,
-                peer_errors: 2,
-                evict_cost_us: 12345,
-                group_peer_misses: 3,
-                lock_contention: 7,
-                dict_hits: 11,
-                dict_stores: 5,
-                dict_peer_hits: 2,
-                dict_promotions: 1,
-                dict_lock_contention: 3,
-                ..CacheStats::default()
-            },
+            cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
         };
         let back = ServerStats::decode(&stats.encode()).expect("stats decode");
         assert_eq!(back, stats);
         assert!(back.latency_quantile_us(0.5) > 0);
+    }
+
+    #[test]
+    fn stats_body_is_byte_identical_to_the_hand_listed_codec() {
+        // Length and FNV-1a-64 digest recorded from the codec that
+        // spelled the 45 cache counters out by hand (PR 15), over this
+        // same value: cache counters 1..=45 in table order (whose names
+        // calibro-cache pins separately).
+        let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
+        let stats = ServerStats {
+            uptime_us: 100,
+            workers: 2,
+            latency_buckets: vec![7, 8],
+            cache: CacheStats::from_array(ramp),
+            ..ServerStats::default()
+        };
+        let body = stats.encode();
+        let digest = crate::server::fnv1a64(&body);
+        assert_eq!((body.len(), digest), (548, 0x9c25_c479_dd85_e91f));
+        assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
     }
 
     #[test]

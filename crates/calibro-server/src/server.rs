@@ -50,9 +50,9 @@ use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
 use crate::proto::{
     self, encode_error, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, FrameEvent,
-    GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, PeerLane, ProfileReply,
-    ProfileRequest, ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET,
-    REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR,
+    GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest,
+    ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING,
+    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR,
     RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
     RESP_STATS,
 };
@@ -360,7 +360,7 @@ fn tenant_identity(dex: &DexFile, options: &BuildOptions) -> CacheKey {
 
 /// FNV-1a over the sealed ELF, reported in `generation-stats` so
 /// external harnesses can assert byte determinism without re-fetching.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -812,28 +812,7 @@ fn handle_peer_get(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> b
             return true;
         }
     };
-    let framed: Result<Option<(Vec<u8>, u64)>, String> = match request.lane {
-        PeerLane::Method => match shared.store.get_for_peer(request.key) {
-            Ok(Some((entry, cost_us))) => calibro_cache::entry_to_bytes(request.key, &entry)
-                .map(|bytes| Some((bytes, cost_us))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        },
-        PeerLane::Group => match shared.store.get_group_for_peer(request.key) {
-            Ok(Some((plan, cost_us))) => {
-                Ok(Some((calibro_cache::group_to_bytes(request.key, &plan), cost_us)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        },
-        PeerLane::Dict => match shared.store.get_dict_for_peer(request.key) {
-            Ok(Some((entry, cost_us))) => calibro_cache::dict_to_bytes(request.key, &entry)
-                .map(|bytes| Some((bytes, cost_us))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        },
-    };
-    match framed {
+    match shared.store.serve_peer(request.lane, request.key) {
         Ok(artifact) => {
             if artifact.is_some() {
                 shared.peer_gets_served.fetch_add(1, Ordering::Relaxed);

@@ -75,23 +75,6 @@ impl GroupPlan {
     }
 }
 
-/// Partitions `sequences` into `k` groups round-robin (a deterministic
-/// stand-in for the paper's random partition — the paper explicitly
-/// avoids similarity clustering for speed, and round-robin is equally
-/// content-oblivious while keeping runs reproducible).
-///
-/// `k == 0` is clamped to one group; `k` larger than the sequence count
-/// simply leaves the surplus groups empty.
-#[must_use]
-pub fn partition(sequences: Vec<TaggedSequence>, k: usize) -> Vec<Vec<TaggedSequence>> {
-    let k = k.max(1);
-    let mut groups: Vec<Vec<TaggedSequence>> = (0..k).map(|_| Vec::new()).collect();
-    for (i, seq) in sequences.into_iter().enumerate() {
-        groups[i % k].push(seq);
-    }
-    groups
-}
-
 /// Content hash of one symbol sequence, stable across builds.
 ///
 /// One FxHash-style mix per symbol (the symbol is already a 64-bit
@@ -122,12 +105,13 @@ pub fn stable_sequence_hash(symbols: &[Symbol]) -> u64 {
 /// to group `stable_sequence_hash(symbols) % k`, preserving input order
 /// within each group.
 ///
-/// Unlike the round-robin [`partition`], the assignment depends only on
-/// each sequence's own (canonicalized) content — inserting or removing a
-/// method moves no other method between groups, so an N-method edit
-/// dirties at most the N groups those methods land in (up to 2N counting
-/// the groups they left). That stability is what makes per-group plan
-/// caching sound. `k == 0` is clamped to one group.
+/// The assignment depends only on each sequence's own (canonicalized)
+/// content — inserting or removing a method moves no other method
+/// between groups, so an N-method edit dirties at most the N groups
+/// those methods land in (up to 2N counting the groups they left). That
+/// stability is what makes per-group plan caching sound. `k == 0` is
+/// clamped to one group; `k` larger than the sequence count simply
+/// leaves the surplus groups empty.
 #[must_use]
 pub fn partition_stable(sequences: Vec<TaggedSequence>, k: usize) -> Vec<Vec<TaggedSequence>> {
     let hashes: Vec<u64> = sequences.iter().map(|s| stable_sequence_hash(&s.symbols)).collect();
@@ -263,11 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_even_and_total() {
+    fn partition_is_total() {
         let sequences: Vec<TaggedSequence> = (0..10).map(|t| seq(t, &[t as Symbol])).collect();
-        let groups = partition(sequences, 3);
-        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
+        let groups = partition_stable(sequences, 3);
+        assert_eq!(groups.len(), 3);
         let mut tags: Vec<usize> = groups.iter().flatten().map(|s| s.tag).collect();
         tags.sort_unstable();
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
@@ -277,23 +260,17 @@ mod tests {
     fn partition_edge_cases_clamp_and_pad() {
         // k == 0 clamps to a single group rather than panicking.
         let sequences: Vec<TaggedSequence> = (0..4).map(|t| seq(t, &[t as Symbol])).collect();
-        let zero = partition(sequences.clone(), 0);
+        let zero = partition_stable(sequences.clone(), 0);
         assert_eq!(zero.len(), 1);
         assert_eq!(zero[0].len(), 4);
-        assert_eq!(partition_stable(sequences.clone(), 0).len(), 1);
 
         // k > #sequences leaves the surplus groups empty but present.
-        let wide = partition(sequences.clone(), 9);
-        assert_eq!(wide.len(), 9);
-        assert_eq!(wide.iter().map(Vec::len).sum::<usize>(), 4);
         let wide_stable = partition_stable(sequences, 9);
         assert_eq!(wide_stable.len(), 9);
         assert_eq!(wide_stable.iter().map(Vec::len).sum::<usize>(), 4);
 
         // No sequences at all: every group exists and is empty, and
         // detection over an empty group yields an empty plan.
-        let empty = partition(Vec::new(), 3);
-        assert!(empty.iter().all(Vec::is_empty));
         let empty_stable = partition_stable(Vec::new(), 3);
         assert_eq!(empty_stable.len(), 3);
         assert!(empty_stable.iter().all(Vec::is_empty));
@@ -402,7 +379,7 @@ mod tests {
                 seq(t, &s)
             })
             .collect();
-        let groups = partition(sequences, 4);
+        let groups = partition_stable(sequences, 4);
         let sequential: Vec<GroupPlan> = groups.iter().map(|g| detect_group(g, 2)).collect();
         let parallel = detect_parallel(groups, 2, 4);
         assert_eq!(parallel.len(), sequential.len());
@@ -422,7 +399,7 @@ mod tests {
         let sequences = vec![seq(0, &motif), seq(1, &motif)];
         let one_group = detect_group(&sequences, 2);
         assert_eq!(one_group.candidates.len(), 1);
-        let split = detect_parallel(partition(sequences, 2), 2, 2);
+        let split = detect_parallel(sequences.into_iter().map(|s| vec![s]).collect(), 2, 2);
         assert!(split.iter().all(|g| g.candidates.is_empty()));
     }
 

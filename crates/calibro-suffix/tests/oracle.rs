@@ -1,8 +1,8 @@
 //! Property tests checking the suffix tree against naive oracles.
 
 use calibro_suffix::{
-    detect_group, detect_parallel, naive_count, naive_positions, partition, repeated_substrings,
-    select_outline_plan, SuffixTree, TaggedSequence, TERMINAL,
+    detect_group, detect_parallel, naive_count, naive_positions, partition_stable,
+    repeated_substrings, select_outline_plan, SuffixTree, TaggedSequence, TERMINAL,
 };
 use proptest::prelude::*;
 
@@ -222,7 +222,7 @@ fn parallel_detection_agrees_with_single_group_and_thread_count() {
     let single = detect_group(&seqs, 2);
     assert!(!single.candidates.is_empty());
     for threads in [1, 4] {
-        let plans = detect_parallel(partition(seqs.clone(), 1), 2, threads);
+        let plans = detect_parallel(partition_stable(seqs.clone(), 1), 2, threads);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].tags, single.tags);
         assert_eq!(
@@ -233,7 +233,7 @@ fn parallel_detection_agrees_with_single_group_and_thread_count() {
     }
     // Splitting into more groups never invents candidates that resolve
     // outside their own group's sequences.
-    let plans = detect_parallel(partition(seqs, 3), 2, 2);
+    let plans = detect_parallel(partition_stable(seqs, 3), 2, 2);
     assert_eq!(plans.len(), 3);
     for plan in &plans {
         for cand in &plan.candidates {

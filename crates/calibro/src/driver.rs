@@ -274,7 +274,6 @@ impl BuildStats {
         let p = &self.passes;
         let l = &self.ltbo;
         let m = &self.merge;
-        let c = &self.cache;
         format!(
             concat!(
                 "{{",
@@ -283,24 +282,7 @@ impl BuildStats {
                 r#""times_us":{{"verify":{},"keys":{},"graphs":{},"inline":{},"codegen":{},"#,
                 r#""compile":{},"merge":{},"ltbo":{},"detect":{},"link":{},"total":{}}},"#,
                 r#""compile_cpu_us":{},"per_worker":[{}],"#,
-                r#""cache":{{"hits":{},"misses":{},"stores":{},"evictions":{},"#,
-                r#""disk_hits":{},"disk_stores":{},"promotions":{},"#,
-                r#""peer_hits":{},"peer_misses":{},"peer_errors":{},"evict_cost_us":{},"#,
-                r#""group_hits":{},"group_misses":{},"group_stores":{},"#,
-                r#""group_evictions":{},"group_disk_hits":{},"group_disk_stores":{},"#,
-                r#""group_promotions":{},"#,
-                r#""group_peer_hits":{},"group_peer_misses":{},"group_peer_errors":{},"#,
-                r#""group_evict_cost_us":{},"#,
-                r#""merge_hits":{},"merge_misses":{},"merge_stores":{},"#,
-                r#""merge_evictions":{},"merge_disk_hits":{},"merge_disk_stores":{},"#,
-                r#""merge_promotions":{},"merge_evict_cost_us":{},"#,
-                r#""dict_hits":{},"dict_misses":{},"dict_stores":{},"#,
-                r#""dict_evictions":{},"dict_disk_hits":{},"dict_disk_stores":{},"#,
-                r#""dict_promotions":{},"#,
-                r#""dict_peer_hits":{},"dict_peer_misses":{},"dict_peer_errors":{},"#,
-                r#""dict_evict_cost_us":{},"#,
-                r#""lock_contention":{},"group_lock_contention":{},"#,
-                r#""merge_lock_contention":{},"dict_lock_contention":{}}},"#,
+                r#""cache":{},"#,
                 r#""passes":{{"folded":{},"copies_propagated":{},"cse_hits":{},"#,
                 r#""dead_removed":{},"simplified":{},"returns_merged":{},"#,
                 r#""blocks_removed":{},"iterations":{},"insns_in":{},"insns_out":{}}},"#,
@@ -333,51 +315,7 @@ impl BuildStats {
             us(self.total_time()),
             us(self.compile_cpu_time),
             per_worker.join(","),
-            c.hits,
-            c.misses,
-            c.stores,
-            c.evictions,
-            c.disk_hits,
-            c.disk_stores,
-            c.promotions,
-            c.peer_hits,
-            c.peer_misses,
-            c.peer_errors,
-            c.evict_cost_us,
-            c.group_hits,
-            c.group_misses,
-            c.group_stores,
-            c.group_evictions,
-            c.group_disk_hits,
-            c.group_disk_stores,
-            c.group_promotions,
-            c.group_peer_hits,
-            c.group_peer_misses,
-            c.group_peer_errors,
-            c.group_evict_cost_us,
-            c.merge_hits,
-            c.merge_misses,
-            c.merge_stores,
-            c.merge_evictions,
-            c.merge_disk_hits,
-            c.merge_disk_stores,
-            c.merge_promotions,
-            c.merge_evict_cost_us,
-            c.dict_hits,
-            c.dict_misses,
-            c.dict_stores,
-            c.dict_evictions,
-            c.dict_disk_hits,
-            c.dict_disk_stores,
-            c.dict_promotions,
-            c.dict_peer_hits,
-            c.dict_peer_misses,
-            c.dict_peer_errors,
-            c.dict_evict_cost_us,
-            c.lock_contention,
-            c.group_lock_contention,
-            c.merge_lock_contention,
-            c.dict_lock_contention,
+            self.cache.to_json(),
             p.folded,
             p.copies_propagated,
             p.cse_hits,
@@ -539,10 +477,7 @@ mod tests {
         assert!(json.contains(r#""passes":{"folded":0"#));
         assert!(json.contains(r#""ltbo":{"candidate_methods":0"#));
         assert!(json.contains(r#""merge":{"candidate_methods":0"#));
-        assert!(json.contains(r#""merge_hits":0"#));
-        assert!(json.contains(r#""merge_lock_contention":0"#));
-        assert!(json.contains(r#""dict_hits":0"#));
-        assert!(json.contains(r#""dict_lock_contention":0"#));
+        assert!(json.contains(&format!(r#""cache":{},"passes""#, stats.cache.to_json())));
         assert!(json.contains(r#""dict":{"epoch":0"#));
         assert!(json.contains(r#""compile":0,"merge":0,"ltbo":0"#));
     }

@@ -519,7 +519,7 @@ pub(crate) fn run_ltbo_prepared(
             })
             .collect();
         for (slot, &key) in cached.iter_mut().zip(&keys) {
-            *slot = store.get_group_plan(key).map_err(OutlineError::Cache)?;
+            *slot = store.groups().get(key).map_err(OutlineError::Cache)?;
         }
     }
 
@@ -544,7 +544,7 @@ pub(crate) fn run_ltbo_prepared(
             if !reused {
                 // Detection CPU rides into the plan lane as recompute
                 // cost, so eviction pressure drops cheap plans first.
-                store.insert_group_plan_with_cost(
+                store.groups().insert_with_cost(
                     keys[i],
                     GroupPlanEntry {
                         text_len: group_text_len(&groups[i]),

@@ -538,7 +538,7 @@ pub(crate) fn run_merge(
             Some(store) => {
                 let members: Vec<CacheKey> = bodies.iter().map(|m| merge_content_key(m)).collect();
                 let key = merge_plan_key_from(config, &members);
-                match store.get_merge_plan(key).map_err(BuildError::Cache)? {
+                match store.merges().get(key).map_err(BuildError::Cache)? {
                     Some(entry) if plan_is_applicable(&bodies, &entry) => entry.groups.clone(),
                     hit => {
                         let plan_start = Instant::now();
@@ -549,7 +549,7 @@ pub(crate) fn run_merge(
                         if hit.is_none() {
                             let cost_us =
                                 u64::try_from(plan_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                            store.insert_merge_plan_with_cost(
+                            store.merges().insert_with_cost(
                                 key,
                                 MergePlanEntry {
                                     member_count: bucket.len() as u32,

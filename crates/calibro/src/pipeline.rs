@@ -370,7 +370,7 @@ impl BuildSession {
             // cost-aware eviction policy keeps the methods that were
             // expensive to produce.
             let cost_us = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let entry = self.store.insert_with_cost(
+            let entry = self.store.methods().insert_with_cost(
                 keys[i],
                 CacheEntry { compiled: compiled.clone(), pass_stats, template, ref_env },
                 cost_us,
