@@ -145,11 +145,7 @@ fn run_serve(args: &[String]) {
             })
         };
         match flag.as_str() {
-            "--socket" => {
-                config.endpoint =
-                    Some(bench::Endpoint::Unix(std::path::PathBuf::from(value("--socket"))));
-            }
-            "--addr" => config.endpoint = Some(bench::Endpoint::Tcp(value("--addr").clone())),
+            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
             "--clients" => config.clients = parse_flag(value("--clients"), "--clients"),
             "--requests" => config.requests = parse_flag(value("--requests"), "--requests"),
             "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
@@ -223,11 +219,7 @@ fn run_dict(args: &[String]) {
             })
         };
         match flag.as_str() {
-            "--socket" => {
-                config.endpoint =
-                    Some(bench::Endpoint::Unix(std::path::PathBuf::from(value("--socket"))));
-            }
-            "--addr" => config.endpoint = Some(bench::Endpoint::Tcp(value("--addr").clone())),
+            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
             "--apps" => config.apps = parse_flag(value("--apps"), "--apps"),
             "--sdk-methods" => {
                 config.sdk_methods = parse_flag(value("--sdk-methods"), "--sdk-methods");
@@ -360,11 +352,7 @@ fn run_drift(args: &[String]) {
             })
         };
         match flag.as_str() {
-            "--socket" => {
-                config.endpoint =
-                    Some(bench::Endpoint::Unix(std::path::PathBuf::from(value("--socket"))));
-            }
-            "--addr" => config.endpoint = Some(bench::Endpoint::Tcp(value("--addr").clone())),
+            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
             "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
             other => {
                 eprintln!("experiments drift: unknown flag {other}");
@@ -404,6 +392,16 @@ fn run_drift(args: &[String]) {
         "phase-B cycles: stale {:>10}   fresh {:>10}   recovered {}",
         report.phase_b_cycles_stale, report.phase_b_cycles_fresh, report.perf_recovered
     );
+}
+
+/// The external daemon the serve, dict and drift arms can target:
+/// `--socket PATH` or `--addr HOST:PORT`.
+fn endpoint(flag: &str, value: &str) -> calibro_server::ShardEndpoint {
+    let scheme = if flag == "--socket" { "unix" } else { "tcp" };
+    calibro_server::ShardEndpoint::parse(&format!("{scheme}:{value}")).unwrap_or_else(|e| {
+        eprintln!("experiments: {flag} {value}: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_flag<T: std::str::FromStr>(raw: &str, flag: &str) -> T {

@@ -7,9 +7,7 @@
 
 use calibro::BuildOptions;
 use calibro_dex::{BinOp, DexFile, DexInsn, MethodBuilder, VReg};
-use calibro_server::{Daemon, DictStatsReply, Listener, ServerConfig};
-
-use crate::serve::Endpoint;
+use calibro_server::{Daemon, DictStatsReply, Listener, ServerConfig, ShardEndpoint};
 
 /// Dictionary loadgen configuration.
 #[derive(Clone, Debug)]
@@ -25,7 +23,7 @@ pub struct DictLoadConfig {
     /// External daemon to target; `None` starts one in-process with the
     /// dictionary enabled. An external daemon must run `--dict` for the
     /// on arm to measure anything.
-    pub endpoint: Option<Endpoint>,
+    pub endpoint: Option<ShardEndpoint>,
 }
 
 impl Default for DictLoadConfig {
@@ -183,7 +181,7 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
                 )
                 .expect("start dict daemon");
                 local = Some(daemon);
-                Endpoint::Unix(socket)
+                ShardEndpoint::Unix(socket)
             }
             #[cfg(not(unix))]
             {
@@ -195,7 +193,7 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
                 )
                 .expect("start dict daemon");
                 local = Some(daemon);
-                Endpoint::Tcp(addr)
+                ShardEndpoint::Tcp(addr)
             }
         }
     };
@@ -203,7 +201,7 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
     let apps: Vec<DexFile> = (0..config.apps.max(1))
         .map(|i| family_app(i, config.sdk_methods, config.unique_methods))
         .collect();
-    let mut client = endpoint.connect();
+    let mut client = endpoint.client().expect("connect to the daemon");
 
     // Off arm: plain private-outline builds (the dict flag stays off,
     // so the daemon's registry never sees them).

@@ -22,10 +22,8 @@ use std::time::{Duration, Instant};
 use calibro::{build, BuildOptions};
 use calibro_profile::Profile;
 use calibro_runtime::Runtime;
-use calibro_server::{Daemon, Listener, ServerConfig};
+use calibro_server::{Daemon, Listener, ServerConfig, ShardEndpoint};
 use calibro_workloads::{generate, App, AppSpec, TraceCall};
-
-use crate::serve::Endpoint;
 
 /// Trace-call steps budget, matching the experiments substrate.
 const STEP_BUDGET: u64 = 4_000_000;
@@ -42,7 +40,7 @@ const MAX_UPLOADS: usize = 50;
 #[derive(Clone, Debug)]
 pub struct DriftConfig {
     /// External daemon to target; `None` starts one in-process.
-    pub endpoint: Option<Endpoint>,
+    pub endpoint: Option<ShardEndpoint>,
     /// Worker threads for the in-process daemon.
     pub workers: usize,
 }
@@ -189,7 +187,7 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
 
     // Generation 1: hot-set-restricted to the phase-A profile.
     let options = BuildOptions::cto_ltbo().with_hot_filter(hot_a);
-    let mut client = endpoint.connect();
+    let mut client = endpoint.client().expect("connect to the daemon");
     let gen1 =
         client.build_for_tenant(&tenant, &app.dex, &options, None).expect("generation-1 build");
 
@@ -285,18 +283,18 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
 
 /// Binds an in-process listener: a Unix socket where available, TCP
 /// loopback otherwise.
-fn local_listener() -> (Listener, Endpoint) {
+fn local_listener() -> (Listener, ShardEndpoint) {
     #[cfg(unix)]
     {
         let socket: PathBuf =
             std::env::temp_dir().join(format!("calibrod-drift-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&socket);
-        (Listener::unix(&socket).expect("bind drift socket"), Endpoint::Unix(socket))
+        (Listener::unix(&socket).expect("bind drift socket"), ShardEndpoint::Unix(socket))
     }
     #[cfg(not(unix))]
     {
         let listener = Listener::tcp("127.0.0.1:0").expect("bind drift tcp");
         let addr = listener.tcp_addr().expect("tcp addr").to_string();
-        (listener, Endpoint::Tcp(addr))
+        (listener, ShardEndpoint::Tcp(addr))
     }
 }

@@ -329,8 +329,8 @@ pub fn fleet_load(config: &FleetLoadConfig) -> FleetReport {
         peer_gets_served: stats_a.peer_gets_served,
         routed_programs,
         routed_warm,
-        shard_a_json: crate::serve::server_stats_json(&stats_a),
-        shard_b_json: crate::serve::server_stats_json(&stats_b),
+        shard_a_json: stats_a.to_json(),
+        shard_b_json: stats_b.to_json(),
     };
 
     for daemon in local {

@@ -17,4 +17,4 @@ pub use dict::{dict_load, family_app, DictAppRow, DictLoadConfig, DictReport};
 pub use drift::{drift_feedback, DriftConfig, DriftReport};
 pub use experiments::*;
 pub use fleet::{fleet_load, FleetLoadConfig, FleetReport};
-pub use serve::{serve_load, serve_one_slow, Endpoint, ServeLoadConfig, ServeReport};
+pub use serve::{serve_load, serve_one_slow, ServeLoadConfig, ServeReport};

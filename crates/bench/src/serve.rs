@@ -5,36 +5,12 @@
 //! rates on the warm half, and the daemon's admission behavior under a
 //! deliberate overload burst. Results land in `BENCH_serve.json`.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use calibro::BuildOptions;
-use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig};
+use calibro_server::{Daemon, Listener, ServeError, ServerConfig, ShardEndpoint};
 use calibro_workloads::{generate, AppSpec};
-
-/// Where the daemon under test listens.
-#[derive(Clone, Debug)]
-pub enum Endpoint {
-    /// A Unix domain socket path (an external `calibrod --socket`).
-    Unix(PathBuf),
-    /// A TCP address (an external `calibrod --listen`).
-    Tcp(String),
-}
-
-impl Endpoint {
-    pub(crate) fn connect(&self) -> Client {
-        match self {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => Client::connect_unix(path).expect("connect unix"),
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => {
-                panic!("unix socket {} unsupported on this platform", path.display())
-            }
-            Endpoint::Tcp(addr) => Client::connect_tcp(addr).expect("connect tcp"),
-        }
-    }
-}
 
 /// Loadgen configuration (all defaults overridable from the CLI).
 #[derive(Clone, Debug)]
@@ -49,7 +25,7 @@ pub struct ServeLoadConfig {
     /// Admission-queue depth for the in-process daemon.
     pub queue_depth: usize,
     /// External daemon to target; `None` starts one in-process.
-    pub endpoint: Option<Endpoint>,
+    pub endpoint: Option<ShardEndpoint>,
     /// Whether to run the overload burst probe after the mixed stream.
     pub probe_overload: bool,
 }
@@ -162,62 +138,6 @@ fn sorted_quantile(latencies: &[u64], p: f64) -> u64 {
     latencies[rank.min(latencies.len()) - 1]
 }
 
-/// Renders a daemon stats snapshot as JSON (the daemon's own cache
-/// stats plus queue/latency counters).
-#[must_use]
-pub fn server_stats_json(stats: &calibro_server::ServerStats) -> String {
-    format!(
-        concat!(
-            r#"{{"uptime_us":{},"workers":{},"queue_capacity":{},"queue_depth":{},"#,
-            r#""in_flight":{},"accepted_connections":{},"requests_admitted":{},"#,
-            r#""requests_completed":{},"rejected_overloaded":{},"deadline_timeouts":{},"#,
-            r#""malformed_frames":{},"oversized_frames":{},"mid_frame_disconnects":{},"#,
-            r#""build_errors":{},"shard_id":{},"peer_gets_served":{},"#,
-            r#""p50_us":{},"p95_us":{},"p99_us":{},"#,
-            r#""cache_hits":{},"cache_misses":{},"group_hits":{},"group_misses":{},"#,
-            r#""peer_hits":{},"peer_misses":{},"peer_errors":{},"#,
-            r#""group_peer_hits":{},"group_peer_misses":{},"group_peer_errors":{},"#,
-            r#""evictions":{},"evict_cost_us":{},"group_evictions":{},"group_evict_cost_us":{},"#,
-            r#""lock_contention":{},"group_lock_contention":{}}}"#
-        ),
-        stats.uptime_us,
-        stats.workers,
-        stats.queue_capacity,
-        stats.queue_depth,
-        stats.in_flight,
-        stats.accepted_connections,
-        stats.requests_admitted,
-        stats.requests_completed,
-        stats.rejected_overloaded,
-        stats.deadline_timeouts,
-        stats.malformed_frames,
-        stats.oversized_frames,
-        stats.mid_frame_disconnects,
-        stats.build_errors,
-        stats.shard_id,
-        stats.peer_gets_served,
-        stats.latency_quantile_us(0.50),
-        stats.latency_quantile_us(0.95),
-        stats.latency_quantile_us(0.99),
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.group_hits,
-        stats.cache.group_misses,
-        stats.cache.peer_hits,
-        stats.cache.peer_misses,
-        stats.cache.peer_errors,
-        stats.cache.group_peer_hits,
-        stats.cache.group_peer_misses,
-        stats.cache.group_peer_errors,
-        stats.cache.evictions,
-        stats.cache.evict_cost_us,
-        stats.cache.group_evictions,
-        stats.cache.group_evict_cost_us,
-        stats.cache.lock_contention,
-        stats.cache.group_lock_contention,
-    )
-}
-
 /// Runs the load scenario: a dedicated cold/warm pair (the headline
 /// shared-cache speedup), then the mixed stream, then the overload
 /// probe. Panics on setup failures; per-request failures are counted,
@@ -244,7 +164,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
                 )
                 .expect("start in-process daemon");
                 local = Some(daemon);
-                Endpoint::Unix(socket)
+                ShardEndpoint::Unix(socket)
             }
             #[cfg(not(unix))]
             {
@@ -260,7 +180,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
                 )
                 .expect("start in-process daemon");
                 local = Some(daemon);
-                Endpoint::Tcp(addr)
+                ShardEndpoint::Tcp(addr)
             }
         }
     };
@@ -270,12 +190,12 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
 
     // Headline pair: client A pays the cold build, client B sends the
     // identical request and must be served warm and byte-identical.
-    let mut client_a = endpoint.connect();
+    let mut client_a = endpoint.client().expect("connect to the daemon");
     let t = Instant::now();
     let cold_reply = client_a.build(&warm_app.dex, &options, None).expect("cold build");
     let cold_us = t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
 
-    let mut client_b = endpoint.connect();
+    let mut client_b = endpoint.client().expect("connect to the daemon");
     let t = Instant::now();
     let warm_reply = client_b.build(&warm_app.dex, &options, None).expect("warm build");
     let warm_us = t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -298,7 +218,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
                 let warm_dex = &warm_app.dex;
                 let cold_ordinal = &cold_ordinal;
                 scope.spawn(move || {
-                    let mut client = endpoint.connect();
+                    let mut client = endpoint.client().expect("connect to the daemon");
                     let mut latencies = Vec::with_capacity(per_client);
                     let (mut errors, mut warm_sent) = (0usize, 0usize);
                     let (mut warm_methods, mut warm_cached) = (0u64, 0u64);
@@ -356,7 +276,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
     // the overflow must come back as typed `Overloaded` rejections.
     let (mut probe_sent, mut probe_rejected) = (0usize, 0usize);
     if config.probe_overload {
-        let mut probe = endpoint.connect();
+        let mut probe = endpoint.client().expect("connect to the daemon");
         let snapshot = probe.server_stats().expect("server stats");
         let slow: Vec<_> = (0..snapshot.workers as usize)
             .map(|i| {
@@ -382,7 +302,8 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
             results.iter().filter(|r| matches!(r, Err(ServeError::Overloaded { .. }))).count();
     }
 
-    let server_stats = endpoint.connect().server_stats().expect("server stats");
+    let server_stats =
+        endpoint.client().expect("connect to the daemon").server_stats().expect("server stats");
     let report = ServeReport {
         clients: config.clients.max(1),
         completed,
@@ -400,7 +321,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
         identical,
         probe_sent,
         probe_rejected,
-        server_json: server_stats_json(&server_stats),
+        server_json: server_stats.to_json(),
     };
 
     if let Some(daemon) = local {
@@ -413,9 +334,9 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
 /// arrives — the in-flight half of the CI graceful-drain check (the
 /// harness SIGTERMs the daemon while this request is running; drain
 /// semantics require the reply to still be delivered).
-pub fn serve_one_slow(endpoint: &Endpoint) {
+pub fn serve_one_slow(endpoint: &ShardEndpoint) {
     let app = generate(&AppSpec { methods: 1600, classes: 24, ..AppSpec::small("drain-slow", 77) });
-    let mut client = endpoint.connect();
+    let mut client = endpoint.client().expect("connect to the daemon");
     let reply = client.build(&app.dex, &BuildOptions::cto_ltbo(), None).expect("in-flight build");
     assert!(!reply.elf.is_empty());
 }

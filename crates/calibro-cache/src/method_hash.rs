@@ -25,7 +25,7 @@
 //! so the fingerprint can never silently stop covering an input that
 //! affects compilation.
 
-use calibro_dex::{BinOp, Cmp, DexFile, DexInsn, InvokeKind, Method, VReg};
+use calibro_dex::{DexFile, DexInsn, Method, VReg};
 
 use crate::hash::StableHasher;
 
@@ -93,31 +93,6 @@ fn write_packed_args(args: &[VReg], h: &mut StableHasher) {
     }
 }
 
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::And => 4,
-        BinOp::Or => 5,
-        BinOp::Xor => 6,
-        BinOp::Shl => 7,
-        BinOp::Shr => 8,
-    }
-}
-
-fn cmp_tag(cmp: Cmp) -> u8 {
-    match cmp {
-        Cmp::Eq => 0,
-        Cmp::Ne => 1,
-        Cmp::Lt => 2,
-        Cmp::Ge => 3,
-        Cmp::Gt => 4,
-        Cmp::Le => 5,
-    }
-}
-
 /// Packs one instruction into one or two raw words (plus overflow words
 /// for invoke arguments and switch targets). See the module doc for the
 /// lane layout and the injectivity argument.
@@ -133,7 +108,7 @@ fn hash_insn(insn: &DexInsn, h: &mut StableHasher) {
         }
         DexInsn::Bin { op, dst, a, b } => {
             h.write_word(
-                3 | u64::from(binop_tag(*op)) << 8
+                3 | u64::from(op.code()) << 8
                     | vreg_bits(*dst) << 16
                     | vreg_bits(*a) << 32
                     | vreg_bits(*b) << 48,
@@ -141,7 +116,7 @@ fn hash_insn(insn: &DexInsn, h: &mut StableHasher) {
         }
         DexInsn::BinLit { op, dst, a, lit } => {
             h.write_word(
-                4 | u64::from(binop_tag(*op)) << 8 | vreg_bits(*dst) << 16 | vreg_bits(*a) << 32,
+                4 | u64::from(op.code()) << 8 | vreg_bits(*dst) << 16 | vreg_bits(*a) << 32,
             );
             h.write_word(i64::from(*lit) as u64);
         }
@@ -164,12 +139,10 @@ fn hash_insn(insn: &DexInsn, h: &mut StableHasher) {
         }
         DexInsn::Invoke { kind, method, args, dst } => {
             assert!(args.len() < (1 << 16), "invoke argument count overflows its packed lane");
-            let kind_bits = match kind {
-                InvokeKind::Virtual => 0u64,
-                InvokeKind::Static => 1,
-            };
             h.write_word(
-                10 | kind_bits << 8 | (args.len() as u64) << 16 | opt_vreg_bits(*dst) << 32,
+                10 | u64::from(kind.code()) << 8
+                    | (args.len() as u64) << 16
+                    | opt_vreg_bits(*dst) << 32,
             );
             h.write_word(u64::from(method.0));
             write_packed_args(args, h);
@@ -182,12 +155,12 @@ fn hash_insn(insn: &DexInsn, h: &mut StableHasher) {
         }
         DexInsn::If { cmp, a, b, target } => {
             h.write_word(
-                12 | u64::from(cmp_tag(*cmp)) << 8 | vreg_bits(*a) << 16 | vreg_bits(*b) << 32,
+                12 | u64::from(cmp.code()) << 8 | vreg_bits(*a) << 16 | vreg_bits(*b) << 32,
             );
             h.write_word(*target as u64);
         }
         DexInsn::IfZ { cmp, a, target } => {
-            h.write_word(13 | u64::from(cmp_tag(*cmp)) << 8 | vreg_bits(*a) << 16);
+            h.write_word(13 | u64::from(cmp.code()) << 8 | vreg_bits(*a) << 16);
             h.write_word(*target as u64);
         }
         DexInsn::Goto { target } => {
@@ -219,7 +192,7 @@ fn hash_insn(insn: &DexInsn, h: &mut StableHasher) {
 mod tests {
     use super::*;
     use crate::hash::CacheKey;
-    use calibro_dex::{ClassId, MethodId};
+    use calibro_dex::{BinOp, ClassId, InvokeKind, MethodId};
 
     fn method(insns: Vec<DexInsn>) -> Method {
         Method {

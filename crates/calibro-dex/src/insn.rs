@@ -14,53 +14,89 @@
 
 use crate::ids::{ClassId, FieldId, MethodId, StaticId, VReg};
 
-/// Comparison kind for two-register and register-vs-zero branches.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Cmp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Signed less than.
-    Lt,
-    /// Signed greater or equal.
-    Ge,
-    /// Signed greater than.
-    Gt,
-    /// Signed less or equal.
-    Le,
+/// Declares an operand enum together with its stable numeric code.
+/// The code is what the wire codec transports and what the method hash
+/// packs into cache keys, so it is named exactly once, here: append
+/// variants, never renumber.
+macro_rules! coded_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$doc:meta])* $variant:ident = $code:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum $name {
+            $($(#[$doc])* $variant = $code,)*
+        }
+
+        impl $name {
+            /// The variant's stable numeric code.
+            #[inline]
+            #[must_use]
+            pub const fn code(self) -> u8 {
+                self as u8
+            }
+
+            /// The variant carrying `code`; `None` for an undefined code.
+            #[inline]
+            #[must_use]
+            pub const fn from_code(code: u8) -> Option<$name> {
+                match code {
+                    $($code => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// Binary arithmetic/logical operation kind.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum BinOp {
-    /// Wrapping addition.
-    Add,
-    /// Wrapping subtraction.
-    Sub,
-    /// Wrapping multiplication.
-    Mul,
-    /// Signed division (throws on division by zero — has a slow path).
-    Div,
-    /// Bitwise AND.
-    And,
-    /// Bitwise OR.
-    Or,
-    /// Bitwise XOR.
-    Xor,
-    /// Logical shift left (amount masked to 5 bits).
-    Shl,
-    /// Logical shift right (amount masked to 5 bits).
-    Shr,
+coded_enum! {
+    /// Comparison kind for two-register and register-vs-zero branches.
+    Cmp {
+        /// Equal.
+        Eq = 0,
+        /// Not equal.
+        Ne = 1,
+        /// Signed less than.
+        Lt = 2,
+        /// Signed greater or equal.
+        Ge = 3,
+        /// Signed greater than.
+        Gt = 4,
+        /// Signed less or equal.
+        Le = 5,
+    }
 }
 
-/// The kind of an invoke instruction.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum InvokeKind {
-    /// Virtual dispatch through the receiver's `ArtMethod`.
-    Virtual,
-    /// Static dispatch (no receiver).
-    Static,
+coded_enum! {
+    /// Binary arithmetic/logical operation kind.
+    BinOp {
+        /// Wrapping addition.
+        Add = 0,
+        /// Wrapping subtraction.
+        Sub = 1,
+        /// Wrapping multiplication.
+        Mul = 2,
+        /// Signed division (throws on division by zero — has a slow path).
+        Div = 3,
+        /// Bitwise AND.
+        And = 4,
+        /// Bitwise OR.
+        Or = 5,
+        /// Bitwise XOR.
+        Xor = 6,
+        /// Logical shift left (amount masked to 5 bits).
+        Shl = 7,
+        /// Logical shift right (amount masked to 5 bits).
+        Shr = 8,
+    }
+}
+
+coded_enum! {
+    /// The kind of an invoke instruction.
+    InvokeKind {
+        /// Virtual dispatch through the receiver's `ArtMethod`.
+        Virtual = 0,
+        /// Static dispatch (no receiver).
+        Static = 1,
+    }
 }
 
 /// One DEX-like bytecode instruction.
@@ -189,6 +225,21 @@ impl DexInsn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn operand_codes_round_trip_and_reject_undefined_values() {
+        // The numbering itself is pinned where it matters: the wire
+        // fixtures in calibro-server and the method-hash golden.
+        for code in 0..=u8::MAX {
+            assert_eq!(BinOp::from_code(code).map(BinOp::code), (code < 9).then_some(code));
+            assert_eq!(Cmp::from_code(code).map(Cmp::code), (code < 6).then_some(code));
+            assert_eq!(
+                InvokeKind::from_code(code).map(InvokeKind::code),
+                (code < 2).then_some(code)
+            );
+        }
+        assert_eq!((BinOp::Xor.code(), Cmp::Ge.code(), InvokeKind::Static.code()), (6, 3, 1));
+    }
 
     #[test]
     fn block_end_classification() {

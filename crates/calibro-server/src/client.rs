@@ -10,58 +10,35 @@ use std::time::Duration;
 use calibro::{options_fingerprint, BuildOptions};
 use calibro_dex::DexFile;
 
-use crate::error::ClientError;
+use crate::error::{ClientError, ServeError};
+use crate::fleet::ShardEndpoint;
 use crate::proto::{
-    self, decode_error, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, FrameEvent,
-    GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, ServerStats, REQ_BUILD,
-    REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS,
-    RESP_BUILT, RESP_DICT_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PONG, RESP_PROFILE,
+    self, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
+    GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats,
+    REQ_BUILD, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
     RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
-
-enum ClientStream {
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-impl io::Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-            ClientStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl io::Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-            ClientStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-            ClientStream::Tcp(s) => s.flush(),
-        }
-    }
-}
+use crate::transport::{self, Stream};
+use crate::wire;
 
 /// One connection to a running `calibrod`.
 pub struct Client {
-    stream: ClientStream,
+    stream: Stream,
     max_frame: u64,
     next_request_id: u64,
 }
 
 impl Client {
+    /// Connects to the daemon listening at `endpoint`.
+    pub(crate) fn connect(endpoint: &ShardEndpoint) -> Result<Client, ClientError> {
+        Ok(Client {
+            stream: transport::connect(endpoint)?,
+            max_frame: proto::DEFAULT_MAX_FRAME,
+            next_request_id: 1,
+        })
+    }
+
     /// Connects over a Unix domain socket.
     ///
     /// # Errors
@@ -69,12 +46,7 @@ impl Client {
     /// [`ClientError::Io`] when the connect fails.
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        let stream = std::os::unix::net::UnixStream::connect(path)?;
-        Ok(Client {
-            stream: ClientStream::Unix(stream),
-            max_frame: proto::DEFAULT_MAX_FRAME,
-            next_request_id: 1,
-        })
+        Client::connect(&ShardEndpoint::Unix(path.as_ref().to_path_buf()))
     }
 
     /// Connects over TCP (the `--listen` transport).
@@ -83,12 +55,33 @@ impl Client {
     ///
     /// [`ClientError::Io`] when the connect fails.
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        let stream = std::net::TcpStream::connect(addr)?;
-        Ok(Client {
-            stream: ClientStream::Tcp(stream),
-            max_frame: proto::DEFAULT_MAX_FRAME,
-            next_request_id: 1,
-        })
+        Client::connect(&ShardEndpoint::Tcp(addr.to_owned()))
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_request_id;
+        self.next_request_id += 1;
+        id
+    }
+
+    /// The next build request for `dex` under `options`: a fresh id and
+    /// the two client-side fingerprints the daemon cross-checks.
+    fn build_request(
+        &mut self,
+        tenant: Option<&str>,
+        dex: &DexFile,
+        options: &BuildOptions,
+        deadline: Option<Duration>,
+    ) -> BuildRequest {
+        BuildRequest {
+            request_id: self.next_id(),
+            deadline,
+            options_fp: options_fingerprint(options),
+            ltbo_fp: ltbo_fingerprint(options),
+            tenant: tenant.map(str::to_owned),
+            options: options.clone(),
+            dex: dex.clone(),
+        }
     }
 
     /// Compiles `dex` with `options` on the daemon. `deadline` caps the
@@ -106,17 +99,8 @@ impl Client {
         options: &BuildOptions,
         deadline: Option<Duration>,
     ) -> Result<BuildReply, ClientError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        self.build_request(BuildRequest {
-            request_id,
-            deadline,
-            options_fp: options_fingerprint(options),
-            ltbo_fp: ltbo_fingerprint(options),
-            options: options.clone(),
-            dex: dex.clone(),
-            tenant: None,
-        })
+        let request = self.build_request(None, dex, options, deadline);
+        self.call(&request)
     }
 
     /// Compiles (or fetches) under a tenant name: the daemon registers
@@ -135,29 +119,8 @@ impl Client {
         options: &BuildOptions,
         deadline: Option<Duration>,
     ) -> Result<BuildReply, ClientError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        self.build_request(BuildRequest {
-            request_id,
-            deadline,
-            options_fp: options_fingerprint(options),
-            ltbo_fp: ltbo_fingerprint(options),
-            options: options.clone(),
-            dex: dex.clone(),
-            tenant: Some(tenant.to_owned()),
-        })
-    }
-
-    fn build_request(&mut self, request: BuildRequest) -> Result<BuildReply, ClientError> {
-        proto::write_frame(&mut self.stream, REQ_BUILD, &request.encode())?;
-        match self.read_response()? {
-            (RESP_BUILT, body) => Ok(BuildReply::decode(&body)?),
-            (RESP_ERROR, body) => {
-                let (_, error) = decode_error(&body)?;
-                Err(ClientError::Server(error))
-            }
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        let request = self.build_request(Some(tenant), dex, options, deadline);
+        self.call(&request)
     }
 
     /// Uploads one profile (calibro-profile text format) for `tenant`.
@@ -167,31 +130,20 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] with [`ServeError::Malformed`]
-    /// (`crate::ServeError::Malformed`) when the profile text does not
-    /// parse (the detail names the offending line); transport-level
-    /// errors otherwise.
+    /// [`ClientError::Server`] with [`ServeError::Malformed`] when the
+    /// profile text does not parse (the detail names the offending
+    /// line); transport-level errors otherwise.
     pub fn upload_profile(
         &mut self,
         tenant: &str,
         profile_text: &str,
     ) -> Result<ProfileReply, ClientError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
         let request = ProfileRequest {
-            request_id,
+            request_id: self.next_id(),
             tenant: tenant.to_owned(),
             profile_text: profile_text.to_owned(),
         };
-        proto::write_frame(&mut self.stream, REQ_PROFILE, &request.encode())?;
-        match self.read_response()? {
-            (RESP_PROFILE, body) => Ok(ProfileReply::decode(&body)?),
-            (RESP_ERROR, body) => {
-                let (_, error) = decode_error(&body)?;
-                Err(ClientError::Server(error))
-            }
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        self.call(&request)
     }
 
     /// Fetches the generation snapshot for `tenant` (serving
@@ -203,18 +155,9 @@ impl Client {
     ///
     /// Transport-level [`ClientError`]s.
     pub fn generation_stats(&mut self, tenant: &str) -> Result<GenerationStats, ClientError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let request = GenerationStatsRequest { request_id, tenant: tenant.to_owned() };
-        proto::write_frame(&mut self.stream, REQ_GENERATION_STATS, &request.encode())?;
-        match self.read_response()? {
-            (RESP_GENERATION_STATS, body) => Ok(GenerationStats::decode(&body)?),
-            (RESP_ERROR, body) => {
-                let (_, error) = decode_error(&body)?;
-                Err(ClientError::Server(error))
-            }
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        let request =
+            GenerationStatsRequest { request_id: self.next_id(), tenant: tenant.to_owned() };
+        self.call(&request)
     }
 
     /// Pipelines several build requests on this one connection: writes
@@ -236,22 +179,12 @@ impl Client {
     pub fn build_pipelined<'a>(
         &mut self,
         requests: &mut dyn Iterator<Item = (&'a DexFile, &'a BuildOptions)>,
-    ) -> Result<Vec<Result<BuildReply, crate::error::ServeError>>, ClientError> {
+    ) -> Result<Vec<Result<BuildReply, ServeError>>, ClientError> {
         let mut ids = Vec::new();
         for (dex, options) in requests {
-            let request_id = self.next_request_id;
-            self.next_request_id += 1;
-            let request = BuildRequest {
-                request_id,
-                deadline: None,
-                options_fp: options_fingerprint(options),
-                ltbo_fp: ltbo_fingerprint(options),
-                options: options.clone(),
-                dex: dex.clone(),
-                tenant: None,
-            };
+            let request = self.build_request(None, dex, options, None);
             proto::write_frame(&mut self.stream, REQ_BUILD, &request.encode())?;
-            ids.push(request_id);
+            ids.push(request.request_id);
         }
         let mut by_id = std::collections::HashMap::new();
         while by_id.len() < ids.len() {
@@ -261,7 +194,7 @@ impl Client {
                     by_id.insert(reply.request_id, Ok(reply));
                 }
                 (RESP_ERROR, body) => {
-                    let (request_id, error) = decode_error(&body)?;
+                    let ErrorReply { request_id, error } = ErrorReply::decode(&body)?;
                     by_id.insert(request_id, Err(error));
                 }
                 (kind, _) => return Err(ClientError::UnexpectedResponse { kind }),
@@ -281,18 +214,8 @@ impl Client {
     ///
     /// Transport-level [`ClientError`]s.
     pub fn dict_stats(&mut self) -> Result<DictStatsReply, ClientError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let request = DictStatsRequest { request_id };
-        proto::write_frame(&mut self.stream, REQ_DICT_STATS, &request.encode())?;
-        match self.read_response()? {
-            (RESP_DICT_STATS, body) => Ok(DictStatsReply::decode(&body)?),
-            (RESP_ERROR, body) => {
-                let (_, error) = decode_error(&body)?;
-                Err(ClientError::Server(error))
-            }
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        let request = DictStatsRequest { request_id: self.next_id() };
+        self.call(&request)
     }
 
     /// Fetches the daemon's stats snapshot.
@@ -301,15 +224,7 @@ impl Client {
     ///
     /// Transport-level [`ClientError`]s.
     pub fn server_stats(&mut self) -> Result<ServerStats, ClientError> {
-        proto::write_frame(&mut self.stream, REQ_STATS, &[])?;
-        match self.read_response()? {
-            (RESP_STATS, body) => Ok(ServerStats::decode(&body)?),
-            (RESP_ERROR, body) => {
-                let (_, error) = decode_error(&body)?;
-                Err(ClientError::Server(error))
-            }
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        Ok(ServerStats::decode(&self.exchange(REQ_STATS, &[], RESP_STATS)?)?)
     }
 
     /// Round-trips a ping (connectivity / readiness check).
@@ -318,11 +233,7 @@ impl Client {
     ///
     /// Transport-level [`ClientError`]s.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, REQ_PING, b"ping")?;
-        match self.read_response()? {
-            (RESP_PONG, _) => Ok(()),
-            (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
-        }
+        self.exchange(REQ_PING, b"ping", RESP_PONG).map(drop)
     }
 
     /// Asks the daemon to drain and shut down; returns once the daemon
@@ -332,9 +243,24 @@ impl Client {
     ///
     /// Transport-level [`ClientError`]s.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, REQ_SHUTDOWN, &[])?;
+        self.exchange(REQ_SHUTDOWN, &[], RESP_SHUTDOWN_ACK).map(drop)
+    }
+
+    /// One typed round trip: the request's row of the message table
+    /// names the frame kinds and the reply body.
+    fn call<R: Request>(&mut self, request: &R) -> Result<R::Reply, ClientError> {
+        let body = self.exchange(R::KIND, &wire::encode(request), R::REPLY_KIND)?;
+        Ok(wire::decode(&body)?)
+    }
+
+    /// The one request path: frame the request, read one frame back,
+    /// and sort it into the expected reply body, the daemon's typed
+    /// error, or a protocol violation.
+    fn exchange(&mut self, kind: u8, body: &[u8], reply_kind: u8) -> Result<Vec<u8>, ClientError> {
+        proto::write_frame(&mut self.stream, kind, body)?;
         match self.read_response()? {
-            (RESP_SHUTDOWN_ACK, _) => Ok(()),
+            (kind, body) if kind == reply_kind => Ok(body),
+            (RESP_ERROR, body) => Err(ClientError::Server(ErrorReply::decode(&body)?.error)),
             (kind, _) => Err(ClientError::UnexpectedResponse { kind }),
         }
     }

@@ -2,7 +2,7 @@
 //! into — what goes over the wire in an error response, and what the
 //! client surfaces.
 
-use crate::wire::WireError;
+use crate::wire::{Reader, Wire, WireError, Writer};
 
 /// A request-level failure. The numeric discriminants are the wire
 /// encoding and therefore part of the protocol: never reorder them.
@@ -65,6 +65,40 @@ impl ServeError {
             ServeError::Draining => 6,
             ServeError::FingerprintMismatch => 7,
         }
+    }
+}
+
+/// The variant's code byte ([`ServeError::code`]), then its fields — the
+/// other half of the numbering, kept next to it.
+impl Wire for ServeError {
+    fn put(&self, w: &mut Writer) {
+        w.u8(self.code());
+        match self {
+            ServeError::Overloaded { capacity } => capacity.put(w),
+            ServeError::DeadlineExceeded { deadline_ms } => deadline_ms.put(w),
+            ServeError::Malformed { detail } | ServeError::Build { detail } => detail.put(w),
+            ServeError::FrameTooLarge { claimed, limit } => {
+                claimed.put(w);
+                limit.put(w);
+            }
+            ServeError::Draining | ServeError::FingerprintMismatch => {}
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<ServeError, WireError> {
+        Ok(match r.u8(what)? {
+            1 => ServeError::Overloaded { capacity: Wire::get(r, "capacity")? },
+            2 => ServeError::DeadlineExceeded { deadline_ms: Wire::get(r, "deadline_ms")? },
+            3 => ServeError::Malformed { detail: Wire::get(r, "detail")? },
+            4 => ServeError::FrameTooLarge {
+                claimed: Wire::get(r, "claimed")?,
+                limit: Wire::get(r, "limit")?,
+            },
+            5 => ServeError::Build { detail: Wire::get(r, "detail")? },
+            6 => ServeError::Draining,
+            7 => ServeError::FingerprintMismatch,
+            tag => return Err(WireError::InvalidTag { what, tag }),
+        })
     }
 }
 

@@ -21,7 +21,7 @@
 //! requests by program fingerprint so repeat builds of the same program
 //! land on the shard that already holds its artifacts.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,9 +34,10 @@ use calibro_dex::DexFile;
 use crate::client::Client;
 use crate::error::ClientError;
 use crate::proto::{
-    self, BuildReply, FrameEvent, PeerArtifact, PeerGet, PeerLane, DEFAULT_MAX_FRAME, REQ_PEER_GET,
-    RESP_ERROR, RESP_PEER_ARTIFACT,
+    self, BuildReply, ErrorReply, FrameEvent, PeerArtifact, PeerGet, PeerLane, DEFAULT_MAX_FRAME,
+    REQ_PEER_GET, RESP_ERROR, RESP_PEER_ARTIFACT,
 };
+use crate::transport::{self, Stream};
 
 // ---------------------------------------------------------------------------
 // Rendezvous hashing
@@ -141,27 +142,13 @@ impl ShardEndpoint {
         Err(format!("endpoint {spec:?} must be unix:PATH or tcp:ADDR"))
     }
 
-    fn connect(&self) -> std::io::Result<FleetStream> {
-        match self {
-            #[cfg(unix)]
-            ShardEndpoint::Unix(path) => {
-                Ok(FleetStream::Unix(std::os::unix::net::UnixStream::connect(path)?))
-            }
-            ShardEndpoint::Tcp(addr) => Ok(FleetStream::Tcp(std::net::TcpStream::connect(addr)?)),
-        }
-    }
-
     /// Opens a request [`Client`] to this endpoint.
     ///
     /// # Errors
     ///
     /// [`ClientError::Io`] when the connect fails.
     pub fn client(&self) -> Result<Client, ClientError> {
-        match self {
-            #[cfg(unix)]
-            ShardEndpoint::Unix(path) => Client::connect_unix(path),
-            ShardEndpoint::Tcp(addr) => Client::connect_tcp(addr),
-        }
+        Client::connect(self)
     }
 }
 
@@ -182,40 +169,6 @@ pub struct ShardSpec {
     pub id: u32,
     /// Where the shard listens.
     pub endpoint: ShardEndpoint,
-}
-
-enum FleetStream {
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-impl Read for FleetStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            FleetStream::Unix(s) => s.read(buf),
-            FleetStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for FleetStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            FleetStream::Unix(s) => s.write(buf),
-            FleetStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            FleetStream::Unix(s) => s.flush(),
-            FleetStream::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +208,7 @@ struct PeerClient {
     /// pay two syscalls per frame. The buffer is drained completely
     /// before a stream is pooled, so writes through
     /// [`BufReader::get_mut`] never race buffered replies.
-    pool: Mutex<Vec<BufReader<FleetStream>>>,
+    pool: Mutex<Vec<BufReader<Stream>>>,
     next_id: AtomicU64,
 }
 
@@ -291,10 +244,7 @@ impl PeerClient {
         let mut stream = match pooled {
             Some(s) => s,
             None => {
-                let dialed = self
-                    .spec
-                    .endpoint
-                    .connect()
+                let dialed = transport::connect(&self.spec.endpoint)
                     .map_err(|e| PeerError::Connect { peer: self.name(), detail: e.to_string() })?;
                 BufReader::with_capacity(64 * 1024, dialed)
             }
@@ -329,7 +279,7 @@ impl PeerClient {
     /// outcome.
     fn read_reply(
         &self,
-        stream: &mut BufReader<FleetStream>,
+        stream: &mut BufReader<Stream>,
         request_id: u64,
         lane: PeerLane,
         key: CacheKey,
@@ -348,16 +298,17 @@ impl PeerClient {
                 }
                 Ok(Ok(reply.artifact))
             }
-            FrameEvent::Frame { kind: RESP_ERROR, body } => match proto::decode_error(&body) {
+            FrameEvent::Frame { kind: RESP_ERROR, body } => match ErrorReply::decode(&body) {
                 // The daemon keeps serving after a typed per-request
                 // error, so the stream stays in sequence: record the
                 // failure for this key and keep reading the batch.
-                Ok((id, error)) if id == request_id => {
-                    Ok(Err(PeerError::Remote { peer: self.name(), detail: error.to_string() }))
-                }
-                Ok((id, _)) => Err(PeerError::Garbage {
+                Ok(reply) if reply.request_id == request_id => Ok(Err(PeerError::Remote {
                     peer: self.name(),
-                    detail: format!("error reply for unexpected request {id}"),
+                    detail: reply.error.to_string(),
+                })),
+                Ok(reply) => Err(PeerError::Garbage {
+                    peer: self.name(),
+                    detail: format!("error reply for unexpected request {}", reply.request_id),
                 }),
                 Err(e) => Err(PeerError::Garbage { peer: self.name(), detail: e.to_string() }),
             },

@@ -15,10 +15,15 @@
 //! The moving parts:
 //!
 //! * [`proto`] — a length-prefixed framed protocol (`[u32 len][u8
-//!   kind][body]`) over a Unix domain socket, with a TCP fallback.
+//!   kind][body]`) and the one table of message bodies it carries.
 //!   Requests carry the full [`calibro::BuildOptions`] plus the
 //!   client-computed option/LTBO fingerprints; replies carry the
 //!   compiled OAT as ELF bytes plus build statistics.
+//! * [`wire`] — the codec under the table: the [`wire::Wire`] trait
+//!   (one wire form per field type) and the program/options payloads.
+//! * `transport` — the one socket type (Unix domain socket, with a TCP
+//!   fallback) the daemon, the client and the fleet's peer connections
+//!   all read and write.
 //! * [`server`] — the daemon: bounded admission queue (typed
 //!   [`ServeError::Overloaded`] on overflow), worker pool over
 //!   [`calibro::BuildSession::with_store`], per-request deadlines,
@@ -61,6 +66,7 @@ pub mod fleet;
 pub mod histogram;
 pub mod proto;
 pub mod server;
+mod transport;
 pub mod wire;
 
 pub use client::Client;

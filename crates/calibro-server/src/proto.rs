@@ -14,15 +14,27 @@
 //! not gigabytes of memory. Request kinds occupy `0x01..=0x7f`,
 //! response kinds `0x81..=0xff`; unknown kinds inside an intact frame
 //! get a typed error response and the connection keeps serving.
+//!
+//! # One message table
+//!
+//! Every body is a struct declared once, in wire order, by `message!`:
+//! the declaration *is* the codec (each field encodes through its
+//! [`Wire`] impl and decodes under its own name), so there is no
+//! per-message `encode`/`decode` to keep in step with the fields. A
+//! [`Request`] row ties a request body to its kind byte, its reply kind
+//! and its reply body; the client's one call path and the daemon's one
+//! decode-or-reject path are generic over that row. Adding a kind is
+//! one `message!` block, one `requests!` row and one handler body.
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use calibro::{BuildOptions, CacheKey, CacheStats};
 use calibro_dex::DexFile;
 
 use crate::error::ServeError;
-use crate::wire::{self, Reader, WireError, Writer};
+use crate::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 
 /// Request kind: compile a program.
 pub const REQ_BUILD: u8 = 0x01;
@@ -166,141 +178,142 @@ pub fn write_frame(stream: &mut impl Write, kind: u8, body: &[u8]) -> std::io::R
     stream.write_all(&frame)
 }
 
-fn write_key(w: &mut Writer, key: CacheKey) {
-    w.u64(key.hi);
-    w.u64(key.lo);
-}
-
-fn read_key(r: &mut Reader<'_>) -> Result<CacheKey, WireError> {
-    Ok(CacheKey { hi: r.u64("key.hi")?, lo: r.u64("key.lo")? })
-}
-
-fn write_opt_key(w: &mut Writer, key: Option<CacheKey>) {
-    match key {
-        None => w.u8(0),
-        Some(k) => {
-            w.u8(1);
-            write_key(w, k);
+/// Declares a message body: the struct, once, with its fields in wire
+/// order. [`Wire`] comes from `wire_fields!` over exactly those fields;
+/// `encode`/`decode` frame it as a whole body (trailing bytes rejected).
+macro_rules! message {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: $ty:ty,)* }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
         }
-    }
-}
 
-fn read_opt_key(r: &mut Reader<'_>) -> Result<Option<CacheKey>, WireError> {
-    match r.u8("Option<CacheKey> tag")? {
-        0 => Ok(None),
-        1 => Ok(Some(read_key(r)?)),
-        tag => Err(WireError::InvalidTag { what: "Option<CacheKey>", tag }),
-    }
-}
+        wire_fields!($name { $($field),* });
 
-/// A compile request: the program, the full build configuration, an
-/// optional deadline, and the client-computed fingerprints the daemon
-/// cross-checks against its own.
-pub struct BuildRequest {
-    /// Client-chosen id echoed in the response.
-    pub request_id: u64,
-    /// Per-request deadline; `None` uses the daemon's default.
-    pub deadline: Option<Duration>,
-    /// Client-side [`calibro::options_fingerprint`] of `options`.
-    pub options_fp: CacheKey,
-    /// Client-side LTBO-config fingerprint (`None` when LTBO is off).
-    pub ltbo_fp: Option<CacheKey>,
-    /// The build configuration.
-    pub options: BuildOptions,
-    /// The program to compile.
-    pub dex: DexFile,
-    /// Tenant this program belongs to. `None` is a plain one-shot
-    /// build; `Some` routes the request through the daemon's
-    /// generation table: the first build registers the program and
-    /// seals generation 1, later identical requests are answered from
-    /// the currently serving sealed generation (which a background
-    /// profile-driven refresh may advance).
-    pub tenant: Option<String>,
-}
+        impl $name {
+            /// Encodes the message body.
+            #[must_use]
+            pub fn encode(&self) -> Vec<u8> {
+                wire::encode(self)
+            }
 
-impl BuildRequest {
-    /// Encodes the request body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.request_id);
-        match self.deadline {
-            None => w.u8(0),
-            Some(d) => {
-                w.u8(1);
-                w.u32(d.as_millis().min(u128::from(u32::MAX)) as u32);
+            /// Decodes a message body.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`WireError`] on any malformed field or trailing
+            /// bytes.
+            pub fn decode(body: &[u8]) -> Result<$name, WireError> {
+                wire::decode(body)
             }
         }
-        write_key(&mut w, self.options_fp);
-        write_opt_key(&mut w, self.ltbo_fp);
-        match &self.tenant {
-            None => w.u8(0),
-            Some(tenant) => {
-                w.u8(1);
-                w.str(tenant);
-            }
+    };
+}
+
+/// A request body, tied to its kind byte and to the kind and body of
+/// the reply a daemon answers it with (when it does not answer
+/// [`RESP_ERROR`] + [`ErrorReply`]). Every request leads with its
+/// `request_id: u64`, which is what lets the daemon echo an id even
+/// when the rest of the body is garbage.
+pub trait Request: Wire {
+    /// The request frame's kind byte.
+    const KIND: u8;
+    /// The success reply frame's kind byte.
+    const REPLY_KIND: u8;
+    /// The success reply body.
+    type Reply: Wire;
+}
+
+macro_rules! requests {
+    ($($request:ident = $kind:ident => $reply:ident = $reply_kind:ident,)*) => {$(
+        impl Request for $request {
+            const KIND: u8 = $kind;
+            const REPLY_KIND: u8 = $reply_kind;
+            type Reply = $reply;
         }
-        wire::write_options(&mut w, &self.options);
-        wire::write_dex(&mut w, &self.dex);
-        w.into_bytes()
+    )*};
+}
+
+requests! {
+    BuildRequest = REQ_BUILD => BuildReply = RESP_BUILT,
+    PeerGet = REQ_PEER_GET => PeerArtifact = RESP_PEER_ARTIFACT,
+    ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
+    GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
+    DictStatsRequest = REQ_DICT_STATS => DictStatsReply = RESP_DICT_STATS,
+}
+
+impl Wire for CacheKey {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.hi);
+        w.u64(self.lo);
     }
 
-    /// Decodes a request body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<BuildRequest, WireError> {
-        let mut r = Reader::new(body);
-        let request_id = r.u64("request_id")?;
-        let deadline = match r.u8("deadline tag")? {
-            0 => None,
-            1 => Some(Duration::from_millis(u64::from(r.u32("deadline_ms")?))),
-            tag => return Err(WireError::InvalidTag { what: "deadline", tag }),
-        };
-        let options_fp = read_key(&mut r)?;
-        let ltbo_fp = read_opt_key(&mut r)?;
-        let tenant = match r.u8("tenant tag")? {
-            0 => None,
-            1 => Some(r.str("tenant")?),
-            tag => return Err(WireError::InvalidTag { what: "tenant", tag }),
-        };
-        let options = wire::read_options(&mut r)?;
-        let dex = wire::read_dex(&mut r)?;
-        r.finish()?;
-        Ok(BuildRequest { request_id, deadline, options_fp, ltbo_fp, options, dex, tenant })
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CacheKey, WireError> {
+        Ok(CacheKey { hi: r.u64(what)?, lo: r.u64(what)? })
     }
 }
 
-/// A successful build response: the fingerprints (echoed), the linked
-/// OAT as ELF bytes, and the build's statistics.
-pub struct BuildReply {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// The daemon-side options fingerprint (equals the request's).
-    pub options_fp: CacheKey,
-    /// The daemon-side LTBO fingerprint.
-    pub ltbo_fp: Option<CacheKey>,
-    /// The linked OAT file, serialized as ELF64.
-    pub elf: Vec<u8>,
-    /// Methods in the program.
-    pub methods: u64,
-    /// Methods replayed from the shared warm cache.
-    pub methods_from_cache: u64,
-    /// Cache activity attributed to this build (approximate under
-    /// concurrency — the store is shared).
-    pub cache_hits: u64,
-    /// Cache misses attributed to this build.
-    pub cache_misses: u64,
-    /// Wall time the daemon spent building, in microseconds.
-    pub build_us: u64,
-    /// Profile-feedback generation the artifact belongs to: 0 for a
-    /// plain (non-tenant) build, `>= 1` for a tenant build answered
-    /// from — or sealing — the generation table. The same generation
-    /// id always carries the same bytes.
-    pub generation: u64,
-    /// The full [`calibro::BuildStats`] JSON payload.
-    pub stats_json: String,
+message! {
+    /// A compile request: the program, the full build configuration, an
+    /// optional deadline, and the client-computed fingerprints the daemon
+    /// cross-checks against its own.
+    pub struct BuildRequest {
+        /// Client-chosen id echoed in the response.
+        pub request_id: u64,
+        /// Per-request deadline; `None` uses the daemon's default.
+        pub deadline: Option<Duration>,
+        /// Client-side [`calibro::options_fingerprint`] of `options`.
+        pub options_fp: CacheKey,
+        /// Client-side LTBO-config fingerprint (`None` when LTBO is off).
+        pub ltbo_fp: Option<CacheKey>,
+        /// Tenant this program belongs to. `None` is a plain one-shot
+        /// build; `Some` routes the request through the daemon's
+        /// generation table: the first build registers the program and
+        /// seals generation 1, later identical requests are answered from
+        /// the currently serving sealed generation (which a background
+        /// profile-driven refresh may advance).
+        pub tenant: Option<String>,
+        /// The build configuration.
+        pub options: BuildOptions,
+        /// The program to compile.
+        pub dex: DexFile,
+    }
+}
+
+message! {
+    /// A successful build response: the fingerprints (echoed), the linked
+    /// OAT as ELF bytes, and the build's statistics.
+    pub struct BuildReply {
+        /// Echo of the request id.
+        pub request_id: u64,
+        /// The daemon-side options fingerprint (equals the request's).
+        pub options_fp: CacheKey,
+        /// The daemon-side LTBO fingerprint.
+        pub ltbo_fp: Option<CacheKey>,
+        /// The linked OAT file, serialized as ELF64.
+        pub elf: Vec<u8>,
+        /// Methods in the program.
+        pub methods: u64,
+        /// Methods replayed from the shared warm cache.
+        pub methods_from_cache: u64,
+        /// Cache activity attributed to this build (approximate under
+        /// concurrency — the store is shared).
+        pub cache_hits: u64,
+        /// Cache misses attributed to this build.
+        pub cache_misses: u64,
+        /// Wall time the daemon spent building, in microseconds.
+        pub build_us: u64,
+        /// Profile-feedback generation the artifact belongs to: 0 for a
+        /// plain (non-tenant) build, `>= 1` for a tenant build answered
+        /// from — or sealing — the generation table. The same generation
+        /// id always carries the same bytes.
+        pub generation: u64,
+        /// The full [`calibro::BuildStats`] JSON payload.
+        pub stats_json: String,
+    }
 }
 
 // Manual impl: the ELF payload is megabytes — render its length, not
@@ -322,574 +335,232 @@ impl core::fmt::Debug for BuildReply {
     }
 }
 
-impl BuildReply {
-    /// Encodes the reply body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.request_id);
-        write_key(&mut w, self.options_fp);
-        write_opt_key(&mut w, self.ltbo_fp);
-        w.bytes(&self.elf);
-        w.u64(self.methods);
-        w.u64(self.methods_from_cache);
-        w.u64(self.cache_hits);
-        w.u64(self.cache_misses);
-        w.u64(self.build_us);
-        w.u64(self.generation);
-        w.str(&self.stats_json);
-        w.into_bytes()
+message! {
+    /// An error response ([`RESP_ERROR`]): the typed failure any request
+    /// kind can be answered with.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ErrorReply {
+        /// Echo of the request id (0 when the request's own id was
+        /// unreadable).
+        pub request_id: u64,
+        /// What went wrong.
+        pub error: ServeError,
     }
-
-    /// Decodes a reply body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<BuildReply, WireError> {
-        let mut r = Reader::new(body);
-        let reply = BuildReply {
-            request_id: r.u64("request_id")?,
-            options_fp: read_key(&mut r)?,
-            ltbo_fp: read_opt_key(&mut r)?,
-            elf: r.bytes("elf")?,
-            methods: r.u64("methods")?,
-            methods_from_cache: r.u64("methods_from_cache")?,
-            cache_hits: r.u64("cache_hits")?,
-            cache_misses: r.u64("cache_misses")?,
-            build_us: r.u64("build_us")?,
-            generation: r.u64("generation")?,
-            stats_json: r.str("stats_json")?,
-        };
-        r.finish()?;
-        Ok(reply)
-    }
-}
-
-/// Encodes an error response body.
-#[must_use]
-pub fn encode_error(request_id: u64, error: &ServeError) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(request_id);
-    w.u8(error.code());
-    match error {
-        ServeError::Overloaded { capacity } => w.usize(*capacity),
-        ServeError::DeadlineExceeded { deadline_ms } => w.u32(*deadline_ms),
-        ServeError::Malformed { detail } | ServeError::Build { detail } => w.str(detail),
-        ServeError::FrameTooLarge { claimed, limit } => {
-            w.u64(*claimed);
-            w.u64(*limit);
-        }
-        ServeError::Draining | ServeError::FingerprintMismatch => {}
-    }
-    w.into_bytes()
-}
-
-/// Decodes an error response body into `(request_id, error)`.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any malformed field.
-pub fn decode_error(body: &[u8]) -> Result<(u64, ServeError), WireError> {
-    let mut r = Reader::new(body);
-    let request_id = r.u64("request_id")?;
-    let code = r.u8("error code")?;
-    let error = match code {
-        1 => ServeError::Overloaded { capacity: r.usize("capacity")? },
-        2 => ServeError::DeadlineExceeded { deadline_ms: r.u32("deadline_ms")? },
-        3 => ServeError::Malformed { detail: r.str("detail")? },
-        4 => ServeError::FrameTooLarge { claimed: r.u64("claimed")?, limit: r.u64("limit")? },
-        5 => ServeError::Build { detail: r.str("detail")? },
-        6 => ServeError::Draining,
-        7 => ServeError::FingerprintMismatch,
-        tag => return Err(WireError::InvalidTag { what: "ServeError code", tag }),
-    };
-    r.finish()?;
-    Ok((request_id, error))
 }
 
 /// Which store lane a peer fetch targets (the lanes with a peer tier).
 pub use calibro_cache::PeerLane;
 
-fn lane_code(lane: PeerLane) -> u8 {
-    match lane {
-        PeerLane::Method => 0,
-        PeerLane::Group => 1,
-        PeerLane::Dict => 2,
+impl Wire for PeerLane {
+    fn put(&self, w: &mut Writer) {
+        w.u8(match self {
+            PeerLane::Method => 0,
+            PeerLane::Group => 1,
+            PeerLane::Dict => 2,
+        });
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PeerLane, WireError> {
+        match r.u8(what)? {
+            0 => Ok(PeerLane::Method),
+            1 => Ok(PeerLane::Group),
+            2 => Ok(PeerLane::Dict),
+            tag => Err(WireError::InvalidTag { what, tag }),
+        }
     }
 }
 
-fn lane_from_code(code: u8) -> Result<PeerLane, WireError> {
-    match code {
-        0 => Ok(PeerLane::Method),
-        1 => Ok(PeerLane::Group),
-        2 => Ok(PeerLane::Dict),
-        tag => Err(WireError::InvalidTag { what: "PeerLane", tag }),
+message! {
+    /// A fleet-internal fetch: "do you hold this key?" One shard sends
+    /// this to a sibling when a lookup misses its own memory and disk
+    /// tiers.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct PeerGet {
+        /// Requester-chosen id echoed in the response.
+        pub request_id: u64,
+        /// Which lane to probe.
+        pub lane: PeerLane,
+        /// The 128-bit content key.
+        pub key: CacheKey,
     }
 }
 
-/// A fleet-internal fetch: "do you hold this key?" One shard sends this
-/// to a sibling when a lookup misses its own memory and disk tiers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PeerGet {
-    /// Requester-chosen id echoed in the response.
-    pub request_id: u64,
-    /// Which lane to probe.
-    pub lane: PeerLane,
-    /// The 128-bit content key.
-    pub key: CacheKey,
-}
-
-impl PeerGet {
-    /// Encodes the request body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.request_id);
-        w.u8(lane_code(self.lane));
-        write_key(&mut w, self.key);
-        w.into_bytes()
-    }
-
-    /// Decodes a request body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<PeerGet, WireError> {
-        let mut r = Reader::new(body);
-        let request_id = r.u64("request_id")?;
-        let lane = lane_from_code(r.u8("lane")?)?;
-        let key = read_key(&mut r)?;
-        r.finish()?;
-        Ok(PeerGet { request_id, lane, key })
+message! {
+    /// The answer to a [`PeerGet`]: the artifact as a checksummed
+    /// interchange frame (the exact bytes the disk layer persists, magic +
+    /// version + key + checksum included) plus the recompute cost the
+    /// serving shard recorded, or not-found. Reusing the disk frame as the
+    /// wire payload means the requester validates remote bytes with the
+    /// same gauntlet it applies to its own disk.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct PeerArtifact {
+        /// Echo of the request id.
+        pub request_id: u64,
+        /// Echo of the requested lane.
+        pub lane: PeerLane,
+        /// Echo of the requested key.
+        pub key: CacheKey,
+        /// The framed artifact bytes and the origin's recompute cost (µs);
+        /// `None` when the serving shard does not hold the key.
+        pub artifact: Option<(Vec<u8>, u64)>,
     }
 }
 
-/// The answer to a [`PeerGet`]: the artifact as a checksummed
-/// interchange frame (the exact bytes the disk layer persists, magic +
-/// version + key + checksum included) plus the recompute cost the
-/// serving shard recorded, or not-found. Reusing the disk frame as the
-/// wire payload means the requester validates remote bytes with the
-/// same gauntlet it applies to its own disk.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PeerArtifact {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// Echo of the requested lane.
-    pub lane: PeerLane,
-    /// Echo of the requested key.
-    pub key: CacheKey,
-    /// The framed artifact bytes and the origin's recompute cost (µs);
-    /// `None` when the serving shard does not hold the key.
-    pub artifact: Option<(Vec<u8>, u64)>,
-}
-
-impl PeerArtifact {
-    /// Encodes the reply body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.request_id);
-        w.u8(lane_code(self.lane));
-        write_key(&mut w, self.key);
-        match &self.artifact {
+/// [`PeerArtifact::artifact`]: the presence tag, then the cost *before*
+/// the frame it describes — the reverse of the tuple's order.
+impl Wire for Option<(Vec<u8>, u64)> {
+    fn put(&self, w: &mut Writer) {
+        match self {
             None => w.u8(0),
             Some((frame, cost_us)) => {
                 w.u8(1);
-                w.u64(*cost_us);
-                w.bytes(frame);
+                cost_us.put(w);
+                frame.put(w);
             }
         }
-        w.into_bytes()
     }
 
-    /// Decodes a reply body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<PeerArtifact, WireError> {
-        let mut r = Reader::new(body);
-        let request_id = r.u64("request_id")?;
-        let lane = lane_from_code(r.u8("lane")?)?;
-        let key = read_key(&mut r)?;
-        let artifact = match r.u8("artifact tag")? {
-            0 => None,
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError> {
+        match r.u8(what)? {
+            0 => Ok(None),
             1 => {
-                let cost_us = r.u64("cost_us")?;
-                let frame = r.bytes("artifact frame")?;
-                Some((frame, cost_us))
+                let cost_us = Wire::get(r, what)?;
+                Ok(Some((Wire::get(r, what)?, cost_us)))
             }
-            tag => return Err(WireError::InvalidTag { what: "PeerArtifact", tag }),
-        };
-        r.finish()?;
-        Ok(PeerArtifact { request_id, lane, key, artifact })
+            tag => Err(WireError::InvalidTag { what, tag }),
+        }
     }
 }
 
-/// A profile upload: per-method cycle attributions for one tenant, in
-/// the calibro-profile text format (the daemon parses and merges them
-/// into the tenant's decayed accumulator; a malformed profile is
-/// rejected with a line-numbered [`ServeError::Malformed`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ProfileRequest {
-    /// Client-chosen id echoed in the response.
-    pub request_id: u64,
-    /// The tenant the profile attributes to.
-    pub tenant: String,
-    /// The profile, in `calibro_profile::Profile::to_text` format.
-    pub profile_text: String,
-}
-
-impl ProfileRequest {
-    /// Encodes the request body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let ProfileRequest { request_id, tenant, profile_text } = self;
-        let mut w = Writer::new();
-        w.u64(*request_id);
-        w.str(tenant);
-        w.str(profile_text);
-        w.into_bytes()
-    }
-
-    /// Decodes a request body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<ProfileRequest, WireError> {
-        let mut r = Reader::new(body);
-        let request = ProfileRequest {
-            request_id: r.u64("request_id")?,
-            tenant: r.str("tenant")?,
-            profile_text: r.str("profile_text")?,
-        };
-        r.finish()?;
-        Ok(request)
+message! {
+    /// A profile upload: per-method cycle attributions for one tenant, in
+    /// the calibro-profile text format (the daemon parses and merges them
+    /// into the tenant's decayed accumulator; a malformed profile is
+    /// rejected with a line-numbered [`ServeError::Malformed`]).
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ProfileRequest {
+        /// Client-chosen id echoed in the response.
+        pub request_id: u64,
+        /// The tenant the profile attributes to.
+        pub tenant: String,
+        /// The profile, in `calibro_profile::Profile::to_text` format.
+        pub profile_text: String,
     }
 }
 
-/// The daemon's answer to a profile upload: the accumulator state after
-/// absorbing it, the measured drift, and whether a re-optimization was
-/// scheduled.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ProfileReply {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// Uploads absorbed for this tenant so far (including this one).
-    pub uploads: u64,
-    /// Methods currently carrying non-zero decayed weight.
-    pub tracked_methods: u64,
-    /// Drift of the serving hot set from a fresh selection, in parts
-    /// per million of total decayed weight.
-    pub drift_ppm: u64,
-    /// Whether this upload pushed drift over the threshold and queued a
-    /// background re-optimization.
-    pub refresh_scheduled: bool,
-    /// The generation currently being served (0 = none sealed yet).
-    pub serving_generation: u64,
-}
-
-impl ProfileReply {
-    /// Encodes the reply body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let ProfileReply {
-            request_id,
-            uploads,
-            tracked_methods,
-            drift_ppm,
-            refresh_scheduled,
-            serving_generation,
-        } = self;
-        let mut w = Writer::new();
-        w.u64(*request_id);
-        w.u64(*uploads);
-        w.u64(*tracked_methods);
-        w.u64(*drift_ppm);
-        w.bool(*refresh_scheduled);
-        w.u64(*serving_generation);
-        w.into_bytes()
-    }
-
-    /// Decodes a reply body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<ProfileReply, WireError> {
-        let mut r = Reader::new(body);
-        let reply = ProfileReply {
-            request_id: r.u64("request_id")?,
-            uploads: r.u64("uploads")?,
-            tracked_methods: r.u64("tracked_methods")?,
-            drift_ppm: r.u64("drift_ppm")?,
-            refresh_scheduled: r.bool("refresh_scheduled")?,
-            serving_generation: r.u64("serving_generation")?,
-        };
-        r.finish()?;
-        Ok(reply)
+message! {
+    /// The daemon's answer to a profile upload: the accumulator state
+    /// after absorbing it, the measured drift, and whether a
+    /// re-optimization was scheduled.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct ProfileReply {
+        /// Echo of the request id.
+        pub request_id: u64,
+        /// Uploads absorbed for this tenant so far (including this one).
+        pub uploads: u64,
+        /// Methods currently carrying non-zero decayed weight.
+        pub tracked_methods: u64,
+        /// Drift of the serving hot set from a fresh selection, in parts
+        /// per million of total decayed weight.
+        pub drift_ppm: u64,
+        /// Whether this upload pushed drift over the threshold and queued
+        /// a background re-optimization.
+        pub refresh_scheduled: bool,
+        /// The generation currently being served (0 = none sealed yet).
+        pub serving_generation: u64,
     }
 }
 
-/// Asks for one tenant's generation-table snapshot.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GenerationStatsRequest {
-    /// Client-chosen id echoed in the response.
-    pub request_id: u64,
-    /// The tenant to report on.
-    pub tenant: String,
-}
-
-impl GenerationStatsRequest {
-    /// Encodes the request body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let GenerationStatsRequest { request_id, tenant } = self;
-        let mut w = Writer::new();
-        w.u64(*request_id);
-        w.str(tenant);
-        w.into_bytes()
-    }
-
-    /// Decodes a request body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<GenerationStatsRequest, WireError> {
-        let mut r = Reader::new(body);
-        let request =
-            GenerationStatsRequest { request_id: r.u64("request_id")?, tenant: r.str("tenant")? };
-        r.finish()?;
-        Ok(request)
+message! {
+    /// Asks for one tenant's generation-table snapshot.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct GenerationStatsRequest {
+        /// Client-chosen id echoed in the response.
+        pub request_id: u64,
+        /// The tenant to report on.
+        pub tenant: String,
     }
 }
 
-/// One tenant's generation-table snapshot. An unknown tenant answers
-/// with `registered == false` and every other field zeroed — asking is
-/// never an error.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GenerationStats {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// Echo of the tenant name.
-    pub tenant: String,
-    /// Whether the tenant has a registered program (a tenant that has
-    /// only uploaded profiles is *not* registered yet).
-    pub registered: bool,
-    /// The generation currently being served (0 = none sealed yet).
-    pub serving_generation: u64,
-    /// Generations sealed for this tenant over its lifetime.
-    pub generations_sealed: u64,
-    /// Background re-optimizations triggered by drift.
-    pub refreshes_triggered: u64,
-    /// Whether a re-optimization is rebuilding right now (the old
-    /// generation keeps serving until it seals).
-    pub refresh_in_flight: bool,
-    /// Profile uploads absorbed.
-    pub uploads: u64,
-    /// Methods with non-zero decayed weight.
-    pub tracked_methods: u64,
-    /// Drift of the serving hot set from a fresh selection, ppm.
-    pub drift_ppm: u64,
-    /// Whether the serving generation restricts outlining by a hot set.
-    pub hot_restricted: bool,
-    /// Size of the serving generation's hot set (0 when unrestricted).
-    pub hot_set_size: u64,
-    /// Byte length of the serving generation's artifact.
-    pub elf_len: u64,
-    /// FNV-1a digest of the serving artifact, for byte-determinism
-    /// checks without re-fetching megabytes.
-    pub elf_fnv: u64,
-}
-
-impl GenerationStats {
-    /// Encodes the reply body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        // Exhaustive destructuring: adding a field fails compilation
-        // here instead of silently not being transported.
-        let GenerationStats {
-            request_id,
-            tenant,
-            registered,
-            serving_generation,
-            generations_sealed,
-            refreshes_triggered,
-            refresh_in_flight,
-            uploads,
-            tracked_methods,
-            drift_ppm,
-            hot_restricted,
-            hot_set_size,
-            elf_len,
-            elf_fnv,
-        } = self;
-        let mut w = Writer::new();
-        w.u64(*request_id);
-        w.str(tenant);
-        w.bool(*registered);
-        w.u64(*serving_generation);
-        w.u64(*generations_sealed);
-        w.u64(*refreshes_triggered);
-        w.bool(*refresh_in_flight);
-        w.u64(*uploads);
-        w.u64(*tracked_methods);
-        w.u64(*drift_ppm);
-        w.bool(*hot_restricted);
-        w.u64(*hot_set_size);
-        w.u64(*elf_len);
-        w.u64(*elf_fnv);
-        w.into_bytes()
-    }
-
-    /// Decodes a reply body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<GenerationStats, WireError> {
-        let mut r = Reader::new(body);
-        let stats = GenerationStats {
-            request_id: r.u64("request_id")?,
-            tenant: r.str("tenant")?,
-            registered: r.bool("registered")?,
-            serving_generation: r.u64("serving_generation")?,
-            generations_sealed: r.u64("generations_sealed")?,
-            refreshes_triggered: r.u64("refreshes_triggered")?,
-            refresh_in_flight: r.bool("refresh_in_flight")?,
-            uploads: r.u64("uploads")?,
-            tracked_methods: r.u64("tracked_methods")?,
-            drift_ppm: r.u64("drift_ppm")?,
-            hot_restricted: r.bool("hot_restricted")?,
-            hot_set_size: r.u64("hot_set_size")?,
-            elf_len: r.u64("elf_len")?,
-            elf_fnv: r.u64("elf_fnv")?,
-        };
-        r.finish()?;
-        Ok(stats)
+message! {
+    /// One tenant's generation-table snapshot. An unknown tenant answers
+    /// with `registered == false` and every other field zeroed — asking
+    /// is never an error.
+    #[derive(Clone, PartialEq, Eq, Debug, Default)]
+    pub struct GenerationStats {
+        /// Echo of the request id.
+        pub request_id: u64,
+        /// Echo of the tenant name.
+        pub tenant: String,
+        /// Whether the tenant has a registered program (a tenant that has
+        /// only uploaded profiles is *not* registered yet).
+        pub registered: bool,
+        /// The generation currently being served (0 = none sealed yet).
+        pub serving_generation: u64,
+        /// Generations sealed for this tenant over its lifetime.
+        pub generations_sealed: u64,
+        /// Background re-optimizations triggered by drift.
+        pub refreshes_triggered: u64,
+        /// Whether a re-optimization is rebuilding right now (the old
+        /// generation keeps serving until it seals).
+        pub refresh_in_flight: bool,
+        /// Profile uploads absorbed.
+        pub uploads: u64,
+        /// Methods with non-zero decayed weight.
+        pub tracked_methods: u64,
+        /// Drift of the serving hot set from a fresh selection, ppm.
+        pub drift_ppm: u64,
+        /// Whether the serving generation restricts outlining by a hot set.
+        pub hot_restricted: bool,
+        /// Size of the serving generation's hot set (0 when unrestricted).
+        pub hot_set_size: u64,
+        /// Byte length of the serving generation's artifact.
+        pub elf_len: u64,
+        /// FNV-1a digest of the serving artifact, for byte-determinism
+        /// checks without re-fetching megabytes.
+        pub elf_fnv: u64,
     }
 }
 
-/// Asks for the daemon's shared-dictionary snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DictStatsRequest {
-    /// Client-chosen id echoed in the response.
-    pub request_id: u64,
-}
-
-impl DictStatsRequest {
-    /// Encodes the request body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.request_id);
-        w.into_bytes()
-    }
-
-    /// Decodes a request body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<DictStatsRequest, WireError> {
-        let mut r = Reader::new(body);
-        let request = DictStatsRequest { request_id: r.u64("request_id")? };
-        r.finish()?;
-        Ok(request)
+message! {
+    /// Asks for the daemon's shared-dictionary snapshot.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct DictStatsRequest {
+        /// Client-chosen id echoed in the response.
+        pub request_id: u64,
     }
 }
 
-/// A point-in-time view of the daemon's shared outline dictionary. A
-/// daemon running without a dictionary answers with `enabled == false`
-/// and every other field zeroed — asking is never an error.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DictStatsReply {
-    /// Echo of the request id.
-    pub request_id: u64,
-    /// Whether the daemon runs a shared dictionary at all.
-    pub enabled: bool,
-    /// The current sealed epoch (0 = nothing sealed yet).
-    pub epoch: u64,
-    /// Bodies published over the daemon's lifetime.
-    pub published: u64,
-    /// Bodies published since the last seal (they join the next epoch).
-    pub staged: u64,
-    /// Size of the current epoch's island, in words.
-    pub island_words: u64,
-    /// Entries in the current epoch's island.
-    pub island_entries: u64,
-    /// Epochs currently pinned by sealed generations (the epoch fence:
-    /// none of these can be retired).
-    pub pinned_epochs: u64,
-    /// Candidates routed to an existing island entry.
-    pub hits: u64,
-    /// Bodies this daemon published (first writer per canonical key).
-    pub publishes: u64,
-    /// Candidates whose canonical twin was in the island but with a
-    /// different register assignment, so private outlining won.
-    pub private_preferred: u64,
-}
-
-impl DictStatsReply {
-    /// Encodes the reply body.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        // Exhaustive destructuring: adding a field fails compilation
-        // here instead of silently not being transported.
-        let DictStatsReply {
-            request_id,
-            enabled,
-            epoch,
-            published,
-            staged,
-            island_words,
-            island_entries,
-            pinned_epochs,
-            hits,
-            publishes,
-            private_preferred,
-        } = self;
-        let mut w = Writer::new();
-        w.u64(*request_id);
-        w.bool(*enabled);
-        w.u64(*epoch);
-        w.u64(*published);
-        w.u64(*staged);
-        w.u64(*island_words);
-        w.u64(*island_entries);
-        w.u64(*pinned_epochs);
-        w.u64(*hits);
-        w.u64(*publishes);
-        w.u64(*private_preferred);
-        w.into_bytes()
-    }
-
-    /// Decodes a reply body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<DictStatsReply, WireError> {
-        let mut r = Reader::new(body);
-        let reply = DictStatsReply {
-            request_id: r.u64("request_id")?,
-            enabled: r.bool("enabled")?,
-            epoch: r.u64("epoch")?,
-            published: r.u64("published")?,
-            staged: r.u64("staged")?,
-            island_words: r.u64("island_words")?,
-            island_entries: r.u64("island_entries")?,
-            pinned_epochs: r.u64("pinned_epochs")?,
-            hits: r.u64("hits")?,
-            publishes: r.u64("publishes")?,
-            private_preferred: r.u64("private_preferred")?,
-        };
-        r.finish()?;
-        Ok(reply)
+message! {
+    /// A point-in-time view of the daemon's shared outline dictionary. A
+    /// daemon running without a dictionary answers with `enabled == false`
+    /// and every other field zeroed — asking is never an error.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+    pub struct DictStatsReply {
+        /// Echo of the request id.
+        pub request_id: u64,
+        /// Whether the daemon runs a shared dictionary at all.
+        pub enabled: bool,
+        /// The current sealed epoch (0 = nothing sealed yet).
+        pub epoch: u64,
+        /// Bodies published over the daemon's lifetime.
+        pub published: u64,
+        /// Bodies published since the last seal (they join the next epoch).
+        pub staged: u64,
+        /// Size of the current epoch's island, in words.
+        pub island_words: u64,
+        /// Entries in the current epoch's island.
+        pub island_entries: u64,
+        /// Epochs currently pinned by sealed generations (the epoch fence:
+        /// none of these can be retired).
+        pub pinned_epochs: u64,
+        /// Candidates routed to an existing island entry.
+        pub hits: u64,
+        /// Bodies this daemon published (first writer per canonical key).
+        pub publishes: u64,
+        /// Candidates whose canonical twin was in the island but with a
+        /// different register assignment, so private outlining won.
+        pub private_preferred: u64,
     }
 }
 
@@ -898,59 +569,124 @@ impl DictStatsReply {
 // fails compilation here instead of silently not being transported.
 const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * CacheStats::LEN);
 
-/// A point-in-time view of the daemon, returned by the `stats` request.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// The counters in table order, each decoded under its own name.
+impl Wire for CacheStats {
+    fn put(&self, w: &mut Writer) {
+        for v in self.to_array() {
+            w.u64(v);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheStats, WireError> {
+        let mut values = [0u64; CacheStats::LEN];
+        for (slot, name) in values.iter_mut().zip(CacheStats::NAMES) {
+            *slot = r.u64(name)?;
+        }
+        Ok(CacheStats::from_array(values))
+    }
+}
+
+/// The daemon's scalar stats, one row per value: `name,` for a value
+/// computed when the snapshot is taken, `name: AtomicU64,` for a counter
+/// the daemon bumps as it serves. [`ServerStats`] (fields, wire body,
+/// `NAMES`, array form, JSON) and the daemon's [`ServerCounters`] block
+/// are all generated from the rows. Row order is wire order and JSON key
+/// order — append, never reorder.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $field:ident $(: $atomic:ty)?,)*) => {
+        message! {
+            /// A point-in-time view of the daemon, returned by the `stats`
+            /// request.
+            #[derive(Clone, Debug, Default, PartialEq, Eq)]
+            pub struct ServerStats {
+                $($(#[$doc])* pub $field: u64,)*
+                /// Request-latency histogram bucket counts (see
+                /// [`crate::histogram`]).
+                pub latency_buckets: Vec<u64>,
+                /// Cumulative shared-store counters (all four lanes +
+                /// contention).
+                pub cache: CacheStats,
+            }
+        }
+
+        impl ServerStats {
+            /// The scalar field names, in table (wire and JSON key) order.
+            pub const NAMES: [&'static str; Self::LEN] = [$(stringify!($field),)*];
+            /// Number of scalar fields.
+            pub const LEN: usize = [$(stringify!($field),)*].len();
+
+            /// The scalar values, in table order.
+            #[must_use]
+            pub fn to_array(&self) -> [u64; Self::LEN] {
+                [$(self.$field,)*]
+            }
+        }
+
+        /// The rows the daemon counts as it serves, as atomics.
+        #[derive(Default)]
+        pub(crate) struct ServerCounters {
+            $($(pub(crate) $field: $atomic,)?)*
+        }
+
+        impl ServerCounters {
+            /// The counted rows of a snapshot; every other field is left
+            /// at its default for the caller to fill.
+            pub(crate) fn snapshot(&self) -> ServerStats {
+                ServerStats {
+                    $($($field: <$atomic>::load(&self.$field, Ordering::Relaxed),)?)*
+                    ..ServerStats::default()
+                }
+            }
+        }
+    };
+}
+
+server_stats! {
     /// Microseconds since the daemon started.
-    pub uptime_us: u64,
+    uptime_us,
     /// Worker threads in the pool.
-    pub workers: u64,
+    workers,
     /// Admission-queue capacity.
-    pub queue_capacity: u64,
+    queue_capacity,
     /// Requests waiting in the admission queue right now.
-    pub queue_depth: u64,
+    queue_depth,
     /// Requests being compiled right now.
-    pub in_flight: u64,
+    in_flight: AtomicU64,
     /// Connections accepted since start.
-    pub accepted_connections: u64,
+    accepted_connections: AtomicU64,
     /// Connections currently open.
-    pub open_connections: u64,
+    open_connections: AtomicU64,
     /// Build requests admitted to the queue.
-    pub requests_admitted: u64,
+    requests_admitted: AtomicU64,
     /// Build requests completed successfully.
-    pub requests_completed: u64,
+    requests_completed: AtomicU64,
     /// Build requests rejected with [`ServeError::Overloaded`].
-    pub rejected_overloaded: u64,
+    rejected_overloaded: AtomicU64,
     /// Build requests that exceeded their deadline.
-    pub deadline_timeouts: u64,
+    deadline_timeouts: AtomicU64,
     /// Frames that decoded to garbage (typed error returned, connection
     /// kept).
-    pub malformed_frames: u64,
+    malformed_frames: AtomicU64,
     /// Frames whose length prefix exceeded the ceiling (typed error
     /// returned, connection closed).
-    pub oversized_frames: u64,
+    oversized_frames: AtomicU64,
     /// Connections that vanished mid-frame.
-    pub mid_frame_disconnects: u64,
+    mid_frame_disconnects: AtomicU64,
     /// Builds that failed with a typed build error.
-    pub build_errors: u64,
+    build_errors: AtomicU64,
     /// This daemon's shard id within the fleet (0 when standalone).
-    pub shard_id: u64,
+    shard_id,
     /// `PeerGet` requests this daemon answered for sibling shards
     /// (found or not).
-    pub peer_gets_served: u64,
+    peer_gets_served: AtomicU64,
     /// Tenants in the generation table (registered or profile-only).
-    pub tenants: u64,
+    tenants,
     /// Profile uploads absorbed across all tenants.
-    pub profile_uploads: u64,
+    profile_uploads: AtomicU64,
     /// Generations sealed across all tenants (initial seals + flips).
-    pub generations_sealed: u64,
+    generations_sealed: AtomicU64,
     /// Drift-triggered background re-optimizations scheduled.
-    pub refreshes_triggered: u64,
-    /// Request-latency histogram bucket counts (see
-    /// [`crate::histogram`]).
-    pub latency_buckets: Vec<u64>,
-    /// Cumulative shared-store counters (all four lanes + contention).
-    pub cache: CacheStats,
+    refreshes_triggered: AtomicU64,
 }
 
 impl ServerStats {
@@ -960,112 +696,30 @@ impl ServerStats {
         crate::histogram::quantile_us(&self.latency_buckets, p)
     }
 
-    /// Encodes the stats body.
+    /// The snapshot as one JSON object: the scalar rows by name, the
+    /// latency quantiles, then the store counters under `"cache"` (hand
+    /// rolled — every value is numeric, so no escaping is needed).
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.uptime_us);
-        w.u64(self.workers);
-        w.u64(self.queue_capacity);
-        w.u64(self.queue_depth);
-        w.u64(self.in_flight);
-        w.u64(self.accepted_connections);
-        w.u64(self.open_connections);
-        w.u64(self.requests_admitted);
-        w.u64(self.requests_completed);
-        w.u64(self.rejected_overloaded);
-        w.u64(self.deadline_timeouts);
-        w.u64(self.malformed_frames);
-        w.u64(self.oversized_frames);
-        w.u64(self.mid_frame_disconnects);
-        w.u64(self.build_errors);
-        w.u64(self.shard_id);
-        w.u64(self.peer_gets_served);
-        w.u64(self.tenants);
-        w.u64(self.profile_uploads);
-        w.u64(self.generations_sealed);
-        w.u64(self.refreshes_triggered);
-        w.u32(self.latency_buckets.len() as u32);
-        for &b in &self.latency_buckets {
-            w.u64(b);
+    pub fn to_json(&self) -> String {
+        use std::fmt::Write;
+        let quantiles = [("p50_us", 0.50), ("p95_us", 0.95), ("p99_us", 0.99)]
+            .map(|(name, p)| (name, self.latency_quantile_us(p)));
+        let mut json = String::from("{");
+        for (name, value) in Self::NAMES.into_iter().zip(self.to_array()).chain(quantiles) {
+            write!(json, r#""{name}":{value},"#).expect("writing to a String cannot fail");
         }
-        for v in self.cache.to_array() {
-            w.u64(v);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a stats body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on any malformed field or trailing bytes.
-    pub fn decode(body: &[u8]) -> Result<ServerStats, WireError> {
-        let mut r = Reader::new(body);
-        let uptime_us = r.u64("uptime_us")?;
-        let workers = r.u64("workers")?;
-        let queue_capacity = r.u64("queue_capacity")?;
-        let queue_depth = r.u64("queue_depth")?;
-        let in_flight = r.u64("in_flight")?;
-        let accepted_connections = r.u64("accepted_connections")?;
-        let open_connections = r.u64("open_connections")?;
-        let requests_admitted = r.u64("requests_admitted")?;
-        let requests_completed = r.u64("requests_completed")?;
-        let rejected_overloaded = r.u64("rejected_overloaded")?;
-        let deadline_timeouts = r.u64("deadline_timeouts")?;
-        let malformed_frames = r.u64("malformed_frames")?;
-        let oversized_frames = r.u64("oversized_frames")?;
-        let mid_frame_disconnects = r.u64("mid_frame_disconnects")?;
-        let build_errors = r.u64("build_errors")?;
-        let shard_id = r.u64("shard_id")?;
-        let peer_gets_served = r.u64("peer_gets_served")?;
-        let tenants = r.u64("tenants")?;
-        let profile_uploads = r.u64("profile_uploads")?;
-        let generations_sealed = r.u64("generations_sealed")?;
-        let refreshes_triggered = r.u64("refreshes_triggered")?;
-        let n = r.u32("bucket count")? as usize;
-        if n > 4096 {
-            return Err(WireError::OversizedCollection { what: "latency buckets", len: n as u64 });
-        }
-        let latency_buckets =
-            (0..n).map(|_| r.u64("bucket")).collect::<Result<Vec<u64>, WireError>>()?;
-        let mut cache = [0u64; CacheStats::LEN];
-        for (slot, name) in cache.iter_mut().zip(CacheStats::NAMES) {
-            *slot = r.u64(name)?;
-        }
-        let cache = CacheStats::from_array(cache);
-        r.finish()?;
-        Ok(ServerStats {
-            uptime_us,
-            workers,
-            queue_capacity,
-            queue_depth,
-            in_flight,
-            accepted_connections,
-            open_connections,
-            requests_admitted,
-            requests_completed,
-            rejected_overloaded,
-            deadline_timeouts,
-            malformed_frames,
-            oversized_frames,
-            mid_frame_disconnects,
-            build_errors,
-            shard_id,
-            peer_gets_served,
-            tenants,
-            profile_uploads,
-            generations_sealed,
-            refreshes_triggered,
-            latency_buckets,
-            cache,
-        })
+        json.push_str(r#""cache":"#);
+        json.push_str(&self.cache.to_json());
+        json.push('}');
+        json
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::{option_variants, sample_dex};
+    use crate::wire::FieldEnds;
 
     #[test]
     fn frame_roundtrip() {
@@ -1110,9 +764,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn error_roundtrip_covers_every_variant() {
-        let variants = [
+    // One fully-populated sample of every message body. The bytes under
+    // `tests/fixtures/wire/` are the protocol as deployed, recorded once
+    // from these same values: a codec change that moves a byte of any
+    // body fails against them.
+
+    fn key(n: u64) -> CacheKey {
+        CacheKey { hi: 0x0123_4567_89ab_cdef ^ n, lo: 0xfedc_ba98_7654_3210u64.wrapping_add(n) }
+    }
+
+    fn build_requests() -> Vec<BuildRequest> {
+        option_variants()
+            .into_iter()
+            .enumerate()
+            .map(|(i, options)| {
+                let n = i as u64;
+                BuildRequest {
+                    request_id: 0x1000 + n,
+                    deadline: (i % 2 == 0).then(|| Duration::from_millis(250 + n)),
+                    options_fp: key(n),
+                    ltbo_fp: options.ltbo.map(|_| key(100 + n)),
+                    tenant: (i % 3 != 0).then(|| format!("tenant-{i}")),
+                    options,
+                    dex: sample_dex(),
+                }
+            })
+            .collect()
+    }
+
+    fn build_reply() -> BuildReply {
+        BuildReply {
+            request_id: 0x2000,
+            options_fp: key(1),
+            ltbo_fp: Some(key(2)),
+            elf: (0..=255u8).collect(),
+            methods: 3,
+            methods_from_cache: 2,
+            cache_hits: 7,
+            cache_misses: 1,
+            build_us: 12_345,
+            generation: 4,
+            stats_json: r#"{"methods":3}"#.into(),
+        }
+    }
+
+    fn error_replies() -> Vec<ErrorReply> {
+        [
             ServeError::Overloaded { capacity: 32 },
             ServeError::DeadlineExceeded { deadline_ms: 250 },
             ServeError::Malformed { detail: "bad tag".into() },
@@ -1120,45 +817,208 @@ mod tests {
             ServeError::Build { detail: "verify failed".into() },
             ServeError::Draining,
             ServeError::FingerprintMismatch,
-        ];
-        for (i, e) in variants.into_iter().enumerate() {
-            let body = encode_error(i as u64, &e);
-            let (id, back) = decode_error(&body).expect("error decodes");
-            assert_eq!(id, i as u64);
-            assert_eq!(back, e);
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, error)| ErrorReply { request_id: 0x3000 + i as u64, error })
+        .collect()
+    }
+
+    fn peer_get() -> PeerGet {
+        PeerGet { request_id: 77, lane: PeerLane::Group, key: key(3) }
+    }
+
+    fn peer_artifact_found() -> PeerArtifact {
+        PeerArtifact {
+            request_id: 77,
+            lane: PeerLane::Dict,
+            key: key(3),
+            artifact: Some((vec![1, 2, 3, 4], 9000)),
         }
     }
 
-    #[test]
-    fn stats_roundtrip() {
-        let stats = ServerStats {
+    fn peer_artifact_missing() -> PeerArtifact {
+        PeerArtifact { request_id: 78, lane: PeerLane::Method, key: key(4), artifact: None }
+    }
+
+    fn profile_request() -> ProfileRequest {
+        ProfileRequest {
+            request_id: 11,
+            tenant: "app.example".into(),
+            profile_text: "# calibro profile v1\n1 100\n2 50\n".into(),
+        }
+    }
+
+    fn profile_reply() -> ProfileReply {
+        ProfileReply {
+            request_id: 11,
+            uploads: 9,
+            tracked_methods: 37,
+            drift_ppm: 312_500,
+            refresh_scheduled: true,
+            serving_generation: 2,
+        }
+    }
+
+    fn generation_stats_request() -> GenerationStatsRequest {
+        GenerationStatsRequest { request_id: 5, tenant: "app.example".into() }
+    }
+
+    fn generation_stats() -> GenerationStats {
+        GenerationStats {
+            request_id: 5,
+            tenant: "app.example".into(),
+            registered: true,
+            serving_generation: 3,
+            generations_sealed: 4,
+            refreshes_triggered: 2,
+            refresh_in_flight: true,
+            uploads: 40,
+            tracked_methods: 120,
+            drift_ppm: 250_000,
+            hot_restricted: true,
+            hot_set_size: 17,
+            elf_len: 1 << 20,
+            elf_fnv: 0xdead_beef_cafe_f00d,
+        }
+    }
+
+    fn dict_stats_request() -> DictStatsRequest {
+        DictStatsRequest { request_id: 9 }
+    }
+
+    fn dict_stats_reply() -> DictStatsReply {
+        DictStatsReply {
+            request_id: 9,
+            enabled: true,
+            epoch: 4,
+            published: 23,
+            staged: 2,
+            island_words: 96,
+            island_entries: 21,
+            pinned_epochs: 3,
+            hits: 64,
+            publishes: 22,
+            private_preferred: 5,
+        }
+    }
+
+    fn server_stats() -> ServerStats {
+        ServerStats {
             uptime_us: 123,
             workers: 8,
             queue_capacity: 64,
             queue_depth: 3,
-            in_flight: 8,
+            in_flight: 7,
             accepted_connections: 40,
             open_connections: 12,
             requests_admitted: 1000,
             requests_completed: 980,
             rejected_overloaded: 17,
-            deadline_timeouts: 3,
+            deadline_timeouts: 6,
             malformed_frames: 2,
             oversized_frames: 1,
             mid_frame_disconnects: 4,
             build_errors: 5,
-            shard_id: 3,
+            shard_id: 9,
             peer_gets_served: 42,
-            tenants: 2,
+            tenants: 10,
             profile_uploads: 31,
-            generations_sealed: 4,
-            refreshes_triggered: 2,
+            generations_sealed: 11,
+            refreshes_triggered: 13,
             latency_buckets: vec![0, 5, 10, 0, 2],
             cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
+        }
+    }
+
+    fn label(error: &WireError) -> Option<&'static str> {
+        match error {
+            WireError::Truncated { what }
+            | WireError::InvalidTag { what, .. }
+            | WireError::OversizedCollection { what, .. } => Some(what),
+            WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
+        }
+    }
+
+    /// What every message body owes its peers, whatever its fields:
+    /// it round-trips; every strict prefix is a typed error labelled
+    /// with the field the bytes ran out in, never a panic and never a
+    /// value; a byte past the end is `TrailingBytes`. `fixture` pins
+    /// the bytes themselves. `nested` lists the fields whose own codec
+    /// labels its inner fields (a struct or enum inside the message).
+    fn message_contract<M: Wire + FieldEnds>(sample: &M, fixture: &str, nested: &[&str]) {
+        let bytes = wire::encode(sample);
+        let path = format!("{}/tests/fixtures/wire/{fixture}.bin", env!("CARGO_MANIFEST_DIR"));
+        let recorded = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(bytes, recorded, "{fixture}: encode drifted from the recorded bytes");
+        let back: M = wire::decode(&recorded).unwrap_or_else(|e| panic!("{fixture}: {e}"));
+        assert_eq!(wire::encode(&back), recorded, "{fixture}: decode lost something");
+
+        let ends = sample.field_ends();
+        assert_eq!(ends.last().map(|&(_, end)| end), Some(bytes.len()));
+        for cut in 0..bytes.len() {
+            let (field, _) = ends.iter().find(|&&(_, end)| end > cut).expect("cut is in a field");
+            let error = wire::decode::<M>(&bytes[..cut])
+                .err()
+                .unwrap_or_else(|| panic!("{fixture}: the {cut}-byte prefix decoded to a value"));
+            let what = label(&error)
+                .unwrap_or_else(|| panic!("{fixture}: prefix {cut} gave unlabelled {error:?}"));
+            assert!(
+                what == *field || nested.contains(field),
+                "{fixture}: prefix {cut} ends inside `{field}` but the error names `{what}`"
+            );
+        }
+
+        let mut longer = bytes;
+        longer.push(0);
+        assert_eq!(wire::decode::<M>(&longer).err(), Some(WireError::TrailingBytes { extra: 1 }));
+    }
+
+    #[test]
+    fn every_message_body_honours_the_contract() {
+        for (i, request) in build_requests().iter().enumerate() {
+            message_contract(request, &format!("build_request_{i}"), &["options", "dex"]);
+        }
+        message_contract(&build_reply(), "build_reply", &[]);
+        for reply in &error_replies() {
+            message_contract(reply, &format!("error_{}", reply.error.code()), &["error"]);
+        }
+        message_contract(&peer_get(), "peer_get", &[]);
+        message_contract(&peer_artifact_found(), "peer_artifact_found", &[]);
+        message_contract(&peer_artifact_missing(), "peer_artifact_missing", &[]);
+        message_contract(&profile_request(), "profile_request", &[]);
+        message_contract(&profile_reply(), "profile_reply", &[]);
+        message_contract(&generation_stats_request(), "generation_stats_request", &[]);
+        message_contract(&generation_stats(), "generation_stats", &[]);
+        message_contract(&dict_stats_request(), "dict_stats_request", &[]);
+        message_contract(&dict_stats_reply(), "dict_stats_reply", &[]);
+        message_contract(&server_stats(), "server_stats", &["cache"]);
+    }
+
+    #[test]
+    fn undefined_tags_are_typed_errors_naming_the_field() {
+        let with = |mut body: Vec<u8>, at: usize, byte: u8| {
+            body[at] = byte;
+            body
         };
-        let back = ServerStats::decode(&stats.encode()).expect("stats decode");
-        assert_eq!(back, stats);
-        assert!(back.latency_quantile_us(0.5) > 0);
+        assert_eq!(
+            PeerGet::decode(&with(peer_get().encode(), 8, 9)),
+            Err(WireError::InvalidTag { what: "lane", tag: 9 })
+        );
+        assert_eq!(
+            ProfileReply::decode(&with(profile_reply().encode(), 32, 2)),
+            Err(WireError::InvalidTag { what: "refresh_scheduled", tag: 2 })
+        );
+        assert_eq!(
+            BuildReply::decode(&with(build_reply().encode(), 24, 7)).err(),
+            Some(WireError::InvalidTag { what: "ltbo_fp", tag: 7 })
+        );
+        for code in [0, 8] {
+            assert_eq!(
+                ErrorReply::decode(&with(error_replies()[5].encode(), 8, code)),
+                Err(WireError::InvalidTag { what: "error", tag: code })
+            );
+        }
     }
 
     #[test]
@@ -1182,124 +1042,16 @@ mod tests {
     }
 
     #[test]
-    fn peer_messages_roundtrip() {
-        let key = CacheKey { hi: 0xdead_beef, lo: 0x1234_5678 };
-        for lane in [PeerLane::Method, PeerLane::Group, PeerLane::Dict] {
-            let get = PeerGet { request_id: 77, lane, key };
-            assert_eq!(PeerGet::decode(&get.encode()).expect("get decodes"), get);
+    fn stats_json_names_every_scalar_row_the_quantiles_and_the_cache_object() {
+        let json = server_stats().to_json();
+        assert!(json.starts_with(r#"{"uptime_us":123,"workers":8,"#), "{json}");
+        for (name, value) in ServerStats::NAMES.iter().zip(server_stats().to_array()) {
+            assert!(json.contains(&format!(r#""{name}":{value},"#)), "{name} missing from {json}");
         }
-        let found = PeerArtifact {
-            request_id: 77,
-            lane: PeerLane::Method,
-            key,
-            artifact: Some((vec![1, 2, 3, 4], 9000)),
-        };
-        assert_eq!(PeerArtifact::decode(&found.encode()).expect("found decodes"), found);
-        let missing = PeerArtifact { request_id: 78, lane: PeerLane::Group, key, artifact: None };
-        assert_eq!(PeerArtifact::decode(&missing.encode()).expect("missing decodes"), missing);
-        // A wrong lane tag is a typed wire error, not a panic.
-        let mut body = found.encode();
-        body[8] = 9;
-        assert!(PeerArtifact::decode(&body).is_err());
-    }
-
-    #[test]
-    fn profile_messages_roundtrip() {
-        let request = ProfileRequest {
-            request_id: 11,
-            tenant: "app.example".into(),
-            profile_text: "# calibro profile v1\n1 100\n2 50\n".into(),
-        };
-        assert_eq!(ProfileRequest::decode(&request.encode()).expect("request decodes"), request);
-
-        let reply = ProfileReply {
-            request_id: 11,
-            uploads: 9,
-            tracked_methods: 37,
-            drift_ppm: 312_500,
-            refresh_scheduled: true,
-            serving_generation: 2,
-        };
-        assert_eq!(ProfileReply::decode(&reply.encode()).expect("reply decodes"), reply);
-
-        // Trailing bytes are rejected, same as every other codec.
-        let mut body = reply.encode();
-        body.push(0);
-        assert!(ProfileReply::decode(&body).is_err());
-    }
-
-    #[test]
-    fn dict_stats_roundtrip() {
-        let request = DictStatsRequest { request_id: 9 };
-        assert_eq!(DictStatsRequest::decode(&request.encode()).expect("request decodes"), request);
-
-        let reply = DictStatsReply {
-            request_id: 9,
-            enabled: true,
-            epoch: 4,
-            published: 23,
-            staged: 2,
-            island_words: 96,
-            island_entries: 21,
-            pinned_epochs: 3,
-            hits: 64,
-            publishes: 23,
-            private_preferred: 5,
-        };
-        assert_eq!(DictStatsReply::decode(&reply.encode()).expect("reply decodes"), reply);
-
-        // The disabled answer is all-zero but still well-formed.
-        let off = DictStatsReply { request_id: 10, ..DictStatsReply::default() };
-        assert_eq!(DictStatsReply::decode(&off.encode()).expect("off decodes"), off);
-
-        // Trailing bytes are rejected, same as every other codec.
-        let mut body = reply.encode();
-        body.push(0);
-        assert!(DictStatsReply::decode(&body).is_err());
-    }
-
-    #[test]
-    fn generation_stats_roundtrip() {
-        let request = GenerationStatsRequest { request_id: 5, tenant: "app.example".into() };
-        assert_eq!(
-            GenerationStatsRequest::decode(&request.encode()).expect("request decodes"),
-            request
-        );
-
-        let stats = GenerationStats {
-            request_id: 5,
-            tenant: "app.example".into(),
-            registered: true,
-            serving_generation: 3,
-            generations_sealed: 3,
-            refreshes_triggered: 2,
-            refresh_in_flight: true,
-            uploads: 40,
-            tracked_methods: 120,
-            drift_ppm: 250_000,
-            hot_restricted: true,
-            hot_set_size: 17,
-            elf_len: 1 << 20,
-            elf_fnv: 0xdead_beef_cafe_f00d,
-        };
-        assert_eq!(GenerationStats::decode(&stats.encode()).expect("stats decode"), stats);
-
-        let unknown = GenerationStats {
-            request_id: 6,
-            tenant: "never.seen".into(),
-            registered: false,
-            serving_generation: 0,
-            generations_sealed: 0,
-            refreshes_triggered: 0,
-            refresh_in_flight: false,
-            uploads: 0,
-            tracked_methods: 0,
-            drift_ppm: 0,
-            hot_restricted: false,
-            hot_set_size: 0,
-            elf_len: 0,
-            elf_fnv: 0,
-        };
-        assert_eq!(GenerationStats::decode(&unknown.encode()).expect("unknown decodes"), unknown);
+        let p50 = server_stats().latency_quantile_us(0.5);
+        assert!(p50 > 0);
+        assert!(json.contains(&format!(r#""refreshes_triggered":13,"p50_us":{p50},"p95_us":"#)));
+        let cache = server_stats().cache.to_json();
+        assert!(json.ends_with(&format!(r#","cache":{cache}}}"#)), "{json}");
     }
 }

@@ -29,9 +29,9 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,13 +49,15 @@ use crate::error::ServeError;
 use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
 use crate::proto::{
-    self, encode_error, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, FrameEvent,
+    self, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
     GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest,
-    ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING,
-    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR,
-    RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
-    RESP_STATS,
+    Request, ServerCounters, ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS,
+    REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS,
+    RESP_ERROR, RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE,
+    RESP_SHUTDOWN_ACK, RESP_STATS,
 };
+use crate::transport::Stream;
+use crate::wire;
 
 /// Configuration of one daemon.
 #[derive(Clone, Debug)]
@@ -159,63 +161,6 @@ impl Listener {
             Listener::Tcp(l) => l.local_addr().ok(),
             #[cfg(unix)]
             Listener::Unix { .. } => None,
-        }
-    }
-}
-
-/// One bidirectional client connection, over either transport.
-pub(crate) enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn shutdown_both(&self) {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl io::Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
         }
     }
 }
@@ -395,21 +340,8 @@ struct Shared {
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
     started: Instant,
-    in_flight: AtomicU64,
-    accepted_connections: AtomicU64,
-    open_connections: AtomicU64,
-    requests_admitted: AtomicU64,
-    requests_completed: AtomicU64,
-    rejected_overloaded: AtomicU64,
-    deadline_timeouts: AtomicU64,
-    malformed_frames: AtomicU64,
-    oversized_frames: AtomicU64,
-    mid_frame_disconnects: AtomicU64,
-    build_errors: AtomicU64,
-    peer_gets_served: AtomicU64,
-    profile_uploads: AtomicU64,
-    generations_sealed: AtomicU64,
-    refreshes_triggered: AtomicU64,
+    /// The counted rows of the stats table.
+    counters: ServerCounters,
     /// Per-tenant profile accumulators and serving generations. Never
     /// held across a build: the refresh worker snapshots under this
     /// lock, compiles unlocked, then re-locks for the atomic flip.
@@ -431,25 +363,11 @@ impl Shared {
             workers: self.config.workers.max(1) as u64,
             queue_capacity: self.config.queue_depth as u64,
             queue_depth: self.queue.lock().expect("queue lock").len() as u64,
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            accepted_connections: self.accepted_connections.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            requests_admitted: self.requests_admitted.load(Ordering::Relaxed),
-            requests_completed: self.requests_completed.load(Ordering::Relaxed),
-            rejected_overloaded: self.rejected_overloaded.load(Ordering::Relaxed),
-            deadline_timeouts: self.deadline_timeouts.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            oversized_frames: self.oversized_frames.load(Ordering::Relaxed),
-            mid_frame_disconnects: self.mid_frame_disconnects.load(Ordering::Relaxed),
-            build_errors: self.build_errors.load(Ordering::Relaxed),
             shard_id: u64::from(self.config.shard_id),
-            peer_gets_served: self.peer_gets_served.load(Ordering::Relaxed),
             tenants: self.tenants.lock().expect("tenants lock").len() as u64,
-            profile_uploads: self.profile_uploads.load(Ordering::Relaxed),
-            generations_sealed: self.generations_sealed.load(Ordering::Relaxed),
-            refreshes_triggered: self.refreshes_triggered.load(Ordering::Relaxed),
             latency_buckets: self.histogram.snapshot(),
             cache: self.store.stats(),
+            ..self.counters.snapshot()
         }
     }
 
@@ -474,8 +392,8 @@ impl Shared {
         }
     }
 
-    fn reply_error(&self, writer: &ReplyWriter, request_id: u64, error: &ServeError) {
-        self.reply(writer, RESP_ERROR, &encode_error(request_id, error));
+    fn reply_error(&self, writer: &ReplyWriter, request_id: u64, error: ServeError) {
+        self.reply(writer, RESP_ERROR, &ErrorReply { request_id, error }.encode());
     }
 }
 
@@ -545,21 +463,7 @@ impl Daemon {
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             started: Instant::now(),
-            in_flight: AtomicU64::new(0),
-            accepted_connections: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            requests_admitted: AtomicU64::new(0),
-            requests_completed: AtomicU64::new(0),
-            rejected_overloaded: AtomicU64::new(0),
-            deadline_timeouts: AtomicU64::new(0),
-            malformed_frames: AtomicU64::new(0),
-            oversized_frames: AtomicU64::new(0),
-            mid_frame_disconnects: AtomicU64::new(0),
-            build_errors: AtomicU64::new(0),
-            peer_gets_served: AtomicU64::new(0),
-            profile_uploads: AtomicU64::new(0),
-            generations_sealed: AtomicU64::new(0),
-            refreshes_triggered: AtomicU64::new(0),
+            counters: ServerCounters::default(),
             tenants: Mutex::new(HashMap::new()),
             refresh_queue: Mutex::new(std::collections::VecDeque::new()),
             refresh_cv: Condvar::new(),
@@ -653,7 +557,7 @@ impl Daemon {
         // Now unblock the readers and the accept loop.
         if let Ok(mut conns) = self.shared.conns.lock() {
             for (_, stream) in conns.drain() {
-                stream.shutdown_both();
+                stream.shutdown();
             }
         }
         if let Some(handle) = self.accept_handle.take() {
@@ -688,8 +592,8 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
         };
         match accepted {
             Ok(stream) => {
-                shared.accepted_connections.fetch_add(1, Ordering::Relaxed);
-                shared.open_connections.fetch_add(1, Ordering::Relaxed);
+                shared.counters.accepted_connections.fetch_add(1, Ordering::Relaxed);
+                shared.counters.open_connections.fetch_add(1, Ordering::Relaxed);
                 let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 if let Ok(registry_clone) = stream.try_clone() {
                     if let Ok(mut conns) = shared.conns.lock() {
@@ -703,7 +607,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
                         if let Ok(mut conns) = shared.conns.lock() {
                             conns.remove(&conn_id);
                         }
-                        shared.open_connections.fetch_sub(1, Ordering::Relaxed);
+                        shared.counters.open_connections.fetch_sub(1, Ordering::Relaxed);
                     },
                 );
             }
@@ -728,9 +632,7 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
     loop {
         match proto::read_frame(&mut reader, shared.config.max_frame) {
             Ok(FrameEvent::Frame { kind, body }) => {
-                if !handle_frame(kind, &body, &writer, shared) {
-                    break;
-                }
+                handle_frame(kind, &body, &writer, shared);
                 // The pipelined batch is drained: push out any replies
                 // still sitting in the buffer before blocking on the
                 // next read, or the client would wait forever on
@@ -743,15 +645,15 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
             }
             Ok(FrameEvent::Eof) => break,
             Ok(FrameEvent::MidFrameDisconnect) => {
-                shared.mid_frame_disconnects.fetch_add(1, Ordering::Relaxed);
+                shared.counters.mid_frame_disconnects.fetch_add(1, Ordering::Relaxed);
                 break;
             }
             Ok(FrameEvent::TooLarge { claimed }) => {
-                shared.oversized_frames.fetch_add(1, Ordering::Relaxed);
+                shared.counters.oversized_frames.fetch_add(1, Ordering::Relaxed);
                 shared.reply_error(
                     &writer,
                     0,
-                    &ServeError::FrameTooLarge { claimed, limit: shared.config.max_frame },
+                    ServeError::FrameTooLarge { claimed, limit: shared.config.max_frame },
                 );
                 // The stream cannot be resynchronized after a bogus
                 // length prefix: close this connection (others live on).
@@ -762,37 +664,52 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
     }
 }
 
-/// Handles one intact frame. Returns `false` when the connection
-/// should close.
-fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
+/// Handles one intact frame. Whatever the body holds, the frame
+/// boundary is intact, so the connection keeps serving afterwards.
+fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
     match kind {
-        REQ_BUILD => handle_build(body, writer, shared),
-        REQ_PEER_GET => handle_peer_get(body, writer, shared),
-        REQ_PROFILE => handle_profile(body, writer, shared),
-        REQ_GENERATION_STATS => handle_generation_stats(body, writer, shared),
-        REQ_DICT_STATS => handle_dict_stats(body, writer, shared),
-        REQ_STATS => {
-            let stats = shared.stats();
-            shared.reply(writer, RESP_STATS, &stats.encode());
-            true
-        }
-        REQ_PING => {
-            shared.reply(writer, RESP_PONG, body);
-            true
-        }
+        REQ_BUILD => decode_or_reject(body, writer, shared, handle_build),
+        REQ_PEER_GET => decode_or_reject(body, writer, shared, handle_peer_get),
+        REQ_PROFILE => decode_or_reject(body, writer, shared, handle_profile),
+        REQ_GENERATION_STATS => decode_or_reject(body, writer, shared, handle_generation_stats),
+        REQ_DICT_STATS => decode_or_reject(body, writer, shared, handle_dict_stats),
+        REQ_STATS => shared.reply(writer, RESP_STATS, &shared.stats().encode()),
+        REQ_PING => shared.reply(writer, RESP_PONG, body),
         REQ_SHUTDOWN => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
             shared.reply(writer, RESP_SHUTDOWN_ACK, &[]);
-            true
         }
         other => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
             shared.reply_error(
                 writer,
                 0,
-                &ServeError::Malformed { detail: format!("unknown request kind {other:#04x}") },
+                ServeError::Malformed { detail: format!("unknown request kind {other:#04x}") },
             );
-            true
+        }
+    }
+}
+
+/// The one request path: decodes the body and runs the kind's handler
+/// on it, or rejects it — a body that does not decode is counted and
+/// answered with a typed [`ServeError::Malformed`]. The error reply
+/// echoes the request id on a best-effort basis: the id is every
+/// request's first field, so it usually survives even when the rest is
+/// garbage (0 when not even eight bytes arrived).
+fn decode_or_reject<R: Request>(
+    body: &[u8],
+    writer: &ReplyWriter,
+    shared: &Arc<Shared>,
+    handler: fn(R, &ReplyWriter, &Arc<Shared>),
+) {
+    match wire::decode(body) {
+        Ok(request) => handler(request, writer, shared),
+        Err(e) => {
+            let fallback_id = body
+                .get(..8)
+                .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
+            shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            shared.reply_error(writer, fallback_id, ServeError::from(e));
         }
     }
 }
@@ -800,22 +717,11 @@ fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared
 /// Serves one sibling's `PeerGet`: memory and disk tiers only (never
 /// this shard's own peers — the fan-out terminates after one hop), as
 /// the checksummed disk-frame bytes the requester re-validates.
-fn handle_peer_get(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-    let request = match PeerGet::decode(body) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, &ServeError::from(e));
-            return true;
-        }
-    };
+fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>) {
     match shared.store.serve_peer(request.lane, request.key) {
         Ok(artifact) => {
             if artifact.is_some() {
-                shared.peer_gets_served.fetch_add(1, Ordering::Relaxed);
+                shared.counters.peer_gets_served.fetch_add(1, Ordering::Relaxed);
             }
             let reply = PeerArtifact {
                 request_id: request.request_id,
@@ -829,36 +735,18 @@ fn handle_peer_get(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> b
             // A corrupt local entry: the requester treats this as a
             // peer error and compiles locally. Buffered like the
             // success reply — it is one slot of the pipelined batch.
-            shared.reply_buffered(
-                writer,
-                RESP_ERROR,
-                &encode_error(
-                    request.request_id,
-                    &ServeError::Build { detail: format!("peer artifact unavailable: {detail}") },
-                ),
-            );
+            let error =
+                ServeError::Build { detail: format!("peer artifact unavailable: {detail}") };
+            let reply = ErrorReply { request_id: request.request_id, error };
+            shared.reply_buffered(writer, RESP_ERROR, &reply.encode());
         }
     }
-    true
 }
 
-fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
-    // Best-effort request id for error replies: the id is the first
-    // field, so it usually survives even when the rest is garbage.
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-    let request = match BuildRequest::decode(body) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, &ServeError::from(e));
-            return true; // frame boundary intact: keep serving
-        }
-    };
+fn handle_build(request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
     if shared.draining.load(Ordering::SeqCst) {
-        shared.reply_error(writer, request.request_id, &ServeError::Draining);
-        return true;
+        shared.reply_error(writer, request.request_id, ServeError::Draining);
+        return;
     }
     // Cross-check the client's fingerprints against our own view of
     // the decoded payload: a mismatch means codec or schema drift and
@@ -866,8 +754,8 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool
     if options_fingerprint(&request.options) != request.options_fp
         || ltbo_fingerprint(&request.options) != request.ltbo_fp
     {
-        shared.reply_error(writer, request.request_id, &ServeError::FingerprintMismatch);
-        return true;
+        shared.reply_error(writer, request.request_id, ServeError::FingerprintMismatch);
+        return;
     }
     // A tenant request is answered from the sealed serving generation
     // when one exists for this program: this path never waits on the
@@ -884,11 +772,11 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool
             })
         };
         if let Some(sealed) = serving {
-            shared.requests_completed.fetch_add(1, Ordering::Relaxed);
+            shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
             shared.histogram.record(Duration::ZERO);
             let reply = sealed.to_reply(request.request_id);
             shared.reply(writer, RESP_BUILT, &reply.encode());
-            return true;
+            return;
         }
         tenant_job = Some(TenantJob { name: name.clone(), identity });
     }
@@ -910,19 +798,18 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool
     let mut queue = shared.queue.lock().expect("queue lock");
     if queue.len() >= shared.config.queue_depth.max(1) {
         drop(queue);
-        shared.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+        shared.counters.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
         shared.reply_error(
             writer,
             request.request_id,
-            &ServeError::Overloaded { capacity: shared.config.queue_depth },
+            ServeError::Overloaded { capacity: shared.config.queue_depth },
         );
-        return true;
+        return;
     }
     queue.push_back(job);
     drop(queue);
-    shared.requests_admitted.fetch_add(1, Ordering::Relaxed);
+    shared.counters.requests_admitted.fetch_add(1, Ordering::Relaxed);
     shared.queue_cv.notify_one();
-    true
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -940,9 +827,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let Some(job) = job else { return };
-        shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.counters.in_flight.fetch_add(1, Ordering::Relaxed);
         run_job(&job, shared);
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -979,11 +866,11 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
     // Deadline check 1 — at dequeue: an already-expired request is
     // never compiled (it only would have blocked fresher work).
     if expired(job) {
-        shared.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+        shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
         shared.reply_error(
             &job.writer,
             job.request_id,
-            &ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
+            ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
         );
         return;
     }
@@ -998,11 +885,11 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
             // The compiled artifacts are already in the shared store,
             // so an immediate retry replays them warm.
             if expired(job) {
-                shared.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+                shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
                 shared.reply_error(
                     &job.writer,
                     job.request_id,
-                    &ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
+                    ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
                 );
                 return;
             }
@@ -1023,7 +910,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
                 // After the flip: the generation's epoch pin is in
                 // place, so retirement inside the seal cannot touch it.
                 seal_dict(shared, &job.options);
-                shared.requests_completed.fetch_add(1, Ordering::Relaxed);
+                shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
                 shared.histogram.record(job.enqueued.elapsed());
                 shared.reply(&job.writer, RESP_BUILT, &sealed.to_reply(job.request_id).encode());
                 return;
@@ -1044,16 +931,16 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
             };
             // Count *before* writing: a client that has the reply in
             // hand must observe this request in a stats snapshot.
-            shared.requests_completed.fetch_add(1, Ordering::Relaxed);
+            shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
             shared.histogram.record(job.enqueued.elapsed());
             shared.reply(&job.writer, RESP_BUILT, &reply.encode());
         }
         Err(e) => {
-            shared.build_errors.fetch_add(1, Ordering::Relaxed);
+            shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
             shared.reply_error(
                 &job.writer,
                 job.request_id,
-                &ServeError::Build { detail: e.to_string() },
+                ServeError::Build { detail: e.to_string() },
             );
         }
     }
@@ -1135,28 +1022,17 @@ fn flip_generation(
     });
     state.serving = Some(Arc::clone(&sealed));
     state.generations_sealed += 1;
-    shared.generations_sealed.fetch_add(1, Ordering::Relaxed);
+    shared.counters.generations_sealed.fetch_add(1, Ordering::Relaxed);
     sealed
 }
 
 /// One profile upload: parse, fold into the tenant's decayed
 /// accumulator, measure drift against the serving hot set, and
 /// schedule a background re-optimization when it crosses the threshold.
-fn handle_profile(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-    let request = match ProfileRequest::decode(body) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, &ServeError::from(e));
-            return true;
-        }
-    };
+fn handle_profile(request: ProfileRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
     if shared.draining.load(Ordering::SeqCst) {
-        shared.reply_error(writer, request.request_id, &ServeError::Draining);
-        return true;
+        shared.reply_error(writer, request.request_id, ServeError::Draining);
+        return;
     }
     let profile = match Profile::from_text(&request.profile_text) {
         Ok(profile) => profile,
@@ -1164,13 +1040,13 @@ fn handle_profile(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bo
             // The typed parse error carries the 1-based line number and
             // the offending text; forward it verbatim so the client can
             // pinpoint the bad line.
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
             shared.reply_error(
                 writer,
                 request.request_id,
-                &ServeError::Malformed { detail: format!("profile: {e}") },
+                ServeError::Malformed { detail: format!("profile: {e}") },
             );
-            return true;
+            return;
         }
     };
     let fraction = shared.config.hot_fraction;
@@ -1203,33 +1079,25 @@ fn handle_profile(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bo
             scheduled,
         )
     };
-    shared.profile_uploads.fetch_add(1, Ordering::Relaxed);
+    shared.counters.profile_uploads.fetch_add(1, Ordering::Relaxed);
     if schedule {
-        shared.refreshes_triggered.fetch_add(1, Ordering::Relaxed);
+        shared.counters.refreshes_triggered.fetch_add(1, Ordering::Relaxed);
         let mut queue = shared.refresh_queue.lock().expect("refresh queue lock");
         queue.push_back(request.tenant.clone());
         drop(queue);
         shared.refresh_cv.notify_one();
     }
     shared.reply(writer, RESP_PROFILE, &reply.encode());
-    true
 }
 
 /// A point-in-time snapshot of one tenant's generation state; an
 /// unregistered tenant gets an all-zeros reply with `registered:
 /// false` rather than an error, so pollers need no special casing.
-fn handle_generation_stats(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-    let request = match GenerationStatsRequest::decode(body) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, &ServeError::from(e));
-            return true;
-        }
-    };
+fn handle_generation_stats(
+    request: GenerationStatsRequest,
+    writer: &ReplyWriter,
+    shared: &Arc<Shared>,
+) {
     let tenants = shared.tenants.lock().expect("tenants lock");
     let reply = match tenants.get(&request.tenant) {
         Some(state) => {
@@ -1261,41 +1129,18 @@ fn handle_generation_stats(body: &[u8], writer: &ReplyWriter, shared: &Arc<Share
         None => GenerationStats {
             request_id: request.request_id,
             tenant: request.tenant.clone(),
-            registered: false,
-            serving_generation: 0,
-            generations_sealed: 0,
-            refreshes_triggered: 0,
-            refresh_in_flight: false,
-            uploads: 0,
-            tracked_methods: 0,
-            drift_ppm: 0,
-            hot_restricted: false,
-            hot_set_size: 0,
-            elf_len: 0,
-            elf_fnv: 0,
+            ..GenerationStats::default()
         },
     };
     drop(tenants);
     shared.reply(writer, RESP_GENERATION_STATS, &reply.encode());
-    true
 }
 
 /// A point-in-time snapshot of the shared outline dictionary. A daemon
 /// running without one answers `enabled: false` with every counter
 /// zeroed — asking is never an error, so external gates need no
 /// special casing.
-fn handle_dict_stats(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-    let request = match DictStatsRequest::decode(body) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, &ServeError::from(e));
-            return true;
-        }
-    };
+fn handle_dict_stats(request: DictStatsRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
     let reply = match &shared.dict {
         Some(registry) => {
             let stats = registry.cumulative_stats();
@@ -1318,7 +1163,6 @@ fn handle_dict_stats(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) ->
         None => DictStatsReply { request_id: request.request_id, ..DictStatsReply::default() },
     };
     shared.reply(writer, RESP_DICT_STATS, &reply.encode());
-    true
 }
 
 /// The background re-optimization worker. Pops tenants whose drift
@@ -1384,7 +1228,7 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
             seal_dict(shared, &options);
         }
         Err(_) => {
-            shared.build_errors.fetch_add(1, Ordering::Relaxed);
+            shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

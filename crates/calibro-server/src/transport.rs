@@ -1,0 +1,77 @@
+//! The one socket type every side of the protocol reads and writes:
+//! the daemon's accepted connections, the client's dialed one and the
+//! fleet's pooled peer connections are all a [`Stream`], over a Unix
+//! domain socket or TCP.
+
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+
+use crate::fleet::ShardEndpoint;
+
+/// One bidirectional connection, over either transport.
+pub(crate) enum Stream {
+    #[cfg(unix)]
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+/// Dials `endpoint`.
+pub(crate) fn connect(endpoint: &ShardEndpoint) -> io::Result<Stream> {
+    Ok(match endpoint {
+        #[cfg(unix)]
+        ShardEndpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        ShardEndpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
+    })
+}
+
+impl Stream {
+    /// A second handle to the same socket (the reply writer's half, the
+    /// shutdown registry's handle).
+    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
+        Ok(match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
+    /// Shuts both directions down, unblocking any reader. Best effort:
+    /// the peer may already be gone.
+    pub(crate) fn shutdown(&self) {
+        let _ = match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
+        }
+    }
+}

@@ -1,18 +1,18 @@
 //! The binary wire codec: little-endian primitives over a growable
-//! byte buffer, plus encoders/decoders for the domain payloads a
+//! byte buffer, the [`Wire`] trait that gives every transported type
+//! exactly one wire form, and the codecs of the domain payloads a
 //! compile request carries ([`DexFile`], [`BuildOptions`]).
 //!
 //! Decoding is strictly bounds-checked: every read that would run past
 //! the payload returns [`WireError::Truncated`] (never panics, never
 //! reads garbage), and every enum tag is validated. The codec is
 //! self-contained — no serde — so the daemon's input surface is fully
-//! auditable in this file.
+//! auditable in this file and the message table in [`crate::proto`].
 
 use std::collections::HashSet;
+use std::time::Duration;
 
-use calibro::BuildOptions;
-use calibro::LtboMode;
-use calibro::MergeConfig;
+use calibro::{BuildOptions, LtboMode, MergeConfig};
 use calibro_dex::{
     BinOp, ClassId, Cmp, DexFile, DexInsn, FieldId, InvokeKind, Method, MethodId, StaticId, VReg,
 };
@@ -96,56 +96,12 @@ impl Writer {
         self.buf
     }
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16`, little-endian.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i32`, little-endian two's complement.
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i16`, little-endian two's complement.
-    pub fn i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends length-prefixed raw bytes.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
+    /// Appends a `u32` element count, then each element.
+    pub fn seq<T: Wire>(&mut self, items: &[T]) {
+        self.u32(items.len() as u32);
+        for item in items {
+            item.put(self);
+        }
     }
 }
 
@@ -187,574 +143,573 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a little-endian `i32`.
-    pub fn i32(&mut self, what: &'static str) -> Result<i32, WireError> {
-        Ok(i32::from_le_bytes(self.take(4, what)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a little-endian `i16`.
-    pub fn i16(&mut self, what: &'static str) -> Result<i16, WireError> {
-        Ok(i16::from_le_bytes(self.take(2, what)?.try_into().expect("length checked")))
-    }
-
-    /// Reads a `u64` length field, validated against both the ceiling
-    /// and the bytes actually remaining (an element costs ≥ 1 byte, so
-    /// a length beyond `remaining` is always malformed).
-    pub fn len(&mut self, what: &'static str) -> Result<usize, WireError> {
-        let v = self.u64(what)?;
-        if v > MAX_COLLECTION_LEN as u64 || v > self.remaining() as u64 {
-            return Err(WireError::OversizedCollection { what, len: v });
+    /// Validates a decoded length field against both the ceiling and
+    /// the bytes actually remaining (an element costs ≥ 1 byte, so a
+    /// length beyond `remaining` is always malformed).
+    fn bounded(&self, len: u64, what: &'static str) -> Result<usize, WireError> {
+        if len > MAX_COLLECTION_LEN as u64 || len > self.remaining() as u64 {
+            return Err(WireError::OversizedCollection { what, len });
         }
-        Ok(v as usize)
+        Ok(len as usize)
     }
 
-    /// Reads a `usize` (encoded as `u64`, no remaining-bytes bound —
-    /// for scalar counts such as register numbers, not collections).
-    pub fn usize(&mut self, what: &'static str) -> Result<usize, WireError> {
-        let v = self.u64(what)?;
+    /// Reads a `u32` element count, validated before anything is
+    /// allocated for the elements.
+    pub fn count(&mut self, what: &'static str) -> Result<usize, WireError> {
+        let n = self.u32(what)?;
+        self.bounded(u64::from(n), what)
+    }
+
+    /// Reads a `u32` element count, then that many elements.
+    pub fn seq<T: Wire>(&mut self, what: &'static str) -> Result<Vec<T>, WireError> {
+        let n = self.count(what)?;
+        (0..n).map(|_| T::get(self, what)).collect()
+    }
+}
+
+/// A type with exactly one wire form. Message bodies are structs of
+/// `Wire` fields (see `message!` in [`crate::proto`] and `wire_fields!`
+/// below), so a field's width, framing and validation are decided here,
+/// once per type, and not at every message that carries one.
+pub trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut Writer);
+
+    /// Reads one value. `what` names the field being decoded and ends
+    /// up in the [`WireError`] when the bytes do not hold one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on truncation or an invalid encoding.
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError>;
+}
+
+/// Encodes `value` as a whole message body.
+#[must_use]
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a whole message body: one `T` and nothing after it.
+///
+/// # Errors
+///
+/// Returns [`WireError`] on any malformed field or trailing bytes.
+pub fn decode<T: Wire>(body: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader::new(body);
+    let value = T::get(&mut r, "message body")?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// The little-endian integers: the `Writer`/`Reader` primitive and the
+/// [`Wire`] impl, once per width.
+macro_rules! le_ints {
+    ($($int:ident)*) => {
+        impl Writer {$(
+            #[doc = concat!("Appends a `", stringify!($int), "`, little-endian.")]
+            pub fn $int(&mut self, v: $int) {
+                self.buf.extend_from_slice(&v.to_le_bytes());
+            }
+        )*}
+
+        impl Reader<'_> {$(
+            #[doc = concat!("Reads a little-endian `", stringify!($int), "`.")]
+            pub fn $int(&mut self, what: &'static str) -> Result<$int, WireError> {
+                let raw = self.take(core::mem::size_of::<$int>(), what)?;
+                Ok($int::from_le_bytes(raw.try_into().expect("length checked")))
+            }
+        )*}
+
+        $(impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.$int(*self);
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$int, WireError> {
+                r.$int(what)
+            }
+        })*
+    };
+}
+
+le_ints!(u8 u16 u32 u64 i16 i32);
+
+/// A `usize` travels as a `u64` (no remaining-bytes bound — these are
+/// scalar counts such as branch targets, not collection lengths).
+impl Wire for usize {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<usize, WireError> {
+        let v = r.u64(what)?;
         usize::try_from(v).map_err(|_| WireError::OversizedCollection { what, len: v })
     }
+}
 
-    /// Reads a bool, rejecting anything but 0 or 1.
-    pub fn bool(&mut self, what: &'static str) -> Result<bool, WireError> {
-        match self.u8(what)? {
+/// One byte; anything but 0 or 1 is rejected.
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<bool, WireError> {
+        match r.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
             tag => Err(WireError::InvalidTag { what, tag }),
         }
     }
+}
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &'static str) -> Result<String, WireError> {
-        let n = self.u32(what)? as usize;
-        if n > MAX_COLLECTION_LEN || n > self.remaining() {
-            return Err(WireError::OversizedCollection { what, len: n as u64 });
+/// A `u32` byte length, then UTF-8.
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<String, WireError> {
+        let n = r.count(what)?;
+        String::from_utf8(r.take(n, what)?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// Raw bytes: a `u64` length, then the bytes. (Not a counted sequence
+/// of `u8` elements — artifacts are megabytes and copied in one piece.)
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.len() as u64);
+        w.buf.extend_from_slice(self);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u8>, WireError> {
+        let claimed = r.u64(what)?;
+        let n = r.bounded(claimed, what)?;
+        Ok(r.take(n, what)?.to_vec())
+    }
+}
+
+impl Wire for Vec<u64> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u64>, WireError> {
+        r.seq(what)
+    }
+}
+
+/// A one-byte presence tag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                v.put(w);
+            }
         }
-        let raw = self.take(n, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 
-    /// Reads length-prefixed raw bytes.
-    pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
-        let n = self.len(what)?;
-        Ok(self.take(n, what)?.to_vec())
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Option<T>, WireError> {
+        match r.u8(what)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r, what)?)),
+            tag => Err(WireError::InvalidTag { what, tag }),
+        }
     }
+}
+
+/// Whole milliseconds in a `u32`, saturating: the protocol's only
+/// durations are request deadlines.
+impl Wire for Duration {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.as_millis().min(u128::from(u32::MAX)) as u32);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Duration, WireError> {
+        Ok(Duration::from_millis(u64::from(r.u32(what)?)))
+    }
+}
+
+/// Implements [`Wire`] for a struct as its fields in the listed order,
+/// which is the wire order. Both directions are exhaustive over the
+/// struct (a destructuring without `..`, a literal without `..`), so a
+/// field added to the struct fails compilation here instead of silently
+/// not being transported. Each field is decoded under its own name.
+macro_rules! wire_fields {
+    ($name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            fn put(&self, w: &mut $crate::wire::Writer) {
+                let $name { $($field),* } = self;
+                $($crate::wire::Wire::put($field, w);)*
+            }
+
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+                _what: &'static str,
+            ) -> Result<$name, $crate::wire::WireError> {
+                Ok($name { $($field: $crate::wire::Wire::get(r, stringify!($field))?),* })
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::wire::FieldEnds for $name {
+            fn field_ends(&self) -> Vec<(&'static str, usize)> {
+                let $name { $($field),* } = self;
+                let mut end = 0;
+                vec![$({
+                    end += $crate::wire::encode($field).len();
+                    (stringify!($field), end)
+                }),*]
+            }
+        }
+    };
+}
+pub(crate) use wire_fields;
+
+/// Test support: where each field of an encoded struct ends, so the
+/// message contract can tell which field a truncation landed in.
+#[cfg(test)]
+pub(crate) trait FieldEnds {
+    /// `(field name, end offset)` per field, in wire order.
+    fn field_ends(&self) -> Vec<(&'static str, usize)>;
 }
 
 // ---------------------------------------------------------------------------
 // Domain encoders/decoders.
 // ---------------------------------------------------------------------------
 
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::And => 4,
-        BinOp::Or => 5,
-        BinOp::Xor => 6,
-        BinOp::Shl => 7,
-        BinOp::Shr => 8,
+/// Newtype ids travel as the integer they wrap.
+macro_rules! wire_ids {
+    ($($id:ident)*) => {$(
+        impl Wire for $id {
+            fn put(&self, w: &mut Writer) {
+                self.0.put(w);
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$id, WireError> {
+                Ok($id(Wire::get(r, what)?))
+            }
+        }
+    )*};
+}
+
+wire_ids!(VReg ClassId FieldId MethodId StaticId);
+
+/// Operand enums travel as the one-byte code calibro-dex assigns them.
+macro_rules! wire_codes {
+    ($($operand:ident)*) => {$(
+        impl Wire for $operand {
+            fn put(&self, w: &mut Writer) {
+                w.u8(self.code());
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$operand, WireError> {
+                let tag = r.u8(what)?;
+                $operand::from_code(tag).ok_or(WireError::InvalidTag { what, tag })
+            }
+        }
+    )*};
+}
+
+wire_codes!(BinOp Cmp InvokeKind);
+
+impl Wire for DexInsn {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            DexInsn::Nop => w.u8(0),
+            DexInsn::Const { dst, value } => {
+                w.u8(1);
+                dst.put(w);
+                value.put(w);
+            }
+            DexInsn::Move { dst, src } => {
+                w.u8(2);
+                dst.put(w);
+                src.put(w);
+            }
+            DexInsn::Bin { op, dst, a, b } => {
+                w.u8(3);
+                op.put(w);
+                dst.put(w);
+                a.put(w);
+                b.put(w);
+            }
+            DexInsn::BinLit { op, dst, a, lit } => {
+                w.u8(4);
+                op.put(w);
+                dst.put(w);
+                a.put(w);
+                lit.put(w);
+            }
+            DexInsn::IGet { dst, obj, field } => {
+                w.u8(5);
+                dst.put(w);
+                obj.put(w);
+                field.put(w);
+            }
+            DexInsn::IPut { src, obj, field } => {
+                w.u8(6);
+                src.put(w);
+                obj.put(w);
+                field.put(w);
+            }
+            DexInsn::SGet { dst, slot } => {
+                w.u8(7);
+                dst.put(w);
+                slot.put(w);
+            }
+            DexInsn::SPut { src, slot } => {
+                w.u8(8);
+                src.put(w);
+                slot.put(w);
+            }
+            DexInsn::NewInstance { dst, class } => {
+                w.u8(9);
+                dst.put(w);
+                class.put(w);
+            }
+            DexInsn::Invoke { kind, method, args, dst } => {
+                w.u8(10);
+                kind.put(w);
+                method.put(w);
+                w.seq(args);
+                dst.put(w);
+            }
+            DexInsn::InvokeNative { method, args, dst } => {
+                w.u8(11);
+                method.put(w);
+                w.seq(args);
+                dst.put(w);
+            }
+            DexInsn::If { cmp, a, b, target } => {
+                w.u8(12);
+                cmp.put(w);
+                a.put(w);
+                b.put(w);
+                target.put(w);
+            }
+            DexInsn::IfZ { cmp, a, target } => {
+                w.u8(13);
+                cmp.put(w);
+                a.put(w);
+                target.put(w);
+            }
+            DexInsn::Goto { target } => {
+                w.u8(14);
+                target.put(w);
+            }
+            DexInsn::Switch { src, first_key, targets } => {
+                w.u8(15);
+                src.put(w);
+                first_key.put(w);
+                w.seq(targets);
+            }
+            DexInsn::Return { src } => {
+                w.u8(16);
+                src.put(w);
+            }
+            DexInsn::ReturnVoid => w.u8(17),
+            DexInsn::Throw { src } => {
+                w.u8(18);
+                src.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<DexInsn, WireError> {
+        Ok(match r.u8(what)? {
+            0 => DexInsn::Nop,
+            1 => DexInsn::Const { dst: Wire::get(r, "dst")?, value: Wire::get(r, "value")? },
+            2 => DexInsn::Move { dst: Wire::get(r, "dst")?, src: Wire::get(r, "src")? },
+            3 => DexInsn::Bin {
+                op: Wire::get(r, "BinOp")?,
+                dst: Wire::get(r, "dst")?,
+                a: Wire::get(r, "a")?,
+                b: Wire::get(r, "b")?,
+            },
+            4 => DexInsn::BinLit {
+                op: Wire::get(r, "BinOp")?,
+                dst: Wire::get(r, "dst")?,
+                a: Wire::get(r, "a")?,
+                lit: Wire::get(r, "lit")?,
+            },
+            5 => DexInsn::IGet {
+                dst: Wire::get(r, "dst")?,
+                obj: Wire::get(r, "obj")?,
+                field: Wire::get(r, "field")?,
+            },
+            6 => DexInsn::IPut {
+                src: Wire::get(r, "src")?,
+                obj: Wire::get(r, "obj")?,
+                field: Wire::get(r, "field")?,
+            },
+            7 => DexInsn::SGet { dst: Wire::get(r, "dst")?, slot: Wire::get(r, "slot")? },
+            8 => DexInsn::SPut { src: Wire::get(r, "src")?, slot: Wire::get(r, "slot")? },
+            9 => DexInsn::NewInstance { dst: Wire::get(r, "dst")?, class: Wire::get(r, "class")? },
+            10 => DexInsn::Invoke {
+                kind: Wire::get(r, "InvokeKind")?,
+                method: Wire::get(r, "method")?,
+                args: r.seq("invoke args")?,
+                dst: Wire::get(r, "invoke dst")?,
+            },
+            11 => DexInsn::InvokeNative {
+                method: Wire::get(r, "method")?,
+                args: r.seq("invoke args")?,
+                dst: Wire::get(r, "invoke dst")?,
+            },
+            12 => DexInsn::If {
+                cmp: Wire::get(r, "Cmp")?,
+                a: Wire::get(r, "a")?,
+                b: Wire::get(r, "b")?,
+                target: Wire::get(r, "target")?,
+            },
+            13 => DexInsn::IfZ {
+                cmp: Wire::get(r, "Cmp")?,
+                a: Wire::get(r, "a")?,
+                target: Wire::get(r, "target")?,
+            },
+            14 => DexInsn::Goto { target: Wire::get(r, "target")? },
+            15 => DexInsn::Switch {
+                src: Wire::get(r, "src")?,
+                first_key: Wire::get(r, "first_key")?,
+                targets: r.seq("switch targets")?,
+            },
+            16 => DexInsn::Return { src: Wire::get(r, "src")? },
+            17 => DexInsn::ReturnVoid,
+            18 => DexInsn::Throw { src: Wire::get(r, "src")? },
+            tag => return Err(WireError::InvalidTag { what, tag }),
+        })
     }
 }
 
-fn binop_from(tag: u8) -> Result<BinOp, WireError> {
-    Ok(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::And,
-        5 => BinOp::Or,
-        6 => BinOp::Xor,
-        7 => BinOp::Shl,
-        8 => BinOp::Shr,
-        tag => return Err(WireError::InvalidTag { what: "BinOp", tag }),
-    })
-}
-
-fn cmp_tag(c: Cmp) -> u8 {
-    match c {
-        Cmp::Eq => 0,
-        Cmp::Ne => 1,
-        Cmp::Lt => 2,
-        Cmp::Ge => 3,
-        Cmp::Gt => 4,
-        Cmp::Le => 5,
-    }
-}
-
-fn cmp_from(tag: u8) -> Result<Cmp, WireError> {
-    Ok(match tag {
-        0 => Cmp::Eq,
-        1 => Cmp::Ne,
-        2 => Cmp::Lt,
-        3 => Cmp::Ge,
-        4 => Cmp::Gt,
-        5 => Cmp::Le,
-        tag => return Err(WireError::InvalidTag { what: "Cmp", tag }),
-    })
-}
-
-fn write_opt_vreg(w: &mut Writer, v: Option<VReg>) {
-    match v {
-        None => w.u8(0),
-        Some(r) => {
-            w.u8(1);
-            w.u16(r.0);
+/// A whole program: static-slot count, classes, methods. Decoding
+/// rebuilds it through the same `add_class` / `add_method` path local
+/// callers use — ids come out as table positions, exactly as the
+/// encoder saw them.
+impl Wire for DexFile {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.num_statics());
+        w.u32(self.classes().len() as u32);
+        for class in self.classes() {
+            class.name.put(w);
+            w.u32(class.num_fields);
+        }
+        w.u32(self.methods().len() as u32);
+        for m in self.methods() {
+            m.class.put(w);
+            m.name.put(w);
+            w.u16(m.num_regs);
+            w.u16(m.num_args);
+            m.is_native.put(w);
+            w.seq(&m.insns);
         }
     }
-}
 
-fn read_opt_vreg(r: &mut Reader<'_>) -> Result<Option<VReg>, WireError> {
-    match r.u8("Option<VReg> tag")? {
-        0 => Ok(None),
-        1 => Ok(Some(VReg(r.u16("VReg")?))),
-        tag => Err(WireError::InvalidTag { what: "Option<VReg>", tag }),
-    }
-}
-
-fn write_args(w: &mut Writer, args: &[VReg]) {
-    w.u32(args.len() as u32);
-    for a in args {
-        w.u16(a.0);
-    }
-}
-
-fn read_args(r: &mut Reader<'_>) -> Result<Vec<VReg>, WireError> {
-    let n = r.u32("arg count")? as usize;
-    if n > MAX_COLLECTION_LEN || n > r.remaining() {
-        return Err(WireError::OversizedCollection { what: "invoke args", len: n as u64 });
-    }
-    (0..n).map(|_| Ok(VReg(r.u16("arg VReg")?))).collect()
-}
-
-/// Appends one bytecode instruction.
-pub fn write_insn(w: &mut Writer, insn: &DexInsn) {
-    match insn {
-        DexInsn::Nop => w.u8(0),
-        DexInsn::Const { dst, value } => {
-            w.u8(1);
-            w.u16(dst.0);
-            w.i32(*value);
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<DexFile, WireError> {
+        let mut dex = DexFile::new();
+        dex.reserve_statics(r.u32("num_statics")?);
+        for _ in 0..r.count("classes")? {
+            let name = String::get(r, "class name")?;
+            dex.add_class(name, r.u32("num_fields")?);
         }
-        DexInsn::Move { dst, src } => {
-            w.u8(2);
-            w.u16(dst.0);
-            w.u16(src.0);
-        }
-        DexInsn::Bin { op, dst, a, b } => {
-            w.u8(3);
-            w.u8(binop_tag(*op));
-            w.u16(dst.0);
-            w.u16(a.0);
-            w.u16(b.0);
-        }
-        DexInsn::BinLit { op, dst, a, lit } => {
-            w.u8(4);
-            w.u8(binop_tag(*op));
-            w.u16(dst.0);
-            w.u16(a.0);
-            w.i16(*lit);
-        }
-        DexInsn::IGet { dst, obj, field } => {
-            w.u8(5);
-            w.u16(dst.0);
-            w.u16(obj.0);
-            w.u32(field.0);
-        }
-        DexInsn::IPut { src, obj, field } => {
-            w.u8(6);
-            w.u16(src.0);
-            w.u16(obj.0);
-            w.u32(field.0);
-        }
-        DexInsn::SGet { dst, slot } => {
-            w.u8(7);
-            w.u16(dst.0);
-            w.u32(slot.0);
-        }
-        DexInsn::SPut { src, slot } => {
-            w.u8(8);
-            w.u16(src.0);
-            w.u32(slot.0);
-        }
-        DexInsn::NewInstance { dst, class } => {
-            w.u8(9);
-            w.u16(dst.0);
-            w.u32(class.0);
-        }
-        DexInsn::Invoke { kind, method, args, dst } => {
-            w.u8(10);
-            w.u8(match kind {
-                InvokeKind::Virtual => 0,
-                InvokeKind::Static => 1,
+        for _ in 0..r.count("methods")? {
+            let class: ClassId = Wire::get(r, "method class")?;
+            if class.index() >= dex.classes().len() {
+                return Err(WireError::InvalidTag { what: "method class id", tag: 0 });
+            }
+            dex.add_method(Method {
+                id: MethodId(0), // overwritten by add_method with the table position
+                class,
+                name: Wire::get(r, "method name")?,
+                num_regs: r.u16("num_regs")?,
+                num_args: r.u16("num_args")?,
+                is_native: Wire::get(r, "is_native")?,
+                insns: r.seq("insns")?,
             });
-            w.u32(method.0);
-            write_args(w, args);
-            write_opt_vreg(w, *dst);
         }
-        DexInsn::InvokeNative { method, args, dst } => {
-            w.u8(11);
-            w.u32(method.0);
-            write_args(w, args);
-            write_opt_vreg(w, *dst);
-        }
-        DexInsn::If { cmp, a, b, target } => {
-            w.u8(12);
-            w.u8(cmp_tag(*cmp));
-            w.u16(a.0);
-            w.u16(b.0);
-            w.usize(*target);
-        }
-        DexInsn::IfZ { cmp, a, target } => {
-            w.u8(13);
-            w.u8(cmp_tag(*cmp));
-            w.u16(a.0);
-            w.usize(*target);
-        }
-        DexInsn::Goto { target } => {
-            w.u8(14);
-            w.usize(*target);
-        }
-        DexInsn::Switch { src, first_key, targets } => {
-            w.u8(15);
-            w.u16(src.0);
-            w.i32(*first_key);
-            w.u32(targets.len() as u32);
-            for t in targets {
-                w.usize(*t);
+        Ok(dex)
+    }
+}
+
+/// `None` / `Global` / `Parallel { groups, threads }` share one tag
+/// byte, so this is not the generic `Option` form.
+impl Wire for Option<LtboMode> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(LtboMode::Global) => w.u8(1),
+            Some(LtboMode::Parallel { groups, threads }) => {
+                w.u8(2);
+                groups.put(w);
+                threads.put(w);
             }
         }
-        DexInsn::Return { src } => {
-            w.u8(16);
-            w.u16(src.0);
-        }
-        DexInsn::ReturnVoid => w.u8(17),
-        DexInsn::Throw { src } => {
-            w.u8(18);
-            w.u16(src.0);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Option<LtboMode>, WireError> {
+        match r.u8(what)? {
+            0 => Ok(None),
+            1 => Ok(Some(LtboMode::Global)),
+            2 => Ok(Some(LtboMode::Parallel {
+                groups: Wire::get(r, what)?,
+                threads: Wire::get(r, what)?,
+            })),
+            tag => Err(WireError::InvalidTag { what, tag }),
         }
     }
 }
 
-/// Reads one bytecode instruction.
-pub fn read_insn(r: &mut Reader<'_>) -> Result<DexInsn, WireError> {
-    Ok(match r.u8("DexInsn tag")? {
-        0 => DexInsn::Nop,
-        1 => DexInsn::Const { dst: VReg(r.u16("dst")?), value: r.i32("value")? },
-        2 => DexInsn::Move { dst: VReg(r.u16("dst")?), src: VReg(r.u16("src")?) },
-        3 => DexInsn::Bin {
-            op: binop_from(r.u8("BinOp")?)?,
-            dst: VReg(r.u16("dst")?),
-            a: VReg(r.u16("a")?),
-            b: VReg(r.u16("b")?),
-        },
-        4 => DexInsn::BinLit {
-            op: binop_from(r.u8("BinOp")?)?,
-            dst: VReg(r.u16("dst")?),
-            a: VReg(r.u16("a")?),
-            lit: r.i16("lit")?,
-        },
-        5 => DexInsn::IGet {
-            dst: VReg(r.u16("dst")?),
-            obj: VReg(r.u16("obj")?),
-            field: FieldId(r.u32("field")?),
-        },
-        6 => DexInsn::IPut {
-            src: VReg(r.u16("src")?),
-            obj: VReg(r.u16("obj")?),
-            field: FieldId(r.u32("field")?),
-        },
-        7 => DexInsn::SGet { dst: VReg(r.u16("dst")?), slot: StaticId(r.u32("slot")?) },
-        8 => DexInsn::SPut { src: VReg(r.u16("src")?), slot: StaticId(r.u32("slot")?) },
-        9 => DexInsn::NewInstance { dst: VReg(r.u16("dst")?), class: ClassId(r.u32("class")?) },
-        10 => {
-            let kind = match r.u8("InvokeKind")? {
-                0 => InvokeKind::Virtual,
-                1 => InvokeKind::Static,
-                tag => return Err(WireError::InvalidTag { what: "InvokeKind", tag }),
-            };
-            DexInsn::Invoke {
-                kind,
-                method: MethodId(r.u32("method")?),
-                args: read_args(r)?,
-                dst: read_opt_vreg(r)?,
-            }
-        }
-        11 => DexInsn::InvokeNative {
-            method: MethodId(r.u32("method")?),
-            args: read_args(r)?,
-            dst: read_opt_vreg(r)?,
-        },
-        12 => DexInsn::If {
-            cmp: cmp_from(r.u8("Cmp")?)?,
-            a: VReg(r.u16("a")?),
-            b: VReg(r.u16("b")?),
-            target: r.usize("target")?,
-        },
-        13 => DexInsn::IfZ {
-            cmp: cmp_from(r.u8("Cmp")?)?,
-            a: VReg(r.u16("a")?),
-            target: r.usize("target")?,
-        },
-        14 => DexInsn::Goto { target: r.usize("target")? },
-        15 => {
-            let src = VReg(r.u16("src")?);
-            let first_key = r.i32("first_key")?;
-            let n = r.u32("switch targets")? as usize;
-            if n > MAX_COLLECTION_LEN || n > r.remaining() {
-                return Err(WireError::OversizedCollection {
-                    what: "switch targets",
-                    len: n as u64,
-                });
-            }
-            let targets =
-                (0..n).map(|_| r.usize("target")).collect::<Result<Vec<usize>, WireError>>()?;
-            DexInsn::Switch { src, first_key, targets }
-        }
-        16 => DexInsn::Return { src: VReg(r.u16("src")?) },
-        17 => DexInsn::ReturnVoid,
-        18 => DexInsn::Throw { src: VReg(r.u16("src")?) },
-        tag => return Err(WireError::InvalidTag { what: "DexInsn", tag }),
-    })
-}
-
-/// Appends a whole [`DexFile`] (classes, methods, static-slot count).
-pub fn write_dex(w: &mut Writer, dex: &DexFile) {
-    w.u32(dex.num_statics());
-    w.u32(dex.classes().len() as u32);
-    for class in dex.classes() {
-        w.str(&class.name);
-        w.u32(class.num_fields);
+/// A hot set travels sorted, so equal sets encode to equal bytes.
+impl Wire for HashSet<u32> {
+    fn put(&self, w: &mut Writer) {
+        let mut sorted: Vec<u32> = self.iter().copied().collect();
+        sorted.sort_unstable();
+        w.seq(&sorted);
     }
-    w.u32(dex.methods().len() as u32);
-    for m in dex.methods() {
-        w.u32(m.class.0);
-        w.str(&m.name);
-        w.u16(m.num_regs);
-        w.u16(m.num_args);
-        w.bool(m.is_native);
-        w.u32(m.insns.len() as u32);
-        for insn in &m.insns {
-            write_insn(w, insn);
-        }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<HashSet<u32>, WireError> {
+        (0..r.count(what)?).map(|_| r.u32(what)).collect()
     }
 }
 
-/// Reads a [`DexFile`], rebuilding it through the same `add_class` /
-/// `add_method` path local callers use — ids come out as table
-/// positions, exactly as the encoder saw them.
-pub fn read_dex(r: &mut Reader<'_>) -> Result<DexFile, WireError> {
-    let mut dex = DexFile::new();
-    let statics = r.u32("num_statics")?;
-    dex.reserve_statics(statics);
-    let classes = r.u32("class count")? as usize;
-    if classes > MAX_COLLECTION_LEN || classes > r.remaining() {
-        return Err(WireError::OversizedCollection { what: "classes", len: classes as u64 });
-    }
-    for _ in 0..classes {
-        let name = r.str("class name")?;
-        let num_fields = r.u32("num_fields")?;
-        dex.add_class(name, num_fields);
-    }
-    let methods = r.u32("method count")? as usize;
-    if methods > MAX_COLLECTION_LEN || methods > r.remaining() {
-        return Err(WireError::OversizedCollection { what: "methods", len: methods as u64 });
-    }
-    for _ in 0..methods {
-        let class = ClassId(r.u32("method class")?);
-        if class.index() >= dex.classes().len() {
-            return Err(WireError::InvalidTag { what: "method class id", tag: 0 });
-        }
-        let name = r.str("method name")?;
-        let num_regs = r.u16("num_regs")?;
-        let num_args = r.u16("num_args")?;
-        let is_native = r.bool("is_native")?;
-        let n = r.u32("insn count")? as usize;
-        if n > MAX_COLLECTION_LEN || n > r.remaining() {
-            return Err(WireError::OversizedCollection { what: "insns", len: n as u64 });
-        }
-        let insns = (0..n).map(|_| read_insn(r)).collect::<Result<Vec<DexInsn>, WireError>>()?;
-        dex.add_method(Method {
-            id: MethodId(0), // overwritten by add_method with the table position
-            class,
-            name,
-            num_regs,
-            num_args,
-            insns,
-            is_native,
-        });
-    }
-    Ok(dex)
-}
+wire_fields!(MergeConfig { min_body_words, max_params, arbitrate });
 
-/// Appends the full [`BuildOptions`] — exhaustive destructuring, so a
-/// new field fails compilation here rather than silently not being
-/// transported (the same trick the fingerprint module uses).
-pub fn write_options(w: &mut Writer, options: &BuildOptions) {
-    let BuildOptions {
-        cto,
-        ltbo,
-        merge,
-        dict,
-        min_seq_len,
-        hot_methods,
-        base_address,
-        force_metadata,
-        inlining,
-        compile_threads,
-        passes,
-    } = options;
-    w.bool(*cto);
-    match ltbo {
-        None => w.u8(0),
-        Some(LtboMode::Global) => w.u8(1),
-        Some(LtboMode::Parallel { groups, threads }) => {
-            w.u8(2);
-            w.usize(*groups);
-            w.usize(*threads);
-        }
-    }
-    match merge {
-        None => w.u8(0),
-        Some(config) => {
-            w.u8(1);
-            let MergeConfig { min_body_words, max_params, arbitrate } = config;
-            w.usize(*min_body_words);
-            w.usize(*max_params);
-            w.bool(*arbitrate);
-        }
-    }
-    w.bool(*dict);
-    w.usize(*min_seq_len);
-    match hot_methods {
-        None => w.u8(0),
-        Some(set) => {
-            w.u8(1);
-            let mut sorted: Vec<u32> = set.iter().copied().collect();
-            sorted.sort_unstable();
-            w.u32(sorted.len() as u32);
-            for id in sorted {
-                w.u32(id);
-            }
-        }
-    }
-    w.u64(*base_address);
-    w.bool(*force_metadata);
-    w.bool(*inlining);
-    w.usize(*compile_threads);
-    let PipelineConfig {
-        copy_prop,
-        constant_folding,
-        simplify,
-        cse,
-        dce,
-        return_merge,
-        remove_unreachable,
-    } = passes;
-    w.bool(*copy_prop);
-    w.bool(*constant_folding);
-    w.bool(*simplify);
-    w.bool(*cse);
-    w.bool(*dce);
-    w.bool(*return_merge);
-    w.bool(*remove_unreachable);
-}
+wire_fields!(PipelineConfig {
+    copy_prop,
+    constant_folding,
+    simplify,
+    cse,
+    dce,
+    return_merge,
+    remove_unreachable,
+});
 
-/// Reads a full [`BuildOptions`].
-pub fn read_options(r: &mut Reader<'_>) -> Result<BuildOptions, WireError> {
-    let cto = r.bool("cto")?;
-    let ltbo = match r.u8("ltbo mode")? {
-        0 => None,
-        1 => Some(LtboMode::Global),
-        2 => Some(LtboMode::Parallel {
-            groups: r.usize("ltbo groups")?,
-            threads: r.usize("ltbo threads")?,
-        }),
-        tag => return Err(WireError::InvalidTag { what: "LtboMode", tag }),
-    };
-    let merge = match r.u8("merge tag")? {
-        0 => None,
-        1 => Some(MergeConfig {
-            min_body_words: r.usize("min_body_words")?,
-            max_params: r.usize("max_params")?,
-            arbitrate: r.bool("arbitrate")?,
-        }),
-        tag => return Err(WireError::InvalidTag { what: "MergeConfig", tag }),
-    };
-    let dict = r.bool("dict")?;
-    let min_seq_len = r.usize("min_seq_len")?;
-    let hot_methods = match r.u8("hot_methods tag")? {
-        0 => None,
-        1 => {
-            let n = r.u32("hot set size")? as usize;
-            if n > MAX_COLLECTION_LEN || n > r.remaining() {
-                return Err(WireError::OversizedCollection { what: "hot set", len: n as u64 });
-            }
-            let mut set = HashSet::with_capacity(n);
-            for _ in 0..n {
-                set.insert(r.u32("hot method id")?);
-            }
-            Some(set)
-        }
-        tag => return Err(WireError::InvalidTag { what: "hot_methods", tag }),
-    };
-    let base_address = r.u64("base_address")?;
-    let force_metadata = r.bool("force_metadata")?;
-    let inlining = r.bool("inlining")?;
-    let compile_threads = r.usize("compile_threads")?;
-    let passes = PipelineConfig {
-        copy_prop: r.bool("copy_prop")?,
-        constant_folding: r.bool("constant_folding")?,
-        simplify: r.bool("simplify")?,
-        cse: r.bool("cse")?,
-        dce: r.bool("dce")?,
-        return_merge: r.bool("return_merge")?,
-        remove_unreachable: r.bool("remove_unreachable")?,
-    };
-    Ok(BuildOptions {
-        cto,
-        ltbo,
-        merge,
-        dict,
-        min_seq_len,
-        hot_methods,
-        base_address,
-        force_metadata,
-        inlining,
-        compile_threads,
-        passes,
-    })
-}
+wire_fields!(BuildOptions {
+    cto,
+    ltbo,
+    merge,
+    dict,
+    min_seq_len,
+    hot_methods,
+    base_address,
+    force_metadata,
+    inlining,
+    compile_threads,
+    passes,
+});
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use calibro_dex::MethodBuilder;
 
-    fn sample_dex() -> DexFile {
+    pub(crate) fn sample_dex() -> DexFile {
         let mut dex = DexFile::new();
         let class = dex.add_class("Main", 3);
         let other = dex.add_class("Util", 0);
@@ -767,6 +722,8 @@ mod tests {
         b.push(DexInsn::Switch { src: VReg(2), first_key: -1, targets: vec![6, 7] });
         b.push(DexInsn::Goto { target: 7 });
         b.push(DexInsn::Throw { src: VReg(3) });
+        b.push(DexInsn::If { cmp: Cmp::Ge, a: VReg(0), b: VReg(1), target: 9 });
+        b.push(DexInsn::IfZ { cmp: Cmp::Le, a: VReg(2), target: 0 });
         b.push(DexInsn::Return { src: VReg(1) });
         dex.add_method(b.build(class));
         let mut c = MethodBuilder::new("g", 4, 1);
@@ -775,6 +732,12 @@ mod tests {
             method: MethodId(0),
             args: vec![VReg(3), VReg(3)],
             dst: Some(VReg(0)),
+        });
+        c.push(DexInsn::Invoke {
+            kind: InvokeKind::Virtual,
+            method: MethodId(1),
+            args: vec![VReg(2)],
+            dst: None,
         });
         c.push(DexInsn::InvokeNative { method: MethodId(2), args: vec![], dst: None });
         c.push(DexInsn::ReturnVoid);
@@ -791,33 +754,8 @@ mod tests {
         dex
     }
 
-    #[test]
-    fn dex_roundtrip_is_lossless() {
-        let dex = sample_dex();
-        let mut w = Writer::new();
-        write_dex(&mut w, &dex);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = read_dex(&mut r).expect("roundtrip decodes");
-        r.finish().expect("no trailing bytes");
-        assert_eq!(back.num_statics(), dex.num_statics());
-        assert_eq!(back.classes().len(), dex.classes().len());
-        assert_eq!(back.methods().len(), dex.methods().len());
-        for (a, b) in dex.methods().iter().zip(back.methods()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.num_regs, b.num_regs);
-            assert_eq!(a.num_args, b.num_args);
-            assert_eq!(a.is_native, b.is_native);
-            assert_eq!(a.insns, b.insns);
-        }
-    }
-
-    #[test]
-    fn options_roundtrip_preserves_fingerprint() {
-        use calibro::options_fingerprint;
-        let variants = [
+    pub(crate) fn option_variants() -> [BuildOptions; 8] {
+        [
             BuildOptions::baseline(),
             BuildOptions::cto(),
             BuildOptions::cto_ltbo().with_compile_threads(8),
@@ -836,38 +774,58 @@ mod tests {
                 passes: PipelineConfig { cse: false, dce: false, ..PipelineConfig::all() },
                 ..BuildOptions::default()
             },
-        ];
-        for options in variants {
-            let mut w = Writer::new();
-            write_options(&mut w, &options);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let back = read_options(&mut r).expect("options decode");
-            r.finish().expect("no trailing bytes");
+        ]
+    }
+
+    #[test]
+    fn dex_roundtrip_is_lossless() {
+        let dex = sample_dex();
+        let back: DexFile = decode(&encode(&dex)).expect("roundtrip decodes");
+        assert_eq!(back.num_statics(), dex.num_statics());
+        assert_eq!(back.classes().len(), dex.classes().len());
+        assert_eq!(back.methods().len(), dex.methods().len());
+        for (a, b) in dex.methods().iter().zip(back.methods()) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.class, b.class);
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.num_regs, b.num_regs);
+            assert_eq!(a.num_args, b.num_args);
+            assert_eq!(a.is_native, b.is_native);
+            assert_eq!(a.insns, b.insns);
+        }
+    }
+
+    #[test]
+    fn method_hash_of_the_sample_program_is_unchanged() {
+        // The operand codes this codec transports are the ones the
+        // packed method hash folds into every cache key: renumbering
+        // them in calibro-dex moves this golden.
+        let mut h = calibro_cache::StableHasher::new();
+        for m in sample_dex().methods() {
+            calibro_cache::hash_method(m, &mut h);
+        }
+        let key = h.finish();
+        assert_eq!((key.hi, key.lo), (0x4e52_4d6b_02d8_f04c, 0xa289_b151_a36b_d7eb));
+    }
+
+    #[test]
+    fn options_roundtrip_preserves_fingerprint() {
+        use calibro::options_fingerprint;
+        for options in option_variants() {
+            let back: BuildOptions = decode(&encode(&options)).expect("options decode");
             assert_eq!(options_fingerprint(&back), options_fingerprint(&options));
         }
     }
 
     #[test]
-    fn truncated_and_garbage_payloads_yield_typed_errors() {
-        let mut w = Writer::new();
-        write_dex(&mut w, &sample_dex());
-        let bytes = w.into_bytes();
-        // Every strict prefix decodes to a typed error, never a panic.
-        for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            if read_dex(&mut r).is_ok() {
-                // A prefix may decode if the cut lands after the last
-                // field — then finish() must catch nothing missing.
-                r.finish().expect("decoded prefix must be exact");
-            }
-        }
-        // An insane length field is rejected before allocating.
+    fn insane_length_fields_are_rejected_before_allocating() {
         let mut w = Writer::new();
         w.u32(7); // statics
         w.u32(u32::MAX); // class count far beyond remaining bytes
-        let bytes = w.into_bytes();
-        let err = read_dex(&mut Reader::new(&bytes)).expect_err("oversized must fail");
-        assert!(matches!(err, WireError::OversizedCollection { .. }));
+        let err = decode::<DexFile>(&w.into_bytes()).expect_err("oversized must fail");
+        assert_eq!(
+            err,
+            WireError::OversizedCollection { what: "classes", len: u64::from(u32::MAX) }
+        );
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use calibro::{BuildOptions, CacheKey, DictRegistry};
 use calibro_cache::{from_frame, to_frame, ArtifactStore, CacheConfig, DictEntry, FORMAT_VERSION};
 use calibro_server::proto::{
-    encode_error, read_frame, write_frame, FrameEvent, PeerGet, RESP_ERROR, RESP_PEER_ARTIFACT,
+    read_frame, write_frame, ErrorReply, FrameEvent, PeerGet, RESP_ERROR, RESP_PEER_ARTIFACT,
 };
 use calibro_server::{
     Client, Daemon, FleetPeerSource, Listener, ServeError, ServerConfig, ShardEndpoint, ShardSpec,
@@ -111,11 +111,11 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                 write_frame(&mut stream, RESP_PEER_ARTIFACT, &reply.encode()).expect("write");
             }
             Fault::RemoteError => {
-                let body = encode_error(
-                    request.request_id,
-                    &ServeError::Build { detail: "synthetic remote failure".to_owned() },
-                );
-                write_frame(&mut stream, RESP_ERROR, &body).expect("write");
+                let reply = ErrorReply {
+                    request_id: request.request_id,
+                    error: ServeError::Build { detail: "synthetic remote failure".to_owned() },
+                };
+                write_frame(&mut stream, RESP_ERROR, &reply.encode()).expect("write");
             }
             Fault::TamperedDict => {
                 let mut framed = to_frame(request.key, &dict_body().1).expect("body encodes");

@@ -12,9 +12,11 @@ use std::time::{Duration, Instant};
 
 use calibro::BuildOptions;
 use calibro_server::proto::{
-    read_frame, write_frame, FrameEvent, REQ_BUILD, REQ_PING, RESP_ERROR, RESP_PONG,
+    read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_DICT_STATS,
+    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_ERROR, RESP_PONG,
+    RESP_STATS,
 };
-use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig};
+use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig, ServerStats};
 use calibro_workloads::{generate, AppSpec};
 
 static NEXT_SOCKET: AtomicU64 = AtomicU64::new(0);
@@ -201,29 +203,41 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
     let options = BuildOptions::cto_ltbo();
     let (daemon, socket) = start(ServerConfig { max_frame: 1 << 20, ..ServerConfig::default() });
 
-    // 1. An intact frame whose body is garbage: typed Malformed reply,
-    //    and the *same connection* keeps serving (ping works after).
+    // 1. An intact frame whose body is garbage, for every request kind
+    //    the daemon decodes: typed Malformed reply echoing the request
+    //    id when the id's eight bytes arrived (0 otherwise), exactly one
+    //    `malformed_frames` tick, and the *same connection* keeps
+    //    serving (stats and ping work after).
+    let decoded_kinds =
+        [REQ_BUILD, REQ_PEER_GET, REQ_PROFILE, REQ_GENERATION_STATS, REQ_DICT_STATS];
     {
         let mut raw = UnixStream::connect(&socket).expect("connect raw");
-        write_frame(&mut raw, REQ_BUILD, b"\x99garbage-that-is-not-a-request").expect("send");
-        match read_frame(&mut raw, 1 << 20).expect("read reply") {
-            FrameEvent::Frame { kind, body } => {
-                assert_eq!(kind, RESP_ERROR);
-                let (_, err) = calibro_server::proto::decode_error(&body).expect("decode");
+        let mut exchange = |kind: u8, body: &[u8], reply_kind: u8| -> Vec<u8> {
+            write_frame(&mut raw, kind, body).expect("send");
+            match read_frame(&mut raw, 1 << 20).expect("read reply") {
+                FrameEvent::Frame { kind, body } if kind == reply_kind => body,
+                other => panic!("expected a {reply_kind:#04x} frame, got {other:?}"),
+            }
+        };
+        let mut malformed = 0;
+        for kind in decoded_kinds {
+            let id = 0xC0DE_0000 + u64::from(kind);
+            let mut with_id = id.to_le_bytes().to_vec();
+            with_id.extend_from_slice(b"\x99garbage-that-is-not-a-request");
+            for (body, echoed_id) in [(with_id, id), (vec![1, 2, 3], 0)] {
+                let reply = exchange(kind, &body, RESP_ERROR);
+                let reply = ErrorReply::decode(&reply).expect("error reply decodes");
+                assert_eq!(reply.request_id, echoed_id, "kind {kind:#04x}");
                 assert!(
-                    matches!(err, ServeError::Malformed { .. }),
-                    "expected Malformed, got {err}"
+                    matches!(reply.error, ServeError::Malformed { .. }),
+                    "kind {kind:#04x}: expected Malformed, got {}",
+                    reply.error
                 );
+                malformed += 1;
+                let stats = ServerStats::decode(&exchange(REQ_STATS, &[], RESP_STATS));
+                assert_eq!(stats.expect("stats decode").malformed_frames, malformed);
+                assert_eq!(exchange(REQ_PING, b"still-there", RESP_PONG), b"still-there");
             }
-            other => panic!("expected an error frame, got {other:?}"),
-        }
-        write_frame(&mut raw, REQ_PING, b"still-there").expect("ping after malformed");
-        match read_frame(&mut raw, 1 << 20).expect("read pong") {
-            FrameEvent::Frame { kind, body } => {
-                assert_eq!(kind, RESP_PONG);
-                assert_eq!(body, b"still-there");
-            }
-            other => panic!("expected pong, got {other:?}"),
         }
     }
 
@@ -235,7 +249,7 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         match read_frame(&mut raw, 1 << 20).expect("read reply") {
             FrameEvent::Frame { kind, body } => {
                 assert_eq!(kind, RESP_ERROR);
-                let (_, err) = calibro_server::proto::decode_error(&body).expect("decode");
+                let err = ErrorReply::decode(&body).expect("decode").error;
                 assert!(
                     matches!(
                         err,
@@ -281,9 +295,9 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         match read_frame(&mut raw, 1 << 20).expect("read reply") {
             FrameEvent::Frame { kind, body } => {
                 assert_eq!(kind, RESP_ERROR);
-                let (id, err) = calibro_server::proto::decode_error(&body).expect("decode");
-                assert_eq!(id, 77);
-                assert_eq!(err, ServeError::FingerprintMismatch);
+                let reply = ErrorReply::decode(&body).expect("decode");
+                assert_eq!(reply.request_id, 77);
+                assert_eq!(reply.error, ServeError::FingerprintMismatch);
             }
             other => panic!("expected an error frame, got {other:?}"),
         }
@@ -304,7 +318,7 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    assert!(stats.malformed_frames >= 1, "malformed frame must be counted");
+    assert_eq!(stats.malformed_frames, 2 * decoded_kinds.len() as u64);
     assert_eq!(stats.oversized_frames, 1);
     assert_eq!(stats.mid_frame_disconnects, 1);
     assert_eq!(stats.requests_completed, 1);
