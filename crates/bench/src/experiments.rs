@@ -375,7 +375,12 @@ impl Table6Col {
     }
 }
 
-/// Reproduces Table 6: wall-clock build time per variant.
+/// Reproduces Table 6: wall-clock build time per variant, as
+/// [`BuildStats::total_time`]. That total includes dex verification
+/// (the same cost in all three variants), which it left out when the
+/// committed `BENCH_*.json` / EXPERIMENTS.md tables were generated: a
+/// regenerated table reads slightly higher times and slightly lower
+/// growth percentages than those.
 #[must_use]
 pub fn table6(apps: &[App]) -> Vec<Table6Col> {
     apps.iter()
@@ -681,7 +686,7 @@ pub type FrontierArmSpec = (&'static str, fn() -> BuildOptions);
 
 /// The four size-pass compositions over a common CTO base: `none`
 /// isolates the passes themselves (CTO is a codegen-time transform, not
-/// a [`calibro::SizePass`]), `merge` and `outline` run one pass each,
+/// a size pass), `merge` and `outline` run one pass each,
 /// `both` runs merge-then-outline with benefit-model arbitration.
 pub const FRONTIER_ARMS: [FrontierArmSpec; 4] = [
     ("none", BuildOptions::cto),

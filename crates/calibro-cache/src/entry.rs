@@ -107,7 +107,7 @@ impl SymbolTemplate {
         // Any band at or above the separator base yields the same
         // canonical hashes; use the base itself.
         let mut unique = UNIQUE_SEPARATOR_BASE;
-        let (symbols, _) = t.replay(&mut unique);
+        let symbols = t.replay_symbols(&mut unique);
         t.content_key = sequence_content_key(&symbols);
         t.group_hash = stable_sequence_hash(&symbols);
         t
@@ -133,10 +133,9 @@ impl SymbolTemplate {
 
     /// The code-word index symbol offset `sym` maps back to
     /// (`usize::MAX` for leader separators, which have no backing
-    /// word) — exactly the value [`replay`](Self::replay)'s map records
-    /// at that offset, read straight from the slots. One symbol is
-    /// emitted per slot, so symbol offsets and slot indices coincide;
-    /// callers holding the template never need to materialize the map.
+    /// word), read straight from the slots. One symbol is emitted per
+    /// slot, so symbol offsets and slot indices coincide and no
+    /// symbol → word map is ever materialized.
     ///
     /// # Panics
     ///
@@ -149,10 +148,10 @@ impl SymbolTemplate {
         }
     }
 
-    /// [`replay`](Self::replay) without materializing the word map —
-    /// the warm prepass uses this and answers map lookups through
-    /// [`word_at`](Self::word_at), halving the memory the per-hit
-    /// replay writes.
+    /// Replays the template into its symbol sequence, drawing fresh
+    /// separator numbers from `unique` exactly as direct symbolization
+    /// would. [`word_at`](Self::word_at) maps a symbol offset of the
+    /// result back to its code word.
     pub fn replay_symbols(&self, unique: &mut u64) -> Vec<u64> {
         let mut symbols = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
@@ -165,33 +164,6 @@ impl SymbolTemplate {
             }
         }
         symbols
-    }
-
-    /// Replays the template: appends the symbol sequence and the
-    /// symbol-index → word-index map, drawing fresh separator numbers
-    /// from `unique` exactly as direct symbolization would.
-    pub fn replay(&self, unique: &mut u64) -> (Vec<u64>, Vec<usize>) {
-        let mut symbols = Vec::with_capacity(self.slots.len());
-        let mut map = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            match *slot {
-                TemplateSlot::Leader => {
-                    *unique += 1;
-                    symbols.push(*unique);
-                    map.push(usize::MAX);
-                }
-                TemplateSlot::Fresh { word } => {
-                    *unique += 1;
-                    symbols.push(*unique);
-                    map.push(word as usize);
-                }
-                TemplateSlot::Lit { encoded, word } => {
-                    symbols.push(u64::from(encoded));
-                    map.push(word as usize);
-                }
-            }
-        }
-        (symbols, map)
     }
 }
 
@@ -366,28 +338,23 @@ mod tests {
             TemplateSlot::Lit { encoded: 9, word: 2 },
         ]);
         let mut unique = 100;
-        let (symbols, map) = t.replay(&mut unique);
-        assert_eq!(symbols, vec![7, 101, 102, 9]);
-        assert_eq!(map, vec![0, usize::MAX, 1, 2]);
+        assert_eq!(t.replay_symbols(&mut unique), vec![7, 101, 102, 9]);
         assert_eq!(unique, 102);
     }
 
     #[test]
-    fn symbols_only_replay_matches_full_replay() {
+    fn word_at_answers_for_every_replayed_symbol() {
         let t = SymbolTemplate::new(vec![
             TemplateSlot::Lit { encoded: 7, word: 0 },
             TemplateSlot::Leader,
             TemplateSlot::Fresh { word: 1 },
             TemplateSlot::Lit { encoded: 9, word: 2 },
         ]);
-        let mut a = 500;
-        let mut b = 500;
-        let (symbols, map) = t.replay(&mut a);
-        assert_eq!(t.replay_symbols(&mut b), symbols);
-        assert_eq!(a, b);
-        for (sym, &word) in map.iter().enumerate() {
-            assert_eq!(t.word_at(sym), word);
-        }
+        // One symbol per slot: every offset of the replayed sequence has
+        // a word behind it (or `usize::MAX` for a leader boundary).
+        let symbols = t.replay_symbols(&mut 500);
+        let words: Vec<usize> = (0..symbols.len()).map(|sym| t.word_at(sym)).collect();
+        assert_eq!(words, vec![0, usize::MAX, 1, 2]);
     }
 
     #[test]
@@ -404,7 +371,7 @@ mod tests {
         ]);
         for band in [0u64, 1 << 24, 1835 << 24] {
             let mut unique = UNIQUE_SEPARATOR_BASE + band;
-            let (symbols, _) = t.replay(&mut unique);
+            let symbols = t.replay_symbols(&mut unique);
             assert_eq!(t.content_key(), sequence_content_key(&symbols), "band {band}");
             assert_eq!(t.group_hash(), stable_sequence_hash(&symbols), "band {band}");
         }

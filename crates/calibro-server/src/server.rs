@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use calibro::{
     options_fingerprint, program_salt, BuildOptions, BuildSession, CacheConfig, CacheKey,
-    DictRegistry, LtboConfig, StableHasher,
+    DictRegistry, StableHasher,
 };
 use calibro_cache::ArtifactStore;
 use calibro_dex::DexFile;
@@ -401,12 +401,7 @@ impl Shared {
 /// is off) — the second fingerprint a build request carries.
 #[must_use]
 pub fn ltbo_fingerprint(options: &BuildOptions) -> Option<CacheKey> {
-    options.ltbo.map(|mode| {
-        let config = LtboConfig {
-            mode,
-            min_len: options.min_seq_len,
-            hot_methods: options.hot_methods.clone(),
-        };
+    options.ltbo_config().map(|config| {
         let mut h = StableHasher::new();
         calibro::fingerprint_ltbo_config(&config, &mut h);
         h.finish()

@@ -809,6 +809,34 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn option_and_ltbo_fingerprints_of_the_variants_are_unchanged() {
+        // Every per-method cache key embeds `options_fingerprint`, every
+        // group-plan key the LTBO fingerprint, and both travel in each
+        // build request: a value moving here orphans every persisted
+        // cache entry and needs a `SCHEMA_VERSION` bump.
+        type Key = (u64, u64);
+        const GLOBAL_MIN2: Option<Key> = Some((0x679d_08b5_c1c5_96e4, 0x7ee1_cebb_0e45_084d));
+        const SHARDED_HOT: Option<Key> = Some((0x8d05_3954_3eac_8ec9, 0x23f4_4e92_f7ee_d391));
+        let golden: [(Key, Option<Key>); 8] = [
+            ((0x0c26_9af5_3abc_11e6, 0x56d7_791f_51df_7d72), None),
+            ((0x7684_5f4c_4f9b_9a9e, 0xb11f_c4bd_54f9_8cd1), None),
+            ((0x669f_afe9_f7f5_ae21, 0xfa57_acf5_330a_1c94), GLOBAL_MIN2),
+            ((0xab65_97ad_587f_675e, 0x5dd4_6f8b_dff0_d946), GLOBAL_MIN2),
+            ((0xa3df_c7f5_b672_f362, 0xe39b_2225_12b1_6dd4), SHARDED_HOT),
+            ((0x3ec3_0d02_146b_de2a, 0xdbaf_cec1_91de_9516), None),
+            ((0x0076_a68b_eb2c_9cbd, 0x9a6f_ee0a_9e49_5401), GLOBAL_MIN2),
+            ((0xe11a_b865_8f08_530d, 0x2811_268a_8d03_c2d8), None),
+        ];
+        for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
+        {
+            let fp = calibro::options_fingerprint(options);
+            assert_eq!((fp.hi, fp.lo), want_fp, "variant {i}: options fingerprint moved");
+            let ltbo = crate::ltbo_fingerprint(options).map(|k| (k.hi, k.lo));
+            assert_eq!(ltbo, want_ltbo, "variant {i}: LTBO fingerprint moved");
+        }
+    }
+
+    #[test]
     fn options_roundtrip_preserves_fingerprint() {
         use calibro::options_fingerprint;
         for options in option_variants() {

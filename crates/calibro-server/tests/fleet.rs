@@ -215,7 +215,8 @@ fn build_with_dead_fleet_falls_back_to_local_compile() {
         0,
     );
     store.set_peer_source(Arc::new(source));
-    let output = calibro::build_with_store(&app.dex, &options, &store)
+    let output = calibro::BuildSession::with_store(Arc::clone(&store))
+        .build(&app.dex, &options)
         .expect("build must survive a dead fleet");
     assert_eq!(
         calibro_oat::to_elf_bytes(&output.oat),

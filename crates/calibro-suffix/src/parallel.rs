@@ -121,10 +121,10 @@ pub fn partition_stable(sequences: Vec<TaggedSequence>, k: usize) -> Vec<Vec<Tag
 /// [`partition_stable`] with caller-supplied content hashes: `hash_of`
 /// receives each sequence's input index and the sequence, and must
 /// return its [`stable_sequence_hash`] (or an equally content-stable
-/// value). The warm build path computes those hashes for cache-hit
-/// methods concurrently with codegen and passes them in here, so the
-/// post-codegen partition step is O(sequences) bookkeeping rather than
-/// O(total symbol text) hashing.
+/// value). The outline pass reads those hashes from each method's
+/// cached symbolization template and passes them in here, so the
+/// partition step is O(sequences) bookkeeping rather than O(total symbol
+/// text) hashing.
 #[must_use]
 pub fn partition_stable_by<F>(
     sequences: Vec<TaggedSequence>,

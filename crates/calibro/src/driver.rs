@@ -13,7 +13,7 @@ use calibro_dict::DictStats;
 use calibro_hgraph::{PassStats, PipelineConfig};
 use calibro_oat::{LinkError, OatFile, DEFAULT_BASE_ADDRESS};
 
-use crate::ltbo::{LtboMode, LtboStats};
+use crate::ltbo::{LtboConfig, LtboMode, LtboStats};
 use crate::merge::{MergeConfig, MergeStats};
 use crate::pipeline::BuildSession;
 
@@ -26,9 +26,9 @@ pub struct BuildOptions {
     pub ltbo: Option<LtboMode>,
     /// Function merging between codegen and LTBO; `None` disables the
     /// merge pass. Together with [`ltbo`](Self::ltbo) this field
-    /// composes the size-pass pipeline
-    /// ([`size_passes`](crate::size_passes)): `none` / `merge` /
-    /// `outline` / `both`.
+    /// selects what the size stage
+    /// ([`BuildSession::outline`](crate::BuildSession::outline)) runs:
+    /// `none` / `merge` / `outline` / `both`.
     pub merge: Option<MergeConfig>,
     /// Route LTBO candidates through the session's shared outline
     /// dictionary (the cross-tenant `.text` island). Only effective when
@@ -172,6 +172,18 @@ impl BuildOptions {
         self.dict = true;
         self
     }
+
+    /// The outline pass's configuration under these options (`None`
+    /// when LTBO is off) — what the size stage runs with and what the
+    /// group-plan keys and the wire's LTBO fingerprint are derived from.
+    #[must_use]
+    pub fn ltbo_config(&self) -> Option<LtboConfig> {
+        self.ltbo.map(|mode| LtboConfig {
+            mode,
+            min_len: self.min_seq_len,
+            hot_methods: self.hot_methods.clone(),
+        })
+    }
 }
 
 /// Load record for one compile worker.
@@ -255,10 +267,12 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Total wall-clock build time.
+    /// Total wall-clock build time: the five top-level phases (verify,
+    /// compile, merge, LTBO, link), which together cover every stage of
+    /// the build.
     #[must_use]
     pub fn total_time(&self) -> Duration {
-        self.compile_time + self.merge_time + self.ltbo_time + self.link_time
+        self.verify_time + self.compile_time + self.merge_time + self.ltbo_time + self.link_time
     }
 
     /// Serializes the stats as a self-contained JSON object (hand
@@ -431,24 +445,6 @@ pub fn build(dex: &DexFile, options: &BuildOptions) -> Result<BuildOutput, Build
     BuildSession::new().build(dex, options)
 }
 
-/// Compiles a dex file against an *externally owned* artifact store —
-/// the entry point multi-tenant services use so many requests share one
-/// warm cache. Equivalent to `BuildSession::with_store(store).build(..)`;
-/// the store outlives the call and keeps every artifact this build
-/// created, so a later identical request (from any thread or client)
-/// replays instead of recompiling.
-///
-/// # Errors
-///
-/// Returns [`BuildError`] under the same conditions as [`build`].
-pub fn build_with_store(
-    dex: &DexFile,
-    options: &BuildOptions,
-    store: &std::sync::Arc<calibro_cache::ArtifactStore>,
-) -> Result<BuildOutput, BuildError> {
-    BuildSession::with_store(std::sync::Arc::clone(store)).build(dex, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,5 +476,23 @@ mod tests {
         assert!(json.contains(&format!(r#""cache":{},"passes""#, stats.cache.to_json())));
         assert!(json.contains(r#""dict":{"epoch":0"#));
         assert!(json.contains(r#""compile":0,"merge":0,"ltbo":0"#));
+    }
+
+    #[test]
+    fn total_time_sums_all_five_phases() {
+        let stats = BuildStats {
+            verify_time: Duration::from_micros(3),
+            compile_time: Duration::from_micros(50),
+            merge_time: Duration::from_micros(700),
+            ltbo_time: Duration::from_micros(9_000),
+            link_time: Duration::from_micros(110_000),
+            // Sub-phases of `compile_time` / `ltbo_time`: not summed again.
+            key_time: Duration::from_micros(20),
+            codegen_time: Duration::from_micros(30),
+            detect_time: Duration::from_micros(8_000),
+            ..BuildStats::default()
+        };
+        assert_eq!(stats.total_time(), Duration::from_micros(119_753));
+        assert!(stats.to_json().contains(r#""link":110000,"total":119753}"#));
     }
 }

@@ -15,11 +15,11 @@
 //! configuration ⇒ equal compile inputs.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
 use calibro_dex::{DexFile, Method};
 use calibro_hgraph::PipelineConfig;
-use calibro_suffix::TaggedSequence;
 
 use crate::driver::BuildOptions;
 use crate::ltbo::{LtboConfig, LtboMode};
@@ -69,6 +69,17 @@ pub fn fingerprint_options(options: &BuildOptions, h: &mut StableHasher) {
     h.write_tag(0x44); // 'D'
     h.write_bool(*dict);
     h.write_usize(*min_seq_len);
+    fingerprint_hot_set(hot_methods.as_ref(), h);
+    h.write_u64(*base_address);
+    h.write_bool(*force_metadata);
+    h.write_bool(*inlining);
+    h.write_usize(*compile_threads);
+    fingerprint_pipeline(passes, h);
+}
+
+/// Feeds an optional hot-method set into `h`, sorted so the set's
+/// iteration order never reaches a key.
+fn fingerprint_hot_set(hot_methods: Option<&HashSet<u32>>, h: &mut StableHasher) {
     match hot_methods {
         None => h.write_tag(0),
         Some(set) => {
@@ -81,15 +92,10 @@ pub fn fingerprint_options(options: &BuildOptions, h: &mut StableHasher) {
             }
         }
     }
-    h.write_u64(*base_address);
-    h.write_bool(*force_metadata);
-    h.write_bool(*inlining);
-    h.write_usize(*compile_threads);
-    fingerprint_pipeline(passes, h);
 }
 
 /// Feeds a [`PipelineConfig`] into `h`.
-pub fn fingerprint_pipeline(config: &PipelineConfig, h: &mut StableHasher) {
+fn fingerprint_pipeline(config: &PipelineConfig, h: &mut StableHasher) {
     let PipelineConfig {
         copy_prop,
         constant_folding,
@@ -110,7 +116,7 @@ pub fn fingerprint_pipeline(config: &PipelineConfig, h: &mut StableHasher) {
 }
 
 /// Feeds an [`LtboMode`] into `h`.
-pub fn fingerprint_ltbo_mode(mode: &LtboMode, h: &mut StableHasher) {
+fn fingerprint_ltbo_mode(mode: &LtboMode, h: &mut StableHasher) {
     match mode {
         LtboMode::Global => h.write_tag(0x10),
         LtboMode::Parallel { groups, threads } => {
@@ -129,18 +135,7 @@ pub fn fingerprint_ltbo_config(config: &LtboConfig, h: &mut StableHasher) {
     h.write_tag(0x4C); // 'L'
     fingerprint_ltbo_mode(mode, h);
     h.write_usize(*min_len);
-    match hot_methods {
-        None => h.write_tag(0),
-        Some(set) => {
-            h.write_tag(1);
-            let mut sorted: Vec<u32> = set.iter().copied().collect();
-            sorted.sort_unstable();
-            h.write_usize(sorted.len());
-            for id in sorted {
-                h.write_u32(id);
-            }
-        }
-    }
+    fingerprint_hot_set(hot_methods.as_ref(), h);
 }
 
 /// Feeds a [`MergeConfig`] into `h` — the merge pass's contribution to
@@ -163,27 +158,18 @@ pub fn options_fingerprint(options: &BuildOptions) -> CacheKey {
     h.finish()
 }
 
-/// The canonical content key of one method's symbolized sequence — the
-/// per-member leaf of a [`group_plan_key_from`] composition.
-///
-/// Re-exported from [`calibro_cache::sequence_content_key`], the single
-/// authoritative implementation: the same function computes the hashes
-/// a [`SymbolTemplate`](calibro_cache::SymbolTemplate) caches at build
-/// time, so a template's cached leaf can never diverge from a key
-/// computed here over its replay output.
-pub use calibro_cache::sequence_content_key;
-
 /// The content address of one detection group's cached
 /// [`GroupPlanEntry`](calibro_cache::GroupPlanEntry), composed
-/// Merkle-style from its members' [`sequence_content_key`]s: schema
+/// Merkle-style from its members'
+/// [`sequence_content_key`](calibro_cache::sequence_content_key)s: schema
 /// salt, the full [`LtboConfig`], the member count, then each member
 /// key in group order.
 ///
 /// The composition makes the warm probe O(members) instead of
 /// O(total symbol text): per-sequence keys are computed once per method
-/// — concurrently with codegen for cache hits — and a group's key is
-/// then a handful of mixes. Distinct splits of the same flattened text
-/// get distinct keys because every member key frames its own length.
+/// (when its template is built) and a group's key is then a handful of
+/// mixes. Distinct splits of the same flattened text get distinct keys
+/// because every member key frames its own length.
 #[must_use]
 pub fn group_plan_key_from(config: &LtboConfig, members: &[CacheKey]) -> CacheKey {
     let mut h = StableHasher::new();
@@ -200,7 +186,7 @@ pub fn group_plan_key_from(config: &LtboConfig, members: &[CacheKey]) -> CacheKe
 
 /// The content address of one shape bucket's cached
 /// [`MergePlanEntry`](calibro_cache::MergePlanEntry), composed exactly
-/// like [`group_plan_key_from`]: schema salt, the full [`MergeConfig`],
+/// like `group_plan_key_from`: schema salt, the full [`MergeConfig`],
 /// the member count, then each member's
 /// [`merge_content_key`](crate::merge_content_key) in bucket order.
 ///
@@ -219,15 +205,6 @@ pub fn merge_plan_key_from(config: &MergeConfig, members: &[CacheKey]) -> CacheK
         h.write_u64(k.lo);
     }
     h.finish()
-}
-
-/// [`group_plan_key_from`] over freshly computed member keys — for
-/// callers holding raw sequences rather than precomputed leaf keys.
-#[must_use]
-pub fn group_plan_key(config: &LtboConfig, group: &[TaggedSequence]) -> CacheKey {
-    let members: Vec<CacheKey> =
-        group.iter().map(|seq| sequence_content_key(&seq.symbols)).collect();
-    group_plan_key_from(config, &members)
 }
 
 /// Fingerprint of the *reference environment*: exactly the

@@ -59,22 +59,14 @@ pub use calibro_cache::{
 };
 pub use calibro_dict::{DictConfig, DictRegistry, DictSession, DictStats};
 pub use calibro_hgraph::{PassStats, PipelineConfig};
-pub use driver::{
-    build, build_with_store, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad,
-};
+pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 pub use fingerprint::{
-    fingerprint_ltbo_config, fingerprint_ltbo_mode, fingerprint_merge_config, fingerprint_options,
-    fingerprint_pipeline, group_plan_key, merge_plan_key_from, method_cache_key,
-    options_fingerprint, program_salt, reference_env,
+    fingerprint_ltbo_config, fingerprint_merge_config, fingerprint_options, merge_plan_key_from,
+    method_cache_key, options_fingerprint, program_salt, reference_env,
 };
 pub use ltbo::detect_fault;
-pub use ltbo::{
-    run_ltbo, run_ltbo_cached, run_ltbo_with_templates, LtboConfig, LtboMode, LtboResult,
-    LtboStats, OutlineError,
-};
+pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
 pub use merge::{merge_content_key, MergeConfig, MergeStats};
 pub use pipeline::{BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
 pub use report::{size_report, SizeReport};
-pub use sizepass::{
-    size_passes, LtboArtifact, MergePass, OutlinePass, PassContext, SizeArtifact, SizePass,
-};
+pub use sizepass::SizeArtifact;

@@ -17,6 +17,7 @@
 //!    (§3.3.4) while updating terminator/slow-path/stack-map records
 //!    (§3.5).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -96,7 +97,7 @@ pub struct LtboStats {
     pub detection_groups: usize,
 }
 
-/// A typed failure from [`run_ltbo_cached`].
+/// A typed failure of the outline pass.
 #[derive(Debug)]
 pub enum OutlineError {
     /// Detection or materialization of one group's plan panicked; the
@@ -179,14 +180,12 @@ const UNIQUE_BASE: u64 = UNIQUE_SEPARATOR_BASE;
 /// Width of each method's private separator band: method `idx` numbers
 /// its separators from `UNIQUE_BASE + (idx + 1) * SEP_STRIDE`. Giving
 /// every method a band derived from its own index (rather than a global
-/// running counter) makes symbolization order-independent across
-/// methods — a cache-hit method can be symbolized concurrently with
-/// codegen of the methods before it and still get the exact symbols a
-/// sequential pass would assign. Detection is invariant under any
-/// injective renaming of separators (they are canonicalized in hashes
-/// and never appear inside candidates), so the numbering scheme itself
-/// is free to change — which is also why this differs from the global
-/// counter older schemas used.
+/// running counter) makes a method's symbols independent of every other
+/// method's, so an edit to one method renumbers nothing else. Detection
+/// is invariant under any injective renaming of separators (they are
+/// canonicalized in hashes and never appear inside candidates), so the
+/// numbering scheme itself is free to change — which is also why this
+/// differs from the global counter older schemas used.
 const SEP_STRIDE: u64 = 1 << 24;
 
 /// First separator value of method `idx`'s private band.
@@ -199,114 +198,45 @@ fn sep_base(idx: usize) -> u64 {
     base
 }
 
-/// One method's symbol-offset → code-word-index map. Freshly extracted
-/// methods own a materialized vector; cache-hit methods answer lookups
-/// straight from their entry's template slots (one symbol per slot, so
-/// offsets coincide), which spares the warm prepass from writing a
-/// second O(text) vector per hit whose contents the template already
-/// holds.
-#[derive(Debug)]
-pub(crate) enum SymbolMap {
-    /// Materialized map, as [`SymbolTemplate::replay`] builds it.
-    Owned(Vec<usize>),
-    /// Backed by the cache entry's template; the entry is kept alive
-    /// here and always carries `Some` template (enforced at
-    /// construction in [`prepare_hit_symbols`]).
-    Template(Arc<CacheEntry>),
-}
-
-impl SymbolMap {
-    /// The code-word index behind symbol offset `sym`.
-    fn word_at(&self, sym: usize) -> usize {
-        match self {
-            SymbolMap::Owned(map) => map[sym],
-            SymbolMap::Template(entry) => {
-                entry.template.as_ref().expect("constructed from a templated entry").word_at(sym)
-            }
-        }
-    }
-}
-
-/// One method's §3.3.1/§3.3.2 outcome, computed either inline by
-/// [`run_ltbo_cached`] or ahead of time — concurrently with codegen —
-/// by [`prepare_hit_symbols`].
-#[derive(Debug)]
-pub(crate) enum MethodSymbols {
-    /// Not a candidate (indirect jump, native stub, or hot with no slow
-    /// paths).
-    Excluded,
-    /// A candidate sequence plus everything the detection stage needs
-    /// from it, precomputed so the post-codegen path is O(1) per method.
-    Candidate {
-        /// Hot method restricted to its slow paths.
-        hot: bool,
-        /// The symbol sequence (separators in the method's own band).
-        symbols: Vec<u64>,
-        /// Symbol offset → code word index.
-        map: SymbolMap,
-        /// Canonical content key — the Merkle leaf of the group key.
-        content_key: CacheKey,
-        /// Content-stable partition hash.
-        group_hash: u64,
-    },
+/// One candidate method's §3.3.2 symbolization.
+struct Symbolized<'a> {
+    /// Hot method restricted to its slow paths.
+    hot: bool,
+    /// The symbol sequence (separators in the method's own band).
+    symbols: Vec<u64>,
+    /// The template the symbols were replayed from: its slots answer
+    /// symbol offset → code word lookups
+    /// ([`SymbolTemplate::word_at`]) and it carries the sequence's
+    /// content key (the Merkle leaf of the group key) and partition
+    /// hash. Both hashes canonicalize separators, so the values cached
+    /// at template construction equal a direct hash of `symbols`
+    /// whatever this method's band — no per-build re-hashing.
+    template: Cow<'a, SymbolTemplate>,
 }
 
 /// Classifies and symbolizes one method (§3.3.1 + §3.3.2), assigning
-/// separators from the method's private band, and precomputes the
-/// sequence's content key and partition hash.
-pub(crate) fn symbolize_method(
+/// separators from the method's private band; `None` means the method
+/// is not a candidate (indirect jump, native stub, or hot with no slow
+/// paths). `cached` is the store entry's template for this method:
+/// it is borrowed when it applies, and a fresh [`build_template`] is
+/// owned when it does not — there is no entry, or the method is hot
+/// (cached templates are built for the unfiltered case).
+fn symbolize<'a>(
     idx: usize,
     m: &CompiledMethod,
-    template: Option<&SymbolTemplate>,
-    config: &LtboConfig,
-) -> MethodSymbols {
+    cached: Option<&'a SymbolTemplate>,
+    hot_methods: Option<&HashSet<u32>>,
+) -> Option<Symbolized<'a>> {
     if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
-        return MethodSymbols::Excluded;
+        return None;
     }
-    let hot = config.hot_methods.as_ref().is_some_and(|set| set.contains(&m.method.0));
+    let hot = hot_methods.is_some_and(|set| set.contains(&m.method.0));
     if hot && m.metadata.slow_paths.is_empty() {
-        return MethodSymbols::Excluded;
+        return None;
     }
-    let mut unique = sep_base(idx);
-    let fresh;
-    let template = match template {
-        Some(template) if !hot => template,
-        _ => {
-            fresh = build_template(m, hot);
-            &fresh
-        }
-    };
-    let (symbols, map) = template.replay(&mut unique);
-    assert!(
-        unique <= sep_base(idx) + SEP_STRIDE,
-        "method {idx} used more than {SEP_STRIDE} separators"
-    );
-    // Both hashes canonicalize separators, so the values the template
-    // cached at build time equal a direct hash of `symbols` regardless
-    // of this method's band — no per-build re-hashing of the sequence.
-    MethodSymbols::Candidate {
-        hot,
-        symbols,
-        map: SymbolMap::Owned(map),
-        content_key: template.content_key(),
-        group_hash: template.group_hash(),
-    }
-}
-
-/// [`symbolize_method`] for a cache-hit method, replaying the entry's
-/// cached template without materializing the word map — the
-/// [`SymbolMap::Template`] variant answers map lookups from the slots.
-/// Hot-restricted and template-less entries fall back to the general
-/// path (hot methods need a freshly filtered template anyway).
-fn symbolize_hit(idx: usize, entry: &Arc<CacheEntry>, config: &LtboConfig) -> MethodSymbols {
-    let m = &entry.compiled;
-    if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
-        return MethodSymbols::Excluded;
-    }
-    let hot = config.hot_methods.as_ref().is_some_and(|set| set.contains(&m.method.0));
-    let template = match &entry.template {
-        Some(template) if !hot => template,
-        _ => return symbolize_method(idx, m, entry.template.as_ref(), config),
+    let template = match cached {
+        Some(template) if !hot => Cow::Borrowed(template),
+        _ => Cow::Owned(build_template(m, hot)),
     };
     let mut unique = sep_base(idx);
     let symbols = template.replay_symbols(&mut unique);
@@ -314,38 +244,7 @@ fn symbolize_hit(idx: usize, entry: &Arc<CacheEntry>, config: &LtboConfig) -> Me
         unique <= sep_base(idx) + SEP_STRIDE,
         "method {idx} used more than {SEP_STRIDE} separators"
     );
-    MethodSymbols::Candidate {
-        hot,
-        symbols,
-        map: SymbolMap::Template(Arc::clone(entry)),
-        content_key: template.content_key(),
-        group_hash: template.group_hash(),
-    }
-}
-
-/// The warm-path prepass: symbolizes every cache-*hit* method from its
-/// store entry (compiled code + cached template), leaving `None` slots
-/// for misses, whose code does not exist yet. [`BuildSession::build`]
-/// runs this on the calling thread **concurrently with codegen** of the
-/// dirty methods, so by the time the outline stage starts, the heavy
-/// O(text) work for every clean method — template replay, content keys,
-/// partition hashes — is already done; only the dirty methods (and the
-/// O(members) group-key finalization) remain on the critical path.
-///
-/// Per-method separator bands make this sound: the symbols assigned
-/// here are identical to what a sequential post-codegen pass would
-/// assign, because no method's numbering depends on any other method.
-///
-/// [`BuildSession::build`]: crate::BuildSession::build
-pub(crate) fn prepare_hit_symbols(
-    cached: &[Option<Arc<CacheEntry>>],
-    config: &LtboConfig,
-) -> Vec<Option<MethodSymbols>> {
-    cached
-        .iter()
-        .enumerate()
-        .map(|(idx, slot)| slot.as_ref().map(|entry| symbolize_hit(idx, entry, config)))
-        .collect()
+    Some(Symbolized { hot, symbols, template })
 }
 
 /// Where an outlined call site's `bl` lands.
@@ -365,7 +264,9 @@ struct Edit {
 }
 
 /// Runs LTBO over the compiled methods, mutating them in place and
-/// returning the outlined functions to hand to the linker.
+/// returning the outlined functions to hand to the linker. The
+/// session-free entry point: every method is symbolized from scratch
+/// and no plan is cached.
 ///
 /// # Panics
 ///
@@ -373,33 +274,20 @@ struct Edit {
 /// invariants; the compiler produces consistent metadata, and cached
 /// artifacts are validated at load time).
 pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResult {
-    run_ltbo_with_templates(methods, config, &[])
-}
-
-/// [`run_ltbo`] with precomputed symbolization templates: `templates`
-/// is indexed by method position; a `Some` slot replays the cached
-/// §3.3.2 symbol structure instead of re-extracting it from the code
-/// and metadata (templates are built for the unfiltered case, so
-/// hot-restricted methods always re-extract). An empty or short slice
-/// falls back to extraction everywhere — `run_ltbo` passes `&[]`.
-///
-/// # Panics
-///
-/// As [`run_ltbo`].
-pub fn run_ltbo_with_templates(
-    methods: &mut [CompiledMethod],
-    config: &LtboConfig,
-    templates: &[Option<&SymbolTemplate>],
-) -> LtboResult {
-    match run_ltbo_cached(methods, config, templates, None) {
+    match outline_methods(methods, config, &[], None, None) {
         Ok(result) => result,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`run_ltbo_with_templates`] with two extra capabilities the staged
-/// pipeline uses:
+/// The one outlining route, shared by [`run_ltbo`] and the staged
+/// pipeline's outline pass. Beyond the five §3.3 steps it offers:
 ///
+/// - **Template replay.** `entries` is indexed by method position; a
+///   method whose entry carries a [`SymbolTemplate`] replays the cached
+///   §3.3.2 symbol structure instead of re-extracting it from code and
+///   metadata (see [`symbolize`]). An empty or short slice falls back
+///   to extraction.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
 ///   panic on an inconsistent plan) is caught and surfaced as
@@ -409,97 +297,68 @@ pub fn run_ltbo_with_templates(
 /// - **Incremental detection.** With `store` set, each group's selected
 ///   candidates are cached under a key covering the group's
 ///   canonicalized symbol text plus the `LtboConfig` fingerprint
-///   ([`group_plan_key`]). Groups whose key hits replay the cached plan
-///   ([`replay_group_plan`]) and skip suffix-tree construction
+///   ([`group_plan_key_from`]). Groups whose key hits replay the cached
+///   plan ([`replay_group_plan`]) and skip suffix-tree construction
 ///   entirely; only dirty groups re-detect. Replay is byte-exact:
-///   content-stable partitioning ([`partition_stable`]) pins each
+///   content-stable partitioning ([`partition_stable_by`]) pins each
 ///   sequence's group, and detection is deterministic under the
 ///   order-isomorphic separator renumbering that a rebuild performs, so
 ///   a cached plan equals the plan fresh detection would produce.
-///
-/// Under [`LtboMode::Global`] the single whole-program group goes
-/// through the same cache (useful when *nothing* changed); under
-/// [`LtboMode::Parallel`] dirty-group detection runs on the configured
-/// worker threads.
+///   Under [`LtboMode::Global`] the single whole-program group goes
+///   through the same cache (useful when *nothing* changed); under
+///   [`LtboMode::Parallel`] dirty-group detection runs on the
+///   configured worker threads.
+/// - **Dictionary arbitration.** With `dict` set (which requires
+///   `store` for the dictionary lane), every selected candidate goes
+///   through [`DictSession::route`] before materialization: a
+///   byte-identical body in the session's pinned island becomes `bl`s
+///   into the island (`CallTarget::Dict`, zero body cost this build);
+///   everything else is outlined privately, with misses published for
+///   future epochs. Arbitration runs sequentially in plan order, so the
+///   decision sequence — and therefore the emitted code — is identical
+///   at any detection thread count, warm or cold.
 ///
 /// # Errors
 ///
 /// [`OutlineError::Worker`] as above; [`OutlineError::Cache`] when a
 /// persisted group plan exists but is corrupt or unreadable.
-pub fn run_ltbo_cached(
+pub(crate) fn outline_methods(
     methods: &mut [CompiledMethod],
     config: &LtboConfig,
-    templates: &[Option<&SymbolTemplate>],
+    entries: &[Arc<CacheEntry>],
     store: Option<&ArtifactStore>,
-) -> Result<LtboResult, OutlineError> {
-    run_ltbo_prepared(methods, config, templates, store, Vec::new(), None)
-}
-
-/// [`run_ltbo_cached`] with an optional warm prepass: `prepared` is
-/// indexed by method position, and a `Some` slot carries the result of
-/// [`prepare_hit_symbols`] — symbolization already done concurrently
-/// with codegen. `None` slots (and everything past the end of a short
-/// vector) are symbolized here. This is the third leg of taking the
-/// warm path off the detection barrier: clean groups replay their
-/// cached plans using work that overlapped codegen, and only dirty
-/// methods' symbolization plus the O(members) Merkle group keys run
-/// after codegen completes.
-///
-/// With `dict` set (which requires `store` for the dictionary lane),
-/// every selected candidate is arbitrated through
-/// [`DictSession::route`] before materialization: a byte-identical body
-/// in the session's pinned island becomes `bl`s into the island
-/// (`CallTarget::Dict`, zero body cost this build); everything else is
-/// outlined privately, with misses published for future epochs.
-/// Arbitration runs sequentially in plan order, so the decision
-/// sequence — and therefore the emitted code — is identical at any
-/// detection thread count, warm or cold.
-pub(crate) fn run_ltbo_prepared(
-    methods: &mut [CompiledMethod],
-    config: &LtboConfig,
-    templates: &[Option<&SymbolTemplate>],
-    store: Option<&ArtifactStore>,
-    mut prepared: Vec<Option<MethodSymbols>>,
     mut dict: Option<&mut DictSession>,
 ) -> Result<LtboResult, OutlineError> {
     let mut stats = LtboStats::default();
 
     // --- §3.3.1: choose candidates; §3.3.2: map to symbols. ------------
-    // Each method's separators come from its own index-derived band (see
-    // SEP_STRIDE), so a slot symbolized by the concurrent prepass equals
-    // what this loop would compute.
-    prepared.resize_with(methods.len(), || None);
     let mut sequences = Vec::new();
-    let mut sym_maps: Vec<SymbolMap> =
-        (0..methods.len()).map(|_| SymbolMap::Owned(Vec::new())).collect();
-    let mut content_keys: Vec<CacheKey> = vec![CacheKey { hi: 0, lo: 0 }; methods.len()];
-    let mut group_hashes: Vec<u64> = vec![0; methods.len()];
+    let mut templates: Vec<Option<Cow<'_, SymbolTemplate>>> = vec![None; methods.len()];
     for (idx, m) in methods.iter().enumerate() {
-        let symbols = match prepared[idx].take() {
-            Some(s) => s,
-            None => symbolize_method(idx, m, templates.get(idx).copied().flatten(), config),
-        };
-        match symbols {
-            MethodSymbols::Excluded => stats.excluded_methods += 1,
-            MethodSymbols::Candidate { hot, symbols, map, content_key, group_hash } => {
+        let cached = entries.get(idx).and_then(|entry| entry.template.as_ref());
+        match symbolize(idx, m, cached, config.hot_methods.as_ref()) {
+            None => stats.excluded_methods += 1,
+            Some(Symbolized { hot, symbols, template }) => {
                 if hot {
                     stats.hot_restricted_methods += 1;
                 }
                 stats.candidate_methods += 1;
                 sequences.push(TaggedSequence { tag: idx, symbols });
-                sym_maps[idx] = map;
-                content_keys[idx] = content_key;
-                group_hashes[idx] = group_hash;
+                templates[idx] = Some(template);
             }
         }
     }
+    // Every sequence's tag names a candidate, whose template was kept.
+    let template_of =
+        |tag: usize| templates[tag].as_deref().expect("a candidate method kept its template");
 
     // --- §3.3.3: detect repeats and select the outline plan. ------------
     let detect_start = Instant::now();
     let (groups, threads) = match config.mode {
         LtboMode::Global => (vec![sequences], 1),
         LtboMode::Parallel { groups, threads } => {
-            (partition_stable_by(sequences, groups, |_, s| group_hashes[s.tag]), threads.max(1))
+            let by_hash = |_, s: &TaggedSequence| template_of(s.tag).group_hash();
+            (partition_stable_by(sequences, groups, by_hash), threads.max(1))
         }
     };
     stats.detection_groups = groups.len();
@@ -514,7 +373,8 @@ pub(crate) fn run_ltbo_prepared(
         keys = groups
             .iter()
             .map(|g| {
-                let members: Vec<CacheKey> = g.iter().map(|s| content_keys[s.tag]).collect();
+                let members: Vec<CacheKey> =
+                    g.iter().map(|s| template_of(s.tag).content_key()).collect();
                 group_plan_key_from(config, &members)
             })
             .collect();
@@ -592,7 +452,7 @@ pub(crate) fn run_ltbo_prepared(
                 };
                 for &pos in &cand.positions {
                     let (tag, sym_off) = plan.resolve(pos);
-                    let word = sym_maps[tag].word_at(sym_off);
+                    let word = template_of(tag).word_at(sym_off);
                     edits[tag].push(Edit { start: word, len: cand.len, call });
                     stats.occurrences_replaced += 1;
                     stats.words_saved += cand.len as i64 - 1;
@@ -621,9 +481,9 @@ pub(crate) fn run_ltbo_prepared(
 /// Builds the §3.3.2 symbolization structure for one method: which
 /// words are separator-forced (terminators, PC-relative sites, LR
 /// users, SP writers, block leaders) and the encoded words of the rest.
-/// Replaying the result through [`SymbolTemplate::replay`] yields
-/// exactly the symbol sequence the original extraction produced — the
-/// cache stores the `hot_slow_paths_only = false` template so warm
+/// Replaying the result through [`SymbolTemplate::replay_symbols`]
+/// yields exactly the symbol sequence direct extraction would produce —
+/// the cache stores the `hot_slow_paths_only = false` template so warm
 /// builds skip this scan and the per-instruction encoding entirely.
 ///
 /// # Panics

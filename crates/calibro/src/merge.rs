@@ -59,7 +59,7 @@ pub struct MergeConfig {
     /// merge candidate. Tiny bodies cannot amortize a thunk.
     pub min_body_words: usize,
     /// Maximum differing mov-immediate positions per group. Each costs
-    /// one parameter register; at most [`PARAM_REGS`] (two) are
+    /// one parameter register; at most `PARAM_REGS` (two) are
     /// available, and larger values are clamped.
     pub max_params: usize,
     /// Let the Figure 2 benefit model arbitrate merge-vs-outline per
@@ -99,17 +99,13 @@ pub struct MergeStats {
     pub outline_preferred: usize,
 }
 
-/// The merge pass's output: islands for the linker plus statistics and
-/// the indices of every method that became a thunk.
+/// The merge pass's output: islands for the linker plus statistics.
 pub(crate) struct MergeOutcome {
     /// Island bodies, in `CallTarget::Merged` index order (offset by the
     /// `base_island` the pass ran with).
     pub islands: Vec<MergedBody>,
     /// Run statistics.
     pub stats: MergeStats,
-    /// Method indices replaced by thunks — the caller must mark these
-    /// excluded from any downstream outlining prepass.
-    pub thunked: Vec<usize>,
 }
 
 /// The content hash of one merge candidate's body: encoded instruction
@@ -132,7 +128,7 @@ pub fn merge_content_key(m: &CompiledMethod) -> CacheKey {
     h.finish()
 }
 
-pub(crate) fn hash_relocs(relocs: &[Reloc], h: &mut StableHasher) {
+fn hash_relocs(relocs: &[Reloc], h: &mut StableHasher) {
     h.write_usize(relocs.len());
     for r in relocs {
         h.write_usize(r.at);
@@ -575,7 +571,6 @@ pub(crate) fn run_merge(
 
     // --- Materialize islands and thunks. --------------------------------
     let mut islands = Vec::new();
-    let mut thunked = Vec::new();
     for (bucket, groups) in planned {
         for group in groups {
             let island_id = base_island + islands.len() as u32;
@@ -589,21 +584,20 @@ pub(crate) fn run_merge(
                 let method = &mut methods[global];
                 method.insns = insns;
                 method.relocs = relocs;
-                // Conservatively mark the thunk unoutlinable: outlining
-                // its movs behind a `bl` would clobber the return
-                // address the island's `ret` consumes.
+                // Mark the thunk unoutlinable — this flag is what keeps
+                // the outline pass off it: outlining its movs behind a
+                // `bl` would clobber the return address the island's
+                // `ret` consumes.
                 method.metadata =
                     MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
                 method.stack_maps = Vec::new();
-                thunked.push(global);
                 stats.merged_methods += 1;
             }
             stats.merge_groups += 1;
             stats.words_saved += merge_saving(body_words, group.members.len(), diffs.len());
         }
     }
-    thunked.sort_unstable();
-    Ok(MergeOutcome { islands, stats, thunked })
+    Ok(MergeOutcome { islands, stats })
 }
 
 #[cfg(test)]
@@ -646,7 +640,6 @@ mod tests {
         assert_eq!(outcome.islands.len(), 1);
         assert_eq!(outcome.stats.merge_groups, 1);
         assert_eq!(outcome.stats.merged_methods, 3);
-        assert_eq!(outcome.thunked, vec![0, 1, 2]);
         // k=3 bodies of w=6 words, p=1 parameter: 2*6 - 3*2 = 6 saved.
         assert_eq!(outcome.stats.words_saved, 6);
         // Every member became a two-word thunk: mov x16, #imm; b island.

@@ -11,18 +11,15 @@
 //!   that missed (plus whole-program inlining when enabled);
 //! * **Codegen** runs the pass pipeline and code generation for every
 //!   miss — populating the store — and replays every hit;
-//! * **Size passes** run the composable
-//!   [`SizePass`](crate::sizepass::SizePass) pipeline (the function
-//!   merger, then LTBO — see [`sizepass`](crate::sizepass)) over the
-//!   compiled methods, replaying cached symbolization templates and
-//!   per-pass plan lanes;
+//! * **Size passes** run the function merger, then LTBO (see
+//!   [`sizepass`](crate::sizepass)) over the compiled methods,
+//!   replaying cached symbolization templates and per-pass plan lanes;
 //! * **Link** binds labels and encodes the final text segment.
 //!
 //! A [`BuildSession`] owns the store and threads it through the stages,
 //! so consecutive builds of related inputs recompile only the changed
-//! methods. Each artifact exposes a [`digest`](FrontendArtifact::digest)
-//! over its content, letting harnesses assert warm/cold equivalence at
-//! stage granularity rather than only on the final bytes.
+//! methods. [`BuildSession::build`] is exactly the four stages in order
+//! plus statistics.
 //!
 //! # Determinism
 //!
@@ -38,14 +35,14 @@
 //!   worker produced them (see [`run_indexed`]);
 //! * LTBO consumes cached symbolization *templates*
 //!   ([`SymbolTemplate`]) rather than symbol sequences: fresh separator
-//!   numbers are assigned at replay in candidate order, exactly as
-//!   direct extraction would assign them.
+//!   numbers are assigned at replay from the method's own index-derived
+//!   band, exactly as direct extraction would assign them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey, StableHasher};
+use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
 use calibro_dex::DexFile;
 use calibro_dict::DictRegistry;
@@ -56,8 +53,8 @@ use calibro_oat::{DictImage, LinkInput, OatFile, DICT_BASE_ADDRESS};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
-use crate::ltbo::{build_template, prepare_hit_symbols, LtboConfig, MethodSymbols};
-use crate::sizepass::{hash_compiled, size_passes, PassContext, SizeArtifact};
+use crate::ltbo::build_template;
+use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
 
 /// A build context holding the content-addressed artifact store across
 /// builds. One-shot callers use [`build`](crate::build); incremental
@@ -161,41 +158,7 @@ impl BuildSession {
         };
         let graph_busy: Duration = frontend.graph_loads.iter().map(|w| w.busy).sum();
 
-        // Overlap (warm path): while codegen replays hits and compiles
-        // the dirty methods, symbolize the hit methods' LTBO sequences
-        // on this thread from their store entries. Each method's
-        // separators come from its own index-derived band, so the
-        // result is identical to what the outline stage would compute
-        // after codegen — just earlier. Dirty methods stay `None` and
-        // are symbolized post-codegen as usual.
-        let ltbo_config = options.ltbo.map(|mode| LtboConfig {
-            mode,
-            min_len: options.min_seq_len,
-            hot_methods: options.hot_methods.clone(),
-        });
-        let (codegen, prepared) = match &ltbo_config {
-            Some(config) if frontend.cache_hits() > 0 => {
-                let snapshot = frontend.cached.clone();
-                if available_threads() > 1 {
-                    std::thread::scope(|s| {
-                        let handle = s.spawn(|| self.codegen(dex, options, frontend));
-                        let prepared = prepare_hit_symbols(&snapshot, config);
-                        let codegen =
-                            handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                        (codegen, prepared)
-                    })
-                } else {
-                    // One core: the overlap cannot shorten the wall and the
-                    // extra thread only adds context switches. Same result,
-                    // computed back to back.
-                    let prepared = prepare_hit_symbols(&snapshot, config);
-                    let codegen = self.codegen(dex, options, frontend);
-                    (codegen, prepared)
-                }
-            }
-            _ => (self.codegen(dex, options, frontend), Vec::new()),
-        };
-        let codegen = codegen?;
+        let codegen = self.codegen(dex, options, frontend)?;
         stats.codegen_time = codegen.codegen_time;
         stats.compile_time =
             stats.key_time + stats.graph_time + stats.inline_time + stats.codegen_time;
@@ -206,7 +169,7 @@ impl BuildSession {
         stats.methods = codegen.outcomes.len();
         stats.methods_from_cache = codegen.outcomes.iter().filter(|o| o.cache_hit).count();
 
-        let size = self.size_stage(options, codegen, prepared)?;
+        let size = self.outline(options, codegen)?;
         stats.words_before_ltbo = size.words_before;
         stats.merge = size.merge;
         stats.merge_time = size.merge_time;
@@ -388,13 +351,12 @@ impl BuildSession {
         Ok(CodegenArtifact { outcomes, passes, codegen_time, per_worker })
     }
 
-    /// Stage 3 — **Size passes**: runs the composable
-    /// [`SizePass`](crate::sizepass::SizePass) pipeline the options ask
-    /// for (merge, then LTBO) over the compiled methods, mutating them
-    /// in place. Each pass replays its cache lane through the session's
-    /// store — symbolization templates and group plans for outlining,
-    /// bucket plans for merging — so only content that changed is
-    /// re-analyzed. A no-op pass-through when both
+    /// Stage 3 — **Size passes**: runs the size transforms the options
+    /// ask for — merge, then LTBO over the post-merge methods — mutating
+    /// the compiled methods in place. Each pass replays its cache lane
+    /// through the session's store — symbolization templates and group
+    /// plans for outlining, bucket plans for merging — so only content
+    /// that changed is re-analyzed. A no-op pass-through when both
     /// [`BuildOptions::merge`] and [`BuildOptions::ltbo`] are `None`.
     ///
     /// # Errors
@@ -406,20 +368,6 @@ impl BuildSession {
         &self,
         options: &BuildOptions,
         codegen: CodegenArtifact,
-    ) -> Result<SizeArtifact, BuildError> {
-        self.size_stage(options, codegen, Vec::new())
-    }
-
-    /// [`outline`](Self::outline) taking pre-symbolized hit methods
-    /// (from the warm-path overlap in [`build`](Self::build)).
-    /// `prepared` slots that are `None` — and everything past a short
-    /// vector's end — are symbolized inside the outline pass as on a
-    /// cold build.
-    fn size_stage(
-        &self,
-        options: &BuildOptions,
-        codegen: CodegenArtifact,
-        prepared: Vec<Option<MethodSymbols>>,
     ) -> Result<SizeArtifact, BuildError> {
         let CodegenArtifact { outcomes, .. } = codegen;
         let mut methods = Vec::with_capacity(outcomes.len());
@@ -437,14 +385,16 @@ impl BuildSession {
             _ => None,
         };
         let mut ctx = PassContext {
-            store: Some(&self.store),
+            store: &self.store,
             entries,
-            prepared,
             hot_methods: options.hot_methods.as_ref(),
             dict: dict_session.as_mut(),
         };
-        for pass in size_passes(options) {
-            pass.run(&mut artifact, &mut ctx)?;
+        if let Some(config) = &options.merge {
+            merge_pass(&mut artifact, config, &ctx)?;
+        }
+        if let Some(config) = options.ltbo_config() {
+            outline_pass(&mut artifact, &config, &mut ctx)?;
         }
         drop(ctx);
         if let Some(session) = dict_session {
@@ -505,27 +455,6 @@ pub struct FrontendArtifact {
     pub graph_loads: Vec<WorkerLoad>,
 }
 
-impl FrontendArtifact {
-    /// Number of methods satisfied from the cache.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.cached.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// A digest of the artifact: the ordered method keys. Two frontends
-    /// with equal digests will drive identical codegen stages.
-    #[must_use]
-    pub fn digest(&self) -> CacheKey {
-        let mut h = StableHasher::new();
-        h.write_usize(self.keys.len());
-        for k in &self.keys {
-            h.write_u64(k.hi);
-            h.write_u64(k.lo);
-        }
-        h.finish()
-    }
-}
-
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
     /// The compiled method (owned; LTBO mutates it downstream).
@@ -553,21 +482,6 @@ pub struct CodegenArtifact {
     pub per_worker: Vec<WorkerLoad>,
 }
 
-impl CodegenArtifact {
-    /// A digest of every compiled method's content (code, pool,
-    /// relocations are implied by code + key determinism; the code words
-    /// alone pin the observable output).
-    #[must_use]
-    pub fn digest(&self) -> CacheKey {
-        let mut h = StableHasher::new();
-        h.write_usize(self.outcomes.len());
-        for o in &self.outcomes {
-            hash_compiled(&o.compiled, &mut h);
-        }
-        h.finish()
-    }
-}
-
 /// A contained worker panic from [`run_indexed`]: the lowest panicking
 /// index and its stringified payload. Callers wrap it in the
 /// appropriate typed [`BuildError`] variant.
@@ -587,6 +501,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+/// Number of hardware threads the host actually exposes, cached after
+/// the first query (the syscall behind `available_parallelism` is not
+/// free on the warm path). Falls back to 1 when the OS cannot say.
+fn available_threads() -> usize {
+    use std::sync::OnceLock;
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Runs `f(0..count)` across up to `threads` workers, returning results
@@ -609,15 +532,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// it crosses a pool-thread boundary (parallel). Remaining work stops
 /// at the next index draw; when several items panic before the pool
 /// drains, the lowest index is reported.
-/// Number of hardware threads the host actually exposes, cached after
-/// the first query (the syscall behind `available_parallelism` is not
-/// free on the warm path). Falls back to 1 when the OS cannot say.
-pub(crate) fn available_threads() -> usize {
-    use std::sync::OnceLock;
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
 pub(crate) fn run_indexed<T, F>(
     count: usize,
     threads: usize,

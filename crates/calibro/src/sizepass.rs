@@ -1,41 +1,40 @@
-//! The composable size-pass pipeline: every size transform between
-//! codegen and link — today CTO's metadata-assisted LTBO and the
-//! function-merge backend — is a [`SizePass`] stage over one shared
-//! [`SizeArtifact`].
+//! The size stage: every size transform between codegen and link —
+//! the function-merge backend, then CTO's metadata-assisted LTBO — is
+//! one function over the shared [`SizeArtifact`], called in a fixed
+//! order by [`BuildSession::outline`](crate::BuildSession::outline).
 //!
-//! Each pass declares
+//! Each pass has
 //!
-//! * a **config fingerprint** ([`SizePass::fingerprint`]) folded into
-//!   the build's 128-bit cache keys through
-//!   [`fingerprint_options`](crate::fingerprint_options), exactly as
-//!   [`LtboConfig`] always was — so no pass knob can silently be left
-//!   out of a key;
+//! * a **config fingerprint** folded into the build's 128-bit cache
+//!   keys by [`fingerprint_options`](crate::fingerprint_options), whose
+//!   exhaustive destructure means no pass knob can silently be left out
+//!   of a key;
 //! * a **cache lane** in `calibro-cache` (the group-plan lane for
 //!   outlining, the merge-plan lane for merging), each with its own
 //!   memory + checksummed-disk tiers and hit/miss/store/evict counters
 //!   surfaced through [`CacheStats`](calibro_cache::CacheStats); and
-//! * its edits to the **typed inter-stage artifact**, whose
-//!   [`digest`](SizeArtifact::digest) lets harnesses assert warm/cold
-//!   equivalence between any two passes.
+//! * its edits to the **typed inter-stage artifact**.
 //!
-//! Pass order is canonical: merge runs before outline, so LTBO sees
-//! thunks (and skips them — a thunk's `bl`-outlined movs would clobber
-//! the return address its island's `ret` consumes) and arbitration can
-//! leave a group for the outliner to compress instead.
+//! Pass order is part of the contract: merge runs before outline, so
+//! LTBO sees thunks (and skips them — a thunk's `bl`-outlined movs
+//! would clobber the return address its island's `ret` consumes) and
+//! arbitration can leave a group for the outliner to compress instead.
+//! A third pass is one more function here and one more call in
+//! `outline`, after its config joined `BuildOptions` and
+//! `fingerprint_options`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use calibro_cache::{ArtifactStore, CacheEntry, CacheKey, StableHasher, SymbolTemplate};
+use calibro_cache::{ArtifactStore, CacheEntry};
 use calibro_codegen::CompiledMethod;
 use calibro_dict::{DictSession, DictStats};
 use calibro_isa::Insn;
 use calibro_oat::{DictImage, MergedBody};
 
-use crate::driver::{BuildError, BuildOptions};
-use crate::fingerprint::{fingerprint_ltbo_config, fingerprint_merge_config};
-use crate::ltbo::{run_ltbo_prepared, LtboConfig, LtboStats, MethodSymbols, OutlineError};
+use crate::driver::BuildError;
+use crate::ltbo::{outline_methods, LtboConfig, LtboStats, OutlineError};
 use crate::merge::{run_merge, MergeConfig, MergeStats};
 
 /// The typed artifact flowing through the size passes and into the
@@ -76,10 +75,6 @@ pub struct SizeArtifact {
     pub dict_island: Option<DictImage>,
 }
 
-/// The historical name of the artifact the size stage hands the linker,
-/// kept for callers of the staged API from before merging existed.
-pub type LtboArtifact = SizeArtifact;
-
 impl SizeArtifact {
     /// Wraps freshly compiled methods into the artifact every size pass
     /// edits in place.
@@ -101,263 +96,69 @@ impl SizeArtifact {
             dict_island: None,
         }
     }
-
-    /// A digest of the artifact's content: methods, outlined bodies and
-    /// merged islands. Equal digests mean the linker will produce
-    /// byte-identical text segments.
-    #[must_use]
-    pub fn digest(&self) -> CacheKey {
-        let mut h = StableHasher::new();
-        h.write_usize(self.methods.len());
-        for m in &self.methods {
-            hash_compiled(m, &mut h);
-        }
-        h.write_usize(self.outlined.len());
-        for body in &self.outlined {
-            h.write_usize(body.len());
-            for insn in body {
-                h.write_u32(insn.encode().unwrap_or(u32::MAX));
-            }
-        }
-        h.write_usize(self.merged.len());
-        for island in &self.merged {
-            h.write_usize(island.insns.len());
-            for insn in &island.insns {
-                h.write_u32(insn.encode().unwrap_or(u32::MAX));
-            }
-        }
-        // The dictionary island is part of what the linker reads: the
-        // same methods against a different island resolve `Dict` calls
-        // to different displacements.
-        match &self.dict_island {
-            None => h.write_tag(0),
-            Some(d) => {
-                h.write_tag(1);
-                h.write_u64(d.base_address);
-                h.write_u64(d.epoch);
-                h.write_usize(d.words.len());
-                for &w in &d.words {
-                    h.write_u32(w);
-                }
-            }
-        }
-        h.finish()
-    }
-}
-
-pub(crate) fn hash_compiled(m: &CompiledMethod, h: &mut StableHasher) {
-    h.write_u32(m.method.0);
-    h.write_usize(m.insns.len());
-    for insn in &m.insns {
-        // Unbound `bl` placeholders encode as 0 offsets; anything truly
-        // unencodable is caught by the linker, not the digest.
-        h.write_u32(insn.encode().unwrap_or(u32::MAX));
-    }
-    h.write_usize(m.pool.len());
-    for &w in &m.pool {
-        h.write_u32(w);
-    }
-    // Relocations are part of the linked bytes: a dict-routed build and
-    // a private-outline build can carry identical instruction words
-    // (both `bl` placeholders) yet link to different targets.
-    crate::merge::hash_relocs(&m.relocs, h);
 }
 
 /// Session state the passes share: the artifact store behind each
 /// pass's cache lane, the per-method store entries (source of cached
-/// symbolization templates), and the warm-overlap symbolization slots.
-/// Opaque to keep the warm-path internals (`MethodSymbols`) private;
-/// built by [`PassContext::new`] or by
-/// [`BuildSession`](crate::BuildSession) internally.
-pub struct PassContext<'a> {
-    pub(crate) store: Option<&'a ArtifactStore>,
+/// symbolization templates), the hot-method set and the dictionary
+/// session.
+pub(crate) struct PassContext<'a> {
+    pub(crate) store: &'a ArtifactStore,
     pub(crate) entries: Vec<Arc<CacheEntry>>,
-    pub(crate) prepared: Vec<Option<MethodSymbols>>,
     pub(crate) hot_methods: Option<&'a HashSet<u32>>,
     pub(crate) dict: Option<&'a mut DictSession>,
 }
 
-impl<'a> PassContext<'a> {
-    /// A context for driving passes outside a
-    /// [`BuildSession`](crate::BuildSession): optional store (enables
-    /// the plan-cache lanes), per-method entries (enables template
-    /// replay; may be empty), and the hot-method set.
-    #[must_use]
-    pub fn new(
-        store: Option<&'a ArtifactStore>,
-        entries: Vec<Arc<CacheEntry>>,
-        hot_methods: Option<&'a HashSet<u32>>,
-    ) -> PassContext<'a> {
-        PassContext { store, entries, prepared: Vec::new(), hot_methods, dict: None }
-    }
-
-    /// Attaches a dictionary session for the outline pass to route
-    /// candidates through (requires a store for the dictionary lane).
-    #[must_use]
-    pub fn with_dict(mut self, session: &'a mut DictSession) -> PassContext<'a> {
-        self.dict = Some(session);
-        self
-    }
+/// The function-merge pass (see [`crate::merge`]): members of each
+/// merge group become parameter thunks, their shared bodies islands.
+///
+/// # Errors
+///
+/// [`BuildError::Cache`] when a persisted merge plan is corrupt.
+pub(crate) fn merge_pass(
+    artifact: &mut SizeArtifact,
+    config: &MergeConfig,
+    ctx: &PassContext<'_>,
+) -> Result<(), BuildError> {
+    let start = Instant::now();
+    let base_island = u32::try_from(artifact.merged.len()).expect("island count fits u32");
+    let outcome =
+        run_merge(&mut artifact.methods, config, ctx.hot_methods, Some(ctx.store), base_island)?;
+    artifact.merged.extend(outcome.islands);
+    artifact.merge = outcome.stats;
+    artifact.merge_time = start.elapsed();
+    Ok(())
 }
 
-/// One composable size transform between codegen and link.
-pub trait SizePass {
-    /// Stable pass name (used in logs and reports).
-    fn name(&self) -> &'static str;
-
-    /// Feeds the pass's full configuration into `h`. Folded into every
-    /// per-method cache key via
-    /// [`fingerprint_options`](crate::fingerprint_options), and into
-    /// the pass's own plan-cache keys.
-    fn fingerprint(&self, h: &mut StableHasher);
-
-    /// Runs the pass, editing the artifact in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] when the pass's cache lane holds a
-    /// corrupt entry or one of its workers panics.
-    fn run(&self, artifact: &mut SizeArtifact, ctx: &mut PassContext<'_>)
-        -> Result<(), BuildError>;
-}
-
-/// The function-merge pass (see [`crate::merge`]).
-pub struct MergePass {
-    /// Merge configuration.
-    pub config: MergeConfig,
-}
-
-impl SizePass for MergePass {
-    fn name(&self) -> &'static str {
-        "merge"
-    }
-
-    fn fingerprint(&self, h: &mut StableHasher) {
-        fingerprint_merge_config(&self.config, h);
-    }
-
-    fn run(
-        &self,
-        artifact: &mut SizeArtifact,
-        ctx: &mut PassContext<'_>,
-    ) -> Result<(), BuildError> {
-        let start = Instant::now();
-        let base_island = u32::try_from(artifact.merged.len()).expect("island count fits u32");
-        let outcome = run_merge(
-            &mut artifact.methods,
-            &self.config,
-            ctx.hot_methods,
-            ctx.store,
-            base_island,
-        )?;
-        // Thunked methods must not reach the outliner through the warm
-        // prepass either — their prepared slots still describe the
-        // original bodies.
-        for &idx in &outcome.thunked {
-            if idx < ctx.prepared.len() {
-                ctx.prepared[idx] = Some(MethodSymbols::Excluded);
-            }
-        }
-        artifact.merged.extend(outcome.islands);
-        artifact.merge = outcome.stats;
-        artifact.merge_time = start.elapsed();
-        Ok(())
-    }
-}
-
-/// The LTBO outline pass (see [`crate::ltbo`]).
-pub struct OutlinePass {
-    /// Outlining configuration.
-    pub config: LtboConfig,
-}
-
-impl SizePass for OutlinePass {
-    fn name(&self) -> &'static str {
-        "outline"
-    }
-
-    fn fingerprint(&self, h: &mut StableHasher) {
-        fingerprint_ltbo_config(&self.config, h);
-    }
-
-    fn run(
-        &self,
-        artifact: &mut SizeArtifact,
-        ctx: &mut PassContext<'_>,
-    ) -> Result<(), BuildError> {
-        let start = Instant::now();
-        debug_assert!(artifact.outlined.is_empty(), "a second outline pass would clash ids");
-        let templates: Vec<Option<&SymbolTemplate>> =
-            ctx.entries.iter().map(|e| e.template.as_ref()).collect();
-        let prepared = std::mem::take(&mut ctx.prepared);
-        let result = run_ltbo_prepared(
-            &mut artifact.methods,
-            &self.config,
-            &templates,
-            ctx.store,
-            prepared,
-            ctx.dict.as_deref_mut(),
-        )
-        .map_err(|e| match e {
-            OutlineError::Worker { group, message } => BuildError::OutlineWorker { group, message },
-            OutlineError::Cache(e) => BuildError::Cache(e),
-        })?;
-        artifact.outlined = result.outlined;
-        artifact.ltbo = result.stats;
-        artifact.detect_time = result.detect_time;
-        artifact.ltbo_time = start.elapsed();
-        Ok(())
-    }
-}
-
-/// The size-pass composition a [`BuildOptions`] asks for, in canonical
-/// order: merge (when [`BuildOptions::merge`] is set), then outline
-/// (when [`BuildOptions::ltbo`] is set).
-#[must_use]
-pub fn size_passes(options: &BuildOptions) -> Vec<Box<dyn SizePass>> {
-    let mut passes: Vec<Box<dyn SizePass>> = Vec::new();
-    if let Some(config) = &options.merge {
-        passes.push(Box::new(MergePass { config: config.clone() }));
-    }
-    if let Some(mode) = options.ltbo {
-        passes.push(Box::new(OutlinePass {
-            config: LtboConfig {
-                mode,
-                min_len: options.min_seq_len,
-                hot_methods: options.hot_methods.clone(),
-            },
-        }));
-    }
-    passes
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn composition_follows_the_options() {
-        let names = |options: &BuildOptions| {
-            size_passes(options).iter().map(|p| p.name()).collect::<Vec<_>>()
-        };
-        assert!(names(&BuildOptions::baseline()).is_empty());
-        assert_eq!(names(&BuildOptions::cto_ltbo()), ["outline"]);
-        assert_eq!(names(&BuildOptions::cto_merge()), ["merge"]);
-        assert_eq!(names(&BuildOptions::cto_merge_ltbo()), ["merge", "outline"]);
-    }
-
-    #[test]
-    fn pass_fingerprints_are_distinct() {
-        let fp = |pass: &dyn SizePass| {
-            let mut h = StableHasher::new();
-            pass.fingerprint(&mut h);
-            h.finish()
-        };
-        let merge = MergePass { config: MergeConfig::default() };
-        let merge2 =
-            MergePass { config: MergeConfig { min_body_words: 5, ..MergeConfig::default() } };
-        let outline = OutlinePass { config: LtboConfig::default() };
-        assert_ne!(fp(&merge), fp(&merge2));
-        assert_ne!(fp(&merge), fp(&outline));
-    }
+/// The LTBO outline pass (see [`crate::ltbo`]), over the post-merge
+/// methods.
+///
+/// # Errors
+///
+/// [`BuildError::OutlineWorker`] when one group's detection or
+/// materialization panics, [`BuildError::Cache`] when a persisted group
+/// plan is corrupt.
+pub(crate) fn outline_pass(
+    artifact: &mut SizeArtifact,
+    config: &LtboConfig,
+    ctx: &mut PassContext<'_>,
+) -> Result<(), BuildError> {
+    let start = Instant::now();
+    debug_assert!(artifact.outlined.is_empty(), "a second outline pass would clash ids");
+    let result = outline_methods(
+        &mut artifact.methods,
+        config,
+        &ctx.entries,
+        Some(ctx.store),
+        ctx.dict.as_deref_mut(),
+    )
+    .map_err(|e| match e {
+        OutlineError::Worker { group, message } => BuildError::OutlineWorker { group, message },
+        OutlineError::Cache(e) => BuildError::Cache(e),
+    })?;
+    artifact.outlined = result.outlined;
+    artifact.ltbo = result.stats;
+    artifact.detect_time = result.detect_time;
+    artifact.ltbo_time = start.elapsed();
+    Ok(())
 }

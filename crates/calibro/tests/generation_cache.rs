@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use calibro::{build_with_store, BuildOptions};
+use calibro::{BuildOptions, BuildSession};
 use calibro_cache::{ArtifactStore, CacheConfig};
 use calibro_workloads::{generate, AppSpec};
 
@@ -23,15 +23,16 @@ fn hot_set_generations_have_disjoint_keys_and_replay_exactly() {
     let restricted = BuildOptions::cto_ltbo().with_hot_filter(hot);
 
     let store = Arc::new(ArtifactStore::new(CacheConfig::default()));
+    let session = BuildSession::with_store(Arc::clone(&store));
 
-    let gen1 = build_with_store(&app.dex, &unrestricted, &store).expect("generation 1");
+    let gen1 = session.build(&app.dex, &unrestricted).expect("generation 1");
     let elf1 = calibro_oat::to_elf_bytes(&gen1.oat);
     let after_gen1 = store.stats();
     assert_eq!(after_gen1.hits, 0, "cold store must not hit");
 
     // Generation 2: same program, hot-restricted outlining. Every
     // method key differs, so nothing from generation 1 may be reused.
-    let gen2 = build_with_store(&app.dex, &restricted, &store).expect("generation 2");
+    let gen2 = session.build(&app.dex, &restricted).expect("generation 2");
     let elf2 = calibro_oat::to_elf_bytes(&gen2.oat);
     let gen2_delta = store.stats().since(&after_gen1);
     assert_eq!(
@@ -42,7 +43,7 @@ fn hot_set_generations_have_disjoint_keys_and_replay_exactly() {
 
     // Back to generation 1's options: a full warm replay, byte-exact.
     let before_replay = store.stats();
-    let replay = build_with_store(&app.dex, &unrestricted, &store).expect("generation 1 replay");
+    let replay = session.build(&app.dex, &unrestricted).expect("generation 1 replay");
     let replay_delta = store.stats().since(&before_replay);
     assert_eq!(calibro_oat::to_elf_bytes(&replay.oat), elf1, "replay must be byte-identical");
     assert_eq!(
@@ -54,6 +55,6 @@ fn hot_set_generations_have_disjoint_keys_and_replay_exactly() {
 
     // And generation 2 replays its own bytes — the store serves both
     // generations side by side without cross-talk.
-    let replay2 = build_with_store(&app.dex, &restricted, &store).expect("generation 2 replay");
+    let replay2 = session.build(&app.dex, &restricted).expect("generation 2 replay");
     assert_eq!(calibro_oat::to_elf_bytes(&replay2.oat), elf2);
 }

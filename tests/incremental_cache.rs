@@ -20,6 +20,8 @@ use calibro::{
     PipelineConfig, StableHasher,
 };
 use calibro_cache::hash_method;
+use calibro_codegen::{CallTarget, CompiledMethod};
+use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
 
 /// Every single-field variation of the default options. The exhaustive
@@ -230,6 +232,99 @@ fn warm_rebuild_is_bit_identical_and_recompiles_only_the_delta() {
                 assert_eq!(warm.stats.merge.words_saved, fresh.stats.merge.words_saved);
             } else {
                 assert_eq!(g.merge_hits + g.merge_misses, 0, "{name}/{threads}: merge probed");
+            }
+        }
+    }
+}
+
+/// What one build reports that must not depend on which route ran it:
+/// the ELF bytes plus the count statistics.
+#[derive(Debug, PartialEq)]
+struct BuildFacts {
+    elf: Vec<u8>,
+    methods: usize,
+    methods_from_cache: usize,
+    words_before_ltbo: usize,
+    passes: calibro::PassStats,
+    merge: calibro::MergeStats,
+    ltbo: calibro::LtboStats,
+}
+
+fn facts_of_build(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> BuildFacts {
+    let out = session.build(dex, options).expect("build()");
+    BuildFacts {
+        elf: calibro_oat::to_elf_bytes(&out.oat),
+        methods: out.stats.methods,
+        methods_from_cache: out.stats.methods_from_cache,
+        words_before_ltbo: out.stats.words_before_ltbo,
+        passes: out.stats.passes,
+        merge: out.stats.merge,
+        ltbo: out.stats.ltbo,
+    }
+}
+
+/// The same build through the four public stages. Also checks, on the
+/// size artifact only this route exposes, that no merge thunk was
+/// outlined from.
+fn facts_of_stages(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> BuildFacts {
+    let frontend = session.frontend(dex, options).expect("frontend");
+    let codegen = session.codegen(dex, options, frontend).expect("codegen");
+    let methods = codegen.outcomes.len();
+    let methods_from_cache = codegen.outcomes.iter().filter(|o| o.cache_hit).count();
+    let passes = codegen.passes;
+    let size = session.outline(options, codegen).expect("outline");
+    let (words_before_ltbo, merge, ltbo) = (size.words_before, size.merge, size.ltbo);
+
+    // A thunk's `bl`-outlined movs would clobber the return address its
+    // island's `ret` consumes, so the outline pass must leave every
+    // thunk alone — from cached templates (warm) as from fresh ones.
+    let is_thunk =
+        |m: &&CompiledMethod| m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_)));
+    let mut thunks = 0;
+    for m in size.methods.iter().filter(is_thunk) {
+        thunks += 1;
+        assert!(
+            !m.relocs
+                .iter()
+                .any(|r| matches!(r.target, CallTarget::Outlined(_) | CallTarget::Dict(_))),
+            "merge thunk {:?} was outlined from: {:?}",
+            m.method,
+            m.relocs
+        );
+    }
+    assert_eq!(thunks, merge.merged_methods, "every merged method is a thunk");
+
+    let oat = session.link(options, size).expect("link");
+    let elf = calibro_oat::to_elf_bytes(&oat);
+    BuildFacts { elf, methods, methods_from_cache, words_before_ltbo, passes, merge, ltbo }
+}
+
+#[test]
+fn staged_stages_equal_build() {
+    for threads in [1usize, 8] {
+        for (name, options) in warm_configs() {
+            let options = options.with_compile_threads(threads);
+            // Clone families (`merge_determinism.rs`'s spec), so that the
+            // merge arms leave thunks for the outline pass to not touch.
+            let spec = AppSpec { clone_families: 6, ..AppSpec::small("staged", 23) };
+            let dex = generate(&spec).dex;
+            let mut edited = dex.clone();
+            assert!(!mutate_methods(&mut edited, 7, 0.05).is_empty());
+
+            let (staged, whole) = (BuildSession::new(), BuildSession::new());
+            for (warmth, dex) in [("cold", &dex), ("warm", &edited)] {
+                let by_stages = facts_of_stages(&staged, dex, &options);
+                let by_build = facts_of_build(&whole, dex, &options);
+                assert_eq!(by_stages, by_build, "{name}/{threads}/{warmth}: stages != build()");
+                if warmth == "warm" {
+                    assert!(by_build.methods_from_cache > 0, "{name}/{threads}: nothing replayed");
+                }
+                if options.merge.is_some() {
+                    assert!(
+                        by_build.merge.merged_methods >= 2,
+                        "{name}/{threads}/{warmth}: clone families must merge"
+                    );
+                }
             }
         }
     }
