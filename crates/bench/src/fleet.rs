@@ -17,8 +17,10 @@
 //!    `true_cold / peer` ratios — the two phases of a round run back
 //!    to back, so a machine-load swing hits both and cancels, where a
 //!    ratio of cross-round medians would compare a slow round's cold
-//!    against a fast round's peer wall. Gated ≥ 3x in CI, with
-//!    byte-identity against A's artifact in every round.
+//!    against a fast round's peer wall. CI gates the peer wall itself
+//!    (under true cold, and against the committed record) rather than
+//!    the ratio, whose numerator is a compile, with byte-identity
+//!    against A's artifact in every round.
 
 use std::time::{Duration, Instant};
 
@@ -47,8 +49,8 @@ impl Default for FleetLoadConfig {
     fn default() -> FleetLoadConfig {
         // 900 methods: the peer-served wall has a fixed floor (link,
         // OAT emit, reply transfer) that the fetch cannot elide, so the
-        // measured speedup over true-cold needs enough compile work per
-        // program to clear the 3x CI gate with margin on noisy runners.
+        // peer wall needs enough compile work per program to sit clearly
+        // under true-cold on noisy runners.
         FleetLoadConfig { workers: 4, shards: Vec::new(), methods: 900, routed_programs: 6 }
     }
 }

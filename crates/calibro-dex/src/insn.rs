@@ -174,35 +174,65 @@ impl DexInsn {
         )
     }
 
+    /// Calls `f` with each explicit branch target (fall-through
+    /// excluded), in operand order. The one place targets are listed.
+    #[inline]
+    pub fn for_each_branch_target(&self, mut f: impl FnMut(usize)) {
+        match self {
+            DexInsn::If { target, .. } | DexInsn::IfZ { target, .. } | DexInsn::Goto { target } => {
+                f(*target);
+            }
+            DexInsn::Switch { targets, .. } => targets.iter().copied().for_each(f),
+            _ => {}
+        }
+    }
+
     /// Explicit branch targets of this instruction (fall-through excluded).
     #[must_use]
     pub fn branch_targets(&self) -> Vec<usize> {
+        let mut targets = Vec::new();
+        self.for_each_branch_target(|t| targets.push(t));
+        targets
+    }
+
+    /// Calls `f` with each register this instruction reads, in operand
+    /// order. The one place read operands are listed.
+    #[inline]
+    pub fn for_each_read(&self, mut f: impl FnMut(VReg)) {
         match self {
-            DexInsn::If { target, .. } | DexInsn::IfZ { target, .. } | DexInsn::Goto { target } => {
-                vec![*target]
+            DexInsn::Move { src, .. }
+            | DexInsn::SPut { src, .. }
+            | DexInsn::Return { src }
+            | DexInsn::Throw { src }
+            | DexInsn::Switch { src, .. } => f(*src),
+            DexInsn::Bin { a, b, .. } | DexInsn::If { a, b, .. } => {
+                f(*a);
+                f(*b);
             }
-            DexInsn::Switch { targets, .. } => targets.clone(),
-            _ => Vec::new(),
+            DexInsn::BinLit { a, .. } | DexInsn::IfZ { a, .. } => f(*a),
+            DexInsn::IGet { obj, .. } => f(*obj),
+            DexInsn::IPut { src, obj, .. } => {
+                f(*src);
+                f(*obj);
+            }
+            DexInsn::Invoke { args, .. } | DexInsn::InvokeNative { args, .. } => {
+                args.iter().copied().for_each(f);
+            }
+            DexInsn::Nop
+            | DexInsn::Const { .. }
+            | DexInsn::SGet { .. }
+            | DexInsn::NewInstance { .. }
+            | DexInsn::Goto { .. }
+            | DexInsn::ReturnVoid => {}
         }
     }
 
     /// All registers read by this instruction.
     #[must_use]
     pub fn reads(&self) -> Vec<VReg> {
-        match self {
-            DexInsn::Move { src, .. } => vec![*src],
-            DexInsn::Bin { a, b, .. } => vec![*a, *b],
-            DexInsn::BinLit { a, .. } => vec![*a],
-            DexInsn::IGet { obj, .. } => vec![*obj],
-            DexInsn::IPut { src, obj, .. } => vec![*src, *obj],
-            DexInsn::SPut { src, .. } => vec![*src],
-            DexInsn::Invoke { args, .. } | DexInsn::InvokeNative { args, .. } => args.clone(),
-            DexInsn::If { a, b, .. } => vec![*a, *b],
-            DexInsn::IfZ { a, .. } => vec![*a],
-            DexInsn::Switch { src, .. } => vec![*src],
-            DexInsn::Return { src } | DexInsn::Throw { src } => vec![*src],
-            _ => Vec::new(),
-        }
+        let mut regs = Vec::new();
+        self.for_each_read(|r| regs.push(r));
+        regs
     }
 
     /// The register written by this instruction, if any.

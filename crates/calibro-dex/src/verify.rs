@@ -7,7 +7,7 @@
 use core::fmt;
 
 use crate::file::DexFile;
-use crate::ids::MethodId;
+use crate::ids::{MethodId, VReg};
 use crate::insn::DexInsn;
 use crate::method::Method;
 
@@ -45,6 +45,10 @@ pub enum VerifyError {
     /// behaviour depend on stale register/stack contents, which differ
     /// between build configurations.
     UninitializedRead { method: MethodId, insn: usize, reg: u16 },
+    /// The method declares more arguments than registers. Arguments
+    /// arrive in the trailing `num_args` registers, so every consumer
+    /// computes `num_regs - num_args`.
+    ArgsExceedRegisters { method: MethodId, num_args: u16, num_regs: u16 },
 }
 
 impl fmt::Display for VerifyError {
@@ -87,6 +91,9 @@ impl fmt::Display for VerifyError {
             VerifyError::UninitializedRead { method, insn, reg } => {
                 write!(f, "{method}@{insn}: register v{reg} read before definite assignment")
             }
+            VerifyError::ArgsExceedRegisters { method, num_args, num_regs } => {
+                write!(f, "{method}: {num_args} arguments exceed the {num_regs} registers")
+            }
         }
     }
 }
@@ -107,8 +114,9 @@ pub fn verify(dex: &DexFile) -> Result<(), VerifyError> {
 }
 
 /// The checks that read only the method's own content: body shape,
-/// register bounds, branch targets, argument counts, termination, and
-/// the definite-assignment dataflow.
+/// the register file holding the arguments, register bounds, branch
+/// targets, argument counts, termination, and the definite-assignment
+/// dataflow.
 ///
 /// These are exactly the checks an incremental build may skip for a
 /// method replayed from the artifact cache: the cache key covers every
@@ -130,26 +138,42 @@ pub fn verify_intrinsic(method: &Method) -> Result<(), VerifyError> {
     if method.insns.is_empty() {
         return Err(VerifyError::EmptyBody { method: id });
     }
+    if method.num_args > method.num_regs {
+        return Err(VerifyError::ArgsExceedRegisters {
+            method: id,
+            num_args: method.num_args,
+            num_regs: method.num_regs,
+        });
+    }
     let n = method.insns.len();
     for (idx, insn) in method.insns.iter().enumerate() {
-        // Register bounds.
-        let mut regs = insn.reads();
-        regs.extend(insn.writes());
-        for reg in regs {
+        // Register bounds: reads in operand order, then the write; the
+        // first offender is the one reported.
+        let mut out_of_range = None;
+        let mut bound = |reg: VReg| {
             if reg.0 >= method.num_regs {
-                return Err(VerifyError::RegisterOutOfRange {
-                    method: id,
-                    insn: idx,
-                    reg: reg.0,
-                    num_regs: method.num_regs,
-                });
+                out_of_range.get_or_insert(reg.0);
             }
+        };
+        insn.for_each_read(&mut bound);
+        insn.writes().into_iter().for_each(&mut bound);
+        if let Some(reg) = out_of_range {
+            return Err(VerifyError::RegisterOutOfRange {
+                method: id,
+                insn: idx,
+                reg,
+                num_regs: method.num_regs,
+            });
         }
         // Branch targets.
-        for target in insn.branch_targets() {
+        let mut bad_target = None;
+        insn.for_each_branch_target(|target| {
             if target >= n {
-                return Err(VerifyError::BadBranchTarget { method: id, insn: idx, target });
+                bad_target.get_or_insert(target);
             }
+        });
+        if let Some(target) = bad_target {
+            return Err(VerifyError::BadBranchTarget { method: id, insn: idx, target });
         }
         match insn {
             DexInsn::Invoke { args, .. } | DexInsn::InvokeNative { args, .. } if args.len() > 8 => {
@@ -220,61 +244,64 @@ pub fn verify_references(dex: &DexFile, method: &Method) -> Result<(), VerifyErr
 /// Dalvik verifier performs: at entry only the argument registers (the
 /// *last* `num_args` slots) are assigned; states meet by intersection, and
 /// every read must see a definitely-assigned register. Runs after the
-/// bounds checks, so register indices are known to be in range.
+/// bounds checks, so register indices are known to be in range and
+/// `num_args <= num_regs`.
 fn check_definite_assignment(method: &Method) -> Result<(), VerifyError> {
     let n = method.insns.len();
     let num_regs = method.num_regs as usize;
     let words = num_regs.div_ceil(64).max(1);
-    let mut entry = vec![0u64; words];
-    for r in num_regs.saturating_sub(method.num_args as usize)..num_regs {
-        entry[r / 64] |= 1 << (r % 64);
+    // One arena: instruction `i`'s in-state is `states[i * words..][..words]`,
+    // meaningful once `reached[i]`.
+    let mut states = vec![0u64; n * words];
+    let mut reached = vec![false; n];
+    for r in num_regs - method.num_args as usize..num_regs {
+        states[r / 64] |= 1 << (r % 64);
     }
-    let mut states: Vec<Option<Vec<u64>>> = vec![None; n];
-    states[0] = Some(entry);
+    reached[0] = true;
+    let mut out = vec![0u64; words];
+    // LIFO worklist, successors pushed as explicit targets then the
+    // fall-through: the visiting order decides which of several
+    // uninitialized reads is the one reported.
     let mut work = vec![0usize];
     while let Some(idx) = work.pop() {
-        let state = states[idx].clone().expect("worklist entries are reached");
+        out.copy_from_slice(&states[idx * words..][..words]);
         let insn = &method.insns[idx];
-        for reg in insn.reads() {
+        let mut uninitialized = None;
+        insn.for_each_read(|reg| {
             let r = reg.0 as usize;
-            if state[r / 64] & (1 << (r % 64)) == 0 {
-                return Err(VerifyError::UninitializedRead {
-                    method: method.id,
-                    insn: idx,
-                    reg: reg.0,
-                });
+            if out[r / 64] & (1 << (r % 64)) == 0 {
+                uninitialized.get_or_insert(reg.0);
             }
+        });
+        if let Some(reg) = uninitialized {
+            return Err(VerifyError::UninitializedRead { method: method.id, insn: idx, reg });
         }
-        let mut out = state;
         if let Some(dst) = insn.writes() {
             let r = dst.0 as usize;
             out[r / 64] |= 1 << (r % 64);
         }
-        let mut succs = insn.branch_targets();
-        if !insn.is_unconditional_exit() && idx + 1 < n {
-            succs.push(idx + 1);
-        }
-        for s in succs {
-            let changed = match &mut states[s] {
-                Some(existing) => {
-                    let mut shrank = false;
-                    for (e, o) in existing.iter_mut().zip(&out) {
-                        let met = *e & *o;
-                        if met != *e {
-                            *e = met;
-                            shrank = true;
-                        }
-                    }
-                    shrank
+        let mut flow_to = |s: usize| {
+            let state = &mut states[s * words..][..words];
+            let changed = if reached[s] {
+                let mut shrank = false;
+                for (e, o) in state.iter_mut().zip(&out) {
+                    let met = *e & *o;
+                    shrank |= met != *e;
+                    *e = met;
                 }
-                slot @ None => {
-                    *slot = Some(out.clone());
-                    true
-                }
+                shrank
+            } else {
+                state.copy_from_slice(&out);
+                reached[s] = true;
+                true
             };
             if changed {
                 work.push(s);
             }
+        };
+        insn.for_each_branch_target(&mut flow_to);
+        if !insn.is_unconditional_exit() && idx + 1 < n {
+            flow_to(idx + 1);
         }
     }
     Ok(())
@@ -283,7 +310,7 @@ fn check_definite_assignment(method: &Method) -> Result<(), VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ClassId, StaticId, VReg};
+    use crate::ids::{ClassId, StaticId};
     use crate::insn::{BinOp, InvokeKind};
 
     fn dex_with(insns: Vec<DexInsn>) -> DexFile {
@@ -443,6 +470,19 @@ mod tests {
             DexInsn::Return { src: VReg(0) },
         ]);
         assert_eq!(verify(&dex), Ok(()));
+    }
+
+    #[test]
+    fn rejects_more_arguments_than_registers() {
+        // Every consumer computes `num_regs - num_args` on `u16`.
+        let mut dex = dex_with(vec![DexInsn::ReturnVoid]);
+        dex.method_mut(MethodId(0)).num_args = 5;
+        assert_eq!(
+            verify(&dex),
+            Err(VerifyError::ArgsExceedRegisters { method: MethodId(0), num_args: 5, num_regs: 4 })
+        );
+        dex.method_mut(MethodId(0)).num_args = 4;
+        assert_eq!(verify(&dex), Ok(()), "all registers may be arguments");
     }
 
     #[test]

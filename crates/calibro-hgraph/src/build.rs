@@ -25,9 +25,7 @@ pub fn build_hgraph(method: &Method) -> HGraph {
     let mut is_leader = vec![false; n];
     is_leader[0] = true;
     for (i, insn) in insns.iter().enumerate() {
-        for t in insn.branch_targets() {
-            is_leader[t] = true;
-        }
+        insn.for_each_branch_target(|t| is_leader[t] = true);
         if insn.is_block_end() && i + 1 < n {
             is_leader[i + 1] = true;
         }

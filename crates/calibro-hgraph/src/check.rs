@@ -3,6 +3,8 @@
 
 use core::fmt;
 
+use calibro_dex::VReg;
+
 use crate::graph::{HGraph, HTerminator};
 
 /// A structural violation found by [`check`].
@@ -54,26 +56,35 @@ pub fn check(graph: &HGraph) -> Result<(), CheckError> {
         if block.id.index() != index {
             return Err(CheckError::MisnumberedBlock { index });
         }
-        for succ in block.terminator.successors() {
+        let mut dangling = None;
+        block.terminator.for_each_successor(|succ| {
             if succ.index() >= graph.blocks.len() {
-                return Err(CheckError::DanglingEdge { block: index, target: succ.0 });
+                dangling.get_or_insert(succ.0);
             }
+        });
+        if let Some(target) = dangling {
+            return Err(CheckError::DanglingEdge { block: index, target });
         }
         if let HTerminator::Switch { targets, .. } = &block.terminator {
             if targets.is_empty() {
                 return Err(CheckError::EmptySwitch { block: index });
             }
         }
-        let mut regs: Vec<calibro_dex::VReg> = Vec::new();
-        for insn in &block.insns {
-            regs.extend(insn.reads());
-            regs.extend(insn.writes());
-        }
-        regs.extend(block.terminator.reads());
-        for reg in regs {
+        // Per instruction reads then the write, then the terminator's
+        // reads; the first offender is the one reported.
+        let mut out_of_range = None;
+        let mut bound = |reg: VReg| {
             if reg.0 >= graph.num_regs {
-                return Err(CheckError::RegisterOutOfRange { block: index, reg: reg.0 });
+                out_of_range.get_or_insert(reg.0);
             }
+        };
+        for insn in &block.insns {
+            insn.for_each_read(&mut bound);
+            insn.writes().into_iter().for_each(&mut bound);
+        }
+        block.terminator.for_each_read(&mut bound);
+        if let Some(reg) = out_of_range {
+            return Err(CheckError::RegisterOutOfRange { block: index, reg });
         }
     }
     Ok(())
@@ -83,7 +94,7 @@ pub fn check(graph: &HGraph) -> Result<(), CheckError> {
 mod tests {
     use super::*;
     use crate::graph::{BlockId, HBlock, HInsn};
-    use calibro_dex::{MethodId, VReg};
+    use calibro_dex::MethodId;
 
     fn valid() -> HGraph {
         HGraph {

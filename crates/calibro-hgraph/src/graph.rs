@@ -49,19 +49,36 @@ pub enum HInsn {
 }
 
 impl HInsn {
+    /// Calls `f` with each register read, in operand order. The one
+    /// place read operands are listed; [`reads`](HInsn::reads) and every
+    /// pass go through it.
+    #[inline]
+    pub fn for_each_read(&self, mut f: impl FnMut(VReg)) {
+        match self {
+            HInsn::Move { src, .. } | HInsn::SPut { src, .. } => f(*src),
+            HInsn::Bin { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            HInsn::BinLit { a, .. } => f(*a),
+            HInsn::IGet { obj, .. } => f(*obj),
+            HInsn::IPut { src, obj, .. } => {
+                f(*src);
+                f(*obj);
+            }
+            HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => {
+                args.iter().copied().for_each(f);
+            }
+            HInsn::Const { .. } | HInsn::SGet { .. } | HInsn::NewInstance { .. } => {}
+        }
+    }
+
     /// Registers read.
     #[must_use]
     pub fn reads(&self) -> Vec<VReg> {
-        match self {
-            HInsn::Move { src, .. } => vec![*src],
-            HInsn::Bin { a, b, .. } => vec![*a, *b],
-            HInsn::BinLit { a, .. } => vec![*a],
-            HInsn::IGet { obj, .. } => vec![*obj],
-            HInsn::IPut { src, obj, .. } => vec![*src, *obj],
-            HInsn::SPut { src, .. } => vec![*src],
-            HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => args.clone(),
-            _ => Vec::new(),
-        }
+        let mut regs = Vec::new();
+        self.for_each_read(|r| regs.push(r));
+        regs
     }
 
     /// Register written, if any.
@@ -116,33 +133,56 @@ pub enum HTerminator {
 }
 
 impl HTerminator {
+    /// Calls `f` with each successor block in evaluation order (switch
+    /// targets, then the default). The one place edges are listed.
+    #[inline]
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
+        match self {
+            HTerminator::Goto { target } => f(*target),
+            HTerminator::If { then_bb, else_bb, .. }
+            | HTerminator::IfZ { then_bb, else_bb, .. } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            HTerminator::Switch { targets, default, .. } => {
+                targets.iter().copied().for_each(&mut f);
+                f(*default);
+            }
+            HTerminator::Return { .. } | HTerminator::Throw { .. } => {}
+        }
+    }
+
     /// Successor blocks in evaluation order.
     #[must_use]
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut succs = Vec::new();
+        self.for_each_successor(|b| succs.push(b));
+        succs
+    }
+
+    /// Calls `f` with each register the terminator reads, in operand
+    /// order.
+    #[inline]
+    pub fn for_each_read(&self, mut f: impl FnMut(VReg)) {
         match self {
-            HTerminator::Goto { target } => vec![*target],
-            HTerminator::If { then_bb, else_bb, .. }
-            | HTerminator::IfZ { then_bb, else_bb, .. } => {
-                vec![*then_bb, *else_bb]
+            HTerminator::If { a, b, .. } => {
+                f(*a);
+                f(*b);
             }
-            HTerminator::Switch { targets, default, .. } => {
-                let mut v = targets.clone();
-                v.push(*default);
-                v
-            }
-            HTerminator::Return { .. } | HTerminator::Throw { .. } => Vec::new(),
+            HTerminator::IfZ { a, .. }
+            | HTerminator::Switch { src: a, .. }
+            | HTerminator::Return { src: Some(a) }
+            | HTerminator::Throw { src: a } => f(*a),
+            HTerminator::Goto { .. } | HTerminator::Return { src: None } => {}
         }
     }
 
     /// Registers read by the terminator.
     #[must_use]
     pub fn reads(&self) -> Vec<VReg> {
-        match self {
-            HTerminator::If { a, b, .. } => vec![*a, *b],
-            HTerminator::IfZ { a, .. } | HTerminator::Switch { src: a, .. } => vec![*a],
-            HTerminator::Return { src: Some(a) } | HTerminator::Throw { src: a } => vec![*a],
-            _ => Vec::new(),
-        }
+        let mut regs = Vec::new();
+        self.for_each_read(|r| regs.push(r));
+        regs
     }
 }
 
@@ -188,9 +228,7 @@ impl HGraph {
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for block in &self.blocks {
-            for succ in block.terminator.successors() {
-                preds[succ.index()].push(block.id);
-            }
+            block.terminator.for_each_successor(|succ| preds[succ.index()].push(block.id));
         }
         preds
     }
@@ -206,9 +244,7 @@ impl HGraph {
                 continue;
             }
             order.push(b);
-            for s in self.blocks[b.index()].terminator.successors() {
-                stack.push(s);
-            }
+            self.blocks[b.index()].terminator.for_each_successor(|s| stack.push(s));
         }
         order
     }

@@ -1,43 +1,75 @@
 //! Local copy propagation: within a block, uses of a copied register are
 //! redirected to the copy source while the copy relation holds.
-
-use std::collections::HashMap;
+//!
+//! The relation lives in one register-indexed table allocated per run.
+//! The pass relies on `reg < num_regs` (the verifier and
+//! [`check`](crate::check) enforce it, `inline` keeps `num_regs` in
+//! step); a register outside the table on a hand-built graph is never
+//! indexed — it simply takes part in no copy relation.
 
 use calibro_dex::VReg;
 
 use crate::graph::{HGraph, HInsn, HTerminator};
 
+/// `copy_of[r] == s` means `r` currently holds the same value as `s`;
+/// `copy_of[r] == r` means no relation. `copies` lists the registers
+/// with a relation, so a write scans those instead of the whole table.
+struct Copies {
+    copy_of: Vec<u16>,
+    copies: Vec<u16>,
+}
+
+impl Copies {
+    fn resolve(&self, r: VReg) -> VReg {
+        self.copy_of.get(r.0 as usize).map_or(r, |&s| VReg(s))
+    }
+
+    /// Forgets every relation `reg` takes part in, as copy or as source.
+    fn kill(&mut self, reg: VReg) {
+        let copy_of = &mut self.copy_of;
+        self.copies.retain(|&d| {
+            let stale = d == reg.0 || copy_of[d as usize] == reg.0;
+            if stale {
+                copy_of[d as usize] = d;
+            }
+            !stale
+        });
+    }
+
+    fn record(&mut self, dst: VReg, src: VReg) {
+        if let Some(slot) = self.copy_of.get_mut(dst.0 as usize) {
+            *slot = src.0;
+            self.copies.push(dst.0);
+        }
+    }
+}
+
 /// Runs the pass; returns the number of operand replacements.
 pub fn run(graph: &mut HGraph) -> usize {
     let mut changes = 0;
+    let mut rel = Copies { copy_of: (0..graph.num_regs).collect(), copies: Vec::new() };
     for block in &mut graph.blocks {
-        // copy_of[r] = s  means  r currently holds the same value as s.
-        let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
-        let resolve =
-            |copy_of: &HashMap<VReg, VReg>, r: VReg| copy_of.get(&r).copied().unwrap_or(r);
-        let kill = |copy_of: &mut HashMap<VReg, VReg>, dst: VReg| {
-            copy_of.remove(&dst);
-            copy_of.retain(|_, src| *src != dst);
-        };
-
         for insn in &mut block.insns {
             // Rewrite reads first.
-            changes += rewrite_reads(insn, |r| resolve(&copy_of, r));
+            changes += rewrite_reads(insn, |r| rel.resolve(r));
             // Then update the relation for the write.
             match insn {
                 HInsn::Move { dst, src } if dst != src => {
-                    let (d, s) = (*dst, *src);
-                    kill(&mut copy_of, d);
-                    copy_of.insert(d, s);
+                    rel.kill(*dst);
+                    rel.record(*dst, *src);
                 }
                 _ => {
                     if let Some(dst) = insn.writes() {
-                        kill(&mut copy_of, dst);
+                        rel.kill(dst);
                     }
                 }
             }
         }
-        changes += rewrite_terminator_reads(&mut block.terminator, |r| resolve(&copy_of, r));
+        changes += rewrite_terminator_reads(&mut block.terminator, |r| rel.resolve(r));
+        // The relation is block-local.
+        for d in rel.copies.drain(..) {
+            rel.copy_of[d as usize] = d;
+        }
     }
     changes
 }

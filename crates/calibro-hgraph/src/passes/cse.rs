@@ -1,13 +1,16 @@
 //! Local common-subexpression elimination (dex2oat lists global CSE; this
 //! reproduction implements the per-block variant over pure expressions).
-
-use std::collections::HashMap;
+//!
+//! The available-expression table is a plain list, cleared per block: it
+//! never holds more than one block's expressions, and every write
+//! already walks all of it to invalidate, so a lookup that walks it too
+//! costs nothing a hash would save.
 
 use calibro_dex::{BinOp, VReg};
 
 use crate::graph::{HGraph, HInsn};
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Expr {
     Bin(BinOp, VReg, VReg),
     BinLit(BinOp, VReg, i16),
@@ -16,9 +19,10 @@ enum Expr {
 /// Runs the pass; returns the number of expressions replaced by moves.
 pub fn run(graph: &mut HGraph) -> usize {
     let mut changes = 0;
+    // (expr, register currently holding its value); one entry per expr.
+    let mut available: Vec<(Expr, VReg)> = Vec::new();
     for block in &mut graph.blocks {
-        // available[expr] = register currently holding its value.
-        let mut available: HashMap<Expr, VReg> = HashMap::new();
+        available.clear();
         for insn in &mut block.insns {
             let expr = match insn {
                 HInsn::Bin { op, a, b, .. } if !matches!(op, BinOp::Div) => {
@@ -30,7 +34,7 @@ pub fn run(graph: &mut HGraph) -> usize {
                 _ => None,
             };
             if let (Some(expr), Some(dst)) = (expr, insn.writes()) {
-                if let Some(&holder) = available.get(&expr) {
+                if let Some(&(_, holder)) = available.iter().find(|(e, _)| *e == expr) {
                     if holder != dst {
                         *insn = HInsn::Move { dst, src: holder };
                         changes += 1;
@@ -50,7 +54,7 @@ pub fn run(graph: &mut HGraph) -> usize {
                     Expr::BinLit(_, a, _) => a == dst,
                 };
                 if !reads_dst {
-                    available.insert(expr, dst);
+                    available.push((expr, dst));
                 }
             } else if let Some(dst) = insn.writes() {
                 invalidate(&mut available, dst);
@@ -61,8 +65,8 @@ pub fn run(graph: &mut HGraph) -> usize {
 }
 
 /// Drops every expression that reads or is held in `reg`.
-fn invalidate(available: &mut HashMap<Expr, VReg>, reg: VReg) {
-    available.retain(|expr, holder| {
+fn invalidate(available: &mut Vec<(Expr, VReg)>, reg: VReg) {
+    available.retain(|(expr, holder)| {
         if *holder == reg {
             return false;
         }

@@ -1,99 +1,125 @@
 //! Global dead-code elimination via backward liveness dataflow, plus
 //! unreachable-block elimination — dex2oat's "dead code and unreachable
 //! code elimination".
-
-use std::collections::HashSet;
+//!
+//! Liveness is a dense bitset dataflow: block `b`'s set is the
+//! `words = ceil(num_regs / 64)` words at `b * words` of one flat
+//! `Vec<u64>`. The pass relies on `reg < num_regs` (the verifier and
+//! [`check`](crate::check) enforce it, `inline` keeps `num_regs` in
+//! step); a register outside the bitset on a hand-built graph is never
+//! indexed — it is treated as always live, so nothing that writes it is
+//! removed.
 
 use calibro_dex::VReg;
 
 use crate::graph::{BlockId, HGraph, HTerminator};
 
-/// Removes pure instructions whose results are never used. Returns the
-/// number of removed instructions.
-pub fn run(graph: &mut HGraph) -> usize {
-    let preds = graph.predecessors();
-    let n = graph.blocks.len();
+fn set(bits: &mut [u64], reg: VReg) {
+    if let Some(word) = bits.get_mut(reg.0 as usize / 64) {
+        *word |= 1 << (reg.0 % 64);
+    }
+}
 
-    // live_out[b]: registers live when leaving block b. Fixpoint.
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+fn clear(bits: &mut [u64], reg: VReg) {
+    if let Some(word) = bits.get_mut(reg.0 as usize / 64) {
+        *word &= !(1 << (reg.0 % 64));
+    }
+}
+
+fn is_live(bits: &[u64], reg: VReg) -> bool {
+    bits.get(reg.0 as usize / 64).is_none_or(|word| word & (1 << (reg.0 % 64)) != 0)
+}
+
+/// Registers live when leaving each block: `(words, live_out)` with
+/// block `b`'s set at `live_out[b * words..][..words]`.
+fn live_out_sets(graph: &HGraph) -> (usize, Vec<u64>) {
+    let n = graph.blocks.len();
+    let words = (graph.num_regs as usize).div_ceil(64).max(1);
+    // live_in[b] = gen[b] | (live_out[b] & !kill[b]): `gen` holds the
+    // reads not preceded by a write in the block, `kill` the writes.
+    let mut gen = vec![0u64; n * words];
+    let mut kill = vec![0u64; n * words];
+    for (b, block) in graph.blocks.iter().enumerate() {
+        let (gen, kill) = (&mut gen[b * words..][..words], &mut kill[b * words..][..words]);
+        block.terminator.for_each_read(|r| set(gen, r));
+        for insn in block.insns.iter().rev() {
+            if let Some(dst) = insn.writes() {
+                clear(gen, dst);
+                set(kill, dst);
+            }
+            insn.for_each_read(|r| set(gen, r));
+        }
+    }
+
+    // Fixpoint, blocks in reverse order, each pulling from its successors.
+    let mut live_out = vec![0u64; n * words];
     let mut changed = true;
     while changed {
         changed = false;
-        for bi in (0..n).rev() {
-            let live_in = live_in_of(graph, bi, &live_out[bi]);
-            for &p in &preds[bi] {
-                for r in &live_in {
-                    if live_out[p.index()].insert(*r) {
-                        changed = true;
-                    }
+        for (b, block) in graph.blocks.iter().enumerate().rev() {
+            block.terminator.for_each_successor(|succ| {
+                let s = succ.index() * words;
+                for w in 0..words {
+                    let live_in = gen[s + w] | (live_out[s + w] & !kill[s + w]);
+                    let merged = live_out[b * words + w] | live_in;
+                    changed |= merged != live_out[b * words + w];
+                    live_out[b * words + w] = merged;
                 }
-            }
+            });
         }
     }
-
-    // Sweep each block backwards, dropping dead pure instructions.
-    let mut removed = 0;
-    for (bi, block_live_out) in live_out.iter().enumerate().take(n) {
-        let mut live = block_live_out.clone();
-        for r in graph.blocks[bi].terminator.reads() {
-            live.insert(r);
-        }
-        let insns = std::mem::take(&mut graph.blocks[bi].insns);
-        let mut kept = Vec::with_capacity(insns.len());
-        for insn in insns.into_iter().rev() {
-            let dead = match insn.writes() {
-                Some(dst) => insn.is_pure() && !live.contains(&dst),
-                None => false,
-            };
-            if dead {
-                removed += 1;
-                continue;
-            }
-            if let Some(dst) = insn.writes() {
-                live.remove(&dst);
-            }
-            for r in insn.reads() {
-                live.insert(r);
-            }
-            kept.push(insn);
-        }
-        kept.reverse();
-        graph.blocks[bi].insns = kept;
-    }
-    removed
+    (words, live_out)
 }
 
-/// Computes live-in of block `bi` given its live-out set.
-fn live_in_of(graph: &HGraph, bi: usize, live_out: &HashSet<VReg>) -> HashSet<VReg> {
-    let block = &graph.blocks[bi];
-    let mut live = live_out.clone();
-    for r in block.terminator.reads() {
-        live.insert(r);
-    }
-    for insn in block.insns.iter().rev() {
-        if let Some(dst) = insn.writes() {
-            live.remove(&dst);
+/// Removes pure instructions whose results are never used. Returns the
+/// number of removed instructions.
+pub fn run(graph: &mut HGraph) -> usize {
+    let (words, live_out) = live_out_sets(graph);
+
+    // Sweep each block back to front: a survivor is swapped to the front
+    // of the survivors already found, so they end up in order in
+    // `insns[kept_from..]` and the dead writes in `insns[..kept_from]`.
+    let mut removed = 0;
+    let mut live = vec![0u64; words];
+    for (b, block) in graph.blocks.iter_mut().enumerate() {
+        live.copy_from_slice(&live_out[b * words..][..words]);
+        block.terminator.for_each_read(|r| set(&mut live, r));
+        let mut kept_from = block.insns.len();
+        for i in (0..block.insns.len()).rev() {
+            let insn = &block.insns[i];
+            if let Some(dst) = insn.writes() {
+                if insn.is_pure() && !is_live(&live, dst) {
+                    continue;
+                }
+                clear(&mut live, dst);
+            }
+            insn.for_each_read(|r| set(&mut live, r));
+            kept_from -= 1;
+            block.insns.swap(i, kept_from);
         }
-        for r in insn.reads() {
-            live.insert(r);
-        }
+        removed += kept_from;
+        block.insns.drain(..kept_from);
     }
-    live
+    removed
 }
 
 /// Removes blocks unreachable from the entry and renumbers the rest.
 /// Returns the number of removed blocks.
 pub fn remove_unreachable(graph: &mut HGraph) -> usize {
-    let reachable: HashSet<BlockId> = graph.reachable().into_iter().collect();
+    let reachable = graph.reachable();
     if reachable.len() == graph.blocks.len() {
         return 0;
+    }
+    let mut seen = vec![false; graph.blocks.len()];
+    for block in reachable {
+        seen[block.index()] = true;
     }
     // Build the renumbering map.
     let mut remap = vec![None; graph.blocks.len()];
     let mut next = 0u32;
-    for (i, block) in graph.blocks.iter().enumerate() {
-        if reachable.contains(&block.id) {
-            remap[i] = Some(BlockId(next));
+    for (slot, &seen) in remap.iter_mut().zip(&seen) {
+        if seen {
+            *slot = Some(BlockId(next));
             next += 1;
         }
     }
@@ -101,7 +127,7 @@ pub fn remove_unreachable(graph: &mut HGraph) -> usize {
     let fix = |b: &mut BlockId| {
         *b = remap[b.index()].expect("edge from a reachable block into a removed block");
     };
-    graph.blocks.retain(|b| reachable.contains(&b.id));
+    graph.blocks.retain(|b| seen[b.id.index()]);
     for block in &mut graph.blocks {
         fix(&mut block.id);
         match &mut block.terminator {
@@ -235,5 +261,187 @@ mod tests {
         assert_eq!(g.blocks.len(), 2);
         assert_eq!(g.blocks[0].terminator, HTerminator::Goto { target: BlockId(1) });
         assert_eq!(g.blocks[1].id, BlockId(1));
+    }
+
+    /// The hash-set implementation the bitsets replaced, kept verbatim as
+    /// the oracle: push along predecessor edges, one `HashSet` per block.
+    mod reference {
+        use std::collections::HashSet;
+
+        use calibro_dex::VReg;
+
+        use crate::graph::HGraph;
+
+        fn live_in(graph: &HGraph, bi: usize, live_out: &HashSet<VReg>) -> HashSet<VReg> {
+            let block = &graph.blocks[bi];
+            let mut live = live_out.clone();
+            live.extend(block.terminator.reads());
+            for insn in block.insns.iter().rev() {
+                if let Some(dst) = insn.writes() {
+                    live.remove(&dst);
+                }
+                live.extend(insn.reads());
+            }
+            live
+        }
+
+        pub fn live_out_sets(graph: &HGraph) -> Vec<HashSet<VReg>> {
+            let preds = graph.predecessors();
+            let n = graph.blocks.len();
+            let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for bi in (0..n).rev() {
+                    let live_in = live_in(graph, bi, &live_out[bi]);
+                    for &p in &preds[bi] {
+                        for r in &live_in {
+                            changed |= live_out[p.index()].insert(*r);
+                        }
+                    }
+                }
+            }
+            live_out
+        }
+
+        pub fn run(graph: &mut HGraph) -> usize {
+            let live_out = live_out_sets(graph);
+            let mut removed = 0;
+            for (block, mut live) in graph.blocks.iter_mut().zip(live_out) {
+                live.extend(block.terminator.reads());
+                let mut kept = Vec::with_capacity(block.insns.len());
+                for insn in std::mem::take(&mut block.insns).into_iter().rev() {
+                    if insn.writes().is_some_and(|dst| insn.is_pure() && !live.contains(&dst)) {
+                        removed += 1;
+                        continue;
+                    }
+                    if let Some(dst) = insn.writes() {
+                        live.remove(&dst);
+                    }
+                    live.extend(insn.reads());
+                    kept.push(insn);
+                }
+                kept.reverse();
+                block.insns = kept;
+            }
+            removed
+        }
+    }
+
+    mod props {
+        use calibro_dex::{BinOp, Cmp, InvokeKind, MethodId, VReg};
+        use proptest::prelude::*;
+
+        use super::super::{is_live, live_out_sets, run};
+        use super::reference;
+        use crate::graph::{BlockId, HBlock, HGraph, HInsn, HTerminator};
+
+        type RawInsn = (u8, u16, u16, u16);
+        type RawBlock = (Vec<RawInsn>, u8, u16, u16, Vec<u32>);
+
+        /// Random CFGs over a handful of registers around the 64-bit
+        /// word boundaries, so writes and reads actually meet. Edges go
+        /// anywhere: loops, self-loops, switches and unreachable blocks
+        /// all occur.
+        fn any_graph() -> impl Strategy<Value = HGraph> {
+            let raw_insn = (0u8..7, any::<u16>(), any::<u16>(), any::<u16>());
+            let raw_block = (
+                prop::collection::vec(raw_insn, 0..6),
+                0u8..7,
+                any::<u16>(),
+                any::<u16>(),
+                prop::collection::vec(any::<u32>(), 1..4),
+            );
+            let num_regs = prop_oneof![Just(1u16), Just(63), Just(64), Just(65), Just(130)];
+            (num_regs, prop::collection::vec(raw_block, 1..9))
+                .prop_map(|(num_regs, raw)| graph_from(num_regs, &raw))
+        }
+
+        fn graph_from(num_regs: u16, raw: &[RawBlock]) -> HGraph {
+            let reg = |r: u16| {
+                const NEAR_WORD_EDGES: [u16; 8] = [0, 1, 62, 63, 64, 65, 128, 129];
+                VReg(NEAR_WORD_EDGES[r as usize % 8] % num_regs)
+            };
+            let bb = |b: u32| BlockId(b % raw.len() as u32);
+            let blocks = raw
+                .iter()
+                .enumerate()
+                .map(|(id, (insns, kind, a, b, edges))| HBlock {
+                    id: BlockId(id as u32),
+                    insns: insns
+                        .iter()
+                        .map(|&(kind, dst, a, b)| match kind {
+                            0 => HInsn::Const { dst: reg(dst), value: 7 },
+                            1 => HInsn::Move { dst: reg(dst), src: reg(a) },
+                            2 => HInsn::Bin { op: BinOp::Add, dst: reg(dst), a: reg(a), b: reg(b) },
+                            // Impure: must survive a dead destination.
+                            3 => HInsn::Bin { op: BinOp::Div, dst: reg(dst), a: reg(a), b: reg(b) },
+                            4 => HInsn::BinLit { op: BinOp::Xor, dst: reg(dst), a: reg(a), lit: 3 },
+                            5 => HInsn::SPut { src: reg(a), slot: calibro_dex::StaticId(0) },
+                            _ => HInsn::Invoke {
+                                kind: InvokeKind::Static,
+                                method: MethodId(0),
+                                args: vec![reg(a), reg(b)],
+                                dst: (dst % 2 == 0).then(|| reg(dst)),
+                            },
+                        })
+                        .collect(),
+                    terminator: match kind {
+                        0 => HTerminator::Goto { target: bb(edges[0]) },
+                        1 => HTerminator::If {
+                            cmp: Cmp::Lt,
+                            a: reg(*a),
+                            b: reg(*b),
+                            then_bb: bb(edges[0]),
+                            else_bb: bb(edges[0] >> 8),
+                        },
+                        2 => HTerminator::IfZ {
+                            cmp: Cmp::Eq,
+                            a: reg(*a),
+                            then_bb: bb(edges[0]),
+                            else_bb: bb(edges[0] >> 8),
+                        },
+                        3 => HTerminator::Switch {
+                            src: reg(*a),
+                            first_key: 0,
+                            targets: edges.iter().map(|&e| bb(e)).collect(),
+                            default: bb(edges[0] >> 8),
+                        },
+                        4 => HTerminator::Return { src: Some(reg(*a)) },
+                        5 => HTerminator::Return { src: None },
+                        _ => HTerminator::Throw { src: reg(*a) },
+                    },
+                })
+                .collect();
+            HGraph { method: MethodId(0), blocks, num_regs, num_args: 0 }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every block's live-out bitset is exactly the reference's
+            /// hash set, and the sweep removes exactly the same
+            /// instructions.
+            #[test]
+            fn bitset_liveness_equals_the_hash_set_reference(graph in any_graph()) {
+                let (words, bits) = live_out_sets(&graph);
+                prop_assert_eq!(words, (graph.num_regs as usize).div_ceil(64).max(1));
+                let expected = reference::live_out_sets(&graph);
+                for (b, expected) in expected.iter().enumerate() {
+                    let live = &bits[b * words..][..words];
+                    for r in (0..graph.num_regs).map(VReg) {
+                        prop_assert_eq!(
+                            is_live(live, r),
+                            expected.contains(&r),
+                            "block {} register {}", b, r
+                        );
+                    }
+                }
+
+                let (mut dense, mut hashed) = (graph.clone(), graph);
+                prop_assert_eq!(run(&mut dense), reference::run(&mut hashed));
+                prop_assert_eq!(dense.blocks, hashed.blocks);
+            }
+        }
     }
 }

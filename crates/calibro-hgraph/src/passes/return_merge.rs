@@ -1,39 +1,58 @@
 //! Return merging (listed among dex2oat's code-size optimizations):
 //! duplicate return-only blocks are merged into one, so each method keeps
 //! a single epilogue per distinct return shape.
+//!
+//! Both tables are dense: the canonical block per return shape is
+//! indexed by the returned register, the alias map by [`BlockId`]. The
+//! pass relies on `reg < num_regs` and in-range block ids (the verifier
+//! and [`check`](crate::check) enforce both); on a hand-built graph a
+//! register or block outside its table is never indexed — that block is
+//! simply not merged.
 
-use std::collections::HashMap;
+use calibro_dex::VReg;
 
-use crate::graph::{BlockId, HGraph, HTerminator};
+use crate::graph::{BlockId, HBlock, HGraph, HTerminator};
+
+/// What a bodyless return block returns (`Some(None)` for return-void);
+/// `None` for every other block.
+fn return_shape(block: &HBlock) -> Option<Option<VReg>> {
+    match block.terminator {
+        HTerminator::Return { src } if block.insns.is_empty() => Some(src),
+        _ => None,
+    }
+}
 
 /// Runs the pass; returns the number of redirected edges. Duplicate
 /// blocks become unreachable and are collected by
 /// [`remove_unreachable`](crate::passes::dce::remove_unreachable).
 pub fn run(graph: &mut HGraph) -> usize {
-    // Canonical block per return shape (only bodyless return blocks).
-    let mut canonical: HashMap<Option<calibro_dex::VReg>, BlockId> = HashMap::new();
-    let mut alias: HashMap<BlockId, BlockId> = HashMap::new();
+    // Most methods have a single epilogue: nothing to merge, no tables.
+    if graph.blocks.iter().filter_map(return_shape).nth(1).is_none() {
+        return 0;
+    }
+    // Canonical block per return shape: slot 0 is `return-void`, slot
+    // `r + 1` is `return vr`.
+    let mut canonical: Vec<Option<BlockId>> = vec![None; graph.num_regs as usize + 1];
+    let mut alias: Vec<Option<BlockId>> = vec![None; graph.blocks.len()];
+    let mut aliased = false;
     for block in &graph.blocks {
-        if !block.insns.is_empty() {
-            continue;
-        }
-        if let HTerminator::Return { src } = block.terminator {
-            match canonical.get(&src) {
-                Some(&keep) => {
-                    alias.insert(block.id, keep);
-                }
-                None => {
-                    canonical.insert(src, block.id);
-                }
+        let Some(src) = return_shape(block) else { continue };
+        let shape = src.map_or(0, |r| r.0 as usize + 1);
+        match (canonical.get_mut(shape), alias.get_mut(block.id.index())) {
+            (Some(Some(keep)), Some(slot)) => {
+                *slot = Some(*keep);
+                aliased = true;
             }
+            (Some(first @ None), _) => *first = Some(block.id),
+            _ => {}
         }
     }
-    if alias.is_empty() {
+    if !aliased {
         return 0;
     }
     let mut changes = 0;
     let mut fix = |b: &mut BlockId| {
-        if let Some(&keep) = alias.get(b) {
+        if let Some(keep) = alias.get(b.index()).copied().flatten() {
             *b = keep;
             changes += 1;
         }
@@ -61,8 +80,8 @@ pub fn run(graph: &mut HGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{HBlock, HInsn};
-    use calibro_dex::{Cmp, MethodId, VReg};
+    use crate::graph::HInsn;
+    use calibro_dex::{Cmp, MethodId};
 
     #[test]
     fn duplicate_returns_merge() {

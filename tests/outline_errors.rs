@@ -4,11 +4,44 @@
 //! payload — never abort the process or poison later builds.
 //!
 //! Fault injection goes through [`calibro::detect_fault`], a
-//! process-global hook, so everything lives in one test function to
-//! keep arm/disarm ordered.
+//! process-global hook, so everything that reaches detection lives in
+//! one test function to keep arm/disarm ordered.
+//!
+//! The same rule one layer down: malformed dex that would make a compile
+//! worker panic is refused by the verifier with a typed
+//! [`BuildError::Verify`] before any worker sees it.
 
 use calibro::{build, detect_fault, BuildError, BuildOptions, LtboMode};
+use calibro_dex::{DexFile, DexInsn, Method, MethodId, VerifyError};
 use calibro_workloads::{generate, AppSpec};
+
+#[test]
+fn more_arguments_than_registers_is_a_verify_error_not_a_worker_panic() {
+    // Codegen, the inliner and the evaluator all compute
+    // `num_regs - num_args`; the build fails at verification, before
+    // detection, so the fault the other test arms is never reached.
+    let mut dex = DexFile::new();
+    let class = dex.add_class("Main", 0);
+    dex.add_method(Method {
+        id: MethodId(0),
+        class,
+        name: "m".into(),
+        num_regs: 1,
+        num_args: 2,
+        insns: vec![DexInsn::ReturnVoid],
+        is_native: false,
+    });
+    for options in [BuildOptions::baseline(), BuildOptions::cto_ltbo()] {
+        match build(&dex, &options) {
+            Err(BuildError::Verify(error)) => assert_eq!(
+                error,
+                VerifyError::ArgsExceedRegisters { method: MethodId(0), num_args: 2, num_regs: 1 }
+            ),
+            Err(other) => panic!("expected a verify error, got: {other}"),
+            Ok(_) => panic!("a method with more arguments than registers was compiled"),
+        }
+    }
+}
 
 #[test]
 fn injected_detection_panic_surfaces_as_typed_error() {
