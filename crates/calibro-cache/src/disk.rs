@@ -4,15 +4,20 @@
 //!
 //! Framing, file I/O and the validation gauntlet are written once,
 //! generically over [`LaneEntry`]; what differs per lane — magic, file
-//! extension, payload codec, structural validator — is the entry type's
-//! `LaneEntry` impl at the bottom of this file.
+//! extension, structural validator — is the entry type's `LaneEntry`
+//! row at the bottom of this file. The payload codec is not written
+//! here at all: every persisted type is a row of the [`Wire`] table
+//! (`wire_fields!` over its fields, in payload order), so its binary
+//! form, bounds rule and error labels are the ones [`crate::wire`]
+//! decides for every other byte that crosses a trust boundary.
 //!
 //! Instructions are stored as their encoded machine words — the same
 //! canonical encoding the linker emits — so a loaded entry re-encodes
-//! bit-identically. Every serializer destructures its input
-//! exhaustively: adding a field to a cached type fails compilation here
-//! until the format (and [`FORMAT_VERSION`]) is updated.
+//! bit-identically. Every row is exhaustive over its struct: adding a
+//! field to a cached type fails compilation here until the format (and
+//! [`FORMAT_VERSION`]) is updated.
 
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 
 use calibro_codegen::{
@@ -20,6 +25,7 @@ use calibro_codegen::{
 };
 use calibro_hgraph::PassStats;
 use calibro_isa::Insn;
+use calibro_suffix::OutlineCandidate;
 
 use crate::entry::{
     CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate,
@@ -28,20 +34,27 @@ use crate::entry::{
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::peer::PeerLane;
+use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 
-/// Bumped whenever the on-disk layout changes; old entries are rejected
-/// as corrupt (and overwritten on the next store).
+/// Bumped whenever the on-disk layout changes. A well-formed frame of
+/// another version is not an error: a disk read treats it as absent (an
+/// ordinary miss, and the recompute's store overwrites the file), a
+/// peer fetch as a counted peer error — so upgrading across a version
+/// needs no manual cache wipe.
 ///
 /// Version 2: call-target tag 5 (`Merged`) and the `.calm` merge-plan
 /// lane. Version 3: call-target tag 6 (`Dict`) and the `.cald`
-/// shared-dictionary lane.
-pub const FORMAT_VERSION: u32 = 3;
+/// shared-dictionary lane. Version 4: payloads are [`Wire`] rows —
+/// collection counts are `u32` (were `u64`), a runtime-entry thunk
+/// offset is a `u16` (was `u32`), a bool byte other than 0 or 1 is
+/// rejected.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
 /// atomic disk writes, strict reads, peer adoption — is written once
 /// over this trait.
-pub trait LaneEntry: Sized + Send + Sync + 'static {
+pub trait LaneEntry: Wire + Send + Sync + 'static {
     /// Frame magic, the first four bytes of every interchange frame.
     const MAGIC: [u8; 4];
     /// File extension of the lane's disk entries (`<key>.<EXT>`).
@@ -49,22 +62,6 @@ pub trait LaneEntry: Sized + Send + Sync + 'static {
     /// The lane's fleet wire code; `None` keeps the lane local-only
     /// (it never consults the peer source and no peer can ask for it).
     const PEER_LANE: Option<PeerLane>;
-
-    /// Serializes the payload (the frame body after the header).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the entry contains an instruction
-    /// that does not encode (such an entry could never link anyway).
-    fn encode(&self) -> Result<Vec<u8>, String>;
-
-    /// Decodes a payload, rejecting truncation, unknown tags,
-    /// implausible lengths and trailing bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    fn decode(payload: &[u8]) -> Result<Self, String>;
 
     /// Structural validation: every index a later stage will follow
     /// must be in bounds, so a poisoned entry is rejected with a typed
@@ -77,13 +74,21 @@ pub trait LaneEntry: Sized + Send + Sync + 'static {
 
     /// Approximate resident size in bytes, for the lane's byte budget.
     fn approx_bytes(&self) -> usize;
+
+    /// The machine instructions the entry carries (empty for the plan
+    /// lanes). [`to_frame`] vets that each one encodes before it writes
+    /// the payload, whose codec is infallible.
+    fn insns(&self) -> &[Insn];
 }
 
 fn entry_path<V: LaneEntry>(dir: &Path, key: CacheKey) -> PathBuf {
     dir.join(format!("{}.{}", key.to_hex(), V::EXT))
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`: the frame checksum, and the digest the daemon
+/// reports for a sealed artifact.
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -105,7 +110,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// Returns a description when the entry contains an instruction that
 /// does not encode.
 pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Result<Vec<u8>, String> {
-    let payload = entry.encode()?;
+    for insn in entry.insns() {
+        insn.encode().map_err(|e| format!("unencodable instruction: {e}"))?;
+    }
+    let payload = wire::encode(entry);
     let mut bytes = Vec::with_capacity(payload.len() + 40);
     bytes.extend_from_slice(&V::MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -166,12 +174,16 @@ pub(crate) fn store<V: LaneEntry>(dir: &Path, key: CacheKey, entry: &V) -> Resul
     write_atomic(dir, &path, &tmp, &bytes)
 }
 
-/// Loads and validates the entry for `key`, `Ok(None)` when absent.
+/// Loads and validates the entry for `key`, `Ok(None)` when absent —
+/// or when the file is a well-formed frame of another
+/// [`FORMAT_VERSION`]: a cache directory written by an older or newer
+/// build is a miss per entry, and the recompute's store overwrites the
+/// file.
 ///
 /// # Errors
 ///
 /// Returns [`CacheError`] when the file exists but cannot be read or
-/// fails any validation step.
+/// fails any other validation step.
 pub(crate) fn load<V: LaneEntry>(dir: &Path, key: CacheKey) -> Result<Option<V>, CacheError> {
     let path = entry_path::<V>(dir, key);
     let bytes = match std::fs::read(&path) {
@@ -179,13 +191,22 @@ pub(crate) fn load<V: LaneEntry>(dir: &Path, key: CacheKey) -> Result<Option<V>,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(CacheError::Io { path, detail: e.to_string() }),
     };
-    from_frame(key, &bytes).map(Some).map_err(|detail| CacheError::Corrupt { path, detail })
+    let corrupt = |detail| CacheError::Corrupt { path: path.clone(), detail };
+    if frame_version::<V>(&bytes).map_err(corrupt)? != FORMAT_VERSION {
+        return Ok(None);
+    }
+    from_frame(key, &bytes).map(Some).map_err(corrupt)
 }
 
-/// `true` when a persisted entry for `key` exists under `dir` (no
-/// validation — used by the drain flush to skip rewrites).
+/// `true` when a persisted entry for `key` exists under `dir` at the
+/// current [`FORMAT_VERSION`] — the header is read, the payload is not
+/// validated. Used by the drain flush to skip rewrites; a file [`load`]
+/// would read as absent is absent here too, so the flush replaces it.
 pub(crate) fn has<V: LaneEntry>(dir: &Path, key: CacheKey) -> bool {
-    entry_path::<V>(dir, key).exists()
+    let mut header = [0u8; 40];
+    std::fs::File::open(entry_path::<V>(dir, key))
+        .and_then(|mut file| file.read_exact(&mut header))
+        .is_ok_and(|()| frame_version::<V>(&header) == Ok(FORMAT_VERSION))
 }
 
 /// Decodes and fully validates an interchange frame produced by
@@ -198,17 +219,11 @@ pub(crate) fn has<V: LaneEntry>(dir: &Path, key: CacheKey) -> bool {
 /// magic, format version, key match, payload length, checksum, decode,
 /// or structural validation.
 pub fn from_frame<V: LaneEntry>(key: CacheKey, bytes: &[u8]) -> Result<V, String> {
-    if bytes.len() < 40 {
-        return Err("truncated header".to_owned());
-    }
-    if bytes[0..4] != V::MAGIC {
-        return Err("bad magic".to_owned());
-    }
-    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let version = frame_version::<V>(bytes)?;
     if version != FORMAT_VERSION {
         return Err(format!("format version {version}, expected {FORMAT_VERSION}"));
     }
+    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
     if word(8) != key.hi || word(16) != key.lo {
         return Err("key mismatch".to_owned());
     }
@@ -219,9 +234,21 @@ pub fn from_frame<V: LaneEntry>(key: CacheKey, bytes: &[u8]) -> Result<V, String
     if fnv64(payload) != word(32) {
         return Err("checksum mismatch".to_owned());
     }
-    let entry = V::decode(payload)?;
+    let entry: V = wire::decode(payload).map_err(|e| e.to_string())?;
     entry.validate()?;
     Ok(entry)
+}
+
+/// The format version a frame declares, once it is long enough to hold
+/// a header and leads with the lane's magic.
+fn frame_version<V: LaneEntry>(bytes: &[u8]) -> Result<u32, String> {
+    if bytes.len() < 40 {
+        return Err("truncated header".to_owned());
+    }
+    if bytes[0..4] != V::MAGIC {
+        return Err("bad magic".to_owned());
+    }
+    Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
 /// Structural validation of a loaded entry: every index the LTBO and
@@ -379,458 +406,124 @@ fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Codec.
+// Codec: every persisted type is a row of the `Wire` table.
 // ---------------------------------------------------------------------
 
-struct Writer(Vec<u8>);
+wire_fields!(Reloc { at, target });
+wire_fields!(PcRel { at, target });
+wire_fields!(StackMapEntry { native_offset, dex_pc });
+wire_fields!(MethodMetadata {
+    pc_rel,
+    terminators,
+    embedded_data,
+    has_indirect_jump,
+    is_native_stub,
+    slow_paths,
+});
+wire_fields!(CompiledMethod { method, insns, pool, relocs, metadata, stack_maps });
+wire_fields!(PassStats {
+    folded,
+    copies_propagated,
+    cse_hits,
+    dead_removed,
+    simplified,
+    returns_merged,
+    blocks_removed,
+    iterations,
+    insns_in,
+    insns_out,
+});
+wire_fields!(CacheEntry { compiled, pass_stats, template, ref_env });
+wire_fields!(OutlineCandidate { len, positions, symbols });
+wire_fields!(GroupPlanEntry { text_len, candidates });
+wire_fields!(MergePlanGroup { rep, members, diff_positions });
+wire_fields!(MergePlanEntry { member_count, groups });
+wire_fields!(DictEntry { insns, regs });
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-}
+wire_seq!(Reloc, PcRel, StackMapEntry, OutlineCandidate, MergePlanGroup);
 
-fn serialize_entry(entry: &CacheEntry) -> Result<Vec<u8>, String> {
-    let CacheEntry { compiled, pass_stats, template, ref_env } = entry;
-    let CompiledMethod { method, insns, pool, relocs, metadata, stack_maps } = compiled;
-    let mut w = Writer(Vec::new());
-    w.u32(method.0);
-    w.len(insns.len());
-    for insn in insns {
-        let word = insn.encode().map_err(|e| format!("unencodable instruction: {e}"))?;
-        w.u32(word);
-    }
-    w.len(pool.len());
-    for &p in pool {
-        w.u32(p);
-    }
-    w.len(relocs.len());
-    for Reloc { at, target } in relocs {
-        w.len(*at);
-        match target {
+/// One tag byte for the target kind — the three thunk kinds fused in —
+/// then the id, index or entrypoint offset it carries.
+impl Wire for CallTarget {
+    fn put(&self, w: &mut Writer) {
+        match self {
             CallTarget::Method(id) => {
                 w.u8(0);
-                w.u32(id.0);
+                id.put(w);
             }
             CallTarget::Thunk(ThunkKind::JavaEntry) => w.u8(1),
-            CallTarget::Thunk(ThunkKind::RuntimeEntry(off)) => {
+            CallTarget::Thunk(ThunkKind::RuntimeEntry(offset)) => {
                 w.u8(2);
-                w.u32(u32::from(*off));
+                offset.put(w);
             }
             CallTarget::Thunk(ThunkKind::StackCheck) => w.u8(3),
             CallTarget::Outlined(i) => {
                 w.u8(4);
-                w.u32(*i);
+                i.put(w);
             }
             CallTarget::Merged(i) => {
                 w.u8(5);
-                w.u32(*i);
+                i.put(w);
             }
             CallTarget::Dict(i) => {
                 w.u8(6);
-                w.u32(*i);
+                i.put(w);
             }
         }
     }
-    let MethodMetadata {
-        pc_rel,
-        terminators,
-        embedded_data,
-        has_indirect_jump,
-        is_native_stub,
-        slow_paths,
-    } = metadata;
-    w.len(pc_rel.len());
-    for PcRel { at, target } in pc_rel {
-        w.len(*at);
-        w.len(*target);
-    }
-    w.len(terminators.len());
-    for &t in terminators {
-        w.len(t);
-    }
-    w.len(embedded_data.len());
-    for &(s, l) in embedded_data {
-        w.len(s);
-        w.len(l);
-    }
-    w.u8(u8::from(*has_indirect_jump));
-    w.u8(u8::from(*is_native_stub));
-    w.len(slow_paths.len());
-    for &(s, e) in slow_paths {
-        w.len(s);
-        w.len(e);
-    }
-    w.len(stack_maps.len());
-    for StackMapEntry { native_offset, dex_pc } in stack_maps {
-        w.u32(*native_offset);
-        w.u32(*dex_pc);
-    }
-    let PassStats {
-        folded,
-        copies_propagated,
-        cse_hits,
-        dead_removed,
-        simplified,
-        returns_merged,
-        blocks_removed,
-        iterations,
-        insns_in,
-        insns_out,
-    } = pass_stats;
-    for v in [
-        folded,
-        copies_propagated,
-        cse_hits,
-        dead_removed,
-        simplified,
-        returns_merged,
-        blocks_removed,
-        iterations,
-        insns_in,
-        insns_out,
-    ] {
-        w.len(*v);
-    }
-    match template {
-        None => w.u8(0),
-        Some(t) => {
-            let slots = t.slots();
-            w.u8(1);
-            w.len(slots.len());
-            for slot in slots {
-                match *slot {
-                    TemplateSlot::Leader => w.u8(0),
-                    TemplateSlot::Fresh { word } => {
-                        w.u8(1);
-                        w.u32(word);
-                    }
-                    TemplateSlot::Lit { encoded, word } => {
-                        w.u8(2);
-                        w.u32(encoded);
-                        w.u32(word);
-                    }
-                }
-            }
-        }
-    }
-    w.u64(*ref_env);
-    Ok(w.0)
-}
 
-fn serialize_group(entry: &GroupPlanEntry) -> Result<Vec<u8>, String> {
-    let GroupPlanEntry { text_len, candidates } = entry;
-    let mut w = Writer(Vec::new());
-    w.len(*text_len);
-    w.len(candidates.len());
-    for c in candidates {
-        let calibro_suffix::OutlineCandidate { len, positions, symbols } = c;
-        w.len(*len);
-        w.len(positions.len());
-        for &p in positions {
-            w.len(p);
-        }
-        w.len(symbols.len());
-        for &s in symbols {
-            w.u64(s);
-        }
-    }
-    Ok(w.0)
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.bytes.len() {
-            return Err("truncated payload".to_owned());
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn len(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| "length exceeds usize".to_owned())
-    }
-    /// A collection length, sanity-bounded against the remaining bytes
-    /// so corrupt counts cannot trigger huge allocations.
-    fn bounded_len(&mut self, min_item_bytes: usize) -> Result<usize, String> {
-        let n = self.len()?;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(min_item_bytes.max(1)) > remaining {
-            return Err(format!("implausible collection length {n}"));
-        }
-        Ok(n)
-    }
-}
-
-fn deserialize_entry(payload: &[u8]) -> Result<CacheEntry, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let method = calibro_dex::MethodId(r.u32()?);
-    let n_insns = r.bounded_len(4)?;
-    let mut insns: Vec<Insn> = Vec::with_capacity(n_insns);
-    for _ in 0..n_insns {
-        let word = r.u32()?;
-        let insn =
-            calibro_isa::decode(word).map_err(|e| format!("undecodable word {word:#010x}: {e}"))?;
-        insns.push(insn);
-    }
-    let n_pool = r.bounded_len(4)?;
-    let mut pool = Vec::with_capacity(n_pool);
-    for _ in 0..n_pool {
-        pool.push(r.u32()?);
-    }
-    let n_relocs = r.bounded_len(9)?;
-    let mut relocs = Vec::with_capacity(n_relocs);
-    for _ in 0..n_relocs {
-        let at = r.len()?;
-        let target = match r.u8()? {
-            0 => CallTarget::Method(calibro_dex::MethodId(r.u32()?)),
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CallTarget, WireError> {
+        Ok(match r.u8(what)? {
+            0 => CallTarget::Method(Wire::get(r, what)?),
             1 => CallTarget::Thunk(ThunkKind::JavaEntry),
-            2 => {
-                let off = r.u32()?;
-                let off = u16::try_from(off).map_err(|_| "runtime entry offset overflow")?;
-                CallTarget::Thunk(ThunkKind::RuntimeEntry(off))
-            }
+            2 => CallTarget::Thunk(ThunkKind::RuntimeEntry(Wire::get(r, what)?)),
             3 => CallTarget::Thunk(ThunkKind::StackCheck),
-            4 => CallTarget::Outlined(r.u32()?),
-            5 => CallTarget::Merged(r.u32()?),
-            6 => CallTarget::Dict(r.u32()?),
-            t => return Err(format!("unknown call-target tag {t}")),
-        };
-        relocs.push(Reloc { at, target });
+            4 => CallTarget::Outlined(Wire::get(r, what)?),
+            5 => CallTarget::Merged(Wire::get(r, what)?),
+            6 => CallTarget::Dict(Wire::get(r, what)?),
+            tag => return Err(WireError::InvalidTag { what, tag }),
+        })
     }
-    let n_pc_rel = r.bounded_len(16)?;
-    let mut pc_rel = Vec::with_capacity(n_pc_rel);
-    for _ in 0..n_pc_rel {
-        let at = r.len()?;
-        let target = r.len()?;
-        pc_rel.push(PcRel { at, target });
-    }
-    let n_term = r.bounded_len(8)?;
-    let mut terminators = Vec::with_capacity(n_term);
-    for _ in 0..n_term {
-        terminators.push(r.len()?);
-    }
-    let n_embed = r.bounded_len(16)?;
-    let mut embedded_data = Vec::with_capacity(n_embed);
-    for _ in 0..n_embed {
-        let s = r.len()?;
-        let l = r.len()?;
-        embedded_data.push((s, l));
-    }
-    let has_indirect_jump = r.u8()? != 0;
-    let is_native_stub = r.u8()? != 0;
-    let n_slow = r.bounded_len(16)?;
-    let mut slow_paths = Vec::with_capacity(n_slow);
-    for _ in 0..n_slow {
-        let s = r.len()?;
-        let e = r.len()?;
-        slow_paths.push((s, e));
-    }
-    let n_maps = r.bounded_len(8)?;
-    let mut stack_maps = Vec::with_capacity(n_maps);
-    for _ in 0..n_maps {
-        let native_offset = r.u32()?;
-        let dex_pc = r.u32()?;
-        stack_maps.push(StackMapEntry { native_offset, dex_pc });
-    }
-    let mut pass_fields = [0usize; 10];
-    for slot in &mut pass_fields {
-        *slot = r.len()?;
-    }
-    let [folded, copies_propagated, cse_hits, dead_removed, simplified, returns_merged, blocks_removed, iterations, insns_in, insns_out] =
-        pass_fields;
-    let pass_stats = PassStats {
-        folded,
-        copies_propagated,
-        cse_hits,
-        dead_removed,
-        simplified,
-        returns_merged,
-        blocks_removed,
-        iterations,
-        insns_in,
-        insns_out,
-    };
-    let template = match r.u8()? {
-        0 => None,
-        1 => {
-            let n_slots = r.bounded_len(1)?;
-            let mut slots = Vec::with_capacity(n_slots);
-            for _ in 0..n_slots {
-                slots.push(match r.u8()? {
-                    0 => TemplateSlot::Leader,
-                    1 => TemplateSlot::Fresh { word: r.u32()? },
-                    2 => {
-                        let encoded = r.u32()?;
-                        let word = r.u32()?;
-                        TemplateSlot::Lit { encoded, word }
-                    }
-                    t => return Err(format!("unknown template slot tag {t}")),
-                });
+}
+
+impl Wire for TemplateSlot {
+    fn put(&self, w: &mut Writer) {
+        match *self {
+            TemplateSlot::Leader => w.u8(0),
+            TemplateSlot::Fresh { word } => {
+                w.u8(1);
+                word.put(w);
             }
-            // The canonical hashes are recomputed from the slots rather
-            // than trusted from disk: a template can then never carry
-            // hashes that disagree with its replay output, no matter
-            // what the file says.
-            Some(SymbolTemplate::new(slots))
+            TemplateSlot::Lit { encoded, word } => {
+                w.u8(2);
+                encoded.put(w);
+                word.put(w);
+            }
         }
-        t => return Err(format!("unknown template presence tag {t}")),
-    };
-    let ref_env = r.u64()?;
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing bytes", payload.len() - r.pos));
     }
-    Ok(CacheEntry {
-        compiled: CompiledMethod {
-            method,
-            insns,
-            pool,
-            relocs,
-            metadata: MethodMetadata {
-                pc_rel,
-                terminators,
-                embedded_data,
-                has_indirect_jump,
-                is_native_stub,
-                slow_paths,
-            },
-            stack_maps,
-        },
-        pass_stats,
-        template,
-        ref_env,
-    })
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<TemplateSlot, WireError> {
+        Ok(match r.u8(what)? {
+            0 => TemplateSlot::Leader,
+            1 => TemplateSlot::Fresh { word: Wire::get(r, what)? },
+            2 => TemplateSlot::Lit { encoded: Wire::get(r, what)?, word: Wire::get(r, what)? },
+            tag => return Err(WireError::InvalidTag { what, tag }),
+        })
+    }
 }
 
-fn deserialize_group(payload: &[u8]) -> Result<GroupPlanEntry, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let text_len = r.len()?;
-    let n_candidates = r.bounded_len(24)?;
-    let mut candidates = Vec::with_capacity(n_candidates);
-    for _ in 0..n_candidates {
-        let len = r.len()?;
-        let n_positions = r.bounded_len(8)?;
-        let mut positions = Vec::with_capacity(n_positions);
-        for _ in 0..n_positions {
-            positions.push(r.len()?);
-        }
-        let n_symbols = r.bounded_len(8)?;
-        let mut symbols = Vec::with_capacity(n_symbols);
-        for _ in 0..n_symbols {
-            symbols.push(r.u64()?);
-        }
-        candidates.push(calibro_suffix::OutlineCandidate { len, positions, symbols });
+/// A template travels as its slots alone. The canonical hashes are
+/// recomputed from the slots rather than trusted from disk: a template
+/// can then never carry hashes that disagree with its replay output, no
+/// matter what the file says.
+impl Wire for SymbolTemplate {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self.slots());
     }
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing bytes", payload.len() - r.pos));
-    }
-    Ok(GroupPlanEntry { text_len, candidates })
-}
 
-fn serialize_merge(entry: &MergePlanEntry) -> Result<Vec<u8>, String> {
-    let MergePlanEntry { member_count, groups } = entry;
-    let mut w = Writer(Vec::new());
-    w.u32(*member_count);
-    w.len(groups.len());
-    for g in groups {
-        let MergePlanGroup { rep, members, diff_positions } = g;
-        w.u32(*rep);
-        w.len(members.len());
-        for &m in members {
-            w.u32(m);
-        }
-        w.len(diff_positions.len());
-        for &d in diff_positions {
-            w.u32(d);
-        }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<SymbolTemplate, WireError> {
+        Ok(SymbolTemplate::new(r.seq(what)?))
     }
-    Ok(w.0)
-}
-
-fn serialize_dict(entry: &DictEntry) -> Result<Vec<u8>, String> {
-    let DictEntry { insns, regs } = entry;
-    let mut w = Writer(Vec::new());
-    w.len(insns.len());
-    for insn in insns {
-        let word = insn.encode().map_err(|e| format!("unencodable instruction: {e}"))?;
-        w.u32(word);
-    }
-    w.len(regs.len());
-    for &r in regs {
-        w.u8(r);
-    }
-    Ok(w.0)
-}
-
-fn deserialize_dict(payload: &[u8]) -> Result<DictEntry, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let n_insns = r.bounded_len(4)?;
-    let mut insns: Vec<Insn> = Vec::with_capacity(n_insns);
-    for _ in 0..n_insns {
-        let word = r.u32()?;
-        let insn =
-            calibro_isa::decode(word).map_err(|e| format!("undecodable word {word:#010x}: {e}"))?;
-        insns.push(insn);
-    }
-    let n_regs = r.bounded_len(1)?;
-    let mut regs = Vec::with_capacity(n_regs);
-    for _ in 0..n_regs {
-        regs.push(r.u8()?);
-    }
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing bytes", payload.len() - r.pos));
-    }
-    Ok(DictEntry { insns, regs })
-}
-
-fn deserialize_merge(payload: &[u8]) -> Result<MergePlanEntry, String> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let member_count = r.u32()?;
-    let n_groups = r.bounded_len(14)?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        let rep = r.u32()?;
-        let n_members = r.bounded_len(4)?;
-        let mut members = Vec::with_capacity(n_members);
-        for _ in 0..n_members {
-            members.push(r.u32()?);
-        }
-        let n_diffs = r.bounded_len(4)?;
-        let mut diff_positions = Vec::with_capacity(n_diffs);
-        for _ in 0..n_diffs {
-            diff_positions.push(r.u32()?);
-        }
-        groups.push(MergePlanGroup { rep, members, diff_positions });
-    }
-    if r.pos != payload.len() {
-        return Err(format!("{} trailing bytes", payload.len() - r.pos));
-    }
-    Ok(MergePlanEntry { member_count, groups })
 }
 
 // ---------------------------------------------------------------------
@@ -838,25 +531,24 @@ fn deserialize_merge(payload: &[u8]) -> Result<MergePlanEntry, String> {
 // ---------------------------------------------------------------------
 
 /// The lane table: one row per entry type — frame magic, file
-/// extension, fleet wire code, then the payload codec and structural
-/// validator defined above.
+/// extension, fleet wire code, the structural validator defined above,
+/// and where the entry keeps its instructions (the payload codec is the
+/// type's `Wire` row).
 macro_rules! lanes {
-    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $encode:path, $decode:path, $validate:path;)*) => {$(
+    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $validate:path, $insns:expr;)*) => {$(
         impl LaneEntry for $entry {
             const MAGIC: [u8; 4] = *$magic;
             const EXT: &'static str = $ext;
             const PEER_LANE: Option<PeerLane> = $peer;
-            fn encode(&self) -> Result<Vec<u8>, String> {
-                $encode(self)
-            }
-            fn decode(payload: &[u8]) -> Result<Self, String> {
-                $decode(payload)
-            }
             fn validate(&self) -> Result<(), String> {
                 $validate(self)
             }
             fn approx_bytes(&self) -> usize {
                 <$entry>::approx_bytes(self)
+            }
+            fn insns(&self) -> &[Insn] {
+                let insns: fn(&$entry) -> &[Insn] = $insns;
+                insns(self)
             }
         }
     )*};
@@ -865,15 +557,16 @@ macro_rules! lanes {
 // The merge lane is local-only: a plan is cheaper to recompute than a
 // network exchange, so the fleet protocol carries no code for it.
 lanes! {
-    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), serialize_entry, deserialize_entry, validate_entry;
-    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), serialize_group, deserialize_group, validate_group_entry;
-    MergePlanEntry: b"CALM", "calm", None, serialize_merge, deserialize_merge, validate_merge_entry;
-    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), serialize_dict, deserialize_dict, validate_dict_entry;
+    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry, |e| &e.compiled.insns;
+    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry, |_| &[];
+    MergePlanEntry: b"CALM", "calm", None, validate_merge_entry, |_| &[];
+    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), validate_dict_entry, |e| &e.insns;
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::wire::FieldEnds;
     use calibro_isa::Reg;
 
     pub(crate) fn sample_entry() -> CacheEntry {
@@ -957,29 +650,207 @@ pub(crate) mod tests {
     pub(crate) const FIXTURE_KEY: CacheKey =
         CacheKey { hi: 0x0123_4567_89ab_cdef, lo: 0xfedc_ba98_7654_3210 };
 
-    /// The four `tests/fixtures/` files, written by the per-lane
-    /// `store_*` functions of the commit before the lanes were unified
-    /// (PR 15) from the `sample_*` entries above.
-    pub(crate) const FIXTURES: [(&str, &[u8]); 4] = [
-        ("calc", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calc")),
-        ("calg", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calg")),
-        ("calm", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.calm")),
-        ("cald", include_bytes!("../tests/fixtures/0123456789abcdeffedcba9876543210.cald")),
-    ];
+    macro_rules! fixtures {
+        ($dir:literal) => {
+            [
+                ("calc", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calc"))),
+                ("calg", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calg"))),
+                ("calm", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calm"))),
+                ("cald", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.cald"))),
+            ]
+        };
+    }
 
-    fn assert_frame_pinned<V: LaneEntry>(sample: &V) {
-        let (_, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("lane fixture");
-        assert_eq!(to_frame(FIXTURE_KEY, sample).unwrap(), *fixture, ".{} frame moved", V::EXT);
-        let back: V = from_frame(FIXTURE_KEY, fixture).expect("old frame still decodes");
-        assert_eq!(to_frame(FIXTURE_KEY, &back).unwrap(), *fixture, ".{} re-encode", V::EXT);
+    /// The four `tests/fixtures/` files: the `sample_*` entries above,
+    /// framed under [`FIXTURE_KEY`] by [`to_frame`] at format version 4.
+    const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
+
+    /// The same entries as format version 3 wrote them (the hand-written
+    /// serialisers, `u64` counts) — kept to prove a stale directory
+    /// degrades to misses.
+    pub(crate) const V3_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/v3/");
+
+    /// Where `field` starts in `value`'s encoding.
+    fn start_of(value: &impl FieldEnds, field: &str) -> usize {
+        let ends = value.field_ends();
+        let i = ends.iter().position(|&(name, _)| name == field).expect("a field of the struct");
+        i.checked_sub(1).map_or(0, |before| ends[before].1)
+    }
+
+    fn label(error: &WireError) -> Option<&'static str> {
+        match error {
+            WireError::Truncated { what }
+            | WireError::InvalidTag { what, .. }
+            | WireError::OversizedCollection { what, .. }
+            | WireError::UndecodableWord { what, .. } => Some(what),
+            WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
+        }
+    }
+
+    /// What every row owes its readers, whatever its fields: every
+    /// strict prefix of its encoding is a typed error labelled with the
+    /// field the bytes ran out in — never a panic, never a value — and a
+    /// byte past the end is `TrailingBytes`. `nested` lists the fields
+    /// whose own row labels its inner fields.
+    fn row_contract<T: Wire + FieldEnds>(sample: &T, nested: &[&str]) {
+        let bytes = wire::encode(sample);
+        let ends = sample.field_ends();
+        assert_eq!(ends.last().map(|&(_, end)| end), Some(bytes.len()));
+        for cut in 0..bytes.len() {
+            let (field, _) = ends.iter().find(|&&(_, end)| end > cut).expect("cut is in a field");
+            let error = wire::decode::<T>(&bytes[..cut])
+                .err()
+                .unwrap_or_else(|| panic!("the {cut}-byte prefix decoded to a value"));
+            let what =
+                label(&error).unwrap_or_else(|| panic!("prefix {cut} gave unlabelled {error:?}"));
+            assert!(
+                what == *field || nested.contains(field),
+                "prefix {cut} ends inside `{field}` but the error names `{what}`"
+            );
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        assert_eq!(wire::decode::<T>(&longer).err(), Some(WireError::TrailingBytes { extra: 1 }));
+    }
+
+    /// What every lane's frame owes its readers: the sample frames to
+    /// exactly the recorded fixture and decodes back to itself; its
+    /// payload keeps the [`row_contract`]; a `u32::MAX` count at each of
+    /// `counts` (payload offset, field) is `OversizedCollection` — the
+    /// bounds check, so nothing was allocated for it; a bool byte of 2 at
+    /// each of `bools` is `InvalidTag`.
+    fn frame_contract<V: LaneEntry + FieldEnds + core::fmt::Debug>(
+        sample: &V,
+        nested: &[&str],
+        counts: &[(usize, &'static str)],
+        bools: &[(usize, &'static str)],
+    ) {
+        let (ext, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("lane fixture");
+        assert_eq!(to_frame(FIXTURE_KEY, sample).unwrap(), *fixture, ".{ext} frame moved");
+        let back: V = from_frame(FIXTURE_KEY, fixture).expect("recorded frame decodes");
+        assert_eq!(format!("{back:?}"), format!("{sample:?}"), ".{ext} decode lost something");
+
+        row_contract(sample, nested);
+        let payload = wire::encode(sample);
+        for &(at, what) in counts {
+            let mut huge = payload.clone();
+            huge[at..at + 4].fill(0xff);
+            assert_eq!(
+                wire::decode::<V>(&huge).err(),
+                Some(WireError::OversizedCollection { what, len: u64::from(u32::MAX) }),
+                ".{ext}: count of `{what}` at payload offset {at}"
+            );
+        }
+        for &(at, what) in bools {
+            let mut strict = payload.clone();
+            strict[at] = 2;
+            assert_eq!(
+                wire::decode::<V>(&strict).err(),
+                Some(WireError::InvalidTag { what, tag: 2 }),
+                ".{ext}: bool `{what}` at payload offset {at}"
+            );
+        }
     }
 
     #[test]
-    fn frames_are_byte_identical_to_the_pre_unification_writers() {
-        assert_frame_pinned(&sample_entry());
-        assert_frame_pinned(&sample_group());
-        assert_frame_pinned(&sample_merge());
-        assert_frame_pinned(&sample_dict());
+    fn method_frames_keep_the_frame_contract() {
+        let entry = sample_entry();
+        let (compiled, metadata) = (&entry.compiled, &entry.compiled.metadata);
+        // `compiled` leads the payload, so its offsets are payload offsets.
+        let in_compiled = |field| start_of(compiled, field);
+        let in_metadata = |field| in_compiled("metadata") + start_of(metadata, field);
+        frame_contract(
+            &entry,
+            &["compiled", "pass_stats"],
+            &[
+                (in_compiled("insns"), "insns"),
+                (in_compiled("pool"), "pool"),
+                (in_compiled("relocs"), "relocs"),
+                (in_metadata("pc_rel"), "pc_rel"),
+                (in_metadata("terminators"), "terminators"),
+                (in_metadata("embedded_data"), "embedded_data"),
+                (in_metadata("slow_paths"), "slow_paths"),
+                (in_compiled("stack_maps"), "stack_maps"),
+                (start_of(&entry, "template") + 1, "template"), // after the presence tag
+            ],
+            &[
+                (in_metadata("has_indirect_jump"), "has_indirect_jump"),
+                (in_metadata("is_native_stub"), "is_native_stub"),
+            ],
+        );
+        row_contract(compiled, &["relocs", "metadata", "stack_maps"]);
+        row_contract(metadata, &["pc_rel"]);
+        row_contract(&entry.pass_stats, &[]);
+        row_contract(&compiled.relocs[0], &[]);
+    }
+
+    #[test]
+    fn group_frames_keep_the_frame_contract() {
+        let plan = sample_group();
+        let first = start_of(&plan, "candidates") + 4; // after the count
+        let in_first = |field| first + start_of(&plan.candidates[0], field);
+        frame_contract(
+            &plan,
+            &["candidates"],
+            &[
+                (first - 4, "candidates"),
+                (in_first("positions"), "positions"),
+                (in_first("symbols"), "symbols"),
+            ],
+            &[],
+        );
+        row_contract(&plan.candidates[0], &[]);
+    }
+
+    #[test]
+    fn merge_frames_keep_the_frame_contract() {
+        let plan = sample_merge();
+        let first = start_of(&plan, "groups") + 4; // after the count
+        let in_first = |field| first + start_of(&plan.groups[0], field);
+        frame_contract(
+            &plan,
+            &["groups"],
+            &[
+                (first - 4, "groups"),
+                (in_first("members"), "members"),
+                (in_first("diff_positions"), "diff_positions"),
+            ],
+            &[],
+        );
+        row_contract(&plan.groups[0], &[]);
+    }
+
+    #[test]
+    fn dict_frames_keep_the_frame_contract() {
+        let body = sample_dict();
+        frame_contract(&body, &[], &[(0, "insns"), (start_of(&body, "regs"), "regs")], &[]);
+    }
+
+    #[test]
+    fn an_unencodable_instruction_is_refused_before_anything_is_framed() {
+        // A branch offset must be a multiple of four.
+        let mut entry = sample_entry();
+        entry.compiled.insns.push(Insn::B { offset: 2 });
+        let refusal = to_frame(FIXTURE_KEY, &entry).expect_err("the entry cannot be framed");
+        assert!(refusal.starts_with("unencodable instruction: "), "{refusal}");
+        let mut body = sample_dict();
+        body.insns.push(Insn::B { offset: 2 });
+        assert!(to_frame(FIXTURE_KEY, &body).is_err());
+    }
+
+    #[test]
+    fn an_undecodable_word_in_a_frame_is_a_typed_error() {
+        // The frame is intact (checksum recomputed); only the word is bad.
+        let mut payload = wire::encode(&sample_dict());
+        payload[4..8].fill(0); // the first instruction word
+        let mut frame = to_frame(FIXTURE_KEY, &sample_dict()).unwrap();
+        frame.truncate(32);
+        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert_eq!(
+            from_frame::<DictEntry>(FIXTURE_KEY, &frame),
+            Err("undecodable word 0x00000000 while decoding insns".to_owned())
+        );
     }
 
     #[test]

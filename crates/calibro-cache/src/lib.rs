@@ -24,6 +24,10 @@
 //! strictly (checksums + structural validation), so a poisoned entry
 //! surfaces as a typed [`CacheError`] rather than a panic or a
 //! miscompile.
+//!
+//! [`wire`] is the binary codec those frames — and, one crate up, the
+//! compile daemon's messages — are written in: one [`wire::Wire`] trait,
+//! one bounds-checked reader.
 
 #![warn(missing_docs)]
 
@@ -36,8 +40,9 @@ mod method_hash;
 mod peer;
 mod policy;
 mod store;
+pub mod wire;
 
-pub use disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
+pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
     sequence_content_key, CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
     SymbolTemplate, TemplateSlot,

@@ -427,9 +427,9 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::disk::tests::{
-        sample_dict, sample_entry, sample_group, sample_merge, FIXTURES, FIXTURE_KEY,
+        sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, V3_FIXTURES,
     };
-    use crate::disk::{from_frame, to_frame, LaneEntry};
+    use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
 
     fn key(n: u64) -> CacheKey {
@@ -763,20 +763,72 @@ mod tests {
         assert_eq!(activity(&store), 3);
     }
 
-    #[test]
-    fn a_directory_written_before_the_lanes_were_unified_loads_clean() {
-        let dir = fresh_dir("parent-written");
+    /// A cache directory written at another format version (here the
+    /// committed version-3 files) costs one miss per entry — never a
+    /// `CacheError` — and the recompute's insert replaces the file.
+    fn stale_version_contract<V: Sample>() {
+        let ext = V::EXT;
+        let dir = fresh_dir(&format!("stale-{ext}"));
         std::fs::create_dir_all(&dir).unwrap();
-        for (ext, bytes) in FIXTURES {
-            std::fs::write(dir.join(format!("{}.{ext}", FIXTURE_KEY.to_hex())), bytes).unwrap();
+        let path = dir.join(format!("{}.{ext}", FIXTURE_KEY.to_hex()));
+        let (_, v3) = V3_FIXTURES.iter().find(|(e, _)| *e == ext).expect("lane fixture");
+        assert_eq!(v3[4..8], 3u32.to_le_bytes(), "{ext}: the kept fixture is a version-3 frame");
+        std::fs::write(&path, v3).unwrap();
+
+        let store = disk_store(&dir);
+        assert!(V::lane(&store).get(FIXTURE_KEY).expect("no CacheError").is_none());
+        assert_eq!(stats::<V, 3>(&store, ["hits", "misses", "disk_hits"]), [0, 1, 0]);
+        assert_eq!(activity(&store), 1, "{ext}: a stale frame is one miss and nothing else");
+        assert!(!crate::disk::has::<V>(&dir, FIXTURE_KEY), "{ext}: the drain flush would skip it");
+
+        V::lane(&store).insert(FIXTURE_KEY, V::make(0));
+        assert!(crate::disk::has::<V>(&dir, FIXTURE_KEY));
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[4..8], FORMAT_VERSION.to_le_bytes(), "{ext}: file not replaced");
+        assert_eq!(rewritten, frame(FIXTURE_KEY, &V::make(0)));
+        drop(store);
+        let fresh = disk_store(&dir);
+        assert!(V::lane(&fresh).get(FIXTURE_KEY).unwrap().is_some(), "{ext}: reloads");
+        assert_eq!(stats::<V, 1>(&fresh, ["disk_hits"]), [1]);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The same bytes from a peer are a counted peer error.
+        if V::PEER_LANE.is_some() {
+            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some((v3.to_vec(), 5))));
+            assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
+            assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
+        }
+    }
+
+    per_lane! {
+        method_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<CacheEntry>;
+        group_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<GroupPlanEntry>;
+        merge_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<MergePlanEntry>;
+        dict_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<DictEntry>;
+    }
+
+    #[test]
+    fn an_entry_that_cannot_be_framed_is_served_from_memory_only() {
+        // A branch offset must be a multiple of four: the entry is
+        // refused by the disk layer with a typed error, and the lane —
+        // whose disk write is best-effort — keeps it resident.
+        let mut entry = sample_entry();
+        entry.compiled.insns.push(calibro_isa::Insn::B { offset: 2 });
+        let dir = fresh_dir("unencodable");
+        match crate::disk::store(&dir, key(1), &entry) {
+            Err(CacheError::Corrupt { detail, .. }) => {
+                assert!(detail.starts_with("unencodable instruction: "), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
         let store = disk_store(&dir);
-        assert!(store.methods().get(FIXTURE_KEY).expect("no CacheError").is_some());
-        assert!(store.groups().get(FIXTURE_KEY).expect("no CacheError").is_some());
-        assert!(store.merges().get(FIXTURE_KEY).expect("no CacheError").is_some());
-        assert!(store.dicts().get(FIXTURE_KEY).expect("no CacheError").is_some());
-        let s = store.stats();
-        assert_eq!([s.disk_hits, s.group_disk_hits, s.merge_disk_hits, s.dict_disk_hits], [1; 4]);
+        let inserted = store.insert(key(1), entry);
+        assert_eq!(stats::<CacheEntry, 2>(&store, ["stores", "disk_stores"]), [1, 0]);
+        let hit = store.get(key(1)).unwrap().expect("served from memory");
+        assert!(Arc::ptr_eq(&hit, &inserted));
+        assert!(store.serve_peer(PeerLane::Method, key(1)).is_err(), "peers get the refusal");
+        assert_eq!(store.flush_to_disk(), 0);
+        assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

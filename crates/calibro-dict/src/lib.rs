@@ -27,4 +27,4 @@ mod canon;
 mod registry;
 
 pub use canon::{canonical_key, canonicalize};
-pub use registry::{DictConfig, DictRegistry, DictSession, DictStats, EpochLayout};
+pub use registry::{DictRegistry, DictSession, DictStats, EpochLayout};

@@ -45,20 +45,10 @@ use parking_lot::Mutex;
 
 use crate::canon::canonical_key;
 
-/// Dictionary behaviour knobs, fingerprinted into build keys.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DictConfig {
-    /// Minimum body length (words) eligible for the shared island;
-    /// shorter bodies stay private — the cross-tenant call overhead
-    /// cannot pay for itself.
-    pub min_words: usize,
-}
-
-impl Default for DictConfig {
-    fn default() -> DictConfig {
-        DictConfig { min_words: 2 }
-    }
-}
+/// Minimum body length (words) eligible for the shared island; shorter
+/// bodies stay private — the cross-tenant call overhead cannot pay for
+/// itself.
+const MIN_ISLAND_WORDS: usize = 2;
 
 /// Per-build dictionary arbitration outcomes (see the module docs).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -180,7 +170,6 @@ struct RegistryInner {
 /// The daemon-wide shared-outline dictionary (see the module docs).
 /// Cheap to share: wrap in `Arc`; all methods take `&self`.
 pub struct DictRegistry {
-    config: DictConfig,
     inner: Mutex<RegistryInner>,
     hits: AtomicU64,
     publishes: AtomicU64,
@@ -189,14 +178,13 @@ pub struct DictRegistry {
 
 impl Default for DictRegistry {
     fn default() -> DictRegistry {
-        DictRegistry::new(DictConfig::default())
+        DictRegistry::new()
     }
 }
 
 impl core::fmt::Debug for DictRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DictRegistry")
-            .field("config", &self.config)
             .field("epoch", &self.current_epoch())
             .field("stats", &self.cumulative_stats())
             .finish()
@@ -206,9 +194,8 @@ impl core::fmt::Debug for DictRegistry {
 impl DictRegistry {
     /// An empty dictionary at epoch 0 (an empty island).
     #[must_use]
-    pub fn new(config: DictConfig) -> DictRegistry {
+    pub fn new() -> DictRegistry {
         DictRegistry {
-            config,
             inner: Mutex::new(RegistryInner {
                 published: HashMap::new(),
                 staged: Vec::new(),
@@ -218,12 +205,6 @@ impl DictRegistry {
             publishes: AtomicU64::new(0),
             private_preferred: AtomicU64::new(0),
         }
-    }
-
-    /// The dictionary's configuration.
-    #[must_use]
-    pub fn config(&self) -> DictConfig {
-        self.config
     }
 
     /// The latest sealed epoch — what a new build session snapshots.
@@ -392,7 +373,7 @@ impl DictSession {
     /// a sibling shard published is adopted instead of re-published) —
     /// the publish lands in future epochs, never this build's island.
     pub fn route(&mut self, body: &[Insn], store: &ArtifactStore) -> Option<u32> {
-        if body.len() < self.registry.config.min_words {
+        if body.len() < MIN_ISLAND_WORDS {
             return None;
         }
         let (key, regs) = canonical_key(body);
@@ -515,10 +496,10 @@ mod tests {
 
     #[test]
     fn short_bodies_are_ineligible() {
-        let reg = Arc::new(DictRegistry::new(DictConfig { min_words: 3 }));
+        let reg = registry();
         let store = ArtifactStore::default();
         let mut s = reg.session();
-        assert_eq!(s.route(&body(7, 2), &store), None);
+        assert_eq!(s.route(&body(7, 2)[..1], &store), None);
         assert_eq!(s.stats(), DictStats::default(), "ineligible body must not publish");
         assert_eq!(reg.published_count(), 0);
     }

@@ -92,10 +92,12 @@ impl<'a> Reader<'a> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("len 8")))
     }
-    fn len32(&mut self, what: &'static str) -> Result<usize, LoadError> {
+    /// A record count, bounded by how many records of at least
+    /// `min_record_bytes` the rest of the buffer can hold — so a count a
+    /// caller allocates for is never larger than the input itself.
+    fn len32(&mut self, what: &'static str, min_record_bytes: usize) -> Result<usize, LoadError> {
         let v = self.u32()? as usize;
-        // Defensive cap: an element is at least one byte.
-        if v > self.buf.len().saturating_sub(self.pos) {
+        if v > self.buf.len().saturating_sub(self.pos) / min_record_bytes {
             return Err(LoadError::BadOatData(what));
         }
         Ok(v)
@@ -127,25 +129,25 @@ fn write_metadata(w: &mut Writer, m: &MethodMetadata) {
 }
 
 fn read_metadata(r: &mut Reader<'_>) -> Result<MethodMetadata, LoadError> {
-    let n = r.len32("pc_rel count")?;
-    let mut pc_rel = Vec::with_capacity(n.min(1 << 20));
+    let n = r.len32("pc_rel count", 8)?;
+    let mut pc_rel = Vec::with_capacity(n);
     for _ in 0..n {
         pc_rel.push(PcRel { at: r.u32()? as usize, target: r.u32()? as usize });
     }
-    let n = r.len32("terminator count")?;
-    let mut terminators = Vec::with_capacity(n.min(1 << 20));
+    let n = r.len32("terminator count", 4)?;
+    let mut terminators = Vec::with_capacity(n);
     for _ in 0..n {
         terminators.push(r.u32()? as usize);
     }
-    let n = r.len32("embedded count")?;
-    let mut embedded_data = Vec::with_capacity(n.min(1 << 20));
+    let n = r.len32("embedded count", 8)?;
+    let mut embedded_data = Vec::with_capacity(n);
     for _ in 0..n {
         embedded_data.push((r.u32()? as usize, r.u32()? as usize));
     }
     let has_indirect_jump = r.u8()? != 0;
     let is_native_stub = r.u8()? != 0;
-    let n = r.len32("slow path count")?;
-    let mut slow_paths = Vec::with_capacity(n.min(1 << 20));
+    let n = r.len32("slow path count", 8)?;
+    let mut slow_paths = Vec::with_capacity(n);
     for _ in 0..n {
         slow_paths.push((r.u32()? as usize, r.u32()? as usize));
     }
@@ -210,13 +212,21 @@ fn oatdata_bytes(oat: &OatFile) -> Vec<u8> {
     w.0
 }
 
+/// Smallest encodings of the `.oatdata` records, for [`Reader::len32`]:
+/// a method record is its fixed fields, four empty metadata tables, two
+/// flag bytes and an empty stack-map table.
+const MIN_METHOD_BYTES: usize = 4 + 8 + 4 + 4 + (4 + 4 + 4 + 1 + 1 + 4) + 4;
+const STACK_MAP_BYTES: usize = 4 + 4;
+const THUNK_BYTES: usize = 1 + 2 + 8 + 4;
+const ISLAND_BYTES: usize = 8 + 4;
+
 fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
     let mut r = Reader { buf, pos: 0 };
     if r.take(8)? != MAGIC {
         return Err(LoadError::BadMagic);
     }
     let base_address = r.u64()?;
-    let n_methods = r.len32("method count")?;
+    let n_methods = r.len32("method count", MIN_METHOD_BYTES)?;
     let mut methods = Vec::with_capacity(n_methods);
     for _ in 0..n_methods {
         let method = MethodId(r.u32()?);
@@ -224,7 +234,7 @@ fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
         let insn_words = r.u32()? as usize;
         let code_words = r.u32()? as usize;
         let metadata = read_metadata(&mut r)?;
-        let n_maps = r.len32("stack map count")?;
+        let n_maps = r.len32("stack map count", STACK_MAP_BYTES)?;
         let mut stack_maps = Vec::with_capacity(n_maps);
         for _ in 0..n_maps {
             stack_maps.push(StackMapEntry { native_offset: r.u32()?, dex_pc: r.u32()? });
@@ -238,7 +248,7 @@ fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
             stack_maps,
         });
     }
-    let n_thunks = r.len32("thunk count")?;
+    let n_thunks = r.len32("thunk count", THUNK_BYTES)?;
     let mut thunks = Vec::with_capacity(n_thunks);
     for _ in 0..n_thunks {
         let tag = r.u8()?;
@@ -251,12 +261,12 @@ fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
         };
         thunks.push(ThunkRecord { kind, offset: r.u64()?, size_words: r.u32()? as usize });
     }
-    let n_out = r.len32("outlined count")?;
+    let n_out = r.len32("outlined count", ISLAND_BYTES)?;
     let mut outlined = Vec::with_capacity(n_out);
     for _ in 0..n_out {
         outlined.push(OutlinedRecord { offset: r.u64()?, size_words: r.u32()? as usize });
     }
-    let n_merged = r.len32("merged count")?;
+    let n_merged = r.len32("merged count", ISLAND_BYTES)?;
     let mut merged = Vec::with_capacity(n_merged);
     for _ in 0..n_merged {
         merged.push(MergedRecord { offset: r.u64()?, size_words: r.u32()? as usize });
@@ -372,7 +382,7 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
         return Err(LoadError::BadMagic);
     }
     let mut hdr = Reader { buf: bytes, pos: 0x28 };
-    let shoff = hdr.u64()? as usize;
+    let shoff = hdr.u64()?;
     let mut hdr = Reader { buf: bytes, pos: 0x3c };
     let shnum = hdr.u16()? as usize;
 
@@ -380,26 +390,25 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
     if shnum < 3 {
         return Err(LoadError::BadMagic);
     }
-    let section = |idx: usize| -> Result<(usize, usize), LoadError> {
-        let base = shoff + idx * 64;
-        let mut r = Reader { buf: bytes, pos: base + 24 };
-        let off = r.u64()? as usize;
-        let size = r.u64()? as usize;
-        if off + size > bytes.len() {
-            return Err(LoadError::Truncated);
-        }
-        Ok((off, size))
+    // Every offset and size below is the file's own claim: checked
+    // arithmetic throughout, so a hostile header is `Truncated`, never
+    // an overflow or an out-of-range slice.
+    let index = |v: u64| usize::try_from(v).map_err(|_| LoadError::Truncated);
+    let section = |idx: u64| -> Result<&[u8], LoadError> {
+        let header = shoff.checked_add(idx * 64 + 24).ok_or(LoadError::Truncated)?;
+        let mut r = Reader { buf: bytes, pos: index(header)? };
+        let off = index(r.u64()?)?;
+        let end = off.checked_add(index(r.u64()?)?).ok_or(LoadError::Truncated)?;
+        bytes.get(off..end).ok_or(LoadError::Truncated)
     };
-    let (text_off, text_size) = section(1)?;
-    let (data_off, data_size) = section(2)?;
-    if text_size % 4 != 0 {
+    let text = section(1)?;
+    let oatdata = section(2)?;
+    if text.len() % 4 != 0 {
         return Err(LoadError::BadOatData("text not word-aligned"));
     }
-    let words: Vec<u32> = bytes[text_off..text_off + text_size]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    parse_oatdata(&bytes[data_off..data_off + data_size], words)
+    let words: Vec<u32> =
+        text.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
+    parse_oatdata(oatdata, words)
 }
 
 /// On-disk `.text` size of the serialized file, in bytes: the paper's

@@ -101,6 +101,46 @@ fn corrupted_magic_is_rejected_as_bad_magic() {
     assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadMagic);
 }
 
+/// Byte offset of section `idx`'s header in an image [`to_elf_bytes`] wrote.
+fn section_header(bytes: &[u8], idx: usize) -> usize {
+    let shoff = u64::from_le_bytes(bytes[0x28..0x30].try_into().unwrap()) as usize;
+    shoff + idx * 64
+}
+
+#[test]
+fn a_section_header_pointing_past_the_address_space_is_truncated() {
+    // `.text` claims offset u64::MAX, size 4: the sum wraps to 3, inside
+    // the file, so an unchecked bounds test passes and the slice panics.
+    let mut bytes = to_elf_bytes(&sample_oat());
+    let text = section_header(&bytes, 1);
+    bytes[text + 24..text + 32].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[text + 32..text + 40].copy_from_slice(&4u64.to_le_bytes());
+    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::Truncated);
+}
+
+#[test]
+fn a_section_table_offset_near_u64_max_is_truncated() {
+    let mut bytes = to_elf_bytes(&sample_oat());
+    bytes[0x28..0x30].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::Truncated);
+}
+
+#[test]
+fn a_record_count_the_section_cannot_hold_is_rejected_before_allocating() {
+    // A method count equal to the bytes left in the section is "at most
+    // one record per byte", yet asks for ~160 bytes of `Vec` capacity per
+    // claimed record: bounded by the smallest record, it is refused as
+    // the count it is, not discovered records later as a truncation.
+    let mut bytes = to_elf_bytes(&sample_oat());
+    let oatdata = section_header(&bytes, 2);
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (off, size) = (field(oatdata + 24) as usize, field(oatdata + 32) as usize);
+    let method_count = off + 8 + 8; // after the magic and the base address
+    let bytes_left = (size - (8 + 8 + 4)) as u32;
+    bytes[method_count..method_count + 4].copy_from_slice(&bytes_left.to_le_bytes());
+    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadOatData("method count"));
+}
+
 #[test]
 fn stack_map_at_native_offset_zero_is_out_of_range() {
     // Offset 0 is the method's first instruction: it cannot be a return

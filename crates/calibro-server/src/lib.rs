@@ -19,8 +19,10 @@
 //!   Requests carry the full [`calibro::BuildOptions`] plus the
 //!   client-computed option/LTBO fingerprints; replies carry the
 //!   compiled OAT as ELF bytes plus build statistics.
-//! * [`wire`] — the codec under the table: the [`wire::Wire`] trait
-//!   (one wire form per field type) and the program/options payloads.
+//! * [`wire`] — the codec under the table: a re-export of
+//!   [`calibro_cache::wire`], where the [`wire::Wire`] trait (one wire
+//!   form per field type) lives so the cache's disk and peer frames are
+//!   rows of the same table.
 //! * `transport` — the one socket type (Unix domain socket, with a TCP
 //!   fallback) the daemon, the client and the fleet's peer connections
 //!   all read and write.

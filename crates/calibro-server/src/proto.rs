@@ -34,7 +34,7 @@ use calibro::{BuildOptions, CacheKey, CacheStats};
 use calibro_dex::DexFile;
 
 use crate::error::ServeError;
-use crate::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
+use crate::wire::{self, wire_fields, Wire, WireError};
 
 /// Request kind: compile a program.
 pub const REQ_BUILD: u8 = 0x01;
@@ -245,17 +245,6 @@ requests! {
     DictStatsRequest = REQ_DICT_STATS => DictStatsReply = RESP_DICT_STATS,
 }
 
-impl Wire for CacheKey {
-    fn put(&self, w: &mut Writer) {
-        w.u64(self.hi);
-        w.u64(self.lo);
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CacheKey, WireError> {
-        Ok(CacheKey { hi: r.u64(what)?, lo: r.u64(what)? })
-    }
-}
-
 message! {
     /// A compile request: the program, the full build configuration, an
     /// optional deadline, and the client-computed fingerprints the daemon
@@ -351,25 +340,6 @@ message! {
 /// Which store lane a peer fetch targets (the lanes with a peer tier).
 pub use calibro_cache::PeerLane;
 
-impl Wire for PeerLane {
-    fn put(&self, w: &mut Writer) {
-        w.u8(match self {
-            PeerLane::Method => 0,
-            PeerLane::Group => 1,
-            PeerLane::Dict => 2,
-        });
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PeerLane, WireError> {
-        match r.u8(what)? {
-            0 => Ok(PeerLane::Method),
-            1 => Ok(PeerLane::Group),
-            2 => Ok(PeerLane::Dict),
-            tag => Err(WireError::InvalidTag { what, tag }),
-        }
-    }
-}
-
 message! {
     /// A fleet-internal fetch: "do you hold this key?" One shard sends
     /// this to a sibling when a lookup misses its own memory and disk
@@ -403,32 +373,6 @@ message! {
         /// The framed artifact bytes and the origin's recompute cost (µs);
         /// `None` when the serving shard does not hold the key.
         pub artifact: Option<(Vec<u8>, u64)>,
-    }
-}
-
-/// [`PeerArtifact::artifact`]: the presence tag, then the cost *before*
-/// the frame it describes — the reverse of the tuple's order.
-impl Wire for Option<(Vec<u8>, u64)> {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            None => w.u8(0),
-            Some((frame, cost_us)) => {
-                w.u8(1);
-                cost_us.put(w);
-                frame.put(w);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError> {
-        match r.u8(what)? {
-            0 => Ok(None),
-            1 => {
-                let cost_us = Wire::get(r, what)?;
-                Ok(Some((Wire::get(r, what)?, cost_us)))
-            }
-            tag => Err(WireError::InvalidTag { what, tag }),
-        }
     }
 }
 
@@ -561,28 +505,6 @@ message! {
         /// Candidates whose canonical twin was in the island but with a
         /// different register assignment, so private outlining won.
         pub private_preferred: u64,
-    }
-}
-
-// Every `CacheStats` field is a row of calibro-cache's counter table, which
-// the stats body transports by iteration: a field declared outside the table
-// fails compilation here instead of silently not being transported.
-const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * CacheStats::LEN);
-
-/// The counters in table order, each decoded under its own name.
-impl Wire for CacheStats {
-    fn put(&self, w: &mut Writer) {
-        for v in self.to_array() {
-            w.u64(v);
-        }
-    }
-
-    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheStats, WireError> {
-        let mut values = [0u64; CacheStats::LEN];
-        for (slot, name) in values.iter_mut().zip(CacheStats::NAMES) {
-            *slot = r.u64(name)?;
-        }
-        Ok(CacheStats::from_array(values))
     }
 }
 
@@ -935,7 +857,8 @@ mod tests {
         match error {
             WireError::Truncated { what }
             | WireError::InvalidTag { what, .. }
-            | WireError::OversizedCollection { what, .. } => Some(what),
+            | WireError::OversizedCollection { what, .. }
+            | WireError::UndecodableWord { what, .. } => Some(what),
             WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
         }
     }

@@ -42,6 +42,9 @@ use calibro::{
     DictRegistry, StableHasher,
 };
 use calibro_cache::ArtifactStore;
+// FNV-1a: the digest `generation-stats` reports for a sealed ELF, so
+// external harnesses can assert byte determinism without re-fetching.
+pub(crate) use calibro_cache::fnv64 as fnv1a64;
 use calibro_dex::DexFile;
 use calibro_profile::{DecayedProfile, Profile};
 
@@ -301,17 +304,6 @@ fn tenant_identity(dex: &DexFile, options: &BuildOptions) -> CacheKey {
     h.write_u64(base_fp.hi);
     h.write_u64(base_fp.lo);
     h.finish()
-}
-
-/// FNV-1a over the sealed ELF, reported in `generation-stats` so
-/// external harnesses can assert byte determinism without re-fetching.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Converts a drift fraction to parts-per-million for the wire.

@@ -13,10 +13,15 @@
 //! per-method code bytes. That costs a few avoidable cache misses and
 //! buys an unconditional safety argument: equal keys ⇒ equal full
 //! configuration ⇒ equal compile inputs.
+//!
+//! The configuration's *wire form* — what a build request carries to the
+//! daemon — is at the bottom of this file, so both exhaustive walks of
+//! [`BuildOptions`], key and wire, are read and extended together.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 
+use calibro_cache::wire::{wire_fields, Reader, Wire, WireError, Writer};
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
 use calibro_dex::{DexFile, Method};
 use calibro_hgraph::PipelineConfig;
@@ -286,9 +291,113 @@ pub fn method_cache_key(
     })
 }
 
+wire_fields!(MergeConfig { min_body_words, max_params, arbitrate });
+
+/// `None` / `Global` / `Parallel { groups, threads }` share one tag
+/// byte, so this is not the generic `Option` form. (Free functions:
+/// `impl Wire for Option<LtboMode>` is an orphan outside the trait's
+/// crate.)
+fn put_ltbo(ltbo: Option<LtboMode>, w: &mut Writer) {
+    match ltbo {
+        None => w.u8(0),
+        Some(LtboMode::Global) => w.u8(1),
+        Some(LtboMode::Parallel { groups, threads }) => {
+            w.u8(2);
+            groups.put(w);
+            threads.put(w);
+        }
+    }
+}
+
+fn get_ltbo(r: &mut Reader<'_>, what: &'static str) -> Result<Option<LtboMode>, WireError> {
+    match r.u8(what)? {
+        0 => Ok(None),
+        1 => Ok(Some(LtboMode::Global)),
+        2 => Ok(Some(LtboMode::Parallel {
+            groups: Wire::get(r, what)?,
+            threads: Wire::get(r, what)?,
+        })),
+        tag => Err(WireError::InvalidTag { what, tag }),
+    }
+}
+
+/// The fields in wire order, each decoded under its own name. Written
+/// out (not `wire_fields!`) only for `ltbo`'s fused tag; both directions
+/// stay exhaustive — a destructuring and a literal without `..` — so a
+/// field added to [`BuildOptions`] fails compilation here too.
+impl Wire for BuildOptions {
+    fn put(&self, w: &mut Writer) {
+        let BuildOptions {
+            cto,
+            ltbo,
+            merge,
+            dict,
+            min_seq_len,
+            hot_methods,
+            base_address,
+            force_metadata,
+            inlining,
+            compile_threads,
+            passes,
+        } = self;
+        cto.put(w);
+        put_ltbo(*ltbo, w);
+        merge.put(w);
+        dict.put(w);
+        min_seq_len.put(w);
+        hot_methods.put(w);
+        base_address.put(w);
+        force_metadata.put(w);
+        inlining.put(w);
+        compile_threads.put(w);
+        passes.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<BuildOptions, WireError> {
+        Ok(BuildOptions {
+            cto: Wire::get(r, "cto")?,
+            ltbo: get_ltbo(r, "ltbo")?,
+            merge: Wire::get(r, "merge")?,
+            dict: Wire::get(r, "dict")?,
+            min_seq_len: Wire::get(r, "min_seq_len")?,
+            hot_methods: Wire::get(r, "hot_methods")?,
+            base_address: Wire::get(r, "base_address")?,
+            force_metadata: Wire::get(r, "force_metadata")?,
+            inlining: Wire::get(r, "inlining")?,
+            compile_threads: Wire::get(r, "compile_threads")?,
+            passes: Wire::get(r, "passes")?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calibro_cache::wire::{decode, encode};
+
+    #[test]
+    fn options_roundtrip_preserves_fingerprint() {
+        for options in [
+            BuildOptions::baseline(),
+            BuildOptions::cto_ltbo().with_dict().with_compile_threads(8),
+            BuildOptions::cto_ltbo_parallel(16, 4).with_hot_filter([4, 1, 9].into_iter().collect()),
+            BuildOptions::cto_merge_ltbo(),
+            BuildOptions { inlining: true, min_seq_len: 5, ..BuildOptions::default() },
+        ] {
+            let back: BuildOptions = decode(&encode(&options)).expect("options decode");
+            assert_eq!(options_fingerprint(&back), options_fingerprint(&options));
+        }
+    }
+
+    #[test]
+    fn an_undefined_ltbo_tag_is_a_typed_error_naming_the_field() {
+        let mut bytes = encode(&BuildOptions::baseline());
+        bytes[1] = 3; // the fused tag follows the one-byte `cto`
+        assert_eq!(
+            decode::<BuildOptions>(&bytes).err(),
+            Some(WireError::InvalidTag { what: "ltbo", tag: 3 })
+        );
+    }
 
     #[test]
     fn default_options_fingerprint_is_stable_within_a_process() {
