@@ -1,0 +1,63 @@
+//! Criterion benchmarks for the warm build's back half, each stage
+//! alone: the outline pass with every group plan hitting and after a
+//! 1 % edit, the link, and the ELF writer — on a primed session over an
+//! app of the benchmark's `warm_edit` shape (kuaishou at
+//! `paper_suite(2.0)`, 1325 methods, `cto_ltbo_parallel(128, 1)`).
+//!
+//! A stage consumes its input artifact, so every iteration gets a fresh
+//! one from the untimed set-up (`iter_batched`): the stages before it,
+//! run through the same session.
+
+use calibro::{BuildOptions, BuildSession, CodegenArtifact};
+use calibro_dex::DexFile;
+use calibro_workloads::{generate, mutate_methods, paper_suite};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+
+fn front_half(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> CodegenArtifact {
+    let frontend = session.frontend(dex, options).expect("frontend");
+    session.codegen(dex, options, frontend).expect("codegen")
+}
+
+fn bench_back_half(c: &mut Criterion) {
+    let spec = paper_suite(2.0).into_iter().find(|s| s.name == "kuaishou").expect("kuaishou");
+    let dex = generate(&spec).dex;
+    let options = BuildOptions::cto_ltbo_parallel(128, 1);
+    let session = BuildSession::new();
+    let primed = session.build(&dex, &options).expect("priming build");
+
+    let mut group = c.benchmark_group("warm_backhalf");
+    group.bench_function("outline_all_groups_hit", |b| {
+        b.iter_batched(
+            || front_half(&session, &dex, &options),
+            |codegen| session.outline(&options, codegen).expect("outline"),
+            BatchSize::PerIteration,
+        );
+    });
+    // A fresh 1 % edit per iteration, like a `warm_edit` op: ~13 methods
+    // recompile in the set-up and the groups they land in re-detect here.
+    let mut edit_seed = 0;
+    group.bench_function("outline_after_1pct_edit", |b| {
+        b.iter_batched(
+            || {
+                edit_seed += 1;
+                let mut edited = dex.clone();
+                assert!(!mutate_methods(&mut edited, edit_seed, 0.01).is_empty());
+                front_half(&session, &edited, &options)
+            },
+            |codegen| session.outline(&options, codegen).expect("outline"),
+            BatchSize::PerIteration,
+        );
+    });
+    group.bench_function("link", |b| {
+        b.iter_batched(
+            || session.outline(&options, front_half(&session, &dex, &options)).expect("outline"),
+            |size| session.link(&options, size).expect("link"),
+            BatchSize::PerIteration,
+        );
+    });
+    group.bench_function("to_elf_bytes", |b| b.iter(|| calibro_oat::to_elf_bytes(&primed.oat)));
+    group.finish();
+}
+
+criterion_group!(benches, bench_back_half);
+criterion_main!(benches);

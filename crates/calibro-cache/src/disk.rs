@@ -101,7 +101,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Serializes `entry` into the checksummed interchange frame — the
-/// exact bytes [`store`] persists. The frame doubles as the peer-wire
+/// exact bytes a lane persists. The frame doubles as the peer-wire
 /// payload so a fetched artifact passes through the same magic /
 /// version / key / checksum gauntlet as a disk read.
 ///
@@ -433,7 +433,6 @@ wire_fields!(PassStats {
     insns_in,
     insns_out,
 });
-wire_fields!(CacheEntry { compiled, pass_stats, template, ref_env });
 wire_fields!(OutlineCandidate { len, positions, symbols });
 wire_fields!(GroupPlanEntry { text_len, candidates });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
@@ -441,6 +440,51 @@ wire_fields!(MergePlanEntry { member_count, groups });
 wire_fields!(DictEntry { insns, regs });
 
 wire_seq!(Reloc, PcRel, StackMapEntry, OutlineCandidate, MergePlanGroup);
+
+/// A method entry travels as its four stored fields; the machine words
+/// are derived, so they are rebuilt from the decoded instructions by the
+/// constructor rather than read (a frame can then never carry words that
+/// disagree with its instructions, and the layout did not move when the
+/// entry gained them). Written by hand because `wire_fields!` is
+/// exhaustive over the struct; the destructures below still are.
+impl Wire for CacheEntry {
+    fn put(&self, w: &mut Writer) {
+        let CacheEntry { compiled, pass_stats, template, ref_env, words: _ } = self;
+        compiled.put(w);
+        pass_stats.put(w);
+        template.put(w);
+        ref_env.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheEntry, WireError> {
+        CacheEntry::new(
+            Wire::get(r, "compiled")?,
+            Wire::get(r, "pass_stats")?,
+            Wire::get(r, "template")?,
+            Wire::get(r, "ref_env")?,
+        )
+        .map_err(|_| WireError::UnencodableInsn { what: "compiled" })
+    }
+}
+
+#[cfg(test)]
+impl wire::FieldEnds for CacheEntry {
+    fn field_ends(&self) -> Vec<(&'static str, usize)> {
+        let CacheEntry { compiled, pass_stats, template, ref_env, words: _ } = self;
+        let lens = [
+            ("compiled", wire::encode(compiled).len()),
+            ("pass_stats", wire::encode(pass_stats).len()),
+            ("template", wire::encode(template).len()),
+            ("ref_env", wire::encode(ref_env).len()),
+        ];
+        let mut end = 0;
+        lens.map(|(name, len)| {
+            end += len;
+            (name, end)
+        })
+        .to_vec()
+    }
+}
 
 /// One tag byte for the target kind — the three thunk kinds fused in —
 /// then the id, index or entrypoint offset it carries.
@@ -570,8 +614,8 @@ pub(crate) mod tests {
     use calibro_isa::Reg;
 
     pub(crate) fn sample_entry() -> CacheEntry {
-        CacheEntry {
-            compiled: CompiledMethod {
+        CacheEntry::new(
+            CompiledMethod {
                 method: calibro_dex::MethodId(5),
                 insns: vec![
                     Insn::Nop,
@@ -598,14 +642,15 @@ pub(crate) mod tests {
                 },
                 stack_maps: vec![StackMapEntry { native_offset: 8, dex_pc: 1 }],
             },
-            pass_stats: PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
-            template: Some(SymbolTemplate::new(vec![
+            PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
+            Some(SymbolTemplate::new(vec![
                 TemplateSlot::Leader,
                 TemplateSlot::Fresh { word: 0 },
                 TemplateSlot::Lit { encoded: 0xd503_201f, word: 2 },
             ])),
-            ref_env: 0x5eed_f00d,
-        }
+            0x5eed_f00d,
+        )
+        .expect("the sample's instructions encode")
     }
 
     pub(crate) fn sample_group() -> GroupPlanEntry {
@@ -682,7 +727,8 @@ pub(crate) mod tests {
             WireError::Truncated { what }
             | WireError::InvalidTag { what, .. }
             | WireError::OversizedCollection { what, .. }
-            | WireError::UndecodableWord { what, .. } => Some(what),
+            | WireError::UndecodableWord { what, .. }
+            | WireError::UnencodableInsn { what } => Some(what),
             WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
         }
     }
@@ -851,6 +897,50 @@ pub(crate) mod tests {
             from_frame::<DictEntry>(FIXTURE_KEY, &frame),
             Err("undecodable word 0x00000000 while decoding insns".to_owned())
         );
+    }
+
+    #[test]
+    fn an_entry_carries_the_words_of_its_instructions_and_a_frame_rederives_them() {
+        let entry = sample_entry();
+        assert_eq!(entry.words(), calibro_isa::encode_words(&entry.compiled.insns).unwrap());
+        // The frame holds no words (the fixture did not move), so the
+        // decoded entry's are rebuilt from its decoded instructions.
+        let back: CacheEntry =
+            from_frame(FIXTURE_KEY, &to_frame(FIXTURE_KEY, &entry).unwrap()).unwrap();
+        assert_eq!(back.words(), entry.words());
+        // An instruction outside the encoder's domain is refused where
+        // the entry is made, not when somebody reads its words.
+        let mut compiled = entry.compiled.clone();
+        compiled.insns.push(Insn::B { offset: 2 });
+        assert!(CacheEntry::new(compiled, entry.pass_stats, None, 0).is_err());
+    }
+
+    #[test]
+    fn byte_budgets_charge_at_least_the_owned_vectors() {
+        use std::mem::size_of_val;
+        // Grown past the fixed 128-byte allowance, so an under-counted
+        // element size cannot hide behind it.
+        let sample = sample_entry();
+        let mut compiled = sample.compiled.clone();
+        compiled.insns.extend([Insn::Nop; 64]);
+        compiled.relocs.extend([compiled.relocs[0]; 16]);
+        let entry = CacheEntry::new(compiled, sample.pass_stats, sample.template, 0).unwrap();
+        let m = &entry.compiled;
+        let owned = size_of_val(m.insns.as_slice())
+            + size_of_val(entry.words())
+            + size_of_val(m.pool.as_slice())
+            + size_of_val(m.relocs.as_slice())
+            + size_of_val(m.metadata.pc_rel.as_slice())
+            + size_of_val(m.metadata.terminators.as_slice())
+            + size_of_val(m.metadata.embedded_data.as_slice())
+            + size_of_val(m.metadata.slow_paths.as_slice())
+            + size_of_val(m.stack_maps.as_slice())
+            + size_of_val(entry.template.as_ref().unwrap().slots());
+        assert!(entry.approx_bytes() >= owned, "{} < {owned}", entry.approx_bytes());
+        let mut body = sample_dict();
+        body.insns.extend([Insn::Nop; 64]);
+        let owned = size_of_val(body.insns.as_slice()) + size_of_val(body.regs.as_slice());
+        assert!(body.approx_bytes() >= owned, "{} < {owned}", body.approx_bytes());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The cached per-method artifact: the compiled code, its pass
-//! counters, and the precomputed LTBO symbolization template.
+//! counters, its encoded machine words, and the precomputed LTBO
+//! symbolization template.
 
 use std::cell::RefCell;
+use std::mem::size_of_val;
 
 use calibro_codegen::CompiledMethod;
 use calibro_hgraph::PassStats;
-use calibro_isa::Insn;
+use calibro_isa::{encode_words, EncodeError, Insn};
 use calibro_suffix::{stable_sequence_hash, OutlineCandidate, UNIQUE_SEPARATOR_BASE};
 
 use crate::hash::{CacheKey, StableHasher};
@@ -169,8 +171,12 @@ impl SymbolTemplate {
 
 /// One cached compilation artifact: everything the codegen stage
 /// produced for a method, so a warm build can skip HGraph construction,
-/// the pass pipeline, code generation and LTBO symbol extraction for
-/// methods whose inputs did not change.
+/// the pass pipeline, code generation, LTBO symbol extraction and
+/// instruction encoding for methods whose inputs did not change.
+///
+/// Built by [`CacheEntry::new`] only, which derives the method's machine
+/// words from its instructions; an entry is immutable once it sits in a
+/// lane (`Arc<CacheEntry>`), so the two cannot drift apart there.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
     /// The compiled method (code, relocations, §3.2 metadata, stack
@@ -192,9 +198,37 @@ pub struct CacheEntry {
     /// an ordinary value, not a sentinel — a mismatch merely re-runs the
     /// check.
     pub ref_env: u64,
+    /// `compiled.insns`, encoded: one word per instruction, call sites
+    /// as their placeholder. Derived, never serialised — a decoded frame
+    /// re-derives it — so every stage after codegen copies words instead
+    /// of encoding instructions again.
+    pub(crate) words: Vec<u32>,
 }
 
 impl CacheEntry {
+    /// Builds an entry, encoding `compiled.insns` into the words it
+    /// carries.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first instruction's [`EncodeError`] when one does not
+    /// encode (such a method could never link).
+    pub fn new(
+        compiled: CompiledMethod,
+        pass_stats: PassStats,
+        template: Option<SymbolTemplate>,
+        ref_env: u64,
+    ) -> Result<CacheEntry, EncodeError> {
+        let words = encode_words(&compiled.insns)?;
+        Ok(CacheEntry { compiled, pass_stats, template, ref_env, words })
+    }
+
+    /// The encoded words of `compiled.insns`, one per instruction.
+    #[must_use]
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
     /// Approximate resident size in bytes, for the store's per-lane
     /// byte budgets. An estimate over the owned vectors — close enough
     /// for eviction pressure, not an allocator-exact measurement.
@@ -202,16 +236,17 @@ impl CacheEntry {
     pub fn approx_bytes(&self) -> usize {
         let m = &self.compiled;
         let mut bytes = 128; // struct headers and fixed fields
-        bytes += m.insns.len() * 8;
-        bytes += m.pool.len() * 4;
-        bytes += m.relocs.len() * 24;
-        bytes += m.metadata.pc_rel.len() * 16;
-        bytes += m.metadata.terminators.len() * 8;
-        bytes += m.metadata.embedded_data.len() * 16;
-        bytes += m.metadata.slow_paths.len() * 16;
-        bytes += m.stack_maps.len() * 8;
+        bytes += size_of_val(m.insns.as_slice());
+        bytes += size_of_val(self.words.as_slice());
+        bytes += size_of_val(m.pool.as_slice());
+        bytes += size_of_val(m.relocs.as_slice());
+        bytes += size_of_val(m.metadata.pc_rel.as_slice());
+        bytes += size_of_val(m.metadata.terminators.as_slice());
+        bytes += size_of_val(m.metadata.embedded_data.as_slice());
+        bytes += size_of_val(m.metadata.slow_paths.as_slice());
+        bytes += size_of_val(m.stack_maps.as_slice());
         if let Some(template) = &self.template {
-            bytes += template.slots().len() * 8 + 32;
+            bytes += size_of_val(template.slots()) + 32;
         }
         bytes
     }
@@ -321,7 +356,7 @@ impl DictEntry {
     /// [`CacheEntry::approx_bytes`]).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        64 + self.insns.len() * 8 + self.regs.len()
+        64 + size_of_val(self.insns.as_slice()) + self.regs.len()
     }
 }
 

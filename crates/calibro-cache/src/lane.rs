@@ -18,7 +18,7 @@ use crate::disk::{self, LaneEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::peer::{PeerFetch, PeerLane, PeerSource};
-use crate::policy::Lane2Q;
+use crate::policy::{Lane2Q, Victim};
 
 /// The events one lane counts. [`CacheStats`](crate::CacheStats) maps
 /// each of its flat fields to one `(lane, Counter)` pair.
@@ -45,7 +45,9 @@ struct Inner<V> {
     policy: Lane2Q,
 }
 
-/// One lane of the store; see the [module docs](self). Shared across
+/// One lane of the store: an in-memory map with cost-aware 2Q eviction
+/// and its own counters over the tiered read path memory → disk → fleet
+/// peer, generic over what it stores ([`LaneEntry`]). Shared across
 /// compile workers: every method takes `&self` and synchronizes
 /// internally.
 pub struct Lane<V> {
@@ -278,6 +280,33 @@ impl<V: LaneEntry> Lane<V> {
         arc
     }
 
+    /// Overwrites whatever the lane holds under `key`, in memory and on
+    /// disk: the caller looked the resident entry up, found that it does
+    /// not describe the content `key` addresses (a key collision, a
+    /// well-formed frame from a confused peer), and recomputed. The
+    /// lookup counted a hit; this counts the miss it turned out to be,
+    /// and the store.
+    pub fn replace_with_cost(&self, key: CacheKey, entry: V, cost_us: u64) -> Arc<V> {
+        let arc = Arc::new(entry);
+        {
+            let mut inner = self.lock();
+            let bytes = arc.approx_bytes();
+            let victims = match inner.map.insert(key, Arc::clone(&arc)) {
+                Some(_) => inner.policy.on_replace(key, bytes, cost_us),
+                None => inner.policy.on_insert(key, bytes, cost_us),
+            };
+            self.evict(&mut inner, victims);
+        }
+        self.add(Counter::Misses, 1);
+        self.add(Counter::Stores, 1);
+        if let Some(dir) = &self.disk_dir {
+            if disk::store(dir, key, &*arc).is_ok() {
+                self.add(Counter::DiskStores, 1);
+            }
+        }
+        arc
+    }
+
     /// [`insert_with_cost`](Self::insert_with_cost) with an unrecorded
     /// (zero) recompute cost.
     pub fn insert(&self, key: CacheKey, entry: V) -> Arc<V> {
@@ -298,13 +327,20 @@ impl<V: LaneEntry> Lane<V> {
         let bytes = entry.approx_bytes();
         let arc = Arc::new(entry);
         inner.map.insert(key, Arc::clone(&arc));
-        for victim in inner.policy.on_insert(key, bytes, cost_us) {
+        let victims = inner.policy.on_insert(key, bytes, cost_us);
+        self.evict(&mut inner, victims);
+        (arc, true)
+    }
+
+    /// Drops the policy's victims from the map, counting each eviction
+    /// and the recompute cost it forfeits.
+    fn evict(&self, inner: &mut Inner<V>, victims: Vec<Victim>) {
+        for victim in victims {
             if inner.map.remove(&victim.key).is_some() {
                 self.add(Counter::Evictions, 1);
                 self.add(Counter::EvictCostUs, victim.cost_us);
             }
         }
-        (arc, true)
     }
 
     /// Persists every in-memory entry the disk layer does not already

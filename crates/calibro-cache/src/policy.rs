@@ -102,6 +102,23 @@ impl Lane2Q {
         self.evict_to_budget()
     }
 
+    /// Re-sizes a resident key whose entry was overwritten in place: the
+    /// key keeps its segment and queue position, its bytes and cost are
+    /// the new entry's, and the budgets are re-checked.
+    pub fn on_replace(&mut self, key: CacheKey, bytes: usize, cost_us: u64) -> Vec<Victim> {
+        let Some(meta) = self.meta.get_mut(&key) else {
+            return self.on_insert(key, bytes, cost_us);
+        };
+        self.bytes = self.bytes.saturating_sub(meta.bytes).saturating_add(bytes);
+        if meta.seg == Segment::Protected {
+            self.protected_bytes =
+                self.protected_bytes.saturating_sub(meta.bytes).saturating_add(bytes);
+        }
+        meta.bytes = bytes;
+        meta.cost_us = cost_us;
+        self.evict_to_budget()
+    }
+
     /// Records a memory hit: probation promotes into protected, a
     /// protected hit refreshes LRU position. Both are a lazy re-push
     /// under a new epoch.
@@ -347,5 +364,23 @@ mod tests {
         }
         assert_eq!(lane.resident_bytes(), inserted - evicted);
         assert!(lane.resident_bytes() <= 1000);
+    }
+
+    #[test]
+    fn a_replaced_entry_is_resized_where_it_sits() {
+        let mut lane = Lane2Q::new(8, 300);
+        assert!(drain(&mut lane, &[(1, 100, 5), (2, 100, 5)]).is_empty());
+        lane.on_hit(key(1)); // protected, so both byte counts are in play
+        assert!(lane.on_replace(key(1), 40, 9).is_empty());
+        assert_eq!(lane.resident_bytes(), 140);
+        assert_eq!(lane.cost_of(key(1)), Some(9));
+        // Growing past the budget evicts like an insert would: the
+        // probation entry goes before the protected one that grew.
+        let victims = lane.on_replace(key(1), 210, 9);
+        assert_eq!(victims, vec![Victim { key: key(2), cost_us: 5 }]);
+        assert_eq!(lane.resident_bytes(), 210);
+        // A key the policy does not know is an insert.
+        assert!(lane.on_replace(key(3), 10, 1).is_empty());
+        assert_eq!(lane.resident_bytes(), 220);
     }
 }

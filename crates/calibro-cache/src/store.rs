@@ -593,6 +593,24 @@ mod tests {
         assert_eq!(found.iter().filter(|&&f| f).count(), 1, "{ext}: lanes alias on disk");
         drop(second);
 
+        // An overwrite replaces the resident entry in memory and on
+        // disk, and counts the miss the lookup before it turned out to
+        // be.
+        let store = disk_store(&dir);
+        let lane = V::lane(&store);
+        assert!(lane.get(key(7)).unwrap().is_some());
+        let replaced = lane.replace_with_cost(key(7), V::make(9), 3);
+        assert!(Arc::ptr_eq(&lane.get(key(7)).unwrap().expect("replaced entry"), &replaced));
+        assert_eq!(lane.len(), 1);
+        let names = ["hits", "misses", "stores", "disk_stores"];
+        assert_eq!(stats::<V, 4>(&store, names), [2, 1, 1, 1], "{ext}: overwrite miscounted");
+        drop(store);
+        let reopened = disk_store(&dir);
+        let back = V::lane(&reopened).get(key(7)).unwrap().expect("the overwrite persisted");
+        assert_eq!(frame(key(7), &*back), frame(key(7), &V::make(9)));
+        V::lane(&reopened).replace_with_cost(key(7), V::make(7), 0);
+        drop(reopened);
+
         // A corrupt payload is a typed error, never a miss.
         let path = dir.join(format!("{}.{ext}", key(7).to_hex()));
         let mut bytes = std::fs::read(&path).unwrap();

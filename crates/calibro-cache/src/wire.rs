@@ -70,6 +70,13 @@ pub enum WireError {
         /// The offending machine word.
         word: u32,
     },
+    /// An instruction word decoded, but to an instruction the encoder
+    /// refuses (the decoder is the more permissive of the two), so the
+    /// machine words an entry carries cannot be derived from it.
+    UnencodableInsn {
+        /// What was being decoded.
+        what: &'static str,
+    },
     /// The payload had trailing bytes after the last field.
     TrailingBytes {
         /// How many bytes were left over.
@@ -90,6 +97,9 @@ impl core::fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::UndecodableWord { what, word } => {
                 write!(f, "undecodable word {word:#010x} while decoding {what}")
+            }
+            WireError::UnencodableInsn { what } => {
+                write!(f, "an instruction does not encode back while decoding {what}")
             }
             WireError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the last field")

@@ -305,6 +305,21 @@ fn check_shift(insn: &Insn, wide: bool, shift: u8) -> Result<(), EncodeError> {
     Ok(())
 }
 
+/// Encodes a slice of instructions into their machine words, one per
+/// instruction.
+///
+/// # Errors
+///
+/// Propagates the first [`EncodeError`].
+pub fn encode_words(insns: &[Insn]) -> Result<Vec<u32>, EncodeError> {
+    // Not `collect()`: through `Result` it cannot size the vector.
+    let mut words = Vec::with_capacity(insns.len());
+    for insn in insns {
+        words.push(insn.encode()?);
+    }
+    Ok(words)
+}
+
 /// Convenience: encodes a slice of instructions into a little-endian byte
 /// buffer.
 ///

@@ -51,6 +51,6 @@ mod reg;
 pub use buffer::{Asm, AsmError, Label};
 pub use cond::Cond;
 pub use decode::{decode, decode_all, DecodeError};
-pub use encode::{encode_all, EncodeError};
+pub use encode::{encode_all, encode_words, EncodeError};
 pub use insn::{Insn, PairMode};
 pub use reg::{reg_name, Reg};

@@ -161,8 +161,7 @@ fn read_metadata(r: &mut Reader<'_>) -> Result<MethodMetadata, LoadError> {
     })
 }
 
-fn oatdata_bytes(oat: &OatFile) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
+fn write_oatdata(w: &mut Writer, oat: &OatFile) {
     w.0.extend_from_slice(MAGIC);
     w.u64(oat.base_address);
     w.usize32(oat.methods.len());
@@ -171,7 +170,7 @@ fn oatdata_bytes(oat: &OatFile) -> Vec<u8> {
         w.u64(m.offset);
         w.usize32(m.insn_words);
         w.usize32(m.code_words);
-        write_metadata(&mut w, &m.metadata);
+        write_metadata(w, &m.metadata);
         w.usize32(m.stack_maps.len());
         for s in &m.stack_maps {
             w.u32(s.native_offset);
@@ -209,16 +208,41 @@ fn oatdata_bytes(oat: &OatFile) -> Vec<u8> {
             w.usize32(d.size_words);
         }
     }
-    w.0
 }
 
-/// Smallest encodings of the `.oatdata` records, for [`Reader::len32`]:
-/// a method record is its fixed fields, four empty metadata tables, two
-/// flag bytes and an empty stack-map table.
+/// Smallest encodings of the `.oatdata` records, for [`Reader::len32`]
+/// and the writer's sizing pass: a method record is its fixed fields,
+/// four empty metadata tables, two flag bytes and an empty stack-map
+/// table.
 const MIN_METHOD_BYTES: usize = 4 + 8 + 4 + 4 + (4 + 4 + 4 + 1 + 1 + 4) + 4;
 const STACK_MAP_BYTES: usize = 4 + 4;
 const THUNK_BYTES: usize = 1 + 2 + 8 + 4;
 const ISLAND_BYTES: usize = 8 + 4;
+const DICT_LINK_BYTES: usize = 8 + 8 + 4;
+
+/// The length [`write_oatdata`] will write, from the record counts
+/// alone — what lets [`to_elf_bytes`] put final offsets in the header
+/// before any record is written.
+fn oatdata_len(oat: &OatFile) -> usize {
+    let methods: usize = oat
+        .methods
+        .iter()
+        .map(|m| {
+            let md = &m.metadata;
+            MIN_METHOD_BYTES
+                + 8 * (md.pc_rel.len() + md.embedded_data.len() + md.slow_paths.len())
+                + 4 * md.terminators.len()
+                + STACK_MAP_BYTES * m.stack_maps.len()
+        })
+        .sum();
+    MAGIC.len()
+        + 8
+        + (4 + methods)
+        + (4 + THUNK_BYTES * oat.thunks.len())
+        + (4 + ISLAND_BYTES * oat.outlined.len())
+        + (4 + ISLAND_BYTES * oat.merged.len())
+        + (1 + oat.dict.map_or(0, |_| DICT_LINK_BYTES))
+}
 
 fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
     let mut r = Reader { buf, pos: 0 };
@@ -283,15 +307,18 @@ fn parse_oatdata(buf: &[u8], words: Vec<u32>) -> Result<OatFile, LoadError> {
     Ok(OatFile { base_address, words, methods, thunks, outlined, merged, dict })
 }
 
-/// Serializes an [`OatFile`] into a loadable ELF64 image.
+/// Serializes an [`OatFile`] into a loadable ELF64 image, written once
+/// into one buffer: a sizing pass over the records fixes every offset
+/// the header needs, then `.text` and `.oatdata` go straight into the
+/// output.
 #[must_use]
 pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
-    let text = oat.text_bytes();
-    let oatdata = oatdata_bytes(oat);
+    let text_len = oat.words.len() as u64 * 4;
+    let oatdata_len = oatdata_len(oat) as u64;
 
     let text_off = TEXT_FILE_OFFSET;
-    let oatdata_off = text_off + text.len() as u64;
-    let shstrtab_off = oatdata_off + oatdata.len() as u64;
+    let oatdata_off = text_off + text_len;
+    let shstrtab_off = oatdata_off + oatdata_len;
     let shstrtab: &[u8] = b"\0.text\0.oatdata\0.shstrtab\0";
     let shoff = shstrtab_off + shstrtab.len() as u64;
     // Align section header table to 8 bytes.
@@ -321,14 +348,17 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     w.u64(text_off);
     w.u64(oat.base_address);
     w.u64(oat.base_address);
-    w.u64(text.len() as u64);
-    w.u64(text.len() as u64);
+    w.u64(text_len);
+    w.u64(text_len);
     w.u64(0x1000);
 
-    // --- Padding to text ---
-    w.0.resize(text_off as usize, 0);
-    w.0.extend_from_slice(&text);
-    w.0.extend_from_slice(&oatdata);
+    // --- Padding, then .text word by word into its final place ---
+    w.0.resize(oatdata_off as usize, 0);
+    for (bytes, word) in w.0[text_off as usize..].chunks_exact_mut(4).zip(&oat.words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    write_oatdata(&mut w, oat);
+    assert_eq!(w.0.len() as u64, shstrtab_off, "the sizing pass disagrees with the record writer");
     w.0.extend_from_slice(shstrtab);
     w.0.resize(shoff as usize, 0);
 
@@ -341,7 +371,7 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     w.u64(6); // ALLOC | EXECINSTR
     w.u64(oat.base_address);
     w.u64(text_off);
-    w.u64(text.len() as u64);
+    w.u64(text_len);
     w.u32(0);
     w.u32(0);
     w.u64(4);
@@ -352,7 +382,7 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     w.u64(0);
     w.u64(0);
     w.u64(oatdata_off);
-    w.u64(oatdata.len() as u64);
+    w.u64(oatdata_len);
     w.u32(0);
     w.u32(0);
     w.u64(1);

@@ -2,7 +2,6 @@
 //! thunks, binds call labels to addresses, and encodes the final text
 //! segment (the "linking" stage of the paper's Figure 5).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use calibro_codegen::{thunk_code, CallTarget, CompiledMethod, Reloc, ThunkKind};
@@ -27,13 +26,22 @@ pub struct MergedBody {
 
 /// Input to the linker.
 #[derive(Debug, Default)]
-pub struct LinkInput {
+pub struct LinkInput<'a> {
     /// Compiled methods; index must equal `MethodId`.
     pub methods: Vec<CompiledMethod>,
     /// LTBO outlined functions, addressed by `CallTarget::Outlined(i)`.
     pub outlined: Vec<Vec<Insn>>,
     /// Merged-function islands, addressed by `CallTarget::Merged(i)`.
     pub merged: Vec<MergedBody>,
+    /// Per method, the already-encoded words of its `insns` (one per
+    /// instruction, call sites as their placeholder), when whoever built
+    /// the method kept them; the linker then copies them instead of
+    /// encoding the instructions again. `None` — or a list shorter than
+    /// `methods`, such as the default empty one — means the method is
+    /// encoded here. The words must be exactly `insns` encoded: only
+    /// attach words that were derived from the very instructions they
+    /// ride with.
+    pub words: Vec<Option<&'a [u32]>>,
 }
 
 /// A linking failure.
@@ -48,10 +56,9 @@ pub enum LinkError {
     /// islands, a `b`) instruction. For island relocations, `method` is
     /// `methods.len() + island index`.
     NotACallSite { method: usize, at: usize },
-    /// A thunk was referenced during encoding without ever being
-    /// assigned an offset (an internal layout inconsistency — reachable
-    /// only through malformed input such as a poisoned artifact cache,
-    /// so it surfaces as an error rather than an indexing panic).
+    /// A thunk did not land at the offset its callers were bound to (an
+    /// internal layout inconsistency, surfaced as an error rather than
+    /// as calls into the wrong code).
     MissingThunk { kind: ThunkKind },
     /// Final encoding failed (usually a branch out of range).
     Encode(EncodeError),
@@ -70,7 +77,7 @@ impl fmt::Display for LinkError {
                 write!(f, "method {method}: relocation at word {at} is not a bl")
             }
             LinkError::MissingThunk { kind } => {
-                write!(f, "thunk {kind:?} referenced but never laid out")
+                write!(f, "thunk {kind:?} was not laid out where its callers were bound")
             }
             LinkError::Encode(e) => write!(f, "encoding failed: {e}"),
         }
@@ -93,15 +100,16 @@ impl From<EncodeError> for LinkError {
 /// list leaves the layout byte-identical to a pre-merge link.
 ///
 /// Consumes the input: per-method metadata and stack maps move into the
-/// output records, and call patching rewrites the already-encoded words
-/// in the text segment, so linking never copies a method's instruction
-/// stream — it is on the warm-rebuild critical path for every build.
+/// output records, a method that arrives with its words
+/// ([`LinkInput::words`]) is copied into the text segment rather than
+/// encoded again, and call patching rewrites the words already there —
+/// linking is on the warm-rebuild critical path for every build.
 ///
 /// # Errors
 ///
 /// Returns a [`LinkError`] for unresolved relocations, malformed inputs,
 /// or out-of-range branches.
-pub fn link(input: LinkInput, base_address: u64) -> Result<OatFile, LinkError> {
+pub fn link(input: LinkInput<'_>, base_address: u64) -> Result<OatFile, LinkError> {
     link_with_dict(input, base_address, None)
 }
 
@@ -121,25 +129,26 @@ pub fn link(input: LinkInput, base_address: u64) -> Result<OatFile, LinkError> {
 /// appears without an island or targets a word beyond the island's end,
 /// plus everything [`link`] can return.
 pub fn link_with_dict(
-    input: LinkInput,
+    input: LinkInput<'_>,
     base_address: u64,
     dict: Option<&DictImage>,
 ) -> Result<OatFile, LinkError> {
-    let LinkInput { methods, outlined, merged } = input;
+    let LinkInput { methods, outlined, merged, words: method_words } = input;
     let mut dict_used = false;
     // --- Collect referenced thunks (sorted for determinism). -----------
-    let mut used_thunks: BTreeMap<ThunkKind, u64> = BTreeMap::new();
+    // A handful of kinds against tens of thousands of relocations: a
+    // small table scanned per relocation, sorted once.
+    let mut thunk_kinds: Vec<ThunkKind> = Vec::new();
     for relocs in methods.iter().map(|m| &m.relocs).chain(merged.iter().map(|b| &b.relocs)) {
         for r in relocs {
             match r.target {
-                CallTarget::Thunk(kind) => {
-                    used_thunks.insert(kind, 0);
-                }
+                CallTarget::Thunk(kind) if !thunk_kinds.contains(&kind) => thunk_kinds.push(kind),
                 CallTarget::Dict(_) => dict_used = true,
                 _ => {}
             }
         }
     }
+    thunk_kinds.sort_unstable();
 
     // --- Assign offsets. ------------------------------------------------
     let mut offset = 0u64;
@@ -161,31 +170,25 @@ pub fn link_with_dict(
         merged_offsets.push(offset);
         offset += b.insns.len() as u64 * 4;
     }
-    let thunk_codes: Vec<(ThunkKind, Vec<Insn>)> =
-        used_thunks.keys().map(|&k| (k, thunk_code(k))).collect();
-    for (kind, code) in &thunk_codes {
-        used_thunks.insert(*kind, offset);
-        offset += code.len() as u64 * 4;
+    // Sorted by kind, so a relocation's thunk is a binary search away.
+    let mut thunks: Vec<(ThunkKind, u64, Vec<Insn>)> = Vec::with_capacity(thunk_kinds.len());
+    for kind in thunk_kinds {
+        let code = thunk_code(kind);
+        let size = code.len() as u64 * 4;
+        thunks.push((kind, offset, code));
+        offset += size;
     }
 
-    let resolve = |method: usize, r: &calibro_codegen::Reloc| -> Result<u64, LinkError> {
+    let resolve = |method: usize, r: &Reloc| -> Result<u64, LinkError> {
+        let unresolved = LinkError::UnresolvedTarget { method, at: r.at };
         match r.target {
-            CallTarget::Method(id) => method_offsets
-                .get(id.index())
-                .copied()
-                .ok_or(LinkError::UnresolvedTarget { method, at: r.at }),
-            CallTarget::Thunk(kind) => used_thunks
-                .get(&kind)
-                .copied()
-                .ok_or(LinkError::UnresolvedTarget { method, at: r.at }),
-            CallTarget::Outlined(i) => outlined_offsets
-                .get(i as usize)
-                .copied()
-                .ok_or(LinkError::UnresolvedTarget { method, at: r.at }),
-            CallTarget::Merged(i) => merged_offsets
-                .get(i as usize)
-                .copied()
-                .ok_or(LinkError::UnresolvedTarget { method, at: r.at }),
+            CallTarget::Method(id) => method_offsets.get(id.index()).copied().ok_or(unresolved),
+            CallTarget::Thunk(kind) => thunks
+                .binary_search_by_key(&kind, |&(k, _, _)| k)
+                .map(|i| thunks[i].1)
+                .map_err(|_| unresolved),
+            CallTarget::Outlined(i) => outlined_offsets.get(i as usize).copied().ok_or(unresolved),
+            CallTarget::Merged(i) => merged_offsets.get(i as usize).copied().ok_or(unresolved),
             // Dictionary bodies live outside this OAT. Resolve to a
             // pseudo-offset relative to our own base, so the patch
             // below (`target - site`, both base-relative) yields the
@@ -196,37 +199,61 @@ pub fn link_with_dict(
                 Some(d) if (i as usize) < d.words.len() => {
                     Ok((d.base_address + u64::from(i) * 4).wrapping_sub(base_address))
                 }
-                _ => Err(LinkError::UnresolvedTarget { method, at: r.at }),
+                _ => Err(unresolved),
             },
         }
     };
+    // Call sites carry a placeholder `bl` (or, for merge thunk tails,
+    // `b` — always encodable), so the body's words hold a valid word
+    // there and this overwrites it with the resolved offset, preserving
+    // the site's mnemonic. `site` names the body in errors, `code_start`
+    // is its offset and `body` its words in the text segment.
+    let patch_calls = |site: usize,
+                       insns: &[Insn],
+                       relocs: &[Reloc],
+                       code_start: u64,
+                       body: &mut [u32]|
+     -> Result<(), LinkError> {
+        for r in relocs {
+            let is_link = match insns.get(r.at) {
+                Some(Insn::Bl { .. }) => true,
+                Some(Insn::B { .. }) => false,
+                _ => return Err(LinkError::NotACallSite { method: site, at: r.at }),
+            };
+            let target = resolve(site, r)?;
+            let insn_addr = code_start + r.at as u64 * 4;
+            let rel = target as i64 - insn_addr as i64;
+            let patched = if is_link { Insn::Bl { offset: rel } } else { Insn::B { offset: rel } };
+            body[r.at] = patched.encode()?;
+        }
+        Ok(())
+    };
 
-    // --- Encode and patch calls. ----------------------------------------
+    // --- Encode (or copy) and patch calls. ------------------------------
     let method_count = methods.len();
     let mut words = Vec::with_capacity((offset / 4) as usize);
     let mut records = Vec::with_capacity(methods.len());
     for (index, m) in methods.into_iter().enumerate() {
         let code_start = method_offsets[index];
         let start_word = words.len();
-        for insn in &m.insns {
-            words.push(insn.encode()?);
+        match method_words.get(index).copied().flatten() {
+            // Encoded once, when the method's cache entry was built or
+            // when the outline pass rewrote it: move the words.
+            Some(encoded) => {
+                assert_eq!(encoded.len(), m.insns.len(), "method {index}: words/insns length");
+                debug_assert!(
+                    m.insns.iter().zip(encoded).all(|(insn, &word)| insn.encode() == Ok(word)),
+                    "method {index}: a pre-encoded word differs from its instruction"
+                );
+                words.extend_from_slice(encoded);
+            }
+            None => {
+                for insn in &m.insns {
+                    words.push(insn.encode()?);
+                }
+            }
         }
-        // Call sites carry a placeholder `bl` (or, for merge thunk
-        // tails, `b` — always encodable), so the pass above emits a
-        // valid word there and the patch below overwrites it with the
-        // resolved offset, preserving the site's mnemonic.
-        for r in &m.relocs {
-            let is_link = match m.insns.get(r.at) {
-                Some(Insn::Bl { .. }) => true,
-                Some(Insn::B { .. }) => false,
-                _ => return Err(LinkError::NotACallSite { method: index, at: r.at }),
-            };
-            let target = resolve(index, r)?;
-            let insn_addr = code_start + r.at as u64 * 4;
-            let rel = target as i64 - insn_addr as i64;
-            let patched = if is_link { Insn::Bl { offset: rel } } else { Insn::B { offset: rel } };
-            words[start_word + r.at] = patched.encode()?;
-        }
+        patch_calls(index, &m.insns, &m.relocs, code_start, &mut words[start_word..])?;
         words.extend_from_slice(&m.pool);
         records.push(OatMethodRecord {
             method: m.method,
@@ -255,29 +282,21 @@ pub fn link_with_dict(
         // Islands carry whole function bodies, so they are patched
         // exactly like methods; errors report the site as
         // `methods.len() + island`.
-        let site = method_count + island;
-        for r in &b.relocs {
-            let is_link = match b.insns.get(r.at) {
-                Some(Insn::Bl { .. }) => true,
-                Some(Insn::B { .. }) => false,
-                _ => return Err(LinkError::NotACallSite { method: site, at: r.at }),
-            };
-            let target = resolve(site, r)?;
-            let insn_addr = off + r.at as u64 * 4;
-            let rel = target as i64 - insn_addr as i64;
-            let patched = if is_link { Insn::Bl { offset: rel } } else { Insn::B { offset: rel } };
-            words[start_word + r.at] = patched.encode()?;
-        }
+        patch_calls(method_count + island, &b.insns, &b.relocs, off, &mut words[start_word..])?;
         merged_records.push(MergedRecord { offset: off, size_words: b.insns.len() });
     }
 
-    let mut thunk_records = Vec::with_capacity(thunk_codes.len());
-    for (kind, code) in &thunk_codes {
-        let off = *used_thunks.get(kind).ok_or(LinkError::MissingThunk { kind: *kind })?;
+    let mut thunk_records = Vec::with_capacity(thunks.len());
+    for (kind, off, code) in &thunks {
+        // The relocations were resolved against `off`; the thunk has to
+        // land exactly there.
+        if *off != words.len() as u64 * 4 {
+            return Err(LinkError::MissingThunk { kind: *kind });
+        }
         for insn in code {
             words.push(insn.encode()?);
         }
-        thunk_records.push(ThunkRecord { kind: *kind, offset: off, size_words: code.len() });
+        thunk_records.push(ThunkRecord { kind: *kind, offset: *off, size_words: code.len() });
     }
 
     Ok(OatFile {
@@ -341,7 +360,12 @@ mod tests {
         let caller = with_id(simple_method("caller", Some(MethodId(1)), &opts), 0);
         assert!(caller.relocs.is_empty());
         let callee = with_id(simple_method("callee", None, &opts), 1);
-        let input = LinkInput { methods: vec![caller, callee], outlined: vec![], merged: vec![] };
+        let input = LinkInput {
+            methods: vec![caller, callee],
+            outlined: vec![],
+            merged: vec![],
+            ..Default::default()
+        };
         let oat = link(input, 0x4000_0000).unwrap();
         assert_eq!(oat.methods.len(), 2);
         assert!(oat.thunks.is_empty());
@@ -355,7 +379,12 @@ mod tests {
         let m0 = with_id(simple_method("a", Some(MethodId(2)), &opts), 0);
         let m1 = with_id(simple_method("b", Some(MethodId(2)), &opts), 1);
         let m2 = with_id(simple_method("leaf", None, &opts), 2);
-        let input = LinkInput { methods: vec![m0, m1, m2], outlined: vec![], merged: vec![] };
+        let input = LinkInput {
+            methods: vec![m0, m1, m2],
+            outlined: vec![],
+            merged: vec![],
+            ..Default::default()
+        };
         let oat = link(input, 0x4000_0000).unwrap();
         // JavaEntry + StackCheck thunks expected.
         assert_eq!(oat.thunks.len(), 2);
@@ -379,7 +408,7 @@ mod tests {
             target: CallTarget::Outlined(0),
         });
         let outlined = vec![vec![Insn::Nop, Insn::Br { rn: Reg::LR }]];
-        let input = LinkInput { methods: vec![m], outlined, merged: vec![] };
+        let input = LinkInput { methods: vec![m], outlined, merged: vec![], ..Default::default() };
         let oat = link(input, 0x1000).unwrap();
         assert_eq!(oat.outlined.len(), 1);
         let record = &oat.outlined[0];
@@ -411,7 +440,8 @@ mod tests {
             epoch: 2,
             words: vec![Insn::Nop.encode().unwrap(); 5],
         };
-        let input = LinkInput { methods: vec![m], outlined: vec![], merged: vec![] };
+        let input =
+            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
         let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
         // The OAT records which island (and epoch) it depends on.
         let dict = oat.dict.expect("dict link recorded");
@@ -436,7 +466,8 @@ mod tests {
             epoch: 7,
             words: vec![Insn::Nop.encode().unwrap()],
         };
-        let input = LinkInput { methods: vec![m], outlined: vec![], merged: vec![] };
+        let input =
+            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
         let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
         assert!(oat.dict.is_none(), "an unused island must not pin an epoch");
     }
@@ -452,7 +483,7 @@ mod tests {
                 at: m.insns.len() - 1,
                 target: CallTarget::Dict(9),
             });
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![] }
+            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() }
         };
         // No island at all.
         assert!(matches!(
@@ -488,7 +519,12 @@ mod tests {
                 target: CallTarget::Thunk(calibro_codegen::ThunkKind::StackCheck),
             }],
         };
-        let input = LinkInput { methods: vec![m], outlined: vec![], merged: vec![island] };
+        let input = LinkInput {
+            methods: vec![m],
+            outlined: vec![],
+            merged: vec![island],
+            ..Default::default()
+        };
         let oat = link(input, 0x1000).unwrap();
         assert_eq!(oat.merged.len(), 1);
         assert_eq!(oat.merged[0].size_words, 3);
@@ -509,6 +545,45 @@ mod tests {
         assert_eq!(addr.wrapping_add(offset as u64), oat.base_address + oat.thunks[0].offset);
     }
 
+    fn cto_trio() -> Vec<CompiledMethod> {
+        let opts = CodegenOptions { cto: true, collect_metadata: true };
+        vec![
+            with_id(simple_method("a", Some(MethodId(2)), &opts), 0),
+            with_id(simple_method("b", Some(MethodId(2)), &opts), 1),
+            with_id(simple_method("leaf", None, &opts), 2),
+        ]
+    }
+
+    #[test]
+    fn a_method_that_brings_its_words_links_to_the_same_image() {
+        let methods = cto_trio();
+        let encoded: Vec<Vec<u32>> =
+            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
+        let plain = link(LinkInput { methods: methods.clone(), ..Default::default() }, 0x4000_0000)
+            .unwrap();
+        assert!(plain.methods.iter().any(|r| r.insn_words > 0) && !plain.thunks.is_empty());
+        // Every method, some methods, and a list that stops short.
+        let all = encoded.iter().map(|w| Some(w.as_slice())).collect();
+        let some = vec![Some(encoded[0].as_slice()), None, Some(encoded[2].as_slice())];
+        let short = vec![None, Some(encoded[1].as_slice())];
+        for words in [all, some, short] {
+            let input = LinkInput { methods: methods.clone(), words, ..Default::default() };
+            let copied = link(input, 0x4000_0000).unwrap();
+            assert_eq!(copied.words, plain.words);
+            assert_eq!(format!("{:?}", copied.methods), format!("{:?}", plain.methods));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "words/insns length")]
+    fn words_of_another_length_than_the_method_are_refused() {
+        let methods = cto_trio();
+        let mut words = calibro_isa::encode_words(&methods[0].insns).unwrap();
+        words.pop();
+        let input = LinkInput { methods, words: vec![Some(&words)], ..Default::default() };
+        let _ = link(input, 0x4000_0000);
+    }
+
     #[test]
     fn unresolved_targets_error() {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
@@ -518,7 +593,8 @@ mod tests {
             at: m.insns.len() - 1,
             target: CallTarget::Outlined(7),
         });
-        let input = LinkInput { methods: vec![m], outlined: vec![], merged: vec![] };
+        let input =
+            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::UnresolvedTarget { .. })));
     }
 
@@ -526,7 +602,8 @@ mod tests {
     fn misordered_methods_error() {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let m = with_id(simple_method("a", None, &opts), 5);
-        let input = LinkInput { methods: vec![m], outlined: vec![], merged: vec![] };
+        let input =
+            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::MisorderedMethod { index: 0 })));
     }
 
@@ -535,7 +612,12 @@ mod tests {
         let opts = CodegenOptions { cto: true, collect_metadata: true };
         let m0 = with_id(simple_method("a", Some(MethodId(1)), &opts), 0);
         let m1 = with_id(simple_method("b", None, &opts), 1);
-        let input = LinkInput { methods: vec![m0, m1], outlined: vec![], merged: vec![] };
+        let input = LinkInput {
+            methods: vec![m0, m1],
+            outlined: vec![],
+            merged: vec![],
+            ..Default::default()
+        };
         let oat = link(input, 0x4000_0000).unwrap();
         for record in &oat.methods {
             let start = (record.offset / 4) as usize;

@@ -858,7 +858,8 @@ mod tests {
             WireError::Truncated { what }
             | WireError::InvalidTag { what, .. }
             | WireError::OversizedCollection { what, .. }
-            | WireError::UndecodableWord { what, .. } => Some(what),
+            | WireError::UndecodableWord { what, .. }
+            | WireError::UnencodableInsn { what } => Some(what),
             WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
         }
     }

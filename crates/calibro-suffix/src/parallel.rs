@@ -8,6 +8,8 @@
 //! tolerable loss of cross-group repeats — is exactly what Tables 4 and 6
 //! of the paper quantify.
 
+use std::borrow::Cow;
+
 use crate::repeats::{select_outline_plan, OutlineCandidate};
 use crate::tree::{SuffixTree, Symbol};
 
@@ -34,18 +36,20 @@ pub struct TaggedSequence {
 
 /// The per-group result of a parallel detection run.
 #[derive(Debug)]
-pub struct GroupPlan {
+pub struct GroupPlan<'a> {
     /// Tags of the sequences concatenated into this group, in order.
     pub tags: Vec<usize>,
     /// Start offset of each tagged sequence within the group text.
     pub offsets: Vec<usize>,
     /// Length of each tagged sequence (excluding its separator).
     pub lens: Vec<usize>,
-    /// The outline candidates selected within this group.
-    pub candidates: Vec<OutlineCandidate>,
+    /// The outline candidates selected within this group: owned when
+    /// detection just produced them, borrowed when a cached plan is
+    /// replayed ([`replay_group_plan`]).
+    pub candidates: Cow<'a, [OutlineCandidate]>,
 }
 
-impl GroupPlan {
+impl GroupPlan<'_> {
     /// Maps a group-text position back to `(tag, offset_within_sequence)`.
     ///
     /// # Panics
@@ -124,18 +128,16 @@ pub fn partition_stable(sequences: Vec<TaggedSequence>, k: usize) -> Vec<Vec<Tag
 /// value). The outline pass reads those hashes from each method's
 /// cached symbolization template and passes them in here, so the
 /// partition step is O(sequences) bookkeeping rather than O(total symbol
-/// text) hashing.
+/// text) hashing — and since nothing here reads the text, whatever
+/// stands for a sequence will do (the outline pass partitions method
+/// indices and materializes text only for the groups it must re-detect).
 #[must_use]
-pub fn partition_stable_by<F>(
-    sequences: Vec<TaggedSequence>,
-    k: usize,
-    hash_of: F,
-) -> Vec<Vec<TaggedSequence>>
+pub fn partition_stable_by<T, F>(sequences: Vec<T>, k: usize, hash_of: F) -> Vec<Vec<T>>
 where
-    F: Fn(usize, &TaggedSequence) -> u64,
+    F: Fn(usize, &T) -> u64,
 {
     let k = k.max(1);
-    let mut groups: Vec<Vec<TaggedSequence>> = (0..k).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<T>> = (0..k).map(|_| Vec::new()).collect();
     for (i, seq) in sequences.into_iter().enumerate() {
         let group = (hash_of(i, &seq) % k as u64) as usize;
         groups[group].push(seq);
@@ -143,37 +145,46 @@ where
     groups
 }
 
-/// Total concatenated text length of a group, including one joint
-/// separator per sequence — the length [`detect_group`] would build its
-/// tree over. Used to key and validate cached plans.
+/// Total concatenated text length of a group whose sequences have the
+/// given lengths, including one joint separator per sequence — the
+/// length [`detect_group`] builds its tree over. Used to validate cached
+/// plans against the group they are about to be replayed on.
 #[must_use]
-pub fn group_text_len(group: &[TaggedSequence]) -> usize {
-    group.iter().map(|seq| seq.symbols.len() + 1).sum()
+pub fn group_text_len(lens: impl IntoIterator<Item = usize>) -> usize {
+    lens.into_iter().map(|len| len + 1).sum()
 }
 
-/// Rebuilds a [`GroupPlan`] for `group` from cached `candidates` without
-/// re-running detection.
+/// Rebuilds a [`GroupPlan`] from cached `candidates` without re-running
+/// detection — and without the group's text: `members` is each
+/// sequence's `(tag, length)`, in group order, which is all the
+/// positional bookkeeping reads.
 ///
-/// Tags, offsets, and lens are positional bookkeeping recomputed from
-/// the *current* group (method indices shift across edits, so they are
-/// never cached); the candidates are valid as long as the group's
-/// canonicalized text matches the one they were detected on, which the
-/// caller guarantees by keying the cache over that text. Candidate
-/// symbols are always literals — separators are unique, so no repeated
-/// substring contains one — hence they too are stable across builds.
+/// Tags, offsets, and lens are recomputed from the *current* group
+/// (method indices shift across edits, so they are never cached); the
+/// candidates are valid as long as the group's canonicalized text
+/// matches the one they were detected on, which the caller guarantees by
+/// keying the cache over that text. Candidate symbols are always
+/// literals — separators are unique, so no repeated substring contains
+/// one — hence they too are stable across builds, and the plan borrows
+/// them from wherever the cache keeps them.
 #[must_use]
-pub fn replay_group_plan(group: &[TaggedSequence], candidates: Vec<OutlineCandidate>) -> GroupPlan {
-    let mut tags = Vec::with_capacity(group.len());
-    let mut offsets = Vec::with_capacity(group.len());
-    let mut lens = Vec::with_capacity(group.len());
+pub fn replay_group_plan(
+    members: impl IntoIterator<Item = (usize, usize)>,
+    candidates: &[OutlineCandidate],
+) -> GroupPlan<'_> {
+    let members = members.into_iter();
+    let count = members.size_hint().0;
+    let mut tags = Vec::with_capacity(count);
+    let mut offsets = Vec::with_capacity(count);
+    let mut lens = Vec::with_capacity(count);
     let mut cursor = 0;
-    for seq in group {
-        tags.push(seq.tag);
+    for (tag, len) in members {
+        tags.push(tag);
         offsets.push(cursor);
-        lens.push(seq.symbols.len());
-        cursor += seq.symbols.len() + 1;
+        lens.push(len);
+        cursor += len + 1;
     }
-    GroupPlan { tags, offsets, lens, candidates }
+    GroupPlan { tags, offsets, lens, candidates: Cow::Borrowed(candidates) }
 }
 
 /// Concatenates a group's sequences with unique separators and returns
@@ -205,7 +216,7 @@ pub fn detect_parallel(
     groups: Vec<Vec<TaggedSequence>>,
     min_len: usize,
     threads: usize,
-) -> Vec<GroupPlan> {
+) -> Vec<GroupPlan<'static>> {
     assert!(threads > 0, "at least one worker thread required");
     let work: Vec<(usize, Vec<TaggedSequence>)> = groups.into_iter().enumerate().collect();
     let results = parking_lot::Mutex::new(Vec::new());
@@ -230,11 +241,11 @@ pub fn detect_parallel(
 
 /// Single-group detection: concatenate, build the tree, select the plan.
 #[must_use]
-pub fn detect_group(group: &[TaggedSequence], min_len: usize) -> GroupPlan {
+pub fn detect_group(group: &[TaggedSequence], min_len: usize) -> GroupPlan<'static> {
     let (text, tags, offsets, lens) = concatenate(group);
     let total = text.len();
     let tree = SuffixTree::build(text);
-    let candidates = select_outline_plan(&tree, min_len, total);
+    let candidates = Cow::Owned(select_outline_plan(&tree, min_len, total));
     GroupPlan { tags, offsets, lens, candidates }
 }
 
@@ -336,14 +347,19 @@ mod tests {
             .collect();
         let fresh = detect_group(&group, 2);
         assert!(!fresh.candidates.is_empty());
-        let replayed = replay_group_plan(&group, fresh.candidates.clone());
+        // Replay sees lengths only — never the text.
+        let members = group.iter().map(|s| (s.tag, s.symbols.len()));
+        let replayed = replay_group_plan(members, &fresh.candidates);
         assert_eq!(replayed.tags, fresh.tags);
         assert_eq!(replayed.offsets, fresh.offsets);
         assert_eq!(replayed.lens, fresh.lens);
         assert_eq!(replayed.candidates, fresh.candidates);
         // Bookkeeping covers exactly the concatenated text.
         let last = group.len() - 1;
-        assert_eq!(replayed.offsets[last] + replayed.lens[last] + 1, group_text_len(&group));
+        assert_eq!(
+            replayed.offsets[last] + replayed.lens[last] + 1,
+            group_text_len(group.iter().map(|s| s.symbols.len()))
+        );
     }
 
     #[test]
@@ -427,5 +443,20 @@ mod tests {
     fn resolve_panics_on_trailing_separator() {
         let plan = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
         let _ = plan.resolve(6);
+    }
+
+    #[test]
+    fn a_plan_replayed_from_lengths_resolves_and_panics_like_a_detected_one() {
+        // The same group as above, rebuilt from `(tag, length)` alone.
+        let plan = replay_group_plan([(5, 3), (9, 2)], &[]);
+        assert_eq!(plan.resolve(2), (5, 2));
+        assert_eq!(plan.resolve(4), (9, 0));
+        // The joint, the trailing separator, past the text.
+        for pos in [3, 6, 7] {
+            let panic = std::panic::catch_unwind(|| plan.resolve(pos))
+                .expect_err("a separator position must not resolve");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains("separator space"), "position {pos}: {message}");
+        }
     }
 }

@@ -178,7 +178,7 @@ fn separators_stop_repeats_at_method_boundaries() {
         "the cross-method motif must be found: {:?}",
         plan.candidates
     );
-    for cand in &plan.candidates {
+    for cand in plan.candidates.iter() {
         for &p in &cand.positions {
             // `resolve` itself panics on separator-space positions; also
             // demand the occurrence ends inside its own sequence.
@@ -236,7 +236,7 @@ fn parallel_detection_agrees_with_single_group_and_thread_count() {
     let plans = detect_parallel(partition_stable(seqs, 3), 2, 2);
     assert_eq!(plans.len(), 3);
     for plan in &plans {
-        for cand in &plan.candidates {
+        for cand in plan.candidates.iter() {
             for &p in &cand.positions {
                 let (tag, off) = plan.resolve(p);
                 let idx = plan.tags.iter().position(|&t| t == tag).unwrap();

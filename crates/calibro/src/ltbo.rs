@@ -24,11 +24,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calibro_cache::{
-    ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate, TemplateSlot,
+    ArtifactStore, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate, TemplateSlot,
 };
 use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
-use calibro_isa::Insn;
+use calibro_isa::{encode_words, Insn};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, replay_group_plan, GroupPlan,
     TaggedSequence, UNIQUE_SEPARATOR_BASE,
@@ -36,6 +36,7 @@ use calibro_suffix::{
 
 use crate::fingerprint::group_plan_key_from;
 use crate::pipeline::{panic_message, run_indexed};
+use crate::sizepass::MethodWords;
 
 /// How the suffix-tree stage runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -170,8 +171,9 @@ pub struct LtboResult {
     pub outlined: Vec<Vec<Insn>>,
     /// Run statistics.
     pub stats: LtboStats,
-    /// Wall time of the detection phase alone (cache probe + suffix-tree
-    /// detection / plan replay), excluding symbolization and patching.
+    /// Wall time of the detection phase alone: cache probe, then per
+    /// group either plan replay or symbol text + suffix-tree detection.
+    /// Excludes finding the templates and patching.
     pub detect_time: Duration,
 }
 
@@ -198,33 +200,38 @@ fn sep_base(idx: usize) -> u64 {
     base
 }
 
-/// One candidate method's §3.3.2 symbolization.
+/// One candidate method's §3.3.2 symbolization — its structure only.
+/// The symbol text itself is made by [`materialize`], and only for the
+/// groups detection actually runs on.
 struct Symbolized<'a> {
     /// Hot method restricted to its slow paths.
     hot: bool,
-    /// The symbol sequence (separators in the method's own band).
-    symbols: Vec<u64>,
-    /// The template the symbols were replayed from: its slots answer
-    /// symbol offset → code word lookups
-    /// ([`SymbolTemplate::word_at`]) and it carries the sequence's
-    /// content key (the Merkle leaf of the group key) and partition
-    /// hash. Both hashes canonicalize separators, so the values cached
-    /// at template construction equal a direct hash of `symbols`
-    /// whatever this method's band — no per-build re-hashing.
+    /// The template the symbols replay from: its slots answer symbol
+    /// offset → code word lookups ([`SymbolTemplate::word_at`]), give
+    /// the sequence's length (one symbol per slot), and it carries the
+    /// sequence's content key (the Merkle leaf of the group key) and
+    /// partition hash. Both hashes canonicalize separators, so the
+    /// values cached at template construction equal a direct hash of the
+    /// replayed symbols whatever this method's band — no per-build
+    /// re-hashing.
     template: Cow<'a, SymbolTemplate>,
+    /// The method's words, when it arrived without any and they had to
+    /// be made here for the template; kept for [`apply_edits`].
+    encoded: Option<Vec<u32>>,
 }
 
-/// Classifies and symbolizes one method (§3.3.1 + §3.3.2), assigning
-/// separators from the method's private band; `None` means the method
-/// is not a candidate (indirect jump, native stub, or hot with no slow
-/// paths). `cached` is the store entry's template for this method:
-/// it is borrowed when it applies, and a fresh [`build_template`] is
-/// owned when it does not — there is no entry, or the method is hot
-/// (cached templates are built for the unfiltered case).
+/// Classifies one method (§3.3.1) and finds its symbolization template
+/// (§3.3.2); `None` means the method is not a candidate (indirect jump,
+/// native stub, or hot with no slow paths). `source` says where the
+/// method stands: while it is still exactly its store entry's code the
+/// entry's template is borrowed, and a fresh [`build_template`] is owned
+/// when that does not apply — there is no entry, or the method is hot
+/// (cached templates are built for the unfiltered case). The fresh
+/// template reads the method's words instead of encoding again; a method
+/// that carries none is encoded here, once.
 fn symbolize<'a>(
-    idx: usize,
     m: &CompiledMethod,
-    cached: Option<&'a SymbolTemplate>,
+    source: Option<&'a MethodWords>,
     hot_methods: Option<&HashSet<u32>>,
 ) -> Option<Symbolized<'a>> {
     if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
@@ -234,17 +241,45 @@ fn symbolize<'a>(
     if hot && m.metadata.slow_paths.is_empty() {
         return None;
     }
+    let cached = match source {
+        Some(MethodWords::Entry(entry)) => entry.template.as_ref(),
+        _ => None,
+    };
+    let mut encoded = None;
     let template = match cached {
         Some(template) if !hot => Cow::Borrowed(template),
-        _ => Cow::Owned(build_template(m, hot)),
+        _ => {
+            let words = match source.and_then(MethodWords::as_slice) {
+                Some(words) => words,
+                None => {
+                    encoded.insert(encode_words(&m.insns).expect("compiled instruction encodes"))
+                }
+            };
+            Cow::Owned(build_template(m, words, hot))
+        }
     };
+    Some(Symbolized { hot, template, encoded })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many symbol texts this thread has materialized.
+    static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Replays method `idx`'s template into its symbol text, assigning
+/// separators from the method's private band. O(method), so it runs for
+/// the members of groups that must be re-detected and for nobody else.
+fn materialize(idx: usize, template: &SymbolTemplate) -> TaggedSequence {
+    #[cfg(test)]
+    MATERIALIZED.with(|n| n.set(n.get() + 1));
     let mut unique = sep_base(idx);
     let symbols = template.replay_symbols(&mut unique);
     assert!(
         unique <= sep_base(idx) + SEP_STRIDE,
         "method {idx} used more than {SEP_STRIDE} separators"
     );
-    Some(Symbolized { hot, symbols, template })
+    TaggedSequence { tag: idx, symbols }
 }
 
 /// Where an outlined call site's `bl` lands.
@@ -274,7 +309,7 @@ struct Edit {
 /// invariants; the compiler produces consistent metadata, and cached
 /// artifacts are validated at load time).
 pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResult {
-    match outline_methods(methods, config, &[], None, None) {
+    match outline_methods(methods, &mut [], config, None, None) {
         Ok(result) => result,
         Err(e) => panic!("{e}"),
     }
@@ -283,11 +318,16 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 /// The one outlining route, shared by [`run_ltbo`] and the staged
 /// pipeline's outline pass. Beyond the five §3.3 steps it offers:
 ///
-/// - **Template replay.** `entries` is indexed by method position; a
-///   method whose entry carries a [`SymbolTemplate`] replays the cached
-///   §3.3.2 symbol structure instead of re-extracting it from code and
+/// - **Template replay.** `words` is indexed by method position and
+///   says where each method stands ([`MethodWords`]); a method that is
+///   still its store entry's code replays the entry's cached §3.3.2
+///   symbol structure instead of re-extracting it from code and
 ///   metadata (see [`symbolize`]). An empty or short slice falls back
 ///   to extraction.
+/// - **Words move with instructions.** A rewritten method's words are
+///   rewritten alongside ([`apply_edits`]) and left in its `words`
+///   slot, so the linker copies them instead of encoding the method
+///   again.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
 ///   panic on an inconsistent plan) is caught and surfaced as
@@ -298,8 +338,12 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   candidates are cached under a key covering the group's
 ///   canonicalized symbol text plus the `LtboConfig` fingerprint
 ///   ([`group_plan_key_from`]). Groups whose key hits replay the cached
-///   plan ([`replay_group_plan`]) and skip suffix-tree construction
-///   entirely; only dirty groups re-detect. Replay is byte-exact:
+///   plan by reference ([`replay_group_plan`]) from the members'
+///   lengths, and skip both the symbol text and the suffix tree; only
+///   dirty groups materialize their text and re-detect. A hit whose
+///   recorded text length is not this group's (a foreign plan under the
+///   right key) is not replayed: the group re-detects and overwrites
+///   it. Replay is byte-exact:
 ///   content-stable partitioning ([`partition_stable_by`]) pins each
 ///   sequence's group, and detection is deterministic under the
 ///   order-isomorphic separator renumbering that a rebuild performs, so
@@ -324,41 +368,44 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 /// persisted group plan exists but is corrupt or unreadable.
 pub(crate) fn outline_methods(
     methods: &mut [CompiledMethod],
+    words: &mut [MethodWords],
     config: &LtboConfig,
-    entries: &[Arc<CacheEntry>],
     store: Option<&ArtifactStore>,
     mut dict: Option<&mut DictSession>,
 ) -> Result<LtboResult, OutlineError> {
     let mut stats = LtboStats::default();
 
-    // --- §3.3.1: choose candidates; §3.3.2: map to symbols. ------------
-    let mut sequences = Vec::new();
+    // --- §3.3.1: choose candidates; §3.3.2: find their templates. -------
+    let mut candidates: Vec<usize> = Vec::new();
     let mut templates: Vec<Option<Cow<'_, SymbolTemplate>>> = vec![None; methods.len()];
+    let mut encoded: Vec<Option<Vec<u32>>> = vec![None; methods.len()];
     for (idx, m) in methods.iter().enumerate() {
-        let cached = entries.get(idx).and_then(|entry| entry.template.as_ref());
-        match symbolize(idx, m, cached, config.hot_methods.as_ref()) {
+        match symbolize(m, words.get(idx), config.hot_methods.as_ref()) {
             None => stats.excluded_methods += 1,
-            Some(Symbolized { hot, symbols, template }) => {
-                if hot {
+            Some(symbolized) => {
+                if symbolized.hot {
                     stats.hot_restricted_methods += 1;
                 }
                 stats.candidate_methods += 1;
-                sequences.push(TaggedSequence { tag: idx, symbols });
-                templates[idx] = Some(template);
+                candidates.push(idx);
+                templates[idx] = Some(symbolized.template);
+                encoded[idx] = symbolized.encoded;
             }
         }
     }
-    // Every sequence's tag names a candidate, whose template was kept.
+    // Every candidate kept its template.
     let template_of =
-        |tag: usize| templates[tag].as_deref().expect("a candidate method kept its template");
+        |idx: usize| templates[idx].as_deref().expect("a candidate method kept its template");
+    // One symbol per slot: a sequence's length without its text.
+    let len_of = |idx: usize| template_of(idx).slots().len();
 
     // --- §3.3.3: detect repeats and select the outline plan. ------------
     let detect_start = Instant::now();
     let (groups, threads) = match config.mode {
-        LtboMode::Global => (vec![sequences], 1),
+        LtboMode::Global => (vec![candidates], 1),
         LtboMode::Parallel { groups, threads } => {
-            let by_hash = |_, s: &TaggedSequence| template_of(s.tag).group_hash();
-            (partition_stable_by(sequences, groups, by_hash), threads.max(1))
+            let by_hash = |_, idx: &usize| template_of(*idx).group_hash();
+            (partition_stable_by(candidates, groups, by_hash), threads.max(1))
         }
     };
     stats.detection_groups = groups.len();
@@ -369,17 +416,31 @@ pub(crate) fn outline_methods(
     // content keys — O(members) here, not O(text).
     let mut keys: Vec<CacheKey> = Vec::new();
     let mut cached: Vec<Option<Arc<GroupPlanEntry>>> = vec![None; groups.len()];
+    // Groups whose key turned out to hold a plan for some other text.
+    let mut foreign = vec![false; groups.len()];
     if let Some(store) = store {
         keys = groups
             .iter()
             .map(|g| {
                 let members: Vec<CacheKey> =
-                    g.iter().map(|s| template_of(s.tag).content_key()).collect();
+                    g.iter().map(|&idx| template_of(idx).content_key()).collect();
                 group_plan_key_from(config, &members)
             })
             .collect();
-        for (slot, &key) in cached.iter_mut().zip(&keys) {
-            *slot = store.groups().get(key).map_err(OutlineError::Cache)?;
+        for (i, &key) in keys.iter().enumerate() {
+            let Some(entry) = store.groups().get(key).map_err(OutlineError::Cache)? else {
+                continue;
+            };
+            // A plan is replayed only on the text it was detected on.
+            // The key says so already; the recorded length says so
+            // independently of whoever put the entry under that key, and
+            // a plan laid over a text of another length resolves into
+            // separator space at best.
+            if entry.text_len == group_text_len(groups[i].iter().map(|&idx| len_of(idx))) {
+                cached[i] = Some(entry);
+            } else {
+                foreign[i] = true;
+            }
         }
     }
 
@@ -388,34 +449,38 @@ pub(crate) fn outline_methods(
     let cached_ref = &cached;
     let (tagged_plans, _loads) = run_indexed(groups.len(), threads, |i| {
         if let Some(entry) = &cached_ref[i] {
-            return (replay_group_plan(&groups_ref[i], entry.candidates.clone()), true, 0);
+            let members = groups_ref[i].iter().map(|&idx| (idx, len_of(idx)));
+            return (replay_group_plan(members, &entry.candidates), 0);
         }
+        let text: Vec<TaggedSequence> =
+            groups_ref[i].iter().map(|&idx| materialize(idx, template_of(idx))).collect();
         detect_fault::check(i);
         let group_start = Instant::now();
-        let plan = detect_group(&groups_ref[i], min_len);
-        let cost_us = u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        (plan, false, cost_us)
+        let plan = detect_group(&text, min_len);
+        (plan, u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX))
     })
     .map_err(|p| OutlineError::Worker { group: p.index, message: p.message })?;
     let detect_time = detect_start.elapsed();
 
     if let Some(store) = store {
-        for (i, (plan, reused, cost_us)) in tagged_plans.iter().enumerate() {
-            if !reused {
-                // Detection CPU rides into the plan lane as recompute
-                // cost, so eviction pressure drops cheap plans first.
-                store.groups().insert_with_cost(
-                    keys[i],
-                    GroupPlanEntry {
-                        text_len: group_text_len(&groups[i]),
-                        candidates: plan.candidates.clone(),
-                    },
-                    *cost_us,
-                );
+        for (i, (plan, cost_us)) in tagged_plans.iter().enumerate() {
+            if cached[i].is_some() {
+                continue;
+            }
+            let entry = GroupPlanEntry {
+                text_len: group_text_len(plan.lens.iter().copied()),
+                candidates: plan.candidates.to_vec(),
+            };
+            // Detection CPU rides into the plan lane as recompute cost,
+            // so eviction pressure drops cheap plans first.
+            if foreign[i] {
+                store.groups().replace_with_cost(keys[i], entry, *cost_us);
+            } else {
+                store.groups().insert_with_cost(keys[i], entry, *cost_us);
             }
         }
     }
-    let plans: Vec<GroupPlan> = tagged_plans.into_iter().map(|(plan, _, _)| plan).collect();
+    let plans: Vec<GroupPlan<'_>> = tagged_plans.into_iter().map(|(plan, _)| plan).collect();
 
     // --- Materialize outlined functions and per-method edits. -----------
     let mut outlined: Vec<Vec<Insn>> = Vec::new();
@@ -423,15 +488,13 @@ pub(crate) fn outline_methods(
     for (group, plan) in plans.iter().enumerate() {
         let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
-            for cand in &plan.candidates {
-                let body: Vec<Insn> = cand
-                    .symbols
-                    .iter()
-                    .map(|&s| {
-                        calibro_isa::decode(u32::try_from(s).expect("candidate symbol is a word"))
-                            .expect("candidate symbols decode")
-                    })
-                    .collect();
+            for cand in plan.candidates.iter() {
+                // Room for the `br x30` a private copy ends in.
+                let mut body: Vec<Insn> = Vec::with_capacity(cand.symbols.len() + 1);
+                body.extend(cand.symbols.iter().map(|&s| {
+                    calibro_isa::decode(u32::try_from(s).expect("candidate symbol is a word"))
+                        .expect("candidate symbols decode")
+                }));
                 // Dictionary arbitration: a byte-identical island body
                 // serves every occurrence at call overhead only.
                 let call = match (dict.as_deref_mut(), store) {
@@ -442,7 +505,6 @@ pub(crate) fn outline_methods(
                     Some(call) => call,
                     None => {
                         let id = outlined.len() as u32;
-                        let mut body = body;
                         body.push(Insn::Br { rn: calibro_isa::Reg::LR });
                         stats.words_saved -= body.len() as i64;
                         outlined.push(body);
@@ -463,14 +525,27 @@ pub(crate) fn outline_methods(
             return Err(OutlineError::Worker { group, message: panic_message(payload) });
         }
     }
+    // The templates borrow the store entries out of `words`, which the
+    // loop below writes to.
+    drop(templates);
 
     // --- §3.3.4 + §3.5: apply edits, patch PC-relative, fix records. ----
+    let mut map = Vec::new();
     for (idx, mut method_edits) in edits.into_iter().enumerate() {
         if method_edits.is_empty() {
             continue;
         }
         method_edits.sort_by_key(|e| e.start);
-        let (patched, maps_updated) = apply_edits(&mut methods[idx], &method_edits);
+        let old_words = words
+            .get(idx)
+            .and_then(MethodWords::as_slice)
+            .or(encoded[idx].as_deref())
+            .expect("a candidate's words were found or made when it was symbolized");
+        let (new_words, patched, maps_updated) =
+            apply_edits(&mut methods[idx], old_words, &method_edits, &mut map);
+        if let Some(slot) = words.get_mut(idx) {
+            *slot = MethodWords::Outlined(new_words);
+        }
         stats.pc_rel_patched += patched;
         stats.stack_maps_updated += maps_updated;
     }
@@ -480,18 +555,25 @@ pub(crate) fn outline_methods(
 
 /// Builds the §3.3.2 symbolization structure for one method: which
 /// words are separator-forced (terminators, PC-relative sites, LR
-/// users, SP writers, block leaders) and the encoded words of the rest.
-/// Replaying the result through [`SymbolTemplate::replay_symbols`]
-/// yields exactly the symbol sequence direct extraction would produce —
-/// the cache stores the `hot_slow_paths_only = false` template so warm
-/// builds skip this scan and the per-instruction encoding entirely.
+/// users, SP writers, block leaders) and the encoded words of the rest,
+/// read from `words` — the method's instructions as already encoded
+/// ([`CacheEntry::words`](calibro_cache::CacheEntry::words)), so nothing
+/// is encoded a second time here. Replaying the result through
+/// [`SymbolTemplate::replay_symbols`] yields exactly the symbol sequence
+/// direct extraction would produce — the cache stores the
+/// `hot_slow_paths_only = false` template so warm builds skip this scan
+/// entirely.
 ///
 /// # Panics
 ///
-/// Panics if an instruction fails to encode (codegen only emits
-/// encodable instructions, and cached entries re-validated this).
-pub(crate) fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTemplate {
+/// Panics if `words` is not one word per instruction.
+pub(crate) fn build_template(
+    m: &CompiledMethod,
+    words: &[u32],
+    hot_slow_paths_only: bool,
+) -> SymbolTemplate {
     let code_len = m.insns.len();
+    assert_eq!(words.len(), code_len, "one encoded word per instruction");
     let mut is_pc_rel_site = vec![false; code_len];
     let mut is_leader = vec![false; code_len];
     for rec in &m.metadata.pc_rel {
@@ -525,11 +607,11 @@ pub(crate) fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> S
             || insn.writes_lr()
             || writes_sp(insn)
             || (hot_slow_paths_only && !m.metadata.in_slow_path(word));
+        let encoded = words[word];
         let word = u32::try_from(word).expect("method shorter than 2^32 words");
         if excluded {
             slots.push(TemplateSlot::Fresh { word });
         } else {
-            let encoded = insn.encode().expect("compiled instruction encodes");
             slots.push(TemplateSlot::Lit { encoded, word });
         }
     }
@@ -551,45 +633,64 @@ fn writes_sp(insn: &Insn) -> bool {
     }
 }
 
-/// Applies sorted, non-overlapping edits to one method: replaces each
-/// outlined range with a `bl`, rebuilds the position map, patches
-/// PC-relative instructions, and updates every §3.2/§3.5 record.
-/// Returns `(pc_rel_patched, stack_maps_updated)`.
-fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
+/// Applies sorted, non-overlapping edits to one method and to its
+/// encoded `words` together: each outlined range becomes a placeholder
+/// `bl`, everything between two edits is copied as a run (instructions
+/// and words alike), PC-relative instructions are patched, and every
+/// §3.2/§3.5 record is updated. The only instructions encoded here are
+/// the PC-relative sites §3.3.4 patches. `map` is scratch (old word
+/// index → new word index), reused from method to method. Returns the
+/// method's new words and `(pc_rel_patched, stack_maps_updated)`.
+fn apply_edits(
+    m: &mut CompiledMethod,
+    words: &[u32],
+    edits: &[Edit],
+    map: &mut Vec<usize>,
+) -> (Vec<u32>, usize, usize) {
     let old_len = m.insns.len();
-    // old word index -> new word index (usize::MAX = removed).
-    let mut map = vec![usize::MAX; old_len + m.pool.len() + 1];
-    let mut new_insns = Vec::with_capacity(old_len);
-    let mut new_relocs: Vec<Reloc> = Vec::new();
-    let mut next_edit = 0;
+    assert_eq!(words.len(), old_len, "one encoded word per instruction");
+    let new_code_len = old_len - edits.iter().map(|e| e.len.saturating_sub(1)).sum::<usize>();
+    // usize::MAX = removed (the interior of an outlined range).
+    map.clear();
+    map.resize(old_len + m.pool.len() + 1, usize::MAX);
+    let mut new_insns = Vec::with_capacity(new_code_len);
+    let mut new_words = Vec::with_capacity(new_code_len);
+    let mut new_relocs: Vec<Reloc> = Vec::with_capacity(m.relocs.len() + edits.len());
+    let call = Insn::Bl { offset: 0 };
+    let call_word = call.encode().expect("a placeholder bl encodes");
     let mut word = 0;
-    while word < old_len {
-        if next_edit < edits.len() && edits[next_edit].start == word {
-            let edit = &edits[next_edit];
-            map[word] = new_insns.len();
-            let target = match edit.call {
-                EditCall::Outlined(id) => CallTarget::Outlined(id),
-                EditCall::Dict(at) => CallTarget::Dict(at),
-            };
-            new_relocs.push(Reloc { at: new_insns.len(), target });
-            new_insns.push(Insn::Bl { offset: 0 });
-            // Interior words vanish.
-            word += edit.len;
-            next_edit += 1;
-        } else {
-            map[word] = new_insns.len();
-            new_insns.push(m.insns[word]);
-            word += 1;
+    // One round per edit, and a last one for the run behind the last edit.
+    for edit in edits.iter().map(Some).chain([None]) {
+        let run_end = edit.map_or(old_len, |e| e.start);
+        assert!(word <= run_end, "edits overlap or are unsorted");
+        // Untouched words move as a block, instructions and words alike.
+        let at = new_insns.len();
+        for (i, slot) in map[word..run_end].iter_mut().enumerate() {
+            *slot = at + i;
         }
+        new_insns.extend_from_slice(&m.insns[word..run_end]);
+        new_words.extend_from_slice(&words[word..run_end]);
+        let Some(edit) = edit else { break };
+        assert!(edit.len > 0 && edit.start + edit.len <= old_len, "edit leaves the code");
+        // The range's first word becomes the call; its interior vanishes.
+        let target = match edit.call {
+            EditCall::Outlined(id) => CallTarget::Outlined(id),
+            EditCall::Dict(at) => CallTarget::Dict(at),
+        };
+        map[edit.start] = new_insns.len();
+        new_relocs.push(Reloc { at: new_insns.len(), target });
+        new_insns.push(call);
+        new_words.push(call_word);
+        word = edit.start + edit.len;
     }
-    debug_assert_eq!(next_edit, edits.len(), "edit start did not align to a word");
+    debug_assert_eq!(new_insns.len(), new_code_len);
     // Pool words shift as a block; map old pool indices too.
-    let new_code_len = new_insns.len();
     for (i, slot) in map.iter_mut().enumerate().skip(old_len) {
         *slot = new_code_len + (i - old_len);
     }
 
-    // Carry over original call relocations.
+    // Carry over original call relocations. The §3.2 tables below are
+    // remapped where they sit: their lengths do not change.
     for r in &m.relocs {
         let at = map[r.at];
         assert_ne!(at, usize::MAX, "call site removed by outlining");
@@ -599,8 +700,7 @@ fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
 
     // §3.3.4: patch PC-relative instructions with their updated offsets.
     let mut patched = 0;
-    let mut new_pc_rel = Vec::with_capacity(m.metadata.pc_rel.len());
-    for rec in &m.metadata.pc_rel {
+    for rec in &mut m.metadata.pc_rel {
         let at = map[rec.at];
         let target = map[rec.target];
         assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
@@ -608,36 +708,36 @@ fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
         let new_offset = (target as i64 - at as i64) * 4;
         if new_insns[at].pc_rel_offset() != Some(new_offset) {
             new_insns[at] = new_insns[at].with_pc_rel_offset(new_offset);
+            // Outlining only removes words between a site and its
+            // target, so the offset keeps its sign and alignment and
+            // shrinks in magnitude: the form that held the old one
+            // holds the new one.
+            new_words[at] = new_insns[at].encode().expect("a shrunken PC-relative offset encodes");
             patched += 1;
         }
-        new_pc_rel.push(PcRel { at, target });
+        *rec = PcRel { at, target };
     }
 
     // Terminators: removed ones (inside outlined ranges) cannot exist —
     // terminators are separators — so every record survives remapping.
-    let mut new_terminators = Vec::with_capacity(m.metadata.terminators.len());
-    for &t in &m.metadata.terminators {
-        let nt = map[t];
-        assert_ne!(nt, usize::MAX, "terminator removed by outlining");
-        new_terminators.push(nt);
+    for t in &mut m.metadata.terminators {
+        *t = map[*t];
+        assert_ne!(*t, usize::MAX, "terminator removed by outlining");
     }
 
     // Slow paths: remap range endpoints. Starts are leaders (branch
     // targets) and ends follow terminators, so both survive; interior
     // shrinkage is fine.
-    let mut new_slow = Vec::with_capacity(m.metadata.slow_paths.len());
-    for &(s, e) in &m.metadata.slow_paths {
-        let ns = map[s];
-        let ne = if e == old_len { new_code_len } else { map[e] };
-        assert_ne!(ns, usize::MAX);
-        assert_ne!(ne, usize::MAX);
-        new_slow.push((ns, ne));
+    for (s, e) in &mut m.metadata.slow_paths {
+        *s = map[*s];
+        *e = if *e == old_len { new_code_len } else { map[*e] };
+        assert_ne!(*s, usize::MAX);
+        assert_ne!(*e, usize::MAX);
     }
 
     // Embedded data: the pool block moved as a whole.
-    let mut new_embedded = Vec::with_capacity(m.metadata.embedded_data.len());
-    for &(s, l) in &m.metadata.embedded_data {
-        new_embedded.push((map[s], l));
+    for (s, _) in &mut m.metadata.embedded_data {
+        *s = map[*s];
     }
 
     // §3.5: stack maps — return offsets move with their call sites.
@@ -667,11 +767,7 @@ fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
 
     m.insns = new_insns;
     m.relocs = new_relocs;
-    m.metadata.pc_rel = new_pc_rel;
-    m.metadata.terminators = new_terminators;
-    m.metadata.slow_paths = new_slow;
-    m.metadata.embedded_data = new_embedded;
-    (patched, maps_updated)
+    (new_words, patched, maps_updated)
 }
 
 #[cfg(test)]
@@ -705,7 +801,9 @@ mod tests {
         // unconstructible from valid codegen. Before the guard this
         // underflowed `old_word - 1` and indexed `map[usize::MAX]`.
         let mut m = method_with_stack_map(0);
-        apply_edits(&mut m, &[Edit { start: 0, len: 2, call: EditCall::Outlined(0) }]);
+        let words = encode_words(&m.insns).unwrap();
+        let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
+        apply_edits(&mut m, &words, &edits, &mut Vec::new());
     }
 
     #[test]
@@ -713,11 +811,319 @@ mod tests {
         // The stack map names word 3 (offset 12); outlining words 0-1 into
         // a single `bl` shifts it back by one word, to offset 8.
         let mut m = method_with_stack_map(12);
-        let (_patched, maps_updated) =
-            apply_edits(&mut m, &[Edit { start: 0, len: 2, call: EditCall::Outlined(0) }]);
+        let words = encode_words(&m.insns).unwrap();
+        let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
+        let (words, _patched, maps_updated) = apply_edits(&mut m, &words, &edits, &mut Vec::new());
+        assert_eq!(words, encode_words(&m.insns).unwrap());
         assert_eq!(maps_updated, 1);
         assert_eq!(m.stack_maps[0].native_offset, 8);
         assert_eq!(m.insns.len(), 3);
         assert!(matches!(m.insns[0], Insn::Bl { .. }));
+    }
+
+    #[test]
+    fn symbol_text_is_materialized_only_for_groups_that_re_detect() {
+        use crate::{BuildOptions, BuildSession};
+        use calibro_workloads::{generate, mutate_methods, AppSpec};
+
+        // One detection thread: the whole outline pass runs on this
+        // thread, so the thread-local counter sees every materialization.
+        let options = BuildOptions::cto_ltbo_parallel(8, 1);
+        let dex = generate(&AppSpec::small("lazy", 9)).dex;
+        let session = BuildSession::new();
+        let texts = |build: &dyn Fn() -> crate::BuildOutput| {
+            let before = MATERIALIZED.get();
+            let out = build();
+            (MATERIALIZED.get() - before, out)
+        };
+
+        let (cold_texts, cold) = texts(&|| session.build(&dex, &options).unwrap());
+        assert_eq!(cold_texts, cold.stats.ltbo.candidate_methods, "cold: every candidate, once");
+
+        // Every group hits: not one method's text is made, and the plans
+        // (built from slot counts) still resolve every occurrence.
+        let (warm_texts, warm) = texts(&|| session.build(&dex, &options).unwrap());
+        assert_eq!(warm.stats.cache.group_misses, 0);
+        assert_eq!(warm_texts, 0, "a group that hit materialized symbol text");
+        assert_eq!(warm.stats.ltbo, cold.stats.ltbo);
+        assert_eq!(warm.oat.words, cold.oat.words);
+
+        // After an edit: the members of the groups that missed, nobody else.
+        let mut edited = dex.clone();
+        assert!(!mutate_methods(&mut edited, 7, 0.03).is_empty());
+        let (edit_texts, after) = texts(&|| session.build(&edited, &options).unwrap());
+        let missed = after.stats.cache.group_misses as usize;
+        assert!(missed > 0 && missed < after.stats.ltbo.detection_groups);
+        assert!(edit_texts > 0 && edit_texts < after.stats.ltbo.candidate_methods);
+        assert_eq!(after.oat.words, crate::build(&edited, &options).unwrap().oat.words);
+    }
+
+    /// The per-word implementation the run-copying one replaced, kept
+    /// verbatim as the oracle: it knows nothing of encoded words.
+    mod reference {
+        use super::super::{CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc};
+
+        pub fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
+            let old_len = m.insns.len();
+            // old word index -> new word index (usize::MAX = removed).
+            let mut map = vec![usize::MAX; old_len + m.pool.len() + 1];
+            let mut new_insns = Vec::with_capacity(old_len);
+            let mut new_relocs: Vec<Reloc> = Vec::new();
+            let mut next_edit = 0;
+            let mut word = 0;
+            while word < old_len {
+                if next_edit < edits.len() && edits[next_edit].start == word {
+                    let edit = &edits[next_edit];
+                    map[word] = new_insns.len();
+                    let target = match edit.call {
+                        EditCall::Outlined(id) => CallTarget::Outlined(id),
+                        EditCall::Dict(at) => CallTarget::Dict(at),
+                    };
+                    new_relocs.push(Reloc { at: new_insns.len(), target });
+                    new_insns.push(Insn::Bl { offset: 0 });
+                    // Interior words vanish.
+                    word += edit.len;
+                    next_edit += 1;
+                } else {
+                    map[word] = new_insns.len();
+                    new_insns.push(m.insns[word]);
+                    word += 1;
+                }
+            }
+            debug_assert_eq!(next_edit, edits.len(), "edit start did not align to a word");
+            // Pool words shift as a block; map old pool indices too.
+            let new_code_len = new_insns.len();
+            for (i, slot) in map.iter_mut().enumerate().skip(old_len) {
+                *slot = new_code_len + (i - old_len);
+            }
+
+            // Carry over original call relocations.
+            for r in &m.relocs {
+                let at = map[r.at];
+                assert_ne!(at, usize::MAX, "call site removed by outlining");
+                new_relocs.push(Reloc { at, target: r.target });
+            }
+            new_relocs.sort_by_key(|r| r.at);
+
+            // §3.3.4: patch PC-relative instructions with their updated offsets.
+            let mut patched = 0;
+            let mut new_pc_rel = Vec::with_capacity(m.metadata.pc_rel.len());
+            for rec in &m.metadata.pc_rel {
+                let at = map[rec.at];
+                let target = map[rec.target];
+                assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
+                assert_ne!(target, usize::MAX, "branch target removed by outlining");
+                let new_offset = (target as i64 - at as i64) * 4;
+                if new_insns[at].pc_rel_offset() != Some(new_offset) {
+                    new_insns[at] = new_insns[at].with_pc_rel_offset(new_offset);
+                    patched += 1;
+                }
+                new_pc_rel.push(PcRel { at, target });
+            }
+
+            // Terminators: removed ones (inside outlined ranges) cannot exist —
+            // terminators are separators — so every record survives remapping.
+            let mut new_terminators = Vec::with_capacity(m.metadata.terminators.len());
+            for &t in &m.metadata.terminators {
+                let nt = map[t];
+                assert_ne!(nt, usize::MAX, "terminator removed by outlining");
+                new_terminators.push(nt);
+            }
+
+            // Slow paths: remap range endpoints. Starts are leaders (branch
+            // targets) and ends follow terminators, so both survive; interior
+            // shrinkage is fine.
+            let mut new_slow = Vec::with_capacity(m.metadata.slow_paths.len());
+            for &(s, e) in &m.metadata.slow_paths {
+                let ns = map[s];
+                let ne = if e == old_len { new_code_len } else { map[e] };
+                assert_ne!(ns, usize::MAX);
+                assert_ne!(ne, usize::MAX);
+                new_slow.push((ns, ne));
+            }
+
+            // Embedded data: the pool block moved as a whole.
+            let mut new_embedded = Vec::with_capacity(m.metadata.embedded_data.len());
+            for &(s, l) in &m.metadata.embedded_data {
+                new_embedded.push((map[s], l));
+            }
+
+            // §3.5: stack maps — return offsets move with their call sites.
+            let mut maps_updated = 0;
+            for sm in &mut m.stack_maps {
+                let old_word = (sm.native_offset / 4) as usize;
+                // The entry names the word *after* the call; remap via the call.
+                // An offset of 0 would name the word before the method, i.e. the
+                // metadata is corrupt — panic with context instead of letting the
+                // subtraction wrap around to index `map[usize::MAX]`.
+                let call_word = old_word.checked_sub(1).unwrap_or_else(|| {
+                    panic!(
+                        "stack map at native offset 0 in method {:?}: \
+                         entries name the word after a call, so offset 0 cannot \
+                         follow any instruction",
+                        m.method
+                    )
+                });
+                let new_call = map[call_word];
+                assert_ne!(new_call, usize::MAX, "call under a stack map removed");
+                let new_offset = (new_call as u32 + 1) * 4;
+                if new_offset != sm.native_offset {
+                    sm.native_offset = new_offset;
+                    maps_updated += 1;
+                }
+            }
+
+            m.insns = new_insns;
+            m.relocs = new_relocs;
+            m.metadata.pc_rel = new_pc_rel;
+            m.metadata.terminators = new_terminators;
+            m.metadata.slow_paths = new_slow;
+            m.metadata.embedded_data = new_embedded;
+            (patched, maps_updated)
+        }
+    }
+
+    mod differential {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        use super::super::*;
+        use super::reference;
+        use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
+        use calibro_dex::MethodId;
+        use calibro_isa::{Cond, Reg};
+
+        /// A method with consistent §3.2 metadata and a sorted,
+        /// non-overlapping edit set over it, grown from `seed`. Edits
+        /// come first (adjacent ones, single-word gaps, one at word 0 and
+        /// one ending at the last word all occur); then every word no
+        /// edit covers draws a role — PC-relative site, call with a
+        /// stack map behind it, terminator, plain — and sites pick
+        /// targets anywhere an edit's interior is not: before or behind
+        /// any number of edits, an edit's first word, the pool, the end.
+        fn case(n: usize, pool_len: usize, seed: u64) -> (CompiledMethod, Vec<Edit>) {
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut below = |bound: usize| rng.below(bound as u64) as usize;
+
+            let mut edits = Vec::new();
+            let mut interior = vec![false; n + 1];
+            let mut covered = vec![false; n];
+            let mut word = 0;
+            loop {
+                word += [0, 0, 1, 1, 2, 3, 5, 9][below(8)];
+                if word >= n {
+                    break;
+                }
+                let len = (1 + below(5)).min(n - word);
+                let call = match below(2) {
+                    0 => EditCall::Outlined(below(9) as u32),
+                    _ => EditCall::Dict(below(99) as u32),
+                };
+                edits.push(Edit { start: word, len, call });
+                covered[word..word + len].fill(true);
+                interior[word + 1..word + len].fill(true);
+                word += len;
+            }
+            let landing: Vec<usize> =
+                (0..=n + pool_len).filter(|&w| w >= n || !interior[w]).collect();
+
+            let plain = |k: usize| match k % 3 {
+                0 => Insn::Nop,
+                1 => Insn::AddImm {
+                    wide: true,
+                    set_flags: false,
+                    rd: Reg::X1,
+                    rn: Reg::X2,
+                    imm12: (k % 4096) as u16,
+                    shift12: false,
+                },
+                _ => Insn::OrrReg { wide: true, rd: Reg::X3, rn: Reg::ZR, rm: Reg::X4, shift: 0 },
+            };
+            let mut m = CompiledMethod {
+                method: MethodId(3),
+                insns: Vec::with_capacity(n),
+                pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
+                relocs: Vec::new(),
+                metadata: MethodMetadata::default(),
+                stack_maps: Vec::new(),
+            };
+            for (w, &in_edit) in covered.iter().enumerate() {
+                let role = if in_edit { 9 } else { below(10) };
+                let insn = match role {
+                    0..=2 => {
+                        let target = landing[below(landing.len())];
+                        let offset = (target as i64 - w as i64) * 4;
+                        m.metadata.pc_rel.push(PcRel { at: w, target });
+                        match below(6) {
+                            0 => Insn::B { offset },
+                            1 => Insn::BCond { cond: Cond::Ne, offset },
+                            2 => Insn::Cbz { wide: false, rt: Reg::X5, offset },
+                            3 => Insn::Tbnz { rt: Reg::X6, bit: 3, offset },
+                            4 => Insn::Adr { rd: Reg::X7, offset },
+                            _ => Insn::LdrLit { wide: true, rt: Reg::X8, offset },
+                        }
+                    }
+                    3 | 4 => {
+                        let target = match below(2) {
+                            0 => CallTarget::Thunk(ThunkKind::StackCheck),
+                            _ => CallTarget::Method(MethodId(below(50) as u32)),
+                        };
+                        m.relocs.push(Reloc { at: w, target });
+                        let native_offset = (w as u32 + 1) * 4;
+                        m.stack_maps.push(StackMapEntry { native_offset, dex_pc: w as u32 });
+                        Insn::Bl { offset: 0 }
+                    }
+                    5 => {
+                        m.metadata.terminators.push(w);
+                        Insn::Ret { rn: Reg::LR }
+                    }
+                    _ => plain(below(9000)),
+                };
+                m.insns.push(insn);
+            }
+            for _ in 0..below(3) {
+                let (a, b) =
+                    (landing[below(landing.len())].min(n), landing[below(landing.len())].min(n));
+                if a != b {
+                    m.metadata.slow_paths.push((a.min(b), a.max(b)));
+                }
+            }
+            if pool_len > 0 {
+                m.metadata.embedded_data.push((n, pool_len));
+            }
+            (m, edits)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Copying runs yields exactly what rebuilding word by word
+            /// did — instructions, relocations, every metadata table,
+            /// stack maps, counters — and the words it returns are the
+            /// new instructions, encoded.
+            #[test]
+            fn copying_runs_equals_the_per_word_reference(
+                n in 1usize..72,
+                pool_len in 0usize..4,
+                seed in any::<u64>(),
+                stale in 0usize..160,
+            ) {
+                let (method, edits) = case(n, pool_len, seed);
+                let words = encode_words(&method.insns).expect("the case encodes");
+                let (mut expected, mut actual) = (method.clone(), method);
+                let counters = reference::apply_edits(&mut expected, &edits);
+                // The scratch map arrives dirty from the method before.
+                let mut map = vec![7; stale];
+                let (new_words, patched, maps_updated) =
+                    apply_edits(&mut actual, &words, &edits, &mut map);
+                prop_assert_eq!((patched, maps_updated), counters);
+                prop_assert_eq!(&actual.insns, &expected.insns);
+                prop_assert_eq!(&actual.pool, &expected.pool);
+                prop_assert_eq!(&actual.relocs, &expected.relocs);
+                prop_assert_eq!(&actual.metadata, &expected.metadata);
+                prop_assert_eq!(&actual.stack_maps, &expected.stack_maps);
+                prop_assert_eq!(new_words, encode_words(&actual.insns).expect("the result encodes"));
+            }
+        }
     }
 }

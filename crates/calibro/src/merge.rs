@@ -45,6 +45,7 @@ use calibro_suffix::benefit;
 
 use crate::driver::BuildError;
 use crate::fingerprint::merge_plan_key_from;
+use crate::sizepass::MethodWords;
 
 /// Parameter registers a thunk may materialize constants into, in
 /// parameter order. `x16`/`x17` are the AArch64 intra-procedure-call
@@ -484,9 +485,11 @@ fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>
 }
 
 /// Runs the function-merge pass over the compiled methods, mutating
-/// merged members into thunks in place and returning the islands for
-/// the linker. Island ids start at `base_island` (the number of islands
-/// an earlier pass already emitted).
+/// merged members into thunks in place — and clearing their `words`
+/// marker (a slice shorter than `methods`, such as an empty one, is a
+/// caller that tracks none) — and returning the islands for the linker.
+/// Island ids start at `base_island` (the number of islands an earlier
+/// pass already emitted).
 ///
 /// Deterministic by construction: candidates are scanned in method
 /// order, buckets form in first-seen order, group formation is greedy
@@ -500,6 +503,7 @@ fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>
 /// corrupt or unreadable.
 pub(crate) fn run_merge(
     methods: &mut [CompiledMethod],
+    words: &mut [MethodWords],
     config: &MergeConfig,
     hot: Option<&HashSet<u32>>,
     store: Option<&ArtifactStore>,
@@ -591,6 +595,11 @@ pub(crate) fn run_merge(
                 method.metadata =
                     MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
                 method.stack_maps = Vec::new();
+                // The thunk is new code: whatever words the member had
+                // are not its words any more, and the linker encodes it.
+                if let Some(slot) = words.get_mut(global) {
+                    *slot = MethodWords::None;
+                }
                 stats.merged_methods += 1;
             }
             stats.merge_groups += 1;
@@ -636,7 +645,7 @@ mod tests {
     fn clones_differing_in_one_constant_merge() {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
         assert_eq!(outcome.islands.len(), 1);
         assert_eq!(outcome.stats.merge_groups, 1);
         assert_eq!(outcome.stats.merged_methods, 3);
@@ -663,7 +672,7 @@ mod tests {
         other.insns[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
         let mut methods = vec![clone_body(0, 10), other];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
         assert!(outcome.islands.is_empty());
         assert_eq!(outcome.stats.merged_methods, 0);
     }
@@ -674,7 +683,7 @@ mod tests {
         tainted.insns[1] = add(Reg::X0, Reg::X0, Reg::X16);
         let mut methods = vec![tainted, clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         // The two clean clones still merge.
         assert_eq!(outcome.stats.merged_methods, 2);
@@ -686,7 +695,7 @@ mod tests {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11)];
         let hot: HashSet<u32> = [0].into_iter().collect();
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &config, Some(&hot), None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, Some(&hot), None, 0).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         assert_eq!(outcome.stats.merged_methods, 0, "one survivor cannot form a group");
     }
@@ -696,11 +705,11 @@ mod tests {
         let store = ArtifactStore::new(calibro_cache::CacheConfig::default());
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
         let mut cold = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let cold_out = run_merge(&mut cold, &config, None, Some(&store), 0).unwrap();
+        let cold_out = run_merge(&mut cold, &mut [], &config, None, Some(&store), 0).unwrap();
         assert_eq!(store.stats().merge_misses, 1);
         assert_eq!(store.stats().merge_stores, 1);
         let mut warm = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let warm_out = run_merge(&mut warm, &config, None, Some(&store), 0).unwrap();
+        let warm_out = run_merge(&mut warm, &mut [], &config, None, Some(&store), 0).unwrap();
         assert_eq!(store.stats().merge_hits, 1);
         assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
@@ -735,11 +744,11 @@ mod tests {
         };
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 4, 5, 6)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
         assert_eq!(outcome.stats.merged_methods, 0);
         // With only one constant differing, the same shape merges.
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 1, 2, 6)];
-        let outcome = run_merge(&mut methods, &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
         assert_eq!(outcome.stats.merged_methods, 2);
         assert_eq!(outcome.islands[0].insns.len(), 6);
     }

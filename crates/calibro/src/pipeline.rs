@@ -54,7 +54,7 @@ use calibro_oat::{DictImage, LinkInput, OatFile, DICT_BASE_ADDRESS};
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
 use crate::ltbo::build_template;
-use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
+use crate::sizepass::{merge_pass, outline_pass, MethodWords, PassContext, SizeArtifact};
 
 /// A build context holding the content-addressed artifact store across
 /// builds. One-shot callers use [`build`](crate::build); incremental
@@ -327,17 +327,20 @@ impl BuildSession {
                     (compile_method(&graph, &codegen_opts), pass_stats)
                 }
             };
-            let template = want_template.then(|| build_template(&compiled, false));
+            // The entry encodes the method — the one time its
+            // instructions are encoded — and the template reads its
+            // literals from those words.
+            let mut entry = CacheEntry::new(compiled.clone(), pass_stats, None, ref_env)
+                .expect("compiled instruction encodes");
+            if want_template {
+                entry.template = Some(build_template(&entry.compiled, entry.words(), false));
+            }
             // The measured compile CPU rides into the store as the
             // entry's recompute cost: under memory pressure the
             // cost-aware eviction policy keeps the methods that were
             // expensive to produce.
             let cost_us = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let entry = self.store.methods().insert_with_cost(
-                keys[i],
-                CacheEntry { compiled: compiled.clone(), pass_stats, template, ref_env },
-                cost_us,
-            );
+            let entry = self.store.methods().insert_with_cost(keys[i], entry, cost_us);
             MethodOutcome { compiled, pass_stats, entry, cache_hit: false }
         })
         .map_err(|p| BuildError::CompileWorker { method: p.index, message: p.message })?;
@@ -371,12 +374,15 @@ impl BuildSession {
     ) -> Result<SizeArtifact, BuildError> {
         let CodegenArtifact { outcomes, .. } = codegen;
         let mut methods = Vec::with_capacity(outcomes.len());
-        let mut entries = Vec::with_capacity(outcomes.len());
+        let mut words = Vec::with_capacity(outcomes.len());
         for o in outcomes {
             methods.push(o.compiled);
-            entries.push(o.entry);
+            // The method still is its entry's code, so the entry's words
+            // stand for it until a pass rewrites it.
+            words.push(MethodWords::Entry(o.entry));
         }
         let mut artifact = SizeArtifact::new(methods);
+        artifact.words = words;
         // The dictionary session pins one epoch's island for the whole
         // stage; the session is opened lazily so dict-off builds (and
         // sessions without a registry) pay nothing.
@@ -386,7 +392,6 @@ impl BuildSession {
         };
         let mut ctx = PassContext {
             store: &self.store,
-            entries,
             hot_methods: options.hot_methods.as_ref(),
             dict: dict_session.as_mut(),
         };
@@ -396,7 +401,6 @@ impl BuildSession {
         if let Some(config) = options.ltbo_config() {
             outline_pass(&mut artifact, &config, &mut ctx)?;
         }
-        drop(ctx);
         if let Some(session) = dict_session {
             artifact.dict = session.stats();
             artifact.dict_epoch = session.epoch();
@@ -409,8 +413,10 @@ impl BuildSession {
         Ok(artifact)
     }
 
-    /// Stage 4 — **Link**: binds call labels to addresses and encodes
-    /// the final text segment.
+    /// Stage 4 — **Link**: binds call labels to addresses and lays out
+    /// the final text segment, copying the words of every method that
+    /// still carries them ([`SizeArtifact::words`]) and encoding the
+    /// rest.
     ///
     /// # Errors
     ///
@@ -421,9 +427,10 @@ impl BuildSession {
         options: &BuildOptions,
         artifact: SizeArtifact,
     ) -> Result<OatFile, BuildError> {
-        let SizeArtifact { methods, outlined, merged, dict_island, .. } = artifact;
+        let SizeArtifact { methods, words, outlined, merged, dict_island, .. } = artifact;
+        let words = words.iter().map(MethodWords::as_slice).collect();
         calibro_oat::link_with_dict(
-            LinkInput { methods, outlined, merged },
+            LinkInput { methods, outlined, merged, words },
             options.base_address,
             dict_island.as_ref(),
         )

@@ -37,6 +37,38 @@ use crate::driver::BuildError;
 use crate::ltbo::{outline_methods, LtboConfig, LtboStats, OutlineError};
 use crate::merge::{run_merge, MergeConfig, MergeStats};
 
+/// Where one method of a [`SizeArtifact`] stands relative to the code
+/// codegen emitted for it, and therefore where its already-encoded
+/// machine words are — so that the linker copies them instead of
+/// encoding the method again. Whoever rewrites a method's instructions
+/// moves its marker in the same breath.
+#[derive(Debug)]
+pub enum MethodWords {
+    /// Nothing rewrote the method since codegen: it is still exactly its
+    /// store entry's `compiled`, so the entry's words are its words (and
+    /// the entry's symbolization template describes it).
+    Entry(Arc<CacheEntry>),
+    /// The outline pass rewrote it and produced these words alongside
+    /// the instructions.
+    Outlined(Vec<u32>),
+    /// No words: a pass that keeps none rewrote the method (the merge
+    /// pass turned it into a thunk), or it never had a store entry. The
+    /// linker encodes it.
+    None,
+}
+
+impl MethodWords {
+    /// The method's encoded words, one per instruction, if it has any.
+    #[must_use]
+    pub fn as_slice(&self) -> Option<&[u32]> {
+        match self {
+            MethodWords::Entry(entry) => Some(entry.words()),
+            MethodWords::Outlined(words) => Some(words),
+            MethodWords::None => None,
+        }
+    }
+}
+
 /// The typed artifact flowing through the size passes and into the
 /// linker: the (progressively rewritten) methods plus everything the
 /// passes extracted out of them.
@@ -44,6 +76,12 @@ pub struct SizeArtifact {
     /// The methods, in method-index order — merged members become
     /// parameter thunks, outlined occurrences become `bl`s.
     pub methods: Vec<CompiledMethod>,
+    /// Per method, where its encoded words come from (same order as
+    /// `methods`; empty when the methods came without store entries).
+    /// A [`MethodWords::Entry`] must be the entry its method was
+    /// compiled into or replayed from, with the method unmodified since
+    /// — which is how codegen hands methods to the size stage.
+    pub words: Vec<MethodWords>,
     /// Outlined function bodies, in `CallTarget::Outlined` index order.
     pub outlined: Vec<Vec<Insn>>,
     /// Merged-function islands, in `CallTarget::Merged` index order.
@@ -57,8 +95,8 @@ pub struct SizeArtifact {
     /// Wall time of the outline pass.
     pub ltbo_time: Duration,
     /// Wall time of the outline pass's detection core: cache-key probes
-    /// plus suffix-tree detection / plan replay (excludes symbolization
-    /// and edit application).
+    /// plus, per group, plan replay or symbol text and suffix-tree
+    /// detection (excludes finding the templates and edit application).
     pub detect_time: Duration,
     /// Total instruction words before any size pass ran.
     pub words_before: usize,
@@ -77,12 +115,14 @@ pub struct SizeArtifact {
 
 impl SizeArtifact {
     /// Wraps freshly compiled methods into the artifact every size pass
-    /// edits in place.
+    /// edits in place. The methods carry no words until somebody fills
+    /// in [`words`](Self::words).
     #[must_use]
     pub fn new(methods: Vec<CompiledMethod>) -> SizeArtifact {
         let words_before = methods.iter().map(CompiledMethod::size_words).sum();
         SizeArtifact {
             methods,
+            words: Vec::new(),
             outlined: Vec::new(),
             merged: Vec::new(),
             merge: MergeStats::default(),
@@ -99,12 +139,9 @@ impl SizeArtifact {
 }
 
 /// Session state the passes share: the artifact store behind each
-/// pass's cache lane, the per-method store entries (source of cached
-/// symbolization templates), the hot-method set and the dictionary
-/// session.
+/// pass's cache lane, the hot-method set and the dictionary session.
 pub(crate) struct PassContext<'a> {
     pub(crate) store: &'a ArtifactStore,
-    pub(crate) entries: Vec<Arc<CacheEntry>>,
     pub(crate) hot_methods: Option<&'a HashSet<u32>>,
     pub(crate) dict: Option<&'a mut DictSession>,
 }
@@ -122,8 +159,14 @@ pub(crate) fn merge_pass(
 ) -> Result<(), BuildError> {
     let start = Instant::now();
     let base_island = u32::try_from(artifact.merged.len()).expect("island count fits u32");
-    let outcome =
-        run_merge(&mut artifact.methods, config, ctx.hot_methods, Some(ctx.store), base_island)?;
+    let outcome = run_merge(
+        &mut artifact.methods,
+        &mut artifact.words,
+        config,
+        ctx.hot_methods,
+        Some(ctx.store),
+        base_island,
+    )?;
     artifact.merged.extend(outcome.islands);
     artifact.merge = outcome.stats;
     artifact.merge_time = start.elapsed();
@@ -147,8 +190,8 @@ pub(crate) fn outline_pass(
     debug_assert!(artifact.outlined.is_empty(), "a second outline pass would clash ids");
     let result = outline_methods(
         &mut artifact.methods,
+        &mut artifact.words,
         config,
-        &ctx.entries,
         Some(ctx.store),
         ctx.dict.as_deref_mut(),
     )

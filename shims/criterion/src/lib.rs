@@ -1,6 +1,7 @@
 //! Offline stand-in for the subset of `criterion` used by this
 //! workspace's benches: `Criterion`, benchmark groups, `BenchmarkId`,
-//! `black_box`, and the `criterion_group!`/`criterion_main!` macros.
+//! `Bencher::{iter, iter_batched}`, `black_box`, and the
+//! `criterion_group!`/`criterion_main!` macros.
 //!
 //! Measurement is intentionally simple — a warm-up pass followed by a
 //! fixed wall-clock budget per benchmark, reporting the mean iteration
@@ -101,6 +102,19 @@ impl Display for BenchmarkId {
     }
 }
 
+/// How many inputs criterion would set up per batch; the shim sets up
+/// one per iteration whatever the size, so this is accepted for API
+/// compatibility only.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold.
+    SmallInput,
+    /// Inputs are expensive to hold.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
 /// Passed to benchmark closures; `iter` runs the measured routine.
 pub struct Bencher {
     budget: Duration,
@@ -121,6 +135,32 @@ impl Bencher {
         }
         self.iters = iters.max(1);
         self.elapsed = start.elapsed();
+    }
+
+    /// Times `routine` on a fresh `setup()` value per iteration; only
+    /// the routine counts against the budget and into the mean (neither
+    /// the set-up nor dropping what the routine returns does). A wall
+    /// cap of twenty budgets bounds a benchmark whose set-up dwarfs its
+    /// routine.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        let wall = Instant::now();
+        let mut elapsed = Duration::ZERO;
+        let mut iters = 0u64;
+        while elapsed < self.budget && wall.elapsed() < self.budget * 20 {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            elapsed += start.elapsed();
+            black_box(output);
+            iters += 1;
+        }
+        self.iters = iters.max(1);
+        self.elapsed = elapsed;
     }
 }
 

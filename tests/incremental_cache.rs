@@ -512,8 +512,8 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
         let key = legacy::mix(h.serialized());
         old_store.insert(
             key,
-            CacheEntry {
-                compiled: calibro_codegen::CompiledMethod {
+            CacheEntry::new(
+                calibro_codegen::CompiledMethod {
                     method: m.id,
                     insns: vec![calibro_isa::Insn::Nop],
                     pool: vec![],
@@ -521,10 +521,11 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
                     metadata: calibro_codegen::MethodMetadata::default(),
                     stack_maps: vec![],
                 },
-                pass_stats: calibro_hgraph::PassStats::default(),
-                template: None,
-                ref_env: 0,
-            },
+                calibro_hgraph::PassStats::default(),
+                None,
+                0,
+            )
+            .expect("a nop encodes"),
         );
         legacy_keys.push(key);
     }
