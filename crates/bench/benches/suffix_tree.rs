@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the suffix-tree stage: the mechanism behind
 //! the paper's Table 6 (single global tree vs paralleled trees).
 
-use calibro_suffix::{detect_group, detect_parallel, partition_stable, SuffixTree, TaggedSequence};
+use calibro_suffix::{detect_group, partition_stable, SuffixTree, TaggedSequence};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,18 +40,21 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_global_vs_parallel(c: &mut Criterion) {
+fn bench_global_vs_sharded(c: &mut Criterion) {
     let mut group = c.benchmark_group("detection");
     group.sample_size(10);
     let seqs = sequences(200, 300, 11);
     group.bench_function("global_tree", |b| {
         b.iter(|| detect_group(&seqs, 2));
     });
-    group.bench_function("parallel_8x6", |b| {
-        b.iter(|| detect_parallel(partition_stable(seqs.clone(), 8), 2, 6));
+    group.bench_function("eight_groups", |b| {
+        b.iter(|| {
+            let groups = partition_stable(seqs.clone(), 8);
+            groups.iter().map(|g| detect_group(g, 2)).collect::<Vec<_>>()
+        });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_global_vs_parallel);
+criterion_group!(benches, bench_build, bench_global_vs_sharded);
 criterion_main!(benches);

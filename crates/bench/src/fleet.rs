@@ -4,7 +4,7 @@
 //! warm lane instead of recompiling it. Results land in
 //! `BENCH_fleet.json`.
 //!
-//! Three phases, repeated over [`MEASURE_ROUNDS`] distinct program
+//! Three phases, repeated over `MEASURE_ROUNDS` distinct program
 //! pairs with the headline times taken as medians (one sample of each
 //! arm is too noisy to gate a CI ratio on):
 //!

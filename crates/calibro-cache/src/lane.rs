@@ -10,9 +10,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use crate::disk::{self, LaneEntry};
 use crate::error::CacheError;
@@ -87,12 +85,21 @@ impl<V: LaneEntry> Lane<V> {
     /// Acquires the lane lock, counting the acquisition as contended
     /// when another thread holds it. The uncontended path is a single
     /// `try_lock`; the counter never changes what is returned.
+    ///
+    /// A poisoned lock is recovered, never propagated: a panic under the
+    /// lock must not take the lane, and every later build of the session,
+    /// down with it. The worst a holder can leave behind is a key the map
+    /// and the policy disagree about, which every reader here tolerates
+    /// (`cost_of` → 0, `on_hit` → no-op, `evict` checks the removal).
     fn lock(&self) -> MutexGuard<'_, Inner<V>> {
-        if let Some(guard) = self.inner.try_lock() {
-            return guard;
+        match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                self.add(Counter::LockContention, 1);
+                self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+            }
         }
-        self.add(Counter::LockContention, 1);
-        self.inner.lock()
     }
 
     /// Number of in-memory entries.
@@ -358,5 +365,47 @@ impl<V: LaneEntry> Lane<V> {
             }
         }
         written
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::disk::tests::sample_group;
+    use crate::entry::GroupPlanEntry;
+
+    fn key(n: u64) -> CacheKey {
+        CacheKey { hi: n, lo: !n }
+    }
+
+    #[test]
+    fn a_holder_that_panics_leaves_the_lane_working() {
+        let lane: Lane<GroupPlanEntry> = Lane::new(8, usize::MAX, None);
+        lane.insert(key(1), sample_group());
+        let (locked, is_locked) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = lane.lock();
+                locked.send(()).expect("the waiter is listening");
+                // Die only once the waiter is past `try_lock`, so it
+                // meets the poison on the blocking arm.
+                while lane.count(Counter::LockContention) == 0 {
+                    std::thread::yield_now();
+                }
+                panic!("holder dies with the lane locked");
+            });
+            is_locked.recv().expect("the holder took the lock");
+            assert!(lane.get(key(1)).expect("no disk tier").is_some());
+            assert!(holder.join().is_err());
+        });
+        assert!(lane.inner.is_poisoned());
+
+        // Every later acquisition meets the poison on `try_lock`.
+        assert!(lane.get(key(2)).expect("no disk tier").is_none());
+        lane.insert(key(2), sample_group());
+        assert!(lane.get(key(2)).expect("no disk tier").is_some());
+        assert_eq!(lane.len(), 2);
+        let counted = [Counter::Hits, Counter::Misses, Counter::Stores, Counter::LockContention];
+        assert_eq!(counted.map(|c| lane.count(c)), [2, 1, 2, 1]);
     }
 }

@@ -12,10 +12,10 @@
 //! Three pieces:
 //!
 //! - [`canonical_key`]/[`canonicalize`]: register-normalized 128-bit
-//!   content addressing of bodies (module [`canon`]).
+//!   content addressing of bodies (module `canon`).
 //! - [`DictRegistry`]/[`DictSession`]: the daemon-wide registry of
 //!   published bodies, sealed into immutable epoch islands, with
-//!   per-candidate routing and [`DictStats`] (module [`registry`]).
+//!   per-candidate routing and [`DictStats`] (module `registry`).
 //! - Persistence and the fleet tier live in `calibro-cache`'s
 //!   dictionary lane ([`DictEntry`](calibro_cache::DictEntry), `.cald`
 //!   frames, `PeerLane::Dict`); this crate consumes them through

@@ -37,11 +37,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use calibro_cache::{ArtifactStore, CacheKey, DictEntry};
 use calibro_isa::{Insn, Reg};
-use parking_lot::Mutex;
 
 use crate::canon::canonical_key;
 
@@ -207,22 +206,31 @@ impl DictRegistry {
         }
     }
 
+    /// Acquires the registry lock, recovering it when a holder panicked:
+    /// one tenant's failed build must not end publishing, sealing and
+    /// pinning for the daemon. Every update under the lock leaves the
+    /// registry valid — the worst a panic mid-seal leaves behind is
+    /// staged keys that wait for the seal after the next publish.
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The latest sealed epoch — what a new build session snapshots.
     #[must_use]
     pub fn current_epoch(&self) -> u64 {
-        self.inner.lock().epochs.len() as u64 - 1
+        self.lock().epochs.len() as u64 - 1
     }
 
     /// Total bodies ever published.
     #[must_use]
     pub fn published_count(&self) -> usize {
-        self.inner.lock().published.len()
+        self.lock().published.len()
     }
 
     /// Bodies staged since the last seal.
     #[must_use]
     pub fn staged_count(&self) -> usize {
-        self.inner.lock().staged.len()
+        self.lock().staged.len()
     }
 
     /// Cumulative arbitration outcomes across every session.
@@ -254,7 +262,7 @@ impl DictRegistry {
     /// its first concrete body forever, which is what keeps island
     /// content stable across epochs.
     pub fn publish(&self, key: CacheKey, body: Arc<DictEntry>) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.published.contains_key(&key) {
             return false;
         }
@@ -268,7 +276,7 @@ impl DictRegistry {
     /// staged — sealing is idempotent between publishes, so callers can
     /// seal at every generation boundary without churning epochs.
     pub fn seal_epoch(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.staged.is_empty() {
             return inner.epochs.len() as u64 - 1;
         }
@@ -284,7 +292,7 @@ impl DictRegistry {
     /// The layout of `epoch`, unless unknown or retired.
     #[must_use]
     pub fn layout(&self, epoch: u64) -> Option<Arc<EpochLayout>> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         inner.epochs.get(usize::try_from(epoch).ok()?)?.layout.as_ref().map(Arc::clone)
     }
 
@@ -293,7 +301,7 @@ impl DictRegistry {
     /// unknown or already retired (the caller must rebuild against the
     /// current epoch instead of serving a dangling island).
     pub fn pin_epoch(&self, epoch: u64) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let Some(state) = usize::try_from(epoch).ok().and_then(|e| inner.epochs.get_mut(e)) else {
             return false;
         };
@@ -307,7 +315,7 @@ impl DictRegistry {
     /// Releases one [`pin_epoch`](Self::pin_epoch) — called when a
     /// sealed generation is dropped.
     pub fn unpin_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(state) = usize::try_from(epoch).ok().and_then(|e| inner.epochs.get_mut(e)) {
             state.pins = state.pins.saturating_sub(1);
         }
@@ -316,7 +324,7 @@ impl DictRegistry {
     /// Epochs currently fenced by at least one sealed generation.
     #[must_use]
     pub fn pinned_epochs(&self) -> usize {
-        self.inner.lock().epochs.iter().filter(|state| state.pins > 0).count()
+        self.lock().epochs.iter().filter(|state| state.pins > 0).count()
     }
 
     /// Retires every non-current epoch with no pins, dropping its
@@ -325,7 +333,7 @@ impl DictRegistry {
     /// epoch-fenced, never per-entry, so a pinned generation's island
     /// stays whole.
     pub fn retire_unpinned(&self) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let current = inner.epochs.len() - 1;
         let mut retired = 0;
         for state in &mut inner.epochs[..current] {
@@ -552,5 +560,36 @@ mod tests {
         let (_, entry) = layout.lookup(key).unwrap();
         assert_eq!(entry.insns, fleet_body);
         assert_eq!(store.stats().dict_stores, 1, "no second store for an adopted body");
+    }
+
+    #[test]
+    fn a_holder_that_panics_leaves_the_registry_working() {
+        let reg = registry();
+        let entry = |imm| {
+            let insns = body(imm, 2);
+            let (key, regs) = canonical_key(&insns);
+            (key, Arc::new(DictEntry { insns, regs }))
+        };
+        let (first, first_body) = entry(1);
+        assert!(reg.publish(first, first_body));
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = reg.lock();
+                panic!("holder dies with the registry locked");
+            })
+            .join()
+        });
+        assert!(died.is_err() && reg.inner.is_poisoned());
+
+        // What was published before the panic is still there, and
+        // publish, seal, pin and the counters all keep working.
+        assert_eq!((reg.published_count(), reg.staged_count()), (1, 1));
+        let (second, second_body) = entry(2);
+        assert!(reg.publish(second, second_body));
+        assert_eq!(reg.seal_epoch(), 1);
+        assert_eq!(reg.layout(1).expect("sealed epoch has a layout").len(), 2);
+        assert!(reg.pin_epoch(1));
+        assert_eq!(reg.pinned_epochs(), 1);
+        assert_eq!(reg.cumulative_stats(), DictStats::default());
     }
 }

@@ -8,6 +8,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use calibro::{options_fingerprint, BuildOptions};
+use calibro_cache::wire;
 use calibro_dex::DexFile;
 
 use crate::error::{ClientError, ServeError};
@@ -20,7 +21,6 @@ use crate::proto::{
 };
 use crate::server::ltbo_fingerprint;
 use crate::transport::{self, Stream};
-use crate::wire;
 
 /// One connection to a running `calibrod`.
 pub struct Client {

@@ -412,9 +412,9 @@ impl PeerSource for FleetPeerSource {
 
     /// Batched fetch: groups the keys by their first-choice sibling
     /// (rendezvous head) and resolves each group through
-    /// [`PeerClient::fetch_chunk`]'s pipelined exchange, so a cold
+    /// `PeerClient::fetch_chunk`'s pipelined exchange, so a cold
     /// build's misses cost one streaming round per peer instead of a
-    /// round trip per key. Chunks run on up to [`FETCH_STREAMS`]
+    /// round trip per key. Chunks run on up to `FETCH_STREAMS`
     /// concurrent connections (each engaging its own connection thread
     /// on the serving daemon), overlapping serve and transfer. Keys the
     /// first choice missed or failed are retried against the remaining

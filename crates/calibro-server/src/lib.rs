@@ -19,10 +19,9 @@
 //!   Requests carry the full [`calibro::BuildOptions`] plus the
 //!   client-computed option/LTBO fingerprints; replies carry the
 //!   compiled OAT as ELF bytes plus build statistics.
-//! * [`wire`] — the codec under the table: a re-export of
-//!   [`calibro_cache::wire`], where the [`wire::Wire`] trait (one wire
-//!   form per field type) lives so the cache's disk and peer frames are
-//!   rows of the same table.
+//!   The codec under the table is [`calibro_cache::wire`], where the
+//!   `Wire` trait (one wire form per field type) lives so the cache's
+//!   disk and peer frames are rows of the same table.
 //! * `transport` — the one socket type (Unix domain socket, with a TCP
 //!   fallback) the daemon, the client and the fleet's peer connections
 //!   all read and write.
@@ -69,8 +68,8 @@ pub mod histogram;
 pub mod proto;
 pub mod server;
 mod transport;
-pub mod wire;
 
+pub use calibro_cache::wire::WireError;
 pub use client::Client;
 pub use error::{ClientError, ServeError};
 pub use fleet::{
@@ -83,4 +82,3 @@ pub use proto::{
     GenerationStatsRequest, ProfileReply, ProfileRequest, ServerStats, DEFAULT_MAX_FRAME,
 };
 pub use server::{ltbo_fingerprint, Daemon, Listener, ServerConfig};
-pub use wire::WireError;

@@ -41,7 +41,7 @@ use calibro::{
     options_fingerprint, program_salt, BuildOptions, BuildSession, CacheConfig, CacheKey,
     DictRegistry, StableHasher,
 };
-use calibro_cache::ArtifactStore;
+use calibro_cache::{wire, ArtifactStore};
 // FNV-1a: the digest `generation-stats` reports for a sealed ELF, so
 // external harnesses can assert byte determinism without re-fetching.
 pub(crate) use calibro_cache::fnv64 as fnv1a64;
@@ -60,7 +60,6 @@ use crate::proto::{
     RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::transport::Stream;
-use crate::wire;
 
 /// Configuration of one daemon.
 #[derive(Clone, Debug)]
@@ -81,9 +80,9 @@ pub struct ServerConfig {
     /// This daemon's shard id within a fleet (0 for a solo daemon).
     pub shard_id: u32,
     /// Sibling shards to consult on cache misses before recompiling.
-    /// Empty for a solo daemon. An entry matching [`shard_id`]
-    /// (`ServerConfig::shard_id`) is ignored, so every fleet member can
-    /// receive the same roster.
+    /// Empty for a solo daemon. An entry matching
+    /// [`shard_id`](Self::shard_id) is ignored, so every fleet member
+    /// can receive the same roster.
     pub peers: Vec<ShardSpec>,
     /// Fraction of decayed cycle weight the per-tenant hot set must
     /// cover (the paper's PlOpti hot-set fraction, default 0.8).

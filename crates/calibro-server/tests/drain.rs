@@ -51,8 +51,14 @@ fn sigterm_completes_in_flight_request_and_exits_zero() {
         }
     });
 
-    // Let the request reach the worker, then ask for termination.
-    std::thread::sleep(Duration::from_millis(60));
+    // Ask for termination only once the daemon has admitted the request:
+    // a SIGTERM that wins the race to the queue is a typed rejection, not
+    // a drain. An admitted job is popped before the drain flag is read.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.server_stats().expect("stats").requests_admitted < 1 {
+        assert!(Instant::now() < deadline, "the in-flight request was never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let kill = Command::new("kill")
         .args(["-TERM", &daemon.id().to_string()])
         .status()

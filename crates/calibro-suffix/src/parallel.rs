@@ -208,37 +208,6 @@ fn concatenate(group: &[TaggedSequence]) -> (Vec<Symbol>, Vec<usize>, Vec<usize>
     (text, tags, offsets, lens)
 }
 
-/// Builds one suffix tree per group and selects outline plans, running
-/// the groups on `threads` worker threads (§3.4.1: build, detect, outline
-/// and patch "per suffix tree in parallel").
-#[must_use]
-pub fn detect_parallel(
-    groups: Vec<Vec<TaggedSequence>>,
-    min_len: usize,
-    threads: usize,
-) -> Vec<GroupPlan<'static>> {
-    assert!(threads > 0, "at least one worker thread required");
-    let work: Vec<(usize, Vec<TaggedSequence>)> = groups.into_iter().enumerate().collect();
-    let results = parking_lot::Mutex::new(Vec::new());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(work.len().max(1)) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
-                }
-                let plan = detect_group(&work[i].1, min_len);
-                results.lock().push((work[i].0, plan));
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    let mut results = results.into_inner();
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, plan)| plan).collect()
-}
-
 /// Single-group detection: concatenate, build the tree, select the plan.
 #[must_use]
 pub fn detect_group(group: &[TaggedSequence], min_len: usize) -> GroupPlan<'static> {
@@ -384,29 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_per_group() {
-        let motif = [7u64, 8, 9, 10, 11];
-        let sequences: Vec<TaggedSequence> = (0..8)
-            .map(|t| {
-                let mut s = vec![t as Symbol + 500];
-                s.extend_from_slice(&motif);
-                s.push(t as Symbol + 600);
-                s.extend_from_slice(&motif);
-                seq(t, &s)
-            })
-            .collect();
-        let groups = partition_stable(sequences, 4);
-        let sequential: Vec<GroupPlan> = groups.iter().map(|g| detect_group(g, 2)).collect();
-        let parallel = detect_parallel(groups, 2, 4);
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.tags, s.tags);
-            assert_eq!(p.offsets, s.offsets);
-            assert_eq!(p.candidates, s.candidates);
-        }
-    }
-
-    #[test]
     fn partitioning_loses_only_cross_group_repeats() {
         // Two methods share a motif. In one group the repeat is found; in
         // two groups (one method each) it is not — the paper's stated
@@ -415,8 +361,8 @@ mod tests {
         let sequences = vec![seq(0, &motif), seq(1, &motif)];
         let one_group = detect_group(&sequences, 2);
         assert_eq!(one_group.candidates.len(), 1);
-        let split = detect_parallel(sequences.into_iter().map(|s| vec![s]).collect(), 2, 2);
-        assert!(split.iter().all(|g| g.candidates.is_empty()));
+        let mut split = sequences.iter().map(|s| detect_group(std::slice::from_ref(s), 2));
+        assert!(split.all(|g| g.candidates.is_empty()));
     }
 
     #[test]

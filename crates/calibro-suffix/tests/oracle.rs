@@ -1,8 +1,8 @@
 //! Property tests checking the suffix tree against naive oracles.
 
 use calibro_suffix::{
-    detect_group, detect_parallel, naive_count, naive_positions, partition_stable,
-    repeated_substrings, select_outline_plan, SuffixTree, TaggedSequence, TERMINAL,
+    detect_group, naive_count, naive_positions, partition_stable, repeated_substrings,
+    select_outline_plan, SuffixTree, TaggedSequence, TERMINAL,
 };
 use proptest::prelude::*;
 
@@ -210,7 +210,7 @@ fn resolve_panics_past_the_group_text() {
 }
 
 #[test]
-fn parallel_detection_agrees_with_single_group_and_thread_count() {
+fn grouped_detection_agrees_with_single_group_and_stays_in_group() {
     let motif = [50u64, 51, 52, 53];
     let seqs: Vec<TaggedSequence> = (0..6)
         .map(|t| {
@@ -221,19 +221,15 @@ fn parallel_detection_agrees_with_single_group_and_thread_count() {
         .collect();
     let single = detect_group(&seqs, 2);
     assert!(!single.candidates.is_empty());
-    for threads in [1, 4] {
-        let plans = detect_parallel(partition_stable(seqs.clone(), 1), 2, threads);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].tags, single.tags);
-        assert_eq!(
-            format!("{:?}", plans[0].candidates),
-            format!("{:?}", single.candidates),
-            "threads={threads}"
-        );
-    }
+    let groups = partition_stable(seqs.clone(), 1);
+    let plans: Vec<_> = groups.iter().map(|g| detect_group(g, 2)).collect();
+    assert_eq!(plans.len(), 1);
+    assert_eq!(plans[0].tags, single.tags);
+    assert_eq!(plans[0].candidates, single.candidates);
     // Splitting into more groups never invents candidates that resolve
     // outside their own group's sequences.
-    let plans = detect_parallel(partition_stable(seqs, 3), 2, 2);
+    let groups = partition_stable(seqs, 3);
+    let plans: Vec<_> = groups.iter().map(|g| detect_group(g, 2)).collect();
     assert_eq!(plans.len(), 3);
     for plan in &plans {
         for cand in plan.candidates.iter() {

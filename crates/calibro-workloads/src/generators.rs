@@ -1,6 +1,6 @@
 //! Pluggable program generators for the conformance harness.
 //!
-//! The motif-based [`generate`](crate::generate) models whole apps; the
+//! The motif-based [`generate`] models whole apps; the
 //! targeted generators here aim at the three ART-specific patterns the
 //! paper's CTO outlines (§3.1) — the `ArtMethod` Java-call sequence, the
 //! `x19`-relative runtime entrypoint call, and the stack-overflow check —

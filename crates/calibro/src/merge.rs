@@ -102,8 +102,7 @@ pub struct MergeStats {
 
 /// The merge pass's output: islands for the linker plus statistics.
 pub(crate) struct MergeOutcome {
-    /// Island bodies, in `CallTarget::Merged` index order (offset by the
-    /// `base_island` the pass ran with).
+    /// Island bodies, in `CallTarget::Merged` index order.
     pub islands: Vec<MergedBody>,
     /// Run statistics.
     pub stats: MergeStats,
@@ -488,8 +487,6 @@ fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>
 /// merged members into thunks in place — and clearing their `words`
 /// marker (a slice shorter than `methods`, such as an empty one, is a
 /// caller that tracks none) — and returning the islands for the linker.
-/// Island ids start at `base_island` (the number of islands an earlier
-/// pass already emitted).
 ///
 /// Deterministic by construction: candidates are scanned in method
 /// order, buckets form in first-seen order, group formation is greedy
@@ -507,7 +504,6 @@ pub(crate) fn run_merge(
     config: &MergeConfig,
     hot: Option<&HashSet<u32>>,
     store: Option<&ArtifactStore>,
-    base_island: u32,
 ) -> Result<MergeOutcome, BuildError> {
     let mut stats = MergeStats::default();
 
@@ -577,7 +573,7 @@ pub(crate) fn run_merge(
     let mut islands = Vec::new();
     for (bucket, groups) in planned {
         for group in groups {
-            let island_id = base_island + islands.len() as u32;
+            let island_id = islands.len() as u32;
             let diffs = &group.diff_positions;
             let rep_global = bucket[group.rep as usize];
             let body_words = methods[rep_global].insns.len();
@@ -645,7 +641,7 @@ mod tests {
     fn clones_differing_in_one_constant_merge() {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
         assert_eq!(outcome.islands.len(), 1);
         assert_eq!(outcome.stats.merge_groups, 1);
         assert_eq!(outcome.stats.merged_methods, 3);
@@ -672,7 +668,7 @@ mod tests {
         other.insns[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
         let mut methods = vec![clone_body(0, 10), other];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
         assert!(outcome.islands.is_empty());
         assert_eq!(outcome.stats.merged_methods, 0);
     }
@@ -683,7 +679,7 @@ mod tests {
         tainted.insns[1] = add(Reg::X0, Reg::X0, Reg::X16);
         let mut methods = vec![tainted, clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         // The two clean clones still merge.
         assert_eq!(outcome.stats.merged_methods, 2);
@@ -695,7 +691,7 @@ mod tests {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11)];
         let hot: HashSet<u32> = [0].into_iter().collect();
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, Some(&hot), None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, Some(&hot), None).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         assert_eq!(outcome.stats.merged_methods, 0, "one survivor cannot form a group");
     }
@@ -705,11 +701,11 @@ mod tests {
         let store = ArtifactStore::new(calibro_cache::CacheConfig::default());
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
         let mut cold = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let cold_out = run_merge(&mut cold, &mut [], &config, None, Some(&store), 0).unwrap();
+        let cold_out = run_merge(&mut cold, &mut [], &config, None, Some(&store)).unwrap();
         assert_eq!(store.stats().merge_misses, 1);
         assert_eq!(store.stats().merge_stores, 1);
         let mut warm = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let warm_out = run_merge(&mut warm, &mut [], &config, None, Some(&store), 0).unwrap();
+        let warm_out = run_merge(&mut warm, &mut [], &config, None, Some(&store)).unwrap();
         assert_eq!(store.stats().merge_hits, 1);
         assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
@@ -744,11 +740,11 @@ mod tests {
         };
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 4, 5, 6)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
         assert_eq!(outcome.stats.merged_methods, 0);
         // With only one constant differing, the same shape merges.
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 1, 2, 6)];
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None, 0).unwrap();
+        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
         assert_eq!(outcome.stats.merged_methods, 2);
         assert_eq!(outcome.islands[0].insns.len(), 6);
     }

@@ -39,7 +39,7 @@
 //!   band, exactly as direct extraction would assign them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
@@ -308,8 +308,7 @@ impl BuildSession {
         let start = Instant::now();
         // Workers take ownership of their graph through a per-slot mutex
         // (locked exactly once, by the worker that drew the index).
-        let cells: Vec<parking_lot::Mutex<Option<HGraph>>> =
-            graphs.into_iter().map(parking_lot::Mutex::new).collect();
+        let cells: Vec<Mutex<Option<HGraph>>> = graphs.into_iter().map(Mutex::new).collect();
         let (outcomes, per_worker) = run_indexed(inputs.len(), threads, |i| {
             if let Some(entry) = &cached[i] {
                 return MethodOutcome {
@@ -320,7 +319,8 @@ impl BuildSession {
                 };
             }
             let compile_start = Instant::now();
-            let (compiled, pass_stats) = match cells[i].lock().take() {
+            let graph = cells[i].lock().unwrap_or_else(PoisonError::into_inner).take();
+            let (compiled, pass_stats) = match graph {
                 None => (compile_native_stub(inputs[i].id, &codegen_opts), PassStats::default()),
                 Some(mut graph) => {
                     let pass_stats = run_pipeline_with(&mut graph, &options.passes);
@@ -522,15 +522,16 @@ fn available_threads() -> usize {
 /// Runs `f(0..count)` across up to `threads` workers, returning results
 /// in index order plus one [`WorkerLoad`] per worker.
 ///
-/// Workers draw indices from a shared atomic cursor (the same
-/// work-stealing shape as `calibro_suffix::detect_parallel`) and write
-/// each result into its index's dedicated slot, so the output order —
-/// and therefore everything derived from it — is independent of the
-/// schedule. With `threads <= 1` (or nothing to do) the closure runs on
-/// the calling thread with no synchronization at all. The requested
-/// fan-out is clamped to [`available_threads`] — the slot-per-index
-/// output makes results identical at any worker count, so spawning more
-/// CPU-bound workers than cores buys nothing but scheduler churn.
+/// Workers draw indices from a shared atomic cursor and hand their
+/// `(index, value)` pairs back through their join handles; the pairs
+/// are scattered into index order after the joins, so the output order
+/// — and therefore everything derived from it — is independent of the
+/// schedule. This is the one place a build spawns threads. With
+/// `threads <= 1` (or nothing to do) the closure runs on the calling
+/// thread with no synchronization at all. The requested fan-out is
+/// clamped to [`available_threads`] — results are identical at any
+/// worker count, so spawning more CPU-bound workers than cores buys
+/// nothing but scheduler churn.
 ///
 /// # Errors
 ///
@@ -565,59 +566,47 @@ where
         return Ok((out, vec![WorkerLoad { items: count, busy: start.elapsed() }]));
     }
     let workers = threads.min(count);
-    let slots: Vec<parking_lot::Mutex<Option<T>>> =
-        (0..count).map(|_| parking_lot::Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let poisoned = std::sync::atomic::AtomicBool::new(false);
-    let panics: parking_lot::Mutex<Vec<WorkerPanic>> = parking_lot::Mutex::new(Vec::new());
-    let loads = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let start = Instant::now();
-                    let mut items = 0;
-                    loop {
-                        if poisoned.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(v) => {
-                                *slots[i].lock() = Some(v);
-                                items += 1;
-                            }
-                            Err(payload) => {
-                                panics.lock().push(WorkerPanic {
-                                    index: i,
-                                    message: panic_message(payload),
-                                });
-                                poisoned.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    WorkerLoad { items, busy: start.elapsed() }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker closures catch their own panics"))
-            .collect::<Vec<WorkerLoad>>()
-    })
-    .expect("worker pool itself does not panic");
-    let mut panics = panics.into_inner();
-    if !panics.is_empty() {
-        panics.sort_by_key(|p| p.index);
-        return Err(panics.swap_remove(0));
+    let worker = || {
+        let start = Instant::now();
+        let mut done: Vec<(usize, T)> = Vec::new();
+        let mut panic = None;
+        while !poisoned.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                Ok(v) => done.push((i, v)),
+                Err(payload) => {
+                    panic = Some(WorkerPanic { index: i, message: panic_message(payload) });
+                    poisoned.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+        }
+        let load = WorkerLoad { items: done.len(), busy: start.elapsed() };
+        (done, panic, load)
+    };
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles.into_iter().map(|h| h.join().expect("workers catch their panics")).collect()
+    });
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    let mut loads = Vec::with_capacity(workers);
+    let mut panics = Vec::new();
+    for (done, panic, load) in reports {
+        loads.push(load);
+        panics.extend(panic);
+        for (i, v) in done {
+            slots[i] = Some(v);
+        }
     }
-    let out = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every index slot is filled"))
-        .collect();
+    if let Some(lowest) = panics.into_iter().min_by_key(|p| p.index) {
+        return Err(lowest);
+    }
+    let out = slots.into_iter().map(|slot| slot.expect("every index slot is filled")).collect();
     Ok((out, loads))
 }
 
@@ -660,5 +649,37 @@ mod tests {
             assert_eq!(err.index, 5);
             assert!(err.message.contains("worker fault at 5"), "message: {}", err.message);
         }
+    }
+
+    #[test]
+    fn run_indexed_reports_the_lowest_of_two_panics_and_drops_finished_items() {
+        use std::sync::atomic::AtomicBool;
+        // One CPU clamps every fan-out to the sequential arm, where
+        // index 1 would wait for ever on an index 2 that never starts.
+        if available_threads() < 2 {
+            return;
+        }
+        // Index 2 always panics first in time and index 1 after it, on
+        // the other worker: the lower index wins, not the earlier panic.
+        let upper_fired = AtomicBool::new(false);
+        let token = Arc::new(());
+        let err = run_indexed(8, 2, |i| {
+            if i == 2 {
+                upper_fired.store(true, Ordering::SeqCst);
+                panic!("fault at 2");
+            }
+            if i == 1 {
+                while !upper_fired.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                panic!("fault at 1");
+            }
+            Arc::clone(&token)
+        })
+        .expect_err("both faults are armed");
+        assert_eq!((err.index, err.message.as_str()), (1, "fault at 1"));
+        // Index 0 completed on one of the two workers; the error path
+        // hands back no values and keeps none alive.
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 }

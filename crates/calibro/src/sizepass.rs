@@ -158,16 +158,14 @@ pub(crate) fn merge_pass(
     ctx: &PassContext<'_>,
 ) -> Result<(), BuildError> {
     let start = Instant::now();
-    let base_island = u32::try_from(artifact.merged.len()).expect("island count fits u32");
     let outcome = run_merge(
         &mut artifact.methods,
         &mut artifact.words,
         config,
         ctx.hot_methods,
         Some(ctx.store),
-        base_island,
     )?;
-    artifact.merged.extend(outcome.islands);
+    artifact.merged = outcome.islands;
     artifact.merge = outcome.stats;
     artifact.merge_time = start.elapsed();
     Ok(())

@@ -342,7 +342,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Sizes accepted by [`vec`]: an exact length or a length range.
+    /// Sizes accepted by [`vec()`]: an exact length or a length range.
     pub trait IntoSizeRange {
         /// Draws a length.
         fn pick_len(&self, rng: &mut TestRng) -> usize;
