@@ -1,0 +1,54 @@
+//! Criterion benchmarks for the keys layer — what a build pays to name
+//! its inputs before it can probe a cache: `hash_method` over every
+//! method of the six-app suite at `paper_suite(0.5)` (the inner loop of
+//! the benchmark's `cache.hash_methods_cal_ms` probe), the options
+//! fingerprint of the three configurations the benchmark builds under,
+//! and the whole `method_cache_key` with and without a program salt.
+
+use calibro::{method_cache_key, options_fingerprint, program_salt, BuildOptions, StableHasher};
+use calibro_cache::hash_method;
+use calibro_dex::DexFile;
+use calibro_workloads::{generate, paper_suite};
+use criterion::{criterion_group, criterion_main, Criterion};
+
+fn bench_keys(c: &mut Criterion) {
+    let suite: Vec<DexFile> = paper_suite(0.5).iter().map(|spec| generate(spec).dex).collect();
+    let methods = || suite.iter().flat_map(DexFile::methods);
+    let mut group = c.benchmark_group("keys");
+
+    group.bench_function(format!("hash_method/{}_methods", methods().count()), |b| {
+        let mut h = StableHasher::with_capacity(4096);
+        b.iter(|| {
+            methods().fold(0, |acc, m| {
+                hash_method(m, &mut h);
+                acc ^ h.finish_reset().lo
+            })
+        });
+    });
+
+    // Every tenth method hot, like a deploy build's profile-derived set.
+    let hot = (0..suite[0].methods().len() as u32).step_by(10).collect();
+    for (name, options) in [
+        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
+        (
+            "cto_ltbo_parallel_8_2_hot",
+            BuildOptions::cto_ltbo_parallel(8, 2).with_compile_threads(2).with_hot_filter(hot),
+        ),
+        ("cto_ltbo_parallel_128_1", BuildOptions::cto_ltbo_parallel(128, 1)),
+    ] {
+        group.bench_function(format!("options_fingerprint/{name}"), |b| {
+            b.iter(|| options_fingerprint(&options));
+        });
+    }
+
+    let fp = options_fingerprint(&BuildOptions::cto_ltbo_parallel(128, 1));
+    for (name, salt) in [("no_salt", None), ("program_salt", Some(program_salt(&suite[0])))] {
+        group.bench_function(format!("method_cache_key/{name}"), |b| {
+            b.iter(|| methods().fold(0, |acc, m| acc ^ method_cache_key(m, fp, salt).lo));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_keys);
+criterion_main!(benches);

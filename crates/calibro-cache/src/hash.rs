@@ -6,8 +6,9 @@
 //! *schema* of what gets fed into it is versioned separately via
 //! [`crate::SCHEMA_VERSION`]).
 //!
-//! Hashing is two-phase: every `write_*` call serializes its framed
-//! input into an internal byte buffer, and [`finish`] /
+//! Hashing is two-phase: every write serializes into an internal
+//! [`Writer`] — [`write_wire`] appends a value's one [`Wire`] form, the
+//! framed `write_*` helpers a tagged scalar — and [`finish`] /
 //! [`finish_reset`] mix the buffer a whole 64-bit word at a time
 //! through two independently seeded FxHash-style lanes
 //! (`rotate ^ word, * odd-constant` — the short-key idiom rustc's
@@ -18,8 +19,16 @@
 //! per-worker hasher can be reused across many methods without
 //! re-allocating.
 //!
+//! A key is therefore the hash of bytes a decoder can read back: two
+//! values of a keyed type share a key only if they share a wire form,
+//! and the codec's round trip (`decode(encode(x)) == x`) rules that
+//! out — no second serialiser to keep injective by hand.
+//!
+//! [`write_wire`]: StableHasher::write_wire
 //! [`finish`]: StableHasher::finish
 //! [`finish_reset`]: StableHasher::finish_reset
+
+use crate::wire::{Wire, Writer};
 
 /// A 128-bit content-address: the key of one cached artifact.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -99,68 +108,67 @@ fn mix_buffer(buf: &[u8]) -> (u64, u64) {
     (avalanche(hi), avalanche(lo))
 }
 
-/// The serialize-then-hash hasher. Every `write_*` helper frames its
-/// input with a type tag byte, so adjacent fields of different widths
-/// cannot alias (e.g. `(u8 1, u8 2)` hashes differently from
-/// `(u16 0x0201)`).
+/// The serialize-then-hash hasher. Every framed `write_*` helper
+/// prefixes its input with a type tag byte, so adjacent fields of
+/// different widths cannot alias (e.g. `(u32 1, u32 2)` hashes
+/// differently from `(u64 0x2_0000_0001)`); [`write_wire`] appends a
+/// value's wire form bare — a self-delimiting encoding by construction,
+/// since the decoder reads it back without being told its length.
+///
+/// [`write_wire`]: StableHasher::write_wire
 #[derive(Clone, Debug, Default)]
 pub struct StableHasher {
-    buf: Vec<u8>,
+    /// Crate-visible for the rows shared with a [`Wire`] impl that are
+    /// not a whole value (`put_method_body`).
+    pub(crate) w: Writer,
 }
 
 impl StableHasher {
     /// A fresh hasher.
     #[must_use]
     pub fn new() -> StableHasher {
-        StableHasher { buf: Vec::new() }
+        StableHasher::default()
     }
 
     /// A fresh hasher whose buffer can hold `bytes` without growing —
     /// for per-worker hashers sized to a typical method.
     #[must_use]
     pub fn with_capacity(bytes: usize) -> StableHasher {
-        StableHasher { buf: Vec::with_capacity(bytes) }
+        StableHasher { w: Writer { buf: Vec::with_capacity(bytes) } }
+    }
+
+    /// A value of a keyed type, as its one [`Wire`] form.
+    #[inline]
+    pub fn write_wire<T: Wire>(&mut self, value: &T) {
+        value.put(&mut self.w);
     }
 
     /// Raw bytes, length-prefixed so concatenations cannot alias.
     #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.buf.push(0xB0);
-        self.buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.buf.extend_from_slice(bytes);
+        self.w.buf.push(0xB0);
+        self.w.buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        self.w.buf.extend_from_slice(bytes);
     }
 
     /// A tag byte: use to discriminate enum variants and field groups.
     #[inline]
     pub fn write_tag(&mut self, tag: u8) {
-        self.buf.extend_from_slice(&[0xAF, tag]);
-    }
-
-    /// An unsigned 8-bit value.
-    #[inline]
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[0xA1, v]);
-    }
-
-    /// An unsigned 16-bit value.
-    #[inline]
-    pub fn write_u16(&mut self, v: u16) {
-        let [a, b] = v.to_le_bytes();
-        self.buf.extend_from_slice(&[0xA2, a, b]);
+        self.w.buf.extend_from_slice(&[0xAF, tag]);
     }
 
     /// An unsigned 32-bit value.
     #[inline]
     pub fn write_u32(&mut self, v: u32) {
         let [a, b, c, d] = v.to_le_bytes();
-        self.buf.extend_from_slice(&[0xA4, a, b, c, d]);
+        self.w.buf.extend_from_slice(&[0xA4, a, b, c, d]);
     }
 
     /// An unsigned 64-bit value.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
         let [a, b, c, d, e, f, g, i] = v.to_le_bytes();
-        self.buf.extend_from_slice(&[0xA8, a, b, c, d, e, f, g, i]);
+        self.w.buf.extend_from_slice(&[0xA8, a, b, c, d, e, f, g, i]);
     }
 
     /// A `usize`, widened to 64 bits for cross-platform stability.
@@ -169,51 +177,23 @@ impl StableHasher {
         self.write_u64(v as u64);
     }
 
-    /// A raw 64-bit word with *no* framing tag — the packed fast path
-    /// for fixed-layout records (per-instruction method hashing).
-    ///
-    /// Unlike the framed `write_*` helpers, adjacent `write_word` calls
-    /// carry no aliasing protection of their own: the caller must make
-    /// the word stream self-describing, e.g. by placing a variant tag
-    /// in a fixed lane of the first word that determines the layout and
-    /// count of the words that follow.
-    #[inline]
-    pub fn write_word(&mut self, w: u64) {
-        self.buf.extend_from_slice(&w.to_le_bytes());
-    }
-
-    /// A signed 64-bit value (covers every narrower signed width).
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        let [a, b, c, d, e, f, g, i] = (v as u64).to_le_bytes();
-        self.buf.extend_from_slice(&[0xA9, a, b, c, d, e, f, g, i]);
-    }
-
     /// A boolean.
     #[inline]
     pub fn write_bool(&mut self, v: bool) {
-        self.buf.extend_from_slice(&[0xAB, u8::from(v)]);
+        self.w.buf.extend_from_slice(&[0xAB, u8::from(v)]);
     }
 
     /// A UTF-8 string, length-prefixed.
     #[inline]
     pub fn write_str(&mut self, s: &str) {
-        self.buf.push(0xAC);
+        self.w.buf.push(0xAC);
         self.write_bytes(s.as_bytes());
-    }
-
-    /// Bytes serialized so far (framing included). Exposed so tests and
-    /// tools can check the serialization phase independently of the
-    /// mixing phase.
-    #[must_use]
-    pub fn serialized(&self) -> &[u8] {
-        &self.buf
     }
 
     /// Finalizes into a [`CacheKey`], consuming the hasher.
     #[must_use]
     pub fn finish(self) -> CacheKey {
-        let (hi, lo) = mix_buffer(&self.buf);
+        let (hi, lo) = mix_buffer(&self.w.buf);
         CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
     }
 
@@ -221,8 +201,8 @@ impl StableHasher {
     /// keeping its allocation. A loop hashing many methods through one
     /// hasher allocates once instead of once per method.
     pub fn finish_reset(&mut self) -> CacheKey {
-        let (hi, lo) = mix_buffer(&self.buf);
-        self.buf.clear();
+        let (hi, lo) = mix_buffer(&self.w.buf);
+        self.w.buf.clear();
         CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
     }
 }
@@ -246,12 +226,12 @@ mod tests {
 
     #[test]
     fn framed_writes_do_not_alias() {
-        // Two u8s vs one u16 with the same raw bytes.
+        // Two u32s vs one u64 with the same raw bytes.
         let a = key_of(|h| {
-            h.write_u8(1);
-            h.write_u8(2);
+            h.write_u32(1);
+            h.write_u32(2);
         });
-        let b = key_of(|h| h.write_u16(0x0201));
+        let b = key_of(|h| h.write_u64(0x2_0000_0001));
         assert_ne!(a, b);
         // Adjacent byte strings vs one concatenated string.
         let c = key_of(|h| {
@@ -301,15 +281,15 @@ mod tests {
                 h.write_bytes(&round.to_le_bytes());
             }
             assert_eq!(reused.finish_reset(), fresh.finish());
-            assert!(reused.serialized().is_empty());
+            assert!(reused.w.buf.is_empty());
         }
     }
 
     /// A byte-at-a-time reference implementation of the exact same
     /// scheme: identical framing (tag bytes, little-endian values,
-    /// length prefixes) serialized byte by byte into a shift register
-    /// that mixes every 8th byte, with the same tail-padding and
-    /// length-fold finalization. Word-boundary bugs in the buffered
+    /// length prefixes; wire forms bare) serialized byte by byte into a
+    /// shift register that mixes every 8th byte, with the same
+    /// tail-padding and length-fold finalization. Word-boundary bugs in the buffered
     /// mixer (chunking, tail handling, length fold) diverge from it.
     struct ReferenceHasher {
         hi: u64,
@@ -353,16 +333,6 @@ mod tests {
             self.byte(tag);
         }
 
-        fn write_u8(&mut self, v: u8) {
-            self.byte(0xA1);
-            self.byte(v);
-        }
-
-        fn write_u16(&mut self, v: u16) {
-            self.byte(0xA2);
-            self.bytes(&v.to_le_bytes());
-        }
-
         fn write_u32(&mut self, v: u32) {
             self.byte(0xA4);
             self.bytes(&v.to_le_bytes());
@@ -375,15 +345,6 @@ mod tests {
 
         fn write_usize(&mut self, v: usize) {
             self.write_u64(v as u64);
-        }
-
-        fn write_word(&mut self, w: u64) {
-            self.bytes(&w.to_le_bytes());
-        }
-
-        fn write_i64(&mut self, v: i64) {
-            self.byte(0xA9);
-            self.bytes(&(v as u64).to_le_bytes());
         }
 
         fn write_bool(&mut self, v: bool) {
@@ -440,13 +401,13 @@ mod tests {
                     }
                     2 => {
                         let v = rng.next() as u8;
-                        h.write_u8(v);
-                        r.write_u8(v);
+                        h.write_wire(&v);
+                        r.bytes(&[v]);
                     }
                     3 => {
                         let v = rng.next() as u16;
-                        h.write_u16(v);
-                        r.write_u16(v);
+                        h.write_wire(&v);
+                        r.bytes(&v.to_le_bytes());
                     }
                     4 => {
                         let v = rng.next() as u32;
@@ -459,9 +420,9 @@ mod tests {
                         r.write_u64(v);
                     }
                     6 => {
-                        let v = rng.next() as i64;
-                        h.write_i64(v);
-                        r.write_i64(v);
+                        let v = rng.next() as i32;
+                        h.write_wire(&v);
+                        r.bytes(&v.to_le_bytes());
                     }
                     7 => {
                         let v = rng.next().is_multiple_of(2);
@@ -477,8 +438,8 @@ mod tests {
                     }
                     9 => {
                         let v = rng.next();
-                        h.write_word(v);
-                        r.write_word(v);
+                        h.write_wire(&v);
+                        r.bytes(&v.to_le_bytes());
                     }
                     _ => {
                         let v = rng.next() as usize;

@@ -57,4 +57,4 @@ pub use store::{ArtifactStore, CacheConfig, CacheStats};
 /// Schema salt folded into every cache key: the crate version plus a
 /// manually bumped counter for behavioural changes that do not move the
 /// version (e.g. a codegen fix). Keys from other schemas never match.
-pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s5");
+pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s6");

@@ -111,9 +111,9 @@ impl core::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Encode-side primitives: append-only little-endian writer.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Writer {
@@ -486,6 +486,9 @@ macro_rules! wire_codes {
 wire_codes!(BinOp Cmp InvokeKind);
 
 impl Wire for DexInsn {
+    // Inlined into `put_method_body`'s loop: every warm rebuild runs it
+    // once per instruction of the program to key its methods.
+    #[inline]
     fn put(&self, w: &mut Writer) {
         match self {
             DexInsn::Nop => w.u8(0),
@@ -654,6 +657,26 @@ impl Wire for DexInsn {
     }
 }
 
+/// One method as a program carries it — everything but `id`, which is
+/// the method's table position. Shared with [`hash_method`], so a
+/// method's key covers exactly the fields a request transports; the
+/// destructuring is exhaustive, so a field added to [`Method`] fails
+/// compilation here instead of silently reaching neither.
+///
+/// [`hash_method`]: crate::hash_method
+pub(crate) fn put_method_body(m: &Method, w: &mut Writer) {
+    let Method { id: _, class, name, num_regs, num_args, insns, is_native } = m;
+    // One growth per method, not one per instruction: an instruction is
+    // at most 8 bytes but for the rare invoke or switch tail.
+    w.buf.reserve(16 + name.len() + 8 * insns.len());
+    class.put(w);
+    name.put(w);
+    num_regs.put(w);
+    num_args.put(w);
+    is_native.put(w);
+    w.seq(insns);
+}
+
 /// A whole program: static-slot count, classes, methods. Decoding
 /// rebuilds it through the same `add_class` / `add_method` path local
 /// callers use — ids come out as table positions, exactly as the
@@ -668,12 +691,7 @@ impl Wire for DexFile {
         }
         w.u32(self.methods().len() as u32);
         for m in self.methods() {
-            m.class.put(w);
-            m.name.put(w);
-            w.u16(m.num_regs);
-            w.u16(m.num_args);
-            m.is_native.put(w);
-            w.seq(&m.insns);
+            put_method_body(m, w);
         }
     }
 
@@ -877,18 +895,7 @@ mod tests {
     fn dex_roundtrip_is_lossless() {
         let dex = sample_dex();
         let back: DexFile = decode(&encode(&dex)).expect("roundtrip decodes");
-        assert_eq!(back.num_statics(), dex.num_statics());
-        assert_eq!(back.classes().len(), dex.classes().len());
-        assert_eq!(back.methods().len(), dex.methods().len());
-        for (a, b) in dex.methods().iter().zip(back.methods()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.class, b.class);
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.num_regs, b.num_regs);
-            assert_eq!(a.num_args, b.num_args);
-            assert_eq!(a.is_native, b.is_native);
-            assert_eq!(a.insns, b.insns);
-        }
+        assert_eq!(back, dex);
     }
 
     #[test]

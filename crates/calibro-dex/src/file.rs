@@ -5,7 +5,7 @@ use crate::method::{Class, Method};
 
 /// A container of classes and methods — the analogue of one `.dex` file
 /// inside an APK.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DexFile {
     classes: Vec<Class>,
     methods: Vec<Method>,

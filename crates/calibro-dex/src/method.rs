@@ -4,7 +4,7 @@ use crate::ids::{ClassId, MethodId, VReg};
 use crate::insn::DexInsn;
 
 /// A method body in the DEX-like bytecode.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Method {
     /// The method's index in its [`DexFile`](crate::DexFile).
     pub id: MethodId,
@@ -53,7 +53,7 @@ impl Method {
 }
 
 /// A class: a named field count plus its method members.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Class {
     /// The class's index in its [`DexFile`](crate::DexFile).
     pub id: ClassId,

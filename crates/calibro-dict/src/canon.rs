@@ -26,11 +26,14 @@
 //! reach this module.
 //!
 //! The key is the 128-bit [`StableHasher`] digest of the canonical
-//! sequence's machine encoding, salted with the cache
-//! [`SCHEMA_VERSION`](calibro_cache::SCHEMA_VERSION) so dictionary
-//! artifacts never cross a schema change. A pure function of the body's
-//! content, it is trivially invariant under build-thread count and
-//! candidate discovery order.
+//! sequence's machine encoding under a fixed salt. A pure function of
+//! the body's content, it is trivially invariant under build-thread
+//! count and candidate discovery order. The key also *places*: a sealed
+//! epoch lays its island out in key order, so unlike the cache's
+//! addressing keys it does not follow
+//! [`SCHEMA_VERSION`](calibro_cache::SCHEMA_VERSION) — a schema bump
+//! must not reorder served images (DESIGN.md §7), and a dictionary body
+//! is its own key's preimage, so no schema change can make one stale.
 
 use calibro_cache::{CacheKey, StableHasher};
 use calibro_isa::{Insn, Reg};
@@ -38,6 +41,10 @@ use calibro_isa::{Insn, Reg};
 /// Hash-domain tag for dictionary keys, distinct from every other
 /// key-construction tag in the pipeline.
 const DICT_KEY_TAG: u8 = 0x45;
+
+/// The key's salt: the schema string in force when the first epoch
+/// layouts were recorded, frozen so island order never moves with it.
+const DICT_KEY_SALT: &str = "0.1.0+s5";
 
 /// Registers that are never renamed: `x16`/`x17` (intra-procedure-call
 /// scratch), `x19` (ART thread register), `x29` (frame pointer), `x30`
@@ -180,17 +187,16 @@ pub fn canonicalize(insns: &[Insn]) -> (Vec<Insn>, Vec<u8>) {
 }
 
 /// The 128-bit dictionary key of `insns`: the [`StableHasher`] digest
-/// of the canonical sequence's machine encoding, salted with the cache
-/// schema version. Register-renamed but structurally identical bodies
-/// share a key; any semantic difference changes the encoding and so the
-/// key. Also returns the concrete-register record of
-/// [`canonicalize`].
+/// of the canonical sequence's machine encoding. Register-renamed but
+/// structurally identical bodies share a key; any semantic difference
+/// changes the encoding and so the key. Also returns the
+/// concrete-register record of [`canonicalize`].
 #[must_use]
 pub fn canonical_key(insns: &[Insn]) -> (CacheKey, Vec<u8>) {
     let (canonical, regs) = canonicalize(insns);
     let mut h = StableHasher::with_capacity(canonical.len() * 8 + 64);
     h.write_tag(DICT_KEY_TAG);
-    h.write_str(calibro_cache::SCHEMA_VERSION);
+    h.write_str(DICT_KEY_SALT);
     h.write_usize(canonical.len());
     for insn in &canonical {
         // The machine encoding is an isomorphic image of the subset the

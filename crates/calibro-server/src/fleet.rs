@@ -97,10 +97,8 @@ pub fn routing_key(dex: &DexFile, options: &BuildOptions) -> CacheKey {
     let opts = options_fingerprint(options);
     let mut h = StableHasher::new();
     h.write_tag(0x46); // 'F' — fleet routing
-    h.write_u64(salt.hi);
-    h.write_u64(salt.lo);
-    h.write_u64(opts.hi);
-    h.write_u64(opts.lo);
+    h.write_wire(&salt);
+    h.write_wire(&opts);
     h.finish()
 }
 

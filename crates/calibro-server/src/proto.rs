@@ -715,17 +715,22 @@ mod samples {
         ]
     }
 
+    // Both goldens below were re-recorded once, with the `+s5` → `+s6`
+    // schema bump: a key became the hash of the wire form (tag + the
+    // type's `Wire` row) where it had been a second, hand-packed walk,
+    // so every addressing key moved together and old entries miss.
+
     #[test]
     fn method_hash_of_the_sample_program_is_unchanged() {
-        // The operand codes this codec transports are the ones the
-        // packed method hash folds into every cache key: renumbering
-        // them in calibro-dex moves this golden.
+        // A method's key is the hash of its wire bytes, operand codes
+        // included: renumbering them in calibro-dex, or any change to a
+        // `DexInsn` row, moves this golden and needs a schema bump.
         let mut h = calibro_cache::StableHasher::new();
         for m in sample_dex().methods() {
             calibro_cache::hash_method(m, &mut h);
         }
         let key = h.finish();
-        assert_eq!((key.hi, key.lo), (0x4e52_4d6b_02d8_f04c, 0xa289_b151_a36b_d7eb));
+        assert_eq!((key.hi, key.lo), (0x88bf_75fe_8676_b0f4, 0xcb5b_9d28_a0d2_784a));
     }
 
     #[test]
@@ -735,17 +740,17 @@ mod samples {
         // build request: a value moving here orphans every persisted
         // cache entry and needs a `SCHEMA_VERSION` bump.
         type Key = (u64, u64);
-        const GLOBAL_MIN2: Option<Key> = Some((0x679d_08b5_c1c5_96e4, 0x7ee1_cebb_0e45_084d));
-        const SHARDED_HOT: Option<Key> = Some((0x8d05_3954_3eac_8ec9, 0x23f4_4e92_f7ee_d391));
+        const GLOBAL_MIN2: Option<Key> = Some((0x7e06_320b_bf02_7fb4, 0xfa1a_a072_dd3d_1c44));
+        const SHARDED_HOT: Option<Key> = Some((0xe47b_1e11_4316_2eb4, 0xce3a_0b15_3046_02ae));
         let golden: [(Key, Option<Key>); 8] = [
-            ((0x0c26_9af5_3abc_11e6, 0x56d7_791f_51df_7d72), None),
-            ((0x7684_5f4c_4f9b_9a9e, 0xb11f_c4bd_54f9_8cd1), None),
-            ((0x669f_afe9_f7f5_ae21, 0xfa57_acf5_330a_1c94), GLOBAL_MIN2),
-            ((0xab65_97ad_587f_675e, 0x5dd4_6f8b_dff0_d946), GLOBAL_MIN2),
-            ((0xa3df_c7f5_b672_f362, 0xe39b_2225_12b1_6dd4), SHARDED_HOT),
-            ((0x3ec3_0d02_146b_de2a, 0xdbaf_cec1_91de_9516), None),
-            ((0x0076_a68b_eb2c_9cbd, 0x9a6f_ee0a_9e49_5401), GLOBAL_MIN2),
-            ((0xe11a_b865_8f08_530d, 0x2811_268a_8d03_c2d8), None),
+            ((0x2e77_e294_3316_da03, 0x9da1_a34c_16ba_1f96), None),
+            ((0xcfc3_72af_ed80_6c86, 0x83c5_a1f9_b53e_f84b), None),
+            ((0x2a92_e202_e1f1_e612, 0x5a73_4aaf_01ca_00b8), GLOBAL_MIN2),
+            ((0xed3d_7bd1_949e_a909, 0x0b7c_8abd_cd63_1827), GLOBAL_MIN2),
+            ((0x7b16_d453_c95c_3309, 0x4a64_8c0a_ef9b_8f4a), SHARDED_HOT),
+            ((0x03a0_db99_995b_1810, 0x09b6_96fd_6cf1_f22c), None),
+            ((0xaafb_f3bd_5251_9e10, 0xb198_8b1e_06da_ae2d), GLOBAL_MIN2),
+            ((0x9f90_9050_218b_ce78, 0x4d32_c328_1ea8_65f2), None),
         ];
         for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
         {
@@ -1016,6 +1021,27 @@ mod tests {
         let mut longer = bytes;
         longer.push(0);
         assert_eq!(wire::decode::<M>(&longer).err(), Some(WireError::TrailingBytes { extra: 1 }));
+    }
+
+    /// A program's content key is the hash of the bytes a request
+    /// already carries: the domain tag, then the body's trailing `dex`
+    /// field (the last one) as it sits on the wire. Neither end of a
+    /// socket has to decode the program to name it.
+    #[test]
+    fn program_key_is_the_hash_of_the_trailing_dex_bytes_of_a_request() {
+        for request in &build_requests() {
+            let body = request.encode();
+            let ends = request.field_ends();
+            assert_eq!(ends.last().map(|&(name, _)| name), Some("dex"));
+            let dex_start = ends[ends.len() - 2].1;
+            let mut h = calibro_cache::StableHasher::new();
+            h.write_tag(0x50); // 'P', `hash_program`'s domain tag
+            for byte in &body[dex_start..] {
+                h.write_wire(byte);
+            }
+            let decoded = BuildRequest::decode(&body).expect("the sample decodes");
+            assert_eq!(h.finish(), calibro::program_salt(&decoded.dex));
+        }
     }
 
     #[test]

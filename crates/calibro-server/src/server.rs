@@ -172,6 +172,10 @@ struct Job {
     request_id: u64,
     dex: DexFile,
     options: BuildOptions,
+    /// The fingerprints of `options`, as admission cross-checked them —
+    /// echoed in the reply.
+    options_fp: CacheKey,
+    ltbo_fp: Option<CacheKey>,
     /// Effective deadline budget (request's, else the daemon default).
     budget: Option<Duration>,
     /// Deadline the client asked for, for the timeout reply.
@@ -291,17 +295,15 @@ impl TenantState {
 /// stripped*. Hot-set changes are generation-level (the daemon rewrites
 /// them on refresh), not program-level, so a client re-fetching with a
 /// newer local hot filter still lands on the same tenant program.
-fn tenant_identity(dex: &DexFile, options: &BuildOptions) -> CacheKey {
-    let mut base = options.clone();
-    base.hot_methods = None;
-    let base_fp = options_fingerprint(&base);
+fn tenant_identity(dex: &DexFile, options: &mut BuildOptions) -> CacheKey {
+    let hot = options.hot_methods.take();
+    let base_fp = options_fingerprint(options);
+    options.hot_methods = hot;
     let salt = program_salt(dex);
     let mut h = StableHasher::new();
     h.write_tag(b'T');
-    h.write_u64(salt.hi);
-    h.write_u64(salt.lo);
-    h.write_u64(base_fp.hi);
-    h.write_u64(base_fp.lo);
+    h.write_wire(&salt);
+    h.write_wire(&base_fp);
     h.finish()
 }
 
@@ -729,7 +731,7 @@ fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>)
     }
 }
 
-fn handle_build(request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
+fn handle_build(mut request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
     if shared.draining.load(Ordering::SeqCst) {
         shared.reply_error(writer, request.request_id, ServeError::Draining);
         return;
@@ -749,7 +751,7 @@ fn handle_build(request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared
     // artifact keeps serving while a refresh compiles in background.
     let mut tenant_job = None;
     if let Some(name) = &request.tenant {
-        let identity = tenant_identity(&request.dex, &request.options);
+        let identity = tenant_identity(&request.dex, &mut request.options);
         let serving = {
             let tenants = shared.tenants.lock().expect("tenants lock");
             tenants.get(name).and_then(|state| {
@@ -775,6 +777,8 @@ fn handle_build(request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared
         request_id: request.request_id,
         dex: request.dex,
         options: request.options,
+        options_fp: request.options_fp,
+        ltbo_fp: request.ltbo_fp,
         budget,
         deadline_ms,
         enqueued: Instant::now(),
@@ -884,15 +888,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
                 // answer from the sealed bytes: if a concurrent build of
                 // the same program won the race, the reply carries the
                 // winner's generation so every client sees one artifact.
-                let sealed = seal_generation(
-                    shared,
-                    &tenant.name,
-                    tenant.identity,
-                    &job.dex,
-                    &job.options,
-                    output,
-                    build_us,
-                );
+                let sealed = seal_generation(shared, tenant, job, output, build_us);
                 // After the flip: the generation's epoch pin is in
                 // place, so retirement inside the seal cannot touch it.
                 seal_dict(shared, &job.options);
@@ -904,8 +900,8 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
             seal_dict(shared, &job.options);
             let reply = BuildReply {
                 request_id: job.request_id,
-                options_fp: options_fingerprint(&job.options),
-                ltbo_fp: ltbo_fingerprint(&job.options),
+                options_fp: job.options_fp,
+                ltbo_fp: job.ltbo_fp,
                 elf: calibro_oat::to_elf_bytes(&output.oat),
                 methods: output.stats.methods as u64,
                 methods_from_cache: output.stats.methods_from_cache as u64,
@@ -939,18 +935,16 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
 /// with one set of bytes.
 fn seal_generation(
     shared: &Shared,
-    name: &str,
-    identity: CacheKey,
-    dex: &DexFile,
-    options: &BuildOptions,
+    tenant: &TenantJob,
+    job: &Job,
     mut output: calibro::BuildOutput,
     build_us: u64,
 ) -> Arc<SealedGeneration> {
-    let options_fp = options_fingerprint(options);
+    let identity = tenant.identity;
     let mut tenants = shared.tenants.lock().expect("tenants lock");
-    let state = tenants.entry(name.to_owned()).or_insert_with(TenantState::new);
+    let state = tenants.entry(tenant.name.clone()).or_insert_with(TenantState::new);
     if let (Some(program), Some(serving)) = (&state.program, &state.serving) {
-        if program.identity == identity && serving.options_fp == options_fp {
+        if program.identity == identity && serving.options_fp == job.options_fp {
             return Arc::clone(serving);
         }
     }
@@ -962,17 +956,21 @@ fn seal_generation(
         let (num, den) = DecayedProfile::DEFAULT_DECAY;
         state.profile = DecayedProfile::new(num, den).expect("default decay is valid");
     }
-    state.program = Some(TenantProgram { identity, dex: dex.clone(), options: options.clone() });
-    flip_generation(shared, state, options, &mut output, build_us)
+    state.program =
+        Some(TenantProgram { identity, dex: job.dex.clone(), options: job.options.clone() });
+    let fingerprints = (job.options_fp, job.ltbo_fp);
+    flip_generation(shared, state, &job.options, fingerprints, &mut output, build_us)
 }
 
 /// The atomic flip: mints the next generation id, stamps it into the
 /// build stats, seals the artifact, and replaces the serving pointer in
-/// one assignment under the tenant lock.
+/// one assignment under the tenant lock. `fingerprints` are those of
+/// `options` (options, LTBO), which every caller has computed already.
 fn flip_generation(
     shared: &Shared,
     state: &mut TenantState,
     options: &BuildOptions,
+    (options_fp, ltbo_fp): (CacheKey, Option<CacheKey>),
     output: &mut calibro::BuildOutput,
     build_us: u64,
 ) -> Arc<SealedGeneration> {
@@ -993,8 +991,8 @@ fn flip_generation(
     let elf = calibro_oat::to_elf_bytes(&output.oat);
     let sealed = Arc::new(SealedGeneration {
         id,
-        options_fp: options_fingerprint(options),
-        ltbo_fp: ltbo_fingerprint(options),
+        options_fp,
+        ltbo_fp,
         hot_set: options.hot_methods.clone(),
         elf_fnv: fnv1a64(&elf),
         elf,
@@ -1195,6 +1193,7 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
     };
     let Some((identity, dex, base_options, hot)) = snapshot else { return };
     let options = base_options.with_hot_filter(hot);
+    let fingerprints = (options_fingerprint(&options), ltbo_fingerprint(&options));
     let session = build_session(shared);
     let build_start = Instant::now();
     let result = session.build(&dex, &options);
@@ -1208,7 +1207,7 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
             // refresh compiled: a re-registration that raced the rebuild
             // must not be clobbered by an artifact for the old program.
             if state.program.as_ref().is_some_and(|p| p.identity == identity) {
-                flip_generation(shared, state, &options, &mut output, build_us);
+                flip_generation(shared, state, &options, fingerprints, &mut output, build_us);
             }
             drop(tenants);
             seal_dict(shared, &options);

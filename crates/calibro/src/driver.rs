@@ -18,7 +18,7 @@ use crate::merge::{MergeConfig, MergeStats};
 use crate::pipeline::BuildSession;
 
 /// Full build configuration — one row of the paper's Table 4 matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Compilation-time outlining of the three ART patterns (§3.1).
     pub cto: bool,

@@ -1,30 +1,29 @@
 //! Canonical fingerprints of build configuration — the "BuildOptions
 //! fingerprint" component of every per-method cache key.
 //!
-//! Every function destructures its input exhaustively (no `..`): adding
-//! a field to [`BuildOptions`], [`PipelineConfig`], [`LtboConfig`] or a
-//! variant to [`LtboMode`] fails compilation here, so a new knob can
-//! never silently be left out of the cache key (which would let two
-//! different configurations collide on one cached artifact — a stale-hit
-//! miscompile).
+//! One walk per configuration type: a fingerprint is a domain tag plus
+//! the type's [`Wire`] row — the same bytes a build request carries to
+//! the daemon — so the rows at the bottom of this file are the only
+//! place a [`BuildOptions`], [`LtboConfig`] or [`MergeConfig`] field is
+//! spelled out. Each row destructures its input exhaustively (no `..`)
+//! and decodes into a literal without `..`: adding a field or a variant
+//! fails compilation there, so a new knob can never silently be left
+//! out of the cache key (which would let two different configurations
+//! collide on one cached artifact — a stale-hit miscompile). That equal
+//! keys mean equal configurations is the codec's round trip
+//! (`tests/key_wire.rs`), not a separate argument.
 //!
 //! The fingerprint covers *every* field, including fields such as
 //! `compile_threads` and `base_address` that provably do not change
 //! per-method code bytes. That costs a few avoidable cache misses and
 //! buys an unconditional safety argument: equal keys ⇒ equal full
 //! configuration ⇒ equal compile inputs.
-//!
-//! The configuration's *wire form* — what a build request carries to the
-//! daemon — is at the bottom of this file, so both exhaustive walks of
-//! [`BuildOptions`], key and wire, are read and extended together.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 
 use calibro_cache::wire::{wire_fields, Reader, Wire, WireError, Writer};
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
 use calibro_dex::{DexFile, Method};
-use calibro_hgraph::PipelineConfig;
 
 use crate::driver::BuildOptions;
 use crate::ltbo::{LtboConfig, LtboMode};
@@ -42,115 +41,23 @@ thread_local! {
 
 /// Feeds the full [`BuildOptions`] into `h`.
 pub fn fingerprint_options(options: &BuildOptions, h: &mut StableHasher) {
-    let BuildOptions {
-        cto,
-        ltbo,
-        merge,
-        dict,
-        min_seq_len,
-        hot_methods,
-        base_address,
-        force_metadata,
-        inlining,
-        compile_threads,
-        passes,
-    } = options;
     h.write_tag(0x42); // 'B'
-    h.write_bool(*cto);
-    match ltbo {
-        None => h.write_tag(0),
-        Some(mode) => {
-            h.write_tag(1);
-            fingerprint_ltbo_mode(mode, h);
-        }
-    }
-    match merge {
-        None => h.write_tag(0),
-        Some(config) => {
-            h.write_tag(1);
-            fingerprint_merge_config(config, h);
-        }
-    }
-    h.write_tag(0x44); // 'D'
-    h.write_bool(*dict);
-    h.write_usize(*min_seq_len);
-    fingerprint_hot_set(hot_methods.as_ref(), h);
-    h.write_u64(*base_address);
-    h.write_bool(*force_metadata);
-    h.write_bool(*inlining);
-    h.write_usize(*compile_threads);
-    fingerprint_pipeline(passes, h);
-}
-
-/// Feeds an optional hot-method set into `h`, sorted so the set's
-/// iteration order never reaches a key.
-fn fingerprint_hot_set(hot_methods: Option<&HashSet<u32>>, h: &mut StableHasher) {
-    match hot_methods {
-        None => h.write_tag(0),
-        Some(set) => {
-            h.write_tag(1);
-            let mut sorted: Vec<u32> = set.iter().copied().collect();
-            sorted.sort_unstable();
-            h.write_usize(sorted.len());
-            for id in sorted {
-                h.write_u32(id);
-            }
-        }
-    }
-}
-
-/// Feeds a [`PipelineConfig`] into `h`.
-fn fingerprint_pipeline(config: &PipelineConfig, h: &mut StableHasher) {
-    let PipelineConfig {
-        copy_prop,
-        constant_folding,
-        simplify,
-        cse,
-        dce,
-        return_merge,
-        remove_unreachable,
-    } = config;
-    h.write_tag(0x51); // 'Q'
-    h.write_bool(*copy_prop);
-    h.write_bool(*constant_folding);
-    h.write_bool(*simplify);
-    h.write_bool(*cse);
-    h.write_bool(*dce);
-    h.write_bool(*return_merge);
-    h.write_bool(*remove_unreachable);
-}
-
-/// Feeds an [`LtboMode`] into `h`.
-fn fingerprint_ltbo_mode(mode: &LtboMode, h: &mut StableHasher) {
-    match mode {
-        LtboMode::Global => h.write_tag(0x10),
-        LtboMode::Parallel { groups, threads } => {
-            h.write_tag(0x11);
-            h.write_usize(*groups);
-            h.write_usize(*threads);
-        }
-    }
+    h.write_wire(options);
 }
 
 /// Feeds an [`LtboConfig`] into `h` — used by harnesses that drive
 /// [`run_ltbo`](crate::run_ltbo) directly rather than through
 /// [`BuildOptions`].
 pub fn fingerprint_ltbo_config(config: &LtboConfig, h: &mut StableHasher) {
-    let LtboConfig { mode, min_len, hot_methods } = config;
     h.write_tag(0x4C); // 'L'
-    fingerprint_ltbo_mode(mode, h);
-    h.write_usize(*min_len);
-    fingerprint_hot_set(hot_methods.as_ref(), h);
+    h.write_wire(config);
 }
 
-/// Feeds a [`MergeConfig`] into `h` — the merge pass's contribution to
-/// [`fingerprint_options`] and the prefix of every merge-plan key.
+/// Feeds a [`MergeConfig`] into `h` — the prefix of every merge-plan
+/// key.
 pub fn fingerprint_merge_config(config: &MergeConfig, h: &mut StableHasher) {
-    let MergeConfig { min_body_words, max_params, arbitrate } = config;
     h.write_tag(0x4D); // 'M'
-    h.write_usize(*min_body_words);
-    h.write_usize(*max_params);
-    h.write_bool(*arbitrate);
+    h.write_wire(config);
 }
 
 /// The configuration fingerprint shared by every method key of a build:
@@ -183,8 +90,7 @@ pub fn group_plan_key_from(config: &LtboConfig, members: &[CacheKey]) -> CacheKe
     fingerprint_ltbo_config(config, &mut h);
     h.write_usize(members.len());
     for k in members {
-        h.write_u64(k.hi);
-        h.write_u64(k.lo);
+        h.write_wire(k);
     }
     h.finish()
 }
@@ -206,8 +112,7 @@ pub fn merge_plan_key_from(config: &MergeConfig, members: &[CacheKey]) -> CacheK
     fingerprint_merge_config(config, &mut h);
     h.write_usize(members.len());
     for k in members {
-        h.write_u64(k.hi);
-        h.write_u64(k.lo);
+        h.write_wire(k);
     }
     h.finish()
 }
@@ -230,20 +135,19 @@ pub fn reference_env(dex: &DexFile) -> u64 {
     h.write_tag(0x52); // 'R'
     let methods = dex.methods();
     h.write_usize(methods.len());
-    // Per-callee nativeness, packed 64 methods to a word (the length
-    // above makes the packing self-describing).
+    // Per-callee nativeness, packed 64 methods to a word.
     let mut word = 0u64;
     for (i, m) in methods.iter().enumerate() {
         if m.is_native {
             word |= 1 << (i % 64);
         }
         if i % 64 == 63 {
-            h.write_word(word);
+            h.write_u64(word);
             word = 0;
         }
     }
     if !methods.len().is_multiple_of(64) {
-        h.write_word(word);
+        h.write_u64(word);
     }
     h.write_usize(dex.classes().len());
     h.write_u32(dex.classes().iter().map(|c| c.num_fields).max().unwrap_or(0));
@@ -276,16 +180,8 @@ pub fn method_cache_key(
 ) -> CacheKey {
     SCRATCH.with(|cell| {
         let mut h = cell.borrow_mut();
-        h.write_u64(options_fp.hi);
-        h.write_u64(options_fp.lo);
-        match program_salt {
-            None => h.write_tag(0),
-            Some(salt) => {
-                h.write_tag(1);
-                h.write_u64(salt.hi);
-                h.write_u64(salt.lo);
-            }
-        }
+        h.write_wire(&options_fp);
+        h.write_wire(&program_salt);
         hash_method(method, &mut h);
         h.finish_reset()
     })
@@ -318,6 +214,25 @@ fn get_ltbo(r: &mut Reader<'_>, what: &'static str) -> Result<Option<LtboMode>, 
             threads: Wire::get(r, what)?,
         })),
         tag => Err(WireError::InvalidTag { what, tag }),
+    }
+}
+
+/// A standalone LTBO configuration reuses the fused tag with the mode
+/// always present; tag 0 (LTBO off) is not a configuration.
+impl Wire for LtboConfig {
+    fn put(&self, w: &mut Writer) {
+        let LtboConfig { mode, min_len, hot_methods } = self;
+        put_ltbo(Some(*mode), w);
+        min_len.put(w);
+        hot_methods.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<LtboConfig, WireError> {
+        Ok(LtboConfig {
+            mode: get_ltbo(r, "mode")?.ok_or(WireError::InvalidTag { what: "mode", tag: 0 })?,
+            min_len: Wire::get(r, "min_len")?,
+            hot_methods: Wire::get(r, "hot_methods")?,
+        })
     }
 }
 
@@ -376,34 +291,12 @@ mod tests {
     use calibro_cache::wire::{decode, encode};
 
     #[test]
-    fn options_roundtrip_preserves_fingerprint() {
-        for options in [
-            BuildOptions::baseline(),
-            BuildOptions::cto_ltbo().with_dict().with_compile_threads(8),
-            BuildOptions::cto_ltbo_parallel(16, 4).with_hot_filter([4, 1, 9].into_iter().collect()),
-            BuildOptions::cto_merge_ltbo(),
-            BuildOptions { inlining: true, min_seq_len: 5, ..BuildOptions::default() },
-        ] {
-            let back: BuildOptions = decode(&encode(&options)).expect("options decode");
-            assert_eq!(options_fingerprint(&back), options_fingerprint(&options));
-        }
-    }
-
-    #[test]
     fn an_undefined_ltbo_tag_is_a_typed_error_naming_the_field() {
         let mut bytes = encode(&BuildOptions::baseline());
         bytes[1] = 3; // the fused tag follows the one-byte `cto`
         assert_eq!(
             decode::<BuildOptions>(&bytes).err(),
             Some(WireError::InvalidTag { what: "ltbo", tag: 3 })
-        );
-    }
-
-    #[test]
-    fn default_options_fingerprint_is_stable_within_a_process() {
-        assert_eq!(
-            options_fingerprint(&BuildOptions::default()),
-            options_fingerprint(&BuildOptions::default())
         );
     }
 

@@ -54,7 +54,7 @@ pub enum LtboMode {
 }
 
 /// LTBO configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LtboConfig {
     /// Suffix-tree organization.
     pub mode: LtboMode,

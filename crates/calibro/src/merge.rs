@@ -34,11 +34,12 @@
 //! ([`merge_plan_key_from`]), so a warm build replays the same merges
 //! without re-running the pairwise grouping scan.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use calibro_cache::{ArtifactStore, CacheKey, MergePlanEntry, MergePlanGroup, StableHasher};
-use calibro_codegen::{CallTarget, CompiledMethod, MethodMetadata, Reloc, ThunkKind};
+use calibro_codegen::{CallTarget, CompiledMethod, MethodMetadata, Reloc};
 use calibro_isa::{Insn, Reg};
 use calibro_oat::MergedBody;
 use calibro_suffix::benefit;
@@ -108,71 +109,46 @@ pub(crate) struct MergeOutcome {
     pub stats: MergeStats,
 }
 
-/// The content hash of one merge candidate's body: encoded instruction
-/// words plus call relocations — exactly the inputs group formation
-/// compares. The Merkle leaf of [`merge_plan_key_from`]: any change to
-/// any member's body or call structure moves its bucket's plan key.
-#[must_use]
-pub fn merge_content_key(m: &CompiledMethod) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write_tag(0x6D); // 'm'
-    h.write_usize(m.insns.len());
-    for insn in &m.insns {
-        h.write_u32(insn.encode().unwrap_or(u32::MAX));
+/// A candidate's machine words: its marker's when it has them (codegen
+/// encoded the method once already), else encoded here.
+fn words_of<'a>(m: &CompiledMethod, words: Option<&'a [u32]>) -> Cow<'a, [u32]> {
+    match words {
+        Some(words) => Cow::Borrowed(words),
+        None => m.insns.iter().map(|insn| insn.encode().unwrap_or(u32::MAX)).collect(),
     }
-    h.write_usize(m.pool.len());
-    for &w in &m.pool {
-        h.write_u32(w);
-    }
-    hash_relocs(&m.relocs, &mut h);
-    h.finish()
 }
 
-fn hash_relocs(relocs: &[Reloc], h: &mut StableHasher) {
-    h.write_usize(relocs.len());
-    for r in relocs {
-        h.write_usize(r.at);
-        match r.target {
-            CallTarget::Method(id) => {
-                h.write_tag(0);
-                h.write_u32(id.0);
-            }
-            CallTarget::Thunk(kind) => {
-                h.write_tag(1);
-                match kind {
-                    ThunkKind::JavaEntry => h.write_tag(0),
-                    ThunkKind::RuntimeEntry(off) => {
-                        h.write_tag(1);
-                        h.write_u32(off.into());
-                    }
-                    ThunkKind::StackCheck => h.write_tag(2),
-                }
-            }
-            CallTarget::Outlined(i) => {
-                h.write_tag(2);
-                h.write_u32(i);
-            }
-            CallTarget::Merged(i) => {
-                h.write_tag(3);
-                h.write_u32(i);
-            }
-            CallTarget::Dict(i) => {
-                h.write_tag(4);
-                h.write_u32(i);
-            }
-        }
+/// The content hash of one merge candidate's body: encoded instruction
+/// words (`words` when the caller holds them, as [`MethodWords::as_slice`]
+/// gives them), literal pool and call relocations — exactly the inputs
+/// group formation compares. The Merkle leaf of [`merge_plan_key_from`]:
+/// any change to any member's body or call structure moves its bucket's
+/// plan key.
+#[must_use]
+pub fn merge_content_key(m: &CompiledMethod, words: Option<&[u32]>) -> CacheKey {
+    let mut h = StableHasher::new();
+    h.write_tag(0x6D); // 'm'
+    let words = words_of(m, words);
+    h.write_usize(words.len());
+    for &word in words.iter() {
+        h.write_u32(word);
     }
+    h.write_wire(&m.pool);
+    h.write_wire(&m.relocs);
+    h.finish()
 }
 
 /// The structural hash bodies are bucketed by: every instruction's
 /// encoded word except `movz`/`movn`, which contribute only their
 /// variant, width and destination — the immediate (the merge's
-/// parameter) is dropped, so clones differing in constants collide.
-fn shape_hash(m: &CompiledMethod) -> u64 {
+/// parameter) is dropped, so clones differing in constants collide —
+/// then the call relocations. Compared for equality only, within one
+/// pass: it decides which bodies meet in a bucket, never their order.
+fn shape_hash(m: &CompiledMethod, words: Option<&[u32]>) -> u64 {
     let mut h = StableHasher::new();
     h.write_tag(0x53); // 'S'
     h.write_usize(m.insns.len());
-    for insn in &m.insns {
+    for (insn, &word) in m.insns.iter().zip(words_of(m, words).iter()) {
         match *insn {
             Insn::Movz { wide, rd, .. } => {
                 h.write_tag(1);
@@ -186,11 +162,11 @@ fn shape_hash(m: &CompiledMethod) -> u64 {
             }
             _ => {
                 h.write_tag(0);
-                h.write_u32(insn.encode().unwrap_or(u32::MAX));
+                h.write_u32(word);
             }
         }
     }
-    hash_relocs(&m.relocs, &mut h);
+    h.write_wire(&m.relocs);
     let k = h.finish();
     k.hi ^ k.lo
 }
@@ -506,6 +482,7 @@ pub(crate) fn run_merge(
     store: Option<&ArtifactStore>,
 ) -> Result<MergeOutcome, BuildError> {
     let mut stats = MergeStats::default();
+    let words_at = |i: usize| words.get(i).and_then(MethodWords::as_slice);
 
     // --- Choose candidates and bucket by shape, in method order. --------
     let mut buckets: Vec<Vec<usize>> = Vec::new();
@@ -516,7 +493,7 @@ pub(crate) fn run_merge(
             continue;
         }
         stats.candidate_methods += 1;
-        let slot = *by_shape.entry(shape_hash(m)).or_insert_with(|| {
+        let slot = *by_shape.entry(shape_hash(m, words_at(idx))).or_insert_with(|| {
             buckets.push(Vec::new());
             buckets.len() - 1
         });
@@ -532,7 +509,8 @@ pub(crate) fn run_merge(
         let bodies: Vec<&CompiledMethod> = bucket.iter().map(|&i| &methods[i]).collect();
         let groups = match store {
             Some(store) => {
-                let members: Vec<CacheKey> = bodies.iter().map(|m| merge_content_key(m)).collect();
+                let members: Vec<CacheKey> =
+                    bucket.iter().map(|&i| merge_content_key(&methods[i], words_at(i))).collect();
                 let key = merge_plan_key_from(config, &members);
                 match store.merges().get(key).map_err(BuildError::Cache)? {
                     Some(entry) if plan_is_applicable(&bodies, &entry) => entry.groups.clone(),

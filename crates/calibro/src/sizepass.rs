@@ -6,9 +6,9 @@
 //! Each pass has
 //!
 //! * a **config fingerprint** folded into the build's 128-bit cache
-//!   keys by [`fingerprint_options`](crate::fingerprint_options), whose
-//!   exhaustive destructure means no pass knob can silently be left out
-//!   of a key;
+//!   keys by [`fingerprint_options`](crate::fingerprint_options) —
+//!   `BuildOptions`' wire row, whose exhaustive destructure means no
+//!   pass knob can silently be left out of a key;
 //! * a **cache lane** in `calibro-cache` (the group-plan lane for
 //!   outlining, the merge-plan lane for merging), each with its own
 //!   memory + checksummed-disk tiers and hit/miss/store/evict counters
@@ -20,8 +20,7 @@
 //! would clobber the return address its island's `ret` consumes) and
 //! arbitration can leave a group for the outliner to compress instead.
 //! A third pass is one more function here and one more call in
-//! `outline`, after its config joined `BuildOptions` and
-//! `fingerprint_options`.
+//! `outline`, after its config joined `BuildOptions` and its wire row.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -19,7 +19,6 @@ use calibro::{
     BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, MergeConfig,
     PipelineConfig, StableHasher,
 };
-use calibro_cache::hash_method;
 use calibro_codegen::{CallTarget, CompiledMethod};
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
@@ -455,39 +454,6 @@ fn disk_cache_carries_artifacts_across_sessions() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The pre-`+s3` key scheme, vendored for the invalidation test below:
-/// two independently seeded FNV-1a-64 lanes over the framed byte
-/// stream, plus the old length fold. The *framing* did not change in
-/// the `+s2` → `+s3` bump — only the mixing did — so the new
-/// serializer's buffer is exactly the byte stream the old hasher
-/// consumed, and mixing it here reproduces the keys an old-release
-/// store persisted under.
-mod legacy {
-    use calibro::CacheKey;
-
-    /// What `SCHEMA_VERSION` expanded to before the bump.
-    pub const SCHEMA: &str = concat!("0.1.0", "+s2");
-
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    const OFFSET_HI: u64 = 0xcbf2_9ce4_8422_2325;
-    const OFFSET_LO: u64 = 0x2437_54a3_2439_f31d;
-
-    pub fn mix(framed: &[u8]) -> CacheKey {
-        let (mut hi, mut lo) = (OFFSET_HI, OFFSET_LO);
-        let byte = |hi: &mut u64, lo: &mut u64, b: u8| {
-            *hi = (*hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            *lo = (*lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        };
-        for &b in framed {
-            byte(&mut hi, &mut lo, b);
-        }
-        for b in (framed.len() as u64).to_le_bytes() {
-            byte(&mut hi, &mut lo, b);
-        }
-        CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
-    }
-}
-
 #[test]
 fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     let dir = std::env::temp_dir().join(format!("calibro-schema-bump-{}", std::process::id()));
@@ -497,19 +463,20 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     let fp = options_fingerprint(&options);
     let config = CacheConfig { disk_dir: Some(dir.clone()), ..CacheConfig::default() };
 
-    // Populate the directory the way the previous release would have:
-    // one entry per method, persisted under the legacy hasher's key for
-    // the old schema string.
+    // Populate the directory the way a release with any other schema
+    // would have: one entry per method, under the key that release
+    // mints — the same walk over the same inputs, another schema salt
+    // in the options fingerprint every method key embeds.
+    let other_schema = "0.1.0+s0";
+    assert_ne!(calibro_cache::SCHEMA_VERSION, other_schema);
+    let mut h = StableHasher::new();
+    h.write_str(other_schema);
+    calibro::fingerprint_options(&options, &mut h);
+    let other_fp = h.finish();
     let old_store = ArtifactStore::new(config.clone());
-    let mut legacy_keys = Vec::new();
+    let mut other_keys = Vec::new();
     for m in dex.methods() {
-        let mut h = StableHasher::new();
-        h.write_str(legacy::SCHEMA);
-        h.write_u64(fp.hi);
-        h.write_u64(fp.lo);
-        h.write_tag(0);
-        hash_method(m, &mut h);
-        let key = legacy::mix(h.serialized());
+        let key = method_cache_key(m, other_fp, None);
         old_store.insert(
             key,
             CacheEntry::new(
@@ -527,7 +494,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
             )
             .expect("a nop encodes"),
         );
-        legacy_keys.push(key);
+        other_keys.push(key);
     }
     assert_eq!(old_store.stats().disk_stores as usize, dex.methods().len());
     drop(old_store);
@@ -537,7 +504,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     let store = ArtifactStore::new(config.clone());
     for m in dex.methods() {
         let key = method_cache_key(m, fp, None);
-        assert!(!legacy_keys.contains(&key), "schema bump left method {} addressable", m.id);
+        assert!(!other_keys.contains(&key), "schema bump left method {} addressable", m.id);
         let probe = store.get(key);
         assert!(
             matches!(probe, Ok(None)),
@@ -558,8 +525,8 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     assert_eq!(rebuilt.stats.methods_from_cache, 0);
     let fresh = build(&dex, &options).unwrap();
     assert_eq!(calibro_oat::to_elf_bytes(&rebuilt.oat), calibro_oat::to_elf_bytes(&fresh.oat));
-    for key in &legacy_keys {
-        assert!(dir.join(format!("{}.calc", key.to_hex())).exists(), "legacy file clobbered");
+    for key in &other_keys {
+        assert!(dir.join(format!("{}.calc", key.to_hex())).exists(), "other-schema file clobbered");
     }
 
     std::fs::remove_dir_all(&dir).unwrap();
