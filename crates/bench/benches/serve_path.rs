@@ -1,0 +1,107 @@
+//! Criterion benchmarks for the serve path around the build — what a
+//! request costs before and after the compiler runs: encoding a build
+//! request the owned way (clone into a `BuildRequest`) and the client's
+//! way (from borrows), decoding the whole body against decoding the
+//! header and naming the program by the hash of its bytes (the daemon's
+//! way for a program it holds), and the in-process round trip of a
+//! known program through a daemon, plain and as a tenant fetch answered
+//! from a sealed generation. One pool-shaped 200-method app, the shape
+//! of the benchmark's `serve_mixed` pool.
+
+use calibro::{options_fingerprint, BuildOptions, StableHasher};
+use calibro_server::proto::{BuildHeader, BuildRequestRef};
+use calibro_server::{ltbo_fingerprint, BuildRequest, Client, Daemon, Listener, ServerConfig};
+use calibro_workloads::{generate, AppSpec};
+use criterion::{criterion_group, criterion_main, Criterion};
+
+fn pool_app() -> AppSpec {
+    AppSpec {
+        name: "pool0".to_owned(),
+        seed: 700,
+        methods: 200,
+        classes: 8,
+        natives: 3,
+        motif_pool: 40,
+        motifs_per_method: (2, 6),
+        switch_fraction: 0.04,
+        call_fraction: 0.45,
+        trace_len: 160,
+        hot_skew: 1.5,
+        filler_per_segment: (12, 24),
+        clone_families: 3,
+    }
+}
+
+fn bench_serve_path(c: &mut Criterion) {
+    let dex = generate(&pool_app()).dex;
+    let options = BuildOptions::cto_ltbo_parallel(8, 1);
+    let (options_fp, ltbo_fp) = (options_fingerprint(&options), ltbo_fingerprint(&options));
+    let mut group = c.benchmark_group("serve_path");
+
+    group.bench_function("encode/owned", |b| {
+        b.iter(|| {
+            BuildRequest {
+                request_id: 1,
+                deadline: None,
+                options_fp,
+                ltbo_fp,
+                tenant: None,
+                options: options.clone(),
+                dex: dex.clone(),
+            }
+            .encode()
+        });
+    });
+    let borrowed = BuildRequestRef {
+        request_id: 1,
+        deadline: None,
+        options_fp,
+        ltbo_fp,
+        tenant: None,
+        options: &options,
+        dex: &dex,
+    };
+    group.bench_function("encode/borrowed", |b| b.iter(|| borrowed.encode()));
+
+    let body = borrowed.encode();
+    group.bench_function(format!("decode/whole/{}_bytes", body.len()), |b| {
+        b.iter(|| BuildRequest::decode(&body).map(|request| request.dex.methods().len()));
+    });
+    group.bench_function("decode/header_and_key", |b| {
+        b.iter(|| {
+            BuildHeader::split(&body).map(|(header, program)| {
+                let mut h = StableHasher::with_capacity(program.len() + 2);
+                h.write_tag(0x50);
+                h.write_wire_bytes(program);
+                (header.request_id, h.finish())
+            })
+        });
+    });
+
+    let socket = std::env::temp_dir().join(format!("calibro-bench-{}.sock", std::process::id()));
+    let daemon = Daemon::start(
+        Listener::unix(&socket).expect("bind"),
+        ServerConfig { workers: 2, ..ServerConfig::default() },
+    )
+    .expect("start daemon");
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    // Known to the daemon in every sense before timing: compiled, its
+    // tenant generation sealed, and sighted twice.
+    for _ in 0..3 {
+        client.build(&dex, &options, None).expect("warming build");
+        client.build_for_tenant("pool0", &dex, &options, None).expect("warming tenant build");
+    }
+    group.bench_function("daemon/build", |b| {
+        b.iter(|| client.build(&dex, &options, None).map(|reply| reply.elf.len()));
+    });
+    group.bench_function("daemon/build_for_tenant", |b| {
+        b.iter(|| {
+            client.build_for_tenant("pool0", &dex, &options, None).map(|reply| reply.elf.len())
+        });
+    });
+    group.finish();
+    daemon.shutdown();
+}
+
+criterion_group!(benches, bench_serve_path);
+criterion_main!(benches);

@@ -143,6 +143,15 @@ impl StableHasher {
         value.put(&mut self.w);
     }
 
+    /// Bytes that already *are* a value's [`Wire`] form — a field of a
+    /// frame, where it lies — appended bare: the key comes out as
+    /// [`write_wire`](Self::write_wire) of the decoded value would make
+    /// it, with no decode and no second encode.
+    #[inline]
+    pub fn write_wire_bytes(&mut self, encoded: &[u8]) {
+        self.w.buf.extend_from_slice(encoded);
+    }
+
     /// Raw bytes, length-prefixed so concatenations cannot alias.
     #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {

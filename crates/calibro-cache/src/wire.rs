@@ -37,6 +37,13 @@ use crate::store::CacheStats;
 /// allocation before the bounds check catches it.
 const MAX_COLLECTION_LEN: usize = 1 << 24;
 
+/// Most elements [`Reader::seq`] reserves room for ahead of decoding
+/// them. A count is only bounded by the bytes remaining, and an element
+/// can be one byte on the wire and tens in memory (a `DexInsn`), so a
+/// hostile count inside a 64 MiB frame must not become a multi-GiB
+/// reservation; a longer sequence grows from here as it decodes.
+const SEQ_RESERVE_CAP: usize = 1 << 16;
+
 /// A decode failure. Every variant carries enough context to log, and
 /// none of them abort the connection by themselves — the protocol layer
 /// maps them to a typed error response.
@@ -129,6 +136,14 @@ impl Writer {
         self.buf
     }
 
+    /// Appends a `u32` byte length, then the UTF-8 bytes (the form of a
+    /// `String` field, for an encoder that only borrows the text).
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
     /// Appends a `u32` element count, then each element.
     pub fn seq<T: Wire>(&mut self, items: &[T]) {
         self.u32(items.len() as u32);
@@ -155,6 +170,12 @@ impl<'a> Reader<'a> {
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not yet consumed, where they lie in the payload.
+    #[must_use]
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Fails with [`WireError::TrailingBytes`] unless the payload was
@@ -194,10 +215,16 @@ impl<'a> Reader<'a> {
         self.bounded(u64::from(n), what)
     }
 
-    /// Reads a `u32` element count, then that many elements.
+    /// Reads a `u32` element count, then that many elements, into a
+    /// vector sized once: the count is already bounded by the bytes
+    /// remaining, the reservation also by `SEQ_RESERVE_CAP`.
     pub fn seq<T: Wire>(&mut self, what: &'static str) -> Result<Vec<T>, WireError> {
         let n = self.count(what)?;
-        (0..n).map(|_| T::get(self, what)).collect()
+        let mut items = Vec::with_capacity(n.min(SEQ_RESERVE_CAP));
+        for _ in 0..n {
+            items.push(T::get(self, what)?);
+        }
+        Ok(items)
     }
 }
 
@@ -307,8 +334,7 @@ impl Wire for bool {
 /// A `u32` byte length, then UTF-8.
 impl Wire for String {
     fn put(&self, w: &mut Writer) {
-        w.u32(self.len() as u32);
-        w.buf.extend_from_slice(self.as_bytes());
+        w.str(self);
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<String, WireError> {
@@ -591,6 +617,9 @@ impl Wire for DexInsn {
         }
     }
 
+    // Inlined into `Reader::seq`'s loop: a daemon decodes every
+    // instruction of every program it has not seen before.
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<DexInsn, WireError> {
         Ok(match r.u8(what)? {
             0 => DexInsn::Nop,
@@ -908,6 +937,31 @@ mod tests {
             err,
             WireError::OversizedCollection { what: "classes", len: u64::from(u32::MAX) }
         );
+    }
+
+    #[test]
+    fn a_sequence_longer_than_the_reserve_cap_decodes_whole() {
+        let items: Vec<u32> = (0..SEQ_RESERVE_CAP as u32 + 3).collect();
+        let bytes = encode(&items);
+        let mut r = Reader::new(&bytes);
+        let back: Vec<u32> = r.seq("items").expect("decodes past the reservation");
+        assert_eq!(back, items);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn a_count_beyond_the_remaining_bytes_is_rejected_before_any_element_is_read() {
+        let mut w = Writer::new();
+        w.u32(9); // nine elements claimed
+        w.u32(7); // ... and four bytes to read them from
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(
+            r.seq::<u32>("items"),
+            Err(WireError::OversizedCollection { what: "items", len: 9 })
+        );
+        // Only the count was consumed: no element read, nothing reserved.
+        assert_eq!(r.rest(), 7u32.to_le_bytes());
     }
 
     #[test]

@@ -14,9 +14,9 @@ use calibro_dex::DexFile;
 use crate::error::{ClientError, ServeError};
 use crate::fleet::ShardEndpoint;
 use crate::proto::{
-    self, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
-    GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats,
-    REQ_BUILD, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
+    self, BuildReply, BuildRequest, BuildRequestRef, DictStatsReply, DictStatsRequest, ErrorReply,
+    FrameEvent, GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request,
+    ServerStats, REQ_BUILD, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
     RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
@@ -64,24 +64,43 @@ impl Client {
         id
     }
 
-    /// The next build request for `dex` under `options`: a fresh id and
-    /// the two client-side fingerprints the daemon cross-checks.
-    fn build_request(
+    /// The body of the next build request for `dex` under `options`,
+    /// with its id: a fresh id and the two client-side fingerprints the
+    /// daemon cross-checks, encoded straight from the borrows — neither
+    /// the program nor the options are copied.
+    fn encode_build(
         &mut self,
         tenant: Option<&str>,
         dex: &DexFile,
         options: &BuildOptions,
         deadline: Option<Duration>,
-    ) -> BuildRequest {
-        BuildRequest {
+    ) -> (u64, Vec<u8>) {
+        let request = BuildRequestRef {
             request_id: self.next_id(),
             deadline,
             options_fp: options_fingerprint(options),
             ltbo_fp: ltbo_fingerprint(options),
-            tenant: tenant.map(str::to_owned),
-            options: options.clone(),
-            dex: dex.clone(),
-        }
+            tenant,
+            options,
+            dex,
+        };
+        (request.request_id, request.encode())
+    }
+
+    /// One build round trip; `tenant` as in `BuildRequest::tenant`.
+    fn call_build(
+        &mut self,
+        tenant: Option<&str>,
+        dex: &DexFile,
+        options: &BuildOptions,
+        deadline: Option<Duration>,
+    ) -> Result<BuildReply, ClientError> {
+        let (_, body) = self.encode_build(tenant, dex, options, deadline);
+        Ok(BuildReply::decode(&self.exchange(
+            BuildRequest::KIND,
+            &body,
+            BuildRequest::REPLY_KIND,
+        )?)?)
     }
 
     /// Compiles `dex` with `options` on the daemon. `deadline` caps the
@@ -99,8 +118,7 @@ impl Client {
         options: &BuildOptions,
         deadline: Option<Duration>,
     ) -> Result<BuildReply, ClientError> {
-        let request = self.build_request(None, dex, options, deadline);
-        self.call(&request)
+        self.call_build(None, dex, options, deadline)
     }
 
     /// Compiles (or fetches) under a tenant name: the daemon registers
@@ -119,8 +137,7 @@ impl Client {
         options: &BuildOptions,
         deadline: Option<Duration>,
     ) -> Result<BuildReply, ClientError> {
-        let request = self.build_request(Some(tenant), dex, options, deadline);
-        self.call(&request)
+        self.call_build(Some(tenant), dex, options, deadline)
     }
 
     /// Uploads one profile (calibro-profile text format) for `tenant`.
@@ -182,9 +199,9 @@ impl Client {
     ) -> Result<Vec<Result<BuildReply, ServeError>>, ClientError> {
         let mut ids = Vec::new();
         for (dex, options) in requests {
-            let request = self.build_request(None, dex, options, None);
-            proto::write_frame(&mut self.stream, REQ_BUILD, &request.encode())?;
-            ids.push(request.request_id);
+            let (id, body) = self.encode_build(None, dex, options, None);
+            proto::write_frame(&mut self.stream, REQ_BUILD, &body)?;
+            ids.push(id);
         }
         let mut by_id = std::collections::HashMap::new();
         while by_id.len() < ids.len() {

@@ -65,6 +65,7 @@ pub mod client;
 pub mod error;
 pub mod fleet;
 pub mod histogram;
+mod programs;
 pub mod proto;
 pub mod server;
 mod transport;

@@ -1,0 +1,214 @@
+//! The daemon's program table: decoded programs, named by the hash of
+//! the bytes they arrived as.
+//!
+//! A build request carries its program as the body's trailing bytes,
+//! and a program's content key *is* the hash of those bytes
+//! (`H('P', DexFile row)`, DESIGN.md §7), so the daemon can name an
+//! arriving program without decoding it. Most traffic resends a program
+//! byte for byte — every warm rebuild, every tenant fetch — so the
+//! table keeps the decoded form of programs that have proved they come
+//! back, and a request for one of them neither decodes nor drops
+//! ~20 000 instructions. The table trusts a key as a cache lane does:
+//! 128 bits plus the byte length, computed by the daemon itself from
+//! bytes it then decoded and kept.
+//!
+//! **Admission is on the second sighting.** A program decoded for the
+//! first time only leaves its id in a fixed ring of recently seen ids;
+//! one whose id is still in the ring when it is decoded again is held.
+//! The other kind of traffic is a program that is never seen again (an
+//! edited build), and holding each of those would cost about six times
+//! its wire size in resident set for nothing. Held programs are evicted
+//! least recently used first once the wire bytes they stand for exceed
+//! a fixed budget. Both bounds are constants, not configuration.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use calibro::{CacheKey, StableHasher};
+use calibro_dex::DexFile;
+
+/// Ids of decoded-once programs remembered for a second sighting.
+const SEEN_RING: usize = 64;
+/// Wire bytes the held programs may stand for in total (a decoded
+/// program is roughly six times its wire form).
+const HELD_WIRE_BYTES: usize = 4 << 20;
+
+/// What names a program in the table: its content key and the length
+/// of the bytes that were hashed.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct ProgramId {
+    /// `calibro::program_salt` of the program, computed from its bytes.
+    pub(crate) key: CacheKey,
+    len: usize,
+}
+
+impl ProgramId {
+    /// Names the program whose `DexFile` row `encoded` is: the domain
+    /// tag, then the bytes where they lie — what `hash_program` feeds
+    /// the hasher from the decoded form.
+    pub(crate) fn of(encoded: &[u8]) -> ProgramId {
+        let mut h = StableHasher::with_capacity(encoded.len() + 2);
+        h.write_tag(0x50); // 'P', `hash_program`'s domain tag
+        h.write_wire_bytes(encoded);
+        ProgramId { key: h.finish(), len: encoded.len() }
+    }
+}
+
+struct Held {
+    dex: Arc<DexFile>,
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct Inner {
+    seen: VecDeque<ProgramId>,
+    held: HashMap<ProgramId, Held>,
+    held_bytes: usize,
+    clock: u64,
+}
+
+/// See the module docs.
+#[derive(Default)]
+pub(crate) struct ProgramTable {
+    inner: Mutex<Inner>,
+}
+
+impl ProgramTable {
+    /// A poisoned lock is recovered (DESIGN.md §7 "Lock policy"): the
+    /// critical sections below only update the ring and the map, and
+    /// the worst a dead holder leaves is a byte count that is off by
+    /// one entry.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The held program of this id, if any.
+    pub(crate) fn get(&self, id: ProgramId) -> Option<Arc<DexFile>> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let now = inner.clock;
+        inner.held.get_mut(&id).map(|held| {
+            held.last_used = now;
+            Arc::clone(&held.dex)
+        })
+    }
+
+    /// Hands the table a program just decoded from the bytes `id`
+    /// names. It is held if this is its second sighting (and it fits
+    /// the budget at all), remembered for one otherwise.
+    pub(crate) fn offer(&self, id: ProgramId, dex: DexFile) -> Arc<DexFile> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let now = inner.clock;
+        if let Some(held) = inner.held.get_mut(&id) {
+            // A concurrent connection decoded and admitted it first.
+            held.last_used = now;
+            return Arc::clone(&held.dex);
+        }
+        let dex = Arc::new(dex);
+        match inner.seen.iter().position(|seen| *seen == id) {
+            Some(at) if id.len <= HELD_WIRE_BYTES => {
+                inner.seen.remove(at);
+                inner.held.insert(id, Held { dex: Arc::clone(&dex), last_used: now });
+                inner.held_bytes += id.len;
+                while inner.held_bytes > HELD_WIRE_BYTES {
+                    let coldest = inner
+                        .held
+                        .iter()
+                        .min_by_key(|(_, held)| held.last_used)
+                        .map(|(id, _)| *id)
+                        .expect("bytes are held, so an entry is");
+                    inner.held.remove(&coldest);
+                    inner.held_bytes -= coldest.len;
+                }
+            }
+            Some(_) => {}
+            None => {
+                if inner.seen.len() == SEEN_RING {
+                    inner.seen.pop_front();
+                }
+                inner.seen.push_back(id);
+            }
+        }
+        dex
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use calibro_cache::wire;
+
+    fn program(statics: u32) -> (ProgramId, DexFile) {
+        let mut dex = DexFile::new();
+        dex.reserve_statics(statics);
+        (ProgramId::of(&wire::encode(&dex)), dex)
+    }
+
+    #[test]
+    fn the_id_of_the_bytes_is_the_salt_of_the_program() {
+        let (id, dex) = program(7);
+        assert_eq!(id.key, calibro::program_salt(&dex));
+    }
+
+    #[test]
+    fn a_program_is_held_from_its_second_sighting() {
+        let table = ProgramTable::default();
+        let (id, dex) = program(1);
+        assert!(table.get(id).is_none());
+        table.offer(id, dex.clone());
+        assert!(table.get(id).is_none(), "one sighting only remembers the id");
+        let second = table.offer(id, dex.clone());
+        let held = table.get(id).expect("held from the second sighting");
+        assert!(Arc::ptr_eq(&second, &held));
+        // A racing third decode gets the entry, not a second copy.
+        assert!(Arc::ptr_eq(&table.offer(id, dex), &held));
+    }
+
+    #[test]
+    fn equal_length_programs_of_different_content_have_different_entries() {
+        let table = ProgramTable::default();
+        let ((a, dex_a), (b, dex_b)) = (program(1), program(2));
+        assert_eq!(a.len, b.len);
+        assert_ne!(a, b);
+        for _ in 0..2 {
+            table.offer(a, dex_a.clone());
+            table.offer(b, dex_b.clone());
+        }
+        assert_eq!(*table.get(a).expect("a held"), dex_a);
+        assert_eq!(*table.get(b).expect("b held"), dex_b);
+    }
+
+    #[test]
+    fn the_ring_forgets_and_the_budget_evicts_the_least_recently_used() {
+        let table = ProgramTable::default();
+        let (first, dex) = program(0);
+        table.offer(first, dex.clone());
+        for n in 1..=SEEN_RING as u32 {
+            let (id, dex) = program(n);
+            table.offer(id, dex);
+        }
+        table.offer(first, dex);
+        assert!(table.get(first).is_none(), "pushed out of the ring before it came back");
+
+        // Ids that claim a third of the budget each: the fourth
+        // admission evicts whichever of the first three was used least
+        // recently.
+        let big = |n: u64| ProgramId { key: CacheKey { hi: n, lo: n }, len: HELD_WIRE_BYTES / 3 };
+        for n in 0..3 {
+            table.offer(big(n), DexFile::new());
+            table.offer(big(n), DexFile::new());
+        }
+        assert!(table.get(big(0)).is_some());
+        table.offer(big(3), DexFile::new());
+        table.offer(big(3), DexFile::new());
+        assert!(table.get(big(1)).is_none(), "the least recently used entry went");
+        assert!(table.get(big(0)).is_some() && table.get(big(2)).is_some());
+        assert!(table.get(big(3)).is_some());
+
+        let over = ProgramId { key: CacheKey { hi: 9, lo: 9 }, len: HELD_WIRE_BYTES + 1 };
+        table.offer(over, DexFile::new());
+        table.offer(over, DexFile::new());
+        assert!(table.get(over).is_none(), "a program over the whole budget is never held");
+    }
+}

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use calibro::{BuildOptions, CacheKey, CacheStats};
-use calibro_cache::wire::{self, wire_fields, Wire, WireError};
+use calibro_cache::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 use calibro_dex::DexFile;
 
 use crate::error::ServeError;
@@ -121,17 +121,21 @@ pub fn read_frame(stream: &mut impl Read, max_frame: u64) -> std::io::Result<Fra
     if len == 0 || len > max_frame {
         return Ok(FrameEvent::TooLarge { claimed: len });
     }
-    #[allow(clippy::cast_possible_truncation)]
-    let mut payload = vec![0u8; len as usize];
-    match read_exact_or_eof(stream, &mut payload)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::CleanEof | ReadOutcome::PartialEof => {
-            return Ok(FrameEvent::MidFrameDisconnect)
-        }
+    // The kind byte is read on its own, so the body lands in its own
+    // vector and is never shifted down to peel the kind off.
+    let mut kind = [0u8; 1];
+    if !matches!(read_exact_or_eof(stream, &mut kind)?, ReadOutcome::Full) {
+        return Ok(FrameEvent::MidFrameDisconnect);
     }
-    let kind = payload[0];
-    payload.remove(0);
-    Ok(FrameEvent::Frame { kind, body: payload })
+    // `take` + `read_to_end` appends into the reserved capacity as the
+    // bytes arrive: nothing is zero-filled first.
+    #[allow(clippy::cast_possible_truncation)]
+    let mut body = Vec::with_capacity(len as usize - 1);
+    stream.by_ref().take(len - 1).read_to_end(&mut body)?;
+    if (body.len() as u64) < len - 1 {
+        return Ok(FrameEvent::MidFrameDisconnect);
+    }
+    Ok(FrameEvent::Frame { kind: kind[0], body })
 }
 
 enum ReadOutcome {
@@ -193,6 +197,13 @@ macro_rules! message {
 
         wire_fields!($name { $($field),* });
 
+        body_codec!($name);
+    };
+}
+
+/// `encode`/`decode` of a [`Wire`] type as a whole message body.
+macro_rules! body_codec {
+    ($name:ident) => {
         impl $name {
             /// Encodes the message body.
             #[must_use]
@@ -245,32 +256,152 @@ requests! {
     DictStatsRequest = REQ_DICT_STATS => DictStatsReply = RESP_DICT_STATS,
 }
 
-message! {
-    /// A compile request: the program, the full build configuration, an
-    /// optional deadline, and the client-computed fingerprints the daemon
-    /// cross-checks against its own.
-    pub struct BuildRequest {
-        /// Client-chosen id echoed in the response.
-        pub request_id: u64,
-        /// Per-request deadline; `None` uses the daemon's default.
-        pub deadline: Option<Duration>,
-        /// Client-side [`calibro::options_fingerprint`] of `options`.
-        pub options_fp: CacheKey,
-        /// Client-side LTBO-config fingerprint (`None` when LTBO is off).
-        pub ltbo_fp: Option<CacheKey>,
-        /// Tenant this program belongs to. `None` is a plain one-shot
-        /// build; `Some` routes the request through the daemon's
-        /// generation table: the first build registers the program and
-        /// seals generation 1, later identical requests are answered from
-        /// the currently serving sealed generation (which a background
-        /// profile-driven refresh may advance).
-        pub tenant: Option<String>,
-        /// The build configuration.
-        pub options: BuildOptions,
-        /// The program to compile.
-        pub dex: DexFile,
+/// A compile request: the program, the full build configuration, an
+/// optional deadline, and the client-computed fingerprints the daemon
+/// cross-checks against its own. The program is the *last* field, so a
+/// reader that has the header has the program's bytes as the rest of
+/// the body ([`BuildHeader::split`]).
+pub struct BuildRequest {
+    /// Client-chosen id echoed in the response.
+    pub request_id: u64,
+    /// Per-request deadline; `None` uses the daemon's default.
+    pub deadline: Option<Duration>,
+    /// Client-side [`calibro::options_fingerprint`] of `options`.
+    pub options_fp: CacheKey,
+    /// Client-side LTBO-config fingerprint (`None` when LTBO is off).
+    pub ltbo_fp: Option<CacheKey>,
+    /// Tenant this program belongs to. `None` is a plain one-shot
+    /// build; `Some` routes the request through the daemon's
+    /// generation table: the first build registers the program and
+    /// seals generation 1, later identical requests are answered from
+    /// the currently serving sealed generation (which a background
+    /// profile-driven refresh may advance).
+    pub tenant: Option<String>,
+    /// The build configuration.
+    pub options: BuildOptions,
+    /// The program to compile.
+    pub dex: DexFile,
+}
+
+/// A [`BuildRequest`] that borrows what it sends: the client encodes
+/// from the caller's program and options without copying either. This
+/// `put` is the one written-down field order of a build request — the
+/// owned request encodes through it, and [`BuildHeader::split`] below
+/// reads the same fields back.
+pub struct BuildRequestRef<'a> {
+    /// See [`BuildRequest::request_id`].
+    pub request_id: u64,
+    /// See [`BuildRequest::deadline`].
+    pub deadline: Option<Duration>,
+    /// See [`BuildRequest::options_fp`].
+    pub options_fp: CacheKey,
+    /// See [`BuildRequest::ltbo_fp`].
+    pub ltbo_fp: Option<CacheKey>,
+    /// See [`BuildRequest::tenant`].
+    pub tenant: Option<&'a str>,
+    /// See [`BuildRequest::options`].
+    pub options: &'a BuildOptions,
+    /// See [`BuildRequest::dex`].
+    pub dex: &'a DexFile,
+}
+
+impl BuildRequestRef<'_> {
+    /// Encodes the request body.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    fn put(&self, w: &mut Writer) {
+        self.request_id.put(w);
+        self.deadline.put(w);
+        self.options_fp.put(w);
+        self.ltbo_fp.put(w);
+        // `Option<String>`'s form, from the borrowed text.
+        match self.tenant {
+            None => w.u8(0),
+            Some(tenant) => {
+                w.u8(1);
+                w.str(tenant);
+            }
+        }
+        self.options.put(w);
+        self.dex.put(w);
     }
 }
+
+/// The fields of a [`BuildRequest`] ahead of the program: everything
+/// the daemon reads to reject, cross-check or answer a request before
+/// it needs the program decoded.
+pub struct BuildHeader {
+    /// See [`BuildRequest::request_id`].
+    pub request_id: u64,
+    /// See [`BuildRequest::deadline`].
+    pub deadline: Option<Duration>,
+    /// See [`BuildRequest::options_fp`].
+    pub options_fp: CacheKey,
+    /// See [`BuildRequest::ltbo_fp`].
+    pub ltbo_fp: Option<CacheKey>,
+    /// See [`BuildRequest::tenant`].
+    pub tenant: Option<String>,
+    /// See [`BuildRequest::options`].
+    pub options: BuildOptions,
+}
+
+impl BuildHeader {
+    fn get(r: &mut Reader<'_>) -> Result<BuildHeader, WireError> {
+        Ok(BuildHeader {
+            request_id: Wire::get(r, "request_id")?,
+            deadline: Wire::get(r, "deadline")?,
+            options_fp: Wire::get(r, "options_fp")?,
+            ltbo_fp: Wire::get(r, "ltbo_fp")?,
+            tenant: Wire::get(r, "tenant")?,
+            options: Wire::get(r, "options")?,
+        })
+    }
+
+    /// Splits a build request body into its decoded header and the
+    /// program's bytes where they lie — `wire::decode::<DexFile>` of
+    /// the latter completes the request exactly as
+    /// [`BuildRequest::decode`] of the whole body would, error for
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on any malformed header field.
+    pub fn split(body: &[u8]) -> Result<(BuildHeader, &[u8]), WireError> {
+        let mut r = Reader::new(body);
+        let header = BuildHeader::get(&mut r)?;
+        Ok((header, r.rest()))
+    }
+}
+
+impl Wire for BuildRequest {
+    fn put(&self, w: &mut Writer) {
+        let BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex } = self;
+        BuildRequestRef {
+            request_id: *request_id,
+            deadline: *deadline,
+            options_fp: *options_fp,
+            ltbo_fp: *ltbo_fp,
+            tenant: tenant.as_deref(),
+            options,
+            dex,
+        }
+        .put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<BuildRequest, WireError> {
+        let BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options } =
+            BuildHeader::get(r)?;
+        let dex = Wire::get(r, "dex")?;
+        Ok(BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex })
+    }
+}
+
+body_codec!(BuildRequest);
 
 message! {
     /// A successful build response: the fingerprints (echoed), the linked
@@ -609,6 +740,12 @@ server_stats! {
     generations_sealed: AtomicU64,
     /// Drift-triggered background re-optimizations scheduled.
     refreshes_triggered: AtomicU64,
+    /// Build requests whose program was decoded from its wire bytes (a
+    /// program the table does not hold: new, seen once, or evicted).
+    programs_decoded: AtomicU64,
+    /// Build requests whose program the table already held decoded —
+    /// named by the hash of the bytes that arrived, nothing decoded.
+    programs_reused: AtomicU64,
 }
 
 impl ServerStats {
@@ -767,6 +904,8 @@ mod tests {
     use super::samples::{option_variants, sample_dex};
     use super::*;
     use calibro_cache::wire::FieldEnds;
+    use calibro_workloads::AppSpec;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_roundtrip() {
@@ -973,8 +1112,35 @@ mod tests {
             profile_uploads: 31,
             generations_sealed: 11,
             refreshes_triggered: 13,
+            programs_decoded: 21,
+            programs_reused: 959,
             latency_buckets: vec![0, 5, 10, 0, 2],
             cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
+        }
+    }
+
+    /// `BuildRequest`'s row is written by hand (its `put` is the
+    /// borrowed encoder's), so its field ends are too.
+    impl FieldEnds for BuildRequest {
+        fn field_ends(&self) -> Vec<(&'static str, usize)> {
+            let BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex } =
+                self;
+            let mut end = 0;
+            [
+                ("request_id", wire::encode(request_id)),
+                ("deadline", wire::encode(deadline)),
+                ("options_fp", wire::encode(options_fp)),
+                ("ltbo_fp", wire::encode(ltbo_fp)),
+                ("tenant", wire::encode(tenant)),
+                ("options", wire::encode(options)),
+                ("dex", wire::encode(dex)),
+            ]
+            .into_iter()
+            .map(|(name, bytes)| {
+                end += bytes.len();
+                (name, end)
+            })
+            .collect()
         }
     }
 
@@ -1036,11 +1202,99 @@ mod tests {
             let dex_start = ends[ends.len() - 2].1;
             let mut h = calibro_cache::StableHasher::new();
             h.write_tag(0x50); // 'P', `hash_program`'s domain tag
-            for byte in &body[dex_start..] {
-                h.write_wire(byte);
-            }
+            h.write_wire_bytes(&body[dex_start..]);
             let decoded = BuildRequest::decode(&body).expect("the sample decodes");
             assert_eq!(h.finish(), calibro::program_salt(&decoded.dex));
+        }
+    }
+
+    /// Every field of two requests but the program (neither type
+    /// derives `PartialEq`: a program is megabytes).
+    fn same_header(a: &BuildHeader, b: &BuildRequest) -> bool {
+        a.request_id == b.request_id
+            && a.deadline == b.deadline
+            && a.options_fp == b.options_fp
+            && a.ltbo_fp == b.ltbo_fp
+            && a.tenant == b.tenant
+            && a.options == b.options
+    }
+
+    /// The error of decoding a request body the daemon's way: the
+    /// header, then the program from the bytes after it.
+    fn decode_apart(body: &[u8]) -> Option<WireError> {
+        BuildHeader::split(body).and_then(|(_, program)| wire::decode::<DexFile>(program)).err()
+    }
+
+    #[test]
+    fn every_cut_of_a_sample_request_is_the_same_typed_error_decoded_apart() {
+        for request in &build_requests() {
+            let body = request.encode();
+            for cut in 0..body.len() {
+                let whole = BuildRequest::decode(&body[..cut]).err();
+                assert!(whole.is_some(), "the {cut}-byte prefix decoded to a value");
+                assert_eq!(decode_apart(&body[..cut]), whole, "cut {cut}");
+            }
+            assert_eq!(decode_apart(&body), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The two halves of the daemon's and the client's request path
+        /// against the owned request: the borrowed encoder writes
+        /// `BuildRequest::encode`'s bytes, and header + program decoded
+        /// apart give `BuildRequest::decode`'s value — or, for every
+        /// cut of the body, its typed error.
+        #[test]
+        fn borrowed_encode_and_split_decode_agree_with_the_owned_request(
+            (seed, edit, methods) in (any::<u64>(), any::<u64>(), 2usize..24),
+            (request_id, variant) in (any::<u64>(), 0usize..8),
+            (deadline_ms, with_deadline) in (0u32..100_000, any::<bool>()),
+            (tenant_len, with_tenant) in (0usize..12, any::<bool>()),
+            cut_seed in any::<u64>(),
+        ) {
+            let mut dex =
+                calibro_workloads::generate(&AppSpec { methods, ..AppSpec::small("req", seed) }).dex;
+            calibro_workloads::mutate_methods(&mut dex, edit, 0.2);
+            let options = option_variants()[variant].clone();
+            let owned = BuildRequest {
+                request_id,
+                deadline: with_deadline.then(|| Duration::from_millis(u64::from(deadline_ms))),
+                options_fp: calibro::options_fingerprint(&options),
+                ltbo_fp: crate::ltbo_fingerprint(&options),
+                tenant: with_tenant.then(|| "tenant.name/x"[..tenant_len].to_owned()),
+                options,
+                dex,
+            };
+            let body = owned.encode();
+            let borrowed = BuildRequestRef {
+                request_id,
+                deadline: owned.deadline,
+                options_fp: owned.options_fp,
+                ltbo_fp: owned.ltbo_fp,
+                tenant: owned.tenant.as_deref(),
+                options: &owned.options,
+                dex: &owned.dex,
+            };
+            prop_assert_eq!(&borrowed.encode(), &body);
+
+            let (header, program) = BuildHeader::split(&body).expect("the header decodes");
+            prop_assert!(same_header(&header, &owned));
+            prop_assert_eq!(&wire::decode::<DexFile>(program).expect("the program decodes"), &owned.dex);
+            let whole = BuildRequest::decode(&body).expect("the body decodes");
+            prop_assert!(same_header(&header, &whole) && whole.dex == owned.dex);
+
+            // A spread of cuts (every cut of the sample bodies is the
+            // test below).
+            let step = 1 + body.len() / 128;
+            for cut in (cut_seed as usize % step..body.len()).step_by(step) {
+                prop_assert_eq!(decode_apart(&body[..cut]), BuildRequest::decode(&body[..cut]).err());
+            }
+            let mut longer = body;
+            longer.push(0);
+            prop_assert_eq!(decode_apart(&longer), Some(WireError::TrailingBytes { extra: 1 }));
+            prop_assert_eq!(decode_apart(&longer), BuildRequest::decode(&longer).err());
         }
     }
 
@@ -1062,6 +1316,9 @@ mod tests {
         message_contract(&generation_stats(), "generation_stats", &[]);
         message_contract(&dict_stats_request(), "dict_stats_request", &[]);
         message_contract(&dict_stats_reply(), "dict_stats_reply", &[]);
+        // Re-recorded once, the only fixture that was: the stats table
+        // gained its `programs_decoded` / `programs_reused` rows (two
+        // `u64`s after `refreshes_triggered`).
         message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
@@ -1106,9 +1363,17 @@ mod tests {
             ..ServerStats::default()
         };
         let body = stats.encode();
-        let digest = crate::server::fnv1a64(&body);
-        assert_eq!((body.len(), digest), (548, 0x9c25_c479_dd85_e91f));
         assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
+        // Two scalar rows were appended since (`programs_decoded`,
+        // `programs_reused`, zero here): they sit after the 21 rows of
+        // that codec and ahead of the histogram, and every other byte
+        // is where it was.
+        const RECORDED_ROWS: usize = 21;
+        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 2);
+        let mut recorded = body;
+        assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
+        let digest = crate::server::fnv1a64(&recorded);
+        assert_eq!((recorded.len(), digest), (548, 0x9c25_c479_dd85_e91f));
     }
 
     #[test]
@@ -1120,7 +1385,7 @@ mod tests {
         }
         let p50 = server_stats().latency_quantile_us(0.5);
         assert!(p50 > 0);
-        assert!(json.contains(&format!(r#""refreshes_triggered":13,"p50_us":{p50},"p95_us":"#)));
+        assert!(json.contains(&format!(r#""programs_reused":959,"p50_us":{p50},"p95_us":"#)));
         let cache = server_stats().cache.to_json();
         assert!(json.ends_with(&format!(r#","cache":{cache}}}"#)), "{json}");
     }

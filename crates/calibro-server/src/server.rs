@@ -6,7 +6,9 @@
 //!
 //! ```text
 //!  accept thread ──► connection threads (1 per client)
-//!                        │  decode frame, admission-check
+//!                        │  decode the header, name the program by the
+//!                        │  hash of its bytes (program table: decoded
+//!                        │  once, then reused), admission-check
 //!                        ▼
 //!                 bounded admission queue  ──full──► Overloaded reply
 //!                        │
@@ -38,10 +40,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use calibro::{
-    options_fingerprint, program_salt, BuildOptions, BuildSession, CacheConfig, CacheKey,
-    DictRegistry, StableHasher,
+    options_fingerprint, BuildOptions, BuildSession, CacheConfig, CacheKey, DictRegistry,
+    StableHasher,
 };
-use calibro_cache::{wire, ArtifactStore};
+use calibro_cache::wire::{self, WireError};
+use calibro_cache::ArtifactStore;
 // FNV-1a: the digest `generation-stats` reports for a sealed ELF, so
 // external harnesses can assert byte determinism without re-fetching.
 pub(crate) use calibro_cache::fnv64 as fnv1a64;
@@ -51,8 +54,9 @@ use calibro_profile::{DecayedProfile, Profile};
 use crate::error::ServeError;
 use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
+use crate::programs::{ProgramId, ProgramTable};
 use crate::proto::{
-    self, BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
+    self, BuildHeader, BuildReply, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
     GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest,
     Request, ServerCounters, ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS,
     REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS,
@@ -170,7 +174,8 @@ impl Listener {
 /// One admitted compile job.
 struct Job {
     request_id: u64,
-    dex: DexFile,
+    /// The program table's entry (or a program it does not hold).
+    dex: Arc<DexFile>,
     options: BuildOptions,
     /// The fingerprints of `options`, as admission cross-checked them —
     /// echoed in the reply.
@@ -258,7 +263,7 @@ impl SealedGeneration {
 /// re-optimization worker recompiles when drift crosses the threshold.
 struct TenantProgram {
     identity: CacheKey,
-    dex: DexFile,
+    dex: Arc<DexFile>,
     options: BuildOptions,
 }
 
@@ -291,15 +296,15 @@ impl TenantState {
 }
 
 /// The program identity a tenant's builds are grouped under: the dex
-/// salt plus the fingerprint of the options *with the hot set
+/// salt (`salt`, which the request path has in hand as the program's
+/// table key) plus the fingerprint of the options *with the hot set
 /// stripped*. Hot-set changes are generation-level (the daemon rewrites
 /// them on refresh), not program-level, so a client re-fetching with a
 /// newer local hot filter still lands on the same tenant program.
-fn tenant_identity(dex: &DexFile, options: &mut BuildOptions) -> CacheKey {
+fn tenant_identity(salt: CacheKey, options: &mut BuildOptions) -> CacheKey {
     let hot = options.hot_methods.take();
     let base_fp = options_fingerprint(options);
     options.hot_methods = hot;
-    let salt = program_salt(dex);
     let mut h = StableHasher::new();
     h.write_tag(b'T');
     h.write_wire(&salt);
@@ -319,7 +324,7 @@ fn to_ppm(drift: f64) -> u64 {
 /// truesize against the sender's buffer, and a batch of them can
 /// deadlock against a client that is still writing its requests.
 /// Everything except an in-batch peer-get reply flushes immediately;
-/// the connection loop flushes whenever the request stream goes idle.
+/// the connection loop flushes those once the request stream goes idle.
 type ReplyWriter = Arc<Mutex<io::BufWriter<Stream>>>;
 
 /// State shared by the accept loop, connection threads and workers.
@@ -328,6 +333,8 @@ struct Shared {
     store: Arc<ArtifactStore>,
     /// The daemon-wide shared outline dictionary, when enabled.
     dict: Option<Arc<DictRegistry>>,
+    /// Decoded programs by the hash of their wire bytes.
+    programs: ProgramTable,
     queue: Mutex<std::collections::VecDeque<Job>>,
     queue_cv: Condvar,
     draining: AtomicBool,
@@ -446,6 +453,7 @@ impl Daemon {
             config,
             store,
             dict,
+            programs: ProgramTable::default(),
             queue: Mutex::new(std::collections::VecDeque::new()),
             queue_cv: Condvar::new(),
             draining: AtomicBool::new(false),
@@ -617,18 +625,26 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
     // frame. Replies go out on the separate writer clone, so buffering
     // the read side cannot delay them.
     let mut reader = io::BufReader::with_capacity(64 * 1024, stream);
+    // Whether this thread has left a reply in the write buffer since
+    // the last flush. Only then does it take the writer lock between
+    // frames: that lock is the one a worker holds while blocked writing
+    // a reply the client is not reading yet, and a reader waiting on it
+    // stops draining the requests the client is still writing — both
+    // sides would wait for ever.
+    let mut unflushed = false;
     loop {
         match proto::read_frame(&mut reader, shared.config.max_frame) {
             Ok(FrameEvent::Frame { kind, body }) => {
-                handle_frame(kind, &body, &writer, shared);
+                unflushed |= handle_frame(kind, &body, &writer, shared);
                 // The pipelined batch is drained: push out any replies
                 // still sitting in the buffer before blocking on the
                 // next read, or the client would wait forever on
                 // replies the daemon already wrote.
-                if reader.buffer().is_empty() {
+                if unflushed && reader.buffer().is_empty() {
                     if let Ok(mut w) = writer.lock() {
                         let _ = w.flush();
                     }
+                    unflushed = false;
                 }
             }
             Ok(FrameEvent::Eof) => break,
@@ -654,10 +670,15 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
 
 /// Handles one intact frame. Whatever the body holds, the frame
 /// boundary is intact, so the connection keeps serving afterwards.
-fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
+/// Returns whether a reply was left in the write buffer unflushed
+/// (peer-get replies only).
+fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
     match kind {
-        REQ_BUILD => decode_or_reject(body, writer, shared, handle_build),
-        REQ_PEER_GET => decode_or_reject(body, writer, shared, handle_peer_get),
+        REQ_BUILD => handle_build(body, writer, shared),
+        REQ_PEER_GET => {
+            decode_or_reject(body, writer, shared, handle_peer_get);
+            return true;
+        }
         REQ_PROFILE => decode_or_reject(body, writer, shared, handle_profile),
         REQ_GENERATION_STATS => decode_or_reject(body, writer, shared, handle_generation_stats),
         REQ_DICT_STATS => decode_or_reject(body, writer, shared, handle_dict_stats),
@@ -676,14 +697,11 @@ fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared
             );
         }
     }
+    false
 }
 
 /// The one request path: decodes the body and runs the kind's handler
-/// on it, or rejects it — a body that does not decode is counted and
-/// answered with a typed [`ServeError::Malformed`]. The error reply
-/// echoes the request id on a best-effort basis: the id is every
-/// request's first field, so it usually survives even when the rest is
-/// garbage (0 when not even eight bytes arrived).
+/// on it, or rejects it.
 fn decode_or_reject<R: Request>(
     body: &[u8],
     writer: &ReplyWriter,
@@ -692,14 +710,21 @@ fn decode_or_reject<R: Request>(
 ) {
     match wire::decode(body) {
         Ok(request) => handler(request, writer, shared),
-        Err(e) => {
-            let fallback_id = body
-                .get(..8)
-                .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
-            shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(writer, fallback_id, ServeError::from(e));
-        }
+        Err(e) => reject_malformed(body, e, writer, shared),
     }
+}
+
+/// A body that does not decode is counted and answered with a typed
+/// [`ServeError::Malformed`]. The error reply echoes the request id on
+/// a best-effort basis: the id is every request's first field, so it
+/// usually survives even when the rest is garbage (0 when not even
+/// eight bytes arrived).
+fn reject_malformed(body: &[u8], error: WireError, writer: &ReplyWriter, shared: &Arc<Shared>) {
+    let fallback_id = body
+        .get(..8)
+        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
+    shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
+    shared.reply_error(writer, fallback_id, ServeError::from(error));
 }
 
 /// Serves one sibling's `PeerGet`: memory and disk tiers only (never
@@ -731,7 +756,29 @@ fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>)
     }
 }
 
-fn handle_build(mut request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
+/// One build request: the header decoded, the program named by the
+/// hash of its bytes and taken from the program table — decoded here
+/// only when the table does not hold it. A header or a program that
+/// does not decode is rejected exactly as a whole-body decode would.
+fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
+    let (mut request, program) = match BuildHeader::split(body) {
+        Ok(split) => split,
+        Err(e) => return reject_malformed(body, e, writer, shared),
+    };
+    let program_id = ProgramId::of(program);
+    let dex = match shared.programs.get(program_id) {
+        Some(dex) => {
+            shared.counters.programs_reused.fetch_add(1, Ordering::Relaxed);
+            dex
+        }
+        None => match wire::decode::<DexFile>(program) {
+            Ok(dex) => {
+                shared.counters.programs_decoded.fetch_add(1, Ordering::Relaxed);
+                shared.programs.offer(program_id, dex)
+            }
+            Err(e) => return reject_malformed(body, e, writer, shared),
+        },
+    };
     if shared.draining.load(Ordering::SeqCst) {
         shared.reply_error(writer, request.request_id, ServeError::Draining);
         return;
@@ -751,7 +798,7 @@ fn handle_build(mut request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Sh
     // artifact keeps serving while a refresh compiles in background.
     let mut tenant_job = None;
     if let Some(name) = &request.tenant {
-        let identity = tenant_identity(&request.dex, &mut request.options);
+        let identity = tenant_identity(program_id.key, &mut request.options);
         let serving = {
             let tenants = shared.tenants.lock().expect("tenants lock");
             tenants.get(name).and_then(|state| {
@@ -775,7 +822,7 @@ fn handle_build(mut request: BuildRequest, writer: &ReplyWriter, shared: &Arc<Sh
         .map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)) as u32);
     let job = Job {
         request_id: request.request_id,
-        dex: request.dex,
+        dex,
         options: request.options,
         options_fp: request.options_fp,
         ltbo_fp: request.ltbo_fp,
@@ -957,7 +1004,7 @@ fn seal_generation(
         state.profile = DecayedProfile::new(num, den).expect("default decay is valid");
     }
     state.program =
-        Some(TenantProgram { identity, dex: job.dex.clone(), options: job.options.clone() });
+        Some(TenantProgram { identity, dex: Arc::clone(&job.dex), options: job.options.clone() });
     let fingerprints = (job.options_fp, job.ltbo_fp);
     flip_generation(shared, state, &job.options, fingerprints, &mut output, build_us)
 }
@@ -1183,7 +1230,7 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
         let Some(state) = tenants.get_mut(name) else { return };
         match (&state.program, state.profile.hot_set(shared.config.hot_fraction)) {
             (Some(program), Ok(hot)) => {
-                Some((program.identity, program.dex.clone(), program.options.clone(), hot))
+                Some((program.identity, Arc::clone(&program.dex), program.options.clone(), hot))
             }
             _ => {
                 state.refresh_in_flight = false;

@@ -81,8 +81,21 @@ fn shared_cache_matches_direct_build(workers: usize) {
         "the request after two completed duplicates must be fully warm (got {warm:?})"
     );
 
+    // By now the daemon holds the program decoded (every request so
+    // far carried the same bytes): a build from the table's entry, plain
+    // or under a tenant, is the same artifact.
+    let before = third.server_stats().expect("stats");
+    let reused = third.build(&app.dex, &options, None).expect("build of a held program");
+    assert_eq!(reused.elf, expected);
+    let sealed = third.build_for_tenant("t", &app.dex, &options, None).expect("tenant build");
+    assert_eq!(sealed.elf, expected);
+    let after = third.server_stats().expect("stats");
+    assert_eq!(after.programs_reused, before.programs_reused + 2);
+    assert_eq!(after.programs_decoded, before.programs_decoded);
+
     let stats = daemon.shutdown();
-    assert_eq!(stats.requests_completed, 3);
+    assert_eq!(stats.requests_completed, 5);
+    assert_eq!(stats.programs_decoded + stats.programs_reused, 5);
     assert_eq!(stats.build_errors, 0);
     assert!(!socket.exists(), "socket file should be removed at shutdown");
 }
@@ -427,4 +440,194 @@ fn profile_feedback_refreshes_serving_generation() {
     assert!(stats.profile_uploads >= 2);
     assert_eq!(stats.generations_sealed, 2);
     assert_eq!(stats.refreshes_triggered, 1);
+}
+
+/// Runs `exchange` on its own thread and fails the test if it has not
+/// finished in `limit` — a hang must be a failure, not a stuck suite.
+fn within<T: Send + 'static>(limit: Duration, exchange: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(exchange()));
+    finished.recv_timeout(limit).expect("the exchange hung (or its thread panicked)")
+}
+
+/// Pipelined builds whose requests and replies both exceed the socket
+/// buffer: workers block writing replies the client is not reading yet
+/// (it is still writing requests), so the connection thread must keep
+/// draining requests — it may not wait on the writer lock a blocked
+/// worker holds. At the parent commit this deadlocked every time.
+#[test]
+fn pipelined_large_builds_complete() {
+    let programs: std::sync::Arc<Vec<_>> = std::sync::Arc::new(
+        (0..8)
+            .map(|k| generate(&AppSpec { methods: 200, ..AppSpec::small("large", 900 + k) }).dex)
+            .collect(),
+    );
+    let options = BuildOptions::cto_ltbo();
+    // Deep enough that admission is not what this tests.
+    let (daemon, socket) =
+        start(ServerConfig { workers: 2, queue_depth: 128, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let expected: Vec<Vec<u8>> = programs
+        .iter()
+        .map(|dex| client.build(dex, &options, None).expect("warming build").elf)
+        .collect();
+
+    for batch in [8, 64] {
+        let (programs, options, socket) = (programs.clone(), options.clone(), socket.clone());
+        let replies = within(Duration::from_secs(60), move || {
+            let mut client = Client::connect_unix(&socket).expect("connect");
+            let mut requests = (0..batch).map(|i| (&programs[i % programs.len()], &options));
+            client.build_pipelined(&mut requests).expect("pipelined exchange")
+        });
+        assert_eq!(replies.len(), batch);
+        for (i, reply) in replies.iter().enumerate() {
+            let reply = reply.as_ref().unwrap_or_else(|e| panic!("request {i} of {batch}: {e}"));
+            assert_eq!(reply.elf, expected[i % expected.len()], "request {i} of {batch}");
+        }
+    }
+
+    let stats = daemon.shutdown();
+    assert_eq!(stats.requests_completed, 8 + 8 + 64);
+    assert_eq!(stats.rejected_overloaded, 0);
+}
+
+/// A build request as raw bytes: `request`'s header, then `program` in
+/// place of its program.
+fn body_with_program(request: &calibro_server::BuildRequest, program: &[u8]) -> Vec<u8> {
+    let body = request.encode();
+    let header_len = body.len() - calibro_cache::wire::encode(&request.dex).len();
+    [&body[..header_len], program].concat()
+}
+
+/// The program table, through the daemon's own counters: a program is
+/// decoded until its second sighting and reused from then on; a program
+/// that does not decode is rejected every time it is sent and never
+/// held; programs of one length and different content are different
+/// programs.
+#[test]
+fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held() {
+    let app = generate(&AppSpec::small("table", 51));
+    let mut twin = app.dex.clone();
+    assert!(!calibro_workloads::mutate_methods(&mut twin, 5, 0.1).is_empty());
+    let once = generate(&AppSpec::small("once", 52));
+    let options = BuildOptions::cto_ltbo();
+    let direct =
+        |dex| calibro_oat::to_elf_bytes(&calibro::build(dex, &options).expect("direct build").oat);
+    let (expected, expected_twin) = (direct(&app.dex), direct(&twin));
+    assert_ne!(expected, expected_twin);
+    let same_length = |a, b| {
+        calibro_cache::wire::encode::<calibro_dex::DexFile>(a).len()
+            == calibro_cache::wire::encode::<calibro_dex::DexFile>(b).len()
+    };
+    assert!(same_length(&app.dex, &twin), "a flipped literal keeps the wire length");
+
+    let (daemon, socket) = start(ServerConfig::default());
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let counters = |client: &mut Client| {
+        let stats = client.server_stats().expect("stats");
+        (stats.programs_decoded, stats.programs_reused, stats.malformed_frames)
+    };
+
+    client.build(&once.dex, &options, None).expect("a program sent once");
+    assert_eq!(counters(&mut client), (1, 0, 0), "decoded once");
+
+    // Interleaved, so that the twins' ids sit in the ring together.
+    // Sent three times each: decoded twice, reused once.
+    for after_round in [(3, 0, 0), (5, 0, 0), (5, 2, 0)] {
+        assert_eq!(client.build(&app.dex, &options, None).expect("build").elf, expected);
+        assert_eq!(client.build(&twin, &options, None).expect("twin build").elf, expected_twin);
+        assert_eq!(counters(&mut client), after_round);
+    }
+
+    // A valid header followed by bytes that are no program: Malformed,
+    // counted, the id echoed, the connection keeps serving — and the
+    // same bytes a second (and third) time are rejected again.
+    let request = calibro_server::BuildRequest {
+        request_id: 0xBAD,
+        deadline: None,
+        options_fp: calibro::options_fingerprint(&options),
+        ltbo_fp: calibro_server::ltbo_fingerprint(&options),
+        tenant: None,
+        options: options.clone(),
+        dex: app.dex.clone(),
+    };
+    let garbage = body_with_program(&request, b"\x07\x00\x00\x00\xff\xff\xff\xffnot-a-program");
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    for sent in 1..=3 {
+        write_frame(&mut raw, REQ_BUILD, &garbage).expect("send");
+        match read_frame(&mut raw, 1 << 20).expect("read reply") {
+            FrameEvent::Frame { kind: RESP_ERROR, body } => {
+                let reply = ErrorReply::decode(&body).expect("error reply decodes");
+                assert_eq!(reply.request_id, 0xBAD);
+                assert_eq!(
+                    reply.error,
+                    ServeError::from(calibro_server::WireError::OversizedCollection {
+                        what: "classes",
+                        len: u64::from(u32::MAX),
+                    })
+                );
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert_eq!(counters(&mut client), (5, 2, sent));
+        write_frame(&mut raw, REQ_PING, b"still-there").expect("send ping");
+        match read_frame(&mut raw, 1 << 20).expect("read pong") {
+            FrameEvent::Frame { kind: RESP_PONG, body } => assert_eq!(body, b"still-there"),
+            other => panic!("expected a pong, got {other:?}"),
+        }
+    }
+    // The same raw path with the real program behind the same header is
+    // served (and reused: the table holds it).
+    write_frame(&mut raw, REQ_BUILD, &request.encode()).expect("send");
+    match read_frame(&mut raw, 1 << 22).expect("read reply") {
+        FrameEvent::Frame { kind, body } => {
+            assert_eq!(kind, calibro_server::proto::RESP_BUILT);
+            let reply = calibro_server::BuildReply::decode(&body).expect("reply decodes");
+            assert_eq!((reply.request_id, &reply.elf), (0xBAD, &expected));
+        }
+        other => panic!("expected a built frame, got {other:?}"),
+    }
+    assert_eq!(counters(&mut client), (5, 3, 3));
+
+    let stats = daemon.shutdown();
+    assert_eq!(stats.build_errors, 0);
+}
+
+/// A tenant that registers a different program under its name starts
+/// over: the decayed profile attributed cycles to the old program's
+/// method ids. (Both programs come from the program table by then.)
+#[test]
+fn re_registering_a_different_program_resets_the_tenant_profile() {
+    let first = generate(&AppSpec::small("tenant-a", 61));
+    let second = generate(&AppSpec::small("tenant-b", 62));
+    let options = BuildOptions::cto_ltbo();
+    // Drift is at most 1.0: no upload ever schedules a refresh here.
+    let (daemon, socket) = start(ServerConfig { drift_threshold: 2.0, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    for app in [&first, &second] {
+        for _ in 0..2 {
+            client.build(&app.dex, &options, None).expect("plain build");
+        }
+    }
+
+    let gen1 = client.build_for_tenant("app", &first.dex, &options, None).expect("register");
+    assert_eq!(gen1.generation, 1);
+    client.upload_profile("app", "0 4000\n1 3000\n2 5\n").expect("upload");
+    let stats = client.generation_stats("app").expect("generation stats");
+    assert_eq!((stats.uploads, stats.tracked_methods), (1, 3));
+
+    let gen2 = client.build_for_tenant("app", &second.dex, &options, None).expect("re-register");
+    assert_eq!(gen2.generation, 2, "generation ids stay monotonic across the change");
+    assert_ne!(gen2.elf, gen1.elf);
+    let stats = client.generation_stats("app").expect("generation stats");
+    assert_eq!((stats.uploads, stats.tracked_methods), (0, 0), "the profile started over");
+    assert_eq!(stats.serving_generation, 2);
+    // The old program under the same name is a third registration, not
+    // a fetch of generation 1.
+    let gen3 = client.build_for_tenant("app", &first.dex, &options, None).expect("back again");
+    assert_eq!((gen3.generation, &gen3.elf), (3, &gen1.elf));
+
+    let stats = daemon.shutdown();
+    assert_eq!(stats.programs_decoded, 4);
+    assert_eq!(stats.programs_reused, 3);
 }
