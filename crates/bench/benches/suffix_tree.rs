@@ -1,10 +1,85 @@
 //! Criterion benchmarks for the suffix-tree stage: the mechanism behind
-//! the paper's Table 6 (single global tree vs paralleled trees).
+//! the paper's Table 6 (single global tree vs paralleled trees), and the
+//! scale ladder that says how detection grows with the program.
 
-use calibro_suffix::{detect_group, partition_stable, SuffixTree, TaggedSequence};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use calibro::{build, BuildOptions};
+use calibro_suffix::{detect_group, group_text_len, partition_stable, SuffixTree, TaggedSequence};
+use calibro_workloads::{generate, paper_suite};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// Live heap bytes and their high-water mark while `peak_heap` runs, the
+// way `benchmark/src/alloc.rs` counts. Statistics only, so `Relaxed`.
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn on_alloc(size: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn on_free(size: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        // Blocks allocated before counting started may be freed during
+        // it; saturate instead of wrapping below zero.
+        let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+            Some(live.saturating_sub(size))
+        });
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout
+// and pointer unchanged; the bookkeeping around the calls touches only
+// atomics and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        on_free(layout.size());
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_free(layout.size());
+        on_alloc(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` with counting on; returns the largest growth of the live
+/// heap while it ran.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> usize {
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    drop(f());
+    COUNTING.store(false, Ordering::Relaxed);
+    PEAK.load(Ordering::Relaxed)
+}
 
 /// Builds method-like sequences with shared motifs.
 fn sequences(n_methods: usize, len: usize, seed: u64) -> Vec<TaggedSequence> {
@@ -33,7 +108,7 @@ fn bench_build(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(7);
             (0..n).map(|_| rng.gen_range(0..256)).collect()
         };
-        group.bench_with_input(BenchmarkId::new("ukkonen", n), &text, |b, text| {
+        group.bench_with_input(BenchmarkId::new("esa", n), &text, |b, text| {
             b.iter(|| SuffixTree::build(text.clone()));
         });
     }
@@ -56,5 +131,41 @@ fn bench_global_vs_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_global_vs_sharded);
+/// Table 6's "why" as numbers: detection over the six apps of
+/// `paper_suite(scale)` at three rungs, one global tree per app and
+/// eight content-stable shards per app. An app's text is its CTO
+/// build's §3.3.2 sequences (`bench::method_sequences`), the code link-time
+/// outlining reads. The criterion line is one detection of the whole
+/// suite (the id's parameter is its symbol count); the line after it is
+/// the live-heap growth of each `detect_group` alone, summed over the
+/// groups, per symbol.
+fn bench_ladder(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ladder");
+    for scale in [0.5, 2.0, 8.0] {
+        let apps: Vec<Vec<TaggedSequence>> = paper_suite(scale)
+            .iter()
+            .map(|spec| {
+                let options = BuildOptions { force_metadata: true, ..BuildOptions::cto() };
+                let out = build(&generate(spec).dex, &options).expect("cto build");
+                bench::method_sequences(&out.oat)
+            })
+            .collect();
+        let symbols: usize =
+            apps.iter().map(|app| group_text_len(app.iter().map(|s| s.symbols.len()))).sum();
+        for shards in [1, 8] {
+            let groups: Vec<Vec<TaggedSequence>> =
+                apps.iter().flat_map(|app| partition_stable(app.clone(), shards)).collect();
+            let rung = format!("s{scale}_x{shards}");
+            group.bench_with_input(BenchmarkId::new(&rung, symbols), &groups, |b, groups| {
+                b.iter(|| groups.iter().map(|g| detect_group(g, 2)).collect::<Vec<_>>());
+            });
+            let peaks: usize = groups.iter().map(|g| peak_heap(|| detect_group(g, 2))).sum();
+            let bytes_per_symbol = peaks as f64 / symbols as f64;
+            println!("{:40} {bytes_per_symbol:>9.1} B/symbol peak heap", format!("ladder/{rung}"));
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_global_vs_sharded, bench_ladder);
 criterion_main!(benches);

@@ -6,10 +6,12 @@ use std::time::{Duration, Instant};
 
 use calibro::{build, BuildOptions, BuildOutput, BuildSession, BuildStats};
 use calibro_dex::MethodId;
-use calibro_oat::OatFile;
+use calibro_oat::{OatFile, OatMethodRecord};
 use calibro_profile::Profile;
 use calibro_runtime::Runtime;
-use calibro_suffix::{census, estimate_reduction, SuffixTree};
+use calibro_suffix::{
+    census, estimate_reduction, SuffixTree, TaggedSequence, UNIQUE_SEPARATOR_BASE,
+};
 use calibro_workloads::{generate, mutate_methods, paper_suite, App};
 
 /// Default scale: methods per MB of the paper's baseline OAT size.
@@ -141,21 +143,45 @@ pub struct Table1Row {
 #[must_use]
 pub fn analysis_sequence(oat: &OatFile) -> Vec<u64> {
     let mut symbols = Vec::with_capacity(oat.words.len());
-    let mut unique = 1u64 << 40;
+    let mut unique = UNIQUE_SEPARATOR_BASE;
     for record in &oat.methods {
-        let start = (record.offset / 4) as usize;
-        for w in 0..record.code_words {
-            if record.metadata.in_embedded_data(w) || record.metadata.terminators.contains(&w) {
-                unique += 1;
-                symbols.push(unique);
-            } else {
-                symbols.push(u64::from(oat.words[start + w]));
-            }
-        }
+        symbols.extend(method_symbols(oat, record, &mut unique));
         unique += 1;
         symbols.push(unique);
     }
     symbols
+}
+
+/// [`analysis_sequence`] one method at a time, tagged by method index
+/// and without the closing separators: the sequences PlOpti partitions
+/// (`partition_stable`, `detect_group`).
+#[must_use]
+pub fn method_sequences(oat: &OatFile) -> Vec<TaggedSequence> {
+    let mut unique = UNIQUE_SEPARATOR_BASE;
+    let sequences = oat.methods.iter().enumerate().map(|(tag, record)| {
+        let symbols = method_symbols(oat, record, &mut unique).collect();
+        TaggedSequence { tag, symbols }
+    });
+    sequences.collect()
+}
+
+/// One linked method's symbols: its instruction words, with each word
+/// of embedded data and each terminator replaced by the next separator
+/// drawn from `unique`.
+fn method_symbols<'a>(
+    oat: &'a OatFile,
+    record: &'a OatMethodRecord,
+    unique: &'a mut u64,
+) -> impl Iterator<Item = u64> + 'a {
+    let start = (record.offset / 4) as usize;
+    (0..record.code_words).map(move |w| {
+        if record.metadata.in_embedded_data(w) || record.metadata.terminators.contains(&w) {
+            *unique += 1;
+            *unique
+        } else {
+            u64::from(oat.words[start + w])
+        }
+    })
 }
 
 /// Reproduces Table 1: the estimated code-size reduction per app.

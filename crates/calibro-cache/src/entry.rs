@@ -264,7 +264,7 @@ impl CacheEntry {
 /// matches: their symbols are always literals (separators are unique,
 /// so no repeated substring contains one), and their positions are
 /// determined by the text alone because detection is deterministic
-/// under order-isomorphic separator renumbering.
+/// under any injective separator renumbering.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GroupPlanEntry {
     /// Length of the concatenated group text the plan was detected on

@@ -1,7 +1,8 @@
 //! # calibro-suffix
 //!
-//! Suffix-tree machinery for the Calibro reproduction: an Ukkonen
-//! suffix tree over `u64` symbol sequences, repeat enumeration, the
+//! Suffix-tree machinery for the Calibro reproduction: a suffix tree
+//! over `u64` symbol sequences stored as an enhanced suffix array (suffix
+//! array, LCP array, LCP intervals), repeat enumeration, the
 //! paper's Figure 2 benefit model, overlap-resolving outline-plan
 //! selection, and the paralleled-suffix-tree optimization (`PlOpti`,
 //! §3.4.1 of the paper).

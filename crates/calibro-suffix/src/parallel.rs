@@ -194,7 +194,8 @@ fn concatenate(group: &[TaggedSequence]) -> (Vec<Symbol>, Vec<usize>, Vec<usize>
     // instructions (< 2^32) and of the caller's separators; we use a
     // dedicated high band.
     const GROUP_SEP_BASE: Symbol = 0xfffe_0000_0000_0000;
-    let mut text = Vec::new();
+    // One allocation: room for the terminal `SuffixTree::build` appends.
+    let mut text = Vec::with_capacity(group_text_len(group.iter().map(|s| s.symbols.len())) + 1);
     let mut tags = Vec::with_capacity(group.len());
     let mut offsets = Vec::with_capacity(group.len());
     let mut lens = Vec::with_capacity(group.len());

@@ -143,8 +143,9 @@ pub fn select_outline_plan(
 
     let mut claimed = vec![false; total_len];
     let mut plan = Vec::new();
+    let mut positions = Vec::new();
     for entry in entries {
-        let positions = tree.positions_of(entry.id, entry.len);
+        tree.positions_into(entry.id, entry.len, &mut positions);
         let mut kept = Vec::new();
         let mut next_free = 0usize;
         for &p in &positions {

@@ -1,37 +1,39 @@
-//! An online (Ukkonen) suffix tree over `u64` symbol sequences.
+//! A suffix tree over `u64` symbol sequences, stored as an enhanced
+//! suffix array.
 //!
 //! The paper builds suffix trees over "a sequence of unsigned integers"
-//! produced by instruction mapping (§2.2 step 1-2), using the Ukkonen
-//! algorithm for its `O(n)` construction time. We use a `u64` alphabet so
-//! that the 2^32 possible AArch64 machine words and the *unique separator
-//! numbers* the paper assigns to terminator instructions (§3.3.2) can
-//! coexist without collision.
+//! produced by instruction mapping (§2.2 step 1-2). We use a `u64`
+//! alphabet so that the 2^32 possible AArch64 machine words and the
+//! *unique separator numbers* the paper assigns to terminator
+//! instructions (§3.3.2) can coexist without collision.
 //!
-//! # Arena layout
+//! # Layout
 //!
-//! Nodes live in one flat arena of compact fixed-size records; children
-//! are an intrusive doubly-linked sibling list (`u32` indices into the
-//! arena) threaded through the child nodes themselves, and edge lookup
-//! (`(node, first symbol) → child`) goes through one shared hash map
-//! with a deterministic FxHash-style hasher. Compared with the previous
-//! one-`BTreeMap`-per-node layout this allocates nothing per node
-//! beyond the arena and the shared map, which is what makes per-group
-//! re-detection cheap on the warm path.
+//! The tree is never materialized. [`SuffixTree::build`] dense-ranks the
+//! alphabet, sorts the suffixes by prefix doubling, derives the LCP
+//! array (Kasai) and makes one bottom-up pass over its LCP intervals: an
+//! internal node is an interval `[lb, rb]` of the suffix array whose
+//! suffixes share exactly `len` symbols, so its occurrence count is the
+//! interval's width and its positions are a slice of the array. What is
+//! kept is the text, the array, one 16-byte record per internal node and
+//! each node's internal children — a few `u32`s per symbol, no edge map.
 //!
 //! # Determinism
 //!
-//! Every traversal enumerates children in **insertion order**. For
-//! Ukkonen's algorithm the sequence of structural operations — and
-//! therefore each node's child insertion order — depends only on
-//! equality comparisons between text symbols, so it is identical for
-//! any two texts related by an injective symbol renaming. Downstream
-//! greedy candidate tie-breaking inherits that invariance: separator
-//! renumbering between builds can never change a detection result
-//! (a stronger guarantee than symbol-ordered enumeration, which only
-//! tolerates order-preserving renamings).
+//! Traversals enumerate children in the order Ukkonen's algorithm would
+//! have inserted them, which is a function of positions alone: children
+//! in order of their first occurrence (the smallest suffix start below
+//! them), except that at every non-root node the two earliest are
+//! swapped — the split that creates a node inserts the new leaf before
+//! the old continuation. The enumeration is therefore identical for any
+//! two texts related by an injective symbol renaming, whatever it does
+//! to symbol order, and so is downstream greedy candidate tie-breaking:
+//! separator renumbering between builds can never change a detection
+//! result.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// A symbol in the sequence: an instruction mapping or a separator.
 pub type Symbol = u64;
@@ -39,38 +41,24 @@ pub type Symbol = u64;
 /// The reserved internal terminal symbol appended by [`SuffixTree::build`].
 pub const TERMINAL: Symbol = u64::MAX;
 
-const INF: usize = usize::MAX;
+/// Marks a leaf among a node's pending children.
+const LEAF: u32 = u32::MAX;
 
-/// Null arena index (no node / end of a sibling list).
-const NIL: u32 = u32::MAX;
-
-/// A deterministic FxHash-style hasher for the edge map: unlike the
+/// A deterministic FxHash-style hasher for the rank map: unlike the
 /// default `RandomState` it is seed-free (bit-stable across processes)
-/// and one multiply per word instead of SipHash rounds — edge lookups
-/// are the innermost operation of construction.
+/// and one multiply per word instead of SipHash rounds — ranking hashes
+/// every symbol of the text once.
 #[derive(Default)]
 struct FxHasher(u64);
 
 const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl Hasher for FxHasher {
+    /// Required by the trait; the map's `u64` keys take `write_u64`.
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let w = u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"));
-            self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(FX_K);
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            let w = u64::from_le_bytes(tail);
-            self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(FX_K);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(FX_K);
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -87,72 +75,23 @@ impl Hasher for FxHasher {
     }
 }
 
-type EdgeMap = HashMap<(u32, Symbol), u32, BuildHasherDefault<FxHasher>>;
+type RankMap = HashMap<Symbol, u32, BuildHasherDefault<FxHasher>>;
 
-/// One arena record: 40 bytes, no owned heap data.
-#[derive(Debug)]
-struct Node {
-    /// Start index of the edge label leading into this node.
-    start: usize,
-    /// One past the end of the edge label; `INF` for growing leaf edges.
-    end: usize,
-    /// Suffix link (root for nodes without an explicit link).
-    link: u32,
-    /// First child in insertion order (`NIL` for leaves).
-    first_child: u32,
-    /// Last child in insertion order (`NIL` for leaves).
-    last_child: u32,
-    /// Previous sibling in the parent's child list.
-    prev_sib: u32,
-    /// Next sibling in the parent's child list.
-    next_sib: u32,
-}
-
-impl Node {
-    fn new(start: usize, end: usize) -> Node {
-        Node {
-            start,
-            end,
-            link: 0,
-            first_child: NIL,
-            last_child: NIL,
-            prev_sib: NIL,
-            next_sib: NIL,
-        }
-    }
-
-    fn is_leaf(&self) -> bool {
-        self.first_child == NIL
-    }
-}
-
-/// Iterates a node's children in insertion order by walking the
-/// intrusive sibling list.
-struct ChildIter<'a> {
-    nodes: &'a [Node],
-    cur: u32,
-}
-
-impl Iterator for ChildIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.cur == NIL {
-            return None;
-        }
-        let id = self.cur as usize;
-        self.cur = self.nodes[id].next_sib;
-        Some(id)
-    }
-}
-
-fn children(nodes: &[Node], id: usize) -> ChildIter<'_> {
-    ChildIter { nodes, cur: nodes[id].first_child }
-}
-
-/// An identifier of a node inside a [`SuffixTree`].
+/// An identifier of an internal node inside a [`SuffixTree`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct NodeId(usize);
+
+/// One internal node: the LCP interval `[lb, rb]` of the suffix array
+/// whose suffixes share exactly `len` symbols.
+#[derive(Clone, Copy, Debug)]
+struct Interval {
+    lb: u32,
+    rb: u32,
+    len: u32,
+    /// One past this node's last entry in `SuffixTree::kids`; its first
+    /// entry follows the previous node's last.
+    kids_end: u32,
+}
 
 /// A suffix tree built from a symbol sequence.
 ///
@@ -173,42 +112,45 @@ pub struct NodeId(usize);
 /// ```
 #[derive(Debug)]
 pub struct SuffixTree {
-    nodes: Vec<Node>,
-    edges: EdgeMap,
     text: Vec<Symbol>,
+    /// Suffix starts in sorted order (the order of first-seen symbol
+    /// ranks, which no output depends on).
+    sa: Vec<u32>,
+    /// Internal nodes in post-order: the root is last.
+    nodes: Vec<Interval>,
+    /// Each node's internal children, in insertion order, node after
+    /// node.
+    kids: Vec<u32>,
 }
 
 impl SuffixTree {
-    /// Builds the suffix tree of `text` in `O(n)` amortized time
-    /// (Ukkonen's algorithm). A unique terminal symbol is appended
-    /// internally.
+    /// Builds the suffix tree of `text`: rank, suffix array, LCP array,
+    /// LCP intervals. A unique terminal symbol is appended internally.
     ///
     /// # Panics
     ///
-    /// Panics if `text` contains the reserved [`TERMINAL`] symbol, or
-    /// if `text` is longer than `u32::MAX - 2` symbols (the arena uses
-    /// 32-bit node indices).
+    /// Panics if `text` contains the reserved [`TERMINAL`] symbol, or if
+    /// it is `u32::MAX` symbols or longer (suffix-array indices are
+    /// `u32`, and the terminal takes one).
     #[must_use]
     pub fn build(mut text: Vec<Symbol>) -> SuffixTree {
         assert!(!text.contains(&TERMINAL), "input must not contain the reserved terminal symbol");
-        assert!(text.len() < (NIL as usize - 2) / 2, "text too long for 32-bit arena indices");
+        assert!(
+            text.len() < u32::MAX as usize,
+            "text of {} symbols exceeds the u32 suffix-array index limit of {} symbols",
+            text.len(),
+            u32::MAX - 1
+        );
         text.push(TERMINAL);
-        let mut nodes = Vec::with_capacity(2 * text.len());
-        nodes.push(Node::new(0, 0));
-        let mut builder = Builder {
-            nodes,
-            edges: EdgeMap::with_capacity_and_hasher(2 * text.len(), BuildHasherDefault::default()),
-            text: &text,
-            active_node: 0,
-            active_edge: 0,
-            active_len: 0,
-            remainder: 0,
-            need_link: 0,
+        let (rank, alphabet) = {
+            let (rank, ids) = dense_rank(&text);
+            (rank, ids.len())
         };
-        for pos in 0..text.len() {
-            builder.extend(pos);
-        }
-        SuffixTree { nodes: builder.nodes, edges: builder.edges, text }
+        let (sa, isa) = suffix_array(&rank, alphabet);
+        let plcp = permuted_lcp(&rank, &sa, isa);
+        drop(rank);
+        let (nodes, kids) = intervals(&sa, &plcp);
+        SuffixTree { text, sa, nodes, kids }
     }
 
     /// The sequence the tree was built from, including the terminal.
@@ -229,39 +171,37 @@ impl SuffixTree {
         self.len() == 0
     }
 
-    /// Number of nodes, root included (a linear-construction witness used
-    /// in tests: at most `2n` for a text of length `n`).
+    /// Number of nodes of the suffix tree, root and leaves included (a
+    /// linear-size witness used in tests: at most `2n` for a text of
+    /// length `n`).
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.sa.len()
     }
 
-    fn edge_len(&self, id: usize) -> usize {
-        let node = &self.nodes[id];
-        node.end.min(self.text.len()) - node.start
+    fn kids(&self, id: usize) -> &[u32] {
+        let start = id.checked_sub(1).map_or(0, |prev| self.nodes[prev].kids_end as usize);
+        &self.kids[start..self.nodes[id].kids_end as usize]
     }
 
-    /// Walks the tree along `pattern`; returns the node at or immediately
-    /// below the locus, or `None` if the pattern does not occur.
-    fn locate(&self, pattern: &[Symbol]) -> Option<usize> {
-        let mut node = 0u32;
-        let mut matched = 0;
-        while matched < pattern.len() {
-            let &child = self.edges.get(&(node, pattern[matched]))?;
-            let start = self.nodes[child as usize].start;
-            let len = self.edge_len(child as usize);
-            for k in 0..len {
-                if matched == pattern.len() {
-                    return Some(child as usize);
-                }
-                if self.text[start + k] != pattern[matched] {
-                    return None;
-                }
-                matched += 1;
-            }
-            node = child;
-        }
-        Some(node as usize)
+    /// The suffix-array range of the suffixes starting with `pattern`.
+    fn locate(&self, pattern: &[Symbol]) -> Range<usize> {
+        // The array is sorted by first-seen rank, so the pattern is
+        // compared in rank space. Only tests and examples query
+        // patterns, so the rank map is rebuilt here rather than kept
+        // alive by every tree the outliner builds.
+        let (rank, ids) = dense_rank(&self.text);
+        let Some(pattern) = pattern.iter().map(|s| ids.get(s).copied()).collect::<Option<Vec<_>>>()
+        else {
+            return 0..0;
+        };
+        let prefix = |&p: &u32| {
+            let suffix = &rank[p as usize..];
+            &suffix[..suffix.len().min(pattern.len())]
+        };
+        let lo = self.sa.partition_point(|p| prefix(p) < pattern.as_slice());
+        let width = self.sa[lo..].partition_point(|p| prefix(p) == pattern.as_slice());
+        lo..lo + width
     }
 
     /// Counts how many times `pattern` occurs in the sequence (including
@@ -269,113 +209,35 @@ impl SuffixTree {
     /// by convention (all suffix starts).
     #[must_use]
     pub fn count_occurrences(&self, pattern: &[Symbol]) -> usize {
-        match self.locate(pattern) {
-            Some(node) => self.leaf_count(node),
-            None => 0,
-        }
+        self.locate(pattern).len()
     }
 
     /// Returns the sorted start positions of all occurrences of `pattern`.
     #[must_use]
     pub fn find_positions(&self, pattern: &[Symbol]) -> Vec<usize> {
-        let Some(node) = self.locate(pattern) else { return Vec::new() };
-        let mut positions = self.suffix_indices_below(node, self.depth_of(node));
-        positions.sort_unstable();
+        let mut positions = Vec::new();
+        sorted_starts(&self.sa[self.locate(pattern)], &mut positions);
         positions
-    }
-
-    fn leaf_count(&self, node: usize) -> usize {
-        let mut count = 0;
-        let mut stack = vec![node];
-        while let Some(id) = stack.pop() {
-            if self.nodes[id].is_leaf() {
-                count += 1;
-            } else {
-                stack.extend(children(&self.nodes, id));
-            }
-        }
-        count
-    }
-
-    /// Suffix start indices of all leaves in the subtree of `node`,
-    /// given as positions in the original sequence. `depth` is the path
-    /// label length of `node` (its root distance in symbols); passing it
-    /// in keeps this query O(subtree) instead of O(tree).
-    fn suffix_indices_below(&self, node: usize, depth: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let base = depth - self.edge_len(node);
-        let mut stack = vec![(node, self.edge_len(node))];
-        while let Some((id, below)) = stack.pop() {
-            if self.nodes[id].is_leaf() {
-                out.push(self.text.len() - (base + below));
-            } else {
-                for c in children(&self.nodes, id) {
-                    stack.push((c, below + self.edge_len(c)));
-                }
-            }
-        }
-        out
-    }
-
-    /// Depth (path label length) of `node`, computed by a full-tree DFS.
-    /// Used only on query paths; the bulk traversals compute depths
-    /// incrementally.
-    fn depth_of(&self, target: usize) -> usize {
-        if target == 0 {
-            return 0;
-        }
-        let mut stack = vec![(0usize, 0usize)];
-        while let Some((id, depth)) = stack.pop() {
-            for c in children(&self.nodes, id) {
-                let d = depth + self.edge_len(c);
-                if c == target {
-                    return d;
-                }
-                stack.push((c, d));
-            }
-        }
-        unreachable!("node {target} not reachable from root");
     }
 
     /// Visits every internal node (excluding the root) with its path
     /// length and descendant-leaf count — the raw material for the
-    /// paper's repeat detection (§2.2 step 3).
+    /// paper's repeat detection (§2.2 step 3) — in preorder, children
+    /// last-inserted first.
     ///
-    /// Path lengths are clipped to exclude the terminal symbol, which can
-    /// only appear on leaf edges.
+    /// Path lengths never include the terminal symbol, which occurs
+    /// once.
     pub fn visit_internal<F: FnMut(InternalNode)>(&self, mut visit: F) {
-        if self.nodes[0].is_leaf() {
-            return;
-        }
-        // Post-order accumulation of leaf counts.
-        let n = self.nodes.len();
-        let mut leaf_counts = vec![0usize; n];
-        let mut depths = vec![0usize; n];
-        let mut order = Vec::with_capacity(n);
-        let mut stack = vec![0usize];
+        let mut stack = self.kids(self.nodes.len() - 1).to_vec();
         while let Some(id) = stack.pop() {
-            order.push(id);
-            for c in children(&self.nodes, id) {
-                depths[c] = depths[id] + self.edge_len(c);
-                stack.push(c);
-            }
-        }
-        for &id in order.iter().rev() {
-            if self.nodes[id].is_leaf() {
-                leaf_counts[id] = 1;
-            } else {
-                let mut sum = 0;
-                for c in children(&self.nodes, id) {
-                    sum += leaf_counts[c];
-                }
-                leaf_counts[id] = sum;
-            }
-        }
-        for &id in &order {
-            if id == 0 || self.nodes[id].is_leaf() {
-                continue;
-            }
-            visit(InternalNode { id: NodeId(id), len: depths[id], count: leaf_counts[id] });
+            let id = id as usize;
+            let node = self.nodes[id];
+            visit(InternalNode {
+                id: NodeId(id),
+                len: node.len as usize,
+                count: (node.rb - node.lb) as usize + 1,
+            });
+            stack.extend_from_slice(self.kids(id));
         }
     }
 
@@ -384,32 +246,33 @@ impl SuffixTree {
     /// `len` must be the node's reported path length.
     #[must_use]
     pub fn positions_of(&self, node: NodeId, len: usize) -> Vec<usize> {
-        let mut positions = self.suffix_indices_below(node.0, len);
-        positions.sort_unstable();
+        let mut positions = Vec::new();
+        self.positions_into(node, len, &mut positions);
         positions
     }
 
-    /// Enumerates all suffixes of the original sequence by walking the
-    /// tree (test oracle; exponential-free but allocates heavily).
+    /// [`SuffixTree::positions_of`] into a caller-owned buffer, which is
+    /// cleared first.
+    pub(crate) fn positions_into(&self, node: NodeId, len: usize, out: &mut Vec<usize>) {
+        let Interval { lb, rb, len: depth, .. } = self.nodes[node.0];
+        debug_assert_eq!(len, depth as usize, "positions_of called with another node's length");
+        sorted_starts(&self.sa[lb as usize..=rb as usize], out);
+    }
+
+    /// Every suffix of the sequence, terminal included, in suffix-array
+    /// order (test oracle; allocates one vector per suffix).
     #[must_use]
     pub fn suffixes(&self) -> Vec<Vec<Symbol>> {
-        let mut out = Vec::new();
-        let mut stack = vec![(0usize, Vec::new())];
-        while let Some((id, prefix)) = stack.pop() {
-            if self.nodes[id].is_leaf() && id != 0 {
-                out.push(prefix);
-                continue;
-            }
-            for c in children(&self.nodes, id) {
-                let node = &self.nodes[c];
-                let end = node.end.min(self.text.len());
-                let mut next = prefix.clone();
-                next.extend_from_slice(&self.text[node.start..end]);
-                stack.push((c, next));
-            }
-        }
-        out
+        self.sa.iter().map(|&p| self.text[p as usize..].to_vec()).collect()
     }
+}
+
+/// Replaces `out` with `starts` (a slice of the suffix array) in
+/// ascending order.
+fn sorted_starts(starts: &[u32], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(starts.iter().map(|&p| p as usize));
+    out.sort_unstable();
 }
 
 /// An internal node summary passed to [`SuffixTree::visit_internal`].
@@ -423,131 +286,188 @@ pub struct InternalNode {
     pub count: usize,
 }
 
-struct Builder<'t> {
-    nodes: Vec<Node>,
-    edges: EdgeMap,
-    text: &'t [Symbol],
-    active_node: u32,
-    active_edge: usize,
-    active_len: usize,
-    remainder: usize,
-    need_link: u32,
+/// Dense `u32` ranks in first-seen order, and the map that assigned
+/// them. Any injective ranking sorts the suffixes into *an* order that
+/// yields the same intervals; first-seen is the one that costs a single
+/// hash probe per symbol.
+fn dense_rank(text: &[Symbol]) -> (Vec<u32>, RankMap) {
+    // Detection texts have about one distinct symbol per two or three
+    // (every method brings unique separators): sized for that, the map
+    // does not regrow, which would cost more than the probes.
+    let mut ids = RankMap::with_capacity_and_hasher(text.len() / 2, BuildHasherDefault::default());
+    let rank = text
+        .iter()
+        .map(|&s| {
+            let next = ids.len() as u32;
+            *ids.entry(s).or_insert(next)
+        })
+        .collect();
+    (rank, ids)
 }
 
-impl Builder<'_> {
-    fn add_link(&mut self, node: u32) {
-        if self.need_link != 0 {
-            self.nodes[self.need_link as usize].link = node;
+/// Sorts the suffixes of `rank` (alphabet `0..alphabet`, last symbol
+/// unique) by prefix doubling that re-sorts only the groups still
+/// unsorted (Larsson–Sadakane). Returns the suffix array and its
+/// inverse (the final group numbers: every group is one suffix).
+///
+/// A suffix's group number is the array index of its group's last
+/// member, so comparing numbers compares groups. A round sorts each
+/// unsorted group — suffixes equal on their first `h` symbols — by the
+/// group number of the suffix `h` further on, and updates numbers in
+/// place: a number read in the same round is then refined, never wrong,
+/// so equal keys still mean at least `2h` shared symbols.
+fn suffix_array(rank: &[u32], alphabet: usize) -> (Vec<u32>, Vec<u32>) {
+    let n = rank.len();
+    let mut bucket_end = vec![0u32; alphabet];
+    for &r in rank {
+        bucket_end[r as usize] += 1;
+    }
+    let mut sum = 0;
+    for end in &mut bucket_end {
+        sum += *end;
+        *end = sum;
+    }
+    let mut group: Vec<u32> = rank.iter().map(|&r| bucket_end[r as usize] - 1).collect();
+    let mut sa = vec![0u32; n];
+    for (p, &r) in rank.iter().enumerate().rev() {
+        bucket_end[r as usize] -= 1;
+        sa[bucket_end[r as usize] as usize] = p as u32;
+    }
+    let mut unsorted = Vec::new();
+    let mut i = 0;
+    while i < n {
+        let last = group[sa[i] as usize] as usize;
+        if last > i {
+            unsorted.push(i..last + 1);
         }
-        self.need_link = node;
+        i = last + 1;
     }
 
-    fn edge_len(&self, id: u32, pos: usize) -> usize {
-        let node = &self.nodes[id as usize];
-        node.end.min(pos + 1) - node.start
-    }
-
-    /// Appends `child` to `parent`'s child list under `sym`.
-    fn add_child(&mut self, parent: u32, sym: Symbol, child: u32) {
-        self.edges.insert((parent, sym), child);
-        let last = self.nodes[parent as usize].last_child;
-        self.nodes[child as usize].prev_sib = last;
-        self.nodes[child as usize].next_sib = NIL;
-        if last == NIL {
-            self.nodes[parent as usize].first_child = child;
-        } else {
-            self.nodes[last as usize].next_sib = child;
-        }
-        self.nodes[parent as usize].last_child = child;
-    }
-
-    /// Replaces `old` with `new` at `old`'s exact position in `parent`'s
-    /// child list (so enumeration order is unchanged by edge splits),
-    /// and re-points the edge-map entry for `sym`.
-    fn replace_child(&mut self, parent: u32, sym: Symbol, old: u32, new: u32) {
-        self.edges.insert((parent, sym), new);
-        let (prev, next) = {
-            let o = &self.nodes[old as usize];
-            (o.prev_sib, o.next_sib)
-        };
-        self.nodes[new as usize].prev_sib = prev;
-        self.nodes[new as usize].next_sib = next;
-        if prev == NIL {
-            self.nodes[parent as usize].first_child = new;
-        } else {
-            self.nodes[prev as usize].next_sib = new;
-        }
-        if next == NIL {
-            self.nodes[parent as usize].last_child = new;
-        } else {
-            self.nodes[next as usize].prev_sib = new;
-        }
-        self.nodes[old as usize].prev_sib = NIL;
-        self.nodes[old as usize].next_sib = NIL;
-    }
-
-    fn walk_down(&mut self, next: u32, pos: usize) -> bool {
-        let len = self.edge_len(next, pos);
-        if self.active_len >= len {
-            self.active_edge += len;
-            self.active_len -= len;
-            self.active_node = next;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn extend(&mut self, pos: usize) {
-        self.need_link = 0;
-        self.remainder += 1;
-        let c = self.text[pos];
-        while self.remainder > 0 {
-            if self.active_len == 0 {
-                self.active_edge = pos;
-            }
-            let edge_sym = self.text[self.active_edge];
-            match self.edges.get(&(self.active_node, edge_sym)).copied() {
-                None => {
-                    let leaf = self.nodes.len() as u32;
-                    self.nodes.push(Node::new(pos, INF));
-                    self.add_child(self.active_node, edge_sym, leaf);
-                    let an = self.active_node;
-                    self.add_link(an);
-                }
-                Some(next) => {
-                    if self.walk_down(next, pos) {
-                        continue;
+    let mut h = 1;
+    let mut keys: Vec<u64> = Vec::new();
+    while !unsorted.is_empty() {
+        let mut next = Vec::new();
+        for range in unsorted {
+            // Suffixes sharing `h` symbols end past the terminal's
+            // position only if they are one suffix, so `p + h < n`.
+            keys.clear();
+            keys.extend(
+                sa[range.clone()]
+                    .iter()
+                    .map(|&p| (u64::from(group[p as usize + h]) << 32) | u64::from(p)),
+            );
+            keys.sort_unstable();
+            let mut start = range.start;
+            for (i, &key) in (range.start..).zip(&keys) {
+                sa[i] = key as u32;
+                if i + 1 == range.end || keys[i + 1 - range.start] >> 32 != key >> 32 {
+                    for &p in &sa[start..=i] {
+                        group[p as usize] = i as u32;
                     }
-                    if self.text[self.nodes[next as usize].start + self.active_len] == c {
-                        self.active_len += 1;
-                        let an = self.active_node;
-                        self.add_link(an);
-                        break;
+                    if i > start {
+                        next.push(start..i + 1);
                     }
-                    // Split the edge.
-                    let split = self.nodes.len() as u32;
-                    let next_start = self.nodes[next as usize].start;
-                    self.nodes.push(Node::new(next_start, next_start + self.active_len));
-                    self.replace_child(self.active_node, edge_sym, next, split);
-                    let leaf = self.nodes.len() as u32;
-                    self.nodes.push(Node::new(pos, INF));
-                    self.add_child(split, c, leaf);
-                    self.nodes[next as usize].start += self.active_len;
-                    let next_sym = self.text[self.nodes[next as usize].start];
-                    self.add_child(split, next_sym, next);
-                    self.add_link(split);
+                    start = i + 1;
                 }
             }
-            self.remainder -= 1;
-            if self.active_node == 0 && self.active_len > 0 {
-                self.active_len -= 1;
-                self.active_edge = pos - self.remainder + 1;
-            } else if self.active_node != 0 {
-                self.active_node = self.nodes[self.active_node as usize].link;
+        }
+        unsorted = next;
+        h *= 2;
+    }
+    (sa, group)
+}
+
+/// Kasai's algorithm, writing the LCP of each suffix with its
+/// predecessor in the array *by position* over the inverse array it
+/// consumes: step `p` reads `isa[p]` before overwriting it, and no later
+/// step reads it again.
+fn permuted_lcp(rank: &[u32], sa: &[u32], mut isa: Vec<u32>) -> Vec<u32> {
+    let mut h = 0usize;
+    for p in 0..isa.len() {
+        let i = isa[p] as usize;
+        if i == 0 {
+            h = 0;
+            isa[p] = 0;
+            continue;
+        }
+        let q = sa[i - 1] as usize;
+        // The unique terminal ends every match before either index
+        // runs off the text.
+        while rank[p + h] == rank[q + h] {
+            h += 1;
+        }
+        isa[p] = h as u32;
+        h = h.saturating_sub(1);
+    }
+    isa
+}
+
+/// One bottom-up pass over the LCP intervals: returns the internal
+/// nodes in post-order and, node after node, each one's internal
+/// children in Ukkonen insertion order.
+fn intervals(sa: &[u32], plcp: &[u32]) -> (Vec<Interval>, Vec<u32>) {
+    struct Open {
+        len: u32,
+        lb: usize,
+        /// Index of this node's first child in `pending`.
+        from: usize,
+    }
+    let n = sa.len();
+    let mut nodes: Vec<Interval> = Vec::new();
+    let mut kids: Vec<u32> = Vec::new();
+    // Children of the open nodes, in array order: (first occurrence,
+    // node id or `LEAF`).
+    let mut pending: Vec<(u32, u32)> = Vec::new();
+    let mut internal: Vec<(u32, u32)> = Vec::new();
+    let mut close = |open: Open, rb: usize, pending: &mut Vec<(u32, u32)>| {
+        let mut first_leaf = u32::MAX;
+        internal.clear();
+        for &(first, id) in &pending[open.from..] {
+            if id == LEAF {
+                first_leaf = first_leaf.min(first);
+            } else {
+                internal.push((first, id));
             }
         }
+        internal.sort_unstable();
+        let first = internal.first().map_or(first_leaf, |&(f, _)| f.min(first_leaf));
+        // The split that made a non-root node inserted the new leaf
+        // before the old continuation: the two earliest children swap,
+        // which reorders internal children only when both are internal.
+        if open.len > 0 && internal.len() >= 2 && internal[1].0 < first_leaf {
+            internal.swap(0, 1);
+        }
+        kids.extend(internal.iter().map(|&(_, id)| id));
+        let id = nodes.len() as u32;
+        nodes.push(Interval {
+            lb: open.lb as u32,
+            rb: rb as u32,
+            len: open.len,
+            kids_end: kids.len() as u32,
+        });
+        pending.truncate(open.from);
+        pending.push((first, id));
+    };
+
+    let mut stack = vec![Open { len: 0, lb: 0, from: 0 }];
+    for i in 1..n {
+        pending.push((sa[i - 1], LEAF));
+        let len = plcp[sa[i] as usize];
+        let mut lb = i - 1;
+        // The root (`len` 0) never closes here.
+        while let Some(open) = stack.pop_if(|open| len < open.len) {
+            lb = open.lb;
+            close(open, i - 1, &mut pending);
+        }
+        if stack.last().is_some_and(|open| len > open.len) {
+            stack.push(Open { len, lb, from: pending.len() - 1 });
+        }
     }
+    pending.push((sa[n - 1], LEAF));
+    while let Some(open) = stack.pop() {
+        close(open, n - 1, &mut pending);
+    }
+    (nodes, kids)
 }
 
 #[cfg(test)]
@@ -658,22 +578,125 @@ mod tests {
 
     #[test]
     fn traversal_order_is_invariant_under_injective_renaming() {
-        // Insertion-order child lists depend only on symbol *equality*,
-        // so any injective renaming — including a non-monotone one —
-        // must yield the identical traversal order. The warm-path
-        // overlap layer leans on this: separator renumbering between a
-        // fresh detection and a cached replay can never reorder greedy
+        // Child order is a function of positions alone, so any
+        // injective renaming — whatever it does to symbol order — must
+        // yield the identical traversal and plan. The warm-path overlap
+        // layer leans on this: separator renumbering between a fresh
+        // detection and a cached replay can never reorder greedy
         // candidate selection.
-        let text: Vec<Symbol> = (0..400).map(|i: u64| (i * i + 3) % 23).collect();
-        // Non-monotone injective map: 23 - x keeps distinctness but
-        // reverses the symbol order BTreeMap children relied on.
-        let renamed: Vec<Symbol> = text.iter().map(|&s| 23 - s).collect();
-        let a = SuffixTree::build(text);
-        let b = SuffixTree::build(renamed);
-        let mut visits_a = Vec::new();
-        a.visit_internal(|n| visits_a.push((n.len, n.count, a.positions_of(n.id, n.len))));
-        let mut visits_b = Vec::new();
-        b.visit_internal(|n| visits_b.push((n.len, n.count, b.positions_of(n.id, n.len))));
-        assert_eq!(visits_a, visits_b);
+        let small: Vec<Symbol> = (0..400).map(|i: u64| (i * i + 3) % 23).collect();
+        // 1000 symbols with repeated runs, so the tree is deep and wide.
+        let large: Vec<Symbol> = (0..3000)
+            .map(|i: u64| if i % 700 < 350 { i % 350 } else { (i * 7919) % 1000 })
+            .collect();
+        let cases = [
+            // Reverses the order of a 24-symbol alphabet.
+            (small.clone(), small.iter().map(|&s| 23 - s).collect()),
+            // An odd multiplier is a bijection on u64 and scatters the
+            // symbol order across the whole range.
+            (
+                large.clone(),
+                large.iter().map(|&s| s.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5555).collect(),
+            ),
+        ];
+        for (text, renamed) in cases {
+            let n = text.len();
+            let trees = [SuffixTree::build(text), SuffixTree::build(renamed)];
+            let [visits_a, visits_b] = trees.each_ref().map(|tree| {
+                let mut visits = Vec::new();
+                tree.visit_internal(|n| {
+                    visits.push((n.len, n.count, tree.positions_of(n.id, n.len)))
+                });
+                visits
+            });
+            assert!(visits_a.len() > 100);
+            assert_eq!(visits_a, visits_b);
+            let [plan_a, plan_b] = trees.each_ref().map(|tree| {
+                let plan = crate::select_outline_plan(tree, 2, n);
+                plan.into_iter().map(|c| (c.len, c.positions)).collect::<Vec<_>>()
+            });
+            assert!(!plan_a.is_empty());
+            assert_eq!(plan_a, plan_b);
+        }
+    }
+
+    /// A fixed adversarial corpus: the classic strings, a unary run, the
+    /// empty and single-symbol texts, and xorshift-drawn texts over
+    /// alphabets of 1 to 1000 symbols, every third one built from
+    /// periodic runs.
+    fn order_corpus() -> Vec<Vec<Symbol>> {
+        let mut texts = vec![
+            bytes("banana"),
+            bytes("mississippi"),
+            vec![5; 300],
+            Vec::new(),
+            vec![7],
+            (0..400).map(|i: u64| (i * i + 3) % 23).collect(),
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..3000 {
+            let sigma = [1, 2, 3, 4, 16, 1000][i % 6];
+            let len = (next() % 600) as usize;
+            let mut text = Vec::with_capacity(len);
+            while text.len() < len {
+                if i % 3 == 0 && next() % 2 == 0 {
+                    let period = 1 + (next() % 7) as usize;
+                    let motif: Vec<Symbol> = (0..period).map(|_| next() % sigma).collect();
+                    let reps = 2 + (next() % 40) as usize;
+                    text.extend(motif.iter().cycle().take(period * reps));
+                } else {
+                    text.push(next() % sigma);
+                }
+            }
+            text.truncate(len);
+            texts.push(text);
+        }
+        texts
+    }
+
+    fn mix(hash: &mut u64, v: usize) {
+        *hash = (*hash ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Digests of the full `visit_internal` sequence (`len`, `count`,
+    /// `positions_of`) and of `select_outline_plan` at `min_len` 1, 2, 3
+    /// over [`order_corpus`], recorded on the Ukkonen tree before the
+    /// enhanced suffix array replaced it: the array must enumerate
+    /// exactly what the tree enumerated, so that greedy tie-breaking —
+    /// and every outlined byte downstream — is unchanged.
+    #[test]
+    fn traversal_and_plans_match_the_order_recorded_on_the_ukkonen_tree() {
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut visits = BASIS;
+        let mut plans = [BASIS; 3];
+        for text in order_corpus() {
+            let n = text.len();
+            let tree = SuffixTree::build(text);
+            tree.visit_internal(|node| {
+                mix(&mut visits, node.len);
+                mix(&mut visits, node.count);
+                for p in tree.positions_of(node.id, node.len) {
+                    mix(&mut visits, p);
+                }
+            });
+            mix(&mut visits, usize::MAX);
+            for (min_len, digest) in (1..).zip(&mut plans) {
+                for cand in crate::select_outline_plan(&tree, min_len, n) {
+                    mix(digest, cand.len);
+                    for p in cand.positions {
+                        mix(digest, p);
+                    }
+                }
+                mix(digest, usize::MAX);
+            }
+        }
+        assert_eq!(visits, 0x5375_fba7_0a9c_8f61);
+        assert_eq!(plans, [0xce15_2ffe_5ea9_3c56, 0xce15_2ffe_5ea9_3c56, 0xee87_ca8b_4b27_2397]);
     }
 }

@@ -345,8 +345,8 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   right key) is not replayed: the group re-detects and overwrites
 ///   it. Replay is byte-exact:
 ///   content-stable partitioning ([`partition_stable_by`]) pins each
-///   sequence's group, and detection is deterministic under the
-///   order-isomorphic separator renumbering that a rebuild performs, so
+///   sequence's group, and detection is deterministic under any
+///   injective separator renumbering, such as a rebuild performs, so
 ///   a cached plan equals the plan fresh detection would produce.
 ///   Under [`LtboMode::Global`] the single whole-program group goes
 ///   through the same cache (useful when *nothing* changed); under
