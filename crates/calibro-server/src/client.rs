@@ -180,9 +180,12 @@ impl Client {
     /// Pipelines several build requests on this one connection: writes
     /// every frame before reading any reply, then collects one typed
     /// outcome per request, **in request order** (the daemon may reply
-    /// out of order — admission rejections are written immediately by
-    /// the connection thread while builds complete on workers — so
-    /// replies are matched by request id).
+    /// out of order — a rejection is queued as soon as its request is
+    /// read, a build's reply only when a worker finishes it — so
+    /// replies are matched by request id). The daemon keeps reading
+    /// while the replies wait, so a long pipeline cannot wedge the
+    /// connection; past a frame ceiling of unread replies, further
+    /// requests come back `Overloaded`.
     ///
     /// This is how a load generator saturates the daemon's admission
     /// queue from a single connection.

@@ -8,11 +8,14 @@ use calibro_cache::wire::{Reader, Wire, WireError, Writer};
 /// encoding and therefore part of the protocol: never reorder them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The admission queue was full — the daemon applies backpressure
-    /// instead of buffering unboundedly. Retry later (or against
-    /// another shard).
+    /// The admission queue was full, or the connection had more than
+    /// a frame ceiling of replies unread — the daemon applies
+    /// backpressure instead of buffering unboundedly. Retry later (or
+    /// against another shard).
     Overloaded {
-        /// Configured queue capacity at rejection time.
+        /// The bound that was hit: the admission queue's depth (in
+        /// requests) when the queue was full, or the frame ceiling (in
+        /// bytes) when the connection's unread replies passed it.
         capacity: usize,
     },
     /// The request's deadline passed before a result could be returned.
@@ -111,9 +114,7 @@ impl From<WireError> for ServeError {
 impl core::fmt::Display for ServeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ServeError::Overloaded { capacity } => {
-                write!(f, "admission queue full (capacity {capacity})")
-            }
+            ServeError::Overloaded { capacity } => write!(f, "overloaded (capacity {capacity})"),
             ServeError::DeadlineExceeded { deadline_ms } => {
                 write!(f, "deadline of {deadline_ms}ms exceeded")
             }

@@ -148,13 +148,8 @@ fn read_exact_or_eof(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::PartialEof
-                })
-            }
+            Ok(0) if filled == 0 => return Ok(ReadOutcome::CleanEof),
+            Ok(0) => return Ok(ReadOutcome::PartialEof),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -163,23 +158,36 @@ fn read_exact_or_eof(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<
     Ok(ReadOutcome::Full)
 }
 
-/// Writes one frame (length prefix, kind, body). Does not flush: a
-/// buffered sink (the daemon's reply writer) decides when its frames
-/// hit the wire; unbuffered sinks need no flush at all.
+/// One whole frame (length prefix, kind, body) in one buffer, so it
+/// goes out in one write: separate prefix/kind/body writes would cost
+/// three syscalls (and three skb charges) per frame, which dominates
+/// pipelined small-frame exchanges like peer gets.
+pub(crate) fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
+    let len = (body.len() + 1) as u32;
+    [&len.to_le_bytes()[..], &[kind], body].concat()
+}
+
+/// The request id of a body: every request's and reply's first field,
+/// eight little-endian bytes (0 when not even eight arrived).
+pub(crate) fn request_id_of(body: &[u8]) -> u64 {
+    body.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes)
+}
+
+/// Writes `request_id` over the id of a whole [`frame`]'s body, which
+/// starts after the length prefix and the kind byte.
+pub(crate) fn set_request_id(frame: &mut [u8], request_id: u64) {
+    frame[5..13].copy_from_slice(&request_id.to_le_bytes());
+}
+
+/// Writes one frame in one write. Does not flush: a buffered sink
+/// decides when its frames hit the wire; unbuffered sinks need no
+/// flush at all.
 ///
 /// # Errors
 ///
 /// Propagates the underlying IO error.
 pub fn write_frame(stream: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<()> {
-    // One assembled buffer, one write: separate prefix/kind/body writes
-    // would cost three syscalls (and three skb charges) per frame,
-    // which dominates pipelined small-frame exchanges like peer gets.
-    let len = (body.len() + 1) as u32;
-    let mut frame = Vec::with_capacity(body.len() + 5);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(body);
-    stream.write_all(&frame)
+    stream.write_all(&frame(kind, body))
 }
 
 /// Declares a message body: the struct, once, with its fields in wire
@@ -713,7 +721,9 @@ server_stats! {
     requests_admitted: AtomicU64,
     /// Build requests completed successfully.
     requests_completed: AtomicU64,
-    /// Build requests rejected with [`ServeError::Overloaded`].
+    /// Requests rejected with [`ServeError::Overloaded`]: a full
+    /// admission queue, or a connection's unread replies past the
+    /// frame ceiling.
     rejected_overloaded: AtomicU64,
     /// Build requests that exceeded their deadline.
     deadline_timeouts: AtomicU64,

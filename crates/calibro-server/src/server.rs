@@ -17,26 +17,33 @@
 //!                  BuildSession::with_store(shared store)
 //!                        │
 //!                        ▼
-//!                 framed reply on the request's connection
+//!                 the connection's reply queue ◄── rejections, fetches,
+//!                        │                         every other reply
+//!                        ▼
+//!                 its writer thread: the one writer of its socket
 //! ```
 //!
 //! Backpressure is explicit: the queue has a configured depth and a
 //! full queue rejects with a typed [`ServeError::Overloaded`] instead
-//! of buffering unboundedly. Deadlines are enforced at dequeue (an
-//! expired request is never compiled) and re-checked after the build
-//! (a late result is reported as a typed timeout, but its artifacts
-//! stay in the shared cache, so the retry is warm). Shutdown drains:
-//! stop accepting, finish queued and in-flight work, then close.
+//! of buffering unboundedly; so does a connection whose client leaves
+//! more than a frame ceiling of replies unread, because the reader
+//! never waits on the client; past twice that, the connection is cut.
+//! Deadlines are enforced at dequeue (an expired request is never
+//! compiled) and re-checked after the build (a late result is reported
+//! as a typed timeout, but its artifacts stay in the shared cache, so
+//! the retry is warm). Shutdown drains: stop accepting, finish queued
+//! and in-flight work, stop reading, let the writers deliver what is
+//! queued, then close.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use calibro::{
@@ -145,9 +152,7 @@ impl Listener {
     #[cfg(unix)]
     pub fn unix(path: impl AsRef<Path>) -> io::Result<Listener> {
         let path = path.as_ref().to_path_buf();
-        if path.exists() {
-            let _ = std::fs::remove_file(&path);
-        }
+        let _ = std::fs::remove_file(&path);
         Ok(Listener::Unix { listener: UnixListener::bind(&path)?, path })
     }
 
@@ -183,10 +188,8 @@ struct Job {
     ltbo_fp: Option<CacheKey>,
     /// Effective deadline budget (request's, else the daemon default).
     budget: Option<Duration>,
-    /// Deadline the client asked for, for the timeout reply.
-    deadline_ms: u32,
     enqueued: Instant,
-    writer: ReplyWriter,
+    replies: Replies,
     /// When the request named a tenant: the tenant and its program
     /// identity, so the finished build is sealed as a generation.
     tenant: Option<TenantJob>,
@@ -206,18 +209,14 @@ struct TenantJob {
 struct SealedGeneration {
     id: u64,
     options_fp: CacheKey,
-    ltbo_fp: Option<CacheKey>,
     /// The hot set this generation was compiled under (`None` means
     /// unrestricted outlining), the baseline drift is measured against.
     hot_set: Option<HashSet<u32>>,
-    elf: Vec<u8>,
+    elf_len: u64,
     elf_fnv: u64,
-    methods: u64,
-    methods_from_cache: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    build_us: u64,
-    stats_json: String,
+    /// The whole `RESP_BUILT` frame that answers a fetch, sealed once
+    /// with request id 0 ([`reply_to`](Self::reply_to) patches it).
+    frame: Vec<u8>,
     /// The dictionary-epoch fence: while this generation serves, the
     /// island its ELF links into cannot be retired. `None` for
     /// non-dict builds (and for the rare build whose epoch was already
@@ -242,20 +241,11 @@ impl Drop for DictPin {
 }
 
 impl SealedGeneration {
-    fn to_reply(&self, request_id: u64) -> BuildReply {
-        BuildReply {
-            request_id,
-            options_fp: self.options_fp,
-            ltbo_fp: self.ltbo_fp,
-            elf: self.elf.clone(),
-            methods: self.methods,
-            methods_from_cache: self.methods_from_cache,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            build_us: self.build_us,
-            generation: self.id,
-            stats_json: self.stats_json.clone(),
-        }
+    /// The frame answering `request_id`: one copy of the sealed frame.
+    fn reply_to(&self, request_id: u64) -> Vec<u8> {
+        let mut frame = self.frame.clone();
+        proto::set_request_id(&mut frame, request_id);
+        frame
     }
 }
 
@@ -317,15 +307,62 @@ fn to_ppm(drift: f64) -> u64 {
     (drift.clamp(0.0, 1.0) * 1_000_000.0).round() as u64
 }
 
-/// A connection's reply channel, shared between its connection thread
-/// and the workers finishing its builds. Buffered so a pipelined
-/// peer-get batch coalesces hundreds of small reply frames into a few
-/// socket writes: per-frame writes are each charged a full skb
-/// truesize against the sender's buffer, and a batch of them can
-/// deadlock against a client that is still writing its requests.
-/// Everything except an in-batch peer-get reply flushes immediately;
-/// the connection loop flushes those once the request stream goes idle.
-type ReplyWriter = Arc<Mutex<io::BufWriter<Stream>>>;
+/// A server lock or condvar wait, recovered from poison (DESIGN.md §7
+/// "Lock policy"): no critical section below leaves state a later
+/// holder would misread, so one panicking holder costs one request.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A connection's reply queue: whole frames, queued by its connection
+/// thread and by the workers finishing its jobs (each job holds a
+/// clone), written by its one writer thread ([`write_replies`]).
+/// `backlog` counts what the frames queued and not yet written cost.
+#[derive(Clone)]
+struct Replies {
+    frames: mpsc::Sender<Vec<u8>>,
+    backlog: Arc<AtomicU64>,
+}
+
+/// What a queued frame costs the backlog: its bytes, its allocation and
+/// its queue slot — what a flood of tiny replies really holds.
+fn cost(frame: &[u8]) -> u64 {
+    frame.len() as u64 + 64
+}
+
+impl Replies {
+    fn send(&self, kind: u8, body: &[u8]) {
+        self.send_frame(proto::frame(kind, body));
+    }
+
+    fn send_frame(&self, frame: Vec<u8>) {
+        self.backlog.fetch_add(cost(&frame), Ordering::Relaxed);
+        // The writer outlives every sender, so this cannot fail.
+        let _ = self.frames.send(frame);
+    }
+
+    fn error(&self, request_id: u64, error: ServeError) {
+        self.send(RESP_ERROR, &ErrorReply { request_id, error }.encode());
+    }
+}
+
+/// The one function that writes to a connection's socket. Writes every
+/// queued frame and flushes only when the queue is empty, so the
+/// replies to a pipelined batch coalesce into few socket writes
+/// (DESIGN.md §11 rule 2). A vanished client is not a daemon error:
+/// once a write fails the rest of the queue is discarded, and the
+/// reader observes the hangup. Returns when every sender is gone.
+fn write_replies(stream: Stream, frames: mpsc::Receiver<Vec<u8>>, backlog: &AtomicU64) {
+    let mut out = io::BufWriter::with_capacity(64 * 1024, stream);
+    let mut alive = true;
+    while let Ok(first) = frames.recv() {
+        for frame in std::iter::once(first).chain(frames.try_iter()) {
+            alive = alive && out.write_all(&frame).is_ok();
+            backlog.fetch_sub(cost(&frame), Ordering::Relaxed);
+        }
+        alive = alive && out.flush().is_ok();
+    }
+}
 
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
@@ -350,8 +387,8 @@ struct Shared {
     refresh_queue: Mutex<std::collections::VecDeque<String>>,
     refresh_cv: Condvar,
     histogram: LatencyHistogram,
-    /// Write-half clones of every open connection, for unblocking
-    /// readers at shutdown.
+    /// A handle to every open connection, for the drain to shut down;
+    /// a connection leaves once its writer has finished.
     conns: Mutex<HashMap<u64, Stream>>,
     next_conn_id: AtomicU64,
 }
@@ -362,38 +399,19 @@ impl Shared {
             uptime_us: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             workers: self.config.workers.max(1) as u64,
             queue_capacity: self.config.queue_depth as u64,
-            queue_depth: self.queue.lock().expect("queue lock").len() as u64,
+            queue_depth: recover(self.queue.lock()).len() as u64,
             shard_id: u64::from(self.config.shard_id),
-            tenants: self.tenants.lock().expect("tenants lock").len() as u64,
+            tenants: recover(self.tenants.lock()).len() as u64,
             latency_buckets: self.histogram.snapshot(),
             cache: self.store.stats(),
             ..self.counters.snapshot()
         }
     }
 
-    fn reply(&self, writer: &ReplyWriter, kind: u8, body: &[u8]) {
-        // A vanished client is not a daemon error: the write fails,
-        // the reader side will observe the hangup, and the daemon
-        // keeps serving everyone else.
-        if let Ok(mut stream) = writer.lock() {
-            let _ = proto::write_frame(&mut *stream, kind, body);
-            let _ = stream.flush();
-        }
-    }
-
-    /// Writes a reply without flushing — for peer-get replies inside a
-    /// pipelined batch, which the connection loop flushes once the
-    /// request stream goes idle. The client only starts reading after
-    /// writing its whole batch, so eagerly flushing mid-batch would pay
-    /// one skb charge per tiny frame for nothing.
-    fn reply_buffered(&self, writer: &ReplyWriter, kind: u8, body: &[u8]) {
-        if let Ok(mut stream) = writer.lock() {
-            let _ = proto::write_frame(&mut *stream, kind, body);
-        }
-    }
-
-    fn reply_error(&self, writer: &ReplyWriter, request_id: u64, error: ServeError) {
-        self.reply(writer, RESP_ERROR, &ErrorReply { request_id, error }.encode());
+    /// Counts one rejection for the bound `capacity` that was hit.
+    fn overloaded(&self, capacity: usize) -> ServeError {
+        self.counters.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+        ServeError::Overloaded { capacity }
     }
 }
 
@@ -407,6 +425,10 @@ pub fn ltbo_fingerprint(options: &BuildOptions) -> Option<CacheKey> {
         h.finish()
     })
 }
+
+/// How long a drain lets the connections' writers deliver the replies
+/// already queued before it cuts the connections that remain.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// A running daemon. Dropping the handle without calling
 /// [`shutdown`](Daemon::shutdown) leaves the background threads
@@ -532,9 +554,10 @@ impl Daemon {
     }
 
     /// Drains gracefully: stops accepting, lets the workers finish
-    /// every queued and in-flight request (responses are delivered),
-    /// then unblocks the connection readers and tears everything down.
-    /// Returns the final stats snapshot.
+    /// every queued and in-flight request, stops reading, and gives the
+    /// connections' writers up to five seconds to deliver every queued
+    /// reply before cutting the connections of clients that do not
+    /// read them. Returns the final stats snapshot.
     pub fn shutdown(mut self) -> ServerStats {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
@@ -549,16 +572,22 @@ impl Daemon {
         if let Some(handle) = self.refresh_handle.take() {
             let _ = handle.join();
         }
-        // Workers are done: every admitted request has been answered.
-        // Now unblock the readers and the accept loop.
-        if let Ok(mut conns) = self.shared.conns.lock() {
-            for (_, stream) in conns.drain() {
-                stream.shutdown();
-            }
-        }
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
+        // Workers are done: every admitted request has its reply
+        // queued. Shutting the read halves ends each connection loop;
+        // its writer delivers the queue and the connection leaves the
+        // registry. A client that does not read is cut after the grace.
+        let shutdown_all = |how| {
+            recover(self.shared.conns.lock()).values().for_each(|stream| stream.shutdown(how));
+        };
+        shutdown_all(Shutdown::Read);
+        let grace = Instant::now() + DRAIN_GRACE;
+        while !recover(self.shared.conns.lock()).is_empty() && Instant::now() < grace {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        shutdown_all(Shutdown::Both);
         if let Some(path) = &self.socket_path {
             let _ = std::fs::remove_file(path);
         }
@@ -592,61 +621,60 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
                 shared.counters.open_connections.fetch_add(1, Ordering::Relaxed);
                 let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 if let Ok(registry_clone) = stream.try_clone() {
-                    if let Ok(mut conns) = shared.conns.lock() {
-                        conns.insert(conn_id, registry_clone);
-                    }
+                    recover(shared.conns.lock()).insert(conn_id, registry_clone);
                 }
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new().name(format!("calibrod-conn-{conn_id}")).spawn(
                     move || {
                         connection_loop(stream, conn_id, &shared);
-                        if let Ok(mut conns) = shared.conns.lock() {
-                            conns.remove(&conn_id);
-                        }
+                        recover(shared.conns.lock()).remove(&conn_id);
                         shared.counters.open_connections.fetch_sub(1, Ordering::Relaxed);
                     },
                 );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Nothing to accept yet (or a transient failure): poll again.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
-fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
-    let writer: ReplyWriter = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(io::BufWriter::with_capacity(64 * 1024, clone))),
-        Err(_) => return,
+/// The connection's reader: it spawns the connection's writer, then
+/// reads and handles frames until the client hangs up. It never writes
+/// and never waits on the client, so a client that writes a long
+/// pipeline before reading anything cannot wedge it.
+fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
+    let Ok(write_half) = stream.try_clone() else { return };
+    let (frames, queued) = mpsc::channel();
+    let replies = Replies { frames, backlog: Arc::default() };
+    let backlog = Arc::clone(&replies.backlog);
+    let Ok(writer) = std::thread::Builder::new()
+        .name(format!("calibrod-reply-{conn_id}"))
+        .spawn(move || write_replies(write_half, queued, &backlog))
+    else {
+        return;
     };
-    // Buffered: a pipelined peer-get batch arrives as hundreds of
-    // 30-byte frames, and unbuffered reads would pay two syscalls per
-    // frame. Replies go out on the separate writer clone, so buffering
-    // the read side cannot delay them.
+    // Buffered: a pipelined peer-get batch is hundreds of 30-byte
+    // frames, and unbuffered each would cost two read syscalls.
     let mut reader = io::BufReader::with_capacity(64 * 1024, stream);
-    // Whether this thread has left a reply in the write buffer since
-    // the last flush. Only then does it take the writer lock between
-    // frames: that lock is the one a worker holds while blocked writing
-    // a reply the client is not reading yet, and a reader waiting on it
-    // stops draining the requests the client is still writing — both
-    // sides would wait for ever.
-    let mut unflushed = false;
+    let ceiling = shared.config.max_frame;
     loop {
-        match proto::read_frame(&mut reader, shared.config.max_frame) {
-            Ok(FrameEvent::Frame { kind, body }) => {
-                unflushed |= handle_frame(kind, &body, &writer, shared);
-                // The pipelined batch is drained: push out any replies
-                // still sitting in the buffer before blocking on the
-                // next read, or the client would wait forever on
-                // replies the daemon already wrote.
-                if unflushed && reader.buffer().is_empty() {
-                    if let Ok(mut w) = writer.lock() {
-                        let _ = w.flush();
-                    }
-                    unflushed = false;
+        match proto::read_frame(&mut reader, ceiling) {
+            // The reader does not wait for the client to read: past a
+            // frame ceiling of unread replies each request is rejected,
+            // and past two its rejections are not being read either, so
+            // the connection is cut (the request counted, unanswered).
+            Ok(FrameEvent::Frame { kind, body }) => match replies.backlog.load(Ordering::Relaxed) {
+                backlog if backlog <= ceiling => handle_frame(kind, &body, &replies, shared),
+                backlog if backlog <= ceiling.saturating_mul(2) => {
+                    let id = proto::request_id_of(&body);
+                    replies.error(id, shared.overloaded(ceiling as usize));
                 }
-            }
+                _ => {
+                    shared.overloaded(ceiling as usize);
+                    reader.get_ref().shutdown(Shutdown::Both);
+                    break;
+                }
+            },
             Ok(FrameEvent::Eof) => break,
             Ok(FrameEvent::MidFrameDisconnect) => {
                 shared.counters.mid_frame_disconnects.fetch_add(1, Ordering::Relaxed);
@@ -654,11 +682,7 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
             }
             Ok(FrameEvent::TooLarge { claimed }) => {
                 shared.counters.oversized_frames.fetch_add(1, Ordering::Relaxed);
-                shared.reply_error(
-                    &writer,
-                    0,
-                    ServeError::FrameTooLarge { claimed, limit: shared.config.max_frame },
-                );
+                replies.error(0, ServeError::FrameTooLarge { claimed, limit: ceiling });
                 // The stream cannot be resynchronized after a bogus
                 // length prefix: close this connection (others live on).
                 break;
@@ -666,71 +690,61 @@ fn connection_loop(stream: Stream, _conn_id: u64, shared: &Arc<Shared>) {
             Err(_) => break,
         }
     }
+    // The writer delivers what is queued, and what the jobs still in
+    // flight will queue (each holds a sender), then returns.
+    drop(replies);
+    let _ = writer.join();
 }
 
 /// Handles one intact frame. Whatever the body holds, the frame
 /// boundary is intact, so the connection keeps serving afterwards.
-/// Returns whether a reply was left in the write buffer unflushed
-/// (peer-get replies only).
-fn handle_frame(kind: u8, body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) -> bool {
+fn handle_frame(kind: u8, body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
     match kind {
-        REQ_BUILD => handle_build(body, writer, shared),
-        REQ_PEER_GET => {
-            decode_or_reject(body, writer, shared, handle_peer_get);
-            return true;
-        }
-        REQ_PROFILE => decode_or_reject(body, writer, shared, handle_profile),
-        REQ_GENERATION_STATS => decode_or_reject(body, writer, shared, handle_generation_stats),
-        REQ_DICT_STATS => decode_or_reject(body, writer, shared, handle_dict_stats),
-        REQ_STATS => shared.reply(writer, RESP_STATS, &shared.stats().encode()),
-        REQ_PING => shared.reply(writer, RESP_PONG, body),
+        REQ_BUILD => handle_build(body, replies, shared),
+        REQ_PEER_GET => decode_or_reject(body, replies, shared, handle_peer_get),
+        REQ_PROFILE => decode_or_reject(body, replies, shared, handle_profile),
+        REQ_GENERATION_STATS => decode_or_reject(body, replies, shared, handle_generation_stats),
+        REQ_DICT_STATS => decode_or_reject(body, replies, shared, handle_dict_stats),
+        REQ_STATS => replies.send(RESP_STATS, &shared.stats().encode()),
+        REQ_PING => replies.send(RESP_PONG, body),
         REQ_SHUTDOWN => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
-            shared.reply(writer, RESP_SHUTDOWN_ACK, &[]);
+            replies.send(RESP_SHUTDOWN_ACK, &[]);
         }
         other => {
             shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(
-                writer,
-                0,
-                ServeError::Malformed { detail: format!("unknown request kind {other:#04x}") },
-            );
+            let detail = format!("unknown request kind {other:#04x}");
+            replies.error(0, ServeError::Malformed { detail });
         }
     }
-    false
 }
 
 /// The one request path: decodes the body and runs the kind's handler
 /// on it, or rejects it.
 fn decode_or_reject<R: Request>(
     body: &[u8],
-    writer: &ReplyWriter,
+    replies: &Replies,
     shared: &Arc<Shared>,
-    handler: fn(R, &ReplyWriter, &Arc<Shared>),
+    handler: fn(R, &Replies, &Arc<Shared>),
 ) {
     match wire::decode(body) {
-        Ok(request) => handler(request, writer, shared),
-        Err(e) => reject_malformed(body, e, writer, shared),
+        Ok(request) => handler(request, replies, shared),
+        Err(e) => reject_malformed(body, e, replies, shared),
     }
 }
 
 /// A body that does not decode is counted and answered with a typed
-/// [`ServeError::Malformed`]. The error reply echoes the request id on
-/// a best-effort basis: the id is every request's first field, so it
-/// usually survives even when the rest is garbage (0 when not even
-/// eight bytes arrived).
-fn reject_malformed(body: &[u8], error: WireError, writer: &ReplyWriter, shared: &Arc<Shared>) {
-    let fallback_id = body
-        .get(..8)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("slice length checked")));
+/// [`ServeError::Malformed`], echoing the id on a best-effort basis: it
+/// usually survives even when the rest of the body is garbage.
+fn reject_malformed(body: &[u8], error: WireError, replies: &Replies, shared: &Arc<Shared>) {
     shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    shared.reply_error(writer, fallback_id, ServeError::from(error));
+    replies.error(proto::request_id_of(body), ServeError::from(error));
 }
 
 /// Serves one sibling's `PeerGet`: memory and disk tiers only (never
 /// this shard's own peers — the fan-out terminates after one hop), as
 /// the checksummed disk-frame bytes the requester re-validates.
-fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>) {
+fn handle_peer_get(request: PeerGet, replies: &Replies, shared: &Arc<Shared>) {
     match shared.store.serve_peer(request.lane, request.key) {
         Ok(artifact) => {
             if artifact.is_some() {
@@ -742,16 +756,13 @@ fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>)
                 key: request.key,
                 artifact,
             };
-            shared.reply_buffered(writer, RESP_PEER_ARTIFACT, &reply.encode());
+            replies.send(RESP_PEER_ARTIFACT, &reply.encode());
         }
         Err(detail) => {
             // A corrupt local entry: the requester treats this as a
-            // peer error and compiles locally. Buffered like the
-            // success reply — it is one slot of the pipelined batch.
-            let error =
-                ServeError::Build { detail: format!("peer artifact unavailable: {detail}") };
-            let reply = ErrorReply { request_id: request.request_id, error };
-            shared.reply_buffered(writer, RESP_ERROR, &reply.encode());
+            // peer error and compiles locally.
+            let detail = format!("peer artifact unavailable: {detail}");
+            replies.error(request.request_id, ServeError::Build { detail });
         }
     }
 }
@@ -760,10 +771,10 @@ fn handle_peer_get(request: PeerGet, writer: &ReplyWriter, shared: &Arc<Shared>)
 /// hash of its bytes and taken from the program table — decoded here
 /// only when the table does not hold it. A header or a program that
 /// does not decode is rejected exactly as a whole-body decode would.
-fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
+fn handle_build(body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
     let (mut request, program) = match BuildHeader::split(body) {
         Ok(split) => split,
-        Err(e) => return reject_malformed(body, e, writer, shared),
+        Err(e) => return reject_malformed(body, e, replies, shared),
     };
     let program_id = ProgramId::of(program);
     let dex = match shared.programs.get(program_id) {
@@ -776,12 +787,11 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
                 shared.counters.programs_decoded.fetch_add(1, Ordering::Relaxed);
                 shared.programs.offer(program_id, dex)
             }
-            Err(e) => return reject_malformed(body, e, writer, shared),
+            Err(e) => return reject_malformed(body, e, replies, shared),
         },
     };
     if shared.draining.load(Ordering::SeqCst) {
-        shared.reply_error(writer, request.request_id, ServeError::Draining);
-        return;
+        return replies.error(request.request_id, ServeError::Draining);
     }
     // Cross-check the client's fingerprints against our own view of
     // the decoded payload: a mismatch means codec or schema drift and
@@ -789,8 +799,7 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
     if options_fingerprint(&request.options) != request.options_fp
         || ltbo_fingerprint(&request.options) != request.ltbo_fp
     {
-        shared.reply_error(writer, request.request_id, ServeError::FingerprintMismatch);
-        return;
+        return replies.error(request.request_id, ServeError::FingerprintMismatch);
     }
     // A tenant request is answered from the sealed serving generation
     // when one exists for this program: this path never waits on the
@@ -800,7 +809,7 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
     if let Some(name) = &request.tenant {
         let identity = tenant_identity(program_id.key, &mut request.options);
         let serving = {
-            let tenants = shared.tenants.lock().expect("tenants lock");
+            let tenants = recover(shared.tenants.lock());
             tenants.get(name).and_then(|state| {
                 let program = state.program.as_ref()?;
                 (program.identity == identity).then(|| state.serving.clone()).flatten()
@@ -809,39 +818,25 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
         if let Some(sealed) = serving {
             shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
             shared.histogram.record(Duration::ZERO);
-            let reply = sealed.to_reply(request.request_id);
-            shared.reply(writer, RESP_BUILT, &reply.encode());
-            return;
+            return replies.send_frame(sealed.reply_to(request.request_id));
         }
         tenant_job = Some(TenantJob { name: name.clone(), identity });
     }
-    let budget = request.deadline.or(shared.config.default_deadline);
-    let deadline_ms = request
-        .deadline
-        .or(shared.config.default_deadline)
-        .map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)) as u32);
     let job = Job {
         request_id: request.request_id,
         dex,
         options: request.options,
         options_fp: request.options_fp,
         ltbo_fp: request.ltbo_fp,
-        budget,
-        deadline_ms,
+        budget: request.deadline.or(shared.config.default_deadline),
         enqueued: Instant::now(),
-        writer: Arc::clone(writer),
+        replies: replies.clone(),
         tenant: tenant_job,
     };
-    let mut queue = shared.queue.lock().expect("queue lock");
+    let mut queue = recover(shared.queue.lock());
     if queue.len() >= shared.config.queue_depth.max(1) {
         drop(queue);
-        shared.counters.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-        shared.reply_error(
-            writer,
-            request.request_id,
-            ServeError::Overloaded { capacity: shared.config.queue_depth },
-        );
-        return;
+        return replies.error(request.request_id, shared.overloaded(shared.config.queue_depth));
     }
     queue.push_back(job);
     drop(queue);
@@ -852,7 +847,7 @@ fn handle_build(body: &[u8], writer: &ReplyWriter, shared: &Arc<Shared>) {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue lock");
+            let mut queue = recover(shared.queue.lock());
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -860,7 +855,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared.queue_cv.wait(queue).expect("queue wait");
+                queue = recover(shared.queue_cv.wait(queue));
             }
         };
         let Some(job) = job else { return };
@@ -889,89 +884,90 @@ fn build_session(shared: &Shared) -> BuildSession {
 /// so the bodies it paid for are servable to the very next request
 /// (sealing with nothing staged is a no-op).
 fn seal_dict(shared: &Shared, options: &BuildOptions) {
-    if let Some(registry) = &shared.dict {
-        if options.dict {
-            registry.seal_epoch();
-            // Epoch-fenced reclamation: only islands no sealed
-            // generation pins are dropped, and never the current one.
-            registry.retire_unpinned();
-        }
+    if let Some(registry) = shared.dict.as_ref().filter(|_| options.dict) {
+        registry.seal_epoch();
+        // Epoch-fenced reclamation: only islands no sealed generation
+        // pins are dropped, and never the current one.
+        registry.retire_unpinned();
     }
 }
 
 fn run_job(job: &Job, shared: &Arc<Shared>) {
+    let timed_out = || {
+        shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+        let budget_ms = job.budget.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)));
+        let error = ServeError::DeadlineExceeded { deadline_ms: budget_ms as u32 };
+        job.replies.error(job.request_id, error);
+    };
     // Deadline check 1 — at dequeue: an already-expired request is
     // never compiled (it only would have blocked fresher work).
     if expired(job) {
-        shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-        shared.reply_error(
-            &job.writer,
-            job.request_id,
-            ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
-        );
-        return;
+        return timed_out();
     }
     let session = build_session(shared);
     let build_start = Instant::now();
     let result = session.build(&job.dex, &job.options);
     let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     match result {
-        Ok(output) => {
+        Ok(mut output) => {
             // Deadline check 2 — after the build: the client asked for
             // a bound, so a late result is reported as a typed timeout.
             // The compiled artifacts are already in the shared store,
             // so an immediate retry replays them warm.
             if expired(job) {
-                shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                shared.reply_error(
-                    &job.writer,
-                    job.request_id,
-                    ServeError::DeadlineExceeded { deadline_ms: job.deadline_ms },
-                );
-                return;
+                return timed_out();
             }
-            if let Some(tenant) = &job.tenant {
+            let elf = calibro_oat::to_elf_bytes(&output.oat);
+            let frame = match &job.tenant {
                 // Seal the build as this tenant's next generation and
                 // answer from the sealed bytes: if a concurrent build of
                 // the same program won the race, the reply carries the
                 // winner's generation so every client sees one artifact.
-                let sealed = seal_generation(shared, tenant, job, output, build_us);
-                // After the flip: the generation's epoch pin is in
-                // place, so retirement inside the seal cannot touch it.
-                seal_dict(shared, &job.options);
-                shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
-                shared.histogram.record(job.enqueued.elapsed());
-                shared.reply(&job.writer, RESP_BUILT, &sealed.to_reply(job.request_id).encode());
-                return;
-            }
-            seal_dict(shared, &job.options);
-            let reply = BuildReply {
-                request_id: job.request_id,
-                options_fp: job.options_fp,
-                ltbo_fp: job.ltbo_fp,
-                elf: calibro_oat::to_elf_bytes(&output.oat),
-                methods: output.stats.methods as u64,
-                methods_from_cache: output.stats.methods_from_cache as u64,
-                cache_hits: output.stats.cache.hits,
-                cache_misses: output.stats.cache.misses,
-                build_us,
-                generation: 0,
-                stats_json: output.stats.to_json(),
+                Some(tenant) => seal_generation(shared, tenant, job, &mut output, elf, build_us)
+                    .reply_to(job.request_id),
+                None => {
+                    let fingerprints = (job.options_fp, job.ltbo_fp);
+                    let reply = built_reply(job.request_id, fingerprints, &output, elf, build_us);
+                    proto::frame(RESP_BUILT, &reply.encode())
+                }
             };
-            // Count *before* writing: a client that has the reply in
+            // After a flip: the generation's epoch pin is in place, so
+            // retirement inside the seal cannot touch it.
+            seal_dict(shared, &job.options);
+            // Count *before* sending: a client that has the reply in
             // hand must observe this request in a stats snapshot.
             shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
             shared.histogram.record(job.enqueued.elapsed());
-            shared.reply(&job.writer, RESP_BUILT, &reply.encode());
+            job.replies.send_frame(frame);
         }
         Err(e) => {
             shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(
-                &job.writer,
-                job.request_id,
-                ServeError::Build { detail: e.to_string() },
-            );
+            job.replies.error(job.request_id, ServeError::Build { detail: e.to_string() });
         }
+    }
+}
+
+/// The reply to a finished build whose ELF is `elf`; its generation is
+/// the one the build was stamped with (0 for a plain build).
+fn built_reply(
+    request_id: u64,
+    (options_fp, ltbo_fp): (CacheKey, Option<CacheKey>),
+    output: &calibro::BuildOutput,
+    elf: Vec<u8>,
+    build_us: u64,
+) -> BuildReply {
+    BuildReply {
+        request_id,
+        options_fp,
+        ltbo_fp,
+        elf,
+        methods: output.stats.methods as u64,
+        methods_from_cache: output.stats.methods_from_cache as u64,
+        cache_hits: output.stats.cache.hits,
+        cache_misses: output.stats.cache.misses,
+        build_us,
+        generation: output.stats.generation,
+        stats_json: output.stats.to_json(),
     }
 }
 
@@ -984,17 +980,20 @@ fn seal_generation(
     shared: &Shared,
     tenant: &TenantJob,
     job: &Job,
-    mut output: calibro::BuildOutput,
+    output: &mut calibro::BuildOutput,
+    elf: Vec<u8>,
     build_us: u64,
 ) -> Arc<SealedGeneration> {
     let identity = tenant.identity;
-    let mut tenants = shared.tenants.lock().expect("tenants lock");
+    let mut tenants = recover(shared.tenants.lock());
     let state = tenants.entry(tenant.name.clone()).or_insert_with(TenantState::new);
     if let (Some(program), Some(serving)) = (&state.program, &state.serving) {
         if program.identity == identity && serving.options_fp == job.options_fp {
             return Arc::clone(serving);
         }
     }
+    let fingerprints = (job.options_fp, job.ltbo_fp);
+    let sealed = flip_generation(shared, state, &job.options, fingerprints, output, elf, build_us);
     if state.program.as_ref().is_some_and(|p| p.identity != identity) {
         // A different program under the same tenant name: the decayed
         // profile attributes cycles to the old method-id space, so it
@@ -1005,24 +1004,24 @@ fn seal_generation(
     }
     state.program =
         Some(TenantProgram { identity, dex: Arc::clone(&job.dex), options: job.options.clone() });
-    let fingerprints = (job.options_fp, job.ltbo_fp);
-    flip_generation(shared, state, &job.options, fingerprints, &mut output, build_us)
+    sealed
 }
 
 /// The atomic flip: mints the next generation id, stamps it into the
-/// build stats, seals the artifact, and replaces the serving pointer in
-/// one assignment under the tenant lock. `fingerprints` are those of
-/// `options` (options, LTBO), which every caller has computed already.
+/// build stats, seals the artifact as its reply frame (the ELF arrives
+/// serialised, from outside the lock) and only then updates `state`.
+/// `fingerprints` are those of `options` (options, LTBO), which every
+/// caller has computed already.
 fn flip_generation(
     shared: &Shared,
     state: &mut TenantState,
     options: &BuildOptions,
-    (options_fp, ltbo_fp): (CacheKey, Option<CacheKey>),
+    fingerprints: (CacheKey, Option<CacheKey>),
     output: &mut calibro::BuildOutput,
+    elf: Vec<u8>,
     build_us: u64,
 ) -> Arc<SealedGeneration> {
     let id = state.next_generation;
-    state.next_generation += 1;
     output.stats.generation = id;
     // Fence the dictionary epoch this generation linked against before
     // anything can retire it. A failed pin (epoch already retired in
@@ -1035,22 +1034,19 @@ fn flip_generation(
         }
         _ => None,
     };
-    let elf = calibro_oat::to_elf_bytes(&output.oat);
     let sealed = Arc::new(SealedGeneration {
         id,
-        options_fp,
-        ltbo_fp,
+        options_fp: fingerprints.0,
         hot_set: options.hot_methods.clone(),
+        elf_len: elf.len() as u64,
         elf_fnv: fnv1a64(&elf),
-        elf,
-        methods: output.stats.methods as u64,
-        methods_from_cache: output.stats.methods_from_cache as u64,
-        cache_hits: output.stats.cache.hits,
-        cache_misses: output.stats.cache.misses,
-        build_us,
-        stats_json: output.stats.to_json(),
+        frame: proto::frame(
+            RESP_BUILT,
+            &built_reply(0, fingerprints, output, elf, build_us).encode(),
+        ),
         dict_pin,
     });
+    state.next_generation += 1;
     state.serving = Some(Arc::clone(&sealed));
     state.generations_sealed += 1;
     shared.counters.generations_sealed.fetch_add(1, Ordering::Relaxed);
@@ -1060,10 +1056,9 @@ fn flip_generation(
 /// One profile upload: parse, fold into the tenant's decayed
 /// accumulator, measure drift against the serving hot set, and
 /// schedule a background re-optimization when it crosses the threshold.
-fn handle_profile(request: ProfileRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
+fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Shared>) {
     if shared.draining.load(Ordering::SeqCst) {
-        shared.reply_error(writer, request.request_id, ServeError::Draining);
-        return;
+        return replies.error(request.request_id, ServeError::Draining);
     }
     let profile = match Profile::from_text(&request.profile_text) {
         Ok(profile) => profile,
@@ -1072,17 +1067,13 @@ fn handle_profile(request: ProfileRequest, writer: &ReplyWriter, shared: &Arc<Sh
             // the offending text; forward it verbatim so the client can
             // pinpoint the bad line.
             shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            shared.reply_error(
-                writer,
-                request.request_id,
-                ServeError::Malformed { detail: format!("profile: {e}") },
-            );
-            return;
+            let detail = format!("profile: {e}");
+            return replies.error(request.request_id, ServeError::Malformed { detail });
         }
     };
     let fraction = shared.config.hot_fraction;
     let (reply, schedule) = {
-        let mut tenants = shared.tenants.lock().expect("tenants lock");
+        let mut tenants = recover(shared.tenants.lock());
         let state = tenants.entry(request.tenant.clone()).or_insert_with(TenantState::new);
         state.profile.record(&profile);
         let serving_set =
@@ -1113,12 +1104,10 @@ fn handle_profile(request: ProfileRequest, writer: &ReplyWriter, shared: &Arc<Sh
     shared.counters.profile_uploads.fetch_add(1, Ordering::Relaxed);
     if schedule {
         shared.counters.refreshes_triggered.fetch_add(1, Ordering::Relaxed);
-        let mut queue = shared.refresh_queue.lock().expect("refresh queue lock");
-        queue.push_back(request.tenant.clone());
-        drop(queue);
+        recover(shared.refresh_queue.lock()).push_back(request.tenant.clone());
         shared.refresh_cv.notify_one();
     }
-    shared.reply(writer, RESP_PROFILE, &reply.encode());
+    replies.send(RESP_PROFILE, &reply.encode());
 }
 
 /// A point-in-time snapshot of one tenant's generation state; an
@@ -1126,35 +1115,32 @@ fn handle_profile(request: ProfileRequest, writer: &ReplyWriter, shared: &Arc<Sh
 /// false` rather than an error, so pollers need no special casing.
 fn handle_generation_stats(
     request: GenerationStatsRequest,
-    writer: &ReplyWriter,
+    replies: &Replies,
     shared: &Arc<Shared>,
 ) {
-    let tenants = shared.tenants.lock().expect("tenants lock");
+    let tenants = recover(shared.tenants.lock());
     let reply = match tenants.get(&request.tenant) {
         Some(state) => {
-            let serving_set =
-                state.serving.as_ref().and_then(|s| s.hot_set.clone()).unwrap_or_default();
+            let serving = state.serving.as_deref();
+            let hot_set = serving.and_then(|s| s.hot_set.as_ref());
+            let serving_set = hot_set.cloned().unwrap_or_default();
             let drift =
                 state.profile.drift(&serving_set, shared.config.hot_fraction).unwrap_or(0.0);
             GenerationStats {
                 request_id: request.request_id,
                 tenant: request.tenant.clone(),
                 registered: state.program.is_some(),
-                serving_generation: state.serving.as_ref().map_or(0, |s| s.id),
+                serving_generation: serving.map_or(0, |s| s.id),
                 generations_sealed: state.generations_sealed,
                 refreshes_triggered: state.refreshes_triggered,
                 refresh_in_flight: state.refresh_in_flight,
                 uploads: state.profile.uploads(),
                 tracked_methods: state.profile.tracked_methods() as u64,
                 drift_ppm: to_ppm(drift),
-                hot_restricted: state.serving.as_ref().is_some_and(|s| s.hot_set.is_some()),
-                hot_set_size: state
-                    .serving
-                    .as_ref()
-                    .and_then(|s| s.hot_set.as_ref())
-                    .map_or(0, |h| h.len() as u64),
-                elf_len: state.serving.as_ref().map_or(0, |s| s.elf.len() as u64),
-                elf_fnv: state.serving.as_ref().map_or(0, |s| s.elf_fnv),
+                hot_restricted: hot_set.is_some(),
+                hot_set_size: hot_set.map_or(0, |h| h.len() as u64),
+                elf_len: serving.map_or(0, |s| s.elf_len),
+                elf_fnv: serving.map_or(0, |s| s.elf_fnv),
             }
         }
         None => GenerationStats {
@@ -1164,14 +1150,14 @@ fn handle_generation_stats(
         },
     };
     drop(tenants);
-    shared.reply(writer, RESP_GENERATION_STATS, &reply.encode());
+    replies.send(RESP_GENERATION_STATS, &reply.encode());
 }
 
 /// A point-in-time snapshot of the shared outline dictionary. A daemon
 /// running without one answers `enabled: false` with every counter
 /// zeroed — asking is never an error, so external gates need no
 /// special casing.
-fn handle_dict_stats(request: DictStatsRequest, writer: &ReplyWriter, shared: &Arc<Shared>) {
+fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<Shared>) {
     let reply = match &shared.dict {
         Some(registry) => {
             let stats = registry.cumulative_stats();
@@ -1193,7 +1179,7 @@ fn handle_dict_stats(request: DictStatsRequest, writer: &ReplyWriter, shared: &A
         }
         None => DictStatsReply { request_id: request.request_id, ..DictStatsReply::default() },
     };
-    shared.reply(writer, RESP_DICT_STATS, &reply.encode());
+    replies.send(RESP_DICT_STATS, &reply.encode());
 }
 
 /// The background re-optimization worker. Pops tenants whose drift
@@ -1205,7 +1191,7 @@ fn handle_dict_stats(request: DictStatsRequest, writer: &ReplyWriter, shared: &A
 fn refresh_loop(shared: &Arc<Shared>) {
     loop {
         let name = {
-            let mut queue = shared.refresh_queue.lock().expect("refresh queue lock");
+            let mut queue = recover(shared.refresh_queue.lock());
             loop {
                 if let Some(name) = queue.pop_front() {
                     break Some(name);
@@ -1213,7 +1199,7 @@ fn refresh_loop(shared: &Arc<Shared>) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared.refresh_cv.wait(queue).expect("refresh wait");
+                queue = recover(shared.refresh_cv.wait(queue));
             }
         };
         let Some(name) = name else { return };
@@ -1226,7 +1212,7 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
     // compile unlocked: the serving generation keeps answering fetches
     // for the whole duration of the rebuild.
     let snapshot = {
-        let mut tenants = shared.tenants.lock().expect("tenants lock");
+        let mut tenants = recover(shared.tenants.lock());
         let Some(state) = tenants.get_mut(name) else { return };
         match (&state.program, state.profile.hot_set(shared.config.hot_fraction)) {
             (Some(program), Ok(hot)) => {
@@ -1245,16 +1231,18 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
     let build_start = Instant::now();
     let result = session.build(&dex, &options);
     let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut tenants = shared.tenants.lock().expect("tenants lock");
+    // Serialised before the lock is taken: the flip only assigns.
+    let result = result.map(|output| (calibro_oat::to_elf_bytes(&output.oat), output));
+    let mut tenants = recover(shared.tenants.lock());
     let Some(state) = tenants.get_mut(name) else { return };
     state.refresh_in_flight = false;
     match result {
-        Ok(mut output) => {
+        Ok((elf, mut output)) => {
             // Flip only if the registered program is still the one this
             // refresh compiled: a re-registration that raced the rebuild
             // must not be clobbered by an artifact for the old program.
             if state.program.as_ref().is_some_and(|p| p.identity == identity) {
-                flip_generation(shared, state, &options, fingerprints, &mut output, build_us);
+                flip_generation(shared, state, &options, fingerprints, &mut output, elf, build_us);
             }
             drop(tenants);
             seal_dict(shared, &options);
@@ -1262,5 +1250,44 @@ fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
         Err(_) => {
             shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use calibro_workloads::{generate, AppSpec};
+
+    /// A thread that panics while it holds the tenant table poisons the
+    /// lock; every tenant request after that is still answered.
+    #[test]
+    fn a_poisoned_tenant_table_keeps_serving() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-poison-{}.sock", std::process::id()));
+        // Drift never reaches 2.0: no upload schedules a refresh.
+        let config = ServerConfig { drift_threshold: 2.0, ..ServerConfig::default() };
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), config).expect("start");
+        let app = generate(&AppSpec::small("poisoned", 5));
+        let options = BuildOptions::cto_ltbo();
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        let sealed = client.build_for_tenant("app", &app.dex, &options, None).expect("register");
+
+        let shared = Arc::clone(&daemon.shared);
+        let holder = std::thread::spawn(move || {
+            let _tenants = shared.tenants.lock();
+            panic!("a holder of the tenant table dies");
+        });
+        assert!(holder.join().is_err());
+        assert!(daemon.shared.tenants.is_poisoned());
+
+        let fetched = client.build_for_tenant("app", &app.dex, &options, None).expect("fetch");
+        assert_eq!((fetched.generation, &fetched.elf), (1, &sealed.elf));
+        let uploaded = client.upload_profile("app", "0 10\n1 5\n").expect("profile upload");
+        assert_eq!((uploaded.uploads, uploaded.serving_generation), (1, 1));
+        let stats = client.generation_stats("app").expect("generation-stats");
+        assert!(stats.registered);
+        assert_eq!((stats.serving_generation, stats.uploads), (1, 1));
+        assert_eq!(daemon.shutdown().tenants, 1);
     }
 }

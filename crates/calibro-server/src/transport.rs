@@ -27,8 +27,8 @@ pub(crate) fn connect(endpoint: &ShardEndpoint) -> io::Result<Stream> {
 }
 
 impl Stream {
-    /// A second handle to the same socket (the reply writer's half, the
-    /// shutdown registry's handle).
+    /// A second handle to the same socket (a daemon connection's writer
+    /// thread owns one, the drain's registry another).
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             #[cfg(unix)]
@@ -37,13 +37,14 @@ impl Stream {
         })
     }
 
-    /// Shuts both directions down, unblocking any reader. Best effort:
-    /// the peer may already be gone.
-    pub(crate) fn shutdown(&self) {
+    /// Shuts `Read` (a blocked reader sees end of stream; writes still go
+    /// out) or `Both` (a write blocked on a peer that does not read fails
+    /// too). Best effort: the peer may already be gone.
+    pub(crate) fn shutdown(&self, how: Shutdown) {
         let _ = match self {
             #[cfg(unix)]
-            Stream::Unix(s) => s.shutdown(Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
         };
     }
 }

@@ -4,17 +4,19 @@
 
 #![cfg(unix)]
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calibro::BuildOptions;
 use calibro_server::proto::{
     read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_DICT_STATS,
-    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_ERROR, RESP_PONG,
-    RESP_STATS,
+    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_BUILT, RESP_ERROR,
+    RESP_PONG, RESP_STATS,
 };
 use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig, ServerStats};
 use calibro_workloads::{generate, AppSpec};
@@ -489,6 +491,187 @@ fn pipelined_large_builds_complete() {
     let stats = daemon.shutdown();
     assert_eq!(stats.requests_completed, 8 + 8 + 64);
     assert_eq!(stats.rejected_overloaded, 0);
+}
+
+/// The body of a build request for `dex` under `options` (a tenant
+/// fetch when `tenant` is set), with request id 0: the id is the first
+/// eight bytes, which [`pipeline`] overwrites.
+fn build_body(tenant: Option<&str>, dex: &calibro_dex::DexFile, options: &BuildOptions) -> Vec<u8> {
+    calibro_server::BuildRequest {
+        request_id: 0,
+        deadline: None,
+        options_fp: calibro::options_fingerprint(options),
+        ltbo_fp: calibro_server::ltbo_fingerprint(options),
+        tenant: tenant.map(str::to_owned),
+        options: options.clone(),
+        dex: dex.clone(),
+    }
+    .encode()
+}
+
+/// One outcome per request id, as a client that pipelines sees them.
+type Outcomes = HashMap<u64, Result<calibro_server::BuildReply, ServeError>>;
+
+/// Writes every request as a build frame on one raw connection — each
+/// body with its id written over the first eight bytes — and reads
+/// nothing until the last one is written; then reads until every id
+/// has its outcome, failing on a second outcome for any id.
+fn pipeline(stream: &mut UnixStream, requests: &[(u64, Arc<Vec<u8>>)]) -> Outcomes {
+    for (id, body) in requests {
+        let mut body = body.to_vec();
+        body[..8].copy_from_slice(&id.to_le_bytes());
+        write_frame(stream, REQ_BUILD, &body).expect("send");
+    }
+    let mut outcomes = HashMap::new();
+    while outcomes.len() < requests.len() {
+        let (id, outcome) = match read_frame(stream, 64 << 20).expect("read reply") {
+            FrameEvent::Frame { kind: RESP_BUILT, body } => {
+                let reply = calibro_server::BuildReply::decode(&body).expect("reply decodes");
+                (reply.request_id, Ok(reply))
+            }
+            FrameEvent::Frame { kind: RESP_ERROR, body } => {
+                let reply = ErrorReply::decode(&body).expect("error decodes");
+                (reply.request_id, Err(reply.error))
+            }
+            other => panic!("expected a build outcome, got {other:?}"),
+        };
+        assert!(outcomes.insert(id, outcome).is_none(), "request {id} answered twice");
+    }
+    outcomes
+}
+
+/// A client that writes 64 tenant fetches of a 200-method app and then
+/// a burst that overflows the admission queue, before it reads
+/// anything: request and reply bodies are each bigger than the socket
+/// buffer, so the daemon must keep reading while replies to this very
+/// client pile up unread. Every request gets its one typed outcome.
+#[test]
+fn pipelined_tenant_fetches_and_an_overflowing_burst_are_all_answered() {
+    let app = generate(&AppSpec { methods: 200, ..AppSpec::small("fetched", 71) });
+    let slow = generate(&AppSpec { methods: 600, ..AppSpec::small("slow", 7) });
+    let options = BuildOptions::cto_ltbo();
+    let (daemon, socket) =
+        start(ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let sealed = client.build_for_tenant("app", &app.dex, &options, None).expect("register").elf;
+
+    let fetch = Arc::new(build_body(Some("app"), &app.dex, &options));
+    let build = Arc::new(build_body(None, &slow.dex, &options));
+    let (fetches, burst) = (64, 16);
+    let requests: Vec<_> = (0..fetches)
+        .map(|id| (id, Arc::clone(&fetch)))
+        .chain((fetches..fetches + burst).map(|id| (id, Arc::clone(&build))))
+        .collect();
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    let outcomes = within(Duration::from_secs(60), move || pipeline(&mut raw, &requests));
+
+    assert_eq!(outcomes.len() as u64, fetches + burst);
+    for id in 0..fetches {
+        let reply = outcomes[&id].as_ref().unwrap_or_else(|e| panic!("fetch {id}: {e}"));
+        assert_eq!((reply.generation, &reply.elf), (1, &sealed), "fetch {id}");
+    }
+    let mut rejected = 0;
+    for id in fetches..fetches + burst {
+        match &outcomes[&id] {
+            Ok(reply) => assert_eq!(reply.generation, 0),
+            Err(ServeError::Overloaded { capacity: 1 }) => rejected += 1,
+            Err(e) => panic!("build {id}: {e}"),
+        }
+    }
+    assert!(rejected >= 1, "the burst must overflow the admission queue");
+    let stats = daemon.shutdown();
+    assert_eq!(stats.rejected_overloaded, rejected);
+    assert_eq!(stats.build_errors, 0);
+}
+
+/// A client that pipelines far more fetches than it reads: once more
+/// than a frame ceiling of replies is unread on its connection, each
+/// further request is rejected with `Overloaded`, whose capacity is
+/// that ceiling — the daemon never stops reading.
+#[test]
+fn unread_replies_past_the_frame_ceiling_reject_with_overloaded() {
+    let app = generate(&AppSpec { methods: 200, ..AppSpec::small("backlogged", 73) });
+    let options = BuildOptions::cto_ltbo();
+    let (daemon, socket) = start(ServerConfig { max_frame: 1 << 20, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let sealed = client.build_for_tenant("app", &app.dex, &options, None).expect("register").elf;
+
+    let fetch = Arc::new(build_body(Some("app"), &app.dex, &options));
+    let requests: Vec<_> = (0..256).map(|id| (id, Arc::clone(&fetch))).collect();
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    let outcomes = within(Duration::from_secs(60), move || pipeline(&mut raw, &requests));
+
+    assert_eq!(outcomes.len(), 256);
+    let mut rejected = 0;
+    for (id, outcome) in &outcomes {
+        match outcome {
+            Ok(reply) => assert_eq!(reply.elf, sealed, "fetch {id}"),
+            Err(ServeError::Overloaded { capacity: 1_048_576 }) => rejected += 1,
+            Err(e) => panic!("fetch {id}: {e}"),
+        }
+    }
+    assert!(rejected >= 1, "a backlog past the frame ceiling must reject");
+    let stats = daemon.shutdown();
+    assert_eq!(stats.rejected_overloaded, rejected);
+}
+
+/// A client that streams empty pings and never reads: the replies, then
+/// the rejections, pile up until twice the frame ceiling is unread, and
+/// then the daemon cuts the connection — its memory for one client is
+/// bounded however long the client keeps writing.
+#[test]
+fn a_client_that_never_reads_its_rejections_is_cut() {
+    let ceiling = 1 << 16;
+    let (daemon, socket) = start(ServerConfig { max_frame: ceiling, ..ServerConfig::default() });
+    let mut pings = Vec::new();
+    for _ in 0..4096 {
+        write_frame(&mut pings, REQ_PING, &[]).expect("encode ping");
+    }
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    // Writes until the daemon has shut the connection down.
+    within(Duration::from_secs(60), move || while raw.write_all(&pings).is_ok() {});
+
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    client.ping().expect("the daemon keeps serving other clients");
+    let stats = daemon.shutdown();
+    // Every rejection holds its bytes and its queue slot (charged at 64
+    // bytes or more), and they are only queued between one ceiling of
+    // backlog and two: far fewer than the ~22-byte frames would allow.
+    assert!(stats.rejected_overloaded >= 1);
+    assert!(stats.rejected_overloaded <= 2 * ceiling / 64, "{}", stats.rejected_overloaded);
+}
+
+/// Drain stays bounded when a client has pipelined fetches and never
+/// reads a reply: the daemon delivers what it can, then cuts the
+/// connection instead of waiting on the client for ever.
+#[test]
+fn shutdown_is_bounded_when_a_client_never_reads() {
+    let app = generate(&AppSpec { methods: 200, ..AppSpec::small("unread", 75) });
+    let options = BuildOptions::cto_ltbo();
+    let (daemon, socket) = start(ServerConfig::default());
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    client.build_for_tenant("app", &app.dex, &options, None).expect("register");
+
+    let fetch = build_body(Some("app"), &app.dex, &options);
+    let raw = UnixStream::connect(&socket).expect("connect raw");
+    let mut sender = raw.try_clone().expect("clone raw");
+    // Written from a thread of its own: the writes may block, and fail
+    // once the drain cuts the connection.
+    std::thread::spawn(move || {
+        for _ in 0..8 {
+            if write_frame(&mut sender, REQ_BUILD, &fetch).is_err() {
+                break;
+            }
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.server_stats().expect("stats").requests_completed < 3 {
+        assert!(Instant::now() < deadline, "the daemon never answered a fetch");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = within(Duration::from_secs(30), move || daemon.shutdown());
+    assert!(stats.requests_completed >= 3);
+    drop(raw);
 }
 
 /// A build request as raw bytes: `request`'s header, then `program` in
