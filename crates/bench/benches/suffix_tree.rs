@@ -2,9 +2,7 @@
 //! the paper's Table 6 (single global tree vs paralleled trees), and the
 //! scale ladder that says how detection grows with the program.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
+use bench::alloc::peak_heap;
 use calibro::{build, BuildOptions};
 use calibro_suffix::{detect_group, group_text_len, partition_stable, SuffixTree, TaggedSequence};
 use calibro_workloads::{generate, paper_suite};
@@ -12,74 +10,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Live heap bytes and their high-water mark while `peak_heap` runs, the
-// way `benchmark/src/alloc.rs` counts. Statistics only, so `Relaxed`.
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-fn on_alloc(size: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-}
-
-fn on_free(size: usize) {
-    if COUNTING.load(Ordering::Relaxed) {
-        // Blocks allocated before counting started may be freed during
-        // it; saturate instead of wrapping below zero.
-        let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
-            Some(live.saturating_sub(size))
-        });
-    }
-}
-
-// SAFETY: every method forwards to `System` with the caller's layout
-// and pointer unchanged; the bookkeeping around the calls touches only
-// atomics and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        on_alloc(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        on_free(layout.size());
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        on_free(layout.size());
-        on_alloc(new_size);
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+// Live heap bytes and their high-water mark while `peak_heap` runs.
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with counting on; returns the largest growth of the live
-/// heap while it ran.
-fn peak_heap<T>(f: impl FnOnce() -> T) -> usize {
-    LIVE.store(0, Ordering::Relaxed);
-    PEAK.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    drop(f());
-    COUNTING.store(false, Ordering::Relaxed);
-    PEAK.load(Ordering::Relaxed)
-}
+static ALLOCATOR: bench::alloc::Counting = bench::alloc::Counting;
 
 /// Builds method-like sequences with shared motifs.
 fn sequences(n_methods: usize, len: usize, seed: u64) -> Vec<TaggedSequence> {

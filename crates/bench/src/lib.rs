@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod dict;
 pub mod drift;
 pub mod experiments;

@@ -8,7 +8,7 @@ use std::mem::size_of_val;
 use calibro_codegen::CompiledMethod;
 use calibro_hgraph::PassStats;
 use calibro_isa::{encode_words, EncodeError, Insn};
-use calibro_suffix::{stable_sequence_hash, OutlineCandidate, UNIQUE_SEPARATOR_BASE};
+use calibro_suffix::{stable_sequence_hash_of, OutlineCandidate, UNIQUE_SEPARATOR_BASE};
 
 use crate::hash::{CacheKey, StableHasher};
 
@@ -34,11 +34,18 @@ thread_local! {
 /// group addresses from both come from here.
 #[must_use]
 pub fn sequence_content_key(symbols: &[u64]) -> CacheKey {
+    sequence_content_key_of(symbols.iter().copied())
+}
+
+/// [`sequence_content_key`] of the sequence `symbols` yields, without
+/// that sequence ever being stored: [`SymbolTemplate::new`] feeds it
+/// straight from the slots.
+fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> CacheKey {
     SCRATCH.with(|cell| {
         let mut h = cell.borrow_mut();
         h.write_tag(0x53); // 'S'
         h.write_usize(symbols.len());
-        for &sym in symbols {
+        for sym in symbols {
             if sym >= UNIQUE_SEPARATOR_BASE {
                 h.write_tag(1);
             } else {
@@ -75,6 +82,18 @@ pub enum TemplateSlot {
     },
 }
 
+impl TemplateSlot {
+    /// The symbol this slot replays to, as both canonical hashes see it:
+    /// a `Lit` slot's word, and for a `Leader` or `Fresh` slot
+    /// [`UNIQUE_SEPARATOR_BASE`], which stands for every separator.
+    fn canonical_symbol(self) -> u64 {
+        match self {
+            TemplateSlot::Lit { encoded, .. } => u64::from(encoded),
+            TemplateSlot::Leader | TemplateSlot::Fresh { .. } => UNIQUE_SEPARATOR_BASE,
+        }
+    }
+}
+
 /// The precomputed symbol sequence of one LTBO candidate method, before
 /// fresh separator numbers are assigned. Computed for the unfiltered
 /// (`hot = false`) case; hot-restricted methods fall back to direct
@@ -83,36 +102,38 @@ pub enum TemplateSlot {
 ///
 /// Alongside the slots, the template caches the two canonical hashes of
 /// its replay output — the [`sequence_content_key`] Merkle leaf and the
-/// [`stable_sequence_hash`] partition hash. Both canonicalize separator
-/// values, so they are invariant under the separator band a replay
-/// draws from; caching them here takes both hash passes off the warm
-/// critical path (a cache-hit method replays its template and reads the
-/// hashes instead of re-hashing its whole sequence every build). The
-/// fields are private and computed only by [`SymbolTemplate::new`], so
-/// a template's hashes can never disagree with its slots.
+/// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash)
+/// partition hash. Both canonicalize separator values, so they are
+/// invariant under the separator band a replay draws from (and computed
+/// from the slots without one); caching them here takes both hash
+/// passes off the warm critical path (a cache-hit method replays its
+/// template and reads the hashes instead of re-hashing its whole
+/// sequence every build). The fields are private and computed only by
+/// [`SymbolTemplate::new`], so a template's hashes can never disagree
+/// with its slots.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SymbolTemplate {
     /// The slots, in emission order.
     pub(crate) slots: Vec<TemplateSlot>,
     /// [`sequence_content_key`] of the replayed sequence.
     content_key: CacheKey,
-    /// [`stable_sequence_hash`] of the replayed sequence.
+    /// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash) of
+    /// the replayed sequence.
     group_hash: u64,
 }
 
 impl SymbolTemplate {
     /// Builds a template from its slots, computing the canonical
-    /// content key and partition hash of the replay output once.
+    /// content key and partition hash of the replay output once —
+    /// straight from the slots, with no replay: both hashes see every
+    /// separator as the same canonical symbol, so which band a replay
+    /// would draw from cannot matter.
     #[must_use]
     pub fn new(slots: Vec<TemplateSlot>) -> Self {
-        let mut t = SymbolTemplate { slots, content_key: CacheKey { hi: 0, lo: 0 }, group_hash: 0 };
-        // Any band at or above the separator base yields the same
-        // canonical hashes; use the base itself.
-        let mut unique = UNIQUE_SEPARATOR_BASE;
-        let symbols = t.replay_symbols(&mut unique);
-        t.content_key = sequence_content_key(&symbols);
-        t.group_hash = stable_sequence_hash(&symbols);
-        t
+        let symbols = || slots.iter().map(|&slot| slot.canonical_symbol());
+        let content_key = sequence_content_key_of(symbols());
+        let group_hash = stable_sequence_hash_of(symbols());
+        SymbolTemplate { slots, content_key, group_hash }
     }
 
     /// The slots, in emission order.
@@ -127,7 +148,8 @@ impl SymbolTemplate {
         self.content_key
     }
 
-    /// Cached [`stable_sequence_hash`] of the replayed sequence.
+    /// Cached [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash)
+    /// of the replayed sequence.
     #[must_use]
     pub fn group_hash(&self) -> u64 {
         self.group_hash
@@ -363,6 +385,8 @@ impl DictEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calibro_suffix::stable_sequence_hash;
+    use proptest::prelude::*;
 
     #[test]
     fn replay_assigns_sequential_separators() {
@@ -392,23 +416,64 @@ mod tests {
         assert_eq!(words, vec![0, usize::MAX, 1, 2]);
     }
 
+    /// Asserts the template's cached hashes equal a direct hash of its
+    /// replay output from three separator bands — the invariant that
+    /// lets the warm path trust them, whatever band a method draws.
+    fn assert_hashes_match_every_band(slots: Vec<TemplateSlot>) {
+        let t = SymbolTemplate::new(slots);
+        for band in [0u64, 1 << 24, 1835 << 24] {
+            let mut unique = UNIQUE_SEPARATOR_BASE + band;
+            let symbols = t.replay_symbols(&mut unique);
+            assert_eq!(t.content_key(), sequence_content_key(&symbols), "band {band}");
+            assert_eq!(t.group_hash(), stable_sequence_hash(&symbols), "band {band}");
+        }
+    }
+
     #[test]
     fn cached_hashes_match_any_replay_band() {
-        // The cached hashes must equal a direct hash of the replay
-        // output no matter which separator band the replay draws from —
-        // this is the invariant that lets the warm path trust them.
-        let t = SymbolTemplate::new(vec![
+        assert_hashes_match_every_band(Vec::new());
+        assert_hashes_match_every_band(vec![TemplateSlot::Leader; 5]);
+        assert_hashes_match_every_band(vec![
             TemplateSlot::Lit { encoded: 7, word: 0 },
             TemplateSlot::Leader,
             TemplateSlot::Fresh { word: 1 },
             TemplateSlot::Lit { encoded: 9, word: 2 },
             TemplateSlot::Fresh { word: 3 },
         ]);
-        for band in [0u64, 1 << 24, 1835 << 24] {
-            let mut unique = UNIQUE_SEPARATOR_BASE + band;
-            let symbols = t.replay_symbols(&mut unique);
-            assert_eq!(t.content_key(), sequence_content_key(&symbols), "band {band}");
-            assert_eq!(t.group_hash(), stable_sequence_hash(&symbols), "band {band}");
+    }
+
+    fn slot() -> impl Strategy<Value = TemplateSlot> {
+        prop_oneof![
+            Just(TemplateSlot::Leader),
+            any::<u32>().prop_map(|word| TemplateSlot::Fresh { word }),
+            (any::<u32>(), any::<u32>())
+                .prop_map(|(encoded, word)| TemplateSlot::Lit { encoded, word }),
+        ]
+    }
+
+    fn separator() -> impl Strategy<Value = TemplateSlot> {
+        prop_oneof![
+            Just(TemplateSlot::Leader),
+            any::<u32>().prop_map(|word| TemplateSlot::Fresh { word })
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hashing the slots directly equals hashing what they replay to,
+        /// over `Leader`/`Fresh`/`Lit` mixes of any length from zero.
+        #[test]
+        fn slot_hashes_equal_replay_hashes(slots in prop::collection::vec(slot(), 0..48)) {
+            assert_hashes_match_every_band(slots);
+        }
+
+        /// The same over sequences of nothing but separators.
+        #[test]
+        fn separator_only_hashes_equal_replay_hashes(
+            slots in prop::collection::vec(separator(), 0..16),
+        ) {
+            assert_hashes_match_every_band(slots);
         }
     }
 

@@ -229,20 +229,48 @@ impl Insn {
     }
 
     /// Returns `true` if executing this instruction writes the link
-    /// register `x30` (either as a call side effect or as a plain
-    /// destination).
+    /// register `x30`: as a call side effect, as a plain destination, or
+    /// as either destination of a load pair (which `dest_reg` cannot
+    /// report).
     #[must_use]
     pub fn writes_lr(&self) -> bool {
-        if self.is_call() {
-            return true;
+        match *self {
+            Insn::Ldp { rt, rt2, .. } => rt.is_lr() || rt2.is_lr(),
+            _ => self.is_call() || self.dest_reg().is_some_and(Reg::is_lr),
         }
-        matches!(self.dest_reg(), Some(r) if r.is_lr())
     }
 
     /// Returns `true` if executing this instruction reads `x30`.
     #[must_use]
     pub fn reads_lr(&self) -> bool {
-        self.source_regs().iter().any(|r| r.is_lr())
+        let mut reads = false;
+        self.for_each_read(|r| reads |= r.is_lr());
+        reads
+    }
+
+    /// Returns `true` if executing this instruction changes `sp`: an
+    /// add/sub immediate into register 31 that sets no flags (with flags
+    /// set, register 31 is the zero register), or a pair access that
+    /// writes its `sp` base back.
+    #[must_use]
+    pub fn writes_sp(&self) -> bool {
+        match *self {
+            Insn::AddImm { set_flags: false, rd, .. }
+            | Insn::SubImm { set_flags: false, rd, .. } => rd.is_reg31(),
+            Insn::Stp { rn, mode, .. } | Insn::Ldp { rn, mode, .. } => {
+                rn.is_reg31() && mode != PairMode::SignedOffset
+            }
+            _ => false,
+        }
+    }
+
+    /// Returns `true` if this instruction may not move into an outlined
+    /// function: it reads `x30`, writes `x30` or writes `sp`. An outlined
+    /// body is entered by `bl`, which sets `x30`, returns through
+    /// `br x30`, and has no frame of its own.
+    #[must_use]
+    pub fn is_outline_hazard(&self) -> bool {
+        self.reads_lr() || self.writes_lr() || self.writes_sp()
     }
 
     /// The general-purpose destination register, if any.
@@ -273,53 +301,52 @@ impl Insn {
         }
     }
 
-    /// The general-purpose registers read by this instruction.
-    #[must_use]
-    pub fn source_regs(&self) -> Vec<Reg> {
+    /// Calls `f` with each general-purpose register this instruction
+    /// reads, in operand order. The one place read operands are listed;
+    /// [`reads_lr`](Insn::reads_lr) and every dataflow client go through
+    /// it. Register 31 is reported as read whether it names `sp` or the
+    /// zero register; callers interested in real dataflow filter it.
+    #[inline]
+    pub fn for_each_read(&self, mut f: impl FnMut(Reg)) {
         match *self {
             Insn::Cbz { rt, .. }
             | Insn::Cbnz { rt, .. }
             | Insn::Tbz { rt, .. }
-            | Insn::Tbnz { rt, .. } => {
-                vec![rt]
-            }
-            Insn::Br { rn } | Insn::Blr { rn } | Insn::Ret { rn } => vec![rn],
-            Insn::Movk { rd, .. } => vec![rd], // read-modify-write
-            Insn::AddImm { rn, .. } | Insn::SubImm { rn, .. } | Insn::Ubfm { rn, .. } => vec![rn],
+            | Insn::Tbnz { rt, .. } => f(rt),
+            Insn::Br { rn } | Insn::Blr { rn } | Insn::Ret { rn } => f(rn),
+            Insn::Movk { rd, .. } => f(rd), // read-modify-write
+            Insn::AddImm { rn, .. }
+            | Insn::SubImm { rn, .. }
+            | Insn::Ubfm { rn, .. }
+            | Insn::Sbfm { rn, .. }
+            | Insn::LdrImm { rn, .. }
+            | Insn::Ldp { rn, .. } => f(rn),
             Insn::AddReg { rn, rm, .. }
             | Insn::SubReg { rn, rm, .. }
             | Insn::AndReg { rn, rm, .. }
             | Insn::OrrReg { rn, rm, .. }
-            | Insn::EorReg { rn, rm, .. } => vec![rn, rm],
-            Insn::Sdiv { rn, rm, .. } | Insn::Lslv { rn, rm, .. } | Insn::Asrv { rn, rm, .. } => {
-                vec![rn, rm]
+            | Insn::EorReg { rn, rm, .. }
+            | Insn::Sdiv { rn, rm, .. }
+            | Insn::Lslv { rn, rm, .. }
+            | Insn::Asrv { rn, rm, .. } => {
+                f(rn);
+                f(rm);
             }
-            Insn::Sbfm { rn, .. } => vec![rn],
-            Insn::Madd { rn, rm, ra, .. } | Insn::Msub { rn, rm, ra, .. } => vec![rn, rm, ra],
-            Insn::LdrImm { rn, .. } => vec![rn],
-            Insn::StrImm { rt, rn, .. } => vec![rt, rn],
-            Insn::Stp { rt, rt2, rn, .. } => vec![rt, rt2, rn],
-            Insn::Ldp { rn, .. } => vec![rn],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Returns `true` if the instruction reads or writes the stack pointer.
-    /// Outlined bodies must not manipulate `sp` (the outlined function adds
-    /// no frame, so `sp`-relative state must be transparent).
-    #[must_use]
-    pub fn touches_sp(&self) -> bool {
-        let sp_as_base = |r: Reg| r.is_reg31();
-        match *self {
-            // reg31 is SP in base/dest position of add/sub immediate.
-            Insn::AddImm { rd, rn, .. } | Insn::SubImm { rd, rn, .. } => {
-                sp_as_base(rd) || sp_as_base(rn)
+            Insn::Madd { rn, rm, ra, .. } | Insn::Msub { rn, rm, ra, .. } => {
+                f(rn);
+                f(rm);
+                f(ra);
             }
-            Insn::LdrImm { rn, .. } | Insn::StrImm { rn, .. } => sp_as_base(rn),
-            Insn::Stp { rn, mode, .. } | Insn::Ldp { rn, mode, .. } => {
-                sp_as_base(rn) || mode != PairMode::SignedOffset && sp_as_base(rn)
+            Insn::StrImm { rt, rn, .. } => {
+                f(rt);
+                f(rn);
             }
-            _ => false,
+            Insn::Stp { rt, rt2, rn, .. } => {
+                f(rt);
+                f(rt2);
+                f(rn);
+            }
+            _ => {}
         }
     }
 }
@@ -409,20 +436,148 @@ mod tests {
     }
 
     #[test]
+    fn a_load_pair_into_x30_writes_the_link_register() {
+        // `ldp x29, x30, [sp, #16]`: no writeback, so no sp write, and
+        // `x30` is a destination `dest_reg` cannot report.
+        let ldp =
+            |rt, rt2| Insn::Ldp { rt, rt2, rn: Reg::SP, offset: 16, mode: PairMode::SignedOffset };
+        let reload = ldp(Reg::FP, Reg::LR);
+        assert!(reload.writes_lr());
+        assert!(!reload.reads_lr() && !reload.writes_sp());
+        assert!(reload.is_outline_hazard());
+        assert!(ldp(Reg::LR, Reg::FP).is_outline_hazard());
+        let plain = ldp(Reg::X1, Reg::X2);
+        assert!(!plain.writes_lr() && !plain.is_outline_hazard());
+    }
+
+    #[test]
     fn sp_classification() {
-        let stack_store = Insn::StrImm { wide: true, rt: Reg::X0, rn: Reg::SP, offset: 16 };
-        assert!(stack_store.touches_sp());
-        let sub_sp = Insn::SubImm {
+        let sub_sp = |set_flags, rd| Insn::SubImm {
             wide: true,
-            set_flags: false,
-            rd: Reg::X16,
+            set_flags,
+            rd,
             rn: Reg::SP,
             imm12: 0x2000 >> 12,
             shift12: true,
         };
-        assert!(sub_sp.touches_sp());
-        let heap_load = Insn::LdrImm { wide: true, rt: Reg::X0, rn: Reg::X1, offset: 0 };
-        assert!(!heap_load.touches_sp());
+        assert!(sub_sp(false, Reg::SP).writes_sp());
+        // With flags set, register 31 is the zero register: `cmp`.
+        assert!(!sub_sp(true, Reg::ZR).writes_sp());
+        // Reading sp is no write.
+        assert!(!sub_sp(false, Reg::X16).writes_sp());
+        let push = |mode| Insn::Stp { rt: Reg::FP, rt2: Reg::LR, rn: Reg::SP, offset: -16, mode };
+        assert!(push(PairMode::PreIndex).writes_sp());
+        assert!(push(PairMode::PostIndex).writes_sp());
+        assert!(!push(PairMode::SignedOffset).writes_sp());
+        let stack_store = Insn::StrImm { wide: true, rt: Reg::X0, rn: Reg::SP, offset: 16 };
+        assert!(!stack_store.writes_sp());
+    }
+
+    /// One instance of every variant, in declaration order, its register
+    /// fields filled from `r` in field order.
+    fn every_variant(r: [Reg; 4], set_flags: bool, mode: PairMode) -> [Insn; 37] {
+        let [a, b, c, d] = r;
+        let wide = true;
+        [
+            Insn::B { offset: 8 },
+            Insn::Bl { offset: 8 },
+            Insn::BCond { cond: Cond::Ne, offset: 8 },
+            Insn::Cbz { wide, rt: a, offset: 8 },
+            Insn::Cbnz { wide, rt: a, offset: 8 },
+            Insn::Tbz { rt: a, bit: 3, offset: 8 },
+            Insn::Tbnz { rt: a, bit: 3, offset: 8 },
+            Insn::Adr { rd: a, offset: 8 },
+            Insn::Adrp { rd: a, offset: 4096 },
+            Insn::LdrLit { wide, rt: a, offset: 8 },
+            Insn::Br { rn: a },
+            Insn::Blr { rn: a },
+            Insn::Ret { rn: a },
+            Insn::Movz { wide, rd: a, imm16: 7, hw: 0 },
+            Insn::Movn { wide, rd: a, imm16: 7, hw: 0 },
+            Insn::Movk { wide, rd: a, imm16: 7, hw: 1 },
+            Insn::AddImm { wide, set_flags, rd: a, rn: b, imm12: 16, shift12: false },
+            Insn::SubImm { wide, set_flags, rd: a, rn: b, imm12: 16, shift12: false },
+            Insn::AddReg { wide, set_flags, rd: a, rn: b, rm: c, shift: 0 },
+            Insn::SubReg { wide, set_flags, rd: a, rn: b, rm: c, shift: 0 },
+            Insn::AndReg { wide, set_flags, rd: a, rn: b, rm: c, shift: 0 },
+            Insn::OrrReg { wide, rd: a, rn: b, rm: c, shift: 0 },
+            Insn::EorReg { wide, rd: a, rn: b, rm: c, shift: 0 },
+            Insn::Sdiv { wide, rd: a, rn: b, rm: c },
+            Insn::Lslv { wide, rd: a, rn: b, rm: c },
+            Insn::Asrv { wide, rd: a, rn: b, rm: c },
+            Insn::Madd { wide, rd: a, rn: b, rm: c, ra: d },
+            Insn::Msub { wide, rd: a, rn: b, rm: c, ra: d },
+            Insn::Ubfm { wide, rd: a, rn: b, immr: 1, imms: 63 },
+            Insn::Sbfm { wide, rd: a, rn: b, immr: 1, imms: 63 },
+            Insn::LdrImm { wide, rt: a, rn: b, offset: 8 },
+            Insn::StrImm { wide, rt: a, rn: b, offset: 8 },
+            Insn::Stp { rt: a, rt2: b, rn: c, offset: 16, mode },
+            Insn::Ldp { rt: a, rt2: b, rn: c, offset: 16, mode },
+            Insn::Nop,
+            Insn::Brk { imm: 1 },
+            Insn::Svc { imm: 1 },
+        ]
+    }
+
+    #[test]
+    fn the_read_walk_visits_the_recorded_registers_of_every_variant() {
+        // What the removed `source_regs() -> Vec<Reg>` returned for each
+        // row of `every_variant([x1, x2, x3, x4], ..)`, recorded from it
+        // before it was deleted: the walk must visit exactly these, in
+        // this order.
+        const X1: Reg = Reg::X1;
+        const X2: Reg = Reg::X2;
+        const X3: Reg = Reg::X3;
+        const X4: Reg = Reg::X4;
+        const RECORDED: [&[Reg]; 37] = [
+            &[],           // b
+            &[],           // bl
+            &[],           // b.cond
+            &[X1],         // cbz
+            &[X1],         // cbnz
+            &[X1],         // tbz
+            &[X1],         // tbnz
+            &[],           // adr
+            &[],           // adrp
+            &[],           // ldr (literal)
+            &[X1],         // br
+            &[X1],         // blr
+            &[X1],         // ret
+            &[],           // movz
+            &[],           // movn
+            &[X1],         // movk
+            &[X2],         // add (immediate)
+            &[X2],         // sub (immediate)
+            &[X2, X3],     // add (register)
+            &[X2, X3],     // sub (register)
+            &[X2, X3],     // and
+            &[X2, X3],     // orr
+            &[X2, X3],     // eor
+            &[X2, X3],     // sdiv
+            &[X2, X3],     // lslv
+            &[X2, X3],     // asrv
+            &[X2, X3, X4], // madd
+            &[X2, X3, X4], // msub
+            &[X2],         // ubfm
+            &[X2],         // sbfm
+            &[X2],         // ldr (immediate)
+            &[X1, X2],     // str (immediate)
+            &[X1, X2, X3], // stp
+            &[X3],         // ldp
+            &[],           // nop
+            &[],           // brk
+            &[],           // svc
+        ];
+        for mode in [PairMode::SignedOffset, PairMode::PreIndex, PairMode::PostIndex] {
+            for set_flags in [false, true] {
+                let insns = every_variant([X1, X2, X3, X4], set_flags, mode);
+                for (insn, recorded) in insns.iter().zip(RECORDED) {
+                    let mut walked = Vec::new();
+                    insn.for_each_read(|r| walked.push(r));
+                    assert_eq!(walked, recorded, "{insn:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //! * terminator/call/indirect-jump classification matching the metadata
 //!   categories of §3.2 ([`Insn::is_terminator`], [`Insn::is_call`],
 //!   [`Insn::is_indirect_jump`]);
-//! * link-register dataflow queries used to prove outlining safety
-//!   ([`Insn::reads_lr`], [`Insn::writes_lr`]).
+//! * link-register and stack-pointer dataflow queries used to prove
+//!   outlining safety ([`Insn::reads_lr`], [`Insn::writes_lr`],
+//!   [`Insn::writes_sp`], and all three together,
+//!   [`Insn::is_outline_hazard`]) over one operand walk
+//!   ([`Insn::for_each_read`]).
 //!
 //! # Examples
 //!

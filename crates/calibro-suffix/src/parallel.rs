@@ -92,13 +92,22 @@ impl GroupPlan<'_> {
 /// reshuffles the others' groups.
 #[must_use]
 pub fn stable_sequence_hash(symbols: &[Symbol]) -> u64 {
+    stable_sequence_hash_of(symbols.iter().copied())
+}
+
+/// [`stable_sequence_hash`] of the sequence `symbols` yields, without
+/// that sequence ever being stored — the one implementation, which a
+/// symbolization template feeds straight from its slots.
+#[must_use]
+pub fn stable_sequence_hash_of(symbols: impl ExactSizeIterator<Item = Symbol>) -> u64 {
     const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let len = symbols.len();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &sym in symbols {
+    for sym in symbols {
         let canonical = if sym >= UNIQUE_SEPARATOR_BASE { u64::MAX } else { sym };
         hash = (hash.rotate_left(5) ^ canonical).wrapping_mul(K);
     }
-    hash = (hash.rotate_left(5) ^ symbols.len() as u64).wrapping_mul(K);
+    hash = (hash.rotate_left(5) ^ len as u64).wrapping_mul(K);
     // Avalanche: group selection is `hash % k`, which reads low bits.
     hash ^= hash >> 32;
     hash = hash.wrapping_mul(0xd6e8_feb8_6659_fd93);

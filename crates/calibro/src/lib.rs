@@ -64,6 +64,8 @@ pub use fingerprint::{
     fingerprint_ltbo_config, fingerprint_merge_config, fingerprint_options, merge_plan_key_from,
     method_cache_key, options_fingerprint, program_salt, reference_env,
 };
+#[doc(hidden)]
+pub use ltbo::build_template;
 pub use ltbo::detect_fault;
 pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
 pub use merge::{merge_content_key, MergeConfig, MergeStats};

@@ -553,6 +553,13 @@ pub(crate) fn outline_methods(
     Ok(LtboResult { outlined, stats, detect_time })
 }
 
+/// [`build_template`]'s one flag byte per word: the word becomes a
+/// separator — a terminator, a PC-relative site, a call relocation, or
+/// (in a hot method) a word outside every slow path.
+const FRESH: u8 = 1;
+/// A branch lands on the word, so a leader separator precedes it.
+const LEADER: u8 = 2;
+
 /// Builds the §3.3.2 symbolization structure for one method: which
 /// words are separator-forced (terminators, PC-relative sites, LR
 /// users, SP writers, block leaders) and the encoded words of the rest,
@@ -564,73 +571,66 @@ pub(crate) fn outline_methods(
 /// `hot_slow_paths_only = false` template so warm builds skip this scan
 /// entirely.
 ///
+/// One pass over the metadata marks each word's flag byte, one pass over
+/// the instructions reads it and asks [`Insn::is_outline_hazard`] once
+/// per word; the flag bytes and the slots (sized exactly) are the only
+/// allocations, and [`SymbolTemplate::new`] hashes the slots in place.
+///
 /// # Panics
 ///
 /// Panics if `words` is not one word per instruction.
-pub(crate) fn build_template(
+#[doc(hidden)]
+pub fn build_template(
     m: &CompiledMethod,
     words: &[u32],
     hot_slow_paths_only: bool,
 ) -> SymbolTemplate {
     let code_len = m.insns.len();
     assert_eq!(words.len(), code_len, "one encoded word per instruction");
-    let mut is_pc_rel_site = vec![false; code_len];
-    let mut is_leader = vec![false; code_len];
+    // A hot method outlines its slow paths only: every word starts
+    // fresh and the slow paths are cleared back, before any other mark.
+    let mut flags = vec![if hot_slow_paths_only { FRESH } else { 0 }; code_len];
+    if hot_slow_paths_only {
+        for &(start, end) in &m.metadata.slow_paths {
+            for f in flags.get_mut(start..end.min(code_len)).unwrap_or_default() {
+                *f &= !FRESH;
+            }
+        }
+    }
+    let mut leaders = 0;
     for rec in &m.metadata.pc_rel {
-        is_pc_rel_site[rec.at] = true;
-        if rec.target < code_len {
-            is_leader[rec.target] = true;
+        flags[rec.at] |= FRESH;
+        if let Some(f) = flags.get_mut(rec.target) {
+            leaders += usize::from(*f & LEADER == 0);
+            *f |= LEADER;
         }
     }
     // Call relocations are also position-bound (the linker rewrites their
     // offsets per site); LR rules would exclude them anyway.
     for r in &m.relocs {
-        is_pc_rel_site[r.at] = true;
+        flags[r.at] |= FRESH;
     }
-    let mut is_terminator = vec![false; code_len];
     for &t in &m.metadata.terminators {
-        if t < code_len {
-            is_terminator[t] = true;
+        if let Some(f) = flags.get_mut(t) {
+            *f |= FRESH;
         }
     }
 
-    let mut slots = Vec::with_capacity(code_len + 8);
-    for (word, insn) in m.insns.iter().enumerate() {
+    let mut slots = Vec::with_capacity(code_len + leaders);
+    for (word, ((insn, &encoded), &f)) in m.insns.iter().zip(words).zip(&flags).enumerate() {
         // A basic-block leader must start a fresh sequence: branches land
         // here, so no repeat may span this boundary.
-        if is_leader[word] {
+        if f & LEADER != 0 {
             slots.push(TemplateSlot::Leader);
         }
-        let excluded = is_terminator[word]
-            || is_pc_rel_site[word]
-            || insn.reads_lr()
-            || insn.writes_lr()
-            || writes_sp(insn)
-            || (hot_slow_paths_only && !m.metadata.in_slow_path(word));
-        let encoded = words[word];
         let word = u32::try_from(word).expect("method shorter than 2^32 words");
-        if excluded {
+        if f & FRESH != 0 || insn.is_outline_hazard() {
             slots.push(TemplateSlot::Fresh { word });
         } else {
             slots.push(TemplateSlot::Lit { encoded, word });
         }
     }
     SymbolTemplate::new(slots)
-}
-
-/// Returns `true` if executing the instruction changes `sp` — such
-/// instructions cannot move into an outlined function (which must be
-/// frame-transparent).
-fn writes_sp(insn: &Insn) -> bool {
-    match insn {
-        Insn::AddImm { set_flags: false, rd, .. } | Insn::SubImm { set_flags: false, rd, .. } => {
-            rd.is_reg31()
-        }
-        Insn::Stp { rn, mode, .. } | Insn::Ldp { rn, mode, .. } => {
-            rn.is_reg31() && !matches!(mode, calibro_isa::PairMode::SignedOffset)
-        }
-        _ => false,
-    }
 }
 
 /// Applies sorted, non-overlapping edits to one method and to its
@@ -822,6 +822,24 @@ mod tests {
     }
 
     #[test]
+    fn an_x30_reloading_load_pair_is_a_fresh_slot() {
+        // `ldp x29, x30, [sp, #16]` writes no sp, but reloads the link
+        // register an outlined body returns through.
+        let mut m = method_with_stack_map(12);
+        m.insns[1] = Insn::Ldp {
+            rt: Reg::FP,
+            rt2: Reg::LR,
+            rn: Reg::SP,
+            offset: 16,
+            mode: calibro_isa::PairMode::SignedOffset,
+        };
+        let words = encode_words(&m.insns).unwrap();
+        let template = build_template(&m, &words, false);
+        assert_eq!(template.slots()[1], TemplateSlot::Fresh { word: 1 });
+        assert!(matches!(template.slots()[0], TemplateSlot::Lit { word: 0, .. }));
+    }
+
+    #[test]
     fn symbol_text_is_materialized_only_for_groups_that_re_detect() {
         use crate::{BuildOptions, BuildSession};
         use calibro_workloads::{generate, mutate_methods, AppSpec};
@@ -861,7 +879,64 @@ mod tests {
     /// The per-word implementation the run-copying one replaced, kept
     /// verbatim as the oracle: it knows nothing of encoded words.
     mod reference {
-        use super::super::{CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc};
+        use super::super::{
+            CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc, SymbolTemplate,
+            TemplateSlot,
+        };
+
+        /// The three-bitmap symbolization the one-pass one replaced, kept
+        /// verbatim as the oracle — but for the private `writes_sp` it
+        /// called, now [`Insn::writes_sp`].
+        pub fn build_template(
+            m: &CompiledMethod,
+            words: &[u32],
+            hot_slow_paths_only: bool,
+        ) -> SymbolTemplate {
+            let code_len = m.insns.len();
+            assert_eq!(words.len(), code_len, "one encoded word per instruction");
+            let mut is_pc_rel_site = vec![false; code_len];
+            let mut is_leader = vec![false; code_len];
+            for rec in &m.metadata.pc_rel {
+                is_pc_rel_site[rec.at] = true;
+                if rec.target < code_len {
+                    is_leader[rec.target] = true;
+                }
+            }
+            // Call relocations are also position-bound (the linker rewrites their
+            // offsets per site); LR rules would exclude them anyway.
+            for r in &m.relocs {
+                is_pc_rel_site[r.at] = true;
+            }
+            let mut is_terminator = vec![false; code_len];
+            for &t in &m.metadata.terminators {
+                if t < code_len {
+                    is_terminator[t] = true;
+                }
+            }
+
+            let mut slots = Vec::with_capacity(code_len + 8);
+            for (word, insn) in m.insns.iter().enumerate() {
+                // A basic-block leader must start a fresh sequence: branches land
+                // here, so no repeat may span this boundary.
+                if is_leader[word] {
+                    slots.push(TemplateSlot::Leader);
+                }
+                let excluded = is_terminator[word]
+                    || is_pc_rel_site[word]
+                    || insn.reads_lr()
+                    || insn.writes_lr()
+                    || insn.writes_sp()
+                    || (hot_slow_paths_only && !m.metadata.in_slow_path(word));
+                let encoded = words[word];
+                let word = u32::try_from(word).expect("method shorter than 2^32 words");
+                if excluded {
+                    slots.push(TemplateSlot::Fresh { word });
+                } else {
+                    slots.push(TemplateSlot::Lit { encoded, word });
+                }
+            }
+            SymbolTemplate::new(slots)
+        }
 
         pub fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
             let old_len = m.insns.len();
@@ -1123,6 +1198,105 @@ mod tests {
                 prop_assert_eq!(&actual.metadata, &expected.metadata);
                 prop_assert_eq!(&actual.stack_maps, &expected.stack_maps);
                 prop_assert_eq!(new_words, encode_words(&actual.insns).expect("the result encodes"));
+            }
+        }
+
+        /// A method for symbolization, grown from `seed`: instructions
+        /// drawn from a palette of plain words and every kind of `x30`/`sp`
+        /// hazard (the `x30`-loading `ldp` among them), arbitrary words
+        /// behind them, PC-relative records targeting the code, the pool
+        /// and past it, call relocations, terminators at and past the
+        /// code's end, and unsorted, overlapping, reversed and
+        /// overhanging slow paths.
+        fn symbolize_case(n: usize, pool_len: usize, seed: u64) -> (CompiledMethod, Vec<u32>) {
+            use calibro_isa::PairMode::{PostIndex, PreIndex, SignedOffset};
+
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut below = |bound: usize| rng.below(bound as u64) as usize;
+            let sub = |set_flags, rd, rn| Insn::SubImm {
+                wide: true,
+                set_flags,
+                rd,
+                rn,
+                imm12: 16,
+                shift12: false,
+            };
+            let pair = |load, rt, rt2, mode| match load {
+                true => Insn::Ldp { rt, rt2, rn: Reg::SP, offset: 16, mode },
+                false => Insn::Stp { rt, rt2, rn: Reg::SP, offset: -16, mode },
+            };
+            let palette = [
+                Insn::Nop,
+                Insn::AddImm {
+                    wide: true,
+                    set_flags: false,
+                    rd: Reg::X1,
+                    rn: Reg::X2,
+                    imm12: 4,
+                    shift12: false,
+                },
+                Insn::OrrReg { wide: true, rd: Reg::X3, rn: Reg::ZR, rm: Reg::X4, shift: 0 },
+                Insn::Movk { wide: true, rd: Reg::LR, imm16: 1, hw: 1 },
+                Insn::Bl { offset: 0 },
+                Insn::Blr { rn: Reg::X8 },
+                Insn::Ret { rn: Reg::LR },
+                Insn::B { offset: 8 },
+                Insn::StrImm { wide: true, rt: Reg::LR, rn: Reg::SP, offset: 8 },
+                Insn::LdrImm { wide: true, rt: Reg::LR, rn: Reg::X0, offset: 8 },
+                Insn::StrImm { wide: true, rt: Reg::X1, rn: Reg::SP, offset: 8 },
+                pair(false, Reg::FP, Reg::LR, PreIndex),
+                pair(true, Reg::FP, Reg::LR, PostIndex),
+                pair(true, Reg::FP, Reg::LR, SignedOffset),
+                pair(true, Reg::X1, Reg::X2, SignedOffset),
+                pair(false, Reg::X1, Reg::X2, SignedOffset),
+                sub(false, Reg::SP, Reg::SP),
+                sub(true, Reg::ZR, Reg::X1),
+                sub(false, Reg::X16, Reg::SP),
+            ];
+            let mut m = CompiledMethod {
+                method: MethodId(5),
+                insns: (0..n).map(|_| palette[below(palette.len())]).collect(),
+                pool: (0..pool_len as u32).map(|i| 0xbeef_0000 + i).collect(),
+                relocs: Vec::new(),
+                metadata: MethodMetadata::default(),
+                stack_maps: Vec::new(),
+            };
+            let words = (0..n).map(|_| below(1 << 30) as u32).collect();
+            // Targets inside the code, in the pool, and past both.
+            for _ in 0..below(n + 1) {
+                m.metadata.pc_rel.push(PcRel { at: below(n), target: below(n + pool_len + 3) });
+            }
+            for _ in 0..below(3) {
+                let target = CallTarget::Thunk(ThunkKind::StackCheck);
+                m.relocs.push(Reloc { at: below(n), target });
+            }
+            for _ in 0..below(4) {
+                m.metadata.terminators.push(below(n + 3));
+            }
+            for _ in 0..below(4) {
+                m.metadata.slow_paths.push((below(n + 2), below(n + 2)));
+            }
+            (m, words)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// One flag byte and one hazard query make exactly the slots
+            /// (and so the hashes) the three bitmaps and four queries
+            /// made, hot filtering on and off.
+            #[test]
+            fn one_pass_symbolization_equals_the_three_bitmap_reference(
+                n in 1usize..48,
+                pool_len in 0usize..4,
+                seed in any::<u64>(),
+                hot in any::<bool>(),
+            ) {
+                let (method, words) = symbolize_case(n, pool_len, seed);
+                let expected = reference::build_template(&method, &words, hot);
+                let actual = build_template(&method, &words, hot);
+                prop_assert_eq!(actual.slots(), expected.slots());
+                prop_assert_eq!(actual, expected);
             }
         }
     }

@@ -172,21 +172,13 @@ fn shape_hash(m: &CompiledMethod, words: Option<&[u32]>) -> u64 {
 }
 
 /// Returns `true` if the instruction reads or writes a parameter
-/// register. `dest_reg`/`source_regs` cover most variants; pair
-/// loads/stores enumerate their fields explicitly because `dest_reg`
-/// reports a single destination.
+/// register. `dest_reg` and the read walk cover every operand but a
+/// load pair's two destinations, which `dest_reg` cannot report.
 fn touches_param_reg(insn: &Insn) -> bool {
     let p = |r: Reg| PARAM_REGS.contains(&r);
-    if insn.dest_reg().is_some_and(p) {
-        return true;
-    }
-    if insn.source_regs().into_iter().any(p) {
-        return true;
-    }
-    match *insn {
-        Insn::Ldp { rt, rt2, rn, .. } | Insn::Stp { rt, rt2, rn, .. } => p(rt) || p(rt2) || p(rn),
-        _ => false,
-    }
+    let mut touches = insn.dest_reg().is_some_and(p);
+    insn.for_each_read(|r| touches |= p(r));
+    touches || matches!(*insn, Insn::Ldp { rt, rt2, .. } if p(rt) || p(rt2))
 }
 
 /// §3.3.1-style candidate choice for merging. A body qualifies only
