@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the warm build's back half, each stage
-//! alone: the outline pass with every group plan hitting and after a
-//! 1 % edit, the link, and the ELF writer — on a primed session over an
+//! alone: codegen with every method hitting, the outline pass with
+//! every group plan hitting and after a 1 % edit, the link, and the ELF
+//! writer — on a primed session over an
 //! app of the benchmark's `warm_edit` shape (kuaishou at
 //! `paper_suite(2.0)`, 1325 methods, `cto_ltbo_parallel(128, 1)`).
 //!
@@ -26,6 +27,15 @@ fn bench_back_half(c: &mut Criterion) {
     let primed = session.build(&dex, &options).expect("priming build");
 
     let mut group = c.benchmark_group("warm_backhalf");
+    // Every method hits: codegen replays 1325 entries, sharing each
+    // one's instructions instead of copying them.
+    group.bench_function("codegen_all_hit", |b| {
+        b.iter_batched(
+            || session.frontend(&dex, &options).expect("frontend"),
+            |frontend| session.codegen(&dex, &options, frontend).expect("codegen"),
+            BatchSize::PerIteration,
+        );
+    });
     group.bench_function("outline_all_groups_hit", |b| {
         b.iter_batched(
             || front_half(&session, &dex, &options),

@@ -858,7 +858,7 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
     };
     let make = |id: u32| CompiledMethod {
         method: MethodId(id),
-        insns: body.clone(),
+        insns: body.as_slice().into(),
         pool: vec![],
         relocs: vec![],
         metadata: meta.clone(),

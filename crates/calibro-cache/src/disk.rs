@@ -609,9 +609,16 @@ lanes! {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::wire::FieldEnds;
     use calibro_isa::Reg;
+
+    /// `insns` with `more` behind them.
+    pub(crate) fn append<const N: usize>(insns: &[Insn], more: [Insn; N]) -> Arc<[Insn]> {
+        insns.iter().copied().chain(more).collect()
+    }
 
     pub(crate) fn sample_entry() -> CacheEntry {
         CacheEntry::new(
@@ -629,7 +636,8 @@ pub(crate) mod tests {
                         shift12: false,
                     },
                     Insn::Ret { rn: Reg::LR },
-                ],
+                ]
+                .into(),
                 pool: vec![0xdead_beef],
                 relocs: vec![Reloc { at: 1, target: CallTarget::Thunk(ThunkKind::StackCheck) }],
                 metadata: MethodMetadata {
@@ -876,7 +884,7 @@ pub(crate) mod tests {
     fn an_unencodable_instruction_is_refused_before_anything_is_framed() {
         // A branch offset must be a multiple of four.
         let mut entry = sample_entry();
-        entry.compiled.insns.push(Insn::B { offset: 2 });
+        entry.compiled.insns = append(&entry.compiled.insns, [Insn::B { offset: 2 }]);
         let refusal = to_frame(FIXTURE_KEY, &entry).expect_err("the entry cannot be framed");
         assert!(refusal.starts_with("unencodable instruction: "), "{refusal}");
         let mut body = sample_dict();
@@ -911,7 +919,7 @@ pub(crate) mod tests {
         // An instruction outside the encoder's domain is refused where
         // the entry is made, not when somebody reads its words.
         let mut compiled = entry.compiled.clone();
-        compiled.insns.push(Insn::B { offset: 2 });
+        compiled.insns = append(&compiled.insns, [Insn::B { offset: 2 }]);
         assert!(CacheEntry::new(compiled, entry.pass_stats, None, 0).is_err());
     }
 
@@ -922,11 +930,11 @@ pub(crate) mod tests {
         // element size cannot hide behind it.
         let sample = sample_entry();
         let mut compiled = sample.compiled.clone();
-        compiled.insns.extend([Insn::Nop; 64]);
+        compiled.insns = append(&compiled.insns, [Insn::Nop; 64]);
         compiled.relocs.extend([compiled.relocs[0]; 16]);
         let entry = CacheEntry::new(compiled, sample.pass_stats, sample.template, 0).unwrap();
         let m = &entry.compiled;
-        let owned = size_of_val(m.insns.as_slice())
+        let owned = size_of_val(&*m.insns)
             + size_of_val(entry.words())
             + size_of_val(m.pool.as_slice())
             + size_of_val(m.relocs.as_slice())

@@ -258,7 +258,7 @@ impl CacheEntry {
     pub fn approx_bytes(&self) -> usize {
         let m = &self.compiled;
         let mut bytes = 128; // struct headers and fixed fields
-        bytes += size_of_val(m.insns.as_slice());
+        bytes += size_of_val(&*m.insns);
         bytes += size_of_val(self.words.as_slice());
         bytes += size_of_val(m.pool.as_slice());
         bytes += size_of_val(m.relocs.as_slice());

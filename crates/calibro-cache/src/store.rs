@@ -427,7 +427,7 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::disk::tests::{
-        sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, V3_FIXTURES,
+        append, sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, V3_FIXTURES,
     };
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
@@ -831,7 +831,7 @@ mod tests {
         // refused by the disk layer with a typed error, and the lane —
         // whose disk write is best-effort — keeps it resident.
         let mut entry = sample_entry();
-        entry.compiled.insns.push(calibro_isa::Insn::B { offset: 2 });
+        entry.compiled.insns = append(&entry.compiled.insns, [calibro_isa::Insn::B { offset: 2 }]);
         let dir = fresh_dir("unencodable");
         match crate::disk::store(&dir, key(1), &entry) {
             Err(CacheError::Corrupt { detail, .. }) => {

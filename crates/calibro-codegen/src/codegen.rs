@@ -350,7 +350,7 @@ impl<'a> Emitter<'a> {
         self.stack_maps.sort_by_key(|s| s.native_offset);
         CompiledMethod {
             method,
-            insns: self.insns,
+            insns: self.insns.into(),
             pool: self.pool,
             relocs: self.relocs,
             metadata,

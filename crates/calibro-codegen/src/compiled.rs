@@ -1,6 +1,8 @@
 //! The output of per-method compilation: machine code plus the
 //! compilation-time metadata the paper's LTBO collects (§3.2).
 
+use std::sync::Arc;
+
 use calibro_dex::MethodId;
 use calibro_isa::Insn;
 
@@ -115,8 +117,11 @@ pub struct CompiledMethod {
     /// The originating method.
     pub method: MethodId,
     /// Machine instructions; embedded literal-pool words are carried as
-    /// raw words in `pool` and appended on serialization.
-    pub insns: Vec<Insn>,
+    /// raw words in `pool` and appended on serialization. Shared, not
+    /// owned: a method replayed from the artifact cache and the cache
+    /// entry it came from hold one copy, and cloning a method never
+    /// copies its code.
+    pub insns: Arc<[Insn]>,
     /// Raw literal-pool words appended after `insns`.
     pub pool: Vec<u32>,
     /// Call-site relocations.
@@ -128,16 +133,12 @@ pub struct CompiledMethod {
 }
 
 impl CompiledMethod {
-    /// Total size in words (instructions + literal pool).
+    /// Total size in words (instructions + literal pool) of a method
+    /// that carries its instructions — not of one whose code is kept as
+    /// encoded words alone (see `calibro::MethodWords::Outlined`).
     #[must_use]
     pub fn size_words(&self) -> usize {
         self.insns.len() + self.pool.len()
-    }
-
-    /// Total size in bytes.
-    #[must_use]
-    pub fn size_bytes(&self) -> u64 {
-        self.size_words() as u64 * 4
     }
 }
 
@@ -170,13 +171,12 @@ mod tests {
     fn sizes_count_the_pool() {
         let m = CompiledMethod {
             method: MethodId(0),
-            insns: vec![Insn::Nop, Insn::Ret { rn: calibro_isa::Reg::LR }],
+            insns: [Insn::Nop, Insn::Ret { rn: calibro_isa::Reg::LR }].into(),
             pool: vec![0xdead_beef],
             relocs: vec![],
             metadata: MethodMetadata::default(),
             stack_maps: vec![],
         };
         assert_eq!(m.size_words(), 3);
-        assert_eq!(m.size_bytes(), 12);
     }
 }

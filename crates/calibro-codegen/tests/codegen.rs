@@ -273,7 +273,7 @@ fn generated_code_encodes_and_decodes() {
     ];
     for body in bodies {
         let m = compile(body, 3, 2, &opts_baseline());
-        for insn in &m.insns {
+        for insn in m.insns.iter() {
             let word = insn.encode().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(calibro_isa::decode(word).unwrap(), *insn);
         }

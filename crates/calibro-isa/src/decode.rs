@@ -289,16 +289,15 @@ pub fn decode(w: u32) -> Result<Insn, DecodeError> {
     Err(DecodeError::Unallocated(w))
 }
 
-/// Decodes a little-endian byte buffer into instructions.
+/// Decodes machine words into instructions, one per word — the inverse
+/// of [`encode_words`](crate::encode_words).
 ///
 /// # Errors
 ///
 /// Returns the first [`DecodeError`] together with its word index.
-pub fn decode_all(bytes: &[u8]) -> Result<Vec<Insn>, (usize, DecodeError)> {
-    assert!(bytes.len().is_multiple_of(4), "text segment length must be a word multiple");
-    let mut insns = Vec::with_capacity(bytes.len() / 4);
-    for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-        let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+pub fn decode_all(words: &[u32]) -> Result<Vec<Insn>, (usize, DecodeError)> {
+    let mut insns = Vec::with_capacity(words.len());
+    for (i, &word) in words.iter().enumerate() {
         insns.push(decode(word).map_err(|e| (i, e))?);
     }
     Ok(insns)
@@ -330,9 +329,8 @@ mod tests {
 
     #[test]
     fn decode_all_reports_position() {
-        let mut bytes = 0xd503_201fu32.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        let err = decode_all(&bytes).unwrap_err();
+        assert_eq!(decode_all(&[0xd503_201f]), Ok(vec![Insn::Nop]));
+        let err = decode_all(&[0xd503_201f, 0]).unwrap_err();
         assert_eq!(err.0, 1);
     }
 }

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use calibro_codegen::{thunk_code, CallTarget, CompiledMethod, Reloc, ThunkKind};
-use calibro_isa::{EncodeError, Insn};
+use calibro_isa::{decode, EncodeError, Insn};
 
 use crate::file::{
     DictImage, DictLink, MergedRecord, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord,
@@ -33,14 +33,16 @@ pub struct LinkInput<'a> {
     pub outlined: Vec<Vec<Insn>>,
     /// Merged-function islands, addressed by `CallTarget::Merged(i)`.
     pub merged: Vec<MergedBody>,
-    /// Per method, the already-encoded words of its `insns` (one per
+    /// Per method, its code as already-encoded words (one per
     /// instruction, call sites as their placeholder), when whoever built
     /// the method kept them; the linker then copies them instead of
-    /// encoding the instructions again. `None` — or a list shorter than
+    /// encoding the instructions again, and reads the method's size and
+    /// its call sites from them. `None` — or a list shorter than
     /// `methods`, such as the default empty one — means the method is
-    /// encoded here. The words must be exactly `insns` encoded: only
-    /// attach words that were derived from the very instructions they
-    /// ride with.
+    /// encoded here from `insns`. A method with words may carry empty
+    /// `insns` (its words are then its only code); otherwise the words
+    /// must be exactly `insns` encoded: only attach words that were
+    /// derived from the very instructions they ride with.
     pub words: Vec<Option<&'a [u32]>>,
 }
 
@@ -101,9 +103,10 @@ impl From<EncodeError> for LinkError {
 ///
 /// Consumes the input: per-method metadata and stack maps move into the
 /// output records, a method that arrives with its words
-/// ([`LinkInput::words`]) is copied into the text segment rather than
-/// encoded again, and call patching rewrites the words already there —
-/// linking is on the warm-rebuild critical path for every build.
+/// ([`LinkInput::words`]) is sized from them and copied into the text
+/// segment rather than encoded again, and call patching checks and
+/// rewrites the words already there — linking is on the warm-rebuild
+/// critical path for every build.
 ///
 /// # Errors
 ///
@@ -134,6 +137,7 @@ pub fn link_with_dict(
     dict: Option<&DictImage>,
 ) -> Result<OatFile, LinkError> {
     let LinkInput { methods, outlined, merged, words: method_words } = input;
+    let words_of = |index: usize| method_words.get(index).copied().flatten();
     let mut dict_used = false;
     // --- Collect referenced thunks (sorted for determinism). -----------
     // A handful of kinds against tens of thousands of relocations: a
@@ -158,7 +162,9 @@ pub fn link_with_dict(
             return Err(LinkError::MisorderedMethod { index });
         }
         method_offsets.push(offset);
-        offset += m.size_bytes();
+        // Sized by its words when it brought them, else its instructions.
+        let insn_words = words_of(index).map_or(m.insns.len(), <[u32]>::len);
+        offset += (insn_words + m.pool.len()) as u64 * 4;
     }
     let mut outlined_offsets = Vec::with_capacity(outlined.len());
     for o in &outlined {
@@ -207,17 +213,17 @@ pub fn link_with_dict(
     // `b` — always encodable), so the body's words hold a valid word
     // there and this overwrites it with the resolved offset, preserving
     // the site's mnemonic. `site` names the body in errors, `code_start`
-    // is its offset and `body` its words in the text segment.
+    // is its offset and `body` its words in the text segment — the one
+    // place a site is checked, whether its words were copied or encoded.
     let patch_calls = |site: usize,
-                       insns: &[Insn],
                        relocs: &[Reloc],
                        code_start: u64,
                        body: &mut [u32]|
      -> Result<(), LinkError> {
         for r in relocs {
-            let is_link = match insns.get(r.at) {
-                Some(Insn::Bl { .. }) => true,
-                Some(Insn::B { .. }) => false,
+            let is_link = match body.get(r.at).map(|&word| decode(word)) {
+                Some(Ok(Insn::Bl { .. })) => true,
+                Some(Ok(Insn::B { .. })) => false,
                 _ => return Err(LinkError::NotACallSite { method: site, at: r.at }),
             };
             let target = resolve(site, r)?;
@@ -236,11 +242,15 @@ pub fn link_with_dict(
     for (index, m) in methods.into_iter().enumerate() {
         let code_start = method_offsets[index];
         let start_word = words.len();
-        match method_words.get(index).copied().flatten() {
+        match words_of(index) {
             // Encoded once, when the method's cache entry was built or
-            // when the outline pass rewrote it: move the words.
+            // when the outline pass rewrote it: move the words. A method
+            // the outline pass rewrote has them as its only code.
             Some(encoded) => {
-                assert_eq!(encoded.len(), m.insns.len(), "method {index}: words/insns length");
+                assert!(
+                    m.insns.is_empty() || encoded.len() == m.insns.len(),
+                    "method {index}: words/insns length"
+                );
                 debug_assert!(
                     m.insns.iter().zip(encoded).all(|(insn, &word)| insn.encode() == Ok(word)),
                     "method {index}: a pre-encoded word differs from its instruction"
@@ -248,18 +258,19 @@ pub fn link_with_dict(
                 words.extend_from_slice(encoded);
             }
             None => {
-                for insn in &m.insns {
+                for insn in m.insns.iter() {
                     words.push(insn.encode()?);
                 }
             }
         }
-        patch_calls(index, &m.insns, &m.relocs, code_start, &mut words[start_word..])?;
+        let insn_words = words.len() - start_word;
+        patch_calls(index, &m.relocs, code_start, &mut words[start_word..])?;
         words.extend_from_slice(&m.pool);
         records.push(OatMethodRecord {
             method: m.method,
             offset: code_start,
-            insn_words: m.insns.len(),
-            code_words: m.size_words(),
+            insn_words,
+            code_words: insn_words + m.pool.len(),
             metadata: m.metadata,
             stack_maps: m.stack_maps,
         });
@@ -282,7 +293,7 @@ pub fn link_with_dict(
         // Islands carry whole function bodies, so they are patched
         // exactly like methods; errors report the site as
         // `methods.len() + island`.
-        patch_calls(method_count + island, &b.insns, &b.relocs, off, &mut words[start_word..])?;
+        patch_calls(method_count + island, &b.relocs, off, &mut words[start_word..])?;
         merged_records.push(MergedRecord { offset: off, size_words: b.insns.len() });
     }
 
@@ -316,11 +327,13 @@ pub fn link_with_dict(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use calibro_codegen::{compile_method, CodegenOptions};
     use calibro_dex::{ClassId, DexInsn, InvokeKind, MethodBuilder, MethodId, VReg};
     use calibro_hgraph::build_hgraph;
-    use calibro_isa::{decode, Reg};
+    use calibro_isa::Reg;
 
     fn simple_method(
         name: &str,
@@ -350,6 +363,12 @@ mod tests {
     fn with_id(mut m: CompiledMethod, id: u32) -> CompiledMethod {
         m.method = MethodId(id);
         m
+    }
+
+    /// Appends `insn` to `m`'s code and returns its word index.
+    fn push_insn(m: &mut CompiledMethod, insn: Insn) -> usize {
+        m.insns = m.insns.iter().copied().chain([insn]).collect();
+        m.insns.len() - 1
     }
 
     #[test]
@@ -402,11 +421,8 @@ mod tests {
         let mut m = with_id(simple_method("a", None, &opts), 0);
         // Fake an outlined call: append a reloc targeting outlined fn 0
         // over an existing bl... instead create a bl at a known position.
-        m.insns.push(Insn::Bl { offset: 0 });
-        m.relocs.push(calibro_codegen::Reloc {
-            at: m.insns.len() - 1,
-            target: CallTarget::Outlined(0),
-        });
+        let at = push_insn(&mut m, Insn::Bl { offset: 0 });
+        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(0) });
         let outlined = vec![vec![Insn::Nop, Insn::Br { rn: Reg::LR }]];
         let input = LinkInput { methods: vec![m], outlined, merged: vec![], ..Default::default() };
         let oat = link(input, 0x1000).unwrap();
@@ -431,8 +447,7 @@ mod tests {
         use crate::file::{DictImage, DICT_BASE_ADDRESS};
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let mut m = with_id(simple_method("a", None, &opts), 0);
-        m.insns.push(Insn::Bl { offset: 0 });
-        let site = m.insns.len() - 1;
+        let site = push_insn(&mut m, Insn::Bl { offset: 0 });
         // Target word 3 of the island (entries need not start at 0).
         m.relocs.push(calibro_codegen::Reloc { at: site, target: CallTarget::Dict(3) });
         let island = DictImage {
@@ -478,11 +493,8 @@ mod tests {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let make = || {
             let mut m = with_id(simple_method("a", None, &opts), 0);
-            m.insns.push(Insn::Bl { offset: 0 });
-            m.relocs.push(calibro_codegen::Reloc {
-                at: m.insns.len() - 1,
-                target: CallTarget::Dict(9),
-            });
+            let at = push_insn(&mut m, Insn::Bl { offset: 0 });
+            m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Dict(9) });
             LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() }
         };
         // No island at all.
@@ -507,9 +519,8 @@ mod tests {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let mut m = with_id(simple_method("a", None, &opts), 0);
         // A merge thunk tail: `b` into island 0.
-        m.insns.push(Insn::B { offset: 0 });
-        m.relocs
-            .push(calibro_codegen::Reloc { at: m.insns.len() - 1, target: CallTarget::Merged(0) });
+        let at = push_insn(&mut m, Insn::B { offset: 0 });
+        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Merged(0) });
         // The island itself calls a CTO thunk, so the linker must both
         // emit the thunk and patch the island-internal `bl`.
         let island = MergedBody {
@@ -585,14 +596,57 @@ mod tests {
     }
 
     #[test]
+    fn a_method_whose_words_are_its_only_code_links_to_the_same_image() {
+        let methods = cto_trio();
+        let encoded: Vec<Vec<u32>> =
+            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
+        let plain = link(LinkInput { methods: methods.clone(), ..Default::default() }, 0x4000_0000)
+            .unwrap();
+        // Sizes, offsets, call sites and records all come from the words.
+        let mut wordy = methods;
+        for m in &mut wordy {
+            m.insns = Arc::from([]);
+        }
+        let words = encoded.iter().map(|w| Some(w.as_slice())).collect();
+        let copied =
+            link(LinkInput { methods: wordy, words, ..Default::default() }, 0x4000_0000).unwrap();
+        assert_eq!(copied.words, plain.words);
+        assert_eq!(format!("{:?}", copied), format!("{:?}", plain));
+    }
+
+    #[test]
+    fn a_relocation_at_a_non_branch_word_is_not_a_call_site() {
+        let methods = cto_trio();
+        let (index, at) = methods
+            .iter()
+            .enumerate()
+            .find_map(|(i, m)| m.relocs.first().map(|r| (i, r.at)))
+            .expect("a cto method calls a thunk");
+        let mut words: Vec<Vec<u32>> =
+            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
+        words[index][at] = Insn::Nop.encode().unwrap();
+        // The words are the method's only code, so they are what is checked.
+        let mut wordy = methods;
+        wordy[index].insns = Arc::from([]);
+        let input = LinkInput {
+            methods: wordy,
+            words: words.iter().map(|w| Some(w.as_slice())).collect(),
+            ..Default::default()
+        };
+        match link(input, 0x4000_0000) {
+            Err(LinkError::NotACallSite { method, at: site }) => {
+                assert_eq!((method, site), (index, at))
+            }
+            other => panic!("expected NotACallSite, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn unresolved_targets_error() {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let mut m = with_id(simple_method("a", None, &opts), 0);
-        m.insns.push(Insn::Bl { offset: 0 });
-        m.relocs.push(calibro_codegen::Reloc {
-            at: m.insns.len() - 1,
-            target: CallTarget::Outlined(7),
-        });
+        let at = push_insn(&mut m, Insn::Bl { offset: 0 });
+        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(7) });
         let input =
             LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::UnresolvedTarget { .. })));

@@ -28,7 +28,7 @@ use calibro_cache::{
 };
 use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
-use calibro_isa::{encode_words, Insn};
+use calibro_isa::{decode, decode_all, encode_words, Insn};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, replay_group_plan, GroupPlan,
     TaggedSequence, UNIQUE_SEPARATOR_BASE,
@@ -293,6 +293,8 @@ enum EditCall {
 
 /// One planned rewrite within a method.
 struct Edit {
+    /// The occurrence's first symbol offset while plans are materialized,
+    /// its first code word once [`SymbolTemplate::word_at`] mapped it.
     start: usize,
     len: usize,
     call: EditCall,
@@ -300,8 +302,9 @@ struct Edit {
 
 /// Runs LTBO over the compiled methods, mutating them in place and
 /// returning the outlined functions to hand to the linker. The
-/// session-free entry point: every method is symbolized from scratch
-/// and no plan is cached.
+/// session-free entry point: every method is symbolized from scratch,
+/// no plan is cached, and a rewritten method's new words are decoded
+/// back into its `insns`.
 ///
 /// # Panics
 ///
@@ -324,10 +327,11 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   symbol structure instead of re-extracting it from code and
 ///   metadata (see [`symbolize`]). An empty or short slice falls back
 ///   to extraction.
-/// - **Words move with instructions.** A rewritten method's words are
-///   rewritten alongside ([`apply_edits`]) and left in its `words`
-///   slot, so the linker copies them instead of encoding the method
-///   again.
+/// - **Words are the code.** A rewritten method's words are rewritten
+///   ([`apply_edits`]) — never its instructions — and left in its
+///   `words` slot with its `insns` empty, so the linker copies them
+///   instead of encoding the method again; without a slot
+///   ([`run_ltbo`]) they are decoded back into `insns` ([`keep_code`]).
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
 ///   panic on an inconsistent plan) is caught and surfaced as
@@ -492,7 +496,7 @@ pub(crate) fn outline_methods(
                 // Room for the `br x30` a private copy ends in.
                 let mut body: Vec<Insn> = Vec::with_capacity(cand.symbols.len() + 1);
                 body.extend(cand.symbols.iter().map(|&s| {
-                    calibro_isa::decode(u32::try_from(s).expect("candidate symbol is a word"))
+                    decode(u32::try_from(s).expect("candidate symbol is a word"))
                         .expect("candidate symbols decode")
                 }));
                 // Dictionary arbitration: a byte-identical island body
@@ -514,8 +518,7 @@ pub(crate) fn outline_methods(
                 };
                 for &pos in &cand.positions {
                     let (tag, sym_off) = plan.resolve(pos);
-                    let word = template_of(tag).word_at(sym_off);
-                    edits[tag].push(Edit { start: word, len: cand.len, call });
+                    edits[tag].push(Edit { start: sym_off, len: cand.len, call });
                     stats.occurrences_replaced += 1;
                     stats.words_saved += cand.len as i64 - 1;
                 }
@@ -525,32 +528,54 @@ pub(crate) fn outline_methods(
             return Err(OutlineError::Worker { group, message: panic_message(payload) });
         }
     }
+    // Symbol offsets to code words, one method's template at a time.
+    // Occurrences start at literal slots, whose words rise with their
+    // symbol offsets: sorted by word, the edits are in occurrence order.
+    for (idx, method_edits) in edits.iter_mut().enumerate() {
+        if method_edits.is_empty() {
+            continue;
+        }
+        let template = template_of(idx);
+        for edit in method_edits.iter_mut() {
+            edit.start = template.word_at(edit.start);
+        }
+        method_edits.sort_unstable_by_key(|e| e.start);
+    }
     // The templates borrow the store entries out of `words`, which the
     // loop below writes to.
     drop(templates);
 
     // --- §3.3.4 + §3.5: apply edits, patch PC-relative, fix records. ----
     let mut map = Vec::new();
-    for (idx, mut method_edits) in edits.into_iter().enumerate() {
+    for (idx, method_edits) in edits.iter().enumerate() {
         if method_edits.is_empty() {
             continue;
         }
-        method_edits.sort_by_key(|e| e.start);
         let old_words = words
             .get(idx)
             .and_then(MethodWords::as_slice)
             .or(encoded[idx].as_deref())
             .expect("a candidate's words were found or made when it was symbolized");
         let (new_words, patched, maps_updated) =
-            apply_edits(&mut methods[idx], old_words, &method_edits, &mut map);
-        if let Some(slot) = words.get_mut(idx) {
-            *slot = MethodWords::Outlined(new_words);
-        }
+            apply_edits(&mut methods[idx], old_words, method_edits, &mut map);
+        keep_code(&mut methods[idx], words.get_mut(idx), new_words);
         stats.pc_rel_patched += patched;
         stats.stack_maps_updated += maps_updated;
     }
 
     Ok(LtboResult { outlined, stats, detect_time })
+}
+
+/// Leaves a method [`apply_edits`] rewrote its code where its caller
+/// keeps code: in its words slot when it has one (the staged pipeline's
+/// [`MethodWords::Outlined`], with `insns` left empty), else decoded back
+/// into `insns` — [`run_ltbo`]'s in-place contract, and the only path
+/// that pays for a decode.
+fn keep_code(m: &mut CompiledMethod, slot: Option<&mut MethodWords>, words: Vec<u32>) {
+    match slot {
+        Some(slot) => *slot = MethodWords::Outlined(words),
+        None => m.insns = decode_all(&words).expect("rewritten words decode").into(),
+    }
 }
 
 /// [`build_template`]'s one flag byte per word: the word becomes a
@@ -633,42 +658,40 @@ pub fn build_template(
     SymbolTemplate::new(slots)
 }
 
-/// Applies sorted, non-overlapping edits to one method and to its
-/// encoded `words` together: each outlined range becomes a placeholder
-/// `bl`, everything between two edits is copied as a run (instructions
-/// and words alike), PC-relative instructions are patched, and every
-/// §3.2/§3.5 record is updated. The only instructions encoded here are
-/// the PC-relative sites §3.3.4 patches. `map` is scratch (old word
-/// index → new word index), reused from method to method. Returns the
-/// method's new words and `(pc_rel_patched, stack_maps_updated)`.
+/// Applies sorted, non-overlapping edits to one method's encoded `words`
+/// (the code codegen emitted, one word per instruction) and to its
+/// §3.2/§3.5 tables: each outlined range becomes a placeholder `bl`,
+/// everything between two edits is copied as a run of words, PC-relative
+/// sites are patched on their word (decode, new offset, encode) and
+/// every record is remapped. No instruction is copied: the returned
+/// words are the method's code from here on, and its `insns` is left
+/// empty (see [`keep_code`]). `map` is scratch (old word index → new word
+/// index), reused from method to method. Returns the method's new words
+/// and `(pc_rel_patched, stack_maps_updated)`.
 fn apply_edits(
     m: &mut CompiledMethod,
     words: &[u32],
     edits: &[Edit],
     map: &mut Vec<usize>,
 ) -> (Vec<u32>, usize, usize) {
-    let old_len = m.insns.len();
-    assert_eq!(words.len(), old_len, "one encoded word per instruction");
+    let old_len = words.len();
     let new_code_len = old_len - edits.iter().map(|e| e.len.saturating_sub(1)).sum::<usize>();
     // usize::MAX = removed (the interior of an outlined range).
     map.clear();
     map.resize(old_len + m.pool.len() + 1, usize::MAX);
-    let mut new_insns = Vec::with_capacity(new_code_len);
     let mut new_words = Vec::with_capacity(new_code_len);
     let mut new_relocs: Vec<Reloc> = Vec::with_capacity(m.relocs.len() + edits.len());
-    let call = Insn::Bl { offset: 0 };
-    let call_word = call.encode().expect("a placeholder bl encodes");
+    let bl_word = Insn::Bl { offset: 0 }.encode().expect("a placeholder bl encodes");
     let mut word = 0;
     // One round per edit, and a last one for the run behind the last edit.
     for edit in edits.iter().map(Some).chain([None]) {
         let run_end = edit.map_or(old_len, |e| e.start);
         assert!(word <= run_end, "edits overlap or are unsorted");
-        // Untouched words move as a block, instructions and words alike.
-        let at = new_insns.len();
+        // Untouched words move as a block.
+        let at = new_words.len();
         for (i, slot) in map[word..run_end].iter_mut().enumerate() {
             *slot = at + i;
         }
-        new_insns.extend_from_slice(&m.insns[word..run_end]);
         new_words.extend_from_slice(&words[word..run_end]);
         let Some(edit) = edit else { break };
         assert!(edit.len > 0 && edit.start + edit.len <= old_len, "edit leaves the code");
@@ -677,13 +700,12 @@ fn apply_edits(
             EditCall::Outlined(id) => CallTarget::Outlined(id),
             EditCall::Dict(at) => CallTarget::Dict(at),
         };
-        map[edit.start] = new_insns.len();
-        new_relocs.push(Reloc { at: new_insns.len(), target });
-        new_insns.push(call);
-        new_words.push(call_word);
+        map[edit.start] = new_words.len();
+        new_relocs.push(Reloc { at: new_words.len(), target });
+        new_words.push(bl_word);
         word = edit.start + edit.len;
     }
-    debug_assert_eq!(new_insns.len(), new_code_len);
+    debug_assert_eq!(new_words.len(), new_code_len);
     // Pool words shift as a block; map old pool indices too.
     for (i, slot) in map.iter_mut().enumerate().skip(old_len) {
         *slot = new_code_len + (i - old_len);
@@ -706,13 +728,16 @@ fn apply_edits(
         assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
         assert_ne!(target, usize::MAX, "branch target removed by outlining");
         let new_offset = (target as i64 - at as i64) * 4;
-        if new_insns[at].pc_rel_offset() != Some(new_offset) {
-            new_insns[at] = new_insns[at].with_pc_rel_offset(new_offset);
+        let site = decode(new_words[at]).expect("a PC-relative site decodes");
+        if site.pc_rel_offset() != Some(new_offset) {
             // Outlining only removes words between a site and its
             // target, so the offset keeps its sign and alignment and
             // shrinks in magnitude: the form that held the old one
             // holds the new one.
-            new_words[at] = new_insns[at].encode().expect("a shrunken PC-relative offset encodes");
+            new_words[at] = site
+                .with_pc_rel_offset(new_offset)
+                .encode()
+                .expect("a shrunken PC-relative offset encodes");
             patched += 1;
         }
         *rec = PcRel { at, target };
@@ -765,7 +790,7 @@ fn apply_edits(
         }
     }
 
-    m.insns = new_insns;
+    m.insns = Arc::from([]);
     m.relocs = new_relocs;
     (new_words, patched, maps_updated)
 }
@@ -786,7 +811,8 @@ mod tests {
                 mov(Reg::X3, Reg::X4),
                 mov(Reg::X5, Reg::X6),
                 Insn::Ret { rn: Reg::LR },
-            ],
+            ]
+            .into(),
             pool: vec![],
             relocs: vec![],
             metadata: MethodMetadata::default(),
@@ -814,11 +840,12 @@ mod tests {
         let words = encode_words(&m.insns).unwrap();
         let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
         let (words, _patched, maps_updated) = apply_edits(&mut m, &words, &edits, &mut Vec::new());
-        assert_eq!(words, encode_words(&m.insns).unwrap());
         assert_eq!(maps_updated, 1);
         assert_eq!(m.stack_maps[0].native_offset, 8);
-        assert_eq!(m.insns.len(), 3);
-        assert!(matches!(m.insns[0], Insn::Bl { .. }));
+        // The words are the method's code now.
+        assert!(m.insns.is_empty());
+        assert_eq!(words.len(), 3);
+        assert!(matches!(decode(words[0]), Ok(Insn::Bl { .. })));
     }
 
     #[test]
@@ -826,7 +853,7 @@ mod tests {
         // `ldp x29, x30, [sp, #16]` writes no sp, but reloads the link
         // register an outlined body returns through.
         let mut m = method_with_stack_map(12);
-        m.insns[1] = Insn::Ldp {
+        Arc::make_mut(&mut m.insns)[1] = Insn::Ldp {
             rt: Reg::FP,
             rt2: Reg::LR,
             rn: Reg::SP,
@@ -874,6 +901,48 @@ mod tests {
         assert!(missed > 0 && missed < after.stats.ltbo.detection_groups);
         assert!(edit_texts > 0 && edit_texts < after.stats.ltbo.candidate_methods);
         assert_eq!(after.oat.words, crate::build(&edited, &options).unwrap().oat.words);
+    }
+
+    #[test]
+    fn run_ltbo_leaves_the_decoded_words_the_staged_path_keeps() {
+        use crate::{BuildOptions, BuildSession};
+        use calibro_workloads::{generate, AppSpec};
+
+        let options = BuildOptions::cto_ltbo();
+        let config = options.ltbo_config().expect("ltbo is on");
+        let dex = generate(&AppSpec::small("decoded", 11)).dex;
+        let session = BuildSession::new();
+        let frontend = session.frontend(&dex, &options).expect("frontend");
+        let codegen = session.codegen(&dex, &options, frontend).expect("codegen");
+        let original: Vec<CompiledMethod> =
+            codegen.outcomes.iter().map(|o| o.compiled.clone()).collect();
+        let mut words: Vec<MethodWords> =
+            codegen.outcomes.into_iter().map(|o| MethodWords::Entry(o.entry)).collect();
+
+        let mut staged = original.clone();
+        let staged_run = outline_methods(&mut staged, &mut words, &config, None, None).unwrap();
+        let mut free = original.clone();
+        let free_run = run_ltbo(&mut free, &config);
+        assert_eq!(free_run.stats, staged_run.stats);
+        assert_eq!(free_run.outlined, staged_run.outlined);
+
+        let mut rewritten = 0;
+        for (((f, s), slot), o) in free.iter().zip(&staged).zip(&words).zip(&original) {
+            assert_eq!((&f.relocs, &f.metadata), (&s.relocs, &s.metadata));
+            assert_eq!(f.stack_maps, s.stack_maps);
+            match slot {
+                MethodWords::Outlined(w) => {
+                    rewritten += 1;
+                    assert!(s.insns.is_empty(), "{:?} kept stale instructions", s.method);
+                    assert_eq!(&f.insns[..], &decode_all(w).expect("words decode")[..]);
+                }
+                _ => {
+                    assert!(Arc::ptr_eq(&s.insns, &o.insns));
+                    assert_eq!(f.insns, o.insns);
+                }
+            }
+        }
+        assert!(rewritten > 0, "nothing was outlined");
     }
 
     /// The per-word implementation the run-copying one replaced, kept
@@ -1048,7 +1117,7 @@ mod tests {
                 }
             }
 
-            m.insns = new_insns;
+            m.insns = new_insns.into();
             m.relocs = new_relocs;
             m.metadata.pc_rel = new_pc_rel;
             m.metadata.terminators = new_terminators;
@@ -1114,9 +1183,10 @@ mod tests {
                 },
                 _ => Insn::OrrReg { wide: true, rd: Reg::X3, rn: Reg::ZR, rm: Reg::X4, shift: 0 },
             };
+            let mut insns = Vec::with_capacity(n);
             let mut m = CompiledMethod {
                 method: MethodId(3),
-                insns: Vec::with_capacity(n),
+                insns: Arc::from([]),
                 pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
                 relocs: Vec::new(),
                 metadata: MethodMetadata::default(),
@@ -1154,8 +1224,9 @@ mod tests {
                     }
                     _ => plain(below(9000)),
                 };
-                m.insns.push(insn);
+                insns.push(insn);
             }
+            m.insns = insns.into();
             for _ in 0..below(3) {
                 let (a, b) =
                     (landing[below(landing.len())].min(n), landing[below(landing.len())].min(n));
@@ -1172,10 +1243,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
-            /// Copying runs yields exactly what rebuilding word by word
-            /// did — instructions, relocations, every metadata table,
-            /// stack maps, counters — and the words it returns are the
-            /// new instructions, encoded.
+            /// Copying runs of words yields exactly what rebuilding
+            /// instructions word by word did: the new words decode to the
+            /// reference's instructions, and relocations, every metadata
+            /// table, stack maps and counters match. The method keeps no
+            /// instructions of its own; without a words slot — the
+            /// session-free [`run_ltbo`] — it gets the words back decoded.
             #[test]
             fn copying_runs_equals_the_per_word_reference(
                 n in 1usize..72,
@@ -1192,12 +1265,23 @@ mod tests {
                 let (new_words, patched, maps_updated) =
                     apply_edits(&mut actual, &words, &edits, &mut map);
                 prop_assert_eq!((patched, maps_updated), counters);
-                prop_assert_eq!(&actual.insns, &expected.insns);
+                let decoded = decode_all(&new_words).expect("the result decodes");
+                prop_assert_eq!(&decoded[..], &expected.insns[..]);
+                prop_assert!(actual.insns.is_empty());
                 prop_assert_eq!(&actual.pool, &expected.pool);
                 prop_assert_eq!(&actual.relocs, &expected.relocs);
                 prop_assert_eq!(&actual.metadata, &expected.metadata);
                 prop_assert_eq!(&actual.stack_maps, &expected.stack_maps);
-                prop_assert_eq!(new_words, encode_words(&actual.insns).expect("the result encodes"));
+
+                let mut slot = MethodWords::None;
+                let mut staged = actual.clone();
+                keep_code(&mut staged, Some(&mut slot), new_words.clone());
+                prop_assert!(staged.insns.is_empty());
+                prop_assert_eq!(slot.as_slice(), Some(&new_words[..]));
+                keep_code(&mut actual, None, new_words);
+                let reference = encode_words(&expected.insns).expect("the reference encodes");
+                let reference = decode_all(&reference).expect("the reference decodes");
+                prop_assert_eq!(&actual.insns[..], &reference[..]);
             }
         }
 

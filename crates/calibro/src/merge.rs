@@ -300,7 +300,7 @@ fn plan_bucket(bodies: &[&CompiledMethod], config: &MergeConfig) -> (Vec<MergePl
             }
             let mut cand_diffs: Vec<u32> = Vec::new();
             let mut compatible = true;
-            for (i, (a, b)) in rep_body.insns.iter().zip(&cand_body.insns).enumerate() {
+            for (i, (a, b)) in rep_body.insns.iter().zip(cand_body.insns.iter()).enumerate() {
                 if a == b {
                     continue;
                 }
@@ -400,7 +400,7 @@ fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> boo
             if body.insns.len() != rep_body.insns.len() || body.relocs != rep_body.relocs {
                 return false;
             }
-            for (i, (a, b)) in rep_body.insns.iter().zip(&body.insns).enumerate() {
+            for (i, (a, b)) in rep_body.insns.iter().zip(body.insns.iter()).enumerate() {
                 let is_diff = group.diff_positions.contains(&(i as u32));
                 if is_diff {
                     // Parameter positions must be mov-immediates even
@@ -422,7 +422,7 @@ fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> boo
 /// parameter position rewritten to copy its value from the parameter
 /// register (`orr rd, zr, xN` — a register `mov` of the original width).
 fn make_island(rep: &CompiledMethod, diffs: &[u32]) -> MergedBody {
-    let mut insns = rep.insns.clone();
+    let mut insns = rep.insns.to_vec();
     for (j, &d) in diffs.iter().enumerate() {
         let (wide, rd) = match insns[d as usize] {
             Insn::Movz { wide, rd, .. } | Insn::Movn { wide, rd, .. } => (wide, rd),
@@ -552,7 +552,7 @@ pub(crate) fn run_merge(
                 let global = bucket[m as usize];
                 let (insns, relocs) = make_thunk(&methods[global], diffs, island_id);
                 let method = &mut methods[global];
-                method.insns = insns;
+                method.insns = insns.into();
                 method.relocs = relocs;
                 // Mark the thunk unoutlinable — this flag is what keeps
                 // the outline pass off it: outlining its movs behind a
@@ -599,7 +599,8 @@ mod tests {
                 add(Reg::X2, Reg::X0, Reg::X1),
                 add(Reg::X0, Reg::X2, Reg::X0),
                 Insn::Ret { rn: Reg::LR },
-            ],
+            ]
+            .into(),
             pool: vec![],
             relocs: vec![],
             metadata: MethodMetadata::default(),
@@ -635,7 +636,7 @@ mod tests {
     #[test]
     fn structurally_different_bodies_do_not_merge() {
         let mut other = clone_body(1, 10);
-        other.insns[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
+        std::sync::Arc::make_mut(&mut other.insns)[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
         let mut methods = vec![clone_body(0, 10), other];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
         let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
@@ -646,7 +647,7 @@ mod tests {
     #[test]
     fn param_register_use_excludes_a_body() {
         let mut tainted = clone_body(0, 10);
-        tainted.insns[1] = add(Reg::X0, Reg::X0, Reg::X16);
+        std::sync::Arc::make_mut(&mut tainted.insns)[1] = add(Reg::X0, Reg::X0, Reg::X16);
         let mut methods = vec![tainted, clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
         let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
@@ -702,7 +703,8 @@ mod tests {
                 add(Reg::X0, Reg::X1, Reg::X2),
                 add(Reg::X0, Reg::X0, Reg::X3),
                 Insn::Ret { rn: Reg::LR },
-            ],
+            ]
+            .into(),
             pool: vec![],
             relocs: vec![],
             metadata: MethodMetadata::default(),

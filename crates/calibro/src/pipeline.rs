@@ -309,6 +309,8 @@ impl BuildSession {
         // Workers take ownership of their graph through a per-slot mutex
         // (locked exactly once, by the worker that drew the index).
         let cells: Vec<Mutex<Option<HGraph>>> = graphs.into_iter().map(Mutex::new).collect();
+        // A method's instructions are shared between its outcome and its
+        // entry (`Arc<[Insn]>`), so neither a hit nor a miss copies code.
         let (outcomes, per_worker) = run_indexed(inputs.len(), threads, |i| {
             if let Some(entry) = &cached[i] {
                 return MethodOutcome {
@@ -415,8 +417,8 @@ impl BuildSession {
 
     /// Stage 4 — **Link**: binds call labels to addresses and lays out
     /// the final text segment, copying the words of every method that
-    /// still carries them ([`SizeArtifact::words`]) and encoding the
-    /// rest.
+    /// carries them ([`SizeArtifact::words`]; for a method the outline
+    /// pass rewrote they are its only code) and encoding the rest.
     ///
     /// # Errors
     ///
@@ -464,7 +466,8 @@ pub struct FrontendArtifact {
 
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
-    /// The compiled method (owned; LTBO mutates it downstream).
+    /// The compiled method (owned, but its `insns` shared with
+    /// `entry.compiled`'s; the size passes rewrite it downstream).
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters (replayed from the entry on a hit, so
     /// warm observability matches cold).

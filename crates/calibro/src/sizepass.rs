@@ -39,16 +39,18 @@ use crate::merge::{run_merge, MergeConfig, MergeStats};
 /// Where one method of a [`SizeArtifact`] stands relative to the code
 /// codegen emitted for it, and therefore where its already-encoded
 /// machine words are — so that the linker copies them instead of
-/// encoding the method again. Whoever rewrites a method's instructions
-/// moves its marker in the same breath.
+/// encoding the method again. Whoever rewrites a method moves its marker
+/// in the same breath.
 #[derive(Debug)]
 pub enum MethodWords {
     /// Nothing rewrote the method since codegen: it is still exactly its
-    /// store entry's `compiled`, so the entry's words are its words (and
-    /// the entry's symbolization template describes it).
+    /// store entry's `compiled` (its `insns` are the entry's, shared), so
+    /// the entry's words are its words (and the entry's symbolization
+    /// template describes it).
     Entry(Arc<CacheEntry>),
-    /// The outline pass rewrote it and produced these words alongside
-    /// the instructions.
+    /// The outline pass rewrote it into these words, which are its only
+    /// code: the method's `insns` is empty, and no instruction of it
+    /// exists to go stale.
     Outlined(Vec<u32>),
     /// No words: a pass that keeps none rewrote the method (the merge
     /// pass turned it into a thunk), or it never had a store entry. The
@@ -73,7 +75,10 @@ impl MethodWords {
 /// passes extracted out of them.
 pub struct SizeArtifact {
     /// The methods, in method-index order — merged members become
-    /// parameter thunks, outlined occurrences become `bl`s.
+    /// parameter thunks, outlined occurrences become `bl`s. A method the
+    /// outline pass rewrote has empty `insns`: its code is its
+    /// [`MethodWords::Outlined`] words, which the linker sizes and
+    /// patches it from.
     pub methods: Vec<CompiledMethod>,
     /// Per method, where its encoded words come from (same order as
     /// `methods`; empty when the methods came without store entries).

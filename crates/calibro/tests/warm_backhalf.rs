@@ -14,6 +14,7 @@ use std::sync::Arc;
 use calibro::{BuildOptions, BuildSession, DictRegistry, MethodWords, SizeArtifact};
 use calibro_cache::{from_frame, to_frame, CacheConfig, CacheKey, GroupPlanEntry};
 use calibro_dex::DexFile;
+use calibro_isa::decode_all;
 use calibro_oat::{link_with_dict, to_elf_bytes, LinkInput, OatFile};
 use calibro_workloads::{generate, paper_suite, AppSpec};
 
@@ -25,18 +26,23 @@ fn size_artifact(session: &BuildSession, dex: &DexFile, options: &BuildOptions) 
 }
 
 /// Links `size` with the words it carries (`with_words`) or with none,
-/// so that the linker encodes every method itself.
+/// so that the linker encodes every method itself — a method the outline
+/// pass rewrote, whose words are its only code, from those words decoded.
 fn link(size: &SizeArtifact, options: &BuildOptions, with_words: bool) -> OatFile {
+    let mut methods = size.methods.clone();
     let words = match with_words {
         true => size.words.iter().map(MethodWords::as_slice).collect(),
-        false => Vec::new(),
+        false => {
+            for (m, slot) in methods.iter_mut().zip(&size.words) {
+                if let MethodWords::Outlined(words) = slot {
+                    m.insns = decode_all(words).expect("outlined words decode").into();
+                }
+            }
+            Vec::new()
+        }
     };
-    let input = LinkInput {
-        methods: size.methods.clone(),
-        outlined: size.outlined.clone(),
-        merged: size.merged.clone(),
-        words,
-    };
+    let input =
+        LinkInput { methods, outlined: size.outlined.clone(), merged: size.merged.clone(), words };
     link_with_dict(input, options.base_address, size.dict_island.as_ref()).expect("link")
 }
 
@@ -99,8 +105,12 @@ fn a_word_that_drifted_from_its_instruction_trips_the_debug_assertion() {
     let dex = generate(&AppSpec::small("drift", 3)).dex;
     let options = BuildOptions::cto_ltbo();
     let mut size = size_artifact(&BuildSession::new(), &dex, &options);
-    let slot = size.words.iter_mut().find(|w| w.as_slice().is_some_and(|s| !s.is_empty()));
-    let slot = slot.expect("some method carries words");
+    // An entry's words ride with the instructions they were encoded from.
+    let slot = size.words.iter_mut().find(|w| match w {
+        MethodWords::Entry(entry) => !entry.words().is_empty(),
+        _ => false,
+    });
+    let slot = slot.expect("some method carries its entry's words");
     let mut words = slot.as_slice().expect("just checked").to_vec();
     words[0] ^= 1 << 5; // another register, still an instruction
     *slot = MethodWords::Outlined(words);

@@ -13,6 +13,7 @@
 //!    [`BuildError::Cache`], never as a panic or wrong code.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use calibro::{
     build, method_cache_key, options_fingerprint, program_salt, reference_env, ArtifactStore,
@@ -330,6 +331,33 @@ fn staged_stages_equal_build() {
 }
 
 #[test]
+fn codegen_shares_each_method_s_instructions_with_its_cache_entry() {
+    // A cold build (every method a miss), then a 5 % edit (hits and
+    // misses): either way the outcome's code *is* the entry's, not a copy.
+    let dex = generate(&AppSpec::small("shared", 13)).dex;
+    let mut edited = dex.clone();
+    assert!(!mutate_methods(&mut edited, 5, 0.05).is_empty());
+    let options = BuildOptions::cto_ltbo();
+    let session = BuildSession::new();
+    for (warmth, dex) in [("cold", &dex), ("warm", &edited)] {
+        let frontend = session.frontend(dex, &options).expect("frontend");
+        let codegen = session.codegen(dex, &options, frontend).expect("codegen");
+        let hits = codegen.outcomes.iter().filter(|o| o.cache_hit).count();
+        match warmth {
+            "cold" => assert_eq!(hits, 0),
+            _ => assert!(hits > 0 && hits < codegen.outcomes.len(), "{hits} hits"),
+        }
+        for (i, o) in codegen.outcomes.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&o.compiled.insns, &o.entry.compiled.insns),
+                "{warmth}: method {i} (hit: {}) copied its entry's instructions",
+                o.cache_hit
+            );
+        }
+    }
+}
+
+#[test]
 fn identical_rebuild_hits_for_every_method() {
     let dex = generate(&AppSpec::small("idem", 31)).dex;
     let options = BuildOptions::cto_ltbo();
@@ -482,7 +510,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
             CacheEntry::new(
                 calibro_codegen::CompiledMethod {
                     method: m.id,
-                    insns: vec![calibro_isa::Insn::Nop],
+                    insns: [calibro_isa::Insn::Nop].into(),
                     pool: vec![],
                     relocs: vec![],
                     metadata: calibro_codegen::MethodMetadata::default(),

@@ -86,3 +86,45 @@ fn merge_is_byte_neutral_for_non_merge_arms() {
         assert_eq!(a.stats.cache.merge_hits + a.stats.cache.merge_misses, 0);
     }
 }
+
+/// `splitmix64`, the mixer the benchmark derives every app's seed from
+/// its master seed with.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Each trace call's outcome (or trap) on `options`' build of `app`.
+fn trace_outcomes(app: &calibro_workloads::App, options: &BuildOptions) -> Vec<String> {
+    let out = build(&app.dex, options).expect("build");
+    let mut rt = calibro_runtime::Runtime::new(&out.oat, &app.env);
+    let mut outcome = |c: &calibro_workloads::TraceCall| {
+        format!("{:?}", rt.call(c.method, &c.args, 4_000_000).map(|inv| inv.outcome))
+    };
+    app.trace.iter().map(&mut outcome).collect()
+}
+
+/// The miscompile the benchmark found: kuaishou as its `cold_sizefirst`
+/// workload generates it under master seed 8203 (`paper_suite(0.5)`, the
+/// app's seed mixed with the master's). One merged body calls the
+/// StackCheck thunk before it reads its parameter, and that `bl` leaves
+/// `x16` holding the thunk's scratch value instead of the constant the
+/// member's thunk put there, so a call returns the wrong value.
+#[test]
+#[ignore = "ROADMAP item 0: the merge island's StackCheck bl clobbers x16 before the parameter is read"]
+fn a_merged_body_reads_its_parameters_before_any_call_clobbers_them() {
+    let mut spec = calibro_workloads::paper_suite(0.5)
+        .into_iter()
+        .find(|s| s.name == "kuaishou")
+        .expect("the paper suite has kuaishou");
+    spec.seed = splitmix64(splitmix64(8203) ^ spec.seed);
+    let app = generate(&spec);
+    let reference = trace_outcomes(&app, &BuildOptions::baseline());
+    let merged = trace_outcomes(&app, &BuildOptions::cto_merge());
+    assert_eq!(merged.len(), reference.len());
+    if let Some(i) = (0..reference.len()).find(|&i| merged[i] != reference[i]) {
+        panic!("trace call {i} gave {}, the baseline build {}", merged[i], reference[i]);
+    }
+}
