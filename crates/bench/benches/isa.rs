@@ -86,10 +86,7 @@ fn bench_symbolize(c: &mut Criterion) {
     let mut group = c.benchmark_group("symbolize");
     for (name, methods, hot) in [("all", &entries, false), ("slow_paths", &with_slow_paths, true)] {
         let pass = || {
-            methods
-                .iter()
-                .map(|e| build_template(&e.compiled, e.words(), hot).slots().len())
-                .sum::<usize>()
+            methods.iter().map(|e| build_template(&e.compiled, hot).slots().len()).sum::<usize>()
         };
         let insns: usize = methods.iter().map(|e| e.compiled.insns.len()).sum();
         let id = format!("{name}/{}_methods_{insns}_insns", methods.len());

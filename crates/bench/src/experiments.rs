@@ -832,7 +832,7 @@ pub fn frontier_json(rows: &[FrontierRow]) -> String {
 #[must_use]
 pub fn table2() -> Vec<(String, Vec<String>)> {
     use calibro_codegen::{CompiledMethod, MethodMetadata, PcRel};
-    use calibro_isa::{Insn, Reg};
+    use calibro_isa::{decode_all, encode_words, Insn, Reg};
 
     // The paper's original sequence (Table 2, code 1):
     //   cbz w0, #+0xc ; ldr w2, [x0] ; cmp w2, w1 ; mov x3, x4 ; ldr w3, [x0]
@@ -859,6 +859,7 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
     let make = |id: u32| CompiledMethod {
         method: MethodId(id),
         insns: body.as_slice().into(),
+        words: encode_words(&body).expect("the example encodes").into(),
         pool: vec![],
         relocs: vec![],
         metadata: meta.clone(),
@@ -874,12 +875,12 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
         &mut methods,
         &calibro::LtboConfig { min_len: 2, ..calibro::LtboConfig::default() },
     );
-    let outlined: Vec<String> = result
-        .outlined
-        .first()
-        .map(|f| f.iter().map(ToString::to_string).collect())
-        .unwrap_or_default();
-    let patched: Vec<String> = methods[0].insns.iter().map(ToString::to_string).collect();
+    // Outlined bodies and rewritten methods are words: disassemble them.
+    let listing = |words: &[u32]| -> Vec<String> {
+        decode_all(words).expect("linkable words decode").iter().map(ToString::to_string).collect()
+    };
+    let outlined = result.outlined.first().map(|f| listing(f)).unwrap_or_default();
+    let patched = listing(&methods[0].words);
 
     vec![
         ("Code 1: original sequence".to_owned(), original),

@@ -24,7 +24,7 @@ use calibro_codegen::{
     CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
 };
 use calibro_hgraph::PassStats;
-use calibro_isa::Insn;
+use calibro_isa::{encode_words, Insn};
 use calibro_suffix::OutlineCandidate;
 
 use crate::entry::{
@@ -75,8 +75,9 @@ pub trait LaneEntry: Wire + Send + Sync + 'static {
     /// Approximate resident size in bytes, for the lane's byte budget.
     fn approx_bytes(&self) -> usize;
 
-    /// The machine instructions the entry carries (empty for the plan
-    /// lanes). [`to_frame`] vets that each one encodes before it writes
+    /// The machine instructions the entry frames as instructions (empty
+    /// for the plan lanes, and for a method entry, which frames its
+    /// words). [`to_frame`] vets that each one encodes before it writes
     /// the payload, whose codec is infallible.
     fn insns(&self) -> &[Insn];
 }
@@ -279,7 +280,7 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
         }
     }
     for &(s, l) in &m.metadata.embedded_data {
-        if s + l > size_words {
+        if s.checked_add(l).is_none_or(|end| end > size_words) {
             return Err(format!("embedded data {s}+{l} beyond {size_words} words"));
         }
     }
@@ -305,9 +306,11 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
 
 /// Structural validation of a loaded group plan: every candidate the
 /// replay path will materialize must be well-formed — literal symbols
-/// only, at least two strictly non-overlapping ascending occurrences,
-/// all within the group text — so a poisoned plan is rejected with a
-/// typed error instead of corrupting the outline downstream.
+/// only, each the canonical word of an instruction (an outlined body is
+/// its candidate's symbols, copied into the image as they are), at least
+/// two strictly non-overlapping ascending occurrences, all within the
+/// group text — so a poisoned plan is rejected with a typed error
+/// instead of corrupting the outline downstream.
 fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
     for (i, c) in entry.candidates.iter().enumerate() {
         if c.len == 0 {
@@ -316,8 +319,13 @@ fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
         if c.symbols.len() != c.len {
             return Err(format!("candidate {i}: {} symbols for length {}", c.symbols.len(), c.len));
         }
-        if c.symbols.iter().any(|&s| s > u64::from(u32::MAX)) {
-            return Err(format!("candidate {i} contains a separator-space symbol"));
+        for &s in &c.symbols {
+            let Ok(word) = u32::try_from(s) else {
+                return Err(format!("candidate {i} contains a separator-space symbol"));
+            };
+            if calibro_isa::decode(word).ok().and_then(|insn| insn.encode().ok()) != Some(word) {
+                return Err(format!("candidate {i}: symbol {word:#010x} is not an instruction"));
+            }
         }
         if c.positions.len() < 2 {
             return Err(format!("candidate {i} has fewer than two occurrences"));
@@ -420,7 +428,7 @@ wire_fields!(MethodMetadata {
     is_native_stub,
     slow_paths,
 });
-wire_fields!(CompiledMethod { method, insns, pool, relocs, metadata, stack_maps });
+wire_fields!(CacheEntry { compiled, pass_stats, template, ref_env });
 wire_fields!(PassStats {
     folded,
     copies_propagated,
@@ -441,41 +449,51 @@ wire_fields!(DictEntry { insns, regs });
 
 wire_seq!(Reloc, PcRel, StackMapEntry, OutlineCandidate, MergePlanGroup);
 
-/// A method entry travels as its four stored fields; the machine words
-/// are derived, so they are rebuilt from the decoded instructions by the
-/// constructor rather than read (a frame can then never carry words that
-/// disagree with its instructions, and the layout did not move when the
-/// entry gained them). Written by hand because `wire_fields!` is
-/// exhaustive over the struct; the destructures below still are.
-impl Wire for CacheEntry {
+/// A compiled method's code travels once, as its words under the name
+/// `insns` — a `u32` count, then one word per instruction: the bytes a
+/// `Vec<Insn>` field has. Decoding reads them as instructions and sets
+/// `words` to their re-encoding, so a decoded method's two forms agree
+/// whatever the frame held. Written by hand because `wire_fields!` puts
+/// every field on the wire; the destructures below are still exhaustive.
+impl Wire for CompiledMethod {
     fn put(&self, w: &mut Writer) {
-        let CacheEntry { compiled, pass_stats, template, ref_env, words: _ } = self;
-        compiled.put(w);
-        pass_stats.put(w);
-        template.put(w);
-        ref_env.put(w);
+        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
+        method.put(w);
+        w.seq(words);
+        pool.put(w);
+        relocs.put(w);
+        metadata.put(w);
+        stack_maps.put(w);
     }
 
-    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheEntry, WireError> {
-        CacheEntry::new(
-            Wire::get(r, "compiled")?,
-            Wire::get(r, "pass_stats")?,
-            Wire::get(r, "template")?,
-            Wire::get(r, "ref_env")?,
-        )
-        .map_err(|_| WireError::UnencodableInsn { what: "compiled" })
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
+        let method = Wire::get(r, "method")?;
+        let insns: Vec<Insn> = r.seq("insns")?;
+        let words =
+            encode_words(&insns).map_err(|_| WireError::UnencodableInsn { what: "insns" })?;
+        Ok(CompiledMethod {
+            method,
+            insns: insns.into(),
+            words: words.into(),
+            pool: Wire::get(r, "pool")?,
+            relocs: Wire::get(r, "relocs")?,
+            metadata: Wire::get(r, "metadata")?,
+            stack_maps: Wire::get(r, "stack_maps")?,
+        })
     }
 }
 
 #[cfg(test)]
-impl wire::FieldEnds for CacheEntry {
+impl wire::FieldEnds for CompiledMethod {
     fn field_ends(&self) -> Vec<(&'static str, usize)> {
-        let CacheEntry { compiled, pass_stats, template, ref_env, words: _ } = self;
+        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
         let lens = [
-            ("compiled", wire::encode(compiled).len()),
-            ("pass_stats", wire::encode(pass_stats).len()),
-            ("template", wire::encode(template).len()),
-            ("ref_env", wire::encode(ref_env).len()),
+            ("method", wire::encode(method).len()),
+            ("insns", 4 + 4 * words.len()),
+            ("pool", wire::encode(pool).len()),
+            ("relocs", wire::encode(relocs).len()),
+            ("metadata", wire::encode(metadata).len()),
+            ("stack_maps", wire::encode(stack_maps).len()),
         ];
         let mut end = 0;
         lens.map(|(name, len)| {
@@ -601,7 +619,7 @@ macro_rules! lanes {
 // The merge lane is local-only: a plan is cheaper to recompute than a
 // network exchange, so the fleet protocol carries no code for it.
 lanes! {
-    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry, |e| &e.compiled.insns;
+    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry, |_| &[];
     GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry, |_| &[];
     MergePlanEntry: b"CALM", "calm", None, validate_merge_entry, |_| &[];
     DictEntry: b"CALD", "cald", Some(PeerLane::Dict), validate_dict_entry, |e| &e.insns;
@@ -615,29 +633,25 @@ pub(crate) mod tests {
     use crate::wire::FieldEnds;
     use calibro_isa::Reg;
 
-    /// `insns` with `more` behind them.
-    pub(crate) fn append<const N: usize>(insns: &[Insn], more: [Insn; N]) -> Arc<[Insn]> {
-        insns.iter().copied().chain(more).collect()
-    }
-
     pub(crate) fn sample_entry() -> CacheEntry {
-        CacheEntry::new(
-            CompiledMethod {
+        let insns = [
+            Insn::Nop,
+            Insn::Bl { offset: 0 },
+            Insn::AddImm {
+                wide: true,
+                set_flags: false,
+                rd: Reg::X0,
+                rn: Reg::X1,
+                imm12: 7,
+                shift12: false,
+            },
+            Insn::Ret { rn: Reg::LR },
+        ];
+        CacheEntry {
+            compiled: CompiledMethod {
                 method: calibro_dex::MethodId(5),
-                insns: vec![
-                    Insn::Nop,
-                    Insn::Bl { offset: 0 },
-                    Insn::AddImm {
-                        wide: true,
-                        set_flags: false,
-                        rd: Reg::X0,
-                        rn: Reg::X1,
-                        imm12: 7,
-                        shift12: false,
-                    },
-                    Insn::Ret { rn: Reg::LR },
-                ]
-                .into(),
+                insns: insns.into(),
+                words: encode_words(&insns).expect("the sample's instructions encode").into(),
                 pool: vec![0xdead_beef],
                 relocs: vec![Reloc { at: 1, target: CallTarget::Thunk(ThunkKind::StackCheck) }],
                 metadata: MethodMetadata {
@@ -650,17 +664,18 @@ pub(crate) mod tests {
                 },
                 stack_maps: vec![StackMapEntry { native_offset: 8, dex_pc: 1 }],
             },
-            PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
-            Some(SymbolTemplate::new(vec![
+            pass_stats: PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
+            template: Some(SymbolTemplate::new(vec![
                 TemplateSlot::Leader,
                 TemplateSlot::Fresh { word: 0 },
                 TemplateSlot::Lit { encoded: 0xd503_201f, word: 2 },
             ])),
-            0x5eed_f00d,
-        )
-        .expect("the sample's instructions encode")
+            ref_env: 0x5eed_f00d,
+        }
     }
 
+    /// The recorded plan. Its symbols are placeholders, not instruction
+    /// words, so the gauntlet refuses it: it pins the layout only.
     pub(crate) fn sample_group() -> GroupPlanEntry {
         GroupPlanEntry {
             text_len: 20,
@@ -670,6 +685,14 @@ pub(crate) mod tests {
                 symbols: vec![100, 101, 102],
             }],
         }
+    }
+
+    /// [`sample_group`] outlining three `nop`s: a plan the gauntlet
+    /// accepts.
+    pub(crate) fn live_group() -> GroupPlanEntry {
+        let mut plan = sample_group();
+        plan.candidates[0].symbols = vec![0xd503_201f; 3];
+        plan
     }
 
     pub(crate) fn sample_merge() -> MergePlanEntry {
@@ -768,11 +791,13 @@ pub(crate) mod tests {
     }
 
     /// What every lane's frame owes its readers: the sample frames to
-    /// exactly the recorded fixture and decodes back to itself; its
-    /// payload keeps the [`row_contract`]; a `u32::MAX` count at each of
-    /// `counts` (payload offset, field) is `OversizedCollection` — the
-    /// bounds check, so nothing was allocated for it; a bool byte of 2 at
-    /// each of `bools` is `InvalidTag`.
+    /// exactly the recorded fixture, whose payload decodes back to the
+    /// sample (what the structural checks say of it is each lane's own
+    /// test); its payload keeps the [`row_contract`]; a `u32::MAX` count
+    /// at each of `counts` (payload offset, field) is
+    /// `OversizedCollection` — the bounds check, so nothing was
+    /// allocated for it; a bool byte of 2 at each of `bools` is
+    /// `InvalidTag`.
     fn frame_contract<V: LaneEntry + FieldEnds + core::fmt::Debug>(
         sample: &V,
         nested: &[&str],
@@ -781,7 +806,7 @@ pub(crate) mod tests {
     ) {
         let (ext, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("lane fixture");
         assert_eq!(to_frame(FIXTURE_KEY, sample).unwrap(), *fixture, ".{ext} frame moved");
-        let back: V = from_frame(FIXTURE_KEY, fixture).expect("recorded frame decodes");
+        let back: V = wire::decode(&fixture[40..]).expect("recorded payload decodes");
         assert_eq!(format!("{back:?}"), format!("{sample:?}"), ".{ext} decode lost something");
 
         row_contract(sample, nested);
@@ -883,13 +908,10 @@ pub(crate) mod tests {
     #[test]
     fn an_unencodable_instruction_is_refused_before_anything_is_framed() {
         // A branch offset must be a multiple of four.
-        let mut entry = sample_entry();
-        entry.compiled.insns = append(&entry.compiled.insns, [Insn::B { offset: 2 }]);
-        let refusal = to_frame(FIXTURE_KEY, &entry).expect_err("the entry cannot be framed");
-        assert!(refusal.starts_with("unencodable instruction: "), "{refusal}");
         let mut body = sample_dict();
         body.insns.push(Insn::B { offset: 2 });
-        assert!(to_frame(FIXTURE_KEY, &body).is_err());
+        let refusal = to_frame(FIXTURE_KEY, &body).expect_err("the body cannot be framed");
+        assert!(refusal.starts_with("unencodable instruction: "), "{refusal}");
     }
 
     #[test]
@@ -908,19 +930,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn an_entry_carries_the_words_of_its_instructions_and_a_frame_rederives_them() {
+    fn a_method_frames_its_words_and_decodes_to_both_forms() {
         let entry = sample_entry();
-        assert_eq!(entry.words(), calibro_isa::encode_words(&entry.compiled.insns).unwrap());
-        // The frame holds no words (the fixture did not move), so the
-        // decoded entry's are rebuilt from its decoded instructions.
-        let back: CacheEntry =
-            from_frame(FIXTURE_KEY, &to_frame(FIXTURE_KEY, &entry).unwrap()).unwrap();
-        assert_eq!(back.words(), entry.words());
-        // An instruction outside the encoder's domain is refused where
-        // the entry is made, not when somebody reads its words.
-        let mut compiled = entry.compiled.clone();
-        compiled.insns = append(&compiled.insns, [Insn::B { offset: 2 }]);
-        assert!(CacheEntry::new(compiled, entry.pass_stats, None, 0).is_err());
+        let frame = to_frame(FIXTURE_KEY, &entry).unwrap();
+        let back: CacheEntry = from_frame(FIXTURE_KEY, &frame).unwrap();
+        assert_eq!(
+            (&back.compiled.insns, &back.compiled.words),
+            (&entry.compiled.insns, &entry.compiled.words)
+        );
+        // The words are what travels: a method whose words are its only
+        // code frames to the same bytes.
+        let mut wordy = entry;
+        wordy.compiled.insns = Arc::from([]);
+        assert_eq!(to_frame(FIXTURE_KEY, &wordy).unwrap(), frame);
+    }
+
+    #[test]
+    fn an_embedded_data_range_that_wraps_is_refused() {
+        // Checksummed and decodable; a sum `s + l` wraps to 1 in release.
+        let mut entry = sample_entry();
+        entry.compiled.metadata.embedded_data = vec![(usize::MAX, 2)];
+        let frame = to_frame(FIXTURE_KEY, &entry).unwrap();
+        let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
+        assert!(refusal.starts_with("embedded data "), "{refusal}");
     }
 
     #[test]
@@ -928,14 +960,15 @@ pub(crate) mod tests {
         use std::mem::size_of_val;
         // Grown past the fixed 128-byte allowance, so an under-counted
         // element size cannot hide behind it.
-        let sample = sample_entry();
-        let mut compiled = sample.compiled.clone();
-        compiled.insns = append(&compiled.insns, [Insn::Nop; 64]);
-        compiled.relocs.extend([compiled.relocs[0]; 16]);
-        let entry = CacheEntry::new(compiled, sample.pass_stats, sample.template, 0).unwrap();
+        let mut entry = sample_entry();
+        let m = &mut entry.compiled;
+        let insns: Vec<Insn> = m.insns.iter().copied().chain([Insn::Nop; 64]).collect();
+        m.words = encode_words(&insns).unwrap().into();
+        m.insns = insns.into();
+        m.relocs.extend([m.relocs[0]; 16]);
         let m = &entry.compiled;
         let owned = size_of_val(&*m.insns)
-            + size_of_val(entry.words())
+            + size_of_val(&*m.words)
             + size_of_val(m.pool.as_slice())
             + size_of_val(m.relocs.as_slice())
             + size_of_val(m.metadata.pc_rel.as_slice())
@@ -966,19 +999,39 @@ pub(crate) mod tests {
 
     #[test]
     fn group_validation_rejects_malformed_candidates() {
-        let mut g = sample_group();
+        assert_eq!(validate_group_entry(&live_group()), Ok(()));
+        let mut g = live_group();
         g.candidates[0].symbols.push(u64::from(u32::MAX) + 1);
         g.candidates[0].len += 1;
         assert!(validate_group_entry(&g).is_err(), "separator-space symbol accepted");
-        let mut g = sample_group();
+        let mut g = live_group();
         g.candidates[0].positions = vec![0, 1]; // overlap: 0..3 and 1..4
         assert!(validate_group_entry(&g).is_err(), "overlapping positions accepted");
-        let mut g = sample_group();
+        let mut g = live_group();
         g.candidates[0].positions = vec![0, 18]; // 18 + 3 > 20
         assert!(validate_group_entry(&g).is_err(), "out-of-text position accepted");
-        let mut g = sample_group();
+        let mut g = live_group();
         g.candidates[0].positions = vec![4];
         assert!(validate_group_entry(&g).is_err(), "single occurrence accepted");
+    }
+
+    #[test]
+    fn a_plan_symbol_that_is_not_an_instruction_is_refused_at_the_boundary() {
+        // An outlined body is copied from its candidate's symbols, so the
+        // gauntlet is where they are known to be instructions.
+        let mut plan = live_group();
+        plan.candidates[0].symbols[1] = 0; // unallocated
+        let frame = to_frame(FIXTURE_KEY, &plan).unwrap();
+        assert_eq!(
+            from_frame::<GroupPlanEntry>(FIXTURE_KEY, &frame),
+            Err("candidate 0: symbol 0x00000000 is not an instruction".to_owned())
+        );
+        // So is the recorded sample's placeholder.
+        let (_, fixture) = FIXTURES[1];
+        assert_eq!(
+            from_frame::<GroupPlanEntry>(FIXTURE_KEY, fixture),
+            Err("candidate 0: symbol 0x00000064 is not an instruction".to_owned())
+        );
     }
 
     #[test]
@@ -1042,7 +1095,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let key = CacheKey { hi: 21, lo: 22 };
         store(&dir, key, &sample_entry()).unwrap();
-        store(&dir, key, &sample_group()).unwrap();
+        store(&dir, key, &live_group()).unwrap();
         // Simulate two killed writers (a method entry and a group plan).
         std::fs::write(dir.join(format!("{}.calc.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
         std::fs::write(dir.join(format!("{}.calg.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();

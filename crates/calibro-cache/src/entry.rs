@@ -1,13 +1,12 @@
 //! The cached per-method artifact: the compiled code, its pass
-//! counters, its encoded machine words, and the precomputed LTBO
-//! symbolization template.
+//! counters, and the precomputed LTBO symbolization template.
 
 use std::cell::RefCell;
 use std::mem::size_of_val;
 
 use calibro_codegen::CompiledMethod;
 use calibro_hgraph::PassStats;
-use calibro_isa::{encode_words, EncodeError, Insn};
+use calibro_isa::Insn;
 use calibro_suffix::{stable_sequence_hash_of, OutlineCandidate, UNIQUE_SEPARATOR_BASE};
 
 use crate::hash::{CacheKey, StableHasher};
@@ -195,14 +194,10 @@ impl SymbolTemplate {
 /// produced for a method, so a warm build can skip HGraph construction,
 /// the pass pipeline, code generation, LTBO symbol extraction and
 /// instruction encoding for methods whose inputs did not change.
-///
-/// Built by [`CacheEntry::new`] only, which derives the method's machine
-/// words from its instructions; an entry is immutable once it sits in a
-/// lane (`Arc<CacheEntry>`), so the two cannot drift apart there.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// The compiled method (code, relocations, §3.2 metadata, stack
-    /// maps) exactly as codegen emitted it, pre-LTBO.
+    /// The compiled method (instructions, their words, relocations, §3.2
+    /// metadata, stack maps) exactly as codegen emitted it, pre-LTBO.
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters from the cold compile, replayed into
     /// [`BuildStats`](https://docs.rs) so warm observability matches cold.
@@ -220,37 +215,9 @@ pub struct CacheEntry {
     /// an ordinary value, not a sentinel — a mismatch merely re-runs the
     /// check.
     pub ref_env: u64,
-    /// `compiled.insns`, encoded: one word per instruction, call sites
-    /// as their placeholder. Derived, never serialised — a decoded frame
-    /// re-derives it — so every stage after codegen copies words instead
-    /// of encoding instructions again.
-    pub(crate) words: Vec<u32>,
 }
 
 impl CacheEntry {
-    /// Builds an entry, encoding `compiled.insns` into the words it
-    /// carries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first instruction's [`EncodeError`] when one does not
-    /// encode (such a method could never link).
-    pub fn new(
-        compiled: CompiledMethod,
-        pass_stats: PassStats,
-        template: Option<SymbolTemplate>,
-        ref_env: u64,
-    ) -> Result<CacheEntry, EncodeError> {
-        let words = encode_words(&compiled.insns)?;
-        Ok(CacheEntry { compiled, pass_stats, template, ref_env, words })
-    }
-
-    /// The encoded words of `compiled.insns`, one per instruction.
-    #[must_use]
-    pub fn words(&self) -> &[u32] {
-        &self.words
-    }
-
     /// Approximate resident size in bytes, for the store's per-lane
     /// byte budgets. An estimate over the owned vectors — close enough
     /// for eviction pressure, not an allocator-exact measurement.
@@ -259,7 +226,7 @@ impl CacheEntry {
         let m = &self.compiled;
         let mut bytes = 128; // struct headers and fixed fields
         bytes += size_of_val(&*m.insns);
-        bytes += size_of_val(self.words.as_slice());
+        bytes += size_of_val(&*m.words);
         bytes += size_of_val(m.pool.as_slice());
         bytes += size_of_val(m.relocs.as_slice());
         bytes += size_of_val(m.metadata.pc_rel.as_slice());

@@ -427,7 +427,7 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::disk::tests::{
-        append, sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, V3_FIXTURES,
+        live_group, sample_dict, sample_entry, sample_merge, FIXTURE_KEY, V3_FIXTURES,
     };
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
@@ -464,7 +464,7 @@ mod tests {
     impl Sample for GroupPlanEntry {
         const PREFIX: &'static str = "group_";
         fn make(n: u32) -> Self {
-            GroupPlanEntry { text_len: 20 + n as usize, ..sample_group() }
+            GroupPlanEntry { text_len: 20 + n as usize, ..live_group() }
         }
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.groups()
@@ -827,24 +827,24 @@ mod tests {
 
     #[test]
     fn an_entry_that_cannot_be_framed_is_served_from_memory_only() {
-        // A branch offset must be a multiple of four: the entry is
+        // A branch offset must be a multiple of four: the body is
         // refused by the disk layer with a typed error, and the lane —
         // whose disk write is best-effort — keeps it resident.
-        let mut entry = sample_entry();
-        entry.compiled.insns = append(&entry.compiled.insns, [calibro_isa::Insn::B { offset: 2 }]);
+        let mut body = sample_dict();
+        body.insns.push(calibro_isa::Insn::B { offset: 2 });
         let dir = fresh_dir("unencodable");
-        match crate::disk::store(&dir, key(1), &entry) {
+        match crate::disk::store(&dir, key(1), &body) {
             Err(CacheError::Corrupt { detail, .. }) => {
                 assert!(detail.starts_with("unencodable instruction: "), "{detail}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
         let store = disk_store(&dir);
-        let inserted = store.insert(key(1), entry);
-        assert_eq!(stats::<CacheEntry, 2>(&store, ["stores", "disk_stores"]), [1, 0]);
-        let hit = store.get(key(1)).unwrap().expect("served from memory");
+        let inserted = store.dicts().insert(key(1), body);
+        assert_eq!(stats::<DictEntry, 2>(&store, ["stores", "disk_stores"]), [1, 0]);
+        let hit = store.dicts().get(key(1)).unwrap().expect("served from memory");
         assert!(Arc::ptr_eq(&hit, &inserted));
-        assert!(store.serve_peer(PeerLane::Method, key(1)).is_err(), "peers get the refusal");
+        assert!(store.serve_peer(PeerLane::Dict, key(1)).is_err(), "peers get the refusal");
         assert_eq!(store.flush_to_disk(), 0);
         assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -19,7 +19,6 @@
 //! and the cache's own entry types have to implement it.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Duration;
 
 use calibro_dex::{
@@ -79,8 +78,8 @@ pub enum WireError {
         word: u32,
     },
     /// An instruction word decoded, but to an instruction the encoder
-    /// refuses (the decoder is the more permissive of the two), so the
-    /// machine words an entry carries cannot be derived from it.
+    /// refuses (the decoder is the more permissive of the two), so a
+    /// compiled method's words cannot be derived from it.
     UnencodableInsn {
         /// What was being decoded.
         what: &'static str,
@@ -378,18 +377,6 @@ macro_rules! wire_seq {
 pub(crate) use wire_seq;
 
 wire_seq!(u32, u64, usize, (usize, usize), Insn);
-
-/// Shared instructions (a compiled method's code): exactly the bytes of
-/// the `Vec<Insn>` they were made from.
-impl Wire for Arc<[Insn]> {
-    fn put(&self, w: &mut Writer) {
-        w.seq(self);
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError> {
-        r.seq::<Insn>(what).map(Arc::from)
-    }
-}
 
 /// A word range, `(start, end)` or `(start, len)`: both halves decode
 /// under the field's name. (Concrete, not a blanket tuple impl — the
@@ -987,13 +974,5 @@ mod tests {
             Insn::get(&mut r, "insns"),
             Err(WireError::UndecodableWord { what: "insns", word: 0 })
         );
-    }
-
-    #[test]
-    fn shared_instructions_have_the_bytes_of_a_vector() {
-        let insns = vec![Insn::Nop, Insn::Bl { offset: 8 }, Insn::Ret { rn: calibro_isa::Reg::LR }];
-        let shared: Arc<[Insn]> = Arc::from(insns.as_slice());
-        assert_eq!(encode(&shared), encode(&insns));
-        assert_eq!(decode::<Arc<[Insn]>>(&encode(&insns)), Ok(shared));
     }
 }

@@ -301,7 +301,8 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Resolves fixups and produces the compiled method.
+    /// Resolves fixups and produces the compiled method, encoding its
+    /// instructions into its words — the one time they are encoded.
     fn finish(mut self, method: MethodId, is_native_stub: bool) -> CompiledMethod {
         let code_len = self.insns.len();
         let mut pc_rel = Vec::with_capacity(self.fixups.len() + self.pool_fixups.len());
@@ -350,6 +351,12 @@ impl<'a> Emitter<'a> {
         self.stack_maps.sort_by_key(|s| s.native_offset);
         CompiledMethod {
             method,
+            // Collected straight into the `Arc`: one allocation.
+            words: self
+                .insns
+                .iter()
+                .map(|insn| insn.encode().expect("compiled instruction encodes"))
+                .collect(),
             insns: self.insns.into(),
             pool: self.pool,
             relocs: self.relocs,

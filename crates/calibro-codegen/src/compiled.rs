@@ -110,19 +110,23 @@ impl MethodMetadata {
     }
 }
 
-/// A compiled method: instructions (with unresolved call offsets), call
+/// A compiled method: its code (with unresolved call offsets), call
 /// relocations, LTBO metadata and stack maps.
 #[derive(Clone, Debug)]
 pub struct CompiledMethod {
     /// The originating method.
     pub method: MethodId,
-    /// Machine instructions; embedded literal-pool words are carried as
-    /// raw words in `pool` and appended on serialization. Shared, not
-    /// owned: a method replayed from the artifact cache and the cache
-    /// entry it came from hold one copy, and cloning a method never
-    /// copies its code.
+    /// Machine instructions, as codegen emitted them; empty once a size
+    /// pass rewrote the method's `words`, so no stale instruction is
+    /// left to read. Shared, not owned: a method replayed from the
+    /// artifact cache and the cache entry it came from hold one copy.
     pub insns: Arc<[Insn]>,
-    /// Raw literal-pool words appended after `insns`.
+    /// The method's code: one encoded word per instruction, call sites
+    /// as their placeholder. Codegen encodes it once; every later stage
+    /// rewrites or copies these words, and the linker emits them.
+    /// Shared like `insns`, so cloning a method never copies its code.
+    pub words: Arc<[u32]>,
+    /// Raw literal-pool words appended after `words`.
     pub pool: Vec<u32>,
     /// Call-site relocations.
     pub relocs: Vec<Reloc>,
@@ -133,12 +137,10 @@ pub struct CompiledMethod {
 }
 
 impl CompiledMethod {
-    /// Total size in words (instructions + literal pool) of a method
-    /// that carries its instructions — not of one whose code is kept as
-    /// encoded words alone (see `calibro::MethodWords::Outlined`).
+    /// Total size in words (code + literal pool).
     #[must_use]
     pub fn size_words(&self) -> usize {
-        self.insns.len() + self.pool.len()
+        self.words.len() + self.pool.len()
     }
 }
 
@@ -169,9 +171,11 @@ mod tests {
 
     #[test]
     fn sizes_count_the_pool() {
+        let insns = [Insn::Nop, Insn::Ret { rn: calibro_isa::Reg::LR }];
         let m = CompiledMethod {
             method: MethodId(0),
-            insns: [Insn::Nop, Insn::Ret { rn: calibro_isa::Reg::LR }].into(),
+            insns: insns.into(),
+            words: calibro_isa::encode_words(&insns).unwrap().into(),
             pool: vec![0xdead_beef],
             relocs: vec![],
             metadata: MethodMetadata::default(),

@@ -1,6 +1,7 @@
 //! The linker: lays out compiled methods, outlined functions and CTO
-//! thunks, binds call labels to addresses, and encodes the final text
-//! segment (the "linking" stage of the paper's Figure 5).
+//! thunks, binds call labels to addresses, and assembles the final text
+//! segment from their words (the "linking" stage of the paper's
+//! Figure 5).
 
 use std::fmt;
 
@@ -18,32 +19,24 @@ use crate::file::{
 /// linker patches like any method's.
 #[derive(Clone, Debug)]
 pub struct MergedBody {
-    /// The island's instructions, ending in a return.
-    pub insns: Vec<Insn>,
+    /// The island's code, ending in a return: one encoded word per
+    /// instruction, call sites as their placeholder.
+    pub words: Vec<u32>,
     /// Call-site relocations within the island.
     pub relocs: Vec<Reloc>,
 }
 
-/// Input to the linker.
+/// Input to the linker: every body as its words.
 #[derive(Debug, Default)]
-pub struct LinkInput<'a> {
-    /// Compiled methods; index must equal `MethodId`.
+pub struct LinkInput {
+    /// Compiled methods; index must equal `MethodId`. Each is sized,
+    /// copied and patched from its `words`.
     pub methods: Vec<CompiledMethod>,
-    /// LTBO outlined functions, addressed by `CallTarget::Outlined(i)`.
-    pub outlined: Vec<Vec<Insn>>,
+    /// LTBO outlined functions' words, addressed by
+    /// `CallTarget::Outlined(i)`.
+    pub outlined: Vec<Vec<u32>>,
     /// Merged-function islands, addressed by `CallTarget::Merged(i)`.
     pub merged: Vec<MergedBody>,
-    /// Per method, its code as already-encoded words (one per
-    /// instruction, call sites as their placeholder), when whoever built
-    /// the method kept them; the linker then copies them instead of
-    /// encoding the instructions again, and reads the method's size and
-    /// its call sites from them. `None` — or a list shorter than
-    /// `methods`, such as the default empty one — means the method is
-    /// encoded here from `insns`. A method with words may carry empty
-    /// `insns` (its words are then its only code); otherwise the words
-    /// must be exactly `insns` encoded: only attach words that were
-    /// derived from the very instructions they ride with.
-    pub words: Vec<Option<&'a [u32]>>,
 }
 
 /// A linking failure.
@@ -76,7 +69,7 @@ impl fmt::Display for LinkError {
                 write!(f, "method {method}: unresolved call target at word {at}")
             }
             LinkError::NotACallSite { method, at } => {
-                write!(f, "method {method}: relocation at word {at} is not a bl")
+                write!(f, "method {method}: relocation at word {at} is not a bl or b")
             }
             LinkError::MissingThunk { kind } => {
                 write!(f, "thunk {kind:?} was not laid out where its callers were bound")
@@ -102,17 +95,17 @@ impl From<EncodeError> for LinkError {
 /// list leaves the layout byte-identical to a pre-merge link.
 ///
 /// Consumes the input: per-method metadata and stack maps move into the
-/// output records, a method that arrives with its words
-/// ([`LinkInput::words`]) is sized from them and copied into the text
-/// segment rather than encoded again, and call patching checks and
-/// rewrites the words already there — linking is on the warm-rebuild
-/// critical path for every build.
+/// output records, every method, outlined function and island is sized
+/// from its words and copied into the text segment, and call patching
+/// checks and rewrites the words already there. Only the CTO thunks and
+/// the patched call sites are encoded here — linking is on the
+/// warm-rebuild critical path for every build.
 ///
 /// # Errors
 ///
 /// Returns a [`LinkError`] for unresolved relocations, malformed inputs,
 /// or out-of-range branches.
-pub fn link(input: LinkInput<'_>, base_address: u64) -> Result<OatFile, LinkError> {
+pub fn link(input: LinkInput, base_address: u64) -> Result<OatFile, LinkError> {
     link_with_dict(input, base_address, None)
 }
 
@@ -132,12 +125,11 @@ pub fn link(input: LinkInput<'_>, base_address: u64) -> Result<OatFile, LinkErro
 /// appears without an island or targets a word beyond the island's end,
 /// plus everything [`link`] can return.
 pub fn link_with_dict(
-    input: LinkInput<'_>,
+    input: LinkInput,
     base_address: u64,
     dict: Option<&DictImage>,
 ) -> Result<OatFile, LinkError> {
-    let LinkInput { methods, outlined, merged, words: method_words } = input;
-    let words_of = |index: usize| method_words.get(index).copied().flatten();
+    let LinkInput { methods, outlined, merged } = input;
     let mut dict_used = false;
     // --- Collect referenced thunks (sorted for determinism). -----------
     // A handful of kinds against tens of thousands of relocations: a
@@ -162,9 +154,7 @@ pub fn link_with_dict(
             return Err(LinkError::MisorderedMethod { index });
         }
         method_offsets.push(offset);
-        // Sized by its words when it brought them, else its instructions.
-        let insn_words = words_of(index).map_or(m.insns.len(), <[u32]>::len);
-        offset += (insn_words + m.pool.len()) as u64 * 4;
+        offset += m.size_words() as u64 * 4;
     }
     let mut outlined_offsets = Vec::with_capacity(outlined.len());
     for o in &outlined {
@@ -174,7 +164,7 @@ pub fn link_with_dict(
     let mut merged_offsets = Vec::with_capacity(merged.len());
     for b in &merged {
         merged_offsets.push(offset);
-        offset += b.insns.len() as u64 * 4;
+        offset += b.words.len() as u64 * 4;
     }
     // Sorted by kind, so a relocation's thunk is a binary search away.
     let mut thunks: Vec<(ThunkKind, u64, Vec<Insn>)> = Vec::with_capacity(thunk_kinds.len());
@@ -210,11 +200,11 @@ pub fn link_with_dict(
         }
     };
     // Call sites carry a placeholder `bl` (or, for merge thunk tails,
-    // `b` — always encodable), so the body's words hold a valid word
-    // there and this overwrites it with the resolved offset, preserving
-    // the site's mnemonic. `site` names the body in errors, `code_start`
-    // is its offset and `body` its words in the text segment — the one
-    // place a site is checked, whether its words were copied or encoded.
+    // `b`), so the body's words hold a valid word there and this
+    // overwrites it with the resolved offset, preserving the site's
+    // mnemonic. `site` names the body in errors, `code_start` is its
+    // offset and `body` its words in the text segment — the one place a
+    // site is checked.
     let patch_calls = |site: usize,
                        relocs: &[Reloc],
                        code_start: u64,
@@ -235,42 +225,29 @@ pub fn link_with_dict(
         Ok(())
     };
 
-    // --- Encode (or copy) and patch calls. ------------------------------
+    // --- Copy every body's words and patch calls. ----------------------
     let method_count = methods.len();
     let mut words = Vec::with_capacity((offset / 4) as usize);
     let mut records = Vec::with_capacity(methods.len());
     for (index, m) in methods.into_iter().enumerate() {
+        // Codegen encoded the instructions once; a size pass that
+        // rewrote the words emptied them. The debug-profile test run is
+        // what checks the two forms never disagree.
+        debug_assert!(
+            m.insns.is_empty()
+                || calibro_isa::encode_words(&m.insns).as_deref() == Ok(&m.words[..]),
+            "method {index}: its words are not its instructions encoded"
+        );
         let code_start = method_offsets[index];
         let start_word = words.len();
-        match words_of(index) {
-            // Encoded once, when the method's cache entry was built or
-            // when the outline pass rewrote it: move the words. A method
-            // the outline pass rewrote has them as its only code.
-            Some(encoded) => {
-                assert!(
-                    m.insns.is_empty() || encoded.len() == m.insns.len(),
-                    "method {index}: words/insns length"
-                );
-                debug_assert!(
-                    m.insns.iter().zip(encoded).all(|(insn, &word)| insn.encode() == Ok(word)),
-                    "method {index}: a pre-encoded word differs from its instruction"
-                );
-                words.extend_from_slice(encoded);
-            }
-            None => {
-                for insn in m.insns.iter() {
-                    words.push(insn.encode()?);
-                }
-            }
-        }
-        let insn_words = words.len() - start_word;
+        words.extend_from_slice(&m.words);
         patch_calls(index, &m.relocs, code_start, &mut words[start_word..])?;
         words.extend_from_slice(&m.pool);
         records.push(OatMethodRecord {
             method: m.method,
             offset: code_start,
-            insn_words,
-            code_words: insn_words + m.pool.len(),
+            insn_words: m.words.len(),
+            code_words: m.size_words(),
             metadata: m.metadata,
             stack_maps: m.stack_maps,
         });
@@ -278,23 +255,19 @@ pub fn link_with_dict(
 
     let mut outlined_records = Vec::with_capacity(outlined.len());
     for (o, &off) in outlined.iter().zip(&outlined_offsets) {
-        for insn in o {
-            words.push(insn.encode()?);
-        }
+        words.extend_from_slice(o);
         outlined_records.push(OutlinedRecord { offset: off, size_words: o.len() });
     }
 
     let mut merged_records = Vec::with_capacity(merged.len());
     for (island, (b, &off)) in merged.iter().zip(&merged_offsets).enumerate() {
         let start_word = words.len();
-        for insn in &b.insns {
-            words.push(insn.encode()?);
-        }
+        words.extend_from_slice(&b.words);
         // Islands carry whole function bodies, so they are patched
         // exactly like methods; errors report the site as
         // `methods.len() + island`.
         patch_calls(method_count + island, &b.relocs, off, &mut words[start_word..])?;
-        merged_records.push(MergedRecord { offset: off, size_words: b.insns.len() });
+        merged_records.push(MergedRecord { offset: off, size_words: b.words.len() });
     }
 
     let mut thunk_records = Vec::with_capacity(thunks.len());
@@ -368,7 +341,8 @@ mod tests {
     /// Appends `insn` to `m`'s code and returns its word index.
     fn push_insn(m: &mut CompiledMethod, insn: Insn) -> usize {
         m.insns = m.insns.iter().copied().chain([insn]).collect();
-        m.insns.len() - 1
+        m.words = m.words.iter().copied().chain([insn.encode().unwrap()]).collect();
+        m.words.len() - 1
     }
 
     #[test]
@@ -379,12 +353,7 @@ mod tests {
         let caller = with_id(simple_method("caller", Some(MethodId(1)), &opts), 0);
         assert!(caller.relocs.is_empty());
         let callee = with_id(simple_method("callee", None, &opts), 1);
-        let input = LinkInput {
-            methods: vec![caller, callee],
-            outlined: vec![],
-            merged: vec![],
-            ..Default::default()
-        };
+        let input = LinkInput { methods: vec![caller, callee], ..Default::default() };
         let oat = link(input, 0x4000_0000).unwrap();
         assert_eq!(oat.methods.len(), 2);
         assert!(oat.thunks.is_empty());
@@ -398,12 +367,7 @@ mod tests {
         let m0 = with_id(simple_method("a", Some(MethodId(2)), &opts), 0);
         let m1 = with_id(simple_method("b", Some(MethodId(2)), &opts), 1);
         let m2 = with_id(simple_method("leaf", None, &opts), 2);
-        let input = LinkInput {
-            methods: vec![m0, m1, m2],
-            outlined: vec![],
-            merged: vec![],
-            ..Default::default()
-        };
+        let input = LinkInput { methods: vec![m0, m1, m2], ..Default::default() };
         let oat = link(input, 0x4000_0000).unwrap();
         // JavaEntry + StackCheck thunks expected.
         assert_eq!(oat.thunks.len(), 2);
@@ -423,8 +387,9 @@ mod tests {
         // over an existing bl... instead create a bl at a known position.
         let at = push_insn(&mut m, Insn::Bl { offset: 0 });
         m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(0) });
-        let outlined = vec![vec![Insn::Nop, Insn::Br { rn: Reg::LR }]];
-        let input = LinkInput { methods: vec![m], outlined, merged: vec![], ..Default::default() };
+        let outlined =
+            vec![calibro_isa::encode_words(&[Insn::Nop, Insn::Br { rn: Reg::LR }]).unwrap()];
+        let input = LinkInput { methods: vec![m], outlined, ..Default::default() };
         let oat = link(input, 0x1000).unwrap();
         assert_eq!(oat.outlined.len(), 1);
         let record = &oat.outlined[0];
@@ -455,8 +420,7 @@ mod tests {
             epoch: 2,
             words: vec![Insn::Nop.encode().unwrap(); 5],
         };
-        let input =
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
+        let input = LinkInput { methods: vec![m], ..Default::default() };
         let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
         // The OAT records which island (and epoch) it depends on.
         let dict = oat.dict.expect("dict link recorded");
@@ -481,8 +445,7 @@ mod tests {
             epoch: 7,
             words: vec![Insn::Nop.encode().unwrap()],
         };
-        let input =
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
+        let input = LinkInput { methods: vec![m], ..Default::default() };
         let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
         assert!(oat.dict.is_none(), "an unused island must not pin an epoch");
     }
@@ -495,7 +458,7 @@ mod tests {
             let mut m = with_id(simple_method("a", None, &opts), 0);
             let at = push_insn(&mut m, Insn::Bl { offset: 0 });
             m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Dict(9) });
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() }
+            LinkInput { methods: vec![m], ..Default::default() }
         };
         // No island at all.
         assert!(matches!(
@@ -524,18 +487,18 @@ mod tests {
         // The island itself calls a CTO thunk, so the linker must both
         // emit the thunk and patch the island-internal `bl`.
         let island = MergedBody {
-            insns: vec![Insn::Bl { offset: 0 }, Insn::Nop, Insn::Ret { rn: Reg::LR }],
+            words: calibro_isa::encode_words(&[
+                Insn::Bl { offset: 0 },
+                Insn::Nop,
+                Insn::Ret { rn: Reg::LR },
+            ])
+            .unwrap(),
             relocs: vec![calibro_codegen::Reloc {
                 at: 0,
                 target: CallTarget::Thunk(calibro_codegen::ThunkKind::StackCheck),
             }],
         };
-        let input = LinkInput {
-            methods: vec![m],
-            outlined: vec![],
-            merged: vec![island],
-            ..Default::default()
-        };
+        let input = LinkInput { methods: vec![m], merged: vec![island], ..Default::default() };
         let oat = link(input, 0x1000).unwrap();
         assert_eq!(oat.merged.len(), 1);
         assert_eq!(oat.merged[0].size_words, 3);
@@ -566,74 +529,35 @@ mod tests {
     }
 
     #[test]
-    fn a_method_that_brings_its_words_links_to_the_same_image() {
+    fn a_method_whose_words_are_its_only_code_links_to_the_same_image() {
         let methods = cto_trio();
-        let encoded: Vec<Vec<u32>> =
-            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
         let plain = link(LinkInput { methods: methods.clone(), ..Default::default() }, 0x4000_0000)
             .unwrap();
         assert!(plain.methods.iter().any(|r| r.insn_words > 0) && !plain.thunks.is_empty());
-        // Every method, some methods, and a list that stops short.
-        let all = encoded.iter().map(|w| Some(w.as_slice())).collect();
-        let some = vec![Some(encoded[0].as_slice()), None, Some(encoded[2].as_slice())];
-        let short = vec![None, Some(encoded[1].as_slice())];
-        for words in [all, some, short] {
-            let input = LinkInput { methods: methods.clone(), words, ..Default::default() };
-            let copied = link(input, 0x4000_0000).unwrap();
-            assert_eq!(copied.words, plain.words);
-            assert_eq!(format!("{:?}", copied.methods), format!("{:?}", plain.methods));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "words/insns length")]
-    fn words_of_another_length_than_the_method_are_refused() {
-        let methods = cto_trio();
-        let mut words = calibro_isa::encode_words(&methods[0].insns).unwrap();
-        words.pop();
-        let input = LinkInput { methods, words: vec![Some(&words)], ..Default::default() };
-        let _ = link(input, 0x4000_0000);
-    }
-
-    #[test]
-    fn a_method_whose_words_are_its_only_code_links_to_the_same_image() {
-        let methods = cto_trio();
-        let encoded: Vec<Vec<u32>> =
-            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
-        let plain = link(LinkInput { methods: methods.clone(), ..Default::default() }, 0x4000_0000)
-            .unwrap();
         // Sizes, offsets, call sites and records all come from the words.
         let mut wordy = methods;
         for m in &mut wordy {
             m.insns = Arc::from([]);
         }
-        let words = encoded.iter().map(|w| Some(w.as_slice())).collect();
-        let copied =
-            link(LinkInput { methods: wordy, words, ..Default::default() }, 0x4000_0000).unwrap();
-        assert_eq!(copied.words, plain.words);
+        let copied = link(LinkInput { methods: wordy, ..Default::default() }, 0x4000_0000).unwrap();
         assert_eq!(format!("{:?}", copied), format!("{:?}", plain));
     }
 
     #[test]
     fn a_relocation_at_a_non_branch_word_is_not_a_call_site() {
-        let methods = cto_trio();
+        let mut methods = cto_trio();
         let (index, at) = methods
             .iter()
             .enumerate()
             .find_map(|(i, m)| m.relocs.first().map(|r| (i, r.at)))
             .expect("a cto method calls a thunk");
-        let mut words: Vec<Vec<u32>> =
-            methods.iter().map(|m| calibro_isa::encode_words(&m.insns).unwrap()).collect();
-        words[index][at] = Insn::Nop.encode().unwrap();
         // The words are the method's only code, so they are what is checked.
-        let mut wordy = methods;
-        wordy[index].insns = Arc::from([]);
-        let input = LinkInput {
-            methods: wordy,
-            words: words.iter().map(|w| Some(w.as_slice())).collect(),
-            ..Default::default()
-        };
-        match link(input, 0x4000_0000) {
+        let m = &mut methods[index];
+        let mut words = m.words.to_vec();
+        words[at] = Insn::Nop.encode().unwrap();
+        m.words = words.into();
+        m.insns = Arc::from([]);
+        match link(LinkInput { methods, ..Default::default() }, 0x4000_0000) {
             Err(LinkError::NotACallSite { method, at: site }) => {
                 assert_eq!((method, site), (index, at))
             }
@@ -647,8 +571,7 @@ mod tests {
         let mut m = with_id(simple_method("a", None, &opts), 0);
         let at = push_insn(&mut m, Insn::Bl { offset: 0 });
         m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(7) });
-        let input =
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
+        let input = LinkInput { methods: vec![m], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::UnresolvedTarget { .. })));
     }
 
@@ -656,8 +579,7 @@ mod tests {
     fn misordered_methods_error() {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let m = with_id(simple_method("a", None, &opts), 5);
-        let input =
-            LinkInput { methods: vec![m], outlined: vec![], merged: vec![], ..Default::default() };
+        let input = LinkInput { methods: vec![m], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::MisorderedMethod { index: 0 })));
     }
 
@@ -666,12 +588,7 @@ mod tests {
         let opts = CodegenOptions { cto: true, collect_metadata: true };
         let m0 = with_id(simple_method("a", Some(MethodId(1)), &opts), 0);
         let m1 = with_id(simple_method("b", None, &opts), 1);
-        let input = LinkInput {
-            methods: vec![m0, m1],
-            outlined: vec![],
-            merged: vec![],
-            ..Default::default()
-        };
+        let input = LinkInput { methods: vec![m0, m1], ..Default::default() };
         let oat = link(input, 0x4000_0000).unwrap();
         for record in &oat.methods {
             let start = (record.offset / 4) as usize;

@@ -71,4 +71,4 @@ pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineErr
 pub use merge::{merge_content_key, MergeConfig, MergeStats};
 pub use pipeline::{BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
 pub use report::{size_report, SizeReport};
-pub use sizepass::{MethodWords, SizeArtifact};
+pub use sizepass::SizeArtifact;

@@ -24,11 +24,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calibro_cache::{
-    ArtifactStore, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate, TemplateSlot,
+    ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate, TemplateSlot,
 };
 use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
-use calibro_isa::{decode, decode_all, encode_words, Insn};
+use calibro_isa::{decode, decode_all, Insn, Reg};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, replay_group_plan, GroupPlan,
     TaggedSequence, UNIQUE_SEPARATOR_BASE,
@@ -36,7 +36,6 @@ use calibro_suffix::{
 
 use crate::fingerprint::group_plan_key_from;
 use crate::pipeline::{panic_message, run_indexed};
-use crate::sizepass::MethodWords;
 
 /// How the suffix-tree stage runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,8 +166,9 @@ pub mod detect_fault {
 /// The result of a link-time outlining run.
 #[derive(Debug)]
 pub struct LtboResult {
-    /// The outlined functions, in `CallTarget::Outlined` index order.
-    pub outlined: Vec<Vec<Insn>>,
+    /// The outlined functions' words, in `CallTarget::Outlined` index
+    /// order.
+    pub outlined: Vec<Vec<u32>>,
     /// Run statistics.
     pub stats: LtboStats,
     /// Wall time of the detection phase alone: cache probe, then per
@@ -215,23 +215,19 @@ struct Symbolized<'a> {
     /// replayed symbols whatever this method's band — no per-build
     /// re-hashing.
     template: Cow<'a, SymbolTemplate>,
-    /// The method's words, when it arrived without any and they had to
-    /// be made here for the template; kept for [`apply_edits`].
-    encoded: Option<Vec<u32>>,
 }
 
 /// Classifies one method (§3.3.1) and finds its symbolization template
 /// (§3.3.2); `None` means the method is not a candidate (indirect jump,
-/// native stub, or hot with no slow paths). `source` says where the
-/// method stands: while it is still exactly its store entry's code the
-/// entry's template is borrowed, and a fresh [`build_template`] is owned
-/// when that does not apply — there is no entry, or the method is hot
-/// (cached templates are built for the unfiltered case). The fresh
-/// template reads the method's words instead of encoding again; a method
-/// that carries none is encoded here, once.
+/// native stub, or hot with no slow paths). `entry` is the store entry
+/// codegen compiled or replayed the method from: while the method still
+/// shares that entry's words nothing has rewritten it, so the entry's
+/// template describes it and is borrowed. A fresh [`build_template`] is
+/// owned when that does not apply — there is no entry, or the method is
+/// hot (cached templates are built for the unfiltered case).
 fn symbolize<'a>(
     m: &CompiledMethod,
-    source: Option<&'a MethodWords>,
+    entry: Option<&'a CacheEntry>,
     hot_methods: Option<&HashSet<u32>>,
 ) -> Option<Symbolized<'a>> {
     if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
@@ -241,24 +237,12 @@ fn symbolize<'a>(
     if hot && m.metadata.slow_paths.is_empty() {
         return None;
     }
-    let cached = match source {
-        Some(MethodWords::Entry(entry)) => entry.template.as_ref(),
-        _ => None,
+    let unmodified = entry.filter(|e| !hot && Arc::ptr_eq(&m.words, &e.compiled.words));
+    let template = match unmodified.and_then(|e| e.template.as_ref()) {
+        Some(template) => Cow::Borrowed(template),
+        None => Cow::Owned(build_template(m, hot)),
     };
-    let mut encoded = None;
-    let template = match cached {
-        Some(template) if !hot => Cow::Borrowed(template),
-        _ => {
-            let words = match source.and_then(MethodWords::as_slice) {
-                Some(words) => words,
-                None => {
-                    encoded.insert(encode_words(&m.insns).expect("compiled instruction encodes"))
-                }
-            };
-            Cow::Owned(build_template(m, words, hot))
-        }
-    };
-    Some(Symbolized { hot, template, encoded })
+    Some(Symbolized { hot, template })
 }
 
 #[cfg(test)]
@@ -302,9 +286,9 @@ struct Edit {
 
 /// Runs LTBO over the compiled methods, mutating them in place and
 /// returning the outlined functions to hand to the linker. The
-/// session-free entry point: every method is symbolized from scratch,
-/// no plan is cached, and a rewritten method's new words are decoded
-/// back into its `insns`.
+/// session-free entry point: every method is symbolized from scratch
+/// and no plan is cached. A rewritten method's code is its new `words`;
+/// its `insns` is left empty.
 ///
 /// # Panics
 ///
@@ -312,7 +296,7 @@ struct Edit {
 /// invariants; the compiler produces consistent metadata, and cached
 /// artifacts are validated at load time).
 pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResult {
-    match outline_methods(methods, &mut [], config, None, None) {
+    match outline_methods(methods, &[], config, None, None) {
         Ok(result) => result,
         Err(e) => panic!("{e}"),
     }
@@ -321,17 +305,16 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 /// The one outlining route, shared by [`run_ltbo`] and the staged
 /// pipeline's outline pass. Beyond the five §3.3 steps it offers:
 ///
-/// - **Template replay.** `words` is indexed by method position and
-///   says where each method stands ([`MethodWords`]); a method that is
-///   still its store entry's code replays the entry's cached §3.3.2
-///   symbol structure instead of re-extracting it from code and
-///   metadata (see [`symbolize`]). An empty or short slice falls back
-///   to extraction.
+/// - **Template replay.** `entries` is indexed by method position and
+///   holds the store entry each method was compiled into or replayed
+///   from; a method that still shares its entry's words replays the
+///   entry's cached §3.3.2 symbol structure instead of re-extracting it
+///   from code and metadata (see [`symbolize`]). An empty or short
+///   slice falls back to extraction.
 /// - **Words are the code.** A rewritten method's words are rewritten
-///   ([`apply_edits`]) — never its instructions — and left in its
-///   `words` slot with its `insns` empty, so the linker copies them
-///   instead of encoding the method again; without a slot
-///   ([`run_ltbo`]) they are decoded back into `insns` ([`keep_code`]).
+///   ([`apply_edits`]) — never its instructions — and its `insns` is
+///   left empty. Outlined bodies are their candidates' symbols, which
+///   are words already; they are decoded only for the dictionary.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
 ///   panic on an inconsistent plan) is caught and surfaced as
@@ -372,7 +355,7 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 /// persisted group plan exists but is corrupt or unreadable.
 pub(crate) fn outline_methods(
     methods: &mut [CompiledMethod],
-    words: &mut [MethodWords],
+    entries: &[Arc<CacheEntry>],
     config: &LtboConfig,
     store: Option<&ArtifactStore>,
     mut dict: Option<&mut DictSession>,
@@ -382,9 +365,8 @@ pub(crate) fn outline_methods(
     // --- §3.3.1: choose candidates; §3.3.2: find their templates. -------
     let mut candidates: Vec<usize> = Vec::new();
     let mut templates: Vec<Option<Cow<'_, SymbolTemplate>>> = vec![None; methods.len()];
-    let mut encoded: Vec<Option<Vec<u32>>> = vec![None; methods.len()];
     for (idx, m) in methods.iter().enumerate() {
-        match symbolize(m, words.get(idx), config.hot_methods.as_ref()) {
+        match symbolize(m, entries.get(idx).map(|e| &**e), config.hot_methods.as_ref()) {
             None => stats.excluded_methods += 1,
             Some(symbolized) => {
                 if symbolized.hot {
@@ -393,7 +375,6 @@ pub(crate) fn outline_methods(
                 stats.candidate_methods += 1;
                 candidates.push(idx);
                 templates[idx] = Some(symbolized.template);
-                encoded[idx] = symbolized.encoded;
             }
         }
     }
@@ -487,29 +468,37 @@ pub(crate) fn outline_methods(
     let plans: Vec<GroupPlan<'_>> = tagged_plans.into_iter().map(|(plan, _)| plan).collect();
 
     // --- Materialize outlined functions and per-method edits. -----------
-    let mut outlined: Vec<Vec<Insn>> = Vec::new();
+    let mut outlined: Vec<Vec<u32>> = Vec::new();
     let mut edits: Vec<Vec<Edit>> = (0..methods.len()).map(|_| Vec::new()).collect();
+    let ret_word = Insn::Br { rn: Reg::LR }.encode().expect("br x30 encodes");
     for (group, plan) in plans.iter().enumerate() {
         let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
             for cand in plan.candidates.iter() {
-                // Room for the `br x30` a private copy ends in.
-                let mut body: Vec<Insn> = Vec::with_capacity(cand.symbols.len() + 1);
-                body.extend(cand.symbols.iter().map(|&s| {
-                    decode(u32::try_from(s).expect("candidate symbol is a word"))
-                        .expect("candidate symbols decode")
-                }));
+                // A candidate's symbols are literals, the words of the
+                // instructions it repeats (a replayed plan's were checked
+                // at the cache's trust boundary). Room for the `br x30` a
+                // private copy ends in.
+                let mut body: Vec<u32> = Vec::with_capacity(cand.symbols.len() + 1);
+                body.extend(
+                    cand.symbols
+                        .iter()
+                        .map(|&s| u32::try_from(s).expect("candidate symbol is a word")),
+                );
                 // Dictionary arbitration: a byte-identical island body
                 // serves every occurrence at call overhead only.
                 let call = match (dict.as_deref_mut(), store) {
-                    (Some(session), Some(store)) => session.route(&body, store).map(EditCall::Dict),
+                    (Some(session), Some(store)) => {
+                        let insns = decode_all(&body).expect("candidate symbols decode");
+                        session.route(&insns, store).map(EditCall::Dict)
+                    }
                     _ => None,
                 };
                 let call = match call {
                     Some(call) => call,
                     None => {
                         let id = outlined.len() as u32;
-                        body.push(Insn::Br { rn: calibro_isa::Reg::LR });
+                        body.push(ret_word);
                         stats.words_saved -= body.len() as i64;
                         outlined.push(body);
                         stats.outlined_functions += 1;
@@ -541,41 +530,20 @@ pub(crate) fn outline_methods(
         }
         method_edits.sort_unstable_by_key(|e| e.start);
     }
-    // The templates borrow the store entries out of `words`, which the
-    // loop below writes to.
-    drop(templates);
 
     // --- §3.3.4 + §3.5: apply edits, patch PC-relative, fix records. ----
-    let mut map = Vec::new();
+    let (mut map, mut new_words) = (Vec::new(), Vec::new());
     for (idx, method_edits) in edits.iter().enumerate() {
         if method_edits.is_empty() {
             continue;
         }
-        let old_words = words
-            .get(idx)
-            .and_then(MethodWords::as_slice)
-            .or(encoded[idx].as_deref())
-            .expect("a candidate's words were found or made when it was symbolized");
-        let (new_words, patched, maps_updated) =
-            apply_edits(&mut methods[idx], old_words, method_edits, &mut map);
-        keep_code(&mut methods[idx], words.get_mut(idx), new_words);
+        let (patched, maps_updated) =
+            apply_edits(&mut methods[idx], method_edits, &mut map, &mut new_words);
         stats.pc_rel_patched += patched;
         stats.stack_maps_updated += maps_updated;
     }
 
     Ok(LtboResult { outlined, stats, detect_time })
-}
-
-/// Leaves a method [`apply_edits`] rewrote its code where its caller
-/// keeps code: in its words slot when it has one (the staged pipeline's
-/// [`MethodWords::Outlined`], with `insns` left empty), else decoded back
-/// into `insns` — [`run_ltbo`]'s in-place contract, and the only path
-/// that pays for a decode.
-fn keep_code(m: &mut CompiledMethod, slot: Option<&mut MethodWords>, words: Vec<u32>) {
-    match slot {
-        Some(slot) => *slot = MethodWords::Outlined(words),
-        None => m.insns = decode_all(&words).expect("rewritten words decode").into(),
-    }
 }
 
 /// [`build_template`]'s one flag byte per word: the word becomes a
@@ -588,9 +556,8 @@ const LEADER: u8 = 2;
 /// Builds the §3.3.2 symbolization structure for one method: which
 /// words are separator-forced (terminators, PC-relative sites, LR
 /// users, SP writers, block leaders) and the encoded words of the rest,
-/// read from `words` — the method's instructions as already encoded
-/// ([`CacheEntry::words`](calibro_cache::CacheEntry::words)), so nothing
-/// is encoded a second time here. Replaying the result through
+/// read from the method's `words`, so nothing is encoded a second time
+/// here. Replaying the result through
 /// [`SymbolTemplate::replay_symbols`] yields exactly the symbol sequence
 /// direct extraction would produce — the cache stores the
 /// `hot_slow_paths_only = false` template so warm builds skip this scan
@@ -603,14 +570,11 @@ const LEADER: u8 = 2;
 ///
 /// # Panics
 ///
-/// Panics if `words` is not one word per instruction.
+/// Panics if `m.words` is not one word per instruction — as when a size
+/// pass rewrote the method and dropped its instructions.
 #[doc(hidden)]
-pub fn build_template(
-    m: &CompiledMethod,
-    words: &[u32],
-    hot_slow_paths_only: bool,
-) -> SymbolTemplate {
-    let code_len = m.insns.len();
+pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTemplate {
+    let (code_len, words) = (m.insns.len(), &m.words);
     assert_eq!(words.len(), code_len, "one encoded word per instruction");
     // A hot method outlines its slow paths only: every word starts
     // fresh and the slow paths are cleared back, before any other mark.
@@ -642,7 +606,7 @@ pub fn build_template(
     }
 
     let mut slots = Vec::with_capacity(code_len + leaders);
-    for (word, ((insn, &encoded), &f)) in m.insns.iter().zip(words).zip(&flags).enumerate() {
+    for (word, ((insn, &encoded), &f)) in m.insns.iter().zip(words.iter()).zip(&flags).enumerate() {
         // A basic-block leader must start a fresh sequence: branches land
         // here, so no repeat may span this boundary.
         if f & LEADER != 0 {
@@ -658,28 +622,29 @@ pub fn build_template(
     SymbolTemplate::new(slots)
 }
 
-/// Applies sorted, non-overlapping edits to one method's encoded `words`
-/// (the code codegen emitted, one word per instruction) and to its
-/// §3.2/§3.5 tables: each outlined range becomes a placeholder `bl`,
+/// Applies sorted, non-overlapping edits to one method's `words` and to
+/// its §3.2/§3.5 tables: each outlined range becomes a placeholder `bl`,
 /// everything between two edits is copied as a run of words, PC-relative
 /// sites are patched on their word (decode, new offset, encode) and
-/// every record is remapped. No instruction is copied: the returned
-/// words are the method's code from here on, and its `insns` is left
-/// empty (see [`keep_code`]). `map` is scratch (old word index → new word
-/// index), reused from method to method. Returns the method's new words
-/// and `(pc_rel_patched, stack_maps_updated)`.
+/// every record is remapped. No instruction is copied: the new words are
+/// the method's code from here on, and its `insns` is left empty. `map`
+/// (old word index → new word index) and `new_words` are scratch, reused
+/// from method to method; the finished words are copied into the
+/// method's `Arc` once. Returns `(pc_rel_patched, stack_maps_updated)`.
 fn apply_edits(
     m: &mut CompiledMethod,
-    words: &[u32],
     edits: &[Edit],
     map: &mut Vec<usize>,
-) -> (Vec<u32>, usize, usize) {
+    new_words: &mut Vec<u32>,
+) -> (usize, usize) {
+    let words = &m.words;
     let old_len = words.len();
     let new_code_len = old_len - edits.iter().map(|e| e.len.saturating_sub(1)).sum::<usize>();
     // usize::MAX = removed (the interior of an outlined range).
     map.clear();
     map.resize(old_len + m.pool.len() + 1, usize::MAX);
-    let mut new_words = Vec::with_capacity(new_code_len);
+    new_words.clear();
+    new_words.reserve(new_code_len);
     let mut new_relocs: Vec<Reloc> = Vec::with_capacity(m.relocs.len() + edits.len());
     let bl_word = Insn::Bl { offset: 0 }.encode().expect("a placeholder bl encodes");
     let mut word = 0;
@@ -791,8 +756,9 @@ fn apply_edits(
     }
 
     m.insns = Arc::from([]);
+    m.words = Arc::from(&new_words[..]);
     m.relocs = new_relocs;
-    (new_words, patched, maps_updated)
+    (patched, maps_updated)
 }
 
 #[cfg(test)]
@@ -800,24 +766,35 @@ mod tests {
     use super::*;
     use calibro_codegen::{MethodMetadata, StackMapEntry};
     use calibro_dex::MethodId;
-    use calibro_isa::Reg;
+    use calibro_isa::encode_words;
 
-    fn method_with_stack_map(native_offset: u32) -> CompiledMethod {
-        let mov = |rd: Reg, rm: Reg| Insn::OrrReg { wide: true, rd, rn: Reg::ZR, rm, shift: 0 };
+    /// Method 7 compiled to `insns`, with their words.
+    fn compiled(insns: Vec<Insn>) -> CompiledMethod {
         CompiledMethod {
             method: MethodId(7),
-            insns: vec![
-                mov(Reg::X1, Reg::X2),
-                mov(Reg::X3, Reg::X4),
-                mov(Reg::X5, Reg::X6),
-                Insn::Ret { rn: Reg::LR },
-            ]
-            .into(),
+            words: encode_words(&insns).expect("the body encodes").into(),
+            insns: insns.into(),
             pool: vec![],
             relocs: vec![],
             metadata: MethodMetadata::default(),
-            stack_maps: vec![StackMapEntry { native_offset, dex_pc: 0 }],
+            stack_maps: vec![],
         }
+    }
+
+    fn movs_then_ret() -> Vec<Insn> {
+        let mov = |rd: Reg, rm: Reg| Insn::OrrReg { wide: true, rd, rn: Reg::ZR, rm, shift: 0 };
+        vec![
+            mov(Reg::X1, Reg::X2),
+            mov(Reg::X3, Reg::X4),
+            mov(Reg::X5, Reg::X6),
+            Insn::Ret { rn: Reg::LR },
+        ]
+    }
+
+    fn method_with_stack_map(native_offset: u32) -> CompiledMethod {
+        let mut m = compiled(movs_then_ret());
+        m.stack_maps = vec![StackMapEntry { native_offset, dex_pc: 0 }];
+        m
     }
 
     #[test]
@@ -827,9 +804,8 @@ mod tests {
         // unconstructible from valid codegen. Before the guard this
         // underflowed `old_word - 1` and indexed `map[usize::MAX]`.
         let mut m = method_with_stack_map(0);
-        let words = encode_words(&m.insns).unwrap();
         let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
-        apply_edits(&mut m, &words, &edits, &mut Vec::new());
+        apply_edits(&mut m, &edits, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
@@ -837,31 +813,30 @@ mod tests {
         // The stack map names word 3 (offset 12); outlining words 0-1 into
         // a single `bl` shifts it back by one word, to offset 8.
         let mut m = method_with_stack_map(12);
-        let words = encode_words(&m.insns).unwrap();
         let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
-        let (words, _patched, maps_updated) = apply_edits(&mut m, &words, &edits, &mut Vec::new());
+        let (_patched, maps_updated) =
+            apply_edits(&mut m, &edits, &mut Vec::new(), &mut Vec::new());
         assert_eq!(maps_updated, 1);
         assert_eq!(m.stack_maps[0].native_offset, 8);
         // The words are the method's code now.
         assert!(m.insns.is_empty());
-        assert_eq!(words.len(), 3);
-        assert!(matches!(decode(words[0]), Ok(Insn::Bl { .. })));
+        assert_eq!(m.words.len(), 3);
+        assert!(matches!(decode(m.words[0]), Ok(Insn::Bl { .. })));
     }
 
     #[test]
     fn an_x30_reloading_load_pair_is_a_fresh_slot() {
         // `ldp x29, x30, [sp, #16]` writes no sp, but reloads the link
         // register an outlined body returns through.
-        let mut m = method_with_stack_map(12);
-        Arc::make_mut(&mut m.insns)[1] = Insn::Ldp {
+        let mut insns = movs_then_ret();
+        insns[1] = Insn::Ldp {
             rt: Reg::FP,
             rt2: Reg::LR,
             rn: Reg::SP,
             offset: 16,
             mode: calibro_isa::PairMode::SignedOffset,
         };
-        let words = encode_words(&m.insns).unwrap();
-        let template = build_template(&m, &words, false);
+        let template = build_template(&compiled(insns), false);
         assert_eq!(template.slots()[1], TemplateSlot::Fresh { word: 1 });
         assert!(matches!(template.slots()[0], TemplateSlot::Lit { word: 0, .. }));
     }
@@ -904,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn run_ltbo_leaves_the_decoded_words_the_staged_path_keeps() {
+    fn run_ltbo_leaves_the_words_the_staged_path_leaves() {
         use crate::{BuildOptions, BuildSession};
         use calibro_workloads::{generate, AppSpec};
 
@@ -916,30 +891,27 @@ mod tests {
         let codegen = session.codegen(&dex, &options, frontend).expect("codegen");
         let original: Vec<CompiledMethod> =
             codegen.outcomes.iter().map(|o| o.compiled.clone()).collect();
-        let mut words: Vec<MethodWords> =
-            codegen.outcomes.into_iter().map(|o| MethodWords::Entry(o.entry)).collect();
+        let entries: Vec<Arc<CacheEntry>> = codegen.outcomes.into_iter().map(|o| o.entry).collect();
 
+        // Entries make the staged run replay templates; the free run
+        // builds every one afresh.
         let mut staged = original.clone();
-        let staged_run = outline_methods(&mut staged, &mut words, &config, None, None).unwrap();
+        let staged_run = outline_methods(&mut staged, &entries, &config, None, None).unwrap();
         let mut free = original.clone();
         let free_run = run_ltbo(&mut free, &config);
         assert_eq!(free_run.stats, staged_run.stats);
         assert_eq!(free_run.outlined, staged_run.outlined);
 
         let mut rewritten = 0;
-        for (((f, s), slot), o) in free.iter().zip(&staged).zip(&words).zip(&original) {
+        for ((f, s), o) in free.iter().zip(&staged).zip(&original) {
+            assert_eq!((&f.words, &f.insns), (&s.words, &s.insns));
             assert_eq!((&f.relocs, &f.metadata), (&s.relocs, &s.metadata));
             assert_eq!(f.stack_maps, s.stack_maps);
-            match slot {
-                MethodWords::Outlined(w) => {
-                    rewritten += 1;
-                    assert!(s.insns.is_empty(), "{:?} kept stale instructions", s.method);
-                    assert_eq!(&f.insns[..], &decode_all(w).expect("words decode")[..]);
-                }
-                _ => {
-                    assert!(Arc::ptr_eq(&s.insns, &o.insns));
-                    assert_eq!(f.insns, o.insns);
-                }
+            if Arc::ptr_eq(&s.words, &o.words) {
+                assert!(Arc::ptr_eq(&s.insns, &o.insns));
+            } else {
+                rewritten += 1;
+                assert!(s.insns.is_empty(), "{:?} kept stale instructions", s.method);
             }
         }
         assert!(rewritten > 0, "nothing was outlined");
@@ -1135,7 +1107,7 @@ mod tests {
         use super::reference;
         use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
         use calibro_dex::MethodId;
-        use calibro_isa::{Cond, Reg};
+        use calibro_isa::{encode_words, Cond};
 
         /// A method with consistent §3.2 metadata and a sorted,
         /// non-overlapping edit set over it, grown from `seed`. Edits
@@ -1187,6 +1159,7 @@ mod tests {
             let mut m = CompiledMethod {
                 method: MethodId(3),
                 insns: Arc::from([]),
+                words: Arc::from([]),
                 pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
                 relocs: Vec::new(),
                 metadata: MethodMetadata::default(),
@@ -1226,6 +1199,7 @@ mod tests {
                 };
                 insns.push(insn);
             }
+            m.words = encode_words(&insns).expect("the case encodes").into();
             m.insns = insns.into();
             for _ in 0..below(3) {
                 let (a, b) =
@@ -1244,11 +1218,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
             /// Copying runs of words yields exactly what rebuilding
-            /// instructions word by word did: the new words decode to the
-            /// reference's instructions, and relocations, every metadata
-            /// table, stack maps and counters match. The method keeps no
-            /// instructions of its own; without a words slot — the
-            /// session-free [`run_ltbo`] — it gets the words back decoded.
+            /// instructions word by word did: the new words are the
+            /// reference's instructions encoded, and relocations, every
+            /// metadata table, stack maps and counters match. The method
+            /// keeps no instructions of its own.
             #[test]
             fn copying_runs_equals_the_per_word_reference(
                 n in 1usize..72,
@@ -1257,31 +1230,19 @@ mod tests {
                 stale in 0usize..160,
             ) {
                 let (method, edits) = case(n, pool_len, seed);
-                let words = encode_words(&method.insns).expect("the case encodes");
                 let (mut expected, mut actual) = (method.clone(), method);
                 let counters = reference::apply_edits(&mut expected, &edits);
-                // The scratch map arrives dirty from the method before.
-                let mut map = vec![7; stale];
-                let (new_words, patched, maps_updated) =
-                    apply_edits(&mut actual, &words, &edits, &mut map);
+                // The scratch arrives dirty from the method before.
+                let (mut map, mut words) = (vec![7; stale], vec![9; stale]);
+                let (patched, maps_updated) = apply_edits(&mut actual, &edits, &mut map, &mut words);
                 prop_assert_eq!((patched, maps_updated), counters);
-                let decoded = decode_all(&new_words).expect("the result decodes");
-                prop_assert_eq!(&decoded[..], &expected.insns[..]);
+                let reference = encode_words(&expected.insns).expect("the reference encodes");
+                prop_assert_eq!(&actual.words[..], &reference[..]);
                 prop_assert!(actual.insns.is_empty());
                 prop_assert_eq!(&actual.pool, &expected.pool);
                 prop_assert_eq!(&actual.relocs, &expected.relocs);
                 prop_assert_eq!(&actual.metadata, &expected.metadata);
                 prop_assert_eq!(&actual.stack_maps, &expected.stack_maps);
-
-                let mut slot = MethodWords::None;
-                let mut staged = actual.clone();
-                keep_code(&mut staged, Some(&mut slot), new_words.clone());
-                prop_assert!(staged.insns.is_empty());
-                prop_assert_eq!(slot.as_slice(), Some(&new_words[..]));
-                keep_code(&mut actual, None, new_words);
-                let reference = encode_words(&expected.insns).expect("the reference encodes");
-                let reference = decode_all(&reference).expect("the reference decodes");
-                prop_assert_eq!(&actual.insns[..], &reference[..]);
             }
         }
 
@@ -1292,7 +1253,7 @@ mod tests {
         /// and past it, call relocations, terminators at and past the
         /// code's end, and unsorted, overlapping, reversed and
         /// overhanging slow paths.
-        fn symbolize_case(n: usize, pool_len: usize, seed: u64) -> (CompiledMethod, Vec<u32>) {
+        fn symbolize_case(n: usize, pool_len: usize, seed: u64) -> CompiledMethod {
             use calibro_isa::PairMode::{PostIndex, PreIndex, SignedOffset};
 
             let mut rng = TestRng::seed_from_u64(seed);
@@ -1340,12 +1301,13 @@ mod tests {
             let mut m = CompiledMethod {
                 method: MethodId(5),
                 insns: (0..n).map(|_| palette[below(palette.len())]).collect(),
+                words: Arc::from([]),
                 pool: (0..pool_len as u32).map(|i| 0xbeef_0000 + i).collect(),
                 relocs: Vec::new(),
                 metadata: MethodMetadata::default(),
                 stack_maps: Vec::new(),
             };
-            let words = (0..n).map(|_| below(1 << 30) as u32).collect();
+            m.words = (0..n).map(|_| below(1 << 30) as u32).collect();
             // Targets inside the code, in the pool, and past both.
             for _ in 0..below(n + 1) {
                 m.metadata.pc_rel.push(PcRel { at: below(n), target: below(n + pool_len + 3) });
@@ -1360,7 +1322,7 @@ mod tests {
             for _ in 0..below(4) {
                 m.metadata.slow_paths.push((below(n + 2), below(n + 2)));
             }
-            (m, words)
+            m
         }
 
         proptest! {
@@ -1376,9 +1338,9 @@ mod tests {
                 seed in any::<u64>(),
                 hot in any::<bool>(),
             ) {
-                let (method, words) = symbolize_case(n, pool_len, seed);
-                let expected = reference::build_template(&method, &words, hot);
-                let actual = build_template(&method, &words, hot);
+                let method = symbolize_case(n, pool_len, seed);
+                let expected = reference::build_template(&method, &method.words, hot);
+                let actual = build_template(&method, hot);
                 prop_assert_eq!(actual.slots(), expected.slots());
                 prop_assert_eq!(actual, expected);
             }

@@ -34,19 +34,17 @@
 //! ([`merge_plan_key_from`]), so a warm build replays the same merges
 //! without re-running the pairwise grouping scan.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use calibro_cache::{ArtifactStore, CacheKey, MergePlanEntry, MergePlanGroup, StableHasher};
 use calibro_codegen::{CallTarget, CompiledMethod, MethodMetadata, Reloc};
-use calibro_isa::{Insn, Reg};
+use calibro_isa::{encode_words, Insn, Reg};
 use calibro_oat::MergedBody;
 use calibro_suffix::benefit;
 
 use crate::driver::BuildError;
 use crate::fingerprint::merge_plan_key_from;
-use crate::sizepass::MethodWords;
 
 /// Parameter registers a thunk may materialize constants into, in
 /// parameter order. `x16`/`x17` are the AArch64 intra-procedure-call
@@ -109,28 +107,16 @@ pub(crate) struct MergeOutcome {
     pub stats: MergeStats,
 }
 
-/// A candidate's machine words: its marker's when it has them (codegen
-/// encoded the method once already), else encoded here.
-fn words_of<'a>(m: &CompiledMethod, words: Option<&'a [u32]>) -> Cow<'a, [u32]> {
-    match words {
-        Some(words) => Cow::Borrowed(words),
-        None => m.insns.iter().map(|insn| insn.encode().unwrap_or(u32::MAX)).collect(),
-    }
-}
-
-/// The content hash of one merge candidate's body: encoded instruction
-/// words (`words` when the caller holds them, as [`MethodWords::as_slice`]
-/// gives them), literal pool and call relocations — exactly the inputs
-/// group formation compares. The Merkle leaf of [`merge_plan_key_from`]:
-/// any change to any member's body or call structure moves its bucket's
-/// plan key.
+/// The content hash of one merge candidate's body: its words, literal
+/// pool and call relocations — exactly the inputs group formation
+/// compares. The Merkle leaf of [`merge_plan_key_from`]: any change to
+/// any member's body or call structure moves its bucket's plan key.
 #[must_use]
-pub fn merge_content_key(m: &CompiledMethod, words: Option<&[u32]>) -> CacheKey {
+pub fn merge_content_key(m: &CompiledMethod) -> CacheKey {
     let mut h = StableHasher::new();
     h.write_tag(0x6D); // 'm'
-    let words = words_of(m, words);
-    h.write_usize(words.len());
-    for &word in words.iter() {
+    h.write_usize(m.words.len());
+    for &word in m.words.iter() {
         h.write_u32(word);
     }
     h.write_wire(&m.pool);
@@ -144,11 +130,11 @@ pub fn merge_content_key(m: &CompiledMethod, words: Option<&[u32]>) -> CacheKey 
 /// parameter) is dropped, so clones differing in constants collide —
 /// then the call relocations. Compared for equality only, within one
 /// pass: it decides which bodies meet in a bucket, never their order.
-fn shape_hash(m: &CompiledMethod, words: Option<&[u32]>) -> u64 {
+fn shape_hash(m: &CompiledMethod) -> u64 {
     let mut h = StableHasher::new();
     h.write_tag(0x53); // 'S'
     h.write_usize(m.insns.len());
-    for (insn, &word) in m.insns.iter().zip(words_of(m, words).iter()) {
+    for (insn, &word) in m.insns.iter().zip(m.words.iter()) {
         match *insn {
             Insn::Movz { wide, rd, .. } => {
                 h.write_tag(1);
@@ -418,19 +404,20 @@ fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> boo
     true
 }
 
-/// Builds one group's island: the representative body with each
-/// parameter position rewritten to copy its value from the parameter
+/// Builds one group's island: the representative body's words with each
+/// parameter position re-encoded to copy its value from the parameter
 /// register (`orr rd, zr, xN` — a register `mov` of the original width).
 fn make_island(rep: &CompiledMethod, diffs: &[u32]) -> MergedBody {
-    let mut insns = rep.insns.to_vec();
+    let mut words = rep.words.to_vec();
     for (j, &d) in diffs.iter().enumerate() {
-        let (wide, rd) = match insns[d as usize] {
+        let (wide, rd) = match rep.insns[d as usize] {
             Insn::Movz { wide, rd, .. } | Insn::Movn { wide, rd, .. } => (wide, rd),
             ref other => unreachable!("merge parameter at non-mov instruction {other:?}"),
         };
-        insns[d as usize] = Insn::OrrReg { wide, rd, rn: Reg::ZR, rm: PARAM_REGS[j], shift: 0 };
+        let param = Insn::OrrReg { wide, rd, rn: Reg::ZR, rm: PARAM_REGS[j], shift: 0 };
+        words[d as usize] = param.encode().expect("a register mov encodes");
     }
-    MergedBody { insns, relocs: rep.relocs.clone() }
+    MergedBody { words, relocs: rep.relocs.clone() }
 }
 
 /// Builds one member's thunk: its distinguishing mov-immediates
@@ -452,9 +439,8 @@ fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>
 }
 
 /// Runs the function-merge pass over the compiled methods, mutating
-/// merged members into thunks in place — and clearing their `words`
-/// marker (a slice shorter than `methods`, such as an empty one, is a
-/// caller that tracks none) — and returning the islands for the linker.
+/// merged members into thunks in place, and returning the islands for
+/// the linker.
 ///
 /// Deterministic by construction: candidates are scanned in method
 /// order, buckets form in first-seen order, group formation is greedy
@@ -468,13 +454,11 @@ fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>
 /// corrupt or unreadable.
 pub(crate) fn run_merge(
     methods: &mut [CompiledMethod],
-    words: &mut [MethodWords],
     config: &MergeConfig,
     hot: Option<&HashSet<u32>>,
     store: Option<&ArtifactStore>,
 ) -> Result<MergeOutcome, BuildError> {
     let mut stats = MergeStats::default();
-    let words_at = |i: usize| words.get(i).and_then(MethodWords::as_slice);
 
     // --- Choose candidates and bucket by shape, in method order. --------
     let mut buckets: Vec<Vec<usize>> = Vec::new();
@@ -485,7 +469,7 @@ pub(crate) fn run_merge(
             continue;
         }
         stats.candidate_methods += 1;
-        let slot = *by_shape.entry(shape_hash(m, words_at(idx))).or_insert_with(|| {
+        let slot = *by_shape.entry(shape_hash(m)).or_insert_with(|| {
             buckets.push(Vec::new());
             buckets.len() - 1
         });
@@ -502,7 +486,7 @@ pub(crate) fn run_merge(
         let groups = match store {
             Some(store) => {
                 let members: Vec<CacheKey> =
-                    bucket.iter().map(|&i| merge_content_key(&methods[i], words_at(i))).collect();
+                    bucket.iter().map(|&i| merge_content_key(&methods[i])).collect();
                 let key = merge_plan_key_from(config, &members);
                 match store.merges().get(key).map_err(BuildError::Cache)? {
                     Some(entry) if plan_is_applicable(&bodies, &entry) => entry.groups.clone(),
@@ -552,6 +536,7 @@ pub(crate) fn run_merge(
                 let global = bucket[m as usize];
                 let (insns, relocs) = make_thunk(&methods[global], diffs, island_id);
                 let method = &mut methods[global];
+                method.words = encode_words(&insns).expect("a thunk encodes").into();
                 method.insns = insns.into();
                 method.relocs = relocs;
                 // Mark the thunk unoutlinable — this flag is what keeps
@@ -561,11 +546,6 @@ pub(crate) fn run_merge(
                 method.metadata =
                     MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
                 method.stack_maps = Vec::new();
-                // The thunk is new code: whatever words the member had
-                // are not its words any more, and the linker encodes it.
-                if let Some(slot) = words.get_mut(global) {
-                    *slot = MethodWords::None;
-                }
                 stats.merged_methods += 1;
             }
             stats.merge_groups += 1;
@@ -579,6 +559,7 @@ pub(crate) fn run_merge(
 mod tests {
     use super::*;
     use calibro_dex::MethodId;
+    use calibro_isa::decode;
 
     fn mov_z(rd: Reg, imm16: u16) -> Insn {
         Insn::Movz { wide: true, rd, imm16, hw: 0 }
@@ -588,19 +569,12 @@ mod tests {
         Insn::AddReg { wide: true, set_flags: false, rd, rn, rm, shift: 0 }
     }
 
-    /// A straight-line candidate body: load a constant, combine, return.
-    fn clone_body(id: u32, imm: u16) -> CompiledMethod {
+    /// Method `id` compiled to `insns`, with their words.
+    fn compiled(id: u32, insns: Vec<Insn>) -> CompiledMethod {
         CompiledMethod {
             method: MethodId(id),
-            insns: vec![
-                mov_z(Reg::X1, imm),
-                add(Reg::X0, Reg::X0, Reg::X1),
-                add(Reg::X0, Reg::X0, Reg::X0),
-                add(Reg::X2, Reg::X0, Reg::X1),
-                add(Reg::X0, Reg::X2, Reg::X0),
-                Insn::Ret { rn: Reg::LR },
-            ]
-            .into(),
+            words: encode_words(&insns).expect("the body encodes").into(),
+            insns: insns.into(),
             pool: vec![],
             relocs: vec![],
             metadata: MethodMetadata::default(),
@@ -608,11 +582,27 @@ mod tests {
         }
     }
 
+    /// A straight-line candidate body: load a constant, combine, return.
+    fn clone_insns(imm: u16) -> Vec<Insn> {
+        vec![
+            mov_z(Reg::X1, imm),
+            add(Reg::X0, Reg::X0, Reg::X1),
+            add(Reg::X0, Reg::X0, Reg::X0),
+            add(Reg::X2, Reg::X0, Reg::X1),
+            add(Reg::X0, Reg::X2, Reg::X0),
+            Insn::Ret { rn: Reg::LR },
+        ]
+    }
+
+    fn clone_body(id: u32, imm: u16) -> CompiledMethod {
+        compiled(id, clone_insns(imm))
+    }
+
     #[test]
     fn clones_differing_in_one_constant_merge() {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
+        let outcome = run_merge(&mut methods, &config, None, None).unwrap();
         assert_eq!(outcome.islands.len(), 1);
         assert_eq!(outcome.stats.merge_groups, 1);
         assert_eq!(outcome.stats.merged_methods, 3);
@@ -623,34 +613,36 @@ mod tests {
             assert_eq!(m.insns.len(), 2, "member {i}");
             assert!(matches!(m.insns[0], Insn::Movz { rd: Reg::X16, .. }));
             assert!(matches!(m.insns[1], Insn::B { .. }));
+            assert_eq!(m.words[..], encode_words(&m.insns).unwrap()[..], "member {i}");
             assert_eq!(m.relocs, vec![Reloc { at: 1, target: CallTarget::Merged(0) }]);
             assert!(m.metadata.has_indirect_jump);
         }
         // The island reads the parameter register where the constant was.
-        assert!(matches!(
-            outcome.islands[0].insns[0],
-            Insn::OrrReg { rd: Reg::X1, rm: Reg::X16, .. }
-        ));
+        // Everywhere else it is the representative's code.
+        let island = &outcome.islands[0];
+        let param = decode(island.words[0]);
+        assert!(matches!(param, Ok(Insn::OrrReg { rd: Reg::X1, rm: Reg::X16, .. })));
+        assert_eq!(island.words[1..], encode_words(&clone_insns(10)).unwrap()[1..]);
     }
 
     #[test]
     fn structurally_different_bodies_do_not_merge() {
-        let mut other = clone_body(1, 10);
-        std::sync::Arc::make_mut(&mut other.insns)[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
-        let mut methods = vec![clone_body(0, 10), other];
+        let mut insns = clone_insns(10);
+        insns[3] = add(Reg::X3, Reg::X0, Reg::X1); // different dest
+        let mut methods = vec![clone_body(0, 10), compiled(1, insns)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
+        let outcome = run_merge(&mut methods, &config, None, None).unwrap();
         assert!(outcome.islands.is_empty());
         assert_eq!(outcome.stats.merged_methods, 0);
     }
 
     #[test]
     fn param_register_use_excludes_a_body() {
-        let mut tainted = clone_body(0, 10);
-        std::sync::Arc::make_mut(&mut tainted.insns)[1] = add(Reg::X0, Reg::X0, Reg::X16);
-        let mut methods = vec![tainted, clone_body(1, 11), clone_body(2, 12)];
+        let mut insns = clone_insns(10);
+        insns[1] = add(Reg::X0, Reg::X0, Reg::X16);
+        let mut methods = vec![compiled(0, insns), clone_body(1, 11), clone_body(2, 12)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
+        let outcome = run_merge(&mut methods, &config, None, None).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         // The two clean clones still merge.
         assert_eq!(outcome.stats.merged_methods, 2);
@@ -662,7 +654,7 @@ mod tests {
         let mut methods = vec![clone_body(0, 10), clone_body(1, 11)];
         let hot: HashSet<u32> = [0].into_iter().collect();
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, Some(&hot), None).unwrap();
+        let outcome = run_merge(&mut methods, &config, Some(&hot), None).unwrap();
         assert_eq!(outcome.stats.excluded_methods, 1);
         assert_eq!(outcome.stats.merged_methods, 0, "one survivor cannot form a group");
     }
@@ -672,19 +664,19 @@ mod tests {
         let store = ArtifactStore::new(calibro_cache::CacheConfig::default());
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
         let mut cold = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let cold_out = run_merge(&mut cold, &mut [], &config, None, Some(&store)).unwrap();
+        let cold_out = run_merge(&mut cold, &config, None, Some(&store)).unwrap();
         assert_eq!(store.stats().merge_misses, 1);
         assert_eq!(store.stats().merge_stores, 1);
         let mut warm = vec![clone_body(0, 10), clone_body(1, 11), clone_body(2, 12)];
-        let warm_out = run_merge(&mut warm, &mut [], &config, None, Some(&store)).unwrap();
+        let warm_out = run_merge(&mut warm, &config, None, Some(&store)).unwrap();
         assert_eq!(store.stats().merge_hits, 1);
         assert_eq!(cold.len(), warm.len());
         for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.insns, w.insns);
+            assert_eq!((&c.insns, &c.words), (&w.insns, &w.words));
             assert_eq!(c.relocs, w.relocs);
         }
         for (c, w) in cold_out.islands.iter().zip(&warm_out.islands) {
-            assert_eq!(c.insns, w.insns);
+            assert_eq!(c.words, w.words);
             assert_eq!(c.relocs, w.relocs);
         }
         assert_eq!(cold_out.stats.merge_groups, warm_out.stats.merge_groups);
@@ -694,30 +686,27 @@ mod tests {
     #[test]
     fn max_params_bounds_group_formation() {
         // Three constants differ — more than the two parameter registers.
-        let triple = |id: u32, a: u16, b: u16, c: u16| CompiledMethod {
-            method: MethodId(id),
-            insns: vec![
-                mov_z(Reg::X1, a),
-                mov_z(Reg::X2, b),
-                mov_z(Reg::X3, c),
-                add(Reg::X0, Reg::X1, Reg::X2),
-                add(Reg::X0, Reg::X0, Reg::X3),
-                Insn::Ret { rn: Reg::LR },
-            ]
-            .into(),
-            pool: vec![],
-            relocs: vec![],
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+        let triple = |id: u32, a: u16, b: u16, c: u16| {
+            compiled(
+                id,
+                vec![
+                    mov_z(Reg::X1, a),
+                    mov_z(Reg::X2, b),
+                    mov_z(Reg::X3, c),
+                    add(Reg::X0, Reg::X1, Reg::X2),
+                    add(Reg::X0, Reg::X0, Reg::X3),
+                    Insn::Ret { rn: Reg::LR },
+                ],
+            )
         };
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 4, 5, 6)];
         let config = MergeConfig { arbitrate: false, ..MergeConfig::default() };
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
+        let outcome = run_merge(&mut methods, &config, None, None).unwrap();
         assert_eq!(outcome.stats.merged_methods, 0);
         // With only one constant differing, the same shape merges.
         let mut methods = vec![triple(0, 1, 2, 3), triple(1, 1, 2, 6)];
-        let outcome = run_merge(&mut methods, &mut [], &config, None, None).unwrap();
+        let outcome = run_merge(&mut methods, &config, None, None).unwrap();
         assert_eq!(outcome.stats.merged_methods, 2);
-        assert_eq!(outcome.islands[0].insns.len(), 6);
+        assert_eq!(outcome.islands[0].words.len(), 6);
     }
 }

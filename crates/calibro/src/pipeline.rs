@@ -14,7 +14,8 @@
 //! * **Size passes** run the function merger, then LTBO (see
 //!   [`sizepass`](crate::sizepass)) over the compiled methods,
 //!   replaying cached symbolization templates and per-pass plan lanes;
-//! * **Link** binds labels and encodes the final text segment.
+//! * **Link** binds labels and lays out the final text segment from
+//!   every body's words.
 //!
 //! A [`BuildSession`] owns the store and threads it through the stages,
 //! so consecutive builds of related inputs recompile only the changed
@@ -54,7 +55,7 @@ use calibro_oat::{DictImage, LinkInput, OatFile, DICT_BASE_ADDRESS};
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
 use crate::ltbo::build_template;
-use crate::sizepass::{merge_pass, outline_pass, MethodWords, PassContext, SizeArtifact};
+use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
 
 /// A build context holding the content-addressed artifact store across
 /// builds. One-shot callers use [`build`](crate::build); incremental
@@ -309,8 +310,8 @@ impl BuildSession {
         // Workers take ownership of their graph through a per-slot mutex
         // (locked exactly once, by the worker that drew the index).
         let cells: Vec<Mutex<Option<HGraph>>> = graphs.into_iter().map(Mutex::new).collect();
-        // A method's instructions are shared between its outcome and its
-        // entry (`Arc<[Insn]>`), so neither a hit nor a miss copies code.
+        // A method's instructions and words are shared between its
+        // outcome and its entry, so neither a hit nor a miss copies code.
         let (outcomes, per_worker) = run_indexed(inputs.len(), threads, |i| {
             if let Some(entry) = &cached[i] {
                 return MethodOutcome {
@@ -329,14 +330,10 @@ impl BuildSession {
                     (compile_method(&graph, &codegen_opts), pass_stats)
                 }
             };
-            // The entry encodes the method — the one time its
-            // instructions are encoded — and the template reads its
-            // literals from those words.
-            let mut entry = CacheEntry::new(compiled.clone(), pass_stats, None, ref_env)
-                .expect("compiled instruction encodes");
-            if want_template {
-                entry.template = Some(build_template(&entry.compiled, entry.words(), false));
-            }
+            // The template reads its literals from the words codegen
+            // encoded.
+            let template = want_template.then(|| build_template(&compiled, false));
+            let entry = CacheEntry { compiled: compiled.clone(), pass_stats, template, ref_env };
             // The measured compile CPU rides into the store as the
             // entry's recompute cost: under memory pressure the
             // cost-aware eviction policy keeps the methods that were
@@ -374,17 +371,9 @@ impl BuildSession {
         options: &BuildOptions,
         codegen: CodegenArtifact,
     ) -> Result<SizeArtifact, BuildError> {
-        let CodegenArtifact { outcomes, .. } = codegen;
-        let mut methods = Vec::with_capacity(outcomes.len());
-        let mut words = Vec::with_capacity(outcomes.len());
-        for o in outcomes {
-            methods.push(o.compiled);
-            // The method still is its entry's code, so the entry's words
-            // stand for it until a pass rewrites it.
-            words.push(MethodWords::Entry(o.entry));
-        }
+        let (methods, entries): (Vec<_>, Vec<_>) =
+            codegen.outcomes.into_iter().map(|o| (o.compiled, o.entry)).unzip();
         let mut artifact = SizeArtifact::new(methods);
-        artifact.words = words;
         // The dictionary session pins one epoch's island for the whole
         // stage; the session is opened lazily so dict-off builds (and
         // sessions without a registry) pay nothing.
@@ -394,6 +383,7 @@ impl BuildSession {
         };
         let mut ctx = PassContext {
             store: &self.store,
+            entries: &entries,
             hot_methods: options.hot_methods.as_ref(),
             dict: dict_session.as_mut(),
         };
@@ -416,9 +406,7 @@ impl BuildSession {
     }
 
     /// Stage 4 — **Link**: binds call labels to addresses and lays out
-    /// the final text segment, copying the words of every method that
-    /// carries them ([`SizeArtifact::words`]; for a method the outline
-    /// pass rewrote they are its only code) and encoding the rest.
+    /// the final text segment from every body's words.
     ///
     /// # Errors
     ///
@@ -429,10 +417,9 @@ impl BuildSession {
         options: &BuildOptions,
         artifact: SizeArtifact,
     ) -> Result<OatFile, BuildError> {
-        let SizeArtifact { methods, words, outlined, merged, dict_island, .. } = artifact;
-        let words = words.iter().map(MethodWords::as_slice).collect();
+        let SizeArtifact { methods, outlined, merged, dict_island, .. } = artifact;
         calibro_oat::link_with_dict(
-            LinkInput { methods, outlined, merged, words },
+            LinkInput { methods, outlined, merged },
             options.base_address,
             dict_island.as_ref(),
         )
@@ -466,8 +453,8 @@ pub struct FrontendArtifact {
 
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
-    /// The compiled method (owned, but its `insns` shared with
-    /// `entry.compiled`'s; the size passes rewrite it downstream).
+    /// The compiled method (owned, but its `insns` and `words` shared
+    /// with `entry.compiled`'s; the size passes rewrite it downstream).
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters (replayed from the entry on a hit, so
     /// warm observability matches cold).

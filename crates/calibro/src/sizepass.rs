@@ -29,46 +29,11 @@ use std::time::{Duration, Instant};
 use calibro_cache::{ArtifactStore, CacheEntry};
 use calibro_codegen::CompiledMethod;
 use calibro_dict::{DictSession, DictStats};
-use calibro_isa::Insn;
 use calibro_oat::{DictImage, MergedBody};
 
 use crate::driver::BuildError;
 use crate::ltbo::{outline_methods, LtboConfig, LtboStats, OutlineError};
 use crate::merge::{run_merge, MergeConfig, MergeStats};
-
-/// Where one method of a [`SizeArtifact`] stands relative to the code
-/// codegen emitted for it, and therefore where its already-encoded
-/// machine words are — so that the linker copies them instead of
-/// encoding the method again. Whoever rewrites a method moves its marker
-/// in the same breath.
-#[derive(Debug)]
-pub enum MethodWords {
-    /// Nothing rewrote the method since codegen: it is still exactly its
-    /// store entry's `compiled` (its `insns` are the entry's, shared), so
-    /// the entry's words are its words (and the entry's symbolization
-    /// template describes it).
-    Entry(Arc<CacheEntry>),
-    /// The outline pass rewrote it into these words, which are its only
-    /// code: the method's `insns` is empty, and no instruction of it
-    /// exists to go stale.
-    Outlined(Vec<u32>),
-    /// No words: a pass that keeps none rewrote the method (the merge
-    /// pass turned it into a thunk), or it never had a store entry. The
-    /// linker encodes it.
-    None,
-}
-
-impl MethodWords {
-    /// The method's encoded words, one per instruction, if it has any.
-    #[must_use]
-    pub fn as_slice(&self) -> Option<&[u32]> {
-        match self {
-            MethodWords::Entry(entry) => Some(entry.words()),
-            MethodWords::Outlined(words) => Some(words),
-            MethodWords::None => None,
-        }
-    }
-}
 
 /// The typed artifact flowing through the size passes and into the
 /// linker: the (progressively rewritten) methods plus everything the
@@ -76,18 +41,11 @@ impl MethodWords {
 pub struct SizeArtifact {
     /// The methods, in method-index order — merged members become
     /// parameter thunks, outlined occurrences become `bl`s. A method the
-    /// outline pass rewrote has empty `insns`: its code is its
-    /// [`MethodWords::Outlined`] words, which the linker sizes and
-    /// patches it from.
+    /// outline pass rewrote has empty `insns`: its code is its `words`.
     pub methods: Vec<CompiledMethod>,
-    /// Per method, where its encoded words come from (same order as
-    /// `methods`; empty when the methods came without store entries).
-    /// A [`MethodWords::Entry`] must be the entry its method was
-    /// compiled into or replayed from, with the method unmodified since
-    /// — which is how codegen hands methods to the size stage.
-    pub words: Vec<MethodWords>,
-    /// Outlined function bodies, in `CallTarget::Outlined` index order.
-    pub outlined: Vec<Vec<Insn>>,
+    /// Outlined function bodies' words, in `CallTarget::Outlined` index
+    /// order.
+    pub outlined: Vec<Vec<u32>>,
     /// Merged-function islands, in `CallTarget::Merged` index order.
     pub merged: Vec<MergedBody>,
     /// Merge statistics (zeroed when the merge pass is off).
@@ -119,14 +77,12 @@ pub struct SizeArtifact {
 
 impl SizeArtifact {
     /// Wraps freshly compiled methods into the artifact every size pass
-    /// edits in place. The methods carry no words until somebody fills
-    /// in [`words`](Self::words).
+    /// edits in place.
     #[must_use]
     pub fn new(methods: Vec<CompiledMethod>) -> SizeArtifact {
         let words_before = methods.iter().map(CompiledMethod::size_words).sum();
         SizeArtifact {
             methods,
-            words: Vec::new(),
             outlined: Vec::new(),
             merged: Vec::new(),
             merge: MergeStats::default(),
@@ -143,9 +99,13 @@ impl SizeArtifact {
 }
 
 /// Session state the passes share: the artifact store behind each
-/// pass's cache lane, the hot-method set and the dictionary session.
+/// pass's cache lane, the store entry codegen compiled or replayed each
+/// method from (in method-index order; a method still shares its
+/// entry's `words` exactly while nothing has rewritten it), the
+/// hot-method set and the dictionary session.
 pub(crate) struct PassContext<'a> {
     pub(crate) store: &'a ArtifactStore,
+    pub(crate) entries: &'a [Arc<CacheEntry>],
     pub(crate) hot_methods: Option<&'a HashSet<u32>>,
     pub(crate) dict: Option<&'a mut DictSession>,
 }
@@ -162,13 +122,7 @@ pub(crate) fn merge_pass(
     ctx: &PassContext<'_>,
 ) -> Result<(), BuildError> {
     let start = Instant::now();
-    let outcome = run_merge(
-        &mut artifact.methods,
-        &mut artifact.words,
-        config,
-        ctx.hot_methods,
-        Some(ctx.store),
-    )?;
+    let outcome = run_merge(&mut artifact.methods, config, ctx.hot_methods, Some(ctx.store))?;
     artifact.merged = outcome.islands;
     artifact.merge = outcome.stats;
     artifact.merge_time = start.elapsed();
@@ -192,7 +146,7 @@ pub(crate) fn outline_pass(
     debug_assert!(artifact.outlined.is_empty(), "a second outline pass would clash ids");
     let result = outline_methods(
         &mut artifact.methods,
-        &mut artifact.words,
+        ctx.entries,
         config,
         Some(ctx.store),
         ctx.dict.as_deref_mut(),

@@ -1,21 +1,20 @@
 //! What the warm build's back half (outline → link) relies on once
-//! words are a cached fact and plans replay without their text:
+//! every body is its words and plans replay without their text:
 //!
-//! * handing the linker a method's pre-encoded words changes nothing it
-//!   emits — byte for byte and record for record — on every outlining
-//!   route, and words that drifted from their instructions are caught by
+//! * every body reaches the linker as words: a method's are its
+//!   instructions encoded until a size pass rewrites them (and drops the
+//!   instructions), and islands and outlined bodies are instruction
+//!   words — words that drifted from their instructions are caught by
 //!   the debug-profile run of this very suite;
 //! * a cached group plan is replayed only on the text it was detected
 //!   on: a foreign plan under a live group's key is a miss, not a replay.
 
-use std::collections::HashSet;
-use std::sync::Arc;
-
-use calibro::{BuildOptions, BuildSession, DictRegistry, MethodWords, SizeArtifact};
+use calibro::{BuildOptions, BuildSession, SizeArtifact};
 use calibro_cache::{from_frame, to_frame, CacheConfig, CacheKey, GroupPlanEntry};
+use calibro_codegen::CallTarget;
 use calibro_dex::DexFile;
-use calibro_isa::decode_all;
-use calibro_oat::{link_with_dict, to_elf_bytes, LinkInput, OatFile};
+use calibro_isa::{decode_all, encode_words, Insn};
+use calibro_oat::to_elf_bytes;
 use calibro_workloads::{generate, paper_suite, AppSpec};
 
 /// The size artifact of `dex` under `options`, through the public stages.
@@ -25,96 +24,71 @@ fn size_artifact(session: &BuildSession, dex: &DexFile, options: &BuildOptions) 
     session.outline(options, codegen).expect("outline")
 }
 
-/// Links `size` with the words it carries (`with_words`) or with none,
-/// so that the linker encodes every method itself — a method the outline
-/// pass rewrote, whose words are its only code, from those words decoded.
-fn link(size: &SizeArtifact, options: &BuildOptions, with_words: bool) -> OatFile {
-    let mut methods = size.methods.clone();
-    let words = match with_words {
-        true => size.words.iter().map(MethodWords::as_slice).collect(),
-        false => {
-            for (m, slot) in methods.iter_mut().zip(&size.words) {
-                if let MethodWords::Outlined(words) = slot {
-                    m.insns = decode_all(words).expect("outlined words decode").into();
-                }
-            }
-            Vec::new()
-        }
-    };
-    let input =
-        LinkInput { methods, outlined: size.outlined.clone(), merged: size.merged.clone(), words };
-    link_with_dict(input, options.base_address, size.dict_island.as_ref()).expect("link")
+/// `words` is exactly `insns` encoded.
+fn encodes_to(insns: &[Insn], words: &[u32]) -> bool {
+    encode_words(insns).as_deref() == Ok(words)
+}
+
+/// `words` are instruction words, each the one its instruction encodes to.
+fn instruction_words(words: &[u32]) -> bool {
+    decode_all(words).is_ok_and(|insns| encodes_to(&insns, words))
 }
 
 #[test]
-fn linking_with_words_equals_linking_without() {
+fn every_codegen_output_is_its_instructions_encoded() {
+    let options = BuildOptions::cto_merge_ltbo();
+    let (mut stubs, mut thunks, mut rewritten) = (0, 0, 0);
     for app in paper_suite(0.25).iter().map(generate) {
-        let dex = &app.dex;
-        let hot: HashSet<u32> =
-            dex.methods().iter().map(|m| m.id.0).filter(|id| id % 2 == 0).collect();
-        // A dictionary tenant behind a sealed epoch, so its calls go to
-        // the island.
-        let registry = Arc::new(DictRegistry::default());
-        let tenant = || BuildSession::new().with_dict_registry(Arc::clone(&registry));
-        let dict = BuildOptions::cto_ltbo().with_dict();
-        tenant().build(dex, &dict).expect("publishing tenant");
-        registry.seal_epoch();
-
-        let arms = [
-            ("cto_ltbo", BuildSession::new(), BuildOptions::cto_ltbo()),
-            (
-                "cto_ltbo_pl_hf",
-                BuildSession::new(),
-                BuildOptions::cto_ltbo_parallel(8, 2).with_hot_filter(hot),
-            ),
-            ("cto_merge_ltbo", BuildSession::new(), BuildOptions::cto_merge_ltbo()),
-            ("dict", tenant(), dict),
-        ];
-        for (name, session, options) in arms {
-            let size = size_artifact(&session, dex, &options);
-            let (copied, encoded) = (link(&size, &options, true), link(&size, &options, false));
-            assert_eq!(copied.words, encoded.words, "{}/{name}: text differs", app.name);
-            assert_eq!(
-                format!("{:?}", (&copied.methods, &copied.thunks, &copied.outlined)),
-                format!("{:?}", (&encoded.methods, &encoded.thunks, &encoded.outlined)),
-                "{}/{name}: records differ",
-                app.name
-            );
-            assert_eq!(to_elf_bytes(&copied), to_elf_bytes(&encoded), "{}/{name}", app.name);
-
-            // Both sides of the choice were taken: rewritten methods
-            // brought the outline pass's words, untouched ones their
-            // entry's, and merge thunks none.
-            let count =
-                |pick: fn(&MethodWords) -> bool| size.words.iter().filter(|w| pick(w)).count();
-            assert!(count(|w| matches!(w, MethodWords::Outlined(_))) > 0, "{}/{name}", app.name);
-            assert!(count(|w| matches!(w, MethodWords::Entry(_))) > 0, "{}/{name}", app.name);
-            let thunks = count(|w| matches!(w, MethodWords::None));
-            assert_eq!(thunks, size.merge.merged_methods, "{}/{name}: wordless methods", app.name);
-            assert_eq!(thunks > 0, options.merge.is_some(), "{}/{name}", app.name);
+        let session = BuildSession::new();
+        let frontend = session.frontend(&app.dex, &options).expect("frontend");
+        let codegen = session.codegen(&app.dex, &options, frontend).expect("codegen");
+        for o in &codegen.outcomes {
+            let m = &o.compiled;
+            assert!(encodes_to(&m.insns, &m.words), "{}: {:?}", app.name, m.method);
+            stubs += usize::from(m.metadata.is_native_stub);
         }
+
+        // Merge thunks carry both forms; a method the outline pass
+        // rewrote, its words alone.
+        let size = session.outline(&options, codegen).expect("outline");
+        for m in &size.methods {
+            if m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_))) {
+                thunks += 1;
+            }
+            match m.insns.is_empty() {
+                true => rewritten += 1,
+                false => assert!(encodes_to(&m.insns, &m.words), "{}: {:?}", app.name, m.method),
+            }
+            assert!(instruction_words(&m.words), "{}: {:?}", app.name, m.method);
+        }
+        for (i, island) in size.merged.iter().enumerate() {
+            assert!(instruction_words(&island.words), "{}: island {i}", app.name);
+        }
+        for (i, body) in size.outlined.iter().enumerate() {
+            assert!(instruction_words(body), "{}: outlined body {i}", app.name);
+        }
+        assert!(!size.merged.is_empty() && !size.outlined.is_empty(), "{}", app.name);
     }
+    assert!(stubs > 0 && thunks > 0 && rewritten > 0, "{stubs} stubs, {thunks} thunks");
 }
 
 /// Only the debug profile carries the linker's word-equality assertion,
 /// which is why tier-1 runs this suite unoptimized.
 #[test]
 #[cfg(debug_assertions)]
-#[should_panic(expected = "a pre-encoded word differs from its instruction")]
+#[should_panic(expected = "its words are not its instructions encoded")]
 fn a_word_that_drifted_from_its_instruction_trips_the_debug_assertion() {
     let dex = generate(&AppSpec::small("drift", 3)).dex;
     let options = BuildOptions::cto_ltbo();
-    let mut size = size_artifact(&BuildSession::new(), &dex, &options);
-    // An entry's words ride with the instructions they were encoded from.
-    let slot = size.words.iter_mut().find(|w| match w {
-        MethodWords::Entry(entry) => !entry.words().is_empty(),
-        _ => false,
-    });
-    let slot = slot.expect("some method carries its entry's words");
-    let mut words = slot.as_slice().expect("just checked").to_vec();
+    let session = BuildSession::new();
+    let mut size = size_artifact(&session, &dex, &options);
+    // A method nothing rewrote carries its instructions beside its words.
+    let m = size.methods.iter_mut().find(|m| !m.insns.is_empty());
+    let m = m.expect("some method keeps its instructions");
+    let mut words = m.words.to_vec();
     words[0] ^= 1 << 5; // another register, still an instruction
-    *slot = MethodWords::Outlined(words);
-    let _ = link(&size, &options, true);
+    m.words = words.into();
+    let _ = session.link(&options, size);
 }
 
 /// The `(key, entry)` of every `.calg` frame under `dir`.

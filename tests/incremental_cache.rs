@@ -333,7 +333,8 @@ fn staged_stages_equal_build() {
 #[test]
 fn codegen_shares_each_method_s_instructions_with_its_cache_entry() {
     // A cold build (every method a miss), then a 5 % edit (hits and
-    // misses): either way the outcome's code *is* the entry's, not a copy.
+    // misses): either way the outcome's code — its instructions and the
+    // words codegen encoded them into — *is* the entry's, not a copy.
     let dex = generate(&AppSpec::small("shared", 13)).dex;
     let mut edited = dex.clone();
     assert!(!mutate_methods(&mut edited, 5, 0.05).is_empty());
@@ -351,6 +352,11 @@ fn codegen_shares_each_method_s_instructions_with_its_cache_entry() {
             assert!(
                 Arc::ptr_eq(&o.compiled.insns, &o.entry.compiled.insns),
                 "{warmth}: method {i} (hit: {}) copied its entry's instructions",
+                o.cache_hit
+            );
+            assert!(
+                Arc::ptr_eq(&o.compiled.words, &o.entry.compiled.words),
+                "{warmth}: method {i} (hit: {}) copied its entry's words",
                 o.cache_hit
             );
         }
@@ -507,20 +513,20 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
         let key = method_cache_key(m, other_fp, None);
         old_store.insert(
             key,
-            CacheEntry::new(
-                calibro_codegen::CompiledMethod {
+            CacheEntry {
+                compiled: calibro_codegen::CompiledMethod {
                     method: m.id,
                     insns: [calibro_isa::Insn::Nop].into(),
+                    words: [calibro_isa::Insn::Nop.encode().expect("a nop encodes")].into(),
                     pool: vec![],
                     relocs: vec![],
                     metadata: calibro_codegen::MethodMetadata::default(),
                     stack_maps: vec![],
                 },
-                calibro_hgraph::PassStats::default(),
-                None,
-                0,
-            )
-            .expect("a nop encodes"),
+                pass_stats: calibro_hgraph::PassStats::default(),
+                template: None,
+                ref_env: 0,
+            },
         );
         other_keys.push(key);
     }
