@@ -8,11 +8,20 @@
 //! A stage consumes its input artifact, so every iteration gets a fresh
 //! one from the untimed set-up (`iter_batched`): the stages before it,
 //! run through the same session.
+//!
+//! Before the timings it prints the primed store's density: the live
+//! heap bytes the session holds after the priming build (every method's
+//! entry, every group plan), per code word of the app.
 
+use bench::alloc::retained;
 use calibro::{BuildOptions, BuildSession, CodegenArtifact};
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, paper_suite};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+
+// Live heap bytes while `retained` runs.
+#[global_allocator]
+static ALLOCATOR: bench::alloc::Counting = bench::alloc::Counting;
 
 fn front_half(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> CodegenArtifact {
     let frontend = session.frontend(dex, options).expect("frontend");
@@ -23,8 +32,19 @@ fn bench_back_half(c: &mut Criterion) {
     let spec = paper_suite(2.0).into_iter().find(|s| s.name == "kuaishou").expect("kuaishou");
     let dex = generate(&spec).dex;
     let options = BuildOptions::cto_ltbo_parallel(128, 1);
-    let session = BuildSession::new();
-    let primed = session.build(&dex, &options).expect("priming build");
+    // The build's output is dropped inside: what stays live is the store.
+    let ((session, words), store_bytes) = retained(|| {
+        let session = BuildSession::new();
+        let words = session.build(&dex, &options).expect("priming build").stats.words_before_ltbo;
+        (session, words)
+    });
+    println!(
+        "{:40} {:>9} B live {:>6.1} B/code word ({words} words)",
+        "warm_backhalf/primed_store",
+        store_bytes,
+        store_bytes as f64 / words as f64,
+    );
+    let primed = session.build(&dex, &options).expect("warm build");
 
     let mut group = c.benchmark_group("warm_backhalf");
     // Every method hits: codegen replays 1325 entries, sharing each

@@ -1,6 +1,7 @@
-//! A counting allocator for the Criterion benches: allocation calls and
-//! the live heap's high-water mark while a measured closure runs, the
-//! way `benchmark/src/alloc.rs` counts. A bench binary installs it with
+//! A counting allocator for the Criterion benches: allocation calls, the
+//! live heap's high-water mark while a measured closure runs, and what
+//! the closure's result still holds when it returns, the way
+//! `benchmark/src/alloc.rs` counts. A bench binary installs it with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -69,21 +70,22 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// Runs `f` with counting on, dropping its result before counting
-/// stops — the shared body of the two probes.
-fn counted<T>(f: impl FnOnce() -> T) {
+/// Runs `f` with counting on, returning its result — the shared body
+/// of the probes.
+fn counted<T>(f: impl FnOnce() -> T) -> T {
     CALLS.store(0, Ordering::Relaxed);
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
-    drop(f());
+    let out = f();
     COUNTING.store(false, Ordering::Relaxed);
+    out
 }
 
 /// Runs `f` with counting on; returns the largest growth of the live
 /// heap while it ran. Meaningful only under [`Counting`].
 pub fn peak_heap<T>(f: impl FnOnce() -> T) -> usize {
-    counted(f);
+    counted(|| drop(f()));
     PEAK.load(Ordering::Relaxed)
 }
 
@@ -91,6 +93,15 @@ pub fn peak_heap<T>(f: impl FnOnce() -> T) -> usize {
 /// reallocations) it made, those of dropping its result included.
 /// Meaningful only under [`Counting`].
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> usize {
-    counted(f);
+    counted(|| drop(f()));
     CALLS.load(Ordering::Relaxed)
+}
+
+/// Runs `f` with counting on; returns its result and the heap bytes
+/// that were allocated while it ran and are still live when it returns —
+/// what the result holds, plus anything else `f` left behind (a
+/// thread's scratch buffers). Meaningful only under [`Counting`].
+pub fn retained<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let out = counted(f);
+    (out, LIVE.load(Ordering::Relaxed))
 }

@@ -19,17 +19,16 @@
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use calibro_codegen::{
     CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
 };
 use calibro_hgraph::PassStats;
-use calibro_isa::{encode_words, Insn};
-use calibro_suffix::OutlineCandidate;
+use calibro_isa::Insn;
 
 use crate::entry::{
     CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate,
-    TemplateSlot,
 };
 use crate::error::CacheError;
 use crate::hash::CacheKey;
@@ -47,8 +46,11 @@ use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 /// shared-dictionary lane. Version 4: payloads are [`Wire`] rows —
 /// collection counts are `u32` (were `u64`), a runtime-entry thunk
 /// offset is a `u16` (was `u32`), a bool byte other than 0 or 1 is
-/// rejected.
-pub const FORMAT_VERSION: u32 = 4;
+/// rejected. Version 5: a method's template is one flag byte per word
+/// (was a tagged slot per symbol, literals repeated), and a group plan is
+/// four flat `u32` rows (was a sequence of candidates with 64-bit
+/// symbols and positions).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
@@ -253,11 +255,14 @@ fn frame_version<V: LaneEntry>(bytes: &[u8]) -> Result<u32, String> {
 }
 
 /// Structural validation of a loaded entry: every index the LTBO and
-/// link stages will follow must be in bounds, so a poisoned entry is
-/// rejected here with a typed error instead of panicking downstream.
+/// link stages will follow must be in bounds, and the template must
+/// describe the method's own words — one defined flag per word, every
+/// call site, PC-relative site and terminator a separator — so a
+/// poisoned entry is rejected here with a typed error instead of
+/// panicking or miscompiling downstream.
 fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     let m = &entry.compiled;
-    let code_len = m.insns.len();
+    let code_len = m.words.len();
     let size_words = code_len + m.pool.len();
     for r in &m.relocs {
         if r.at >= code_len {
@@ -291,58 +296,69 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
         }
     }
     if let Some(t) = &entry.template {
-        for slot in &t.slots {
-            let word = match *slot {
-                TemplateSlot::Leader => continue,
-                TemplateSlot::Fresh { word } | TemplateSlot::Lit { word, .. } => word,
-            };
-            if word as usize >= code_len {
-                return Err(format!("template slot names word {word} beyond {code_len}"));
+        let flags = t.flags();
+        if flags.len() != code_len {
+            return Err(format!("template has {} flags for {code_len} words", flags.len()));
+        }
+        const DEFINED: u8 = SymbolTemplate::FRESH | SymbolTemplate::LEADER;
+        if let Some(word) = flags.iter().position(|&f| f & !DEFINED != 0) {
+            return Err(format!("template flag {:#04x} of word {word} is undefined", flags[word]));
+        }
+        let sites = m.relocs.iter().map(|r| r.at);
+        let sites = sites.chain(m.metadata.pc_rel.iter().map(|rec| rec.at));
+        for word in sites.chain(m.metadata.terminators.iter().copied()) {
+            if flags[word] & SymbolTemplate::FRESH == 0 {
+                return Err(format!("template leaves word {word} literal, which must be fresh"));
             }
         }
     }
     Ok(())
 }
 
-/// Structural validation of a loaded group plan: every candidate the
-/// replay path will materialize must be well-formed — literal symbols
-/// only, each the canonical word of an instruction (an outlined body is
-/// its candidate's symbols, copied into the image as they are), at least
-/// two strictly non-overlapping ascending occurrences, all within the
-/// group text — so a poisoned plan is rejected with a typed error
-/// instead of corrupting the outline downstream.
+/// Structural validation of a loaded group plan: the rows must agree
+/// (one length and one count per candidate, summing to the words and
+/// positions present), and every candidate the replay path will
+/// materialize must be well-formed — each word the canonical word of an
+/// instruction (an outlined body is its candidate's words, copied into
+/// the image as they are), at least two strictly non-overlapping
+/// ascending occurrences, all within the group text — so a poisoned plan
+/// is rejected with a typed error instead of corrupting the outline
+/// downstream.
 fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
-    for (i, c) in entry.candidates.iter().enumerate() {
-        if c.len == 0 {
+    let GroupPlanEntry { text_len, lens, counts, words, positions } = entry;
+    if lens.len() != counts.len() {
+        return Err(format!("{} candidate lengths for {} counts", lens.len(), counts.len()));
+    }
+    let sum = |row: &[u32]| row.iter().map(|&n| u64::from(n)).sum::<u64>();
+    if sum(lens) != words.len() as u64 {
+        return Err(format!("candidate lengths sum to {} for {} words", sum(lens), words.len()));
+    }
+    if sum(counts) != positions.len() as u64 {
+        let (total, present) = (sum(counts), positions.len());
+        return Err(format!("occurrence counts sum to {total} for {present} positions"));
+    }
+    for (i, (body, at)) in entry.candidates().enumerate() {
+        if body.is_empty() {
             return Err(format!("candidate {i} has zero length"));
         }
-        if c.symbols.len() != c.len {
-            return Err(format!("candidate {i}: {} symbols for length {}", c.symbols.len(), c.len));
-        }
-        for &s in &c.symbols {
-            let Ok(word) = u32::try_from(s) else {
-                return Err(format!("candidate {i} contains a separator-space symbol"));
-            };
+        for &word in body {
             if calibro_isa::decode(word).ok().and_then(|insn| insn.encode().ok()) != Some(word) {
-                return Err(format!("candidate {i}: symbol {word:#010x} is not an instruction"));
+                return Err(format!("candidate {i}: word {word:#010x} is not an instruction"));
             }
         }
-        if c.positions.len() < 2 {
+        if at.len() < 2 {
             return Err(format!("candidate {i} has fewer than two occurrences"));
         }
         let mut prev_end = 0;
-        for &p in &c.positions {
-            if p < prev_end {
+        for &p in at {
+            if u64::from(p) < prev_end {
                 return Err(format!("candidate {i}: unsorted or overlapping position {p}"));
             }
-            prev_end = p
-                .checked_add(c.len)
-                .ok_or_else(|| format!("candidate {i}: position {p} overflows"))?;
+            prev_end = u64::from(p) + body.len() as u64;
         }
-        if prev_end > entry.text_len {
+        if prev_end > *text_len as u64 {
             return Err(format!(
-                "candidate {i} ends at {prev_end}, beyond group text of {}",
-                entry.text_len
+                "candidate {i} ends at {prev_end}, beyond group text of {text_len}"
             ));
         }
     }
@@ -428,7 +444,6 @@ wire_fields!(MethodMetadata {
     is_native_stub,
     slow_paths,
 });
-wire_fields!(CacheEntry { compiled, pass_stats, template, ref_env });
 wire_fields!(PassStats {
     folded,
     copies_propagated,
@@ -441,20 +456,20 @@ wire_fields!(PassStats {
     insns_in,
     insns_out,
 });
-wire_fields!(OutlineCandidate { len, positions, symbols });
-wire_fields!(GroupPlanEntry { text_len, candidates });
+wire_fields!(GroupPlanEntry { text_len, lens, counts, words, positions });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
 wire_fields!(MergePlanEntry { member_count, groups });
 wire_fields!(DictEntry { insns, regs });
 
-wire_seq!(Reloc, PcRel, StackMapEntry, OutlineCandidate, MergePlanGroup);
+wire_seq!(Reloc, PcRel, StackMapEntry, MergePlanGroup);
 
 /// A compiled method's code travels once, as its words under the name
 /// `insns` — a `u32` count, then one word per instruction: the bytes a
-/// `Vec<Insn>` field has. Decoding reads them as instructions and sets
-/// `words` to their re-encoding, so a decoded method's two forms agree
-/// whatever the frame held. Written by hand because `wire_fields!` puts
-/// every field on the wire; the destructures below are still exhaustive.
+/// `Vec<Insn>` field has. Decoding checks that every word decodes to an
+/// instruction that encodes back to that very word, and keeps the words
+/// only: a decoded method's `insns` is empty, as a stored entry's is.
+/// Written by hand because `wire_fields!` puts every field on the wire;
+/// the destructures below are still exhaustive.
 impl Wire for CompiledMethod {
     fn put(&self, w: &mut Writer) {
         let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
@@ -468,12 +483,17 @@ impl Wire for CompiledMethod {
 
     fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
         let method = Wire::get(r, "method")?;
-        let insns: Vec<Insn> = r.seq("insns")?;
-        let words =
-            encode_words(&insns).map_err(|_| WireError::UnencodableInsn { what: "insns" })?;
+        let words: Vec<u32> = r.seq("insns")?;
+        for &word in &words {
+            let insn = calibro_isa::decode(word)
+                .map_err(|_| WireError::UndecodableWord { what: "insns", word })?;
+            if insn.encode().ok() != Some(word) {
+                return Err(WireError::UnencodableInsn { what: "insns" });
+            }
+        }
         Ok(CompiledMethod {
             method,
-            insns: insns.into(),
+            insns: Arc::default(),
             words: words.into(),
             pool: Wire::get(r, "pool")?,
             relocs: Wire::get(r, "relocs")?,
@@ -548,43 +568,56 @@ impl Wire for CallTarget {
     }
 }
 
-impl Wire for TemplateSlot {
+/// An entry travels as its fields in declaration order, the template as
+/// a presence tag and then its flag bytes alone (the form of an
+/// `Option<Vec<u8>>` field). Decoding rebuilds the template from those
+/// flags over the words just decoded: its leader offsets and canonical
+/// hashes are recomputed rather than trusted from disk, so a template can
+/// never carry hashes that disagree with its replay output, no matter
+/// what the file says. Whether the flags fit the words is
+/// `validate_entry`'s to check. Written by hand because the template
+/// is read against the method; the destructure is still exhaustive.
+impl Wire for CacheEntry {
     fn put(&self, w: &mut Writer) {
-        match *self {
-            TemplateSlot::Leader => w.u8(0),
-            TemplateSlot::Fresh { word } => {
+        let CacheEntry { compiled, pass_stats, template, ref_env } = self;
+        compiled.put(w);
+        pass_stats.put(w);
+        match template {
+            None => w.u8(0),
+            Some(template) => {
                 w.u8(1);
-                word.put(w);
-            }
-            TemplateSlot::Lit { encoded, word } => {
-                w.u8(2);
-                encoded.put(w);
-                word.put(w);
+                w.bytes(template.flags());
             }
         }
+        ref_env.put(w);
     }
 
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<TemplateSlot, WireError> {
-        Ok(match r.u8(what)? {
-            0 => TemplateSlot::Leader,
-            1 => TemplateSlot::Fresh { word: Wire::get(r, what)? },
-            2 => TemplateSlot::Lit { encoded: Wire::get(r, what)?, word: Wire::get(r, what)? },
-            tag => return Err(WireError::InvalidTag { what, tag }),
-        })
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheEntry, WireError> {
+        let compiled: CompiledMethod = Wire::get(r, "compiled")?;
+        let pass_stats = Wire::get(r, "pass_stats")?;
+        let flags: Option<Vec<u8>> = Wire::get(r, "template")?;
+        let template = flags.map(|flags| SymbolTemplate::new(flags, &compiled.words));
+        Ok(CacheEntry { compiled, pass_stats, template, ref_env: Wire::get(r, "ref_env")? })
     }
 }
 
-/// A template travels as its slots alone. The canonical hashes are
-/// recomputed from the slots rather than trusted from disk: a template
-/// can then never carry hashes that disagree with its replay output, no
-/// matter what the file says.
-impl Wire for SymbolTemplate {
-    fn put(&self, w: &mut Writer) {
-        w.seq(self.slots());
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<SymbolTemplate, WireError> {
-        Ok(SymbolTemplate::new(r.seq(what)?))
+#[cfg(test)]
+impl wire::FieldEnds for CacheEntry {
+    fn field_ends(&self) -> Vec<(&'static str, usize)> {
+        let CacheEntry { compiled, pass_stats, template, ref_env } = self;
+        let flags = template.as_ref().map(|t| t.flags().to_vec());
+        let lens = [
+            ("compiled", wire::encode(compiled).len()),
+            ("pass_stats", wire::encode(pass_stats).len()),
+            ("template", wire::encode(&flags).len()),
+            ("ref_env", wire::encode(ref_env).len()),
+        ];
+        let mut end = 0;
+        lens.map(|(name, len)| {
+            end += len;
+            (name, end)
+        })
+        .to_vec()
     }
 }
 
@@ -627,15 +660,19 @@ lanes! {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::wire::FieldEnds;
-    use calibro_isa::Reg;
+    use calibro_isa::{decode_all, encode_words, Reg};
 
+    const FRESH: u8 = SymbolTemplate::FRESH;
+    const LEADER: u8 = SymbolTemplate::LEADER;
+
+    /// A stored method: its words only, and the template its words and
+    /// metadata make — the branch, the call and the `ret` fresh, the
+    /// branch's target a leader, the `add` the one literal.
     pub(crate) fn sample_entry() -> CacheEntry {
         let insns = [
-            Insn::Nop,
+            Insn::B { offset: 8 },
             Insn::Bl { offset: 0 },
             Insn::AddImm {
                 wide: true,
@@ -647,16 +684,18 @@ pub(crate) mod tests {
             },
             Insn::Ret { rn: Reg::LR },
         ];
+        let words = encode_words(&insns).expect("the sample's instructions encode");
         CacheEntry {
+            template: Some(SymbolTemplate::new(vec![FRESH, FRESH, LEADER, FRESH], &words)),
             compiled: CompiledMethod {
                 method: calibro_dex::MethodId(5),
-                insns: insns.into(),
-                words: encode_words(&insns).expect("the sample's instructions encode").into(),
+                insns: Arc::from([]),
+                words: words.into(),
                 pool: vec![0xdead_beef],
                 relocs: vec![Reloc { at: 1, target: CallTarget::Thunk(ThunkKind::StackCheck) }],
                 metadata: MethodMetadata {
-                    pc_rel: vec![PcRel { at: 0, target: 4 }],
-                    terminators: vec![3],
+                    pc_rel: vec![PcRel { at: 0, target: 2 }],
+                    terminators: vec![0, 3],
                     embedded_data: vec![(4, 1)],
                     has_indirect_jump: false,
                     is_native_stub: false,
@@ -665,34 +704,21 @@ pub(crate) mod tests {
                 stack_maps: vec![StackMapEntry { native_offset: 8, dex_pc: 1 }],
             },
             pass_stats: PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
-            template: Some(SymbolTemplate::new(vec![
-                TemplateSlot::Leader,
-                TemplateSlot::Fresh { word: 0 },
-                TemplateSlot::Lit { encoded: 0xd503_201f, word: 2 },
-            ])),
             ref_env: 0x5eed_f00d,
         }
     }
 
-    /// The recorded plan. Its symbols are placeholders, not instruction
-    /// words, so the gauntlet refuses it: it pins the layout only.
+    /// A plan of two candidates — three `nop`s three times, then an
+    /// `add` and a `nop` twice — over a 20-symbol group text.
     pub(crate) fn sample_group() -> GroupPlanEntry {
+        let nop = Insn::Nop.encode().expect("a nop encodes");
         GroupPlanEntry {
             text_len: 20,
-            candidates: vec![calibro_suffix::OutlineCandidate {
-                len: 3,
-                positions: vec![0, 5, 11],
-                symbols: vec![100, 101, 102],
-            }],
+            lens: vec![3, 2],
+            counts: vec![3, 2],
+            words: vec![nop, nop, nop, 0x9100_1c20, nop],
+            positions: vec![0, 5, 11, 15, 17],
         }
-    }
-
-    /// [`sample_group`] outlining three `nop`s: a plan the gauntlet
-    /// accepts.
-    pub(crate) fn live_group() -> GroupPlanEntry {
-        let mut plan = sample_group();
-        plan.candidates[0].symbols = vec![0xd503_201f; 3];
-        plan
     }
 
     pub(crate) fn sample_merge() -> MergePlanEntry {
@@ -738,13 +764,14 @@ pub(crate) mod tests {
     }
 
     /// The four `tests/fixtures/` files: the `sample_*` entries above,
-    /// framed under [`FIXTURE_KEY`] by [`to_frame`] at format version 4.
+    /// framed under [`FIXTURE_KEY`] by [`to_frame`] at
+    /// [`FORMAT_VERSION`].
     const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
 
-    /// The same entries as format version 3 wrote them (the hand-written
-    /// serialisers, `u64` counts) — kept to prove a stale directory
-    /// degrades to misses.
-    pub(crate) const V3_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/v3/");
+    /// The same lanes as an older format version wrote them (version 4:
+    /// template slots, candidate sequences) — kept to prove a directory
+    /// of any other version degrades to misses.
+    pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
     fn start_of(value: &impl FieldEnds, field: &str) -> usize {
@@ -866,19 +893,22 @@ pub(crate) mod tests {
     #[test]
     fn group_frames_keep_the_frame_contract() {
         let plan = sample_group();
-        let first = start_of(&plan, "candidates") + 4; // after the count
-        let in_first = |field| first + start_of(&plan.candidates[0], field);
-        frame_contract(
-            &plan,
-            &["candidates"],
-            &[
-                (first - 4, "candidates"),
-                (in_first("positions"), "positions"),
-                (in_first("symbols"), "symbols"),
-            ],
-            &[],
-        );
-        row_contract(&plan.candidates[0], &[]);
+        let rows = ["lens", "counts", "words", "positions"];
+        frame_contract(&plan, &[], &rows.map(|row| (start_of(&plan, row), row)), &[]);
+    }
+
+    #[test]
+    fn every_recorded_fixture_passes_the_gauntlet() {
+        fn admits<V: LaneEntry>() {
+            let (_, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("fixture");
+            if let Err(refusal) = from_frame::<V>(FIXTURE_KEY, fixture) {
+                panic!(".{}: {refusal}", V::EXT);
+            }
+        }
+        admits::<CacheEntry>();
+        admits::<GroupPlanEntry>();
+        admits::<MergePlanEntry>();
+        admits::<DictEntry>();
     }
 
     #[test]
@@ -930,19 +960,43 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_method_frames_its_words_and_decodes_to_both_forms() {
+    fn a_method_frames_its_words_and_decodes_to_words_only() {
         let entry = sample_entry();
         let frame = to_frame(FIXTURE_KEY, &entry).unwrap();
         let back: CacheEntry = from_frame(FIXTURE_KEY, &frame).unwrap();
-        assert_eq!(
-            (&back.compiled.insns, &back.compiled.words),
-            (&entry.compiled.insns, &entry.compiled.words)
-        );
-        // The words are what travels: a method whose words are its only
-        // code frames to the same bytes.
-        let mut wordy = entry;
-        wordy.compiled.insns = Arc::from([]);
-        assert_eq!(to_frame(FIXTURE_KEY, &wordy).unwrap(), frame);
+        assert!(back.compiled.insns.is_empty());
+        assert_eq!(back.compiled.words, entry.compiled.words);
+        assert_eq!(back.template, entry.template, "flags, leaders and hashes rebuilt alike");
+        // The words are what travels: a method that still carries the
+        // instructions it was compiled to frames to the same bytes.
+        let mut compiled = entry;
+        compiled.compiled.insns = decode_all(&compiled.compiled.words).unwrap().into();
+        assert_eq!(to_frame(FIXTURE_KEY, &compiled).unwrap(), frame);
+    }
+
+    /// `entry` framed and put through the gauntlet: its refusal.
+    fn refusal(entry: &CacheEntry) -> String {
+        let frame = to_frame(FIXTURE_KEY, entry).unwrap();
+        from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("the frame was admitted")
+    }
+
+    #[test]
+    fn a_template_that_does_not_fit_its_words_is_refused() {
+        let mut entry = sample_entry();
+        let words = entry.compiled.words.clone();
+        entry.template = Some(SymbolTemplate::new(vec![FRESH, FRESH, FRESH], &words));
+        assert_eq!(refusal(&entry), "template has 3 flags for 4 words");
+        entry.template = Some(SymbolTemplate::new(vec![FRESH, FRESH, 4, FRESH], &words));
+        assert_eq!(refusal(&entry), "template flag 0x04 of word 2 is undefined");
+        // A call site, a branch or a terminator that would replay as a
+        // literal could be outlined away.
+        for (word, _) in words.iter().enumerate().filter(|&(word, _)| word != 2) {
+            let mut flags = vec![FRESH, FRESH, LEADER, FRESH];
+            flags[word] &= !FRESH;
+            entry.template = Some(SymbolTemplate::new(flags, &words));
+            let expected = format!("template leaves word {word} literal, which must be fresh");
+            assert_eq!(refusal(&entry), expected);
+        }
     }
 
     #[test]
@@ -962,11 +1016,14 @@ pub(crate) mod tests {
         // element size cannot hide behind it.
         let mut entry = sample_entry();
         let m = &mut entry.compiled;
-        let insns: Vec<Insn> = m.insns.iter().copied().chain([Insn::Nop; 64]).collect();
+        let insns: Vec<Insn> = m.instructions().iter().copied().chain([Insn::Nop; 64]).collect();
         m.words = encode_words(&insns).unwrap().into();
         m.insns = insns.into();
         m.relocs.extend([m.relocs[0]; 16]);
+        let flags = vec![LEADER; m.words.len()];
+        entry.template = Some(SymbolTemplate::new(flags, &m.words));
         let m = &entry.compiled;
+        let template = entry.template.as_ref().unwrap();
         let owned = size_of_val(&*m.insns)
             + size_of_val(&*m.words)
             + size_of_val(m.pool.as_slice())
@@ -976,8 +1033,15 @@ pub(crate) mod tests {
             + size_of_val(m.metadata.embedded_data.as_slice())
             + size_of_val(m.metadata.slow_paths.as_slice())
             + size_of_val(m.stack_maps.as_slice())
-            + size_of_val(entry.template.as_ref().unwrap().slots());
+            + size_of_val(template.flags())
+            + 4 * m.words.len(); // one leader offset per word
         assert!(entry.approx_bytes() >= owned, "{} < {owned}", entry.approx_bytes());
+        let mut plan = sample_group();
+        plan.words.extend([0; 64]);
+        plan.positions.extend([0; 64]);
+        let rows = [&plan.lens, &plan.counts, &plan.words, &plan.positions];
+        let owned: usize = rows.iter().map(|row| size_of_val(row.as_slice())).sum();
+        assert!(plan.approx_bytes() >= owned, "{} < {owned}", plan.approx_bytes());
         let mut body = sample_dict();
         body.insns.extend([Insn::Nop; 64]);
         let owned = size_of_val(body.insns.as_slice()) + size_of_val(body.regs.as_slice());
@@ -998,39 +1062,54 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn group_validation_rejects_malformed_candidates() {
-        assert_eq!(validate_group_entry(&live_group()), Ok(()));
-        let mut g = live_group();
-        g.candidates[0].symbols.push(u64::from(u32::MAX) + 1);
-        g.candidates[0].len += 1;
-        assert!(validate_group_entry(&g).is_err(), "separator-space symbol accepted");
-        let mut g = live_group();
-        g.candidates[0].positions = vec![0, 1]; // overlap: 0..3 and 1..4
-        assert!(validate_group_entry(&g).is_err(), "overlapping positions accepted");
-        let mut g = live_group();
-        g.candidates[0].positions = vec![0, 18]; // 18 + 3 > 20
-        assert!(validate_group_entry(&g).is_err(), "out-of-text position accepted");
-        let mut g = live_group();
-        g.candidates[0].positions = vec![4];
-        assert!(validate_group_entry(&g).is_err(), "single occurrence accepted");
+    fn group_validation_rejects_malformed_rows() {
+        assert_eq!(validate_group_entry(&sample_group()), Ok(()));
+        let refused = |edit: fn(&mut GroupPlanEntry)| {
+            let mut plan = sample_group();
+            edit(&mut plan);
+            validate_group_entry(&plan).expect_err("a malformed plan was accepted")
+        };
+        // Rows that disagree with one another.
+        assert_eq!(refused(|g| g.counts.push(2)), "2 candidate lengths for 3 counts");
+        assert_eq!(refused(|g| g.lens[1] = 3), "candidate lengths sum to 6 for 5 words");
+        assert_eq!(refused(|g| g.words.push(0)), "candidate lengths sum to 5 for 6 words");
+        assert_eq!(refused(|g| g.counts[0] = 4), "occurrence counts sum to 6 for 5 positions");
+        // Candidates the rows spell out wrongly.
+        let zero_length = |g: &mut GroupPlanEntry| {
+            g.lens.insert(0, 0);
+            g.counts.insert(0, 2);
+            g.positions.splice(0..0, [1, 2]);
+        };
+        assert_eq!(refused(zero_length), "candidate 0 has zero length");
+        assert_eq!(
+            refused(|g| g.words[3] = 0), // unallocated
+            "candidate 1: word 0x00000000 is not an instruction"
+        );
+        let single = |g: &mut GroupPlanEntry| {
+            g.counts = vec![3, 1];
+            g.positions.pop();
+        };
+        assert_eq!(refused(single), "candidate 1 has fewer than two occurrences");
+        assert_eq!(
+            refused(|g| g.positions[1] = 2), // 0..3 and 2..5
+            "candidate 0: unsorted or overlapping position 2"
+        );
+        assert_eq!(
+            refused(|g| g.positions[4] = 19), // 19 + 2 > 20
+            "candidate 1 ends at 21, beyond group text of 20"
+        );
     }
 
     #[test]
-    fn a_plan_symbol_that_is_not_an_instruction_is_refused_at_the_boundary() {
-        // An outlined body is copied from its candidate's symbols, so the
+    fn a_plan_word_that_is_not_an_instruction_is_refused_at_the_boundary() {
+        // An outlined body is copied from its candidate's words, so the
         // gauntlet is where they are known to be instructions.
-        let mut plan = live_group();
-        plan.candidates[0].symbols[1] = 0; // unallocated
+        let mut plan = sample_group();
+        plan.words[1] = 0; // unallocated
         let frame = to_frame(FIXTURE_KEY, &plan).unwrap();
         assert_eq!(
             from_frame::<GroupPlanEntry>(FIXTURE_KEY, &frame),
-            Err("candidate 0: symbol 0x00000000 is not an instruction".to_owned())
-        );
-        // So is the recorded sample's placeholder.
-        let (_, fixture) = FIXTURES[1];
-        assert_eq!(
-            from_frame::<GroupPlanEntry>(FIXTURE_KEY, fixture),
-            Err("candidate 0: symbol 0x00000064 is not an instruction".to_owned())
+            Err("candidate 0: word 0x00000000 is not an instruction".to_owned())
         );
     }
 
@@ -1095,7 +1174,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let key = CacheKey { hi: 21, lo: 22 };
         store(&dir, key, &sample_entry()).unwrap();
-        store(&dir, key, &live_group()).unwrap();
+        store(&dir, key, &sample_group()).unwrap();
         // Simulate two killed writers (a method entry and a group plan).
         std::fs::write(dir.join(format!("{}.calc.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
         std::fs::write(dir.join(format!("{}.calg.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();

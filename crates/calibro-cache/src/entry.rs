@@ -38,7 +38,7 @@ pub fn sequence_content_key(symbols: &[u64]) -> CacheKey {
 
 /// [`sequence_content_key`] of the sequence `symbols` yields, without
 /// that sequence ever being stored: [`SymbolTemplate::new`] feeds it
-/// straight from the slots.
+/// straight from the flags and words.
 fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> CacheKey {
     SCRATCH.with(|cell| {
         let mut h = cell.borrow_mut();
@@ -55,65 +55,35 @@ fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> Cache
     })
 }
 
-/// One slot of a method's LTBO symbolization (§3.3.2), with the
-/// config-independent structure precomputed: literal slots carry the
-/// encoded instruction word, unique slots are assigned fresh separator
-/// numbers at replay time. Replaying a template is byte-equivalent to
-/// re-running symbolization over the method, but skips the per-word
-/// metadata scans and instruction encoding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TemplateSlot {
-    /// A basic-block leader boundary: a fresh separator with no backing
-    /// word (branches land here, so no repeat may span it).
-    Leader,
-    /// An excluded word (terminator / PC-relative site / LR user / SP
-    /// writer): a fresh separator mapping back to word `0`'s field.
-    Fresh {
-        /// The word index the separator maps back to.
-        word: u32,
-    },
-    /// An outlinable word: the encoded instruction, emitted verbatim.
-    Lit {
-        /// The encoded instruction word.
-        encoded: u32,
-        /// The word index.
-        word: u32,
-    },
-}
-
-impl TemplateSlot {
-    /// The symbol this slot replays to, as both canonical hashes see it:
-    /// a `Lit` slot's word, and for a `Leader` or `Fresh` slot
-    /// [`UNIQUE_SEPARATOR_BASE`], which stands for every separator.
-    fn canonical_symbol(self) -> u64 {
-        match self {
-            TemplateSlot::Lit { encoded, .. } => u64::from(encoded),
-            TemplateSlot::Leader | TemplateSlot::Fresh { .. } => UNIQUE_SEPARATOR_BASE,
-        }
-    }
-}
-
-/// The precomputed symbol sequence of one LTBO candidate method, before
-/// fresh separator numbers are assigned. Computed for the unfiltered
-/// (`hot = false`) case; hot-restricted methods fall back to direct
-/// symbolization, which is rare by construction (§3.4.2 restricts a
-/// small profiled subset).
+/// The precomputed §3.3.2 symbolization of one LTBO candidate method,
+/// before fresh separator numbers are assigned: one flag byte per code
+/// word of the method. A word flagged [`FRESH`](Self::FRESH) replays to
+/// a fresh separator (a terminator, a PC-relative site, a call, an
+/// outline hazard, or — in a hot method — a word outside every slow
+/// path); any other word replays to itself, read from the method's own
+/// words, so a template has no literal of its own that could disagree
+/// with the code. A word flagged [`LEADER`](Self::LEADER) is a branch
+/// target and a fresh separator precedes it. Replaying a template is
+/// byte-equivalent to re-running symbolization over the method, but
+/// skips the metadata scans and the hazard queries.
 ///
-/// Alongside the slots, the template caches the two canonical hashes of
+/// Alongside the flags, the template caches the two canonical hashes of
 /// its replay output — the [`sequence_content_key`] Merkle leaf and the
 /// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash)
 /// partition hash. Both canonicalize separator values, so they are
 /// invariant under the separator band a replay draws from (and computed
-/// from the slots without one); caching them here takes both hash
-/// passes off the warm critical path (a cache-hit method replays its
-/// template and reads the hashes instead of re-hashing its whole
-/// sequence every build). The fields are private and computed only by
-/// [`SymbolTemplate::new`], so a template's hashes can never disagree
-/// with its slots.
+/// from flags and words without one); caching them here takes both hash
+/// passes off the warm critical path. It also keeps the symbol offset of
+/// every leader separator, so mapping a symbol back to its word is one
+/// binary search. Everything but the flags is derived by
+/// [`SymbolTemplate::new`] and never stored on disk, so a template's
+/// hashes can never disagree with its flags.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SymbolTemplate {
-    /// The slots, in emission order.
-    pub(crate) slots: Vec<TemplateSlot>,
+    /// One flag byte per code word.
+    flags: Box<[u8]>,
+    /// The symbol offset of each leader separator, ascending.
+    leaders: Box<[u32]>,
     /// [`sequence_content_key`] of the replayed sequence.
     content_key: CacheKey,
     /// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash) of
@@ -122,23 +92,54 @@ pub struct SymbolTemplate {
 }
 
 impl SymbolTemplate {
-    /// Builds a template from its slots, computing the canonical
-    /// content key and partition hash of the replay output once —
-    /// straight from the slots, with no replay: both hashes see every
-    /// separator as the same canonical symbol, so which band a replay
-    /// would draw from cannot matter.
+    /// The word replays to a fresh separator instead of itself.
+    pub const FRESH: u8 = 1;
+    /// A branch lands on the word, so a fresh separator precedes it.
+    pub const LEADER: u8 = 2;
+
+    /// Builds a template from one flag byte per word of `words` (the
+    /// method's code), computing the leader offsets and both canonical
+    /// hashes of the replay output once — straight from flags and words,
+    /// with no replay: both hashes see every separator as the same
+    /// canonical symbol, so which band a replay would draw from cannot
+    /// matter. Total over any input: whether the flags fit the words is
+    /// for the caller to check ([`CacheEntry`]'s frame validation does).
     #[must_use]
-    pub fn new(slots: Vec<TemplateSlot>) -> Self {
-        let symbols = || slots.iter().map(|&slot| slot.canonical_symbol());
+    pub fn new(flags: Vec<u8>, words: &[u32]) -> Self {
+        let count = flags.iter().filter(|&&f| f & Self::LEADER != 0).count();
+        let mut leaders = Vec::with_capacity(count);
+        for (word, &f) in flags.iter().enumerate() {
+            if f & Self::LEADER != 0 {
+                leaders.push((word + leaders.len()) as u32);
+            }
+        }
+        let symbols = || CanonicalSymbols {
+            flags: flags.iter(),
+            words: words.iter(),
+            pending: None,
+            left: flags.len() + leaders.len(),
+        };
         let content_key = sequence_content_key_of(symbols());
         let group_hash = stable_sequence_hash_of(symbols());
-        SymbolTemplate { slots, content_key, group_hash }
+        SymbolTemplate {
+            flags: flags.into_boxed_slice(),
+            leaders: leaders.into_boxed_slice(),
+            content_key,
+            group_hash,
+        }
     }
 
-    /// The slots, in emission order.
+    /// The flag bytes, one per code word.
     #[must_use]
-    pub fn slots(&self) -> &[TemplateSlot] {
-        &self.slots
+    pub fn flags(&self) -> &[u8] {
+        &self.flags
+    }
+
+    /// Length of the replayed sequence: one symbol per word, and one per
+    /// leader separator.
+    #[must_use]
+    pub fn symbol_count(&self) -> usize {
+        self.flags.len() + self.leaders.len()
     }
 
     /// Cached [`sequence_content_key`] of the replayed sequence.
@@ -154,41 +155,85 @@ impl SymbolTemplate {
         self.group_hash
     }
 
-    /// The code-word index symbol offset `sym` maps back to
-    /// (`usize::MAX` for leader separators, which have no backing
-    /// word), read straight from the slots. One symbol is emitted per
-    /// slot, so symbol offsets and slot indices coincide and no
-    /// symbol → word map is ever materialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` is out of range of the replayed sequence.
+    /// The code-word index symbol offset `sym` of the replayed sequence
+    /// maps back to (`usize::MAX` for a leader separator, which has no
+    /// backing word): `sym` less the leaders before it, found by binary
+    /// search, so no symbol → word map is ever materialized.
     #[must_use]
     pub fn word_at(&self, sym: usize) -> usize {
-        match self.slots[sym] {
-            TemplateSlot::Leader => usize::MAX,
-            TemplateSlot::Fresh { word } | TemplateSlot::Lit { word, .. } => word as usize,
+        let before = self.leaders.partition_point(|&leader| (leader as usize) < sym);
+        match self.leaders.get(before) {
+            Some(&leader) if leader as usize == sym => usize::MAX,
+            _ => sym - before,
         }
     }
 
-    /// Replays the template into its symbol sequence, drawing fresh
-    /// separator numbers from `unique` exactly as direct symbolization
-    /// would. [`word_at`](Self::word_at) maps a symbol offset of the
-    /// result back to its code word.
-    pub fn replay_symbols(&self, unique: &mut u64) -> Vec<u64> {
-        let mut symbols = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            match *slot {
-                TemplateSlot::Lit { encoded, .. } => symbols.push(u64::from(encoded)),
-                TemplateSlot::Leader | TemplateSlot::Fresh { .. } => {
-                    *unique += 1;
-                    symbols.push(*unique);
-                }
+    /// Replays the template over `words`, the method's code, into its
+    /// symbol sequence, drawing fresh separator numbers from `unique`
+    /// exactly as direct symbolization would. [`word_at`](Self::word_at)
+    /// maps a symbol offset of the result back to its code word.
+    pub fn replay_symbols(&self, words: &[u32], unique: &mut u64) -> Vec<u64> {
+        debug_assert_eq!(words.len(), self.flags.len(), "one flag per word");
+        let mut symbols = Vec::with_capacity(self.symbol_count());
+        for (&f, &word) in self.flags.iter().zip(words) {
+            if f & Self::LEADER != 0 {
+                *unique += 1;
+                symbols.push(*unique);
+            }
+            if f & Self::FRESH != 0 {
+                *unique += 1;
+                symbols.push(*unique);
+            } else {
+                symbols.push(u64::from(word));
             }
         }
         symbols
     }
 }
+
+/// The sequence a template replays to as both canonical hashes see it —
+/// a literal's word, and [`UNIQUE_SEPARATOR_BASE`] for every separator —
+/// yielded from flags and words without being stored.
+struct CanonicalSymbols<'a> {
+    flags: std::slice::Iter<'a, u8>,
+    words: std::slice::Iter<'a, u32>,
+    /// A word's symbol, held back while its leader separator goes first.
+    pending: Option<u64>,
+    /// Symbols not yet yielded.
+    left: usize,
+}
+
+impl Iterator for CanonicalSymbols<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let sym = match self.pending.take() {
+            Some(sym) => sym,
+            None => {
+                let (&f, &word) = (self.flags.next()?, self.words.next()?);
+                let sym = match f & SymbolTemplate::FRESH {
+                    0 => u64::from(word),
+                    _ => UNIQUE_SEPARATOR_BASE,
+                };
+                if f & SymbolTemplate::LEADER == 0 {
+                    sym
+                } else {
+                    self.pending = Some(sym);
+                    UNIQUE_SEPARATOR_BASE
+                }
+            }
+        };
+        self.left -= 1;
+        Some(sym)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for CanonicalSymbols<'_> {}
 
 /// One cached compilation artifact: everything the codegen stage
 /// produced for a method, so a warm build can skip HGraph construction,
@@ -196,8 +241,10 @@ impl SymbolTemplate {
 /// instruction encoding for methods whose inputs did not change.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
-    /// The compiled method (instructions, their words, relocations, §3.2
-    /// metadata, stack maps) exactly as codegen emitted it, pre-LTBO.
+    /// The compiled method (its words, relocations, §3.2 metadata,
+    /// stack maps) exactly as codegen emitted it, pre-LTBO — as words
+    /// only: `insns` is empty, and a reader that needs instructions
+    /// decodes them ([`CompiledMethod::instructions`]).
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters from the cold compile, replayed into
     /// [`BuildStats`](https://docs.rs) so warm observability matches cold.
@@ -235,7 +282,7 @@ impl CacheEntry {
         bytes += size_of_val(m.metadata.slow_paths.as_slice());
         bytes += size_of_val(m.stack_maps.as_slice());
         if let Some(template) = &self.template {
-            bytes += size_of_val(template.slots()) + 32;
+            bytes += template.flags().len() + 4 * template.leaders.len() + 64;
         }
         bytes
     }
@@ -243,37 +290,94 @@ impl CacheEntry {
 
 /// One cached LTBO group plan: the outline candidates detected over a
 /// group's concatenated symbol text, keyed by that text's canonicalized
-/// content plus the `LtboConfig` fingerprint.
+/// content plus the `LtboConfig` fingerprint — as four flat `u32` rows.
+/// Candidate *i* is the next `lens[i]` entries of `words` and the next
+/// `counts[i]` entries of `positions`, candidates in canonical
+/// (position-sorted) order; [`candidates`](Self::candidates) walks them
+/// in place.
 ///
 /// Only the candidates and the text length are cached — tags, offsets
-/// and lens are positional bookkeeping tied to the *current* build's
-/// method indices and are recomputed at replay
+/// and lens of the group's members are positional bookkeeping tied to
+/// the *current* build's method indices and are recomputed at replay
 /// ([`replay_group_plan`](calibro_suffix::replay_group_plan)). The
 /// candidates themselves are portable across builds whose group text
-/// matches: their symbols are always literals (separators are unique,
-/// so no repeated substring contains one), and their positions are
-/// determined by the text alone because detection is deterministic
-/// under any injective separator renumbering.
+/// matches: their symbols are always literals — instruction words, as
+/// separators are unique and no repeated substring contains one — and
+/// their positions are determined by the text alone because detection
+/// is deterministic under any injective separator renumbering.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GroupPlanEntry {
     /// Length of the concatenated group text the plan was detected on
     /// (including one joint separator per sequence).
     pub text_len: usize,
-    /// The selected outline candidates, in canonical (position-sorted)
-    /// order.
-    pub candidates: Vec<OutlineCandidate>,
+    /// Each candidate's length in words.
+    pub lens: Vec<u32>,
+    /// Each candidate's number of occurrences.
+    pub counts: Vec<u32>,
+    /// The candidates' words, one candidate after another.
+    pub words: Vec<u32>,
+    /// The group-text start of every occurrence, one candidate's
+    /// (ascending, non-overlapping) after another's.
+    pub positions: Vec<u32>,
 }
 
 impl GroupPlanEntry {
+    /// The rows of `candidates`, detected over a group text of
+    /// `text_len` symbols.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate symbol is not a word (a separator, which
+    /// detection never selects) or the text is longer than `u32`
+    /// positions reach.
+    #[must_use]
+    pub fn from_candidates(text_len: usize, candidates: &[OutlineCandidate]) -> GroupPlanEntry {
+        assert!(u32::try_from(text_len).is_ok(), "a group text of {text_len} symbols");
+        let words = candidates.iter().map(|c| c.symbols.len()).sum();
+        let positions = candidates.iter().map(|c| c.positions.len()).sum();
+        let mut entry = GroupPlanEntry {
+            text_len,
+            lens: Vec::with_capacity(candidates.len()),
+            counts: Vec::with_capacity(candidates.len()),
+            words: Vec::with_capacity(words),
+            positions: Vec::with_capacity(positions),
+        };
+        for c in candidates {
+            // Both fit: a candidate and its positions lie inside the text.
+            entry.lens.push(c.symbols.len() as u32);
+            entry.counts.push(c.positions.len() as u32);
+            let word = |&s: &u64| u32::try_from(s).expect("a candidate symbol is a word");
+            entry.words.extend(c.symbols.iter().map(word));
+            entry.positions.extend(c.positions.iter().map(|&p| p as u32));
+        }
+        entry
+    }
+
+    /// The candidates in plan order, each as its words and the
+    /// group-text positions of its occurrences — read from the rows in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are shorter than `lens` and `counts` say,
+    /// which frame validation rules out for a loaded entry.
+    pub fn candidates(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+        let (mut words, mut positions) = (&self.words[..], &self.positions[..]);
+        self.lens.iter().zip(&self.counts).map(move |(&len, &count)| {
+            let (body, rest) = words.split_at(len as usize);
+            words = rest;
+            let (at, rest) = positions.split_at(count as usize);
+            positions = rest;
+            (body, at)
+        })
+    }
+
     /// Approximate resident size in bytes (see
     /// [`CacheEntry::approx_bytes`]).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = 64;
-        for c in &self.candidates {
-            bytes += 48 + c.positions.len() * 8 + c.symbols.len() * 8;
-        }
-        bytes
+        let rows = self.lens.len() + self.counts.len() + self.words.len() + self.positions.len();
+        128 + 4 * rows
     }
 }
 
@@ -352,45 +456,43 @@ impl DictEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calibro_suffix::stable_sequence_hash;
+    use calibro_suffix::{detect_group, stable_sequence_hash, TaggedSequence};
     use proptest::prelude::*;
+
+    const FRESH: u8 = SymbolTemplate::FRESH;
+    const LEADER: u8 = SymbolTemplate::LEADER;
 
     #[test]
     fn replay_assigns_sequential_separators() {
-        let t = SymbolTemplate::new(vec![
-            TemplateSlot::Lit { encoded: 7, word: 0 },
-            TemplateSlot::Leader,
-            TemplateSlot::Fresh { word: 1 },
-            TemplateSlot::Lit { encoded: 9, word: 2 },
-        ]);
+        let t = SymbolTemplate::new(vec![0, FRESH | LEADER, 0], &[7, 8, 9]);
         let mut unique = 100;
-        assert_eq!(t.replay_symbols(&mut unique), vec![7, 101, 102, 9]);
+        assert_eq!(t.replay_symbols(&[7, 8, 9], &mut unique), vec![7, 101, 102, 9]);
         assert_eq!(unique, 102);
+        assert_eq!(t.symbol_count(), 4);
     }
 
     #[test]
     fn word_at_answers_for_every_replayed_symbol() {
-        let t = SymbolTemplate::new(vec![
-            TemplateSlot::Lit { encoded: 7, word: 0 },
-            TemplateSlot::Leader,
-            TemplateSlot::Fresh { word: 1 },
-            TemplateSlot::Lit { encoded: 9, word: 2 },
-        ]);
-        // One symbol per slot: every offset of the replayed sequence has
-        // a word behind it (or `usize::MAX` for a leader boundary).
-        let symbols = t.replay_symbols(&mut 500);
-        let words: Vec<usize> = (0..symbols.len()).map(|sym| t.word_at(sym)).collect();
-        assert_eq!(words, vec![0, usize::MAX, 1, 2]);
+        let words = [7, 8, 9, 10];
+        let t = SymbolTemplate::new(vec![LEADER, FRESH | LEADER, 0, LEADER], &words);
+        // Symbols: leader, 7, leader, sep(8), 9, leader, 10 — every offset
+        // of the replayed sequence has a word behind it, or `usize::MAX`
+        // for a leader boundary.
+        let symbols = t.replay_symbols(&words, &mut 500);
+        let mapped: Vec<usize> = (0..symbols.len()).map(|sym| t.word_at(sym)).collect();
+        let none = usize::MAX;
+        assert_eq!(mapped, vec![none, 0, none, 1, 2, none, 3]);
     }
 
     /// Asserts the template's cached hashes equal a direct hash of its
     /// replay output from three separator bands — the invariant that
     /// lets the warm path trust them, whatever band a method draws.
-    fn assert_hashes_match_every_band(slots: Vec<TemplateSlot>) {
-        let t = SymbolTemplate::new(slots);
+    fn assert_hashes_match_every_band(flags: Vec<u8>, words: &[u32]) {
+        let t = SymbolTemplate::new(flags, words);
         for band in [0u64, 1 << 24, 1835 << 24] {
             let mut unique = UNIQUE_SEPARATOR_BASE + band;
-            let symbols = t.replay_symbols(&mut unique);
+            let symbols = t.replay_symbols(words, &mut unique);
+            assert_eq!(symbols.len(), t.symbol_count());
             assert_eq!(t.content_key(), sequence_content_key(&symbols), "band {band}");
             assert_eq!(t.group_hash(), stable_sequence_hash(&symbols), "band {band}");
         }
@@ -398,62 +500,77 @@ mod tests {
 
     #[test]
     fn cached_hashes_match_any_replay_band() {
-        assert_hashes_match_every_band(Vec::new());
-        assert_hashes_match_every_band(vec![TemplateSlot::Leader; 5]);
-        assert_hashes_match_every_band(vec![
-            TemplateSlot::Lit { encoded: 7, word: 0 },
-            TemplateSlot::Leader,
-            TemplateSlot::Fresh { word: 1 },
-            TemplateSlot::Lit { encoded: 9, word: 2 },
-            TemplateSlot::Fresh { word: 3 },
-        ]);
-    }
-
-    fn slot() -> impl Strategy<Value = TemplateSlot> {
-        prop_oneof![
-            Just(TemplateSlot::Leader),
-            any::<u32>().prop_map(|word| TemplateSlot::Fresh { word }),
-            (any::<u32>(), any::<u32>())
-                .prop_map(|(encoded, word)| TemplateSlot::Lit { encoded, word }),
-        ]
-    }
-
-    fn separator() -> impl Strategy<Value = TemplateSlot> {
-        prop_oneof![
-            Just(TemplateSlot::Leader),
-            any::<u32>().prop_map(|word| TemplateSlot::Fresh { word })
-        ]
+        assert_hashes_match_every_band(Vec::new(), &[]);
+        assert_hashes_match_every_band(vec![FRESH | LEADER; 5], &[1; 5]);
+        assert_hashes_match_every_band(vec![0, LEADER, FRESH, 0, FRESH], &[7, 8, 9, 10, 11]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Hashing the slots directly equals hashing what they replay to,
-        /// over `Leader`/`Fresh`/`Lit` mixes of any length from zero.
+        /// Hashing flags and words directly equals hashing what they
+        /// replay to, over every flag combination and any length from
+        /// zero.
         #[test]
-        fn slot_hashes_equal_replay_hashes(slots in prop::collection::vec(slot(), 0..48)) {
-            assert_hashes_match_every_band(slots);
+        fn flag_hashes_equal_replay_hashes(
+            code in prop::collection::vec((0u8..4, any::<u32>()), 0..48),
+        ) {
+            let (flags, words): (Vec<u8>, Vec<u32>) = code.into_iter().unzip();
+            assert_hashes_match_every_band(flags, &words);
         }
 
         /// The same over sequences of nothing but separators.
         #[test]
         fn separator_only_hashes_equal_replay_hashes(
-            slots in prop::collection::vec(separator(), 0..16),
+            code in prop::collection::vec((prop_oneof![Just(FRESH), Just(FRESH | LEADER)], any::<u32>()), 0..16),
         ) {
-            assert_hashes_match_every_band(slots);
+            let (flags, words): (Vec<u8>, Vec<u32>) = code.into_iter().unzip();
+            assert_hashes_match_every_band(flags, &words);
         }
     }
 
     #[test]
     fn content_key_distinguishes_literals_but_not_separator_values() {
-        let lit = |encoded| TemplateSlot::Lit { encoded, word: 0 };
-        let a = SymbolTemplate::new(vec![lit(7), TemplateSlot::Leader, lit(9)]);
-        let b = SymbolTemplate::new(vec![lit(7), TemplateSlot::Fresh { word: 2 }, lit(9)]);
-        // Leader and Fresh both replay to a fresh separator, and
+        let a = SymbolTemplate::new(vec![0, FRESH, 0], &[7, 8, 9]);
+        let b = SymbolTemplate::new(vec![0, FRESH, 0], &[7, 1234, 9]);
+        // A fresh word replays to a separator, whatever the word, and
         // separators are canonicalized — same content key.
         assert_eq!(a.content_key(), b.content_key());
         assert_eq!(a.group_hash(), b.group_hash());
-        let c = SymbolTemplate::new(vec![lit(8), TemplateSlot::Leader, lit(9)]);
+        let c = SymbolTemplate::new(vec![0, FRESH, 0], &[8, 8, 9]);
         assert_ne!(a.content_key(), c.content_key());
+        let d = SymbolTemplate::new(vec![0, FRESH | LEADER, 0], &[7, 8, 9]);
+        assert_ne!(a.content_key(), d.content_key());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A detected plan's flat rows walk back to exactly the
+        /// candidates detection selected, over texts from a small
+        /// alphabet (many repeats) split into up to four members.
+        #[test]
+        fn a_detected_plan_round_trips_through_its_rows(
+            members in prop::collection::vec(prop::collection::vec(0u64..6, 0..40), 0..4),
+        ) {
+            let group: Vec<TaggedSequence> = members
+                .into_iter()
+                .enumerate()
+                .map(|(tag, symbols)| TaggedSequence { tag, symbols })
+                .collect();
+            let (plan, candidates) = detect_group(&group, 2);
+            let text_len = calibro_suffix::group_text_len(plan.lens.iter().copied());
+            let entry = GroupPlanEntry::from_candidates(text_len, &candidates);
+            let back: Vec<OutlineCandidate> = entry
+                .candidates()
+                .map(|(words, positions)| OutlineCandidate {
+                    len: words.len(),
+                    positions: positions.iter().map(|&p| p as usize).collect(),
+                    symbols: words.iter().map(|&w| u64::from(w)).collect(),
+                })
+                .collect();
+            prop_assert_eq!(back, candidates);
+            prop_assert_eq!(entry.text_len, text_len);
+        }
     }
 }

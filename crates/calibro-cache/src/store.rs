@@ -427,7 +427,7 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::disk::tests::{
-        live_group, sample_dict, sample_entry, sample_merge, FIXTURE_KEY, V3_FIXTURES,
+        sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, STALE_FIXTURES,
     };
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
@@ -464,7 +464,7 @@ mod tests {
     impl Sample for GroupPlanEntry {
         const PREFIX: &'static str = "group_";
         fn make(n: u32) -> Self {
-            GroupPlanEntry { text_len: 20 + n as usize, ..live_group() }
+            GroupPlanEntry { text_len: 20 + n as usize, ..sample_group() }
         }
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.groups()
@@ -781,17 +781,17 @@ mod tests {
         assert_eq!(activity(&store), 3);
     }
 
-    /// A cache directory written at another format version (here the
-    /// committed version-3 files) costs one miss per entry — never a
+    /// A cache directory written at any other format version (here the
+    /// committed stale-version files) costs one miss per entry — never a
     /// `CacheError` — and the recompute's insert replaces the file.
     fn stale_version_contract<V: Sample>() {
         let ext = V::EXT;
         let dir = fresh_dir(&format!("stale-{ext}"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{}.{ext}", FIXTURE_KEY.to_hex()));
-        let (_, v3) = V3_FIXTURES.iter().find(|(e, _)| *e == ext).expect("lane fixture");
-        assert_eq!(v3[4..8], 3u32.to_le_bytes(), "{ext}: the kept fixture is a version-3 frame");
-        std::fs::write(&path, v3).unwrap();
+        let (_, stale) = STALE_FIXTURES.iter().find(|(e, _)| *e == ext).expect("lane fixture");
+        assert_ne!(stale[4..8], FORMAT_VERSION.to_le_bytes(), "{ext}: the kept frame is current");
+        std::fs::write(&path, stale).unwrap();
 
         let store = disk_store(&dir);
         assert!(V::lane(&store).get(FIXTURE_KEY).expect("no CacheError").is_none());
@@ -812,7 +812,7 @@ mod tests {
 
         // The same bytes from a peer are a counted peer error.
         if V::PEER_LANE.is_some() {
-            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some((v3.to_vec(), 5))));
+            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some((stale.to_vec(), 5))));
             assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
             assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
         }

@@ -78,8 +78,8 @@ pub enum WireError {
         word: u32,
     },
     /// An instruction word decoded, but to an instruction the encoder
-    /// refuses (the decoder is the more permissive of the two), so a
-    /// compiled method's words cannot be derived from it.
+    /// refuses or encodes to another word (the decoder is the more
+    /// permissive of the two), so it is not a compiled method's word.
     UnencodableInsn {
         /// What was being decoded.
         what: &'static str,
@@ -142,6 +142,14 @@ impl Writer {
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends a `u64` byte length, then the bytes (the form of a
+    /// `Vec<u8>` field, for an encoder that only borrows them).
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a `u32` element count, then each element.
@@ -347,8 +355,7 @@ impl Wire for String {
 /// of `u8` elements — artifacts are megabytes and copied in one piece.)
 impl Wire for Vec<u8> {
     fn put(&self, w: &mut Writer) {
-        w.u64(self.len() as u64);
-        w.buf.extend_from_slice(self);
+        w.bytes(self);
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u8>, WireError> {

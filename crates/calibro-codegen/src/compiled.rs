@@ -1,10 +1,11 @@
 //! The output of per-method compilation: machine code plus the
 //! compilation-time metadata the paper's LTBO collects (§3.2).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use calibro_dex::MethodId;
-use calibro_isa::Insn;
+use calibro_isa::{decode_all, Insn};
 
 /// A compilation-time-outlined pattern thunk (the paper's §3.1 "cache
 /// with a label L"). The linker emits each used thunk once per OAT.
@@ -116,15 +117,18 @@ impl MethodMetadata {
 pub struct CompiledMethod {
     /// The originating method.
     pub method: MethodId,
-    /// Machine instructions, as codegen emitted them; empty once a size
-    /// pass rewrote the method's `words`, so no stale instruction is
-    /// left to read. Shared, not owned: a method replayed from the
-    /// artifact cache and the cache entry it came from hold one copy.
+    /// Machine instructions, as the build that compiled the method
+    /// emitted them — and only there: empty in an artifact-cache entry,
+    /// in a method replayed from one, and once a size pass rewrote the
+    /// method's `words`, so no stale instruction is left to read. Read
+    /// the code through [`instructions`](Self::instructions).
     pub insns: Arc<[Insn]>,
     /// The method's code: one encoded word per instruction, call sites
     /// as their placeholder. Codegen encodes it once; every later stage
     /// rewrites or copies these words, and the linker emits them.
-    /// Shared like `insns`, so cloning a method never copies its code.
+    /// Shared, so cloning a method never copies its code: a method
+    /// replayed from the artifact cache and the entry it came from hold
+    /// one copy.
     pub words: Arc<[u32]>,
     /// Raw literal-pool words appended after `words`.
     pub pool: Vec<u32>,
@@ -141,6 +145,24 @@ impl CompiledMethod {
     #[must_use]
     pub fn size_words(&self) -> usize {
         self.words.len() + self.pool.len()
+    }
+
+    /// The method's instructions: borrowed while `insns` holds them,
+    /// decoded from `words` when it does not (a cache hit, or a method
+    /// a size pass rewrote). A reader that needs instructions after
+    /// codegen asks here, once per method per pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a word does not decode — codegen encoded every one, and
+    /// the cache admits only words that decode.
+    #[must_use]
+    pub fn instructions(&self) -> Cow<'_, [Insn]> {
+        if self.insns.is_empty() && !self.words.is_empty() {
+            Cow::Owned(decode_all(&self.words).expect("a compiled method's words decode"))
+        } else {
+            Cow::Borrowed(&self.insns)
+        }
     }
 }
 
@@ -182,5 +204,22 @@ mod tests {
             stack_maps: vec![],
         };
         assert_eq!(m.size_words(), 3);
+    }
+
+    #[test]
+    fn instructions_are_borrowed_or_decoded_from_the_words() {
+        let insns = [Insn::Nop, Insn::Ret { rn: calibro_isa::Reg::LR }];
+        let mut m = CompiledMethod {
+            method: MethodId(0),
+            insns: insns.into(),
+            words: calibro_isa::encode_words(&insns).unwrap().into(),
+            pool: vec![],
+            relocs: vec![],
+            metadata: MethodMetadata::default(),
+            stack_maps: vec![],
+        };
+        assert!(matches!(m.instructions(), Cow::Borrowed(code) if code == insns));
+        m.insns = Arc::from([]);
+        assert!(matches!(m.instructions(), Cow::Owned(code) if code == insns));
     }
 }

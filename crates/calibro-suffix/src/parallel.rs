@@ -8,8 +8,6 @@
 //! tolerable loss of cross-group repeats — is exactly what Tables 4 and 6
 //! of the paper quantify.
 
-use std::borrow::Cow;
-
 use crate::repeats::{select_outline_plan, OutlineCandidate};
 use crate::tree::{SuffixTree, Symbol};
 
@@ -34,22 +32,22 @@ pub struct TaggedSequence {
     pub symbols: Vec<Symbol>,
 }
 
-/// The per-group result of a parallel detection run.
-#[derive(Debug)]
-pub struct GroupPlan<'a> {
+/// The positional layout of one detection group: which sequences its
+/// text concatenates, and where — what maps a candidate's group-text
+/// positions back to `(tag, offset)`. The candidates themselves are
+/// [`detect_group`]'s second result, or whatever form the caller caches
+/// them in; a replayed layout ([`replay_group_plan`]) never sees them.
+#[derive(Debug, PartialEq, Eq)]
+pub struct GroupPlan {
     /// Tags of the sequences concatenated into this group, in order.
     pub tags: Vec<usize>,
     /// Start offset of each tagged sequence within the group text.
     pub offsets: Vec<usize>,
     /// Length of each tagged sequence (excluding its separator).
     pub lens: Vec<usize>,
-    /// The outline candidates selected within this group: owned when
-    /// detection just produced them, borrowed when a cached plan is
-    /// replayed ([`replay_group_plan`]).
-    pub candidates: Cow<'a, [OutlineCandidate]>,
 }
 
-impl GroupPlan<'_> {
+impl GroupPlan {
     /// Maps a group-text position back to `(tag, offset_within_sequence)`.
     ///
     /// # Panics
@@ -97,7 +95,7 @@ pub fn stable_sequence_hash(symbols: &[Symbol]) -> u64 {
 
 /// [`stable_sequence_hash`] of the sequence `symbols` yields, without
 /// that sequence ever being stored — the one implementation, which a
-/// symbolization template feeds straight from its slots.
+/// symbolization template feeds straight from its flags and words.
 #[must_use]
 pub fn stable_sequence_hash_of(symbols: impl ExactSizeIterator<Item = Symbol>) -> u64 {
     const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -163,24 +161,20 @@ pub fn group_text_len(lens: impl IntoIterator<Item = usize>) -> usize {
     lens.into_iter().map(|len| len + 1).sum()
 }
 
-/// Rebuilds a [`GroupPlan`] from cached `candidates` without re-running
-/// detection — and without the group's text: `members` is each
-/// sequence's `(tag, length)`, in group order, which is all the
-/// positional bookkeeping reads.
+/// Rebuilds a group's [`GroupPlan`] without re-running detection — and
+/// without the group's text: `members` is each sequence's
+/// `(tag, length)`, in group order, which is all the positional
+/// bookkeeping reads.
 ///
 /// Tags, offsets, and lens are recomputed from the *current* group
-/// (method indices shift across edits, so they are never cached); the
-/// candidates are valid as long as the group's canonicalized text
-/// matches the one they were detected on, which the caller guarantees by
-/// keying the cache over that text. Candidate symbols are always
-/// literals — separators are unique, so no repeated substring contains
-/// one — hence they too are stable across builds, and the plan borrows
-/// them from wherever the cache keeps them.
+/// (method indices shift across edits, so they are never cached). Cached
+/// candidates resolve through it as long as the group's canonicalized
+/// text matches the one they were detected on, which the caller
+/// guarantees by keying the cache over that text. Candidate symbols are
+/// always literals — separators are unique, so no repeated substring
+/// contains one — hence they too are stable across builds.
 #[must_use]
-pub fn replay_group_plan(
-    members: impl IntoIterator<Item = (usize, usize)>,
-    candidates: &[OutlineCandidate],
-) -> GroupPlan<'_> {
+pub fn replay_group_plan(members: impl IntoIterator<Item = (usize, usize)>) -> GroupPlan {
     let members = members.into_iter();
     let count = members.size_hint().0;
     let mut tags = Vec::with_capacity(count);
@@ -193,7 +187,7 @@ pub fn replay_group_plan(
         lens.push(len);
         cursor += len + 1;
     }
-    GroupPlan { tags, offsets, lens, candidates: Cow::Borrowed(candidates) }
+    GroupPlan { tags, offsets, lens }
 }
 
 /// Concatenates a group's sequences with unique separators and returns
@@ -218,14 +212,19 @@ fn concatenate(group: &[TaggedSequence]) -> (Vec<Symbol>, Vec<usize>, Vec<usize>
     (text, tags, offsets, lens)
 }
 
-/// Single-group detection: concatenate, build the tree, select the plan.
+/// Single-group detection: concatenate, build the tree, select the
+/// plan. Returns the group's layout and its outline candidates, whose
+/// positions the layout resolves.
 #[must_use]
-pub fn detect_group(group: &[TaggedSequence], min_len: usize) -> GroupPlan<'static> {
+pub fn detect_group(
+    group: &[TaggedSequence],
+    min_len: usize,
+) -> (GroupPlan, Vec<OutlineCandidate>) {
     let (text, tags, offsets, lens) = concatenate(group);
     let total = text.len();
     let tree = SuffixTree::build(text);
-    let candidates = Cow::Owned(select_outline_plan(&tree, min_len, total));
-    GroupPlan { tags, offsets, lens, candidates }
+    let candidates = select_outline_plan(&tree, min_len, total);
+    (GroupPlan { tags, offsets, lens }, candidates)
 }
 
 #[cfg(test)]
@@ -264,8 +263,8 @@ mod tests {
         let empty_stable = partition_stable(Vec::new(), 3);
         assert_eq!(empty_stable.len(), 3);
         assert!(empty_stable.iter().all(Vec::is_empty));
-        let plan = detect_group(&[], 2);
-        assert!(plan.candidates.is_empty());
+        let (plan, candidates) = detect_group(&[], 2);
+        assert!(candidates.is_empty());
         assert!(plan.tags.is_empty());
     }
 
@@ -324,15 +323,12 @@ mod tests {
                 seq(t, &s)
             })
             .collect();
-        let fresh = detect_group(&group, 2);
-        assert!(!fresh.candidates.is_empty());
+        let (fresh, candidates) = detect_group(&group, 2);
+        assert!(!candidates.is_empty());
         // Replay sees lengths only — never the text.
         let members = group.iter().map(|s| (s.tag, s.symbols.len()));
-        let replayed = replay_group_plan(members, &fresh.candidates);
-        assert_eq!(replayed.tags, fresh.tags);
-        assert_eq!(replayed.offsets, fresh.offsets);
-        assert_eq!(replayed.lens, fresh.lens);
-        assert_eq!(replayed.candidates, fresh.candidates);
+        let replayed = replay_group_plan(members);
+        assert_eq!(replayed, fresh);
         // Bookkeeping covers exactly the concatenated text.
         let last = group.len() - 1;
         assert_eq!(
@@ -351,9 +347,9 @@ mod tests {
             s.push(tag as Symbol + 2_000);
             seq(tag, &s)
         };
-        let plan = detect_group(&[mk(0), mk(1), mk(2)], 2);
-        assert_eq!(plan.candidates.len(), 1);
-        let cand = &plan.candidates[0];
+        let (plan, candidates) = detect_group(&[mk(0), mk(1), mk(2)], 2);
+        assert_eq!(candidates.len(), 1);
+        let cand = &candidates[0];
         assert_eq!(cand.symbols, motif.to_vec());
         assert_eq!(cand.positions.len(), 3);
         // Positions resolve back to the right methods at offset 1.
@@ -369,15 +365,15 @@ mod tests {
         // drawback of PlOpti.
         let motif = [40u64, 41, 42, 43, 44, 45];
         let sequences = vec![seq(0, &motif), seq(1, &motif)];
-        let one_group = detect_group(&sequences, 2);
-        assert_eq!(one_group.candidates.len(), 1);
+        let (_, one_group) = detect_group(&sequences, 2);
+        assert_eq!(one_group.len(), 1);
         let mut split = sequences.iter().map(|s| detect_group(std::slice::from_ref(s), 2));
-        assert!(split.all(|g| g.candidates.is_empty()));
+        assert!(split.all(|(_, candidates)| candidates.is_empty()));
     }
 
     #[test]
     fn resolve_maps_boundaries() {
-        let plan = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
+        let (plan, _) = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
         assert_eq!(plan.resolve(0), (5, 0));
         assert_eq!(plan.resolve(2), (5, 2));
         assert_eq!(plan.resolve(4), (9, 0));
@@ -390,21 +386,21 @@ mod tests {
         // Group text: [1, 2, 3, SEP0, 4, 5, SEP1]. Position 3 is the
         // separator after the first sequence; before the fix it resolved
         // to the nonsense (tag 5, offset 3).
-        let plan = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
+        let (plan, _) = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
         let _ = plan.resolve(3);
     }
 
     #[test]
     #[should_panic(expected = "separator space")]
     fn resolve_panics_on_trailing_separator() {
-        let plan = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
+        let (plan, _) = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
         let _ = plan.resolve(6);
     }
 
     #[test]
     fn a_plan_replayed_from_lengths_resolves_and_panics_like_a_detected_one() {
         // The same group as above, rebuilt from `(tag, length)` alone.
-        let plan = replay_group_plan([(5, 3), (9, 2)], &[]);
+        let plan = replay_group_plan([(5, 3), (9, 2)]);
         assert_eq!(plan.resolve(2), (5, 2));
         assert_eq!(plan.resolve(4), (9, 0));
         // The joint, the trailing separator, past the text.

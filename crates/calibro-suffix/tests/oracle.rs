@@ -115,9 +115,9 @@ fn empty_input_builds_a_terminal_only_tree() {
     assert!(tree.find_positions(&[7]).is_empty());
     assert!(select_outline_plan(&tree, 2, tree.len()).is_empty());
     // An empty group yields an empty, well-formed plan.
-    let plan = detect_group(&[], 2);
+    let (plan, candidates) = detect_group(&[], 2);
     assert!(plan.tags.is_empty());
-    assert!(plan.candidates.is_empty());
+    assert!(candidates.is_empty());
 }
 
 #[test]
@@ -137,19 +137,19 @@ fn tree_matches_naive_on_pattern_length_boundaries() {
 #[test]
 fn single_method_group_outlines_only_internal_repeats() {
     // A repeat-free body yields no candidates.
-    let plan = detect_group(&[tagged(7, &[1, 2, 3, 4, 5])], 2);
+    let (plan, candidates) = detect_group(&[tagged(7, &[1, 2, 3, 4, 5])], 2);
     assert_eq!(plan.tags, vec![7]);
-    assert!(plan.candidates.is_empty());
+    assert!(candidates.is_empty());
     // A profitable internal repeat still outlines with only one method.
     let motif = [10u64, 11, 12, 13, 14, 15];
     let mut body = motif.to_vec();
     body.push(99);
     body.extend_from_slice(&motif);
-    let plan = detect_group(&[tagged(0, &body)], 2);
-    assert_eq!(plan.candidates.len(), 1);
-    assert_eq!(plan.candidates[0].symbols, motif.to_vec());
+    let (plan, candidates) = detect_group(&[tagged(0, &body)], 2);
+    assert_eq!(candidates.len(), 1);
+    assert_eq!(candidates[0].symbols, motif.to_vec());
     let resolved: Vec<(usize, usize)> =
-        plan.candidates[0].positions.iter().map(|&p| plan.resolve(p)).collect();
+        candidates[0].positions.iter().map(|&p| plan.resolve(p)).collect();
     assert_eq!(resolved, vec![(0, 0), (0, motif.len() + 1)]);
 }
 
@@ -157,10 +157,10 @@ fn single_method_group_outlines_only_internal_repeats() {
 fn all_identical_methods_outline_to_one_function() {
     let body = [5u64, 6, 7, 8, 9, 5, 6];
     let seqs: Vec<TaggedSequence> = (0..4).map(|t| tagged(t, &body)).collect();
-    let plan = detect_group(&seqs, 2);
+    let (plan, candidates) = detect_group(&seqs, 2);
     // The whole body repeats once per method; the best candidate covers
     // it and every occurrence resolves to offset 0 of its own method.
-    let best = plan.candidates.iter().max_by_key(|c| c.len).expect("identical bodies outline");
+    let best = candidates.iter().max_by_key(|c| c.len).expect("identical bodies outline");
     assert_eq!(best.symbols, body.to_vec());
     assert_eq!(best.positions.len(), 4);
     let resolved: Vec<(usize, usize)> = best.positions.iter().map(|&p| plan.resolve(p)).collect();
@@ -172,13 +172,13 @@ fn separators_stop_repeats_at_method_boundaries() {
     // Method 0 ends with the motif, method 1 begins with it: in the
     // concatenated group text the two copies are adjacent except for the
     // separator, so any candidate spanning the joint would be a bug.
-    let plan = detect_group(&[tagged(0, &[9, 1, 2, 3, 4]), tagged(1, &[1, 2, 3, 4, 9])], 2);
+    let (plan, candidates) =
+        detect_group(&[tagged(0, &[9, 1, 2, 3, 4]), tagged(1, &[1, 2, 3, 4, 9])], 2);
     assert!(
-        plan.candidates.iter().any(|c| c.symbols == [1, 2, 3, 4]),
-        "the cross-method motif must be found: {:?}",
-        plan.candidates
+        candidates.iter().any(|c| c.symbols == [1, 2, 3, 4]),
+        "the cross-method motif must be found: {candidates:?}",
     );
-    for cand in plan.candidates.iter() {
+    for cand in &candidates {
         for &p in &cand.positions {
             // `resolve` itself panics on separator-space positions; also
             // demand the occurrence ends inside its own sequence.
@@ -196,7 +196,7 @@ fn separators_stop_repeats_at_method_boundaries() {
 #[test]
 #[should_panic(expected = "separator space")]
 fn resolve_panics_on_separator_space_positions() {
-    let plan = detect_group(&[tagged(0, &[1, 2, 3]), tagged(1, &[4, 5, 6])], 2);
+    let (plan, _) = detect_group(&[tagged(0, &[1, 2, 3]), tagged(1, &[4, 5, 6])], 2);
     // Position 3 is the separator joint after sequence 0; attributing it
     // to either neighbor would corrupt the outline plan (PR-1 fix).
     let _ = plan.resolve(3);
@@ -205,7 +205,7 @@ fn resolve_panics_on_separator_space_positions() {
 #[test]
 #[should_panic(expected = "separator space")]
 fn resolve_panics_past_the_group_text() {
-    let plan = detect_group(&[tagged(0, &[1, 2, 3])], 2);
+    let (plan, _) = detect_group(&[tagged(0, &[1, 2, 3])], 2);
     let _ = plan.resolve(100);
 }
 
@@ -220,19 +220,17 @@ fn grouped_detection_agrees_with_single_group_and_stays_in_group() {
         })
         .collect();
     let single = detect_group(&seqs, 2);
-    assert!(!single.candidates.is_empty());
+    assert!(!single.1.is_empty());
     let groups = partition_stable(seqs.clone(), 1);
     let plans: Vec<_> = groups.iter().map(|g| detect_group(g, 2)).collect();
-    assert_eq!(plans.len(), 1);
-    assert_eq!(plans[0].tags, single.tags);
-    assert_eq!(plans[0].candidates, single.candidates);
+    assert_eq!(plans, [single]);
     // Splitting into more groups never invents candidates that resolve
     // outside their own group's sequences.
     let groups = partition_stable(seqs, 3);
     let plans: Vec<_> = groups.iter().map(|g| detect_group(g, 2)).collect();
     assert_eq!(plans.len(), 3);
-    for plan in &plans {
-        for cand in plan.candidates.iter() {
+    for (plan, candidates) in &plans {
+        for cand in candidates {
             for &p in &cand.positions {
                 let (tag, off) = plan.resolve(p);
                 let idx = plan.tags.iter().position(|&t| t == tag).unwrap();

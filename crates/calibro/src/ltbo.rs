@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calibro_cache::{
-    ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate, TemplateSlot,
+    ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate,
 };
 use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
@@ -206,14 +206,14 @@ fn sep_base(idx: usize) -> u64 {
 struct Symbolized<'a> {
     /// Hot method restricted to its slow paths.
     hot: bool,
-    /// The template the symbols replay from: its slots answer symbol
-    /// offset → code word lookups ([`SymbolTemplate::word_at`]), give
-    /// the sequence's length (one symbol per slot), and it carries the
-    /// sequence's content key (the Merkle leaf of the group key) and
-    /// partition hash. Both hashes canonicalize separators, so the
-    /// values cached at template construction equal a direct hash of the
-    /// replayed symbols whatever this method's band — no per-build
-    /// re-hashing.
+    /// The template the symbols replay from, over the method's words: it
+    /// answers symbol offset → code word lookups
+    /// ([`SymbolTemplate::word_at`]), gives the sequence's length without
+    /// its text, and carries the sequence's content key (the Merkle leaf
+    /// of the group key) and partition hash. Both hashes canonicalize
+    /// separators, so the values cached at template construction equal a
+    /// direct hash of the replayed symbols whatever this method's band —
+    /// no per-build re-hashing.
     template: Cow<'a, SymbolTemplate>,
 }
 
@@ -251,14 +251,15 @@ thread_local! {
     static MATERIALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Replays method `idx`'s template into its symbol text, assigning
-/// separators from the method's private band. O(method), so it runs for
-/// the members of groups that must be re-detected and for nobody else.
-fn materialize(idx: usize, template: &SymbolTemplate) -> TaggedSequence {
+/// Replays method `idx`'s template over its `words` into its symbol
+/// text, assigning separators from the method's private band. O(method),
+/// so it runs for the members of groups that must be re-detected and for
+/// nobody else.
+fn materialize(idx: usize, words: &[u32], template: &SymbolTemplate) -> TaggedSequence {
     #[cfg(test)]
     MATERIALIZED.with(|n| n.set(n.get() + 1));
     let mut unique = sep_base(idx);
-    let symbols = template.replay_symbols(&mut unique);
+    let symbols = template.replay_symbols(words, &mut unique);
     assert!(
         unique <= sep_base(idx) + SEP_STRIDE,
         "method {idx} used more than {SEP_STRIDE} separators"
@@ -311,10 +312,11 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   entry's cached §3.3.2 symbol structure instead of re-extracting it
 ///   from code and metadata (see [`symbolize`]). An empty or short
 ///   slice falls back to extraction.
-/// - **Words are the code.** A rewritten method's words are rewritten
-///   ([`apply_edits`]) — never its instructions — and its `insns` is
-///   left empty. Outlined bodies are their candidates' symbols, which
-///   are words already; they are decoded only for the dictionary.
+/// - **Words are the code.** A template replays over its method's words,
+///   a rewritten method's words are rewritten ([`apply_edits`]) — never
+///   its instructions — and its `insns` is left empty. Outlined bodies
+///   are their candidates' words; they are decoded only for the
+///   dictionary.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
 ///   panic on an inconsistent plan) is caught and surfaced as
@@ -322,12 +324,13 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   payload, instead of unwinding through — or, on a pool thread,
 ///   aborting — the whole build.
 /// - **Incremental detection.** With `store` set, each group's selected
-///   candidates are cached under a key covering the group's
-///   canonicalized symbol text plus the `LtboConfig` fingerprint
-///   ([`group_plan_key_from`]). Groups whose key hits replay the cached
-///   plan by reference ([`replay_group_plan`]) from the members'
-///   lengths, and skip both the symbol text and the suffix tree; only
-///   dirty groups materialize their text and re-detect. A hit whose
+///   candidates are cached — as the flat rows of a [`GroupPlanEntry`] —
+///   under a key covering the group's canonicalized symbol text plus
+///   the `LtboConfig` fingerprint ([`group_plan_key_from`]). Groups
+///   whose key hits replay the layout from the members' lengths
+///   ([`replay_group_plan`]) and read the cached rows in place, skipping
+///   both the symbol text and the suffix tree; only dirty groups
+///   materialize their text and re-detect. A hit whose
 ///   recorded text length is not this group's (a foreign plan under the
 ///   right key) is not replayed: the group re-detects and overwrites
 ///   it. Replay is byte-exact:
@@ -381,8 +384,8 @@ pub(crate) fn outline_methods(
     // Every candidate kept its template.
     let template_of =
         |idx: usize| templates[idx].as_deref().expect("a candidate method kept its template");
-    // One symbol per slot: a sequence's length without its text.
-    let len_of = |idx: usize| template_of(idx).slots().len();
+    // A sequence's length without its text.
+    let len_of = |idx: usize| template_of(idx).symbol_count();
 
     // --- §3.3.3: detect repeats and select the outline plan. ------------
     let detect_start = Instant::now();
@@ -430,61 +433,58 @@ pub(crate) fn outline_methods(
     }
 
     let min_len = config.min_len;
-    let groups_ref = &groups;
-    let cached_ref = &cached;
-    let (tagged_plans, _loads) = run_indexed(groups.len(), threads, |i| {
-        if let Some(entry) = &cached_ref[i] {
+    let (groups_ref, cached_ref) = (&groups, &cached);
+    let code: &[CompiledMethod] = methods;
+    // A miss comes back with its candidates as the rows it is cached as.
+    let (detected, _loads) = run_indexed(groups.len(), threads, |i| {
+        if cached_ref[i].is_some() {
             let members = groups_ref[i].iter().map(|&idx| (idx, len_of(idx)));
-            return (replay_group_plan(members, &entry.candidates), 0);
+            return (replay_group_plan(members), None, 0);
         }
-        let text: Vec<TaggedSequence> =
-            groups_ref[i].iter().map(|&idx| materialize(idx, template_of(idx))).collect();
+        let text: Vec<TaggedSequence> = groups_ref[i]
+            .iter()
+            .map(|&idx| materialize(idx, &code[idx].words, template_of(idx)))
+            .collect();
         detect_fault::check(i);
         let group_start = Instant::now();
-        let plan = detect_group(&text, min_len);
-        (plan, u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX))
+        let (plan, candidates) = detect_group(&text, min_len);
+        let cost_us = u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let text_len = group_text_len(plan.lens.iter().copied());
+        (plan, Some(GroupPlanEntry::from_candidates(text_len, &candidates)), cost_us)
     })
     .map_err(|p| OutlineError::Worker { group: p.index, message: p.message })?;
     let detect_time = detect_start.elapsed();
 
-    if let Some(store) = store {
-        for (i, (plan, cost_us)) in tagged_plans.iter().enumerate() {
-            if cached[i].is_some() {
-                continue;
+    // One shape from here on, hit or miss: the layout and the lane's rows.
+    let mut plans: Vec<(GroupPlan, Arc<GroupPlanEntry>)> = Vec::with_capacity(groups.len());
+    for (i, (plan, fresh, cost_us)) in detected.into_iter().enumerate() {
+        // Detection CPU rides into the plan lane as recompute cost, so
+        // eviction pressure drops cheap plans first.
+        let entry = match (fresh, store) {
+            (None, _) => cached[i].take().expect("a replayed group has its entry"),
+            (Some(entry), Some(store)) if foreign[i] => {
+                store.groups().replace_with_cost(keys[i], entry, cost_us)
             }
-            let entry = GroupPlanEntry {
-                text_len: group_text_len(plan.lens.iter().copied()),
-                candidates: plan.candidates.to_vec(),
-            };
-            // Detection CPU rides into the plan lane as recompute cost,
-            // so eviction pressure drops cheap plans first.
-            if foreign[i] {
-                store.groups().replace_with_cost(keys[i], entry, *cost_us);
-            } else {
-                store.groups().insert_with_cost(keys[i], entry, *cost_us);
-            }
-        }
+            (Some(entry), Some(store)) => store.groups().insert_with_cost(keys[i], entry, cost_us),
+            (Some(entry), None) => Arc::new(entry),
+        };
+        plans.push((plan, entry));
     }
-    let plans: Vec<GroupPlan<'_>> = tagged_plans.into_iter().map(|(plan, _)| plan).collect();
 
     // --- Materialize outlined functions and per-method edits. -----------
     let mut outlined: Vec<Vec<u32>> = Vec::new();
     let mut edits: Vec<Vec<Edit>> = (0..methods.len()).map(|_| Vec::new()).collect();
     let ret_word = Insn::Br { rn: Reg::LR }.encode().expect("br x30 encodes");
-    for (group, plan) in plans.iter().enumerate() {
+    for (group, (plan, entry)) in plans.iter().enumerate() {
         let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
-            for cand in plan.candidates.iter() {
-                // A candidate's symbols are literals, the words of the
-                // instructions it repeats (a replayed plan's were checked
-                // at the cache's trust boundary). Room for the `br x30` a
-                // private copy ends in.
-                let mut body: Vec<u32> = Vec::with_capacity(cand.symbols.len() + 1);
-                body.extend(
-                    cand.symbols
-                        .iter()
-                        .map(|&s| u32::try_from(s).expect("candidate symbol is a word")),
-                );
+            for (words, positions) in entry.candidates() {
+                // A candidate's words are those of the instructions it
+                // repeats (a loaded plan's were checked at the cache's
+                // trust boundary). Room for the `br x30` a private copy
+                // ends in.
+                let mut body: Vec<u32> = Vec::with_capacity(words.len() + 1);
+                body.extend_from_slice(words);
                 // Dictionary arbitration: a byte-identical island body
                 // serves every occurrence at call overhead only.
                 let call = match (dict.as_deref_mut(), store) {
@@ -505,11 +505,11 @@ pub(crate) fn outline_methods(
                         EditCall::Outlined(id)
                     }
                 };
-                for &pos in &cand.positions {
-                    let (tag, sym_off) = plan.resolve(pos);
-                    edits[tag].push(Edit { start: sym_off, len: cand.len, call });
+                for &pos in positions {
+                    let (tag, sym_off) = plan.resolve(pos as usize);
+                    edits[tag].push(Edit { start: sym_off, len: words.len(), call });
                     stats.occurrences_replaced += 1;
-                    stats.words_saved += cand.len as i64 - 1;
+                    stats.words_saved += words.len() as i64 - 1;
                 }
             }
         }));
@@ -518,7 +518,7 @@ pub(crate) fn outline_methods(
         }
     }
     // Symbol offsets to code words, one method's template at a time.
-    // Occurrences start at literal slots, whose words rise with their
+    // Occurrences start at literal symbols, whose words rise with their
     // symbol offsets: sorted by word, the edits are in occurrence order.
     for (idx, method_edits) in edits.iter_mut().enumerate() {
         if method_edits.is_empty() {
@@ -546,36 +546,30 @@ pub(crate) fn outline_methods(
     Ok(LtboResult { outlined, stats, detect_time })
 }
 
-/// [`build_template`]'s one flag byte per word: the word becomes a
-/// separator — a terminator, a PC-relative site, a call relocation, or
-/// (in a hot method) a word outside every slow path.
-const FRESH: u8 = 1;
-/// A branch lands on the word, so a leader separator precedes it.
-const LEADER: u8 = 2;
+const FRESH: u8 = SymbolTemplate::FRESH;
+const LEADER: u8 = SymbolTemplate::LEADER;
 
-/// Builds the §3.3.2 symbolization structure for one method: which
-/// words are separator-forced (terminators, PC-relative sites, LR
-/// users, SP writers, block leaders) and the encoded words of the rest,
-/// read from the method's `words`, so nothing is encoded a second time
-/// here. Replaying the result through
+/// Builds the §3.3.2 symbolization structure for one method: one flag
+/// byte per code word, marking the words that replay to a fresh
+/// separator (terminators, PC-relative sites, call relocations, LR
+/// users, SP writers — and in a hot method every word outside the slow
+/// paths) and those a leader separator precedes (branch targets). The
+/// literal words are the method's own `words`, read at replay, so nothing
+/// is encoded or copied here. Replaying the result through
 /// [`SymbolTemplate::replay_symbols`] yields exactly the symbol sequence
 /// direct extraction would produce — the cache stores the
 /// `hot_slow_paths_only = false` template so warm builds skip this scan
 /// entirely.
 ///
 /// One pass over the metadata marks each word's flag byte, one pass over
-/// the instructions reads it and asks [`Insn::is_outline_hazard`] once
-/// per word; the flag bytes and the slots (sized exactly) are the only
-/// allocations, and [`SymbolTemplate::new`] hashes the slots in place.
-///
-/// # Panics
-///
-/// Panics if `m.words` is not one word per instruction — as when a size
-/// pass rewrote the method and dropped its instructions.
+/// the instructions ([`CompiledMethod::instructions`], decoded from the
+/// words when the method has none) asks [`Insn::is_outline_hazard`] of
+/// each word not already fresh; the flag bytes are the one allocation
+/// for a method without branch targets, and [`SymbolTemplate::new`]
+/// hashes flags and words in place.
 #[doc(hidden)]
 pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTemplate {
-    let (code_len, words) = (m.insns.len(), &m.words);
-    assert_eq!(words.len(), code_len, "one encoded word per instruction");
+    let code_len = m.words.len();
     // A hot method outlines its slow paths only: every word starts
     // fresh and the slow paths are cleared back, before any other mark.
     let mut flags = vec![if hot_slow_paths_only { FRESH } else { 0 }; code_len];
@@ -586,11 +580,9 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
             }
         }
     }
-    let mut leaders = 0;
     for rec in &m.metadata.pc_rel {
         flags[rec.at] |= FRESH;
         if let Some(f) = flags.get_mut(rec.target) {
-            leaders += usize::from(*f & LEADER == 0);
             *f |= LEADER;
         }
     }
@@ -604,22 +596,12 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
             *f |= FRESH;
         }
     }
-
-    let mut slots = Vec::with_capacity(code_len + leaders);
-    for (word, ((insn, &encoded), &f)) in m.insns.iter().zip(words.iter()).zip(&flags).enumerate() {
-        // A basic-block leader must start a fresh sequence: branches land
-        // here, so no repeat may span this boundary.
-        if f & LEADER != 0 {
-            slots.push(TemplateSlot::Leader);
-        }
-        let word = u32::try_from(word).expect("method shorter than 2^32 words");
-        if f & FRESH != 0 || insn.is_outline_hazard() {
-            slots.push(TemplateSlot::Fresh { word });
-        } else {
-            slots.push(TemplateSlot::Lit { encoded, word });
+    for (f, insn) in flags.iter_mut().zip(m.instructions().iter()) {
+        if *f & FRESH == 0 && insn.is_outline_hazard() {
+            *f |= FRESH;
         }
     }
-    SymbolTemplate::new(slots)
+    SymbolTemplate::new(flags, &m.words)
 }
 
 /// Applies sorted, non-overlapping edits to one method's `words` and to
@@ -755,7 +737,7 @@ fn apply_edits(
         }
     }
 
-    m.insns = Arc::from([]);
+    m.insns = Arc::default();
     m.words = Arc::from(&new_words[..]);
     m.relocs = new_relocs;
     (patched, maps_updated)
@@ -825,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn an_x30_reloading_load_pair_is_a_fresh_slot() {
+    fn an_x30_reloading_load_pair_is_a_fresh_word() {
         // `ldp x29, x30, [sp, #16]` writes no sp, but reloads the link
         // register an outlined body returns through.
         let mut insns = movs_then_ret();
@@ -837,8 +819,29 @@ mod tests {
             mode: calibro_isa::PairMode::SignedOffset,
         };
         let template = build_template(&compiled(insns), false);
-        assert_eq!(template.slots()[1], TemplateSlot::Fresh { word: 1 });
-        assert!(matches!(template.slots()[0], TemplateSlot::Lit { word: 0, .. }));
+        assert_eq!(template.flags()[..2], [0, FRESH]);
+    }
+
+    #[test]
+    fn a_hit_replays_its_entry_s_template_by_reference() {
+        use crate::{BuildOptions, BuildSession};
+        use calibro_workloads::{generate, AppSpec};
+
+        let options = BuildOptions::cto_ltbo();
+        let dex = generate(&AppSpec::small("borrowed", 5)).dex;
+        let session = BuildSession::new();
+        session.build(&dex, &options).expect("cold build");
+        let frontend = session.frontend(&dex, &options).expect("frontend");
+        let codegen = session.codegen(&dex, &options, frontend).expect("codegen");
+        let mut borrowed = 0;
+        for o in &codegen.outcomes {
+            assert!(o.cache_hit && o.compiled.insns.is_empty(), "a hit is words only");
+            let Some(symbolized) = symbolize(&o.compiled, Some(&o.entry), None) else { continue };
+            let cached = o.entry.template.as_ref().expect("a candidate's entry has a template");
+            assert!(matches!(symbolized.template, Cow::Borrowed(t) if std::ptr::eq(t, cached)));
+            borrowed += 1;
+        }
+        assert!(borrowed > 0);
     }
 
     #[test]
@@ -861,7 +864,7 @@ mod tests {
         assert_eq!(cold_texts, cold.stats.ltbo.candidate_methods, "cold: every candidate, once");
 
         // Every group hits: not one method's text is made, and the plans
-        // (built from slot counts) still resolve every occurrence.
+        // (built from symbol counts) still resolve every occurrence.
         let (warm_texts, warm) = texts(&|| session.build(&dex, &options).unwrap());
         assert_eq!(warm.stats.cache.group_misses, 0);
         assert_eq!(warm_texts, 0, "a group that hit materialized symbol text");
@@ -921,18 +924,20 @@ mod tests {
     /// verbatim as the oracle: it knows nothing of encoded words.
     mod reference {
         use super::super::{
-            CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc, SymbolTemplate,
-            TemplateSlot,
+            CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc, UNIQUE_BASE,
         };
 
         /// The three-bitmap symbolization the one-pass one replaced, kept
-        /// verbatim as the oracle — but for the private `writes_sp` it
-        /// called, now [`Insn::writes_sp`].
+        /// as the oracle — but for the private `writes_sp` it called, now
+        /// [`Insn::writes_sp`], and for what it emits: each symbol as
+        /// both hashes see it (a literal's word, `UNIQUE_BASE` for a
+        /// separator) with the code word it maps back to (`usize::MAX`
+        /// for a leader).
         pub fn build_template(
             m: &CompiledMethod,
             words: &[u32],
             hot_slow_paths_only: bool,
-        ) -> SymbolTemplate {
+        ) -> Vec<(u64, usize)> {
             let code_len = m.insns.len();
             assert_eq!(words.len(), code_len, "one encoded word per instruction");
             let mut is_pc_rel_site = vec![false; code_len];
@@ -955,12 +960,12 @@ mod tests {
                 }
             }
 
-            let mut slots = Vec::with_capacity(code_len + 8);
+            let mut symbols = Vec::with_capacity(code_len + 8);
             for (word, insn) in m.insns.iter().enumerate() {
                 // A basic-block leader must start a fresh sequence: branches land
                 // here, so no repeat may span this boundary.
                 if is_leader[word] {
-                    slots.push(TemplateSlot::Leader);
+                    symbols.push((UNIQUE_BASE, usize::MAX));
                 }
                 let excluded = is_terminator[word]
                     || is_pc_rel_site[word]
@@ -968,15 +973,13 @@ mod tests {
                     || insn.writes_lr()
                     || insn.writes_sp()
                     || (hot_slow_paths_only && !m.metadata.in_slow_path(word));
-                let encoded = words[word];
-                let word = u32::try_from(word).expect("method shorter than 2^32 words");
                 if excluded {
-                    slots.push(TemplateSlot::Fresh { word });
+                    symbols.push((UNIQUE_BASE, word));
                 } else {
-                    slots.push(TemplateSlot::Lit { encoded, word });
+                    symbols.push((u64::from(words[word]), word));
                 }
             }
-            SymbolTemplate::new(slots)
+            symbols
         }
 
         pub fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
@@ -1328,21 +1331,47 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
-            /// One flag byte and one hazard query make exactly the slots
-            /// (and so the hashes) the three bitmaps and four queries
-            /// made, hot filtering on and off.
+            /// One flag byte per word and one hazard query make exactly
+            /// the symbols the three bitmaps and four queries made, hot
+            /// filtering on and off: the template replays to them, maps
+            /// every one of them back to the reference's word, and hashes
+            /// them as the reference's sequence hashes.
             #[test]
             fn one_pass_symbolization_equals_the_three_bitmap_reference(
                 n in 1usize..48,
                 pool_len in 0usize..4,
                 seed in any::<u64>(),
                 hot in any::<bool>(),
+                band in 0u64..4,
             ) {
                 let method = symbolize_case(n, pool_len, seed);
                 let expected = reference::build_template(&method, &method.words, hot);
                 let actual = build_template(&method, hot);
-                prop_assert_eq!(actual.slots(), expected.slots());
-                prop_assert_eq!(actual, expected);
+                prop_assert_eq!(actual.symbol_count(), expected.len());
+
+                let start = UNIQUE_BASE + band * SEP_STRIDE;
+                let (mut unique, mut fresh) = (start, start);
+                let replayed = actual.replay_symbols(&method.words, &mut unique);
+                let numbered: Vec<u64> = expected
+                    .iter()
+                    .map(|&(sym, _)| match sym {
+                        UNIQUE_BASE => {
+                            fresh += 1;
+                            fresh
+                        }
+                        literal => literal,
+                    })
+                    .collect();
+                prop_assert_eq!(replayed, numbered);
+                prop_assert_eq!(unique, fresh);
+
+                let words: Vec<usize> = expected.iter().map(|&(_, word)| word).collect();
+                let mapped: Vec<usize> = (0..expected.len()).map(|s| actual.word_at(s)).collect();
+                prop_assert_eq!(mapped, words);
+
+                let canonical: Vec<u64> = expected.iter().map(|&(sym, _)| sym).collect();
+                prop_assert_eq!(actual.content_key(), calibro_cache::sequence_content_key(&canonical));
+                prop_assert_eq!(actual.group_hash(), calibro_suffix::stable_sequence_hash(&canonical));
             }
         }
     }

@@ -34,6 +34,7 @@
 //! ([`merge_plan_key_from`]), so a warm build replays the same merges
 //! without re-running the pairwise grouping scan.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -124,17 +125,25 @@ pub fn merge_content_key(m: &CompiledMethod) -> CacheKey {
     h.finish()
 }
 
+/// A merge candidate: the method, and its instructions — borrowed from
+/// it, or decoded from its words once for the whole pass.
+struct Body<'a> {
+    m: &'a CompiledMethod,
+    insns: Cow<'a, [Insn]>,
+}
+
 /// The structural hash bodies are bucketed by: every instruction's
 /// encoded word except `movz`/`movn`, which contribute only their
 /// variant, width and destination — the immediate (the merge's
 /// parameter) is dropped, so clones differing in constants collide —
 /// then the call relocations. Compared for equality only, within one
 /// pass: it decides which bodies meet in a bucket, never their order.
-fn shape_hash(m: &CompiledMethod) -> u64 {
+fn shape_hash(body: &Body<'_>) -> u64 {
+    let (m, insns) = (body.m, &body.insns);
     let mut h = StableHasher::new();
     h.write_tag(0x53); // 'S'
-    h.write_usize(m.insns.len());
-    for (insn, &word) in m.insns.iter().zip(m.words.iter()) {
+    h.write_usize(insns.len());
+    for (insn, &word) in insns.iter().zip(m.words.iter()) {
         match *insn {
             Insn::Movz { wide, rd, .. } => {
                 h.write_tag(1);
@@ -174,27 +183,34 @@ fn touches_param_reg(insn: &Insn) -> bool {
 /// `ldr` literal), no parameter-register use, and a trailing `ret` so
 /// the island returns where the original method returned. Hot methods
 /// are excluded — a thunk indirection on a hot entry is the exact cost
-/// HfOpti exists to avoid.
-fn eligible(m: &CompiledMethod, config: &MergeConfig, hot: Option<&HashSet<u32>>) -> bool {
+/// HfOpti exists to avoid. Returns the body of an eligible method; its
+/// instructions are decoded only once the checks that need none passed.
+fn eligible<'a>(
+    m: &'a CompiledMethod,
+    config: &MergeConfig,
+    hot: Option<&HashSet<u32>>,
+) -> Option<Body<'a>> {
     if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
-        return false;
+        return None;
     }
     if !m.pool.is_empty() || !m.metadata.embedded_data.is_empty() {
-        return false;
+        return None;
     }
-    if m.insns.len() < config.min_body_words.max(1) {
-        return false;
+    if m.words.len() < config.min_body_words.max(1) {
+        return None;
     }
     if hot.is_some_and(|set| set.contains(&m.method.0)) {
-        return false;
+        return None;
     }
-    if !matches!(m.insns.last(), Some(Insn::Ret { .. })) {
-        return false;
+    let insns = m.instructions();
+    if !matches!(insns.last(), Some(Insn::Ret { .. })) {
+        return None;
     }
-    m.insns.iter().all(|insn| {
+    let relocatable = insns.iter().all(|insn| {
         !matches!(insn, Insn::Adr { .. } | Insn::Adrp { .. } | Insn::LdrLit { .. })
             && !touches_param_reg(insn)
-    })
+    });
+    relocatable.then_some(Body { m, insns })
 }
 
 /// Returns `true` when two differing instructions at one position may
@@ -223,7 +239,7 @@ fn merge_saving(w: usize, k: usize, p: usize) -> i64 {
 /// site, terminator and the trailing `ret` (all separator-forced in
 /// §3.3.2), and each profitable run contributes the Figure 2 saving.
 fn outline_estimate(body: &CompiledMethod, diffs: &[u32], count: usize) -> i64 {
-    let w = body.insns.len();
+    let w = body.words.len();
     let mut cut = vec![false; w];
     if w > 0 {
         cut[w - 1] = true;
@@ -263,7 +279,7 @@ fn outline_estimate(body: &CompiledMethod, diffs: &[u32], count: usize) -> i64 {
 /// formation in member order, then benefit arbitration. Returns the
 /// surviving groups (bucket-local indices) plus the count of groups the
 /// benefit model handed to outlining instead.
-fn plan_bucket(bodies: &[&CompiledMethod], config: &MergeConfig) -> (Vec<MergePlanGroup>, usize) {
+fn plan_bucket(bodies: &[&Body<'_>], config: &MergeConfig) -> (Vec<MergePlanGroup>, usize) {
     let max_params = config.max_params.min(PARAM_REGS.len());
     let mut assigned = vec![false; bodies.len()];
     let mut groups = Vec::new();
@@ -280,7 +296,8 @@ fn plan_bucket(bodies: &[&CompiledMethod], config: &MergeConfig) -> (Vec<MergePl
                 continue;
             }
             let cand_body = bodies[cand];
-            if cand_body.insns.len() != rep_body.insns.len() || cand_body.relocs != rep_body.relocs
+            if cand_body.insns.len() != rep_body.insns.len()
+                || cand_body.m.relocs != rep_body.m.relocs
             {
                 continue;
             }
@@ -314,7 +331,7 @@ fn plan_bucket(bodies: &[&CompiledMethod], config: &MergeConfig) -> (Vec<MergePl
         if saving <= 0 {
             continue;
         }
-        if config.arbitrate && outline_estimate(rep_body, &diffs, members.len()) >= saving {
+        if config.arbitrate && outline_estimate(rep_body.m, &diffs, members.len()) >= saving {
             outline_preferred += 1;
             continue;
         }
@@ -364,7 +381,7 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 /// established is re-checked in O(members × words), so a replayed merge
 /// is provably identical to a freshly computed one even under a content
 /// hash collision. A `false` falls back to recomputation.
-fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> bool {
+fn plan_is_applicable(bodies: &[&Body<'_>], entry: &MergePlanEntry) -> bool {
     if entry.member_count as usize != bodies.len() {
         return false;
     }
@@ -383,7 +400,7 @@ fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> boo
                 return false;
             }
             seen[m as usize] = true;
-            if body.insns.len() != rep_body.insns.len() || body.relocs != rep_body.relocs {
+            if body.insns.len() != rep_body.insns.len() || body.m.relocs != rep_body.m.relocs {
                 return false;
             }
             for (i, (a, b)) in rep_body.insns.iter().zip(body.insns.iter()).enumerate() {
@@ -407,8 +424,8 @@ fn plan_is_applicable(bodies: &[&CompiledMethod], entry: &MergePlanEntry) -> boo
 /// Builds one group's island: the representative body's words with each
 /// parameter position re-encoded to copy its value from the parameter
 /// register (`orr rd, zr, xN` — a register `mov` of the original width).
-fn make_island(rep: &CompiledMethod, diffs: &[u32]) -> MergedBody {
-    let mut words = rep.words.to_vec();
+fn make_island(rep: &Body<'_>, diffs: &[u32]) -> MergedBody {
+    let mut words = rep.m.words.to_vec();
     for (j, &d) in diffs.iter().enumerate() {
         let (wide, rd) = match rep.insns[d as usize] {
             Insn::Movz { wide, rd, .. } | Insn::Movn { wide, rd, .. } => (wide, rd),
@@ -417,16 +434,16 @@ fn make_island(rep: &CompiledMethod, diffs: &[u32]) -> MergedBody {
         let param = Insn::OrrReg { wide, rd, rn: Reg::ZR, rm: PARAM_REGS[j], shift: 0 };
         words[d as usize] = param.encode().expect("a register mov encodes");
     }
-    MergedBody { words, relocs: rep.relocs.clone() }
+    MergedBody { words, relocs: rep.m.relocs.clone() }
 }
 
 /// Builds one member's thunk: its distinguishing mov-immediates
 /// retargeted to the parameter registers, then a plain `b` to the
 /// island (patched by the linker through the `Merged` relocation).
-fn make_thunk(member: &CompiledMethod, diffs: &[u32], island: u32) -> (Vec<Insn>, Vec<Reloc>) {
+fn make_thunk(member: &[Insn], diffs: &[u32], island: u32) -> (Vec<Insn>, Vec<Reloc>) {
     let mut insns = Vec::with_capacity(diffs.len() + 1);
     for (j, &d) in diffs.iter().enumerate() {
-        let insn = match member.insns[d as usize] {
+        let insn = match member[d as usize] {
             Insn::Movz { wide, imm16, hw, .. } => Insn::Movz { wide, rd: PARAM_REGS[j], imm16, hw },
             Insn::Movn { wide, imm16, hw, .. } => Insn::Movn { wide, rd: PARAM_REGS[j], imm16, hw },
             ref other => unreachable!("merge parameter at non-mov instruction {other:?}"),
@@ -461,20 +478,27 @@ pub(crate) fn run_merge(
     let mut stats = MergeStats::default();
 
     // --- Choose candidates and bucket by shape, in method order. --------
+    // Each candidate's instructions are decoded (when it has none) once,
+    // here, and read by every step until its thunk is built.
+    let mut bodies: Vec<Option<Body<'_>>> = Vec::with_capacity(methods.len());
     let mut buckets: Vec<Vec<usize>> = Vec::new();
     let mut by_shape: HashMap<u64, usize> = HashMap::new();
     for (idx, m) in methods.iter().enumerate() {
-        if !eligible(m, config, hot) {
-            stats.excluded_methods += 1;
-            continue;
+        let body = eligible(m, config, hot);
+        match &body {
+            None => stats.excluded_methods += 1,
+            Some(body) => {
+                stats.candidate_methods += 1;
+                let slot = *by_shape.entry(shape_hash(body)).or_insert_with(|| {
+                    buckets.push(Vec::new());
+                    buckets.len() - 1
+                });
+                buckets[slot].push(idx);
+            }
         }
-        stats.candidate_methods += 1;
-        let slot = *by_shape.entry(shape_hash(m)).or_insert_with(|| {
-            buckets.push(Vec::new());
-            buckets.len() - 1
-        });
-        buckets[slot].push(idx);
+        bodies.push(body);
     }
+    let body_of = |idx: usize| bodies[idx].as_ref().expect("a bucket member is a candidate");
 
     // --- Plan each bucket: replay a cached plan or compute afresh. ------
     let mut planned: Vec<(Vec<usize>, Vec<MergePlanGroup>)> = Vec::new();
@@ -482,17 +506,16 @@ pub(crate) fn run_merge(
         if bucket.len() < 2 {
             continue;
         }
-        let bodies: Vec<&CompiledMethod> = bucket.iter().map(|&i| &methods[i]).collect();
+        let members: Vec<&Body<'_>> = bucket.iter().map(|&i| body_of(i)).collect();
         let groups = match store {
             Some(store) => {
-                let members: Vec<CacheKey> =
-                    bucket.iter().map(|&i| merge_content_key(&methods[i])).collect();
-                let key = merge_plan_key_from(config, &members);
+                let keys: Vec<CacheKey> = members.iter().map(|b| merge_content_key(b.m)).collect();
+                let key = merge_plan_key_from(config, &keys);
                 match store.merges().get(key).map_err(BuildError::Cache)? {
-                    Some(entry) if plan_is_applicable(&bodies, &entry) => entry.groups.clone(),
+                    Some(entry) if plan_is_applicable(&members, &entry) => entry.groups.clone(),
                     hit => {
                         let plan_start = Instant::now();
-                        let (groups, preferred) = plan_bucket(&bodies, config);
+                        let (groups, preferred) = plan_bucket(&members, config);
                         stats.outline_preferred += preferred;
                         // An inapplicable hit means the key is already
                         // taken (keep-first store) — don't re-insert.
@@ -513,7 +536,7 @@ pub(crate) fn run_merge(
                 }
             }
             None => {
-                let (groups, preferred) = plan_bucket(&bodies, config);
+                let (groups, preferred) = plan_bucket(&members, config);
                 stats.outline_preferred += preferred;
                 groups
             }
@@ -523,34 +546,36 @@ pub(crate) fn run_merge(
         }
     }
 
-    // --- Materialize islands and thunks. --------------------------------
+    // --- Build islands and thunks, then turn members into thunks. -------
     let mut islands = Vec::new();
+    let mut thunks: Vec<(usize, Vec<Insn>, Vec<Reloc>)> = Vec::new();
     for (bucket, groups) in planned {
         for group in groups {
             let island_id = islands.len() as u32;
             let diffs = &group.diff_positions;
-            let rep_global = bucket[group.rep as usize];
-            let body_words = methods[rep_global].insns.len();
-            islands.push(make_island(&methods[rep_global], diffs));
+            let rep = body_of(bucket[group.rep as usize]);
+            islands.push(make_island(rep, diffs));
             for &m in &group.members {
                 let global = bucket[m as usize];
-                let (insns, relocs) = make_thunk(&methods[global], diffs, island_id);
-                let method = &mut methods[global];
-                method.words = encode_words(&insns).expect("a thunk encodes").into();
-                method.insns = insns.into();
-                method.relocs = relocs;
-                // Mark the thunk unoutlinable — this flag is what keeps
-                // the outline pass off it: outlining its movs behind a
-                // `bl` would clobber the return address the island's
-                // `ret` consumes.
-                method.metadata =
-                    MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
-                method.stack_maps = Vec::new();
+                let (insns, relocs) = make_thunk(&body_of(global).insns, diffs, island_id);
+                thunks.push((global, insns, relocs));
                 stats.merged_methods += 1;
             }
             stats.merge_groups += 1;
-            stats.words_saved += merge_saving(body_words, group.members.len(), diffs.len());
+            stats.words_saved += merge_saving(rep.m.words.len(), group.members.len(), diffs.len());
         }
+    }
+    drop(bodies);
+    for (global, insns, relocs) in thunks {
+        let method = &mut methods[global];
+        method.words = encode_words(&insns).expect("a thunk encodes").into();
+        method.insns = insns.into();
+        method.relocs = relocs;
+        // Mark the thunk unoutlinable — this flag is what keeps the
+        // outline pass off it: outlining its movs behind a `bl` would
+        // clobber the return address the island's `ret` consumes.
+        method.metadata = MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
+        method.stack_maps = Vec::new();
     }
     Ok(MergeOutcome { islands, stats })
 }

@@ -310,8 +310,10 @@ impl BuildSession {
         // Workers take ownership of their graph through a per-slot mutex
         // (locked exactly once, by the worker that drew the index).
         let cells: Vec<Mutex<Option<HGraph>>> = graphs.into_iter().map(Mutex::new).collect();
-        // A method's instructions and words are shared between its
-        // outcome and its entry, so neither a hit nor a miss copies code.
+        // A method's words are shared between its outcome and its entry,
+        // so neither a hit nor a miss copies code. The entry keeps no
+        // instructions: a hit is words only, and the instructions a miss
+        // was compiled to live on its outcome, for this build alone.
         let (outcomes, per_worker) = run_indexed(inputs.len(), threads, |i| {
             if let Some(entry) = &cached[i] {
                 return MethodOutcome {
@@ -330,10 +332,9 @@ impl BuildSession {
                     (compile_method(&graph, &codegen_opts), pass_stats)
                 }
             };
-            // The template reads its literals from the words codegen
-            // encoded.
             let template = want_template.then(|| build_template(&compiled, false));
-            let entry = CacheEntry { compiled: compiled.clone(), pass_stats, template, ref_env };
+            let stored = CompiledMethod { insns: Arc::default(), ..compiled.clone() };
+            let entry = CacheEntry { compiled: stored, pass_stats, template, ref_env };
             // The measured compile CPU rides into the store as the
             // entry's recompute cost: under memory pressure the
             // cost-aware eviction policy keeps the methods that were
@@ -453,8 +454,10 @@ pub struct FrontendArtifact {
 
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
-    /// The compiled method (owned, but its `insns` and `words` shared
-    /// with `entry.compiled`'s; the size passes rewrite it downstream).
+    /// The compiled method (owned, but its `words` shared with
+    /// `entry.compiled`'s; the size passes rewrite it downstream). A miss
+    /// also carries the instructions codegen just emitted, which its
+    /// entry does not keep; a hit is words only.
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters (replayed from the entry on a hit, so
     /// warm observability matches cold).

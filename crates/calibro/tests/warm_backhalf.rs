@@ -123,11 +123,11 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
     let plans = persisted_plans(&dir);
     let (victim_key, victim) = plans
         .iter()
-        .find(|(_, plan)| !plan.candidates.is_empty())
+        .find(|(_, plan)| !plan.lens.is_empty())
         .expect("some group outlined something");
     let (_, foreign) = plans
         .iter()
-        .find(|(_, plan)| plan.text_len != victim.text_len && !plan.candidates.is_empty())
+        .find(|(_, plan)| plan.text_len != victim.text_len && !plan.lens.is_empty())
         .expect("a plan over a text of another length");
     let path = dir.join(format!("{}.calg", victim_key.to_hex()));
     std::fs::write(&path, to_frame(*victim_key, foreign).expect("frame")).expect("plant");

@@ -331,10 +331,11 @@ fn staged_stages_equal_build() {
 }
 
 #[test]
-fn codegen_shares_each_method_s_instructions_with_its_cache_entry() {
+fn codegen_shares_words_with_the_store_and_only_a_miss_keeps_instructions() {
     // A cold build (every method a miss), then a 5 % edit (hits and
-    // misses): either way the outcome's code — its instructions and the
-    // words codegen encoded them into — *is* the entry's, not a copy.
+    // misses): either way the outcome's words *are* the entry's, not a
+    // copy. The entry holds no instructions; a miss's outcome holds the
+    // ones codegen just emitted, a hit's holds none.
     let dex = generate(&AppSpec::small("shared", 13)).dex;
     let mut edited = dex.clone();
     assert!(!mutate_methods(&mut edited, 5, 0.05).is_empty());
@@ -349,16 +350,89 @@ fn codegen_shares_each_method_s_instructions_with_its_cache_entry() {
             _ => assert!(hits > 0 && hits < codegen.outcomes.len(), "{hits} hits"),
         }
         for (i, o) in codegen.outcomes.iter().enumerate() {
+            let (m, entry) = (&o.compiled, &o.entry.compiled);
             assert!(
-                Arc::ptr_eq(&o.compiled.insns, &o.entry.compiled.insns),
-                "{warmth}: method {i} (hit: {}) copied its entry's instructions",
-                o.cache_hit
-            );
-            assert!(
-                Arc::ptr_eq(&o.compiled.words, &o.entry.compiled.words),
+                Arc::ptr_eq(&m.words, &entry.words),
                 "{warmth}: method {i} (hit: {}) copied its entry's words",
                 o.cache_hit
             );
+            assert!(entry.insns.is_empty(), "{warmth}: method {i}'s entry holds instructions");
+            match o.cache_hit {
+                true => assert!(m.insns.is_empty(), "{warmth}: hit {i} holds instructions"),
+                false => assert_eq!(
+                    calibro_isa::encode_words(&m.insns).as_deref(),
+                    Ok(&m.words[..]),
+                    "{warmth}: miss {i} lost the instructions it was compiled to"
+                ),
+            }
+            // The template an unrewritten hit replays is its entry's.
+            assert!(o.entry.template.is_some(), "{warmth}: method {i} has no template");
+        }
+    }
+}
+
+/// The entry of every method of `dex` in `session`'s store, by the key
+/// `options` give it.
+fn store_entries(
+    session: &BuildSession,
+    dex: &DexFile,
+    options: &BuildOptions,
+) -> Vec<Arc<CacheEntry>> {
+    let fp = options_fingerprint(options);
+    let entries = dex.methods().iter().map(|m| {
+        let key = method_cache_key(m, fp, None);
+        session.store().get(key).expect("a readable store").expect("every method is stored")
+    });
+    entries.collect()
+}
+
+#[test]
+fn no_store_entry_carries_instructions_after_a_build() {
+    let spec = AppSpec { clone_families: 6, ..AppSpec::small("dense", 19) };
+    let dex = generate(&spec).dex;
+    for options in [BuildOptions::cto_merge_ltbo(), BuildOptions::cto_ltbo_parallel(8, 2)] {
+        let session = BuildSession::new();
+        session.build(&dex, &options).expect("build");
+        for entry in store_entries(&session, &dex, &options) {
+            let m = &entry.compiled;
+            assert!(m.insns.is_empty(), "{:?} is stored with its instructions", m.method);
+            assert!(!m.words.is_empty(), "{:?} is stored without code", m.method);
+        }
+    }
+}
+
+#[test]
+fn warm_rebuilds_that_need_instructions_decode_them_from_the_words() {
+    // Every method hits, so every method reaches the size passes as
+    // words only: the merge pass (shape, eligibility, diffing, the
+    // benefit estimate, thunks) and a hot method's template must decode
+    // instructions from the words — reading `insns` would find nothing.
+    // Without CTO a slow path calls the runtime through `x30`, so a hot
+    // template that missed those hazards would outline them.
+    let spec = AppSpec { clone_families: 6, ..AppSpec::small("decode", 29) };
+    let dex = generate(&spec).dex;
+    let hot: HashSet<u32> = (0..dex.methods().len() as u32).filter(|id| id % 3 != 0).collect();
+    let sharded_hot = BuildOptions::cto_ltbo_parallel(8, 2).with_hot_filter(hot);
+    let configs = [
+        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
+        ("cto_ltbo_pl_hf", sharded_hot.clone()),
+        ("ltbo_pl_hf", BuildOptions { cto: false, ..sharded_hot }),
+    ];
+    for (name, options) in configs {
+        let session = BuildSession::new();
+        let cold = session.build(&dex, &options).expect("cold build");
+        let warm = session.build(&dex, &options).expect("warm build");
+        assert_eq!(warm.stats.methods_from_cache, warm.stats.methods, "{name}: a miss");
+        assert_eq!(
+            calibro_oat::to_elf_bytes(&warm.oat),
+            calibro_oat::to_elf_bytes(&cold.oat),
+            "{name}: a warm rebuild over words-only methods moved the image"
+        );
+        assert_eq!(warm.stats.ltbo, cold.stats.ltbo, "{name}");
+        assert_eq!(warm.stats.merge.merged_methods, cold.stats.merge.merged_methods, "{name}");
+        match name {
+            "cto_merge_ltbo" => assert!(cold.stats.merge.merged_methods >= 2, "nothing merged"),
+            _ => assert!(cold.stats.ltbo.hot_restricted_methods > 0, "nothing hot"),
         }
     }
 }
