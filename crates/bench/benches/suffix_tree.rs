@@ -1,10 +1,14 @@
 //! Criterion benchmarks for the suffix-tree stage: the mechanism behind
-//! the paper's Table 6 (single global tree vs paralleled trees), and the
-//! scale ladder that says how detection grows with the program.
+//! the paper's Table 6 (single global tree vs paralleled trees), the
+//! scale ladder that says how detection grows with the program, and one
+//! group of the warm rebuild split into its tree and its selection.
 
 use bench::alloc::peak_heap;
-use calibro::{build, BuildOptions};
-use calibro_suffix::{detect_group, group_text_len, partition_stable, SuffixTree, TaggedSequence};
+use calibro::{build, build_template, BuildOptions, BuildSession};
+use calibro_suffix::{
+    detect_group, group_text_len, partition_stable, select_outline_plan, SuffixTree,
+    TaggedSequence, UNIQUE_SEPARATOR_BASE,
+};
 use calibro_workloads::{generate, paper_suite};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -100,5 +104,58 @@ fn bench_ladder(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_global_vs_sharded, bench_ladder);
+/// One dirty group of a `warm_edit` op, and where its time goes: the
+/// benchmark's warm app (kuaishou at `paper_suite(2.0)`, 1325 methods)
+/// symbolized as the outline pass does it and dealt into the same 128
+/// content-stable groups as `cto_ltbo_parallel(128, 1)`, and of those the
+/// group whose text is nearest 1 600 symbols. `detect_group` whole, then
+/// its two halves alone: `SuffixTree::build` over the concatenated text
+/// (rank, sort, LCPs, intervals) and `select_outline_plan` over the built
+/// tree. The id's parameter is the text's length.
+fn bench_warm_group(c: &mut Criterion) {
+    let spec = paper_suite(2.0).into_iter().find(|s| s.name == "kuaishou").expect("kuaishou");
+    let dex = generate(&spec).dex;
+    let options = BuildOptions::cto_ltbo_parallel(128, 1);
+    let session = BuildSession::new();
+    let frontend = session.frontend(&dex, &options).expect("frontend");
+    let codegen = session.codegen(&dex, &options, frontend).expect("codegen");
+    let mut unique = UNIQUE_SEPARATOR_BASE;
+    let texts: Vec<TaggedSequence> = codegen
+        .outcomes
+        .iter()
+        .map(|o| &o.compiled)
+        .enumerate()
+        .filter(|(_, m)| !m.metadata.has_indirect_jump && !m.metadata.is_native_stub)
+        .map(|(tag, m)| {
+            let symbols = build_template(m, false).replay_symbols(&m.words, &mut unique);
+            TaggedSequence { tag, symbols }
+        })
+        .collect();
+    let group = partition_stable(texts, 128)
+        .into_iter()
+        .min_by_key(|g| group_text_len(g.iter().map(|s| s.symbols.len())).abs_diff(1_600))
+        .expect("a group");
+    // The text `detect_group` builds: each member, then its joint.
+    let mut text = Vec::new();
+    for (i, member) in group.iter().enumerate() {
+        text.extend_from_slice(&member.symbols);
+        text.push(0xfffe_0000_0000_0000 + i as u64);
+    }
+    let symbols = text.len();
+    let tree = SuffixTree::build(text.clone());
+
+    let mut bench = c.benchmark_group("warm_group");
+    bench.bench_with_input(BenchmarkId::new("detect_group", symbols), &group, |b, group| {
+        b.iter(|| detect_group(group, 2));
+    });
+    bench.bench_with_input(BenchmarkId::new("tree_build", symbols), &text, |b, text| {
+        b.iter(|| SuffixTree::build(text.clone()));
+    });
+    bench.bench_with_input(BenchmarkId::new("select_outline_plan", symbols), &tree, |b, tree| {
+        b.iter(|| select_outline_plan(tree, 2, symbols));
+    });
+    bench.finish();
+}
+
+criterion_group!(benches, bench_build, bench_global_vs_sharded, bench_ladder, bench_warm_group);
 criterion_main!(benches);

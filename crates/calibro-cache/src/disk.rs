@@ -49,8 +49,10 @@ use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 /// rejected. Version 5: a method's template is one flag byte per word
 /// (was a tagged slot per symbol, literals repeated), and a group plan is
 /// four flat `u32` rows (was a sequence of candidates with 64-bit
-/// symbols and positions).
-pub const FORMAT_VERSION: u32 = 5;
+/// symbols and positions). Version 6: a group plan's occurrences are
+/// offsets into the group's code words, and its length is the group's
+/// word count (were symbol-text positions and the text length).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
@@ -255,7 +257,10 @@ fn frame_version<V: LaneEntry>(bytes: &[u8]) -> Result<u32, String> {
 }
 
 /// Structural validation of a loaded entry: every index the LTBO and
-/// link stages will follow must be in bounds, and the template must
+/// link stages will follow must be in bounds, every PC-relative site
+/// must be a PC-relative instruction whose offset reaches its record's
+/// target (outlining patches a site only when that distance changes, and
+/// the linker copies the rest as they are), and the template must
 /// describe the method's own words — one defined flag per word, every
 /// call site, PC-relative site and terminator a separator — so a
 /// poisoned entry is rejected here with a typed error instead of
@@ -272,6 +277,11 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     for rec in &m.metadata.pc_rel {
         if rec.at >= code_len || rec.target >= size_words {
             return Err(format!("pc-rel record {}→{} out of bounds", rec.at, rec.target));
+        }
+        let PcRel { at, target } = *rec;
+        let encoded = calibro_isa::decode(m.words[at]).ok().and_then(|site| site.pc_rel_offset());
+        if encoded != Some((target as i64 - at as i64) * 4) {
+            return Err(format!("pc-rel site {at} does not encode its record {at}→{target}"));
         }
     }
     for &t in &m.metadata.terminators {
@@ -321,11 +331,11 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
 /// materialize must be well-formed — each word the canonical word of an
 /// instruction (an outlined body is its candidate's words, copied into
 /// the image as they are), at least two strictly non-overlapping
-/// ascending occurrences, all within the group text — so a poisoned plan
+/// ascending occurrences, all within the group's code — so a poisoned plan
 /// is rejected with a typed error instead of corrupting the outline
 /// downstream.
 fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
-    let GroupPlanEntry { text_len, lens, counts, words, positions } = entry;
+    let GroupPlanEntry { code_len, lens, counts, words, positions } = entry;
     if lens.len() != counts.len() {
         return Err(format!("{} candidate lengths for {} counts", lens.len(), counts.len()));
     }
@@ -356,9 +366,9 @@ fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
             }
             prev_end = u64::from(p) + body.len() as u64;
         }
-        if prev_end > *text_len as u64 {
+        if prev_end > *code_len as u64 {
             return Err(format!(
-                "candidate {i} ends at {prev_end}, beyond group text of {text_len}"
+                "candidate {i} ends at {prev_end}, beyond group code of {code_len}"
             ));
         }
     }
@@ -456,7 +466,7 @@ wire_fields!(PassStats {
     insns_in,
     insns_out,
 });
-wire_fields!(GroupPlanEntry { text_len, lens, counts, words, positions });
+wire_fields!(GroupPlanEntry { code_len, lens, counts, words, positions });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
 wire_fields!(MergePlanEntry { member_count, groups });
 wire_fields!(DictEntry { insns, regs });
@@ -709,11 +719,11 @@ pub(crate) mod tests {
     }
 
     /// A plan of two candidates — three `nop`s three times, then an
-    /// `add` and a `nop` twice — over a 20-symbol group text.
+    /// `add` and a `nop` twice — over a group of 20 code words.
     pub(crate) fn sample_group() -> GroupPlanEntry {
         let nop = Insn::Nop.encode().expect("a nop encodes");
         GroupPlanEntry {
-            text_len: 20,
+            code_len: 20,
             lens: vec![3, 2],
             counts: vec![3, 2],
             words: vec![nop, nop, nop, 0x9100_1c20, nop],
@@ -768,9 +778,9 @@ pub(crate) mod tests {
     /// [`FORMAT_VERSION`].
     const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
 
-    /// The same lanes as an older format version wrote them (version 4:
-    /// template slots, candidate sequences) — kept to prove a directory
-    /// of any other version degrades to misses.
+    /// The same lanes as an older format version wrote them (version 5:
+    /// symbol-space plan positions) — kept to prove a directory of any
+    /// other version degrades to misses.
     pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
@@ -1000,6 +1010,31 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_pc_rel_site_that_does_not_reach_its_target_is_refused() {
+        // The sample's branch at word 0 lands on word 2. Outlining
+        // patches a site only when its distance changes, so a site word
+        // that does not encode its record would be linked as it is — or
+        // patched by a `with_pc_rel_offset` that panics on it.
+        let with_site = |site: Insn| {
+            let mut entry = sample_entry();
+            let mut words = entry.compiled.words.to_vec();
+            words[0] = site.encode().expect("the site encodes");
+            entry.compiled.words = words.into();
+            let flags = entry.template.as_ref().expect("a template").flags().to_vec();
+            entry.template = Some(SymbolTemplate::new(flags, &entry.compiled.words));
+            to_frame(FIXTURE_KEY, &entry).unwrap()
+        };
+        let refused = Err("pc-rel site 0 does not encode its record 0→2".to_owned());
+        let admitted = |site| from_frame::<CacheEntry>(FIXTURE_KEY, &with_site(site)).map(|_| ());
+        assert_eq!(admitted(Insn::B { offset: 12 }), refused, "the wrong distance");
+        assert_eq!(admitted(Insn::Nop), refused, "not a PC-relative instruction");
+        // Any PC-relative form that reaches the target will do.
+        assert_eq!(admitted(Insn::Cbz { wide: true, rt: Reg::X0, offset: 8 }), Ok(()));
+        // The recorded fixture is the sample, so it passes the same check.
+        assert_eq!(with_site(Insn::B { offset: 8 }), FIXTURES[0].1);
+    }
+
+    #[test]
     fn an_embedded_data_range_that_wraps_is_refused() {
         // Checksummed and decodable; a sum `s + l` wraps to 1 in release.
         let mut entry = sample_entry();
@@ -1096,7 +1131,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             refused(|g| g.positions[4] = 19), // 19 + 2 > 20
-            "candidate 1 ends at 21, beyond group text of 20"
+            "candidate 1 ends at 21, beyond group code of 20"
         );
     }
 

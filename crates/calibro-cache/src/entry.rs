@@ -17,16 +17,26 @@ thread_local! {
     static SCRATCH: RefCell<StableHasher> = RefCell::new(StableHasher::with_capacity(4096));
 }
 
+/// The canonical symbol of a leader separator — the separator a branch
+/// target's word is preceded by, which has no word of its own — in the
+/// sequence [`sequence_content_key`] reads. No replayed symbol takes this
+/// value: method bands and group joints all lie below it.
+pub const LEADER_SEPARATOR: u64 = u64::MAX;
+
 /// The canonical content key of one symbolized sequence — the per-member
 /// Merkle leaf of a group-plan key.
 ///
-/// Separator symbols (any symbol `>= UNIQUE_SEPARATOR_BASE`) are
-/// canonicalized to a fixed tag rather than hashed by value: their
-/// numbering is an artifact of symbolization order, while detection
-/// results depend only on the fact that each separator is unique within
-/// its group. Literal symbols (always `< 2^32`) are hashed exactly. The
-/// sequence length is framed in so a sequence never collides with its
-/// own prefix.
+/// `symbols` is the sequence in canonical form: each literal (always
+/// `< 2^32`) as itself, [`LEADER_SEPARATOR`] for a leader's separator
+/// and any other separator (`>= UNIQUE_SEPARATOR_BASE`) for a word that
+/// replays to one. Separators are hashed as one of two fixed tags rather
+/// than by value: their numbering is an artifact of symbolization order,
+/// while detection results depend only on the fact that each separator is
+/// unique within its group. The two tags differ so that the key fixes
+/// which symbols have a code word behind them — the word layout a cached
+/// plan's occurrences are stored in — and not only the text detection
+/// sees. The sequence length is framed in so a sequence never collides
+/// with its own prefix.
 ///
 /// This is the single authoritative implementation; the hashes a
 /// [`SymbolTemplate`] caches and the keys the outline stage composes
@@ -45,10 +55,10 @@ fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> Cache
         h.write_tag(0x53); // 'S'
         h.write_usize(symbols.len());
         for sym in symbols {
-            if sym >= UNIQUE_SEPARATOR_BASE {
-                h.write_tag(1);
-            } else {
-                h.write_u64(sym);
+            match sym {
+                LEADER_SEPARATOR => h.write_tag(2),
+                sym if sym >= UNIQUE_SEPARATOR_BASE => h.write_tag(1),
+                literal => h.write_u64(literal),
             }
         }
         h.finish_reset()
@@ -73,18 +83,19 @@ fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> Cache
 /// partition hash. Both canonicalize separator values, so they are
 /// invariant under the separator band a replay draws from (and computed
 /// from flags and words without one); caching them here takes both hash
-/// passes off the warm critical path. It also keeps the symbol offset of
-/// every leader separator, so mapping a symbol back to its word is one
-/// binary search. Everything but the flags is derived by
-/// [`SymbolTemplate::new`] and never stored on disk, so a template's
-/// hashes can never disagree with its flags.
+/// passes off the warm critical path. The content key alone tells a
+/// leader's separator from a word's, so it also fixes the word layout.
+/// The template keeps the symbol offset of every leader separator, so
+/// mapping a symbol back to its word is one binary search. Everything
+/// but the flags is derived by [`SymbolTemplate::new`] and never stored
+/// on disk, so a template's hashes can never disagree with its flags.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SymbolTemplate {
     /// One flag byte per code word.
     flags: Box<[u8]>,
     /// The symbol offset of each leader separator, ascending.
     leaders: Box<[u32]>,
-    /// [`sequence_content_key`] of the replayed sequence.
+    /// [`sequence_content_key`] of the replayed sequence's canonical form.
     content_key: CacheKey,
     /// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash) of
     /// the replayed sequence.
@@ -100,10 +111,11 @@ impl SymbolTemplate {
     /// Builds a template from one flag byte per word of `words` (the
     /// method's code), computing the leader offsets and both canonical
     /// hashes of the replay output once — straight from flags and words,
-    /// with no replay: both hashes see every separator as the same
-    /// canonical symbol, so which band a replay would draw from cannot
-    /// matter. Total over any input: whether the flags fit the words is
-    /// for the caller to check ([`CacheEntry`]'s frame validation does).
+    /// with no replay: both hashes see a separator as a canonical symbol
+    /// (one for a leader's, one for a word's), so which band a replay
+    /// would draw from cannot matter. Total over any input: whether the
+    /// flags fit the words is for the caller to check ([`CacheEntry`]'s
+    /// frame validation does).
     #[must_use]
     pub fn new(flags: Vec<u8>, words: &[u32]) -> Self {
         let count = flags.iter().filter(|&&f| f & Self::LEADER != 0).count();
@@ -142,7 +154,8 @@ impl SymbolTemplate {
         self.flags.len() + self.leaders.len()
     }
 
-    /// Cached [`sequence_content_key`] of the replayed sequence.
+    /// Cached [`sequence_content_key`] of the replayed sequence's
+    /// canonical form.
     #[must_use]
     pub fn content_key(&self) -> CacheKey {
         self.content_key
@@ -153,6 +166,13 @@ impl SymbolTemplate {
     #[must_use]
     pub fn group_hash(&self) -> u64 {
         self.group_hash
+    }
+
+    /// The symbol offset of each leader separator in the replayed
+    /// sequence, ascending: the symbols with no code word behind them.
+    #[must_use]
+    pub fn leaders(&self) -> &[u32] {
+        &self.leaders
     }
 
     /// The code-word index symbol offset `sym` of the replayed sequence
@@ -191,9 +211,10 @@ impl SymbolTemplate {
     }
 }
 
-/// The sequence a template replays to as both canonical hashes see it —
-/// a literal's word, and [`UNIQUE_SEPARATOR_BASE`] for every separator —
-/// yielded from flags and words without being stored.
+/// The sequence a template replays to in canonical form — a literal's
+/// word, [`LEADER_SEPARATOR`] for a leader's separator and
+/// [`UNIQUE_SEPARATOR_BASE`] for a word's — yielded from flags and words
+/// without being stored. The partition hash sees both separators alike.
 struct CanonicalSymbols<'a> {
     flags: std::slice::Iter<'a, u8>,
     words: std::slice::Iter<'a, u32>,
@@ -220,7 +241,7 @@ impl Iterator for CanonicalSymbols<'_> {
                     sym
                 } else {
                     self.pending = Some(sym);
-                    UNIQUE_SEPARATOR_BASE
+                    LEADER_SEPARATOR
                 }
             }
         };
@@ -296,65 +317,75 @@ impl CacheEntry {
 /// (position-sorted) order; [`candidates`](Self::candidates) walks them
 /// in place.
 ///
-/// Only the candidates and the text length are cached — tags, offsets
-/// and lens of the group's members are positional bookkeeping tied to
-/// the *current* build's method indices and are recomputed at replay
-/// ([`replay_group_plan`](calibro_suffix::replay_group_plan)). The
-/// candidates themselves are portable across builds whose group text
-/// matches: their symbols are always literals — instruction words, as
-/// separators are unique and no repeated substring contains one — and
-/// their positions are determined by the text alone because detection
-/// is deterministic under any injective separator renumbering.
+/// Occurrences are stored in *word space*: as offsets into the group's
+/// code, its members' words concatenated in group order. Detection runs
+/// over symbols, so a fresh plan's positions are resolved to words once,
+/// when it becomes rows; a replay finds an occurrence's member from the
+/// members' word counts alone and never sees the symbol text. Which
+/// member is which is not cached — method indices are tied to the
+/// *current* build. The candidates themselves are portable across builds
+/// whose group key matches: their symbols are always literals —
+/// instruction words, as separators are unique and no repeated substring
+/// contains one — their symbol positions are determined by the text alone
+/// because detection is deterministic under any injective separator
+/// renumbering, and the key's per-member leaves
+/// ([`sequence_content_key`]) fix each member's word layout, so the
+/// same symbols lie on the same words.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GroupPlanEntry {
-    /// Length of the concatenated group text the plan was detected on
-    /// (including one joint separator per sequence).
-    pub text_len: usize,
+    /// Code words of the group the plan was detected on: its members'
+    /// word counts summed.
+    pub code_len: usize,
     /// Each candidate's length in words.
     pub lens: Vec<u32>,
     /// Each candidate's number of occurrences.
     pub counts: Vec<u32>,
     /// The candidates' words, one candidate after another.
     pub words: Vec<u32>,
-    /// The group-text start of every occurrence, one candidate's
-    /// (ascending, non-overlapping) after another's.
+    /// The group-code word offset of every occurrence's start, one
+    /// candidate's (ascending, non-overlapping) after another's.
     pub positions: Vec<u32>,
 }
 
 impl GroupPlanEntry {
-    /// The rows of `candidates`, detected over a group text of
-    /// `text_len` symbols.
+    /// The rows of `candidates`, detected over the symbol text of a group
+    /// of `code_len` code words; `word_of` maps a group-text position an
+    /// occurrence starts at to its group-code word offset.
     ///
     /// # Panics
     ///
     /// Panics if a candidate symbol is not a word (a separator, which
-    /// detection never selects) or the text is longer than `u32`
-    /// positions reach.
+    /// detection never selects) or the code is longer than `u32` offsets
+    /// reach.
     #[must_use]
-    pub fn from_candidates(text_len: usize, candidates: &[OutlineCandidate]) -> GroupPlanEntry {
-        assert!(u32::try_from(text_len).is_ok(), "a group text of {text_len} symbols");
+    pub fn from_candidates(
+        code_len: usize,
+        candidates: &[OutlineCandidate],
+        mut word_of: impl FnMut(usize) -> usize,
+    ) -> GroupPlanEntry {
+        assert!(u32::try_from(code_len).is_ok(), "a group of {code_len} code words");
         let words = candidates.iter().map(|c| c.symbols.len()).sum();
         let positions = candidates.iter().map(|c| c.positions.len()).sum();
         let mut entry = GroupPlanEntry {
-            text_len,
+            code_len,
             lens: Vec::with_capacity(candidates.len()),
             counts: Vec::with_capacity(candidates.len()),
             words: Vec::with_capacity(words),
             positions: Vec::with_capacity(positions),
         };
         for c in candidates {
-            // Both fit: a candidate and its positions lie inside the text.
+            // All fit: a candidate and its occurrences lie inside the code.
             entry.lens.push(c.symbols.len() as u32);
             entry.counts.push(c.positions.len() as u32);
             let word = |&s: &u64| u32::try_from(s).expect("a candidate symbol is a word");
             entry.words.extend(c.symbols.iter().map(word));
-            entry.positions.extend(c.positions.iter().map(|&p| p as u32));
+            entry.positions.extend(c.positions.iter().map(|&p| word_of(p) as u32));
         }
         entry
     }
 
     /// The candidates in plan order, each as its words and the
-    /// group-text positions of its occurrences — read from the rows in
+    /// group-code word offsets of its occurrences — read from the rows in
     /// place.
     ///
     /// # Panics
@@ -486,14 +517,22 @@ mod tests {
 
     /// Asserts the template's cached hashes equal a direct hash of its
     /// replay output from three separator bands — the invariant that
-    /// lets the warm path trust them, whatever band a method draws.
+    /// lets the warm path trust them, whatever band a method draws. The
+    /// content key hashes the canonical form, in which a symbol with no
+    /// word behind it is a leader's separator.
     fn assert_hashes_match_every_band(flags: Vec<u8>, words: &[u32]) {
         let t = SymbolTemplate::new(flags, words);
         for band in [0u64, 1 << 24, 1835 << 24] {
             let mut unique = UNIQUE_SEPARATOR_BASE + band;
             let symbols = t.replay_symbols(words, &mut unique);
             assert_eq!(symbols.len(), t.symbol_count());
-            assert_eq!(t.content_key(), sequence_content_key(&symbols), "band {band}");
+            let mut canonical = symbols.clone();
+            for (sym, canonical) in canonical.iter_mut().enumerate() {
+                if t.word_at(sym) == usize::MAX {
+                    *canonical = LEADER_SEPARATOR;
+                }
+            }
+            assert_eq!(t.content_key(), sequence_content_key(&canonical), "band {band}");
             assert_eq!(t.group_hash(), stable_sequence_hash(&symbols), "band {band}");
         }
     }
@@ -543,12 +582,27 @@ mod tests {
         assert_ne!(a.content_key(), d.content_key());
     }
 
+    #[test]
+    fn content_key_fixes_the_word_layout_the_partition_hash_does_not_see() {
+        // Both replay to [7, sep, sep, 9]: one over three words, the
+        // second separator a leader's; one over four, both a word's.
+        let leader = SymbolTemplate::new(vec![0, FRESH, LEADER], &[7, 8, 9]);
+        let fresh = SymbolTemplate::new(vec![0, FRESH, FRESH, 0], &[7, 8, 8, 9]);
+        assert_eq!(leader.symbol_count(), fresh.symbol_count());
+        // The same text for detection and the same group...
+        assert_eq!(leader.group_hash(), fresh.group_hash());
+        // ...but not the same code words under it, so not the same key.
+        assert_ne!(leader.content_key(), fresh.content_key());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// A detected plan's flat rows walk back to exactly the
-        /// candidates detection selected, over texts from a small
-        /// alphabet (many repeats) split into up to four members.
+        /// candidates detection selected, their positions in word space,
+        /// over texts from a small alphabet (many repeats) split into up
+        /// to four members. Every symbol here is a word, so a position's
+        /// word offset is the position less the joints before it.
         #[test]
         fn a_detected_plan_round_trips_through_its_rows(
             members in prop::collection::vec(prop::collection::vec(0u64..6, 0..40), 0..4),
@@ -559,8 +613,9 @@ mod tests {
                 .map(|(tag, symbols)| TaggedSequence { tag, symbols })
                 .collect();
             let (plan, candidates) = detect_group(&group, 2);
-            let text_len = calibro_suffix::group_text_len(plan.lens.iter().copied());
-            let entry = GroupPlanEntry::from_candidates(text_len, &candidates);
+            let code_len = plan.lens.iter().sum();
+            let word_of = |p: usize| p + 1 - plan.offsets.partition_point(|&start| start <= p);
+            let entry = GroupPlanEntry::from_candidates(code_len, &candidates, word_of);
             let back: Vec<OutlineCandidate> = entry
                 .candidates()
                 .map(|(words, positions)| OutlineCandidate {
@@ -569,8 +624,12 @@ mod tests {
                     symbols: words.iter().map(|&w| u64::from(w)).collect(),
                 })
                 .collect();
-            prop_assert_eq!(back, candidates);
-            prop_assert_eq!(entry.text_len, text_len);
+            let in_words: Vec<OutlineCandidate> = candidates
+                .into_iter()
+                .map(|c| OutlineCandidate { positions: c.positions.into_iter().map(word_of).collect(), ..c })
+                .collect();
+            prop_assert_eq!(back, in_words);
+            prop_assert_eq!(entry.code_len, code_len);
         }
     }
 }

@@ -45,7 +45,7 @@ pub mod wire;
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
     sequence_content_key, CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
-    SymbolTemplate,
+    SymbolTemplate, LEADER_SEPARATOR,
 };
 pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};

@@ -464,7 +464,7 @@ mod tests {
     impl Sample for GroupPlanEntry {
         const PREFIX: &'static str = "group_";
         fn make(n: u32) -> Self {
-            GroupPlanEntry { text_len: 20 + n as usize, ..sample_group() }
+            GroupPlanEntry { code_len: 20 + n as usize, ..sample_group() }
         }
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.groups()

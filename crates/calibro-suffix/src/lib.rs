@@ -38,9 +38,8 @@ pub use naive::{
     count_occurrences as naive_count, find_positions as naive_positions, repeated_substrings,
 };
 pub use parallel::{
-    detect_group, group_text_len, partition_stable, partition_stable_by, replay_group_plan,
-    stable_sequence_hash, stable_sequence_hash_of, GroupPlan, TaggedSequence,
-    UNIQUE_SEPARATOR_BASE,
+    detect_group, group_text_len, partition_stable, partition_stable_by, stable_sequence_hash,
+    stable_sequence_hash_of, GroupPlan, TaggedSequence, UNIQUE_SEPARATOR_BASE,
 };
 pub use repeats::{
     census, estimate_reduction, find_repeats, select_outline_plan, CensusEntry, OutlineCandidate,

@@ -35,8 +35,8 @@ pub struct TaggedSequence {
 /// The positional layout of one detection group: which sequences its
 /// text concatenates, and where — what maps a candidate's group-text
 /// positions back to `(tag, offset)`. The candidates themselves are
-/// [`detect_group`]'s second result, or whatever form the caller caches
-/// them in; a replayed layout ([`replay_group_plan`]) never sees them.
+/// [`detect_group`]'s second result; a caller that caches them resolves
+/// their positions into whatever space it replays them in.
 #[derive(Debug, PartialEq, Eq)]
 pub struct GroupPlan {
     /// Tags of the sequences concatenated into this group, in order.
@@ -154,40 +154,10 @@ where
 
 /// Total concatenated text length of a group whose sequences have the
 /// given lengths, including one joint separator per sequence — the
-/// length [`detect_group`] builds its tree over. Used to validate cached
-/// plans against the group they are about to be replayed on.
+/// length [`detect_group`] builds its tree over.
 #[must_use]
 pub fn group_text_len(lens: impl IntoIterator<Item = usize>) -> usize {
     lens.into_iter().map(|len| len + 1).sum()
-}
-
-/// Rebuilds a group's [`GroupPlan`] without re-running detection — and
-/// without the group's text: `members` is each sequence's
-/// `(tag, length)`, in group order, which is all the positional
-/// bookkeeping reads.
-///
-/// Tags, offsets, and lens are recomputed from the *current* group
-/// (method indices shift across edits, so they are never cached). Cached
-/// candidates resolve through it as long as the group's canonicalized
-/// text matches the one they were detected on, which the caller
-/// guarantees by keying the cache over that text. Candidate symbols are
-/// always literals — separators are unique, so no repeated substring
-/// contains one — hence they too are stable across builds.
-#[must_use]
-pub fn replay_group_plan(members: impl IntoIterator<Item = (usize, usize)>) -> GroupPlan {
-    let members = members.into_iter();
-    let count = members.size_hint().0;
-    let mut tags = Vec::with_capacity(count);
-    let mut offsets = Vec::with_capacity(count);
-    let mut lens = Vec::with_capacity(count);
-    let mut cursor = 0;
-    for (tag, len) in members {
-        tags.push(tag);
-        offsets.push(cursor);
-        lens.push(len);
-        cursor += len + 1;
-    }
-    GroupPlan { tags, offsets, lens }
 }
 
 /// Concatenates a group's sequences with unique separators and returns
@@ -313,28 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn replayed_plan_matches_fresh_detection() {
-        let motif = [70u64, 71, 72, 73];
-        let group: Vec<TaggedSequence> = (0..3)
-            .map(|t| {
-                let mut s = vec![UNIQUE_SEPARATOR_BASE + t as Symbol];
-                s.extend_from_slice(&motif);
-                s.push(UNIQUE_SEPARATOR_BASE + 100 + t as Symbol);
-                seq(t, &s)
-            })
-            .collect();
-        let (fresh, candidates) = detect_group(&group, 2);
-        assert!(!candidates.is_empty());
-        // Replay sees lengths only — never the text.
-        let members = group.iter().map(|s| (s.tag, s.symbols.len()));
-        let replayed = replay_group_plan(members);
-        assert_eq!(replayed, fresh);
-        // Bookkeeping covers exactly the concatenated text.
-        let last = group.len() - 1;
+    fn the_layout_covers_exactly_the_concatenated_text() {
+        let group = [seq(5, &[1, 2, 3]), seq(9, &[]), seq(4, &[4, 5])];
+        let (plan, _) = detect_group(&group, 2);
         assert_eq!(
-            replayed.offsets[last] + replayed.lens[last] + 1,
-            group_text_len(group.iter().map(|s| s.symbols.len()))
+            (plan.tags, plan.offsets, plan.lens),
+            (vec![5, 9, 4], vec![0, 4, 5], vec![3, 0, 2])
         );
+        assert_eq!(group_text_len(group.iter().map(|s| s.symbols.len())), 8);
     }
 
     #[test]
@@ -395,20 +351,5 @@ mod tests {
     fn resolve_panics_on_trailing_separator() {
         let (plan, _) = detect_group(&[seq(5, &[1, 2, 3]), seq(9, &[4, 5])], 2);
         let _ = plan.resolve(6);
-    }
-
-    #[test]
-    fn a_plan_replayed_from_lengths_resolves_and_panics_like_a_detected_one() {
-        // The same group as above, rebuilt from `(tag, length)` alone.
-        let plan = replay_group_plan([(5, 3), (9, 2)]);
-        assert_eq!(plan.resolve(2), (5, 2));
-        assert_eq!(plan.resolve(4), (9, 0));
-        // The joint, the trailing separator, past the text.
-        for pos in [3, 6, 7] {
-            let panic = std::panic::catch_unwind(|| plan.resolve(pos))
-                .expect_err("a separator position must not resolve");
-            let message = panic.downcast_ref::<String>().expect("formatted panic");
-            assert!(message.contains("separator space"), "position {pos}: {message}");
-        }
     }
 }

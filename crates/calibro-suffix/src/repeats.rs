@@ -143,10 +143,11 @@ pub fn select_outline_plan(
 
     let mut claimed = vec![false; total_len];
     let mut plan = Vec::new();
-    let mut positions = Vec::new();
+    // Scratch shared by every entry: a rejected one allocates nothing.
+    let (mut positions, mut kept) = (Vec::new(), Vec::new());
     for entry in entries {
         tree.positions_into(entry.id, entry.len, &mut positions);
-        let mut kept = Vec::new();
+        kept.clear();
         let mut next_free = 0usize;
         for &p in &positions {
             // Skip self-overlap within this candidate...
@@ -170,7 +171,7 @@ pub fn select_outline_plan(
         plan.push(OutlineCandidate {
             len: entry.len,
             symbols: tree.text()[first..first + entry.len].to_vec(),
-            positions: kept,
+            positions: kept.clone(),
         });
     }
     plan.sort_by(|a, b| a.positions.cmp(&b.positions));

@@ -30,8 +30,8 @@ use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
 use calibro_isa::{decode, decode_all, Insn, Reg};
 use calibro_suffix::{
-    detect_group, group_text_len, partition_stable_by, replay_group_plan, GroupPlan,
-    TaggedSequence, UNIQUE_SEPARATOR_BASE,
+    detect_group, group_text_len, partition_stable_by, GroupPlan, OutlineCandidate, TaggedSequence,
+    UNIQUE_SEPARATOR_BASE,
 };
 
 use crate::fingerprint::group_plan_key_from;
@@ -207,13 +207,13 @@ struct Symbolized<'a> {
     /// Hot method restricted to its slow paths.
     hot: bool,
     /// The template the symbols replay from, over the method's words: it
-    /// answers symbol offset → code word lookups
-    /// ([`SymbolTemplate::word_at`]), gives the sequence's length without
-    /// its text, and carries the sequence's content key (the Merkle leaf
-    /// of the group key) and partition hash. Both hashes canonicalize
-    /// separators, so the values cached at template construction equal a
-    /// direct hash of the replayed symbols whatever this method's band —
-    /// no per-build re-hashing.
+    /// knows which symbols have no word behind them (its leaders, which
+    /// turn a fresh plan's positions into words) and carries the
+    /// sequence's content key (the Merkle leaf of the group key) and
+    /// partition hash. Both hashes canonicalize separators, so the values
+    /// cached at template construction equal a direct hash of the
+    /// replayed symbols whatever this method's band — no per-build
+    /// re-hashing.
     template: Cow<'a, SymbolTemplate>,
 }
 
@@ -268,7 +268,7 @@ fn materialize(idx: usize, words: &[u32], template: &SymbolTemplate) -> TaggedSe
 }
 
 /// Where an outlined call site's `bl` lands.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EditCall {
     /// A private outlined function of this build.
     Outlined(u32),
@@ -277,12 +277,82 @@ enum EditCall {
 }
 
 /// One planned rewrite within a method.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Edit {
-    /// The occurrence's first symbol offset while plans are materialized,
-    /// its first code word once [`SymbolTemplate::word_at`] mapped it.
+    /// The occurrence's first code word.
     start: usize,
+    /// Its length in words.
     len: usize,
     call: EditCall,
+}
+
+/// A fresh plan as the rows it is cached and replayed as: every
+/// occurrence's group-text position resolved, once, to its group-code
+/// word offset — the position less the symbols before it that have no
+/// word behind them, which are the members' leader separators (`leaders`
+/// of member `j`, in group order) and the joints between members. One
+/// ascending list of those, one binary search per occurrence; the plan's
+/// code length is the text's less the same list.
+fn plan_rows<'t>(
+    plan: &GroupPlan,
+    candidates: &[OutlineCandidate],
+    leaders: impl Fn(usize) -> &'t [u32],
+) -> GroupPlanEntry {
+    let mut wordless = Vec::new();
+    for (j, (&offset, &len)) in plan.offsets.iter().zip(&plan.lens).enumerate() {
+        wordless.extend(leaders(j).iter().map(|&leader| offset + leader as usize));
+        wordless.push(offset + len);
+    }
+    let code_len = group_text_len(plan.lens.iter().copied()) - wordless.len();
+    GroupPlanEntry::from_candidates(code_len, candidates, |pos| {
+        pos - wordless.partition_point(|&sym| sym < pos)
+    })
+}
+
+/// The word each member of a group starts at in the group's code, and
+/// the code's length last: `starts[j]..starts[j + 1]` are member `j`'s
+/// words. Fills `starts`, scratch reused from group to group.
+fn member_starts(members: &[usize], methods: &[CompiledMethod], starts: &mut Vec<usize>) {
+    starts.clear();
+    let mut at = 0;
+    for &idx in members {
+        starts.push(at);
+        at += methods[idx].words.len();
+    }
+    starts.push(at);
+}
+
+/// The method (a member of the group) and the word within it that a
+/// cached occurrence at group-code offset `pos` starts at.
+///
+/// # Panics
+///
+/// Panics if the occurrence's `len` words leave that method, which no
+/// plan detected on this group's code can place.
+fn locate(members: &[usize], starts: &[usize], pos: usize, len: usize) -> (usize, usize) {
+    let j = starts.partition_point(|&start| start <= pos) - 1;
+    assert!(pos + len <= starts[j + 1], "occurrence at word {pos} leaves its method");
+    (members[j], pos - starts[j])
+}
+
+/// `found`'s edits grouped by method — a counting sort on the method
+/// index — as one flat list and each method's bounds in it: method
+/// `idx`'s edits are `edits[bounds[idx]..bounds[idx + 1]]`.
+fn by_method(found: &[(usize, Edit)], methods: usize) -> (Vec<Edit>, Vec<usize>) {
+    let mut bounds = vec![0; methods + 1];
+    for &(idx, _) in found {
+        bounds[idx] += 1;
+    }
+    for i in 1..bounds.len() {
+        bounds[i] += bounds[i - 1];
+    }
+    // Back to front, so each method's bound ends at its first edit.
+    let mut edits = vec![Edit { start: 0, len: 0, call: EditCall::Outlined(0) }; found.len()];
+    for &(idx, edit) in found.iter().rev() {
+        bounds[idx] -= 1;
+        edits[bounds[idx]] = edit;
+    }
+    (edits, bounds)
 }
 
 /// Runs LTBO over the compiled methods, mutating them in place and
@@ -313,13 +383,13 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   from code and metadata (see [`symbolize`]). An empty or short
 ///   slice falls back to extraction.
 /// - **Words are the code.** A template replays over its method's words,
-///   a rewritten method's words are rewritten ([`apply_edits`]) — never
-///   its instructions — and its `insns` is left empty. Outlined bodies
-///   are their candidates' words; they are decoded only for the
-///   dictionary.
+///   a plan's occurrences are offsets into its group's words, a rewritten
+///   method's words are rewritten ([`apply_edits`]) — never its
+///   instructions — and its `insns` is left empty. Outlined bodies are
+///   their candidates' words; they are decoded only for the dictionary.
 /// - **Typed worker errors.** A panic inside one group's detection or
-///   materialization (e.g. a [`GroupPlan::resolve`] separator-space
-///   panic on an inconsistent plan) is caught and surfaced as
+///   materialization (e.g. a [`locate`] panic on an occurrence that
+///   leaves its method) is caught and surfaced as
 ///   [`OutlineError::Worker`] with the group index and the panic
 ///   payload, instead of unwinding through — or, on a pool thread,
 ///   aborting — the whole build.
@@ -327,13 +397,13 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   candidates are cached — as the flat rows of a [`GroupPlanEntry`] —
 ///   under a key covering the group's canonicalized symbol text plus
 ///   the `LtboConfig` fingerprint ([`group_plan_key_from`]). Groups
-///   whose key hits replay the layout from the members' lengths
-///   ([`replay_group_plan`]) and read the cached rows in place, skipping
-///   both the symbol text and the suffix tree; only dirty groups
-///   materialize their text and re-detect. A hit whose
-///   recorded text length is not this group's (a foreign plan under the
-///   right key) is not replayed: the group re-detects and overwrites
-///   it. Replay is byte-exact:
+///   whose key hits read the cached rows in place and find each
+///   occurrence's method from the members' word counts ([`locate`]),
+///   skipping both the symbol text and the suffix tree; only dirty groups
+///   materialize their text, re-detect and resolve their plan to words
+///   ([`plan_rows`]). A hit whose recorded code length is not this
+///   group's (a foreign plan under the right key) is not replayed: the
+///   group re-detects and overwrites it. Replay is byte-exact:
 ///   content-stable partitioning ([`partition_stable_by`]) pins each
 ///   sequence's group, and detection is deterministic under any
 ///   injective separator renumbering, such as a rebuild performs, so
@@ -384,8 +454,8 @@ pub(crate) fn outline_methods(
     // Every candidate kept its template.
     let template_of =
         |idx: usize| templates[idx].as_deref().expect("a candidate method kept its template");
-    // A sequence's length without its text.
-    let len_of = |idx: usize| template_of(idx).symbol_count();
+    let code: &[CompiledMethod] = methods;
+    let code_len = |group: &[usize]| group.iter().map(|&idx| code[idx].words.len()).sum::<usize>();
 
     // --- §3.3.3: detect repeats and select the outline plan. ------------
     let detect_start = Instant::now();
@@ -399,12 +469,12 @@ pub(crate) fn outline_methods(
     stats.detection_groups = groups.len();
 
     // Probe the plan cache; a hit means the group's canonicalized text
-    // (and the LTBO config) is unchanged since the plan was detected.
-    // The key is composed Merkle-style from the members' precomputed
-    // content keys — O(members) here, not O(text).
+    // and word layout (and the LTBO config) are unchanged since the plan
+    // was detected. The key is composed Merkle-style from the members'
+    // precomputed content keys — O(members) here, not O(text).
     let mut keys: Vec<CacheKey> = Vec::new();
     let mut cached: Vec<Option<Arc<GroupPlanEntry>>> = vec![None; groups.len()];
-    // Groups whose key turned out to hold a plan for some other text.
+    // Groups whose key turned out to hold a plan for some other code.
     let mut foreign = vec![false; groups.len()];
     if let Some(store) = store {
         keys = groups
@@ -419,12 +489,12 @@ pub(crate) fn outline_methods(
             let Some(entry) = store.groups().get(key).map_err(OutlineError::Cache)? else {
                 continue;
             };
-            // A plan is replayed only on the text it was detected on.
+            // A plan is replayed only on the code it was detected on.
             // The key says so already; the recorded length says so
             // independently of whoever put the entry under that key, and
-            // a plan laid over a text of another length resolves into
-            // separator space at best.
-            if entry.text_len == group_text_len(groups[i].iter().map(|&idx| len_of(idx))) {
+            // a plan laid over code of another length puts its
+            // occurrences on other words at best.
+            if entry.code_len == code_len(&groups[i]) {
                 cached[i] = Some(entry);
             } else {
                 foreign[i] = true;
@@ -434,14 +504,13 @@ pub(crate) fn outline_methods(
 
     let min_len = config.min_len;
     let (groups_ref, cached_ref) = (&groups, &cached);
-    let code: &[CompiledMethod] = methods;
     // A miss comes back with its candidates as the rows it is cached as.
     let (detected, _loads) = run_indexed(groups.len(), threads, |i| {
         if cached_ref[i].is_some() {
-            let members = groups_ref[i].iter().map(|&idx| (idx, len_of(idx)));
-            return (replay_group_plan(members), None, 0);
+            return (None, 0);
         }
-        let text: Vec<TaggedSequence> = groups_ref[i]
+        let members = &groups_ref[i];
+        let text: Vec<TaggedSequence> = members
             .iter()
             .map(|&idx| materialize(idx, &code[idx].words, template_of(idx)))
             .collect();
@@ -449,15 +518,15 @@ pub(crate) fn outline_methods(
         let group_start = Instant::now();
         let (plan, candidates) = detect_group(&text, min_len);
         let cost_us = u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let text_len = group_text_len(plan.lens.iter().copied());
-        (plan, Some(GroupPlanEntry::from_candidates(text_len, &candidates)), cost_us)
+        let rows = plan_rows(&plan, &candidates, |j| template_of(members[j]).leaders());
+        (Some(rows), cost_us)
     })
     .map_err(|p| OutlineError::Worker { group: p.index, message: p.message })?;
     let detect_time = detect_start.elapsed();
 
-    // One shape from here on, hit or miss: the layout and the lane's rows.
-    let mut plans: Vec<(GroupPlan, Arc<GroupPlanEntry>)> = Vec::with_capacity(groups.len());
-    for (i, (plan, fresh, cost_us)) in detected.into_iter().enumerate() {
+    // One shape from here on, hit or miss: the lane's rows.
+    let mut plans: Vec<Arc<GroupPlanEntry>> = Vec::with_capacity(groups.len());
+    for (i, (fresh, cost_us)) in detected.into_iter().enumerate() {
         // Detection CPU rides into the plan lane as recompute cost, so
         // eviction pressure drops cheap plans first.
         let entry = match (fresh, store) {
@@ -468,14 +537,18 @@ pub(crate) fn outline_methods(
             (Some(entry), Some(store)) => store.groups().insert_with_cost(keys[i], entry, cost_us),
             (Some(entry), None) => Arc::new(entry),
         };
-        plans.push((plan, entry));
+        plans.push(entry);
     }
 
-    // --- Materialize outlined functions and per-method edits. -----------
+    // --- Materialize outlined functions; find every occurrence. --------
     let mut outlined: Vec<Vec<u32>> = Vec::new();
-    let mut edits: Vec<Vec<Edit>> = (0..methods.len()).map(|_| Vec::new()).collect();
+    let mut found: Vec<(usize, Edit)> =
+        Vec::with_capacity(plans.iter().map(|entry| entry.positions.len()).sum());
+    let mut starts = Vec::new();
     let ret_word = Insn::Br { rn: Reg::LR }.encode().expect("br x30 encodes");
-    for (group, (plan, entry)) in plans.iter().enumerate() {
+    for (group, entry) in plans.iter().enumerate() {
+        let members = &groups[group];
+        member_starts(members, code, &mut starts);
         let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
             for (words, positions) in entry.candidates() {
@@ -505,40 +578,31 @@ pub(crate) fn outline_methods(
                         EditCall::Outlined(id)
                     }
                 };
+                let len = words.len();
                 for &pos in positions {
-                    let (tag, sym_off) = plan.resolve(pos as usize);
-                    edits[tag].push(Edit { start: sym_off, len: words.len(), call });
-                    stats.occurrences_replaced += 1;
-                    stats.words_saved += words.len() as i64 - 1;
+                    let (idx, start) = locate(members, &starts, pos as usize, len);
+                    found.push((idx, Edit { start, len, call }));
                 }
+                stats.occurrences_replaced += positions.len();
+                stats.words_saved += (len as i64 - 1) * positions.len() as i64;
             }
         }));
         if let Err(payload) = materialized {
             return Err(OutlineError::Worker { group, message: panic_message(payload) });
         }
     }
-    // Symbol offsets to code words, one method's template at a time.
-    // Occurrences start at literal symbols, whose words rise with their
-    // symbol offsets: sorted by word, the edits are in occurrence order.
-    for (idx, method_edits) in edits.iter_mut().enumerate() {
-        if method_edits.is_empty() {
-            continue;
-        }
-        let template = template_of(idx);
-        for edit in method_edits.iter_mut() {
-            edit.start = template.word_at(edit.start);
-        }
-        method_edits.sort_unstable_by_key(|e| e.start);
-    }
 
     // --- §3.3.4 + §3.5: apply edits, patch PC-relative, fix records. ----
-    let (mut map, mut new_words) = (Vec::new(), Vec::new());
-    for (idx, method_edits) in edits.iter().enumerate() {
+    let (mut edits, bounds) = by_method(&found, methods.len());
+    let (mut removed, mut new_words) = (Vec::new(), Vec::new());
+    for (idx, m) in methods.iter_mut().enumerate() {
+        let method_edits = &mut edits[bounds[idx]..bounds[idx + 1]];
         if method_edits.is_empty() {
             continue;
         }
-        let (patched, maps_updated) =
-            apply_edits(&mut methods[idx], method_edits, &mut map, &mut new_words);
+        // A method's occurrences never overlap: by first word is in order.
+        method_edits.sort_unstable_by_key(|e| e.start);
+        let (patched, maps_updated) = apply_edits(m, method_edits, &mut removed, &mut new_words);
         stats.pc_rel_patched += patched;
         stats.stack_maps_updated += maps_updated;
     }
@@ -606,28 +670,32 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
 
 /// Applies sorted, non-overlapping edits to one method's `words` and to
 /// its §3.2/§3.5 tables: each outlined range becomes a placeholder `bl`,
-/// everything between two edits is copied as a run of words, PC-relative
-/// sites are patched on their word (decode, new offset, encode) and
-/// every record is remapped. No instruction is copied: the new words are
-/// the method's code from here on, and its `insns` is left empty. `map`
-/// (old word index → new word index) and `new_words` are scratch, reused
-/// from method to method; the finished words are copied into the
-/// method's `Arc` once. Returns `(pc_rel_patched, stack_maps_updated)`.
+/// and everything between two edits is copied as a run of words. No map
+/// from old word to new is built: a record's new index is its old index
+/// less the words removed by the edits wholly before it, found by a
+/// binary search over the method's few edits, and a record inside an
+/// outlined range has none. A PC-relative site is decoded, given its new
+/// offset and encoded again only when the edits between it and its
+/// target changed that distance; every other site already encodes it,
+/// as codegen emits it and the cache's trust boundary demands of a
+/// loaded method. No instruction is copied: the new words are the
+/// method's code from here on, and its `insns` is left empty. `removed`
+/// and `new_words` are scratch, reused from method to method; the
+/// finished words are copied into the method's `Arc` once. Returns
+/// `(pc_rel_patched, stack_maps_updated)`.
 fn apply_edits(
     m: &mut CompiledMethod,
     edits: &[Edit],
-    map: &mut Vec<usize>,
+    removed: &mut Vec<usize>,
     new_words: &mut Vec<u32>,
 ) -> (usize, usize) {
     let words = &m.words;
     let old_len = words.len();
-    let new_code_len = old_len - edits.iter().map(|e| e.len.saturating_sub(1)).sum::<usize>();
-    // usize::MAX = removed (the interior of an outlined range).
-    map.clear();
-    map.resize(old_len + m.pool.len() + 1, usize::MAX);
     new_words.clear();
-    new_words.reserve(new_code_len);
-    let mut new_relocs: Vec<Reloc> = Vec::with_capacity(m.relocs.len() + edits.len());
+    new_words.reserve(old_len);
+    // `removed[k]`: the words the first `k` edits removed.
+    removed.clear();
+    removed.push(0);
     let bl_word = Insn::Bl { offset: 0 }.encode().expect("a placeholder bl encodes");
     let mut word = 0;
     // One round per edit, and a last one for the run behind the last edit.
@@ -635,57 +703,64 @@ fn apply_edits(
         let run_end = edit.map_or(old_len, |e| e.start);
         assert!(word <= run_end, "edits overlap or are unsorted");
         // Untouched words move as a block.
-        let at = new_words.len();
-        for (i, slot) in map[word..run_end].iter_mut().enumerate() {
-            *slot = at + i;
-        }
         new_words.extend_from_slice(&words[word..run_end]);
         let Some(edit) = edit else { break };
         assert!(edit.len > 0 && edit.start + edit.len <= old_len, "edit leaves the code");
         // The range's first word becomes the call; its interior vanishes.
+        new_words.push(bl_word);
+        removed.push(removed[removed.len() - 1] + edit.len - 1);
+        word = edit.start + edit.len;
+    }
+    // Old word index → new; `None` inside an outlined range. The pool
+    // (and the end of the code) lies behind every edit and shifts as a
+    // block.
+    let remap = |old: usize| {
+        let before = edits.partition_point(|e| e.start + e.len <= old);
+        match edits.get(before) {
+            Some(e) if e.start < old => None,
+            _ => Some(old - removed[before]),
+        }
+    };
+
+    // Call relocations are remapped where they sit, like the §3.2 tables
+    // below; each edit's `bl` adds one, at its first word's new index.
+    for r in &mut m.relocs {
+        r.at = remap(r.at).expect("call site removed by outlining");
+    }
+    m.relocs.reserve_exact(edits.len());
+    for (edit, &removed) in edits.iter().zip(removed.iter()) {
         let target = match edit.call {
             EditCall::Outlined(id) => CallTarget::Outlined(id),
             EditCall::Dict(at) => CallTarget::Dict(at),
         };
-        map[edit.start] = new_words.len();
-        new_relocs.push(Reloc { at: new_words.len(), target });
-        new_words.push(bl_word);
-        word = edit.start + edit.len;
+        m.relocs.push(Reloc { at: edit.start - removed, target });
     }
-    debug_assert_eq!(new_words.len(), new_code_len);
-    // Pool words shift as a block; map old pool indices too.
-    for (i, slot) in map.iter_mut().enumerate().skip(old_len) {
-        *slot = new_code_len + (i - old_len);
-    }
+    m.relocs.sort_by_key(|r| r.at);
 
-    // Carry over original call relocations. The §3.2 tables below are
-    // remapped where they sit: their lengths do not change.
-    for r in &m.relocs {
-        let at = map[r.at];
-        assert_ne!(at, usize::MAX, "call site removed by outlining");
-        new_relocs.push(Reloc { at, target: r.target });
-    }
-    new_relocs.sort_by_key(|r| r.at);
-
-    // §3.3.4: patch PC-relative instructions with their updated offsets.
+    // §3.3.4: patch PC-relative instructions whose distance changed.
     let mut patched = 0;
     for rec in &mut m.metadata.pc_rel {
-        let at = map[rec.at];
-        let target = map[rec.target];
-        assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
-        assert_ne!(target, usize::MAX, "branch target removed by outlining");
+        let at = remap(rec.at).expect("PC-relative instruction removed by outlining");
+        let target = remap(rec.target).expect("branch target removed by outlining");
         let new_offset = (target as i64 - at as i64) * 4;
-        let site = decode(new_words[at]).expect("a PC-relative site decodes");
-        if site.pc_rel_offset() != Some(new_offset) {
+        if rec.at - at != rec.target - target {
             // Outlining only removes words between a site and its
             // target, so the offset keeps its sign and alignment and
             // shrinks in magnitude: the form that held the old one
             // holds the new one.
+            let site = decode(new_words[at]).expect("a PC-relative site decodes");
             new_words[at] = site
                 .with_pc_rel_offset(new_offset)
                 .encode()
                 .expect("a shrunken PC-relative offset encodes");
             patched += 1;
+        } else {
+            debug_assert_eq!(
+                decode(new_words[at]).ok().and_then(|site| site.pc_rel_offset()),
+                Some(new_offset),
+                "{:?}: the unpatched PC-relative site at word {at} does not encode its distance",
+                m.method
+            );
         }
         *rec = PcRel { at, target };
     }
@@ -693,23 +768,20 @@ fn apply_edits(
     // Terminators: removed ones (inside outlined ranges) cannot exist —
     // terminators are separators — so every record survives remapping.
     for t in &mut m.metadata.terminators {
-        *t = map[*t];
-        assert_ne!(*t, usize::MAX, "terminator removed by outlining");
+        *t = remap(*t).expect("terminator removed by outlining");
     }
 
     // Slow paths: remap range endpoints. Starts are leaders (branch
-    // targets) and ends follow terminators, so both survive; interior
-    // shrinkage is fine.
+    // targets) and ends follow terminators or end the code, so both
+    // survive; interior shrinkage is fine.
     for (s, e) in &mut m.metadata.slow_paths {
-        *s = map[*s];
-        *e = if *e == old_len { new_code_len } else { map[*e] };
-        assert_ne!(*s, usize::MAX);
-        assert_ne!(*e, usize::MAX);
+        *s = remap(*s).expect("slow-path start removed by outlining");
+        *e = remap(*e).expect("slow-path end removed by outlining");
     }
 
     // Embedded data: the pool block moved as a whole.
     for (s, _) in &mut m.metadata.embedded_data {
-        *s = map[*s];
+        *s = remap(*s).expect("embedded data removed by outlining");
     }
 
     // §3.5: stack maps — return offsets move with their call sites.
@@ -719,7 +791,7 @@ fn apply_edits(
         // The entry names the word *after* the call; remap via the call.
         // An offset of 0 would name the word before the method, i.e. the
         // metadata is corrupt — panic with context instead of letting the
-        // subtraction wrap around to index `map[usize::MAX]`.
+        // subtraction wrap around.
         let call_word = old_word.checked_sub(1).unwrap_or_else(|| {
             panic!(
                 "stack map at native offset 0 in method {:?}: \
@@ -728,8 +800,7 @@ fn apply_edits(
                 m.method
             )
         });
-        let new_call = map[call_word];
-        assert_ne!(new_call, usize::MAX, "call under a stack map removed");
+        let new_call = remap(call_word).expect("call under a stack map removed");
         let new_offset = (new_call as u32 + 1) * 4;
         if new_offset != sm.native_offset {
             sm.native_offset = new_offset;
@@ -739,7 +810,6 @@ fn apply_edits(
 
     m.insns = Arc::default();
     m.words = Arc::from(&new_words[..]);
-    m.relocs = new_relocs;
     (patched, maps_updated)
 }
 
@@ -864,7 +934,8 @@ mod tests {
         assert_eq!(cold_texts, cold.stats.ltbo.candidate_methods, "cold: every candidate, once");
 
         // Every group hits: not one method's text is made, and the plans
-        // (built from symbol counts) still resolve every occurrence.
+        // (word offsets, found from member word counts) still place every
+        // occurrence.
         let (warm_texts, warm) = texts(&|| session.build(&dex, &options).unwrap());
         assert_eq!(warm.stats.cache.group_misses, 0);
         assert_eq!(warm_texts, 0, "a group that hit materialized symbol text");
@@ -918,6 +989,48 @@ mod tests {
             }
         }
         assert!(rewritten > 0, "nothing was outlined");
+    }
+
+    #[test]
+    fn a_plan_replays_only_over_the_word_layout_it_was_detected_on() {
+        use calibro_cache::ArtifactStore;
+
+        // `body` with its terminators and its `b`s (site, target): both
+        // replay to a fresh separator, and a `b`'s target to a leader's.
+        let method = |body: &[Insn], terminators: &[usize], branches: &[(usize, usize)]| {
+            let mut m = compiled(body.to_vec());
+            m.metadata.terminators = terminators.to_vec();
+            m.metadata.pc_rel = branches.iter().map(|&(at, target)| PcRel { at, target }).collect();
+            m
+        };
+        let motif = &movs_then_ret()[..3];
+        let ret = Insn::Ret { rn: Reg::LR };
+        let b = |at: usize, target: usize| Insn::B { offset: (target as i64 - at as i64) * 4 };
+        // [motif, sep, leader, motif, sep, sep] and [motif, sep, sep,
+        // motif, leader, sep], both over nine words: one text for
+        // detection, one group, one code length, but the second motif
+        // one word further on.
+        let early = method(&[motif, &[b(3, 4)], motif, &[ret, ret]].concat(), &[7, 8], &[(3, 4)]);
+        let late = method(&[motif, &[b(3, 8), ret], motif, &[ret]].concat(), &[4, 8], &[(3, 8)]);
+        let (e, l) = (build_template(&early, false), build_template(&late, false));
+        assert_eq!((e.group_hash(), e.flags().len()), (l.group_hash(), l.flags().len()));
+        assert_ne!(e.content_key(), l.content_key());
+
+        let third = method(&[motif, &[ret]].concat(), &[3], &[]);
+        let config = LtboConfig::default();
+        let outline = |m: &CompiledMethod, store: Option<&ArtifactStore>| {
+            let mut methods = vec![third.clone(), third.clone(), third.clone(), m.clone()];
+            let run = outline_methods(&mut methods, &[], &config, store, None).expect("outline");
+            (methods.iter().map(|m| m.words.to_vec()).collect::<Vec<_>>(), run.outlined, run.stats)
+        };
+        // A store primed with one layout, rebuilt with the other: the
+        // rebuild misses and emits the cold build's words.
+        let store = ArtifactStore::default();
+        let (_, _, primed) = outline(&early, Some(&store));
+        assert_eq!(primed.occurrences_replaced, 5, "the motif was not outlined everywhere");
+        let rebuilt = outline(&late, Some(&store));
+        assert_eq!(rebuilt, outline(&late, None));
+        assert_eq!(store.stats().group_hits, 0);
     }
 
     /// The per-word implementation the run-copying one replaced, kept
@@ -1108,6 +1221,7 @@ mod tests {
 
         use super::super::*;
         use super::reference;
+        use calibro_cache::LEADER_SEPARATOR;
         use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
         use calibro_dex::MethodId;
         use calibro_isa::{encode_words, Cond};
@@ -1117,9 +1231,12 @@ mod tests {
         /// come first (adjacent ones, single-word gaps, one at word 0 and
         /// one ending at the last word all occur); then every word no
         /// edit covers draws a role — PC-relative site, call with a
-        /// stack map behind it, terminator, plain — and sites pick
+        /// stack map behind it, terminator, plain. Most sites pick
         /// targets anywhere an edit's interior is not: before or behind
         /// any number of edits, an edit's first word, the pool, the end.
+        /// The rest land within their own run of untouched words, or on
+        /// the first word of the edit behind it: no edit changes their
+        /// distance, so their words are copied as they are.
         fn case(n: usize, pool_len: usize, seed: u64) -> (CompiledMethod, Vec<Edit>) {
             let mut rng = TestRng::seed_from_u64(seed);
             let mut below = |bound: usize| rng.below(bound as u64) as usize;
@@ -1145,6 +1262,13 @@ mod tests {
             }
             let landing: Vec<usize> =
                 (0..=n + pool_len).filter(|&w| w >= n || !interior[w]).collect();
+            // The run of untouched words each word lies in, through the
+            // first word of the edit that ends it.
+            let run_of = |w: usize| {
+                let start = edits.iter().map(|e| e.start + e.len).filter(|&end| end <= w).max();
+                let end = edits.iter().map(|e| e.start).filter(|&start| start > w).min();
+                (start.unwrap_or(0), end.unwrap_or(n))
+            };
 
             let plain = |k: usize| match k % 3 {
                 0 => Insn::Nop,
@@ -1169,10 +1293,16 @@ mod tests {
                 stack_maps: Vec::new(),
             };
             for (w, &in_edit) in covered.iter().enumerate() {
-                let role = if in_edit { 9 } else { below(10) };
+                let role = if in_edit { 9 } else { below(11) };
                 let insn = match role {
-                    0..=2 => {
-                        let target = landing[below(landing.len())];
+                    0..=2 | 10 => {
+                        let target = match role {
+                            10 => {
+                                let (start, end) = run_of(w);
+                                start + below(end - start + 1)
+                            }
+                            _ => landing[below(landing.len())],
+                        };
                         let offset = (target as i64 - w as i64) * 4;
                         m.metadata.pc_rel.push(PcRel { at: w, target });
                         match below(6) {
@@ -1236,8 +1366,9 @@ mod tests {
                 let (mut expected, mut actual) = (method.clone(), method);
                 let counters = reference::apply_edits(&mut expected, &edits);
                 // The scratch arrives dirty from the method before.
-                let (mut map, mut words) = (vec![7; stale], vec![9; stale]);
-                let (patched, maps_updated) = apply_edits(&mut actual, &edits, &mut map, &mut words);
+                let (mut removed, mut words) = (vec![7; stale], vec![9; stale]);
+                let (patched, maps_updated) =
+                    apply_edits(&mut actual, &edits, &mut removed, &mut words);
                 prop_assert_eq!((patched, maps_updated), counters);
                 let reference = encode_words(&expected.insns).expect("the reference encodes");
                 prop_assert_eq!(&actual.words[..], &reference[..]);
@@ -1369,9 +1500,111 @@ mod tests {
                 let mapped: Vec<usize> = (0..expected.len()).map(|s| actual.word_at(s)).collect();
                 prop_assert_eq!(mapped, words);
 
-                let canonical: Vec<u64> = expected.iter().map(|&(sym, _)| sym).collect();
+                // A symbol with no word behind it is a leader's separator.
+                let canonical: Vec<u64> = expected
+                    .iter()
+                    .map(|&(sym, word)| if word == usize::MAX { LEADER_SEPARATOR } else { sym })
+                    .collect();
                 prop_assert_eq!(actual.content_key(), calibro_cache::sequence_content_key(&canonical));
                 prop_assert_eq!(actual.group_hash(), calibro_suffix::stable_sequence_hash(&canonical));
+            }
+        }
+
+        /// A method with no code of its own but `words`.
+        fn words_only(words: &[u32]) -> CompiledMethod {
+            CompiledMethod {
+                method: MethodId(1),
+                insns: Arc::from([]),
+                words: words.into(),
+                pool: Vec::new(),
+                relocs: Vec::new(),
+                metadata: MethodMetadata::default(),
+                stack_maps: Vec::new(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// A fresh plan's word-space rows put every occurrence on the
+            /// word `GroupPlan::resolve` and `SymbolTemplate::word_at` put
+            /// it on, and replaying the rows — each occurrence's method
+            /// found from the members' word counts, the edits grouped by
+            /// method and sorted — gives every method exactly the edits
+            /// resolution gives it. Groups of one to four members over a
+            /// four-word alphabet (many repeats), with leaders, fresh
+            /// words and empty members.
+            #[test]
+            fn word_space_rows_equal_resolving_the_fresh_plan(
+                seed in any::<u64>(),
+                min_len in 1usize..4,
+            ) {
+                let mut rng = TestRng::seed_from_u64(seed);
+                let mut below = |bound: usize| rng.below(bound as u64) as usize;
+                let group: Vec<(Vec<u32>, SymbolTemplate)> = (0..1 + below(4))
+                    .map(|_| {
+                        let n = below(40);
+                        let words: Vec<u32> = (0..n).map(|_| 0x100 + below(4) as u32).collect();
+                        let flags = (0..n).map(|_| [FRESH, LEADER, FRESH | LEADER, 0, 0, 0, 0][below(7)]);
+                        let template = SymbolTemplate::new(flags.collect(), &words);
+                        (words, template)
+                    })
+                    .collect();
+                // Member `j` is method `2j + 1`, among methods outside the group.
+                let members: Vec<usize> = (0..group.len()).map(|j| 2 * j + 1).collect();
+                let mut methods: Vec<CompiledMethod> = (0..2 * group.len() + 1).map(|_| words_only(&[9])).collect();
+                let mut base = vec![0; methods.len()];
+                let mut code_len = 0;
+                for (&idx, (words, _)) in members.iter().zip(&group) {
+                    methods[idx] = words_only(words);
+                    base[idx] = code_len;
+                    code_len += words.len();
+                }
+
+                let text: Vec<TaggedSequence> = members
+                    .iter()
+                    .zip(&group)
+                    .map(|(&idx, (words, template))| materialize(idx, words, template))
+                    .collect();
+                let (plan, candidates) = detect_group(&text, min_len);
+                let rows = plan_rows(&plan, &candidates, |j| group[j].1.leaders());
+
+                // The reference resolves a position to its method's symbol,
+                // then to that symbol's word.
+                let resolved = |pos: usize| {
+                    let (idx, sym) = plan.resolve(pos);
+                    (idx, group[idx / 2].1.word_at(sym))
+                };
+                let expected: Vec<u32> = candidates
+                    .iter()
+                    .flat_map(|c| c.positions.iter().map(|&pos| resolved(pos)))
+                    .map(|(idx, word)| (base[idx] + word) as u32)
+                    .collect();
+                prop_assert_eq!(&rows.positions, &expected);
+                prop_assert_eq!(rows.code_len, code_len);
+
+                let mut starts = Vec::new();
+                member_starts(&members, &methods, &mut starts);
+                let mut found = Vec::new();
+                let mut want: Vec<Vec<Edit>> = vec![Vec::new(); methods.len()];
+                for (c, ((words, positions), cand)) in rows.candidates().zip(&candidates).enumerate() {
+                    let (len, call) = (words.len(), EditCall::Outlined(c as u32));
+                    for &pos in positions {
+                        let (idx, start) = locate(&members, &starts, pos as usize, len);
+                        found.push((idx, Edit { start, len, call }));
+                    }
+                    for &pos in &cand.positions {
+                        let (idx, start) = resolved(pos);
+                        want[idx].push(Edit { start, len: cand.len, call });
+                    }
+                }
+                let (mut edits, bounds) = by_method(&found, methods.len());
+                for (idx, want) in want.iter_mut().enumerate() {
+                    want.sort_by_key(|e| e.start);
+                    let got = &mut edits[bounds[idx]..bounds[idx + 1]];
+                    got.sort_unstable_by_key(|e| e.start);
+                    prop_assert_eq!(&got[..], &want[..], "method {}", idx);
+                }
             }
         }
     }

@@ -6,11 +6,14 @@
 //!   instructions), and islands and outlined bodies are instruction
 //!   words — words that drifted from their instructions are caught by
 //!   the debug-profile run of this very suite;
-//! * a cached group plan is replayed only on the text it was detected
+//! * every method codegen emits passes the cache's trust boundary, whose
+//!   PC-relative check lets outlining copy a site whose distance it does
+//!   not change;
+//! * a cached group plan is replayed only on the code it was detected
 //!   on: a foreign plan under a live group's key is a miss, not a replay.
 
 use calibro::{BuildOptions, BuildSession, SizeArtifact};
-use calibro_cache::{from_frame, to_frame, CacheConfig, CacheKey, GroupPlanEntry};
+use calibro_cache::{from_frame, to_frame, CacheConfig, CacheEntry, CacheKey, GroupPlanEntry};
 use calibro_codegen::CallTarget;
 use calibro_dex::DexFile;
 use calibro_isa::{decode_all, encode_words, Insn};
@@ -72,6 +75,28 @@ fn every_codegen_output_is_its_instructions_encoded() {
     assert!(stubs > 0 && thunks > 0 && rewritten > 0, "{stubs} stubs, {thunks} thunks");
 }
 
+#[test]
+fn every_method_codegen_emits_passes_the_trust_boundary() {
+    // Among them every PC-relative site: each must already encode the
+    // distance to its record's target.
+    let options = BuildOptions::cto_ltbo();
+    let key = CacheKey { hi: 1, lo: 2 };
+    let mut sites = 0;
+    for app in paper_suite(0.25).iter().map(generate) {
+        let session = BuildSession::new();
+        let frontend = session.frontend(&app.dex, &options).expect("frontend");
+        let codegen = session.codegen(&app.dex, &options, frontend).expect("codegen");
+        for o in &codegen.outcomes {
+            let frame = to_frame(key, &*o.entry).expect("an entry frames");
+            if let Err(refusal) = from_frame::<CacheEntry>(key, &frame) {
+                panic!("{}: {:?}: {refusal}", app.name, o.compiled.method);
+            }
+            sites += o.compiled.metadata.pc_rel.len();
+        }
+    }
+    assert!(sites > 0, "no PC-relative site was checked");
+}
+
 /// Only the debug profile carries the linker's word-equality assertion,
 /// which is why tier-1 runs this suite unoptimized.
 #[test]
@@ -127,8 +152,8 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
         .expect("some group outlined something");
     let (_, foreign) = plans
         .iter()
-        .find(|(_, plan)| plan.text_len != victim.text_len && !plan.lens.is_empty())
-        .expect("a plan over a text of another length");
+        .find(|(_, plan)| plan.code_len != victim.code_len && !plan.lens.is_empty())
+        .expect("a plan over code of another length");
     let path = dir.join(format!("{}.calg", victim_key.to_hex()));
     std::fs::write(&path, to_frame(*victim_key, foreign).expect("frame")).expect("plant");
 
