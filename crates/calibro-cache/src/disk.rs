@@ -11,10 +11,14 @@
 //! form, bounds rule and error labels are the ones [`crate::wire`]
 //! decides for every other byte that crosses a trust boundary.
 //!
-//! Instructions are stored as their encoded machine words — the same
-//! canonical encoding the linker emits — so a loaded entry re-encodes
-//! bit-identically. Every row is exhaustive over its struct: adding a
-//! field to a cached type fails compilation here until the format (and
+//! Code is stored as machine words and nothing else: a method's words,
+//! a plan's candidate words and a dictionary body are copied into an
+//! image as they are, so no row carries an instruction and framing
+//! cannot fail. Which words are code is the validators' rule, one
+//! predicate for every lane: each word decodes to an instruction that
+//! encodes back to that very word — the canonical encoding the linker
+//! emits. Every row is exhaustive over its struct: adding a field to a
+//! cached type fails compilation here until the format (and
 //! [`FORMAT_VERSION`]) is updated.
 
 use std::io::Read as _;
@@ -25,7 +29,6 @@ use calibro_codegen::{
     CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
 };
 use calibro_hgraph::PassStats;
-use calibro_isa::Insn;
 
 use crate::entry::{
     CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate,
@@ -52,7 +55,9 @@ use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 /// symbols and positions). Version 6: a group plan's occurrences are
 /// offsets into the group's code words, and its length is the group's
 /// word count (were symbol-text positions and the text length).
-pub const FORMAT_VERSION: u32 = 6;
+/// Version 7: a dictionary body is its words alone (its register record
+/// is gone).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
@@ -78,12 +83,6 @@ pub trait LaneEntry: Wire + Send + Sync + 'static {
 
     /// Approximate resident size in bytes, for the lane's byte budget.
     fn approx_bytes(&self) -> usize;
-
-    /// The machine instructions the entry frames as instructions (empty
-    /// for the plan lanes, and for a method entry, which frames its
-    /// words). [`to_frame`] vets that each one encodes before it writes
-    /// the payload, whose codec is infallible.
-    fn insns(&self) -> &[Insn];
 }
 
 fn entry_path<V: LaneEntry>(dir: &Path, key: CacheKey) -> PathBuf {
@@ -109,15 +108,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// exact bytes a lane persists. The frame doubles as the peer-wire
 /// payload so a fetched artifact passes through the same magic /
 /// version / key / checksum gauntlet as a disk read.
-///
-/// # Errors
-///
-/// Returns a description when the entry contains an instruction that
-/// does not encode.
-pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Result<Vec<u8>, String> {
-    for insn in entry.insns() {
-        insn.encode().map_err(|e| format!("unencodable instruction: {e}"))?;
-    }
+#[must_use]
+pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Vec<u8> {
     let payload = wire::encode(entry);
     let mut bytes = Vec::with_capacity(payload.len() + 40);
     bytes.extend_from_slice(&V::MAGIC);
@@ -127,7 +119,7 @@ pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Result<Vec<u8>, Strin
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    Ok(bytes)
+    bytes
 }
 
 /// Write-then-rename, removing the tmp file if either step fails so a
@@ -168,15 +160,11 @@ pub(crate) fn sweep_stale_tmp(dir: &Path) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`CacheError::Io`] on filesystem failures and
-/// [`CacheError::Corrupt`] when the entry contains an instruction that
-/// does not encode (such an entry could never link anyway).
+/// Returns [`CacheError::Io`] on filesystem failures.
 pub(crate) fn store<V: LaneEntry>(dir: &Path, key: CacheKey, entry: &V) -> Result<(), CacheError> {
     let path = entry_path::<V>(dir, key);
-    let bytes = to_frame(key, entry)
-        .map_err(|detail| CacheError::Corrupt { path: path.clone(), detail })?;
     let tmp = dir.join(format!("{}.{}.tmp{}", key.to_hex(), V::EXT, std::process::id()));
-    write_atomic(dir, &path, &tmp, &bytes)
+    write_atomic(dir, &path, &tmp, &to_frame(key, entry))
 }
 
 /// Loads and validates the entry for `key`, `Ok(None)` when absent —
@@ -256,7 +244,17 @@ fn frame_version<V: LaneEntry>(bytes: &[u8]) -> Result<u32, String> {
     Ok(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
-/// Structural validation of a loaded entry: every index the LTBO and
+/// `true` when `word` is the canonical word of an instruction: it
+/// decodes, and the instruction encodes back to that very word (the
+/// decoder is the more permissive of the two). Every lane's code is
+/// copied into an image as it is, so this is the word rule of every
+/// validator below.
+fn is_code_word(word: u32) -> bool {
+    calibro_isa::decode(word).ok().and_then(|insn| insn.encode().ok()) == Some(word)
+}
+
+/// Structural validation of a loaded entry: every code word must be an
+/// instruction's ([`is_code_word`]), every index the LTBO and
 /// link stages will follow must be in bounds, every PC-relative site
 /// must be a PC-relative instruction whose offset reaches its record's
 /// target (outlining patches a site only when that distance changes, and
@@ -267,6 +265,9 @@ fn frame_version<V: LaneEntry>(bytes: &[u8]) -> Result<u32, String> {
 /// panicking or miscompiling downstream.
 fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     let m = &entry.compiled;
+    if let Some(at) = m.words.iter().position(|&word| !is_code_word(word)) {
+        return Err(format!("word {at} ({:#010x}) is not an instruction", m.words[at]));
+    }
     let code_len = m.words.len();
     let size_words = code_len + m.pool.len();
     for r in &m.relocs {
@@ -351,10 +352,8 @@ fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
         if body.is_empty() {
             return Err(format!("candidate {i} has zero length"));
         }
-        for &word in body {
-            if calibro_isa::decode(word).ok().and_then(|insn| insn.encode().ok()) != Some(word) {
-                return Err(format!("candidate {i}: word {word:#010x} is not an instruction"));
-            }
+        if let Some(&word) = body.iter().find(|&&word| !is_code_word(word)) {
+            return Err(format!("candidate {i}: word {word:#010x} is not an instruction"));
         }
         if at.len() < 2 {
             return Err(format!("candidate {i} has fewer than two occurrences"));
@@ -419,22 +418,16 @@ fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
 
 /// Structural validation of a loaded dictionary body: the body must be
 /// non-empty (an empty shared function cannot save anything and its
-/// island slot would alias the next entry's), and the recorded calling
-/// convention must name valid, distinct registers — so a poisoned or
-/// maliciously crafted peer reply is rejected with a typed error before
-/// it can enter any epoch layout.
+/// island slot would alias the next entry's) and every word an
+/// instruction's ([`is_code_word`]) — the island copies it as it is — so
+/// a poisoned or maliciously crafted peer reply is rejected with a typed
+/// error before it can enter any epoch layout.
 fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
-    if entry.insns.is_empty() {
+    if entry.words.is_empty() {
         return Err("empty dictionary body".to_owned());
     }
-    let mut seen = [false; 32];
-    for &r in &entry.regs {
-        if r >= 32 {
-            return Err(format!("calling-convention register {r} out of range"));
-        }
-        if std::mem::replace(&mut seen[r as usize], true) {
-            return Err(format!("calling-convention register {r} listed twice"));
-        }
+    if let Some(at) = entry.words.iter().position(|&word| !is_code_word(word)) {
+        return Err(format!("word {at} ({:#010x}) is not an instruction", entry.words[at]));
     }
     Ok(())
 }
@@ -469,15 +462,15 @@ wire_fields!(PassStats {
 wire_fields!(GroupPlanEntry { code_len, lens, counts, words, positions });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
 wire_fields!(MergePlanEntry { member_count, groups });
-wire_fields!(DictEntry { insns, regs });
+wire_fields!(DictEntry { words });
 
 wire_seq!(Reloc, PcRel, StackMapEntry, MergePlanGroup);
 
 /// A compiled method's code travels once, as its words under the name
-/// `insns` — a `u32` count, then one word per instruction: the bytes a
-/// `Vec<Insn>` field has. Decoding checks that every word decodes to an
-/// instruction that encodes back to that very word, and keeps the words
-/// only: a decoded method's `insns` is empty, as a stored entry's is.
+/// `insns` — a `u32` count, then one word per instruction. Decoding
+/// keeps the words only: a decoded method's `insns` is empty, as a
+/// stored entry's is (whether the words are code is `validate_entry`'s
+/// to check).
 /// Written by hand because `wire_fields!` puts every field on the wire;
 /// the destructures below are still exhaustive.
 impl Wire for CompiledMethod {
@@ -494,13 +487,6 @@ impl Wire for CompiledMethod {
     fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
         let method = Wire::get(r, "method")?;
         let words: Vec<u32> = r.seq("insns")?;
-        for &word in &words {
-            let insn = calibro_isa::decode(word)
-                .map_err(|_| WireError::UndecodableWord { what: "insns", word })?;
-            if insn.encode().ok() != Some(word) {
-                return Err(WireError::UnencodableInsn { what: "insns" });
-            }
-        }
         Ok(CompiledMethod {
             method,
             insns: Arc::default(),
@@ -636,11 +622,10 @@ impl wire::FieldEnds for CacheEntry {
 // ---------------------------------------------------------------------
 
 /// The lane table: one row per entry type — frame magic, file
-/// extension, fleet wire code, the structural validator defined above,
-/// and where the entry keeps its instructions (the payload codec is the
-/// type's `Wire` row).
+/// extension, fleet wire code and the structural validator defined
+/// above (the payload codec is the type's `Wire` row).
 macro_rules! lanes {
-    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $validate:path, $insns:expr;)*) => {$(
+    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $validate:path;)*) => {$(
         impl LaneEntry for $entry {
             const MAGIC: [u8; 4] = *$magic;
             const EXT: &'static str = $ext;
@@ -651,10 +636,6 @@ macro_rules! lanes {
             fn approx_bytes(&self) -> usize {
                 <$entry>::approx_bytes(self)
             }
-            fn insns(&self) -> &[Insn] {
-                let insns: fn(&$entry) -> &[Insn] = $insns;
-                insns(self)
-            }
         }
     )*};
 }
@@ -662,17 +643,17 @@ macro_rules! lanes {
 // The merge lane is local-only: a plan is cheaper to recompute than a
 // network exchange, so the fleet protocol carries no code for it.
 lanes! {
-    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry, |_| &[];
-    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry, |_| &[];
-    MergePlanEntry: b"CALM", "calm", None, validate_merge_entry, |_| &[];
-    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), validate_dict_entry, |e| &e.insns;
+    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry;
+    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry;
+    MergePlanEntry: b"CALM", "calm", None, validate_merge_entry;
+    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), validate_dict_entry;
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::wire::FieldEnds;
-    use calibro_isa::{decode_all, encode_words, Reg};
+    use calibro_isa::{decode_all, encode_words, Insn, Reg};
 
     const FRESH: u8 = SymbolTemplate::FRESH;
     const LEADER: u8 = SymbolTemplate::LEADER;
@@ -742,20 +723,18 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn sample_dict() -> DictEntry {
-        DictEntry {
-            insns: vec![
-                Insn::AddImm {
-                    wide: true,
-                    set_flags: false,
-                    rd: Reg::X0,
-                    rn: Reg::X1,
-                    imm12: 3,
-                    shift12: false,
-                },
-                Insn::OrrReg { wide: true, rd: Reg::X2, rn: Reg::ZR, rm: Reg::X0, shift: 0 },
-            ],
-            regs: vec![0, 1, 2],
-        }
+        let insns = [
+            Insn::AddImm {
+                wide: true,
+                set_flags: false,
+                rd: Reg::X0,
+                rn: Reg::X1,
+                imm12: 3,
+                shift12: false,
+            },
+            Insn::OrrReg { wide: true, rd: Reg::X2, rn: Reg::ZR, rm: Reg::X0, shift: 0 },
+        ];
+        DictEntry { words: encode_words(&insns).expect("the sample's instructions encode") }
     }
 
     /// The key the committed fixtures are framed under.
@@ -778,9 +757,9 @@ pub(crate) mod tests {
     /// [`FORMAT_VERSION`].
     const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
 
-    /// The same lanes as an older format version wrote them (version 5:
-    /// symbol-space plan positions) — kept to prove a directory of any
-    /// other version degrades to misses.
+    /// The same lanes as an older format version wrote them (version 6:
+    /// a dictionary body with its register record) — kept to prove a
+    /// directory of any other version degrades to misses.
     pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
@@ -794,9 +773,7 @@ pub(crate) mod tests {
         match error {
             WireError::Truncated { what }
             | WireError::InvalidTag { what, .. }
-            | WireError::OversizedCollection { what, .. }
-            | WireError::UndecodableWord { what, .. }
-            | WireError::UnencodableInsn { what } => Some(what),
+            | WireError::OversizedCollection { what, .. } => Some(what),
             WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
         }
     }
@@ -842,7 +819,7 @@ pub(crate) mod tests {
         bools: &[(usize, &'static str)],
     ) {
         let (ext, fixture) = FIXTURES.iter().find(|(ext, _)| *ext == V::EXT).expect("lane fixture");
-        assert_eq!(to_frame(FIXTURE_KEY, sample).unwrap(), *fixture, ".{ext} frame moved");
+        assert_eq!(to_frame(FIXTURE_KEY, sample), *fixture, ".{ext} frame moved");
         let back: V = wire::decode(&fixture[40..]).expect("recorded payload decodes");
         assert_eq!(format!("{back:?}"), format!("{sample:?}"), ".{ext} decode lost something");
 
@@ -942,37 +919,46 @@ pub(crate) mod tests {
     #[test]
     fn dict_frames_keep_the_frame_contract() {
         let body = sample_dict();
-        frame_contract(&body, &[], &[(0, "insns"), (start_of(&body, "regs"), "regs")], &[]);
-    }
-
-    #[test]
-    fn an_unencodable_instruction_is_refused_before_anything_is_framed() {
-        // A branch offset must be a multiple of four.
-        let mut body = sample_dict();
-        body.insns.push(Insn::B { offset: 2 });
-        let refusal = to_frame(FIXTURE_KEY, &body).expect_err("the body cannot be framed");
-        assert!(refusal.starts_with("unencodable instruction: "), "{refusal}");
+        frame_contract(&body, &[], &[(0, "words")], &[]);
     }
 
     #[test]
     fn an_undecodable_word_in_a_frame_is_a_typed_error() {
         // The frame is intact (checksum recomputed); only the word is bad.
         let mut payload = wire::encode(&sample_dict());
-        payload[4..8].fill(0); // the first instruction word
-        let mut frame = to_frame(FIXTURE_KEY, &sample_dict()).unwrap();
+        payload[4..8].fill(0); // the first word, unallocated
+        let mut frame = to_frame(FIXTURE_KEY, &sample_dict());
         frame.truncate(32);
         frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         assert_eq!(
             from_frame::<DictEntry>(FIXTURE_KEY, &frame),
-            Err("undecodable word 0x00000000 while decoding insns".to_owned())
+            Err("word 0 (0x00000000) is not an instruction".to_owned())
+        );
+    }
+
+    #[test]
+    fn an_undecodable_code_word_in_a_method_frame_is_refused_by_its_validator() {
+        // The codec reads words as words; the frame is intact and its
+        // payload decodes, so the refusal is `validate_entry`'s.
+        let mut entry = sample_entry();
+        let mut words = entry.compiled.words.to_vec();
+        words[2] = 0; // the literal `add`, unallocated
+        entry.compiled.words = words.into();
+        let flags = entry.template.as_ref().expect("a template").flags().to_vec();
+        entry.template = Some(SymbolTemplate::new(flags, &entry.compiled.words));
+        let frame = to_frame(FIXTURE_KEY, &entry);
+        assert!(wire::decode::<CacheEntry>(&frame[40..]).is_ok());
+        assert_eq!(
+            from_frame::<CacheEntry>(FIXTURE_KEY, &frame).map(|_| ()),
+            Err("word 2 (0x00000000) is not an instruction".to_owned())
         );
     }
 
     #[test]
     fn a_method_frames_its_words_and_decodes_to_words_only() {
         let entry = sample_entry();
-        let frame = to_frame(FIXTURE_KEY, &entry).unwrap();
+        let frame = to_frame(FIXTURE_KEY, &entry);
         let back: CacheEntry = from_frame(FIXTURE_KEY, &frame).unwrap();
         assert!(back.compiled.insns.is_empty());
         assert_eq!(back.compiled.words, entry.compiled.words);
@@ -981,12 +967,12 @@ pub(crate) mod tests {
         // instructions it was compiled to frames to the same bytes.
         let mut compiled = entry;
         compiled.compiled.insns = decode_all(&compiled.compiled.words).unwrap().into();
-        assert_eq!(to_frame(FIXTURE_KEY, &compiled).unwrap(), frame);
+        assert_eq!(to_frame(FIXTURE_KEY, &compiled), frame);
     }
 
     /// `entry` framed and put through the gauntlet: its refusal.
     fn refusal(entry: &CacheEntry) -> String {
-        let frame = to_frame(FIXTURE_KEY, entry).unwrap();
+        let frame = to_frame(FIXTURE_KEY, entry);
         from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("the frame was admitted")
     }
 
@@ -1022,7 +1008,7 @@ pub(crate) mod tests {
             entry.compiled.words = words.into();
             let flags = entry.template.as_ref().expect("a template").flags().to_vec();
             entry.template = Some(SymbolTemplate::new(flags, &entry.compiled.words));
-            to_frame(FIXTURE_KEY, &entry).unwrap()
+            to_frame(FIXTURE_KEY, &entry)
         };
         let refused = Err("pc-rel site 0 does not encode its record 0→2".to_owned());
         let admitted = |site| from_frame::<CacheEntry>(FIXTURE_KEY, &with_site(site)).map(|_| ());
@@ -1039,7 +1025,7 @@ pub(crate) mod tests {
         // Checksummed and decodable; a sum `s + l` wraps to 1 in release.
         let mut entry = sample_entry();
         entry.compiled.metadata.embedded_data = vec![(usize::MAX, 2)];
-        let frame = to_frame(FIXTURE_KEY, &entry).unwrap();
+        let frame = to_frame(FIXTURE_KEY, &entry);
         let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
         assert!(refusal.starts_with("embedded data "), "{refusal}");
     }
@@ -1078,8 +1064,8 @@ pub(crate) mod tests {
         let owned: usize = rows.iter().map(|row| size_of_val(row.as_slice())).sum();
         assert!(plan.approx_bytes() >= owned, "{} < {owned}", plan.approx_bytes());
         let mut body = sample_dict();
-        body.insns.extend([Insn::Nop; 64]);
-        let owned = size_of_val(body.insns.as_slice()) + size_of_val(body.regs.as_slice());
+        body.words.extend([0; 64]);
+        let owned = size_of_val(body.words.as_slice());
         assert!(body.approx_bytes() >= owned, "{} < {owned}", body.approx_bytes());
     }
 
@@ -1141,7 +1127,7 @@ pub(crate) mod tests {
         // gauntlet is where they are known to be instructions.
         let mut plan = sample_group();
         plan.words[1] = 0; // unallocated
-        let frame = to_frame(FIXTURE_KEY, &plan).unwrap();
+        let frame = to_frame(FIXTURE_KEY, &plan);
         assert_eq!(
             from_frame::<GroupPlanEntry>(FIXTURE_KEY, &frame),
             Err("candidate 0: word 0x00000000 is not an instruction".to_owned())
@@ -1170,15 +1156,16 @@ pub(crate) mod tests {
 
     #[test]
     fn dict_validation_rejects_malformed_bodies() {
+        assert_eq!(validate_dict_entry(&sample_dict()), Ok(()));
         let mut d = sample_dict();
-        d.insns.clear();
-        assert!(validate_dict_entry(&d).is_err(), "empty body accepted");
+        d.words.clear();
+        assert_eq!(validate_dict_entry(&d), Err("empty dictionary body".to_owned()));
         let mut d = sample_dict();
-        d.regs = vec![0, 40];
-        assert!(validate_dict_entry(&d).is_err(), "out-of-range register accepted");
-        let mut d = sample_dict();
-        d.regs = vec![5, 5];
-        assert!(validate_dict_entry(&d).is_err(), "duplicate register accepted");
+        d.words[1] = 0; // unallocated
+        assert_eq!(
+            validate_dict_entry(&d),
+            Err("word 1 (0x00000000) is not an instruction".into())
+        );
     }
 
     #[test]

@@ -6,7 +6,6 @@ use std::mem::size_of_val;
 
 use calibro_codegen::CompiledMethod;
 use calibro_hgraph::PassStats;
-use calibro_isa::Insn;
 use calibro_suffix::{stable_sequence_hash_of, OutlineCandidate, UNIQUE_SEPARATOR_BASE};
 
 use crate::hash::{CacheKey, StableHasher};
@@ -458,21 +457,18 @@ impl MergePlanEntry {
     }
 }
 
-/// One shared-dictionary body: the concrete instruction sequence of an
-/// outlined function published by some tenant, keyed in the dict lane by
-/// the 128-bit hash of its *canonicalized* (register-renamed) form. The
-/// value keeps the concrete body — reuse requires an exact instruction
-/// match, so a canonical-key hit with a register-renamed body falls back
-/// to private outlining — plus the calling-convention metadata: which
-/// concrete registers the body touches, in first-use order.
+/// One shared-dictionary body: the code words of an outlined function
+/// published by some tenant, keyed in the dict lane by the 128-bit hash
+/// of their *canonicalized* (register-renamed) form. The value keeps the
+/// concrete words — reuse requires an exact match, so a canonical-key
+/// hit with a register-renamed body falls back to private outlining —
+/// and nothing else: which registers the body touches is a function of
+/// its words, recomputed by whoever needs it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DictEntry {
     /// The outlined body exactly as it appears at every call site (the
-    /// trailing `br x30` is appended at island emission, not stored).
-    pub insns: Vec<Insn>,
-    /// Concrete renameable registers the body uses, in first-use order —
-    /// the calling convention a marshalling caller would have to honour.
-    pub regs: Vec<u8>,
+    /// trailing return is appended at island emission, not stored).
+    pub words: Vec<u32>,
 }
 
 impl DictEntry {
@@ -480,7 +476,7 @@ impl DictEntry {
     /// [`CacheEntry::approx_bytes`]).
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        64 + size_of_val(self.insns.as_slice()) + self.regs.len()
+        64 + size_of_val(self.words.as_slice())
     }
 }
 

@@ -253,15 +253,12 @@ impl<V: LaneEntry> Lane<V> {
     ///
     /// # Errors
     ///
-    /// Returns a description when the local disk entry is corrupt or
-    /// the entry does not encode; the requester counts a peer error and
-    /// recomputes locally.
-    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<(Vec<u8>, u64)>, String> {
-        match self.local_lookup(key, false) {
-            Ok(Some((entry, cost_us))) => Ok(Some((disk::to_frame(key, &*entry)?, cost_us))),
-            Ok(None) => Ok(None),
-            Err(e) => Err(e.to_string()),
-        }
+    /// Returns [`CacheError`] when the local disk entry is corrupt or
+    /// unreadable; the requester counts a peer error and recomputes
+    /// locally.
+    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<(Vec<u8>, u64)>, CacheError> {
+        let found = self.local_lookup(key, false)?;
+        Ok(found.map(|(entry, cost_us)| (disk::to_frame(key, &*entry), cost_us)))
     }
 
     /// Inserts an entry computed for `key` with the CPU cost (µs) it

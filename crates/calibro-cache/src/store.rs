@@ -382,13 +382,13 @@ impl ArtifactStore {
     ///
     /// # Errors
     ///
-    /// Returns a description when the local entry is corrupt or does
-    /// not encode.
+    /// Returns [`CacheError`] when the local disk entry is corrupt or
+    /// unreadable.
     pub fn serve_peer(
         &self,
         lane: PeerLane,
         key: CacheKey,
-    ) -> Result<Option<(Vec<u8>, u64)>, String> {
+    ) -> Result<Option<(Vec<u8>, u64)>, CacheError> {
         match lane {
             PeerLane::Method => self.methods.serve_peer(key),
             PeerLane::Group => self.groups.serve_peer(key),
@@ -490,7 +490,9 @@ mod tests {
     impl Sample for DictEntry {
         const PREFIX: &'static str = "dict_";
         fn make(n: u32) -> Self {
-            DictEntry { regs: vec![0, 1, 2, 3 + (n % 29) as u8], ..sample_dict() }
+            let mut body = sample_dict();
+            body.words[0] += n << 10; // the `add`'s immediate, 3 + n
+            body
         }
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.dicts()
@@ -514,10 +516,6 @@ mod tests {
     /// Sum of every counter of every lane.
     fn activity(store: &ArtifactStore) -> u64 {
         store.stats().to_array().iter().sum()
-    }
-
-    fn frame<V: Sample>(key: CacheKey, entry: &V) -> Vec<u8> {
-        to_frame(key, entry).expect("samples encode")
     }
 
     fn fresh_dir(tag: &str) -> PathBuf {
@@ -548,7 +546,7 @@ mod tests {
         assert!(lane.get(key(1)).unwrap().is_none());
         lane.insert(key(1), V::make(1));
         let hit = lane.get(key(1)).unwrap().expect("inserted entry is found");
-        assert_eq!(frame(key(1), &*hit), frame(key(1), &V::make(1)));
+        assert_eq!(to_frame(key(1), &*hit), to_frame(key(1), &V::make(1)));
         assert!(Arc::ptr_eq(&lane.insert(key(1), V::make(2)), &hit), "{ext}: keep-first");
         assert_eq!(stats::<V, 3>(&store, ["hits", "misses", "stores"]), [1, 1, 1]);
         assert_eq!(activity(&store), 3, "{ext}: a sibling lane's counters moved");
@@ -579,7 +577,7 @@ mod tests {
         drop(first);
         let second = disk_store(&dir);
         let back = V::lane(&second).get(key(7)).unwrap().expect("reloaded from disk");
-        assert_eq!(frame(key(7), &*back), frame(key(7), &V::make(7)));
+        assert_eq!(to_frame(key(7), &*back), to_frame(key(7), &V::make(7)));
         assert!(V::lane(&second).get(key(7)).unwrap().is_some(), "{ext}: memory hit");
         let names = ["hits", "disk_hits", "promotions", "stores", "disk_stores"];
         assert_eq!(stats::<V, 5>(&second, names), [2, 1, 1, 0, 0], "{ext}: promotion misread");
@@ -607,7 +605,7 @@ mod tests {
         drop(store);
         let reopened = disk_store(&dir);
         let back = V::lane(&reopened).get(key(7)).unwrap().expect("the overwrite persisted");
-        assert_eq!(frame(key(7), &*back), frame(key(7), &V::make(9)));
+        assert_eq!(to_frame(key(7), &*back), to_frame(key(7), &V::make(9)));
         V::lane(&reopened).replace_with_cost(key(7), V::make(7), 0);
         drop(reopened);
 
@@ -626,7 +624,7 @@ mod tests {
 
         // The interchange frame rejects a wrong key, tampering,
         // truncation and another lane's magic.
-        let good = frame(key(7), &V::make(7));
+        let good = to_frame(key(7), &V::make(7));
         assert!(from_frame::<V>(key(7), &good).is_ok());
         assert!(from_frame::<V>(key(8), &good).is_err(), "{ext}: wrong key accepted");
         let mut tampered = good.clone();
@@ -703,11 +701,11 @@ mod tests {
         let dir = fresh_dir(&format!("peer-{ext}"));
         let store = peered(disk_store(&dir), move |lane, key| {
             assert_eq!(lane, wire, "asked under another lane's wire code");
-            Ok(Some((frame(key, &V::make(3)), 777)))
+            Ok(Some((to_frame(key, &V::make(3)), 777)))
         });
         let lane = V::lane(&store);
         let got = lane.get(key(3)).unwrap().expect("peer tier serves the miss");
-        assert_eq!(frame(key(3), &*got), frame(key(3), &V::make(3)));
+        assert_eq!(to_frame(key(3), &*got), to_frame(key(3), &V::make(3)));
         let names = ["peer_hits", "peer_misses", "hits", "misses", "stores", "disk_stores"];
         assert_eq!(stats::<V, 6>(&store, names), [1, 0, 1, 0, 0, 0]);
         assert!(lane.get(key(3)).unwrap().is_some(), "{ext}: now a plain memory hit");
@@ -720,7 +718,7 @@ mod tests {
         // adopted cost, and never asks this shard's own peers.
         let before = store.stats();
         let (served, cost_us) = lane.serve_peer(key(3)).unwrap().expect("resident entry served");
-        assert_eq!((served.as_slice(), cost_us), (frame(key(3), &V::make(3)).as_slice(), 777));
+        assert_eq!((served.as_slice(), cost_us), (to_frame(key(3), &V::make(3)).as_slice(), 777));
         assert_eq!(store.serve_peer(wire, key(3)).unwrap(), Some((served, 777)));
         assert!(lane.serve_peer(key(99)).unwrap().is_none(), "{ext}: serving ricocheted");
         assert_eq!(before, store.stats(), "{ext}: serving distorted local attribution");
@@ -733,9 +731,9 @@ mod tests {
         // gauntlet (tampered, or framed for another key) all degrade to
         // a counted local miss — never an error, never an entry.
         let hangup = PeerError::Hangup { peer: "test".into(), detail: "scripted".into() };
-        let mut tampered = frame(key(1), &V::make(1));
+        let mut tampered = to_frame(key(1), &V::make(1));
         flip_last_byte(&mut tampered);
-        let misfiled = frame(key(2), &V::make(1));
+        let misfiled = to_frame(key(2), &V::make(1));
         for (fetched, counted) in [
             (Ok(None), "peer_misses"),
             (Err(hangup), "peer_errors"),
@@ -803,7 +801,7 @@ mod tests {
         assert!(crate::disk::has::<V>(&dir, FIXTURE_KEY));
         let rewritten = std::fs::read(&path).unwrap();
         assert_eq!(rewritten[4..8], FORMAT_VERSION.to_le_bytes(), "{ext}: file not replaced");
-        assert_eq!(rewritten, frame(FIXTURE_KEY, &V::make(0)));
+        assert_eq!(rewritten, to_frame(FIXTURE_KEY, &V::make(0)));
         drop(store);
         let fresh = disk_store(&dir);
         assert!(V::lane(&fresh).get(FIXTURE_KEY).unwrap().is_some(), "{ext}: reloads");
@@ -823,31 +821,6 @@ mod tests {
         group_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<GroupPlanEntry>;
         merge_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<MergePlanEntry>;
         dict_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<DictEntry>;
-    }
-
-    #[test]
-    fn an_entry_that_cannot_be_framed_is_served_from_memory_only() {
-        // A branch offset must be a multiple of four: the body is
-        // refused by the disk layer with a typed error, and the lane —
-        // whose disk write is best-effort — keeps it resident.
-        let mut body = sample_dict();
-        body.insns.push(calibro_isa::Insn::B { offset: 2 });
-        let dir = fresh_dir("unencodable");
-        match crate::disk::store(&dir, key(1), &body) {
-            Err(CacheError::Corrupt { detail, .. }) => {
-                assert!(detail.starts_with("unencodable instruction: "), "{detail}");
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let store = disk_store(&dir);
-        let inserted = store.dicts().insert(key(1), body);
-        assert_eq!(stats::<DictEntry, 2>(&store, ["stores", "disk_stores"]), [1, 0]);
-        let hit = store.dicts().get(key(1)).unwrap().expect("served from memory");
-        assert!(Arc::ptr_eq(&hit, &inserted));
-        assert!(store.serve_peer(PeerLane::Dict, key(1)).is_err(), "peers get the refusal");
-        assert_eq!(store.flush_to_disk(), 0);
-        assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! primitives over a growable byte buffer, the [`Wire`] trait that gives
 //! every persisted or transported type exactly one binary form, and the
 //! codecs of every type defined at or below this crate — the program a
-//! compile request carries ([`DexFile`]), instructions, keys, counters.
+//! compile request carries ([`DexFile`]), keys, counters.
 //! Disk and peer frames (`disk.rs`) and the daemon's message table
 //! (`calibro_server::proto`) are rows over this trait.
 //!
@@ -25,7 +25,6 @@ use calibro_dex::{
     BinOp, ClassId, Cmp, DexFile, DexInsn, FieldId, InvokeKind, Method, MethodId, StaticId, VReg,
 };
 use calibro_hgraph::PipelineConfig;
-use calibro_isa::Insn;
 
 use crate::hash::CacheKey;
 use crate::peer::PeerLane;
@@ -70,20 +69,6 @@ pub enum WireError {
     },
     /// A string field was not valid UTF-8.
     BadUtf8,
-    /// An instruction word did not decode.
-    UndecodableWord {
-        /// What was being decoded.
-        what: &'static str,
-        /// The offending machine word.
-        word: u32,
-    },
-    /// An instruction word decoded, but to an instruction the encoder
-    /// refuses or encodes to another word (the decoder is the more
-    /// permissive of the two), so it is not a compiled method's word.
-    UnencodableInsn {
-        /// What was being decoded.
-        what: &'static str,
-    },
     /// The payload had trailing bytes after the last field.
     TrailingBytes {
         /// How many bytes were left over.
@@ -102,12 +87,6 @@ impl core::fmt::Display for WireError {
                 write!(f, "collection length {len} exceeds the decode ceiling for {what}")
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            WireError::UndecodableWord { what, word } => {
-                write!(f, "undecodable word {word:#010x} while decoding {what}")
-            }
-            WireError::UnencodableInsn { what } => {
-                write!(f, "an instruction does not encode back while decoding {what}")
-            }
             WireError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the last field")
             }
@@ -383,7 +362,7 @@ macro_rules! wire_seq {
 }
 pub(crate) use wire_seq;
 
-wire_seq!(u32, u64, usize, (usize, usize), Insn);
+wire_seq!(u32, u64, usize, (usize, usize));
 
 /// A word range, `(start, end)` or `(start, len)`: both halves decode
 /// under the field's name. (Concrete, not a blanket tuple impl — the
@@ -757,22 +736,6 @@ impl Wire for DexFile {
     }
 }
 
-/// A machine instruction travels as its encoded word — the canonical
-/// encoding the linker emits, so a decoded instruction re-encodes
-/// bit-identically. `put` is infallible, so it panics on an instruction
-/// that does not encode: whoever frames instructions vets them first
-/// (as `to_frame` does, refusing with a typed error).
-impl Wire for Insn {
-    fn put(&self, w: &mut Writer) {
-        w.u32(self.encode().expect("instructions are vetted encodable before they are framed"));
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Insn, WireError> {
-        let word = r.u32(what)?;
-        calibro_isa::decode(word).map_err(|_| WireError::UndecodableWord { what, word })
-    }
-}
-
 /// A hot set travels sorted, so equal sets encode to equal bytes.
 impl Wire for HashSet<u32> {
     fn put(&self, w: &mut Writer) {
@@ -969,17 +932,5 @@ mod tests {
         );
         // Only the count was consumed: no element read, nothing reserved.
         assert_eq!(r.rest(), 7u32.to_le_bytes());
-    }
-
-    #[test]
-    fn an_undecodable_instruction_word_is_a_typed_error_naming_the_field() {
-        let nop = Insn::Nop.encode().expect("nop encodes");
-        assert_eq!(decode::<Vec<Insn>>(&encode(&vec![nop])), Ok(vec![Insn::Nop]));
-        assert!(calibro_isa::decode(0).is_err(), "the all-zero word is unallocated");
-        let mut r = Reader::new(&[0; 4]);
-        assert_eq!(
-            Insn::get(&mut r, "insns"),
-            Err(WireError::UndecodableWord { what: "insns", word: 0 })
-        );
     }
 }

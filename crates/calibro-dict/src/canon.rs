@@ -20,13 +20,14 @@
 //! canonical encoding and therefore into the key.
 //!
 //! Separator normalization happens one layer up: dictionary bodies are
-//! *decoded instruction sequences*, so the synthetic separator symbols
-//! of the suffix-tree stream (normalized by
+//! *code words*, so the synthetic separator symbols of the suffix-tree
+//! stream (normalized by
 //! [`sequence_content_key`](calibro_cache::sequence_content_key)) never
 //! reach this module.
 //!
 //! The key is the 128-bit [`StableHasher`] digest of the canonical
-//! sequence's machine encoding under a fixed salt. A pure function of
+//! sequence's machine encoding under a fixed salt, computed from the
+//! body's words with one decode per word. A pure function of
 //! the body's content, it is trivially invariant under build-thread
 //! count and candidate discovery order. The key also *places*: a sealed
 //! epoch lays its island out in key order, so unlike the cache's
@@ -66,19 +67,15 @@ const POOL: [u8; 26] =
     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28];
 
 /// First-appearance register renamer for one body.
+#[derive(Default)]
 struct Mapper {
     /// concrete encoding -> canonical encoding, once assigned.
     map: [Option<u8>; 32],
-    /// Concrete renameable registers in first-use order (the calling
-    /// convention the published body records).
-    order: Vec<u8>,
+    /// Renameable registers assigned so far.
+    assigned: usize,
 }
 
 impl Mapper {
-    fn new() -> Mapper {
-        Mapper { map: [None; 32], order: Vec::new() }
-    }
-
     fn map(&mut self, r: Reg) -> Reg {
         let idx = r.index() as usize;
         if FIXED[idx] {
@@ -87,9 +84,9 @@ impl Mapper {
         if let Some(canonical) = self.map[idx] {
             return Reg::new(canonical);
         }
-        let canonical = POOL[self.order.len()];
+        let canonical = POOL[self.assigned];
         self.map[idx] = Some(canonical);
-        self.order.push(r.index());
+        self.assigned += 1;
         Reg::new(canonical)
     }
 }
@@ -175,47 +172,48 @@ fn remap(insn: Insn, m: &mut Mapper) -> Insn {
     }
 }
 
-/// Rewrites `insns` into canonical register space, returning the
-/// canonical sequence and the concrete renameable registers in
-/// first-use order (the body's calling-convention record: canonical
-/// register `POOL[i]` stands for concrete register `regs[i]`).
+/// Rewrites `insns` into canonical register space: the n-th distinct
+/// renameable register the body mentions becomes `POOL[n]`.
 #[must_use]
-pub fn canonicalize(insns: &[Insn]) -> (Vec<Insn>, Vec<u8>) {
-    let mut mapper = Mapper::new();
-    let canonical = insns.iter().map(|&i| remap(i, &mut mapper)).collect();
-    (canonical, mapper.order)
+pub fn canonicalize(insns: &[Insn]) -> Vec<Insn> {
+    let mut mapper = Mapper::default();
+    insns.iter().map(|&i| remap(i, &mut mapper)).collect()
 }
 
-/// The 128-bit dictionary key of `insns`: the [`StableHasher`] digest
-/// of the canonical sequence's machine encoding. Register-renamed but
-/// structurally identical bodies share a key; any semantic difference
-/// changes the encoding and so the key. Also returns the
-/// concrete-register record of [`canonicalize`].
+/// The 128-bit dictionary key of the body `words`: the [`StableHasher`]
+/// digest of its [`canonicalize`]d sequence's machine encoding.
+/// Register-renamed but structurally identical bodies share a key; any
+/// semantic difference changes the encoding and so the key.
+///
+/// The machine encoding is an isomorphic image of the subset the
+/// pipeline emits, so hashing words cannot merge semantic differences.
+/// Every body the pipeline routes is instruction words; a word that does
+/// not decode, or whose instruction does not encode, stands for itself
+/// (it cannot equal a canonical word, which always decodes and encodes).
 #[must_use]
-pub fn canonical_key(insns: &[Insn]) -> (CacheKey, Vec<u8>) {
-    let (canonical, regs) = canonicalize(insns);
-    let mut h = StableHasher::with_capacity(canonical.len() * 8 + 64);
+pub fn canonical_key(words: &[u32]) -> CacheKey {
+    let mut mapper = Mapper::default();
+    let mut h = StableHasher::with_capacity(words.len() * 8 + 64);
     h.write_tag(DICT_KEY_TAG);
     h.write_str(DICT_KEY_SALT);
-    h.write_usize(canonical.len());
-    for insn in &canonical {
-        // The machine encoding is an isomorphic image of the subset the
-        // pipeline emits: distinct instructions have distinct words, so
-        // hashing words cannot merge semantic differences. The debug
-        // fallback covers values outside encodable range (offsets wider
-        // than the form's field), which real bodies never contain.
-        match insn.encode() {
-            Ok(word) => h.write_u32(word),
-            Err(_) => h.write_str(&format!("{insn:?}")),
-        }
+    h.write_usize(words.len());
+    for &word in words {
+        let insn = calibro_isa::decode(word).ok();
+        let canonical = insn.and_then(|insn| remap(insn, &mut mapper).encode().ok());
+        h.write_u32(canonical.unwrap_or(word));
     }
-    (h.finish(), regs)
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use calibro_isa::Cond;
+
+    /// [`canonical_key`] of a body given as instructions.
+    fn key(insns: &[Insn]) -> CacheKey {
+        canonical_key(&calibro_isa::encode_words(insns).expect("test bodies encode"))
+    }
 
     fn add(rd: u8, rn: u8, rm: u8) -> Insn {
         Insn::AddReg {
@@ -229,14 +227,52 @@ mod tests {
     }
 
     #[test]
-    fn renamed_bodies_share_a_key_and_record_their_registers() {
+    fn renamed_bodies_share_a_key() {
         let a = [add(2, 2, 5), Insn::Movz { wide: false, rd: Reg::new(5), imm16: 7, hw: 0 }];
         let b = [add(1, 1, 3), Insn::Movz { wide: false, rd: Reg::new(3), imm16: 7, hw: 0 }];
-        let (ka, regs_a) = canonical_key(&a);
-        let (kb, regs_b) = canonical_key(&b);
-        assert_eq!(ka, kb);
-        assert_eq!(regs_a, vec![2, 5]);
-        assert_eq!(regs_b, vec![1, 3]);
+        assert_eq!(key(&a), key(&b));
+        assert_eq!(canonicalize(&a), canonicalize(&b));
+    }
+
+    /// Keys hashed from a body's words equal those recorded when the
+    /// key was computed from its instructions: a key places its body in
+    /// every sealed island, so it must never move.
+    #[test]
+    fn keys_equal_the_recorded_keys() {
+        let x = Reg::new;
+        let golden = [
+            (
+                vec![
+                    Insn::Movz { wide: false, rd: x(2), imm16: 7, hw: 0 },
+                    Insn::AddReg {
+                        wide: true,
+                        set_flags: false,
+                        rd: x(2),
+                        rn: x(2),
+                        rm: x(2),
+                        shift: 0,
+                    },
+                ],
+                "9ca16928746f5745614d9d9f997b21ac",
+            ),
+            (
+                vec![
+                    Insn::LdrImm { wide: true, rt: Reg::X0, rn: Reg::X19, offset: 8 },
+                    Insn::LdrImm { wide: true, rt: Reg::X1, rn: Reg::X0, offset: 16 },
+                ],
+                "1f48553e3c0fb097b2c51feb3e338cc1",
+            ),
+            (
+                vec![
+                    Insn::Movz { wide: true, rd: Reg::X0, imm16: 1, hw: 0 },
+                    Insn::BCond { cond: Cond::Eq, offset: 8 },
+                ],
+                "2881c8957ee6032cb6178fbe590ec373",
+            ),
+        ];
+        for (body, hex) in golden {
+            assert_eq!(key(&body).to_hex(), hex, "{body:?}");
+        }
     }
 
     #[test]
@@ -245,12 +281,9 @@ mod tests {
         // but the pinned register is semantic — keys must differ.
         let thread = [Insn::LdrImm { wide: true, rt: Reg::X0, rn: Reg::X19, offset: 8 }];
         let plain = [Insn::LdrImm { wide: true, rt: Reg::X1, rn: Reg::X0, offset: 8 }];
-        assert_ne!(canonical_key(&thread).0, canonical_key(&plain).0);
-        // And a fixed register leaves no calling-convention record.
-        let (canonical, regs) = canonicalize(&thread);
-        assert_eq!(regs, vec![0]);
+        assert_ne!(key(&thread), key(&plain));
         assert_eq!(
-            canonical[0],
+            canonicalize(&thread)[0],
             Insn::LdrImm { wide: true, rt: Reg::new(0), rn: Reg::X19, offset: 8 }
         );
     }
@@ -290,16 +323,16 @@ mod tests {
             rm: Reg::new(5),
             shift: 0,
         }];
-        let key = canonical_key(&base).0;
+        let base = key(&base);
         for other in [&diff_op[..], &diff_width, &diff_shift, &diff_flags] {
-            assert_ne!(key, canonical_key(other).0);
+            assert_ne!(base, key(other));
         }
         // Branch shape: cond and offset are both semantic.
         let beq = [Insn::BCond { cond: Cond::Eq, offset: 8 }];
         let bne = [Insn::BCond { cond: Cond::Ne, offset: 8 }];
         let beq_far = [Insn::BCond { cond: Cond::Eq, offset: 16 }];
-        assert_ne!(canonical_key(&beq).0, canonical_key(&bne).0);
-        assert_ne!(canonical_key(&beq).0, canonical_key(&beq_far).0);
+        assert_ne!(key(&beq), key(&bne));
+        assert_ne!(key(&beq), key(&beq_far));
     }
 
     #[test]
@@ -307,6 +340,6 @@ mod tests {
         // `add x2, x2, x5` (accumulate) vs `add x2, x5, x5` (double):
         // both touch two registers, but the first-use pattern differs,
         // so renaming cannot merge them.
-        assert_ne!(canonical_key(&[add(2, 2, 5)]).0, canonical_key(&[add(2, 5, 5)]).0);
+        assert_ne!(key(&[add(2, 2, 5)]), key(&[add(2, 5, 5)]));
     }
 }

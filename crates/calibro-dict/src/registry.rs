@@ -15,10 +15,10 @@
 //! sealed generations pin the epoch they linked against
 //! ([`DictRegistry::pin_epoch`]); an epoch's island can only be retired
 //! ([`DictRegistry::retire_unpinned`]) once no generation pins it, so
-//! no sealed generation ever dangles — that is the epoch fence. The
-//! registry holds its own references to every body in a live layout,
-//! so cache-lane eviction (a memory-budget concern) can never tear a
-//! word out of an island.
+//! no sealed generation ever dangles — that is the epoch fence. A layout
+//! owns a copy of its island words, and the registry holds its own
+//! reference to every published body, so cache-lane eviction (a
+//! memory-budget concern) can never tear a word out of an island.
 //!
 //! ## Arbitration
 //!
@@ -27,7 +27,11 @@
 //! island only when the pinned layout holds a body *byte-identical* to
 //! the candidate's: canonical-key equality alone is not enough, because
 //! the island stores one concrete register assignment and a tenant
-//! whose registers differ cannot branch into it. The three outcomes
+//! whose registers differ cannot branch into it. A body the dictionary
+//! lane returns (from memory, disk or a peer) is adopted only when it
+//! is its key's preimage; any other is overwritten with the candidate's
+//! own, so a confused or differently-canonicalizing source cannot bind
+//! a key to a foreign body. The three outcomes
 //! feed [`DictStats`]: `hits` (island used, body cost zero), `publishes`
 //! (body staged for future epochs, private outline this build),
 //! `private_preferred` (canonical twin exists but concrete registers
@@ -40,9 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use calibro_cache::{ArtifactStore, CacheKey, DictEntry};
-use calibro_isa::{Insn, Reg};
 
 use crate::canon::canonical_key;
+
+/// `ret` (through `x30`), the word every island body is followed by.
+const RET: u32 = 0xd65f_03c0;
 
 /// Minimum body length (words) eligible for the shared island; shorter
 /// bodies stay private — the cross-tenant call overhead cannot pay for
@@ -74,38 +80,32 @@ impl DictStats {
 }
 
 /// One sealed epoch's immutable island layout: every published body at
-/// seal time, in canonical-key order, with the `br x30` return
-/// appended to each body at emission.
+/// seal time, in canonical-key order, each followed by a `ret`.
 #[derive(Debug)]
 pub struct EpochLayout {
     epoch: u64,
-    /// Key-sorted bodies with their island word offsets.
-    entries: Vec<(CacheKey, u32, Arc<DictEntry>)>,
-    offsets: HashMap<CacheKey, usize>,
-    /// The encoded island image.
+    /// Each key's body as its island word offset and length.
+    bodies: HashMap<CacheKey, (u32, u32)>,
+    /// The island image.
     words: Vec<u32>,
 }
 
 impl EpochLayout {
     fn empty() -> EpochLayout {
-        EpochLayout { epoch: 0, entries: Vec::new(), offsets: HashMap::new(), words: Vec::new() }
+        EpochLayout { epoch: 0, bodies: HashMap::new(), words: Vec::new() }
     }
 
     fn build(epoch: u64, mut bodies: Vec<(CacheKey, Arc<DictEntry>)>) -> EpochLayout {
         bodies.sort_by_key(|&(key, _)| key);
-        let mut entries = Vec::with_capacity(bodies.len());
-        let mut offsets = HashMap::with_capacity(bodies.len());
-        let mut words = Vec::new();
+        let mut layout =
+            EpochLayout { epoch, bodies: HashMap::with_capacity(bodies.len()), words: Vec::new() };
         for (key, body) in bodies {
-            let at = u32::try_from(words.len()).expect("island exceeds u32 words");
-            for insn in &body.insns {
-                words.push(insn.encode().expect("published body must encode"));
-            }
-            words.push(Insn::Ret { rn: Reg::LR }.encode().expect("ret encodes"));
-            offsets.insert(key, entries.len());
-            entries.push((key, at, body));
+            let at = u32::try_from(layout.words.len()).expect("island exceeds u32 words");
+            layout.bodies.insert(key, (at, body.words.len() as u32));
+            layout.words.extend_from_slice(&body.words);
+            layout.words.push(RET);
         }
-        EpochLayout { epoch, entries, offsets, words }
+        layout
     }
 
     /// The epoch this layout belongs to.
@@ -117,24 +117,24 @@ impl EpochLayout {
     /// Number of bodies in the island.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.bodies.len()
     }
 
     /// `true` when the island holds no bodies.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.bodies.is_empty()
     }
 
-    /// The island word offset and body published under `key`, if any.
+    /// The island word offset and words of the body published under
+    /// `key`, if any.
     #[must_use]
-    pub fn lookup(&self, key: CacheKey) -> Option<(u32, &Arc<DictEntry>)> {
-        let &slot = self.offsets.get(&key)?;
-        let (_, at, ref body) = self.entries[slot];
-        Some((at, body))
+    pub fn lookup(&self, key: CacheKey) -> Option<(u32, &[u32])> {
+        let &(at, len) = self.bodies.get(&key)?;
+        Some((at, &self.words[at as usize..][..len as usize]))
     }
 
-    /// The encoded island image (each body followed by `ret`).
+    /// The island image (each body followed by `ret`).
     #[must_use]
     pub fn words(&self) -> &[u32] {
         &self.words
@@ -373,20 +373,21 @@ impl DictSession {
         self.stats
     }
 
-    /// Arbitrates one outlined candidate body (without its trailing
-    /// return). Returns the island word offset to `bl` to when the
-    /// pinned island holds a byte-identical body; `None` routes the
-    /// candidate to a private outline. Misses publish through `store`'s
-    /// dictionary lane (consulting disk and the fleet first, so a body
-    /// a sibling shard published is adopted instead of re-published) —
-    /// the publish lands in future epochs, never this build's island.
-    pub fn route(&mut self, body: &[Insn], store: &ArtifactStore) -> Option<u32> {
+    /// Arbitrates one outlined candidate body, its code words (without
+    /// the trailing return). Returns the island word offset to `bl` to
+    /// when the pinned island holds a byte-identical body; `None` routes
+    /// the candidate to a private outline. Misses publish through
+    /// `store`'s dictionary lane (consulting disk and the fleet first, so
+    /// a body a sibling shard published is adopted instead of
+    /// re-published, when it is the key's preimage) — the publish lands
+    /// in future epochs, never this build's island.
+    pub fn route(&mut self, body: &[u32], store: &ArtifactStore) -> Option<u32> {
         if body.len() < MIN_ISLAND_WORDS {
             return None;
         }
-        let (key, regs) = canonical_key(body);
-        if let Some((at, entry)) = self.layout.lookup(key) {
-            if entry.insns == body {
+        let key = canonical_key(body);
+        if let Some((at, island)) = self.layout.lookup(key) {
+            if island == body {
                 self.stats.hits += 1;
                 self.registry.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(at);
@@ -396,14 +397,16 @@ impl DictSession {
             return None;
         }
         // Not in our island: adopt the fleet's body for this key when
-        // one exists (disk or peer), otherwise publish ours. Either
-        // way the key is only *staged* — this build outlines privately
-        // and byte-identical reruns stay byte-identical until a seal.
+        // one exists (disk or peer) and the key is its own, otherwise
+        // publish ours — over a foreign body, as the outline pass
+        // replaces a foreign group plan. Either way the key is only
+        // *staged* — this build outlines privately and byte-identical
+        // reruns stay byte-identical until a seal.
+        let ours = || DictEntry { words: body.to_vec() };
         let adopted = match store.dicts().get(key) {
-            Ok(Some(existing)) => existing,
-            Ok(None) | Err(_) => {
-                store.dicts().insert(key, DictEntry { insns: body.to_vec(), regs })
-            }
+            Ok(Some(existing)) if canonical_key(&existing.words) == key => existing,
+            Ok(Some(_)) => store.dicts().replace_with_cost(key, ours(), 0),
+            Ok(None) | Err(_) => store.dicts().insert(key, ours()),
         };
         if self.registry.publish(key, adopted) {
             self.stats.publishes += 1;
@@ -416,19 +419,15 @@ impl DictSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calibro_isa::{encode_words, Insn, Reg};
 
-    fn body(imm: u16, rd: u8) -> Vec<Insn> {
-        vec![
-            Insn::Movz { wide: false, rd: Reg::new(rd), imm16: imm, hw: 0 },
-            Insn::AddReg {
-                wide: true,
-                set_flags: false,
-                rd: Reg::new(rd),
-                rn: Reg::new(rd),
-                rm: Reg::new(rd),
-                shift: 0,
-            },
-        ]
+    fn body(imm: u16, rd: u8) -> Vec<u32> {
+        let rd = Reg::new(rd);
+        encode_words(&[
+            Insn::Movz { wide: false, rd, imm16: imm, hw: 0 },
+            Insn::AddReg { wide: true, set_flags: false, rd, rn: rd, rm: rd, shift: 0 },
+        ])
+        .expect("test bodies encode")
     }
 
     fn registry() -> Arc<DictRegistry> {
@@ -459,8 +458,8 @@ mod tests {
         let layout = second.layout();
         let words = layout.words();
         assert_eq!(words.len(), 3);
-        assert_eq!(words[at as usize], body(7, 2)[0].encode().unwrap());
-        assert_eq!(words[2], Insn::Ret { rn: Reg::LR }.encode().unwrap());
+        assert_eq!(words[at as usize..], [&body(7, 2)[..], &[RET]].concat());
+        assert_eq!(Insn::Ret { rn: Reg::LR }.encode(), Ok(RET));
         // The dictionary lane saw the publish.
         assert_eq!(store.stats().dict_stores, 1);
     }
@@ -482,7 +481,7 @@ mod tests {
     #[test]
     fn island_layout_is_publish_order_invariant() {
         let store = ArtifactStore::default();
-        let bodies: Vec<Vec<Insn>> = (0..6).map(|i| body(100 + i, 3)).collect();
+        let bodies: Vec<Vec<u32>> = (0..6).map(|i| body(100 + i, 3)).collect();
         let forward = registry();
         let mut s = forward.session();
         for b in &bodies {
@@ -549,26 +548,52 @@ mod tests {
         let reg = registry();
         let store = ArtifactStore::default();
         let fleet_body = body(7, 2);
-        let (key, regs) = canonical_key(&fleet_body);
-        store.dicts().insert(key, DictEntry { insns: fleet_body.clone(), regs });
+        let key = canonical_key(&fleet_body);
+        store.dicts().insert(key, DictEntry { words: fleet_body.clone() });
         let mut s = reg.session();
         assert_eq!(s.route(&body(7, 4), &store), None);
         assert_eq!(s.stats().publishes, 1, "adoption counts as this build's publish");
         reg.seal_epoch();
         // The island carries the fleet's body, not ours.
         let layout = reg.layout(1).unwrap();
-        let (_, entry) = layout.lookup(key).unwrap();
-        assert_eq!(entry.insns, fleet_body);
+        assert_eq!(layout.lookup(key), Some((0, &fleet_body[..])));
         assert_eq!(store.stats().dict_stores, 1, "no second store for an adopted body");
+    }
+
+    #[test]
+    fn a_body_that_is_not_its_keys_preimage_is_replaced_not_adopted() {
+        // The lane returns a foreign body under our key — from memory
+        // here, as it could from a `.cald` file or a peer on other
+        // canonicalization rules. Adopting it would bind the key to a
+        // body our own copies can never match.
+        let reg = registry();
+        let store = ArtifactStore::default();
+        let ours = body(7, 2);
+        let key = canonical_key(&ours);
+        assert_ne!(canonical_key(&body(9, 3)), key);
+        store.dicts().insert(key, DictEntry { words: body(9, 3) });
+        let mut s = reg.session();
+        assert_eq!(s.route(&ours, &store), None);
+        assert_eq!(s.stats().publishes, 1);
+        let lane = store.stats();
+        assert_eq!((lane.dict_hits, lane.dict_misses, lane.dict_stores), (1, 1, 2), "{lane:?}");
+        let resident = store.dicts().get(key).unwrap().expect("ours replaced the foreign body");
+        assert_eq!(resident.words, ours);
+        reg.seal_epoch();
+        let layout = reg.layout(1).unwrap();
+        assert_eq!(layout.lookup(key), Some((0, &ours[..])));
+        // Later builds share the key instead of preferring private.
+        let mut t = reg.session();
+        assert_eq!(t.route(&ours, &store), Some(0));
+        assert_eq!(t.stats(), DictStats { hits: 1, publishes: 0, private_preferred: 0 });
     }
 
     #[test]
     fn a_holder_that_panics_leaves_the_registry_working() {
         let reg = registry();
         let entry = |imm| {
-            let insns = body(imm, 2);
-            let (key, regs) = canonical_key(&insns);
-            (key, Arc::new(DictEntry { insns, regs }))
+            let words = body(imm, 2);
+            (canonical_key(&words), Arc::new(DictEntry { words }))
         };
         let (first, first_body) = entry(1);
         assert!(reg.publish(first, first_body));

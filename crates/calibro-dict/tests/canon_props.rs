@@ -11,9 +11,15 @@
 //! The generator is a deterministic SplitMix64 stream, so a failure
 //! reproduces from its seed.
 
+use calibro_cache::CacheKey;
 use calibro_dict::{canonical_key, canonicalize};
-use calibro_isa::{Cond, Insn, Reg};
+use calibro_isa::{encode_words, Cond, Insn, Reg};
 use std::collections::HashMap;
+
+/// [`canonical_key`] of a body given as instructions.
+fn key(body: &[Insn]) -> CacheKey {
+    canonical_key(&encode_words(body).expect("generated bodies encode"))
+}
 
 struct SplitMix64(u64);
 
@@ -164,14 +170,13 @@ fn register_renames_preserve_the_key() {
     for round in 0..300 {
         let body = random_body(&mut rng);
         let renamed = rename(&body, &random_perm(&mut rng));
-        let (k_orig, _) = canonical_key(&body);
-        let (k_renamed, _) = canonical_key(&renamed);
+        let (k_orig, k_renamed) = (key(&body), key(&renamed));
         assert_eq!(
             k_orig, k_renamed,
             "round {round}: rename changed the key\n  body: {body:?}\n  renamed: {renamed:?}"
         );
         // And the canonical forms are literally identical sequences.
-        assert_eq!(canonicalize(&body).0, canonicalize(&renamed).0);
+        assert_eq!(canonicalize(&body), canonicalize(&renamed));
     }
 }
 
@@ -181,16 +186,16 @@ fn semantic_mutations_never_collide_in_the_corpus() {
     let mut seen: HashMap<_, Vec<Insn>> = HashMap::new();
     for round in 0..400 {
         let body = random_body(&mut rng);
-        let (key, _) = canonical_key(&body);
-        let canonical = canonicalize(&body).0;
-        if let Some(prior) = seen.get(&key) {
+        let body_key = key(&body);
+        let canonical = canonicalize(&body);
+        if let Some(prior) = seen.get(&body_key) {
             assert_eq!(
                 *prior, canonical,
                 "round {round}: two canonically distinct bodies share a key"
             );
             continue;
         }
-        seen.insert(key, canonical);
+        seen.insert(body_key, canonical);
 
         // Mutate one semantic field; the mutant must miss every key in
         // the corpus (including its parent's).
@@ -219,28 +224,31 @@ fn semantic_mutations_never_collide_in_the_corpus() {
             Insn::StrImm { wide, rt, rn, offset } => Insn::LdrImm { wide, rt, rn, offset },
             other => other,
         };
-        let (mutant_key, _) = canonical_key(&mutant);
-        assert_ne!(key, mutant_key, "round {round}: semantic mutation kept the key: {mutant:?}");
+        let mutant_key = key(&mutant);
+        assert_ne!(
+            body_key, mutant_key,
+            "round {round}: semantic mutation kept the key: {mutant:?}"
+        );
         if let Some(prior) = seen.get(&mutant_key) {
-            assert_eq!(*prior, canonicalize(&mutant).0, "round {round}: mutant collided");
+            assert_eq!(*prior, canonicalize(&mutant), "round {round}: mutant collided");
         }
     }
     // Branch-shape differences, explicitly: condition and offset.
     let b = |cond, offset| {
         vec![Insn::Movz { wide: true, rd: Reg::X0, imm16: 1, hw: 0 }, Insn::BCond { cond, offset }]
     };
-    let eq8 = canonical_key(&b(Cond::Eq, 8)).0;
-    assert_ne!(eq8, canonical_key(&b(Cond::Ne, 8)).0);
-    assert_ne!(eq8, canonical_key(&b(Cond::Eq, 16)).0);
+    let eq8 = key(&b(Cond::Eq, 8));
+    assert_ne!(eq8, key(&b(Cond::Ne, 8)));
+    assert_ne!(eq8, key(&b(Cond::Eq, 16)));
 }
 
 #[test]
 fn keys_are_order_and_thread_invariant() {
     let mut rng = SplitMix64(0x7ead);
     let corpus: Vec<Vec<Insn>> = (0..64).map(|_| random_body(&mut rng)).collect();
-    let forward: Vec<_> = corpus.iter().map(|b| canonical_key(b).0).collect();
+    let forward: Vec<_> = corpus.iter().map(|b| key(b)).collect();
     // Hashing the corpus in reverse order changes nothing per body.
-    let backward: Vec<_> = corpus.iter().rev().map(|b| canonical_key(b).0).collect();
+    let backward: Vec<_> = corpus.iter().rev().map(|b| key(b)).collect();
     for (i, key) in forward.iter().enumerate() {
         assert_eq!(*key, backward[corpus.len() - 1 - i]);
     }
@@ -252,7 +260,7 @@ fn keys_are_order_and_thread_invariant() {
             let forward = &forward;
             scope.spawn(move || {
                 for (i, body) in corpus.iter().enumerate().skip(t % 3) {
-                    assert_eq!(canonical_key(body).0, forward[i], "thread {t} diverged at {i}");
+                    assert_eq!(key(body), forward[i], "thread {t} diverged at {i}");
                 }
             });
         }

@@ -1158,9 +1158,7 @@ mod tests {
         match error {
             WireError::Truncated { what }
             | WireError::InvalidTag { what, .. }
-            | WireError::OversizedCollection { what, .. }
-            | WireError::UndecodableWord { what, .. }
-            | WireError::UnencodableInsn { what } => Some(what),
+            | WireError::OversizedCollection { what, .. } => Some(what),
             WireError::BadUtf8 | WireError::TrailingBytes { .. } => None,
         }
     }

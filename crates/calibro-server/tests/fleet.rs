@@ -118,7 +118,7 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                 write_frame(&mut stream, RESP_ERROR, &reply.encode()).expect("write");
             }
             Fault::TamperedDict => {
-                let mut framed = to_frame(request.key, &dict_body().1).expect("body encodes");
+                let mut framed = to_frame(request.key, &dict_body().1);
                 *framed.last_mut().expect("non-empty frame") ^= 0xFF;
                 let reply = calibro_server::proto::PeerArtifact {
                     request_id: request.request_id,
@@ -356,7 +356,7 @@ fn tampered_dictionary_frame_degrades_to_a_local_publish() {
     let (store, handle) = store_with_fake_peer(Fault::TamperedDict);
     let registry = Arc::new(DictRegistry::default());
     let mut session = registry.session();
-    assert_eq!(session.route(&dict_body().1.insns, &store), None, "staged, outlined privately");
+    assert_eq!(session.route(&dict_body().1.words, &store), None, "staged, outlined privately");
     assert_eq!(session.stats().publishes, 1, "the local body is published instead");
     let s = store.stats();
     assert_eq!((s.dict_peer_errors, s.dict_peer_hits, s.dict_misses), (1, 0, 1), "{s:?}");

@@ -28,7 +28,7 @@ use calibro_cache::{
 };
 use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
 use calibro_dict::DictSession;
-use calibro_isa::{decode, decode_all, Insn, Reg};
+use calibro_isa::{decode, Insn, Reg};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, GroupPlan, OutlineCandidate, TaggedSequence,
     UNIQUE_SEPARATOR_BASE,
@@ -554,24 +554,19 @@ pub(crate) fn outline_methods(
             for (words, positions) in entry.candidates() {
                 // A candidate's words are those of the instructions it
                 // repeats (a loaded plan's were checked at the cache's
-                // trust boundary). Room for the `br x30` a private copy
-                // ends in.
-                let mut body: Vec<u32> = Vec::with_capacity(words.len() + 1);
-                body.extend_from_slice(words);
-                // Dictionary arbitration: a byte-identical island body
-                // serves every occurrence at call overhead only.
+                // trust boundary). Dictionary arbitration: a
+                // byte-identical island body serves every occurrence at
+                // call overhead only.
                 let call = match (dict.as_deref_mut(), store) {
-                    (Some(session), Some(store)) => {
-                        let insns = decode_all(&body).expect("candidate symbols decode");
-                        session.route(&insns, store).map(EditCall::Dict)
-                    }
+                    (Some(session), Some(store)) => session.route(words, store).map(EditCall::Dict),
                     _ => None,
                 };
                 let call = match call {
                     Some(call) => call,
                     None => {
+                        // A private copy ends in `br x30`.
                         let id = outlined.len() as u32;
-                        body.push(ret_word);
+                        let body = [words, &[ret_word]].concat();
                         stats.words_saved -= body.len() as i64;
                         outlined.push(body);
                         stats.outlined_functions += 1;

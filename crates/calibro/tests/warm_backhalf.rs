@@ -87,7 +87,7 @@ fn every_method_codegen_emits_passes_the_trust_boundary() {
         let frontend = session.frontend(&app.dex, &options).expect("frontend");
         let codegen = session.codegen(&app.dex, &options, frontend).expect("codegen");
         for o in &codegen.outcomes {
-            let frame = to_frame(key, &*o.entry).expect("an entry frames");
+            let frame = to_frame(key, &*o.entry);
             if let Err(refusal) = from_frame::<CacheEntry>(key, &frame) {
                 panic!("{}: {:?}: {refusal}", app.name, o.compiled.method);
             }
@@ -155,7 +155,7 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
         .find(|(_, plan)| plan.code_len != victim.code_len && !plan.lens.is_empty())
         .expect("a plan over code of another length");
     let path = dir.join(format!("{}.calg", victim_key.to_hex()));
-    std::fs::write(&path, to_frame(*victim_key, foreign).expect("frame")).expect("plant");
+    std::fs::write(&path, to_frame(*victim_key, foreign)).expect("plant");
 
     // A new session over that directory: every method and every other
     // group replays from disk; the planted plan is refused, its group
