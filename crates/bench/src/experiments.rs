@@ -175,11 +175,12 @@ fn method_symbols<'a>(
 ) -> impl Iterator<Item = u64> + 'a {
     let start = (record.offset / 4) as usize;
     (0..record.code_words).map(move |w| {
-        if record.metadata.in_embedded_data(w) || record.metadata.terminators.contains(&w) {
+        if record.metadata.in_embedded_data(w as usize) || record.metadata.terminators.contains(&w)
+        {
             *unique += 1;
             *unique
         } else {
-            u64::from(oat.words[start + w])
+            u64::from(oat.words[start + w as usize])
         }
     })
 }
@@ -322,7 +323,7 @@ pub fn table4(apps: &[App]) -> Vec<Table4Col> {
                 let out = build_variant(app, v);
                 // Size measured on the serialized ELF text, like `pm
                 // compile` + section inspection in the paper.
-                bytes[i] = calibro_oat::text_size_on_disk(&out.oat);
+                bytes[i] = out.oat.text_size_bytes();
             }
             Table4Col { app: app.name.clone(), bytes }
         })
@@ -657,7 +658,7 @@ pub fn warm_rebuild(apps: &[App]) -> Vec<WarmRebuildRow> {
                             warm,
                             hit_rate: warm_out.stats.cache.hit_rate(),
                             group_hit_rate: warm_out.stats.cache.group_hit_rate(),
-                            text_bytes: calibro_oat::text_size_on_disk(&warm_out.oat),
+                            text_bytes: warm_out.oat.text_size_bytes(),
                             digests_match,
                             warm_stats: warm_out.stats,
                         });
@@ -766,7 +767,7 @@ pub fn frontier(apps: &[App]) -> Vec<FrontierRow> {
                     run_trace(&mut rt, app, 1);
                     FrontierArm {
                         arm,
-                        text_bytes: calibro_oat::text_size_on_disk(&out.oat),
+                        text_bytes: out.oat.text_size_bytes(),
                         merged_methods: out.stats.merge.merged_methods,
                         merge_groups: out.stats.merge.merge_groups,
                         outline_preferred: out.stats.merge.outline_preferred,

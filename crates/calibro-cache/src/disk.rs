@@ -8,8 +8,10 @@
 //! row at the bottom of this file. The payload codec is not written
 //! here at all: every persisted type is a row of the [`Wire`] table
 //! (`wire_fields!` over its fields, in payload order), so its binary
-//! form, bounds rule and error labels are the ones [`crate::wire`]
-//! decides for every other byte that crosses a trust boundary.
+//! form, bounds rule and error labels are the ones [`calibro_dex::wire`]
+//! decides for every other byte that crosses a trust boundary. A
+//! compiled method's rows sit beside its type in `calibro-codegen`, and
+//! the OAT's `.oatdata` is made of the same ones.
 //!
 //! Code is stored as machine words and nothing else: a method's words,
 //! a plan's candidate words and a dictionary body are copied into an
@@ -23,12 +25,9 @@
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use calibro_codegen::{
-    CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
-};
-use calibro_hgraph::PassStats;
+use calibro_codegen::{CompiledMethod, PcRel};
+use calibro_dex::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 
 use crate::entry::{
     CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate,
@@ -36,7 +35,6 @@ use crate::entry::{
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::peer::PeerLane;
-use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 
 /// Bumped whenever the on-disk layout changes. A well-formed frame of
 /// another version is not an error: a disk read treats it as absent (an
@@ -56,8 +54,9 @@ use crate::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 /// offsets into the group's code words, and its length is the group's
 /// word count (were symbol-text positions and the text length).
 /// Version 7: a dictionary body is its words alone (its register record
-/// is gone).
-pub const FORMAT_VERSION: u32 = 7;
+/// is gone). Version 8: a method's metadata tables are `u32` word
+/// indices (were `u64`) — the form the OAT's `.oatdata` writes.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
@@ -275,28 +274,28 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
             return Err(format!("relocation at word {} beyond code length {code_len}", r.at));
         }
     }
-    for rec in &m.metadata.pc_rel {
-        if rec.at >= code_len || rec.target >= size_words {
-            return Err(format!("pc-rel record {}→{} out of bounds", rec.at, rec.target));
+    for &PcRel { at, target } in &m.metadata.pc_rel {
+        if at as usize >= code_len || target as usize >= size_words {
+            return Err(format!("pc-rel record {at}→{target} out of bounds"));
         }
-        let PcRel { at, target } = *rec;
-        let encoded = calibro_isa::decode(m.words[at]).ok().and_then(|site| site.pc_rel_offset());
-        if encoded != Some((target as i64 - at as i64) * 4) {
+        let site = calibro_isa::decode(m.words[at as usize]).ok();
+        let encoded = site.and_then(|site| site.pc_rel_offset());
+        if encoded != Some((i64::from(target) - i64::from(at)) * 4) {
             return Err(format!("pc-rel site {at} does not encode its record {at}→{target}"));
         }
     }
     for &t in &m.metadata.terminators {
-        if t >= code_len {
+        if t as usize >= code_len {
             return Err(format!("terminator at word {t} beyond code length {code_len}"));
         }
     }
     for &(s, e) in &m.metadata.slow_paths {
-        if s > e || e > code_len {
+        if s > e || e as usize > code_len {
             return Err(format!("slow path {s}..{e} out of bounds"));
         }
     }
     for &(s, l) in &m.metadata.embedded_data {
-        if s.checked_add(l).is_none_or(|end| end > size_words) {
+        if u64::from(s) + u64::from(l) > size_words as u64 {
             return Err(format!("embedded data {s}+{l} beyond {size_words} words"));
         }
     }
@@ -316,8 +315,8 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
             return Err(format!("template flag {:#04x} of word {word} is undefined", flags[word]));
         }
         let sites = m.relocs.iter().map(|r| r.at);
-        let sites = sites.chain(m.metadata.pc_rel.iter().map(|rec| rec.at));
-        for word in sites.chain(m.metadata.terminators.iter().copied()) {
+        let sites = sites.chain(m.metadata.pc_rel.iter().map(|rec| rec.at as usize));
+        for word in sites.chain(m.metadata.terminators.iter().map(|&t| t as usize)) {
             if flags[word] & SymbolTemplate::FRESH == 0 {
                 return Err(format!("template leaves word {word} literal, which must be fresh"));
             }
@@ -436,133 +435,13 @@ fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
 // Codec: every persisted type is a row of the `Wire` table.
 // ---------------------------------------------------------------------
 
-wire_fields!(Reloc { at, target });
-wire_fields!(PcRel { at, target });
-wire_fields!(StackMapEntry { native_offset, dex_pc });
-wire_fields!(MethodMetadata {
-    pc_rel,
-    terminators,
-    embedded_data,
-    has_indirect_jump,
-    is_native_stub,
-    slow_paths,
-});
-wire_fields!(PassStats {
-    folded,
-    copies_propagated,
-    cse_hits,
-    dead_removed,
-    simplified,
-    returns_merged,
-    blocks_removed,
-    iterations,
-    insns_in,
-    insns_out,
-});
 wire_fields!(GroupPlanEntry { code_len, lens, counts, words, positions });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
 wire_fields!(MergePlanEntry { member_count, groups });
 wire_fields!(DictEntry { words });
 
-wire_seq!(Reloc, PcRel, StackMapEntry, MergePlanGroup);
-
-/// A compiled method's code travels once, as its words under the name
-/// `insns` — a `u32` count, then one word per instruction. Decoding
-/// keeps the words only: a decoded method's `insns` is empty, as a
-/// stored entry's is (whether the words are code is `validate_entry`'s
-/// to check).
-/// Written by hand because `wire_fields!` puts every field on the wire;
-/// the destructures below are still exhaustive.
-impl Wire for CompiledMethod {
-    fn put(&self, w: &mut Writer) {
-        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
-        method.put(w);
-        w.seq(words);
-        pool.put(w);
-        relocs.put(w);
-        metadata.put(w);
-        stack_maps.put(w);
-    }
-
-    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
-        let method = Wire::get(r, "method")?;
-        let words: Vec<u32> = r.seq("insns")?;
-        Ok(CompiledMethod {
-            method,
-            insns: Arc::default(),
-            words: words.into(),
-            pool: Wire::get(r, "pool")?,
-            relocs: Wire::get(r, "relocs")?,
-            metadata: Wire::get(r, "metadata")?,
-            stack_maps: Wire::get(r, "stack_maps")?,
-        })
-    }
-}
-
-#[cfg(test)]
-impl wire::FieldEnds for CompiledMethod {
-    fn field_ends(&self) -> Vec<(&'static str, usize)> {
-        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
-        let lens = [
-            ("method", wire::encode(method).len()),
-            ("insns", 4 + 4 * words.len()),
-            ("pool", wire::encode(pool).len()),
-            ("relocs", wire::encode(relocs).len()),
-            ("metadata", wire::encode(metadata).len()),
-            ("stack_maps", wire::encode(stack_maps).len()),
-        ];
-        let mut end = 0;
-        lens.map(|(name, len)| {
-            end += len;
-            (name, end)
-        })
-        .to_vec()
-    }
-}
-
-/// One tag byte for the target kind — the three thunk kinds fused in —
-/// then the id, index or entrypoint offset it carries.
-impl Wire for CallTarget {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            CallTarget::Method(id) => {
-                w.u8(0);
-                id.put(w);
-            }
-            CallTarget::Thunk(ThunkKind::JavaEntry) => w.u8(1),
-            CallTarget::Thunk(ThunkKind::RuntimeEntry(offset)) => {
-                w.u8(2);
-                offset.put(w);
-            }
-            CallTarget::Thunk(ThunkKind::StackCheck) => w.u8(3),
-            CallTarget::Outlined(i) => {
-                w.u8(4);
-                i.put(w);
-            }
-            CallTarget::Merged(i) => {
-                w.u8(5);
-                i.put(w);
-            }
-            CallTarget::Dict(i) => {
-                w.u8(6);
-                i.put(w);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CallTarget, WireError> {
-        Ok(match r.u8(what)? {
-            0 => CallTarget::Method(Wire::get(r, what)?),
-            1 => CallTarget::Thunk(ThunkKind::JavaEntry),
-            2 => CallTarget::Thunk(ThunkKind::RuntimeEntry(Wire::get(r, what)?)),
-            3 => CallTarget::Thunk(ThunkKind::StackCheck),
-            4 => CallTarget::Outlined(Wire::get(r, what)?),
-            5 => CallTarget::Merged(Wire::get(r, what)?),
-            6 => CallTarget::Dict(Wire::get(r, what)?),
-            tag => return Err(WireError::InvalidTag { what, tag }),
-        })
-    }
-}
+// A merge group's smallest form: its representative and two empty rows.
+wire_seq!(MergePlanGroup: 4 + 4 + 4);
 
 /// An entry travels as its fields in declaration order, the template as
 /// a presence tag and then its flag bytes alone (the form of an
@@ -652,8 +531,11 @@ lanes! {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::wire::FieldEnds;
+    use calibro_codegen::{CallTarget, MethodMetadata, Reloc, StackMapEntry, ThunkKind};
+    use calibro_dex::wire::FieldEnds;
+    use calibro_hgraph::PassStats;
     use calibro_isa::{decode_all, encode_words, Insn, Reg};
+    use std::sync::Arc;
 
     const FRESH: u8 = SymbolTemplate::FRESH;
     const LEADER: u8 = SymbolTemplate::LEADER;
@@ -757,9 +639,9 @@ pub(crate) mod tests {
     /// [`FORMAT_VERSION`].
     const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
 
-    /// The same lanes as an older format version wrote them (version 6:
-    /// a dictionary body with its register record) — kept to prove a
-    /// directory of any other version degrades to misses.
+    /// The same lanes as an older format version wrote them (version 7:
+    /// a method's metadata tables of `u64` word indices) — kept to prove
+    /// a directory of any other version degrades to misses.
     pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
@@ -917,6 +799,12 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_merge_group_minimum_is_its_smallest_encoding() {
+        let empty = MergePlanGroup { rep: 0, members: vec![], diff_positions: vec![] };
+        assert_eq!(wire::encode(&empty).len(), <MergePlanGroup as wire::SeqElem>::MIN_BYTES);
+    }
+
+    #[test]
     fn dict_frames_keep_the_frame_contract() {
         let body = sample_dict();
         frame_contract(&body, &[], &[(0, "words")], &[]);
@@ -1022,9 +910,9 @@ pub(crate) mod tests {
 
     #[test]
     fn an_embedded_data_range_that_wraps_is_refused() {
-        // Checksummed and decodable; a sum `s + l` wraps to 1 in release.
+        // Checksummed and decodable; a `u32` sum `s + l` wraps to 1.
         let mut entry = sample_entry();
-        entry.compiled.metadata.embedded_data = vec![(usize::MAX, 2)];
+        entry.compiled.metadata.embedded_data = vec![(u32::MAX, 2)];
         let frame = to_frame(FIXTURE_KEY, &entry);
         let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
         assert!(refusal.starts_with("embedded data "), "{refusal}");

@@ -28,7 +28,7 @@
 //! [`finish`]: StableHasher::finish
 //! [`finish_reset`]: StableHasher::finish_reset
 
-use crate::wire::{Wire, Writer};
+use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
 /// A 128-bit content-address: the key of one cached artifact.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -50,6 +50,18 @@ impl CacheKey {
 impl core::fmt::Display for CacheKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{:016x}{:016x}", self.hi, self.lo)
+    }
+}
+
+/// The high lane, then the low lane.
+impl Wire for CacheKey {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.hi);
+        w.u64(self.lo);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CacheKey, WireError> {
+        Ok(CacheKey { hi: r.u64(what)?, lo: r.u64(what)? })
     }
 }
 
@@ -134,7 +146,7 @@ impl StableHasher {
     /// for per-worker hashers sized to a typical method.
     #[must_use]
     pub fn with_capacity(bytes: usize) -> StableHasher {
-        StableHasher { w: Writer { buf: Vec::with_capacity(bytes) } }
+        StableHasher { w: Writer::with_capacity(bytes) }
     }
 
     /// A value of a keyed type, as its one [`Wire`] form.
@@ -149,35 +161,35 @@ impl StableHasher {
     /// it, with no decode and no second encode.
     #[inline]
     pub fn write_wire_bytes(&mut self, encoded: &[u8]) {
-        self.w.buf.extend_from_slice(encoded);
+        self.w.buf_mut().extend_from_slice(encoded);
     }
 
     /// Raw bytes, length-prefixed so concatenations cannot alias.
     #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.w.buf.push(0xB0);
-        self.w.buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.w.buf.extend_from_slice(bytes);
+        self.w.buf_mut().push(0xB0);
+        self.w.buf_mut().extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        self.w.buf_mut().extend_from_slice(bytes);
     }
 
     /// A tag byte: use to discriminate enum variants and field groups.
     #[inline]
     pub fn write_tag(&mut self, tag: u8) {
-        self.w.buf.extend_from_slice(&[0xAF, tag]);
+        self.w.buf_mut().extend_from_slice(&[0xAF, tag]);
     }
 
     /// An unsigned 32-bit value.
     #[inline]
     pub fn write_u32(&mut self, v: u32) {
         let [a, b, c, d] = v.to_le_bytes();
-        self.w.buf.extend_from_slice(&[0xA4, a, b, c, d]);
+        self.w.buf_mut().extend_from_slice(&[0xA4, a, b, c, d]);
     }
 
     /// An unsigned 64-bit value.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
         let [a, b, c, d, e, f, g, i] = v.to_le_bytes();
-        self.w.buf.extend_from_slice(&[0xA8, a, b, c, d, e, f, g, i]);
+        self.w.buf_mut().extend_from_slice(&[0xA8, a, b, c, d, e, f, g, i]);
     }
 
     /// A `usize`, widened to 64 bits for cross-platform stability.
@@ -189,20 +201,20 @@ impl StableHasher {
     /// A boolean.
     #[inline]
     pub fn write_bool(&mut self, v: bool) {
-        self.w.buf.extend_from_slice(&[0xAB, u8::from(v)]);
+        self.w.buf_mut().extend_from_slice(&[0xAB, u8::from(v)]);
     }
 
     /// A UTF-8 string, length-prefixed.
     #[inline]
     pub fn write_str(&mut self, s: &str) {
-        self.w.buf.push(0xAC);
+        self.w.buf_mut().push(0xAC);
         self.write_bytes(s.as_bytes());
     }
 
     /// Finalizes into a [`CacheKey`], consuming the hasher.
     #[must_use]
     pub fn finish(self) -> CacheKey {
-        let (hi, lo) = mix_buffer(&self.w.buf);
+        let (hi, lo) = mix_buffer(&self.w.into_bytes());
         CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
     }
 
@@ -210,8 +222,9 @@ impl StableHasher {
     /// keeping its allocation. A loop hashing many methods through one
     /// hasher allocates once instead of once per method.
     pub fn finish_reset(&mut self) -> CacheKey {
-        let (hi, lo) = mix_buffer(&self.w.buf);
-        self.w.buf.clear();
+        let buf = self.w.buf_mut();
+        let (hi, lo) = mix_buffer(buf);
+        buf.clear();
         CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
     }
 }
@@ -290,7 +303,7 @@ mod tests {
                 h.write_bytes(&round.to_le_bytes());
             }
             assert_eq!(reused.finish_reset(), fresh.finish());
-            assert!(reused.w.buf.is_empty());
+            assert!(reused.w.buf_mut().is_empty());
         }
     }
 

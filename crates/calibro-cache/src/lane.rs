@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use crate::disk::{self, LaneEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
-use crate::peer::{PeerFetch, PeerLane, PeerSource};
+use crate::peer::{PeerFetch, PeerFrame, PeerLane, PeerSource};
 use crate::policy::{Lane2Q, Victim};
 
 /// The events one lane counts. [`CacheStats`](crate::CacheStats) maps
@@ -167,7 +167,7 @@ impl<V: LaneEntry> Lane<V> {
     /// the peer problem as an error.
     fn adopt(&self, key: CacheKey, fetched: PeerFetch) -> Option<Arc<V>> {
         let degraded = match fetched {
-            Ok(Some((frame, cost_us))) => match disk::from_frame::<V>(key, &frame) {
+            Ok(Some(PeerFrame { frame, cost_us })) => match disk::from_frame::<V>(key, &frame) {
                 Ok(entry) => {
                     self.add(Counter::PeerHits, 1);
                     self.add(Counter::Hits, 1);
@@ -256,9 +256,9 @@ impl<V: LaneEntry> Lane<V> {
     /// Returns [`CacheError`] when the local disk entry is corrupt or
     /// unreadable; the requester counts a peer error and recomputes
     /// locally.
-    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<(Vec<u8>, u64)>, CacheError> {
+    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<PeerFrame>, CacheError> {
         let found = self.local_lookup(key, false)?;
-        Ok(found.map(|(entry, cost_us)| (disk::to_frame(key, &*entry), cost_us)))
+        Ok(found.map(|(entry, cost_us)| PeerFrame { frame: disk::to_frame(key, &*entry), cost_us }))
     }
 
     /// Inserts an entry computed for `key` with the CPU cost (µs) it

@@ -25,9 +25,10 @@
 //! surfaces as a typed [`CacheError`] rather than a panic or a
 //! miscompile.
 //!
-//! [`wire`] is the binary codec those frames — and, one crate up, the
-//! compile daemon's messages — are written in: one [`wire::Wire`] trait,
-//! one bounds-checked reader.
+//! Frames are written in the workspace's one binary codec,
+//! [`calibro_dex::wire`] — the compile daemon's messages and the OAT's
+//! `.oatdata` too: one [`Wire`](calibro_dex::wire::Wire) trait, one
+//! bounds-checked reader.
 
 #![warn(missing_docs)]
 
@@ -40,7 +41,6 @@ mod method_hash;
 mod peer;
 mod policy;
 mod store;
-pub mod wire;
 
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
@@ -51,7 +51,7 @@ pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};
 pub use lane::Lane;
 pub use method_hash::{hash_method, hash_program};
-pub use peer::{PeerError, PeerFetch, PeerLane, PeerSource};
+pub use peer::{PeerError, PeerFetch, PeerFrame, PeerLane, PeerSource};
 pub use store::{ArtifactStore, CacheConfig, CacheStats};
 
 /// Schema salt folded into every cache key: the crate version plus a

@@ -8,8 +8,9 @@
 //! serialiser: two methods share a key only if they share those bytes,
 //! and `decode(encode(x)) == x` (`tests/key_wire.rs`) proves the bytes
 //! determine the method. A new [`Method`] field or `DexInsn` variant is
-//! one edit, in `wire.rs`, where the exhaustive destructuring and the
-//! decoder's literal both fail compilation until it is covered.
+//! one edit, in calibro-dex's `wire.rs`, where the exhaustive
+//! destructuring and the decoder's literal both fail compilation until
+//! it is covered.
 //!
 //! These functions only *serialize*: the bytes land in the
 //! [`StableHasher`]'s buffer, and the caller's final
@@ -18,12 +19,12 @@
 //! per-method cost one buffer fill plus one mixing pass, with no
 //! allocation after the first method.
 //!
-//! [`Wire`]: crate::wire::Wire
+//! [`Wire`]: calibro_dex::wire::Wire
 
+use calibro_dex::wire::put_method_body;
 use calibro_dex::{DexFile, Method};
 
 use crate::hash::StableHasher;
-use crate::wire::put_method_body;
 
 /// Feeds one method's full compilation-relevant content into `h`.
 ///

@@ -15,6 +15,8 @@
 //! therefore count as a peer error and degrade to a local miss; they can
 //! never become an entry.
 
+use calibro_dex::wire::{Reader, Wire, WireError, Writer};
+
 use crate::hash::CacheKey;
 
 /// The lanes that have a peer tier, in wire-code order. The merge-plan
@@ -77,12 +79,55 @@ impl core::fmt::Display for PeerError {
 
 impl std::error::Error for PeerError {}
 
-/// One key's outcome of a peer fetch: the framed artifact bytes (not
-/// yet validated) with the recompute cost (µs) the origin shard
-/// recorded — so the receiving lane can slot the entry into its
-/// cost-aware eviction policy at the right priority — or `None` when
-/// every reachable peer answered not-found.
-pub type PeerFetch = Result<Option<(Vec<u8>, u64)>, PeerError>;
+/// One key's outcome of a peer fetch: the frame a peer holds, or `None`
+/// when every reachable peer answered not-found.
+pub type PeerFetch = Result<Option<PeerFrame>, PeerError>;
+
+/// A peer's answer for one key: the framed artifact bytes (not yet
+/// validated) with the recompute cost the origin shard recorded — so the
+/// receiving lane can slot the entry into its cost-aware eviction policy
+/// at the right priority.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PeerFrame {
+    /// The interchange frame, as the origin's disk layer writes it.
+    pub frame: Vec<u8>,
+    /// The origin's recompute cost, in µs.
+    pub cost_us: u64,
+}
+
+/// One lane code byte.
+impl Wire for PeerLane {
+    fn put(&self, w: &mut Writer) {
+        w.u8(match self {
+            PeerLane::Method => 0,
+            PeerLane::Group => 1,
+            PeerLane::Dict => 2,
+        });
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PeerLane, WireError> {
+        match r.u8(what)? {
+            0 => Ok(PeerLane::Method),
+            1 => Ok(PeerLane::Group),
+            2 => Ok(PeerLane::Dict),
+            tag => Err(WireError::InvalidTag { what, tag }),
+        }
+    }
+}
+
+/// The cost *before* the frame it describes, both decoded under the
+/// field's name (an `Option<PeerFrame>` puts its presence tag first).
+impl Wire for PeerFrame {
+    fn put(&self, w: &mut Writer) {
+        self.cost_us.put(w);
+        self.frame.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PeerFrame, WireError> {
+        let cost_us = Wire::get(r, what)?;
+        Ok(PeerFrame { frame: Wire::get(r, what)?, cost_us })
+    }
+}
 
 /// A source of interchange frames one network hop away.
 pub trait PeerSource: Send + Sync {

@@ -8,12 +8,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use calibro_dex::wire::{Reader, Wire, WireError, Writer};
+
 use crate::disk;
 use crate::entry::{CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::lane::{Counter, Lane};
-use crate::peer::{PeerLane, PeerSource};
+use crate::peer::{PeerFrame, PeerLane, PeerSource};
 
 /// Configuration of one [`ArtifactStore`].
 #[derive(Clone, Debug)]
@@ -212,6 +214,28 @@ cache_stats! {
     dict_lock_contention = Dict.LockContention,
 }
 
+// Every `CacheStats` field is a row of the counter table, which the stats
+// body transports by iteration: a field declared outside the table fails
+// compilation here instead of silently not being transported.
+const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * CacheStats::LEN);
+
+/// The counters in table order, each decoded under its own name.
+impl Wire for CacheStats {
+    fn put(&self, w: &mut Writer) {
+        for v in self.to_array() {
+            w.u64(v);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CacheStats, WireError> {
+        let mut values = [0u64; CacheStats::LEN];
+        for (slot, name) in values.iter_mut().zip(CacheStats::NAMES) {
+            *slot = r.u64(name)?;
+        }
+        Ok(CacheStats::from_array(values))
+    }
+}
+
 /// `hits / (hits + misses)` in `[0, 1]`; `0` when no lookups happened.
 fn hit_fraction(hits: u64, misses: u64) -> f64 {
     let total = hits + misses;
@@ -388,7 +412,7 @@ impl ArtifactStore {
         &self,
         lane: PeerLane,
         key: CacheKey,
-    ) -> Result<Option<(Vec<u8>, u64)>, CacheError> {
+    ) -> Result<Option<PeerFrame>, CacheError> {
         match lane {
             PeerLane::Method => self.methods.serve_peer(key),
             PeerLane::Group => self.groups.serve_peer(key),
@@ -701,7 +725,7 @@ mod tests {
         let dir = fresh_dir(&format!("peer-{ext}"));
         let store = peered(disk_store(&dir), move |lane, key| {
             assert_eq!(lane, wire, "asked under another lane's wire code");
-            Ok(Some((to_frame(key, &V::make(3)), 777)))
+            Ok(Some(PeerFrame { frame: to_frame(key, &V::make(3)), cost_us: 777 }))
         });
         let lane = V::lane(&store);
         let got = lane.get(key(3)).unwrap().expect("peer tier serves the miss");
@@ -717,9 +741,9 @@ mod tests {
         // Serving a sibling counts nothing, hands out the frame at its
         // adopted cost, and never asks this shard's own peers.
         let before = store.stats();
-        let (served, cost_us) = lane.serve_peer(key(3)).unwrap().expect("resident entry served");
-        assert_eq!((served.as_slice(), cost_us), (to_frame(key(3), &V::make(3)).as_slice(), 777));
-        assert_eq!(store.serve_peer(wire, key(3)).unwrap(), Some((served, 777)));
+        let served = lane.serve_peer(key(3)).unwrap().expect("resident entry served");
+        assert_eq!(served, PeerFrame { frame: to_frame(key(3), &V::make(3)), cost_us: 777 });
+        assert_eq!(store.serve_peer(wire, key(3)).unwrap(), Some(served));
         assert!(lane.serve_peer(key(99)).unwrap().is_none(), "{ext}: serving ricocheted");
         assert_eq!(before, store.stats(), "{ext}: serving distorted local attribution");
 
@@ -737,8 +761,8 @@ mod tests {
         for (fetched, counted) in [
             (Ok(None), "peer_misses"),
             (Err(hangup), "peer_errors"),
-            (Ok(Some((tampered, 5))), "peer_errors"),
-            (Ok(Some((misfiled, 5))), "peer_errors"),
+            (Ok(Some(PeerFrame { frame: tampered, cost_us: 5 })), "peer_errors"),
+            (Ok(Some(PeerFrame { frame: misfiled, cost_us: 5 })), "peer_errors"),
         ] {
             let store = peered(ArtifactStore::default(), move |_, _| fetched.clone());
             assert!(V::lane(&store).get(key(1)).unwrap().is_none(), "{ext}: {counted}");
@@ -810,7 +834,8 @@ mod tests {
 
         // The same bytes from a peer are a counted peer error.
         if V::PEER_LANE.is_some() {
-            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some((stale.to_vec(), 5))));
+            let stale = PeerFrame { frame: stale.to_vec(), cost_us: 5 };
+            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some(stale.clone())));
             assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
             assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
         }

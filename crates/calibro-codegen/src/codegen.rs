@@ -77,7 +77,7 @@ struct Emitter<'a> {
     relocs: Vec<Reloc>,
     stack_maps: Vec<StackMapEntry>,
     slow_paths: Vec<SlowPath>,
-    slow_ranges: Vec<(usize, usize)>,
+    slow_ranges: Vec<(u32, u32)>,
     has_indirect_jump: bool,
 }
 
@@ -261,12 +261,12 @@ impl<'a> Emitter<'a> {
     fn flush_slow_paths(&mut self) {
         let pending = std::mem::take(&mut self.slow_paths);
         for sp in pending {
-            let start = self.insns.len();
+            let start = self.insns.len() as u32;
             self.bind(sp.label);
             self.emit_runtime_call(sp.entrypoint, sp.dex_pc);
             // Unreachable guard: the throw entrypoints never return.
             self.emit(Insn::Brk { imm: 0xdead });
-            self.slow_ranges.push((start, self.insns.len()));
+            self.slow_ranges.push((start, self.insns.len() as u32));
         }
     }
 
@@ -310,26 +310,29 @@ impl<'a> Emitter<'a> {
             let target = self.labels[label.0].expect("unbound codegen label");
             let offset = (target as i64 - at as i64) * 4;
             self.insns[at] = self.insns[at].with_pc_rel_offset(offset);
-            pc_rel.push(PcRel { at, target });
+            pc_rel.push(PcRel { at: at as u32, target: target as u32 });
         }
         for &(at, pool_idx) in &self.pool_fixups {
             let target = code_len + pool_idx;
             let offset = (target as i64 - at as i64) * 4;
             self.insns[at] = self.insns[at].with_pc_rel_offset(offset);
-            pc_rel.push(PcRel { at, target });
+            pc_rel.push(PcRel { at: at as u32, target: target as u32 });
         }
         pc_rel.sort_by_key(|p| p.at);
 
-        let terminators: Vec<usize> = self
+        let terminators: Vec<u32> = self
             .insns
             .iter()
             .enumerate()
             .filter(|(_, i)| i.is_terminator() || matches!(i, Insn::Brk { .. }))
-            .map(|(idx, _)| idx)
+            .map(|(idx, _)| idx as u32)
             .collect();
 
-        let embedded_data =
-            if self.pool.is_empty() { Vec::new() } else { vec![(code_len, self.pool.len())] };
+        let embedded_data = if self.pool.is_empty() {
+            Vec::new()
+        } else {
+            vec![(code_len as u32, self.pool.len() as u32)]
+        };
 
         let metadata = if self.opts.collect_metadata {
             MethodMetadata {

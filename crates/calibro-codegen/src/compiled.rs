@@ -4,6 +4,9 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use calibro_dex::wire::{
+    encode, wire_fields, wire_seq, FieldEnds, Reader, Wire, WireError, Writer,
+};
 use calibro_dex::MethodId;
 use calibro_isa::{decode_all, Insn};
 
@@ -63,9 +66,9 @@ pub enum CallTarget {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PcRel {
     /// Word index of the PC-relative instruction.
-    pub at: usize,
+    pub at: u32,
     /// Word index of its target within the same method.
-    pub target: usize,
+    pub target: u32,
 }
 
 /// A stack-map entry: maps the native return offset of a call site back
@@ -85,29 +88,31 @@ pub struct MethodMetadata {
     /// PC-relative instructions with their intra-method targets.
     pub pc_rel: Vec<PcRel>,
     /// Word indices of basic-block terminators.
-    pub terminators: Vec<usize>,
+    pub terminators: Vec<u32>,
     /// Embedded (non-instruction) data ranges: `(word offset, word len)`.
-    pub embedded_data: Vec<(usize, usize)>,
+    pub embedded_data: Vec<(u32, u32)>,
     /// Method contains an indirect jump (`br`) — unoutlinable (§3.2).
     pub has_indirect_jump: bool,
     /// Method is a Java-native (JNI) stub — unoutlinable (§3.2).
     pub is_native_stub: bool,
     /// Slow-path regions `(start word, end word)` — outlinable even in
     /// hot functions (§3.2, §3.4.2).
-    pub slow_paths: Vec<(usize, usize)>,
+    pub slow_paths: Vec<(u32, u32)>,
 }
 
 impl MethodMetadata {
     /// Returns `true` if word `idx` lies inside a recorded slow path.
     #[must_use]
     pub fn in_slow_path(&self, idx: usize) -> bool {
-        self.slow_paths.iter().any(|&(s, e)| idx >= s && idx < e)
+        self.slow_paths.iter().any(|&(s, e)| (s as usize..e as usize).contains(&idx))
     }
 
     /// Returns `true` if word `idx` lies inside embedded data.
     #[must_use]
     pub fn in_embedded_data(&self, idx: usize) -> bool {
-        self.embedded_data.iter().any(|&(s, l)| idx >= s && idx < s + l)
+        self.embedded_data
+            .iter()
+            .any(|&(s, l)| (s as usize..s as usize + l as usize).contains(&idx))
     }
 }
 
@@ -166,6 +171,154 @@ impl CompiledMethod {
     }
 }
 
+// ---------------------------------------------------------------------
+// Codec: the rows the artifact cache persists and the OAT's `.oatdata`
+// carries. Every table is `u32`-counted and every word index a `u32`, so
+// a method's metadata has one binary form on disk and in the artifact.
+// ---------------------------------------------------------------------
+
+wire_fields!(Reloc { at, target });
+wire_fields!(PcRel { at, target });
+wire_fields!(StackMapEntry { native_offset, dex_pc });
+wire_fields!(MethodMetadata {
+    pc_rel,
+    terminators,
+    embedded_data,
+    has_indirect_jump,
+    is_native_stub,
+    slow_paths,
+});
+
+// A relocation's smallest form is its `u64` word index and a bare call
+// target tag.
+wire_seq!(Reloc: 8 + 1, PcRel: 4 + 4, StackMapEntry: 4 + 4);
+
+/// A tag byte, then a `u16` argument — the entrypoint offset of a
+/// runtime-entry thunk, zero for the other two kinds.
+impl Wire for ThunkKind {
+    fn put(&self, w: &mut Writer) {
+        let (tag, arg) = match *self {
+            ThunkKind::JavaEntry => (0, 0),
+            ThunkKind::RuntimeEntry(offset) => (1, offset),
+            ThunkKind::StackCheck => (2, 0),
+        };
+        w.u8(tag);
+        w.u16(arg);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<ThunkKind, WireError> {
+        let tag = r.u8(what)?;
+        let arg = r.u16(what)?;
+        match tag {
+            0 => Ok(ThunkKind::JavaEntry),
+            1 => Ok(ThunkKind::RuntimeEntry(arg)),
+            2 => Ok(ThunkKind::StackCheck),
+            tag => Err(WireError::InvalidTag { what, tag }),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + 2
+    }
+}
+
+/// One tag byte for the target kind — the three thunk kinds fused in —
+/// then the id, index or entrypoint offset it carries.
+impl Wire for CallTarget {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            CallTarget::Method(id) => {
+                w.u8(0);
+                id.put(w);
+            }
+            CallTarget::Thunk(ThunkKind::JavaEntry) => w.u8(1),
+            CallTarget::Thunk(ThunkKind::RuntimeEntry(offset)) => {
+                w.u8(2);
+                offset.put(w);
+            }
+            CallTarget::Thunk(ThunkKind::StackCheck) => w.u8(3),
+            CallTarget::Outlined(i) => {
+                w.u8(4);
+                i.put(w);
+            }
+            CallTarget::Merged(i) => {
+                w.u8(5);
+                i.put(w);
+            }
+            CallTarget::Dict(i) => {
+                w.u8(6);
+                i.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<CallTarget, WireError> {
+        Ok(match r.u8(what)? {
+            0 => CallTarget::Method(Wire::get(r, what)?),
+            1 => CallTarget::Thunk(ThunkKind::JavaEntry),
+            2 => CallTarget::Thunk(ThunkKind::RuntimeEntry(Wire::get(r, what)?)),
+            3 => CallTarget::Thunk(ThunkKind::StackCheck),
+            4 => CallTarget::Outlined(Wire::get(r, what)?),
+            5 => CallTarget::Merged(Wire::get(r, what)?),
+            6 => CallTarget::Dict(Wire::get(r, what)?),
+            tag => return Err(WireError::InvalidTag { what, tag }),
+        })
+    }
+}
+
+/// A compiled method's code travels once, as its words under the name
+/// `insns` — a `u32` count, then one word per instruction. Decoding
+/// keeps the words only: a decoded method's `insns` is empty, as a
+/// stored entry's is (whether the words are code is the cache's
+/// validator's to check).
+/// Written by hand because `wire_fields!` puts every field on the wire;
+/// the destructures below are still exhaustive.
+impl Wire for CompiledMethod {
+    fn put(&self, w: &mut Writer) {
+        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
+        method.put(w);
+        w.seq(words);
+        pool.put(w);
+        relocs.put(w);
+        metadata.put(w);
+        stack_maps.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
+        let method = Wire::get(r, "method")?;
+        let words: Vec<u32> = r.seq("insns")?;
+        Ok(CompiledMethod {
+            method,
+            insns: Arc::default(),
+            words: words.into(),
+            pool: Wire::get(r, "pool")?,
+            relocs: Wire::get(r, "relocs")?,
+            metadata: Wire::get(r, "metadata")?,
+            stack_maps: Wire::get(r, "stack_maps")?,
+        })
+    }
+}
+
+impl FieldEnds for CompiledMethod {
+    fn field_ends(&self) -> Vec<(&'static str, usize)> {
+        let CompiledMethod { method, insns: _, words, pool, relocs, metadata, stack_maps } = self;
+        let lens = [
+            ("method", encode(method).len()),
+            ("insns", 4 + 4 * words.len()),
+            ("pool", encode(pool).len()),
+            ("relocs", encode(relocs).len()),
+            ("metadata", encode(metadata).len()),
+            ("stack_maps", encode(stack_maps).len()),
+        ];
+        let mut end = 0;
+        lens.map(|(name, len)| {
+            end += len;
+            (name, end)
+        })
+        .to_vec()
+    }
+}
+
 // Compiled methods cross worker-thread boundaries in `calibro::build`'s
 // parallel compile phase; fail here if that ever stops holding.
 const _: () = {
@@ -189,6 +342,17 @@ mod tests {
         assert!(!meta.in_slow_path(13));
         assert!(meta.in_embedded_data(21));
         assert!(!meta.in_embedded_data(22));
+    }
+
+    #[test]
+    fn every_declared_minimum_is_the_smallest_encoding() {
+        use calibro_dex::wire::SeqElem;
+        fn smallest<T: SeqElem>(value: T) {
+            assert_eq!(encode(&value).len(), T::MIN_BYTES, "{}", core::any::type_name::<T>());
+        }
+        smallest(Reloc { at: 0, target: CallTarget::Thunk(ThunkKind::JavaEntry) });
+        smallest(PcRel { at: 0, target: 0 });
+        smallest(StackMapEntry { native_offset: 0, dex_pc: 0 });
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn division_produces_slow_path_metadata() {
     let (start, end) = m.metadata.slow_paths[0];
     assert!(end > start);
     // The slow path calls the div-zero entrypoint.
-    let slow = &m.insns[start..end];
+    let slow = &m.insns[start as usize..end as usize];
     assert!(slow.iter().any(|i| matches!(
         i,
         Insn::LdrImm { rn, offset, .. } if *rn == Reg::X19 && *offset == layout::EP_THROW_DIV_ZERO
@@ -184,7 +184,7 @@ fn pc_rel_metadata_covers_every_internal_branch() {
                 .metadata
                 .pc_rel
                 .iter()
-                .find(|p| p.at == idx)
+                .find(|p| p.at as usize == idx)
                 .unwrap_or_else(|| panic!("unrecorded PC-relative insn at {idx}: {insn}"));
             // The recorded target matches the instruction's offset.
             let expected = (rec.target as i64 - idx as i64) * 4;
@@ -197,7 +197,7 @@ fn pc_rel_metadata_covers_every_internal_branch() {
 fn terminator_metadata_matches_code() {
     let m = compile(caller_body(), 2, 1, &opts_baseline());
     for (idx, insn) in m.insns.iter().enumerate() {
-        let recorded = m.metadata.terminators.contains(&idx);
+        let recorded = m.metadata.terminators.contains(&(idx as u32));
         let expected = insn.is_terminator() || matches!(insn, Insn::Brk { .. });
         assert_eq!(recorded, expected, "at {idx}: {insn}");
     }
@@ -209,7 +209,7 @@ fn dual_half_constants_use_the_literal_pool() {
         vec![DexInsn::Const { dst: VReg(0), value: 0x1234_5678 }, DexInsn::Return { src: VReg(0) }];
     let m = compile(body, 1, 0, &opts_baseline());
     assert_eq!(m.pool, vec![0x1234_5678]);
-    assert_eq!(m.metadata.embedded_data, vec![(m.insns.len(), 1)]);
+    assert_eq!(m.metadata.embedded_data, vec![(m.insns.len() as u32, 1)]);
     // An LdrLit points at the pool word.
     let lit = m
         .insns
@@ -217,8 +217,9 @@ fn dual_half_constants_use_the_literal_pool() {
         .enumerate()
         .find(|(_, i)| matches!(i, Insn::LdrLit { .. }))
         .expect("literal load");
-    let rec = m.metadata.pc_rel.iter().find(|p| p.at == lit.0).expect("pool pc-rel record");
-    assert_eq!(rec.target, m.insns.len(), "target is the first pool word");
+    let rec =
+        m.metadata.pc_rel.iter().find(|p| p.at as usize == lit.0).expect("pool pc-rel record");
+    assert_eq!(rec.target as usize, m.insns.len(), "target is the first pool word");
 }
 
 #[test]

@@ -35,7 +35,7 @@ impl Mutation {
         let Some(record) = oat.methods.iter().find(|m| m.method == self.method) else {
             return false;
         };
-        if self.word >= record.insn_words {
+        if self.word >= record.insn_words as usize {
             return false;
         }
         let index = (record.offset / 4) as usize + self.word;
@@ -88,7 +88,7 @@ pub fn find_detected_mutation(
         let record = oat.methods.iter().find(|m| m.method == method).unwrap();
         let mutation = Mutation {
             method,
-            word: rng.gen_range(0..record.insn_words),
+            word: rng.gen_range(0..record.insn_words as usize),
             bit: rng.gen_range(0..32),
         };
         let mut mutated = oat.clone();

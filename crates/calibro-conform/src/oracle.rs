@@ -376,7 +376,7 @@ fn island_of(
         label: label.to_owned(),
         detail: format!("linked island epoch {} is not resolvable", link.epoch),
     })?;
-    if layout.words().len() != link.size_words {
+    if layout.words().len() != link.size_words as usize {
         return Err(Divergence::Dict {
             label: label.to_owned(),
             detail: format!(

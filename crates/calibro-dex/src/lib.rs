@@ -34,6 +34,7 @@ mod ids;
 mod insn;
 mod method;
 mod verify;
+pub mod wire;
 
 pub use builder::{DexLabel, MethodBuilder};
 pub use file::DexFile;

@@ -9,6 +9,8 @@ pub mod inline;
 pub mod return_merge;
 pub mod simplify;
 
+use calibro_dex::wire::wire_fields;
+
 use crate::graph::HGraph;
 
 /// Counters reported by [`run_pipeline`].
@@ -157,6 +159,30 @@ impl PipelineConfig {
         on.join("+")
     }
 }
+
+// The cache persists a method's counters and keys a build by its pass
+// switches: both travel as their fields, in declaration order.
+wire_fields!(PassStats {
+    folded,
+    copies_propagated,
+    cse_hits,
+    dead_removed,
+    simplified,
+    returns_merged,
+    blocks_removed,
+    iterations,
+    insns_in,
+    insns_out,
+});
+wire_fields!(PipelineConfig {
+    copy_prop,
+    constant_folding,
+    simplify,
+    cse,
+    dce,
+    return_merge,
+    remove_unreachable,
+});
 
 /// Runs the standard pass pipeline (every pass enabled) to a fixpoint.
 pub fn run_pipeline(graph: &mut HGraph) -> PassStats {

@@ -1,6 +1,7 @@
 //! The linked OAT file: the final text segment plus per-method records.
 
 use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
+use calibro_dex::wire::{wire_fields, wire_seq};
 use calibro_dex::MethodId;
 
 /// Default load address of the text segment.
@@ -52,7 +53,7 @@ pub struct DictLink {
     /// The island's epoch.
     pub epoch: u64,
     /// The island's size in words, bounding every dictionary target.
-    pub size_words: usize,
+    pub size_words: u32,
 }
 
 /// One linked method inside an [`OatFile`].
@@ -63,9 +64,9 @@ pub struct OatMethodRecord {
     /// Byte offset of the method's code within the text segment.
     pub offset: u64,
     /// Instruction words (excluding the trailing literal pool).
-    pub insn_words: usize,
+    pub insn_words: u32,
     /// Total code words including the literal pool.
-    pub code_words: usize,
+    pub code_words: u32,
     /// LTBO metadata carried through linking.
     pub metadata: MethodMetadata,
     /// Stack maps, sorted by native offset.
@@ -95,7 +96,7 @@ pub struct ThunkRecord {
     /// Byte offset within the text segment.
     pub offset: u64,
     /// Size in words.
-    pub size_words: usize,
+    pub size_words: u32,
 }
 
 /// A linked LTBO outlined function.
@@ -104,7 +105,7 @@ pub struct OutlinedRecord {
     /// Byte offset within the text segment.
     pub offset: u64,
     /// Size in words (sequence + the `br x30` return).
-    pub size_words: usize,
+    pub size_words: u32,
 }
 
 /// A linked merged-function island (the shared body a set of
@@ -114,7 +115,7 @@ pub struct MergedRecord {
     /// Byte offset within the text segment.
     pub offset: u64,
     /// Size in words (body + the `ret` return).
-    pub size_words: usize,
+    pub size_words: u32,
 }
 
 /// A linked OAT file.
@@ -195,11 +196,31 @@ impl OatFile {
     /// and thunks (diagnostics for the experiment harness).
     #[must_use]
     pub fn outlined_words(&self) -> usize {
-        self.outlined.iter().map(|o| o.size_words).sum::<usize>()
-            + self.merged.iter().map(|m| m.size_words).sum::<usize>()
-            + self.thunks.iter().map(|t| t.size_words).sum::<usize>()
+        self.outlined.iter().map(|o| o.size_words as usize).sum::<usize>()
+            + self.merged.iter().map(|m| m.size_words as usize).sum::<usize>()
+            + self.thunks.iter().map(|t| t.size_words as usize).sum::<usize>()
     }
 }
+
+// ---------------------------------------------------------------------
+// Codec: the `.oatdata` records are rows of the `Wire` table, in field
+// order — word counts and indices `u32`, offsets `u64`.
+// ---------------------------------------------------------------------
+
+wire_fields!(OatMethodRecord { method, offset, insn_words, code_words, metadata, stack_maps });
+wire_fields!(ThunkRecord { kind, offset, size_words });
+wire_fields!(OutlinedRecord { offset, size_words });
+wire_fields!(MergedRecord { offset, size_words });
+wire_fields!(DictLink { base_address, epoch, size_words });
+
+// A method record's smallest form: its id, offset and two counts, four
+// empty metadata tables and two flag bytes, an empty stack-map table.
+wire_seq!(
+    OatMethodRecord: 4 + 8 + 4 + 4 + (4 + 4 + 4 + 1 + 1 + 4) + 4,
+    ThunkRecord: (1 + 2) + 8 + 4,
+    OutlinedRecord: 8 + 4,
+    MergedRecord: 8 + 4,
+);
 
 #[cfg(test)]
 mod tests {

@@ -40,7 +40,7 @@ mod linker;
 mod stackmap;
 mod structure;
 
-pub use elf::{from_elf_bytes, text_size_on_disk, to_elf_bytes, LoadError};
+pub use elf::{from_elf_bytes, to_elf_bytes, LoadError};
 pub use file::{
     DictImage, DictLink, MergedRecord, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord,
     DEFAULT_BASE_ADDRESS, DICT_BASE_ADDRESS,

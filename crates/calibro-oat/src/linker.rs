@@ -246,8 +246,8 @@ pub fn link_with_dict(
         records.push(OatMethodRecord {
             method: m.method,
             offset: code_start,
-            insn_words: m.words.len(),
-            code_words: m.size_words(),
+            insn_words: m.words.len() as u32,
+            code_words: m.size_words() as u32,
             metadata: m.metadata,
             stack_maps: m.stack_maps,
         });
@@ -256,7 +256,7 @@ pub fn link_with_dict(
     let mut outlined_records = Vec::with_capacity(outlined.len());
     for (o, &off) in outlined.iter().zip(&outlined_offsets) {
         words.extend_from_slice(o);
-        outlined_records.push(OutlinedRecord { offset: off, size_words: o.len() });
+        outlined_records.push(OutlinedRecord { offset: off, size_words: o.len() as u32 });
     }
 
     let mut merged_records = Vec::with_capacity(merged.len());
@@ -267,7 +267,7 @@ pub fn link_with_dict(
         // exactly like methods; errors report the site as
         // `methods.len() + island`.
         patch_calls(method_count + island, &b.relocs, off, &mut words[start_word..])?;
-        merged_records.push(MergedRecord { offset: off, size_words: b.words.len() });
+        merged_records.push(MergedRecord { offset: off, size_words: b.words.len() as u32 });
     }
 
     let mut thunk_records = Vec::with_capacity(thunks.len());
@@ -280,7 +280,11 @@ pub fn link_with_dict(
         for insn in code {
             words.push(insn.encode()?);
         }
-        thunk_records.push(ThunkRecord { kind: *kind, offset: *off, size_words: code.len() });
+        thunk_records.push(ThunkRecord {
+            kind: *kind,
+            offset: *off,
+            size_words: code.len() as u32,
+        });
     }
 
     Ok(OatFile {
@@ -293,7 +297,7 @@ pub fn link_with_dict(
         dict: dict.filter(|_| dict_used).map(|d| DictLink {
             base_address: d.base_address,
             epoch: d.epoch,
-            size_words: d.words.len(),
+            size_words: d.words.len() as u32,
         }),
     })
 }
@@ -374,7 +378,7 @@ mod tests {
         for t in &oat.thunks {
             // Thunk body decodes and ends in br.
             let start = (t.offset / 4) as usize;
-            let last = decode(oat.words[start + t.size_words - 1]).unwrap();
+            let last = decode(oat.words[start + t.size_words as usize - 1]).unwrap();
             assert!(matches!(last, Insn::Br { .. }));
         }
     }
@@ -396,7 +400,7 @@ mod tests {
         assert_eq!(record.size_words, 2);
         // The bl reaches the outlined function.
         let mut reached = false;
-        for w in 0..oat.methods[0].insn_words {
+        for w in 0..oat.methods[0].insn_words as usize {
             if let Ok(Insn::Bl { offset }) = decode(oat.words[w]) {
                 let addr = oat.base_address + w as u64 * 4;
                 if addr.wrapping_add(offset as u64) == oat.base_address + record.offset {
@@ -504,7 +508,7 @@ mod tests {
         assert_eq!(oat.merged[0].size_words, 3);
         assert_eq!(oat.thunks.len(), 1);
         // The method's tail `b` reaches the island.
-        let tail = oat.methods[0].insn_words - 1;
+        let tail = oat.methods[0].insn_words as usize - 1;
         let Ok(Insn::B { offset }) = decode(oat.words[tail]) else {
             panic!("tail word did not decode as b")
         };
@@ -592,7 +596,7 @@ mod tests {
         let oat = link(input, 0x4000_0000).unwrap();
         for record in &oat.methods {
             let start = (record.offset / 4) as usize;
-            for w in 0..record.code_words {
+            for w in 0..record.code_words as usize {
                 if record.metadata.in_embedded_data(w) {
                     continue;
                 }

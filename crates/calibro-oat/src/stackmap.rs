@@ -61,7 +61,7 @@ pub fn validate_method_stack_maps(
         }
         prev = Some(entry.native_offset);
         let word = (entry.native_offset / 4) as usize;
-        if word == 0 || word > record.insn_words {
+        if word == 0 || word > record.insn_words as usize {
             return Err(StackMapError::OutOfRange { method, native_offset: entry.native_offset });
         }
         let abs = (record.offset / 4) as usize + word - 1;

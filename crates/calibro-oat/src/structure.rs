@@ -82,6 +82,14 @@ pub enum StructureError {
         /// The absolute target address.
         target: u64,
     },
+    /// A segment the file places — its text, or the dictionary island
+    /// it links against — ends past the 64-bit address space.
+    BeyondAddressSpace {
+        /// `text` or `dict`.
+        segment: &'static str,
+        /// The segment's claimed load address.
+        base_address: u64,
+    },
     /// A control transfer into the shared dictionary island is not a
     /// `bl`. Dictionary bodies return through their `ret` to the
     /// `bl`-installed link register, so any other transfer (a plain
@@ -127,6 +135,9 @@ impl core::fmt::Display for StructureError {
                     "branch at word {word} in {symbol} enters a merged island at {target:#x}, \
                      which is not a plain `b` to the island head"
                 )
+            }
+            StructureError::BeyondAddressSpace { segment, base_address } => {
+                write!(f, "the {segment} segment at {base_address:#x} ends past the address space")
             }
             StructureError::DictBadEntry { symbol, word, target } => {
                 write!(
@@ -181,8 +192,8 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
         symbols.push(Symbol {
             name: format!("m{}", m.method.0),
             start_word: (m.offset / 4) as usize,
-            size_words: m.code_words,
-            insn_words: m.insn_words,
+            size_words: m.code_words as usize,
+            insn_words: m.insn_words as usize,
         });
         if m.offset % 4 != 0 {
             return Err(StructureError::Misaligned {
@@ -201,8 +212,8 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
         symbols.push(Symbol {
             name: format!("outlined[{i}]"),
             start_word: (o.offset / 4) as usize,
-            size_words: o.size_words,
-            insn_words: o.size_words,
+            size_words: o.size_words as usize,
+            insn_words: o.size_words as usize,
         });
     }
     for (i, m) in oat.merged.iter().enumerate() {
@@ -215,8 +226,8 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
         symbols.push(Symbol {
             name: format!("merged[{i}]"),
             start_word: (m.offset / 4) as usize,
-            size_words: m.size_words,
-            insn_words: m.size_words,
+            size_words: m.size_words as usize,
+            insn_words: m.size_words as usize,
         });
     }
     for (i, t) in oat.thunks.iter().enumerate() {
@@ -229,8 +240,8 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
         symbols.push(Symbol {
             name: format!("thunk[{i}]"),
             start_word: (t.offset / 4) as usize,
-            size_words: t.size_words,
-            insn_words: t.size_words,
+            size_words: t.size_words as usize,
+            insn_words: t.size_words as usize,
         });
     }
 
@@ -257,10 +268,21 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
     }
 
     // 3 + 4. Decode instruction words and bound PC-relative targets.
+    // The load addresses are the file's own claims: a segment that ends
+    // past the address space is an error, not a wrapped range.
+    let end = |segment, base_address: u64, bytes| {
+        base_address
+            .checked_add(bytes)
+            .ok_or(StructureError::BeyondAddressSpace { segment, base_address })
+    };
     let text_base = oat.base_address;
-    let text_end = oat.base_address + oat.text_size_bytes();
-    let dict_range =
-        oat.dict.as_ref().map(|d| (d.base_address, d.base_address + d.size_words as u64 * 4));
+    let text_end = end("text", text_base, oat.text_size_bytes())?;
+    let dict_range = match &oat.dict {
+        Some(d) => {
+            Some((d.base_address, end("dict", d.base_address, u64::from(d.size_words) * 4)?))
+        }
+        None => None,
+    };
     for s in &symbols {
         for w in s.start_word..s.start_word + s.insn_words {
             let value = oat.words[w];
@@ -305,19 +327,18 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
     }
 
     // 5. Outlined functions must end in an indirect return; merged
-    // islands in a `ret`.
+    // islands in a `ret`. An empty one has no last word, so no return.
+    let ends_in = |offset: u64, size_words: u32, is_return: fn(Insn) -> bool| {
+        let end = (offset / 4) as usize + size_words as usize;
+        size_words > 0 && decode(oat.words[end - 1]).is_ok_and(is_return)
+    };
     for (i, o) in oat.outlined.iter().enumerate() {
-        let last = (o.offset / 4) as usize + o.size_words - 1;
-        if !matches!(decode(oat.words[last]), Ok(Insn::Br { .. })) {
+        if !ends_in(o.offset, o.size_words, |insn| matches!(insn, Insn::Br { .. })) {
             return Err(StructureError::OutlinedNoReturn { index: i });
         }
     }
     for (i, m) in oat.merged.iter().enumerate() {
-        if m.size_words == 0 {
-            return Err(StructureError::MergedNoReturn { index: i });
-        }
-        let last = (m.offset / 4) as usize + m.size_words - 1;
-        if !matches!(decode(oat.words[last]), Ok(Insn::Ret { .. })) {
+        if !ends_in(m.offset, m.size_words, |insn| matches!(insn, Insn::Ret { .. })) {
             return Err(StructureError::MergedNoReturn { index: i });
         }
     }
@@ -341,7 +362,9 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
                     | Insn::Tbnz { offset, .. } => (pc.wrapping_add_signed(offset), false),
                     _ => continue,
                 };
-                let rel = target - text_base;
+                // A target below the text (a `bl` into a dictionary
+                // island placed there) lies in no merged island.
+                let Some(rel) = target.checked_sub(text_base) else { continue };
                 let site = pc - text_base;
                 for &(start, end) in &islands {
                     if rel < start || rel >= end {
@@ -377,7 +400,7 @@ mod tests {
     const NOP: u32 = 0xd503_201f;
     const RET: u32 = 0xd65f_03c0;
 
-    fn record(id: u32, offset: u64, words: usize) -> OatMethodRecord {
+    fn record(id: u32, offset: u64, words: u32) -> OatMethodRecord {
         OatMethodRecord {
             method: MethodId(id),
             offset,

@@ -1,15 +1,18 @@
-//! Error-path coverage for OAT loading and stack-map validation: the
-//! loader must reject malformed bytes with a typed error (never a
-//! panic), and the §3.5 stack-map validator must reject inconsistent
-//! tables — including the offset-0 edge where a "return offset" cannot
-//! possibly follow a call.
+//! Error-path coverage for OAT loading and validation: the loader must
+//! reject malformed bytes with a typed error (never a panic), the §3.5
+//! stack-map validator must reject inconsistent tables — including the
+//! offset-0 edge where a "return offset" cannot possibly follow a call —
+//! and the structural validator must refuse whatever a loaded image
+//! claims, never panic on it.
 
 use calibro_codegen::{compile_method, CodegenOptions, StackMapEntry};
+use calibro_dex::wire::{encode, WireError};
 use calibro_dex::{BinOp, Cmp, DexFile, DexInsn, InvokeKind, MethodBuilder, MethodId, VReg};
 use calibro_hgraph::{build_hgraph, run_pipeline};
 use calibro_oat::{
-    from_elf_bytes, link, to_elf_bytes, validate_stack_maps, LinkInput, LoadError, OatFile,
-    StackMapError,
+    from_elf_bytes, link, to_elf_bytes, validate_stack_maps, validate_structure, DictLink,
+    LinkInput, LoadError, OatFile, OutlinedRecord, StackMapError, StructureError,
+    DICT_BASE_ADDRESS,
 };
 
 /// Links a tiny two-method app (a leaf and a caller, so stack maps are
@@ -63,6 +66,11 @@ fn full_elf_roundtrips() {
     assert_eq!(back.base_address, oat.base_address);
 }
 
+/// A truncation, found while reading `what`.
+fn truncated(what: &'static str) -> LoadError {
+    LoadError::Malformed(WireError::Truncated { what })
+}
+
 #[test]
 fn truncated_elf_is_rejected_as_truncated() {
     let bytes = to_elf_bytes(&sample_oat());
@@ -71,7 +79,7 @@ fn truncated_elf_is_rejected_as_truncated() {
     // them) must yield Truncated, not a panic or a silently short file.
     for cut in [300usize, bytes.len() / 2, bytes.len() - 64] {
         let short = &bytes[..bytes.len() - cut];
-        assert_eq!(from_elf_bytes(short).unwrap_err(), LoadError::Truncated, "cut {cut} bytes");
+        assert_eq!(from_elf_bytes(short).unwrap_err(), truncated(".text"), "cut {cut} bytes");
     }
 }
 
@@ -115,14 +123,14 @@ fn a_section_header_pointing_past_the_address_space_is_truncated() {
     let text = section_header(&bytes, 1);
     bytes[text + 24..text + 32].copy_from_slice(&u64::MAX.to_le_bytes());
     bytes[text + 32..text + 40].copy_from_slice(&4u64.to_le_bytes());
-    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::Truncated);
+    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), truncated(".text"));
 }
 
 #[test]
 fn a_section_table_offset_near_u64_max_is_truncated() {
     let mut bytes = to_elf_bytes(&sample_oat());
     bytes[0x28..0x30].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
-    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::Truncated);
+    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), truncated(".text"));
 }
 
 #[test]
@@ -132,13 +140,99 @@ fn a_record_count_the_section_cannot_hold_is_rejected_before_allocating() {
     // claimed record: bounded by the smallest record, it is refused as
     // the count it is, not discovered records later as a truncation.
     let mut bytes = to_elf_bytes(&sample_oat());
-    let oatdata = section_header(&bytes, 2);
-    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (off, size) = (field(oatdata + 24) as usize, field(oatdata + 32) as usize);
+    let (off, size) = oatdata(&bytes);
     let method_count = off + 8 + 8; // after the magic and the base address
     let bytes_left = (size - (8 + 8 + 4)) as u32;
     bytes[method_count..method_count + 4].copy_from_slice(&bytes_left.to_le_bytes());
-    assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadOatData("method count"));
+    assert_eq!(
+        from_elf_bytes(&bytes).unwrap_err(),
+        LoadError::Malformed(WireError::OversizedCollection {
+            what: "methods",
+            len: u64::from(bytes_left)
+        })
+    );
+}
+
+/// Where `.oatdata` lies in an image [`to_elf_bytes`] wrote: its offset
+/// and size.
+fn oatdata(bytes: &[u8]) -> (usize, usize) {
+    let header = section_header(bytes, 2);
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (field(header + 24), field(header + 32))
+}
+
+#[test]
+fn a_flag_byte_other_than_zero_or_one_is_refused_by_name() {
+    // The first method record's `has_indirect_jump` byte follows its id,
+    // offset, two word counts and three metadata tables.
+    let oat = sample_oat();
+    let mut bytes = to_elf_bytes(&oat);
+    let md = &oat.methods[0].metadata;
+    let tables = encode(&md.pc_rel).len() + encode(&md.terminators).len();
+    let flag = oatdata(&bytes).0 + 8 + 8 + 4 + (4 + 8 + 4 + 4) + tables;
+    let flag = flag + encode(&md.embedded_data).len();
+    assert_eq!(bytes[flag], u8::from(md.has_indirect_jump));
+    bytes[flag] = 2;
+    assert_eq!(
+        from_elf_bytes(&bytes).unwrap_err(),
+        LoadError::Malformed(WireError::InvalidTag { what: "has_indirect_jump", tag: 2 })
+    );
+}
+
+#[test]
+fn an_oatdata_section_longer_than_its_records_is_refused() {
+    // One more byte claimed for `.oatdata`: the `.shstrtab` byte after it
+    // is inside the file, so only the section's own reader can tell.
+    let mut bytes = to_elf_bytes(&sample_oat());
+    let size_field = section_header(&bytes, 2) + 32;
+    let size = oatdata(&bytes).1 as u64 + 1;
+    bytes[size_field..size_field + 8].copy_from_slice(&size.to_le_bytes());
+    assert_eq!(
+        from_elf_bytes(&bytes).unwrap_err(),
+        LoadError::Malformed(WireError::TrailingBytes { extra: 1 })
+    );
+}
+
+/// `oat` written and loaded back: what a served artifact's validator
+/// sees.
+fn reloaded(oat: &OatFile) -> OatFile {
+    from_elf_bytes(&to_elf_bytes(oat)).expect("the image loads")
+}
+
+#[test]
+fn an_empty_outlined_function_has_no_return() {
+    // Empty, it has no last word: at offset 0 that is no word at all,
+    // elsewhere it would be its neighbour's.
+    let mut oat = sample_oat();
+    validate_structure(&reloaded(&oat)).expect("untampered oat validates");
+    let after_first = oat.methods[0].offset + oat.methods[0].size_bytes();
+    for offset in [0, after_first] {
+        oat.outlined = vec![OutlinedRecord { offset, size_words: 0 }];
+        assert_eq!(
+            validate_structure(&reloaded(&oat)),
+            Err(StructureError::OutlinedNoReturn { index: 0 }),
+            "an empty outlined function at byte {offset}"
+        );
+    }
+}
+
+#[test]
+fn a_segment_ending_past_the_address_space_is_refused() {
+    let base_address = u64::MAX - 3;
+    let mut oat = sample_oat();
+    oat.base_address = base_address;
+    assert_eq!(
+        validate_structure(&reloaded(&oat)),
+        Err(StructureError::BeyondAddressSpace { segment: "text", base_address })
+    );
+    let mut oat = sample_oat();
+    oat.dict = Some(DictLink { base_address, epoch: 1, size_words: 2 });
+    assert_eq!(
+        validate_structure(&reloaded(&oat)),
+        Err(StructureError::BeyondAddressSpace { segment: "dict", base_address })
+    );
+    oat.dict = Some(DictLink { base_address: DICT_BASE_ADDRESS, epoch: 1, size_words: 2 });
+    validate_structure(&reloaded(&oat)).expect("an island inside the address space validates");
 }
 
 #[test]
@@ -162,7 +256,7 @@ fn stack_map_past_the_code_is_out_of_range() {
     let mut oat = sample_oat();
     let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
     let method = record.method.0;
-    let past = (record.insn_words as u32 + 1) * 4;
+    let past = (record.insn_words + 1) * 4;
     record.stack_maps.push(StackMapEntry { native_offset: past, dex_pc: 0 });
     assert_eq!(
         validate_stack_maps(&oat).unwrap_err(),

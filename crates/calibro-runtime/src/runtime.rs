@@ -81,7 +81,7 @@ impl Runtime {
         let mut owner = vec![u32::MAX; oat.words.len()];
         for record in &oat.methods {
             let start = (record.offset / 4) as usize;
-            for slot in owner.iter_mut().skip(start).take(record.code_words) {
+            for slot in owner.iter_mut().skip(start).take(record.code_words as usize) {
                 *slot = record.method.0;
             }
         }

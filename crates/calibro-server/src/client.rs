@@ -8,7 +8,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use calibro::{options_fingerprint, BuildOptions};
-use calibro_cache::wire;
+use calibro_dex::wire;
 use calibro_dex::DexFile;
 
 use crate::error::{ClientError, ServeError};

@@ -2,7 +2,7 @@
 //! into — what goes over the wire in an error response, and what the
 //! client surfaces.
 
-use calibro_cache::wire::{Reader, Wire, WireError, Writer};
+use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
 /// A request-level failure. The numeric discriminants are the wire
 /// encoding and therefore part of the protocol: never reorder them.

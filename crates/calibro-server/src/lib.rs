@@ -19,9 +19,10 @@
 //!   Requests carry the full [`calibro::BuildOptions`] plus the
 //!   client-computed option/LTBO fingerprints; replies carry the
 //!   compiled OAT as ELF bytes plus build statistics.
-//!   The codec under the table is [`calibro_cache::wire`], where the
+//!   The codec under the table is [`calibro_dex::wire`], where the
 //!   `Wire` trait (one wire form per field type) lives so the cache's
-//!   disk and peer frames are rows of the same table.
+//!   disk and peer frames and the OAT's `.oatdata` are rows of the
+//!   same table.
 //! * `transport` — the one socket type (Unix domain socket, with a TCP
 //!   fallback) the daemon, the client and the fleet's peer connections
 //!   all read and write.
@@ -70,7 +71,7 @@ pub mod proto;
 pub mod server;
 mod transport;
 
-pub use calibro_cache::wire::WireError;
+pub use calibro_dex::wire::WireError;
 pub use client::Client;
 pub use error::{ClientError, ServeError};
 pub use fleet::{

@@ -137,7 +137,7 @@ impl ProgramTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calibro_cache::wire;
+    use calibro_dex::wire;
 
     fn program(statics: u32) -> (ProgramId, DexFile) {
         let mut dex = DexFile::new();

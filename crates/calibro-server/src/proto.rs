@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use calibro::{BuildOptions, CacheKey, CacheStats};
-use calibro_cache::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
+use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 use calibro_dex::DexFile;
 
 use crate::error::ServeError;
@@ -476,8 +476,9 @@ message! {
     }
 }
 
-/// Which store lane a peer fetch targets (the lanes with a peer tier).
-pub use calibro_cache::PeerLane;
+/// Which store lane a peer fetch targets (the lanes with a peer tier),
+/// and a found artifact's frame and recompute cost.
+pub use calibro_cache::{PeerFrame, PeerLane};
 
 message! {
     /// A fleet-internal fetch: "do you hold this key?" One shard sends
@@ -511,7 +512,7 @@ message! {
         pub key: CacheKey,
         /// The framed artifact bytes and the origin's recompute cost (µs);
         /// `None` when the serving shard does not hold the key.
-        pub artifact: Option<(Vec<u8>, u64)>,
+        pub artifact: Option<PeerFrame>,
     }
 }
 
@@ -913,7 +914,7 @@ mod samples {
 mod tests {
     use super::samples::{option_variants, sample_dex};
     use super::*;
-    use calibro_cache::wire::FieldEnds;
+    use calibro_dex::wire::FieldEnds;
     use calibro_workloads::AppSpec;
     use proptest::prelude::*;
 
@@ -1029,7 +1030,7 @@ mod tests {
             request_id: 77,
             lane: PeerLane::Dict,
             key: key(3),
-            artifact: Some((vec![1, 2, 3, 4], 9000)),
+            artifact: Some(PeerFrame { frame: vec![1, 2, 3, 4], cost_us: 9000 }),
         }
     }
 

@@ -50,8 +50,8 @@ use calibro::{
     options_fingerprint, BuildOptions, BuildSession, CacheConfig, CacheKey, DictRegistry,
     StableHasher,
 };
-use calibro_cache::wire::{self, WireError};
 use calibro_cache::ArtifactStore;
+use calibro_dex::wire::{self, WireError};
 // FNV-1a: the digest `generation-stats` reports for a sealed ELF, so
 // external harnesses can assert byte determinism without re-fetching.
 pub(crate) use calibro_cache::fnv64 as fnv1a64;

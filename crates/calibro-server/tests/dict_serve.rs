@@ -72,7 +72,11 @@ fn shared_dictionary_serves_second_client_from_the_island() {
     assert_eq!(link.epoch, 1);
     let registry = daemon.dict_registry().expect("dict daemon exposes its registry");
     let layout = registry.layout(link.epoch).expect("the linked epoch is alive");
-    assert_eq!(layout.words().len(), link.size_words, "link and island must agree on size");
+    assert_eq!(
+        layout.words().len(),
+        link.size_words as usize,
+        "link and island must agree on size"
+    );
 
     let stats = daemon.shutdown();
     assert_eq!(stats.build_errors, 0);

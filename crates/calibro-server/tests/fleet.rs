@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use calibro::{BuildOptions, CacheKey, DictRegistry};
-use calibro_cache::{from_frame, to_frame, ArtifactStore, CacheConfig, DictEntry, FORMAT_VERSION};
+use calibro_cache::{
+    from_frame, to_frame, ArtifactStore, CacheConfig, DictEntry, PeerFrame, FORMAT_VERSION,
+};
 use calibro_server::proto::{
     read_frame, write_frame, ErrorReply, FrameEvent, PeerGet, RESP_ERROR, RESP_PEER_ARTIFACT,
 };
@@ -106,7 +108,7 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                     request_id: request.request_id,
                     lane: request.lane,
                     key: request.key,
-                    artifact: Some((framed, 1_000)),
+                    artifact: Some(PeerFrame { frame: framed, cost_us: 1_000 }),
                 };
                 write_frame(&mut stream, RESP_PEER_ARTIFACT, &reply.encode()).expect("write");
             }
@@ -124,7 +126,7 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                     request_id: request.request_id,
                     lane: request.lane,
                     key: request.key,
-                    artifact: Some((framed, 1_000)),
+                    artifact: Some(PeerFrame { frame: framed, cost_us: 1_000 }),
                 };
                 write_frame(&mut stream, RESP_PEER_ARTIFACT, &reply.encode()).expect("write");
             }

@@ -678,7 +678,7 @@ fn shutdown_is_bounded_when_a_client_never_reads() {
 /// place of its program.
 fn body_with_program(request: &calibro_server::BuildRequest, program: &[u8]) -> Vec<u8> {
     let body = request.encode();
-    let header_len = body.len() - calibro_cache::wire::encode(&request.dex).len();
+    let header_len = body.len() - calibro_dex::wire::encode(&request.dex).len();
     [&body[..header_len], program].concat()
 }
 
@@ -699,8 +699,8 @@ fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held
     let (expected, expected_twin) = (direct(&app.dex), direct(&twin));
     assert_ne!(expected, expected_twin);
     let same_length = |a, b| {
-        calibro_cache::wire::encode::<calibro_dex::DexFile>(a).len()
-            == calibro_cache::wire::encode::<calibro_dex::DexFile>(b).len()
+        calibro_dex::wire::encode::<calibro_dex::DexFile>(a).len()
+            == calibro_dex::wire::encode::<calibro_dex::DexFile>(b).len()
     };
     assert!(same_length(&app.dex, &twin), "a flipped literal keeps the wire length");
 

@@ -21,8 +21,8 @@
 
 use std::cell::RefCell;
 
-use calibro_cache::wire::{wire_fields, Reader, Wire, WireError, Writer};
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
+use calibro_dex::wire::{wire_fields, Reader, Wire, WireError, Writer};
 use calibro_dex::{DexFile, Method};
 
 use crate::driver::BuildOptions;
@@ -288,7 +288,7 @@ impl Wire for BuildOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calibro_cache::wire::{decode, encode};
+    use calibro_dex::wire::{decode, encode};
 
     #[test]
     fn an_undefined_ltbo_tag_is_a_typed_error_naming_the_field() {

@@ -634,14 +634,15 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
     let mut flags = vec![if hot_slow_paths_only { FRESH } else { 0 }; code_len];
     if hot_slow_paths_only {
         for &(start, end) in &m.metadata.slow_paths {
-            for f in flags.get_mut(start..end.min(code_len)).unwrap_or_default() {
+            let slow = start as usize..(end as usize).min(code_len);
+            for f in flags.get_mut(slow).unwrap_or_default() {
                 *f &= !FRESH;
             }
         }
     }
     for rec in &m.metadata.pc_rel {
-        flags[rec.at] |= FRESH;
-        if let Some(f) = flags.get_mut(rec.target) {
+        flags[rec.at as usize] |= FRESH;
+        if let Some(f) = flags.get_mut(rec.target as usize) {
             *f |= LEADER;
         }
     }
@@ -651,7 +652,7 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
         flags[r.at] |= FRESH;
     }
     for &t in &m.metadata.terminators {
-        if let Some(f) = flags.get_mut(t) {
+        if let Some(f) = flags.get_mut(t as usize) {
             *f |= FRESH;
         }
     }
@@ -716,6 +717,7 @@ fn apply_edits(
             _ => Some(old - removed[before]),
         }
     };
+    let remap_word = |old: u32| remap(old as usize).map(|new| new as u32);
 
     // Call relocations are remapped where they sit, like the §3.2 tables
     // below; each edit's `bl` adds one, at its first word's new index.
@@ -735,23 +737,23 @@ fn apply_edits(
     // §3.3.4: patch PC-relative instructions whose distance changed.
     let mut patched = 0;
     for rec in &mut m.metadata.pc_rel {
-        let at = remap(rec.at).expect("PC-relative instruction removed by outlining");
-        let target = remap(rec.target).expect("branch target removed by outlining");
-        let new_offset = (target as i64 - at as i64) * 4;
+        let at = remap_word(rec.at).expect("PC-relative instruction removed by outlining");
+        let target = remap_word(rec.target).expect("branch target removed by outlining");
+        let new_offset = (i64::from(target) - i64::from(at)) * 4;
         if rec.at - at != rec.target - target {
             // Outlining only removes words between a site and its
             // target, so the offset keeps its sign and alignment and
             // shrinks in magnitude: the form that held the old one
             // holds the new one.
-            let site = decode(new_words[at]).expect("a PC-relative site decodes");
-            new_words[at] = site
+            let site = decode(new_words[at as usize]).expect("a PC-relative site decodes");
+            new_words[at as usize] = site
                 .with_pc_rel_offset(new_offset)
                 .encode()
                 .expect("a shrunken PC-relative offset encodes");
             patched += 1;
         } else {
             debug_assert_eq!(
-                decode(new_words[at]).ok().and_then(|site| site.pc_rel_offset()),
+                decode(new_words[at as usize]).ok().and_then(|site| site.pc_rel_offset()),
                 Some(new_offset),
                 "{:?}: the unpatched PC-relative site at word {at} does not encode its distance",
                 m.method
@@ -763,20 +765,20 @@ fn apply_edits(
     // Terminators: removed ones (inside outlined ranges) cannot exist —
     // terminators are separators — so every record survives remapping.
     for t in &mut m.metadata.terminators {
-        *t = remap(*t).expect("terminator removed by outlining");
+        *t = remap_word(*t).expect("terminator removed by outlining");
     }
 
     // Slow paths: remap range endpoints. Starts are leaders (branch
     // targets) and ends follow terminators or end the code, so both
     // survive; interior shrinkage is fine.
     for (s, e) in &mut m.metadata.slow_paths {
-        *s = remap(*s).expect("slow-path start removed by outlining");
-        *e = remap(*e).expect("slow-path end removed by outlining");
+        *s = remap_word(*s).expect("slow-path start removed by outlining");
+        *e = remap_word(*e).expect("slow-path end removed by outlining");
     }
 
     // Embedded data: the pool block moved as a whole.
     for (s, _) in &mut m.metadata.embedded_data {
-        *s = remap(*s).expect("embedded data removed by outlining");
+        *s = remap_word(*s).expect("embedded data removed by outlining");
     }
 
     // §3.5: stack maps — return offsets move with their call sites.
@@ -992,7 +994,7 @@ mod tests {
 
         // `body` with its terminators and its `b`s (site, target): both
         // replay to a fresh separator, and a `b`'s target to a leader's.
-        let method = |body: &[Insn], terminators: &[usize], branches: &[(usize, usize)]| {
+        let method = |body: &[Insn], terminators: &[u32], branches: &[(u32, u32)]| {
             let mut m = compiled(body.to_vec());
             m.metadata.terminators = terminators.to_vec();
             m.metadata.pc_rel = branches.iter().map(|&(at, target)| PcRel { at, target }).collect();
@@ -1051,9 +1053,9 @@ mod tests {
             let mut is_pc_rel_site = vec![false; code_len];
             let mut is_leader = vec![false; code_len];
             for rec in &m.metadata.pc_rel {
-                is_pc_rel_site[rec.at] = true;
-                if rec.target < code_len {
-                    is_leader[rec.target] = true;
+                is_pc_rel_site[rec.at as usize] = true;
+                if (rec.target as usize) < code_len {
+                    is_leader[rec.target as usize] = true;
                 }
             }
             // Call relocations are also position-bound (the linker rewrites their
@@ -1063,8 +1065,8 @@ mod tests {
             }
             let mut is_terminator = vec![false; code_len];
             for &t in &m.metadata.terminators {
-                if t < code_len {
-                    is_terminator[t] = true;
+                if (t as usize) < code_len {
+                    is_terminator[t as usize] = true;
                 }
             }
 
@@ -1136,8 +1138,8 @@ mod tests {
             let mut patched = 0;
             let mut new_pc_rel = Vec::with_capacity(m.metadata.pc_rel.len());
             for rec in &m.metadata.pc_rel {
-                let at = map[rec.at];
-                let target = map[rec.target];
+                let at = map[rec.at as usize];
+                let target = map[rec.target as usize];
                 assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
                 assert_ne!(target, usize::MAX, "branch target removed by outlining");
                 let new_offset = (target as i64 - at as i64) * 4;
@@ -1145,16 +1147,16 @@ mod tests {
                     new_insns[at] = new_insns[at].with_pc_rel_offset(new_offset);
                     patched += 1;
                 }
-                new_pc_rel.push(PcRel { at, target });
+                new_pc_rel.push(PcRel { at: at as u32, target: target as u32 });
             }
 
             // Terminators: removed ones (inside outlined ranges) cannot exist —
             // terminators are separators — so every record survives remapping.
             let mut new_terminators = Vec::with_capacity(m.metadata.terminators.len());
             for &t in &m.metadata.terminators {
-                let nt = map[t];
+                let nt = map[t as usize];
                 assert_ne!(nt, usize::MAX, "terminator removed by outlining");
-                new_terminators.push(nt);
+                new_terminators.push(nt as u32);
             }
 
             // Slow paths: remap range endpoints. Starts are leaders (branch
@@ -1162,17 +1164,17 @@ mod tests {
             // shrinkage is fine.
             let mut new_slow = Vec::with_capacity(m.metadata.slow_paths.len());
             for &(s, e) in &m.metadata.slow_paths {
-                let ns = map[s];
-                let ne = if e == old_len { new_code_len } else { map[e] };
+                let ns = map[s as usize];
+                let ne = if e as usize == old_len { new_code_len } else { map[e as usize] };
                 assert_ne!(ns, usize::MAX);
                 assert_ne!(ne, usize::MAX);
-                new_slow.push((ns, ne));
+                new_slow.push((ns as u32, ne as u32));
             }
 
             // Embedded data: the pool block moved as a whole.
             let mut new_embedded = Vec::with_capacity(m.metadata.embedded_data.len());
             for &(s, l) in &m.metadata.embedded_data {
-                new_embedded.push((map[s], l));
+                new_embedded.push((map[s as usize] as u32, l));
             }
 
             // §3.5: stack maps — return offsets move with their call sites.
@@ -1299,7 +1301,7 @@ mod tests {
                             _ => landing[below(landing.len())],
                         };
                         let offset = (target as i64 - w as i64) * 4;
-                        m.metadata.pc_rel.push(PcRel { at: w, target });
+                        m.metadata.pc_rel.push(PcRel { at: w as u32, target: target as u32 });
                         match below(6) {
                             0 => Insn::B { offset },
                             1 => Insn::BCond { cond: Cond::Ne, offset },
@@ -1320,7 +1322,7 @@ mod tests {
                         Insn::Bl { offset: 0 }
                     }
                     5 => {
-                        m.metadata.terminators.push(w);
+                        m.metadata.terminators.push(w as u32);
                         Insn::Ret { rn: Reg::LR }
                     }
                     _ => plain(below(9000)),
@@ -1333,11 +1335,11 @@ mod tests {
                 let (a, b) =
                     (landing[below(landing.len())].min(n), landing[below(landing.len())].min(n));
                 if a != b {
-                    m.metadata.slow_paths.push((a.min(b), a.max(b)));
+                    m.metadata.slow_paths.push((a.min(b) as u32, a.max(b) as u32));
                 }
             }
             if pool_len > 0 {
-                m.metadata.embedded_data.push((n, pool_len));
+                m.metadata.embedded_data.push((n as u32, pool_len as u32));
             }
             (m, edits)
         }
@@ -1439,17 +1441,18 @@ mod tests {
             m.words = (0..n).map(|_| below(1 << 30) as u32).collect();
             // Targets inside the code, in the pool, and past both.
             for _ in 0..below(n + 1) {
-                m.metadata.pc_rel.push(PcRel { at: below(n), target: below(n + pool_len + 3) });
+                let (at, target) = (below(n) as u32, below(n + pool_len + 3) as u32);
+                m.metadata.pc_rel.push(PcRel { at, target });
             }
             for _ in 0..below(3) {
                 let target = CallTarget::Thunk(ThunkKind::StackCheck);
                 m.relocs.push(Reloc { at: below(n), target });
             }
             for _ in 0..below(4) {
-                m.metadata.terminators.push(below(n + 3));
+                m.metadata.terminators.push(below(n + 3) as u32);
             }
             for _ in 0..below(4) {
-                m.metadata.slow_paths.push((below(n + 2), below(n + 2)));
+                m.metadata.slow_paths.push((below(n + 2) as u32, below(n + 2) as u32));
             }
             m
         }

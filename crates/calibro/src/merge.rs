@@ -253,8 +253,8 @@ fn outline_estimate(body: &CompiledMethod, diffs: &[u32], count: usize) -> i64 {
         }
     }
     for &t in &body.metadata.terminators {
-        if t < w {
-            cut[t] = true;
+        if (t as usize) < w {
+            cut[t as usize] = true;
         }
     }
     let mut total = 0i64;

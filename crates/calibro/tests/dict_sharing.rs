@@ -88,7 +88,7 @@ fn cold_tenant_publishes_and_sealed_epoch_serves_later_tenants() {
     assert_eq!(tenant2.stats.dict_epoch, 1);
     let link = tenant2.oat.dict.expect("dict-routed build must record its island");
     assert_eq!(link.epoch, 1);
-    assert_eq!(link.size_words, tenant2.stats.dict_island_words);
+    assert_eq!(link.size_words as usize, tenant2.stats.dict_island_words);
     assert!(
         tenant2.oat.text_size_bytes() < tenant1.oat.text_size_bytes(),
         "island-routed text {} must shrink below private-outline text {}",

@@ -16,7 +16,7 @@ fn dump_method(oat: &OatFile, method: MethodId, title: &str) {
     let record = &oat.methods[method.index()];
     println!("\n--- {title} (m{}, {} words) ---", method.0, record.code_words);
     let start = (record.offset / 4) as usize;
-    for w in 0..record.code_words {
+    for w in 0..record.code_words as usize {
         let addr = oat.base_address + record.offset + w as u64 * 4;
         let word = oat.words[start + w];
         if record.metadata.in_embedded_data(w) {
@@ -26,7 +26,7 @@ fn dump_method(oat: &OatFile, method: MethodId, title: &str) {
         match decode(word) {
             Ok(insn) => {
                 let mut notes = String::new();
-                if record.metadata.terminators.contains(&w) {
+                if record.metadata.terminators.contains(&(w as u32)) {
                     notes.push_str("   ; terminator");
                 }
                 if record.metadata.in_slow_path(w) {
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for thunk in &outlined.oat.thunks {
         println!("{:?} at {:#x}:", thunk.kind, outlined.oat.base_address + thunk.offset);
         let start = (thunk.offset / 4) as usize;
-        for w in 0..thunk.size_words {
+        for w in 0..thunk.size_words as usize {
             println!("    {}", decode(outlined.oat.words[start + w])?);
         }
     }
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for rec in outlined.oat.outlined.iter().take(4) {
         println!("outlined at {:#x}:", outlined.oat.base_address + rec.offset);
         let start = (rec.offset / 4) as usize;
-        for w in 0..rec.size_words {
+        for w in 0..rec.size_words as usize {
             println!("    {}", decode(outlined.oat.words[start + w])?);
         }
     }

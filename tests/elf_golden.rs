@@ -9,6 +9,9 @@
 //! the image out shows up as a moved digest even when it is
 //! self-consistent. Re-record (the failure message prints the table)
 //! only in a change that means to move the bytes, and say so there.
+//!
+//! Every image it digests must also load back to itself: `to_elf_bytes`
+//! of what `from_elf_bytes` reads is the image, byte for byte.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -31,7 +34,10 @@ const GOLDEN: [(&str, [u64; 5]); 6] = [
 
 fn digest(session: &BuildSession, dex: &calibro_dex::DexFile, options: &BuildOptions) -> u64 {
     let out = session.build(dex, options).expect("build");
-    fnv64(&calibro_oat::to_elf_bytes(&out.oat))
+    let image = calibro_oat::to_elf_bytes(&out.oat);
+    let loaded = calibro_oat::from_elf_bytes(&image).expect("the image loads");
+    assert!(calibro_oat::to_elf_bytes(&loaded) == image, "the image does not round-trip");
+    fnv64(&image)
 }
 
 fn digests(app: &App) -> [u64; 5] {

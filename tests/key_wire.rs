@@ -13,7 +13,7 @@ use calibro::{
     options_fingerprint, program_salt, BuildOptions, LtboConfig, LtboMode, MergeConfig,
     PipelineConfig,
 };
-use calibro_cache::wire::{decode, encode};
+use calibro_dex::wire::{decode, encode};
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
 use proptest::prelude::*;
