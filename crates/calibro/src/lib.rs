@@ -50,6 +50,7 @@ mod fingerprint;
 mod ltbo;
 mod merge;
 mod pipeline;
+mod program;
 mod report;
 mod sizepass;
 
@@ -70,5 +71,6 @@ pub use ltbo::detect_fault;
 pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
 pub use merge::{merge_content_key, MergeConfig, MergeStats};
 pub use pipeline::{BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
+pub use program::Program;
 pub use report::{size_report, SizeReport};
 pub use sizepass::SizeArtifact;

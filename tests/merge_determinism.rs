@@ -113,7 +113,7 @@ fn trace_outcomes(app: &calibro_workloads::App, options: &BuildOptions) -> Vec<S
 /// `x16` holding the thunk's scratch value instead of the constant the
 /// member's thunk put there, so a call returns the wrong value.
 #[test]
-#[ignore = "ROADMAP item 0: the merge island's StackCheck bl clobbers x16 before the parameter is read"]
+#[ignore = "ROADMAP \"Delete function merging\": the merge island's StackCheck bl clobbers x16 before the parameter is read"]
 fn a_merged_body_reads_its_parameters_before_any_call_clobbers_them() {
     let mut spec = calibro_workloads::paper_suite(0.5)
         .into_iter()
