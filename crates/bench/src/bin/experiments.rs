@@ -32,6 +32,10 @@ fn main() {
         run_dict(&args[1..]);
         return;
     }
+    if which == "dict-suite" {
+        run_dict_suite(&args[1..]);
+        return;
+    }
     let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE);
 
     eprintln!("generating the six-app suite (scale {scale}) ...");
@@ -260,14 +264,59 @@ fn run_dict(args: &[String]) {
         "island: epoch {}, {} entries, {} bytes (emitted once per daemon)",
         report.epoch, report.island_entries, report.island_bytes
     );
-    println!(
-        "dictionary: {} hits, {} publishes, {} private-preferred",
-        report.hits, report.publishes, report.private_preferred
-    );
+    println!("dictionary: {} hits, {} publishes", report.hits, report.publishes);
     println!(
         "aggregate .text: private {} vs shared {} ({:.2}% smaller)",
         report.aggregate_private, report.aggregate_shared, report.reduction_pct
     );
+}
+
+/// `experiments dict-suite [--scale S]...` — the shared outline
+/// dictionary over the six-app suite (see `bench::dict_suite`), one row
+/// per scale (default 2): the aggregate `.text` ledger beside the
+/// exact-body ceiling, and the tenants' resident bytes. Prints only.
+fn run_dict_suite(args: &[String]) {
+    let mut scales = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match (flag.as_str(), it.next()) {
+            ("--scale", Some(value)) => scales.push(parse_flag::<f64>(value, "--scale")),
+            _ => {
+                eprintln!("experiments dict-suite: expected --scale S, got {flag}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if scales.is_empty() {
+        scales.push(2.0);
+    }
+
+    header("shared outline dictionary: the six-app suite against the exact-body ceiling");
+    println!(
+        "| scale | private .text | routed + island | island | hits | ceiling, riding | \
+         ceiling, publisher private | resident, private | resident, routed |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|");
+    for scale in scales {
+        let row = bench::dict_suite(scale);
+        let pct = |bytes: u64| 100.0 * bytes as f64 / row.private_text as f64;
+        let shared = row.routed_text + row.island_bytes;
+        println!(
+            "| {} | {} | {} ({:+.3}%) | {} | {} | {} ({:.3}%) | {} ({:.3}%) | {} | {} |",
+            row.scale,
+            row.private_text,
+            shared,
+            pct(shared) - 100.0,
+            row.island_bytes,
+            row.hits,
+            row.ceiling_riding,
+            pct(row.ceiling_riding),
+            row.ceiling_private,
+            pct(row.ceiling_private),
+            row.resident_private,
+            row.resident_routed
+        );
+    }
 }
 
 /// `experiments fleet [--shard ID=unix:PATH | --shard ID=tcp:ADDR]...

@@ -4,10 +4,21 @@
 //! off arm pays for a private copy of every outlined body per app; the
 //! on arm emits the shared island once per daemon and each later app
 //! rides it at call overhead only. Results land in `BENCH_dict.json`.
+//!
+//! [`dict_suite`] measures the same ledger over the paper's six-app
+//! suite, against the exact-body sharing ceiling.
 
-use calibro::BuildOptions;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use calibro::{BuildOptions, BuildOutput, BuildSession, DictRegistry, MIN_ISLAND_WORDS};
 use calibro_dex::{BinOp, DexFile, DexInsn, MethodBuilder, VReg};
+use calibro_oat::{DictImage, OatFile};
+use calibro_runtime::Runtime;
 use calibro_server::{Daemon, DictStatsReply, Listener, ServerConfig, ShardEndpoint};
+use calibro_workloads::App;
+
+use crate::{run_trace, suite};
 
 /// Dictionary loadgen configuration.
 #[derive(Clone, Debug)]
@@ -64,8 +75,6 @@ pub struct DictReport {
     pub hits: u64,
     /// Total publishes across the family.
     pub publishes: u64,
-    /// Candidates where a canonical twin lost to register mismatch.
-    pub private_preferred: u64,
     /// Sum of per-app private `.text` (the dictionary-off world).
     pub aggregate_private: u64,
     /// Sum of per-app shared `.text` plus the island, emitted once.
@@ -100,7 +109,7 @@ impl DictReport {
         format!(
             concat!(
                 r#"{{"apps":{{{}}},"epoch":{},"island_entries":{},"island_bytes":{},"#,
-                r#""hits":{},"publishes":{},"private_preferred":{},"#,
+                r#""hits":{},"publishes":{},"#,
                 r#""aggregate_private_text":{},"aggregate_shared_text":{},"#,
                 r#""reduction_pct":{:.3}}}"#
             ),
@@ -110,7 +119,6 @@ impl DictReport {
             self.island_bytes,
             self.hits,
             self.publishes,
-            self.private_preferred,
             self.aggregate_private,
             self.aggregate_shared,
             self.reduction_pct
@@ -211,7 +219,7 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
         .map(|dex| text_bytes(&client.build(dex, &plain, None).expect("private build").elf))
         .collect();
 
-    // On arm: each build arbitrates against the current island and the
+    // On arm: each build routes against the current island and the
     // daemon seals after it, so app N+1 sees everything app N staged.
     let shared = BuildOptions::cto_ltbo().with_dict();
     let mut rows = Vec::with_capacity(apps.len());
@@ -246,7 +254,6 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
         island_bytes: stats.island_words * 4,
         hits: stats.hits,
         publishes: stats.publishes,
-        private_preferred: stats.private_preferred,
         aggregate_private,
         aggregate_shared,
         reduction_pct,
@@ -256,6 +263,102 @@ pub fn dict_load(config: &DictLoadConfig) -> DictReport {
         daemon.shutdown();
     }
     report
+}
+
+/// The dictionary ledger of the six-app suite at one scale (see
+/// [`dict_suite`]). Sizes are bytes.
+#[derive(Clone, Debug)]
+pub struct DictSuiteRow {
+    /// The `paper_suite` scale.
+    pub scale: f64,
+    /// Σ `.text` of the six apps built privately.
+    pub private_text: u64,
+    /// Σ `.text` of the six apps rebuilt against the sealed island.
+    pub routed_text: u64,
+    /// The island, emitted once per daemon.
+    pub island_bytes: u64,
+    /// Island hits across the six routed builds.
+    pub hits: u64,
+    /// The exact-body ceiling with every publisher riding the island:
+    /// Σ (k − 1) · |body + ret| over the eligible bodies, k being a
+    /// body's private copies across the suite.
+    pub ceiling_riding: u64,
+    /// The same ceiling with each body's publisher kept private, so
+    /// the island copy is one more: Σ (k − 2) · |body + ret| over the
+    /// bodies with k ≥ 2.
+    pub ceiling_private: u64,
+    /// Σ resident bytes of the six private tenants after one trace.
+    pub resident_private: u64,
+    /// Σ resident bytes of the six routed tenants after one trace, the
+    /// island mapped in each.
+    pub resident_routed: u64,
+}
+
+/// Every private outlined body of `oat` (without its `br x30`).
+fn outlined_bodies(oat: &OatFile) -> impl Iterator<Item = &[u32]> {
+    oat.outlined.iter().map(|f| &oat.words[(f.offset / 4) as usize..][..f.size_words as usize - 1])
+}
+
+/// Tenant `app`'s resident bytes after one pass of its trace.
+fn resident(out: &BuildOutput, app: &App, island: Option<&DictImage>) -> u64 {
+    let mut rt = Runtime::new_with_dict(&out.oat, &app.env, island);
+    run_trace(&mut rt, app, 1);
+    rt.resident_bytes()
+}
+
+/// Builds `paper_suite(scale)` through one dictionary session — all six
+/// apps publish against the empty island, one seal, all six rebuild
+/// routed — and reports the aggregate ledger beside the exact-body
+/// ceiling. The publishing builds are the private builds: an all-miss
+/// dictionary build emits exactly the private-outline image.
+///
+/// # Panics
+///
+/// When a build fails — this measurement is a correctness gate too.
+#[must_use]
+pub fn dict_suite(scale: f64) -> DictSuiteRow {
+    let apps = suite(scale);
+    let registry = Arc::new(DictRegistry::default());
+    let session = BuildSession::new().with_dict_registry(Arc::clone(&registry));
+    let options = BuildOptions::cto_ltbo().with_dict();
+    let build_all = || -> Vec<BuildOutput> {
+        apps.iter().map(|app| session.build(&app.dex, &options).expect("suite build")).collect()
+    };
+    let private = build_all();
+    let epoch = registry.seal_epoch();
+    let routed = build_all();
+    let layout = registry.layout(epoch).expect("the sealed epoch is current");
+    let island = DictImage {
+        base_address: calibro_oat::DICT_BASE_ADDRESS,
+        epoch,
+        words: layout.words().to_vec(),
+    };
+
+    let mut copies: HashMap<&[u32], u64> = HashMap::new();
+    for body in private.iter().flat_map(|out| outlined_bodies(&out.oat)) {
+        if body.len() >= MIN_ISLAND_WORDS {
+            *copies.entry(body).or_default() += 1;
+        }
+    }
+    let ceiling = |kept: u64| -> u64 {
+        let bytes = |body: &[u32]| 4 * (body.len() as u64 + 1);
+        copies.iter().map(|(body, &k)| k.saturating_sub(kept) * bytes(body)).sum()
+    };
+    let text = |outs: &[BuildOutput]| outs.iter().map(|out| out.oat.text_size_bytes()).sum();
+    let resident_of = |outs: &[BuildOutput], island| -> u64 {
+        apps.iter().zip(outs).map(|(app, out)| resident(out, app, island)).sum()
+    };
+    DictSuiteRow {
+        scale,
+        private_text: text(&private),
+        routed_text: text(&routed),
+        island_bytes: layout.size_bytes(),
+        hits: routed.iter().map(|out| out.stats.dict.hits).sum(),
+        ceiling_riding: ceiling(1),
+        ceiling_private: ceiling(2),
+        resident_private: resident_of(&private, None),
+        resident_routed: resident_of(&routed, Some(&island)),
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@ pub mod experiments;
 pub mod fleet;
 pub mod serve;
 
-pub use dict::{dict_load, family_app, DictAppRow, DictLoadConfig, DictReport};
+pub use dict::{
+    dict_load, dict_suite, family_app, DictAppRow, DictLoadConfig, DictReport, DictSuiteRow,
+};
 pub use drift::{drift_feedback, DriftConfig, DriftReport};
 pub use experiments::*;
 pub use fleet::{fleet_load, FleetLoadConfig, FleetReport};

@@ -13,15 +13,15 @@
 //! compiled method's rows sit beside its type in `calibro-codegen`, and
 //! the OAT's `.oatdata` is made of the same ones.
 //!
-//! Code is stored as machine words and nothing else: a method's words,
-//! a plan's candidate words and a dictionary body are copied into an
-//! image as they are, so no row carries an instruction and framing
-//! cannot fail. Which words are code is the validators' rule, one
-//! predicate for every lane: each word decodes to an instruction that
-//! encodes back to that very word — the canonical encoding the linker
-//! emits. Every row is exhaustive over its struct: adding a field to a
-//! cached type fails compilation here until the format (and
-//! [`FORMAT_VERSION`]) is updated.
+//! Code is stored as machine words and nothing else: a method's words
+//! and a plan's candidate words are copied into an image as they are,
+//! so no row carries an instruction and framing cannot fail. Which
+//! words are code is the validators' rule, one predicate for every
+//! lane: each word decodes to an instruction that encodes back to that
+//! very word — the canonical encoding the linker emits. Every row is
+//! exhaustive over its struct: adding a field to a cached type fails
+//! compilation here until the format (and [`FORMAT_VERSION`]) is
+//! updated.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -29,9 +29,7 @@ use std::path::{Path, PathBuf};
 use calibro_codegen::{CompiledMethod, PcRel};
 use calibro_dex::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
 
-use crate::entry::{
-    CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate,
-};
+use crate::entry::{CacheEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::peer::PeerLane;
@@ -43,11 +41,11 @@ use crate::peer::PeerLane;
 /// needs no manual cache wipe.
 ///
 /// Version 2: call-target tag 5 (`Merged`) and the `.calm` merge-plan
-/// lane. Version 3: call-target tag 6 (`Dict`) and the `.cald`
-/// shared-dictionary lane. Version 4: payloads are [`Wire`] rows —
-/// collection counts are `u32` (were `u64`), a runtime-entry thunk
-/// offset is a `u16` (was `u32`), a bool byte other than 0 or 1 is
-/// rejected. Version 5: a method's template is one flag byte per word
+/// lane. Version 3: call-target tag 6 (`Dict`) and a shared-dictionary
+/// lane (since removed: no lane reads its files). Version 4: payloads
+/// are [`Wire`] rows — collection counts are `u32` (were `u64`), a
+/// runtime-entry thunk offset is a `u16` (was `u32`), a bool byte other
+/// than 0 or 1 is rejected. Version 5: a method's template is one flag byte per word
 /// (was a tagged slot per symbol, literals repeated), and a group plan is
 /// four flat `u32` rows (was a sequence of candidates with 64-bit
 /// symbols and positions). Version 6: a group plan's occurrences are
@@ -137,10 +135,11 @@ fn write_atomic(dir: &Path, path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(),
 
 /// Removes stale temp files (`*.tmp<pid>`) left behind by crashed or
 /// killed writers, returning how many were removed. Entries proper
-/// (`*.calc` / `*.calg` / `*.calm` / `*.cald`) are never touched. Called when a store opens a
-/// disk directory; racing an in-flight writer is harmless because a
-/// clobbered rename is best-effort anyway and the writer's entry is
-/// rewritten on its next store.
+/// (`*.calc` / `*.calg` / `*.calm`) and files of no lane are never
+/// touched. Called when a store opens a disk directory; racing an
+/// in-flight writer is harmless because a clobbered rename is
+/// best-effort anyway and the writer's entry is rewritten on its next
+/// store.
 pub(crate) fn sweep_stale_tmp(dir: &Path) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     let mut removed = 0;
@@ -415,22 +414,6 @@ fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
     Ok(())
 }
 
-/// Structural validation of a loaded dictionary body: the body must be
-/// non-empty (an empty shared function cannot save anything and its
-/// island slot would alias the next entry's) and every word an
-/// instruction's ([`is_code_word`]) — the island copies it as it is — so
-/// a poisoned or maliciously crafted peer reply is rejected with a typed
-/// error before it can enter any epoch layout.
-fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
-    if entry.words.is_empty() {
-        return Err("empty dictionary body".to_owned());
-    }
-    if let Some(at) = entry.words.iter().position(|&word| !is_code_word(word)) {
-        return Err(format!("word {at} ({:#010x}) is not an instruction", entry.words[at]));
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Codec: every persisted type is a row of the `Wire` table.
 // ---------------------------------------------------------------------
@@ -438,7 +421,6 @@ fn validate_dict_entry(entry: &DictEntry) -> Result<(), String> {
 wire_fields!(GroupPlanEntry { code_len, lens, counts, words, positions });
 wire_fields!(MergePlanGroup { rep, members, diff_positions });
 wire_fields!(MergePlanEntry { member_count, groups });
-wire_fields!(DictEntry { words });
 
 // A merge group's smallest form: its representative and two empty rows.
 wire_seq!(MergePlanGroup: 4 + 4 + 4);
@@ -497,7 +479,7 @@ impl wire::FieldEnds for CacheEntry {
 }
 
 // ---------------------------------------------------------------------
-// The four lanes.
+// The three lanes.
 // ---------------------------------------------------------------------
 
 /// The lane table: one row per entry type — frame magic, file
@@ -525,7 +507,6 @@ lanes! {
     CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry;
     GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry;
     MergePlanEntry: b"CALM", "calm", None, validate_merge_entry;
-    DictEntry: b"CALD", "cald", Some(PeerLane::Dict), validate_dict_entry;
 }
 
 #[cfg(test)]
@@ -604,21 +585,6 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn sample_dict() -> DictEntry {
-        let insns = [
-            Insn::AddImm {
-                wide: true,
-                set_flags: false,
-                rd: Reg::X0,
-                rn: Reg::X1,
-                imm12: 3,
-                shift12: false,
-            },
-            Insn::OrrReg { wide: true, rd: Reg::X2, rn: Reg::ZR, rm: Reg::X0, shift: 0 },
-        ];
-        DictEntry { words: encode_words(&insns).expect("the sample's instructions encode") }
-    }
-
     /// The key the committed fixtures are framed under.
     pub(crate) const FIXTURE_KEY: CacheKey =
         CacheKey { hi: 0x0123_4567_89ab_cdef, lo: 0xfedc_ba98_7654_3210 };
@@ -629,20 +595,19 @@ pub(crate) mod tests {
                 ("calc", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calc"))),
                 ("calg", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calg"))),
                 ("calm", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calm"))),
-                ("cald", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.cald"))),
             ]
         };
     }
 
-    /// The four `tests/fixtures/` files: the `sample_*` entries above,
+    /// The three `tests/fixtures/` files: the `sample_*` entries above,
     /// framed under [`FIXTURE_KEY`] by [`to_frame`] at
     /// [`FORMAT_VERSION`].
-    const FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/");
+    const FIXTURES: [(&str, &[u8]); 3] = fixtures!("../tests/fixtures/");
 
     /// The same lanes as an older format version wrote them (version 7:
     /// a method's metadata tables of `u64` word indices) — kept to prove
     /// a directory of any other version degrades to misses.
-    pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 4] = fixtures!("../tests/fixtures/stale/");
+    pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 3] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
     fn start_of(value: &impl FieldEnds, field: &str) -> usize {
@@ -777,7 +742,6 @@ pub(crate) mod tests {
         admits::<CacheEntry>();
         admits::<GroupPlanEntry>();
         admits::<MergePlanEntry>();
-        admits::<DictEntry>();
     }
 
     #[test]
@@ -802,27 +766,6 @@ pub(crate) mod tests {
     fn a_merge_group_minimum_is_its_smallest_encoding() {
         let empty = MergePlanGroup { rep: 0, members: vec![], diff_positions: vec![] };
         assert_eq!(wire::encode(&empty).len(), <MergePlanGroup as wire::SeqElem>::MIN_BYTES);
-    }
-
-    #[test]
-    fn dict_frames_keep_the_frame_contract() {
-        let body = sample_dict();
-        frame_contract(&body, &[], &[(0, "words")], &[]);
-    }
-
-    #[test]
-    fn an_undecodable_word_in_a_frame_is_a_typed_error() {
-        // The frame is intact (checksum recomputed); only the word is bad.
-        let mut payload = wire::encode(&sample_dict());
-        payload[4..8].fill(0); // the first word, unallocated
-        let mut frame = to_frame(FIXTURE_KEY, &sample_dict());
-        frame.truncate(32);
-        frame.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        assert_eq!(
-            from_frame::<DictEntry>(FIXTURE_KEY, &frame),
-            Err("word 0 (0x00000000) is not an instruction".to_owned())
-        );
     }
 
     #[test]
@@ -951,10 +894,6 @@ pub(crate) mod tests {
         let rows = [&plan.lens, &plan.counts, &plan.words, &plan.positions];
         let owned: usize = rows.iter().map(|row| size_of_val(row.as_slice())).sum();
         assert!(plan.approx_bytes() >= owned, "{} < {owned}", plan.approx_bytes());
-        let mut body = sample_dict();
-        body.words.extend([0; 64]);
-        let owned = size_of_val(body.words.as_slice());
-        assert!(body.approx_bytes() >= owned, "{} < {owned}", body.approx_bytes());
     }
 
     #[test]
@@ -1040,20 +979,6 @@ pub(crate) mod tests {
         let mut m = sample_merge();
         m.groups[0].diff_positions = vec![4, 1];
         assert!(validate_merge_entry(&m).is_err(), "unsorted diff positions accepted");
-    }
-
-    #[test]
-    fn dict_validation_rejects_malformed_bodies() {
-        assert_eq!(validate_dict_entry(&sample_dict()), Ok(()));
-        let mut d = sample_dict();
-        d.words.clear();
-        assert_eq!(validate_dict_entry(&d), Err("empty dictionary body".to_owned()));
-        let mut d = sample_dict();
-        d.words[1] = 0; // unallocated
-        assert_eq!(
-            validate_dict_entry(&d),
-            Err("word 1 (0x00000000) is not an instruction".into())
-        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn sequence_content_key_of(symbols: impl ExactSizeIterator<Item = u64>) -> Cache
 /// Alongside the flags, the template caches the two canonical hashes of
 /// its replay output — the [`sequence_content_key`] Merkle leaf and the
 /// [`stable_sequence_hash`](calibro_suffix::stable_sequence_hash)
-/// partition hash. Both canonicalize separator values, so they are
+/// partition hash. Both normalize separator values, so they are
 /// invariant under the separator band a replay draws from (and computed
 /// from flags and words without one); caching them here takes both hash
 /// passes off the warm critical path. The content key alone tells a
@@ -309,7 +309,7 @@ impl CacheEntry {
 }
 
 /// One cached LTBO group plan: the outline candidates detected over a
-/// group's concatenated symbol text, keyed by that text's canonicalized
+/// group's concatenated symbol text, keyed by that text's normalized
 /// content plus the `LtboConfig` fingerprint — as four flat `u32` rows.
 /// Candidate *i* is the next `lens[i]` entries of `words` and the next
 /// `counts[i]` entries of `positions`, candidates in canonical
@@ -457,29 +457,6 @@ impl MergePlanEntry {
     }
 }
 
-/// One shared-dictionary body: the code words of an outlined function
-/// published by some tenant, keyed in the dict lane by the 128-bit hash
-/// of their *canonicalized* (register-renamed) form. The value keeps the
-/// concrete words — reuse requires an exact match, so a canonical-key
-/// hit with a register-renamed body falls back to private outlining —
-/// and nothing else: which registers the body touches is a function of
-/// its words, recomputed by whoever needs it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DictEntry {
-    /// The outlined body exactly as it appears at every call site (the
-    /// trailing return is appended at island emission, not stored).
-    pub words: Vec<u32>,
-}
-
-impl DictEntry {
-    /// Approximate resident size in bytes (see
-    /// [`CacheEntry::approx_bytes`]).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        64 + size_of_val(self.words.as_slice())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,7 +546,7 @@ mod tests {
         let a = SymbolTemplate::new(vec![0, FRESH, 0], &[7, 8, 9]);
         let b = SymbolTemplate::new(vec![0, FRESH, 0], &[7, 1234, 9]);
         // A fresh word replays to a separator, whatever the word, and
-        // separators are canonicalized — same content key.
+        // separators are normalized — same content key.
         assert_eq!(a.content_key(), b.content_key());
         assert_eq!(a.group_hash(), b.group_hash());
         let c = SymbolTemplate::new(vec![0, FRESH, 0], &[8, 8, 9]);

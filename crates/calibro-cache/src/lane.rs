@@ -2,7 +2,7 @@
 //! cost-aware 2Q eviction and its own counter block, over the tiered
 //! read path memory → checksummed disk (promoting on a hit) → fleet
 //! peer. Written once, generically over [`LaneEntry`], and
-//! monomorphised per entry type — the four lanes of an
+//! monomorphised per entry type — the three lanes of an
 //! [`ArtifactStore`](crate::ArtifactStore) share every line of logic
 //! here and none of their state, so per-build stats stay attributable
 //! and pressure in one lane never evicts another.

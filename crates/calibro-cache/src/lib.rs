@@ -44,7 +44,7 @@ mod store;
 
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
-    sequence_content_key, CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
+    sequence_content_key, CacheEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
     SymbolTemplate, LEADER_SEPARATOR,
 };
 pub use error::CacheError;

@@ -29,8 +29,6 @@ pub enum PeerLane {
     Method,
     /// LTBO group plans (`.calg` frames).
     Group,
-    /// Shared-dictionary bodies (`.cald` frames).
-    Dict,
 }
 
 /// Why a peer fetch failed. Every transport failure mode in the fleet
@@ -101,7 +99,6 @@ impl Wire for PeerLane {
         w.u8(match self {
             PeerLane::Method => 0,
             PeerLane::Group => 1,
-            PeerLane::Dict => 2,
         });
     }
 
@@ -109,7 +106,6 @@ impl Wire for PeerLane {
         match r.u8(what)? {
             0 => Ok(PeerLane::Method),
             1 => Ok(PeerLane::Group),
-            2 => Ok(PeerLane::Dict),
             tag => Err(WireError::InvalidTag { what, tag }),
         }
     }

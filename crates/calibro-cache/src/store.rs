@@ -1,9 +1,9 @@
-//! The content-addressed artifact store: four [`Lane`]s — method
-//! artifacts, LTBO group plans, merge plans, shared-dictionary bodies —
-//! over one configuration, one optional disk directory and one optional
-//! peer tier, plus the flat [`CacheStats`] snapshot of their counters.
-//! What a lane does, and how a peer failure degrades to a counted miss,
-//! is [`Lane`]'s story; this module only wires four of them together.
+//! The content-addressed artifact store: three [`Lane`]s — method
+//! artifacts, LTBO group plans, merge plans — over one configuration,
+//! one optional disk directory and one optional peer tier, plus the
+//! flat [`CacheStats`] snapshot of their counters. What a lane does,
+//! and how a peer failure degrades to a counted miss, is [`Lane`]'s
+//! story; this module only wires three of them together.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
 use crate::disk;
-use crate::entry::{CacheEntry, DictEntry, GroupPlanEntry, MergePlanEntry};
+use crate::entry::{CacheEntry, GroupPlanEntry, MergePlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::lane::{Counter, Lane};
@@ -37,9 +37,6 @@ pub struct CacheConfig {
     /// In-memory byte budget of the merge-plan lane, enforced
     /// independently of the other lanes.
     pub merge_budget_bytes: usize,
-    /// In-memory byte budget of the shared-dictionary lane, enforced
-    /// independently of the other lanes.
-    pub dict_budget_bytes: usize,
 }
 
 impl Default for CacheConfig {
@@ -50,7 +47,6 @@ impl Default for CacheConfig {
             method_budget_bytes: usize::MAX,
             group_budget_bytes: usize::MAX,
             merge_budget_bytes: usize::MAX,
-            dict_budget_bytes: usize::MAX,
         }
     }
 }
@@ -61,7 +57,6 @@ enum LaneId {
     Method,
     Group,
     Merge,
-    Dict,
 }
 
 /// The counter table: the one place a [`CacheStats`] field is named.
@@ -177,30 +172,6 @@ cache_stats! {
     merge_promotions = Merge.Promotions,
     /// Cumulative analysis cost (µs) of evicted merge plans.
     merge_evict_cost_us = Merge.EvictCostUs,
-    /// Dictionary lookups that found a shared body (candidate costed
-    /// with call overhead only).
-    dict_hits = Dict.Hits,
-    /// Dictionary lookups that found nothing on any tier.
-    dict_misses = Dict.Misses,
-    /// Dictionary bodies published (inserted).
-    dict_stores = Dict.Stores,
-    /// Dictionary bodies evicted by the capacity or byte budgets.
-    dict_evictions = Dict.Evictions,
-    /// Dictionary lookups satisfied from the disk layer.
-    dict_disk_hits = Dict.DiskHits,
-    /// Dictionary bodies persisted to the disk layer.
-    dict_disk_stores = Dict.DiskStores,
-    /// Dictionary disk hits promoted into the in-memory map (see
-    /// [`promotions`](Self::promotions)).
-    dict_promotions = Dict.Promotions,
-    /// Dictionary lookups satisfied by a fleet peer.
-    dict_peer_hits = Dict.PeerHits,
-    /// Dictionary peer consultations that answered not-found.
-    dict_peer_misses = Dict.PeerMisses,
-    /// Dictionary peer consultations that failed.
-    dict_peer_errors = Dict.PeerErrors,
-    /// Cumulative publish cost (µs) of evicted dictionary bodies.
-    dict_evict_cost_us = Dict.EvictCostUs,
     /// Method-lane lock acquisitions that found the lock held by
     /// another thread (a contended shared-store access). Zero in
     /// single-build use; under a multi-tenant daemon this measures how
@@ -210,8 +181,6 @@ cache_stats! {
     group_lock_contention = Group.LockContention,
     /// Merge-plan-lane lock acquisitions that found the lock held.
     merge_lock_contention = Merge.LockContention,
-    /// Dictionary-lane lock acquisitions that found the lock held.
-    dict_lock_contention = Dict.LockContention,
 }
 
 // Every `CacheStats` field is a row of the counter table, which the stats
@@ -291,20 +260,18 @@ impl CacheStats {
 /// The content-addressed store. Cheap to share: wrap in `Arc` or hold
 /// per `BuildSession`; all methods take `&self`.
 ///
-/// Four independent [`Lane`]s share the store — per-method compile
+/// Three independent [`Lane`]s share the store — per-method compile
 /// artifacts ([`methods`](Self::methods)), per-group LTBO plans
-/// ([`groups`](Self::groups)), per-bucket merge plans
-/// ([`merges`](Self::merges)) and shared-dictionary bodies
-/// ([`dicts`](Self::dicts)) — each with its own lock, counters, eviction
-/// policy and byte budget, so per-build stats stay attributable and
-/// pressure in one lane never evicts another. The method, group and
-/// dictionary lanes have a peer tier; the merge lane is local-only (see
-/// [`PeerLane`]).
+/// ([`groups`](Self::groups)) and per-bucket merge plans
+/// ([`merges`](Self::merges)) — each with its own lock, counters,
+/// eviction policy and byte budget, so per-build stats stay
+/// attributable and pressure in one lane never evicts another. The
+/// method and group lanes have a peer tier; the merge lane is
+/// local-only (see [`PeerLane`]).
 pub struct ArtifactStore {
     methods: Lane<CacheEntry>,
     groups: Lane<GroupPlanEntry>,
     merges: Lane<MergePlanEntry>,
-    dicts: Lane<DictEntry>,
     config: CacheConfig,
 }
 
@@ -339,7 +306,6 @@ impl ArtifactStore {
             methods: Lane::new(max, config.method_budget_bytes, dir.clone()),
             groups: Lane::new(max, config.group_budget_bytes, dir.clone()),
             merges: Lane::new(max, config.merge_budget_bytes, dir.clone()),
-            dicts: Lane::new(max, config.dict_budget_bytes, dir.clone()),
             config,
         }
     }
@@ -351,8 +317,7 @@ impl ArtifactStore {
     pub fn set_peer_source(&self, source: Arc<dyn PeerSource>) {
         self.methods.set_peer_source(Arc::clone(&source));
         self.groups.set_peer_source(Arc::clone(&source));
-        self.merges.set_peer_source(Arc::clone(&source));
-        self.dicts.set_peer_source(source);
+        self.merges.set_peer_source(source);
     }
 
     /// The per-method compile-artifact lane.
@@ -371,12 +336,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn merges(&self) -> &Lane<MergePlanEntry> {
         &self.merges
-    }
-
-    /// The shared-dictionary lane.
-    #[must_use]
-    pub fn dicts(&self) -> &Lane<DictEntry> {
-        &self.dicts
     }
 
     /// [`Lane::get`] on the method lane.
@@ -416,7 +375,6 @@ impl ArtifactStore {
         match lane {
             PeerLane::Method => self.methods.serve_peer(key),
             PeerLane::Group => self.groups.serve_peer(key),
-            PeerLane::Dict => self.dicts.serve_peer(key),
         }
     }
 
@@ -429,10 +387,7 @@ impl ArtifactStore {
     /// Best-effort like all disk writes: an unwritable directory
     /// flushes nothing and fails nothing. No-op without a `disk_dir`.
     pub fn flush_to_disk(&self) -> usize {
-        self.methods.flush_to_disk()
-            + self.groups.flush_to_disk()
-            + self.merges.flush_to_disk()
-            + self.dicts.flush_to_disk()
+        self.methods.flush_to_disk() + self.groups.flush_to_disk() + self.merges.flush_to_disk()
     }
 
     /// A snapshot of the cumulative counters.
@@ -442,7 +397,6 @@ impl ArtifactStore {
             LaneId::Method => self.methods.count(counter),
             LaneId::Group => self.groups.count(counter),
             LaneId::Merge => self.merges.count(counter),
-            LaneId::Dict => self.dicts.count(counter),
         }))
     }
 }
@@ -451,7 +405,7 @@ impl ArtifactStore {
 mod tests {
     use super::*;
     use crate::disk::tests::{
-        sample_dict, sample_entry, sample_group, sample_merge, FIXTURE_KEY, STALE_FIXTURES,
+        sample_entry, sample_group, sample_merge, FIXTURE_KEY, STALE_FIXTURES,
     };
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
@@ -508,21 +462,6 @@ mod tests {
         }
         fn budget(config: &mut CacheConfig) -> &mut usize {
             &mut config.merge_budget_bytes
-        }
-    }
-
-    impl Sample for DictEntry {
-        const PREFIX: &'static str = "dict_";
-        fn make(n: u32) -> Self {
-            let mut body = sample_dict();
-            body.words[0] += n << 10; // the `add`'s immediate, 3 + n
-            body
-        }
-        fn lane(store: &ArtifactStore) -> &Lane<Self> {
-            store.dicts()
-        }
-        fn budget(config: &mut CacheConfig) -> &mut usize {
-            &mut config.dict_budget_bytes
         }
     }
 
@@ -584,12 +523,11 @@ mod tests {
             tight.methods().insert(key(n), Sample::make(n as u32));
             tight.groups().insert(key(n), Sample::make(n as u32));
             tight.merges().insert(key(n), Sample::make(n as u32));
-            tight.dicts().insert(key(n), Sample::make(n as u32));
         }
         assert_eq!(V::lane(&tight).len(), 1, "{ext}: byte budget must evict");
         assert_eq!(stats::<V, 1>(&tight, ["evictions"]), [3]);
         let s = tight.stats();
-        let evicted = s.evictions + s.group_evictions + s.merge_evictions + s.dict_evictions;
+        let evicted = s.evictions + s.group_evictions + s.merge_evictions;
         assert_eq!(evicted, 3, "{ext}: pressure leaked into a sibling lane");
 
         // Entries persist across store instances, and a disk hit is a
@@ -610,7 +548,6 @@ mod tests {
             second.methods().get(key(7)).unwrap().is_some(),
             second.groups().get(key(7)).unwrap().is_some(),
             second.merges().get(key(7)).unwrap().is_some(),
-            second.dicts().get(key(7)).unwrap().is_some(),
         ];
         assert_eq!(found.iter().filter(|&&f| f).count(), 1, "{ext}: lanes alias on disk");
         drop(second);
@@ -785,10 +722,8 @@ mod tests {
         method_lane_keeps_the_lane_contract = lane_contract::<CacheEntry>;
         group_lane_keeps_the_lane_contract = lane_contract::<GroupPlanEntry>;
         merge_lane_keeps_the_lane_contract = lane_contract::<MergePlanEntry>;
-        dict_lane_keeps_the_lane_contract = lane_contract::<DictEntry>;
         method_lane_keeps_the_peer_contract = peer_contract::<CacheEntry>;
         group_lane_keeps_the_peer_contract = peer_contract::<GroupPlanEntry>;
-        dict_lane_keeps_the_peer_contract = peer_contract::<DictEntry>;
     }
 
     #[test]
@@ -845,13 +780,13 @@ mod tests {
         method_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<CacheEntry>;
         group_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<GroupPlanEntry>;
         merge_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<MergePlanEntry>;
-        dict_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<DictEntry>;
     }
 
     #[test]
     fn counter_table_keeps_the_wire_and_json_order() {
         // Recorded from the 45-argument `format!` / wire destructuring
-        // the table replaced. Append to both; never reorder.
+        // the table replaced, less the twelve rows of the dictionary lane
+        // removed since. Append to both; never reorder.
         #[rustfmt::skip]
         let order = [
             "hits", "misses", "stores", "evictions", "disk_hits", "disk_stores", "promotions",
@@ -861,25 +796,21 @@ mod tests {
             "group_peer_errors", "group_evict_cost_us",
             "merge_hits", "merge_misses", "merge_stores", "merge_evictions", "merge_disk_hits",
             "merge_disk_stores", "merge_promotions", "merge_evict_cost_us",
-            "dict_hits", "dict_misses", "dict_stores", "dict_evictions", "dict_disk_hits",
-            "dict_disk_stores", "dict_promotions", "dict_peer_hits", "dict_peer_misses",
-            "dict_peer_errors", "dict_evict_cost_us",
             "lock_contention", "group_lock_contention", "merge_lock_contention",
-            "dict_lock_contention",
         ];
         assert_eq!(CacheStats::NAMES, order);
         let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
         let s = CacheStats::from_array(ramp);
         assert_eq!(s.to_array(), ramp);
-        assert_eq!((s.hits, s.group_hits, s.merge_hits, s.dict_hits), (1, 12, 23, 31));
+        assert_eq!((s.hits, s.group_hits, s.merge_hits), (1, 12, 23));
         assert_eq!(
-            (s.merge_evict_cost_us, s.lock_contention, s.dict_lock_contention),
-            (30, 42, 45)
+            (s.merge_evict_cost_us, s.lock_contention, s.merge_lock_contention),
+            (30, 31, 33)
         );
         // The JSON object `BuildStats::to_json` embeds, key for key.
         let json = s.to_json();
         assert!(json.starts_with(r#"{"hits":1,"misses":2,"stores":3,"evictions":4,"disk_hits":5,"#));
-        assert!(json.ends_with(r#","merge_lock_contention":44,"dict_lock_contention":45}"#));
+        assert!(json.ends_with(r#","group_lock_contention":32,"merge_lock_contention":33}"#));
         let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
         assert_eq!(keys, order);
         let doubled = CacheStats::from_array(ramp.map(|v| 2 * v));
@@ -889,6 +820,31 @@ mod tests {
             (CacheStats { group_hits: 3, group_misses: 1, ..s }.group_hit_rate() - 0.75) < 1e-9
         );
         assert!(CacheStats::default().hit_rate().abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_file_of_the_retired_dictionary_lane_is_ignored() {
+        // That lane's frames (magic `CALD`, extension `cald`) may outlive
+        // it in a cache directory: no lane reads one, and neither the tmp
+        // sweep nor the drain flush touches it.
+        let dir = fresh_dir("retired-lane");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(FIXTURE_KEY.to_hex()).with_extension("cald");
+        let mut frame = to_frame(FIXTURE_KEY, &sample_group());
+        frame[..4].copy_from_slice(b"CALD");
+        std::fs::write(&path, &frame).unwrap();
+
+        let store = disk_store(&dir);
+        assert!(store.methods().get(FIXTURE_KEY).unwrap().is_none());
+        assert!(store.groups().get(FIXTURE_KEY).unwrap().is_none());
+        assert!(store.merges().get(FIXTURE_KEY).unwrap().is_none());
+        let s = store.stats();
+        assert_eq!((s.misses, s.group_misses, s.merge_misses), (1, 1, 1));
+        assert_eq!(activity(&store), 3, "a leftover frame counted as more than misses");
+        assert_eq!(store.flush_to_disk(), 0);
+        drop(store);
+        assert_eq!(std::fs::read(&path).unwrap(), frame, "the leftover file was touched");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

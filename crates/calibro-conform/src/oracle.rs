@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use calibro::{build, BuildSession, DictRegistry};
+use calibro::{build, BuildSession, DictRegistry, MIN_ISLAND_WORDS};
 use calibro_oat::{validate_stack_maps, validate_structure, DictImage, OatFile};
 use calibro_runtime::{ExecOutcome, Runtime, StateSnapshot};
 
@@ -436,16 +436,24 @@ pub fn check_variant_dict(
     registry.seal_epoch();
 
     // Rider: the identical program now finds its own bodies sealed in
-    // the island; every published body must hit and the text must not
-    // grow.
+    // the island; every eligible candidate must route there — only a
+    // body shorter than the island's minimum may stay private — and the
+    // text must not grow.
     let rider = session
         .build(&program.dex, &options)
         .map_err(|e| Divergence::BuildFailed { label: label.clone(), error: e.to_string() })?;
     let published = publisher.stats.dict.publishes;
-    if published > 0 && rider.stats.dict.hits == 0 {
+    // A private record's size counts its `br x30`.
+    let kept =
+        rider.oat.outlined.iter().filter(|f| f.size_words as usize > MIN_ISLAND_WORDS).count();
+    if kept > 0 {
         return Err(Divergence::Dict {
             label,
-            detail: format!("{published} bodies published, yet the rider scored zero hits"),
+            detail: format!(
+                "the rider outlined {kept} bodies of {MIN_ISLAND_WORDS}+ words privately \
+                 ({} hits, {published} published)",
+                rider.stats.dict.hits
+            ),
         });
     }
     if rider.oat.text_size_bytes() > publisher.oat.text_size_bytes() {
@@ -537,6 +545,18 @@ mod tests {
             check_program_dict(&program, &full_matrix()).expect("dict builds stay conformant");
         assert!(publishes > 0, "art-call programs must stage dictionary bodies");
         assert!(hits > 0, "riders must route to the sealed bodies");
+    }
+
+    #[test]
+    fn the_rider_routes_every_eligible_candidate_of_a_program_with_register_twins() {
+        // This program outlines register variants of some of its bodies:
+        // each variant must route to its own island copy.
+        let program = Program::from_seed("motif-app", 0).unwrap();
+        let variant = crate::matrix::find_variant("ltbo-global/all/t1").expect("a matrix row");
+        let baseline = run_baseline(&program).expect("the baseline runs");
+        let (hits, publishes) =
+            check_variant_dict(&program, &baseline, &variant).expect("every candidate routes");
+        assert_eq!((hits, publishes), (36, 36));
     }
 
     #[test]

@@ -1,6 +1,16 @@
 //! The daemon-wide dictionary: published bodies, sealed epochs, and the
 //! per-build routing session.
 //!
+//! ## Keys
+//!
+//! A body's key is the [`StableHasher`] digest of its words ([`body_key`]):
+//! nothing is decoded, a body is its key's preimage by construction, and
+//! two keys are equal only when the words are. The key also *places*: a
+//! sealed epoch lays its island out in key order, so unlike the cache's
+//! addressing keys it does not follow
+//! [`SCHEMA_VERSION`](calibro_cache::SCHEMA_VERSION) — a schema bump must
+//! not reorder served images (DESIGN.md §7).
+//!
 //! ## Epoch model
 //!
 //! The shared `.text` island must be immutable from a tenant's point of
@@ -16,36 +26,27 @@
 //! ([`DictRegistry::pin_epoch`]); an epoch's island can only be retired
 //! ([`DictRegistry::retire_unpinned`]) once no generation pins it, so
 //! no sealed generation ever dangles — that is the epoch fence. A layout
-//! owns a copy of its island words, and the registry holds its own
-//! reference to every published body, so cache-lane eviction (a
-//! memory-budget concern) can never tear a word out of an island.
+//! owns a copy of its island words, and the registry owns every
+//! published body, so nothing outside the registry can tear a word out
+//! of an island.
 //!
-//! ## Arbitration
+//! ## Routing
 //!
 //! [`DictSession::route`] decides, per outlined candidate, between the
-//! shared island and a private outline. A candidate routes to the
-//! island only when the pinned layout holds a body *byte-identical* to
-//! the candidate's: canonical-key equality alone is not enough, because
-//! the island stores one concrete register assignment and a tenant
-//! whose registers differ cannot branch into it. A body the dictionary
-//! lane returns (from memory, disk or a peer) is adopted only when it
-//! is its key's preimage; any other is overwritten with the candidate's
-//! own, so a confused or differently-canonicalizing source cannot bind
-//! a key to a foreign body. The three outcomes
-//! feed [`DictStats`]: `hits` (island used, body cost zero), `publishes`
-//! (body staged for future epochs, private outline this build),
-//! `private_preferred` (canonical twin exists but concrete registers
-//! differ — private outlining wins the arbitration). Inlining is
-//! arbitrated upstream: a candidate only reaches `route` after LTBO's
-//! benefit model decided outlining beats keeping the copies inline.
+//! shared island and a private outline. A candidate whose key the pinned
+//! layout holds routes to the island — its words are the island body's.
+//! Any other eligible candidate is published for future epochs and
+//! outlined privately this build. The two outcomes feed [`DictStats`]:
+//! `hits` (island used, body cost zero) and `publishes` (body staged for
+//! future epochs). Inlining is arbitrated upstream: a candidate only
+//! reaches `route` after LTBO's benefit model decided outlining beats
+//! keeping the copies inline.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use calibro_cache::{ArtifactStore, CacheKey, DictEntry};
-
-use crate::canon::canonical_key;
+use calibro_cache::{CacheKey, StableHasher};
 
 /// `ret` (through `x30`), the word every island body is followed by.
 const RET: u32 = 0xd65f_03c0;
@@ -53,39 +54,44 @@ const RET: u32 = 0xd65f_03c0;
 /// Minimum body length (words) eligible for the shared island; shorter
 /// bodies stay private — the cross-tenant call overhead cannot pay for
 /// itself.
-const MIN_ISLAND_WORDS: usize = 2;
+pub const MIN_ISLAND_WORDS: usize = 2;
 
-/// Per-build dictionary arbitration outcomes (see the module docs).
+/// Hash-domain tag for dictionary keys, distinct from every other
+/// key-construction tag in the pipeline.
+const DICT_KEY_TAG: u8 = 0x45;
+
+/// The key's salt: the schema string in force when the first epoch
+/// layouts were recorded, frozen so island order never moves with it.
+const DICT_KEY_SALT: &str = "0.1.0+s5";
+
+/// The 128-bit dictionary key of the body `words` (see the module docs).
+fn body_key(words: &[u32]) -> CacheKey {
+    let mut h = StableHasher::with_capacity(words.len() * 4 + 32);
+    h.write_tag(DICT_KEY_TAG);
+    h.write_str(DICT_KEY_SALT);
+    h.write_usize(words.len());
+    for &word in words {
+        h.write_u32(word);
+    }
+    h.finish()
+}
+
+/// Per-build dictionary routing outcomes (see the module docs).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct DictStats {
     /// Candidates routed to the shared island (body cost zero).
     pub hits: u64,
     /// Bodies newly staged into the dictionary for future epochs.
     pub publishes: u64,
-    /// Candidates whose canonical twin exists but whose concrete
-    /// registers differ — private outlining preferred.
-    pub private_preferred: u64,
-}
-
-impl DictStats {
-    /// The activity between `earlier` and `self`.
-    #[must_use]
-    pub fn since(&self, earlier: &DictStats) -> DictStats {
-        DictStats {
-            hits: self.hits - earlier.hits,
-            publishes: self.publishes - earlier.publishes,
-            private_preferred: self.private_preferred - earlier.private_preferred,
-        }
-    }
 }
 
 /// One sealed epoch's immutable island layout: every published body at
-/// seal time, in canonical-key order, each followed by a `ret`.
+/// seal time, in key order, each followed by a `ret`.
 #[derive(Debug)]
 pub struct EpochLayout {
     epoch: u64,
-    /// Each key's body as its island word offset and length.
-    bodies: HashMap<CacheKey, (u32, u32)>,
+    /// Each key's island word offset.
+    bodies: HashMap<CacheKey, u32>,
     /// The island image.
     words: Vec<u32>,
 }
@@ -95,14 +101,14 @@ impl EpochLayout {
         EpochLayout { epoch: 0, bodies: HashMap::new(), words: Vec::new() }
     }
 
-    fn build(epoch: u64, mut bodies: Vec<(CacheKey, Arc<DictEntry>)>) -> EpochLayout {
+    fn build(epoch: u64, mut bodies: Vec<(CacheKey, &[u32])>) -> EpochLayout {
         bodies.sort_by_key(|&(key, _)| key);
         let mut layout =
             EpochLayout { epoch, bodies: HashMap::with_capacity(bodies.len()), words: Vec::new() };
         for (key, body) in bodies {
             let at = u32::try_from(layout.words.len()).expect("island exceeds u32 words");
-            layout.bodies.insert(key, (at, body.words.len() as u32));
-            layout.words.extend_from_slice(&body.words);
+            layout.bodies.insert(key, at);
+            layout.words.extend_from_slice(body);
             layout.words.push(RET);
         }
         layout
@@ -126,12 +132,11 @@ impl EpochLayout {
         self.bodies.is_empty()
     }
 
-    /// The island word offset and words of the body published under
-    /// `key`, if any.
+    /// The island word offset of the body published under `key`, if
+    /// any.
     #[must_use]
-    pub fn lookup(&self, key: CacheKey) -> Option<(u32, &[u32])> {
-        let &(at, len) = self.bodies.get(&key)?;
-        Some((at, &self.words[at as usize..][..len as usize]))
+    pub fn offset(&self, key: CacheKey) -> Option<u32> {
+        self.bodies.get(&key).copied()
     }
 
     /// The island image (each body followed by `ret`).
@@ -156,9 +161,8 @@ struct EpochState {
 }
 
 struct RegistryInner {
-    /// Every published body, keyed canonically. Keep-first: a canonical
-    /// key is bound to its first published concrete body forever.
-    published: HashMap<CacheKey, Arc<DictEntry>>,
+    /// Every published body, by key.
+    published: HashMap<CacheKey, Vec<u32>>,
     /// Keys published since the last seal.
     staged: Vec<CacheKey>,
     /// One state per sealed epoch; index == epoch number. Epoch 0 is
@@ -172,7 +176,6 @@ pub struct DictRegistry {
     inner: Mutex<RegistryInner>,
     hits: AtomicU64,
     publishes: AtomicU64,
-    private_preferred: AtomicU64,
 }
 
 impl Default for DictRegistry {
@@ -202,7 +205,6 @@ impl DictRegistry {
             }),
             hits: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            private_preferred: AtomicU64::new(0),
         }
     }
 
@@ -233,13 +235,12 @@ impl DictRegistry {
         self.lock().staged.len()
     }
 
-    /// Cumulative arbitration outcomes across every session.
+    /// Cumulative routing outcomes across every session.
     #[must_use]
     pub fn cumulative_stats(&self) -> DictStats {
         DictStats {
             hits: self.hits.load(Ordering::Relaxed),
             publishes: self.publishes.load(Ordering::Relaxed),
-            private_preferred: self.private_preferred.load(Ordering::Relaxed),
         }
     }
 
@@ -256,17 +257,15 @@ impl DictRegistry {
         }
     }
 
-    /// Publishes `body` under `key`, staging it for the next seal.
-    /// Keep-first: returns `false` (and changes nothing) when the key
-    /// is already published — the dictionary binds a canonical key to
-    /// its first concrete body forever, which is what keeps island
-    /// content stable across epochs.
-    pub fn publish(&self, key: CacheKey, body: Arc<DictEntry>) -> bool {
+    /// Publishes `body` under its `key`, staging it for the next seal.
+    /// Returns `false` (and changes nothing) when the key is already
+    /// published.
+    fn publish(&self, key: CacheKey, body: &[u32]) -> bool {
         let mut inner = self.lock();
         if inner.published.contains_key(&key) {
             return false;
         }
-        inner.published.insert(key, body);
+        inner.published.insert(key, body.to_vec());
         inner.staged.push(key);
         true
     }
@@ -282,8 +281,7 @@ impl DictRegistry {
         }
         inner.staged.clear();
         let epoch = inner.epochs.len() as u64;
-        let bodies: Vec<(CacheKey, Arc<DictEntry>)> =
-            inner.published.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
+        let bodies = inner.published.iter().map(|(&key, body)| (key, body.as_slice())).collect();
         let layout = Arc::new(EpochLayout::build(epoch, bodies));
         inner.epochs.push(EpochState { layout: Some(layout), pins: 0 });
         epoch
@@ -367,48 +365,30 @@ impl DictSession {
         &self.layout
     }
 
-    /// This session's arbitration outcomes so far.
+    /// This session's routing outcomes so far.
     #[must_use]
     pub fn stats(&self) -> DictStats {
         self.stats
     }
 
-    /// Arbitrates one outlined candidate body, its code words (without
-    /// the trailing return). Returns the island word offset to `bl` to
-    /// when the pinned island holds a byte-identical body; `None` routes
-    /// the candidate to a private outline. Misses publish through
-    /// `store`'s dictionary lane (consulting disk and the fleet first, so
-    /// a body a sibling shard published is adopted instead of
-    /// re-published, when it is the key's preimage) — the publish lands
-    /// in future epochs, never this build's island.
-    pub fn route(&mut self, body: &[u32], store: &ArtifactStore) -> Option<u32> {
+    /// Routes one outlined candidate body, its code words (without the
+    /// trailing return). Returns the island word offset to `bl` to when
+    /// the pinned island holds the body; `None` routes the candidate to
+    /// a private outline. A miss publishes the body — the publish lands
+    /// in future epochs, never this build's island, so this build
+    /// outlines privately and byte-identical reruns stay byte-identical
+    /// until a seal.
+    pub fn route(&mut self, body: &[u32]) -> Option<u32> {
         if body.len() < MIN_ISLAND_WORDS {
             return None;
         }
-        let key = canonical_key(body);
-        if let Some((at, island)) = self.layout.lookup(key) {
-            if island == body {
-                self.stats.hits += 1;
-                self.registry.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(at);
-            }
-            self.stats.private_preferred += 1;
-            self.registry.private_preferred.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let key = body_key(body);
+        if let Some(at) = self.layout.offset(key) {
+            self.stats.hits += 1;
+            self.registry.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(at);
         }
-        // Not in our island: adopt the fleet's body for this key when
-        // one exists (disk or peer) and the key is its own, otherwise
-        // publish ours — over a foreign body, as the outline pass
-        // replaces a foreign group plan. Either way the key is only
-        // *staged* — this build outlines privately and byte-identical
-        // reruns stay byte-identical until a seal.
-        let ours = || DictEntry { words: body.to_vec() };
-        let adopted = match store.dicts().get(key) {
-            Ok(Some(existing)) if canonical_key(&existing.words) == key => existing,
-            Ok(Some(_)) => store.dicts().replace_with_cost(key, ours(), 0),
-            Ok(None) | Err(_) => store.dicts().insert(key, ours()),
-        };
-        if self.registry.publish(key, adopted) {
+        if self.registry.publish(key, body) {
             self.stats.publishes += 1;
             self.registry.publishes.fetch_add(1, Ordering::Relaxed);
         }
@@ -437,14 +417,13 @@ mod tests {
     #[test]
     fn publish_seal_then_hit() {
         let reg = registry();
-        let store = ArtifactStore::default();
         let mut first = reg.session();
         assert_eq!(first.epoch(), 0);
-        assert_eq!(first.route(&body(7, 2), &store), None, "cold route publishes, goes private");
-        assert_eq!(first.stats(), DictStats { hits: 0, publishes: 1, private_preferred: 0 });
+        assert_eq!(first.route(&body(7, 2)), None, "cold route publishes, goes private");
+        assert_eq!(first.stats(), DictStats { hits: 0, publishes: 1 });
         // Same build, same body again: already staged, still private,
         // not a second publish.
-        assert_eq!(first.route(&body(7, 2), &store), None);
+        assert_eq!(first.route(&body(7, 2)), None);
         assert_eq!(first.stats().publishes, 1);
 
         assert_eq!(reg.seal_epoch(), 1);
@@ -452,46 +431,64 @@ mod tests {
 
         let mut second = reg.session();
         assert_eq!(second.epoch(), 1);
-        let at = second.route(&body(7, 2), &store).expect("sealed body must hit");
-        assert_eq!(second.stats(), DictStats { hits: 1, publishes: 0, private_preferred: 0 });
+        let at = second.route(&body(7, 2)).expect("sealed body must hit");
+        assert_eq!(second.stats(), DictStats { hits: 1, publishes: 0 });
         // The island serves the body at that offset, ret-terminated.
         let layout = second.layout();
         let words = layout.words();
         assert_eq!(words.len(), 3);
         assert_eq!(words[at as usize..], [&body(7, 2)[..], &[RET]].concat());
         assert_eq!(Insn::Ret { rn: Reg::LR }.encode(), Ok(RET));
-        // The dictionary lane saw the publish.
-        assert_eq!(store.stats().dict_stores, 1);
+        assert_eq!(reg.cumulative_stats(), DictStats { hits: 1, publishes: 1 });
     }
 
     #[test]
-    fn register_twin_prefers_private() {
+    fn register_variants_both_publish_and_both_hit() {
+        // The same computation under two register assignments: two
+        // bodies, two keys, two island entries — each tenant calls its
+        // own.
+        let (x2, x4) = (body(7, 2), body(7, 4));
+        assert_ne!(body_key(&x2), body_key(&x4));
         let reg = registry();
-        let store = ArtifactStore::default();
         let mut s = reg.session();
-        s.route(&body(7, 2), &store);
+        assert_eq!((s.route(&x2), s.route(&x4)), (None, None));
+        assert_eq!(s.stats(), DictStats { hits: 0, publishes: 2 });
         reg.seal_epoch();
         let mut t = reg.session();
-        // Same canonical shape, different concrete register: the
-        // island body cannot serve it.
-        assert_eq!(t.route(&body(7, 4), &store), None);
-        assert_eq!(t.stats(), DictStats { hits: 0, publishes: 0, private_preferred: 1 });
+        let (a, b) = (t.route(&x2).expect("x2 hits"), t.route(&x4).expect("x4 hits"));
+        assert_eq!(t.stats(), DictStats { hits: 2, publishes: 0 });
+        let island = t.layout().words();
+        assert_eq!(island[a as usize..][..2], x2[..]);
+        assert_eq!(island[b as usize..][..2], x4[..]);
+    }
+
+    /// A key places its body in every sealed island, so it must never
+    /// move: recorded from this function's first version.
+    #[test]
+    fn keys_equal_the_recorded_keys() {
+        let golden = [
+            (body(7, 2), "8b1553a96715775be5246f40b831e1ee"),
+            (body(7, 4), "14b7cb49012815bd2958a88bdd408c0a"),
+            (vec![RET, RET, RET], "1374ee478f55439e5211381f7fbe2667"),
+        ];
+        for (words, hex) in golden {
+            assert_eq!(body_key(&words).to_hex(), hex, "{words:08x?}");
+        }
     }
 
     #[test]
     fn island_layout_is_publish_order_invariant() {
-        let store = ArtifactStore::default();
         let bodies: Vec<Vec<u32>> = (0..6).map(|i| body(100 + i, 3)).collect();
         let forward = registry();
         let mut s = forward.session();
         for b in &bodies {
-            s.route(b, &store);
+            s.route(b);
         }
         forward.seal_epoch();
         let backward = registry();
         let mut t = backward.session();
         for b in bodies.iter().rev() {
-            t.route(b, &store);
+            t.route(b);
         }
         backward.seal_epoch();
         assert_eq!(
@@ -504,9 +501,8 @@ mod tests {
     #[test]
     fn short_bodies_are_ineligible() {
         let reg = registry();
-        let store = ArtifactStore::default();
         let mut s = reg.session();
-        assert_eq!(s.route(&body(7, 2)[..1], &store), None);
+        assert_eq!(s.route(&body(7, 2)[..MIN_ISLAND_WORDS - 1]), None);
         assert_eq!(s.stats(), DictStats::default(), "ineligible body must not publish");
         assert_eq!(reg.published_count(), 0);
     }
@@ -514,12 +510,11 @@ mod tests {
     #[test]
     fn epoch_fence_blocks_retirement_while_pinned() {
         let reg = registry();
-        let store = ArtifactStore::default();
         let mut s = reg.session();
-        s.route(&body(1, 2), &store);
+        s.route(&body(1, 2));
         reg.seal_epoch();
         let mut t = reg.session();
-        t.route(&body(2, 2), &store);
+        t.route(&body(2, 2));
         reg.seal_epoch();
         assert_eq!(reg.current_epoch(), 2);
 
@@ -540,63 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn adopted_fleet_body_is_staged_not_republished() {
-        // A sibling shard already published this canonical key with
-        // registers we do not use: the session must adopt that body
-        // (so the fleet-wide island stays consistent), stage it, and
-        // still outline privately.
-        let reg = registry();
-        let store = ArtifactStore::default();
-        let fleet_body = body(7, 2);
-        let key = canonical_key(&fleet_body);
-        store.dicts().insert(key, DictEntry { words: fleet_body.clone() });
-        let mut s = reg.session();
-        assert_eq!(s.route(&body(7, 4), &store), None);
-        assert_eq!(s.stats().publishes, 1, "adoption counts as this build's publish");
-        reg.seal_epoch();
-        // The island carries the fleet's body, not ours.
-        let layout = reg.layout(1).unwrap();
-        assert_eq!(layout.lookup(key), Some((0, &fleet_body[..])));
-        assert_eq!(store.stats().dict_stores, 1, "no second store for an adopted body");
-    }
-
-    #[test]
-    fn a_body_that_is_not_its_keys_preimage_is_replaced_not_adopted() {
-        // The lane returns a foreign body under our key — from memory
-        // here, as it could from a `.cald` file or a peer on other
-        // canonicalization rules. Adopting it would bind the key to a
-        // body our own copies can never match.
-        let reg = registry();
-        let store = ArtifactStore::default();
-        let ours = body(7, 2);
-        let key = canonical_key(&ours);
-        assert_ne!(canonical_key(&body(9, 3)), key);
-        store.dicts().insert(key, DictEntry { words: body(9, 3) });
-        let mut s = reg.session();
-        assert_eq!(s.route(&ours, &store), None);
-        assert_eq!(s.stats().publishes, 1);
-        let lane = store.stats();
-        assert_eq!((lane.dict_hits, lane.dict_misses, lane.dict_stores), (1, 1, 2), "{lane:?}");
-        let resident = store.dicts().get(key).unwrap().expect("ours replaced the foreign body");
-        assert_eq!(resident.words, ours);
-        reg.seal_epoch();
-        let layout = reg.layout(1).unwrap();
-        assert_eq!(layout.lookup(key), Some((0, &ours[..])));
-        // Later builds share the key instead of preferring private.
-        let mut t = reg.session();
-        assert_eq!(t.route(&ours, &store), Some(0));
-        assert_eq!(t.stats(), DictStats { hits: 1, publishes: 0, private_preferred: 0 });
-    }
-
-    #[test]
     fn a_holder_that_panics_leaves_the_registry_working() {
         let reg = registry();
-        let entry = |imm| {
-            let words = body(imm, 2);
-            (canonical_key(&words), Arc::new(DictEntry { words }))
-        };
-        let (first, first_body) = entry(1);
-        assert!(reg.publish(first, first_body));
+        let first = body(1, 2);
+        assert!(reg.publish(body_key(&first), &first));
         let died = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = reg.lock();
@@ -609,8 +551,8 @@ mod tests {
         // What was published before the panic is still there, and
         // publish, seal, pin and the counters all keep working.
         assert_eq!((reg.published_count(), reg.staged_count()), (1, 1));
-        let (second, second_body) = entry(2);
-        assert!(reg.publish(second, second_body));
+        let second = body(2, 2);
+        assert!(reg.publish(body_key(&second), &second));
         assert_eq!(reg.seal_epoch(), 1);
         assert_eq!(reg.layout(1).expect("sealed epoch has a layout").len(), 2);
         assert!(reg.pin_epoch(1));

@@ -47,7 +47,7 @@ fn simplify(insn: &HInsn) -> Option<HInsn> {
             _ => None,
         },
         HInsn::Move { dst, src } if dst == src => {
-            // A self-move is a nop; canonicalize to Const? No — drop is
+            // A self-move is a nop; turn it into a Const? No — drop is
             // DCE's job; rewrite into a no-op-equivalent is not smaller.
             None
         }

@@ -640,11 +640,8 @@ message! {
         pub pinned_epochs: u64,
         /// Candidates routed to an existing island entry.
         pub hits: u64,
-        /// Bodies this daemon published (first writer per canonical key).
+        /// Bodies this daemon published.
         pub publishes: u64,
-        /// Candidates whose canonical twin was in the island but with a
-        /// different register assignment, so private outlining won.
-        pub private_preferred: u64,
     }
 }
 
@@ -665,7 +662,7 @@ macro_rules! server_stats {
                 /// Request-latency histogram bucket counts (see
                 /// [`crate::histogram`]).
                 pub latency_buckets: Vec<u64>,
-                /// Cumulative shared-store counters (all four lanes +
+                /// Cumulative shared-store counters (all three lanes +
                 /// contention).
                 pub cache: CacheStats,
             }
@@ -1028,7 +1025,7 @@ mod tests {
     fn peer_artifact_found() -> PeerArtifact {
         PeerArtifact {
             request_id: 77,
-            lane: PeerLane::Dict,
+            lane: PeerLane::Group,
             key: key(3),
             artifact: Some(PeerFrame { frame: vec![1, 2, 3, 4], cost_us: 9000 }),
         }
@@ -1096,7 +1093,6 @@ mod tests {
             pinned_epochs: 3,
             hits: 64,
             publishes: 22,
-            private_preferred: 5,
         }
     }
 
@@ -1317,6 +1313,8 @@ mod tests {
             message_contract(reply, &format!("error_{}", reply.error.code()), &["error"]);
         }
         message_contract(&peer_get(), "peer_get", &[]);
+        // Re-recorded when the dictionary lane went: its sample lane
+        // byte was that lane's 2.
         message_contract(&peer_artifact_found(), "peer_artifact_found", &[]);
         message_contract(&peer_artifact_missing(), "peer_artifact_missing", &[]);
         message_contract(&profile_request(), "profile_request", &[]);
@@ -1324,10 +1322,12 @@ mod tests {
         message_contract(&generation_stats_request(), "generation_stats_request", &[]);
         message_contract(&generation_stats(), "generation_stats", &[]);
         message_contract(&dict_stats_request(), "dict_stats_request", &[]);
+        // Re-recorded when its last row, the register-twin counter, went.
         message_contract(&dict_stats_reply(), "dict_stats_reply", &[]);
-        // Re-recorded once, the only fixture that was: the stats table
-        // gained its `programs_decoded` / `programs_reused` rows (two
-        // `u64`s after `refreshes_triggered`).
+        // Re-recorded twice: the stats table gained its
+        // `programs_decoded` / `programs_reused` rows (two `u64`s after
+        // `refreshes_triggered`), and the cache block lost the twelve
+        // counters of the dictionary lane.
         message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
@@ -1337,10 +1337,16 @@ mod tests {
             body[at] = byte;
             body
         };
-        assert_eq!(
-            PeerGet::decode(&with(peer_get().encode(), 8, 9)),
-            Err(WireError::InvalidTag { what: "lane", tag: 9 })
-        );
+        for lane in [2, 9] {
+            assert_eq!(
+                PeerGet::decode(&with(peer_get().encode(), 8, lane)),
+                Err(WireError::InvalidTag { what: "lane", tag: lane })
+            );
+            assert_eq!(
+                PeerArtifact::decode(&with(peer_artifact_found().encode(), 8, lane)),
+                Err(WireError::InvalidTag { what: "lane", tag: lane })
+            );
+        }
         assert_eq!(
             ProfileReply::decode(&with(profile_reply().encode(), 32, 2)),
             Err(WireError::InvalidTag { what: "refresh_scheduled", tag: 2 })
@@ -1362,13 +1368,16 @@ mod tests {
         // Length and FNV-1a-64 digest recorded from the codec that
         // spelled the 45 cache counters out by hand (PR 15), over this
         // same value: cache counters 1..=45 in table order (whose names
-        // calibro-cache pins separately).
-        let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
+        // calibro-cache pins separately). The twelve counters of the
+        // dictionary lane were removed since — 31..=41 after
+        // `merge_evict_cost_us` and 45 last — and the others keep their
+        // values.
+        let kept: Vec<u64> = (1..=30).chain(42..=44).collect();
         let stats = ServerStats {
             uptime_us: 100,
             workers: 2,
             latency_buckets: vec![7, 8],
-            cache: CacheStats::from_array(ramp),
+            cache: CacheStats::from_array(kept.try_into().expect("one value per counter")),
             ..ServerStats::default()
         };
         let body = stats.encode();
@@ -1381,6 +1390,11 @@ mod tests {
         assert_eq!(ServerStats::LEN, RECORDED_ROWS + 2);
         let mut recorded = body;
         assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
+        // The cache block ends the body; put the removed counters back.
+        let words = |values: std::ops::RangeInclusive<u64>| values.flat_map(u64::to_le_bytes);
+        let after_merge = recorded.len() - 8 * 3;
+        recorded.splice(after_merge..after_merge, words(31..=41));
+        recorded.extend(words(45..=45));
         let digest = crate::server::fnv1a64(&recorded);
         assert_eq!((recorded.len(), digest), (548, 0x9c25_c479_dd85_e91f));
     }

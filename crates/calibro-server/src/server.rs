@@ -1175,7 +1175,6 @@ fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<
                 pinned_epochs: registry.pinned_epochs() as u64,
                 hits: stats.hits,
                 publishes: stats.publishes,
-                private_preferred: stats.private_preferred,
             }
         }
         None => DictStatsReply { request_id: request.request_id, ..DictStatsReply::default() },

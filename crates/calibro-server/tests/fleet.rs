@@ -13,10 +13,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use calibro::{BuildOptions, CacheKey, DictRegistry};
-use calibro_cache::{
-    from_frame, to_frame, ArtifactStore, CacheConfig, DictEntry, PeerFrame, FORMAT_VERSION,
-};
+use calibro::{BuildOptions, CacheKey};
+use calibro_cache::{ArtifactStore, CacheConfig, PeerFrame, FORMAT_VERSION};
 use calibro_server::proto::{
     read_frame, write_frame, ErrorReply, FrameEvent, PeerGet, RESP_ERROR, RESP_PEER_ARTIFACT,
 };
@@ -51,18 +49,6 @@ enum Fault {
     BadChecksum,
     /// Replies with a typed server error.
     RemoteError,
-    /// Delivers a real dictionary frame for the requested key with one
-    /// payload byte flipped in flight.
-    TamperedDict,
-}
-
-/// A dictionary body, decoded from calibro-cache's committed `.cald`
-/// fixture (this crate has no instruction constructors of its own).
-fn dict_body() -> (CacheKey, DictEntry) {
-    let key = CacheKey { hi: 0x0123_4567_89ab_cdef, lo: 0xfedc_ba98_7654_3210 };
-    let frame: &[u8] =
-        include_bytes!("../../calibro-cache/tests/fixtures/0123456789abcdeffedcba9876543210.cald");
-    (key, from_frame(key, frame).expect("fixture frame decodes"))
 }
 
 /// One-shot fake peer: accepts a single connection, serves one
@@ -118,17 +104,6 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                     error: ServeError::Build { detail: "synthetic remote failure".to_owned() },
                 };
                 write_frame(&mut stream, RESP_ERROR, &reply.encode()).expect("write");
-            }
-            Fault::TamperedDict => {
-                let mut framed = to_frame(request.key, &dict_body().1);
-                *framed.last_mut().expect("non-empty frame") ^= 0xFF;
-                let reply = calibro_server::proto::PeerArtifact {
-                    request_id: request.request_id,
-                    lane: request.lane,
-                    key: request.key,
-                    artifact: Some(PeerFrame { frame: framed, cost_us: 1_000 }),
-                };
-                write_frame(&mut stream, RESP_PEER_ARTIFACT, &reply.encode()).expect("write");
             }
         }
     });
@@ -303,67 +278,6 @@ fn cold_shard_serves_sibling_program_one_worker() {
 #[test]
 fn cold_shard_serves_sibling_program_eight_workers() {
     cold_shard_serves_sibling_program(8);
-}
-
-/// The dictionary lane's peer tier, end to end over real sockets: a
-/// body published on shard A is adopted by shard B through
-/// `PeerLane::Dict` — same bytes, one counted peer hit, not a store —
-/// and A counts the serve without it touching A's own attribution.
-#[test]
-fn dictionary_body_published_on_one_shard_is_adopted_by_its_sibling() {
-    let socket_a = temp_socket("dict-a");
-    let socket_b = temp_socket("dict-b");
-    let daemon_a = Daemon::start(
-        Listener::unix(&socket_a).expect("bind A"),
-        ServerConfig { workers: 1, shard_id: 0, ..ServerConfig::default() },
-    )
-    .expect("start A");
-    let daemon_b = Daemon::start(
-        Listener::unix(&socket_b).expect("bind B"),
-        ServerConfig {
-            workers: 1,
-            shard_id: 1,
-            peers: vec![ShardSpec { id: 0, endpoint: ShardEndpoint::Unix(socket_a.clone()) }],
-            ..ServerConfig::default()
-        },
-    )
-    .expect("start B");
-
-    let (key, body) = dict_body();
-    daemon_a.store().dicts().insert(key, body.clone());
-    let adopted = daemon_b
-        .store()
-        .dicts()
-        .get(key)
-        .expect("no cache error")
-        .expect("shard B must adopt the body shard A published");
-    assert_eq!(*adopted, body);
-    assert_eq!(to_frame(key, &*adopted), to_frame(key, &body), "DictEntry bytes must match");
-
-    let b = daemon_b.stats().cache;
-    assert_eq!((b.dict_peer_hits, b.dict_peer_errors, b.dict_peer_misses), (1, 0, 0), "{b:?}");
-    assert_eq!((b.dict_hits, b.dict_misses, b.dict_stores), (1, 0, 0), "adoption is not a store");
-    let stats_a = daemon_a.stats();
-    assert_eq!(stats_a.peer_gets_served, 1);
-    assert_eq!((stats_a.cache.dict_hits, stats_a.cache.dict_stores), (0, 1), "serving counted");
-
-    daemon_b.shutdown();
-    daemon_a.shutdown();
-}
-
-/// A dictionary frame tampered in flight is a counted peer error, and
-/// the build's routing degrades to publishing its own body locally.
-#[test]
-fn tampered_dictionary_frame_degrades_to_a_local_publish() {
-    let (store, handle) = store_with_fake_peer(Fault::TamperedDict);
-    let registry = Arc::new(DictRegistry::default());
-    let mut session = registry.session();
-    assert_eq!(session.route(&dict_body().1.words, &store), None, "staged, outlined privately");
-    assert_eq!(session.stats().publishes, 1, "the local body is published instead");
-    let s = store.stats();
-    assert_eq!((s.dict_peer_errors, s.dict_peer_hits, s.dict_misses), (1, 0, 1), "{s:?}");
-    assert_eq!(s.dict_stores, 1, "the body the peer failed to deliver is stored locally");
-    handle.join().expect("fake peer thread");
 }
 
 /// A shard never recurses into its own peers while serving a sibling:

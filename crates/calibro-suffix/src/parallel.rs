@@ -16,7 +16,7 @@ use crate::tree::{SuffixTree, Symbol};
 /// Literal symbols (encoded instruction words) live below `2^32`;
 /// callers number their per-method separators from this base upward, and
 /// the group joints added by [`detect_group`] sit in an even higher band.
-/// [`stable_sequence_hash`] canonicalizes everything at or above this
+/// [`stable_sequence_hash`] normalizes everything at or above this
 /// base, so a sequence's identity depends only on its literal content and
 /// separator *placement* — never on the global numbering, which shifts
 /// whenever methods are added or removed elsewhere in the program.
@@ -82,7 +82,7 @@ impl GroupPlan {
 /// One FxHash-style mix per symbol (the symbol is already a 64-bit
 /// word — no reason to feed it through a byte-at-a-time loop), with
 /// every separator (any symbol at or above [`UNIQUE_SEPARATOR_BASE`])
-/// canonicalized to `u64::MAX` first, and the length folded in at the
+/// normalized to `u64::MAX` first, and the length folded in at the
 /// end. Two sequences with the same literal content and the same
 /// separator placement hash identically even when the global separator
 /// counter assigned them different absolute values — the property the
@@ -116,7 +116,7 @@ pub fn stable_sequence_hash_of(symbols: impl ExactSizeIterator<Item = Symbol>) -
 /// to group `stable_sequence_hash(symbols) % k`, preserving input order
 /// within each group.
 ///
-/// The assignment depends only on each sequence's own (canonicalized)
+/// The assignment depends only on each sequence's own (normalized)
 /// content — inserting or removing a method moves no other method
 /// between groups, so an N-method edit dirties at most the N groups
 /// those methods land in (up to 2N counting the groups they left). That
@@ -239,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_canonicalizes_separator_numbering() {
+    fn stable_hash_normalizes_separator_numbering() {
         // Same literals, same separator placement, different absolute
         // separator values (as two builds of the same method would get).
         let a = [10u64, 11, UNIQUE_SEPARATOR_BASE + 7, 12];

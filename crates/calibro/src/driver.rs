@@ -240,7 +240,7 @@ pub struct BuildStats {
     pub ltbo: LtboStats,
     /// Function-merge statistics (zeroed when the merge pass is off).
     pub merge: MergeStats,
-    /// Shared-dictionary arbitration outcomes (zeroed when the
+    /// Shared-dictionary routing outcomes (zeroed when the
     /// dictionary is off or the session has no registry).
     pub dict: DictStats,
     /// Dictionary epoch this build linked against (0 = the empty
@@ -307,8 +307,7 @@ impl BuildStats {
                 r#""merge":{{"candidate_methods":{},"excluded_methods":{},"#,
                 r#""merge_groups":{},"merged_methods":{},"words_saved":{},"#,
                 r#""outline_preferred":{}}},"#,
-                r#""dict":{{"epoch":{},"island_words":{},"hits":{},"#,
-                r#""publishes":{},"private_preferred":{}}}"#,
+                r#""dict":{{"epoch":{},"island_words":{},"hits":{},"publishes":{}}}"#,
                 "}}",
             ),
             self.methods,
@@ -359,7 +358,6 @@ impl BuildStats {
             self.dict_island_words,
             self.dict.hits,
             self.dict.publishes,
-            self.dict.private_preferred,
         )
     }
 }

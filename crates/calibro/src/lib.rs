@@ -58,7 +58,7 @@ pub use calibro_cache::{
     ArtifactStore, CacheConfig, CacheEntry, CacheError, CacheKey, CacheStats, StableHasher,
     SymbolTemplate,
 };
-pub use calibro_dict::{DictRegistry, DictSession, DictStats};
+pub use calibro_dict::{DictRegistry, DictSession, DictStats, MIN_ISLAND_WORDS};
 pub use calibro_hgraph::{PassStats, PipelineConfig};
 pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 pub use fingerprint::{

@@ -185,7 +185,7 @@ const UNIQUE_BASE: u64 = UNIQUE_SEPARATOR_BASE;
 /// running counter) makes a method's symbols independent of every other
 /// method's, so an edit to one method renumbers nothing else. Detection
 /// is invariant under any injective renaming of separators (they are
-/// canonicalized in hashes and never appear inside candidates), so the
+/// normalized in hashes and never appear inside candidates), so the
 /// numbering scheme itself is free to change — which is also why this
 /// differs from the global counter older schemas used.
 const SEP_STRIDE: u64 = 1 << 24;
@@ -210,7 +210,7 @@ struct Symbolized<'a> {
     /// knows which symbols have no word behind them (its leaders, which
     /// turn a fresh plan's positions into words) and carries the
     /// sequence's content key (the Merkle leaf of the group key) and
-    /// partition hash. Both hashes canonicalize separators, so the values
+    /// partition hash. Both hashes normalize separators, so the values
     /// cached at template construction equal a direct hash of the
     /// replayed symbols whatever this method's band — no per-build
     /// re-hashing.
@@ -386,7 +386,7 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   a plan's occurrences are offsets into its group's words, a rewritten
 ///   method's words are rewritten ([`apply_edits`]) — never its
 ///   instructions — and its `insns` is left empty. Outlined bodies are
-///   their candidates' words; they are decoded only for the dictionary.
+///   their candidates' words, and nothing decodes them.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`locate`] panic on an occurrence that
 ///   leaves its method) is caught and surfaced as
@@ -395,7 +395,7 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   aborting — the whole build.
 /// - **Incremental detection.** With `store` set, each group's selected
 ///   candidates are cached — as the flat rows of a [`GroupPlanEntry`] —
-///   under a key covering the group's canonicalized symbol text plus
+///   under a key covering the group's normalized symbol text plus
 ///   the `LtboConfig` fingerprint ([`group_plan_key_from`]). Groups
 ///   whose key hits read the cached rows in place and find each
 ///   occurrence's method from the members' word counts ([`locate`]),
@@ -412,15 +412,14 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   through the same cache (useful when *nothing* changed); under
 ///   [`LtboMode::Parallel`] dirty-group detection runs on the
 ///   configured worker threads.
-/// - **Dictionary arbitration.** With `dict` set (which requires
-///   `store` for the dictionary lane), every selected candidate goes
-///   through [`DictSession::route`] before materialization: a
-///   byte-identical body in the session's pinned island becomes `bl`s
-///   into the island (`CallTarget::Dict`, zero body cost this build);
-///   everything else is outlined privately, with misses published for
-///   future epochs. Arbitration runs sequentially in plan order, so the
-///   decision sequence — and therefore the emitted code — is identical
-///   at any detection thread count, warm or cold.
+/// - **Dictionary routing.** With `dict` set, every selected candidate
+///   goes through [`DictSession::route`] before materialization: a
+///   body the session's pinned island holds becomes `bl`s into the
+///   island (`CallTarget::Dict`, zero body cost this build); everything
+///   else is outlined privately, with misses published for future
+///   epochs. Routing runs sequentially in plan order, so the decision
+///   sequence — and therefore the emitted code — is identical at any
+///   detection thread count, warm or cold.
 ///
 /// # Errors
 ///
@@ -468,7 +467,7 @@ pub(crate) fn outline_methods(
     };
     stats.detection_groups = groups.len();
 
-    // Probe the plan cache; a hit means the group's canonicalized text
+    // Probe the plan cache; a hit means the group's normalized text
     // and word layout (and the LTBO config) are unchanged since the plan
     // was detected. The key is composed Merkle-style from the members'
     // precomputed content keys — O(members) here, not O(text).
@@ -554,15 +553,10 @@ pub(crate) fn outline_methods(
             for (words, positions) in entry.candidates() {
                 // A candidate's words are those of the instructions it
                 // repeats (a loaded plan's were checked at the cache's
-                // trust boundary). Dictionary arbitration: a
-                // byte-identical island body serves every occurrence at
-                // call overhead only.
-                let call = match (dict.as_deref_mut(), store) {
-                    (Some(session), Some(store)) => session.route(words, store).map(EditCall::Dict),
-                    _ => None,
-                };
-                let call = match call {
-                    Some(call) => call,
+                // trust boundary). Dictionary routing: an island body
+                // serves every occurrence at call overhead only.
+                let call = match dict.as_deref_mut().and_then(|session| session.route(words)) {
+                    Some(at) => EditCall::Dict(at),
                     None => {
                         // A private copy ends in `br x30`.
                         let id = outlined.len() as u32;

@@ -123,7 +123,7 @@ impl BuildSession {
     }
 
     /// Attaches a shared outline dictionary. Builds with
-    /// [`BuildOptions::dict`] set then arbitrate every outline candidate
+    /// [`BuildOptions::dict`] set then route every outline candidate
     /// against the registry's current epoch island.
     #[must_use]
     pub fn with_dict_registry(mut self, registry: Arc<DictRegistry>) -> BuildSession {

@@ -62,7 +62,7 @@ pub struct SizeArtifact {
     pub detect_time: Duration,
     /// Total instruction words before any size pass ran.
     pub words_before: usize,
-    /// Shared-dictionary arbitration outcomes (zeroed without a
+    /// Shared-dictionary routing outcomes (zeroed without a
     /// dictionary session).
     pub dict: DictStats,
     /// Dictionary epoch the outline pass routed against (0 without a

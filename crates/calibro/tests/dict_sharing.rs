@@ -6,11 +6,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use calibro::{BuildOptions, BuildSession, DictRegistry};
+use calibro::{BuildOptions, BuildOutput, BuildSession, DictRegistry, MIN_ISLAND_WORDS};
 use calibro_cache::{ArtifactStore, CacheConfig};
 use calibro_dex::{BinOp, DexFile, DexInsn, MethodBuilder, MethodId, VReg};
 use calibro_oat::DictImage;
 use calibro_runtime::{Runtime, RuntimeEnv};
+use calibro_workloads::{generate, paper_suite};
 
 fn env_for(dex: &DexFile) -> RuntimeEnv {
     RuntimeEnv {
@@ -114,6 +115,40 @@ fn cold_tenant_publishes_and_sealed_epoch_serves_later_tenants() {
         shared_total < private_total,
         "shared {shared_total} must beat private {private_total}"
     );
+}
+
+/// The six-app suite at its smallest (every app at the generator's
+/// 30-method floor), published, sealed and rebuilt routed: the island
+/// saves exactly the exact-body ceiling, Σ (k − 1) · |body + ret| over
+/// the bodies that k private outlined copies share. Its apps outline
+/// register variants of shared bodies, and each variant must route.
+#[test]
+fn a_routed_suite_saves_exactly_the_exact_body_ceiling() {
+    let apps: Vec<_> = paper_suite(0.01).iter().map(generate).collect();
+    let registry = Arc::new(DictRegistry::default());
+    let session = dict_session(&registry);
+    let options = BuildOptions::cto_ltbo().with_dict();
+    let build_all = || -> Vec<BuildOutput> {
+        apps.iter().map(|app| session.build(&app.dex, &options).expect("suite build")).collect()
+    };
+    let private = build_all();
+    assert_eq!(registry.seal_epoch(), 1);
+    let routed = build_all();
+
+    let mut copies: HashMap<&[u32], u64> = HashMap::new();
+    for oat in private.iter().map(|out| &out.oat) {
+        for f in &oat.outlined {
+            let body = &oat.words[(f.offset / 4) as usize..][..f.size_words as usize - 1];
+            if body.len() >= MIN_ISLAND_WORDS {
+                *copies.entry(body).or_default() += 1;
+            }
+        }
+    }
+    assert!(copies.values().any(|&k| k >= 3), "the suite must share bodies across apps");
+    let ceiling: u64 = copies.iter().map(|(body, k)| (k - 1) * 4 * (body.len() as u64 + 1)).sum();
+    let text = |outs: &[BuildOutput]| outs.iter().map(|out| out.oat.text_size_bytes()).sum::<u64>();
+    let island = registry.layout(1).expect("the sealed island").size_bytes();
+    assert_eq!(text(&routed) + island, text(&private) - ceiling);
 }
 
 #[test]
