@@ -31,10 +31,11 @@
 //!   [`calibro::BuildSession::with_store`], per-request deadlines,
 //!   graceful drain on shutdown. Tenant-named builds are sealed as
 //!   generation-tagged artifacts; `profile` uploads feed a per-tenant
-//!   exponentially-decayed hot set, and a background worker re-runs the
-//!   build (shelving cold methods to size-first outlining) when hot-set
-//!   drift crosses the threshold, flipping the serving generation
-//!   atomically so there is never a serving gap.
+//!   exponentially-decayed hot set, and an upload whose hot-set drift
+//!   crosses the threshold queues a refresh job that re-runs the build
+//!   (shelving cold methods to size-first outlining) on the worker pool,
+//!   flipping the serving generation atomically so there is never a
+//!   serving gap.
 //! * [`client`] — the synchronous client used by tests, the loadgen
 //!   and external tools.
 //! * [`histogram`] — the lock-free log-scale latency histogram behind

@@ -707,9 +707,10 @@ server_stats! {
     workers,
     /// Admission-queue capacity.
     queue_capacity,
-    /// Requests waiting in the admission queue right now.
+    /// Jobs waiting in the admission queue right now: client builds
+    /// and drift-triggered refreshes.
     queue_depth,
-    /// Requests being compiled right now.
+    /// Jobs being compiled right now, refreshes included.
     in_flight: AtomicU64,
     /// Connections accepted since start.
     accepted_connections: AtomicU64,

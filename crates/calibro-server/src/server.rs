@@ -8,15 +8,17 @@
 //!  accept thread ──► connection threads (1 per client)
 //!                        │  decode the header, name the program by the
 //!                        │  hash of its bytes (program table: decoded
-//!                        │  once, then reused), admission-check
+//!                        │  once, then reused), admission-check; a profile
+//!                        │  upload past the drift threshold admits a refresh
 //!                        ▼
 //!                 bounded admission queue  ──full──► Overloaded reply
 //!                        │
 //!                        ▼
 //!                 worker pool (N threads)
-//!                  BuildSession::with_store(shared store)
+//!                  BuildSession::with_store(shared store); a tenant
+//!                  build or refresh seals and flips its generation
 //!                        │
-//!                        ▼
+//!                        ▼  (a refresh owes no reply)
 //!                 the connection's reply queue ◄── rejections, fetches,
 //!                        │                         every other reply
 //!                        ▼
@@ -24,10 +26,11 @@
 //! ```
 //!
 //! Backpressure is explicit: the queue has a configured depth and a
-//! full queue rejects with a typed [`ServeError::Overloaded`] instead
-//! of buffering unboundedly; so does a connection whose client leaves
-//! more than a frame ceiling of replies unread, because the reader
-//! never waits on the client; past twice that, the connection is cut.
+//! full queue rejects a client build with a typed
+//! [`ServeError::Overloaded`] instead of buffering unboundedly; so does
+//! a connection whose client leaves more than a frame ceiling of
+//! replies unread, because the reader never waits on the client; past
+//! twice that, the connection is cut.
 //! Deadlines are enforced at dequeue (an expired request is never
 //! compiled) and re-checked after the build (a late result is reported
 //! as a typed timeout, but its artifacts stay in the shared cache, so
@@ -176,8 +179,10 @@ impl Listener {
     }
 }
 
-/// One admitted compile job.
+/// One admitted compile job: a client's build request, or a tenant's
+/// drift-triggered refresh.
 struct Job {
+    /// The request's id (0 for a refresh).
     request_id: u64,
     /// The program table's entry (or a program it does not hold), with
     /// its memoized method keys.
@@ -187,13 +192,24 @@ struct Job {
     /// echoed in the reply.
     options_fp: CacheKey,
     ltbo_fp: Option<CacheKey>,
-    /// Effective deadline budget (request's, else the daemon default).
+    /// Effective deadline budget (request's, else the daemon default;
+    /// none for a refresh).
     budget: Option<Duration>,
     enqueued: Instant,
-    replies: Replies,
-    /// When the request named a tenant: the tenant and its program
-    /// identity, so the finished build is sealed as a generation.
+    /// The requesting connection's replies; `None` for a refresh.
+    replies: Option<Replies>,
+    /// The tenant (always named by a refresh) and its program identity:
+    /// the finished build is sealed as the tenant's generation.
     tenant: Option<TenantJob>,
+}
+
+impl Job {
+    /// Answers the request with `error`; a refresh has no one to tell.
+    fn error(&self, error: ServeError) {
+        if let Some(replies) = &self.replies {
+            replies.error(self.request_id, error);
+        }
+    }
 }
 
 /// The tenant attribution of an admitted build.
@@ -250,8 +266,8 @@ impl SealedGeneration {
     }
 }
 
-/// The program a tenant registered via its first build: what the
-/// re-optimization worker recompiles when drift crosses the threshold.
+/// The program a tenant registered via its first build: what a refresh
+/// recompiles when drift crosses the threshold.
 struct TenantProgram {
     identity: CacheKey,
     dex: Arc<Program>,
@@ -264,10 +280,10 @@ struct TenantState {
     profile: DecayedProfile,
     program: Option<TenantProgram>,
     serving: Option<Arc<SealedGeneration>>,
-    /// Monotonic across program changes, starting at 1.
-    next_generation: u64,
     refresh_in_flight: bool,
     refreshes_triggered: u64,
+    /// Generation ids are minted from this count, so they start at 1
+    /// and stay monotonic across program changes.
     generations_sealed: u64,
 }
 
@@ -278,7 +294,6 @@ impl TenantState {
             profile: DecayedProfile::new(num, den).expect("default decay is valid"),
             program: None,
             serving: None,
-            next_generation: 1,
             refresh_in_flight: false,
             refreshes_triggered: 0,
             generations_sealed: 0,
@@ -373,20 +388,19 @@ struct Shared {
     dict: Option<Arc<DictRegistry>>,
     /// Decoded programs by the hash of their wire bytes.
     programs: ProgramTable,
+    /// Client builds and refreshes, popped by the worker pool.
     queue: Mutex<std::collections::VecDeque<Job>>,
     queue_cv: Condvar,
+    /// Set under `queue`'s lock, which [`Shared::admit`] reads it under.
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
     started: Instant,
     /// The counted rows of the stats table.
     counters: ServerCounters,
     /// Per-tenant profile accumulators and serving generations. Never
-    /// held across a build: the refresh worker snapshots under this
-    /// lock, compiles unlocked, then re-locks for the atomic flip.
+    /// held across a build (a worker compiles unlocked, then re-locks
+    /// for the atomic flip), nor while `queue` is taken.
     tenants: Mutex<HashMap<String, TenantState>>,
-    /// Tenants awaiting re-optimization, drained by the refresh worker.
-    refresh_queue: Mutex<std::collections::VecDeque<String>>,
-    refresh_cv: Condvar,
     histogram: LatencyHistogram,
     /// A handle to every open connection, for the drain to shut down;
     /// a connection leaves once its writer has finished.
@@ -396,17 +410,40 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> ServerStats {
+        // One lock at a time: a snapshot never holds the queue while it
+        // waits on the tenant table or the store's lanes.
+        let queue_depth = recover(self.queue.lock()).len() as u64;
+        let tenants = recover(self.tenants.lock()).len() as u64;
+        let cache = self.store.stats();
         ServerStats {
             uptime_us: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             workers: self.config.workers.max(1) as u64,
             queue_capacity: self.config.queue_depth as u64,
-            queue_depth: recover(self.queue.lock()).len() as u64,
+            queue_depth,
             shard_id: u64::from(self.config.shard_id),
-            tenants: recover(self.tenants.lock()).len() as u64,
+            tenants,
             latency_buckets: self.histogram.snapshot(),
-            cache: self.store.stats(),
+            cache,
             ..self.counters.snapshot()
         }
+    }
+
+    /// Admits `job` unless the daemon is draining — checked under the
+    /// lock the flag is set under, so every admitted job runs. A full
+    /// queue refuses a client build; a refresh takes a slot but is never
+    /// refused for depth (`refresh_in_flight` allows one per tenant).
+    fn admit(&self, job: Job) -> Result<(), ServeError> {
+        let mut queue = recover(self.queue.lock());
+        if self.draining.load(Ordering::SeqCst) {
+            return Err(ServeError::Draining);
+        }
+        if job.replies.is_some() && queue.len() >= self.config.queue_depth.max(1) {
+            return Err(self.overloaded(self.config.queue_depth));
+        }
+        queue.push_back(job);
+        drop(queue);
+        self.queue_cv.notify_one();
+        Ok(())
     }
 
     /// Counts one rejection for the bound `capacity` that was hit.
@@ -438,7 +475,6 @@ pub struct Daemon {
     shared: Arc<Shared>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
-    refresh_handle: Option<std::thread::JoinHandle<()>>,
     socket_path: Option<PathBuf>,
 }
 
@@ -450,20 +486,6 @@ impl Daemon {
     /// Propagates listener configuration failures.
     pub fn start(listener: Listener, config: ServerConfig) -> io::Result<Daemon> {
         let store = Arc::new(ArtifactStore::new(config.cache.clone()));
-        Daemon::start_with_store(listener, config, store)
-    }
-
-    /// Starts the daemon over an externally owned store (tests and
-    /// embedders share the store with direct [`BuildSession`]s).
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn start_with_store(
-        listener: Listener,
-        config: ServerConfig,
-        store: Arc<ArtifactStore>,
-    ) -> io::Result<Daemon> {
         let workers = config.workers.max(1);
         if !config.peers.is_empty() {
             let source = FleetPeerSource::new(config.peers.clone(), config.shard_id);
@@ -484,8 +506,6 @@ impl Daemon {
             started: Instant::now(),
             counters: ServerCounters::default(),
             tenants: Mutex::new(HashMap::new()),
-            refresh_queue: Mutex::new(std::collections::VecDeque::new()),
-            refresh_cv: Condvar::new(),
             histogram: LatencyHistogram::new(),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
@@ -506,30 +526,12 @@ impl Daemon {
             Listener::Unix { path, .. } => Some(path.clone()),
             Listener::Tcp(_) => None,
         };
-        let refresh_shared = Arc::clone(&shared);
-        let refresh_handle = std::thread::Builder::new()
-            .name("calibrod-refresh".to_owned())
-            .spawn(move || refresh_loop(&refresh_shared))
-            .expect("spawn refresh thread");
-
         let accept_shared = Arc::clone(&shared);
         let accept_handle = std::thread::Builder::new()
             .name("calibrod-accept".to_owned())
             .spawn(move || accept_loop(listener, &accept_shared))?;
 
-        Ok(Daemon {
-            shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            refresh_handle: Some(refresh_handle),
-            socket_path,
-        })
-    }
-
-    /// The shared artifact store.
-    #[must_use]
-    pub fn store(&self) -> Arc<ArtifactStore> {
-        Arc::clone(&self.shared.store)
+        Ok(Daemon { shared, accept_handle: Some(accept_handle), worker_handles, socket_path })
     }
 
     /// The shared outline dictionary, when the daemon runs one
@@ -560,17 +562,18 @@ impl Daemon {
     /// reply before cutting the connections of clients that do not
     /// read them. Returns the final stats snapshot.
     pub fn shutdown(mut self) -> ServerStats {
+        // Set under the queue lock: a worker that read the flag clear is
+        // waiting on the condvar by the time the lock is free, so the
+        // notify reaches it.
+        let queue = recover(self.shared.queue.lock());
         self.shared.draining.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.queue_cv.notify_all();
-        self.shared.refresh_cv.notify_all();
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        // The refresh worker drains like the build workers: a refresh
-        // already scheduled completes (and flips) before the daemon
-        // exits, so a restart never resurrects a stale hot set that a
+        // Workers pop before they read the flag, so every admitted job
+        // runs first — a scheduled refresh flips before the daemon
+        // exits, and a restart never resurrects a stale hot set that a
         // client was told had been superseded.
-        if let Some(handle) = self.refresh_handle.take() {
+        for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
         if let Some(handle) = self.accept_handle.take() {
@@ -831,18 +834,13 @@ fn handle_build(body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
         ltbo_fp: request.ltbo_fp,
         budget: request.deadline.or(shared.config.default_deadline),
         enqueued: Instant::now(),
-        replies: replies.clone(),
+        replies: Some(replies.clone()),
         tenant: tenant_job,
     };
-    let mut queue = recover(shared.queue.lock());
-    if queue.len() >= shared.config.queue_depth.max(1) {
-        drop(queue);
-        return replies.error(request.request_id, shared.overloaded(shared.config.queue_depth));
+    if let Err(error) = shared.admit(job) {
+        return replies.error(request.request_id, error);
     }
-    queue.push_back(job);
-    drop(queue);
     shared.counters.requests_admitted.fetch_add(1, Ordering::Relaxed);
-    shared.queue_cv.notify_one();
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -897,8 +895,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
     let timed_out = || {
         shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
         let budget_ms = job.budget.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)));
-        let error = ServeError::DeadlineExceeded { deadline_ms: budget_ms as u32 };
-        job.replies.error(job.request_id, error);
+        job.error(ServeError::DeadlineExceeded { deadline_ms: budget_ms as u32 });
     };
     // Deadline check 1 — at dequeue: an already-expired request is
     // never compiled (it only would have blocked fresher work).
@@ -907,60 +904,73 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
     }
     let session = build_session(shared);
     let build_start = Instant::now();
-    let result = session.build_program(&job.dex, &job.options);
+    let result = match &job.replies {
+        Some(_) => session.build_program(&job.dex, &job.options),
+        // A refresh builds directly: its hot set is new each time, so
+        // its keys would never be hit again and would only displace the
+        // keys of the fingerprint the tenant's jobs build under.
+        None => session.build(job.dex.dex(), &job.options),
+    };
     let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    match result {
-        Ok(mut output) => {
-            // Deadline check 2 — after the build: the client asked for
-            // a bound, so a late result is reported as a typed timeout.
-            // The compiled artifacts are already in the shared store,
-            // so an immediate retry replays them warm.
-            if expired(job) {
-                return timed_out();
-            }
-            let elf = calibro_oat::to_elf_bytes(&output.oat);
-            let frame = match &job.tenant {
-                // Seal the build as this tenant's next generation and
-                // answer from the sealed bytes: if a concurrent build of
-                // the same program won the race, the reply carries the
-                // winner's generation so every client sees one artifact.
-                Some(tenant) => seal_generation(shared, tenant, job, &mut output, elf, build_us)
-                    .reply_to(job.request_id),
-                None => {
-                    let fingerprints = (job.options_fp, job.ltbo_fp);
-                    let reply = built_reply(job.request_id, fingerprints, &output, elf, build_us);
-                    proto::frame(RESP_BUILT, &reply.encode())
-                }
-            };
-            // After a flip: the generation's epoch pin is in place, so
-            // retirement inside the seal cannot touch it.
-            seal_dict(shared, &job.options);
-            // Count *before* sending: a client that has the reply in
-            // hand must observe this request in a stats snapshot.
-            shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
-            shared.histogram.record(job.enqueued.elapsed());
-            job.replies.send_frame(frame);
-        }
+    let mut output = match result {
+        Ok(output) => output,
         Err(e) => {
             shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
-            job.replies.error(job.request_id, ServeError::Build { detail: e.to_string() });
+            job.error(ServeError::Build { detail: e.to_string() });
+            if let (None, Some(tenant)) = (&job.replies, &job.tenant) {
+                // A failed refresh leaves the old generation serving;
+                // the next upload past the threshold schedules another.
+                if let Some(state) = recover(shared.tenants.lock()).get_mut(&tenant.name) {
+                    state.refresh_in_flight = false;
+                }
+            }
+            return;
         }
+    };
+    // Deadline check 2 — after the build: the client asked for a bound,
+    // so a late result is reported as a typed timeout. The compiled
+    // artifacts are already in the shared store, so an immediate retry
+    // replays them warm.
+    if expired(job) {
+        return timed_out();
     }
+    // Serialised before the tenant lock is taken.
+    let elf = calibro_oat::to_elf_bytes(&output.oat);
+    let frame = match &job.tenant {
+        // Seal the build as this tenant's next generation and answer
+        // from the sealed bytes: if a concurrent build of the same
+        // program won the race, the reply carries the winner's
+        // generation so every client sees one artifact.
+        Some(tenant) => seal_generation(shared, tenant, job, &mut output, elf, build_us)
+            .filter(|_| job.replies.is_some())
+            .map(|sealed| sealed.reply_to(job.request_id)),
+        None => Some(built_frame(job.request_id, job, &output, elf, build_us)),
+    };
+    // After a flip: the generation's epoch pin is in place, so
+    // retirement inside the seal cannot touch it.
+    seal_dict(shared, &job.options);
+    let (Some(replies), Some(frame)) = (&job.replies, frame) else { return };
+    // Count *before* sending: a client that has the reply in hand must
+    // observe this request in a stats snapshot.
+    shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
+    shared.histogram.record(job.enqueued.elapsed());
+    replies.send_frame(frame);
 }
 
-/// The reply to a finished build whose ELF is `elf`; its generation is
-/// the one the build was stamped with (0 for a plain build).
-fn built_reply(
+/// The `RESP_BUILT` frame answering `request_id` with `job`'s finished
+/// build, whose ELF is `elf`; its generation is the one the build was
+/// stamped with (0 for a plain build).
+fn built_frame(
     request_id: u64,
-    (options_fp, ltbo_fp): (CacheKey, Option<CacheKey>),
+    job: &Job,
     output: &calibro::BuildOutput,
     elf: Vec<u8>,
     build_us: u64,
-) -> BuildReply {
-    BuildReply {
+) -> Vec<u8> {
+    let reply = BuildReply {
         request_id,
-        options_fp,
-        ltbo_fp,
+        options_fp: job.options_fp,
+        ltbo_fp: job.ltbo_fp,
         elf,
         methods: output.stats.methods as u64,
         methods_from_cache: output.stats.methods_from_cache as u64,
@@ -969,14 +979,17 @@ fn built_reply(
         build_us,
         generation: output.stats.generation,
         stats_json: output.stats.to_json(),
-    }
+    };
+    proto::frame(RESP_BUILT, &reply.encode())
 }
 
-/// Seals a client build as the tenant's next generation (registering
-/// the program) and flips serving to it. When a concurrent build of
-/// the same program and options already sealed, the existing
-/// generation is returned untouched so every racing client is answered
-/// with one set of bytes.
+/// The atomic flip of a finished tenant build — a client's or a
+/// refresh's: mints the next generation id, stamps it into the build
+/// stats, seals the artifact as its reply frame, then serves it. A
+/// client build registers its program, and is answered with the
+/// existing generation when a racing build of the same program and
+/// options sealed first. A refresh flips only while the program it
+/// compiled is still registered (`None` otherwise).
 fn seal_generation(
     shared: &Shared,
     tenant: &TenantJob,
@@ -984,52 +997,29 @@ fn seal_generation(
     output: &mut calibro::BuildOutput,
     elf: Vec<u8>,
     build_us: u64,
-) -> Arc<SealedGeneration> {
-    let identity = tenant.identity;
+) -> Option<Arc<SealedGeneration>> {
     let mut tenants = recover(shared.tenants.lock());
     let state = tenants.entry(tenant.name.clone()).or_insert_with(TenantState::new);
-    if let (Some(program), Some(serving)) = (&state.program, &state.serving) {
-        if program.identity == identity && serving.options_fp == job.options_fp {
-            return Arc::clone(serving);
+    let registered = state.program.as_ref().map(|p| p.identity == tenant.identity);
+    let refresh = job.replies.is_none();
+    if refresh {
+        state.refresh_in_flight = false;
+        if registered != Some(true) {
+            return None;
+        }
+    } else if let (Some(true), Some(serving)) = (registered, &state.serving) {
+        if serving.options_fp == job.options_fp {
+            return Some(Arc::clone(serving));
         }
     }
-    let fingerprints = (job.options_fp, job.ltbo_fp);
-    let sealed = flip_generation(shared, state, &job.options, fingerprints, output, elf, build_us);
-    if state.program.as_ref().is_some_and(|p| p.identity != identity) {
-        // A different program under the same tenant name: the decayed
-        // profile attributes cycles to the old method-id space, so it
-        // must start over. Generation ids stay monotonic across the
-        // change so observers never see them run backwards.
-        let (num, den) = DecayedProfile::DEFAULT_DECAY;
-        state.profile = DecayedProfile::new(num, den).expect("default decay is valid");
-    }
-    state.program =
-        Some(TenantProgram { identity, dex: Arc::clone(&job.dex), options: job.options.clone() });
-    sealed
-}
-
-/// The atomic flip: mints the next generation id, stamps it into the
-/// build stats, seals the artifact as its reply frame (the ELF arrives
-/// serialised, from outside the lock) and only then updates `state`.
-/// `fingerprints` are those of `options` (options, LTBO), which every
-/// caller has computed already.
-fn flip_generation(
-    shared: &Shared,
-    state: &mut TenantState,
-    options: &BuildOptions,
-    fingerprints: (CacheKey, Option<CacheKey>),
-    output: &mut calibro::BuildOutput,
-    elf: Vec<u8>,
-    build_us: u64,
-) -> Arc<SealedGeneration> {
-    let id = state.next_generation;
+    let id = state.generations_sealed + 1;
     output.stats.generation = id;
     // Fence the dictionary epoch this generation linked against before
     // anything can retire it. A failed pin (epoch already retired in
     // the window between build and flip) degrades gracefully: the ELF
     // still serves, only the island words are no longer fetchable.
     let dict_pin = match &shared.dict {
-        Some(registry) if options.dict => {
+        Some(registry) if job.options.dict => {
             let epoch = output.stats.dict_epoch;
             registry.pin_epoch(epoch).then(|| DictPin { registry: Arc::clone(registry), epoch })
         }
@@ -1037,26 +1027,34 @@ fn flip_generation(
     };
     let sealed = Arc::new(SealedGeneration {
         id,
-        options_fp: fingerprints.0,
-        hot_set: options.hot_methods.clone(),
+        options_fp: job.options_fp,
+        hot_set: job.options.hot_methods.clone(),
         elf_len: elf.len() as u64,
         elf_fnv: fnv1a64(&elf),
-        frame: proto::frame(
-            RESP_BUILT,
-            &built_reply(0, fingerprints, output, elf, build_us).encode(),
-        ),
+        frame: built_frame(0, job, output, elf, build_us),
         dict_pin,
     });
-    state.next_generation += 1;
     state.serving = Some(Arc::clone(&sealed));
-    state.generations_sealed += 1;
+    state.generations_sealed = id;
     shared.counters.generations_sealed.fetch_add(1, Ordering::Relaxed);
-    sealed
+    if !refresh {
+        if registered == Some(false) {
+            // A different program under the same tenant name: the
+            // decayed profile attributes cycles to the old method-id
+            // space, so it must start over. Generation ids stay
+            // monotonic across the change so observers never see them
+            // run backwards.
+            state.profile = TenantState::new().profile;
+        }
+        let (dex, options) = (Arc::clone(&job.dex), job.options.clone());
+        state.program = Some(TenantProgram { identity: tenant.identity, dex, options });
+    }
+    Some(sealed)
 }
 
 /// One profile upload: parse, fold into the tenant's decayed
-/// accumulator, measure drift against the serving hot set, and
-/// schedule a background re-optimization when it crosses the threshold.
+/// accumulator, measure drift against the serving hot set, and admit a
+/// refresh job when it crosses the threshold.
 fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Shared>) {
     if shared.draining.load(Ordering::SeqCst) {
         return replies.error(request.request_id, ServeError::Draining);
@@ -1073,22 +1071,41 @@ fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Share
         }
     };
     let fraction = shared.config.hot_fraction;
-    let (reply, schedule) = {
+    let (mut reply, refresh) = {
         let mut tenants = recover(shared.tenants.lock());
         let state = tenants.entry(request.tenant.clone()).or_insert_with(TenantState::new);
         state.profile.record(&profile);
         let serving_set =
             state.serving.as_ref().and_then(|s| s.hot_set.clone()).unwrap_or_default();
         let drift = state.profile.drift(&serving_set, fraction).unwrap_or(0.0);
-        let mut scheduled = false;
-        if drift >= shared.config.drift_threshold
-            && state.program.is_some()
-            && state.serving.is_some()
-            && !state.refresh_in_flight
-        {
+        // The refresh is snapshotted under the lock this upload holds:
+        // the registered program, under the hot set just computed.
+        let refresh = match (&state.program, &state.serving) {
+            (Some(program), Some(_))
+                if drift >= shared.config.drift_threshold && !state.refresh_in_flight =>
+            {
+                state.profile.hot_set(fraction).ok().map(|hot| {
+                    let options = program.options.clone().with_hot_filter(hot);
+                    let tenant =
+                        TenantJob { name: request.tenant.clone(), identity: program.identity };
+                    Job {
+                        request_id: 0,
+                        dex: Arc::clone(&program.dex),
+                        options_fp: options_fingerprint(&options),
+                        ltbo_fp: ltbo_fingerprint(&options),
+                        options,
+                        budget: None,
+                        enqueued: Instant::now(),
+                        replies: None,
+                        tenant: Some(tenant),
+                    }
+                })
+            }
+            _ => None,
+        };
+        if refresh.is_some() {
             state.refresh_in_flight = true;
             state.refreshes_triggered += 1;
-            scheduled = true;
         }
         (
             ProfileReply {
@@ -1096,17 +1113,23 @@ fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Share
                 uploads: state.profile.uploads(),
                 tracked_methods: state.profile.tracked_methods() as u64,
                 drift_ppm: to_ppm(drift),
-                refresh_scheduled: scheduled,
+                refresh_scheduled: false,
                 serving_generation: state.serving.as_ref().map_or(0, |s| s.id),
             },
-            scheduled,
+            refresh,
         )
     };
     shared.counters.profile_uploads.fetch_add(1, Ordering::Relaxed);
-    if schedule {
-        shared.counters.refreshes_triggered.fetch_add(1, Ordering::Relaxed);
-        recover(shared.refresh_queue.lock()).push_back(request.tenant.clone());
-        shared.refresh_cv.notify_one();
+    if let Some(job) = refresh {
+        reply.refresh_scheduled = shared.admit(job).is_ok();
+        if reply.refresh_scheduled {
+            shared.counters.refreshes_triggered.fetch_add(1, Ordering::Relaxed);
+        } else if let Some(state) = recover(shared.tenants.lock()).get_mut(&request.tenant) {
+            // The drain began after the check above: no worker would
+            // run the refresh, so it was never scheduled.
+            state.refresh_in_flight = false;
+            state.refreshes_triggered -= 1;
+        }
     }
     replies.send(RESP_PROFILE, &reply.encode());
 }
@@ -1182,80 +1205,6 @@ fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<
     replies.send(RESP_DICT_STATS, &reply.encode());
 }
 
-/// The background re-optimization worker. Pops tenants whose drift
-/// crossed the threshold, recompiles with the decayed hot set
-/// (shelving everything cold to unrestricted size-first outlining),
-/// and flips serving under the tenant lock. Drains like the build
-/// workers: pop-before-draining-check, so a refresh scheduled before
-/// shutdown still completes and flips.
-fn refresh_loop(shared: &Arc<Shared>) {
-    loop {
-        let name = {
-            let mut queue = recover(shared.refresh_queue.lock());
-            loop {
-                if let Some(name) = queue.pop_front() {
-                    break Some(name);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = recover(shared.refresh_cv.wait(queue));
-            }
-        };
-        let Some(name) = name else { return };
-        refresh_tenant(&name, shared);
-    }
-}
-
-fn refresh_tenant(name: &str, shared: &Arc<Shared>) {
-    // Snapshot the program and the fresh hot set under the lock,
-    // compile unlocked: the serving generation keeps answering fetches
-    // for the whole duration of the rebuild.
-    let snapshot = {
-        let mut tenants = recover(shared.tenants.lock());
-        let Some(state) = tenants.get_mut(name) else { return };
-        match (&state.program, state.profile.hot_set(shared.config.hot_fraction)) {
-            (Some(program), Ok(hot)) => {
-                Some((program.identity, Arc::clone(&program.dex), program.options.clone(), hot))
-            }
-            _ => {
-                state.refresh_in_flight = false;
-                None
-            }
-        }
-    };
-    let Some((identity, dex, base_options, hot)) = snapshot else { return };
-    let options = base_options.with_hot_filter(hot);
-    let fingerprints = (options_fingerprint(&options), ltbo_fingerprint(&options));
-    let session = build_session(shared);
-    let build_start = Instant::now();
-    // A direct build: a refresh's hot set is new each time, so its keys
-    // would never be hit again and would only displace the keys of the
-    // fingerprint the tenant's jobs build under.
-    let result = session.build(dex.dex(), &options);
-    let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    // Serialised before the lock is taken: the flip only assigns.
-    let result = result.map(|output| (calibro_oat::to_elf_bytes(&output.oat), output));
-    let mut tenants = recover(shared.tenants.lock());
-    let Some(state) = tenants.get_mut(name) else { return };
-    state.refresh_in_flight = false;
-    match result {
-        Ok((elf, mut output)) => {
-            // Flip only if the registered program is still the one this
-            // refresh compiled: a re-registration that raced the rebuild
-            // must not be clobbered by an artifact for the old program.
-            if state.program.as_ref().is_some_and(|p| p.identity == identity) {
-                flip_generation(shared, state, &options, fingerprints, &mut output, elf, build_us);
-            }
-            drop(tenants);
-            seal_dict(shared, &options);
-        }
-        Err(_) => {
-            shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
@@ -1292,5 +1241,35 @@ mod tests {
         assert!(stats.registered);
         assert_eq!((stats.serving_generation, stats.uploads), (1, 1));
         assert_eq!(daemon.shutdown().tenants, 1);
+    }
+
+    /// A `stats()` snapshot takes one lock at a time: while it waits on
+    /// a tenant table another thread holds, admission can take the queue.
+    #[test]
+    fn a_stats_snapshot_waiting_on_the_tenant_table_does_not_hold_the_queue() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-stats-{}.sock", std::process::id()));
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), ServerConfig::default())
+            .expect("start");
+        let shared = Arc::clone(&daemon.shared);
+        let tenants = recover(shared.tenants.lock());
+        let snapshot = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || shared.stats()
+        });
+        let until = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < until {
+            let queue = shared.queue.try_lock();
+            assert!(
+                !matches!(queue, Err(std::sync::TryLockError::WouldBlock)),
+                "a stats snapshot held the queue while it waited on the tenant table"
+            );
+            drop(queue);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!snapshot.is_finished(), "the snapshot cannot finish while the table is held");
+        drop(tenants);
+        assert_eq!(snapshot.join().expect("snapshot").tenants, 0);
+        daemon.shutdown();
     }
 }

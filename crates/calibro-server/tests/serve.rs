@@ -866,3 +866,149 @@ fn re_registering_a_different_program_resets_the_tenant_profile() {
     assert_eq!(stats.programs_decoded, 4);
     assert_eq!(stats.programs_reused, 3);
 }
+
+/// Cycle weight concentrated on a few methods: against a generation
+/// built with no hot set the drift is about the hot fraction, over the
+/// default threshold, so uploading it schedules a refresh.
+const SKEWED_PROFILE: &str = "0 4000000\n1 3000000\n2 2000000\n3 500000\n4 1\n";
+
+/// A refresh is a queued job that a worker pops before it reads the
+/// drain flag: one scheduled just before `shutdown`, queued behind a
+/// client build the only worker is compiling, has flipped the serving
+/// generation by the time `shutdown` returns.
+#[test]
+fn a_refresh_scheduled_just_before_shutdown_has_flipped_when_it_returns() {
+    let app = generate(&AppSpec::small("last-refresh", 29));
+    let slow = generate(&AppSpec { methods: 600, ..AppSpec::small("slow", 7) });
+    let options = BuildOptions::cto_ltbo();
+    let (daemon, socket) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    client.build_for_tenant("app", &app.dex, &options, None).expect("register");
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    write_frame(&mut raw, REQ_BUILD, &build_body(None, &slow.dex, &options)).expect("send");
+    let slow_reply = std::thread::spawn(move || read_frame(&mut raw, 64 << 20).expect("reply"));
+    while client.server_stats().expect("stats").in_flight < 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let reply = client.upload_profile("app", SKEWED_PROFILE).expect("upload");
+    assert!(reply.refresh_scheduled, "{reply:?}");
+
+    let stats = within(Duration::from_secs(60), move || daemon.shutdown());
+    assert_eq!(stats.requests_completed, 2, "the registration and the slow build");
+    let slow_reply = slow_reply.join().expect("slow build reply");
+    assert!(matches!(slow_reply, FrameEvent::Frame { kind: RESP_BUILT, .. }), "{slow_reply:?}");
+    assert_eq!(stats.refreshes_triggered, 1);
+    assert_eq!(stats.generations_sealed, 2, "the scheduled refresh flipped before the exit");
+    assert_eq!((stats.queue_depth, stats.in_flight, stats.build_errors), (0, 0, 0));
+}
+
+/// One worker, and a queue of depth 1 kept full by a pipelined burst of
+/// client builds: a drift-crossing upload's refresh takes a queue slot
+/// all the same. It is not rejected, it is not lost (the generation
+/// flips and `refresh_in_flight` clears), and `rejected_overloaded`
+/// counts only the client builds the full queue turned away.
+#[test]
+fn a_refresh_behind_a_saturated_queue_is_neither_rejected_nor_lost() {
+    let app = generate(&AppSpec::small("crowded", 31));
+    let slow = generate(&AppSpec { methods: 600, ..AppSpec::small("slow", 7) });
+    let options = BuildOptions::cto_ltbo();
+    let (daemon, socket) =
+        start(ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let gen1 = client.build_for_tenant("app", &app.dex, &options, None).expect("register");
+
+    let build = Arc::new(build_body(None, &slow.dex, &options));
+    let burst = 16;
+    let requests: Vec<_> = (0..burst).map(|id| (id, Arc::clone(&build))).collect();
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    let burst_outcomes = std::thread::spawn(move || pipeline(&mut raw, &requests));
+    // One build compiling and one waiting: the queue is full.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = client.server_stats().expect("stats");
+        if stats.in_flight == 1 && stats.queue_depth == 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the burst never filled the queue: {stats:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let reply = client.upload_profile("app", SKEWED_PROFILE).expect("upload");
+    assert!(reply.refresh_scheduled, "a full queue must not refuse a refresh: {reply:?}");
+
+    let outcomes = within(Duration::from_secs(60), move || burst_outcomes.join().expect("burst"));
+    let mut rejected = 0;
+    for (id, outcome) in &outcomes {
+        match outcome {
+            Ok(reply) => assert_eq!(reply.generation, 0, "build {id}"),
+            Err(ServeError::Overloaded { capacity: 1 }) => rejected += 1,
+            Err(e) => panic!("build {id}: {e}"),
+        }
+    }
+    assert!(rejected >= 1, "the burst must overflow the admission queue");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let stats = loop {
+        let stats = client.generation_stats("app").expect("generation stats");
+        if stats.serving_generation == 2 && !stats.refresh_in_flight {
+            break stats;
+        }
+        assert!(Instant::now() < deadline, "the refresh was lost: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(stats.hot_restricted && stats.hot_set_size > 0, "{stats:?}");
+    assert_ne!(stats.elf_fnv, 0);
+    let fetched = client.build_for_tenant("app", &app.dex, &options, None).expect("fetch");
+    assert_eq!(fetched.generation, 2);
+    assert_ne!(fetched.elf, gen1.elf, "the refresh rebuilt under its hot set");
+
+    let stats = daemon.shutdown();
+    assert_eq!(stats.rejected_overloaded, rejected, "only client builds were refused");
+    assert_eq!((stats.refreshes_triggered, stats.generations_sealed), (1, 2));
+    assert_eq!(stats.build_errors, 0);
+}
+
+/// Start, pipeline builds, shut down, many times over, each drain under
+/// a watchdog. The drain flag is set and read for admission under the
+/// queue lock: set outside it, a worker could miss its wake-up (and the
+/// drain hang on its join), and a build admitted after the last worker
+/// left would never run (its connection held for the whole grace).
+#[test]
+fn shutdown_racing_pipelined_builds_runs_every_admitted_build() {
+    let app = generate(&AppSpec::small("drained", 13));
+    let options = BuildOptions::cto_ltbo();
+    let body = build_body(None, &app.dex, &options);
+    for round in 0..12 {
+        let (daemon, socket) = start(ServerConfig { workers: 2, ..ServerConfig::default() });
+        let mut raw = UnixStream::connect(&socket).expect("connect raw");
+        let body = body.clone();
+        // Writes until the drain stops reading, then reads until the
+        // daemon closes the connection.
+        let exchange = std::thread::spawn(move || {
+            for id in 0..8u64 {
+                let mut body = body.clone();
+                body[..8].copy_from_slice(&id.to_le_bytes());
+                if write_frame(&mut raw, REQ_BUILD, &body).is_err() {
+                    break;
+                }
+            }
+            let mut outcomes = Vec::new();
+            while let Ok(FrameEvent::Frame { kind, body }) = read_frame(&mut raw, 64 << 20) {
+                outcomes.push(match kind {
+                    RESP_BUILT => Ok(()),
+                    _ => Err(ErrorReply::decode(&body).expect("error decodes").error),
+                });
+            }
+            outcomes
+        });
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        while client.server_stats().expect("stats").requests_admitted < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = within(Duration::from_secs(30), move || daemon.shutdown());
+        assert_eq!(stats.requests_completed, stats.requests_admitted, "round {round}");
+        let outcomes = within(Duration::from_secs(30), move || exchange.join().expect("client"));
+        for outcome in outcomes {
+            assert!(matches!(outcome, Ok(()) | Err(ServeError::Draining)), "round {round}");
+        }
+    }
+}
