@@ -152,7 +152,7 @@ fn shrink_trace(current: &mut Program, fails: &dyn Fn(&Program) -> bool) -> bool
             let end = (start + chunk).min(current.trace.len());
             let mut trace = current.trace.clone();
             trace.drain(start..end);
-            if try_candidate(current, current.dex.methods().to_vec(), trace, fails) {
+            if try_candidate(current, owned_methods(current), trace, fails) {
                 progressed = true;
                 // Retry the same window — it now holds new entries.
             } else {
@@ -184,7 +184,7 @@ fn stub_methods(current: &mut Program, fails: &dyn Fn(&Program) -> bool) -> bool
         if m.is_native || m.num_regs == 0 || m.insns.len() <= stub_body().len() {
             continue;
         }
-        let mut methods = current.dex.methods().to_vec();
+        let mut methods = owned_methods(current);
         methods[k].insns = stub_body();
         if try_candidate(current, methods, current.trace.clone(), fails) {
             progressed = true;
@@ -263,7 +263,7 @@ fn try_remove_range(
     end: usize,
     fails: &dyn Fn(&Program) -> bool,
 ) -> bool {
-    let mut methods = current.dex.methods().to_vec();
+    let mut methods = owned_methods(current);
     let removed = end - start;
     let insns = &mut methods[k].insns;
     insns.drain(start..end);
@@ -279,6 +279,11 @@ fn try_remove_range(
         });
     }
     try_candidate(current, methods, current.trace.clone(), fails)
+}
+
+/// Copies of `p`'s methods, for a candidate to edit.
+fn owned_methods(p: &Program) -> Vec<Method> {
+    p.dex.methods().iter().map(|m| (**m).clone()).collect()
 }
 
 /// Applies `f` to every branch target of `insn` in place.
@@ -334,7 +339,7 @@ fn compact(current: &mut Program, fails: &dyn Fn(&Program) -> bool, root_names: 
         if !keep[k] {
             continue;
         }
-        let mut m = m.clone();
+        let mut m = (**m).clone();
         m.id = remap[k];
         for insn in &mut m.insns {
             if let DexInsn::Invoke { method, .. } | DexInsn::InvokeNative { method, .. } = insn {

@@ -1,14 +1,21 @@
 //! The DEX-like container: the compilation unit `dex2oat` consumes.
 
+use std::sync::Arc;
+
 use crate::ids::{ClassId, MethodId};
 use crate::method::{Class, Method};
 
 /// A container of classes and methods — the analogue of one `.dex` file
 /// inside an APK.
+///
+/// Each method is its own shared allocation, so a clone shares every
+/// method with the original until one side edits it through
+/// [`method_mut`](Self::method_mut), and a method's allocation is an
+/// identity a build can remember its key by.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DexFile {
     classes: Vec<Class>,
-    methods: Vec<Method>,
+    methods: Vec<Arc<Method>>,
     /// Number of static field slots used by `SGet`/`SPut`.
     num_statics: u32,
 }
@@ -42,7 +49,7 @@ impl DexFile {
             .unwrap_or_else(|| panic!("method references missing class {class}"))
             .methods
             .push(id);
-        self.methods.push(method);
+        self.methods.push(Arc::new(method));
         id
     }
 
@@ -80,19 +87,25 @@ impl DexFile {
     }
 
     /// Looks up a method mutably (incremental-build harnesses edit
-    /// method bodies in place to model an app update).
+    /// method bodies to model an app update).
+    ///
+    /// Copy-on-write ([`Arc::make_mut`]): a method this file shares with
+    /// a clone is copied first, so the clone keeps the old body, and a
+    /// method some [`Weak`](std::sync::Weak) still names moves to a new
+    /// allocation. Either way the edited method is a new allocation, and
+    /// every method not edited stays the allocation it was.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     #[must_use]
     pub fn method_mut(&mut self, id: MethodId) -> &mut Method {
-        &mut self.methods[id.index()]
+        Arc::make_mut(&mut self.methods[id.index()])
     }
 
     /// All methods in id order.
     #[must_use]
-    pub fn methods(&self) -> &[Method] {
+    pub fn methods(&self) -> &[Arc<Method>] {
         &self.methods
     }
 

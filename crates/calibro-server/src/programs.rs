@@ -12,11 +12,10 @@
 //! 128 bits plus the byte length, computed by the daemon itself from
 //! bytes it then decoded and kept.
 //!
-//! An entry is a [`Program`], which also keeps the method keys of the
-//! options fingerprint it was last built under, so a held program's
-//! builds under one set of options hash its methods once rather than
-//! once per request. The keys cost 16 bytes per method, about 2 % of
-//! the wire bytes of a 200-method program.
+//! An entry is the decoded program itself. Its methods stay the same
+//! allocations for as long as it is held, so the daemon's build session
+//! remembers their keys and a held program's builds under one set of
+//! options hash its methods once rather than once per request.
 //!
 //! **Admission is on the second sighting.** A program decoded for the
 //! first time only leaves its id in a fixed ring of recently seen ids;
@@ -30,7 +29,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use calibro::{CacheKey, Program, StableHasher};
+use calibro::{CacheKey, StableHasher};
 use calibro_dex::DexFile;
 
 /// Ids of decoded-once programs remembered for a second sighting.
@@ -61,7 +60,7 @@ impl ProgramId {
 }
 
 struct Held {
-    program: Arc<Program>,
+    program: Arc<DexFile>,
     last_used: u64,
 }
 
@@ -89,7 +88,7 @@ impl ProgramTable {
     }
 
     /// The held program of this id, if any.
-    pub(crate) fn get(&self, id: ProgramId) -> Option<Arc<Program>> {
+    pub(crate) fn get(&self, id: ProgramId) -> Option<Arc<DexFile>> {
         let mut inner = self.lock();
         inner.clock += 1;
         let now = inner.clock;
@@ -101,9 +100,8 @@ impl ProgramTable {
 
     /// Hands the table a program just decoded from the bytes `id`
     /// names. It is held if this is its second sighting (and it fits
-    /// the budget at all), remembered for one otherwise; a program that
-    /// is not held is still wrapped, and its keys are dropped with it.
-    pub(crate) fn offer(&self, id: ProgramId, dex: DexFile) -> Arc<Program> {
+    /// the budget at all), remembered for one otherwise.
+    pub(crate) fn offer(&self, id: ProgramId, dex: DexFile) -> Arc<DexFile> {
         let mut inner = self.lock();
         inner.clock += 1;
         let now = inner.clock;
@@ -112,7 +110,7 @@ impl ProgramTable {
             held.last_used = now;
             return Arc::clone(&held.program);
         }
-        let program = Arc::new(Program::new(dex));
+        let program = Arc::new(dex);
         match inner.seen.iter().position(|seen| *seen == id) {
             Some(at) if id.len <= HELD_WIRE_BYTES => {
                 inner.seen.remove(at);
@@ -182,8 +180,8 @@ mod tests {
             table.offer(a, dex_a.clone());
             table.offer(b, dex_b.clone());
         }
-        assert_eq!(*table.get(a).expect("a held").dex(), dex_a);
-        assert_eq!(*table.get(b).expect("b held").dex(), dex_b);
+        assert_eq!(*table.get(a).expect("a held"), dex_a);
+        assert_eq!(*table.get(b).expect("b held"), dex_b);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!                        │
 //!                        ▼
 //!                 worker pool (N threads)
-//!                  BuildSession::with_store(shared store); a tenant
-//!                  build or refresh seals and flips its generation
+//!                  the daemon's one BuildSession (shared store, key
+//!                  memo); a tenant build or refresh seals and flips
+//!                  its generation
 //!                        │
 //!                        ▼  (a refresh owes no reply)
 //!                 the connection's reply queue ◄── rejections, fetches,
@@ -44,14 +45,15 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use calibro::{
-    options_fingerprint, BuildOptions, BuildSession, CacheConfig, CacheKey, DictRegistry, Program,
-    StableHasher,
+    options_fingerprint, panic_message, BuildOptions, BuildSession, CacheConfig, CacheKey,
+    DictRegistry, StableHasher,
 };
 use calibro_cache::ArtifactStore;
 use calibro_dex::wire::{self, WireError};
@@ -184,9 +186,8 @@ impl Listener {
 struct Job {
     /// The request's id (0 for a refresh).
     request_id: u64,
-    /// The program table's entry (or a program it does not hold), with
-    /// its memoized method keys.
-    dex: Arc<Program>,
+    /// The program table's entry (or a program it does not hold).
+    dex: Arc<DexFile>,
     options: BuildOptions,
     /// The fingerprints of `options`, as admission cross-checked them —
     /// echoed in the reply.
@@ -270,7 +271,7 @@ impl SealedGeneration {
 /// recompiles when drift crosses the threshold.
 struct TenantProgram {
     identity: CacheKey,
-    dex: Arc<Program>,
+    dex: Arc<DexFile>,
     options: BuildOptions,
 }
 
@@ -383,9 +384,10 @@ fn write_replies(stream: Stream, frames: mpsc::Receiver<Vec<u8>>, backlog: &Atom
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
     config: ServerConfig,
-    store: Arc<ArtifactStore>,
-    /// The daemon-wide shared outline dictionary, when enabled.
-    dict: Option<Arc<DictRegistry>>,
+    /// The one session every job builds through: the shared store, the
+    /// daemon-wide outline dictionary when enabled, and the key memo
+    /// that lets a resent or edited program hash only its new methods.
+    session: BuildSession,
     /// Decoded programs by the hash of their wire bytes.
     programs: ProgramTable,
     /// Client builds and refreshes, popped by the worker pool.
@@ -406,6 +408,10 @@ struct Shared {
     /// a connection leaves once its writer has finished.
     conns: Mutex<HashMap<u64, Stream>>,
     next_conn_id: AtomicU64,
+    /// Makes the next job's [`build_and_seal`] panic after its build,
+    /// where no containment of the build's own reaches.
+    #[cfg(test)]
+    panic_after_build: AtomicBool,
 }
 
 impl Shared {
@@ -414,7 +420,7 @@ impl Shared {
         // waits on the tenant table or the store's lanes.
         let queue_depth = recover(self.queue.lock()).len() as u64;
         let tenants = recover(self.tenants.lock()).len() as u64;
-        let cache = self.store.stats();
+        let cache = self.session.store().stats();
         ServerStats {
             uptime_us: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
             workers: self.config.workers.max(1) as u64,
@@ -493,11 +499,13 @@ impl Daemon {
                 store.set_peer_source(Arc::new(source));
             }
         }
-        let dict = config.dict.then(|| Arc::new(DictRegistry::default()));
+        let mut session = BuildSession::with_store(store);
+        if config.dict {
+            session = session.with_dict_registry(Arc::new(DictRegistry::default()));
+        }
         let shared = Arc::new(Shared {
             config,
-            store,
-            dict,
+            session,
             programs: ProgramTable::default(),
             queue: Mutex::new(std::collections::VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -509,6 +517,8 @@ impl Daemon {
             histogram: LatencyHistogram::new(),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_after_build: AtomicBool::new(false),
         });
 
         let worker_handles = (0..workers)
@@ -539,7 +549,7 @@ impl Daemon {
     /// the island an ELF's dict link names.
     #[must_use]
     pub fn dict_registry(&self) -> Option<Arc<DictRegistry>> {
-        self.shared.dict.as_ref().map(Arc::clone)
+        self.shared.session.dict_registry().map(Arc::clone)
     }
 
     /// A point-in-time stats snapshot (same data the `stats` request
@@ -599,7 +609,7 @@ impl Daemon {
         // sibling reading through `PeerGet` after this one restarts —
         // still finds the artifacts this shard paid for, including
         // peer-fetched entries that were never written locally.
-        self.shared.store.flush_to_disk();
+        self.shared.session.store().flush_to_disk();
         self.shared.stats()
     }
 }
@@ -749,7 +759,7 @@ fn reject_malformed(body: &[u8], error: WireError, replies: &Replies, shared: &A
 /// this shard's own peers — the fan-out terminates after one hop), as
 /// the checksummed disk-frame bytes the requester re-validates.
 fn handle_peer_get(request: PeerGet, replies: &Replies, shared: &Arc<Shared>) {
-    match shared.store.serve_peer(request.lane, request.key) {
+    match shared.session.store().serve_peer(request.lane, request.key) {
         Ok(artifact) => {
             if artifact.is_some() {
                 shared.counters.peer_gets_served.fetch_add(1, Ordering::Relaxed);
@@ -868,22 +878,11 @@ fn expired(job: &Job) -> bool {
     job.budget.is_some_and(|budget| job.enqueued.elapsed() >= budget)
 }
 
-/// A build session over the shared store, dictionary-aware when the
-/// daemon runs one (the per-build `options.dict` flag still decides
-/// whether that build opens a routing session).
-fn build_session(shared: &Shared) -> BuildSession {
-    let session = BuildSession::with_store(Arc::clone(&shared.store));
-    match &shared.dict {
-        Some(registry) => session.with_dict_registry(Arc::clone(registry)),
-        None => session,
-    }
-}
-
 /// Seals the staged dictionary publishes after a dict-enabled build,
 /// so the bodies it paid for are servable to the very next request
 /// (sealing with nothing staged is a no-op).
 fn seal_dict(shared: &Shared, options: &BuildOptions) {
-    if let Some(registry) = shared.dict.as_ref().filter(|_| options.dict) {
+    if let Some(registry) = shared.session.dict_registry().filter(|_| options.dict) {
         registry.seal_epoch();
         // Epoch-fenced reclamation: only islands no sealed generation
         // pins are dropped, and never the current one.
@@ -892,31 +891,29 @@ fn seal_dict(shared: &Shared, options: &BuildOptions) {
 }
 
 fn run_job(job: &Job, shared: &Arc<Shared>) {
-    let timed_out = || {
-        shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-        let budget_ms = job.budget.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)));
-        job.error(ServeError::DeadlineExceeded { deadline_ms: budget_ms as u32 });
-    };
     // Deadline check 1 — at dequeue: an already-expired request is
     // never compiled (it only would have blocked fresher work).
     if expired(job) {
-        return timed_out();
+        return timed_out(job, shared);
     }
-    let session = build_session(shared);
-    let build_start = Instant::now();
-    let result = match &job.replies {
-        Some(_) => session.build_program(&job.dex, &job.options),
-        // A refresh builds directly: its hot set is new each time, so
-        // its keys would never be hit again and would only displace the
-        // keys of the fingerprint the tenant's jobs build under.
-        None => session.build(job.dex.dex(), &job.options),
-    };
-    let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut output = match result {
-        Ok(output) => output,
-        Err(e) => {
+    // A build contains a panic in one method's compile or one group's
+    // detection itself; one that escapes it (the link, the ELF writer,
+    // the seal) is this job's build error here, not its worker's death.
+    let built = panic::catch_unwind(AssertUnwindSafe(|| build_and_seal(job, shared)))
+        .unwrap_or_else(|payload| Err(format!("build panicked: {}", panic_message(payload))));
+    match built {
+        Ok(Some(frame)) => {
+            let Some(replies) = &job.replies else { return };
+            // Count *before* sending: a client that has the reply in
+            // hand must observe this request in a stats snapshot.
+            shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
+            shared.histogram.record(job.enqueued.elapsed());
+            replies.send_frame(frame);
+        }
+        Ok(None) => {}
+        Err(detail) => {
             shared.counters.build_errors.fetch_add(1, Ordering::Relaxed);
-            job.error(ServeError::Build { detail: e.to_string() });
+            job.error(ServeError::Build { detail });
             if let (None, Some(tenant)) = (&job.replies, &job.tenant) {
                 // A failed refresh leaves the old generation serving;
                 // the next upload past the threshold schedules another.
@@ -924,15 +921,35 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
                     state.refresh_in_flight = false;
                 }
             }
-            return;
         }
-    };
+    }
+}
+
+/// Answers `job` with a typed deadline timeout.
+fn timed_out(job: &Job, shared: &Shared) {
+    shared.counters.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+    let budget_ms = job.budget.map_or(0, |d| d.as_millis().min(u128::from(u32::MAX)));
+    job.error(ServeError::DeadlineExceeded { deadline_ms: budget_ms as u32 });
+}
+
+/// Builds `job` through the daemon's session and seals it: the frame
+/// to answer with (`None` when there is no one to answer, or the
+/// deadline passed and the timeout was answered), or the build error.
+fn build_and_seal(job: &Job, shared: &Arc<Shared>) -> Result<Option<Vec<u8>>, String> {
+    let build_start = Instant::now();
+    let mut output = shared.session.build(&job.dex, &job.options).map_err(|e| e.to_string())?;
+    let build_us = build_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    #[cfg(test)]
+    if shared.panic_after_build.swap(false, Ordering::SeqCst) {
+        panic!("injected panic after the build");
+    }
     // Deadline check 2 — after the build: the client asked for a bound,
     // so a late result is reported as a typed timeout. The compiled
     // artifacts are already in the shared store, so an immediate retry
     // replays them warm.
     if expired(job) {
-        return timed_out();
+        timed_out(job, shared);
+        return Ok(None);
     }
     // Serialised before the tenant lock is taken.
     let elf = calibro_oat::to_elf_bytes(&output.oat);
@@ -949,12 +966,7 @@ fn run_job(job: &Job, shared: &Arc<Shared>) {
     // After a flip: the generation's epoch pin is in place, so
     // retirement inside the seal cannot touch it.
     seal_dict(shared, &job.options);
-    let (Some(replies), Some(frame)) = (&job.replies, frame) else { return };
-    // Count *before* sending: a client that has the reply in hand must
-    // observe this request in a stats snapshot.
-    shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
-    shared.histogram.record(job.enqueued.elapsed());
-    replies.send_frame(frame);
+    Ok(frame)
 }
 
 /// The `RESP_BUILT` frame answering `request_id` with `job`'s finished
@@ -1018,7 +1030,7 @@ fn seal_generation(
     // anything can retire it. A failed pin (epoch already retired in
     // the window between build and flip) degrades gracefully: the ELF
     // still serves, only the island words are no longer fetchable.
-    let dict_pin = match &shared.dict {
+    let dict_pin = match shared.session.dict_registry() {
         Some(registry) if job.options.dict => {
             let epoch = output.stats.dict_epoch;
             registry.pin_epoch(epoch).then(|| DictPin { registry: Arc::clone(registry), epoch })
@@ -1182,7 +1194,7 @@ fn handle_generation_stats(
 /// zeroed — asking is never an error, so external gates need no
 /// special casing.
 fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<Shared>) {
-    let reply = match &shared.dict {
+    let reply = match shared.session.dict_registry() {
         Some(registry) => {
             let stats = registry.cumulative_stats();
             let epoch = registry.current_epoch();
@@ -1271,5 +1283,65 @@ mod tests {
         drop(tenants);
         assert_eq!(snapshot.join().expect("snapshot").tenants, 0);
         daemon.shutdown();
+    }
+
+    /// A panic that escapes a build's own containment (here, one
+    /// injected after the build, where the ELF is written and sealed) is
+    /// a build error: the client is answered with a typed error, the
+    /// count moves, a refresh clears its tenant's flag, and the worker
+    /// that ran the job lives on to serve the next one.
+    #[test]
+    fn a_build_that_panics_is_a_build_error_and_its_worker_lives() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-panic-{}.sock", std::process::id()));
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), config).expect("start");
+        let shared = Arc::clone(&daemon.shared);
+        let app = generate(&AppSpec::small("panics", 6));
+        let options = BuildOptions::cto_ltbo();
+        // Both builds on a thread of their own: had the panic killed the
+        // daemon's one worker, neither reply would ever come.
+        shared.panic_after_build.store(true, Ordering::SeqCst);
+        let (done, replies) = mpsc::channel();
+        let (dex, opts) = (app.dex.clone(), options.clone());
+        let client = std::thread::spawn(move || {
+            let mut client = Client::connect_unix(&socket).expect("connect");
+            let _ = done.send((client.build(&dex, &opts, None), client.build(&dex, &opts, None)));
+        });
+        let (panicked, built) =
+            replies.recv_timeout(Duration::from_secs(60)).expect("both builds are answered");
+        client.join().expect("the client thread");
+        match panicked {
+            Err(crate::ClientError::Server(ServeError::Build { detail })) => {
+                assert!(detail.contains("injected panic after the build"), "{detail}");
+            }
+            other => panic!("expected a typed build error, got {other:?}"),
+        }
+        assert_eq!(shared.counters.build_errors.load(Ordering::Relaxed), 1);
+        let built = built.expect("the one worker still serves");
+        assert_eq!(built.methods as usize, app.dex.methods().len());
+
+        // A refresh, driven through `run_job` directly: no one to answer,
+        // and the tenant may be refreshed again.
+        let tenant = TenantJob { name: "t".to_owned(), identity: CacheKey { hi: 1, lo: 1 } };
+        let mut state = TenantState::new();
+        state.refresh_in_flight = true;
+        recover(shared.tenants.lock()).insert(tenant.name.clone(), state);
+        let refresh = Job {
+            request_id: 0,
+            dex: Arc::new(app.dex.clone()),
+            options_fp: options_fingerprint(&options),
+            ltbo_fp: ltbo_fingerprint(&options),
+            options: options.clone(),
+            budget: None,
+            enqueued: Instant::now(),
+            replies: None,
+            tenant: Some(tenant),
+        };
+        shared.panic_after_build.store(true, Ordering::SeqCst);
+        run_job(&refresh, &shared);
+        assert!(!recover(shared.tenants.lock())["t"].refresh_in_flight);
+        assert_eq!(shared.counters.build_errors.load(Ordering::Relaxed), 2);
+        assert_eq!(daemon.shutdown().build_errors, 2);
     }
 }

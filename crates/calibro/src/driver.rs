@@ -253,6 +253,11 @@ pub struct BuildStats {
     /// Methods replayed from the artifact cache instead of compiled
     /// (part of `methods`).
     pub methods_from_cache: usize,
+    /// Methods whose cache key this build hashed: the methods the
+    /// session had not keyed before under this build's options (the
+    /// rest reuse the key their allocation was given by an earlier
+    /// build, see [`BuildSession`](crate::BuildSession)).
+    pub methods_keyed: usize,
     /// Artifact-store activity attributable to this build (hits,
     /// misses, stores, evictions and the disk-layer counters).
     pub cache: CacheStats,
@@ -291,7 +296,7 @@ impl BuildStats {
         format!(
             concat!(
                 "{{",
-                r#""methods":{},"methods_from_cache":{},"words_before_ltbo":{},"#,
+                r#""methods":{},"methods_from_cache":{},"methods_keyed":{},"words_before_ltbo":{},"#,
                 r#""compile_threads":{},"generation":{},"#,
                 r#""times_us":{{"verify":{},"keys":{},"graphs":{},"inline":{},"codegen":{},"#,
                 r#""compile":{},"merge":{},"ltbo":{},"detect":{},"link":{},"total":{}}},"#,
@@ -312,6 +317,7 @@ impl BuildStats {
             ),
             self.methods,
             self.methods_from_cache,
+            self.methods_keyed,
             self.words_before_ltbo,
             self.compile_threads,
             self.generation,
@@ -451,6 +457,7 @@ mod tests {
     fn stats_json_is_well_formed() {
         let stats = BuildStats {
             methods: 12,
+            methods_keyed: 5,
             compile_threads: 4,
             generation: 3,
             per_worker: vec![
@@ -463,6 +470,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains(r#""methods":12"#));
+        assert!(json.contains(r#""methods_keyed":5"#));
         assert!(json.contains(r#""compile_threads":4"#));
         assert!(json.contains(r#""generation":3"#));
         assert!(

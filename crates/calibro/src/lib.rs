@@ -50,7 +50,6 @@ mod fingerprint;
 mod ltbo;
 mod merge;
 mod pipeline;
-mod program;
 mod report;
 mod sizepass;
 
@@ -70,7 +69,6 @@ pub use ltbo::build_template;
 pub use ltbo::detect_fault;
 pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
 pub use merge::{merge_content_key, MergeConfig, MergeStats};
-pub use pipeline::{BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
-pub use program::Program;
+pub use pipeline::{panic_message, BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
 pub use report::{size_report, SizeReport};
 pub use sizepass::SizeArtifact;

@@ -20,9 +20,9 @@
 //! A [`BuildSession`] owns the store and threads it through the stages,
 //! so consecutive builds of related inputs recompile only the changed
 //! methods. [`BuildSession::build`] is exactly the four stages in order
-//! plus statistics; [`BuildSession::build_program`] runs the same stages
-//! over a held [`Program`], which keeps the method keys of the last
-//! options fingerprint it was built under.
+//! plus statistics. The session also remembers the key of every method
+//! allocation it has keyed, so a rebuild hashes only the methods that
+//! are new (see [`BuildSession`]).
 //!
 //! # Determinism
 //!
@@ -41,13 +41,14 @@
 //!   numbers are assigned at replay from the method's own index-derived
 //!   band, exactly as direct extraction would assign them.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
-use calibro_dex::DexFile;
+use calibro_dex::{DexFile, Method};
 use calibro_dict::DictRegistry;
 use calibro_hgraph::{
     build_hgraph, run_inlining, run_pipeline_with, HGraph, InlineConfig, PassStats,
@@ -55,9 +56,8 @@ use calibro_hgraph::{
 use calibro_oat::{DictImage, LinkInput, OatFile, DICT_BASE_ADDRESS};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
-use crate::fingerprint::{options_fingerprint, reference_env};
+use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
 use crate::ltbo::build_template;
-use crate::program::{method_keys, Program};
 use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
 
 /// A build context holding the content-addressed artifact store across
@@ -79,14 +79,115 @@ use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
 /// let warm = session.build(&dex, &BuildOptions::default())?;
 /// assert_eq!(cold.oat.words, warm.oat.words);
 /// assert_eq!(warm.stats.methods_from_cache, 1);
+/// assert_eq!(warm.stats.methods_keyed, 0);
 /// # Ok::<(), calibro::BuildError>(())
 /// ```
+///
+/// # Method keys
+///
+/// Every build addresses each method by [`method_cache_key`], which
+/// serializes and hashes the method's whole body. A method of a
+/// [`DexFile`] is its own shared allocation, and a clone edited through
+/// [`DexFile::method_mut`] shares every method it did not edit with the
+/// original, so the session keeps one key per allocation it has keyed:
+/// a rebuild hashes only the allocations it has not seen under its
+/// options fingerprint (and, with inlining on, program salt).
+/// [`BuildStats::methods_keyed`] counts them.
+///
+/// A remembered key is the key of the method at that address because
+/// the memo holds a [`Weak`] to the allocation. While a `Weak` exists,
+/// the allocation is never freed, so its address is never reused by
+/// another method; and the value in it cannot change in place:
+/// [`Arc::get_mut`] refuses while a `Weak` exists, and [`Arc::make_mut`]
+/// (what [`DexFile::method_mut`] calls) then moves the value to a new
+/// allocation before handing out `&mut`. So a live `Arc` at a
+/// remembered address is the allocation the key was computed from,
+/// holding the bytes it was computed from. Keys are bit-identical to a
+/// fresh session's: the memo only decides which ones are hashed again.
 pub struct BuildSession {
     store: Arc<ArtifactStore>,
     /// The shared outline dictionary, when this session belongs to a
     /// daemon hosting one. [`BuildOptions::dict`] routes outline
     /// candidates through it; without a registry the flag is inert.
     dict: Option<Arc<DictRegistry>>,
+    /// The key of every method allocation this session has keyed (see
+    /// "Method keys" above).
+    keys: Mutex<KeyMemo>,
+}
+
+/// One remembered method key: the allocation it was computed from (its
+/// address, and a `Weak` that keeps the address from reuse) and the two
+/// inputs besides the method's bytes.
+struct MemoEntry {
+    address: usize,
+    method: Weak<Method>,
+    options_fp: CacheKey,
+    salt: Option<CacheKey>,
+    key: CacheKey,
+}
+
+/// The session's method keys by allocation address. An allocation has
+/// one entry, for the options it was last keyed under. Entries sit in
+/// `slots` in the order they were first recorded, so the methods of a
+/// program keyed in order — and of every clone that shares them — sit
+/// side by side, and a build finds each next one in the next slot
+/// without probing `index`: a warm build then reads its keys
+/// sequentially instead of taking a cache miss per method. Entries
+/// whose method has been dropped are swept once the memo has doubled
+/// since the last sweep, so sweeping costs amortized O(1) per key.
+#[derive(Default)]
+struct KeyMemo {
+    slots: Vec<MemoEntry>,
+    /// Each entry's slot, by address.
+    index: HashMap<usize, usize>,
+    live_at_sweep: usize,
+}
+
+impl KeyMemo {
+    /// The slot of `method`'s entry, if it has one: `guess` when that
+    /// slot is the method's, else the index's answer. An address has at
+    /// most one entry, so a slot holding the address is the method's.
+    fn slot(&self, method: &Arc<Method>, guess: usize) -> Option<usize> {
+        let address = address(method);
+        match self.slots.get(guess) {
+            Some(entry) if entry.address == address => Some(guess),
+            _ => self.index.get(&address).copied(),
+        }
+    }
+
+    /// Records `key` as `method`'s, in place of the entry it had.
+    fn record(
+        &mut self,
+        method: &Arc<Method>,
+        options_fp: CacheKey,
+        salt: Option<CacheKey>,
+        key: CacheKey,
+    ) {
+        let address = address(method);
+        let entry = MemoEntry { address, method: Arc::downgrade(method), options_fp, salt, key };
+        match self.index.get(&address) {
+            Some(&slot) => self.slots[slot] = entry,
+            None => {
+                self.index.insert(address, self.slots.len());
+                self.slots.push(entry);
+            }
+        }
+    }
+
+    /// Drops the entries of dropped methods, keeping the order of the
+    /// rest, once the memo has doubled since the last sweep.
+    fn sweep(&mut self) {
+        if self.slots.len() > 2 * self.live_at_sweep {
+            self.slots.retain(|entry| entry.method.strong_count() > 0);
+            self.index = self.slots.iter().enumerate().map(|(i, e)| (e.address, i)).collect();
+            self.live_at_sweep = self.slots.len();
+        }
+    }
+}
+
+/// The address a method's memo entry is filed under.
+fn address(method: &Arc<Method>) -> usize {
+    Arc::as_ptr(method) as usize
 }
 
 impl Default for BuildSession {
@@ -113,13 +214,13 @@ impl BuildSession {
     /// [`CacheConfig::disk_dir`] for a persistent cache).
     #[must_use]
     pub fn with_config(config: CacheConfig) -> BuildSession {
-        BuildSession { store: Arc::new(ArtifactStore::new(config)), dict: None }
+        BuildSession::with_store(Arc::new(ArtifactStore::new(config)))
     }
 
     /// A session over an existing (possibly shared) store.
     #[must_use]
     pub fn with_store(store: Arc<ArtifactStore>) -> BuildSession {
-        BuildSession { store, dict: None }
+        BuildSession { store, dict: None, keys: Mutex::default() }
     }
 
     /// Attaches a shared outline dictionary. Builds with
@@ -150,36 +251,10 @@ impl BuildSession {
     /// Returns [`BuildError`] if the input fails bytecode verification,
     /// a persistent cache entry is corrupt, or the final link fails.
     pub fn build(&self, dex: &DexFile, options: &BuildOptions) -> Result<BuildOutput, BuildError> {
-        self.build_with(dex, options, |fp| method_keys(dex, options, fp).map(Arc::new))
-    }
-
-    /// [`build`](Self::build) of a held [`Program`]: the same stages and
-    /// the same bytes, with the method keys taken from the program,
-    /// which recomputes them only when the options fingerprint is not
-    /// the one it was last built under.
-    ///
-    /// # Errors
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_program(
-        &self,
-        program: &Program,
-        options: &BuildOptions,
-    ) -> Result<BuildOutput, BuildError> {
-        self.build_with(program.dex(), options, |fp| program.method_keys(options, fp))
-    }
-
-    /// The four stages over `dex`, whose method keys under an options
-    /// fingerprint `keys` gives.
-    fn build_with(
-        &self,
-        dex: &DexFile,
-        options: &BuildOptions,
-        keys: impl FnOnce(CacheKey) -> Result<Arc<Vec<CacheKey>>, BuildError>,
-    ) -> Result<BuildOutput, BuildError> {
         let base = self.store.stats();
-        let frontend = self.frontend_with(dex, options, keys)?;
+        let frontend = self.frontend(dex, options)?;
         let mut stats = BuildStats {
+            methods_keyed: frontend.methods_keyed,
             verify_time: frontend.verify_time,
             key_time: frontend.key_time,
             graph_time: frontend.graph_time,
@@ -236,22 +311,10 @@ impl BuildSession {
         dex: &DexFile,
         options: &BuildOptions,
     ) -> Result<FrontendArtifact, BuildError> {
-        self.frontend_with(dex, options, |fp| method_keys(dex, options, fp).map(Arc::new))
-    }
-
-    /// [`frontend`](Self::frontend) with the method keys under the
-    /// options fingerprint taken from `keys`: hashed here for a bare
-    /// program, memoized for a held one.
-    pub(crate) fn frontend_with(
-        &self,
-        dex: &DexFile,
-        options: &BuildOptions,
-        keys: impl FnOnce(CacheKey) -> Result<Arc<Vec<CacheKey>>, BuildError>,
-    ) -> Result<FrontendArtifact, BuildError> {
         let key_start = Instant::now();
         let inputs = dex.methods();
         let threads = options.compile_threads.max(1);
-        let keys = keys(options_fingerprint(options))?;
+        let (keys, methods_keyed) = self.method_keys(dex, options)?;
         // One batched probe: local tiers per key, then every local miss
         // resolved through the peer tier in a single pipelined exchange
         // (a fleet sibling's warm lane) instead of a round trip per key.
@@ -282,10 +345,12 @@ impl BuildSession {
 
         let misses = cached.iter().filter(|c| c.is_none()).count();
         let inlining = options.inlining && misses > 0;
+        // Hit first: a hit reads nothing of its method, so an all-hit
+        // build never loads the methods' allocations here.
         let need_graph: Vec<bool> = inputs
             .iter()
             .zip(&cached)
-            .map(|(m, hit)| !m.is_native && (inlining || hit.is_none()))
+            .map(|(m, hit)| (inlining || hit.is_none()) && !m.is_native)
             .collect();
         let start = Instant::now();
         let (mut graphs, graph_loads) =
@@ -303,6 +368,7 @@ impl BuildSession {
 
         Ok(FrontendArtifact {
             keys,
+            methods_keyed,
             cached,
             graphs,
             ref_env,
@@ -312,6 +378,70 @@ impl BuildSession {
             inline_time,
             graph_loads,
         })
+    }
+
+    /// Every method's [`method_cache_key`] under `options`, in
+    /// method-index order, and how many of them were hashed: the memo
+    /// answers every allocation it holds under these options, and the
+    /// rest are hashed unlocked — fanned out like codegen, each worker
+    /// serializing into its own reused buffer — then recorded.
+    fn method_keys(
+        &self,
+        dex: &DexFile,
+        options: &BuildOptions,
+    ) -> Result<(Vec<CacheKey>, usize), BuildError> {
+        let options_fp = options_fingerprint(options);
+        let salt = options.inlining.then(|| program_salt(dex));
+        let methods = dex.methods();
+        // A miss's place holds a placeholder until its key is hashed.
+        let mut misses = Vec::new();
+        let mut keys = Vec::with_capacity(methods.len());
+        {
+            let memo = self.key_memo();
+            // Guess each method's slot as the last slot found plus the
+            // method's distance from that one in this program: the next
+            // slot for a program keyed in order, and past an edit too.
+            let (mut last_slot, mut last_i) = (0, 0);
+            for (i, m) in methods.iter().enumerate() {
+                let slot = memo.slot(m, last_slot + (i - last_i));
+                if let Some(slot) = slot {
+                    (last_slot, last_i) = (slot, i);
+                }
+                match slot.map(|slot| &memo.slots[slot]) {
+                    Some(e) if e.options_fp == options_fp && e.salt == salt => keys.push(e.key),
+                    _ => {
+                        misses.push(i);
+                        keys.push(options_fp);
+                    }
+                }
+            }
+        }
+        if !misses.is_empty() {
+            let threads = options.compile_threads.max(1);
+            let (hashed, _) = run_indexed(misses.len(), threads, |j| {
+                method_cache_key(&methods[misses[j]], options_fp, salt)
+            })
+            .map_err(|p| BuildError::CompileWorker {
+                method: misses[p.index],
+                message: p.message,
+            })?;
+            let mut memo = self.key_memo();
+            for (&i, key) in misses.iter().zip(hashed) {
+                keys[i] = key;
+                memo.record(&methods[i], options_fp, salt, key);
+            }
+            memo.sweep();
+        }
+        Ok((keys, misses.len()))
+    }
+
+    /// The key memo. A poisoned lock is recovered (DESIGN.md §7 "Lock
+    /// policy"): a critical section only reads entries, writes whole
+    /// ones (a new one with its index entry) or sweeps, each entry
+    /// naming the allocation it was computed from, so a dead holder
+    /// leaves at worst a key not yet recorded.
+    fn key_memo(&self) -> MutexGuard<'_, KeyMemo> {
+        self.keys.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stage 2 — **Codegen**: for every cache miss, runs the pass
@@ -465,10 +595,11 @@ impl BuildSession {
 /// The frontend stage's output: per-method cache keys, probe results,
 /// and the HGraphs of every method that must be (re)compiled.
 pub struct FrontendArtifact {
-    /// Content address of each method, in method-index order (a held
-    /// [`Program`]'s memoized list, or this build's own, moved in
-    /// without a copy).
-    pub keys: Arc<Vec<CacheKey>>,
+    /// Content address of each method, in method-index order.
+    pub keys: Vec<CacheKey>,
+    /// How many of `keys` this build hashed; the rest came from the
+    /// session's key memo.
+    pub methods_keyed: usize,
     /// Store probe result per method (`Some` = warm hit).
     pub cached: Vec<Option<Arc<CacheEntry>>>,
     /// HGraph per method; `None` for native methods and warm hits.
@@ -529,7 +660,8 @@ pub(crate) struct WorkerPanic {
 
 /// Stringifies a panic payload (`&str` and `String` payloads verbatim,
 /// anything else a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+#[must_use]
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -710,5 +842,215 @@ mod tests {
         // Index 0 completed on one of the two workers; the error path
         // hands back no values and keeps none alive.
         assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    /// The session's key memo, against [`method_cache_key`] recomputed
+    /// and against a fresh session's bytes.
+    mod key_memo {
+        use super::*;
+        use crate::fingerprint::program_salt;
+        use crate::LtboMode;
+        use calibro_dex::{wire, ClassId, DexInsn, MethodBuilder, VReg};
+        use calibro_workloads::{generate, mutate_methods, AppSpec};
+        use proptest::prelude::*;
+
+        /// Every options arm the keys depend on differently: the global
+        /// and the sharded tree, a hot filter, merging, and inlining (the
+        /// only arm whose keys carry the program salt).
+        fn arms(methods: u32) -> Vec<(&'static str, BuildOptions)> {
+            vec![
+                ("global", BuildOptions::cto_ltbo()),
+                (
+                    "parallel",
+                    BuildOptions {
+                        ltbo: Some(LtboMode::Parallel { groups: 4, threads: 2 }),
+                        compile_threads: 2,
+                        ..BuildOptions::cto_ltbo()
+                    },
+                ),
+                (
+                    "hot",
+                    BuildOptions::cto_ltbo().with_hot_filter((0..methods).step_by(3).collect()),
+                ),
+                ("merge", BuildOptions::cto_merge_ltbo()),
+                ("inlining", BuildOptions { inlining: true, ..BuildOptions::cto_ltbo() }),
+            ]
+        }
+
+        /// Every method's key, hashed afresh.
+        fn recomputed(dex: &DexFile, options: &BuildOptions) -> Vec<CacheKey> {
+            let fp = options_fingerprint(options);
+            let salt = options.inlining.then(|| program_salt(dex));
+            dex.methods().iter().map(|m| method_cache_key(m, fp, salt)).collect()
+        }
+
+        fn elf(out: &BuildOutput) -> Vec<u8> {
+            calibro_oat::to_elf_bytes(&out.oat)
+        }
+
+        #[test]
+        fn every_arm_keys_once_and_builds_a_fresh_sessions_bytes() {
+            let app = generate(&AppSpec::small("held", 71));
+            let methods = app.dex.methods().len();
+            for (arm, options) in arms(methods as u32) {
+                let cold = BuildSession::new().build(&app.dex, &options).expect("build");
+                let session = BuildSession::new();
+                let first = session.build(&app.dex, &options).expect("first build");
+                assert_eq!(first.stats.methods_keyed, methods, "{arm}: a new session keys all");
+                let warm = session.build(&app.dex, &options).expect("warm build");
+                assert_eq!(elf(&first), elf(&cold), "{arm}: artifact");
+                assert_eq!(elf(&warm), elf(&cold), "{arm}: warm artifact");
+                assert_eq!(warm.stats.methods_keyed, 0, "{arm}: the memo answers every key");
+                assert_eq!(warm.stats.methods_from_cache, methods, "{arm}: all hits");
+                // A clone shares its methods, so it is keyed already.
+                let frontend = session.frontend(&app.dex.clone(), &options).expect("frontend");
+                assert_eq!(frontend.methods_keyed, 0, "{arm}: a clone is keyed already");
+                assert_eq!(frontend.keys, recomputed(&app.dex, &options), "{arm}: keys");
+            }
+        }
+
+        #[test]
+        fn another_fingerprint_replaces_an_allocations_key() {
+            let app = generate(&AppSpec::small("replace", 72));
+            let methods = app.dex.methods().len();
+            let arms = arms(methods as u32);
+            let (a, b) = (&arms[0].1, &arms[1].1);
+            let session = BuildSession::new();
+            let keyed = |options| {
+                let frontend = session.frontend(&app.dex, options).expect("frontend");
+                (frontend.methods_keyed, frontend.keys)
+            };
+            let (n, first) = keyed(a);
+            assert_eq!(n, methods);
+            assert_eq!(keyed(a), (0, first.clone()), "a repeat is a hit");
+            assert_eq!(keyed(b).0, methods, "another fingerprint is keyed");
+            assert_eq!(keyed(b).0, 0, "and kept");
+            assert_eq!(keyed(a), (methods, first), "the replaced keys come back equal");
+        }
+
+        #[test]
+        fn a_poisoned_memo_keeps_answering() {
+            let app = generate(&AppSpec::small("poisoned-memo", 73));
+            let options = BuildOptions::cto_ltbo();
+            let session = Arc::new(BuildSession::new());
+            let before = session.frontend(&app.dex, &options).expect("frontend").keys;
+            let holder = Arc::clone(&session);
+            let died = std::thread::spawn(move || {
+                let _memo = holder.keys.lock();
+                panic!("a holder of the key memo dies");
+            });
+            assert!(died.join().is_err());
+            assert!(session.keys.is_poisoned());
+            let after = session.frontend(&app.dex, &options).expect("frontend");
+            assert_eq!((after.methods_keyed, after.keys), (0, before));
+        }
+
+        /// A program edited in place once the build that keyed it has
+        /// returned: the memo's `Weak` is all that names the old
+        /// allocation, so the edit moves the method and it is keyed anew.
+        #[test]
+        fn an_in_place_edit_under_the_memos_weak_is_keyed_anew() {
+            let mut dex = generate(&AppSpec::small("in-place", 74)).dex;
+            let options = BuildOptions::cto_ltbo();
+            let session = BuildSession::new();
+            session.build(&dex, &options).expect("build");
+            let id = mutate_methods(&mut dex.clone(), 5, 0.0)[0];
+            let method = &dex.methods()[id.index()];
+            assert_eq!((Arc::strong_count(method), Arc::weak_count(method)), (1, 1));
+            let before = Arc::as_ptr(method);
+            mutate_methods(&mut dex, 5, 0.0);
+            assert_ne!(Arc::as_ptr(&dex.methods()[id.index()]), before, "the edit moved it");
+
+            let rebuilt = session.build(&dex, &options).expect("rebuild");
+            assert_eq!(rebuilt.stats.methods_keyed, 1);
+            assert_eq!(rebuilt.stats.methods_from_cache, dex.methods().len() - 1);
+            let fresh = BuildSession::new().build(&dex, &options).expect("fresh");
+            assert_eq!(elf(&rebuilt), elf(&fresh));
+            let frontend = session.frontend(&dex, &options).expect("frontend");
+            assert_eq!(frontend.keys, recomputed(&dex, &options));
+        }
+
+        /// A small app, so a script's builds stay quick in a debug run.
+        fn tiny(seed: u64) -> DexFile {
+            let spec = AppSpec {
+                methods: 14,
+                classes: 2,
+                natives: 1,
+                clone_families: 1,
+                trace_len: 8,
+                ..AppSpec::small("script", seed)
+            };
+            generate(&spec).dex
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Random scripts against one session: clone and edit, add a
+            /// method, edit a uniquely owned program in place, round-trip
+            /// it through the wire, change the options, turn inlining on.
+            /// After each step, the build hashes exactly the allocations
+            /// the session has not keyed under its options, every key is
+            /// `method_cache_key`'s, and the bytes are a fresh session's.
+            #[test]
+            fn the_memo_hashes_exactly_the_allocations_it_has_not_keyed(
+                seed in any::<u64>(),
+                script in proptest::collection::vec((0u8..6, any::<u64>()), 1..8),
+            ) {
+                let mut dex = tiny(seed);
+                let arms = arms(dex.methods().len() as u32);
+                let mut options = arms[0].1.clone();
+                let session = BuildSession::new();
+                // The model: what each allocation was last keyed under.
+                // Its `Weak`s keep every address it names from reuse.
+                let mut seen: HashMap<usize, (Weak<Method>, CacheKey, Option<CacheKey>)> =
+                    HashMap::new();
+                let mut older: Vec<DexFile> = Vec::new();
+                for (step, (op, arg)) in std::iter::once((6, 0)).chain(script).enumerate() {
+                    match op {
+                        0 => {
+                            let mut edited = dex.clone();
+                            mutate_methods(&mut edited, arg, 0.2);
+                            older.push(std::mem::replace(&mut dex, edited));
+                        }
+                        1 => {
+                            let mut b = MethodBuilder::new("added", 1, 0);
+                            b.push(DexInsn::Const { dst: VReg(0), value: arg as i32 });
+                            b.push(DexInsn::Return { src: VReg(0) });
+                            dex.add_method(b.build(ClassId(0)));
+                        }
+                        2 => {
+                            older.clear();
+                            let unique = dex.methods().iter().all(|m| Arc::strong_count(m) == 1);
+                            prop_assert!(unique, "step {}: the program is uniquely owned", step);
+                            mutate_methods(&mut dex, arg, 0.2);
+                        }
+                        3 => dex = wire::decode(&wire::encode(&dex)).expect("round trip"),
+                        4 => options = arms[(arg % 4) as usize].1.clone(),
+                        5 => options = arms[4].1.clone(),
+                        _ => {}
+                    }
+                    let fp = options_fingerprint(&options);
+                    let salt = options.inlining.then(|| program_salt(&dex));
+                    let unseen = dex
+                        .methods()
+                        .iter()
+                        .filter(|m| {
+                            seen.get(&address(m)).is_none_or(|(_, f, s)| (*f, *s) != (fp, salt))
+                        })
+                        .count();
+                    let built = session.build(&dex, &options).expect("build");
+                    prop_assert_eq!(built.stats.methods_keyed, unseen, "step {}", step);
+                    let fresh = BuildSession::new().build(&dex, &options).expect("fresh build");
+                    prop_assert!(elf(&built) == elf(&fresh), "step {}: artifact", step);
+                    let frontend = session.frontend(&dex, &options).expect("frontend");
+                    prop_assert_eq!(frontend.methods_keyed, 0, "step {}", step);
+                    prop_assert_eq!(frontend.keys, recomputed(&dex, &options), "step {}", step);
+                    for m in dex.methods() {
+                        seen.insert(address(m), (Arc::downgrade(m), fp, salt));
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Warm-rebuild smoke: build an app through a [`BuildSession`], mutate
 //! one method (an app update), rebuild, and demand that the cache
 //! replays everything but the delta and reproduces a cold build bit for
-//! bit. Runs two arms — the global single-tree LTBO, and the sharded
+//! bit; the edited clone shares every other method with the original,
+//! so the rebuild hashes the key of the edited method alone. Runs two
+//! arms — the global single-tree LTBO, and the sharded
 //! [`LtboMode::Parallel`](calibro::LtboMode) detection whose per-group
 //! plans replay from the cache — so CI gates both the method lane and
 //! the group-plan lane of the incremental pipeline.
@@ -61,6 +63,16 @@ fn check_arm(arm: &str, options: BuildOptions) -> Result<(), Box<dyn std::error:
     // content-stable groups; everything else must replay its cached plan.
     if arm == "sharded" && group_hit_rate <= 0.8 {
         return Err(format!("[{arm}] group hit rate {group_hit_rate:.3} not above 0.8").into());
+    }
+    // The clone shares every method it did not edit with the program the
+    // session keyed, so only the edited one is hashed.
+    if warm.stats.methods_keyed != mutated.len() {
+        return Err(format!(
+            "[{arm}] expected {} method(s) keyed, saw {}",
+            mutated.len(),
+            warm.stats.methods_keyed
+        )
+        .into());
     }
     if warm.stats.methods_from_cache != warm.stats.methods - mutated.len() {
         return Err(format!(
