@@ -3,14 +3,22 @@
 //! request the owned way (clone into a `BuildRequest`) and the client's
 //! way (from borrows), decoding the whole body against decoding the
 //! header and naming the program by the hash of its bytes (the daemon's
-//! way for a program it holds), and the in-process round trip of a
-//! known program through a daemon, plain and as a tenant fetch answered
-//! from a sealed generation. One pool-shaped 200-method app, the shape
-//! of the benchmark's `serve_mixed` pool.
+//! way for a program sent whole), and the in-process round trip of a
+//! known program through a daemon: sent whole (a raw connection, as a
+//! client that has not sent it before does), named by reference (the
+//! client's way from its third send), and as a tenant fetch by
+//! reference answered from a sealed generation. One pool-shaped
+//! 200-method app, the shape of the benchmark's `serve_mixed` pool.
 
-use calibro::{options_fingerprint, BuildOptions, StableHasher};
-use calibro_server::proto::{BuildHeader, BuildRequestRef};
-use calibro_server::{ltbo_fingerprint, BuildRequest, Client, Daemon, Listener, ServerConfig};
+use std::os::unix::net::UnixStream;
+
+use calibro::{options_fingerprint, BuildOptions};
+use calibro_server::proto::{
+    read_frame, write_frame, BuildHeader, BuildRequestRef, FrameEvent, ProgramId, REQ_BUILD,
+};
+use calibro_server::{
+    ltbo_fingerprint, BuildReply, BuildRequest, Client, Daemon, Listener, ServerConfig,
+};
 use calibro_workloads::{generate, AppSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -69,12 +77,8 @@ fn bench_serve_path(c: &mut Criterion) {
     });
     group.bench_function("decode/header_and_key", |b| {
         b.iter(|| {
-            BuildHeader::split(&body).map(|(header, program)| {
-                let mut h = StableHasher::with_capacity(program.len() + 2);
-                h.write_tag(0x50);
-                h.write_wire_bytes(program);
-                (header.request_id, h.finish())
-            })
+            BuildHeader::split(&body)
+                .map(|(header, program)| (header.request_id, ProgramId::of(program)))
         });
     });
 
@@ -86,15 +90,26 @@ fn bench_serve_path(c: &mut Criterion) {
     .expect("start daemon");
     let mut client = Client::connect_unix(&socket).expect("connect");
     // Known to the daemon in every sense before timing: compiled, its
-    // tenant generation sealed, and sighted twice.
+    // tenant generation sealed, held in the program table, and sent
+    // whole twice on this connection, so the client names it.
     for _ in 0..3 {
         client.build(&dex, &options, None).expect("warming build");
         client.build_for_tenant("pool0", &dex, &options, None).expect("warming tenant build");
     }
-    group.bench_function("daemon/build", |b| {
+    let mut raw = UnixStream::connect(&socket).expect("connect raw");
+    group.bench_function("roundtrip/whole", |b| {
+        b.iter(|| {
+            write_frame(&mut raw, REQ_BUILD, &borrowed.encode()).expect("send");
+            match read_frame(&mut raw, 64 << 20).expect("read reply") {
+                FrameEvent::Frame { body, .. } => BuildReply::decode(&body).map(|r| r.elf.len()),
+                other => panic!("expected a reply, got {other:?}"),
+            }
+        });
+    });
+    group.bench_function("roundtrip/by_reference", |b| {
         b.iter(|| client.build(&dex, &options, None).map(|reply| reply.elf.len()));
     });
-    group.bench_function("daemon/build_for_tenant", |b| {
+    group.bench_function("roundtrip/tenant_by_reference", |b| {
         b.iter(|| {
             client.build_for_tenant("pool0", &dex, &options, None).map(|reply| reply.elf.len())
         });

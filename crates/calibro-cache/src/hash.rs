@@ -99,25 +99,46 @@ fn avalanche(mut x: u64) -> u64 {
 /// exact byte length afterwards disambiguates it from genuine trailing
 /// zero bytes and keeps prefixes from colliding with their extensions.
 fn mix_buffer(buf: &[u8]) -> (u64, u64) {
-    let mut hi = SEED_HI;
-    let mut lo = SEED_LO;
-    let mut chunks = buf.chunks_exact(8);
+    let (mut hi, mut lo) = (SEED_HI, SEED_LO);
+    mix_words(&mut hi, &mut lo, buf);
+    hi = mix(hi, buf.len() as u64, K_HI);
+    lo = mix(lo, buf.len() as u64, K_LO);
+    (avalanche(hi), avalanche(lo))
+}
+
+/// [`mix_buffer`]'s body: folds `bytes` into both lanes a word at a
+/// time, the zero-padded tail last; the length fold is the caller's.
+#[inline]
+fn mix_words(hi: &mut u64, lo: &mut u64, bytes: &[u8]) {
+    let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let w = u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"));
-        hi = mix(hi, w, K_HI);
-        lo = mix(lo, w, K_LO);
+        *hi = mix(*hi, w, K_HI);
+        *lo = mix(*lo, w, K_LO);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
         let w = u64::from_le_bytes(tail);
-        hi = mix(hi, w, K_HI);
-        lo = mix(lo, w, K_LO);
+        *hi = mix(*hi, w, K_HI);
+        *lo = mix(*lo, w, K_LO);
     }
-    hi = mix(hi, buf.len() as u64, K_HI);
-    lo = mix(lo, buf.len() as u64, K_LO);
-    (avalanche(hi), avalanche(lo))
+}
+
+/// [`mix_buffer`] of a [`StableHasher::write_tag`] frame followed by
+/// `bytes`, without joining them: the tag frame and the first six bytes
+/// make the first word, and the rest is mixed where it lies.
+fn mix_tagged(tag: u8, bytes: &[u8]) -> (u64, u64) {
+    let (mut hi, mut lo) = (SEED_HI, SEED_LO);
+    let (head, rest) = bytes.split_at(bytes.len().min(6));
+    let mut first = [0u8; 8];
+    first[..2].copy_from_slice(&[0xAF, tag]);
+    first[2..2 + head.len()].copy_from_slice(head);
+    mix_words(&mut hi, &mut lo, &first[..2 + head.len()]);
+    mix_words(&mut hi, &mut lo, rest);
+    let len = 2 + bytes.len() as u64;
+    (avalanche(mix(hi, len, K_HI)), avalanche(mix(lo, len, K_LO)))
 }
 
 /// The serialize-then-hash hasher. Every framed `write_*` helper
@@ -218,6 +239,16 @@ impl StableHasher {
         CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
     }
 
+    /// The key of [`write_tag`](Self::write_tag) of `tag` then
+    /// [`write_wire_bytes`](Self::write_wire_bytes) of `encoded`, with
+    /// the bytes hashed where they lie: no buffer, no copy. This is how a
+    /// program's bytes in a request frame are named.
+    #[must_use]
+    pub fn tagged_wire_bytes_key(tag: u8, encoded: &[u8]) -> CacheKey {
+        let (hi, lo) = mix_tagged(tag, encoded);
+        CacheKey { hi, lo: lo ^ hi.rotate_left(32) }
+    }
+
     /// Finalizes into a [`CacheKey`] and clears the buffer for reuse,
     /// keeping its allocation. A loop hashing many methods through one
     /// hasher allocates once instead of once per method.
@@ -304,6 +335,24 @@ mod tests {
             }
             assert_eq!(reused.finish_reset(), fresh.finish());
             assert!(reused.w.buf_mut().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_tagged_key_is_the_buffered_key_of_the_tag_then_the_bytes() {
+        let buffered = |tag: u8, bytes: &[u8]| {
+            key_of(|h| {
+                h.write_tag(tag);
+                h.write_wire_bytes(bytes);
+            })
+        };
+        let mut rng = SplitMix64(7);
+        let bytes: Vec<u8> = (0..64).map(|_| rng.next() as u8).collect();
+        for len in 0..=bytes.len() {
+            for tag in [0x00, 0x50, 0xff] {
+                let got = StableHasher::tagged_wire_bytes_key(tag, &bytes[..len]);
+                assert_eq!(got, buffered(tag, &bytes[..len]), "tag {tag:#x}, {len} bytes");
+            }
         }
     }
 

@@ -2,22 +2,34 @@
 //! reply. One `Client` holds one connection; clone-free and
 //! thread-per-client by design (the daemon multiplexes via its own
 //! worker pool, not via client-side pipelining).
+//!
+//! A build sends its program whole until the daemon can be trusted to
+//! hold it, and by reference after that. The client remembers the
+//! programs it sent whole on this connection (`SentProgram`); the
+//! second whole send of one is when the daemon admits it to its program
+//! table, so the client hashes the program's id then, and names it by
+//! that id from the third build on. A daemon that no longer holds it
+//! answers [`ServeError::UnknownProgram`], and the client sends it
+//! whole again — the caller never sees the difference.
 
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::Path;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use calibro::{options_fingerprint, BuildOptions};
 use calibro_dex::wire;
-use calibro_dex::DexFile;
+use calibro_dex::{Class, DexFile, Method};
 
 use crate::error::{ClientError, ServeError};
 use crate::fleet::ShardEndpoint;
+use crate::programs::{ProgramId, SENT_RING};
 use crate::proto::{
-    self, BuildReply, BuildRequest, BuildRequestRef, DictStatsReply, DictStatsRequest, ErrorReply,
-    FrameEvent, GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request,
-    ServerStats, REQ_BUILD, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
-    RESP_SHUTDOWN_ACK, RESP_STATS,
+    self, BuildReply, BuildRequestRef, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
+    GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats,
+    REQ_BUILD, REQ_BUILD_BY_ID, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR,
+    RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
 use crate::transport::{self, Stream};
@@ -27,6 +39,61 @@ pub struct Client {
     stream: Stream,
     max_frame: u64,
     next_request_id: u64,
+    /// The programs sent whole on this connection, most recently used
+    /// last; at most [`SENT_RING`].
+    sent: VecDeque<SentProgram>,
+}
+
+/// A program this connection sent whole. Another program is the same
+/// one when it holds the same method allocations in the same order, and
+/// equal classes and statics: that is the same wire form. The methods
+/// are held as [`Weak`]s, which keep each address from reuse, and an
+/// edit through [`DexFile::method_mut`] moves the edited method to a
+/// new allocation, so an edited program never matches.
+struct SentProgram {
+    methods: Vec<Weak<Method>>,
+    classes: Vec<Class>,
+    num_statics: u32,
+    /// Hashed at the second whole send; the program goes by this id
+    /// from then on.
+    id: Option<ProgramId>,
+}
+
+impl SentProgram {
+    fn of(dex: &DexFile) -> SentProgram {
+        SentProgram {
+            methods: dex.methods().iter().map(Arc::downgrade).collect(),
+            classes: dex.classes().to_vec(),
+            num_statics: dex.num_statics(),
+            id: None,
+        }
+    }
+
+    fn is(&self, dex: &DexFile) -> bool {
+        self.num_statics == dex.num_statics()
+            && self.methods.len() == dex.methods().len()
+            && self
+                .methods
+                .iter()
+                .zip(dex.methods())
+                .all(|(sent, m)| sent.as_ptr() == Arc::as_ptr(m))
+            && self.classes == dex.classes()
+    }
+}
+
+/// One build a caller asked for.
+#[derive(Clone, Copy)]
+struct BuildCall<'a> {
+    tenant: Option<&'a str>,
+    dex: &'a DexFile,
+    options: &'a BuildOptions,
+    deadline: Option<Duration>,
+}
+
+/// How one build request went out.
+struct Sent {
+    request_id: u64,
+    by_id: bool,
 }
 
 impl Client {
@@ -36,6 +103,7 @@ impl Client {
             stream: transport::connect(endpoint)?,
             max_frame: proto::DEFAULT_MAX_FRAME,
             next_request_id: 1,
+            sent: VecDeque::new(),
         })
     }
 
@@ -64,17 +132,13 @@ impl Client {
         id
     }
 
-    /// The body of the next build request for `dex` under `options`,
-    /// with its id: a fresh id and the two client-side fingerprints the
-    /// daemon cross-checks, encoded straight from the borrows — neither
+    /// Writes the next build request for `dex` under `options`: by id
+    /// when this connection sent the program whole twice already, whole
+    /// otherwise — and then `dex` is recorded, or hashed at its second
+    /// send. The request is encoded straight from the borrows: neither
     /// the program nor the options are copied.
-    fn encode_build(
-        &mut self,
-        tenant: Option<&str>,
-        dex: &DexFile,
-        options: &BuildOptions,
-        deadline: Option<Duration>,
-    ) -> (u64, Vec<u8>) {
+    fn send_build(&mut self, call: &BuildCall<'_>) -> io::Result<Sent> {
+        let BuildCall { tenant, dex, options, deadline } = *call;
         let request = BuildRequestRef {
             request_id: self.next_id(),
             deadline,
@@ -84,7 +148,36 @@ impl Client {
             options,
             dex,
         };
-        (request.request_id, request.encode())
+        let found = self.sent.iter().rposition(|sent| sent.is(dex));
+        // Most recently used last; the least recently used goes first.
+        let mut entry = match found {
+            Some(at) => self.sent.remove(at).expect("the position was just found"),
+            None => {
+                if self.sent.len() == SENT_RING {
+                    self.sent.pop_front();
+                }
+                SentProgram::of(dex)
+            }
+        };
+        let (kind, body) = match entry.id {
+            Some(id) => (REQ_BUILD_BY_ID, request.encode_by_id(id)),
+            None => {
+                let (body, start) = request.encode_split();
+                if found.is_some() {
+                    entry.id = Some(ProgramId::of(&body[start..]));
+                }
+                (REQ_BUILD, body)
+            }
+        };
+        self.sent.push_back(entry);
+        proto::write_frame(&mut self.stream, kind, &body)?;
+        Ok(Sent { request_id: request.request_id, by_id: kind == REQ_BUILD_BY_ID })
+    }
+
+    /// Forgets `dex` after the daemon did not know its id: the next two
+    /// sends go whole, as for a program new to the daemon.
+    fn forget(&mut self, dex: &DexFile) {
+        self.sent.retain(|sent| !sent.is(dex));
     }
 
     /// One build round trip; `tenant` as in `BuildRequest::tenant`.
@@ -95,23 +188,82 @@ impl Client {
         options: &BuildOptions,
         deadline: Option<Duration>,
     ) -> Result<BuildReply, ClientError> {
-        let (_, body) = self.encode_build(tenant, dex, options, deadline);
-        Ok(BuildReply::decode(&self.exchange(
-            BuildRequest::KIND,
-            &body,
-            BuildRequest::REPLY_KIND,
-        )?)?)
+        let mut outcomes = self.builds(&[BuildCall { tenant, dex, options, deadline }])?;
+        outcomes.pop().expect("one outcome per request").map_err(ClientError::Server)
+    }
+
+    /// Every build path: writes one request per call before reading any
+    /// reply, collects the outcomes by request id, and sends whole again,
+    /// pipelined, each call whose reference the daemon did not know —
+    /// its answer stands for the original request. Outcomes come back in
+    /// call order.
+    fn builds(
+        &mut self,
+        calls: &[BuildCall<'_>],
+    ) -> Result<Vec<Result<BuildReply, ServeError>>, ClientError> {
+        let mut sent = Vec::with_capacity(calls.len());
+        for call in calls {
+            sent.push(self.send_build(call)?);
+        }
+        let ids: Vec<u64> = sent.iter().map(|sent| sent.request_id).collect();
+        let mut outcomes = self.read_build_outcomes(&ids)?;
+        let mut retried = Vec::new();
+        for (call, sent) in calls.iter().zip(&sent) {
+            if sent.by_id && matches!(outcomes[&sent.request_id], Err(ServeError::UnknownProgram)) {
+                self.forget(call.dex);
+                retried.push((sent.request_id, self.send_build(call)?.request_id));
+            }
+        }
+        let again: Vec<u64> = retried.iter().map(|&(_, again)| again).collect();
+        let mut answers = self.read_build_outcomes(&again)?;
+        for (original, again) in retried {
+            outcomes.insert(original, answers.remove(&again).expect("one outcome per request id"));
+        }
+        Ok(ids.iter().map(|id| outcomes.remove(id).expect("one outcome per request id")).collect())
+    }
+
+    /// Reads one build outcome for each of `request_ids`, by id. A reply
+    /// to an id that is not outstanding is a [`ClientError::StrayReply`];
+    /// an error that names no request (id 0: the daemon could not read
+    /// one) fails the whole exchange with it.
+    fn read_build_outcomes(
+        &mut self,
+        request_ids: &[u64],
+    ) -> Result<HashMap<u64, Result<BuildReply, ServeError>>, ClientError> {
+        let mut outcomes = HashMap::with_capacity(request_ids.len());
+        let mut outstanding: HashSet<u64> = request_ids.iter().copied().collect();
+        while !outstanding.is_empty() {
+            let (request_id, outcome) = match self.read_response()? {
+                (RESP_BUILT, body) => {
+                    let reply = BuildReply::decode(&body)?;
+                    (reply.request_id, Ok(reply))
+                }
+                (RESP_ERROR, body) => match ErrorReply::decode(&body)? {
+                    ErrorReply { request_id: 0, error } => return Err(ClientError::Server(error)),
+                    ErrorReply { request_id, error } => (request_id, Err(error)),
+                },
+                (kind, _) => return Err(ClientError::UnexpectedResponse { kind }),
+            };
+            if !outstanding.remove(&request_id) {
+                return Err(ClientError::StrayReply { request_id });
+            }
+            outcomes.insert(request_id, outcome);
+        }
+        Ok(outcomes)
     }
 
     /// Compiles `dex` with `options` on the daemon. `deadline` caps the
     /// daemon-side queue+compile time; `None` defers to the daemon's
-    /// default.
+    /// default. From the third build of the same program on this
+    /// connection, the request names the program instead of carrying it
+    /// (see the module docs); the reply is the same.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] carries the daemon's typed rejection
     /// (overloaded, deadline, malformed, build failure, draining);
-    /// [`ClientError::Io`]/[`ClientError::Wire`] are transport-level.
+    /// [`ClientError::Io`]/[`ClientError::Wire`] are transport-level, and
+    /// [`ClientError::StrayReply`] a reply to a request not outstanding.
     pub fn build(
         &mut self,
         dex: &DexFile,
@@ -185,45 +337,28 @@ impl Client {
     /// replies are matched by request id). The daemon keeps reading
     /// while the replies wait, so a long pipeline cannot wedge the
     /// connection; past a frame ceiling of unread replies, further
-    /// requests come back `Overloaded`.
+    /// requests come back `Overloaded`. Programs go by reference as in
+    /// [`build`](Client::build), and a reference the daemon does not
+    /// know is sent again whole before this returns.
     ///
     /// This is how a load generator saturates the daemon's admission
     /// queue from a single connection.
     ///
     /// # Errors
     ///
-    /// Transport-level [`ClientError`]s. Per-request daemon rejections
-    /// are *not* errors of the exchange: they come back as the `Err`
-    /// arm of the per-request [`Result`].
+    /// Transport-level [`ClientError`]s, and [`ClientError::StrayReply`]
+    /// for a reply to a request that is not outstanding. Per-request
+    /// daemon rejections are *not* errors of the exchange: they come back
+    /// as the `Err` arm of the per-request [`Result`].
     #[allow(clippy::type_complexity)]
     pub fn build_pipelined<'a>(
         &mut self,
         requests: &mut dyn Iterator<Item = (&'a DexFile, &'a BuildOptions)>,
     ) -> Result<Vec<Result<BuildReply, ServeError>>, ClientError> {
-        let mut ids = Vec::new();
-        for (dex, options) in requests {
-            let (id, body) = self.encode_build(None, dex, options, None);
-            proto::write_frame(&mut self.stream, REQ_BUILD, &body)?;
-            ids.push(id);
-        }
-        let mut by_id = std::collections::HashMap::new();
-        while by_id.len() < ids.len() {
-            match self.read_response()? {
-                (RESP_BUILT, body) => {
-                    let reply = BuildReply::decode(&body)?;
-                    by_id.insert(reply.request_id, Ok(reply));
-                }
-                (RESP_ERROR, body) => {
-                    let ErrorReply { request_id, error } = ErrorReply::decode(&body)?;
-                    by_id.insert(request_id, Err(error));
-                }
-                (kind, _) => return Err(ClientError::UnexpectedResponse { kind }),
-            }
-        }
-        Ok(ids
-            .into_iter()
-            .map(|id| by_id.remove(&id).expect("one reply per pipelined request id"))
-            .collect())
+        let calls: Vec<BuildCall<'_>> = requests
+            .map(|(dex, options)| BuildCall { tenant: None, dex, options, deadline: None })
+            .collect();
+        self.builds(&calls)
     }
 
     /// Fetches the daemon's shared-dictionary snapshot. A daemon

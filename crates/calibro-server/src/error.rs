@@ -53,6 +53,10 @@ pub enum ServeError {
     /// daemon computed from the decoded request — codec or schema
     /// drift between client and server builds.
     FingerprintMismatch,
+    /// A build by reference named a program this connection has not
+    /// sent whole, or one the daemon no longer holds (evicted, or the
+    /// daemon restarted). The client sends the program whole instead.
+    UnknownProgram,
 }
 
 impl ServeError {
@@ -67,6 +71,7 @@ impl ServeError {
             ServeError::Build { .. } => 5,
             ServeError::Draining => 6,
             ServeError::FingerprintMismatch => 7,
+            ServeError::UnknownProgram => 8,
         }
     }
 }
@@ -84,7 +89,8 @@ impl Wire for ServeError {
                 claimed.put(w);
                 limit.put(w);
             }
-            ServeError::Draining | ServeError::FingerprintMismatch => {}
+            ServeError::Draining | ServeError::FingerprintMismatch | ServeError::UnknownProgram => {
+            }
         }
     }
 
@@ -100,6 +106,7 @@ impl Wire for ServeError {
             5 => ServeError::Build { detail: Wire::get(r, "detail")? },
             6 => ServeError::Draining,
             7 => ServeError::FingerprintMismatch,
+            8 => ServeError::UnknownProgram,
             tag => return Err(WireError::InvalidTag { what, tag }),
         })
     }
@@ -127,6 +134,9 @@ impl core::fmt::Display for ServeError {
             ServeError::FingerprintMismatch => {
                 write!(f, "request fingerprint does not match decoded payload")
             }
+            ServeError::UnknownProgram => {
+                write!(f, "the program named by reference is not held for this connection")
+            }
         }
     }
 }
@@ -148,6 +158,12 @@ pub enum ClientError {
     UnexpectedResponse {
         /// The frame kind received.
         kind: u8,
+    },
+    /// The daemon answered a request id this connection has no request
+    /// outstanding under: one it never sent, or one already answered.
+    StrayReply {
+        /// The request id the reply carried.
+        request_id: u64,
     },
 }
 
@@ -183,6 +199,9 @@ impl core::fmt::Display for ClientError {
             ClientError::UnexpectedResponse { kind } => {
                 write!(f, "unexpected response kind {kind:#04x}")
             }
+            ClientError::StrayReply { request_id } => {
+                write!(f, "reply to request {request_id}, which is not outstanding")
+            }
         }
     }
 }
@@ -193,7 +212,7 @@ impl std::error::Error for ClientError {
             ClientError::Io(e) => Some(e),
             ClientError::Wire(e) => Some(e),
             ClientError::Server(e) => Some(e),
-            ClientError::UnexpectedResponse { .. } => None,
+            ClientError::UnexpectedResponse { .. } | ClientError::StrayReply { .. } => None,
         }
     }
 }

@@ -37,7 +37,8 @@
 //!   flipping the serving generation atomically so there is never a
 //!   serving gap.
 //! * [`client`] — the synchronous client used by tests, the loadgen
-//!   and external tools.
+//!   and external tools. It sends a program whole until the daemon
+//!   holds it, then names it by its [`proto::ProgramId`].
 //! * [`histogram`] — the lock-free log-scale latency histogram behind
 //!   the `stats` request's p50/p95/p99.
 //!

@@ -25,37 +25,75 @@
 //! its wire size in resident set for nothing. Held programs are evicted
 //! least recently used first once the wire bytes they stand for exceed
 //! a fixed budget. Both bounds are constants, not configuration.
+//!
+//! **A held program can be named instead of sent.** A build by
+//! reference carries a [`ProgramId`] where the program's bytes would
+//! be. Each connection keeps the ids of the programs it sent whole in a
+//! [`SentPrograms`] ring, and the daemon resolves a reference only to a
+//! program that is both in that ring and held in the table: a reference
+//! never names more than the bytes its own client already sent.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use calibro::{CacheKey, StableHasher};
+use calibro_dex::wire::wire_fields;
 use calibro_dex::DexFile;
 
 /// Ids of decoded-once programs remembered for a second sighting.
 const SEEN_RING: usize = 64;
 /// Wire bytes the held programs may stand for in total (a decoded
 /// program is roughly six times its wire form).
-const HELD_WIRE_BYTES: usize = 4 << 20;
+pub(crate) const HELD_WIRE_BYTES: usize = 4 << 20;
+/// Programs one connection remembers having sent whole — on the daemon
+/// ([`SentPrograms`]) and in the client alike.
+pub(crate) const SENT_RING: usize = 64;
 
-/// What names a program in the table: its content key and the length
-/// of the bytes that were hashed.
+/// What names a program: its content key and the length of the bytes
+/// that were hashed. On the wire (a build by reference) the key, then
+/// the length as a `u64`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct ProgramId {
+pub struct ProgramId {
     /// `calibro::program_salt` of the program, computed from its bytes.
-    pub(crate) key: CacheKey,
-    len: usize,
+    pub key: CacheKey,
+    /// The length of the program's `DexFile` row.
+    pub len: usize,
 }
+
+wire_fields!(ProgramId { key, len });
 
 impl ProgramId {
     /// Names the program whose `DexFile` row `encoded` is: the domain
     /// tag, then the bytes where they lie — what `hash_program` feeds
     /// the hasher from the decoded form.
-    pub(crate) fn of(encoded: &[u8]) -> ProgramId {
-        let mut h = StableHasher::with_capacity(encoded.len() + 2);
-        h.write_tag(0x50); // 'P', `hash_program`'s domain tag
-        h.write_wire_bytes(encoded);
-        ProgramId { key: h.finish(), len: encoded.len() }
+    #[must_use]
+    pub fn of(encoded: &[u8]) -> ProgramId {
+        // 'P', `hash_program`'s domain tag.
+        ProgramId { key: StableHasher::tagged_wire_bytes_key(0x50, encoded), len: encoded.len() }
+    }
+}
+
+/// The ids one connection has sent whole, most recently used last: the
+/// programs a build by reference on it may name.
+#[derive(Default)]
+pub(crate) struct SentPrograms {
+    ids: VecDeque<ProgramId>,
+}
+
+impl SentPrograms {
+    /// Records a use of `id`, forgetting the least recently used id
+    /// past [`SENT_RING`].
+    pub(crate) fn touch(&mut self, id: ProgramId) {
+        if let Some(at) = self.ids.iter().rposition(|sent| *sent == id) {
+            self.ids.remove(at);
+        } else if self.ids.len() == SENT_RING {
+            self.ids.pop_front();
+        }
+        self.ids.push_back(id);
+    }
+
+    pub(crate) fn contains(&self, id: ProgramId) -> bool {
+        self.ids.contains(&id)
     }
 }
 
@@ -143,6 +181,7 @@ impl ProgramTable {
 mod tests {
     use super::*;
     use calibro_dex::wire;
+    use calibro_workloads::{generate, AppSpec};
 
     fn program(statics: u32) -> (ProgramId, DexFile) {
         let mut dex = DexFile::new();
@@ -154,6 +193,32 @@ mod tests {
     fn the_id_of_the_bytes_is_the_salt_of_the_program() {
         let (id, dex) = program(7);
         assert_eq!(id.key, calibro::program_salt(&dex));
+        // A pool-sized program: hashed where it lies, the key is the
+        // buffered hash of tag + bytes, and the salt of the decoded form.
+        let dex = generate(&AppSpec { methods: 200, ..AppSpec::small("pool", 700) }).dex;
+        let bytes = wire::encode(&dex);
+        let id = ProgramId::of(&bytes);
+        let mut h = StableHasher::new();
+        h.write_tag(0x50);
+        h.write_wire_bytes(&bytes);
+        assert_eq!((id.key, id.len), (h.finish(), bytes.len()));
+        let decoded: DexFile = wire::decode(&bytes).expect("the program decodes");
+        assert_eq!(id.key, calibro::program_salt(&decoded));
+    }
+
+    #[test]
+    fn a_connection_remembers_the_most_recently_sent_ids() {
+        let mut sent = SentPrograms::default();
+        let id = |n: u64| ProgramId { key: CacheKey { hi: n, lo: n }, len: 1 };
+        for n in 0..SENT_RING as u64 {
+            sent.touch(id(n));
+        }
+        // Used again, 0 is the most recent: the next new id pushes 1 out.
+        sent.touch(id(0));
+        sent.touch(id(SENT_RING as u64));
+        assert!(sent.contains(id(0)) && sent.contains(id(SENT_RING as u64)));
+        assert!(!sent.contains(id(1)));
+        assert_eq!(sent.ids.len(), SENT_RING);
     }
 
     #[test]

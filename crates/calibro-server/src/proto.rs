@@ -35,6 +35,7 @@ use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 use calibro_dex::DexFile;
 
 use crate::error::ServeError;
+pub use crate::programs::ProgramId;
 
 /// Request kind: compile a program.
 pub const REQ_BUILD: u8 = 0x01;
@@ -56,6 +57,9 @@ pub const REQ_GENERATION_STATS: u8 = 0x07;
 /// Request kind: report the shared-dictionary state (see
 /// [`DictStatsRequest`]).
 pub const REQ_DICT_STATS: u8 = 0x08;
+/// Request kind: compile a program this connection sent whole before,
+/// named by its [`ProgramId`] (see [`BuildByIdRequest`]).
+pub const REQ_BUILD_BY_ID: u8 = 0x09;
 /// Response kind: a successful build.
 pub const RESP_BUILT: u8 = 0x81;
 /// Response kind: a typed error.
@@ -258,6 +262,7 @@ macro_rules! requests {
 
 requests! {
     BuildRequest = REQ_BUILD => BuildReply = RESP_BUILT,
+    BuildByIdRequest = REQ_BUILD_BY_ID => BuildReply = RESP_BUILT,
     PeerGet = REQ_PEER_GET => PeerArtifact = RESP_PEER_ARTIFACT,
     ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
     GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
@@ -292,10 +297,11 @@ pub struct BuildRequest {
 }
 
 /// A [`BuildRequest`] that borrows what it sends: the client encodes
-/// from the caller's program and options without copying either. This
+/// from the caller's program and options without copying either. Its
 /// `put` is the one written-down field order of a build request — the
 /// owned request encodes through it, and [`BuildHeader::split`] below
-/// reads the same fields back.
+/// reads the same fields back — and it encodes the request by reference
+/// too ([`encode_by_id`](Self::encode_by_id)).
 pub struct BuildRequestRef<'a> {
     /// See [`BuildRequest::request_id`].
     pub request_id: u64,
@@ -317,27 +323,68 @@ impl BuildRequestRef<'_> {
     /// Encodes the request body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_split().0
+    }
+
+    /// Encodes the request body, and where in it the program's bytes
+    /// start: `body[start..]` is the program's `DexFile` row, which a
+    /// [`ProgramId`] is the hash of.
+    #[must_use]
+    pub fn encode_split(&self) -> (Vec<u8>, usize) {
         let mut w = Writer::new();
-        self.put(&mut w);
+        self.put_header(&mut w);
+        let start = w.buf_mut().len();
+        self.dex.put(&mut w);
+        (w.into_bytes(), start)
+    }
+
+    /// Encodes the [`BuildByIdRequest`] that names `program` in place
+    /// of this request's program.
+    #[must_use]
+    pub fn encode_by_id(&self, program: ProgramId) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put_header(&mut w);
+        program.put(&mut w);
         w.into_bytes()
     }
 
     fn put(&self, w: &mut Writer) {
-        self.request_id.put(w);
-        self.deadline.put(w);
-        self.options_fp.put(w);
-        self.ltbo_fp.put(w);
-        // `Option<String>`'s form, from the borrowed text.
-        match self.tenant {
-            None => w.u8(0),
-            Some(tenant) => {
-                w.u8(1);
-                w.str(tenant);
-            }
-        }
-        self.options.put(w);
+        self.put_header(w);
         self.dex.put(w);
     }
+
+    fn put_header(&self, w: &mut Writer) {
+        let BuildRequestRef { request_id, deadline, options_fp, ltbo_fp, tenant, options, .. } =
+            *self;
+        put_header(w, request_id, deadline, options_fp, ltbo_fp, tenant, options);
+    }
+}
+
+/// The fields of a build request ahead of the program, in the order
+/// [`BuildHeader`] reads them: the one written-down header order of
+/// both build kinds, whole and by reference.
+fn put_header(
+    w: &mut Writer,
+    request_id: u64,
+    deadline: Option<Duration>,
+    options_fp: CacheKey,
+    ltbo_fp: Option<CacheKey>,
+    tenant: Option<&str>,
+    options: &BuildOptions,
+) {
+    request_id.put(w);
+    deadline.put(w);
+    options_fp.put(w);
+    ltbo_fp.put(w);
+    // `Option<String>`'s form, from the borrowed text.
+    match tenant {
+        None => w.u8(0),
+        Some(tenant) => {
+            w.u8(1);
+            w.str(tenant);
+        }
+    }
+    options.put(w);
 }
 
 /// The fields of a [`BuildRequest`] ahead of the program: everything
@@ -358,8 +405,13 @@ pub struct BuildHeader {
     pub options: BuildOptions,
 }
 
-impl BuildHeader {
-    fn get(r: &mut Reader<'_>) -> Result<BuildHeader, WireError> {
+impl Wire for BuildHeader {
+    fn put(&self, w: &mut Writer) {
+        let BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options } = self;
+        put_header(w, *request_id, *deadline, *options_fp, *ltbo_fp, tenant.as_deref(), options);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<BuildHeader, WireError> {
         Ok(BuildHeader {
             request_id: Wire::get(r, "request_id")?,
             deadline: Wire::get(r, "deadline")?,
@@ -369,7 +421,9 @@ impl BuildHeader {
             options: Wire::get(r, "options")?,
         })
     }
+}
 
+impl BuildHeader {
     /// Splits a build request body into its decoded header and the
     /// program's bytes where they lie — `wire::decode::<DexFile>` of
     /// the latter completes the request exactly as
@@ -381,7 +435,7 @@ impl BuildHeader {
     /// Returns [`WireError`] on any malformed header field.
     pub fn split(body: &[u8]) -> Result<(BuildHeader, &[u8]), WireError> {
         let mut r = Reader::new(body);
-        let header = BuildHeader::get(&mut r)?;
+        let header = BuildHeader::get(&mut r, "header")?;
         Ok((header, r.rest()))
     }
 }
@@ -403,13 +457,28 @@ impl Wire for BuildRequest {
 
     fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<BuildRequest, WireError> {
         let BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options } =
-            BuildHeader::get(r)?;
+            BuildHeader::get(r, "header")?;
         let dex = Wire::get(r, "dex")?;
         Ok(BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex })
     }
 }
 
 body_codec!(BuildRequest);
+
+message! {
+    /// A compile request by reference: a build request's header, then
+    /// the [`ProgramId`] of a program this connection sent whole before,
+    /// where the program's bytes would be. The daemon answers it as the
+    /// whole request for that program, or with
+    /// [`ServeError::UnknownProgram`] when the id is not one this
+    /// connection sent or the daemon no longer holds the program.
+    pub struct BuildByIdRequest {
+        /// Every field of the request ahead of the program.
+        pub header: BuildHeader,
+        /// The program, by name.
+        pub program: ProgramId,
+    }
+}
 
 message! {
     /// A successful build response: the fingerprints (echoed), the linked
@@ -755,6 +824,9 @@ server_stats! {
     /// Build requests whose program the table already held decoded —
     /// named by the hash of the bytes that arrived, nothing decoded.
     programs_reused: AtomicU64,
+    /// Build requests by reference that the table answered: the program
+    /// named by its id, which its connection had sent whole before.
+    programs_by_reference: AtomicU64,
 }
 
 impl ServerStats {
@@ -987,6 +1059,16 @@ mod tests {
             .collect()
     }
 
+    fn build_by_id_request() -> BuildByIdRequest {
+        let BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex } =
+            build_requests().swap_remove(4);
+        let program = ProgramId::of(&wire::encode(&dex));
+        BuildByIdRequest {
+            header: BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options },
+            program,
+        }
+    }
+
     fn build_reply() -> BuildReply {
         BuildReply {
             request_id: 0x2000,
@@ -1012,6 +1094,7 @@ mod tests {
             ServeError::Build { detail: "verify failed".into() },
             ServeError::Draining,
             ServeError::FingerprintMismatch,
+            ServeError::UnknownProgram,
         ]
         .into_iter()
         .enumerate()
@@ -1122,6 +1205,7 @@ mod tests {
             refreshes_triggered: 13,
             programs_decoded: 21,
             programs_reused: 959,
+            programs_by_reference: 977,
             latency_buckets: vec![0, 5, 10, 0, 2],
             cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
         }
@@ -1168,9 +1252,23 @@ mod tests {
     /// the bytes themselves. `nested` lists the fields whose own codec
     /// labels its inner fields (a struct or enum inside the message).
     fn message_contract<M: Wire + FieldEnds>(sample: &M, fixture: &str, nested: &[&str]) {
-        let bytes = wire::encode(sample);
+        contract_against(sample, fixture, fixture_bytes(fixture), nested);
+    }
+
+    fn fixture_bytes(fixture: &str) -> Vec<u8> {
         let path = format!("{}/tests/fixtures/wire/{fixture}.bin", env!("CARGO_MANIFEST_DIR"));
-        let recorded = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// [`message_contract`] against `recorded`, the fixture's bytes as
+    /// the test derives them from the file.
+    fn contract_against<M: Wire + FieldEnds>(
+        sample: &M,
+        fixture: &str,
+        recorded: Vec<u8>,
+        nested: &[&str],
+    ) {
+        let bytes = wire::encode(sample);
         assert_eq!(bytes, recorded, "{fixture}: encode drifted from the recorded bytes");
         let back: M = wire::decode(&recorded).unwrap_or_else(|e| panic!("{fixture}: {e}"));
         assert_eq!(wire::encode(&back), recorded, "{fixture}: decode lost something");
@@ -1284,6 +1382,16 @@ mod tests {
                 dex: &owned.dex,
             };
             prop_assert_eq!(&borrowed.encode(), &body);
+            // By reference: the same header, then the program's id.
+            let (split, start) = borrowed.encode_split();
+            prop_assert_eq!(&split, &body);
+            let id = ProgramId::of(&body[start..]);
+            prop_assert_eq!(id.key, calibro::program_salt(&owned.dex));
+            let by_id = borrowed.encode_by_id(id);
+            prop_assert_eq!(&by_id[..start], &body[..start]);
+            let decoded = BuildByIdRequest::decode(&by_id).expect("the by-id body decodes");
+            prop_assert!(same_header(&decoded.header, &owned) && decoded.program == id);
+            prop_assert_eq!(&decoded.encode(), &by_id);
 
             let (header, program) = BuildHeader::split(&body).expect("the header decodes");
             prop_assert!(same_header(&header, &owned));
@@ -1309,6 +1417,7 @@ mod tests {
         for (i, request) in build_requests().iter().enumerate() {
             message_contract(request, &format!("build_request_{i}"), &["options", "dex"]);
         }
+        message_contract(&build_by_id_request(), "build_by_id_request", &["header", "program"]);
         message_contract(&build_reply(), "build_reply", &[]);
         for reply in &error_replies() {
             message_contract(reply, &format!("error_{}", reply.error.code()), &["error"]);
@@ -1328,8 +1437,12 @@ mod tests {
         // Re-recorded twice: the stats table gained its
         // `programs_decoded` / `programs_reused` rows (two `u64`s after
         // `refreshes_triggered`), and the cache block lost the twelve
-        // counters of the dictionary lane.
-        message_contract(&server_stats(), "server_stats", &["cache"]);
+        // counters of the dictionary lane. The `programs_by_reference`
+        // row appended since is spliced in after the file's 23 rows, so
+        // the file stays the bytes of the deployed 23-row table.
+        let mut recorded = fixture_bytes("server_stats");
+        recorded.splice(8 * 23..8 * 23, 977u64.to_le_bytes());
+        contract_against(&server_stats(), "server_stats", recorded, &["cache"]);
     }
 
     #[test]
@@ -1356,7 +1469,7 @@ mod tests {
             BuildReply::decode(&with(build_reply().encode(), 24, 7)).err(),
             Some(WireError::InvalidTag { what: "ltbo_fp", tag: 7 })
         );
-        for code in [0, 8] {
+        for code in [0, 9] {
             assert_eq!(
                 ErrorReply::decode(&with(error_replies()[5].encode(), 8, code)),
                 Err(WireError::InvalidTag { what: "error", tag: code })
@@ -1383,12 +1496,12 @@ mod tests {
         };
         let body = stats.encode();
         assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
-        // Two scalar rows were appended since (`programs_decoded`,
-        // `programs_reused`, zero here): they sit after the 21 rows of
-        // that codec and ahead of the histogram, and every other byte
-        // is where it was.
+        // Three scalar rows were appended since (`programs_decoded`,
+        // `programs_reused`, `programs_by_reference`, zero here): they
+        // sit after the 21 rows of that codec and ahead of the
+        // histogram, and every other byte is where it was.
         const RECORDED_ROWS: usize = 21;
-        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 2);
+        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 3);
         let mut recorded = body;
         assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
         // The cache block ends the body; put the removed counters back.
@@ -1409,7 +1522,9 @@ mod tests {
         }
         let p50 = server_stats().latency_quantile_us(0.5);
         assert!(p50 > 0);
-        assert!(json.contains(&format!(r#""programs_reused":959,"p50_us":{p50},"p95_us":"#)));
+        assert!(json.contains(&format!(
+            r#""programs_reused":959,"programs_by_reference":977,"p50_us":{p50},"p95_us":"#
+        )));
         let cache = server_stats().cache.to_json();
         assert!(json.ends_with(&format!(r#","cache":{cache}}}"#)), "{json}");
     }

@@ -8,8 +8,9 @@
 //!  accept thread ──► connection threads (1 per client)
 //!                        │  decode the header, name the program by the
 //!                        │  hash of its bytes (program table: decoded
-//!                        │  once, then reused), admission-check; a profile
-//!                        │  upload past the drift threshold admits a refresh
+//!                        │  once, then reused) or by the id it was sent
+//!                        │  under, admission-check; a profile upload
+//!                        │  past the drift threshold admits a refresh
 //!                        ▼
 //!                 bounded admission queue  ──full──► Overloaded reply
 //!                        │
@@ -66,14 +67,14 @@ use calibro_profile::{DecayedProfile, Profile};
 use crate::error::ServeError;
 use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
-use crate::programs::{ProgramId, ProgramTable};
+use crate::programs::{ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
-    self, BuildHeader, BuildReply, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
-    GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest,
-    Request, ServerCounters, ServerStats, REQ_BUILD, REQ_DICT_STATS, REQ_GENERATION_STATS,
-    REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS,
-    RESP_ERROR, RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE,
-    RESP_SHUTDOWN_ACK, RESP_STATS,
+    self, BuildByIdRequest, BuildHeader, BuildReply, DictStatsReply, DictStatsRequest, ErrorReply,
+    FrameEvent, GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply,
+    ProfileRequest, Request, ServerCounters, ServerStats, REQ_BUILD, REQ_BUILD_BY_ID,
+    REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN,
+    REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PEER_ARTIFACT,
+    RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::transport::Stream;
 
@@ -670,6 +671,7 @@ fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     // Buffered: a pipelined peer-get batch is hundreds of 30-byte
     // frames, and unbuffered each would cost two read syscalls.
     let mut reader = io::BufReader::with_capacity(64 * 1024, stream);
+    let mut sent = SentPrograms::default();
     let ceiling = shared.config.max_frame;
     loop {
         match proto::read_frame(&mut reader, ceiling) {
@@ -678,7 +680,9 @@ fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
             // and past two its rejections are not being read either, so
             // the connection is cut (the request counted, unanswered).
             Ok(FrameEvent::Frame { kind, body }) => match replies.backlog.load(Ordering::Relaxed) {
-                backlog if backlog <= ceiling => handle_frame(kind, &body, &replies, shared),
+                backlog if backlog <= ceiling => {
+                    handle_frame(kind, &body, &mut sent, &replies, shared);
+                }
                 backlog if backlog <= ceiling.saturating_mul(2) => {
                     let id = proto::request_id_of(&body);
                     replies.error(id, shared.overloaded(ceiling as usize));
@@ -712,9 +716,20 @@ fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
 
 /// Handles one intact frame. Whatever the body holds, the frame
 /// boundary is intact, so the connection keeps serving afterwards.
-fn handle_frame(kind: u8, body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
+/// `sent` is the connection's record of the programs it sent whole.
+fn handle_frame(
+    kind: u8,
+    body: &[u8],
+    sent: &mut SentPrograms,
+    replies: &Replies,
+    shared: &Arc<Shared>,
+) {
     match kind {
-        REQ_BUILD => handle_build(body, replies, shared),
+        REQ_BUILD => handle_build(body, sent, replies, shared),
+        REQ_BUILD_BY_ID => match BuildByIdRequest::decode(body) {
+            Ok(request) => handle_build_by_id(request, sent, replies, shared),
+            Err(e) => reject_malformed(body, e, replies, shared),
+        },
         REQ_PEER_GET => decode_or_reject(body, replies, shared, handle_peer_get),
         REQ_PROFILE => decode_or_reject(body, replies, shared, handle_profile),
         REQ_GENERATION_STATS => decode_or_reject(body, replies, shared, handle_generation_stats),
@@ -781,12 +796,13 @@ fn handle_peer_get(request: PeerGet, replies: &Replies, shared: &Arc<Shared>) {
     }
 }
 
-/// One build request: the header decoded, the program named by the
-/// hash of its bytes and taken from the program table — decoded here
-/// only when the table does not hold it. A header or a program that
+/// One build request with its program whole: the header decoded, the
+/// program named by the hash of its bytes and taken from the program
+/// table — decoded here only when the table does not hold it — and
+/// recorded as sent on this connection. A header or a program that
 /// does not decode is rejected exactly as a whole-body decode would.
-fn handle_build(body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
-    let (mut request, program) = match BuildHeader::split(body) {
+fn handle_build(body: &[u8], sent: &mut SentPrograms, replies: &Replies, shared: &Arc<Shared>) {
+    let (request, program) = match BuildHeader::split(body) {
         Ok(split) => split,
         Err(e) => return reject_malformed(body, e, replies, shared),
     };
@@ -804,6 +820,40 @@ fn handle_build(body: &[u8], replies: &Replies, shared: &Arc<Shared>) {
             Err(e) => return reject_malformed(body, e, replies, shared),
         },
     };
+    sent.touch(program_id);
+    build_with(request, program_id, dex, replies, shared);
+}
+
+/// One build request by reference: the program is the table's entry
+/// for its id, when this connection sent that program whole and the
+/// table still holds it; otherwise the typed `UnknownProgram` asks the
+/// client to send it whole.
+fn handle_build_by_id(
+    request: BuildByIdRequest,
+    sent: &mut SentPrograms,
+    replies: &Replies,
+    shared: &Arc<Shared>,
+) {
+    let BuildByIdRequest { header, program } = request;
+    let held = sent.contains(program).then(|| shared.programs.get(program)).flatten();
+    let Some(dex) = held else {
+        return replies.error(header.request_id, ServeError::UnknownProgram);
+    };
+    shared.counters.programs_by_reference.fetch_add(1, Ordering::Relaxed);
+    sent.touch(program);
+    build_with(header, program, dex, replies, shared);
+}
+
+/// Everything after the program is found, for both build kinds: the
+/// drain and fingerprint checks, a tenant fetch answered from its
+/// sealed generation, or admission to the queue.
+fn build_with(
+    mut request: BuildHeader,
+    program_id: ProgramId,
+    dex: Arc<DexFile>,
+    replies: &Replies,
+    shared: &Arc<Shared>,
+) {
     if shared.draining.load(Ordering::SeqCst) {
         return replies.error(request.request_id, ServeError::Draining);
     }
@@ -1220,6 +1270,7 @@ fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::programs::HELD_WIRE_BYTES;
     use crate::Client;
     use calibro_workloads::{generate, AppSpec};
 
@@ -1253,6 +1304,41 @@ mod tests {
         assert!(stats.registered);
         assert_eq!((stats.serving_generation, stats.uploads), (1, 1));
         assert_eq!(daemon.shutdown().tenants, 1);
+    }
+
+    /// A program evicted from the table after its client named it: the
+    /// next reference is `UnknownProgram`, which the client answers with
+    /// a whole send — the build succeeds with the same bytes — and the
+    /// client names it again from its third send after that.
+    #[test]
+    fn an_unknown_reference_after_eviction_falls_back_to_a_whole_send() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-evict-{}.sock", std::process::id()));
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), ServerConfig::default())
+            .expect("start");
+        let app = generate(&AppSpec::small("evicted", 8));
+        let options = BuildOptions::cto_ltbo();
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        let expected = client.build(&app.dex, &options, None).expect("first build").elf;
+        let counts = |daemon: &Daemon| {
+            let stats = daemon.stats();
+            (stats.programs_decoded, stats.programs_reused, stats.programs_by_reference)
+        };
+        for _ in 0..2 {
+            assert_eq!(client.build(&app.dex, &options, None).expect("build").elf, expected);
+        }
+        assert_eq!(counts(&daemon), (2, 0, 1));
+
+        // A program that claims the whole budget evicts every other.
+        let budget = ProgramId { key: CacheKey { hi: 1, lo: 2 }, len: HELD_WIRE_BYTES };
+        for _ in 0..2 {
+            daemon.shared.programs.offer(budget, DexFile::new());
+        }
+        for expected_counts in [(3, 0, 1), (4, 0, 1), (4, 0, 2)] {
+            assert_eq!(client.build(&app.dex, &options, None).expect("build").elf, expected);
+            assert_eq!(counts(&daemon), expected_counts);
+        }
+        assert_eq!(daemon.shutdown().requests_completed, 6);
     }
 
     /// A `stats()` snapshot takes one lock at a time: while it waits on

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use calibro::BuildOptions;
 use calibro_profile::{DecayedProfile, Profile};
 use calibro_server::proto::{
-    read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_DICT_STATS,
+    read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_BUILD_BY_ID, REQ_DICT_STATS,
     REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_BUILT, RESP_ERROR,
     RESP_PONG, RESP_STATS,
 };
@@ -85,20 +85,22 @@ fn shared_cache_matches_direct_build(workers: usize) {
     );
 
     // By now the daemon holds the program decoded (every request so
-    // far carried the same bytes): a build from the table's entry, plain
-    // or under a tenant, is the same artifact.
+    // far carried the same bytes): a build from the table's entry — plain
+    // and named by its bytes, then under a tenant and, as this
+    // connection's third send of it, by reference — is the same artifact.
     let before = third.server_stats().expect("stats");
     let reused = third.build(&app.dex, &options, None).expect("build of a held program");
     assert_eq!(reused.elf, expected);
     let sealed = third.build_for_tenant("t", &app.dex, &options, None).expect("tenant build");
     assert_eq!(sealed.elf, expected);
     let after = third.server_stats().expect("stats");
-    assert_eq!(after.programs_reused, before.programs_reused + 2);
+    assert_eq!(after.programs_reused, before.programs_reused + 1);
+    assert_eq!(after.programs_by_reference, before.programs_by_reference + 1);
     assert_eq!(after.programs_decoded, before.programs_decoded);
 
     let stats = daemon.shutdown();
     assert_eq!(stats.requests_completed, 5);
-    assert_eq!(stats.programs_decoded + stats.programs_reused, 5);
+    assert_eq!(stats.programs_decoded + stats.programs_reused + stats.programs_by_reference, 5);
     assert_eq!(stats.build_errors, 0);
     assert!(!socket.exists(), "socket file should be removed at shutdown");
 }
@@ -224,8 +226,14 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
     //    id when the id's eight bytes arrived (0 otherwise), exactly one
     //    `malformed_frames` tick, and the *same connection* keeps
     //    serving (stats and ping work after).
-    let decoded_kinds =
-        [REQ_BUILD, REQ_PEER_GET, REQ_PROFILE, REQ_GENERATION_STATS, REQ_DICT_STATS];
+    let decoded_kinds = [
+        REQ_BUILD,
+        REQ_BUILD_BY_ID,
+        REQ_PEER_GET,
+        REQ_PROFILE,
+        REQ_GENERATION_STATS,
+        REQ_DICT_STATS,
+    ];
     {
         let mut raw = UnixStream::connect(&socket).expect("connect raw");
         let mut exchange = |kind: u8, body: &[u8], reply_kind: u8| -> Vec<u8> {
@@ -508,7 +516,9 @@ fn within<T: Send + 'static>(limit: Duration, exchange: impl FnOnce() -> T + Sen
 /// buffer: workers block writing replies the client is not reading yet
 /// (it is still writing requests), so the connection thread must keep
 /// draining requests — it may not wait on the writer lock a blocked
-/// worker holds. At the parent commit this deadlocked every time.
+/// worker holds. Before each connection got its own writer thread, a
+/// batch of eight deadlocked every time. In the batch of 64 each
+/// program's third and later requests name it by reference.
 #[test]
 fn pipelined_large_builds_complete() {
     let programs: std::sync::Arc<Vec<_>> = std::sync::Arc::new(
@@ -539,9 +549,12 @@ fn pipelined_large_builds_complete() {
             assert_eq!(reply.elf, expected[i % expected.len()], "request {i} of {batch}");
         }
     }
+    let bytes: usize = expected.iter().map(Vec::len).sum();
+    assert!(bytes > 512 << 10, "eight replies of {bytes} bytes fit a socket buffer");
 
     let stats = daemon.shutdown();
     assert_eq!(stats.requests_completed, 8 + 8 + 64);
+    assert_eq!(stats.programs_by_reference, 8 * 6);
     assert_eq!(stats.rejected_overloaded, 0);
 }
 
@@ -735,10 +748,10 @@ fn body_with_program(request: &calibro_server::BuildRequest, program: &[u8]) -> 
 }
 
 /// The program table, through the daemon's own counters: a program is
-/// decoded until its second sighting and reused from then on; a program
-/// that does not decode is rejected every time it is sent and never
-/// held; programs of one length and different content are different
-/// programs.
+/// decoded until its second sighting and reused from then on (the
+/// client names it by reference from its third send); a program that
+/// does not decode is rejected every time it is sent and never held;
+/// programs of one length and different content are different programs.
 #[test]
 fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held() {
     let app = generate(&AppSpec::small("table", 51));
@@ -760,15 +773,16 @@ fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held
     let mut client = Client::connect_unix(&socket).expect("connect");
     let counters = |client: &mut Client| {
         let stats = client.server_stats().expect("stats");
-        (stats.programs_decoded, stats.programs_reused, stats.malformed_frames)
+        let by_reference = stats.programs_by_reference;
+        (stats.programs_decoded, stats.programs_reused, by_reference, stats.malformed_frames)
     };
 
     client.build(&once.dex, &options, None).expect("a program sent once");
-    assert_eq!(counters(&mut client), (1, 0, 0), "decoded once");
+    assert_eq!(counters(&mut client), (1, 0, 0, 0), "decoded once");
 
     // Interleaved, so that the twins' ids sit in the ring together.
-    // Sent three times each: decoded twice, reused once.
-    for after_round in [(3, 0, 0), (5, 0, 0), (5, 2, 0)] {
+    // Sent three times each: decoded twice, then named by reference.
+    for after_round in [(3, 0, 0, 0), (5, 0, 0, 0), (5, 0, 2, 0)] {
         assert_eq!(client.build(&app.dex, &options, None).expect("build").elf, expected);
         assert_eq!(client.build(&twin, &options, None).expect("twin build").elf, expected_twin);
         assert_eq!(counters(&mut client), after_round);
@@ -804,7 +818,7 @@ fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held
             }
             other => panic!("expected an error frame, got {other:?}"),
         }
-        assert_eq!(counters(&mut client), (5, 2, sent));
+        assert_eq!(counters(&mut client), (5, 0, 2, sent));
         write_frame(&mut raw, REQ_PING, b"still-there").expect("send ping");
         match read_frame(&mut raw, 1 << 20).expect("read pong") {
             FrameEvent::Frame { kind: RESP_PONG, body } => assert_eq!(body, b"still-there"),
@@ -822,7 +836,7 @@ fn programs_are_decoded_until_their_second_sighting_and_rejected_ones_never_held
         }
         other => panic!("expected a built frame, got {other:?}"),
     }
-    assert_eq!(counters(&mut client), (5, 3, 3));
+    assert_eq!(counters(&mut client), (5, 1, 2, 3));
 
     let stats = daemon.shutdown();
     assert_eq!(stats.build_errors, 0);
@@ -862,9 +876,10 @@ fn re_registering_a_different_program_resets_the_tenant_profile() {
     let gen3 = client.build_for_tenant("app", &first.dex, &options, None).expect("back again");
     assert_eq!((gen3.generation, &gen3.elf), (3, &gen1.elf));
 
+    // Each program's third and later sends go by reference.
     let stats = daemon.shutdown();
     assert_eq!(stats.programs_decoded, 4);
-    assert_eq!(stats.programs_reused, 3);
+    assert_eq!((stats.programs_reused, stats.programs_by_reference), (0, 3));
 }
 
 /// Cycle weight concentrated on a few methods: against a generation
