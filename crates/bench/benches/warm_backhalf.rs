@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the warm build's back half, each stage
 //! alone: codegen with every method hitting, the outline pass with
 //! every group plan hitting and after a 1 % edit, the link, and the ELF
-//! writer — on a primed session over an
+//! writer — and outline plus link on one edited build, the pair that
+//! plans the edits and applies them — on a primed session over an
 //! app of the benchmark's `warm_edit` shape (kuaishou at
 //! `paper_suite(2.0)`, 1325 methods, `cto_ltbo_parallel(128, 1)`).
 //!
@@ -75,6 +76,24 @@ fn bench_back_half(c: &mut Criterion) {
                 front_half(&session, &edited, &options)
             },
             |codegen| session.outline(&options, codegen).expect("outline"),
+            BatchSize::PerIteration,
+        );
+    });
+    // Outlining plans each method's edits and the link applies them as
+    // it writes the text segment, so this pair is the warm rewrite cost
+    // whichever side of the two stages it falls on.
+    group.bench_function("outline_link_after_1pct_edit", |b| {
+        b.iter_batched(
+            || {
+                edit_seed += 1;
+                let mut edited = dex.clone();
+                assert!(!mutate_methods(&mut edited, edit_seed, 0.01).is_empty());
+                front_half(&session, &edited, &options)
+            },
+            |codegen| {
+                let size = session.outline(&options, codegen).expect("outline");
+                session.link(&options, size).expect("link")
+            },
             BatchSize::PerIteration,
         );
     });

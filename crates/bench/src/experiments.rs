@@ -2,6 +2,7 @@
 //! paper's evaluation.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calibro::{build, BuildOptions, BuildOutput, BuildSession, BuildStats};
@@ -852,19 +853,19 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
         Insn::LdrImm { wide: false, rt: Reg::X3, rn: Reg::X0, offset: 0 },
         Insn::Ret { rn: Reg::LR },
     ];
-    let meta = MethodMetadata {
+    let meta = Arc::new(MethodMetadata {
         pc_rel: vec![PcRel { at: 0, target: 3 }],
         terminators: vec![0, 5],
         ..MethodMetadata::default()
-    };
+    });
     let make = |id: u32| CompiledMethod {
         method: MethodId(id),
         insns: body.as_slice().into(),
         words: encode_words(&body).expect("the example encodes").into(),
-        pool: vec![],
-        relocs: vec![],
-        metadata: meta.clone(),
-        stack_maps: vec![],
+        pool: Arc::default(),
+        relocs: Arc::default(),
+        metadata: Arc::clone(&meta),
+        stack_maps: Arc::default(),
     };
     // The paper illustrates with two occurrences; under the Figure 2
     // model a 2-instruction pair needs four occurrences to profit

@@ -268,7 +268,7 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     }
     let code_len = m.words.len();
     let size_words = code_len + m.pool.len();
-    for r in &m.relocs {
+    for r in m.relocs.iter() {
         if r.at >= code_len {
             return Err(format!("relocation at word {} beyond code length {code_len}", r.at));
         }
@@ -298,7 +298,7 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
             return Err(format!("embedded data {s}+{l} beyond {size_words} words"));
         }
     }
-    for sm in &m.stack_maps {
+    for sm in m.stack_maps.iter() {
         let word = sm.native_offset / 4;
         if sm.native_offset % 4 != 0 || word == 0 || word as usize > code_len {
             return Err(format!("stack map at native offset {} invalid", sm.native_offset));
@@ -545,17 +545,20 @@ pub(crate) mod tests {
                 method: calibro_dex::MethodId(5),
                 insns: Arc::from([]),
                 words: words.into(),
-                pool: vec![0xdead_beef],
-                relocs: vec![Reloc { at: 1, target: CallTarget::Thunk(ThunkKind::StackCheck) }],
-                metadata: MethodMetadata {
+                pool: Arc::from([0xdead_beef]),
+                relocs: Arc::from([Reloc {
+                    at: 1,
+                    target: CallTarget::Thunk(ThunkKind::StackCheck),
+                }]),
+                metadata: Arc::new(MethodMetadata {
                     pc_rel: vec![PcRel { at: 0, target: 2 }],
                     terminators: vec![0, 3],
                     embedded_data: vec![(4, 1)],
                     has_indirect_jump: false,
                     is_native_stub: false,
                     slow_paths: vec![(1, 3)],
-                },
-                stack_maps: vec![StackMapEntry { native_offset: 8, dex_pc: 1 }],
+                }),
+                stack_maps: Arc::from([StackMapEntry { native_offset: 8, dex_pc: 1 }]),
             },
             pass_stats: PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
             ref_env: 0x5eed_f00d,
@@ -695,7 +698,7 @@ pub(crate) mod tests {
     #[test]
     fn method_frames_keep_the_frame_contract() {
         let entry = sample_entry();
-        let (compiled, metadata) = (&entry.compiled, &entry.compiled.metadata);
+        let (compiled, metadata) = (&entry.compiled, &*entry.compiled.metadata);
         // `compiled` leads the payload, so its offsets are payload offsets.
         let in_compiled = |field| start_of(compiled, field);
         let in_metadata = |field| in_compiled("metadata") + start_of(metadata, field);
@@ -855,7 +858,7 @@ pub(crate) mod tests {
     fn an_embedded_data_range_that_wraps_is_refused() {
         // Checksummed and decodable; a `u32` sum `s + l` wraps to 1.
         let mut entry = sample_entry();
-        entry.compiled.metadata.embedded_data = vec![(u32::MAX, 2)];
+        Arc::make_mut(&mut entry.compiled.metadata).embedded_data = vec![(u32::MAX, 2)];
         let frame = to_frame(FIXTURE_KEY, &entry);
         let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
         assert!(refusal.starts_with("embedded data "), "{refusal}");
@@ -871,20 +874,20 @@ pub(crate) mod tests {
         let insns: Vec<Insn> = m.instructions().iter().copied().chain([Insn::Nop; 64]).collect();
         m.words = encode_words(&insns).unwrap().into();
         m.insns = insns.into();
-        m.relocs.extend([m.relocs[0]; 16]);
+        m.relocs = m.relocs.iter().copied().chain([m.relocs[0]; 16]).collect();
         let flags = vec![LEADER; m.words.len()];
         entry.template = Some(SymbolTemplate::new(flags, &m.words));
         let m = &entry.compiled;
         let template = entry.template.as_ref().unwrap();
         let owned = size_of_val(&*m.insns)
             + size_of_val(&*m.words)
-            + size_of_val(m.pool.as_slice())
-            + size_of_val(m.relocs.as_slice())
+            + size_of_val(&*m.pool)
+            + size_of_val(&*m.relocs)
             + size_of_val(m.metadata.pc_rel.as_slice())
             + size_of_val(m.metadata.terminators.as_slice())
             + size_of_val(m.metadata.embedded_data.as_slice())
             + size_of_val(m.metadata.slow_paths.as_slice())
-            + size_of_val(m.stack_maps.as_slice())
+            + size_of_val(&*m.stack_maps)
             + size_of_val(template.flags())
             + 4 * m.words.len(); // one leader offset per word
         assert!(entry.approx_bytes() >= owned, "{} < {owned}", entry.approx_bytes());
@@ -899,13 +902,13 @@ pub(crate) mod tests {
     #[test]
     fn validation_rejects_out_of_bounds_metadata() {
         let mut entry = sample_entry();
-        entry.compiled.metadata.terminators.push(99);
+        Arc::make_mut(&mut entry.compiled.metadata).terminators.push(99);
         assert!(validate_entry(&entry).is_err());
         let mut entry = sample_entry();
-        entry.compiled.stack_maps[0].native_offset = 0;
+        Arc::make_mut(&mut entry.compiled.stack_maps)[0].native_offset = 0;
         assert!(validate_entry(&entry).is_err());
         let mut entry = sample_entry();
-        entry.compiled.relocs[0].at = 50;
+        Arc::make_mut(&mut entry.compiled.relocs)[0].at = 50;
         assert!(validate_entry(&entry).is_err());
     }
 

@@ -294,13 +294,13 @@ impl CacheEntry {
         let mut bytes = 128; // struct headers and fixed fields
         bytes += size_of_val(&*m.insns);
         bytes += size_of_val(&*m.words);
-        bytes += size_of_val(m.pool.as_slice());
-        bytes += size_of_val(m.relocs.as_slice());
+        bytes += size_of_val(&*m.pool);
+        bytes += size_of_val(&*m.relocs);
         bytes += size_of_val(m.metadata.pc_rel.as_slice());
         bytes += size_of_val(m.metadata.terminators.as_slice());
         bytes += size_of_val(m.metadata.embedded_data.as_slice());
         bytes += size_of_val(m.metadata.slow_paths.as_slice());
-        bytes += size_of_val(m.stack_maps.as_slice());
+        bytes += size_of_val(&*m.stack_maps);
         if let Some(template) = &self.template {
             bytes += template.flags().len() + 4 * template.leaders.len() + 64;
         }

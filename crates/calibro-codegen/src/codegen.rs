@@ -2,6 +2,8 @@
 //! repetitive patterns (Figure 4) and their compilation-time outlining
 //! (CTO, §3.1), plus LTBO.1 metadata collection (§3.2).
 
+use std::sync::Arc;
+
 use calibro_dex::{BinOp, ClassId, Cmp, MethodId, VReg};
 use calibro_hgraph::{BlockId, HGraph, HInsn, HTerminator};
 use calibro_isa::{Cond, Insn, PairMode, Reg};
@@ -361,11 +363,20 @@ impl<'a> Emitter<'a> {
                 .map(|insn| insn.encode().expect("compiled instruction encodes"))
                 .collect(),
             insns: self.insns.into(),
-            pool: self.pool,
-            relocs: self.relocs,
-            metadata,
-            stack_maps: self.stack_maps,
+            pool: shared(self.pool),
+            relocs: shared(self.relocs),
+            metadata: Arc::new(metadata),
+            stack_maps: shared(self.stack_maps),
         }
+    }
+}
+
+/// `table` as a shared slice; an empty one allocates nothing.
+fn shared<T>(table: Vec<T>) -> Arc<[T]> {
+    if table.is_empty() {
+        Arc::default()
+    } else {
+        table.into()
     }
 }
 

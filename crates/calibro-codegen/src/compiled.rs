@@ -124,25 +124,28 @@ pub struct CompiledMethod {
     pub method: MethodId,
     /// Machine instructions, as the build that compiled the method
     /// emitted them — and only there: empty in an artifact-cache entry,
-    /// in a method replayed from one, and once a size pass rewrote the
-    /// method's `words`, so no stale instruction is left to read. Read
-    /// the code through [`instructions`](Self::instructions).
+    /// in a method replayed from one, and once outline edits were
+    /// applied to the method's `words` in place, so no stale instruction
+    /// is left to read. Read the code through
+    /// [`instructions`](Self::instructions).
     pub insns: Arc<[Insn]>,
     /// The method's code: one encoded word per instruction, call sites
-    /// as their placeholder. Codegen encodes it once; every later stage
-    /// rewrites or copies these words, and the linker emits them.
-    /// Shared, so cloning a method never copies its code: a method
-    /// replayed from the artifact cache and the entry it came from hold
-    /// one copy.
+    /// as their placeholder. Codegen encodes it once; the linker applies
+    /// the outline pass's edits while it copies these words into the
+    /// text segment.
+    ///
+    /// This and every table below are shared, so cloning a method copies
+    /// nothing: a method replayed from the artifact cache and the entry
+    /// it came from hold one copy of each.
     pub words: Arc<[u32]>,
     /// Raw literal-pool words appended after `words`.
-    pub pool: Vec<u32>,
+    pub pool: Arc<[u32]>,
     /// Call-site relocations.
-    pub relocs: Vec<Reloc>,
+    pub relocs: Arc<[Reloc]>,
     /// The §3.2 metadata.
-    pub metadata: MethodMetadata,
+    pub metadata: Arc<MethodMetadata>,
     /// Stack maps for every call site, ordered by native offset.
-    pub stack_maps: Vec<StackMapEntry>,
+    pub stack_maps: Arc<[StackMapEntry]>,
 }
 
 impl CompiledMethod {
@@ -154,7 +157,7 @@ impl CompiledMethod {
 
     /// The method's instructions: borrowed while `insns` holds them,
     /// decoded from `words` when it does not (a cache hit, or a method
-    /// a size pass rewrote). A reader that needs instructions after
+    /// rewritten in place). A reader that needs instructions after
     /// codegen asks here, once per method per pass.
     ///
     /// # Panics
@@ -270,7 +273,7 @@ impl Wire for CallTarget {
 /// `insns` — a `u32` count, then one word per instruction. Decoding
 /// keeps the words only: a decoded method's `insns` is empty, as a
 /// stored entry's is (whether the words are code is the cache's
-/// validator's to check).
+/// validator's to check). The shared tables travel as owned ones would.
 /// Written by hand because `wire_fields!` puts every field on the wire;
 /// the destructures below are still exhaustive.
 impl Wire for CompiledMethod {
@@ -285,12 +288,10 @@ impl Wire for CompiledMethod {
     }
 
     fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<CompiledMethod, WireError> {
-        let method = Wire::get(r, "method")?;
-        let words: Vec<u32> = r.seq("insns")?;
         Ok(CompiledMethod {
-            method,
+            method: Wire::get(r, "method")?,
             insns: Arc::default(),
-            words: words.into(),
+            words: Wire::get(r, "insns")?,
             pool: Wire::get(r, "pool")?,
             relocs: Wire::get(r, "relocs")?,
             metadata: Wire::get(r, "metadata")?,
@@ -362,10 +363,10 @@ mod tests {
             method: MethodId(0),
             insns: insns.into(),
             words: calibro_isa::encode_words(&insns).unwrap().into(),
-            pool: vec![0xdead_beef],
-            relocs: vec![],
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            pool: Arc::from([0xdead_beef]),
+            relocs: Arc::default(),
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         };
         assert_eq!(m.size_words(), 3);
     }
@@ -377,10 +378,10 @@ mod tests {
             method: MethodId(0),
             insns: insns.into(),
             words: calibro_isa::encode_words(&insns).unwrap().into(),
-            pool: vec![],
-            relocs: vec![],
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            pool: Arc::default(),
+            relocs: Arc::default(),
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         };
         assert!(matches!(m.instructions(), Cow::Borrowed(code) if code == insns));
         m.insns = Arc::from([]);

@@ -208,7 +208,7 @@ fn dual_half_constants_use_the_literal_pool() {
     let body =
         vec![DexInsn::Const { dst: VReg(0), value: 0x1234_5678 }, DexInsn::Return { src: VReg(0) }];
     let m = compile(body, 1, 0, &opts_baseline());
-    assert_eq!(m.pool, vec![0x1234_5678]);
+    assert_eq!(m.pool[..], [0x1234_5678]);
     assert_eq!(m.metadata.embedded_data, vec![(m.insns.len() as u32, 1)]);
     // An LdrLit points at the pool word.
     let lit = m
@@ -226,7 +226,7 @@ fn dual_half_constants_use_the_literal_pool() {
 fn stack_maps_follow_calls() {
     let m = compile(caller_body(), 2, 1, &opts_baseline());
     assert!(!m.stack_maps.is_empty());
-    for sm in &m.stack_maps {
+    for sm in m.stack_maps.iter() {
         let word = (sm.native_offset / 4) as usize;
         assert!(word > 0 && word <= m.insns.len());
         assert!(m.insns[word - 1].is_call(), "stack map not after a call");

@@ -18,6 +18,7 @@
 //! here and in the rows.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::{
@@ -281,6 +282,37 @@ impl<T: SeqElem> Wire for Vec<T> {
 
     fn encoded_len(&self) -> usize {
         4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+}
+
+/// A shared sequence has its vector's form: a table shared between a
+/// cache entry and the methods replayed from it travels as if owned.
+impl<T: SeqElem> Wire for Arc<[T]> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Arc<[T]>, WireError> {
+        r.seq(what).map(Arc::from)
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+}
+
+/// A shared value has the value's form.
+impl<T: Wire> Wire for Arc<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Arc<T>, WireError> {
+        T::get(r, what).map(Arc::new)
+    }
+
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
     }
 }
 

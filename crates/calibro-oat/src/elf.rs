@@ -205,6 +205,8 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::file::{DictLink, MergedRecord, OatMethodRecord, OutlinedRecord, ThunkRecord};
     use calibro_codegen::{MethodMetadata, PcRel, StackMapEntry, ThunkKind};
@@ -225,15 +227,15 @@ mod tests {
                 offset: 0,
                 insn_words: 2,
                 code_words: 3,
-                metadata: MethodMetadata {
+                metadata: Arc::new(MethodMetadata {
                     pc_rel: vec![PcRel { at: 0, target: 2 }],
                     terminators: vec![1],
                     embedded_data: vec![(2, 1)],
                     has_indirect_jump: false,
                     is_native_stub: false,
                     slow_paths: vec![(1, 2)],
-                },
-                stack_maps: vec![StackMapEntry { native_offset: 4, dex_pc: 7 }],
+                }),
+                stack_maps: Arc::from([StackMapEntry { native_offset: 4, dex_pc: 7 }]),
             }],
             thunks: vec![ThunkRecord {
                 kind: ThunkKind::RuntimeEntry(0x108),
@@ -282,8 +284,8 @@ mod tests {
             offset: 0,
             insn_words: 0,
             code_words: 0,
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         });
         smallest(ThunkRecord { kind: ThunkKind::JavaEntry, offset: 0, size_words: 0 });
         smallest(OutlinedRecord { offset: 0, size_words: 0 });

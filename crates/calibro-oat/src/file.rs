@@ -1,5 +1,7 @@
 //! The linked OAT file: the final text segment plus per-method records.
 
+use std::sync::Arc;
+
 use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
 use calibro_dex::wire::{wire_fields, wire_seq};
 use calibro_dex::MethodId;
@@ -67,10 +69,11 @@ pub struct OatMethodRecord {
     pub insn_words: u32,
     /// Total code words including the literal pool.
     pub code_words: u32,
-    /// LTBO metadata carried through linking.
-    pub metadata: MethodMetadata,
-    /// Stack maps, sorted by native offset.
-    pub stack_maps: Vec<StackMapEntry>,
+    /// LTBO metadata carried through linking: the compiled method's own
+    /// table, shared, when linking moved none of its words.
+    pub metadata: Arc<MethodMetadata>,
+    /// Stack maps, sorted by native offset (shared like `metadata`).
+    pub stack_maps: Arc<[StackMapEntry]>,
 }
 
 impl OatMethodRecord {
@@ -236,16 +239,16 @@ mod tests {
                     offset: 0,
                     insn_words: 2,
                     code_words: 2,
-                    metadata: MethodMetadata::default(),
-                    stack_maps: vec![],
+                    metadata: Arc::default(),
+                    stack_maps: Arc::default(),
                 },
                 OatMethodRecord {
                     method: MethodId(1),
                     offset: 8,
                     insn_words: 4,
                     code_words: 4,
-                    metadata: MethodMetadata::default(),
-                    stack_maps: vec![],
+                    metadata: Arc::default(),
+                    stack_maps: Arc::default(),
                 },
             ],
             thunks: vec![],

@@ -37,6 +37,7 @@
 mod elf;
 mod file;
 mod linker;
+mod rewrite;
 mod stackmap;
 mod structure;
 
@@ -45,7 +46,8 @@ pub use file::{
     DictImage, DictLink, MergedRecord, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord,
     DEFAULT_BASE_ADDRESS, DICT_BASE_ADDRESS,
 };
-pub use linker::{link, link_with_dict, LinkError, LinkInput, MergedBody};
+pub use linker::{link, link_with_dict, link_with_stats, LinkError, LinkInput, MergedBody};
+pub use rewrite::{Edit, MethodEdits, RewriteStats, Rewriter, Rewritten};
 pub use stackmap::{
     dex_pc_for_return_offset, insn_at, validate_method_stack_maps, validate_stack_maps,
     StackMapError,

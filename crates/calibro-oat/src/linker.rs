@@ -1,7 +1,7 @@
 //! The linker: lays out compiled methods, outlined functions and CTO
-//! thunks, binds call labels to addresses, and assembles the final text
-//! segment from their words (the "linking" stage of the paper's
-//! Figure 5).
+//! thunks, applies the outline pass's edits, binds call labels to
+//! addresses, and assembles the final text segment from their words
+//! (the "linking" stage of the paper's Figure 5).
 
 use std::fmt;
 
@@ -11,6 +11,7 @@ use calibro_isa::{decode, EncodeError, Insn};
 use crate::file::{
     DictImage, DictLink, MergedRecord, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord,
 };
+use crate::rewrite::{removed_words, MethodEdits, RewriteStats, Rewriter};
 
 /// A merged-function island: the shared body a set of near-identical
 /// methods tail-branch into, addressed by `CallTarget::Merged(i)`.
@@ -26,12 +27,18 @@ pub struct MergedBody {
     pub relocs: Vec<Reloc>,
 }
 
-/// Input to the linker: every body as its words.
+/// Input to the linker: every body as its words, and the edits the
+/// outline pass planned for the methods.
 #[derive(Debug, Default)]
 pub struct LinkInput {
     /// Compiled methods; index must equal `MethodId`. Each is sized,
-    /// copied and patched from its `words`.
+    /// copied and patched from its `words`, with its edits applied.
     pub methods: Vec<CompiledMethod>,
+    /// Each method's outlined occurrences, sorted, applied as the method
+    /// is copied into the text segment. Empty when nothing was outlined
+    /// (or the methods were rewritten already, as `calibro::run_ltbo`
+    /// does).
+    pub edits: MethodEdits,
     /// LTBO outlined functions' words, addressed by
     /// `CallTarget::Outlined(i)`.
     pub outlined: Vec<Vec<u32>>,
@@ -94,12 +101,15 @@ impl From<EncodeError> for LinkError {
 /// relocation (the §3.1 pattern cache, materialized). An empty `merged`
 /// list leaves the layout byte-identical to a pre-merge link.
 ///
-/// Consumes the input: per-method metadata and stack maps move into the
-/// output records, every method, outlined function and island is sized
-/// from its words and copied into the text segment, and call patching
-/// checks and rewrites the words already there. Only the CTO thunks and
-/// the patched call sites are encoded here — linking is on the
-/// warm-rebuild critical path for every build.
+/// Every method, outlined function and island is sized from its words
+/// (a method's less the words its edits remove) and written into the
+/// text segment once: a method with edits as [`Rewriter::rewrite`]
+/// rewrites it, whose remapped metadata and stack maps go into its
+/// record; any other keeps its own, shared. Call patching then checks
+/// and rewrites the call sites already there. Only the CTO thunks, the
+/// patched call sites and the PC-relative sites whose distance changed
+/// are encoded here — linking is on the warm-rebuild critical path for
+/// every build.
 ///
 /// # Errors
 ///
@@ -129,13 +139,30 @@ pub fn link_with_dict(
     base_address: u64,
     dict: Option<&DictImage>,
 ) -> Result<OatFile, LinkError> {
-    let LinkInput { methods, outlined, merged } = input;
-    let mut dict_used = false;
+    link_with_stats(input, base_address, dict).map(|(oat, _)| oat)
+}
+
+/// Links the input like [`link_with_dict`], and also returns what
+/// applying the edits changed beyond the call sites — counted in the
+/// one pass that rewrites the records, which is why a build reports it
+/// from here.
+///
+/// # Errors
+///
+/// Everything [`link_with_dict`] can return.
+pub fn link_with_stats(
+    input: LinkInput,
+    base_address: u64,
+    dict: Option<&DictImage>,
+) -> Result<(OatFile, RewriteStats), LinkError> {
+    let LinkInput { methods, edits, outlined, merged } = input;
+    let mut dict_used = edits.edits.iter().any(|e| matches!(e.target, CallTarget::Dict(_)));
     // --- Collect referenced thunks (sorted for determinism). -----------
     // A handful of kinds against tens of thousands of relocations: a
     // small table scanned per relocation, sorted once.
     let mut thunk_kinds: Vec<ThunkKind> = Vec::new();
-    for relocs in methods.iter().map(|m| &m.relocs).chain(merged.iter().map(|b| &b.relocs)) {
+    for relocs in methods.iter().map(|m| &m.relocs[..]).chain(merged.iter().map(|b| &b.relocs[..]))
+    {
         for r in relocs {
             match r.target {
                 CallTarget::Thunk(kind) if !thunk_kinds.contains(&kind) => thunk_kinds.push(kind),
@@ -154,7 +181,7 @@ pub fn link_with_dict(
             return Err(LinkError::MisorderedMethod { index });
         }
         method_offsets.push(offset);
-        offset += m.size_words() as u64 * 4;
+        offset += (m.size_words() - removed_words(edits.of(index))) as u64 * 4;
     }
     let mut outlined_offsets = Vec::with_capacity(outlined.len());
     for o in &outlined {
@@ -225,14 +252,16 @@ pub fn link_with_dict(
         Ok(())
     };
 
-    // --- Copy every body's words and patch calls. ----------------------
+    // --- Write every body's words, apply edits and patch calls. ---------
     let method_count = methods.len();
     let mut words = Vec::with_capacity((offset / 4) as usize);
     let mut records = Vec::with_capacity(methods.len());
-    for (index, m) in methods.into_iter().enumerate() {
-        // Codegen encoded the instructions once; a size pass that
-        // rewrote the words emptied them. The debug-profile test run is
-        // what checks the two forms never disagree.
+    let (mut rewriter, mut stats) = (Rewriter::default(), RewriteStats::default());
+    for (index, m) in methods.iter().enumerate() {
+        // Codegen encoded the instructions once, and rewriting words in
+        // place (`run_ltbo`) empties them; this checks the words before
+        // their edits apply. The debug-profile test run is what checks
+        // the two forms never disagree.
         debug_assert!(
             m.insns.is_empty()
                 || calibro_isa::encode_words(&m.insns).as_deref() == Ok(&m.words[..]),
@@ -240,16 +269,18 @@ pub fn link_with_dict(
         );
         let code_start = method_offsets[index];
         let start_word = words.len();
-        words.extend_from_slice(&m.words);
-        patch_calls(index, &m.relocs, code_start, &mut words[start_word..])?;
+        let rewritten = rewriter.rewrite(m, edits.of(index), &mut words);
+        stats += rewritten.stats;
+        patch_calls(index, rewritten.relocs, code_start, &mut words[start_word..])?;
+        let insn_words = (words.len() - start_word) as u32;
         words.extend_from_slice(&m.pool);
         records.push(OatMethodRecord {
             method: m.method,
             offset: code_start,
-            insn_words: m.words.len() as u32,
-            code_words: m.size_words() as u32,
-            metadata: m.metadata,
-            stack_maps: m.stack_maps,
+            insn_words,
+            code_words: insn_words + m.pool.len() as u32,
+            metadata: rewritten.metadata,
+            stack_maps: rewritten.stack_maps,
         });
     }
 
@@ -287,7 +318,7 @@ pub fn link_with_dict(
         });
     }
 
-    Ok(OatFile {
+    let oat = OatFile {
         base_address,
         words,
         methods: records,
@@ -299,7 +330,8 @@ pub fn link_with_dict(
             epoch: d.epoch,
             size_words: d.words.len() as u32,
         }),
-    })
+    };
+    Ok((oat, stats))
 }
 
 #[cfg(test)]
@@ -349,6 +381,11 @@ mod tests {
         m.words.len() - 1
     }
 
+    /// Adds a relocation at word `at` of `m`'s code.
+    fn add_reloc(m: &mut CompiledMethod, at: usize, target: CallTarget) {
+        m.relocs = m.relocs.iter().copied().chain([Reloc { at, target }]).collect();
+    }
+
     #[test]
     fn java_calls_are_runtime_bound_not_linker_bound() {
         // Baseline Java calls dispatch through the ArtMethod table at
@@ -390,7 +427,7 @@ mod tests {
         // Fake an outlined call: append a reloc targeting outlined fn 0
         // over an existing bl... instead create a bl at a known position.
         let at = push_insn(&mut m, Insn::Bl { offset: 0 });
-        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(0) });
+        add_reloc(&mut m, at, CallTarget::Outlined(0));
         let outlined =
             vec![calibro_isa::encode_words(&[Insn::Nop, Insn::Br { rn: Reg::LR }]).unwrap()];
         let input = LinkInput { methods: vec![m], outlined, ..Default::default() };
@@ -418,7 +455,7 @@ mod tests {
         let mut m = with_id(simple_method("a", None, &opts), 0);
         let site = push_insn(&mut m, Insn::Bl { offset: 0 });
         // Target word 3 of the island (entries need not start at 0).
-        m.relocs.push(calibro_codegen::Reloc { at: site, target: CallTarget::Dict(3) });
+        add_reloc(&mut m, site, CallTarget::Dict(3));
         let island = DictImage {
             base_address: DICT_BASE_ADDRESS,
             epoch: 2,
@@ -461,7 +498,7 @@ mod tests {
         let make = || {
             let mut m = with_id(simple_method("a", None, &opts), 0);
             let at = push_insn(&mut m, Insn::Bl { offset: 0 });
-            m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Dict(9) });
+            add_reloc(&mut m, at, CallTarget::Dict(9));
             LinkInput { methods: vec![m], ..Default::default() }
         };
         // No island at all.
@@ -487,7 +524,7 @@ mod tests {
         let mut m = with_id(simple_method("a", None, &opts), 0);
         // A merge thunk tail: `b` into island 0.
         let at = push_insn(&mut m, Insn::B { offset: 0 });
-        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Merged(0) });
+        add_reloc(&mut m, at, CallTarget::Merged(0));
         // The island itself calls a CTO thunk, so the linker must both
         // emit the thunk and patch the island-internal `bl`.
         let island = MergedBody {
@@ -521,6 +558,47 @@ mod tests {
         };
         let addr = oat.base_address + oat.merged[0].offset;
         assert_eq!(addr.wrapping_add(offset as u64), oat.base_address + oat.thunks[0].offset);
+    }
+
+    #[test]
+    fn edits_are_applied_as_a_method_is_written_and_an_unedited_record_shares_its_tables() {
+        use crate::rewrite::Edit;
+        use calibro_codegen::MethodMetadata;
+
+        // Four movs and a `ret`; the first three movs are outlined.
+        let mov = |rd: Reg| Insn::OrrReg { wide: true, rd, rn: Reg::ZR, rm: Reg::X9, shift: 0 };
+        let body =
+            [mov(Reg::X1), mov(Reg::X2), mov(Reg::X3), mov(Reg::X4), Insn::Ret { rn: Reg::LR }];
+        let edited = CompiledMethod {
+            method: MethodId(0),
+            insns: body.as_slice().into(),
+            words: calibro_isa::encode_words(&body).unwrap().into(),
+            pool: Arc::default(),
+            relocs: Arc::default(),
+            metadata: Arc::new(MethodMetadata {
+                terminators: vec![4],
+                ..MethodMetadata::default()
+            }),
+            stack_maps: Arc::default(),
+        };
+        let other = CompiledMethod { method: MethodId(1), ..edited.clone() };
+        let (metadata, ret) = (Arc::clone(&other.metadata), Insn::Ret { rn: Reg::LR });
+        let edits = MethodEdits {
+            edits: vec![Edit { start: 0, len: 3, target: CallTarget::Outlined(0) }],
+            bounds: vec![0, 1, 1],
+        };
+        let outlined = vec![calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()];
+        let input = LinkInput { methods: vec![edited, other], edits, outlined, merged: vec![] };
+        let (oat, stats) = link_with_stats(input, 0x1000, None).unwrap();
+
+        let (record, record_1) = (&oat.methods[0], &oat.methods[1]);
+        assert_eq!((record.insn_words, record_1.offset), (3, 12));
+        assert_eq!(record.metadata.terminators, [2]);
+        assert_eq!(stats, RewriteStats::default(), "no PC-relative site, no stack map");
+        let Ok(Insn::Bl { offset }) = decode(oat.words[0]) else { panic!("no bl at word 0") };
+        assert_eq!(0x1000 + offset as u64, 0x1000 + oat.outlined[0].offset);
+        assert_eq!(decode(oat.words[1]).unwrap(), mov(Reg::X4));
+        assert!(Arc::ptr_eq(&record_1.metadata, &metadata), "an unedited record copied its table");
     }
 
     fn cto_trio() -> Vec<CompiledMethod> {
@@ -574,7 +652,7 @@ mod tests {
         let opts = CodegenOptions { cto: false, collect_metadata: true };
         let mut m = with_id(simple_method("a", None, &opts), 0);
         let at = push_insn(&mut m, Insn::Bl { offset: 0 });
-        m.relocs.push(calibro_codegen::Reloc { at, target: CallTarget::Outlined(7) });
+        add_reloc(&mut m, at, CallTarget::Outlined(7));
         let input = LinkInput { methods: vec![m], ..Default::default() };
         assert!(matches!(link(input, 0x1000), Err(LinkError::UnresolvedTarget { .. })));
     }

@@ -53,7 +53,7 @@ pub fn validate_method_stack_maps(
 ) -> Result<(), StackMapError> {
     let method = record.method.0;
     let mut prev = None;
-    for entry in &record.stack_maps {
+    for entry in record.stack_maps.iter() {
         if let Some(p) = prev {
             if entry.native_offset <= p {
                 return Err(StackMapError::Unsorted { method });

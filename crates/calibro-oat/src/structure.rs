@@ -391,9 +391,10 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::file::{MergedRecord, OatMethodRecord, OutlinedRecord};
-    use calibro_codegen::MethodMetadata;
     use calibro_dex::MethodId;
     use calibro_isa::{Insn, Reg};
 
@@ -406,8 +407,8 @@ mod tests {
             offset,
             insn_words: words,
             code_words: words,
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         }
     }
 

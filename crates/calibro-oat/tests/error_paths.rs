@@ -11,7 +11,7 @@ use calibro_dex::{BinOp, Cmp, DexFile, DexInsn, InvokeKind, MethodBuilder, Metho
 use calibro_hgraph::{build_hgraph, run_pipeline};
 use calibro_oat::{
     from_elf_bytes, link, to_elf_bytes, validate_stack_maps, validate_structure, DictLink,
-    LinkInput, LoadError, OatFile, OutlinedRecord, StackMapError, StructureError,
+    LinkInput, LoadError, OatFile, OatMethodRecord, OutlinedRecord, StackMapError, StructureError,
     DICT_BASE_ADDRESS,
 };
 
@@ -235,6 +235,14 @@ fn a_segment_ending_past_the_address_space_is_refused() {
     validate_structure(&reloaded(&oat)).expect("an island inside the address space validates");
 }
 
+/// Edits a record's stack-map table, which it shares with whatever it
+/// was linked from.
+fn tamper(record: &mut OatMethodRecord, edit: impl FnOnce(&mut Vec<StackMapEntry>)) {
+    let mut maps = record.stack_maps.to_vec();
+    edit(&mut maps);
+    record.stack_maps = maps.into();
+}
+
 #[test]
 fn stack_map_at_native_offset_zero_is_out_of_range() {
     // Offset 0 is the method's first instruction: it cannot be a return
@@ -244,7 +252,7 @@ fn stack_map_at_native_offset_zero_is_out_of_range() {
     validate_stack_maps(&oat).expect("untampered oat validates");
     let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
     let method = record.method.0;
-    record.stack_maps.insert(0, StackMapEntry { native_offset: 0, dex_pc: 0 });
+    tamper(record, |maps| maps.insert(0, StackMapEntry { native_offset: 0, dex_pc: 0 }));
     assert_eq!(
         validate_stack_maps(&oat).unwrap_err(),
         StackMapError::OutOfRange { method, native_offset: 0 }
@@ -257,7 +265,7 @@ fn stack_map_past_the_code_is_out_of_range() {
     let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
     let method = record.method.0;
     let past = (record.insn_words + 1) * 4;
-    record.stack_maps.push(StackMapEntry { native_offset: past, dex_pc: 0 });
+    tamper(record, |maps| maps.push(StackMapEntry { native_offset: past, dex_pc: 0 }));
     assert_eq!(
         validate_stack_maps(&oat).unwrap_err(),
         StackMapError::OutOfRange { method, native_offset: past }
@@ -270,7 +278,7 @@ fn unsorted_stack_maps_are_rejected() {
     let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
     let method = record.method.0;
     let dup = record.stack_maps[0];
-    record.stack_maps.push(dup); // duplicate => non-increasing
+    tamper(record, |maps| maps.push(dup)); // duplicate => non-increasing
     assert_eq!(validate_stack_maps(&oat).unwrap_err(), StackMapError::Unsorted { method });
 }
 
@@ -282,7 +290,7 @@ fn stack_map_not_after_a_call_is_rejected() {
     // which is frame setup, never a call).
     let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
     let method = record.method.0;
-    record.stack_maps.insert(0, StackMapEntry { native_offset: 4, dex_pc: 0 });
+    tamper(record, |maps| maps.insert(0, StackMapEntry { native_offset: 4, dex_pc: 0 }));
     let err = validate_stack_maps(&oat).unwrap_err();
     assert!(
         matches!(

@@ -11,7 +11,7 @@ use calibro_cache::{CacheError, CacheStats};
 use calibro_dex::DexFile;
 use calibro_dict::DictStats;
 use calibro_hgraph::{PassStats, PipelineConfig};
-use calibro_oat::{LinkError, OatFile, DEFAULT_BASE_ADDRESS};
+use calibro_oat::{LinkError, OatFile, RewriteStats, DEFAULT_BASE_ADDRESS};
 
 use crate::ltbo::{LtboConfig, LtboMode, LtboStats};
 use crate::merge::{MergeConfig, MergeStats};
@@ -227,17 +227,24 @@ pub struct BuildStats {
     /// Time in the function-merge pass (bucketing + grouping +
     /// thunk/island materialization, or plan replay when warm).
     pub merge_time: Duration,
-    /// Time in LTBO (suffix trees + outlining + patching).
+    /// Time in LTBO: suffix trees (or plan replay), outlined bodies, and
+    /// planning each method's edits. Applying them is link time.
     pub ltbo_time: Duration,
     /// Time in LTBO's detection core alone: group-plan cache probes
     /// plus suffix-tree detection / plan replay. A subset of
     /// [`ltbo_time`](Self::ltbo_time); on a warm build this is the
     /// plan-replay cost the cache is supposed to make negligible.
     pub detect_time: Duration,
-    /// Time linking and encoding.
+    /// Time linking: laying out and writing the text segment, applying
+    /// LTBO's edits (call sites, PC-relative patches, remapped records)
+    /// and binding calls.
     pub link_time: Duration,
     /// LTBO statistics (zeroed when LTBO is off).
     pub ltbo: LtboStats,
+    /// What the linker's applying LTBO's edits changed beyond the call
+    /// sites: PC-relative sites re-encoded, stack-map entries moved
+    /// (zeroed when nothing was outlined). In the JSON form, with `ltbo`.
+    pub rewrite: RewriteStats,
     /// Function-merge statistics (zeroed when the merge pass is off).
     pub merge: MergeStats,
     /// Shared-dictionary routing outcomes (zeroed when the
@@ -292,6 +299,7 @@ impl BuildStats {
             .collect();
         let p = &self.passes;
         let l = &self.ltbo;
+        let r = &self.rewrite;
         let m = &self.merge;
         format!(
             concat!(
@@ -351,8 +359,8 @@ impl BuildStats {
             l.outlined_functions,
             l.occurrences_replaced,
             l.words_saved,
-            l.pc_rel_patched,
-            l.stack_maps_updated,
+            r.pc_rel_patched,
+            r.stack_maps_updated,
             l.detection_groups,
             m.candidate_methods,
             m.excluded_methods,

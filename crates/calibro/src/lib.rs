@@ -59,6 +59,7 @@ pub use calibro_cache::{
 };
 pub use calibro_dict::{DictRegistry, DictSession, DictStats, MIN_ISLAND_WORDS};
 pub use calibro_hgraph::{PassStats, PipelineConfig};
+pub use calibro_oat::RewriteStats;
 pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 pub use fingerprint::{
     fingerprint_ltbo_config, fingerprint_merge_config, fingerprint_options, merge_plan_key_from,

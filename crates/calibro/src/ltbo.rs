@@ -12,10 +12,11 @@
 //! 3. detects repetitive sequences with (optionally paralleled, §3.4.1)
 //!    suffix trees and the Figure 2 benefit model;
 //! 4. outlines each selected sequence into a function ending in
-//!    `br x30`, replaces occurrences with `bl`, and
-//! 5. patches every PC-relative instruction whose relative target moved
-//!    (§3.3.4) while updating terminator/slow-path/stack-map records
-//!    (§3.5).
+//!    `br x30` and plans, per method, the edits that replace its
+//!    occurrences with `bl`s. The linker applies them (§3.3.4, §3.5:
+//!    call sites, PC-relative patching, the records that follow the
+//!    code) as it writes each method into the text segment once;
+//!    [`run_ltbo`] applies them in place through the same routine.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -26,9 +27,10 @@ use std::time::{Duration, Instant};
 use calibro_cache::{
     ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate,
 };
-use calibro_codegen::{CallTarget, CompiledMethod, PcRel, Reloc};
+use calibro_codegen::{CallTarget, CompiledMethod};
 use calibro_dict::DictSession;
-use calibro_isa::{decode, Insn, Reg};
+use calibro_isa::{Insn, Reg};
+use calibro_oat::{Edit, MethodEdits, RewriteStats, Rewriter};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, GroupPlan, OutlineCandidate, TaggedSequence,
     UNIQUE_SEPARATOR_BASE,
@@ -86,10 +88,6 @@ pub struct LtboStats {
     /// Net instruction words saved (occurrences shrunk minus outlined
     /// function bodies added).
     pub words_saved: i64,
-    /// PC-relative instructions patched (§3.3.4).
-    pub pc_rel_patched: usize,
-    /// Stack-map entries updated (§3.5).
-    pub stack_maps_updated: usize,
     /// Suffix-tree groups the detection stage was organized into
     /// (1 under [`LtboMode::Global`]). Identical warm and cold, and for
     /// any worker-thread count — only the *cache* counters say how many
@@ -171,6 +169,10 @@ pub struct LtboResult {
     pub outlined: Vec<Vec<u32>>,
     /// Run statistics.
     pub stats: LtboStats,
+    /// What rewriting the methods changed beyond their call sites
+    /// (§3.3.4, §3.5). In a build the linker applies the edits and
+    /// [`BuildStats::rewrite`](crate::BuildStats::rewrite) reports it.
+    pub rewrite: RewriteStats,
     /// Wall time of the detection phase alone: cache probe, then per
     /// group either plan replay or symbol text + suffix-tree detection.
     /// Excludes finding the templates and patching.
@@ -267,25 +269,6 @@ fn materialize(idx: usize, words: &[u32], template: &SymbolTemplate) -> TaggedSe
     TaggedSequence { tag: idx, symbols }
 }
 
-/// Where an outlined call site's `bl` lands.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EditCall {
-    /// A private outlined function of this build.
-    Outlined(u32),
-    /// The shared dictionary island, at this word offset.
-    Dict(u32),
-}
-
-/// One planned rewrite within a method.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Edit {
-    /// The occurrence's first code word.
-    start: usize,
-    /// Its length in words.
-    len: usize,
-    call: EditCall,
-}
-
 /// A fresh plan as the rows it is cached and replayed as: every
 /// occurrence's group-text position resolved, once, to its group-code
 /// word offset — the position less the symbols before it that have no
@@ -338,7 +321,7 @@ fn locate(members: &[usize], starts: &[usize], pos: usize, len: usize) -> (usize
 /// `found`'s edits grouped by method — a counting sort on the method
 /// index — as one flat list and each method's bounds in it: method
 /// `idx`'s edits are `edits[bounds[idx]..bounds[idx + 1]]`.
-fn by_method(found: &[(usize, Edit)], methods: usize) -> (Vec<Edit>, Vec<usize>) {
+fn by_method(found: &[(usize, Edit)], methods: usize) -> MethodEdits {
     let mut bounds = vec![0; methods + 1];
     for &(idx, _) in found {
         bounds[idx] += 1;
@@ -347,19 +330,22 @@ fn by_method(found: &[(usize, Edit)], methods: usize) -> (Vec<Edit>, Vec<usize>)
         bounds[i] += bounds[i - 1];
     }
     // Back to front, so each method's bound ends at its first edit.
-    let mut edits = vec![Edit { start: 0, len: 0, call: EditCall::Outlined(0) }; found.len()];
+    let mut edits = vec![Edit { start: 0, len: 0, target: CallTarget::Outlined(0) }; found.len()];
     for &(idx, edit) in found.iter().rev() {
         bounds[idx] -= 1;
         edits[bounds[idx]] = edit;
     }
-    (edits, bounds)
+    MethodEdits { edits, bounds }
 }
 
-/// Runs LTBO over the compiled methods, mutating them in place and
+/// Runs LTBO over the compiled methods, rewriting them in place and
 /// returning the outlined functions to hand to the linker. The
 /// session-free entry point: every method is symbolized from scratch
-/// and no plan is cached. A rewritten method's code is its new `words`;
-/// its `insns` is left empty.
+/// and no plan is cached. Each method with edits is rewritten by the
+/// linker's own routine ([`Rewriter::rewrite`]) into a per-method
+/// buffer: its code is its new `words`, and its `insns` is left empty.
+/// The methods then link without edits to the bytes a build's linker
+/// writes when it applies the edits itself.
 ///
 /// # Panics
 ///
@@ -367,14 +353,47 @@ fn by_method(found: &[(usize, Edit)], methods: usize) -> (Vec<Edit>, Vec<usize>)
 /// invariants; the compiler produces consistent metadata, and cached
 /// artifacts are validated at load time).
 pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResult {
-    match outline_methods(methods, &[], config, None, None) {
-        Ok(result) => result,
+    let (mut result, edits) = match outline_methods(methods, &[], config, None, None) {
+        Ok(planned) => planned,
         Err(e) => panic!("{e}"),
+    };
+    result.rewrite = rewrite_in_place(methods, &edits);
+    result
+}
+
+/// Applies each method's `edits` to it in place: new words, relocations,
+/// metadata and stack maps, and no instructions. A method without edits
+/// is left as it is.
+fn rewrite_in_place(methods: &mut [CompiledMethod], edits: &MethodEdits) -> RewriteStats {
+    let (mut rewriter, mut words, mut stats) =
+        (Rewriter::default(), Vec::new(), RewriteStats::default());
+    for (idx, m) in methods.iter_mut().enumerate() {
+        let method_edits = edits.of(idx);
+        if method_edits.is_empty() {
+            continue;
+        }
+        words.clear();
+        let rewritten = rewriter.rewrite(m, method_edits, &mut words);
+        stats += rewritten.stats;
+        let relocs = rewritten.relocs.into();
+        let (metadata, stack_maps) = (rewritten.metadata, rewritten.stack_maps);
+        *m = CompiledMethod {
+            method: m.method,
+            insns: Arc::default(),
+            words: words.as_slice().into(),
+            pool: Arc::clone(&m.pool),
+            relocs,
+            metadata,
+            stack_maps,
+        };
     }
+    stats
 }
 
 /// The one outlining route, shared by [`run_ltbo`] and the staged
-/// pipeline's outline pass. Beyond the five §3.3 steps it offers:
+/// pipeline's outline pass: plans the outlined functions and each
+/// method's edits, sorted, and changes no method. Beyond the §3.3 steps
+/// it offers:
 ///
 /// - **Template replay.** `entries` is indexed by method position and
 ///   holds the store entry each method was compiled into or replayed
@@ -383,10 +402,10 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 ///   from code and metadata (see [`symbolize`]). An empty or short
 ///   slice falls back to extraction.
 /// - **Words are the code.** A template replays over its method's words,
-///   a plan's occurrences are offsets into its group's words, a rewritten
-///   method's words are rewritten ([`apply_edits`]) — never its
-///   instructions — and its `insns` is left empty. Outlined bodies are
-///   their candidates' words, and nothing decodes them.
+///   a plan's occurrences are offsets into its group's words, and an edit
+///   names the words it replaces. Outlined bodies are their candidates'
+///   words, and nothing decodes them. No method's tables are read here:
+///   what the edits do to them is counted where they are rewritten.
 /// - **Typed worker errors.** A panic inside one group's detection or
 ///   materialization (e.g. a [`locate`] panic on an occurrence that
 ///   leaves its method) is caught and surfaced as
@@ -426,12 +445,12 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
 /// [`OutlineError::Worker`] as above; [`OutlineError::Cache`] when a
 /// persisted group plan exists but is corrupt or unreadable.
 pub(crate) fn outline_methods(
-    methods: &mut [CompiledMethod],
+    methods: &[CompiledMethod],
     entries: &[Arc<CacheEntry>],
     config: &LtboConfig,
     store: Option<&ArtifactStore>,
     mut dict: Option<&mut DictSession>,
-) -> Result<LtboResult, OutlineError> {
+) -> Result<(LtboResult, MethodEdits), OutlineError> {
     let mut stats = LtboStats::default();
 
     // --- §3.3.1: choose candidates; §3.3.2: find their templates. -------
@@ -453,8 +472,8 @@ pub(crate) fn outline_methods(
     // Every candidate kept its template.
     let template_of =
         |idx: usize| templates[idx].as_deref().expect("a candidate method kept its template");
-    let code: &[CompiledMethod] = methods;
-    let code_len = |group: &[usize]| group.iter().map(|&idx| code[idx].words.len()).sum::<usize>();
+    let code_len =
+        |group: &[usize]| group.iter().map(|&idx| methods[idx].words.len()).sum::<usize>();
 
     // --- §3.3.3: detect repeats and select the outline plan. ------------
     let detect_start = Instant::now();
@@ -511,7 +530,7 @@ pub(crate) fn outline_methods(
         let members = &groups_ref[i];
         let text: Vec<TaggedSequence> = members
             .iter()
-            .map(|&idx| materialize(idx, &code[idx].words, template_of(idx)))
+            .map(|&idx| materialize(idx, &methods[idx].words, template_of(idx)))
             .collect();
         detect_fault::check(i);
         let group_start = Instant::now();
@@ -547,7 +566,7 @@ pub(crate) fn outline_methods(
     let ret_word = Insn::Br { rn: Reg::LR }.encode().expect("br x30 encodes");
     for (group, entry) in plans.iter().enumerate() {
         let members = &groups[group];
-        member_starts(members, code, &mut starts);
+        member_starts(members, methods, &mut starts);
         let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
             for (words, positions) in entry.candidates() {
@@ -555,8 +574,8 @@ pub(crate) fn outline_methods(
                 // repeats (a loaded plan's were checked at the cache's
                 // trust boundary). Dictionary routing: an island body
                 // serves every occurrence at call overhead only.
-                let call = match dict.as_deref_mut().and_then(|session| session.route(words)) {
-                    Some(at) => EditCall::Dict(at),
+                let target = match dict.as_deref_mut().and_then(|session| session.route(words)) {
+                    Some(at) => CallTarget::Dict(at),
                     None => {
                         // A private copy ends in `br x30`.
                         let id = outlined.len() as u32;
@@ -564,13 +583,13 @@ pub(crate) fn outline_methods(
                         stats.words_saved -= body.len() as i64;
                         outlined.push(body);
                         stats.outlined_functions += 1;
-                        EditCall::Outlined(id)
+                        CallTarget::Outlined(id)
                     }
                 };
                 let len = words.len();
                 for &pos in positions {
                     let (idx, start) = locate(members, &starts, pos as usize, len);
-                    found.push((idx, Edit { start, len, call }));
+                    found.push((idx, Edit { start: start as u32, len: len as u32, target }));
                 }
                 stats.occurrences_replaced += positions.len();
                 stats.words_saved += (len as i64 - 1) * positions.len() as i64;
@@ -581,22 +600,14 @@ pub(crate) fn outline_methods(
         }
     }
 
-    // --- §3.3.4 + §3.5: apply edits, patch PC-relative, fix records. ----
-    let (mut edits, bounds) = by_method(&found, methods.len());
-    let (mut removed, mut new_words) = (Vec::new(), Vec::new());
-    for (idx, m) in methods.iter_mut().enumerate() {
-        let method_edits = &mut edits[bounds[idx]..bounds[idx + 1]];
-        if method_edits.is_empty() {
-            continue;
-        }
+    // --- Each method's edits, sorted, for the linker to apply. ---------
+    let mut edits = by_method(&found, methods.len());
+    for bounds in edits.bounds.windows(2) {
         // A method's occurrences never overlap: by first word is in order.
-        method_edits.sort_unstable_by_key(|e| e.start);
-        let (patched, maps_updated) = apply_edits(m, method_edits, &mut removed, &mut new_words);
-        stats.pc_rel_patched += patched;
-        stats.stack_maps_updated += maps_updated;
+        edits.edits[bounds[0]..bounds[1]].sort_unstable_by_key(|e| e.start);
     }
-
-    Ok(LtboResult { outlined, stats, detect_time })
+    let rewrite = RewriteStats::default();
+    Ok((LtboResult { outlined, stats, rewrite, detect_time }, edits))
 }
 
 const FRESH: u8 = SymbolTemplate::FRESH;
@@ -642,7 +653,7 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
     }
     // Call relocations are also position-bound (the linker rewrites their
     // offsets per site); LR rules would exclude them anyway.
-    for r in &m.relocs {
+    for r in m.relocs.iter() {
         flags[r.at] |= FRESH;
     }
     for &t in &m.metadata.terminators {
@@ -658,158 +669,12 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
     SymbolTemplate::new(flags, &m.words)
 }
 
-/// Applies sorted, non-overlapping edits to one method's `words` and to
-/// its §3.2/§3.5 tables: each outlined range becomes a placeholder `bl`,
-/// and everything between two edits is copied as a run of words. No map
-/// from old word to new is built: a record's new index is its old index
-/// less the words removed by the edits wholly before it, found by a
-/// binary search over the method's few edits, and a record inside an
-/// outlined range has none. A PC-relative site is decoded, given its new
-/// offset and encoded again only when the edits between it and its
-/// target changed that distance; every other site already encodes it,
-/// as codegen emits it and the cache's trust boundary demands of a
-/// loaded method. No instruction is copied: the new words are the
-/// method's code from here on, and its `insns` is left empty. `removed`
-/// and `new_words` are scratch, reused from method to method; the
-/// finished words are copied into the method's `Arc` once. Returns
-/// `(pc_rel_patched, stack_maps_updated)`.
-fn apply_edits(
-    m: &mut CompiledMethod,
-    edits: &[Edit],
-    removed: &mut Vec<usize>,
-    new_words: &mut Vec<u32>,
-) -> (usize, usize) {
-    let words = &m.words;
-    let old_len = words.len();
-    new_words.clear();
-    new_words.reserve(old_len);
-    // `removed[k]`: the words the first `k` edits removed.
-    removed.clear();
-    removed.push(0);
-    let bl_word = Insn::Bl { offset: 0 }.encode().expect("a placeholder bl encodes");
-    let mut word = 0;
-    // One round per edit, and a last one for the run behind the last edit.
-    for edit in edits.iter().map(Some).chain([None]) {
-        let run_end = edit.map_or(old_len, |e| e.start);
-        assert!(word <= run_end, "edits overlap or are unsorted");
-        // Untouched words move as a block.
-        new_words.extend_from_slice(&words[word..run_end]);
-        let Some(edit) = edit else { break };
-        assert!(edit.len > 0 && edit.start + edit.len <= old_len, "edit leaves the code");
-        // The range's first word becomes the call; its interior vanishes.
-        new_words.push(bl_word);
-        removed.push(removed[removed.len() - 1] + edit.len - 1);
-        word = edit.start + edit.len;
-    }
-    // Old word index → new; `None` inside an outlined range. The pool
-    // (and the end of the code) lies behind every edit and shifts as a
-    // block.
-    let remap = |old: usize| {
-        let before = edits.partition_point(|e| e.start + e.len <= old);
-        match edits.get(before) {
-            Some(e) if e.start < old => None,
-            _ => Some(old - removed[before]),
-        }
-    };
-    let remap_word = |old: u32| remap(old as usize).map(|new| new as u32);
-
-    // Call relocations are remapped where they sit, like the §3.2 tables
-    // below; each edit's `bl` adds one, at its first word's new index.
-    for r in &mut m.relocs {
-        r.at = remap(r.at).expect("call site removed by outlining");
-    }
-    m.relocs.reserve_exact(edits.len());
-    for (edit, &removed) in edits.iter().zip(removed.iter()) {
-        let target = match edit.call {
-            EditCall::Outlined(id) => CallTarget::Outlined(id),
-            EditCall::Dict(at) => CallTarget::Dict(at),
-        };
-        m.relocs.push(Reloc { at: edit.start - removed, target });
-    }
-    m.relocs.sort_by_key(|r| r.at);
-
-    // §3.3.4: patch PC-relative instructions whose distance changed.
-    let mut patched = 0;
-    for rec in &mut m.metadata.pc_rel {
-        let at = remap_word(rec.at).expect("PC-relative instruction removed by outlining");
-        let target = remap_word(rec.target).expect("branch target removed by outlining");
-        let new_offset = (i64::from(target) - i64::from(at)) * 4;
-        if rec.at - at != rec.target - target {
-            // Outlining only removes words between a site and its
-            // target, so the offset keeps its sign and alignment and
-            // shrinks in magnitude: the form that held the old one
-            // holds the new one.
-            let site = decode(new_words[at as usize]).expect("a PC-relative site decodes");
-            new_words[at as usize] = site
-                .with_pc_rel_offset(new_offset)
-                .encode()
-                .expect("a shrunken PC-relative offset encodes");
-            patched += 1;
-        } else {
-            debug_assert_eq!(
-                decode(new_words[at as usize]).ok().and_then(|site| site.pc_rel_offset()),
-                Some(new_offset),
-                "{:?}: the unpatched PC-relative site at word {at} does not encode its distance",
-                m.method
-            );
-        }
-        *rec = PcRel { at, target };
-    }
-
-    // Terminators: removed ones (inside outlined ranges) cannot exist —
-    // terminators are separators — so every record survives remapping.
-    for t in &mut m.metadata.terminators {
-        *t = remap_word(*t).expect("terminator removed by outlining");
-    }
-
-    // Slow paths: remap range endpoints. Starts are leaders (branch
-    // targets) and ends follow terminators or end the code, so both
-    // survive; interior shrinkage is fine.
-    for (s, e) in &mut m.metadata.slow_paths {
-        *s = remap_word(*s).expect("slow-path start removed by outlining");
-        *e = remap_word(*e).expect("slow-path end removed by outlining");
-    }
-
-    // Embedded data: the pool block moved as a whole.
-    for (s, _) in &mut m.metadata.embedded_data {
-        *s = remap_word(*s).expect("embedded data removed by outlining");
-    }
-
-    // §3.5: stack maps — return offsets move with their call sites.
-    let mut maps_updated = 0;
-    for sm in &mut m.stack_maps {
-        let old_word = (sm.native_offset / 4) as usize;
-        // The entry names the word *after* the call; remap via the call.
-        // An offset of 0 would name the word before the method, i.e. the
-        // metadata is corrupt — panic with context instead of letting the
-        // subtraction wrap around.
-        let call_word = old_word.checked_sub(1).unwrap_or_else(|| {
-            panic!(
-                "stack map at native offset 0 in method {:?}: \
-                 entries name the word after a call, so offset 0 cannot \
-                 follow any instruction",
-                m.method
-            )
-        });
-        let new_call = remap(call_word).expect("call under a stack map removed");
-        let new_offset = (new_call as u32 + 1) * 4;
-        if new_offset != sm.native_offset {
-            sm.native_offset = new_offset;
-            maps_updated += 1;
-        }
-    }
-
-    m.insns = Arc::default();
-    m.words = Arc::from(&new_words[..]);
-    (patched, maps_updated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calibro_codegen::{MethodMetadata, StackMapEntry};
+    use calibro_codegen::{PcRel, StackMapEntry};
     use calibro_dex::MethodId;
-    use calibro_isa::encode_words;
+    use calibro_isa::{decode, encode_words};
 
     /// Method 7 compiled to `insns`, with their words.
     fn compiled(insns: Vec<Insn>) -> CompiledMethod {
@@ -817,10 +682,10 @@ mod tests {
             method: MethodId(7),
             words: encode_words(&insns).expect("the body encodes").into(),
             insns: insns.into(),
-            pool: vec![],
-            relocs: vec![],
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            pool: Arc::default(),
+            relocs: Arc::default(),
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         }
     }
 
@@ -836,30 +701,39 @@ mod tests {
 
     fn method_with_stack_map(native_offset: u32) -> CompiledMethod {
         let mut m = compiled(movs_then_ret());
-        m.stack_maps = vec![StackMapEntry { native_offset, dex_pc: 0 }];
+        m.stack_maps = Arc::from([StackMapEntry { native_offset, dex_pc: 0 }]);
+        m
+    }
+
+    /// `m` with `edits` applied in place, as [`run_ltbo`] applies them.
+    fn rewritten(m: &CompiledMethod, edits: &[Edit]) -> CompiledMethod {
+        let mut methods = [m.clone()];
+        let edits = MethodEdits { edits: edits.to_vec(), bounds: vec![0, edits.len()] };
+        rewrite_in_place(&mut methods, &edits);
+        let [m] = methods;
         m
     }
 
     #[test]
     #[should_panic(expected = "stack map at native offset 0")]
-    fn apply_edits_rejects_stack_map_at_offset_zero() {
+    fn rewriting_rejects_a_stack_map_at_offset_zero() {
         // A stack map names the word after its call, so native offset 0 is
         // unconstructible from valid codegen. Before the guard this
         // underflowed `old_word - 1` and indexed `map[usize::MAX]`.
-        let mut m = method_with_stack_map(0);
-        let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
-        apply_edits(&mut m, &edits, &mut Vec::new(), &mut Vec::new());
+        let edits = [Edit { start: 0, len: 2, target: CallTarget::Outlined(0) }];
+        let _ = rewritten(&method_with_stack_map(0), &edits);
     }
 
     #[test]
-    fn apply_edits_remaps_valid_stack_maps() {
+    fn rewriting_remaps_valid_stack_maps() {
         // The stack map names word 3 (offset 12); outlining words 0-1 into
         // a single `bl` shifts it back by one word, to offset 8.
-        let mut m = method_with_stack_map(12);
-        let edits = [Edit { start: 0, len: 2, call: EditCall::Outlined(0) }];
-        let (_patched, maps_updated) =
-            apply_edits(&mut m, &edits, &mut Vec::new(), &mut Vec::new());
-        assert_eq!(maps_updated, 1);
+        let original = method_with_stack_map(12);
+        let edits = [Edit { start: 0, len: 2, target: CallTarget::Outlined(0) }];
+        let mut sink = Vec::new();
+        let stats = Rewriter::default().rewrite(&original, &edits, &mut sink).stats;
+        assert_eq!((stats.pc_rel_patched, stats.stack_maps_updated), (0, 1));
+        let m = rewritten(&original, &edits);
         assert_eq!(m.stack_maps[0].native_offset, 8);
         // The words are the method's code now.
         assert!(m.insns.is_empty());
@@ -944,8 +818,9 @@ mod tests {
     }
 
     #[test]
-    fn run_ltbo_leaves_the_words_the_staged_path_leaves() {
+    fn run_ltbo_rewrites_in_place_what_the_linker_rewrites() {
         use crate::{BuildOptions, BuildSession};
+        use calibro_oat::{link, link_with_stats, to_elf_bytes, LinkInput};
         use calibro_workloads::{generate, AppSpec};
 
         let options = BuildOptions::cto_ltbo();
@@ -959,27 +834,38 @@ mod tests {
         let entries: Vec<Arc<CacheEntry>> = codegen.outcomes.into_iter().map(|o| o.entry).collect();
 
         // Entries make the staged run replay templates; the free run
-        // builds every one afresh.
-        let mut staged = original.clone();
-        let staged_run = outline_methods(&mut staged, &entries, &config, None, None).unwrap();
-        let mut free = original.clone();
-        let free_run = run_ltbo(&mut free, &config);
-        assert_eq!(free_run.stats, staged_run.stats);
-        assert_eq!(free_run.outlined, staged_run.outlined);
+        // builds every one afresh. Either plans the same edits.
+        let (staged, edits) = outline_methods(&original, &entries, &config, None, None).unwrap();
+        let (fresh, fresh_edits) = outline_methods(&original, &[], &config, None, None).unwrap();
+        assert_eq!((fresh.stats, &fresh.outlined), (staged.stats, &staged.outlined));
+        assert_eq!(fresh_edits, edits);
 
+        let mut in_place = original.clone();
+        let free = run_ltbo(&mut in_place, &config);
+        assert_eq!((free.stats, &free.outlined), (staged.stats, &staged.outlined));
+        assert_eq!(staged.rewrite, RewriteStats::default(), "planning rewrites nothing");
         let mut rewritten = 0;
-        for ((f, s), o) in free.iter().zip(&staged).zip(&original) {
-            assert_eq!((&f.words, &f.insns), (&s.words, &s.insns));
-            assert_eq!((&f.relocs, &f.metadata), (&s.relocs, &s.metadata));
-            assert_eq!(f.stack_maps, s.stack_maps);
-            if Arc::ptr_eq(&s.words, &o.words) {
-                assert!(Arc::ptr_eq(&s.insns, &o.insns));
+        for (idx, (m, o)) in in_place.iter().zip(&original).enumerate() {
+            if edits.of(idx).is_empty() {
+                assert!(Arc::ptr_eq(&m.words, &o.words) && Arc::ptr_eq(&m.insns, &o.insns));
             } else {
                 rewritten += 1;
-                assert!(s.insns.is_empty(), "{:?} kept stale instructions", s.method);
+                assert!(m.insns.is_empty(), "{:?} kept stale instructions", m.method);
             }
         }
         assert!(rewritten > 0, "nothing was outlined");
+
+        // Rewritten here and linked without edits, or rewritten by the
+        // linker: one routine, the same image.
+        let base = options.base_address;
+        let outlined = staged.outlined;
+        let input = LinkInput { methods: original, edits, outlined, merged: vec![] };
+        let (by_linker, moved) = link_with_stats(input, base, None).unwrap();
+        assert_eq!(moved, free.rewrite);
+        assert!(moved.pc_rel_patched > 0 && moved.stack_maps_updated > 0);
+        let outlined = free.outlined;
+        let by_run = link(LinkInput { methods: in_place, outlined, ..LinkInput::default() }, base);
+        assert_eq!(to_elf_bytes(&by_run.unwrap()), to_elf_bytes(&by_linker));
     }
 
     #[test]
@@ -990,8 +876,9 @@ mod tests {
         // replay to a fresh separator, and a `b`'s target to a leader's.
         let method = |body: &[Insn], terminators: &[u32], branches: &[(u32, u32)]| {
             let mut m = compiled(body.to_vec());
-            m.metadata.terminators = terminators.to_vec();
-            m.metadata.pc_rel = branches.iter().map(|&(at, target)| PcRel { at, target }).collect();
+            let metadata = Arc::make_mut(&mut m.metadata);
+            metadata.terminators = terminators.to_vec();
+            metadata.pc_rel = branches.iter().map(|&(at, target)| PcRel { at, target }).collect();
             m
         };
         let motif = &movs_then_ret()[..3];
@@ -1010,12 +897,13 @@ mod tests {
         let third = method(&[motif, &[ret]].concat(), &[3], &[]);
         let config = LtboConfig::default();
         let outline = |m: &CompiledMethod, store: Option<&ArtifactStore>| {
-            let mut methods = vec![third.clone(), third.clone(), third.clone(), m.clone()];
-            let run = outline_methods(&mut methods, &[], &config, store, None).expect("outline");
-            (methods.iter().map(|m| m.words.to_vec()).collect::<Vec<_>>(), run.outlined, run.stats)
+            let methods = [third.clone(), third.clone(), third.clone(), m.clone()];
+            let (run, edits) =
+                outline_methods(&methods, &[], &config, store, None).expect("outline");
+            (edits, run.outlined, run.stats)
         };
         // A store primed with one layout, rebuilt with the other: the
-        // rebuild misses and emits the cold build's words.
+        // rebuild misses and plans the cold build's edits.
         let store = ArtifactStore::default();
         let (_, _, primed) = outline(&early, Some(&store));
         assert_eq!(primed.occurrences_replaced, 5, "the motif was not outlined everywhere");
@@ -1025,11 +913,14 @@ mod tests {
     }
 
     /// The per-word implementation the run-copying one replaced, kept
-    /// verbatim as the oracle: it knows nothing of encoded words.
+    /// as the oracle — but for the types it reads and writes (edits name
+    /// their call target, a method's tables are shared): it knows
+    /// nothing of encoded words.
     mod reference {
-        use super::super::{
-            CallTarget, CompiledMethod, Edit, EditCall, Insn, PcRel, Reloc, UNIQUE_BASE,
-        };
+        use std::sync::Arc;
+
+        use super::super::{CompiledMethod, Edit, Insn, UNIQUE_BASE};
+        use calibro_codegen::{PcRel, Reloc};
 
         /// The three-bitmap symbolization the one-pass one replaced, kept
         /// as the oracle — but for the private `writes_sp` it called, now
@@ -1054,7 +945,7 @@ mod tests {
             }
             // Call relocations are also position-bound (the linker rewrites their
             // offsets per site); LR rules would exclude them anyway.
-            for r in &m.relocs {
+            for r in m.relocs.iter() {
                 is_pc_rel_site[r.at] = true;
             }
             let mut is_terminator = vec![false; code_len];
@@ -1086,7 +977,7 @@ mod tests {
             symbols
         }
 
-        pub fn apply_edits(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
+        pub fn rewrite(m: &mut CompiledMethod, edits: &[Edit]) -> (usize, usize) {
             let old_len = m.insns.len();
             // old word index -> new word index (usize::MAX = removed).
             let mut map = vec![usize::MAX; old_len + m.pool.len() + 1];
@@ -1095,17 +986,13 @@ mod tests {
             let mut next_edit = 0;
             let mut word = 0;
             while word < old_len {
-                if next_edit < edits.len() && edits[next_edit].start == word {
+                if next_edit < edits.len() && edits[next_edit].start as usize == word {
                     let edit = &edits[next_edit];
                     map[word] = new_insns.len();
-                    let target = match edit.call {
-                        EditCall::Outlined(id) => CallTarget::Outlined(id),
-                        EditCall::Dict(at) => CallTarget::Dict(at),
-                    };
-                    new_relocs.push(Reloc { at: new_insns.len(), target });
+                    new_relocs.push(Reloc { at: new_insns.len(), target: edit.target });
                     new_insns.push(Insn::Bl { offset: 0 });
                     // Interior words vanish.
-                    word += edit.len;
+                    word += edit.len as usize;
                     next_edit += 1;
                 } else {
                     map[word] = new_insns.len();
@@ -1121,7 +1008,7 @@ mod tests {
             }
 
             // Carry over original call relocations.
-            for r in &m.relocs {
+            for r in m.relocs.iter() {
                 let at = map[r.at];
                 assert_ne!(at, usize::MAX, "call site removed by outlining");
                 new_relocs.push(Reloc { at, target: r.target });
@@ -1173,7 +1060,7 @@ mod tests {
 
             // §3.5: stack maps — return offsets move with their call sites.
             let mut maps_updated = 0;
-            for sm in &mut m.stack_maps {
+            for sm in Arc::make_mut(&mut m.stack_maps) {
                 let old_word = (sm.native_offset / 4) as usize;
                 // The entry names the word *after* the call; remap via the call.
                 // An offset of 0 would name the word before the method, i.e. the
@@ -1197,11 +1084,12 @@ mod tests {
             }
 
             m.insns = new_insns.into();
-            m.relocs = new_relocs;
-            m.metadata.pc_rel = new_pc_rel;
-            m.metadata.terminators = new_terminators;
-            m.metadata.slow_paths = new_slow;
-            m.metadata.embedded_data = new_embedded;
+            m.relocs = new_relocs.into();
+            let metadata = Arc::make_mut(&mut m.metadata);
+            metadata.pc_rel = new_pc_rel;
+            metadata.terminators = new_terminators;
+            metadata.slow_paths = new_slow;
+            metadata.embedded_data = new_embedded;
             (patched, maps_updated)
         }
     }
@@ -1213,7 +1101,7 @@ mod tests {
         use super::super::*;
         use super::reference;
         use calibro_cache::LEADER_SEPARATOR;
-        use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
+        use calibro_codegen::{MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind};
         use calibro_dex::MethodId;
         use calibro_isa::{encode_words, Cond};
 
@@ -1227,7 +1115,8 @@ mod tests {
         /// any number of edits, an edit's first word, the pool, the end.
         /// The rest land within their own run of untouched words, or on
         /// the first word of the edit behind it: no edit changes their
-        /// distance, so their words are copied as they are.
+        /// distance, so their words are copied as they are. One case in
+        /// four lists its tables in descending order.
         fn case(n: usize, pool_len: usize, seed: u64) -> (CompiledMethod, Vec<Edit>) {
             let mut rng = TestRng::seed_from_u64(seed);
             let mut below = |bound: usize| rng.below(bound as u64) as usize;
@@ -1242,11 +1131,11 @@ mod tests {
                     break;
                 }
                 let len = (1 + below(5)).min(n - word);
-                let call = match below(2) {
-                    0 => EditCall::Outlined(below(9) as u32),
-                    _ => EditCall::Dict(below(99) as u32),
+                let target = match below(2) {
+                    0 => CallTarget::Outlined(below(9) as u32),
+                    _ => CallTarget::Dict(below(99) as u32),
                 };
-                edits.push(Edit { start: word, len, call });
+                edits.push(Edit { start: word as u32, len: len as u32, target });
                 covered[word..word + len].fill(true);
                 interior[word + 1..word + len].fill(true);
                 word += len;
@@ -1256,8 +1145,9 @@ mod tests {
             // The run of untouched words each word lies in, through the
             // first word of the edit that ends it.
             let run_of = |w: usize| {
-                let start = edits.iter().map(|e| e.start + e.len).filter(|&end| end <= w).max();
-                let end = edits.iter().map(|e| e.start).filter(|&start| start > w).min();
+                let ends = edits.iter().map(|e| (e.start + e.len) as usize);
+                let start = ends.filter(|&end| end <= w).max();
+                let end = edits.iter().map(|e| e.start as usize).filter(|&start| start > w).min();
                 (start.unwrap_or(0), end.unwrap_or(n))
             };
 
@@ -1274,15 +1164,8 @@ mod tests {
                 _ => Insn::OrrReg { wide: true, rd: Reg::X3, rn: Reg::ZR, rm: Reg::X4, shift: 0 },
             };
             let mut insns = Vec::with_capacity(n);
-            let mut m = CompiledMethod {
-                method: MethodId(3),
-                insns: Arc::from([]),
-                words: Arc::from([]),
-                pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
-                relocs: Vec::new(),
-                metadata: MethodMetadata::default(),
-                stack_maps: Vec::new(),
-            };
+            let (mut relocs, mut stack_maps) = (Vec::new(), Vec::new());
+            let mut metadata = MethodMetadata::default();
             for (w, &in_edit) in covered.iter().enumerate() {
                 let role = if in_edit { 9 } else { below(11) };
                 let insn = match role {
@@ -1295,7 +1178,7 @@ mod tests {
                             _ => landing[below(landing.len())],
                         };
                         let offset = (target as i64 - w as i64) * 4;
-                        m.metadata.pc_rel.push(PcRel { at: w as u32, target: target as u32 });
+                        metadata.pc_rel.push(PcRel { at: w as u32, target: target as u32 });
                         match below(6) {
                             0 => Insn::B { offset },
                             1 => Insn::BCond { cond: Cond::Ne, offset },
@@ -1310,31 +1193,45 @@ mod tests {
                             0 => CallTarget::Thunk(ThunkKind::StackCheck),
                             _ => CallTarget::Method(MethodId(below(50) as u32)),
                         };
-                        m.relocs.push(Reloc { at: w, target });
+                        relocs.push(Reloc { at: w, target });
                         let native_offset = (w as u32 + 1) * 4;
-                        m.stack_maps.push(StackMapEntry { native_offset, dex_pc: w as u32 });
+                        stack_maps.push(StackMapEntry { native_offset, dex_pc: w as u32 });
                         Insn::Bl { offset: 0 }
                     }
                     5 => {
-                        m.metadata.terminators.push(w as u32);
+                        metadata.terminators.push(w as u32);
                         Insn::Ret { rn: Reg::LR }
                     }
                     _ => plain(below(9000)),
                 };
                 insns.push(insn);
             }
-            m.words = encode_words(&insns).expect("the case encodes").into();
-            m.insns = insns.into();
             for _ in 0..below(3) {
                 let (a, b) =
                     (landing[below(landing.len())].min(n), landing[below(landing.len())].min(n));
                 if a != b {
-                    m.metadata.slow_paths.push((a.min(b) as u32, a.max(b) as u32));
+                    metadata.slow_paths.push((a.min(b) as u32, a.max(b) as u32));
                 }
             }
             if pool_len > 0 {
-                m.metadata.embedded_data.push((n as u32, pool_len as u32));
+                metadata.embedded_data.push((n as u32, pool_len as u32));
             }
+            // Codegen emits its tables ascending; a table in any other
+            // order must map the same.
+            if below(4) == 0 {
+                metadata.pc_rel.reverse();
+                metadata.terminators.reverse();
+                stack_maps.reverse();
+            }
+            let m = CompiledMethod {
+                method: MethodId(3),
+                words: encode_words(&insns).expect("the case encodes").into(),
+                insns: insns.into(),
+                pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
+                relocs: relocs.into(),
+                metadata: Arc::new(metadata),
+                stack_maps: stack_maps.into(),
+            };
             (m, edits)
         }
 
@@ -1342,9 +1239,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
             /// Copying runs of words yields exactly what rebuilding
-            /// instructions word by word did: the new words are the
-            /// reference's instructions encoded, and relocations, every
-            /// metadata table, stack maps and counters match. The method
+            /// instructions word by word did: the words appended to the
+            /// sink are the reference's instructions encoded, and
+            /// relocations, every metadata table, stack maps and the
+            /// counted moves match. Rewritten in place, an edited method
             /// keeps no instructions of its own.
             #[test]
             fn copying_runs_equals_the_per_word_reference(
@@ -1354,16 +1252,29 @@ mod tests {
                 stale in 0usize..160,
             ) {
                 let (method, edits) = case(n, pool_len, seed);
-                let (mut expected, mut actual) = (method.clone(), method);
-                let counters = reference::apply_edits(&mut expected, &edits);
-                // The scratch arrives dirty from the method before.
-                let (mut removed, mut words) = (vec![7; stale], vec![9; stale]);
-                let (patched, maps_updated) =
-                    apply_edits(&mut actual, &edits, &mut removed, &mut words);
-                prop_assert_eq!((patched, maps_updated), counters);
+                let mut expected = method.clone();
+                let counters = reference::rewrite(&mut expected, &edits);
                 let reference = encode_words(&expected.insns).expect("the reference encodes");
+
+                // The scratch arrives dirty from the method before, and
+                // the sink holds the words of those before it.
+                let mut rewriter = Rewriter::default();
+                let mut sink = vec![9; stale];
+                let (before, before_edits) = case(n, pool_len, seed ^ 1);
+                let _ = rewriter.rewrite(&before, &before_edits, &mut sink);
+                let base = sink.len();
+                let out = rewriter.rewrite(&method, &edits, &mut sink);
+                prop_assert_eq!((out.stats.pc_rel_patched, out.stats.stack_maps_updated), counters);
+                prop_assert_eq!(&sink[base..], &reference[..]);
+                prop_assert_eq!(out.relocs, &expected.relocs[..]);
+                prop_assert_eq!(&out.metadata, &expected.metadata);
+                prop_assert_eq!(&out.stack_maps, &expected.stack_maps);
+
+                // A method without edits keeps its words, and with them
+                // its instructions.
+                let actual = super::rewritten(&method, &edits);
                 prop_assert_eq!(&actual.words[..], &reference[..]);
-                prop_assert!(actual.insns.is_empty());
+                prop_assert_eq!(actual.insns.is_empty(), !edits.is_empty());
                 prop_assert_eq!(&actual.pool, &expected.pool);
                 prop_assert_eq!(&actual.relocs, &expected.relocs);
                 prop_assert_eq!(&actual.metadata, &expected.metadata);
@@ -1423,32 +1334,34 @@ mod tests {
                 sub(true, Reg::ZR, Reg::X1),
                 sub(false, Reg::X16, Reg::SP),
             ];
-            let mut m = CompiledMethod {
-                method: MethodId(5),
-                insns: (0..n).map(|_| palette[below(palette.len())]).collect(),
-                words: Arc::from([]),
-                pool: (0..pool_len as u32).map(|i| 0xbeef_0000 + i).collect(),
-                relocs: Vec::new(),
-                metadata: MethodMetadata::default(),
-                stack_maps: Vec::new(),
-            };
-            m.words = (0..n).map(|_| below(1 << 30) as u32).collect();
+            let insns: Arc<[Insn]> = (0..n).map(|_| palette[below(palette.len())]).collect();
+            let words = (0..n).map(|_| below(1 << 30) as u32).collect();
+            let mut metadata = MethodMetadata::default();
             // Targets inside the code, in the pool, and past both.
             for _ in 0..below(n + 1) {
                 let (at, target) = (below(n) as u32, below(n + pool_len + 3) as u32);
-                m.metadata.pc_rel.push(PcRel { at, target });
+                metadata.pc_rel.push(PcRel { at, target });
             }
+            let mut relocs = Vec::new();
             for _ in 0..below(3) {
                 let target = CallTarget::Thunk(ThunkKind::StackCheck);
-                m.relocs.push(Reloc { at: below(n), target });
+                relocs.push(Reloc { at: below(n), target });
             }
             for _ in 0..below(4) {
-                m.metadata.terminators.push(below(n + 3) as u32);
+                metadata.terminators.push(below(n + 3) as u32);
             }
             for _ in 0..below(4) {
-                m.metadata.slow_paths.push((below(n + 2) as u32, below(n + 2) as u32));
+                metadata.slow_paths.push((below(n + 2) as u32, below(n + 2) as u32));
             }
-            m
+            CompiledMethod {
+                method: MethodId(5),
+                insns,
+                words,
+                pool: (0..pool_len as u32).map(|i| 0xbeef_0000 + i).collect(),
+                relocs: relocs.into(),
+                metadata: Arc::new(metadata),
+                stack_maps: Arc::default(),
+            }
         }
 
         proptest! {
@@ -1508,10 +1421,10 @@ mod tests {
                 method: MethodId(1),
                 insns: Arc::from([]),
                 words: words.into(),
-                pool: Vec::new(),
-                relocs: Vec::new(),
-                metadata: MethodMetadata::default(),
-                stack_maps: Vec::new(),
+                pool: Arc::default(),
+                relocs: Arc::default(),
+                metadata: Arc::default(),
+                stack_maps: Arc::default(),
             }
         }
 
@@ -1580,17 +1493,17 @@ mod tests {
                 let mut found = Vec::new();
                 let mut want: Vec<Vec<Edit>> = vec![Vec::new(); methods.len()];
                 for (c, ((words, positions), cand)) in rows.candidates().zip(&candidates).enumerate() {
-                    let (len, call) = (words.len(), EditCall::Outlined(c as u32));
+                    let (len, target) = (words.len(), CallTarget::Outlined(c as u32));
                     for &pos in positions {
                         let (idx, start) = locate(&members, &starts, pos as usize, len);
-                        found.push((idx, Edit { start, len, call }));
+                        found.push((idx, Edit { start: start as u32, len: len as u32, target }));
                     }
                     for &pos in &cand.positions {
                         let (idx, start) = resolved(pos);
-                        want[idx].push(Edit { start, len: cand.len, call });
+                        want[idx].push(Edit { start: start as u32, len: cand.len as u32, target });
                     }
                 }
-                let (mut edits, bounds) = by_method(&found, methods.len());
+                let MethodEdits { mut edits, bounds } = by_method(&found, methods.len());
                 for (idx, want) in want.iter_mut().enumerate() {
                     want.sort_by_key(|e| e.start);
                     let got = &mut edits[bounds[idx]..bounds[idx + 1]];

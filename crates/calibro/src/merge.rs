@@ -36,6 +36,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use calibro_cache::{ArtifactStore, CacheKey, MergePlanEntry, MergePlanGroup, StableHasher};
@@ -247,7 +248,7 @@ fn outline_estimate(body: &CompiledMethod, diffs: &[u32], count: usize) -> i64 {
     for &d in diffs {
         cut[d as usize] = true;
     }
-    for r in &body.relocs {
+    for r in body.relocs.iter() {
         if r.at < w {
             cut[r.at] = true;
         }
@@ -434,7 +435,7 @@ fn make_island(rep: &Body<'_>, diffs: &[u32]) -> MergedBody {
         let param = Insn::OrrReg { wide, rd, rn: Reg::ZR, rm: PARAM_REGS[j], shift: 0 };
         words[d as usize] = param.encode().expect("a register mov encodes");
     }
-    MergedBody { words, relocs: rep.m.relocs.clone() }
+    MergedBody { words, relocs: rep.m.relocs.to_vec() }
 }
 
 /// Builds one member's thunk: its distinguishing mov-immediates
@@ -570,12 +571,13 @@ pub(crate) fn run_merge(
         let method = &mut methods[global];
         method.words = encode_words(&insns).expect("a thunk encodes").into();
         method.insns = insns.into();
-        method.relocs = relocs;
+        method.relocs = relocs.into();
         // Mark the thunk unoutlinable — this flag is what keeps the
         // outline pass off it: outlining its movs behind a `bl` would
         // clobber the return address the island's `ret` consumes.
-        method.metadata = MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() };
-        method.stack_maps = Vec::new();
+        method.metadata =
+            Arc::new(MethodMetadata { has_indirect_jump: true, ..MethodMetadata::default() });
+        method.stack_maps = Arc::default();
     }
     Ok(MergeOutcome { islands, stats })
 }
@@ -600,10 +602,10 @@ mod tests {
             method: MethodId(id),
             words: encode_words(&insns).expect("the body encodes").into(),
             insns: insns.into(),
-            pool: vec![],
-            relocs: vec![],
-            metadata: MethodMetadata::default(),
-            stack_maps: vec![],
+            pool: Arc::default(),
+            relocs: Arc::default(),
+            metadata: Arc::default(),
+            stack_maps: Arc::default(),
         }
     }
 
@@ -639,7 +641,7 @@ mod tests {
             assert!(matches!(m.insns[0], Insn::Movz { rd: Reg::X16, .. }));
             assert!(matches!(m.insns[1], Insn::B { .. }));
             assert_eq!(m.words[..], encode_words(&m.insns).unwrap()[..], "member {i}");
-            assert_eq!(m.relocs, vec![Reloc { at: 1, target: CallTarget::Merged(0) }]);
+            assert_eq!(m.relocs[..], [Reloc { at: 1, target: CallTarget::Merged(0) }]);
             assert!(m.metadata.has_indirect_jump);
         }
         // The island reads the parameter register where the constant was.

@@ -14,8 +14,9 @@
 //! * **Size passes** run the function merger, then LTBO (see
 //!   [`sizepass`](crate::sizepass)) over the compiled methods,
 //!   replaying cached symbolization templates and per-pass plan lanes;
-//! * **Link** binds labels and lays out the final text segment from
-//!   every body's words.
+//!   LTBO plans its edits and changes no method;
+//! * **Link** lays out the final text segment from every body's words,
+//!   writing each method once with its edits applied, and binds labels.
 //!
 //! A [`BuildSession`] owns the store and threads it through the stages,
 //! so consecutive builds of related inputs recompile only the changed
@@ -53,7 +54,7 @@ use calibro_dict::DictRegistry;
 use calibro_hgraph::{
     build_hgraph, run_inlining, run_pipeline_with, HGraph, InlineConfig, PassStats,
 };
-use calibro_oat::{DictImage, LinkInput, OatFile, DICT_BASE_ADDRESS};
+use calibro_oat::{DictImage, LinkInput, OatFile, RewriteStats, DICT_BASE_ADDRESS};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
@@ -287,8 +288,9 @@ impl BuildSession {
         stats.dict_island_words = size.dict_island.as_ref().map_or(0, |d| d.words.len());
 
         let link_start = Instant::now();
-        let oat = self.link(options, size)?;
+        let (oat, rewrite) = self.link_with_stats(options, size)?;
         stats.link_time = link_start.elapsed();
+        stats.rewrite = rewrite;
         stats.cache = self.store.stats().since(&base);
         Ok(BuildOutput { oat, stats })
     }
@@ -474,10 +476,10 @@ impl BuildSession {
         // Workers take ownership of their graph through a per-slot mutex
         // (locked exactly once, by the worker that drew the index).
         let cells: Vec<Mutex<Option<HGraph>>> = graphs.into_iter().map(Mutex::new).collect();
-        // A method's words are shared between its outcome and its entry,
-        // so neither a hit nor a miss copies code. The entry keeps no
-        // instructions: a hit is words only, and the instructions a miss
-        // was compiled to live on its outcome, for this build alone.
+        // A method's words and tables are shared between its outcome and
+        // its entry, so neither a hit nor a miss copies them. The entry
+        // keeps no instructions: a hit is words only, and the instructions
+        // a miss was compiled to live on its outcome, for this build alone.
         let (outcomes, per_worker) = run_indexed(inputs.len(), threads, |i| {
             if let Some(entry) = &cached[i] {
                 return MethodOutcome {
@@ -519,8 +521,9 @@ impl BuildSession {
     }
 
     /// Stage 3 — **Size passes**: runs the size transforms the options
-    /// ask for — merge, then LTBO over the post-merge methods — mutating
-    /// the compiled methods in place. Each pass replays its cache lane
+    /// ask for — merge, which turns members into thunks in place, then
+    /// LTBO over the post-merge methods, which plans each method's edits
+    /// for the linker to apply. Each pass replays its cache lane
     /// through the session's store — symbolization templates and group
     /// plans for outlining, bucket plans for merging — so only content
     /// that changed is re-analyzed. A no-op pass-through when both
@@ -570,8 +573,9 @@ impl BuildSession {
         Ok(artifact)
     }
 
-    /// Stage 4 — **Link**: binds call labels to addresses and lays out
-    /// the final text segment from every body's words.
+    /// Stage 4 — **Link**: lays out the final text segment from every
+    /// body's words, applying the outline pass's edits as it writes each
+    /// method, and binds call labels to addresses.
     ///
     /// # Errors
     ///
@@ -582,9 +586,18 @@ impl BuildSession {
         options: &BuildOptions,
         artifact: SizeArtifact,
     ) -> Result<OatFile, BuildError> {
-        let SizeArtifact { methods, outlined, merged, dict_island, .. } = artifact;
-        calibro_oat::link_with_dict(
-            LinkInput { methods, outlined, merged },
+        self.link_with_stats(options, artifact).map(|(oat, _)| oat)
+    }
+
+    /// [`link`](Self::link), and what applying the edits changed.
+    fn link_with_stats(
+        &self,
+        options: &BuildOptions,
+        artifact: SizeArtifact,
+    ) -> Result<(OatFile, RewriteStats), BuildError> {
+        let SizeArtifact { methods, edits, outlined, merged, dict_island, .. } = artifact;
+        calibro_oat::link_with_stats(
+            LinkInput { methods, edits, outlined, merged },
             options.base_address,
             dict_island.as_ref(),
         )
@@ -621,10 +634,10 @@ pub struct FrontendArtifact {
 
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
-    /// The compiled method (owned, but its `words` shared with
-    /// `entry.compiled`'s; the size passes rewrite it downstream). A miss
-    /// also carries the instructions codegen just emitted, which its
-    /// entry does not keep; a hit is words only.
+    /// The compiled method, sharing its words and every table with
+    /// `entry.compiled` (only a merge thunk is rewritten downstream). A
+    /// miss also carries the instructions codegen just emitted, which
+    /// its entry does not keep; a hit is words only.
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters (replayed from the entry on a hit, so
     /// warm observability matches cold).

@@ -13,7 +13,9 @@
 //!   outlining, the merge-plan lane for merging), each with its own
 //!   memory + checksummed-disk tiers and hit/miss/store/evict counters
 //!   surfaced through [`CacheStats`](calibro_cache::CacheStats); and
-//! * its edits to the **typed inter-stage artifact**.
+//! * its output in the **typed inter-stage artifact**: merge rewrites
+//!   its members into thunks in place; outlining only plans edits,
+//!   which the linker applies.
 //!
 //! Pass order is part of the contract: merge runs before outline, so
 //! LTBO sees thunks (and skips them — a thunk's `bl`-outlined movs
@@ -29,20 +31,24 @@ use std::time::{Duration, Instant};
 use calibro_cache::{ArtifactStore, CacheEntry};
 use calibro_codegen::CompiledMethod;
 use calibro_dict::{DictSession, DictStats};
-use calibro_oat::{DictImage, MergedBody};
+use calibro_oat::{DictImage, MergedBody, MethodEdits};
 
 use crate::driver::BuildError;
 use crate::ltbo::{outline_methods, LtboConfig, LtboStats, OutlineError};
 use crate::merge::{run_merge, MergeConfig, MergeStats};
 
 /// The typed artifact flowing through the size passes and into the
-/// linker: the (progressively rewritten) methods plus everything the
+/// linker: the methods, the edits planned for them, and everything the
 /// passes extracted out of them.
 pub struct SizeArtifact {
-    /// The methods, in method-index order — merged members become
-    /// parameter thunks, outlined occurrences become `bl`s. A method the
-    /// outline pass rewrote has empty `insns`: its code is its `words`.
+    /// The methods, in method-index order, as codegen left them but for
+    /// merged members, which became parameter thunks. Outlining changes
+    /// none of them: its occurrences are in `edits`.
     pub methods: Vec<CompiledMethod>,
+    /// Each method's outlined occurrences, sorted by first word: the
+    /// linker replaces each with a `bl` as it writes the method into the
+    /// text segment. Empty when LTBO is off.
+    pub edits: MethodEdits,
     /// Outlined function bodies' words, in `CallTarget::Outlined` index
     /// order.
     pub outlined: Vec<Vec<u32>>,
@@ -54,11 +60,11 @@ pub struct SizeArtifact {
     pub ltbo: LtboStats,
     /// Wall time of the merge pass.
     pub merge_time: Duration,
-    /// Wall time of the outline pass.
+    /// Wall time of the outline pass: planning, not applying, the edits.
     pub ltbo_time: Duration,
     /// Wall time of the outline pass's detection core: cache-key probes
     /// plus, per group, plan replay or symbol text and suffix-tree
-    /// detection (excludes finding the templates and edit application).
+    /// detection (excludes finding the templates and planning the edits).
     pub detect_time: Duration,
     /// Total instruction words before any size pass ran.
     pub words_before: usize,
@@ -76,13 +82,14 @@ pub struct SizeArtifact {
 }
 
 impl SizeArtifact {
-    /// Wraps freshly compiled methods into the artifact every size pass
-    /// edits in place.
+    /// Wraps freshly compiled methods into the artifact the size passes
+    /// fill.
     #[must_use]
     pub fn new(methods: Vec<CompiledMethod>) -> SizeArtifact {
         let words_before = methods.iter().map(CompiledMethod::size_words).sum();
         SizeArtifact {
             methods,
+            edits: MethodEdits::default(),
             outlined: Vec::new(),
             merged: Vec::new(),
             merge: MergeStats::default(),
@@ -130,7 +137,7 @@ pub(crate) fn merge_pass(
 }
 
 /// The LTBO outline pass (see [`crate::ltbo`]), over the post-merge
-/// methods.
+/// methods: plans the outlined functions and each method's edits.
 ///
 /// # Errors
 ///
@@ -144,8 +151,8 @@ pub(crate) fn outline_pass(
 ) -> Result<(), BuildError> {
     let start = Instant::now();
     debug_assert!(artifact.outlined.is_empty(), "a second outline pass would clash ids");
-    let result = outline_methods(
-        &mut artifact.methods,
+    let (result, edits) = outline_methods(
+        &artifact.methods,
         ctx.entries,
         config,
         Some(ctx.store),
@@ -155,6 +162,7 @@ pub(crate) fn outline_pass(
         OutlineError::Worker { group, message } => BuildError::OutlineWorker { group, message },
         OutlineError::Cache(e) => BuildError::Cache(e),
     })?;
+    artifact.edits = edits;
     artifact.outlined = result.outlined;
     artifact.ltbo = result.stats;
     artifact.detect_time = result.detect_time;

@@ -1,11 +1,11 @@
 //! What the warm build's back half (outline → link) relies on once
 //! every body is its words and plans replay without their text:
 //!
-//! * every body reaches the linker as words: a method's are its
-//!   instructions encoded until a size pass rewrites them (and drops the
-//!   instructions), and islands and outlined bodies are instruction
-//!   words — words that drifted from their instructions are caught by
-//!   the debug-profile run of this very suite;
+//! * every body reaches the linker as words, a method's its instructions
+//!   encoded (words that drifted from their instructions are caught by
+//!   the debug-profile run of this very suite), and the linker writes
+//!   instruction words: every method with its outline edits applied,
+//!   every outlined body and every island;
 //! * every method codegen emits passes the cache's trust boundary, whose
 //!   PC-relative check lets outlining copy a site whose distance it does
 //!   not change;
@@ -17,7 +17,7 @@ use calibro_cache::{from_frame, to_frame, CacheConfig, CacheEntry, CacheKey, Gro
 use calibro_codegen::CallTarget;
 use calibro_dex::DexFile;
 use calibro_isa::{decode_all, encode_words, Insn};
-use calibro_oat::to_elf_bytes;
+use calibro_oat::{to_elf_bytes, OatFile};
 use calibro_workloads::{generate, paper_suite, AppSpec};
 
 /// The size artifact of `dex` under `options`, through the public stages.
@@ -37,10 +37,35 @@ fn instruction_words(words: &[u32]) -> bool {
     decode_all(words).is_ok_and(|insns| encodes_to(&insns, words))
 }
 
+/// Every word of `oat`'s methods outside their embedded data (the
+/// literal pools), and every word of its outlined bodies and islands, is
+/// an instruction word. Returns how many words were checked.
+fn linked_words_are_instructions(name: &str, oat: &OatFile) -> usize {
+    let mut checked = 0;
+    for record in &oat.methods {
+        let start = (record.offset / 4) as usize;
+        for w in (0..record.code_words as usize).filter(|&w| !record.metadata.in_embedded_data(w)) {
+            assert!(w < record.insn_words as usize, "{name}: {:?}: pool word {w}", record.method);
+            let word = &oat.words[start + w..start + w + 1];
+            assert!(instruction_words(word), "{name}: {:?}: word {w}", record.method);
+            checked += 1;
+        }
+    }
+    let bodies = oat.outlined.iter().map(|o| ("outlined body", o.offset, o.size_words));
+    let islands = oat.merged.iter().map(|m| ("island", m.offset, m.size_words));
+    for (i, (kind, offset, size)) in bodies.chain(islands).enumerate() {
+        let start = (offset / 4) as usize;
+        let words = &oat.words[start..start + size as usize];
+        assert!(instruction_words(words), "{name}: {kind} {i}");
+        checked += words.len();
+    }
+    checked
+}
+
 #[test]
 fn every_codegen_output_is_its_instructions_encoded() {
     let options = BuildOptions::cto_merge_ltbo();
-    let (mut stubs, mut thunks, mut rewritten) = (0, 0, 0);
+    let (mut stubs, mut thunks, mut edited) = (0, 0, 0);
     for app in paper_suite(0.25).iter().map(generate) {
         let session = BuildSession::new();
         let frontend = session.frontend(&app.dex, &options).expect("frontend");
@@ -51,28 +76,24 @@ fn every_codegen_output_is_its_instructions_encoded() {
             stubs += usize::from(m.metadata.is_native_stub);
         }
 
-        // Merge thunks carry both forms; a method the outline pass
-        // rewrote, its words alone.
+        // Merge thunks carry both forms; outlining rewrites no method,
+        // it plans the edits the linker applies.
         let size = session.outline(&options, codegen).expect("outline");
-        for m in &size.methods {
+        for (idx, m) in size.methods.iter().enumerate() {
             if m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_))) {
                 thunks += 1;
             }
-            match m.insns.is_empty() {
-                true => rewritten += 1,
-                false => assert!(encodes_to(&m.insns, &m.words), "{}: {:?}", app.name, m.method),
-            }
-            assert!(instruction_words(&m.words), "{}: {:?}", app.name, m.method);
-        }
-        for (i, island) in size.merged.iter().enumerate() {
-            assert!(instruction_words(&island.words), "{}: island {i}", app.name);
-        }
-        for (i, body) in size.outlined.iter().enumerate() {
-            assert!(instruction_words(body), "{}: outlined body {i}", app.name);
+            assert!(encodes_to(&m.instructions(), &m.words), "{}: {:?}", app.name, m.method);
+            edited += usize::from(!size.edits.of(idx).is_empty());
         }
         assert!(!size.merged.is_empty() && !size.outlined.is_empty(), "{}", app.name);
+
+        // What the linker wrote — rewritten methods, bodies, islands — is
+        // instruction words.
+        let oat = session.link(&options, size).expect("link");
+        assert!(linked_words_are_instructions(&app.name, &oat) > 0, "{}", app.name);
     }
-    assert!(stubs > 0 && thunks > 0 && rewritten > 0, "{stubs} stubs, {thunks} thunks");
+    assert!(stubs > 0 && thunks > 0 && edited > 0, "{stubs} stubs, {thunks} thunks, {edited}");
 }
 
 #[test]
@@ -98,7 +119,9 @@ fn every_method_codegen_emits_passes_the_trust_boundary() {
 }
 
 /// Only the debug profile carries the linker's word-equality assertion,
-/// which is why tier-1 runs this suite unoptimized.
+/// which is why tier-1 runs this suite unoptimized. The linker checks a
+/// method's words before it applies the method's edits, so the drifted
+/// method is one it rewrites.
 #[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "its words are not its instructions encoded")]
@@ -107,9 +130,14 @@ fn a_word_that_drifted_from_its_instruction_trips_the_debug_assertion() {
     let options = BuildOptions::cto_ltbo();
     let session = BuildSession::new();
     let mut size = size_artifact(&session, &dex, &options);
-    // A method nothing rewrote carries its instructions beside its words.
-    let m = size.methods.iter_mut().find(|m| !m.insns.is_empty());
-    let m = m.expect("some method keeps its instructions");
+    // A cold build's methods carry their instructions beside their words.
+    let edits = &size.edits;
+    let m = size
+        .methods
+        .iter_mut()
+        .enumerate()
+        .find(|(idx, m)| !m.insns.is_empty() && !edits.of(*idx).is_empty());
+    let (_, m) = m.expect("some edited method keeps its instructions");
     let mut words = m.words.to_vec();
     words[0] ^= 1 << 5; // another register, still an instruction
     m.words = words.into();

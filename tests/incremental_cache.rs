@@ -264,8 +264,8 @@ fn facts_of_build(session: &BuildSession, dex: &DexFile, options: &BuildOptions)
 }
 
 /// The same build through the four public stages. Also checks, on the
-/// size artifact only this route exposes, that no merge thunk was
-/// outlined from.
+/// size artifact only this route exposes, that no merge thunk has an
+/// outline edit.
 fn facts_of_stages(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> BuildFacts {
     let frontend = session.frontend(dex, options).expect("frontend");
     let codegen = session.codegen(dex, options, frontend).expect("codegen");
@@ -276,21 +276,15 @@ fn facts_of_stages(session: &BuildSession, dex: &DexFile, options: &BuildOptions
     let (words_before_ltbo, merge, ltbo) = (size.words_before, size.merge, size.ltbo);
 
     // A thunk's `bl`-outlined movs would clobber the return address its
-    // island's `ret` consumes, so the outline pass must leave every
-    // thunk alone — from cached templates (warm) as from fresh ones.
+    // island's `ret` consumes, so the outline pass must plan no edit in
+    // any thunk — from cached templates (warm) as from fresh ones.
     let is_thunk =
-        |m: &&CompiledMethod| m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_)));
+        |m: &CompiledMethod| m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_)));
     let mut thunks = 0;
-    for m in size.methods.iter().filter(is_thunk) {
+    for (idx, m) in size.methods.iter().enumerate().filter(|(_, m)| is_thunk(m)) {
         thunks += 1;
-        assert!(
-            !m.relocs
-                .iter()
-                .any(|r| matches!(r.target, CallTarget::Outlined(_) | CallTarget::Dict(_))),
-            "merge thunk {:?} was outlined from: {:?}",
-            m.method,
-            m.relocs
-        );
+        let edits = size.edits.of(idx);
+        assert!(edits.is_empty(), "merge thunk {:?} was outlined from: {edits:?}", m.method);
     }
     assert_eq!(thunks, merge.merged_methods, "every merged method is a thunk");
 
@@ -333,9 +327,10 @@ fn staged_stages_equal_build() {
 #[test]
 fn codegen_shares_words_with_the_store_and_only_a_miss_keeps_instructions() {
     // A cold build (every method a miss), then a 5 % edit (hits and
-    // misses): either way the outcome's words *are* the entry's, not a
-    // copy. The entry holds no instructions; a miss's outcome holds the
-    // ones codegen just emitted, a hit's holds none.
+    // misses): either way the outcome's words and tables *are* the
+    // entry's, not copies — replaying a hit and storing a miss bump
+    // reference counts. The entry holds no instructions; a miss's
+    // outcome holds the ones codegen just emitted, a hit's holds none.
     let dex = generate(&AppSpec::small("shared", 13)).dex;
     let mut edited = dex.clone();
     assert!(!mutate_methods(&mut edited, 5, 0.05).is_empty());
@@ -351,11 +346,16 @@ fn codegen_shares_words_with_the_store_and_only_a_miss_keeps_instructions() {
         }
         for (i, o) in codegen.outcomes.iter().enumerate() {
             let (m, entry) = (&o.compiled, &o.entry.compiled);
-            assert!(
-                Arc::ptr_eq(&m.words, &entry.words),
-                "{warmth}: method {i} (hit: {}) copied its entry's words",
-                o.cache_hit
-            );
+            let shared = [
+                ("words", Arc::ptr_eq(&m.words, &entry.words)),
+                ("pool", Arc::ptr_eq(&m.pool, &entry.pool)),
+                ("relocs", Arc::ptr_eq(&m.relocs, &entry.relocs)),
+                ("metadata", Arc::ptr_eq(&m.metadata, &entry.metadata)),
+                ("stack_maps", Arc::ptr_eq(&m.stack_maps, &entry.stack_maps)),
+            ];
+            for (table, shared) in shared {
+                assert!(shared, "{warmth}: method {i} (hit: {}) copied its {table}", o.cache_hit);
+            }
             assert!(entry.insns.is_empty(), "{warmth}: method {i}'s entry holds instructions");
             match o.cache_hit {
                 true => assert!(m.insns.is_empty(), "{warmth}: hit {i} holds instructions"),
@@ -592,10 +592,10 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
                     method: m.id,
                     insns: [calibro_isa::Insn::Nop].into(),
                     words: [calibro_isa::Insn::Nop.encode().expect("a nop encodes")].into(),
-                    pool: vec![],
-                    relocs: vec![],
-                    metadata: calibro_codegen::MethodMetadata::default(),
-                    stack_maps: vec![],
+                    pool: Arc::default(),
+                    relocs: Arc::default(),
+                    metadata: Arc::default(),
+                    stack_maps: Arc::default(),
                 },
                 pass_stats: calibro_hgraph::PassStats::default(),
                 template: None,
