@@ -34,7 +34,7 @@ fn bench_keys(c: &mut Criterion) {
     // Every tenth method hot, like a deploy build's profile-derived set.
     let hot = (0..suite[0].methods().len() as u32).step_by(10).collect();
     for (name, options) in [
-        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
+        ("cto_ltbo", BuildOptions::cto_ltbo()),
         (
             "cto_ltbo_parallel_8_2_hot",
             BuildOptions::cto_ltbo_parallel(8, 2).with_compile_threads(2).with_hot_filter(hot),

@@ -91,47 +91,35 @@ fn main() {
     }
 }
 
-/// `experiments frontier` — the size/perf frontier of the size-pass
-/// compositions (`none` / `merge` / `outline` / `both`), written to
+/// `experiments frontier` — the size/perf frontier of the size stage
+/// off and on (`none` / `outline`), written to
 /// `BENCH_size_frontier.json` and printed as a per-app size table.
 fn print_frontier(apps: &[calibro_workloads::App]) {
-    header("Size/perf frontier: size-pass compositions");
+    header("Size/perf frontier: size stage off and on");
     let rows = frontier(apps);
     let json_path = "BENCH_size_frontier.json";
     match std::fs::write(json_path, frontier_json(&rows)) {
         Ok(()) => eprintln!("  wrote {json_path}"),
         Err(e) => eprintln!("  could not write {json_path}: {e}"),
     }
-    println!("| App | Arm | .text bytes | vs none | Merged | Outlined | Cycles |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| App | Arm | .text bytes | vs none | Outlined | Cycles |");
+    println!("|---|---|---|---|---|---|");
     for r in &rows {
         let none_bytes = r.arms[0].text_bytes;
         for a in &r.arms {
             let delta = 100.0 * (none_bytes as f64 - a.text_bytes as f64) / none_bytes as f64;
             println!(
-                "| {} | {} | {} | {:+.2}% | {} | {} | {} |",
-                r.app,
-                a.arm,
-                a.text_bytes,
-                -delta,
-                a.merged_methods,
-                a.outlined_functions,
-                a.cycles
+                "| {} | {} | {} | {:+.2}% | {} | {} |",
+                r.app, a.arm, a.text_bytes, -delta, a.outlined_functions, a.cycles
             );
         }
     }
-    let mut wins = 0;
-    for r in &rows {
-        let by_arm = |name: &str| r.arms.iter().find(|a| a.arm == name).unwrap().text_bytes;
-        if by_arm("both") < by_arm("outline") {
-            wins += 1;
-        }
-    }
+    let wins = rows.iter().filter(|r| r.arms[1].text_bytes < r.arms[0].text_bytes).count();
     for (i, &(arm, _)) in FRONTIER_ARMS.iter().enumerate() {
         let total: u64 = rows.iter().map(|r| r.arms[i].text_bytes).sum();
         println!("aggregate {arm}: {total} bytes");
     }
-    println!("both < outline on {wins}/{} apps", rows.len());
+    println!("outline < none on {wins}/{} apps", rows.len());
 }
 
 /// `experiments serve [--socket PATH | --addr HOST:PORT] [--clients N]

@@ -706,40 +706,29 @@ pub fn warm_rebuild_json(rows: &[WarmRebuildRow]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Size/perf frontier of the size-pass compositions.
+// Size/perf frontier: the size stage on and off.
 // ---------------------------------------------------------------------
 
 /// A labelled frontier arm: name plus its `BuildOptions` constructor.
 pub type FrontierArmSpec = (&'static str, fn() -> BuildOptions);
 
-/// The four size-pass compositions over a common CTO base: `none`
-/// isolates the passes themselves (CTO is a codegen-time transform, not
-/// a size pass), `merge` and `outline` run one pass each,
-/// `both` runs merge-then-outline with benefit-model arbitration.
-pub const FRONTIER_ARMS: [FrontierArmSpec; 4] = [
-    ("none", BuildOptions::cto),
-    ("merge", BuildOptions::cto_merge),
-    ("outline", BuildOptions::cto_ltbo),
-    ("both", BuildOptions::cto_merge_ltbo),
-];
+/// The size stage off and on over a common CTO base: `none` isolates
+/// the stage itself (CTO is a codegen-time transform, not a size pass),
+/// `outline` runs LTBO.
+pub const FRONTIER_ARMS: [FrontierArmSpec; 2] =
+    [("none", BuildOptions::cto), ("outline", BuildOptions::cto_ltbo)];
 
 /// One arm's measurements on one app.
 #[derive(Clone, Debug)]
 pub struct FrontierArm {
-    /// Arm name (`none` / `merge` / `outline` / `both`).
+    /// Arm name (`none` / `outline`).
     pub arm: &'static str,
-    /// `.text` bytes on disk after the arm's passes.
+    /// `.text` bytes on disk after the arm's size stage.
     pub text_bytes: u64,
-    /// Methods rewritten into parameter thunks.
-    pub merged_methods: usize,
-    /// Merge groups materialized.
-    pub merge_groups: usize,
-    /// Candidates where arbitration preferred outlining.
-    pub outline_preferred: usize,
     /// Outlined functions created.
     pub outlined_functions: usize,
     /// Total simulator cycles over one pass of the usage trace — the
-    /// perf axis of the frontier (thunk indirection costs cycles).
+    /// perf axis of the frontier (each outlined call costs cycles).
     pub cycles: u64,
 }
 
@@ -769,9 +758,6 @@ pub fn frontier(apps: &[App]) -> Vec<FrontierRow> {
                     FrontierArm {
                         arm,
                         text_bytes: out.oat.text_size_bytes(),
-                        merged_methods: out.stats.merge.merged_methods,
-                        merge_groups: out.stats.merge.merge_groups,
-                        outline_preferred: out.stats.merge.outline_preferred,
                         outlined_functions: out.stats.ltbo.outlined_functions,
                         cycles: rt.total_cycles(),
                     }
@@ -795,14 +781,8 @@ pub fn frontier_json(rows: &[FrontierRow]) -> String {
                 .iter()
                 .map(|a| {
                     format!(
-                        r#""{}":{{"text_bytes":{},"merged_methods":{},"merge_groups":{},"outline_preferred":{},"outlined_functions":{},"cycles":{}}}"#,
-                        a.arm,
-                        a.text_bytes,
-                        a.merged_methods,
-                        a.merge_groups,
-                        a.outline_preferred,
-                        a.outlined_functions,
-                        a.cycles
+                        r#""{}":{{"text_bytes":{},"outlined_functions":{},"cycles":{}}}"#,
+                        a.arm, a.text_bytes, a.outlined_functions, a.cycles
                     )
                 })
                 .collect();

@@ -27,9 +27,9 @@ use std::io::Read as _;
 use std::path::{Path, PathBuf};
 
 use calibro_codegen::{CompiledMethod, PcRel};
-use calibro_dex::wire::{self, wire_fields, wire_seq, Reader, Wire, WireError, Writer};
+use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 
-use crate::entry::{CacheEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup, SymbolTemplate};
+use crate::entry::{CacheEntry, GroupPlanEntry, SymbolTemplate};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::peer::PeerLane;
@@ -41,7 +41,9 @@ use crate::peer::PeerLane;
 /// needs no manual cache wipe.
 ///
 /// Version 2: call-target tag 5 (`Merged`) and the `.calm` merge-plan
-/// lane. Version 3: call-target tag 6 (`Dict`) and a shared-dictionary
+/// lane (since removed with function merging: no lane reads a `.calm`
+/// file, and tag 5 is undefined; no surviving frame changed, so the
+/// version stands). Version 3: call-target tag 6 (`Dict`) and a shared-dictionary
 /// lane (since removed: no lane reads its files). Version 4: payloads
 /// are [`Wire`] rows — collection counts are `u32` (were `u64`), a
 /// runtime-entry thunk offset is a `u16` (was `u32`), a bool byte other
@@ -65,9 +67,8 @@ pub trait LaneEntry: Wire + Send + Sync + 'static {
     const MAGIC: [u8; 4];
     /// File extension of the lane's disk entries (`<key>.<EXT>`).
     const EXT: &'static str;
-    /// The lane's fleet wire code; `None` keeps the lane local-only
-    /// (it never consults the peer source and no peer can ask for it).
-    const PEER_LANE: Option<PeerLane>;
+    /// The lane's fleet wire code.
+    const PEER_LANE: PeerLane;
 
     /// Structural validation: every index a later stage will follow
     /// must be in bounds, so a poisoned entry is rejected with a typed
@@ -135,7 +136,7 @@ fn write_atomic(dir: &Path, path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(),
 
 /// Removes stale temp files (`*.tmp<pid>`) left behind by crashed or
 /// killed writers, returning how many were removed. Entries proper
-/// (`*.calc` / `*.calg` / `*.calm`) and files of no lane are never
+/// (`*.calc` / `*.calg`) and files of no lane are never
 /// touched. Called when a store opens a disk directory; racing an
 /// in-flight writer is harmless because a clobbered rename is
 /// best-effort anyway and the writer's entry is rewritten on its next
@@ -372,58 +373,11 @@ fn validate_group_entry(entry: &GroupPlanEntry) -> Result<(), String> {
     Ok(())
 }
 
-/// Structural validation of a loaded merge plan: member indices must
-/// fall inside the recorded candidate count, each group must name at
-/// least two sorted distinct members including its representative, and
-/// diff positions must be sorted and distinct — so a poisoned plan is
-/// rejected with a typed error instead of corrupting the merge replay
-/// downstream.
-fn validate_merge_entry(entry: &MergePlanEntry) -> Result<(), String> {
-    let mut seen = vec![false; entry.member_count as usize];
-    for (i, g) in entry.groups.iter().enumerate() {
-        if g.members.len() < 2 {
-            return Err(format!("merge group {i} has fewer than two members"));
-        }
-        if !g.members.contains(&g.rep) {
-            return Err(format!("merge group {i}: representative {} not a member", g.rep));
-        }
-        let mut prev: Option<u32> = None;
-        for &m in &g.members {
-            if m >= entry.member_count {
-                return Err(format!(
-                    "merge group {i}: member {m} beyond candidate count {}",
-                    entry.member_count
-                ));
-            }
-            if prev.is_some_and(|p| p >= m) {
-                return Err(format!("merge group {i}: unsorted or duplicate member {m}"));
-            }
-            if std::mem::replace(&mut seen[m as usize], true) {
-                return Err(format!("merge group {i}: member {m} appears in two groups"));
-            }
-            prev = Some(m);
-        }
-        let mut prev: Option<u32> = None;
-        for &d in &g.diff_positions {
-            if prev.is_some_and(|p| p >= d) {
-                return Err(format!("merge group {i}: unsorted or duplicate diff position {d}"));
-            }
-            prev = Some(d);
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Codec: every persisted type is a row of the `Wire` table.
 // ---------------------------------------------------------------------
 
 wire_fields!(GroupPlanEntry { code_len, lens, counts, words, positions });
-wire_fields!(MergePlanGroup { rep, members, diff_positions });
-wire_fields!(MergePlanEntry { member_count, groups });
-
-// A merge group's smallest form: its representative and two empty rows.
-wire_seq!(MergePlanGroup: 4 + 4 + 4);
 
 /// An entry travels as its fields in declaration order, the template as
 /// a presence tag and then its flag bytes alone (the form of an
@@ -479,7 +433,7 @@ impl wire::FieldEnds for CacheEntry {
 }
 
 // ---------------------------------------------------------------------
-// The three lanes.
+// The two lanes.
 // ---------------------------------------------------------------------
 
 /// The lane table: one row per entry type — frame magic, file
@@ -490,7 +444,7 @@ macro_rules! lanes {
         impl LaneEntry for $entry {
             const MAGIC: [u8; 4] = *$magic;
             const EXT: &'static str = $ext;
-            const PEER_LANE: Option<PeerLane> = $peer;
+            const PEER_LANE: PeerLane = $peer;
             fn validate(&self) -> Result<(), String> {
                 $validate(self)
             }
@@ -501,12 +455,9 @@ macro_rules! lanes {
     )*};
 }
 
-// The merge lane is local-only: a plan is cheaper to recompute than a
-// network exchange, so the fleet protocol carries no code for it.
 lanes! {
-    CacheEntry: b"CALC", "calc", Some(PeerLane::Method), validate_entry;
-    GroupPlanEntry: b"CALG", "calg", Some(PeerLane::Group), validate_group_entry;
-    MergePlanEntry: b"CALM", "calm", None, validate_merge_entry;
+    CacheEntry: b"CALC", "calc", PeerLane::Method, validate_entry;
+    GroupPlanEntry: b"CALG", "calg", PeerLane::Group, validate_group_entry;
 }
 
 #[cfg(test)]
@@ -578,16 +529,6 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn sample_merge() -> MergePlanEntry {
-        MergePlanEntry {
-            member_count: 5,
-            groups: vec![
-                MergePlanGroup { rep: 0, members: vec![0, 2], diff_positions: vec![1, 4] },
-                MergePlanGroup { rep: 3, members: vec![3, 4], diff_positions: vec![] },
-            ],
-        }
-    }
-
     /// The key the committed fixtures are framed under.
     pub(crate) const FIXTURE_KEY: CacheKey =
         CacheKey { hi: 0x0123_4567_89ab_cdef, lo: 0xfedc_ba98_7654_3210 };
@@ -597,20 +538,19 @@ pub(crate) mod tests {
             [
                 ("calc", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calc"))),
                 ("calg", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calg"))),
-                ("calm", include_bytes!(concat!($dir, "0123456789abcdeffedcba9876543210.calm"))),
             ]
         };
     }
 
-    /// The three `tests/fixtures/` files: the `sample_*` entries above,
+    /// The two `tests/fixtures/` files: the `sample_*` entries above,
     /// framed under [`FIXTURE_KEY`] by [`to_frame`] at
     /// [`FORMAT_VERSION`].
-    const FIXTURES: [(&str, &[u8]); 3] = fixtures!("../tests/fixtures/");
+    const FIXTURES: [(&str, &[u8]); 2] = fixtures!("../tests/fixtures/");
 
     /// The same lanes as an older format version wrote them (version 7:
     /// a method's metadata tables of `u64` word indices) — kept to prove
     /// a directory of any other version degrades to misses.
-    pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 3] = fixtures!("../tests/fixtures/stale/");
+    pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 2] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.
     fn start_of(value: &impl FieldEnds, field: &str) -> usize {
@@ -744,31 +684,6 @@ pub(crate) mod tests {
         }
         admits::<CacheEntry>();
         admits::<GroupPlanEntry>();
-        admits::<MergePlanEntry>();
-    }
-
-    #[test]
-    fn merge_frames_keep_the_frame_contract() {
-        let plan = sample_merge();
-        let first = start_of(&plan, "groups") + 4; // after the count
-        let in_first = |field| first + start_of(&plan.groups[0], field);
-        frame_contract(
-            &plan,
-            &["groups"],
-            &[
-                (first - 4, "groups"),
-                (in_first("members"), "members"),
-                (in_first("diff_positions"), "diff_positions"),
-            ],
-            &[],
-        );
-        row_contract(&plan.groups[0], &[]);
-    }
-
-    #[test]
-    fn a_merge_group_minimum_is_its_smallest_encoding() {
-        let empty = MergePlanGroup { rep: 0, members: vec![], diff_positions: vec![] };
-        assert_eq!(wire::encode(&empty).len(), <MergePlanGroup as wire::SeqElem>::MIN_BYTES);
     }
 
     #[test]
@@ -962,26 +877,6 @@ pub(crate) mod tests {
             from_frame::<GroupPlanEntry>(FIXTURE_KEY, &frame),
             Err("candidate 0: word 0x00000000 is not an instruction".to_owned())
         );
-    }
-
-    #[test]
-    fn merge_validation_rejects_malformed_plans() {
-        let mut m = sample_merge();
-        m.groups[0].members = vec![0];
-        assert!(validate_merge_entry(&m).is_err(), "single-member group accepted");
-        let mut m = sample_merge();
-        m.groups[0].rep = 1;
-        assert!(validate_merge_entry(&m).is_err(), "non-member representative accepted");
-        let mut m = sample_merge();
-        m.groups[0].members = vec![0, 9];
-        assert!(validate_merge_entry(&m).is_err(), "out-of-range member accepted");
-        let mut m = sample_merge();
-        m.groups[1].members = vec![2, 3];
-        m.groups[1].rep = 3;
-        assert!(validate_merge_entry(&m).is_err(), "member shared across groups accepted");
-        let mut m = sample_merge();
-        m.groups[0].diff_positions = vec![4, 1];
-        assert!(validate_merge_entry(&m).is_err(), "unsorted diff positions accepted");
     }
 
     #[test]

@@ -411,52 +411,6 @@ impl GroupPlanEntry {
     }
 }
 
-/// One group within a cached merge plan: the representative member, the
-/// members folded into it (representative included), and the positions
-/// where member bodies differ (each backed by a parameter thunk slot).
-/// All indices are positions within the bucket's member list, which is
-/// ordered by method index and therefore stable across builds whose
-/// bucket content is unchanged.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MergePlanGroup {
-    /// Index (within the bucket's member list) of the representative
-    /// whose body becomes the shared merged island.
-    pub rep: u32,
-    /// Member indices folded into this group, sorted ascending; always
-    /// contains `rep` and at least two entries.
-    pub members: Vec<u32>,
-    /// Word positions where member bodies differ (parameter slots),
-    /// sorted ascending.
-    pub diff_positions: Vec<u32>,
-}
-
-/// One cached function-merge plan for a single structural bucket: which
-/// members merge into which groups and at which parameter positions.
-/// Keyed by the merge-config fingerprint plus the ordered member body
-/// hashes, so a hit proves every member body is unchanged and the plan
-/// replays bit-exactly — the merge analog of [`GroupPlanEntry`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MergePlanEntry {
-    /// Number of members the bucket had when the plan was computed
-    /// (bounds every index in `groups`).
-    pub member_count: u32,
-    /// The selected merge groups, in island-id order.
-    pub groups: Vec<MergePlanGroup>,
-}
-
-impl MergePlanEntry {
-    /// Approximate resident size in bytes (see
-    /// [`CacheEntry::approx_bytes`]).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let mut bytes = 64;
-        for g in &self.groups {
-            bytes += 48 + g.members.len() * 4 + g.diff_positions.len() * 4;
-        }
-        bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

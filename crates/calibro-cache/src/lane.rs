@@ -2,7 +2,7 @@
 //! cost-aware 2Q eviction and its own counter block, over the tiered
 //! read path memory → checksummed disk (promoting on a hit) → fleet
 //! peer. Written once, generically over [`LaneEntry`], and
-//! monomorphised per entry type — the three lanes of an
+//! monomorphised per entry type — the two lanes of an
 //! [`ArtifactStore`](crate::ArtifactStore) share every line of logic
 //! here and none of their state, so per-build stats stay attributable
 //! and pressure in one lane never evicts another.
@@ -152,9 +152,9 @@ impl<V: LaneEntry> Lane<V> {
     }
 
     /// The installed peer source and this lane's wire code; `None` for
-    /// a local-only lane or a store without a fleet.
+    /// a store without a fleet.
     fn peer(&self) -> Option<(&dyn PeerSource, PeerLane)> {
-        Some((self.peer.get()?.as_ref(), V::PEER_LANE?))
+        Some((self.peer.get()?.as_ref(), V::PEER_LANE))
     }
 
     /// Folds one peer outcome for a local miss into the lane. A frame
@@ -185,8 +185,7 @@ impl<V: LaneEntry> Lane<V> {
 
     /// Looks `key` up through every tier: memory first, then the disk
     /// layer (validating and promoting into memory on a disk hit), then
-    /// — for a lane with a [`PEER_LANE`](LaneEntry::PEER_LANE) in a
-    /// store with a [`PeerSource`] — a sibling shard's warm lane.
+    /// — in a store with a [`PeerSource`] — a sibling shard's warm lane.
     ///
     /// # Errors
     ///

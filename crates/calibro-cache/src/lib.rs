@@ -44,8 +44,7 @@ mod store;
 
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
 pub use entry::{
-    sequence_content_key, CacheEntry, GroupPlanEntry, MergePlanEntry, MergePlanGroup,
-    SymbolTemplate, LEADER_SEPARATOR,
+    sequence_content_key, CacheEntry, GroupPlanEntry, SymbolTemplate, LEADER_SEPARATOR,
 };
 pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};
@@ -57,4 +56,6 @@ pub use store::{ArtifactStore, CacheConfig, CacheStats};
 /// Schema salt folded into every cache key: the crate version plus a
 /// manually bumped counter for behavioural changes that do not move the
 /// version (e.g. a codegen fix). Keys from other schemas never match.
-pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s6");
+/// `+s7`: `BuildOptions`' wire row lost its `merge` field, so a row of
+/// the old schema could spell one of the new under other options.
+pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s7");

@@ -19,10 +19,7 @@ use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
 use crate::hash::CacheKey;
 
-/// The lanes that have a peer tier, in wire-code order. The merge-plan
-/// lane is absent on purpose: a plan is cheaper to recompute than a
-/// network exchange, so it stays local (memory + disk) and the fleet
-/// protocol has no code for it.
+/// The lanes that have a peer tier, in wire-code order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PeerLane {
     /// Per-method compile artifacts (`.calc` frames).

@@ -1,9 +1,9 @@
-//! The content-addressed artifact store: three [`Lane`]s — method
-//! artifacts, LTBO group plans, merge plans — over one configuration,
-//! one optional disk directory and one optional peer tier, plus the
-//! flat [`CacheStats`] snapshot of their counters. What a lane does,
-//! and how a peer failure degrades to a counted miss, is [`Lane`]'s
-//! story; this module only wires three of them together.
+//! The content-addressed artifact store: two [`Lane`]s — method
+//! artifacts and LTBO group plans — over one configuration, one
+//! optional disk directory and one optional peer tier, plus the flat
+//! [`CacheStats`] snapshot of their counters. What a lane does, and how
+//! a peer failure degrades to a counted miss, is [`Lane`]'s story; this
+//! module only wires the two together.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
 use crate::disk;
-use crate::entry::{CacheEntry, GroupPlanEntry, MergePlanEntry};
+use crate::entry::{CacheEntry, GroupPlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::lane::{Counter, Lane};
@@ -34,9 +34,6 @@ pub struct CacheConfig {
     /// In-memory byte budget of the group-plan lane, enforced
     /// independently of the method lane.
     pub group_budget_bytes: usize,
-    /// In-memory byte budget of the merge-plan lane, enforced
-    /// independently of the other lanes.
-    pub merge_budget_bytes: usize,
 }
 
 impl Default for CacheConfig {
@@ -46,7 +43,6 @@ impl Default for CacheConfig {
             disk_dir: None,
             method_budget_bytes: usize::MAX,
             group_budget_bytes: usize::MAX,
-            merge_budget_bytes: usize::MAX,
         }
     }
 }
@@ -56,7 +52,6 @@ impl Default for CacheConfig {
 enum LaneId {
     Method,
     Group,
-    Merge,
 }
 
 /// The counter table: the one place a [`CacheStats`] field is named.
@@ -66,6 +61,11 @@ enum LaneId {
 /// build-stats JSON `cache` object, the `ServerStats` wire body)
 /// iterates them. Row order is JSON key order and wire order — append,
 /// never reorder.
+///
+/// Three fields sit outside the table: `merge_hits`, `merge_misses` and
+/// `merge_evictions`, the counters of the retired merge-plan lane. They
+/// are always 0 and travel in no wire body; the JSON object ends with
+/// them because the benchmark harness still reads them by name.
 macro_rules! cache_stats {
     ($($(#[$doc:meta])* $field:ident = $lane:ident . $counter:ident,)*) => {
         /// A monotonic snapshot of store activity. Per-build numbers
@@ -74,6 +74,12 @@ macro_rules! cache_stats {
         #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
         pub struct CacheStats {
             $($(#[$doc])* pub $field: u64,)*
+            /// Always 0: the merge-plan lane is gone.
+            pub merge_hits: u64,
+            /// Always 0: the merge-plan lane is gone.
+            pub merge_misses: u64,
+            /// Always 0: the merge-plan lane is gone.
+            pub merge_evictions: u64,
         }
 
         impl CacheStats {
@@ -95,7 +101,7 @@ macro_rules! cache_stats {
             #[must_use]
             pub fn from_array(values: [u64; Self::LEN]) -> CacheStats {
                 let [$($field,)*] = values;
-                CacheStats { $($field,)* }
+                CacheStats { $($field,)* merge_hits: 0, merge_misses: 0, merge_evictions: 0 }
             }
         }
     };
@@ -155,23 +161,6 @@ cache_stats! {
     group_peer_errors = Group.PeerErrors,
     /// Cumulative detection cost (µs) of evicted group plans.
     group_evict_cost_us = Group.EvictCostUs,
-    /// Merge-plan lookups that found a plan (merge analysis skipped).
-    merge_hits = Merge.Hits,
-    /// Merge-plan lookups that found nothing (bucket re-analyzed).
-    merge_misses = Merge.Misses,
-    /// Merge plans inserted.
-    merge_stores = Merge.Stores,
-    /// Merge plans evicted by the capacity or byte budgets.
-    merge_evictions = Merge.Evictions,
-    /// Merge-plan lookups satisfied from the disk layer.
-    merge_disk_hits = Merge.DiskHits,
-    /// Merge plans persisted to the disk layer.
-    merge_disk_stores = Merge.DiskStores,
-    /// Merge-plan disk hits promoted into the in-memory map (see
-    /// [`promotions`](Self::promotions)).
-    merge_promotions = Merge.Promotions,
-    /// Cumulative analysis cost (µs) of evicted merge plans.
-    merge_evict_cost_us = Merge.EvictCostUs,
     /// Method-lane lock acquisitions that found the lock held by
     /// another thread (a contended shared-store access). Zero in
     /// single-build use; under a multi-tenant daemon this measures how
@@ -179,14 +168,13 @@ cache_stats! {
     lock_contention = Method.LockContention,
     /// Group-plan-lane lock acquisitions that found the lock held.
     group_lock_contention = Group.LockContention,
-    /// Merge-plan-lane lock acquisitions that found the lock held.
-    merge_lock_contention = Merge.LockContention,
 }
 
-// Every `CacheStats` field is a row of the counter table, which the stats
-// body transports by iteration: a field declared outside the table fails
-// compilation here instead of silently not being transported.
-const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * CacheStats::LEN);
+// Every `CacheStats` field but the three retired ones is a row of the
+// counter table, which the stats body transports by iteration: a field
+// declared outside the table fails compilation here instead of silently
+// not being transported.
+const _: () = assert!(core::mem::size_of::<CacheStats>() == 8 * (CacheStats::LEN + 3));
 
 /// The counters in table order, each decoded under its own name.
 impl Wire for CacheStats {
@@ -228,13 +216,20 @@ impl CacheStats {
         CacheStats::from_array(delta)
     }
 
-    /// The counters as a JSON object, keys in table order (hand
-    /// rolled — every value is numeric, so no escaping is needed).
+    /// The counters as a JSON object, keys in table order and then the
+    /// three retired merge-lane fields (hand rolled — every value is
+    /// numeric, so no escaping is needed).
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut json = String::with_capacity(32 * Self::LEN);
-        for (i, (name, value)) in Self::NAMES.iter().zip(self.to_array()).enumerate() {
+        let mut json = String::with_capacity(32 * (Self::LEN + 3));
+        let retired = [
+            ("merge_hits", self.merge_hits),
+            ("merge_misses", self.merge_misses),
+            ("merge_evictions", self.merge_evictions),
+        ];
+        let fields = Self::NAMES.into_iter().zip(self.to_array()).chain(retired);
+        for (i, (name, value)) in fields.enumerate() {
             let open = if i == 0 { '{' } else { ',' };
             write!(json, r#"{open}"{name}":{value}"#).expect("writing to a String cannot fail");
         }
@@ -260,18 +255,14 @@ impl CacheStats {
 /// The content-addressed store. Cheap to share: wrap in `Arc` or hold
 /// per `BuildSession`; all methods take `&self`.
 ///
-/// Three independent [`Lane`]s share the store — per-method compile
-/// artifacts ([`methods`](Self::methods)), per-group LTBO plans
-/// ([`groups`](Self::groups)) and per-bucket merge plans
-/// ([`merges`](Self::merges)) — each with its own lock, counters,
-/// eviction policy and byte budget, so per-build stats stay
-/// attributable and pressure in one lane never evicts another. The
-/// method and group lanes have a peer tier; the merge lane is
-/// local-only (see [`PeerLane`]).
+/// Two independent [`Lane`]s share the store — per-method compile
+/// artifacts ([`methods`](Self::methods)) and per-group LTBO plans
+/// ([`groups`](Self::groups)) — each with its own lock, counters,
+/// eviction policy, byte budget and peer tier, so per-build stats stay
+/// attributable and pressure in one lane never evicts the other.
 pub struct ArtifactStore {
     methods: Lane<CacheEntry>,
     groups: Lane<GroupPlanEntry>,
-    merges: Lane<MergePlanEntry>,
     config: CacheConfig,
 }
 
@@ -305,7 +296,6 @@ impl ArtifactStore {
         ArtifactStore {
             methods: Lane::new(max, config.method_budget_bytes, dir.clone()),
             groups: Lane::new(max, config.group_budget_bytes, dir.clone()),
-            merges: Lane::new(max, config.merge_budget_bytes, dir.clone()),
             config,
         }
     }
@@ -316,8 +306,7 @@ impl ArtifactStore {
     /// afterwards.
     pub fn set_peer_source(&self, source: Arc<dyn PeerSource>) {
         self.methods.set_peer_source(Arc::clone(&source));
-        self.groups.set_peer_source(Arc::clone(&source));
-        self.merges.set_peer_source(source);
+        self.groups.set_peer_source(source);
     }
 
     /// The per-method compile-artifact lane.
@@ -330,12 +319,6 @@ impl ArtifactStore {
     #[must_use]
     pub fn groups(&self) -> &Lane<GroupPlanEntry> {
         &self.groups
-    }
-
-    /// The per-bucket merge-plan lane (local-only: no peer tier).
-    #[must_use]
-    pub fn merges(&self) -> &Lane<MergePlanEntry> {
-        &self.merges
     }
 
     /// [`Lane::get`] on the method lane.
@@ -387,7 +370,7 @@ impl ArtifactStore {
     /// Best-effort like all disk writes: an unwritable directory
     /// flushes nothing and fails nothing. No-op without a `disk_dir`.
     pub fn flush_to_disk(&self) -> usize {
-        self.methods.flush_to_disk() + self.groups.flush_to_disk() + self.merges.flush_to_disk()
+        self.methods.flush_to_disk() + self.groups.flush_to_disk()
     }
 
     /// A snapshot of the cumulative counters.
@@ -396,7 +379,6 @@ impl ArtifactStore {
         CacheStats::from_array(CacheStats::SOURCES.map(|(lane, counter)| match lane {
             LaneId::Method => self.methods.count(counter),
             LaneId::Group => self.groups.count(counter),
-            LaneId::Merge => self.merges.count(counter),
         }))
     }
 }
@@ -404,9 +386,7 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::tests::{
-        sample_entry, sample_group, sample_merge, FIXTURE_KEY, STALE_FIXTURES,
-    };
+    use crate::disk::tests::{sample_entry, sample_group, FIXTURE_KEY, STALE_FIXTURES};
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
     use crate::peer::{PeerError, PeerFetch};
 
@@ -449,19 +429,6 @@ mod tests {
         }
         fn budget(config: &mut CacheConfig) -> &mut usize {
             &mut config.group_budget_bytes
-        }
-    }
-
-    impl Sample for MergePlanEntry {
-        const PREFIX: &'static str = "merge_";
-        fn make(n: u32) -> Self {
-            MergePlanEntry { member_count: 5 + n, ..sample_merge() }
-        }
-        fn lane(store: &ArtifactStore) -> &Lane<Self> {
-            store.merges()
-        }
-        fn budget(config: &mut CacheConfig) -> &mut usize {
-            &mut config.merge_budget_bytes
         }
     }
 
@@ -522,12 +489,11 @@ mod tests {
         for n in 0..4 {
             tight.methods().insert(key(n), Sample::make(n as u32));
             tight.groups().insert(key(n), Sample::make(n as u32));
-            tight.merges().insert(key(n), Sample::make(n as u32));
         }
         assert_eq!(V::lane(&tight).len(), 1, "{ext}: byte budget must evict");
         assert_eq!(stats::<V, 1>(&tight, ["evictions"]), [3]);
         let s = tight.stats();
-        let evicted = s.evictions + s.group_evictions + s.merge_evictions;
+        let evicted = s.evictions + s.group_evictions;
         assert_eq!(evicted, 3, "{ext}: pressure leaked into a sibling lane");
 
         // Entries persist across store instances, and a disk hit is a
@@ -547,7 +513,6 @@ mod tests {
         let found = [
             second.methods().get(key(7)).unwrap().is_some(),
             second.groups().get(key(7)).unwrap().is_some(),
-            second.merges().get(key(7)).unwrap().is_some(),
         ];
         assert_eq!(found.iter().filter(|&&f| f).count(), 1, "{ext}: lanes alias on disk");
         drop(second);
@@ -652,10 +617,10 @@ mod tests {
         store
     }
 
-    /// The contract of the peer tier, for every lane that has one.
+    /// The contract of the peer tier, for every lane.
     fn peer_contract<V: Sample>() {
         let ext = V::EXT;
-        let wire = V::PEER_LANE.expect("a peer-capable lane");
+        let wire = V::PEER_LANE;
 
         // A peer hit fills memory and counts once; it is not a store
         // and skips the insert-time disk write.
@@ -721,21 +686,8 @@ mod tests {
     per_lane! {
         method_lane_keeps_the_lane_contract = lane_contract::<CacheEntry>;
         group_lane_keeps_the_lane_contract = lane_contract::<GroupPlanEntry>;
-        merge_lane_keeps_the_lane_contract = lane_contract::<MergePlanEntry>;
         method_lane_keeps_the_peer_contract = peer_contract::<CacheEntry>;
         group_lane_keeps_the_peer_contract = peer_contract::<GroupPlanEntry>;
-    }
-
-    #[test]
-    fn merge_lane_never_consults_the_peer_source() {
-        const { assert!(MergePlanEntry::PEER_LANE.is_none()) };
-        let store = peered(ArtifactStore::default(), |lane, _| {
-            panic!("the merge lane asked the peer tier (as {lane:?})")
-        });
-        assert!(store.merges().get(key(1)).unwrap().is_none());
-        assert!(store.merges().get_many(&[key(1), key(2)]).unwrap().iter().all(Option::is_none));
-        assert_eq!(store.stats().merge_misses, 3);
-        assert_eq!(activity(&store), 3);
     }
 
     /// A cache directory written at any other format version (here the
@@ -768,25 +720,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // The same bytes from a peer are a counted peer error.
-        if V::PEER_LANE.is_some() {
-            let stale = PeerFrame { frame: stale.to_vec(), cost_us: 5 };
-            let store = peered(ArtifactStore::default(), move |_, _| Ok(Some(stale.clone())));
-            assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
-            assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
-        }
+        let stale = PeerFrame { frame: stale.to_vec(), cost_us: 5 };
+        let store = peered(ArtifactStore::default(), move |_, _| Ok(Some(stale.clone())));
+        assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
+        assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
     }
 
     per_lane! {
         method_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<CacheEntry>;
         group_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<GroupPlanEntry>;
-        merge_lane_reads_a_stale_version_as_a_miss = stale_version_contract::<MergePlanEntry>;
     }
 
     #[test]
     fn counter_table_keeps_the_wire_and_json_order() {
         // Recorded from the 45-argument `format!` / wire destructuring
         // the table replaced, less the twelve rows of the dictionary lane
-        // removed since. Append to both; never reorder.
+        // and the nine of the merge-plan lane removed since. Append to
+        // both; never reorder.
         #[rustfmt::skip]
         let order = [
             "hits", "misses", "stores", "evictions", "disk_hits", "disk_stores", "promotions",
@@ -794,25 +744,25 @@ mod tests {
             "group_hits", "group_misses", "group_stores", "group_evictions", "group_disk_hits",
             "group_disk_stores", "group_promotions", "group_peer_hits", "group_peer_misses",
             "group_peer_errors", "group_evict_cost_us",
-            "merge_hits", "merge_misses", "merge_stores", "merge_evictions", "merge_disk_hits",
-            "merge_disk_stores", "merge_promotions", "merge_evict_cost_us",
-            "lock_contention", "group_lock_contention", "merge_lock_contention",
+            "lock_contention", "group_lock_contention",
         ];
         assert_eq!(CacheStats::NAMES, order);
         let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
         let s = CacheStats::from_array(ramp);
         assert_eq!(s.to_array(), ramp);
-        assert_eq!((s.hits, s.group_hits, s.merge_hits), (1, 12, 23));
-        assert_eq!(
-            (s.merge_evict_cost_us, s.lock_contention, s.merge_lock_contention),
-            (30, 31, 33)
-        );
-        // The JSON object `BuildStats::to_json` embeds, key for key.
+        assert_eq!((s.hits, s.group_hits, s.group_evict_cost_us), (1, 12, 22));
+        assert_eq!((s.lock_contention, s.group_lock_contention), (23, 24));
+        assert_eq!((s.merge_hits, s.merge_misses, s.merge_evictions), (0, 0, 0));
+        // The JSON object `BuildStats::to_json` embeds, key for key, and
+        // then the retired fields.
         let json = s.to_json();
         assert!(json.starts_with(r#"{"hits":1,"misses":2,"stores":3,"evictions":4,"disk_hits":5,"#));
-        assert!(json.ends_with(r#","group_lock_contention":32,"merge_lock_contention":33}"#));
+        assert!(json.ends_with(
+            r#","group_lock_contention":24,"merge_hits":0,"merge_misses":0,"merge_evictions":0}"#
+        ));
         let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
-        assert_eq!(keys, order);
+        assert_eq!(keys[..order.len()], order);
+        assert_eq!(keys[order.len()..], ["merge_hits", "merge_misses", "merge_evictions"]);
         let doubled = CacheStats::from_array(ramp.map(|v| 2 * v));
         assert_eq!(doubled.since(&s), s);
         assert!((CacheStats { hits: 1, misses: 1, ..s }.hit_rate() - 0.5).abs() < 1e-9);
@@ -823,28 +773,34 @@ mod tests {
     }
 
     #[test]
-    fn a_file_of_the_retired_dictionary_lane_is_ignored() {
-        // That lane's frames (magic `CALD`, extension `cald`) may outlive
-        // it in a cache directory: no lane reads one, and neither the tmp
+    fn a_file_of_a_retired_lane_is_ignored() {
+        // The dictionary lane's frames (magic `CALD`, extension `cald`)
+        // and the merge-plan lane's (`CALM`, `calm`) may outlive them in
+        // a cache directory: no lane reads one, and neither the tmp
         // sweep nor the drain flush touches it.
-        let dir = fresh_dir("retired-lane");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(FIXTURE_KEY.to_hex()).with_extension("cald");
-        let mut frame = to_frame(FIXTURE_KEY, &sample_group());
-        frame[..4].copy_from_slice(b"CALD");
-        std::fs::write(&path, &frame).unwrap();
+        for (ext, magic) in [("cald", b"CALD"), ("calm", b"CALM")] {
+            let dir = fresh_dir(&format!("retired-{ext}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(FIXTURE_KEY.to_hex()).with_extension(ext);
+            let mut frame = to_frame(FIXTURE_KEY, &sample_group());
+            frame[..4].copy_from_slice(magic);
+            std::fs::write(&path, &frame).unwrap();
 
-        let store = disk_store(&dir);
-        assert!(store.methods().get(FIXTURE_KEY).unwrap().is_none());
-        assert!(store.groups().get(FIXTURE_KEY).unwrap().is_none());
-        assert!(store.merges().get(FIXTURE_KEY).unwrap().is_none());
-        let s = store.stats();
-        assert_eq!((s.misses, s.group_misses, s.merge_misses), (1, 1, 1));
-        assert_eq!(activity(&store), 3, "a leftover frame counted as more than misses");
-        assert_eq!(store.flush_to_disk(), 0);
-        drop(store);
-        assert_eq!(std::fs::read(&path).unwrap(), frame, "the leftover file was touched");
-        let _ = std::fs::remove_dir_all(&dir);
+            let store = disk_store(&dir);
+            assert!(store.methods().get(FIXTURE_KEY).unwrap().is_none());
+            assert!(store.groups().get(FIXTURE_KEY).unwrap().is_none());
+            let s = store.stats();
+            assert_eq!((s.misses, s.group_misses), (1, 1), "{ext}");
+            assert_eq!(activity(&store), 2, "{ext}: a leftover frame counted as more than misses");
+            assert_eq!(store.flush_to_disk(), 0);
+            drop(store);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                frame,
+                "{ext}: the leftover file was touched"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -46,11 +46,6 @@ pub enum CallTarget {
     Thunk(ThunkKind),
     /// A link-time outlined function, by index (created by LTBO, §3.3.3).
     Outlined(u32),
-    /// A merged-function island, by index (created by the function-merge
-    /// size pass; cf. the global function merger of PAPERS.md). A thunk
-    /// materializes the member's distinguishing constants into parameter
-    /// registers and tail-branches here.
-    Merged(u32),
     /// A shared-dictionary body in the daemon-wide dictionary island, by
     /// word offset within that island. Unlike [`Outlined`](Self::Outlined)
     /// the body lives outside this OAT, emitted once per daemon and
@@ -244,10 +239,6 @@ impl Wire for CallTarget {
                 w.u8(4);
                 i.put(w);
             }
-            CallTarget::Merged(i) => {
-                w.u8(5);
-                i.put(w);
-            }
             CallTarget::Dict(i) => {
                 w.u8(6);
                 i.put(w);
@@ -262,7 +253,6 @@ impl Wire for CallTarget {
             2 => CallTarget::Thunk(ThunkKind::RuntimeEntry(Wire::get(r, what)?)),
             3 => CallTarget::Thunk(ThunkKind::StackCheck),
             4 => CallTarget::Outlined(Wire::get(r, what)?),
-            5 => CallTarget::Merged(Wire::get(r, what)?),
             6 => CallTarget::Dict(Wire::get(r, what)?),
             tag => return Err(WireError::InvalidTag { what, tag }),
         })

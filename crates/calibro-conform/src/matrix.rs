@@ -22,18 +22,14 @@ pub fn baseline_options() -> BuildOptions {
     BuildOptions::baseline()
 }
 
-/// The outlining arms of the matrix — the size-pass compositions
-/// `none / merge / outline / both` (plus the parallel-LTBO variant of
-/// the outline arm): no size pass, CTO only, CTO + global LTBO,
-/// CTO + parallel LTBO (PlOpti), CTO + merge, CTO + merge + LTBO.
+/// The outlining arms of the matrix: no outlining, CTO only, CTO +
+/// global LTBO, CTO + parallel LTBO (PlOpti).
 fn outlining_arms() -> Vec<(&'static str, BuildOptions)> {
     vec![
         ("plain", BuildOptions::baseline()),
         ("cto", BuildOptions::cto()),
         ("ltbo-global", BuildOptions::cto_ltbo()),
         ("ltbo-par", BuildOptions::cto_ltbo_parallel(4, 2)),
-        ("merge", BuildOptions::cto_merge()),
-        ("merge-ltbo", BuildOptions::cto_merge_ltbo()),
     ]
 }
 
@@ -81,10 +77,8 @@ mod tests {
     #[test]
     fn matrix_covers_every_ltbo_mode_and_thread_count() {
         let rows = full_matrix();
-        assert_eq!(rows.len(), 6 * 4 * 2);
+        assert_eq!(rows.len(), 4 * 4 * 2);
         assert!(rows.iter().any(|v| v.options.ltbo == Some(LtboMode::Global)));
-        assert!(rows.iter().any(|v| v.options.merge.is_some() && v.options.ltbo.is_none()));
-        assert!(rows.iter().any(|v| v.options.merge.is_some() && v.options.ltbo.is_some()));
         assert!(rows
             .iter()
             .any(|v| matches!(v.options.ltbo, Some(LtboMode::Parallel { groups: 4, threads: 2 }))));

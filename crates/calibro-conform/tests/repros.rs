@@ -68,35 +68,3 @@ fn conform_repro_cse_self_overwrite_full_matrix() {
     let program = Program::from_parts("motif-app-42", dex, env, trace);
     check_program(&program, &calibro_conform::full_matrix()).expect("agrees everywhere");
 }
-
-/// Pins the merge-thunk calling convention end to end. The hazard this
-/// guards: a merged member becomes a parameter thunk (`movz`/`movn`
-/// into x16/x17, then `b` island) whose correctness depends on the
-/// `bl`-installed return address in `lr` surviving until the island's
-/// `ret`. If LTBO were allowed to outline the thunk's mov run behind a
-/// `bl`, the outliner's own call would clobber `lr` and the island
-/// would return into the thunk — caught here both by the differential
-/// oracle (wrong control flow) and by structural invariant 6 (a `bl`
-/// entering an island). Thunks are therefore flagged unoutlinable; this
-/// test drives a clone-heavy program through every matrix row with an
-/// aggressive `min_seq_len` so the outliner sees the thunk bodies as
-/// tempting material, and demands zero divergences plus actual merging.
-#[test]
-fn conform_repro_merge_thunk_survives_aggressive_outlining() {
-    use calibro_workloads::{generate, AppSpec};
-
-    let app = generate(&AppSpec { clone_families: 8, ..AppSpec::small("thunk-lr", 77) });
-    let program = Program::from_parts("thunk-lr-77", app.dex, app.env, app.trace);
-
-    // The merge+outline arm must actually merge on this program —
-    // otherwise the matrix sweep below proves nothing about thunks.
-    let both = calibro::build(&program.dex, &calibro::BuildOptions::cto_merge_ltbo())
-        .expect("merge+outline build");
-    assert!(both.stats.merge.merged_methods >= 2, "clone families must merge");
-
-    let mut rows = calibro_conform::full_matrix();
-    for row in &mut rows {
-        row.options.min_seq_len = 2;
-    }
-    check_program(&program, &rows).expect("no divergence under aggressive outlining");
-}

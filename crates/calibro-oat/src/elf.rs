@@ -7,8 +7,8 @@
 //! is the paper's Table 4 measurement.
 //!
 //! `.oatdata` is a magic, then rows of the workspace's one codec
-//! ([`calibro_dex::wire`]): the load address and the five record
-//! tables, each record its `Wire` row. The ELF headers around it are
+//! ([`calibro_dex::wire`]): the load address and the record tables,
+//! each record its `Wire` row. The ELF headers around it are
 //! written and read with the same `Writer` and `Reader`, so every byte
 //! of the image passes one bounds-checked reader.
 
@@ -21,7 +21,11 @@ use crate::file::OatFile;
 const EM_AARCH64: u16 = 0xb7;
 // Version 2: merged-island records follow the outlined records.
 // Version 3: the shared-dictionary link record follows the merged records.
+// Function merging is gone, but version 3 stands: its merged-island table
+// is written empty, a zero count, and read back only as one.
 const MAGIC: &[u8; 8] = b"CALOAT3\0";
+/// Bytes of the retired merged-island table: its `u32` count, always 0.
+const RETIRED_MERGED: usize = 4;
 const TEXT_FILE_OFFSET: u64 = 0x1000;
 
 /// A failure while loading an ELF-serialized OAT file.
@@ -58,13 +62,13 @@ impl std::error::Error for LoadError {}
 /// output.
 #[must_use]
 pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
-    let OatFile { base_address, words, methods, thunks, outlined, merged, dict } = oat;
+    let OatFile { base_address, words, methods, thunks, outlined, dict } = oat;
     let oatdata_len = MAGIC.len()
         + base_address.encoded_len()
         + methods.encoded_len()
         + thunks.encoded_len()
         + outlined.encoded_len()
-        + merged.encoded_len()
+        + RETIRED_MERGED
         + dict.encoded_len();
 
     let text_len = words.len() as u64 * 4;
@@ -114,7 +118,7 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     methods.put(&mut w);
     thunks.put(&mut w);
     outlined.put(&mut w);
-    merged.put(&mut w);
+    w.u32(0);
     dict.put(&mut w);
     let buf = w.buf_mut();
     debug_assert_eq!(
@@ -190,15 +194,18 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
     if r.take(MAGIC.len(), "magic")? != MAGIC {
         return Err(LoadError::BadMagic);
     }
-    let oat = OatFile {
-        base_address: Wire::get(&mut r, "base_address")?,
-        words: words.collect(),
-        methods: Wire::get(&mut r, "methods")?,
-        thunks: Wire::get(&mut r, "thunks")?,
-        outlined: Wire::get(&mut r, "outlined")?,
-        merged: Wire::get(&mut r, "merged")?,
-        dict: Wire::get(&mut r, "dict")?,
-    };
+    let base_address = Wire::get(&mut r, "base_address")?;
+    let methods = Wire::get(&mut r, "methods")?;
+    let thunks = Wire::get(&mut r, "thunks")?;
+    let outlined = Wire::get(&mut r, "outlined")?;
+    match r.u32("merged")? {
+        0 => {}
+        len => {
+            return Err(WireError::OversizedCollection { what: "merged", len: len.into() }.into())
+        }
+    }
+    let dict = Wire::get(&mut r, "dict")?;
+    let oat = OatFile { base_address, words: words.collect(), methods, thunks, outlined, dict };
     r.finish()?;
     Ok(oat)
 }
@@ -208,7 +215,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::file::{DictLink, MergedRecord, OatMethodRecord, OutlinedRecord, ThunkRecord};
+    use crate::file::{DictLink, OatMethodRecord, OutlinedRecord, ThunkRecord};
     use calibro_codegen::{MethodMetadata, PcRel, StackMapEntry, ThunkKind};
     use calibro_dex::wire::{encode, SeqElem};
     use calibro_dex::MethodId;
@@ -243,7 +250,6 @@ mod tests {
                 size_words: 1,
             }],
             outlined: vec![OutlinedRecord { offset: 12, size_words: 0 }],
-            merged: vec![MergedRecord { offset: 12, size_words: 0 }],
             dict: Some(DictLink {
                 base_address: crate::file::DICT_BASE_ADDRESS,
                 epoch: 3,
@@ -269,8 +275,6 @@ mod tests {
         assert_eq!(a.stack_maps, b.stack_maps);
         assert_eq!(back.thunks[0].kind, ThunkKind::RuntimeEntry(0x108));
         assert_eq!(back.outlined[0].offset, 12);
-        assert_eq!(back.merged.len(), 1);
-        assert_eq!(back.merged[0].offset, 12);
         assert_eq!(back.dict, oat.dict);
     }
 
@@ -289,7 +293,6 @@ mod tests {
         });
         smallest(ThunkRecord { kind: ThunkKind::JavaEntry, offset: 0, size_words: 0 });
         smallest(OutlinedRecord { offset: 0, size_words: 0 });
-        smallest(MergedRecord { offset: 0, size_words: 0 });
     }
 
     #[test]
@@ -307,5 +310,24 @@ mod tests {
         let mut bytes = to_elf_bytes(&sample());
         bytes.truncate(bytes.len() / 2);
         assert!(from_elf_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_merged_island_record_is_refused() {
+        let oat = sample();
+        let mut bytes = to_elf_bytes(&oat);
+        let at = TEXT_FILE_OFFSET as usize
+            + oat.words.len() * 4
+            + MAGIC.len()
+            + oat.base_address.encoded_len()
+            + oat.methods.encoded_len()
+            + oat.thunks.encoded_len()
+            + oat.outlined.encoded_len();
+        assert_eq!(bytes[at..at + RETIRED_MERGED], [0; RETIRED_MERGED]);
+        bytes[at] = 1;
+        assert_eq!(
+            from_elf_bytes(&bytes).unwrap_err(),
+            LoadError::Malformed(WireError::OversizedCollection { what: "merged", len: 1 })
+        );
     }
 }

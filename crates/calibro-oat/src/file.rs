@@ -111,16 +111,6 @@ pub struct OutlinedRecord {
     pub size_words: u32,
 }
 
-/// A linked merged-function island (the shared body a set of
-/// near-identical methods was folded into by the merge size pass).
-#[derive(Clone, Debug)]
-pub struct MergedRecord {
-    /// Byte offset within the text segment.
-    pub offset: u64,
-    /// Size in words (body + the `ret` return).
-    pub size_words: u32,
-}
-
 /// A linked OAT file.
 #[derive(Clone, Debug)]
 pub struct OatFile {
@@ -134,8 +124,6 @@ pub struct OatFile {
     pub thunks: Vec<ThunkRecord>,
     /// LTBO outlined functions.
     pub outlined: Vec<OutlinedRecord>,
-    /// Merged-function islands.
-    pub merged: Vec<MergedRecord>,
     /// The shared dictionary island this OAT links against, when any
     /// relocation targets the dictionary.
     pub dict: Option<DictLink>,
@@ -195,12 +183,10 @@ impl OatFile {
         h
     }
 
-    /// Total words attributable to outlined functions, merged islands
-    /// and thunks (diagnostics for the experiment harness).
+    /// Total words attributable to outlined functions and thunks (diagnostics for the experiment harness).
     #[must_use]
     pub fn outlined_words(&self) -> usize {
         self.outlined.iter().map(|o| o.size_words as usize).sum::<usize>()
-            + self.merged.iter().map(|m| m.size_words as usize).sum::<usize>()
             + self.thunks.iter().map(|t| t.size_words as usize).sum::<usize>()
     }
 }
@@ -213,7 +199,6 @@ impl OatFile {
 wire_fields!(OatMethodRecord { method, offset, insn_words, code_words, metadata, stack_maps });
 wire_fields!(ThunkRecord { kind, offset, size_words });
 wire_fields!(OutlinedRecord { offset, size_words });
-wire_fields!(MergedRecord { offset, size_words });
 wire_fields!(DictLink { base_address, epoch, size_words });
 
 // A method record's smallest form: its id, offset and two counts, four
@@ -222,7 +207,6 @@ wire_seq!(
     OatMethodRecord: 4 + 8 + 4 + 4 + (4 + 4 + 4 + 1 + 1 + 4) + 4,
     ThunkRecord: (1 + 2) + 8 + 4,
     OutlinedRecord: 8 + 4,
-    MergedRecord: 8 + 4,
 );
 
 #[cfg(test)]
@@ -253,7 +237,6 @@ mod tests {
             ],
             thunks: vec![],
             outlined: vec![],
-            merged: vec![],
             dict: None,
         }
     }

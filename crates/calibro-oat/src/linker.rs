@@ -8,24 +8,8 @@ use std::fmt;
 use calibro_codegen::{thunk_code, CallTarget, CompiledMethod, Reloc, ThunkKind};
 use calibro_isa::{decode, EncodeError, Insn};
 
-use crate::file::{
-    DictImage, DictLink, MergedRecord, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord,
-};
+use crate::file::{DictImage, DictLink, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord};
 use crate::rewrite::{removed_words, MethodEdits, RewriteStats, Rewriter};
-
-/// A merged-function island: the shared body a set of near-identical
-/// methods tail-branch into, addressed by `CallTarget::Merged(i)`.
-/// Unlike outlined sequences, an island is a whole function body and may
-/// itself carry call relocations (e.g. CTO thunk calls), which the
-/// linker patches like any method's.
-#[derive(Clone, Debug)]
-pub struct MergedBody {
-    /// The island's code, ending in a return: one encoded word per
-    /// instruction, call sites as their placeholder.
-    pub words: Vec<u32>,
-    /// Call-site relocations within the island.
-    pub relocs: Vec<Reloc>,
-}
 
 /// Input to the linker: every body as its words, and the edits the
 /// outline pass planned for the methods.
@@ -42,8 +26,6 @@ pub struct LinkInput {
     /// LTBO outlined functions' words, addressed by
     /// `CallTarget::Outlined(i)`.
     pub outlined: Vec<Vec<u32>>,
-    /// Merged-function islands, addressed by `CallTarget::Merged(i)`.
-    pub merged: Vec<MergedBody>,
 }
 
 /// A linking failure.
@@ -54,9 +36,7 @@ pub enum LinkError {
     MisorderedMethod { index: usize },
     /// A relocation references a missing method or outlined function.
     UnresolvedTarget { method: usize, at: usize },
-    /// A relocation site is not a `bl` (or, for merge thunk tails and
-    /// islands, a `b`) instruction. For island relocations, `method` is
-    /// `methods.len() + island index`.
+    /// A relocation site is not a `bl` instruction.
     NotACallSite { method: usize, at: usize },
     /// A thunk did not land at the offset its callers were bound to (an
     /// internal layout inconsistency, surfaced as an error rather than
@@ -76,7 +56,7 @@ impl fmt::Display for LinkError {
                 write!(f, "method {method}: unresolved call target at word {at}")
             }
             LinkError::NotACallSite { method, at } => {
-                write!(f, "method {method}: relocation at word {at} is not a bl or b")
+                write!(f, "method {method}: relocation at word {at} is not a bl")
             }
             LinkError::MissingThunk { kind } => {
                 write!(f, "thunk {kind:?} was not laid out where its callers were bound")
@@ -96,12 +76,11 @@ impl From<EncodeError> for LinkError {
 
 /// Links the input into a final [`OatFile`] at `base_address`.
 ///
-/// Layout: methods in id order, then outlined functions, then merged
-/// islands, then one copy of each CTO thunk referenced by any
-/// relocation (the §3.1 pattern cache, materialized). An empty `merged`
-/// list leaves the layout byte-identical to a pre-merge link.
+/// Layout: methods in id order, then outlined functions, then one copy
+/// of each CTO thunk referenced by any relocation (the §3.1 pattern
+/// cache, materialized).
 ///
-/// Every method, outlined function and island is sized from its words
+/// Every method and outlined function is sized from its words
 /// (a method's less the words its edits remove) and written into the
 /// text segment once: a method with edits as [`Rewriter::rewrite`]
 /// rewrites it, whose remapped metadata and stack maps go into its
@@ -155,20 +134,17 @@ pub fn link_with_stats(
     base_address: u64,
     dict: Option<&DictImage>,
 ) -> Result<(OatFile, RewriteStats), LinkError> {
-    let LinkInput { methods, edits, outlined, merged } = input;
+    let LinkInput { methods, edits, outlined } = input;
     let mut dict_used = edits.edits.iter().any(|e| matches!(e.target, CallTarget::Dict(_)));
     // --- Collect referenced thunks (sorted for determinism). -----------
     // A handful of kinds against tens of thousands of relocations: a
     // small table scanned per relocation, sorted once.
     let mut thunk_kinds: Vec<ThunkKind> = Vec::new();
-    for relocs in methods.iter().map(|m| &m.relocs[..]).chain(merged.iter().map(|b| &b.relocs[..]))
-    {
-        for r in relocs {
-            match r.target {
-                CallTarget::Thunk(kind) if !thunk_kinds.contains(&kind) => thunk_kinds.push(kind),
-                CallTarget::Dict(_) => dict_used = true,
-                _ => {}
-            }
+    for r in methods.iter().flat_map(|m| m.relocs.iter()) {
+        match r.target {
+            CallTarget::Thunk(kind) if !thunk_kinds.contains(&kind) => thunk_kinds.push(kind),
+            CallTarget::Dict(_) => dict_used = true,
+            _ => {}
         }
     }
     thunk_kinds.sort_unstable();
@@ -188,11 +164,6 @@ pub fn link_with_stats(
         outlined_offsets.push(offset);
         offset += o.len() as u64 * 4;
     }
-    let mut merged_offsets = Vec::with_capacity(merged.len());
-    for b in &merged {
-        merged_offsets.push(offset);
-        offset += b.words.len() as u64 * 4;
-    }
     // Sorted by kind, so a relocation's thunk is a binary search away.
     let mut thunks: Vec<(ThunkKind, u64, Vec<Insn>)> = Vec::with_capacity(thunk_kinds.len());
     for kind in thunk_kinds {
@@ -211,7 +182,6 @@ pub fn link_with_stats(
                 .map(|i| thunks[i].1)
                 .map_err(|_| unresolved),
             CallTarget::Outlined(i) => outlined_offsets.get(i as usize).copied().ok_or(unresolved),
-            CallTarget::Merged(i) => merged_offsets.get(i as usize).copied().ok_or(unresolved),
             // Dictionary bodies live outside this OAT. Resolve to a
             // pseudo-offset relative to our own base, so the patch
             // below (`target - site`, both base-relative) yields the
@@ -226,34 +196,28 @@ pub fn link_with_stats(
             },
         }
     };
-    // Call sites carry a placeholder `bl` (or, for merge thunk tails,
-    // `b`), so the body's words hold a valid word there and this
-    // overwrites it with the resolved offset, preserving the site's
-    // mnemonic. `site` names the body in errors, `code_start` is its
-    // offset and `body` its words in the text segment — the one place a
-    // site is checked.
+    // Call sites carry a placeholder `bl`, so the body's words hold a
+    // valid word there and this overwrites it with the resolved offset.
+    // `site` names the method in errors, `code_start` is its offset and
+    // `body` its words in the text segment — the one place a site is
+    // checked.
     let patch_calls = |site: usize,
                        relocs: &[Reloc],
                        code_start: u64,
                        body: &mut [u32]|
      -> Result<(), LinkError> {
         for r in relocs {
-            let is_link = match body.get(r.at).map(|&word| decode(word)) {
-                Some(Ok(Insn::Bl { .. })) => true,
-                Some(Ok(Insn::B { .. })) => false,
-                _ => return Err(LinkError::NotACallSite { method: site, at: r.at }),
-            };
+            if !matches!(body.get(r.at).map(|&word| decode(word)), Some(Ok(Insn::Bl { .. }))) {
+                return Err(LinkError::NotACallSite { method: site, at: r.at });
+            }
             let target = resolve(site, r)?;
             let insn_addr = code_start + r.at as u64 * 4;
-            let rel = target as i64 - insn_addr as i64;
-            let patched = if is_link { Insn::Bl { offset: rel } } else { Insn::B { offset: rel } };
-            body[r.at] = patched.encode()?;
+            body[r.at] = Insn::Bl { offset: target as i64 - insn_addr as i64 }.encode()?;
         }
         Ok(())
     };
 
     // --- Write every body's words, apply edits and patch calls. ---------
-    let method_count = methods.len();
     let mut words = Vec::with_capacity((offset / 4) as usize);
     let mut records = Vec::with_capacity(methods.len());
     let (mut rewriter, mut stats) = (Rewriter::default(), RewriteStats::default());
@@ -290,17 +254,6 @@ pub fn link_with_stats(
         outlined_records.push(OutlinedRecord { offset: off, size_words: o.len() as u32 });
     }
 
-    let mut merged_records = Vec::with_capacity(merged.len());
-    for (island, (b, &off)) in merged.iter().zip(&merged_offsets).enumerate() {
-        let start_word = words.len();
-        words.extend_from_slice(&b.words);
-        // Islands carry whole function bodies, so they are patched
-        // exactly like methods; errors report the site as
-        // `methods.len() + island`.
-        patch_calls(method_count + island, &b.relocs, off, &mut words[start_word..])?;
-        merged_records.push(MergedRecord { offset: off, size_words: b.words.len() as u32 });
-    }
-
     let mut thunk_records = Vec::with_capacity(thunks.len());
     for (kind, off, code) in &thunks {
         // The relocations were resolved against `off`; the thunk has to
@@ -324,7 +277,6 @@ pub fn link_with_stats(
         methods: records,
         thunks: thunk_records,
         outlined: outlined_records,
-        merged: merged_records,
         dict: dict.filter(|_| dict_used).map(|d| DictLink {
             base_address: d.base_address,
             epoch: d.epoch,
@@ -519,48 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_islands_are_linked_and_their_relocs_patched() {
-        let opts = CodegenOptions { cto: false, collect_metadata: true };
-        let mut m = with_id(simple_method("a", None, &opts), 0);
-        // A merge thunk tail: `b` into island 0.
-        let at = push_insn(&mut m, Insn::B { offset: 0 });
-        add_reloc(&mut m, at, CallTarget::Merged(0));
-        // The island itself calls a CTO thunk, so the linker must both
-        // emit the thunk and patch the island-internal `bl`.
-        let island = MergedBody {
-            words: calibro_isa::encode_words(&[
-                Insn::Bl { offset: 0 },
-                Insn::Nop,
-                Insn::Ret { rn: Reg::LR },
-            ])
-            .unwrap(),
-            relocs: vec![calibro_codegen::Reloc {
-                at: 0,
-                target: CallTarget::Thunk(calibro_codegen::ThunkKind::StackCheck),
-            }],
-        };
-        let input = LinkInput { methods: vec![m], merged: vec![island], ..Default::default() };
-        let oat = link(input, 0x1000).unwrap();
-        assert_eq!(oat.merged.len(), 1);
-        assert_eq!(oat.merged[0].size_words, 3);
-        assert_eq!(oat.thunks.len(), 1);
-        // The method's tail `b` reaches the island.
-        let tail = oat.methods[0].insn_words as usize - 1;
-        let Ok(Insn::B { offset }) = decode(oat.words[tail]) else {
-            panic!("tail word did not decode as b")
-        };
-        let addr = oat.base_address + tail as u64 * 4;
-        assert_eq!(addr.wrapping_add(offset as u64), oat.base_address + oat.merged[0].offset);
-        // The island's `bl` reaches the thunk.
-        let island_word = (oat.merged[0].offset / 4) as usize;
-        let Ok(Insn::Bl { offset }) = decode(oat.words[island_word]) else {
-            panic!("island word 0 did not decode as bl")
-        };
-        let addr = oat.base_address + oat.merged[0].offset;
-        assert_eq!(addr.wrapping_add(offset as u64), oat.base_address + oat.thunks[0].offset);
-    }
-
-    #[test]
     fn edits_are_applied_as_a_method_is_written_and_an_unedited_record_shares_its_tables() {
         use crate::rewrite::Edit;
         use calibro_codegen::MethodMetadata;
@@ -588,7 +498,7 @@ mod tests {
             bounds: vec![0, 1, 1],
         };
         let outlined = vec![calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()];
-        let input = LinkInput { methods: vec![edited, other], edits, outlined, merged: vec![] };
+        let input = LinkInput { methods: vec![edited, other], edits, outlined };
         let (oat, stats) = link_with_stats(input, 0x1000, None).unwrap();
 
         let (record, record_1) = (&oat.methods[0], &oat.methods[1]);

@@ -63,25 +63,6 @@ pub enum StructureError {
         /// Index into [`OatFile::outlined`].
         index: usize,
     },
-    /// A merged island does not end in a `ret`, so control could fall
-    /// through into a neighbour.
-    MergedNoReturn {
-        /// Index into [`OatFile::merged`].
-        index: usize,
-    },
-    /// A branch from outside enters a merged island anywhere but its
-    /// head, or enters it with a linking branch. The merge thunk calling
-    /// convention is a plain `b` to the island's first word (the thunk's
-    /// `bl`-installed return address must survive into the island's
-    /// `ret`), so any other entry is a miscompile.
-    MergedBadEntry {
-        /// Symbol the offending branch belongs to.
-        symbol: String,
-        /// Word index of the branch within the text segment.
-        word: usize,
-        /// The absolute target address.
-        target: u64,
-    },
     /// A segment the file places — its text, or the dictionary island
     /// it links against — ends past the 64-bit address space.
     BeyondAddressSpace {
@@ -126,16 +107,6 @@ impl core::fmt::Display for StructureError {
             StructureError::OutlinedNoReturn { index } => {
                 write!(f, "outlined function {index} does not end in `br`")
             }
-            StructureError::MergedNoReturn { index } => {
-                write!(f, "merged island {index} does not end in `ret`")
-            }
-            StructureError::MergedBadEntry { symbol, word, target } => {
-                write!(
-                    f,
-                    "branch at word {word} in {symbol} enters a merged island at {target:#x}, \
-                     which is not a plain `b` to the island head"
-                )
-            }
             StructureError::BeyondAddressSpace { segment, base_address } => {
                 write!(f, "the {segment} segment at {base_address:#x} ends past the address space")
             }
@@ -175,12 +146,7 @@ struct Symbol {
 ///    file declares via [`OatFile::dict`](crate::file::OatFile), which
 ///    is the cross-image dictionary call; any *other* transfer into the
 ///    island is a [`StructureError::DictBadEntry`];
-/// 5. every outlined function ends in an indirect branch (`br`) and
-///    every merged island ends in a `ret`;
-/// 6. merge thunk calling convention: any branch entering a merged
-///    island from outside it is a plain `b` to the island's head, so
-///    the `bl`-installed return address survives into the island's
-///    `ret`.
+/// 5. every outlined function ends in an indirect branch (`br`).
 ///
 /// # Errors
 ///
@@ -214,20 +180,6 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
             start_word: (o.offset / 4) as usize,
             size_words: o.size_words as usize,
             insn_words: o.size_words as usize,
-        });
-    }
-    for (i, m) in oat.merged.iter().enumerate() {
-        if m.offset % 4 != 0 {
-            return Err(StructureError::Misaligned {
-                symbol: format!("merged[{i}]"),
-                offset: m.offset,
-            });
-        }
-        symbols.push(Symbol {
-            name: format!("merged[{i}]"),
-            start_word: (m.offset / 4) as usize,
-            size_words: m.size_words as usize,
-            insn_words: m.size_words as usize,
         });
     }
     for (i, t) in oat.thunks.iter().enumerate() {
@@ -326,63 +278,13 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
         }
     }
 
-    // 5. Outlined functions must end in an indirect return; merged
-    // islands in a `ret`. An empty one has no last word, so no return.
-    let ends_in = |offset: u64, size_words: u32, is_return: fn(Insn) -> bool| {
-        let end = (offset / 4) as usize + size_words as usize;
-        size_words > 0 && decode(oat.words[end - 1]).is_ok_and(is_return)
-    };
-    for (i, o) in oat.outlined.iter().enumerate() {
-        if !ends_in(o.offset, o.size_words, |insn| matches!(insn, Insn::Br { .. })) {
-            return Err(StructureError::OutlinedNoReturn { index: i });
-        }
-    }
-    for (i, m) in oat.merged.iter().enumerate() {
-        if !ends_in(m.offset, m.size_words, |insn| matches!(insn, Insn::Ret { .. })) {
-            return Err(StructureError::MergedNoReturn { index: i });
-        }
-    }
-
-    // 6. Merge thunk calling convention: an island is entered from
-    // outside only by a plain `b` to its head.
-    let islands: Vec<(u64, u64)> =
-        oat.merged.iter().map(|m| (m.offset, m.offset + m.size_words as u64 * 4)).collect();
-    if !islands.is_empty() {
-        for s in &symbols {
-            for w in s.start_word..s.start_word + s.insn_words {
-                let Ok(insn) = decode(oat.words[w]) else { continue };
-                let pc = text_base + w as u64 * 4;
-                let (target, is_plain_b) = match insn {
-                    Insn::B { offset } => (pc.wrapping_add_signed(offset), true),
-                    Insn::Bl { offset }
-                    | Insn::BCond { offset, .. }
-                    | Insn::Cbz { offset, .. }
-                    | Insn::Cbnz { offset, .. }
-                    | Insn::Tbz { offset, .. }
-                    | Insn::Tbnz { offset, .. } => (pc.wrapping_add_signed(offset), false),
-                    _ => continue,
-                };
-                // A target below the text (a `bl` into a dictionary
-                // island placed there) lies in no merged island.
-                let Some(rel) = target.checked_sub(text_base) else { continue };
-                let site = pc - text_base;
-                for &(start, end) in &islands {
-                    if rel < start || rel >= end {
-                        continue;
-                    }
-                    // Branches within the island itself are body-internal.
-                    if site >= start && site < end {
-                        continue;
-                    }
-                    if !is_plain_b || rel != start {
-                        return Err(StructureError::MergedBadEntry {
-                            symbol: s.name.clone(),
-                            word: w,
-                            target,
-                        });
-                    }
-                }
-            }
+    // 5. Outlined functions must end in an indirect return. An empty
+    // one has no last word, so no return.
+    for (index, o) in oat.outlined.iter().enumerate() {
+        let end = (o.offset / 4) as usize + o.size_words as usize;
+        let returns = o.size_words > 0 && matches!(decode(oat.words[end - 1]), Ok(Insn::Br { .. }));
+        if !returns {
+            return Err(StructureError::OutlinedNoReturn { index });
         }
     }
 
@@ -394,7 +296,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::file::{MergedRecord, OatMethodRecord, OutlinedRecord};
+    use crate::file::{OatMethodRecord, OutlinedRecord};
     use calibro_dex::MethodId;
     use calibro_isa::{Insn, Reg};
 
@@ -419,7 +321,6 @@ mod tests {
             methods: vec![record(0, 0, 2), record(1, 8, 2)],
             thunks: vec![],
             outlined: vec![],
-            merged: vec![],
             dict: None,
         }
     }
@@ -488,18 +389,6 @@ mod tests {
         assert_eq!(validate_structure(&oat), Err(StructureError::OutlinedNoReturn { index: 0 }));
     }
 
-    /// A two-method file where m1 is a merge thunk (`b` into the island
-    /// at words 4..6).
-    fn merged_file() -> OatFile {
-        let mut oat = two_method_file();
-        // m1 becomes the thunk: nop; b +8 (word 3 → word 5... island head
-        // is word 4, so from word 3 offset is +4).
-        oat.words[3] = Insn::B { offset: 4 }.encode().unwrap();
-        oat.words.extend([NOP, RET]);
-        oat.merged.push(MergedRecord { offset: 16, size_words: 2 });
-        oat
-    }
-
     #[test]
     fn dict_calls_are_exempt_from_the_text_bound() {
         use crate::file::{DictLink, DICT_BASE_ADDRESS};
@@ -537,36 +426,6 @@ mod tests {
         assert!(matches!(
             validate_structure(&oat),
             Err(StructureError::DictBadEntry { word: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn merged_island_conventions_hold() {
-        validate_structure(&merged_file()).expect("head-entered ret-terminated island validates");
-    }
-
-    #[test]
-    fn merged_island_must_end_in_ret() {
-        let mut oat = merged_file();
-        oat.words[5] = NOP;
-        assert_eq!(validate_structure(&oat), Err(StructureError::MergedNoReturn { index: 0 }));
-    }
-
-    #[test]
-    fn merged_island_entry_must_be_plain_b_to_head() {
-        // `bl` into the island head: clobbers the thunk's return address.
-        let mut oat = merged_file();
-        oat.words[3] = Insn::Bl { offset: 4 }.encode().unwrap();
-        assert!(matches!(
-            validate_structure(&oat),
-            Err(StructureError::MergedBadEntry { word: 3, .. })
-        ));
-        // `b` into the island's interior: skips part of the body.
-        let mut oat = merged_file();
-        oat.words[3] = Insn::B { offset: 8 }.encode().unwrap();
-        assert!(matches!(
-            validate_structure(&oat),
-            Err(StructureError::MergedBadEntry { word: 3, .. })
         ));
     }
 }

@@ -859,7 +859,7 @@ impl ServerStats {
 /// the goldens of the two things every cache key folds in from them.
 #[cfg(test)]
 mod samples {
-    use calibro::{BuildOptions, MergeConfig};
+    use calibro::BuildOptions;
     use calibro_dex::{
         BinOp, Cmp, DexFile, DexInsn, FieldId, InvokeKind, Method, MethodBuilder, MethodId, VReg,
     };
@@ -910,19 +910,13 @@ mod samples {
         dex
     }
 
-    pub(super) fn option_variants() -> [BuildOptions; 8] {
+    pub(super) fn option_variants() -> [BuildOptions; 6] {
         [
             BuildOptions::baseline(),
             BuildOptions::cto(),
             BuildOptions::cto_ltbo().with_compile_threads(8),
             BuildOptions::cto_ltbo().with_dict(),
             BuildOptions::cto_ltbo_parallel(16, 4).with_hot_filter([4, 1, 9].into_iter().collect()),
-            BuildOptions::cto_merge(),
-            BuildOptions::cto_merge_ltbo().with_merge(MergeConfig {
-                min_body_words: 6,
-                max_params: 1,
-                arbitrate: false,
-            }),
             BuildOptions {
                 inlining: true,
                 force_metadata: true,
@@ -936,7 +930,10 @@ mod samples {
     // Both goldens below were re-recorded once, with the `+s5` → `+s6`
     // schema bump: a key became the hash of the wire form (tag + the
     // type's `Wire` row) where it had been a second, hand-packed walk,
-    // so every addressing key moved together and old entries miss.
+    // so every addressing key moved together and old entries miss. The
+    // options fingerprints were re-recorded again with the `+s7` bump,
+    // when `BuildOptions` lost its `merge` field (the LTBO fingerprints,
+    // which take no schema salt, did not move).
 
     #[test]
     fn method_hash_of_the_sample_program_is_unchanged() {
@@ -960,15 +957,13 @@ mod samples {
         type Key = (u64, u64);
         const GLOBAL_MIN2: Option<Key> = Some((0x7e06_320b_bf02_7fb4, 0xfa1a_a072_dd3d_1c44));
         const SHARDED_HOT: Option<Key> = Some((0xe47b_1e11_4316_2eb4, 0xce3a_0b15_3046_02ae));
-        let golden: [(Key, Option<Key>); 8] = [
-            ((0x2e77_e294_3316_da03, 0x9da1_a34c_16ba_1f96), None),
-            ((0xcfc3_72af_ed80_6c86, 0x83c5_a1f9_b53e_f84b), None),
-            ((0x2a92_e202_e1f1_e612, 0x5a73_4aaf_01ca_00b8), GLOBAL_MIN2),
-            ((0xed3d_7bd1_949e_a909, 0x0b7c_8abd_cd63_1827), GLOBAL_MIN2),
-            ((0x7b16_d453_c95c_3309, 0x4a64_8c0a_ef9b_8f4a), SHARDED_HOT),
-            ((0x03a0_db99_995b_1810, 0x09b6_96fd_6cf1_f22c), None),
-            ((0xaafb_f3bd_5251_9e10, 0xb198_8b1e_06da_ae2d), GLOBAL_MIN2),
-            ((0x9f90_9050_218b_ce78, 0x4d32_c328_1ea8_65f2), None),
+        let golden: [(Key, Option<Key>); 6] = [
+            ((0x7bcc_6ea5_a7f7_dc81, 0xbe03_d366_c1cc_8edb), None),
+            ((0xf94a_6a62_b653_55ad, 0x2e92_777a_2d6d_4b3b), None),
+            ((0xd42e_a446_89cf_a5fc, 0xbc1d_6ded_b81d_1197), GLOBAL_MIN2),
+            ((0xc397_bb54_7fa8_3d82, 0x45b0_495f_8918_1e78), GLOBAL_MIN2),
+            ((0xdc5b_e8fb_2026_c029, 0xe0b4_d741_9199_b7fb), SHARDED_HOT),
+            ((0x069f_f0ef_48f3_7ac3, 0xb270_faf2_013d_573e), None),
         ];
         for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
         {
@@ -1252,22 +1247,8 @@ mod tests {
     /// the bytes themselves. `nested` lists the fields whose own codec
     /// labels its inner fields (a struct or enum inside the message).
     fn message_contract<M: Wire + FieldEnds>(sample: &M, fixture: &str, nested: &[&str]) {
-        contract_against(sample, fixture, fixture_bytes(fixture), nested);
-    }
-
-    fn fixture_bytes(fixture: &str) -> Vec<u8> {
         let path = format!("{}/tests/fixtures/wire/{fixture}.bin", env!("CARGO_MANIFEST_DIR"));
-        std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-    }
-
-    /// [`message_contract`] against `recorded`, the fixture's bytes as
-    /// the test derives them from the file.
-    fn contract_against<M: Wire + FieldEnds>(
-        sample: &M,
-        fixture: &str,
-        recorded: Vec<u8>,
-        nested: &[&str],
-    ) {
+        let recorded = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         let bytes = wire::encode(sample);
         assert_eq!(bytes, recorded, "{fixture}: encode drifted from the recorded bytes");
         let back: M = wire::decode(&recorded).unwrap_or_else(|e| panic!("{fixture}: {e}"));
@@ -1353,7 +1334,7 @@ mod tests {
         #[test]
         fn borrowed_encode_and_split_decode_agree_with_the_owned_request(
             (seed, edit, methods) in (any::<u64>(), any::<u64>(), 2usize..24),
-            (request_id, variant) in (any::<u64>(), 0usize..8),
+            (request_id, variant) in (any::<u64>(), 0usize..6),
             (deadline_ms, with_deadline) in (0u32..100_000, any::<bool>()),
             (tenant_len, with_tenant) in (0usize..12, any::<bool>()),
             cut_seed in any::<u64>(),
@@ -1434,15 +1415,13 @@ mod tests {
         message_contract(&dict_stats_request(), "dict_stats_request", &[]);
         // Re-recorded when its last row, the register-twin counter, went.
         message_contract(&dict_stats_reply(), "dict_stats_reply", &[]);
-        // Re-recorded twice: the stats table gained its
+        // Re-recorded three times: the stats table gained its
         // `programs_decoded` / `programs_reused` rows (two `u64`s after
         // `refreshes_triggered`), and the cache block lost the twelve
-        // counters of the dictionary lane. The `programs_by_reference`
-        // row appended since is spliced in after the file's 23 rows, so
-        // the file stays the bytes of the deployed 23-row table.
-        let mut recorded = fixture_bytes("server_stats");
-        recorded.splice(8 * 23..8 * 23, 977u64.to_le_bytes());
-        contract_against(&server_stats(), "server_stats", recorded, &["cache"]);
+        // counters of the dictionary lane, then the nine of the
+        // merge-plan lane; the last re-recording also took in the
+        // `programs_by_reference` row appended after `programs_reused`.
+        message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
     #[test]
@@ -1480,13 +1459,13 @@ mod tests {
     #[test]
     fn stats_body_is_byte_identical_to_the_hand_listed_codec() {
         // Length and FNV-1a-64 digest recorded from the codec that
-        // spelled the 45 cache counters out by hand (PR 15), over this
-        // same value: cache counters 1..=45 in table order (whose names
+        // spelled the 45 cache counters out by hand, over this same
+        // value: cache counters 1..=45 in table order (whose names
         // calibro-cache pins separately). The twelve counters of the
-        // dictionary lane were removed since — 31..=41 after
-        // `merge_evict_cost_us` and 45 last — and the others keep their
-        // values.
-        let kept: Vec<u64> = (1..=30).chain(42..=44).collect();
+        // dictionary lane (31..=41 and 45) and the nine of the merge-plan
+        // lane (23..=30 and 44) were removed since, and the others keep
+        // their values.
+        let kept: Vec<u64> = (1..=22).chain(42..=43).collect();
         let stats = ServerStats {
             uptime_us: 100,
             workers: 2,
@@ -1504,11 +1483,9 @@ mod tests {
         assert_eq!(ServerStats::LEN, RECORDED_ROWS + 3);
         let mut recorded = body;
         assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
-        // The cache block ends the body; put the removed counters back.
-        let words = |values: std::ops::RangeInclusive<u64>| values.flat_map(u64::to_le_bytes);
-        let after_merge = recorded.len() - 8 * 3;
-        recorded.splice(after_merge..after_merge, words(31..=41));
-        recorded.extend(words(45..=45));
+        // The cache block ends the body: put back the recorded one.
+        recorded.truncate(recorded.len() - 8 * CacheStats::LEN);
+        recorded.extend((1..=45u64).flat_map(u64::to_le_bytes));
         let digest = crate::server::fnv1a64(&recorded);
         assert_eq!((recorded.len(), digest), (548, 0x9c25_c479_dd85_e91f));
     }

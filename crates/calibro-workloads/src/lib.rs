@@ -65,8 +65,9 @@ pub struct AppSpec {
     pub filler_per_segment: (usize, usize),
     /// Number of clone families: groups of 3-5 near-identical
     /// straight-line methods differing only in one or two immediate
-    /// constants — the function-merge backend's material (real apps get
-    /// these from monomorphized generics and copy-pasted utilities).
+    /// constants, so their bodies repeat except at those `movz` sites
+    /// (real apps get these from monomorphized generics and copy-pasted
+    /// utilities).
     pub clone_families: usize,
 }
 
@@ -356,8 +357,8 @@ pub fn generate(spec: &AppSpec) -> App {
     // Clone families: straight-line near-duplicates that differ only in
     // one or two immediate constants. Constants are drawn from
     // 4097..65535 avoiding multiples of 4096 so they are never
-    // imm12-encodable (they stay a plain `movz`, the shape the merge
-    // backend parameterizes) and never need a literal pool.
+    // imm12-encodable (they stay a plain `movz`) and never need a
+    // literal pool.
     for f in 0..spec.clone_families {
         let family = rng.gen_range(3..=5);
         let len = rng.gen_range(8..=16);
@@ -427,7 +428,7 @@ pub fn generate(spec: &AppSpec) -> App {
     }
     for _ in 0..spec.trace_len {
         // Prefer methods near the end of the table (deep call trees,
-        // and — when present — the merge backend's clone families).
+        // and — when present — the clone families).
         let back = skewed_index(&mut rng, java_count, spec.hot_skew);
         let method = MethodId((total_methods - 1 - back) as u32);
         trace.push(TraceCall { method, args: [rng.gen_range(-20..20), rng.gen_range(1..20)] });

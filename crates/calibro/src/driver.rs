@@ -14,7 +14,6 @@ use calibro_hgraph::{PassStats, PipelineConfig};
 use calibro_oat::{LinkError, OatFile, RewriteStats, DEFAULT_BASE_ADDRESS};
 
 use crate::ltbo::{LtboConfig, LtboMode, LtboStats};
-use crate::merge::{MergeConfig, MergeStats};
 use crate::pipeline::BuildSession;
 
 /// Full build configuration — one row of the paper's Table 4 matrix.
@@ -22,14 +21,10 @@ use crate::pipeline::BuildSession;
 pub struct BuildOptions {
     /// Compilation-time outlining of the three ART patterns (§3.1).
     pub cto: bool,
-    /// Link-time binary outlining (§3.2-§3.3); `None` disables LTBO.
+    /// Link-time binary outlining (§3.2-§3.3); `None` disables LTBO,
+    /// and with it the size stage
+    /// ([`BuildSession::outline`](crate::BuildSession::outline)).
     pub ltbo: Option<LtboMode>,
-    /// Function merging between codegen and LTBO; `None` disables the
-    /// merge pass. Together with [`ltbo`](Self::ltbo) this field
-    /// selects what the size stage
-    /// ([`BuildSession::outline`](crate::BuildSession::outline)) runs:
-    /// `none` / `merge` / `outline` / `both`.
-    pub merge: Option<MergeConfig>,
     /// Route LTBO candidates through the session's shared outline
     /// dictionary (the cross-tenant `.text` island). Only effective when
     /// [`ltbo`](Self::ltbo) is on and the session carries a
@@ -69,7 +64,6 @@ impl Default for BuildOptions {
         BuildOptions {
             cto: false,
             ltbo: None,
-            merge: None,
             dict: false,
             min_seq_len: 2,
             hot_methods: None,
@@ -111,29 +105,12 @@ impl BuildOptions {
         }
     }
 
-    /// The `CTO+Merge` configuration: function merging as the only size
-    /// backend. Arbitration is off — with no LTBO pass downstream,
-    /// a group the benefit model handed to outlining would simply be
-    /// dropped.
-    #[must_use]
-    pub fn cto_merge() -> BuildOptions {
-        BuildOptions {
-            cto: true,
-            merge: Some(MergeConfig { arbitrate: false, ..MergeConfig::default() }),
-            ..BuildOptions::default()
-        }
-    }
-
-    /// The `CTO+Merge+LTBO` configuration: both size backends, with the
-    /// benefit model arbitrating merge-vs-outline per group.
+    /// Exactly [`cto_ltbo`](Self::cto_ltbo). Function merging is gone
+    /// (DESIGN.md §12); this name stays only because the benchmark
+    /// harness builds with it, and goes when the harness stops.
     #[must_use]
     pub fn cto_merge_ltbo() -> BuildOptions {
-        BuildOptions {
-            cto: true,
-            merge: Some(MergeConfig::default()),
-            ltbo: Some(LtboMode::Global),
-            ..BuildOptions::default()
-        }
+        BuildOptions::cto_ltbo()
     }
 
     /// Adds hot-function filtering (`HfOpti`, §3.4.2).
@@ -155,13 +132,6 @@ impl BuildOptions {
     #[must_use]
     pub fn with_passes(mut self, passes: PipelineConfig) -> BuildOptions {
         self.passes = passes;
-        self
-    }
-
-    /// Enables function merging under `config`.
-    #[must_use]
-    pub fn with_merge(mut self, config: MergeConfig) -> BuildOptions {
-        self.merge = Some(config);
         self
     }
 
@@ -224,9 +194,6 @@ pub struct BuildStats {
     /// Optimization-pass counters aggregated over all methods (merged in
     /// method-index order, so identical for every thread count).
     pub passes: PassStats,
-    /// Time in the function-merge pass (bucketing + grouping +
-    /// thunk/island materialization, or plan replay when warm).
-    pub merge_time: Duration,
     /// Time in LTBO: suffix trees (or plan replay), outlined bodies, and
     /// planning each method's edits. Applying them is link time.
     pub ltbo_time: Duration,
@@ -245,8 +212,6 @@ pub struct BuildStats {
     /// sites: PC-relative sites re-encoded, stack-map entries moved
     /// (zeroed when nothing was outlined). In the JSON form, with `ltbo`.
     pub rewrite: RewriteStats,
-    /// Function-merge statistics (zeroed when the merge pass is off).
-    pub merge: MergeStats,
     /// Shared-dictionary routing outcomes (zeroed when the
     /// dictionary is off or the session has no registry).
     pub dict: DictStats,
@@ -279,16 +244,18 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Total wall-clock build time: the five top-level phases (verify,
-    /// compile, merge, LTBO, link), which together cover every stage of
-    /// the build.
+    /// Total wall-clock build time: the four top-level phases (verify,
+    /// compile, LTBO, link), which together cover every stage of the
+    /// build.
     #[must_use]
     pub fn total_time(&self) -> Duration {
-        self.verify_time + self.compile_time + self.merge_time + self.ltbo_time + self.link_time
+        self.verify_time + self.compile_time + self.ltbo_time + self.link_time
     }
 
     /// Serializes the stats as a self-contained JSON object (hand
-    /// rolled — every field is numeric, so no escaping is needed).
+    /// rolled — every field is numeric, so no escaping is needed). Its
+    /// `merge` object is two zeros: function merging is gone, and the
+    /// benchmark harness still reads them by name.
     #[must_use]
     pub fn to_json(&self) -> String {
         let us = |d: Duration| d.as_micros();
@@ -300,14 +267,13 @@ impl BuildStats {
         let p = &self.passes;
         let l = &self.ltbo;
         let r = &self.rewrite;
-        let m = &self.merge;
         format!(
             concat!(
                 "{{",
                 r#""methods":{},"methods_from_cache":{},"methods_keyed":{},"words_before_ltbo":{},"#,
                 r#""compile_threads":{},"generation":{},"#,
                 r#""times_us":{{"verify":{},"keys":{},"graphs":{},"inline":{},"codegen":{},"#,
-                r#""compile":{},"merge":{},"ltbo":{},"detect":{},"link":{},"total":{}}},"#,
+                r#""compile":{},"ltbo":{},"detect":{},"link":{},"total":{}}},"#,
                 r#""compile_cpu_us":{},"per_worker":[{}],"#,
                 r#""cache":{},"#,
                 r#""passes":{{"folded":{},"copies_propagated":{},"cse_hits":{},"#,
@@ -317,9 +283,7 @@ impl BuildStats {
                 r#""hot_restricted_methods":{},"outlined_functions":{},"#,
                 r#""occurrences_replaced":{},"words_saved":{},"pc_rel_patched":{},"#,
                 r#""stack_maps_updated":{},"detection_groups":{}}},"#,
-                r#""merge":{{"candidate_methods":{},"excluded_methods":{},"#,
-                r#""merge_groups":{},"merged_methods":{},"words_saved":{},"#,
-                r#""outline_preferred":{}}},"#,
+                r#""merge":{{"merged_methods":0,"words_saved":0}},"#,
                 r#""dict":{{"epoch":{},"island_words":{},"hits":{},"publishes":{}}}"#,
                 "}}",
             ),
@@ -335,7 +299,6 @@ impl BuildStats {
             us(self.inline_time),
             us(self.codegen_time),
             us(self.compile_time),
-            us(self.merge_time),
             us(self.ltbo_time),
             us(self.detect_time),
             us(self.link_time),
@@ -362,12 +325,6 @@ impl BuildStats {
             r.pc_rel_patched,
             r.stack_maps_updated,
             l.detection_groups,
-            m.candidate_methods,
-            m.excluded_methods,
-            m.merge_groups,
-            m.merged_methods,
-            m.words_saved,
-            m.outline_preferred,
             self.dict_epoch,
             self.dict_island_words,
             self.dict.hits,
@@ -486,18 +443,17 @@ mod tests {
         );
         assert!(json.contains(r#""passes":{"folded":0"#));
         assert!(json.contains(r#""ltbo":{"candidate_methods":0"#));
-        assert!(json.contains(r#""merge":{"candidate_methods":0"#));
+        assert!(json.contains(r#""merge":{"merged_methods":0,"words_saved":0}"#));
         assert!(json.contains(&format!(r#""cache":{},"passes""#, stats.cache.to_json())));
         assert!(json.contains(r#""dict":{"epoch":0"#));
-        assert!(json.contains(r#""compile":0,"merge":0,"ltbo":0"#));
+        assert!(json.contains(r#""compile":0,"ltbo":0"#));
     }
 
     #[test]
-    fn total_time_sums_all_five_phases() {
+    fn total_time_sums_all_four_phases() {
         let stats = BuildStats {
             verify_time: Duration::from_micros(3),
             compile_time: Duration::from_micros(50),
-            merge_time: Duration::from_micros(700),
             ltbo_time: Duration::from_micros(9_000),
             link_time: Duration::from_micros(110_000),
             // Sub-phases of `compile_time` / `ltbo_time`: not summed again.
@@ -506,7 +462,7 @@ mod tests {
             detect_time: Duration::from_micros(8_000),
             ..BuildStats::default()
         };
-        assert_eq!(stats.total_time(), Duration::from_micros(119_753));
-        assert!(stats.to_json().contains(r#""link":110000,"total":119753}"#));
+        assert_eq!(stats.total_time(), Duration::from_micros(119_053));
+        assert!(stats.to_json().contains(r#""link":110000,"total":119053}"#));
     }
 }

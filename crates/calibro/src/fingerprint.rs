@@ -4,7 +4,7 @@
 //! One walk per configuration type: a fingerprint is a domain tag plus
 //! the type's [`Wire`] row — the same bytes a build request carries to
 //! the daemon — so the rows at the bottom of this file are the only
-//! place a [`BuildOptions`], [`LtboConfig`] or [`MergeConfig`] field is
+//! place a [`BuildOptions`] or [`LtboConfig`] field is
 //! spelled out. Each row destructures its input exhaustively (no `..`)
 //! and decodes into a literal without `..`: adding a field or a variant
 //! fails compilation there, so a new knob can never silently be left
@@ -22,12 +22,11 @@
 use std::cell::RefCell;
 
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
-use calibro_dex::wire::{wire_fields, Reader, Wire, WireError, Writer};
+use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 use calibro_dex::{DexFile, Method};
 
 use crate::driver::BuildOptions;
 use crate::ltbo::{LtboConfig, LtboMode};
-use crate::merge::MergeConfig;
 
 thread_local! {
     /// The reusable per-worker serialization buffer: every method (and
@@ -50,13 +49,6 @@ pub fn fingerprint_options(options: &BuildOptions, h: &mut StableHasher) {
 /// [`BuildOptions`].
 pub fn fingerprint_ltbo_config(config: &LtboConfig, h: &mut StableHasher) {
     h.write_tag(0x4C); // 'L'
-    h.write_wire(config);
-}
-
-/// Feeds a [`MergeConfig`] into `h` — the prefix of every merge-plan
-/// key.
-pub fn fingerprint_merge_config(config: &MergeConfig, h: &mut StableHasher) {
-    h.write_tag(0x4D); // 'M'
     h.write_wire(config);
 }
 
@@ -88,28 +80,6 @@ pub fn group_plan_key_from(config: &LtboConfig, members: &[CacheKey]) -> CacheKe
     h.write_str(SCHEMA_VERSION);
     h.write_tag(0x47); // 'G'
     fingerprint_ltbo_config(config, &mut h);
-    h.write_usize(members.len());
-    for k in members {
-        h.write_wire(k);
-    }
-    h.finish()
-}
-
-/// The content address of one shape bucket's cached
-/// [`MergePlanEntry`](calibro_cache::MergePlanEntry), composed exactly
-/// like `group_plan_key_from`: schema salt, the full [`MergeConfig`],
-/// the member count, then each member's
-/// [`merge_content_key`](crate::merge_content_key) in bucket order.
-///
-/// Any change to a member body, the bucket's membership or order, or a
-/// merge knob moves the key — so a replayed plan can only ever be
-/// probed against the bucket it was computed from.
-#[must_use]
-pub fn merge_plan_key_from(config: &MergeConfig, members: &[CacheKey]) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write_str(SCHEMA_VERSION);
-    h.write_tag(0x58); // 'X'
-    fingerprint_merge_config(config, &mut h);
     h.write_usize(members.len());
     for k in members {
         h.write_wire(k);
@@ -187,8 +157,6 @@ pub fn method_cache_key(
     })
 }
 
-wire_fields!(MergeConfig { min_body_words, max_params, arbitrate });
-
 /// `None` / `Global` / `Parallel { groups, threads }` share one tag
 /// byte, so this is not the generic `Option` form. (Free functions:
 /// `impl Wire for Option<LtboMode>` is an orphan outside the trait's
@@ -245,7 +213,6 @@ impl Wire for BuildOptions {
         let BuildOptions {
             cto,
             ltbo,
-            merge,
             dict,
             min_seq_len,
             hot_methods,
@@ -257,7 +224,6 @@ impl Wire for BuildOptions {
         } = self;
         cto.put(w);
         put_ltbo(*ltbo, w);
-        merge.put(w);
         dict.put(w);
         min_seq_len.put(w);
         hot_methods.put(w);
@@ -272,7 +238,6 @@ impl Wire for BuildOptions {
         Ok(BuildOptions {
             cto: Wire::get(r, "cto")?,
             ltbo: get_ltbo(r, "ltbo")?,
-            merge: Wire::get(r, "merge")?,
             dict: Wire::get(r, "dict")?,
             min_seq_len: Wire::get(r, "min_seq_len")?,
             hot_methods: Wire::get(r, "hot_methods")?,

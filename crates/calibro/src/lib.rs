@@ -48,10 +48,8 @@
 mod driver;
 mod fingerprint;
 mod ltbo;
-mod merge;
 mod pipeline;
 mod report;
-mod sizepass;
 
 pub use calibro_cache::{
     ArtifactStore, CacheConfig, CacheEntry, CacheError, CacheKey, CacheStats, StableHasher,
@@ -62,14 +60,14 @@ pub use calibro_hgraph::{PassStats, PipelineConfig};
 pub use calibro_oat::RewriteStats;
 pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 pub use fingerprint::{
-    fingerprint_ltbo_config, fingerprint_merge_config, fingerprint_options, merge_plan_key_from,
-    method_cache_key, options_fingerprint, program_salt, reference_env,
+    fingerprint_ltbo_config, fingerprint_options, method_cache_key, options_fingerprint,
+    program_salt, reference_env,
 };
 #[doc(hidden)]
 pub use ltbo::build_template;
 pub use ltbo::detect_fault;
 pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
-pub use merge::{merge_content_key, MergeConfig, MergeStats};
-pub use pipeline::{panic_message, BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome};
+pub use pipeline::{
+    panic_message, BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome, SizeArtifact,
+};
 pub use report::{size_report, SizeReport};
-pub use sizepass::SizeArtifact;

@@ -859,7 +859,7 @@ mod tests {
         // linker: one routine, the same image.
         let base = options.base_address;
         let outlined = staged.outlined;
-        let input = LinkInput { methods: original, edits, outlined, merged: vec![] };
+        let input = LinkInput { methods: original, edits, outlined };
         let (by_linker, moved) = link_with_stats(input, base, None).unwrap();
         assert_eq!(moved, free.rewrite);
         assert!(moved.pc_rel_patched > 0 && moved.stack_maps_updated > 0);

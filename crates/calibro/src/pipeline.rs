@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! Frontend  --FrontendArtifact-->  Codegen  --CodegenArtifact-->
-//!     Size passes  --SizeArtifact-->  Link  -->  OatFile
+//!     Size  --SizeArtifact-->  Link  -->  OatFile
 //! ```
 //!
 //! * **Frontend** verifies the dex, computes per-method cache keys,
@@ -11,10 +11,9 @@
 //!   that missed (plus whole-program inlining when enabled);
 //! * **Codegen** runs the pass pipeline and code generation for every
 //!   miss — populating the store — and replays every hit;
-//! * **Size passes** run the function merger, then LTBO (see
-//!   [`sizepass`](crate::sizepass)) over the compiled methods,
-//!   replaying cached symbolization templates and per-pass plan lanes;
-//!   LTBO plans its edits and changes no method;
+//! * **Size** runs CTO's metadata-assisted LTBO over the compiled
+//!   methods, replaying cached symbolization templates and group plans;
+//!   it plans each method's edits and changes no method;
 //! * **Link** lays out the final text segment from every body's words,
 //!   writing each method once with its edits applied, and binds labels.
 //!
@@ -50,16 +49,15 @@ use std::time::{Duration, Instant};
 use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
 use calibro_dex::{DexFile, Method};
-use calibro_dict::DictRegistry;
+use calibro_dict::{DictRegistry, DictStats};
 use calibro_hgraph::{
     build_hgraph, run_inlining, run_pipeline_with, HGraph, InlineConfig, PassStats,
 };
-use calibro_oat::{DictImage, LinkInput, OatFile, RewriteStats, DICT_BASE_ADDRESS};
+use calibro_oat::{DictImage, LinkInput, MethodEdits, OatFile, RewriteStats, DICT_BASE_ADDRESS};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
-use crate::ltbo::build_template;
-use crate::sizepass::{merge_pass, outline_pass, PassContext, SizeArtifact};
+use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 
 /// A build context holding the content-addressed artifact store across
 /// builds. One-shot callers use [`build`](crate::build); incremental
@@ -278,8 +276,6 @@ impl BuildSession {
 
         let size = self.outline(options, codegen)?;
         stats.words_before_ltbo = size.words_before;
-        stats.merge = size.merge;
-        stats.merge_time = size.merge_time;
         stats.ltbo = size.ltbo;
         stats.ltbo_time = size.ltbo_time;
         stats.detect_time = size.detect_time;
@@ -462,12 +458,8 @@ impl BuildSession {
         frontend: FrontendArtifact,
     ) -> Result<CodegenArtifact, BuildError> {
         let threads = options.compile_threads.max(1);
-        // Both size passes consume method metadata: LTBO for separator
-        // placement, merge for eligibility (indirect jumps, embedded
-        // data, terminators). A merge-only build without metadata would
-        // admit bodies whose hazards were simply never recorded.
-        let collect_metadata =
-            options.ltbo.is_some() || options.merge.is_some() || options.force_metadata;
+        // LTBO places its separators from method metadata.
+        let collect_metadata = options.ltbo.is_some() || options.force_metadata;
         let codegen_opts = CodegenOptions { cto: options.cto, collect_metadata };
         let want_template = options.ltbo.is_some();
         let inputs = dex.methods();
@@ -520,20 +512,19 @@ impl BuildSession {
         Ok(CodegenArtifact { outcomes, passes, codegen_time, per_worker })
     }
 
-    /// Stage 3 — **Size passes**: runs the size transforms the options
-    /// ask for — merge, which turns members into thunks in place, then
-    /// LTBO over the post-merge methods, which plans each method's edits
-    /// for the linker to apply. Each pass replays its cache lane
-    /// through the session's store — symbolization templates and group
-    /// plans for outlining, bucket plans for merging — so only content
-    /// that changed is re-analyzed. A no-op pass-through when both
-    /// [`BuildOptions::merge`] and [`BuildOptions::ltbo`] are `None`.
+    /// Stage 3 — **Size**: LTBO over the compiled methods (see
+    /// [`run_ltbo`](crate::run_ltbo)), when the options ask for it. It plans the
+    /// outlined functions and each method's edits, which the linker
+    /// applies; no method changes here. Symbolization templates and
+    /// group plans replay through the session's store, so only content
+    /// that changed is re-analyzed. A pass-through when
+    /// [`BuildOptions::ltbo`] is `None`.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::OutlineWorker`] when one group's detection
     /// or materialization panics, and [`BuildError::Cache`] when a
-    /// persisted plan is corrupt.
+    /// persisted group plan is corrupt.
     pub fn outline(
         &self,
         options: &BuildOptions,
@@ -541,26 +532,36 @@ impl BuildSession {
     ) -> Result<SizeArtifact, BuildError> {
         let (methods, entries): (Vec<_>, Vec<_>) =
             codegen.outcomes.into_iter().map(|o| (o.compiled, o.entry)).unzip();
-        let mut artifact = SizeArtifact::new(methods);
+        let words_before = methods.iter().map(CompiledMethod::size_words).sum();
+        let Some(config) = options.ltbo_config() else {
+            return Ok(SizeArtifact { methods, words_before, ..SizeArtifact::default() });
+        };
         // The dictionary session pins one epoch's island for the whole
         // stage; the session is opened lazily so dict-off builds (and
         // sessions without a registry) pay nothing.
         let mut dict_session = match &self.dict {
-            Some(registry) if options.dict && options.ltbo.is_some() => Some(registry.session()),
+            Some(registry) if options.dict => Some(registry.session()),
             _ => None,
         };
-        let mut ctx = PassContext {
-            store: &self.store,
-            entries: &entries,
-            hot_methods: options.hot_methods.as_ref(),
-            dict: dict_session.as_mut(),
+        let start = Instant::now();
+        let (result, edits) =
+            outline_methods(&methods, &entries, &config, Some(&self.store), dict_session.as_mut())
+                .map_err(|e| match e {
+                    OutlineError::Worker { group, message } => {
+                        BuildError::OutlineWorker { group, message }
+                    }
+                    OutlineError::Cache(e) => BuildError::Cache(e),
+                })?;
+        let mut artifact = SizeArtifact {
+            methods,
+            edits,
+            outlined: result.outlined,
+            ltbo: result.stats,
+            ltbo_time: start.elapsed(),
+            detect_time: result.detect_time,
+            words_before,
+            ..SizeArtifact::default()
         };
-        if let Some(config) = &options.merge {
-            merge_pass(&mut artifact, config, &ctx)?;
-        }
-        if let Some(config) = options.ltbo_config() {
-            outline_pass(&mut artifact, &config, &mut ctx)?;
-        }
         if let Some(session) = dict_session {
             artifact.dict = session.stats();
             artifact.dict_epoch = session.epoch();
@@ -595,9 +596,9 @@ impl BuildSession {
         options: &BuildOptions,
         artifact: SizeArtifact,
     ) -> Result<(OatFile, RewriteStats), BuildError> {
-        let SizeArtifact { methods, edits, outlined, merged, dict_island, .. } = artifact;
+        let SizeArtifact { methods, edits, outlined, dict_island, .. } = artifact;
         calibro_oat::link_with_stats(
-            LinkInput { methods, edits, outlined, merged },
+            LinkInput { methods, edits, outlined },
             options.base_address,
             dict_island.as_ref(),
         )
@@ -635,9 +636,8 @@ pub struct FrontendArtifact {
 /// One method's compilation outcome within a [`CodegenArtifact`].
 pub struct MethodOutcome {
     /// The compiled method, sharing its words and every table with
-    /// `entry.compiled` (only a merge thunk is rewritten downstream). A
-    /// miss also carries the instructions codegen just emitted, which
-    /// its entry does not keep; a hit is words only.
+    /// `entry.compiled`. A miss also carries the instructions codegen
+    /// just emitted, which its entry does not keep; a hit is words only.
     pub compiled: CompiledMethod,
     /// Pass-pipeline counters (replayed from the entry on a hit, so
     /// warm observability matches cold).
@@ -660,6 +660,42 @@ pub struct CodegenArtifact {
     pub codegen_time: Duration,
     /// Per-worker load, in worker order.
     pub per_worker: Vec<WorkerLoad>,
+}
+
+/// The size stage's output, what the linker reads: the methods, the
+/// edits planned for them, and what LTBO extracted out of them.
+#[derive(Default)]
+pub struct SizeArtifact {
+    /// The methods, in method-index order, as codegen left them.
+    /// Outlining changes none of them: its occurrences are in `edits`.
+    pub methods: Vec<CompiledMethod>,
+    /// Each method's outlined occurrences, sorted by first word: the
+    /// linker replaces each with a `bl` as it writes the method into the
+    /// text segment. Empty when LTBO is off.
+    pub edits: MethodEdits,
+    /// Outlined function bodies' words, in `CallTarget::Outlined` index
+    /// order.
+    pub outlined: Vec<Vec<u32>>,
+    /// LTBO statistics (zeroed when LTBO is off).
+    pub ltbo: LtboStats,
+    /// Wall time of the stage: planning, not applying, the edits.
+    pub ltbo_time: Duration,
+    /// Wall time of LTBO's detection core: cache-key probes plus, per
+    /// group, plan replay or symbol text and suffix-tree detection
+    /// (excludes finding the templates and planning the edits).
+    pub detect_time: Duration,
+    /// Total instruction words before outlining.
+    pub words_before: usize,
+    /// Shared-dictionary routing outcomes (zeroed without a
+    /// dictionary session).
+    pub dict: DictStats,
+    /// Dictionary epoch the stage routed against (0 without a session).
+    pub dict_epoch: u64,
+    /// The island image this artifact's `CallTarget::Dict` relocations
+    /// resolve into — handed to
+    /// [`link_with_dict`](calibro_oat::link_with_dict). `None` without
+    /// a dictionary session.
+    pub dict_island: Option<DictImage>,
 }
 
 /// A contained worker panic from [`run_indexed`]: the lowest panicking
@@ -868,8 +904,8 @@ mod tests {
         use proptest::prelude::*;
 
         /// Every options arm the keys depend on differently: the global
-        /// and the sharded tree, a hot filter, merging, and inlining (the
-        /// only arm whose keys carry the program salt).
+        /// and the sharded tree, a hot filter, and inlining (the only arm
+        /// whose keys carry the program salt).
         fn arms(methods: u32) -> Vec<(&'static str, BuildOptions)> {
             vec![
                 ("global", BuildOptions::cto_ltbo()),
@@ -885,7 +921,6 @@ mod tests {
                     "hot",
                     BuildOptions::cto_ltbo().with_hot_filter((0..methods).step_by(3).collect()),
                 ),
-                ("merge", BuildOptions::cto_merge_ltbo()),
                 ("inlining", BuildOptions { inlining: true, ..BuildOptions::cto_ltbo() }),
             ]
         }
@@ -1039,8 +1074,8 @@ mod tests {
                             mutate_methods(&mut dex, arg, 0.2);
                         }
                         3 => dex = wire::decode(&wire::encode(&dex)).expect("round trip"),
-                        4 => options = arms[(arg % 4) as usize].1.clone(),
-                        5 => options = arms[4].1.clone(),
+                        4 => options = arms[(arg % 3) as usize].1.clone(),
+                        5 => options = arms[3].1.clone(),
                         _ => {}
                     }
                     let fp = options_fingerprint(&options);

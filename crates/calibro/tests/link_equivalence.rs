@@ -3,20 +3,20 @@
 //! `run_ltbo` applies the same edits in place, through the same routine,
 //! into a buffer per method. Linking `run_ltbo`'s methods without edits
 //! must give the build's very bytes, and count the same moved records,
-//! under every outlining arm: the global tree, the sharded one, a hot
-//! filter, and merging first.
+//! under every outlining arm: the global tree, the sharded one, and a
+//! hot filter.
 
 use std::collections::HashSet;
 
 use calibro::{run_ltbo, BuildOptions, BuildSession, LtboMode};
 use calibro_codegen::CompiledMethod;
 use calibro_dex::DexFile;
-use calibro_oat::{link, to_elf_bytes, LinkInput, MergedBody};
+use calibro_oat::{link, to_elf_bytes, LinkInput};
 use calibro_workloads::{generate, paper_suite, AppSpec};
 use proptest::prelude::*;
 
 /// The arms, for a program of `methods` methods.
-fn arms(methods: u32) -> [(&'static str, BuildOptions); 4] {
+fn arms(methods: u32) -> [(&'static str, BuildOptions); 3] {
     let hot: HashSet<u32> = (0..methods).step_by(3).collect();
     [
         ("global", BuildOptions::cto_ltbo()),
@@ -28,22 +28,16 @@ fn arms(methods: u32) -> [(&'static str, BuildOptions); 4] {
             },
         ),
         ("hot", BuildOptions::cto_ltbo().with_hot_filter(hot)),
-        ("merge", BuildOptions::cto_merge_ltbo()),
     ]
 }
 
 /// The methods outlining starts from, as a fresh session's codegen
-/// emits them — after the merge pass turned members into thunks, when
-/// the arm merges — and the merge pass's islands.
-fn outline_input(dex: &DexFile, options: &BuildOptions) -> (Vec<CompiledMethod>, Vec<MergedBody>) {
+/// emits them.
+fn outline_input(dex: &DexFile, options: &BuildOptions) -> Vec<CompiledMethod> {
     let session = BuildSession::new();
     let frontend = session.frontend(dex, options).expect("frontend");
     let codegen = session.codegen(dex, options, frontend).expect("codegen");
-    if options.merge.is_none() {
-        return (codegen.outcomes.into_iter().map(|o| o.compiled).collect(), Vec::new());
-    }
-    let size = session.outline(options, codegen).expect("size passes");
-    (size.methods, size.merged)
+    codegen.outcomes.into_iter().map(|o| o.compiled).collect()
 }
 
 /// Builds `dex` both ways under every arm and compares the images and
@@ -51,13 +45,13 @@ fn outline_input(dex: &DexFile, options: &BuildOptions) -> (Vec<CompiledMethod>,
 fn check(name: &str, dex: &DexFile) {
     for (arm, options) in arms(dex.methods().len() as u32) {
         let built = BuildSession::new().build(dex, &options).expect("build");
-        let (mut methods, merged) = outline_input(dex, &options);
+        let mut methods = outline_input(dex, &options);
         let config = options.ltbo_config().expect("every arm outlines");
         let run = run_ltbo(&mut methods, &config);
         assert_eq!(run.stats, built.stats.ltbo, "{name}/{arm}: stats");
         assert_eq!(run.rewrite, built.stats.rewrite, "{name}/{arm}: rewrite stats");
         assert!(run.stats.occurrences_replaced > 0, "{name}/{arm}: nothing was outlined");
-        let input = LinkInput { methods, outlined: run.outlined, merged, ..LinkInput::default() };
+        let input = LinkInput { methods, outlined: run.outlined, ..LinkInput::default() };
         let linked = link(input, options.base_address).expect("link");
         assert!(
             to_elf_bytes(&linked) == to_elf_bytes(&built.oat),

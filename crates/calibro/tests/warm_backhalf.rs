@@ -5,7 +5,7 @@
 //!   encoded (words that drifted from their instructions are caught by
 //!   the debug-profile run of this very suite), and the linker writes
 //!   instruction words: every method with its outline edits applied,
-//!   every outlined body and every island;
+//!   and every outlined body;
 //! * every method codegen emits passes the cache's trust boundary, whose
 //!   PC-relative check lets outlining copy a site whose distance it does
 //!   not change;
@@ -14,7 +14,6 @@
 
 use calibro::{BuildOptions, BuildSession, SizeArtifact};
 use calibro_cache::{from_frame, to_frame, CacheConfig, CacheEntry, CacheKey, GroupPlanEntry};
-use calibro_codegen::CallTarget;
 use calibro_dex::DexFile;
 use calibro_isa::{decode_all, encode_words, Insn};
 use calibro_oat::{to_elf_bytes, OatFile};
@@ -38,8 +37,8 @@ fn instruction_words(words: &[u32]) -> bool {
 }
 
 /// Every word of `oat`'s methods outside their embedded data (the
-/// literal pools), and every word of its outlined bodies and islands, is
-/// an instruction word. Returns how many words were checked.
+/// literal pools), and every word of its outlined bodies, is an
+/// instruction word. Returns how many words were checked.
 fn linked_words_are_instructions(name: &str, oat: &OatFile) -> usize {
     let mut checked = 0;
     for record in &oat.methods {
@@ -51,12 +50,10 @@ fn linked_words_are_instructions(name: &str, oat: &OatFile) -> usize {
             checked += 1;
         }
     }
-    let bodies = oat.outlined.iter().map(|o| ("outlined body", o.offset, o.size_words));
-    let islands = oat.merged.iter().map(|m| ("island", m.offset, m.size_words));
-    for (i, (kind, offset, size)) in bodies.chain(islands).enumerate() {
-        let start = (offset / 4) as usize;
-        let words = &oat.words[start..start + size as usize];
-        assert!(instruction_words(words), "{name}: {kind} {i}");
+    for (i, body) in oat.outlined.iter().enumerate() {
+        let start = (body.offset / 4) as usize;
+        let words = &oat.words[start..start + body.size_words as usize];
+        assert!(instruction_words(words), "{name}: outlined body {i}");
         checked += words.len();
     }
     checked
@@ -64,8 +61,8 @@ fn linked_words_are_instructions(name: &str, oat: &OatFile) -> usize {
 
 #[test]
 fn every_codegen_output_is_its_instructions_encoded() {
-    let options = BuildOptions::cto_merge_ltbo();
-    let (mut stubs, mut thunks, mut edited) = (0, 0, 0);
+    let options = BuildOptions::cto_ltbo();
+    let (mut stubs, mut edited) = (0, 0);
     for app in paper_suite(0.25).iter().map(generate) {
         let session = BuildSession::new();
         let frontend = session.frontend(&app.dex, &options).expect("frontend");
@@ -76,24 +73,21 @@ fn every_codegen_output_is_its_instructions_encoded() {
             stubs += usize::from(m.metadata.is_native_stub);
         }
 
-        // Merge thunks carry both forms; outlining rewrites no method,
-        // it plans the edits the linker applies.
+        // Outlining rewrites no method, it plans the edits the linker
+        // applies.
         let size = session.outline(&options, codegen).expect("outline");
         for (idx, m) in size.methods.iter().enumerate() {
-            if m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_))) {
-                thunks += 1;
-            }
             assert!(encodes_to(&m.instructions(), &m.words), "{}: {:?}", app.name, m.method);
             edited += usize::from(!size.edits.of(idx).is_empty());
         }
-        assert!(!size.merged.is_empty() && !size.outlined.is_empty(), "{}", app.name);
+        assert!(!size.outlined.is_empty(), "{}", app.name);
 
-        // What the linker wrote — rewritten methods, bodies, islands — is
-        // instruction words.
+        // What the linker wrote — rewritten methods and outlined bodies —
+        // is instruction words.
         let oat = session.link(&options, size).expect("link");
         assert!(linked_words_are_instructions(&app.name, &oat) > 0, "{}", app.name);
     }
-    assert!(stubs > 0 && thunks > 0 && edited > 0, "{stubs} stubs, {thunks} thunks, {edited}");
+    assert!(stubs > 0 && edited > 0, "{stubs} stubs, {edited} edited");
 }
 
 #[test]

@@ -17,10 +17,9 @@ use std::sync::Arc;
 
 use calibro::{
     build, method_cache_key, options_fingerprint, program_salt, reference_env, ArtifactStore,
-    BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, MergeConfig,
-    PipelineConfig, StableHasher,
+    BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, PipelineConfig,
+    StableHasher,
 };
-use calibro_codegen::{CallTarget, CompiledMethod};
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
 
@@ -32,7 +31,6 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
     let BuildOptions {
         cto: _,
         ltbo: _,
-        merge: _,
         dict: _,
         min_seq_len: _,
         hot_methods: _,
@@ -61,20 +59,7 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
             "ltbo_parallel",
             BuildOptions { ltbo: Some(LtboMode::Parallel { groups: 4, threads: 2 }), ..base() },
         ),
-        ("merge", BuildOptions { merge: Some(MergeConfig::default()), ..base() }),
         ("dict", BuildOptions { dict: true, ..base() }),
-        (
-            "merge_min_body_words",
-            base().with_merge(MergeConfig { min_body_words: 8, ..MergeConfig::default() }),
-        ),
-        (
-            "merge_max_params",
-            base().with_merge(MergeConfig { max_params: 1, ..MergeConfig::default() }),
-        ),
-        (
-            "merge_arbitrate",
-            base().with_merge(MergeConfig { arbitrate: false, ..MergeConfig::default() }),
-        ),
         ("min_seq_len", BuildOptions { min_seq_len: 3, ..base() }),
         ("hot_methods", BuildOptions { hot_methods: Some(hot), ..base() }),
         ("base_address", BuildOptions { base_address: 0x5000_0000, ..base() }),
@@ -159,8 +144,6 @@ fn warm_configs() -> Vec<(&'static str, BuildOptions)> {
         ("cto_ltbo", BuildOptions::cto_ltbo()),
         ("cto_ltbo_pl", BuildOptions::cto_ltbo_parallel(8, 4)),
         ("cto_ltbo_hf", BuildOptions::cto_ltbo().with_hot_filter(hot)),
-        ("cto_merge", BuildOptions::cto_merge()),
-        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
     ]
 }
 
@@ -221,18 +204,6 @@ fn warm_rebuild_is_bit_identical_and_recompiles_only_the_delta() {
             } else {
                 assert_eq!(g.group_hits + g.group_misses, 0, "{name}/{threads}: baseline probed");
             }
-            // Merge lane: only merge arms may probe it, and materialized
-            // merges must replay identically (words_saved is derived
-            // from the groups actually applied, plan or no plan).
-            if options.merge.is_some() {
-                assert_eq!(
-                    warm.stats.merge.merged_methods, fresh.stats.merge.merged_methods,
-                    "{name}/{threads}: merge replay drift"
-                );
-                assert_eq!(warm.stats.merge.words_saved, fresh.stats.merge.words_saved);
-            } else {
-                assert_eq!(g.merge_hits + g.merge_misses, 0, "{name}/{threads}: merge probed");
-            }
         }
     }
 }
@@ -246,7 +217,6 @@ struct BuildFacts {
     methods_from_cache: usize,
     words_before_ltbo: usize,
     passes: calibro::PassStats,
-    merge: calibro::MergeStats,
     ltbo: calibro::LtboStats,
 }
 
@@ -258,14 +228,11 @@ fn facts_of_build(session: &BuildSession, dex: &DexFile, options: &BuildOptions)
         methods_from_cache: out.stats.methods_from_cache,
         words_before_ltbo: out.stats.words_before_ltbo,
         passes: out.stats.passes,
-        merge: out.stats.merge,
         ltbo: out.stats.ltbo,
     }
 }
 
-/// The same build through the four public stages. Also checks, on the
-/// size artifact only this route exposes, that no merge thunk has an
-/// outline edit.
+/// The same build through the four public stages.
 fn facts_of_stages(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> BuildFacts {
     let frontend = session.frontend(dex, options).expect("frontend");
     let codegen = session.codegen(dex, options, frontend).expect("codegen");
@@ -273,24 +240,10 @@ fn facts_of_stages(session: &BuildSession, dex: &DexFile, options: &BuildOptions
     let methods_from_cache = codegen.outcomes.iter().filter(|o| o.cache_hit).count();
     let passes = codegen.passes;
     let size = session.outline(options, codegen).expect("outline");
-    let (words_before_ltbo, merge, ltbo) = (size.words_before, size.merge, size.ltbo);
-
-    // A thunk's `bl`-outlined movs would clobber the return address its
-    // island's `ret` consumes, so the outline pass must plan no edit in
-    // any thunk — from cached templates (warm) as from fresh ones.
-    let is_thunk =
-        |m: &CompiledMethod| m.relocs.iter().any(|r| matches!(r.target, CallTarget::Merged(_)));
-    let mut thunks = 0;
-    for (idx, m) in size.methods.iter().enumerate().filter(|(_, m)| is_thunk(m)) {
-        thunks += 1;
-        let edits = size.edits.of(idx);
-        assert!(edits.is_empty(), "merge thunk {:?} was outlined from: {edits:?}", m.method);
-    }
-    assert_eq!(thunks, merge.merged_methods, "every merged method is a thunk");
-
+    let (words_before_ltbo, ltbo) = (size.words_before, size.ltbo);
     let oat = session.link(options, size).expect("link");
     let elf = calibro_oat::to_elf_bytes(&oat);
-    BuildFacts { elf, methods, methods_from_cache, words_before_ltbo, passes, merge, ltbo }
+    BuildFacts { elf, methods, methods_from_cache, words_before_ltbo, passes, ltbo }
 }
 
 #[test]
@@ -298,9 +251,7 @@ fn staged_stages_equal_build() {
     for threads in [1usize, 8] {
         for (name, options) in warm_configs() {
             let options = options.with_compile_threads(threads);
-            // Clone families (`merge_determinism.rs`'s spec), so that the
-            // merge arms leave thunks for the outline pass to not touch.
-            let spec = AppSpec { clone_families: 6, ..AppSpec::small("staged", 23) };
+            let spec = AppSpec::small("staged", 23);
             let dex = generate(&spec).dex;
             let mut edited = dex.clone();
             assert!(!mutate_methods(&mut edited, 7, 0.05).is_empty());
@@ -312,12 +263,6 @@ fn staged_stages_equal_build() {
                 assert_eq!(by_stages, by_build, "{name}/{threads}/{warmth}: stages != build()");
                 if warmth == "warm" {
                     assert!(by_build.methods_from_cache > 0, "{name}/{threads}: nothing replayed");
-                }
-                if options.merge.is_some() {
-                    assert!(
-                        by_build.merge.merged_methods >= 2,
-                        "{name}/{threads}/{warmth}: clone families must merge"
-                    );
                 }
             }
         }
@@ -390,7 +335,7 @@ fn store_entries(
 fn no_store_entry_carries_instructions_after_a_build() {
     let spec = AppSpec { clone_families: 6, ..AppSpec::small("dense", 19) };
     let dex = generate(&spec).dex;
-    for options in [BuildOptions::cto_merge_ltbo(), BuildOptions::cto_ltbo_parallel(8, 2)] {
+    for options in [BuildOptions::cto_ltbo(), BuildOptions::cto_ltbo_parallel(8, 2)] {
         let session = BuildSession::new();
         session.build(&dex, &options).expect("build");
         for entry in store_entries(&session, &dex, &options) {
@@ -403,18 +348,16 @@ fn no_store_entry_carries_instructions_after_a_build() {
 
 #[test]
 fn warm_rebuilds_that_need_instructions_decode_them_from_the_words() {
-    // Every method hits, so every method reaches the size passes as
-    // words only: the merge pass (shape, eligibility, diffing, the
-    // benefit estimate, thunks) and a hot method's template must decode
-    // instructions from the words — reading `insns` would find nothing.
-    // Without CTO a slow path calls the runtime through `x30`, so a hot
-    // template that missed those hazards would outline them.
+    // Every method hits, so every method reaches the size stage as
+    // words only: a hot method's template must decode instructions from
+    // the words — reading `insns` would find nothing. Without CTO a slow
+    // path calls the runtime through `x30`, so a hot template that
+    // missed those hazards would outline them.
     let spec = AppSpec { clone_families: 6, ..AppSpec::small("decode", 29) };
     let dex = generate(&spec).dex;
     let hot: HashSet<u32> = (0..dex.methods().len() as u32).filter(|id| id % 3 != 0).collect();
     let sharded_hot = BuildOptions::cto_ltbo_parallel(8, 2).with_hot_filter(hot);
     let configs = [
-        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
         ("cto_ltbo_pl_hf", sharded_hot.clone()),
         ("ltbo_pl_hf", BuildOptions { cto: false, ..sharded_hot }),
     ];
@@ -429,11 +372,7 @@ fn warm_rebuilds_that_need_instructions_decode_them_from_the_words() {
             "{name}: a warm rebuild over words-only methods moved the image"
         );
         assert_eq!(warm.stats.ltbo, cold.stats.ltbo, "{name}");
-        assert_eq!(warm.stats.merge.merged_methods, cold.stats.merge.merged_methods, "{name}");
-        match name {
-            "cto_merge_ltbo" => assert!(cold.stats.merge.merged_methods >= 2, "nothing merged"),
-            _ => assert!(cold.stats.ltbo.hot_restricted_methods > 0, "nothing hot"),
-        }
+        assert!(cold.stats.ltbo.hot_restricted_methods > 0, "{name}: nothing hot");
     }
 }
 

@@ -10,8 +10,7 @@
 use std::collections::HashSet;
 
 use calibro::{
-    options_fingerprint, program_salt, BuildOptions, LtboConfig, LtboMode, MergeConfig,
-    PipelineConfig,
+    options_fingerprint, program_salt, BuildOptions, LtboConfig, LtboMode, PipelineConfig,
 };
 use calibro_dex::wire::{decode, encode};
 use calibro_dex::DexFile;
@@ -32,26 +31,21 @@ fn options_from(raw: &[u64], hot: Option<&[u32]>) -> BuildOptions {
             1 => Some(LtboMode::Global),
             _ => Some(LtboMode::Parallel { groups: 1 + small(2), threads: 1 + small(3) }),
         },
-        merge: bit(4).then(|| MergeConfig {
-            min_body_words: 4 + small(5),
-            max_params: small(6),
-            arbitrate: bit(7),
-        }),
-        dict: bit(8),
-        min_seq_len: 2 + small(9),
+        dict: bit(4),
+        min_seq_len: 2 + small(5),
         hot_methods: hot.map(|ids| ids.iter().copied().collect()),
-        base_address: 0x1000 * (raw[10] % 3),
-        force_metadata: bit(11),
-        inlining: bit(12),
-        compile_threads: 1 + small(13),
+        base_address: 0x1000 * (raw[6] % 3),
+        force_metadata: bit(7),
+        inlining: bit(8),
+        compile_threads: 1 + small(9),
         passes: PipelineConfig {
-            copy_prop: bit(14),
-            constant_folding: bit(15),
-            simplify: bit(16),
-            cse: bit(17),
-            dce: bit(18),
-            return_merge: bit(19),
-            remove_unreachable: bit(20),
+            copy_prop: bit(10),
+            constant_folding: bit(11),
+            simplify: bit(12),
+            cse: bit(13),
+            dce: bit(14),
+            return_merge: bit(15),
+            remove_unreachable: bit(16),
         },
     }
 }
@@ -59,7 +53,7 @@ fn options_from(raw: &[u64], hot: Option<&[u32]>) -> BuildOptions {
 /// A strategy for [`options_from`]'s inputs: the raw field draws and an
 /// optional hot set over a handful of method ids.
 fn option_draws() -> impl Strategy<Value = (Vec<u64>, Vec<u32>, bool)> {
-    (prop::collection::vec(any::<u64>(), 21), prop::collection::vec(0u32..6, 0..4), any::<bool>())
+    (prop::collection::vec(any::<u64>(), 17), prop::collection::vec(0u32..6, 0..4), any::<bool>())
 }
 
 proptest! {
@@ -77,8 +71,8 @@ proptest! {
     }
 
     /// `decode(encode(x)) == x` for `BuildOptions` and for the
-    /// `LtboConfig` / `MergeConfig` inside it, which are keyed on their
-    /// own too (group- and merge-plan keys).
+    /// `LtboConfig` inside it, which is keyed on its own too (group-plan
+    /// keys).
     #[test]
     fn configurations_round_trip((raw, hot, with_hot) in option_draws()) {
         let options = options_from(&raw, with_hot.then_some(&hot[..]));
@@ -87,10 +81,6 @@ proptest! {
         if let Some(config) = options.ltbo_config() {
             let back: LtboConfig = decode(&encode(&config)).expect("an LTBO config decodes");
             prop_assert_eq!(back, config);
-        }
-        if let Some(config) = &options.merge {
-            let back: MergeConfig = decode(&encode(config)).expect("a merge config decodes");
-            prop_assert_eq!(&back, config);
         }
     }
 

@@ -1,91 +1,10 @@
-//! Determinism contract for the function-merge backend (the second
-//! size pass): merged output must be byte-identical
-//!
-//! 1. across 1 and 8 compile threads (merge runs sequentially after the
-//!    parallel compile phase, but its input order must not depend on
-//!    the compile schedule), and
-//! 2. cold vs warm — a warm rebuild replays the cached merge plan
-//!    (`merge_hits` > 0, zero recomputation) and still serializes to
-//!    the same ELF bytes.
-//!
-//! The workload uses `clone_families` so the merge pass demonstrably
-//! fires: a run that merged nothing would pass byte-equality vacuously.
+//! The regression test for the miscompile that retired function merging
+//! (DESIGN.md §12): the benchmark's size-first build of one app returned
+//! a wrong value from a traced call. It must now run every trace call
+//! exactly as the baseline build does.
 
-use calibro::{build, BuildOptions, BuildSession};
-use calibro_workloads::{generate, AppSpec};
-
-fn clone_heavy_spec(name: &str, seed: u64) -> AppSpec {
-    AppSpec { clone_families: 6, ..AppSpec::small(name, seed) }
-}
-
-fn merge_arms() -> Vec<(&'static str, BuildOptions)> {
-    vec![
-        ("cto_merge", BuildOptions::cto_merge()),
-        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
-    ]
-}
-
-#[test]
-fn merge_fires_on_clone_families_and_is_thread_count_invariant() {
-    let app = generate(&clone_heavy_spec("merge-det", 101));
-    for (name, options) in merge_arms() {
-        let one = build(&app.dex, &options.clone().with_compile_threads(1))
-            .unwrap_or_else(|e| panic!("{name}/t1: {e}"));
-        let eight = build(&app.dex, &options.with_compile_threads(8))
-            .unwrap_or_else(|e| panic!("{name}/t8: {e}"));
-        assert!(
-            one.stats.merge.merged_methods >= 2,
-            "{name}: clone families must actually merge, stats: {:?}",
-            one.stats.merge
-        );
-        assert!(one.stats.merge.words_saved > 0, "{name}: merging must save words");
-        assert_eq!(
-            calibro_oat::to_elf_bytes(&one.oat),
-            calibro_oat::to_elf_bytes(&eight.oat),
-            "{name}: merged output differs between 1 and 8 compile threads"
-        );
-        assert_eq!(one.stats.merge, eight.stats.merge, "{name}: merge stats drift");
-    }
-}
-
-#[test]
-fn warm_merge_replays_the_plan_byte_identically() {
-    let app = generate(&clone_heavy_spec("merge-warm", 202));
-    for (name, options) in merge_arms() {
-        let session = BuildSession::new();
-        let cold = session.build(&app.dex, &options).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(cold.stats.cache.merge_misses > 0, "{name}: cold build must populate the lane");
-        assert!(cold.stats.cache.merge_stores > 0, "{name}: cold build must store plans");
-        assert!(cold.stats.merge.merged_methods >= 2, "{name}: nothing merged");
-
-        let warm = session.build(&app.dex, &options).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(warm.stats.cache.merge_misses, 0, "{name}: identical rebuild re-detected");
-        assert!(warm.stats.cache.merge_hits > 0, "{name}: plan not replayed");
-        assert_eq!(
-            calibro_oat::to_elf_bytes(&cold.oat),
-            calibro_oat::to_elf_bytes(&warm.oat),
-            "{name}: plan replay changed the output bytes"
-        );
-        assert_eq!(warm.stats.merge.merged_methods, cold.stats.merge.merged_methods);
-        assert_eq!(warm.stats.merge.words_saved, cold.stats.merge.words_saved);
-    }
-}
-
-#[test]
-fn merge_is_byte_neutral_for_non_merge_arms() {
-    // The pass refactor must not perturb the existing arms: a build
-    // with merge off goes through the same SizePass pipeline and must
-    // match a direct build exactly (this also guards pass ordering —
-    // outline-only output is independent of the merge code existing).
-    let app = generate(&clone_heavy_spec("merge-off", 303));
-    for options in [BuildOptions::baseline(), BuildOptions::cto(), BuildOptions::cto_ltbo()] {
-        let a = build(&app.dex, &options).unwrap();
-        let b = build(&app.dex, &options).unwrap();
-        assert_eq!(calibro_oat::to_elf_bytes(&a.oat), calibro_oat::to_elf_bytes(&b.oat));
-        assert_eq!(a.stats.merge.merged_methods, 0);
-        assert_eq!(a.stats.cache.merge_hits + a.stats.cache.merge_misses, 0);
-    }
-}
+use calibro::{build, BuildOptions};
+use calibro_workloads::{generate, paper_suite, App, TraceCall};
 
 /// `splitmix64`, the mixer the benchmark derives every app's seed from
 /// its master seed with.
@@ -97,34 +16,34 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 /// Each trace call's outcome (or trap) on `options`' build of `app`.
-fn trace_outcomes(app: &calibro_workloads::App, options: &BuildOptions) -> Vec<String> {
+fn trace_outcomes(app: &App, options: &BuildOptions) -> Vec<String> {
     let out = build(&app.dex, options).expect("build");
     let mut rt = calibro_runtime::Runtime::new(&out.oat, &app.env);
-    let mut outcome = |c: &calibro_workloads::TraceCall| {
+    let mut outcome = |c: &TraceCall| {
         format!("{:?}", rt.call(c.method, &c.args, 4_000_000).map(|inv| inv.outcome))
     };
     app.trace.iter().map(&mut outcome).collect()
 }
 
-/// The miscompile the benchmark found: kuaishou as its `cold_sizefirst`
-/// workload generates it under master seed 8203 (`paper_suite(0.5)`, the
-/// app's seed mixed with the master's). One merged body calls the
-/// StackCheck thunk before it reads its parameter, and that `bl` leaves
-/// `x16` holding the thunk's scratch value instead of the constant the
-/// member's thunk put there, so a call returns the wrong value.
+/// Kuaishou as the benchmark's `cold_sizefirst` workload generates it
+/// under master seed 8203 (`paper_suite(0.5)`, the app's seed mixed with
+/// the master's), built with the options that workload builds with.
+/// While those options merged functions, trace call 40 returned a wrong
+/// value: a merged body called the StackCheck thunk, whose scratch use
+/// of `x16` overwrote the parameter the member's thunk had put there,
+/// before the body read it.
 #[test]
-#[ignore = "ROADMAP \"Delete function merging\": the merge island's StackCheck bl clobbers x16 before the parameter is read"]
-fn a_merged_body_reads_its_parameters_before_any_call_clobbers_them() {
-    let mut spec = calibro_workloads::paper_suite(0.5)
+fn the_size_first_build_of_seed_8203_kuaishou_runs_its_trace_like_the_baseline() {
+    let mut spec = paper_suite(0.5)
         .into_iter()
         .find(|s| s.name == "kuaishou")
         .expect("the paper suite has kuaishou");
     spec.seed = splitmix64(splitmix64(8203) ^ spec.seed);
     let app = generate(&spec);
     let reference = trace_outcomes(&app, &BuildOptions::baseline());
-    let merged = trace_outcomes(&app, &BuildOptions::cto_merge());
-    assert_eq!(merged.len(), reference.len());
-    if let Some(i) = (0..reference.len()).find(|&i| merged[i] != reference[i]) {
-        panic!("trace call {i} gave {}, the baseline build {}", merged[i], reference[i]);
+    let size_first = trace_outcomes(&app, &BuildOptions::cto_merge_ltbo());
+    assert_eq!(size_first.len(), reference.len());
+    if let Some(i) = (0..reference.len()).find(|&i| size_first[i] != reference[i]) {
+        panic!("trace call {i} gave {}, the baseline build {}", size_first[i], reference[i]);
     }
 }

@@ -22,8 +22,6 @@ fn table4_configs(app: &App) -> Vec<(&'static str, BuildOptions)> {
         ("cto_ltbo", BuildOptions::cto_ltbo()),
         ("cto_ltbo_pl", BuildOptions::cto_ltbo_parallel(8, 6)),
         ("cto_ltbo_pl_hf", BuildOptions::cto_ltbo_parallel(8, 6).with_hot_filter(hot)),
-        ("cto_merge", BuildOptions::cto_merge()),
-        ("cto_merge_ltbo", BuildOptions::cto_merge_ltbo()),
     ]
 }
 
@@ -53,7 +51,6 @@ fn parallel_compile_is_bit_identical_across_the_suite() {
             assert_eq!(sequential.stats.methods, parallel.stats.methods);
             assert_eq!(sequential.stats.words_before_ltbo, parallel.stats.words_before_ltbo);
             assert_eq!(sequential.stats.ltbo, parallel.stats.ltbo);
-            assert_eq!(sequential.stats.merge, parallel.stats.merge, "{}/{name}", app.name);
             // ...while the worker accounting reflects each schedule.
             assert_eq!(sequential.stats.compile_threads, 1);
             assert_eq!(parallel.stats.compile_threads, 8);
