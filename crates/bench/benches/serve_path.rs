@@ -6,9 +6,12 @@
 //! way for a program sent whole), and the in-process round trip of a
 //! known program through a daemon: sent whole (a raw connection, as a
 //! client that has not sent it before does), named by reference (the
-//! client's way from its third send), and as a tenant fetch by
-//! reference answered from a sealed generation. One pool-shaped
-//! 200-method app, the shape of the benchmark's `serve_mixed` pool.
+//! client's way from its third send), as a tenant fetch by reference
+//! answered from a sealed generation, and an edit of it with 5 % of its
+//! methods changed (sent by edit: the base's id and the changed rows;
+//! the edit is the same each time, so its build is all hits as the
+//! others' are). One pool-shaped 200-method app, the shape of the
+//! benchmark's `serve_mixed` pool.
 
 use std::os::unix::net::UnixStream;
 
@@ -113,6 +116,12 @@ fn bench_serve_path(c: &mut Criterion) {
         b.iter(|| {
             client.build_for_tenant("pool0", &dex, &options, None).map(|reply| reply.elf.len())
         });
+    });
+    let mut edited = dex.clone();
+    calibro_workloads::mutate_methods(&mut edited, 7, 0.05);
+    client.build(&edited, &options, None).expect("warming edit");
+    group.bench_function("roundtrip/edit_5pct", |b| {
+        b.iter(|| client.build(&edited, &options, None).map(|reply| reply.elf.len()));
     });
     group.finish();
     daemon.shutdown();

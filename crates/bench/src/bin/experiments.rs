@@ -186,6 +186,10 @@ fn run_serve(args: &[String]) {
         report.warm_requests,
         report.warm_hit_rate * 100.0
     );
+    println!(
+        "edits of the warm app: {:>3} sent by edit, identical to a whole send {}",
+        report.edits, report.edit_identical
+    );
     if report.probe_sent > 0 {
         println!(
             "overload probe: {} sent, {} rejected Overloaded",

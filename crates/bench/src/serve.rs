@@ -2,15 +2,18 @@
 //! cold/warm request stream at a daemon (an in-process one by default,
 //! or an externally spawned `calibrod` via `--socket`/`--addr`),
 //! measuring throughput, client-observed latency quantiles, cache hit
-//! rates on the warm half, and the daemon's admission behavior under a
-//! deliberate overload burst. Results land in `BENCH_serve.json`.
+//! rates on the warm half, one edit of the warm app per connection (sent
+//! by edit, checked against a whole send), and the daemon's admission
+//! behavior under a deliberate overload burst. Results land in
+//! `BENCH_serve.json`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use calibro::BuildOptions;
-use calibro_server::{Daemon, Listener, ServeError, ServerConfig, ShardEndpoint};
-use calibro_workloads::{generate, AppSpec};
+use calibro_dex::DexFile;
+use calibro_server::{ClientError, Daemon, Listener, ServeError, ServerConfig, ShardEndpoint};
+use calibro_workloads::{generate, mutate_methods, AppSpec};
 
 /// Loadgen configuration (all defaults overridable from the CLI).
 #[derive(Clone, Debug)]
@@ -74,6 +77,13 @@ pub struct ServeReport {
     pub warm_speedup: f64,
     /// Whether the cold and warm replies were byte-identical.
     pub identical: bool,
+    /// One-method edits of the warm app sent, one per connection that
+    /// named the warm app by reference (outside the mixed stream's
+    /// counts).
+    pub edits: usize,
+    /// Whether every edit was answered, byte-identical to a whole send
+    /// of the same edited program from a fresh connection.
+    pub edit_identical: bool,
     /// Overload-probe requests sent (0 when the probe is disabled).
     pub probe_sent: usize,
     /// Overload-probe requests rejected with `Overloaded`.
@@ -92,6 +102,7 @@ impl ServeReport {
                 r#""warm_hit_rate":{:.6},"wall_us":{},"throughput_rps":{:.3},"#,
                 r#""p50_us":{},"p95_us":{},"p99_us":{},"#,
                 r#""cold_us":{},"warm_us":{},"warm_speedup":{:.3},"identical":{},"#,
+                r#""edits":{},"edit_identical":{},"#,
                 r#""probe_sent":{},"probe_rejected":{},"server":{}}}"#
             ),
             self.clients,
@@ -108,6 +119,8 @@ impl ServeReport {
             self.warm_us,
             self.warm_speedup,
             self.identical,
+            self.edits,
+            self.edit_identical,
             self.probe_sent,
             self.probe_rejected,
             self.server_json
@@ -128,6 +141,12 @@ fn cold_spec(ordinal: usize) -> AppSpec {
         ..AppSpec::small(&format!("serve-cold-{ordinal}"), 5000 + ordinal as u64)
     }
 }
+
+/// One client thread's share of the mixed stream: its latencies, its
+/// errors, its warm requests with their methods and cached methods, and
+/// its edit of the warm app with the reply's ELF.
+type StreamOutcome =
+    (Vec<u64>, usize, usize, u64, u64, Option<(DexFile, Result<Vec<u8>, ClientError>)>);
 
 fn sorted_quantile(latencies: &[u64], p: f64) -> u64 {
     if latencies.is_empty() {
@@ -206,13 +225,15 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
 
     // Mixed stream: each client alternates the shared warm app (now
     // cached) with a unique cold app, so roughly half the stream
-    // exercises the shared store and half the compile path.
+    // exercises the shared store and half the compile path. Once its
+    // third warm build has named the warm app by reference, a client
+    // sends one edit of it — one method changed — which goes by edit.
     let per_client = (config.requests / config.clients.max(1)).max(1);
     let cold_ordinal = AtomicUsize::new(0);
     let stream_start = Instant::now();
-    let outcomes: Vec<(Vec<u64>, usize, usize, u64, u64)> = std::thread::scope(|scope| {
+    let outcomes: Vec<StreamOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.clients.max(1))
-            .map(|_| {
+            .map(|c| {
                 let endpoint = endpoint.clone();
                 let options = &options;
                 let warm_dex = &warm_app.dex;
@@ -222,6 +243,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
                     let mut latencies = Vec::with_capacity(per_client);
                     let (mut errors, mut warm_sent) = (0usize, 0usize);
                     let (mut warm_methods, mut warm_cached) = (0u64, 0u64);
+                    let mut edit = None;
                     for i in 0..per_client {
                         let cold;
                         let (dex, is_warm) = if i % 2 == 0 {
@@ -244,8 +266,14 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
                             }
                             Err(_) => errors += 1,
                         }
+                        if is_warm && warm_sent == 3 && edit.is_none() {
+                            let mut edited = warm_dex.clone();
+                            mutate_methods(&mut edited, c as u64, 0.0);
+                            let reply = client.build(&edited, options, None);
+                            edit = Some((edited, reply.map(|reply| reply.elf)));
+                        }
                     }
-                    (latencies, errors, warm_sent, warm_methods, warm_cached)
+                    (latencies, errors, warm_sent, warm_methods, warm_cached, edit)
                 })
             })
             .collect();
@@ -256,13 +284,22 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
     let mut latencies: Vec<u64> = Vec::new();
     let (mut errors, mut warm_requests) = (0usize, 0usize);
     let (mut warm_methods, mut warm_cached) = (0u64, 0u64);
-    for (lat, err, warm_sent, methods, cached) in outcomes {
+    let mut edits = Vec::new();
+    for (lat, err, warm_sent, methods, cached, edit) in outcomes {
         latencies.extend(lat);
         errors += err;
         warm_requests += warm_sent;
         warm_methods += methods;
         warm_cached += cached;
+        edits.extend(edit);
     }
+    // Each edit against a whole send of the same edited program: the
+    // first send of it on a fresh connection.
+    let edit_identical = edits.iter().all(|(edited, reply)| {
+        let mut fresh = endpoint.client().expect("connect to the daemon");
+        let whole = fresh.build(edited, &options, None).map(|reply| reply.elf);
+        matches!((reply, whole), (Ok(edit), Ok(whole)) if *edit == whole)
+    });
     latencies.sort_unstable();
     let completed = latencies.len();
     #[allow(clippy::cast_precision_loss)]
@@ -319,6 +356,8 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
         warm_us,
         warm_speedup,
         identical,
+        edits: edits.len(),
+        edit_identical,
         probe_sent,
         probe_rejected,
         server_json: server_stats.to_json(),

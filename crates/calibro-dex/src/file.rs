@@ -103,6 +103,35 @@ impl DexFile {
         Arc::make_mut(&mut self.methods[id.index()])
     }
 
+    /// Replaces the method table with `methods`, in order: a method
+    /// whose id is its new position keeps its allocation, and any other
+    /// moves to a new one with its id set (copy-on-write, as in
+    /// [`method_mut`](Self::method_mut)). Each class lists its methods
+    /// again, in id order, as [`add_method`](Self::add_method) leaves
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a method references a class that does not exist.
+    pub fn set_methods(&mut self, mut methods: Vec<Arc<Method>>) {
+        for class in &mut self.classes {
+            class.methods.clear();
+        }
+        for (at, method) in methods.iter_mut().enumerate() {
+            let id = MethodId(at as u32);
+            if method.id != id {
+                Arc::make_mut(method).id = id;
+            }
+            let class = method.class;
+            self.classes
+                .get_mut(class.index())
+                .unwrap_or_else(|| panic!("method references missing class {class}"))
+                .methods
+                .push(id);
+        }
+        self.methods = methods;
+    }
+
     /// All methods in id order.
     #[must_use]
     pub fn methods(&self) -> &[Arc<Method>] {
@@ -144,6 +173,29 @@ mod tests {
         assert_eq!(dex.method(m).id, m);
         assert_eq!(dex.class(c).methods, vec![m]);
         assert_eq!(dex.total_insns(), 1);
+    }
+
+    #[test]
+    fn set_methods_keeps_the_allocations_already_in_place_and_relists_the_classes() {
+        let mut dex = DexFile::new();
+        let (a, b) = (dex.add_class("A", 0), dex.add_class("B", 0));
+        for (class, name) in [(a, "x"), (b, "y"), (a, "z")] {
+            let mut m = crate::MethodBuilder::new(name, 1, 0);
+            m.push(DexInsn::ReturnVoid);
+            dex.add_method(m.build(class));
+        }
+        let base = dex.clone();
+        let mut methods = base.methods().to_vec();
+        methods.swap(1, 2);
+        methods.pop();
+        dex.set_methods(methods);
+        assert!(Arc::ptr_eq(&dex.methods()[0], &base.methods()[0]));
+        // Moved: a new allocation with its id set; the base keeps its own.
+        assert!(!Arc::ptr_eq(&dex.methods()[1], &base.methods()[2]));
+        assert_eq!((dex.methods()[1].id, &*dex.methods()[1].name), (MethodId(1), "z"));
+        assert_eq!(base.methods()[2].id, MethodId(2));
+        assert_eq!(dex.class(a).methods, vec![MethodId(0), MethodId(1)]);
+        assert!(dex.class(b).methods.is_empty());
     }
 
     #[test]

@@ -438,6 +438,10 @@ impl Wire for String {
         let n = r.count(what)?;
         String::from_utf8(r.take(n, what)?.to_vec()).map_err(|_| WireError::BadUtf8)
     }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
 }
 
 /// Raw bytes: a `u64` length, then the bytes. (Not a counted sequence
@@ -451,6 +455,10 @@ impl Wire for Vec<u8> {
         let claimed = r.u64(what)?;
         let n = r.bounded(claimed, 1, what)?;
         Ok(r.take(n, what)?.to_vec())
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
     }
 }
 
@@ -829,22 +837,34 @@ impl Wire for DexFile {
             dex.add_class(name, r.u32("num_fields")?);
         }
         for _ in 0..r.count("methods")? {
-            let class: ClassId = Wire::get(r, "method class")?;
-            if class.index() >= dex.classes().len() {
-                return Err(WireError::InvalidTag { what: "method class id", tag: 0 });
-            }
-            dex.add_method(Method {
-                id: MethodId(0), // overwritten by add_method with the table position
-                class,
-                name: Wire::get(r, "method name")?,
-                num_regs: r.u16("num_regs")?,
-                num_args: r.u16("num_args")?,
-                is_native: Wire::get(r, "is_native")?,
-                insns: r.seq("insns")?,
-            });
+            dex.add_method(get_method_body(r, dex.classes().len())?);
         }
         Ok(dex)
     }
+}
+
+/// Reads one [`put_method_body`] row of a program with `classes`
+/// classes; its `id` is 0, for the table position to overwrite.
+///
+/// # Errors
+///
+/// Returns [`WireError`] on truncation, an invalid field, or a class id
+/// of no class.
+#[inline]
+pub fn get_method_body(r: &mut Reader<'_>, classes: usize) -> Result<Method, WireError> {
+    let class: ClassId = Wire::get(r, "method class")?;
+    if class.index() >= classes {
+        return Err(WireError::InvalidTag { what: "method class id", tag: 0 });
+    }
+    Ok(Method {
+        id: MethodId(0),
+        class,
+        name: Wire::get(r, "method name")?,
+        num_regs: r.u16("num_regs")?,
+        num_args: r.u16("num_args")?,
+        is_native: Wire::get(r, "is_native")?,
+        insns: r.seq("insns")?,
+    })
 }
 
 /// A hot set travels sorted, so equal sets encode to equal bytes.
@@ -984,6 +1004,8 @@ mod tests {
         agrees(vec![(1u32, 2u32), (3, 4)]);
         agrees(Some(vec![7u64, 8]));
         agrees(None::<u32>);
+        agrees(vec![1u8, 2, 3]);
+        agrees(String::from("héllo"));
         agrees(vec![DexInsn::Nop, DexInsn::Goto { target: 3 }]);
         agrees(MethodId(4));
         agrees(true);

@@ -8,9 +8,21 @@
 //! programs it sent whole on this connection (`SentProgram`); the
 //! second whole send of one is when the daemon admits it to its program
 //! table, so the client hashes the program's id then, and names it by
-//! that id from the third build on. A daemon that no longer holds it
-//! answers [`ServeError::UnknownProgram`], and the client sends it
-//! whole again — the caller never sees the difference.
+//! that id from the third build on.
+//!
+//! A program that is not one of those but an edit of a named one — the
+//! same classes and statics, and at least half of its methods the named
+//! program's allocations at the same positions, as a clone edited
+//! through [`DexFile::method_mut`] or [`DexFile::add_method`] is — goes
+//! by edit: the base's id, the method count, and the rows of the
+//! methods whose allocation differs. It is not recorded as sent whole,
+//! so its next build goes by edit again. Tenant builds never go by
+//! edit: a tenant's program is named by the whole program's id.
+//!
+//! A daemon that no longer holds the named program answers
+//! [`ServeError::UnknownProgram`] to a reference or an edit, and the
+//! client sends the program whole again — the caller never sees the
+//! difference.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -28,8 +40,8 @@ use crate::programs::{ProgramId, SENT_RING};
 use crate::proto::{
     self, BuildReply, BuildRequestRef, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
     GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats,
-    REQ_BUILD, REQ_BUILD_BY_ID, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR,
-    RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
+    REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT,
+    RESP_ERROR, RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
 use crate::transport::{self, Stream};
@@ -79,6 +91,24 @@ impl SentProgram {
                 .all(|(sent, m)| sent.as_ptr() == Arc::as_ptr(m))
             && self.classes == dex.classes()
     }
+
+    /// Whether `dex` can be sent as an edit of this program: the same
+    /// statics, and classes of the same wire form (their method lists
+    /// follow the methods).
+    fn can_edit_into(&self, dex: &DexFile) -> bool {
+        self.num_statics == dex.num_statics()
+            && self.classes.len() == dex.classes().len()
+            && self
+                .classes
+                .iter()
+                .zip(dex.classes())
+                .all(|(sent, class)| sent.name == class.name && sent.num_fields == class.num_fields)
+    }
+
+    /// Whether `dex`'s method at `at` is this program's allocation.
+    fn shares(&self, dex: &DexFile, at: usize) -> bool {
+        self.methods.get(at).is_some_and(|sent| sent.as_ptr() == Arc::as_ptr(&dex.methods()[at]))
+    }
 }
 
 /// One build a caller asked for.
@@ -93,7 +123,8 @@ struct BuildCall<'a> {
 /// How one build request went out.
 struct Sent {
     request_id: u64,
-    by_id: bool,
+    /// The program named, by reference or as an edit's base.
+    named: Option<ProgramId>,
 }
 
 impl Client {
@@ -133,11 +164,12 @@ impl Client {
     }
 
     /// Writes the next build request for `dex` under `options`: by id
-    /// when this connection sent the program whole twice already, whole
-    /// otherwise — and then `dex` is recorded, or hashed at its second
-    /// send. The request is encoded straight from the borrows: neither
-    /// the program nor the options are copied.
-    fn send_build(&mut self, call: &BuildCall<'_>) -> io::Result<Sent> {
+    /// when this connection sent the program whole twice already, by
+    /// edit when it is an edit of such a program (unless `whole`, or a
+    /// tenant build), whole otherwise — and then `dex` is recorded, or
+    /// hashed at its second send. The request is encoded straight from
+    /// the borrows: neither the program nor the options are copied.
+    fn send_build(&mut self, call: &BuildCall<'_>, whole: bool) -> io::Result<Sent> {
         let BuildCall { tenant, dex, options, deadline } = *call;
         let request = BuildRequestRef {
             request_id: self.next_id(),
@@ -149,6 +181,18 @@ impl Client {
             dex,
         };
         let found = self.sent.iter().rposition(|sent| sent.is(dex));
+        let may_edit = found.is_none() && tenant.is_none() && !whole;
+        if let Some((at, changed)) = may_edit.then(|| self.edit_base(dex)).flatten() {
+            let base = self.sent.remove(at).expect("the position was just found");
+            let id = base.id.expect("only a named program is a base");
+            self.sent.push_back(base);
+            proto::write_frame(
+                &mut self.stream,
+                REQ_BUILD_EDIT,
+                &request.encode_edit(id, &changed),
+            )?;
+            return Ok(Sent { request_id: request.request_id, named: Some(id) });
+        }
         // Most recently used last; the least recently used goes first.
         let mut entry = match found {
             Some(at) => self.sent.remove(at).expect("the position was just found"),
@@ -159,25 +203,46 @@ impl Client {
                 SentProgram::of(dex)
             }
         };
-        let (kind, body) = match entry.id {
-            Some(id) => (REQ_BUILD_BY_ID, request.encode_by_id(id)),
+        let (kind, body, named) = match entry.id {
+            Some(id) => (REQ_BUILD_BY_ID, request.encode_by_id(id), Some(id)),
             None => {
                 let (body, start) = request.encode_split();
                 if found.is_some() {
                     entry.id = Some(ProgramId::of(&body[start..]));
                 }
-                (REQ_BUILD, body)
+                (REQ_BUILD, body, None)
             }
         };
         self.sent.push_back(entry);
         proto::write_frame(&mut self.stream, kind, &body)?;
-        Ok(Sent { request_id: request.request_id, by_id: kind == REQ_BUILD_BY_ID })
+        Ok(Sent { request_id: request.request_id, named })
     }
 
-    /// Forgets `dex` after the daemon did not know its id: the next two
-    /// sends go whole, as for a program new to the daemon.
-    fn forget(&mut self, dex: &DexFile) {
-        self.sent.retain(|sent| !sent.is(dex));
+    /// The named program `dex` goes out as an edit of — of those it can
+    /// be an edit of, the one sharing the most methods by position, and
+    /// at least half of `dex`'s — with the positions of the methods that
+    /// are not that program's allocations.
+    fn edit_base(&self, dex: &DexFile) -> Option<(usize, Vec<u32>)> {
+        let methods = dex.methods().len();
+        let (at, shared) = self
+            .sent
+            .iter()
+            .enumerate()
+            .filter(|(_, sent)| sent.id.is_some() && sent.can_edit_into(dex))
+            .map(|(at, sent)| (at, (0..methods).filter(|&m| sent.shares(dex, m)).count()))
+            .max_by_key(|&(_, shared)| shared)?;
+        if 2 * shared < methods {
+            return None;
+        }
+        let base = &self.sent[at];
+        Some((at, (0..methods).filter(|&m| !base.shares(dex, m)).map(|m| m as u32).collect()))
+    }
+
+    /// Forgets the program named `id` after the daemon did not know it:
+    /// the next two sends of it go whole, as for a program new to the
+    /// daemon, and no edit names it.
+    fn forget(&mut self, id: ProgramId) {
+        self.sent.retain(|sent| sent.id != Some(id));
     }
 
     /// One build round trip; `tenant` as in `BuildRequest::tenant`.
@@ -194,24 +259,25 @@ impl Client {
 
     /// Every build path: writes one request per call before reading any
     /// reply, collects the outcomes by request id, and sends whole again,
-    /// pipelined, each call whose reference the daemon did not know —
-    /// its answer stands for the original request. Outcomes come back in
-    /// call order.
+    /// pipelined, each call whose reference or edit base the daemon did
+    /// not know — its answer stands for the original request. Outcomes
+    /// come back in call order.
     fn builds(
         &mut self,
         calls: &[BuildCall<'_>],
     ) -> Result<Vec<Result<BuildReply, ServeError>>, ClientError> {
         let mut sent = Vec::with_capacity(calls.len());
         for call in calls {
-            sent.push(self.send_build(call)?);
+            sent.push(self.send_build(call, false)?);
         }
         let ids: Vec<u64> = sent.iter().map(|sent| sent.request_id).collect();
         let mut outcomes = self.read_build_outcomes(&ids)?;
         let mut retried = Vec::new();
         for (call, sent) in calls.iter().zip(&sent) {
-            if sent.by_id && matches!(outcomes[&sent.request_id], Err(ServeError::UnknownProgram)) {
-                self.forget(call.dex);
-                retried.push((sent.request_id, self.send_build(call)?.request_id));
+            let unknown = matches!(outcomes[&sent.request_id], Err(ServeError::UnknownProgram));
+            if let Some(id) = sent.named.filter(|_| unknown) {
+                self.forget(id);
+                retried.push((sent.request_id, self.send_build(call, true)?.request_id));
             }
         }
         let again: Vec<u64> = retried.iter().map(|&(_, again)| again).collect();

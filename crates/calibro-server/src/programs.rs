@@ -32,6 +32,15 @@
 //! [`SentPrograms`] ring, and the daemon resolves a reference only to a
 //! program that is both in that ring and held in the table: a reference
 //! never names more than the bytes its own client already sent.
+//!
+//! **A held program can be edited instead of sent.** A build by edit
+//! names a base program by the same rule, and carries the edited
+//! program's method count and the rows of its methods that differ from
+//! the base's ([`apply_edit`]). The edited program is a clone of the
+//! held base, so every method it did not change is the base's
+//! allocation, neither sent, nor decoded, nor keyed again. It is a
+//! program of one build: the table is not offered it, and the
+//! connection's ring does not record it as sent.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -39,6 +48,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use calibro::{CacheKey, StableHasher};
 use calibro_dex::wire::wire_fields;
 use calibro_dex::DexFile;
+
+use crate::proto::EditRow;
 
 /// Ids of decoded-once programs remembered for a second sighting.
 const SEEN_RING: usize = 64;
@@ -95,6 +106,57 @@ impl SentPrograms {
     pub(crate) fn contains(&self, id: ProgramId) -> bool {
         self.ids.contains(&id)
     }
+}
+
+/// The program a build by edit sends: `base` with its method table cut
+/// or extended to `count` and each row dropped in at its index. Every
+/// method without a row stays the base's allocation. `Err` says why the
+/// rows make no program of the base; it is checked before anything is
+/// allocated for `count`.
+pub(crate) fn apply_edit(
+    base: &DexFile,
+    count: u32,
+    rows: Vec<EditRow>,
+) -> Result<DexFile, String> {
+    let count = count as usize;
+    let kept = base.methods().len().min(count);
+    let classes = base.classes().len();
+    let mut previous = None;
+    for row in &rows {
+        let index = row.index as usize;
+        if index >= count {
+            return Err(format!("edit row {index} is past the method count {count}"));
+        }
+        if previous.is_some_and(|previous| index <= previous) {
+            return Err(format!("edit row {index} is out of order or repeated"));
+        }
+        previous = Some(index);
+        let class = row.method.class.index();
+        if class >= classes {
+            return Err(format!("edit row {index} names class {class} of {classes}"));
+        }
+    }
+    // Distinct, ascending and below `count`: the rows past the base's
+    // methods cover them exactly when there are as many as are missing.
+    let appended = rows.iter().filter(|row| row.index as usize >= kept).count();
+    if appended != count - kept {
+        return Err(format!(
+            "edit to {count} methods sends {appended} rows past the base's {kept}, not {}",
+            count - kept
+        ));
+    }
+    let mut methods = base.methods()[..kept].to_vec();
+    methods.reserve(count - kept);
+    for EditRow { index, method } in rows {
+        let method = Arc::new(method);
+        match methods.get_mut(index as usize) {
+            Some(slot) => *slot = method,
+            None => methods.push(method),
+        }
+    }
+    let mut dex = base.clone();
+    dex.set_methods(methods);
+    Ok(dex)
 }
 
 struct Held {

@@ -31,8 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use calibro::{BuildOptions, CacheKey, CacheStats};
-use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
-use calibro_dex::DexFile;
+use calibro_dex::wire::{
+    self, get_method_body, put_method_body, wire_fields, wire_seq, Reader, Wire, WireError, Writer,
+};
+use calibro_dex::{DexFile, Method};
 
 use crate::error::ServeError;
 pub use crate::programs::ProgramId;
@@ -60,6 +62,10 @@ pub const REQ_DICT_STATS: u8 = 0x08;
 /// Request kind: compile a program this connection sent whole before,
 /// named by its [`ProgramId`] (see [`BuildByIdRequest`]).
 pub const REQ_BUILD_BY_ID: u8 = 0x09;
+/// Request kind: compile an edit of a program this connection sent
+/// whole before, sent as the rows of its changed methods (see
+/// [`BuildEditRequest`]).
+pub const REQ_BUILD_EDIT: u8 = 0x0A;
 /// Response kind: a successful build.
 pub const RESP_BUILT: u8 = 0x81;
 /// Response kind: a typed error.
@@ -171,6 +177,18 @@ pub(crate) fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
     [&len.to_le_bytes()[..], &[kind], body].concat()
 }
 
+/// One whole frame of the message `body`, encoded once into a buffer of
+/// its exact size: a megabyte reply is neither grown by doubling nor
+/// copied into its frame afterwards.
+pub(crate) fn frame_of<M: Wire>(kind: u8, body: &M) -> Vec<u8> {
+    let len = body.encoded_len();
+    let mut w = Writer::with_capacity(5 + len);
+    w.u32((len + 1) as u32);
+    w.u8(kind);
+    body.put(&mut w);
+    w.into_bytes()
+}
+
 /// The request id of a body: every request's and reply's first field,
 /// eight little-endian bytes (0 when not even eight arrived).
 pub(crate) fn request_id_of(body: &[u8]) -> u64 {
@@ -263,6 +281,7 @@ macro_rules! requests {
 requests! {
     BuildRequest = REQ_BUILD => BuildReply = RESP_BUILT,
     BuildByIdRequest = REQ_BUILD_BY_ID => BuildReply = RESP_BUILT,
+    BuildEditRequest = REQ_BUILD_EDIT => BuildReply = RESP_BUILT,
     PeerGet = REQ_PEER_GET => PeerArtifact = RESP_PEER_ARTIFACT,
     ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
     GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
@@ -301,7 +320,8 @@ pub struct BuildRequest {
 /// `put` is the one written-down field order of a build request — the
 /// owned request encodes through it, and [`BuildHeader::split`] below
 /// reads the same fields back — and it encodes the request by reference
-/// too ([`encode_by_id`](Self::encode_by_id)).
+/// ([`encode_by_id`](Self::encode_by_id)) and by edit
+/// ([`encode_edit`](Self::encode_edit)) too.
 pub struct BuildRequestRef<'a> {
     /// See [`BuildRequest::request_id`].
     pub request_id: u64,
@@ -345,6 +365,25 @@ impl BuildRequestRef<'_> {
         let mut w = Writer::new();
         self.put_header(&mut w);
         program.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Encodes the [`BuildEditRequest`] that sends this request's
+    /// program as an edit of `base`: the rows of the methods at
+    /// `changed` (in increasing order), written from the borrowed
+    /// methods.
+    #[must_use]
+    pub fn encode_edit(&self, base: ProgramId, changed: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put_header(&mut w);
+        base.put(&mut w);
+        w.u32(self.dex.methods().len() as u32);
+        // `Vec<EditRow>`'s form.
+        w.u32(changed.len() as u32);
+        for &index in changed {
+            w.u32(index);
+            put_method_body(&self.dex.methods()[index as usize], &mut w);
+        }
         w.into_bytes()
     }
 
@@ -477,6 +516,63 @@ message! {
         pub header: BuildHeader,
         /// The program, by name.
         pub program: ProgramId,
+    }
+}
+
+/// One method of a [`BuildEditRequest`]: the position it takes in the
+/// edited program, then its row as a whole program carries it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EditRow {
+    /// The method's position (its id) in the edited program.
+    pub index: u32,
+    /// The method; its `id` is `index` once the edit is applied.
+    pub method: Method,
+}
+
+impl Wire for EditRow {
+    fn put(&self, w: &mut Writer) {
+        self.index.put(w);
+        put_method_body(&self.method, w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<EditRow, WireError> {
+        let index = r.u32("row index")?;
+        // The base's classes bound the class id when the edit is applied.
+        let mut method = get_method_body(r, usize::MAX)?;
+        method.id = calibro_dex::MethodId(index);
+        Ok(EditRow { index, method })
+    }
+}
+
+// The index, then the smallest method row: class, empty name, two
+// register counts, the native flag and an empty instruction count.
+wire_seq!(EditRow: 4 + 4 + 4 + 2 + 2 + 1 + 4);
+
+message! {
+    /// A compile request that sends a program as an edit of one this
+    /// connection sent whole before: a build request's header, the
+    /// [`ProgramId`] of that base program, the edited program's method
+    /// count, and one row for each method that differs from the base's,
+    /// in increasing index order. The edited program has the base's
+    /// classes and statics, and the base's methods cut or extended to
+    /// `count` with each row dropped in at its index. The daemon answers
+    /// it as the whole request for the edited program;
+    /// [`ServeError::UnknownProgram`] when it cannot name the base (the
+    /// rule of a [`BuildByIdRequest`]); [`ServeError::Malformed`] when
+    /// the rows do not make a program of the base (an index at or past
+    /// the count, out of order or repeated, a method past the base's
+    /// length without a row, a class the base does not have), or when
+    /// the request names a tenant — a tenant's builds are grouped by the
+    /// whole program's id, which an edit does not carry.
+    pub struct BuildEditRequest {
+        /// Every field of the request ahead of the program.
+        pub header: BuildHeader,
+        /// The program edited, by name.
+        pub base: ProgramId,
+        /// Methods in the edited program.
+        pub count: u32,
+        /// The methods that differ from the base's, by position.
+        pub rows: Vec<EditRow>,
     }
 }
 
@@ -827,6 +923,10 @@ server_stats! {
     /// Build requests by reference that the table answered: the program
     /// named by its id, which its connection had sent whole before.
     programs_by_reference: AtomicU64,
+    /// Build requests by edit that the table answered: the program made
+    /// from a held base its connection had sent whole before, and the
+    /// rows of the methods that changed.
+    programs_by_edit: AtomicU64,
 }
 
 impl ServerStats {
@@ -1064,6 +1164,24 @@ mod tests {
         }
     }
 
+    /// An edit of the sample program: its second method changed, and a
+    /// fourth added.
+    fn build_edit_request() -> BuildEditRequest {
+        let BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex } =
+            build_requests().swap_remove(3);
+        let mut changed = (*dex.methods()[1]).clone();
+        changed.num_regs += 1;
+        let mut added = (*dex.methods()[0]).clone();
+        added.id = calibro_dex::MethodId(3);
+        added.name = "f2".into();
+        BuildEditRequest {
+            header: BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options },
+            base: ProgramId::of(&wire::encode(&dex)),
+            count: 4,
+            rows: vec![EditRow { index: 1, method: changed }, EditRow { index: 3, method: added }],
+        }
+    }
+
     fn build_reply() -> BuildReply {
         BuildReply {
             request_id: 0x2000,
@@ -1201,6 +1319,7 @@ mod tests {
             programs_decoded: 21,
             programs_reused: 959,
             programs_by_reference: 977,
+            programs_by_edit: 18,
             latency_buckets: vec![0, 5, 10, 0, 2],
             cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
         }
@@ -1251,6 +1370,7 @@ mod tests {
         let recorded = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         let bytes = wire::encode(sample);
         assert_eq!(bytes, recorded, "{fixture}: encode drifted from the recorded bytes");
+        assert_eq!(frame_of(RESP_BUILT, sample), frame(RESP_BUILT, &bytes), "{fixture}");
         let back: M = wire::decode(&recorded).unwrap_or_else(|e| panic!("{fixture}: {e}"));
         assert_eq!(wire::encode(&back), recorded, "{fixture}: decode lost something");
 
@@ -1373,6 +1493,22 @@ mod tests {
             let decoded = BuildByIdRequest::decode(&by_id).expect("the by-id body decodes");
             prop_assert!(same_header(&decoded.header, &owned) && decoded.program == id);
             prop_assert_eq!(&decoded.encode(), &by_id);
+            // By edit: the same header, the base's id, then the rows of
+            // the methods named, written from the borrowed program as the
+            // owned rows encode.
+            let changed: Vec<u32> =
+                (0..methods as u32).filter(|m| (cut_seed >> (m % 64)) & 1 == 1).collect();
+            let by_edit = borrowed.encode_edit(id, &changed);
+            prop_assert_eq!(&by_edit[..start], &body[..start]);
+            let decoded = BuildEditRequest::decode(&by_edit).expect("the by-edit body decodes");
+            prop_assert!(same_header(&decoded.header, &owned) && decoded.base == id);
+            prop_assert_eq!(decoded.count as usize, owned.dex.methods().len());
+            let rows: Vec<EditRow> = changed
+                .iter()
+                .map(|&m| EditRow { index: m, method: (*owned.dex.methods()[m as usize]).clone() })
+                .collect();
+            prop_assert_eq!(&decoded.rows, &rows);
+            prop_assert_eq!(&decoded.encode(), &by_edit);
 
             let (header, program) = BuildHeader::split(&body).expect("the header decodes");
             prop_assert!(same_header(&header, &owned));
@@ -1399,6 +1535,7 @@ mod tests {
             message_contract(request, &format!("build_request_{i}"), &["options", "dex"]);
         }
         message_contract(&build_by_id_request(), "build_by_id_request", &["header", "program"]);
+        message_contract(&build_edit_request(), "build_edit_request", &["header", "base", "rows"]);
         message_contract(&build_reply(), "build_reply", &[]);
         for reply in &error_replies() {
             message_contract(reply, &format!("error_{}", reply.error.code()), &["error"]);
@@ -1421,6 +1558,8 @@ mod tests {
         // counters of the dictionary lane, then the nine of the
         // merge-plan lane; the last re-recording also took in the
         // `programs_by_reference` row appended after `programs_reused`.
+        // Re-recorded a fourth time for one row, `programs_by_edit`,
+        // appended after `programs_by_reference`.
         message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
@@ -1475,12 +1614,12 @@ mod tests {
         };
         let body = stats.encode();
         assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
-        // Three scalar rows were appended since (`programs_decoded`,
-        // `programs_reused`, `programs_by_reference`, zero here): they
-        // sit after the 21 rows of that codec and ahead of the
-        // histogram, and every other byte is where it was.
+        // Four scalar rows were appended since (`programs_decoded`,
+        // `programs_reused`, `programs_by_reference`, `programs_by_edit`,
+        // zero here): they sit after the 21 rows of that codec and ahead
+        // of the histogram, and every other byte is where it was.
         const RECORDED_ROWS: usize = 21;
-        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 3);
+        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 4);
         let mut recorded = body;
         assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
         // The cache block ends the body: put back the recorded one.
@@ -1488,6 +1627,21 @@ mod tests {
         recorded.extend((1..=45u64).flat_map(u64::to_le_bytes));
         let digest = crate::server::fnv1a64(&recorded);
         assert_eq!((recorded.len(), digest), (548, 0x9c25_c479_dd85_e91f));
+    }
+
+    #[test]
+    fn an_edit_row_declares_its_smallest_encoding() {
+        let method = Method {
+            id: calibro_dex::MethodId(0),
+            class: calibro_dex::ClassId(0),
+            name: String::new(),
+            num_regs: 0,
+            num_args: 0,
+            insns: vec![],
+            is_native: false,
+        };
+        let row = EditRow { index: 0, method };
+        assert_eq!(wire::encode(&row).len(), <EditRow as wire::SeqElem>::MIN_BYTES);
     }
 
     #[test]
@@ -1500,7 +1654,7 @@ mod tests {
         let p50 = server_stats().latency_quantile_us(0.5);
         assert!(p50 > 0);
         assert!(json.contains(&format!(
-            r#""programs_reused":959,"programs_by_reference":977,"p50_us":{p50},"p95_us":"#
+            r#""programs_by_reference":977,"programs_by_edit":18,"p50_us":{p50},"p95_us":"#
         )));
         let cache = server_stats().cache.to_json();
         assert!(json.ends_with(&format!(r#","cache":{cache}}}"#)), "{json}");

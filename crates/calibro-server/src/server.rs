@@ -67,14 +67,15 @@ use calibro_profile::{DecayedProfile, Profile};
 use crate::error::ServeError;
 use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
-use crate::programs::{ProgramId, ProgramTable, SentPrograms};
+use crate::programs::{apply_edit, ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
-    self, BuildByIdRequest, BuildHeader, BuildReply, DictStatsReply, DictStatsRequest, ErrorReply,
-    FrameEvent, GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply,
-    ProfileRequest, Request, ServerCounters, ServerStats, REQ_BUILD, REQ_BUILD_BY_ID,
-    REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN,
-    REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PEER_ARTIFACT,
-    RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
+    self, BuildByIdRequest, BuildEditRequest, BuildHeader, BuildReply, DictStatsReply,
+    DictStatsRequest, ErrorReply, FrameEvent, GenerationStats, GenerationStatsRequest,
+    PeerArtifact, PeerGet, ProfileReply, ProfileRequest, Request, ServerCounters, ServerStats,
+    REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET,
+    REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR,
+    RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
+    RESP_STATS,
 };
 use crate::transport::Stream;
 
@@ -335,11 +336,14 @@ fn recover<G>(result: LockResult<G>) -> G {
 /// A connection's reply queue: whole frames, queued by its connection
 /// thread and by the workers finishing its jobs (each job holds a
 /// clone), written by its one writer thread ([`write_replies`]).
-/// `backlog` counts what the frames queued and not yet written cost.
+/// `backlog` counts what the frames queued and not yet written cost;
+/// `peak` is the daemon's record of the largest backlog any connection
+/// reached.
 #[derive(Clone)]
 struct Replies {
     frames: mpsc::Sender<Vec<u8>>,
     backlog: Arc<AtomicU64>,
+    peak: Arc<AtomicU64>,
 }
 
 /// What a queued frame costs the backlog: its bytes, its allocation and
@@ -354,7 +358,9 @@ impl Replies {
     }
 
     fn send_frame(&self, frame: Vec<u8>) {
-        self.backlog.fetch_add(cost(&frame), Ordering::Relaxed);
+        let cost = cost(&frame);
+        let backlog = self.backlog.fetch_add(cost, Ordering::Relaxed) + cost;
+        self.peak.fetch_max(backlog, Ordering::Relaxed);
         // The writer outlives every sender, so this cannot fail.
         let _ = self.frames.send(frame);
     }
@@ -405,6 +411,8 @@ struct Shared {
     /// for the atomic flip), nor while `queue` is taken.
     tenants: Mutex<HashMap<String, TenantState>>,
     histogram: LatencyHistogram,
+    /// The largest reply backlog any connection reached (see [`Replies`]).
+    peak_backlog: Arc<AtomicU64>,
     /// A handle to every open connection, for the drain to shut down;
     /// a connection leaves once its writer has finished.
     conns: Mutex<HashMap<u64, Stream>>,
@@ -516,6 +524,7 @@ impl Daemon {
             counters: ServerCounters::default(),
             tenants: Mutex::new(HashMap::new()),
             histogram: LatencyHistogram::new(),
+            peak_backlog: Arc::default(),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             #[cfg(test)]
@@ -558,6 +567,18 @@ impl Daemon {
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         self.shared.stats()
+    }
+
+    /// The most reply bytes one connection has had queued and not yet
+    /// written to its socket since the daemon started, each frame
+    /// charged 64 bytes over its length. Replies are queued while a
+    /// connection's backlog is at most the frame ceiling and rejections
+    /// while it is at most two, so this stays within two ceilings and
+    /// the one frame that crossed the second — whatever a client that
+    /// does not read leaves to the kernel's socket buffer.
+    #[must_use]
+    pub fn peak_reply_backlog(&self) -> u64 {
+        self.shared.peak_backlog.load(Ordering::Relaxed)
     }
 
     /// `true` once a client sent the `shutdown` request; the embedding
@@ -660,7 +681,8 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
 fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else { return };
     let (frames, queued) = mpsc::channel();
-    let replies = Replies { frames, backlog: Arc::default() };
+    let replies =
+        Replies { frames, backlog: Arc::default(), peak: Arc::clone(&shared.peak_backlog) };
     let backlog = Arc::clone(&replies.backlog);
     let Ok(writer) = std::thread::Builder::new()
         .name(format!("calibrod-reply-{conn_id}"))
@@ -730,6 +752,10 @@ fn handle_frame(
             Ok(request) => handle_build_by_id(request, sent, replies, shared),
             Err(e) => reject_malformed(body, e, replies, shared),
         },
+        REQ_BUILD_EDIT => match BuildEditRequest::decode(body) {
+            Ok(request) => handle_build_edit(request, sent, replies, shared),
+            Err(e) => reject_malformed(body, e, replies, shared),
+        },
         REQ_PEER_GET => decode_or_reject(body, replies, shared, handle_peer_get),
         REQ_PROFILE => decode_or_reject(body, replies, shared, handle_profile),
         REQ_GENERATION_STATS => decode_or_reject(body, replies, shared, handle_generation_stats),
@@ -766,8 +792,13 @@ fn decode_or_reject<R: Request>(
 /// [`ServeError::Malformed`], echoing the id on a best-effort basis: it
 /// usually survives even when the rest of the body is garbage.
 fn reject_malformed(body: &[u8], error: WireError, replies: &Replies, shared: &Arc<Shared>) {
+    malformed(proto::request_id_of(body), ServeError::from(error), replies, shared);
+}
+
+/// Counts a malformed request and answers it with `error`.
+fn malformed(request_id: u64, error: ServeError, replies: &Replies, shared: &Shared) {
     shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    replies.error(proto::request_id_of(body), ServeError::from(error));
+    replies.error(request_id, error);
 }
 
 /// Serves one sibling's `PeerGet`: memory and disk tiers only (never
@@ -844,9 +875,42 @@ fn handle_build_by_id(
     build_with(header, program, dex, replies, shared);
 }
 
-/// Everything after the program is found, for both build kinds: the
+/// One build request by edit: the held base, resolved as a reference
+/// is, with the request's rows applied to a clone of it. The edited
+/// program is neither offered to the table nor recorded as sent; the
+/// base's use is recorded. A tenant's builds are grouped by the whole
+/// program's id, which an edit does not carry: naming one is malformed.
+fn handle_build_edit(
+    request: BuildEditRequest,
+    sent: &mut SentPrograms,
+    replies: &Replies,
+    shared: &Arc<Shared>,
+) {
+    let BuildEditRequest { header, base, count, rows } = request;
+    if header.tenant.is_some() {
+        let detail = "a build by edit names no tenant".to_owned();
+        return malformed(header.request_id, ServeError::Malformed { detail }, replies, shared);
+    }
+    let held = sent.contains(base).then(|| shared.programs.get(base)).flatten();
+    let Some(base_dex) = held else {
+        return replies.error(header.request_id, ServeError::UnknownProgram);
+    };
+    let dex = match apply_edit(&base_dex, count, rows) {
+        Ok(dex) => dex,
+        Err(detail) => {
+            return malformed(header.request_id, ServeError::Malformed { detail }, replies, shared);
+        }
+    };
+    shared.counters.programs_by_edit.fetch_add(1, Ordering::Relaxed);
+    sent.touch(base);
+    build_with(header, base, Arc::new(dex), replies, shared);
+}
+
+/// Everything after the program is found, for every build kind: the
 /// drain and fingerprint checks, a tenant fetch answered from its
-/// sealed generation, or admission to the queue.
+/// sealed generation, or admission to the queue. `program_id` is what
+/// a tenant's builds are grouped under; a build by edit, which names no
+/// tenant, passes its base's.
 fn build_with(
     mut request: BuildHeader,
     program_id: ProgramId,
@@ -1042,7 +1106,7 @@ fn built_frame(
         generation: output.stats.generation,
         stats_json: output.stats.to_json(),
     };
-    proto::frame(RESP_BUILT, &reply.encode())
+    proto::frame_of(RESP_BUILT, &reply)
 }
 
 /// The atomic flip of a finished tenant build — a client's or a
@@ -1339,6 +1403,35 @@ mod tests {
             assert_eq!(counts(&daemon), expected_counts);
         }
         assert_eq!(daemon.shutdown().requests_completed, 6);
+    }
+
+    /// An edit of a program evicted after its client named it: the edit
+    /// is `UnknownProgram`, and the client sends the edited program
+    /// whole — the build succeeds with the direct build's bytes.
+    #[test]
+    fn an_edit_of_an_evicted_base_falls_back_to_a_whole_send() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-evict-edit-{}.sock", std::process::id()));
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), ServerConfig::default())
+            .expect("start");
+        let app = generate(&AppSpec::small("evicted-edit", 9));
+        let options = BuildOptions::cto_ltbo();
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        for _ in 0..2 {
+            client.build(&app.dex, &options, None).expect("whole build");
+        }
+        let budget = ProgramId { key: CacheKey { hi: 3, lo: 4 }, len: HELD_WIRE_BYTES };
+        for _ in 0..2 {
+            daemon.shared.programs.offer(budget, DexFile::new());
+        }
+        let mut edited = app.dex.clone();
+        assert!(!calibro_workloads::mutate_methods(&mut edited, 1, 0.05).is_empty());
+        let direct = calibro::build(&edited, &options).expect("direct build");
+        let reply = client.build(&edited, &options, None).expect("whole again");
+        assert_eq!(reply.elf, calibro_oat::to_elf_bytes(&direct.oat));
+        let stats = daemon.shutdown();
+        assert_eq!((stats.programs_decoded, stats.programs_by_edit), (3, 0));
+        assert_eq!((stats.requests_completed, stats.malformed_frames), (3, 0));
     }
 
     /// A `stats()` snapshot takes one lock at a time: while it waits on

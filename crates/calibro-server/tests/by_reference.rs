@@ -1,6 +1,7 @@
-//! Builds by reference end to end: a client names a program it sent
-//! whole before instead of sending it again, the daemon resolves the
-//! name only to a program that connection sent, and every way the
+//! Builds by reference and by edit end to end: a client names a program
+//! it sent whole before instead of sending it again, or sends an edit
+//! of it as the rows of the methods that changed; the daemon resolves
+//! the name only to a program that connection sent, and every way the
 //! daemon can fail to know it ends in a whole send the caller never
 //! sees. Also the client's side of the trust boundary: replies that
 //! answer no outstanding request are typed errors, not panics.
@@ -13,10 +14,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use calibro::BuildOptions;
-use calibro_dex::{wire, DexFile};
+use calibro_dex::{wire, ClassId, DexFile, DexInsn, MethodId};
 use calibro_server::proto::{
-    read_frame, write_frame, BuildRequestRef, ErrorReply, FrameEvent, ProgramId, REQ_BUILD,
-    REQ_BUILD_BY_ID, REQ_PING, RESP_BUILT, RESP_ERROR, RESP_PONG,
+    read_frame, write_frame, BuildEditRequest, BuildHeader, BuildRequestRef, EditRow, ErrorReply,
+    FrameEvent, ProgramId, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, RESP_BUILT,
+    RESP_ERROR, RESP_PONG,
 };
 use calibro_server::{
     BuildReply, Client, ClientError, Daemon, Listener, ServeError, ServerConfig, ServerStats,
@@ -253,9 +255,10 @@ fn an_unknown_reference_after_a_daemon_restart_falls_back_to_a_whole_send() {
 }
 
 /// The client's record of what it sent, through every kind of edit: an
-/// edited program is a new program, sent whole until its third send;
-/// an unedited one is named from its third send. Every reply is the
-/// direct build of the program as it stands.
+/// edited program is a new program, sent by edit of a named one or
+/// whole, and named from its third whole send; an unedited one is named
+/// from its third send. Every reply is the direct build of the program
+/// as it stands.
 #[derive(Clone, Debug)]
 enum Step {
     /// Build program `k` as it stands.
@@ -300,15 +303,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn every_edit_is_sent_whole_and_every_reply_is_the_direct_build(
+    fn every_program_is_named_from_its_third_whole_send_and_every_reply_is_the_direct_build(
         seed in 0u64..1000,
         steps in proptest::collection::vec(step(), 4..14),
     ) {
         let options = BuildOptions::cto();
         let (daemon, socket) = start();
         let mut client = Client::connect_unix(&socket).expect("connect");
-        let by_reference = |client: &mut Client| {
-            client.server_stats().map(|s: ServerStats| s.programs_by_reference).expect("stats")
+        let counts = |client: &mut Client| {
+            let stats: ServerStats = client.server_stats().expect("stats");
+            (stats.programs_by_reference, stats.programs_by_edit)
         };
         // Each program with the number of whole sends since it last
         // changed.
@@ -330,16 +334,250 @@ proptest! {
                     programs.len() - 1
                 }
             };
-            let before = by_reference(&mut client);
+            let before = counts(&mut client);
             let reply = client.build(&programs[k].0, &options, None).expect("build");
             prop_assert_eq!(&reply.elf, &direct(&programs[k].0, &options), "step {}", n);
-            let named = by_reference(&mut client) - before;
+            let after = counts(&mut client);
+            let (named, edited) = (after.0 - before.0, after.1 - before.1);
             let whole_sends = &mut programs[k].1;
             prop_assert_eq!(named, u64::from(*whole_sends >= 2), "step {}: {:?}", n, step);
-            *whole_sends += usize::from(named == 0);
+            prop_assert!(named + edited <= 1, "step {}", n);
+            *whole_sends += usize::from(named + edited == 0);
         }
         daemon.shutdown();
     }
+}
+
+/// One change of an edit script, applied to a clone of the base.
+#[derive(Clone, Debug)]
+enum Change {
+    /// Change method `k` where it stands.
+    Modify(usize),
+    /// Put a renamed copy of method `k` at position `at`.
+    Insert(usize, usize),
+    /// Remove method `k`.
+    Delete(usize),
+    /// Swap methods `k` and `at`.
+    Reorder(usize, usize),
+}
+
+/// Modifies three times as often as it makes each other change: an
+/// insert or a delete moves every method after it.
+fn change() -> impl Strategy<Value = Change> {
+    (0u8..6, any::<usize>(), any::<usize>()).prop_map(|(pick, k, at)| match pick {
+        3 => Change::Insert(k, at),
+        4 => Change::Delete(k),
+        5 => Change::Reorder(k, at),
+        _ => Change::Modify(k),
+    })
+}
+
+/// Applies `change` as a client edits a program: in place through
+/// `method_mut`, or by setting the method table anew, which keeps every
+/// method that stays at its position the allocation it was.
+fn apply(dex: &mut DexFile, change: &Change, n: usize) {
+    let len = dex.methods().len();
+    let mut methods = dex.methods().to_vec();
+    match *change {
+        Change::Modify(k) => {
+            let method = dex.method_mut(MethodId((k % len) as u32));
+            method.name.push('\'');
+            if let Some(DexInsn::Const { value, .. }) =
+                method.insns.iter_mut().find(|insn| matches!(insn, DexInsn::Const { .. }))
+            {
+                *value ^= 1;
+            }
+            return;
+        }
+        Change::Insert(k, at) => {
+            let mut copy = (*methods[k % len]).clone();
+            copy.name = format!("inserted{n}");
+            methods.insert(at % (len + 1), Arc::new(copy));
+        }
+        Change::Delete(k) if len > 1 => drop(methods.remove(k % len)),
+        Change::Delete(_) => {}
+        Change::Reorder(k, at) => methods.swap(k % len, at % len),
+    }
+    dex.set_methods(methods);
+}
+
+/// The `methods_keyed` a build reply's stats report.
+fn methods_keyed(reply: &BuildReply) -> u64 {
+    let at = reply.stats_json.find(r#""methods_keyed":"#).expect("the stats name methods_keyed");
+    let digits = &reply.stats_json[at + r#""methods_keyed":"#.len()..];
+    let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len());
+    digits[..end].parse().expect("a count")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random insert, delete, modify and reorder scripts over a named
+    /// program: the client sends each edited program by edit exactly
+    /// when at least half its methods are the base's allocations at the
+    /// same positions, the answer is the whole send's (a reply, or the
+    /// same typed error for a program a reorder left unverifiable), and
+    /// a build by edit keys no more methods than it sent rows for.
+    #[test]
+    fn an_edit_is_answered_as_its_whole_send_and_keys_only_its_rows(
+        seed in 0u64..1000,
+        scripts in proptest::collection::vec(proptest::collection::vec(change(), 1..4), 1..5),
+    ) {
+        let options = BuildOptions::cto();
+        let (daemon, socket) = start();
+        let base = generate(&AppSpec { methods: 16, ..AppSpec::small("script", seed) }).dex;
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        for _ in 0..2 {
+            client.build(&base, &options, None).expect("whole build");
+        }
+        let mut whole = UnixStream::connect(&socket).expect("connect");
+        for (n, script) in scripts.iter().enumerate() {
+            let mut edited = base.clone();
+            for change in script {
+                apply(&mut edited, change, n);
+            }
+            let methods = edited.methods().len();
+            let rows = (0..methods)
+                .filter(|&m| base.methods().get(m).is_none_or(|b| !Arc::ptr_eq(b, &edited.methods()[m])))
+                .count();
+            let by_edit = 2 * (methods - rows) >= methods;
+            let before = client.server_stats().expect("stats").programs_by_edit;
+            let answer = client.build(&edited, &options, None);
+            let edits = client.server_stats().expect("stats").programs_by_edit - before;
+            prop_assert_eq!(edits, u64::from(by_edit), "script {}: {:?}", n, script);
+            let request_id = 1000 + n as u64;
+            let sent_whole =
+                exchange(&mut whole, REQ_BUILD, &request(request_id, None, &edited, &options).encode());
+            match (answer, sent_whole) {
+                (Ok(answer), Ok(sent_whole)) => {
+                    prop_assert_eq!(&answer.elf, &sent_whole.elf, "script {}: {:?}", n, script);
+                    prop_assert_eq!(answer.methods, sent_whole.methods);
+                    if by_edit {
+                        prop_assert!(methods_keyed(&answer) <= rows as u64, "script {}", n);
+                    }
+                }
+                (Err(ClientError::Server(error)), Err(sent_whole)) => {
+                    prop_assert_eq!(error, sent_whole.error, "script {}: {:?}", n, script);
+                }
+                (answer, sent_whole) => {
+                    prop_assert!(false, "script {}: {:?} against {:?}", n, answer, sent_whole);
+                }
+            }
+        }
+        daemon.shutdown();
+    }
+}
+
+/// An edit request of the program `dex` on the wire.
+fn edit_request(
+    request_id: u64,
+    tenant: Option<&str>,
+    dex: &DexFile,
+    options: &BuildOptions,
+    count: u32,
+    rows: Vec<EditRow>,
+) -> Vec<u8> {
+    let header = BuildHeader {
+        request_id,
+        deadline: None,
+        options_fp: calibro::options_fingerprint(options),
+        ltbo_fp: calibro_server::ltbo_fingerprint(options),
+        tenant: tenant.map(str::to_owned),
+        options: options.clone(),
+    };
+    BuildEditRequest { header, base: id_of(dex), count, rows }.encode()
+}
+
+/// Method `m` of `dex` as the row for position `index`.
+fn row(dex: &DexFile, m: usize, index: u32) -> EditRow {
+    EditRow { index, method: (*dex.methods()[m]).clone() }
+}
+
+/// Edits whose rows make no program of the base, and an edit that names
+/// a tenant, are each a typed `Malformed`, counted, and the connection
+/// serves on; the well-formed edit after them is answered as the direct
+/// build of the program it makes.
+#[test]
+fn malformed_edits_are_typed_errors_and_the_connection_serves_on() {
+    let app = generate(&AppSpec { methods: 12, ..AppSpec::small("malformed-edit", 39) });
+    let options = BuildOptions::cto();
+    let (daemon, socket) = start();
+    let mut raw = UnixStream::connect(&socket).expect("connect");
+    for request_id in 1..=2 {
+        exchange(&mut raw, REQ_BUILD, &request(request_id, None, &app.dex, &options).encode())
+            .expect("whole build");
+    }
+    let n = app.dex.methods().len() as u32;
+    let mut foreign = row(&app.dex, 0, 0);
+    foreign.method.class = ClassId(app.dex.classes().len() as u32);
+    let malformed: [(&str, Option<&str>, u32, Vec<EditRow>); 6] = [
+        ("an index at the count", None, n, vec![row(&app.dex, 1, n)]),
+        ("unsorted", None, n, vec![row(&app.dex, 3, 3), row(&app.dex, 1, 1)]),
+        ("a duplicate", None, n, vec![row(&app.dex, 2, 2), row(&app.dex, 2, 2)]),
+        ("a gap past the base", None, n + 2, vec![row(&app.dex, 0, n + 1)]),
+        ("a class out of range", None, n, vec![foreign]),
+        ("a tenant", Some("t"), n, vec![row(&app.dex, 1, 1)]),
+    ];
+    for (i, (what, tenant, count, rows)) in malformed.into_iter().enumerate() {
+        let request_id = 10 + i as u64;
+        let body = edit_request(request_id, tenant, &app.dex, &options, count, rows);
+        let refused = exchange(&mut raw, REQ_BUILD_EDIT, &body).expect_err(what);
+        assert_eq!(refused.request_id, request_id, "{what}");
+        assert!(matches!(refused.error, ServeError::Malformed { .. }), "{what}: {}", refused.error);
+        still_serves(&mut raw);
+    }
+
+    // Method 1 moved to the end, a copy of method 0 in its place.
+    let mut edited = app.dex.clone();
+    let mut methods = edited.methods().to_vec();
+    methods.push(Arc::clone(&methods[1]));
+    methods[1] = Arc::clone(&methods[0]);
+    edited.set_methods(methods);
+    let rows = vec![row(&edited, 1, 1), row(&edited, n as usize, n)];
+    let body = edit_request(20, None, &app.dex, &options, n + 1, rows);
+    let built = exchange(&mut raw, REQ_BUILD_EDIT, &body).expect("a well-formed edit");
+    assert_eq!((built.request_id, &built.elf), (20, &direct(&edited, &options)));
+
+    let stats = daemon.shutdown();
+    assert_eq!((stats.malformed_frames, stats.programs_by_edit), (6, 1));
+    assert_eq!(stats.programs_decoded + stats.programs_reused, 2);
+}
+
+/// An edit of a program this connection never sent whole, or of one the
+/// daemon no longer holds (it restarted behind the client's connection),
+/// is `UnknownProgram`; the client then sends the edited program whole,
+/// and its caller gets the reply of that whole send.
+#[test]
+fn an_edit_of_an_unknown_base_falls_back_to_a_whole_send() {
+    let app = generate(&AppSpec { methods: 20, ..AppSpec::small("unknown-base", 41) });
+    let options = BuildOptions::cto_ltbo();
+    let mut edited = app.dex.clone();
+    assert!(!calibro_workloads::mutate_methods(&mut edited, 3, 0.05).is_empty());
+    let expected = direct(&edited, &options);
+
+    let (before, socket) = start();
+    let mut other = UnixStream::connect(&socket).expect("connect");
+    let body = edit_request(5, None, &app.dex, &options, 20, vec![row(&edited, 0, 0)]);
+    let refused = exchange(&mut other, REQ_BUILD_EDIT, &body).expect_err("not its program");
+    assert_eq!((refused.request_id, refused.error), (5, ServeError::UnknownProgram));
+    still_serves(&mut other);
+
+    let upstream = Arc::new(Mutex::new(socket));
+    let mut client = Client::connect_unix(proxy(Arc::clone(&upstream))).expect("connect");
+    for _ in 0..2 {
+        client.build(&app.dex, &options, None).expect("whole build");
+    }
+    assert_eq!(client.build(&edited, &options, None).expect("by edit").elf, expected);
+    let stats = before.shutdown();
+    assert_eq!((stats.programs_decoded, stats.programs_by_edit), (2, 1));
+
+    let (after, socket) = start();
+    *upstream.lock().expect("upstream") = socket;
+    assert_eq!(client.build(&edited, &options, None).expect("whole again").elf, expected);
+    let stats = after.shutdown();
+    // The refused edit, then the edited program whole.
+    assert_eq!((stats.programs_decoded, stats.programs_by_edit), (1, 0));
+    assert_eq!(stats.requests_completed, 1);
 }
 
 /// A scripted daemon: answers each build request it reads by
