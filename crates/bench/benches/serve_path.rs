@@ -5,12 +5,16 @@
 //! header and naming the program by the hash of its bytes (the daemon's
 //! way for a program sent whole), and the in-process round trip of a
 //! known program through a daemon: sent whole (a raw connection, as a
-//! client that has not sent it before does), named by reference (the
-//! client's way from its third send), as a tenant fetch by reference
-//! answered from a sealed generation, and an edit of it with 5 % of its
-//! methods changed (sent by edit: the base's id and the changed rows;
-//! the edit is the same each time, so its build is all hits as the
-//! others' are). One pool-shaped 200-method app, the shape of the
+//! client that has not sent it before does) and named by reference (the
+//! client's way from its third send), both answered from the program's
+//! replay slot; rebuilt, under two base addresses in turn, so that the
+//! slot always holds the other one's build and every request is a warm
+//! build through the queue (which also keys the 200 methods again: the
+//! session remembers one options fingerprint per method); as a tenant
+//! fetch by reference answered from a sealed generation; and an edit of
+//! it with 5 % of its methods changed (sent by edit: the base's id and
+//! the changed rows; the edit is the same each time, so its build is
+//! all hits). One pool-shaped 200-method app, the shape of the
 //! benchmark's `serve_mixed` pool.
 
 use std::os::unix::net::UnixStream;
@@ -111,6 +115,16 @@ fn bench_serve_path(c: &mut Criterion) {
     });
     group.bench_function("roundtrip/by_reference", |b| {
         b.iter(|| client.build(&dex, &options, None).map(|reply| reply.elf.len()));
+    });
+    let moved = BuildOptions { base_address: options.base_address + 0x10_0000, ..options.clone() };
+    client.build(&dex, &moved, None).expect("warming rebased build");
+    let mut rebased = false;
+    group.bench_function("roundtrip/rebuild", |b| {
+        b.iter(|| {
+            rebased = !rebased;
+            let options = if rebased { &options } else { &moved };
+            client.build(&dex, options, None).map(|reply| reply.elf.len())
+        });
     });
     group.bench_function("roundtrip/tenant_by_reference", |b| {
         b.iter(|| {

@@ -1,8 +1,10 @@
 //! Criterion benchmarks for the warm build's back half, each stage
 //! alone: codegen with every method hitting, the outline pass with
-//! every group plan hitting and after a 1 % edit, the link, and the ELF
-//! writer — and outline plus link on one edited build, the pair that
-//! plans the edits and applies them — on a primed session over an
+//! every group plan hitting and after a 1 % edit, the link, the link of
+//! inputs just linked once (what is left of the link when every table
+//! it reads was touched a moment ago), and the ELF writer — and outline
+//! plus link on one edited build, the pair that plans the edits and
+//! applies them — on a primed session over an
 //! app of the benchmark's `warm_edit` shape (kuaishou at
 //! `paper_suite(2.0)`, 1325 methods, `cto_ltbo_parallel(128, 1)`).
 //!
@@ -17,6 +19,7 @@
 use bench::alloc::retained;
 use calibro::{BuildOptions, BuildSession, CodegenArtifact};
 use calibro_dex::DexFile;
+use calibro_oat::LinkInput;
 use calibro_workloads::{generate, mutate_methods, paper_suite};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -101,6 +104,26 @@ fn bench_back_half(c: &mut Criterion) {
         b.iter_batched(
             || session.outline(&options, front_half(&session, &dex, &options)).expect("outline"),
             |size| session.link(&options, size).expect("link"),
+            BatchSize::PerIteration,
+        );
+    });
+    // The same inputs as `link`, linked once in the set-up: the gap to
+    // `link` is what first touches of the methods' tables cost it.
+    group.bench_function("link_hot", |b| {
+        b.iter_batched(
+            || {
+                let size = session
+                    .outline(&options, front_half(&session, &dex, &options))
+                    .expect("outline");
+                let again = LinkInput {
+                    methods: size.methods.clone(),
+                    edits: size.edits.clone(),
+                    outlined: size.outlined.clone(),
+                };
+                session.link(&options, size).expect("first link");
+                again
+            },
+            |input| calibro_oat::link(input, options.base_address).expect("link"),
             BatchSize::PerIteration,
         );
     });

@@ -23,8 +23,9 @@
 //! The other kind of traffic is a program that is never seen again (an
 //! edited build), and holding each of those would cost about six times
 //! its wire size in resident set for nothing. Held programs are evicted
-//! least recently used first once the wire bytes they stand for exceed
-//! a fixed budget. Both bounds are constants, not configuration.
+//! least recently used first once the wire bytes they stand for, and
+//! the ELFs of their replay slots, exceed a fixed budget. Both bounds
+//! are constants, not configuration.
 //!
 //! **A held program can be named instead of sent.** A build by
 //! reference carries a [`ProgramId`] where the program's bytes would
@@ -41,6 +42,19 @@
 //! allocation, neither sent, nor decoded, nor keyed again. It is a
 //! program of one build: the table is not offered it, and the
 //! connection's ring does not record it as sent.
+//!
+//! **A held program's repeat build is answered, not built.** A build's
+//! output is a pure function of the program and the options, so each
+//! held program keeps one replay slot: the options and LTBO fingerprints
+//! and the [`SealedReply`] of its last client build (a plain build, or a
+//! tenant build, whose generation shares the slot's ELF). A plain build
+//! of the program under the same fingerprints is answered from the slot
+//! and never queued; it reports every method as from the cache, no
+//! cache traffic, no build time and generation 0. Builds by edit name
+//! their base, not the program they build, and neither fill nor read a
+//! slot; neither do dictionary builds, whose island epoch moves between
+//! builds. The slot's ELF counts against the same budget as the wire
+//! bytes and goes with its program.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -49,12 +63,13 @@ use calibro::{CacheKey, StableHasher};
 use calibro_dex::wire::wire_fields;
 use calibro_dex::DexFile;
 
-use crate::proto::EditRow;
+use crate::proto::{EditRow, SealedReply};
 
 /// Ids of decoded-once programs remembered for a second sighting.
 const SEEN_RING: usize = 64;
 /// Wire bytes the held programs may stand for in total (a decoded
-/// program is roughly six times its wire form).
+/// program is roughly six times its wire form), their replay slots'
+/// ELF bytes included.
 pub(crate) const HELD_WIRE_BYTES: usize = 4 << 20;
 /// Programs one connection remembers having sent whole — on the daemon
 /// ([`SentPrograms`]) and in the client alike.
@@ -162,6 +177,16 @@ pub(crate) fn apply_edit(
 struct Held {
     program: Arc<DexFile>,
     last_used: u64,
+    /// The reply of the program's last client build, when it may be
+    /// answered with again.
+    replay: Option<Arc<SealedReply>>,
+}
+
+impl Held {
+    /// What holding the program `id` names costs the budget.
+    fn bytes(&self, id: ProgramId) -> usize {
+        id.len + self.replay.as_ref().map_or(0, |replay| replay.elf.len())
+    }
 }
 
 #[derive(Default)]
@@ -170,6 +195,22 @@ struct Inner {
     held: HashMap<ProgramId, Held>,
     held_bytes: usize,
     clock: u64,
+}
+
+impl Inner {
+    /// Evicts the least recently used programs until the held bytes fit
+    /// the budget.
+    fn evict_over_budget(&mut self) {
+        while self.held_bytes > HELD_WIRE_BYTES {
+            let (&coldest, held) = self
+                .held
+                .iter()
+                .min_by_key(|(_, held)| held.last_used)
+                .expect("bytes are held, so an entry is");
+            self.held_bytes -= held.bytes(coldest);
+            self.held.remove(&coldest);
+        }
+    }
 }
 
 /// See the module docs.
@@ -198,6 +239,36 @@ impl ProgramTable {
         })
     }
 
+    /// The sealed reply in the replay slot of the held program `id`, if
+    /// its last client build had these options and LTBO fingerprints.
+    pub(crate) fn replay(
+        &self,
+        id: ProgramId,
+        options_fp: CacheKey,
+        ltbo_fp: Option<CacheKey>,
+    ) -> Option<Arc<SealedReply>> {
+        let inner = self.lock();
+        let replay = inner.held.get(&id)?.replay.as_ref()?;
+        (replay.options_fp == options_fp && replay.ltbo_fp == ltbo_fp).then(|| Arc::clone(replay))
+    }
+
+    /// Puts `reply`, a client build's of the program `id`, in the
+    /// program's replay slot in place of what was there, when the table
+    /// holds the program and the two fit the budget together. Evicts as
+    /// [`offer`](Self::offer) does.
+    pub(crate) fn seal(&self, id: ProgramId, reply: Arc<SealedReply>) {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        let Some(held) = inner.held.get_mut(&id) else { return };
+        if id.len + reply.elf.len() > HELD_WIRE_BYTES {
+            return;
+        }
+        inner.held_bytes -= held.bytes(id);
+        held.replay = Some(reply);
+        inner.held_bytes += held.bytes(id);
+        inner.evict_over_budget();
+    }
+
     /// Hands the table a program just decoded from the bytes `id`
     /// names. It is held if this is its second sighting (and it fits
     /// the budget at all), remembered for one otherwise.
@@ -214,18 +285,10 @@ impl ProgramTable {
         match inner.seen.iter().position(|seen| *seen == id) {
             Some(at) if id.len <= HELD_WIRE_BYTES => {
                 inner.seen.remove(at);
-                inner.held.insert(id, Held { program: Arc::clone(&program), last_used: now });
+                let held = Held { program: Arc::clone(&program), last_used: now, replay: None };
+                inner.held.insert(id, held);
                 inner.held_bytes += id.len;
-                while inner.held_bytes > HELD_WIRE_BYTES {
-                    let coldest = inner
-                        .held
-                        .iter()
-                        .min_by_key(|(_, held)| held.last_used)
-                        .map(|(id, _)| *id)
-                        .expect("bytes are held, so an entry is");
-                    inner.held.remove(&coldest);
-                    inner.held_bytes -= coldest.len;
-                }
+                inner.evict_over_budget();
             }
             Some(_) => {}
             None => {
@@ -342,5 +405,77 @@ mod tests {
         table.offer(over, DexFile::new());
         table.offer(over, DexFile::new());
         assert!(table.get(over).is_none(), "a program over the whole budget is never held");
+    }
+
+    fn key(n: u64) -> CacheKey {
+        CacheKey { hi: n, lo: !n }
+    }
+
+    fn reply(options_fp: CacheKey, ltbo_fp: Option<CacheKey>, elf: usize) -> Arc<SealedReply> {
+        Arc::new(SealedReply {
+            options_fp,
+            ltbo_fp,
+            elf: Arc::new(vec![0; elf]),
+            methods: 1,
+            methods_from_cache: 1,
+            cache_hits: 0,
+            cache_misses: 0,
+            build_us: 0,
+            generation: 0,
+            stats_json: String::new(),
+        })
+    }
+
+    #[test]
+    fn a_replay_slot_answers_only_the_fingerprints_it_was_sealed_under() {
+        let table = ProgramTable::default();
+        let (id, dex) = program(3);
+        let (a, b) = (key(1), key(2));
+        table.seal(id, reply(a, Some(b), 10));
+        assert!(table.replay(id, a, Some(b)).is_none(), "a program not held has no slot");
+        table.offer(id, dex.clone());
+        table.offer(id, dex);
+        assert!(table.replay(id, a, Some(b)).is_none(), "no client build filled it yet");
+        table.seal(id, reply(a, Some(b), 10));
+        assert!(table.replay(id, a, Some(b)).is_some());
+        assert!(table.replay(id, b, Some(b)).is_none(), "other options are built");
+        assert!(table.replay(id, a, Some(a)).is_none(), "another LTBO configuration is built");
+        assert!(table.replay(id, a, None).is_none(), "no LTBO is built");
+        // The build under other options takes the slot.
+        table.seal(id, reply(b, None, 10));
+        assert!(table.replay(id, a, Some(b)).is_none());
+        assert!(table.replay(id, b, None).is_some());
+    }
+
+    #[test]
+    fn a_replay_slots_elf_counts_against_the_budget_and_leaves_with_its_program() {
+        let table = ProgramTable::default();
+        let held_bytes = |table: &ProgramTable| table.lock().held_bytes;
+        let quarter = HELD_WIRE_BYTES / 4;
+        let held = |n: u64| ProgramId { key: key(n), len: quarter };
+        for n in 0..2 {
+            table.offer(held(n), DexFile::new());
+            table.offer(held(n), DexFile::new());
+        }
+        assert_eq!(held_bytes(&table), 2 * quarter);
+        table.seal(held(0), reply(key(1), None, quarter));
+        assert_eq!(held_bytes(&table), 3 * quarter);
+        table.seal(held(0), reply(key(1), None, quarter / 2));
+        assert_eq!(held_bytes(&table), 2 * quarter + quarter / 2, "a replaced slot's bytes leave");
+        table.seal(held(1), reply(key(1), None, HELD_WIRE_BYTES));
+        assert!(table.replay(held(1), key(1), None).is_none(), "it and its program never fit");
+        assert_eq!(held_bytes(&table), 2 * quarter + quarter / 2);
+
+        // Filling `held(1)`'s slot overflows the budget: the least
+        // recently used program, `held(0)`, goes, and its slot with it.
+        table.seal(held(1), reply(key(1), None, 2 * quarter));
+        assert!(table.get(held(0)).is_none());
+        assert_eq!(held_bytes(&table), 3 * quarter);
+        // An admission that overflows it evicts `held(1)` and its slot.
+        let big = ProgramId { key: key(9), len: 2 * quarter };
+        table.offer(big, DexFile::new());
+        table.offer(big, DexFile::new());
+        assert!(table.get(held(1)).is_none());
+        assert_eq!(held_bytes(&table), 2 * quarter);
     }
 }

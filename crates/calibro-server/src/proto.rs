@@ -28,6 +28,7 @@
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use calibro::{BuildOptions, CacheKey, CacheStats};
@@ -177,28 +178,10 @@ pub(crate) fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
     [&len.to_le_bytes()[..], &[kind], body].concat()
 }
 
-/// One whole frame of the message `body`, encoded once into a buffer of
-/// its exact size: a megabyte reply is neither grown by doubling nor
-/// copied into its frame afterwards.
-pub(crate) fn frame_of<M: Wire>(kind: u8, body: &M) -> Vec<u8> {
-    let len = body.encoded_len();
-    let mut w = Writer::with_capacity(5 + len);
-    w.u32((len + 1) as u32);
-    w.u8(kind);
-    body.put(&mut w);
-    w.into_bytes()
-}
-
 /// The request id of a body: every request's and reply's first field,
 /// eight little-endian bytes (0 when not even eight arrived).
 pub(crate) fn request_id_of(body: &[u8]) -> u64 {
     body.get(..8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes)
-}
-
-/// Writes `request_id` over the id of a whole [`frame`]'s body, which
-/// starts after the length prefix and the kind byte.
-pub(crate) fn set_request_id(frame: &mut [u8], request_id: u64) {
-    frame[5..13].copy_from_slice(&request_id.to_le_bytes());
 }
 
 /// Writes one frame in one write. Does not flush: a buffered sink
@@ -628,6 +611,58 @@ impl core::fmt::Debug for BuildReply {
     }
 }
 
+/// A [`BuildReply`] kept to answer with again: every field but the
+/// request id, and the ELF shared. A held program's replay slot and a
+/// tenant's serving generation each keep one, and the two may share one
+/// ELF; [`frame`](Self::frame) renders the reply to one request.
+pub(crate) struct SealedReply {
+    pub(crate) options_fp: CacheKey,
+    pub(crate) ltbo_fp: Option<CacheKey>,
+    /// The ELF writer's buffer itself, moved in without a copy.
+    pub(crate) elf: Arc<Vec<u8>>,
+    pub(crate) methods: u64,
+    pub(crate) methods_from_cache: u64,
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
+    pub(crate) build_us: u64,
+    pub(crate) generation: u64,
+    pub(crate) stats_json: String,
+}
+
+impl SealedReply {
+    /// The whole [`RESP_BUILT`] frame answering `request_id`:
+    /// [`BuildReply`]'s row, written into a buffer of its exact size, so
+    /// the ELF is copied once, straight from where it is shared.
+    pub(crate) fn frame(&self, request_id: u64) -> Vec<u8> {
+        let SealedReply { options_fp, ltbo_fp, elf, stats_json, .. } = self;
+        let counts = [
+            self.methods,
+            self.methods_from_cache,
+            self.cache_hits,
+            self.cache_misses,
+            self.build_us,
+            self.generation,
+        ];
+        let len = 8
+            + options_fp.encoded_len()
+            + ltbo_fp.encoded_len()
+            + 8
+            + elf.len()
+            + 8 * counts.len()
+            + stats_json.encoded_len();
+        let mut w = Writer::with_capacity(5 + len);
+        w.u32((len + 1) as u32);
+        w.u8(RESP_BUILT);
+        request_id.put(&mut w);
+        options_fp.put(&mut w);
+        ltbo_fp.put(&mut w);
+        w.bytes(elf);
+        counts.iter().for_each(|count| count.put(&mut w));
+        w.str(stats_json);
+        w.into_bytes()
+    }
+}
+
 message! {
     /// An error response ([`RESP_ERROR`]): the typed failure any request
     /// kind can be answered with.
@@ -927,6 +962,10 @@ server_stats! {
     /// from a held base its connection had sent whole before, and the
     /// rows of the methods that changed.
     programs_by_edit: AtomicU64,
+    /// Plain build requests answered from their held program's replay
+    /// slot: the sealed reply of its last client build under the same
+    /// options, never queued (also counted in `requests_completed`).
+    builds_replayed: AtomicU64,
 }
 
 impl ServerStats {
@@ -1320,6 +1359,7 @@ mod tests {
             programs_reused: 959,
             programs_by_reference: 977,
             programs_by_edit: 18,
+            builds_replayed: 14,
             latency_buckets: vec![0, 5, 10, 0, 2],
             cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
         }
@@ -1370,7 +1410,6 @@ mod tests {
         let recorded = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         let bytes = wire::encode(sample);
         assert_eq!(bytes, recorded, "{fixture}: encode drifted from the recorded bytes");
-        assert_eq!(frame_of(RESP_BUILT, sample), frame(RESP_BUILT, &bytes), "{fixture}");
         let back: M = wire::decode(&recorded).unwrap_or_else(|e| panic!("{fixture}: {e}"));
         assert_eq!(wire::encode(&back), recorded, "{fixture}: decode lost something");
 
@@ -1559,7 +1598,8 @@ mod tests {
         // merge-plan lane; the last re-recording also took in the
         // `programs_by_reference` row appended after `programs_reused`.
         // Re-recorded a fourth time for one row, `programs_by_edit`,
-        // appended after `programs_by_reference`.
+        // appended after `programs_by_reference`, and a fifth for one
+        // row, `builds_replayed`, appended after `programs_by_edit`.
         message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
@@ -1614,12 +1654,13 @@ mod tests {
         };
         let body = stats.encode();
         assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
-        // Four scalar rows were appended since (`programs_decoded`,
+        // Five scalar rows were appended since (`programs_decoded`,
         // `programs_reused`, `programs_by_reference`, `programs_by_edit`,
-        // zero here): they sit after the 21 rows of that codec and ahead
-        // of the histogram, and every other byte is where it was.
+        // `builds_replayed`, zero here): they sit after the 21 rows of
+        // that codec and ahead of the histogram, and every other byte is
+        // where it was.
         const RECORDED_ROWS: usize = 21;
-        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 4);
+        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 5);
         let mut recorded = body;
         assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
         // The cache block ends the body: put back the recorded one.
@@ -1627,6 +1668,31 @@ mod tests {
         recorded.extend((1..=45u64).flat_map(u64::to_le_bytes));
         let digest = crate::server::fnv1a64(&recorded);
         assert_eq!((recorded.len(), digest), (548, 0x9c25_c479_dd85_e91f));
+    }
+
+    /// A sealed reply's frame is the frame of the [`BuildReply`] it
+    /// seals, encoded by the message's own codec, with or without an
+    /// LTBO fingerprint.
+    #[test]
+    fn a_sealed_reply_frames_as_the_build_reply_it_seals() {
+        for ltbo_fp in [Some(key(2)), None] {
+            let reply = BuildReply { ltbo_fp, ..build_reply() };
+            let sealed = SealedReply {
+                options_fp: reply.options_fp,
+                ltbo_fp: reply.ltbo_fp,
+                elf: Arc::new(reply.elf.clone()),
+                methods: reply.methods,
+                methods_from_cache: reply.methods_from_cache,
+                cache_hits: reply.cache_hits,
+                cache_misses: reply.cache_misses,
+                build_us: reply.build_us,
+                generation: reply.generation,
+                stats_json: reply.stats_json.clone(),
+            };
+            let framed = sealed.frame(reply.request_id);
+            assert_eq!(framed, frame(RESP_BUILT, &reply.encode()));
+            assert_eq!(framed.capacity(), framed.len(), "written at its exact size");
+        }
     }
 
     #[test]
@@ -1654,7 +1720,7 @@ mod tests {
         let p50 = server_stats().latency_quantile_us(0.5);
         assert!(p50 > 0);
         assert!(json.contains(&format!(
-            r#""programs_by_reference":977,"programs_by_edit":18,"p50_us":{p50},"p95_us":"#
+            r#""programs_by_edit":18,"builds_replayed":14,"p50_us":{p50},"p95_us":"#
         )));
         let cache = server_stats().cache.to_json();
         assert!(json.ends_with(&format!(r#","cache":{cache}}}"#)), "{json}");

@@ -10,7 +10,9 @@
 //!                        │  hash of its bytes (program table: decoded
 //!                        │  once, then reused) or by the id it was sent
 //!                        │  under, admission-check; a profile upload
-//!                        │  past the drift threshold admits a refresh
+//!                        │  past the drift threshold admits a refresh;
+//!                        │  a held program's repeat plain build is
+//!                        │  answered from its replay slot, never queued
 //!                        ▼
 //!                 bounded admission queue  ──full──► Overloaded reply
 //!                        │
@@ -18,11 +20,13 @@
 //!                 worker pool (N threads)
 //!                  the daemon's one BuildSession (shared store, key
 //!                  memo); a tenant build or refresh seals and flips
-//!                  its generation
+//!                  its generation; a held program's client build
+//!                  fills its replay slot
 //!                        │
 //!                        ▼  (a refresh owes no reply)
 //!                 the connection's reply queue ◄── rejections, fetches,
-//!                        │                         every other reply
+//!                        │                         replays, every other
+//!                        │                         reply
 //!                        ▼
 //!                 its writer thread: the one writer of its socket
 //! ```
@@ -69,13 +73,12 @@ use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
 use crate::programs::{apply_edit, ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
-    self, BuildByIdRequest, BuildEditRequest, BuildHeader, BuildReply, DictStatsReply,
-    DictStatsRequest, ErrorReply, FrameEvent, GenerationStats, GenerationStatsRequest,
-    PeerArtifact, PeerGet, ProfileReply, ProfileRequest, Request, ServerCounters, ServerStats,
-    REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET,
-    REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_DICT_STATS, RESP_ERROR,
-    RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
-    RESP_STATS,
+    self, BuildByIdRequest, BuildEditRequest, BuildHeader, DictStatsReply, DictStatsRequest,
+    ErrorReply, FrameEvent, GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet,
+    ProfileReply, ProfileRequest, Request, SealedReply, ServerCounters, ServerStats, REQ_BUILD,
+    REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING,
+    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_DICT_STATS, RESP_ERROR, RESP_GENERATION_STATS,
+    RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::transport::Stream;
 
@@ -190,6 +193,10 @@ struct Job {
     request_id: u64,
     /// The program table's entry (or a program it does not hold).
     dex: Arc<DexFile>,
+    /// The id of `dex`, whose replay slot a client build fills; `None`
+    /// for a build by edit (whose program the table never holds) and a
+    /// refresh.
+    program: Option<ProgramId>,
     options: BuildOptions,
     /// The fingerprints of `options`, as admission cross-checked them —
     /// echoed in the reply.
@@ -228,15 +235,13 @@ struct TenantJob {
 /// observes a half-updated artifact.
 struct SealedGeneration {
     id: u64,
-    options_fp: CacheKey,
     /// The hot set this generation was compiled under (`None` means
     /// unrestricted outlining), the baseline drift is measured against.
     hot_set: Option<HashSet<u32>>,
-    elf_len: u64,
     elf_fnv: u64,
-    /// The whole `RESP_BUILT` frame that answers a fetch, sealed once
-    /// with request id 0 ([`reply_to`](Self::reply_to) patches it).
-    frame: Vec<u8>,
+    /// The reply that answers a fetch; its ELF may be the one its
+    /// program's replay slot holds.
+    reply: SealedReply,
     /// The dictionary-epoch fence: while this generation serves, the
     /// island its ELF links into cannot be retired. `None` for
     /// non-dict builds (and for the rare build whose epoch was already
@@ -257,15 +262,6 @@ struct DictPin {
 impl Drop for DictPin {
     fn drop(&mut self) {
         self.registry.unpin_epoch(self.epoch);
-    }
-}
-
-impl SealedGeneration {
-    /// The frame answering `request_id`: one copy of the sealed frame.
-    fn reply_to(&self, request_id: u64) -> Vec<u8> {
-        let mut frame = self.frame.clone();
-        proto::set_request_id(&mut frame, request_id);
-        frame
     }
 }
 
@@ -852,7 +848,7 @@ fn handle_build(body: &[u8], sent: &mut SentPrograms, replies: &Replies, shared:
         },
     };
     sent.touch(program_id);
-    build_with(request, program_id, dex, replies, shared);
+    build_with(request, Some(program_id), dex, replies, shared);
 }
 
 /// One build request by reference: the program is the table's entry
@@ -872,7 +868,7 @@ fn handle_build_by_id(
     };
     shared.counters.programs_by_reference.fetch_add(1, Ordering::Relaxed);
     sent.touch(program);
-    build_with(header, program, dex, replies, shared);
+    build_with(header, Some(program), dex, replies, shared);
 }
 
 /// One build request by edit: the held base, resolved as a reference
@@ -903,17 +899,18 @@ fn handle_build_edit(
     };
     shared.counters.programs_by_edit.fetch_add(1, Ordering::Relaxed);
     sent.touch(base);
-    build_with(header, base, Arc::new(dex), replies, shared);
+    build_with(header, None, Arc::new(dex), replies, shared);
 }
 
 /// Everything after the program is found, for every build kind: the
 /// drain and fingerprint checks, a tenant fetch answered from its
-/// sealed generation, or admission to the queue. `program_id` is what
+/// sealed generation, a plain build answered from its program's replay
+/// slot, or admission to the queue. `program` is the id of `dex`, which
 /// a tenant's builds are grouped under; a build by edit, which names no
-/// tenant, passes its base's.
+/// tenant and builds a program the table does not hold, passes `None`.
 fn build_with(
     mut request: BuildHeader,
-    program_id: ProgramId,
+    program: Option<ProgramId>,
     dex: Arc<DexFile>,
     replies: &Replies,
     shared: &Arc<Shared>,
@@ -934,8 +931,8 @@ fn build_with(
     // build queue, which is what "no serving gap" means — the old
     // artifact keeps serving while a refresh compiles in background.
     let mut tenant_job = None;
-    if let Some(name) = &request.tenant {
-        let identity = tenant_identity(program_id.key, &mut request.options);
+    if let (Some(name), Some(id)) = (&request.tenant, program) {
+        let identity = tenant_identity(id.key, &mut request.options);
         let serving = {
             let tenants = recover(shared.tenants.lock());
             tenants.get(name).and_then(|state| {
@@ -946,13 +943,24 @@ fn build_with(
         if let Some(sealed) = serving {
             shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
             shared.histogram.record(Duration::ZERO);
-            return replies.send_frame(sealed.reply_to(request.request_id));
+            return replies.send_frame(sealed.reply.frame(request.request_id));
         }
         tenant_job = Some(TenantJob { name: name.clone(), identity });
+    } else if let Some(sealed) = program
+        .filter(|_| !request.options.dict)
+        .and_then(|id| shared.programs.replay(id, request.options_fp, request.ltbo_fp))
+    {
+        // A plain build of a held program under its last client build's
+        // options: the same bytes, answered without queueing.
+        shared.counters.builds_replayed.fetch_add(1, Ordering::Relaxed);
+        shared.counters.requests_completed.fetch_add(1, Ordering::Relaxed);
+        shared.histogram.record(Duration::ZERO);
+        return replies.send_frame(sealed.frame(request.request_id));
     }
     let job = Job {
         request_id: request.request_id,
         dex,
+        program,
         options: request.options,
         options_fp: request.options_fp,
         ltbo_fp: request.ltbo_fp,
@@ -1066,7 +1074,9 @@ fn build_and_seal(job: &Job, shared: &Arc<Shared>) -> Result<Option<Vec<u8>>, St
         return Ok(None);
     }
     // Serialised before the tenant lock is taken.
-    let elf = calibro_oat::to_elf_bytes(&output.oat);
+    let elf = Arc::new(calibro_oat::to_elf_bytes(&output.oat));
+    // Generation 0: a tenant build's generation is stamped in the seal.
+    let built = sealed_reply(job, &output, Arc::clone(&elf), build_us);
     let frame = match &job.tenant {
         // Seal the build as this tenant's next generation and answer
         // from the sealed bytes: if a concurrent build of the same
@@ -1074,27 +1084,39 @@ fn build_and_seal(job: &Job, shared: &Arc<Shared>) -> Result<Option<Vec<u8>>, St
         // generation so every client sees one artifact.
         Some(tenant) => seal_generation(shared, tenant, job, &mut output, elf, build_us)
             .filter(|_| job.replies.is_some())
-            .map(|sealed| sealed.reply_to(job.request_id)),
-        None => Some(built_frame(job.request_id, job, &output, elf, build_us)),
+            .map(|sealed| sealed.reply.frame(job.request_id)),
+        None => Some(built.frame(job.request_id)),
     };
+    // A client build of a held program is what a repeat of it is
+    // answered with, reporting what a repeat costs: nothing compiled,
+    // nothing probed, no build time. Filled before the reply is sent,
+    // so the client's next request finds it.
+    if let Some(id) = job.program.filter(|_| job.replies.is_some() && !job.options.dict) {
+        let replayed = SealedReply {
+            methods_from_cache: built.methods,
+            cache_hits: 0,
+            cache_misses: 0,
+            build_us: 0,
+            ..built
+        };
+        shared.programs.seal(id, Arc::new(replayed));
+    }
     // After a flip: the generation's epoch pin is in place, so
     // retirement inside the seal cannot touch it.
     seal_dict(shared, &job.options);
     Ok(frame)
 }
 
-/// The `RESP_BUILT` frame answering `request_id` with `job`'s finished
-/// build, whose ELF is `elf`; its generation is the one the build was
-/// stamped with (0 for a plain build).
-fn built_frame(
-    request_id: u64,
+/// The reply to `job`'s finished build, whose ELF is `elf`; its
+/// generation is the one the build was stamped with (0 for a plain
+/// build).
+fn sealed_reply(
     job: &Job,
     output: &calibro::BuildOutput,
-    elf: Vec<u8>,
+    elf: Arc<Vec<u8>>,
     build_us: u64,
-) -> Vec<u8> {
-    let reply = BuildReply {
-        request_id,
+) -> SealedReply {
+    SealedReply {
         options_fp: job.options_fp,
         ltbo_fp: job.ltbo_fp,
         elf,
@@ -1105,8 +1127,7 @@ fn built_frame(
         build_us,
         generation: output.stats.generation,
         stats_json: output.stats.to_json(),
-    };
-    proto::frame_of(RESP_BUILT, &reply)
+    }
 }
 
 /// The atomic flip of a finished tenant build — a client's or a
@@ -1121,7 +1142,7 @@ fn seal_generation(
     tenant: &TenantJob,
     job: &Job,
     output: &mut calibro::BuildOutput,
-    elf: Vec<u8>,
+    elf: Arc<Vec<u8>>,
     build_us: u64,
 ) -> Option<Arc<SealedGeneration>> {
     let mut tenants = recover(shared.tenants.lock());
@@ -1134,7 +1155,7 @@ fn seal_generation(
             return None;
         }
     } else if let (Some(true), Some(serving)) = (registered, &state.serving) {
-        if serving.options_fp == job.options_fp {
+        if serving.reply.options_fp == job.options_fp {
             return Some(Arc::clone(serving));
         }
     }
@@ -1153,11 +1174,9 @@ fn seal_generation(
     };
     let sealed = Arc::new(SealedGeneration {
         id,
-        options_fp: job.options_fp,
         hot_set: job.options.hot_methods.clone(),
-        elf_len: elf.len() as u64,
         elf_fnv: fnv1a64(&elf),
-        frame: built_frame(0, job, output, elf, build_us),
+        reply: sealed_reply(job, output, elf, build_us),
         dict_pin,
     });
     state.serving = Some(Arc::clone(&sealed));
@@ -1217,6 +1236,7 @@ fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Share
                     Job {
                         request_id: 0,
                         dex: Arc::clone(&program.dex),
+                        program: None,
                         options_fp: options_fingerprint(&options),
                         ltbo_fp: ltbo_fingerprint(&options),
                         options,
@@ -1289,7 +1309,7 @@ fn handle_generation_stats(
                 drift_ppm: to_ppm(drift),
                 hot_restricted: hot_set.is_some(),
                 hot_set_size: hot_set.map_or(0, |h| h.len() as u64),
-                elf_len: serving.map_or(0, |s| s.elf_len),
+                elf_len: serving.map_or(0, |s| s.reply.elf.len() as u64),
                 elf_fnv: serving.map_or(0, |s| s.elf_fnv),
             }
         }
@@ -1434,6 +1454,40 @@ mod tests {
         assert_eq!((stats.requests_completed, stats.malformed_frames), (3, 0));
     }
 
+    /// A tenant build of a held program fills the program's replay slot,
+    /// and the generation it seals shares the slot's ELF: the bytes are
+    /// held once. A plain build under the same options is then answered
+    /// from the slot, as generation 0, and never queued.
+    #[test]
+    fn a_tenant_generation_shares_the_elf_of_its_programs_replay_slot() {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-slot-{}.sock", std::process::id()));
+        let daemon = Daemon::start(Listener::unix(&socket).expect("bind"), ServerConfig::default())
+            .expect("start");
+        let app = generate(&AppSpec::small("slot", 12));
+        let options = BuildOptions::cto_ltbo();
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        client.build(&app.dex, &options, None).expect("first sighting");
+        let sealed = client.build_for_tenant("t", &app.dex, &options, None).expect("tenant build");
+        assert_eq!(sealed.generation, 1);
+
+        let id = ProgramId::of(&wire::encode(&app.dex));
+        let (fp, ltbo) = (options_fingerprint(&options), ltbo_fingerprint(&options));
+        let slot = daemon.shared.programs.replay(id, fp, ltbo).expect("the tenant build filled it");
+        let tenants = recover(daemon.shared.tenants.lock());
+        let serving = tenants["t"].serving.as_ref().expect("a serving generation");
+        assert!(Arc::ptr_eq(&slot.elf, &serving.reply.elf), "the ELF is held twice");
+        drop(tenants);
+
+        let replayed = client.build(&app.dex, &options, None).expect("a repeat plain build");
+        assert_eq!((replayed.generation, &replayed.elf), (0, &sealed.elf));
+        assert!(replayed.stats_json.contains(r#""generation":0,"#), "{}", replayed.stats_json);
+        assert!(sealed.stats_json.contains(r#""generation":1,"#), "{}", sealed.stats_json);
+        let stats = daemon.shutdown();
+        assert_eq!((stats.builds_replayed, stats.requests_admitted), (1, 2));
+        assert_eq!(stats.requests_completed, 3);
+    }
+
     /// A `stats()` snapshot takes one lock at a time: while it waits on
     /// a tenant table another thread holds, admission can take the queue.
     #[test]
@@ -1509,6 +1563,7 @@ mod tests {
         let refresh = Job {
             request_id: 0,
             dex: Arc::new(app.dex.clone()),
+            program: None,
             options_fp: options_fingerprint(&options),
             ltbo_fp: ltbo_fingerprint(&options),
             options: options.clone(),

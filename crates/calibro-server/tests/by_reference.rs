@@ -580,6 +580,37 @@ fn an_edit_of_an_unknown_base_falls_back_to_a_whole_send() {
     assert_eq!(stats.requests_completed, 1);
 }
 
+/// A build by edit names its base, not the program it builds: with the
+/// base's replay slot full, the edit is built and equals the direct
+/// build of the edited program, and the base's slot still answers the
+/// base.
+#[test]
+fn an_edit_of_a_base_whose_replay_slot_is_full_is_built() {
+    let app = generate(&AppSpec { methods: 20, ..AppSpec::small("full-slot", 43) });
+    let options = BuildOptions::cto_ltbo();
+    let expected = direct(&app.dex, &options);
+    let (daemon, socket) = start();
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let counts = |client: &mut Client| {
+        let stats = client.server_stats().expect("stats");
+        (stats.requests_admitted, stats.builds_replayed, stats.programs_by_edit)
+    };
+    for _ in 0..3 {
+        assert_eq!(client.build(&app.dex, &options, None).expect("build").elf, expected);
+    }
+    assert_eq!(counts(&mut client), (2, 1, 0), "the third send is replayed");
+
+    let mut edited = app.dex.clone();
+    assert!(!calibro_workloads::mutate_methods(&mut edited, 3, 0.05).is_empty());
+    let reply = client.build(&edited, &options, None).expect("by edit");
+    assert_eq!(reply.elf, direct(&edited, &options));
+    assert_eq!(counts(&mut client), (3, 1, 1), "the edit is built");
+    let base = client.build(&app.dex, &options, None).expect("the base again");
+    assert_eq!(base.elf, expected);
+    assert_eq!(counts(&mut client), (3, 2, 1), "the base's slot still holds the base");
+    daemon.shutdown();
+}
+
 /// A scripted daemon: answers each build request it reads by
 /// `answer(request ids so far)`, returning the frames to send.
 fn fake_daemon(

@@ -513,6 +513,92 @@ fn a_held_program_answers_each_options_fingerprint_as_a_direct_build() {
     assert_eq!(stats.build_errors, 0);
 }
 
+/// A held program's repeat plain build is answered from its replay slot:
+/// the program's third send (its first by reference) has the direct
+/// build's bytes and the sealing build's stats, reports every method
+/// from the cache and no build, and is never admitted to the queue.
+/// Another base address or other options are built, and that build
+/// takes the slot.
+#[test]
+fn a_held_programs_third_send_is_replayed_and_other_options_are_built() {
+    let app = generate(&AppSpec::small("replayed", 31));
+    let direct = |options: &BuildOptions| {
+        calibro_oat::to_elf_bytes(&calibro::build(&app.dex, options).expect("direct build").oat)
+    };
+    let options = BuildOptions::cto_ltbo();
+    let expected = direct(&options);
+    let (daemon, socket) = start(ServerConfig::default());
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let mut counts = |expected: (u64, u64, u64)| {
+        let stats = client.server_stats().expect("stats");
+        let counted = (stats.requests_admitted, stats.builds_replayed, stats.requests_completed);
+        assert_eq!(counted, expected, "(admitted, replayed, completed)");
+    };
+    // One connection for the program's sends, so the third goes by
+    // reference.
+    let mut sends = Client::connect_unix(&socket).expect("connect");
+    let mut send = |options: &BuildOptions| sends.build(&app.dex, options, None).expect("build");
+    send(&options);
+    let sealing = send(&options);
+    assert_eq!(sealing.elf, expected);
+    counts((2, 0, 2));
+
+    let replayed = send(&options);
+    assert_eq!(replayed.elf, expected);
+    assert_eq!(replayed.methods as usize, app.dex.methods().len());
+    let reported = |r: &calibro_server::BuildReply| {
+        (r.methods_from_cache, r.cache_hits, r.cache_misses, r.build_us, r.generation)
+    };
+    assert_eq!(reported(&replayed), (replayed.methods, 0, 0, 0, 0));
+    assert_eq!(replayed.stats_json, sealing.stats_json);
+    counts((2, 1, 3));
+    // Another connection sending it whole is answered from the slot too.
+    let mut other = Client::connect_unix(&socket).expect("connect");
+    assert_eq!(other.build(&app.dex, &options, None).expect("whole send").elf, expected);
+    counts((2, 2, 4));
+
+    // Another base address is built, and takes the slot.
+    let moved = BuildOptions { base_address: options.base_address + 0x10_0000, ..options.clone() };
+    let rebased = send(&moved);
+    assert_eq!(rebased.elf, direct(&moved));
+    assert_ne!(rebased.elf, expected);
+    counts((3, 2, 5));
+    assert_eq!(send(&moved).elf, rebased.elf);
+    counts((3, 3, 6));
+    // The first options lost the slot: built again, and they take it back.
+    assert_eq!(send(&options).elf, expected);
+    counts((4, 3, 7));
+    // So are other options altogether.
+    let unoutlined = BuildOptions::cto();
+    let expected_unoutlined = direct(&unoutlined);
+    assert_eq!(send(&unoutlined).elf, expected_unoutlined);
+    counts((5, 3, 8));
+    assert_eq!(send(&unoutlined).elf, expected_unoutlined);
+    counts((5, 4, 9));
+
+    let stats = daemon.shutdown();
+    assert_eq!((stats.programs_decoded, stats.build_errors), (2, 0));
+}
+
+/// A dictionary build is never answered from a replay slot (the island
+/// its ELF links into moves between builds): a held program's repeat
+/// dict builds are all built.
+#[test]
+fn a_dict_build_is_never_replayed() {
+    let app = generate(&AppSpec::small("dict-repeat", 37));
+    let options = BuildOptions::cto_ltbo().with_dict();
+    let (daemon, socket) = start(ServerConfig { dict: true, ..ServerConfig::default() });
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    for _ in 0..4 {
+        let reply = client.build(&app.dex, &options, None).expect("dict build");
+        assert_eq!(reply.methods as usize, app.dex.methods().len());
+        calibro_oat::from_elf_bytes(&reply.elf).expect("reply ELF loads");
+    }
+    let stats = daemon.shutdown();
+    assert_eq!((stats.builds_replayed, stats.requests_admitted), (0, 4));
+    assert_eq!((stats.requests_completed, stats.programs_by_reference), (4, 2));
+}
+
 /// Runs `exchange` on its own thread and fails the test if it has not
 /// finished in `limit` — a hang must be a failure, not a stuck suite.
 fn within<T: Send + 'static>(limit: Duration, exchange: impl FnOnce() -> T + Send + 'static) -> T {
@@ -1039,7 +1125,10 @@ fn shutdown_racing_pipelined_builds_runs_every_admitted_build() {
             std::thread::sleep(Duration::from_millis(1));
         }
         let stats = within(Duration::from_secs(30), move || daemon.shutdown());
-        assert_eq!(stats.requests_completed, stats.requests_admitted, "round {round}");
+        // A repeat of the held program may be answered from its replay
+        // slot before the drain: completed, never admitted.
+        let admitted_or_replayed = stats.requests_admitted + stats.builds_replayed;
+        assert_eq!(stats.requests_completed, admitted_or_replayed, "round {round}");
         let outcomes = within(Duration::from_secs(30), move || exchange.join().expect("client"));
         for outcome in outcomes {
             assert!(matches!(outcome, Ok(()) | Err(ServeError::Draining)), "round {round}");

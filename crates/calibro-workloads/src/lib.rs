@@ -184,18 +184,38 @@ fn generate_motifs(rng: &mut StdRng, count: usize) -> Vec<Motif> {
         .collect()
 }
 
-/// Picks an index with weight `1 / (i + 1)^skew`.
-fn skewed_index(rng: &mut StdRng, n: usize, skew: f64) -> usize {
-    let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(skew)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut pick = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if pick < *w {
-            return i;
-        }
-        pick -= w;
+/// Draws indices with weight `1 / (i + 1)^skew` from one table of the
+/// weights and their running totals, grown as the range does: a draw
+/// computes no weight another draw already has.
+struct Skewed {
+    skew: f64,
+    weights: Vec<f64>,
+    /// `totals[n]` is the sum of the first `n` weights, added in index
+    /// order, which is exactly the sum of a vector of them.
+    totals: Vec<f64>,
+}
+
+impl Skewed {
+    fn new(skew: f64) -> Skewed {
+        Skewed { skew, weights: Vec::new(), totals: vec![0.0] }
     }
-    n - 1
+
+    /// Picks an index below `n`.
+    fn index(&mut self, rng: &mut StdRng, n: usize) -> usize {
+        for i in self.weights.len()..n {
+            let weight = 1.0 / ((i + 1) as f64).powf(self.skew);
+            self.weights.push(weight);
+            self.totals.push(self.totals[i] + weight);
+        }
+        let mut pick = rng.gen_range(0.0..self.totals[n]);
+        for (i, w) in self.weights[..n].iter().enumerate() {
+            if pick < *w {
+                return i;
+            }
+            pick -= w;
+        }
+        n - 1
+    }
 }
 
 /// Generates an application from its spec (fully deterministic).
@@ -204,6 +224,8 @@ pub fn generate(spec: &AppSpec) -> App {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut dex = DexFile::new();
     let motifs = generate_motifs(&mut rng, spec.motif_pool);
+    let mut motif_skew = Skewed::new(1.1);
+    let mut hot_skew = Skewed::new(spec.hot_skew);
 
     let classes: Vec<ClassId> =
         (0..spec.classes).map(|i| dex.add_class(format!("C{i}"), 2 + (i as u32 % 4))).collect();
@@ -287,7 +309,7 @@ pub fn generate(spec: &AppSpec) -> App {
             if rng.gen_bool(0.3) {
                 // no motif in this segment
             } else {
-                let motif = &motifs[skewed_index(&mut rng, motifs.len(), 1.1)];
+                let motif = &motifs[motif_skew.index(&mut rng, motifs.len())];
                 if rng.gen_bool(0.35) {
                     // Guarded variant: same motif body inside a branch.
                     let skip = b.label();
@@ -339,7 +361,7 @@ pub fn generate(spec: &AppSpec) -> App {
                 // Call an earlier Java method; callee popularity is
                 // skewed so some methods become very hot.
                 let range = id - first_java;
-                let offset = skewed_index(&mut rng, range as usize, spec.hot_skew);
+                let offset = hot_skew.index(&mut rng, range as usize);
                 let callee = MethodId(first_java + offset as u32);
                 b.push(DexInsn::Invoke {
                     kind: if rng.gen_bool(0.5) { InvokeKind::Virtual } else { InvokeKind::Static },
@@ -429,7 +451,7 @@ pub fn generate(spec: &AppSpec) -> App {
     for _ in 0..spec.trace_len {
         // Prefer methods near the end of the table (deep call trees,
         // and — when present — the clone families).
-        let back = skewed_index(&mut rng, java_count, spec.hot_skew);
+        let back = hot_skew.index(&mut rng, java_count);
         let method = MethodId((total_methods - 1 - back) as u32);
         trace.push(TraceCall { method, args: [rng.gen_range(-20..20), rng.gen_range(1..20)] });
     }

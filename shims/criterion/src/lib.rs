@@ -3,9 +3,11 @@
 //! `Bencher::{iter, iter_batched}`, `black_box`, and the
 //! `criterion_group!`/`criterion_main!` macros.
 //!
-//! Measurement is intentionally simple — a warm-up pass followed by a
-//! fixed wall-clock budget per benchmark, reporting the mean iteration
-//! time — but the harness shape (and so `cargo bench`) stays intact.
+//! Measurement is intentionally simple — a warm-up pass, then a fixed
+//! wall-clock budget per benchmark in which each iteration is timed on
+//! its own — but the harness shape (and so `cargo bench`) stays intact.
+//! A benchmark reports the median iteration and the p10–p90 range: one
+//! preempted iteration moves neither, where it would move a mean.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -115,30 +117,34 @@ pub enum BatchSize {
     PerIteration,
 }
 
+/// Most iterations one benchmark times: a routine of nanoseconds stops
+/// here, long before its budget, with its samples in 1.6 MB.
+const MAX_SAMPLES: usize = 100_000;
+
 /// Passed to benchmark closures; `iter` runs the measured routine.
 pub struct Bencher {
     budget: Duration,
-    iters: u64,
-    elapsed: Duration,
+    /// The time of each measured iteration.
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine` repeatedly until the budget is spent.
+    /// Times each call of `routine` until the budget is spent.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         // Warm-up (also primes lazy state so timing excludes it).
         black_box(routine());
         let start = Instant::now();
-        let mut iters = 0u64;
-        while start.elapsed() < self.budget {
+        let mut last = start;
+        while last - start < self.budget && self.samples.len() < MAX_SAMPLES {
             black_box(routine());
-            iters += 1;
+            let now = Instant::now();
+            self.samples.push(now - last);
+            last = now;
         }
-        self.iters = iters.max(1);
-        self.elapsed = start.elapsed();
     }
 
-    /// Times `routine` on a fresh `setup()` value per iteration; only
-    /// the routine counts against the budget and into the mean (neither
+    /// Times each call of `routine` on a fresh `setup()` value; only the
+    /// routine counts against the budget and into the samples (neither
     /// the set-up nor dropping what the routine returns does). A wall
     /// cap of twenty budgets bounds a benchmark whose set-up dwarfs its
     /// routine.
@@ -150,28 +156,47 @@ impl Bencher {
         black_box(routine(setup()));
         let wall = Instant::now();
         let mut elapsed = Duration::ZERO;
-        let mut iters = 0u64;
-        while elapsed < self.budget && wall.elapsed() < self.budget * 20 {
+        while elapsed < self.budget
+            && wall.elapsed() < self.budget * 20
+            && self.samples.len() < MAX_SAMPLES
+        {
             let input = setup();
             let start = Instant::now();
             let output = routine(input);
-            elapsed += start.elapsed();
+            let took = start.elapsed();
             black_box(output);
-            iters += 1;
+            elapsed += took;
+            self.samples.push(took);
         }
-        self.iters = iters.max(1);
-        self.elapsed = elapsed;
     }
 }
 
-fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, budget: Duration, mut f: F) {
-    let mut bencher = Bencher { budget, iters: 0, elapsed: Duration::ZERO };
+/// The p10, median and p90 of `samples` (nearest rank), `None` when
+/// nothing was measured.
+fn summary(samples: &mut [Duration]) -> Option<[Duration; 3]> {
+    if samples.is_empty() {
+        return None;
+    }
+    samples.sort_unstable();
+    let rank = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+    Some([rank(0.1), rank(0.5), rank(0.9)])
+}
+
+/// Runs one benchmark closure and returns its bencher, samples taken.
+fn measure<F: FnMut(&mut Bencher)>(budget: Duration, mut f: F) -> Bencher {
+    let mut bencher = Bencher { budget, samples: Vec::new() };
     f(&mut bencher);
-    if bencher.iters > 0 {
-        let mean = bencher.elapsed / u32::try_from(bencher.iters).unwrap_or(u32::MAX);
-        println!("{label:40} {:>12.3?}/iter ({} iters)", mean, bencher.iters);
-    } else {
-        println!("{label:40} (no measurement — closure never called iter)");
+    bencher
+}
+
+fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, budget: Duration, f: F) {
+    let mut samples = measure(budget, f).samples;
+    match summary(&mut samples) {
+        Some([p10, median, p90]) => println!(
+            "{label:40} {median:>12.3?}/iter (p10-p90 {p10:.3?}-{p90:.3?}, {} iters)",
+            samples.len()
+        ),
+        None => println!("{label:40} (no measurement — closure never called iter)"),
     }
 }
 
@@ -212,5 +237,41 @@ mod tests {
         });
         group.finish();
         c.bench_function("top", |b| b.iter(|| black_box(2 + 2)));
+    }
+
+    #[test]
+    fn the_summary_is_the_median_and_the_p10_to_p90_range() {
+        let us = Duration::from_micros;
+        // 1..=101 µs, reversed, and one iteration preempted for a second:
+        // the median and the range do not see it.
+        let mut samples: Vec<Duration> = (1..=101).rev().map(us).collect();
+        samples[0] = Duration::from_secs(1);
+        assert_eq!(summary(&mut samples), Some([us(11), us(51), us(91)]));
+        assert_eq!(summary(&mut []), None);
+    }
+
+    #[test]
+    fn each_routine_call_is_one_sample_and_set_up_is_not_timed() {
+        let ms = Duration::from_millis;
+        let mut calls = 0;
+        let bencher = measure(ms(20), |b| {
+            b.iter_batched(
+                || std::thread::sleep(ms(6)),
+                |()| {
+                    calls += 1;
+                    std::thread::sleep(ms(2));
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        let mut samples = bencher.samples;
+        // The warm-up call is not a sample.
+        assert_eq!(samples.len(), calls - 1);
+        let [_, median, _] = summary(&mut samples).expect("samples");
+        assert!(median >= ms(2) && median < ms(6), "{median:?}");
+
+        // A routine of nanoseconds stops at the sample cap.
+        let bencher = measure(Duration::from_secs(60), |b| b.iter(|| black_box(1 + 1)));
+        assert_eq!(bencher.samples.len(), MAX_SAMPLES);
     }
 }
