@@ -7,7 +7,7 @@
 //! subtract.
 
 use calibro_dex::verify;
-use calibro_hgraph::passes::{constant_folding, copy_prop, cse, dce, return_merge, simplify};
+use calibro_hgraph::passes::{constant_folding, copy_prop, dce, simplify};
 use calibro_hgraph::{build_hgraph, run_pipeline, HGraph};
 use calibro_workloads::{generate, AppSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -25,14 +25,11 @@ fn bench_passes(c: &mut Criterion) {
         b.iter(|| methods.iter().map(|m| build_hgraph(m).blocks.len()).sum::<usize>());
     });
     group.bench_function("clone_graphs", |b| b.iter(|| graphs.clone()));
-    let passes: [(&str, Pass); 7] = [
+    let passes: [(&str, Pass); 4] = [
         ("copy_prop", copy_prop::run),
         ("constant_folding", constant_folding::run),
         ("simplify", simplify::run),
-        ("cse", cse::run),
         ("dce", dce::run),
-        ("return_merge", return_merge::run),
-        ("remove_unreachable", dce::remove_unreachable),
     ];
     for (name, pass) in passes {
         group.bench_function(name, |b| {

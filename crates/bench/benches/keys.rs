@@ -3,14 +3,11 @@
 //! method of the six-app suite at `paper_suite(0.5)` (the inner loop of
 //! the benchmark's `cache.hash_methods_cal_ms` probe), the options
 //! fingerprint of the three configurations the benchmark builds under,
-//! the whole `method_cache_key` with and without a program salt, and the
-//! suite's keys through a session's key memo (`session_keys/*`: a fresh
-//! session, a second build of the same program, and a clone with 1 % of
-//! its methods edited).
+//! the whole `method_cache_key`, and the suite's keys through a
+//! session's key memo (`session_keys/*`: a fresh session, a second build
+//! of the same program, and a clone with 1 % of its methods edited).
 
-use calibro::{
-    method_cache_key, options_fingerprint, program_salt, BuildOptions, BuildSession, StableHasher,
-};
+use calibro::{method_cache_key, options_fingerprint, BuildOptions, BuildSession, StableHasher};
 use calibro_cache::hash_method;
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, paper_suite};
@@ -47,11 +44,9 @@ fn bench_keys(c: &mut Criterion) {
     }
 
     let fp = options_fingerprint(&BuildOptions::cto_ltbo_parallel(128, 1));
-    for (name, salt) in [("no_salt", None), ("program_salt", Some(program_salt(&suite[0])))] {
-        group.bench_function(format!("method_cache_key/{name}"), |b| {
-            b.iter(|| methods().fold(0, |acc, m| acc ^ method_cache_key(m, fp, salt).lo));
-        });
-    }
+    group.bench_function("method_cache_key", |b| {
+        b.iter(|| methods().fold(0, |acc, m| acc ^ method_cache_key(m, fp).lo));
+    });
 
     // The frontend of each suite app through a session, store probes and
     // verification included: a fresh session keys every method and

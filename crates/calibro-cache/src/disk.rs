@@ -56,7 +56,9 @@ use crate::peer::PeerLane;
 /// Version 7: a dictionary body is its words alone (its register record
 /// is gone). Version 8: a method's metadata tables are `u32` word
 /// indices (were `u64`) — the form the OAT's `.oatdata` writes.
-pub const FORMAT_VERSION: u32 = 8;
+/// Version 9: a method's pass counters lost `cse_hits`,
+/// `returns_merged` and `blocks_removed`.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
@@ -547,9 +549,10 @@ pub(crate) mod tests {
     /// [`FORMAT_VERSION`].
     const FIXTURES: [(&str, &[u8]); 2] = fixtures!("../tests/fixtures/");
 
-    /// The same lanes as an older format version wrote them (version 7:
-    /// a method's metadata tables of `u64` word indices) — kept to prove
-    /// a directory of any other version degrades to misses.
+    /// The same lanes as an older format version wrote them (version 8:
+    /// a method's pass counters with the three of the deleted passes) —
+    /// kept to prove a directory of any other version degrades to
+    /// misses.
     pub(crate) const STALE_FIXTURES: [(&str, &[u8]); 2] = fixtures!("../tests/fixtures/stale/");
 
     /// Where `field` starts in `value`'s encoding.

@@ -8,11 +8,10 @@
 //! precomputed LTBO symbolization, keyed by
 //!
 //! ```text
-//! key = H(schema salt, BuildOptions fingerprint, method bytecode[, program hash])
+//! key = H(schema salt, BuildOptions fingerprint, method bytecode)
 //! ```
 //!
-//! where the program hash joins only when whole-program inlining is on
-//! (then any callee's body can affect a caller's code). A rebuild after
+//! (a method compiles from its own body alone). A rebuild after
 //! an N-method delta recompiles only the N changed methods; everything
 //! else replays from the store, and the linked output is byte-identical
 //! to a cold build because compilation is deterministic in exactly the
@@ -56,6 +55,7 @@ pub use store::{ArtifactStore, CacheConfig, CacheStats};
 /// Schema salt folded into every cache key: the crate version plus a
 /// manually bumped counter for behavioural changes that do not move the
 /// version (e.g. a codegen fix). Keys from other schemas never match.
-/// `+s7`: `BuildOptions`' wire row lost its `merge` field, so a row of
-/// the old schema could spell one of the new under other options.
-pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s7");
+/// `+s8`: `BuildOptions`' wire row lost `inlining` and three pass
+/// switches, so a row of the old schema could spell one of the new
+/// under other options.
+pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s8");

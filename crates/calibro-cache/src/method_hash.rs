@@ -40,10 +40,8 @@ pub fn hash_method(m: &Method, h: &mut StableHasher) {
 
 /// Feeds a whole program into `h`: the domain tag, then the program's
 /// wire form — so the key is computable from a request's bytes without
-/// decoding them. Used as an extra key component when whole-program
-/// inlining is enabled (a method's compiled code can then depend on any
-/// callee's body) and as the program half of tenant and routing
-/// identities.
+/// decoding them. The program's content key (calibrod's `ProgramId`)
+/// and the program half of tenant and routing identities.
 pub fn hash_program(dex: &DexFile, h: &mut StableHasher) {
     h.write_tag(0x50); // 'P'
     h.write_wire(dex);

@@ -38,7 +38,7 @@ fn pass_subsets() -> Vec<PipelineConfig> {
     vec![
         PipelineConfig::all(),
         PipelineConfig::none(),
-        PipelineConfig { dce: false, remove_unreachable: false, ..PipelineConfig::all() },
+        PipelineConfig { dce: false, ..PipelineConfig::all() },
         PipelineConfig { constant_folding: true, ..PipelineConfig::none() },
     ]
 }

@@ -13,7 +13,8 @@ use calibro_workloads::{generators::standard_env, TraceCall};
 /// the following `v0 = v2 + v4` — a *different* value, since the first
 /// add destroyed its own operand — was folded into `Move v0 <- v2`. The
 /// optimized baseline returned -2 where every unoptimized build
-/// correctly returned 1.
+/// correctly returned 1. CSE is deleted since; the program stays as a
+/// regression test for every pass that remains.
 #[test]
 fn conform_repro_cse_self_overwrite() {
     let mut dex = DexFile::new();

@@ -233,22 +233,6 @@ impl HGraph {
         preds
     }
 
-    /// Blocks reachable from the entry, in depth-first order.
-    #[must_use]
-    pub fn reachable(&self) -> Vec<BlockId> {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut order = Vec::new();
-        let mut stack = vec![self.entry()];
-        while let Some(b) = stack.pop() {
-            if std::mem::replace(&mut seen[b.index()], true) {
-                continue;
-            }
-            order.push(b);
-            self.blocks[b.index()].terminator.for_each_successor(|s| stack.push(s));
-        }
-        order
-    }
-
     /// Returns `true` if any instruction is a call (method is non-leaf).
     #[must_use]
     pub fn has_calls(&self) -> bool {
@@ -300,20 +284,6 @@ mod tests {
         let preds = g.predecessors();
         assert_eq!(preds[1], vec![BlockId(0)]);
         assert!(preds[0].is_empty());
-    }
-
-    #[test]
-    fn reachability() {
-        let mut g = two_block_graph();
-        // Add an unreachable block.
-        g.blocks.push(HBlock {
-            id: BlockId(2),
-            insns: vec![],
-            terminator: HTerminator::Return { src: None },
-        });
-        let reach = g.reachable();
-        assert!(reach.contains(&BlockId(0)) && reach.contains(&BlockId(1)));
-        assert!(!reach.contains(&BlockId(2)));
     }
 
     #[test]

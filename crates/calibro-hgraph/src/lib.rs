@@ -2,11 +2,11 @@
 //!
 //! The HGraph intermediate representation of the reproduction's
 //! `dex2oat`: a register-based control-flow graph built from DEX
-//! bytecode, the size-relevant optimization passes dex2oat runs on it
-//! (constant folding/propagation, copy propagation, CSE, DCE +
-//! unreachable-code elimination, strength reduction, return merging), a
-//! structural checker, and a pure-fragment evaluator used as the
-//! semantic oracle in differential pass tests.
+//! bytecode, the four size-relevant optimization passes dex2oat runs on
+//! it (copy propagation, constant folding/propagation, algebraic
+//! simplification and dead-code elimination), a structural checker, and
+//! a pure-fragment evaluator used as the semantic oracle in
+//! differential pass tests.
 //!
 //! # Examples
 //!
@@ -42,7 +42,6 @@ pub use build::build_hgraph;
 pub use check::{check, CheckError};
 pub use eval::{eval_binop, eval_cmp, eval_pure, EvalOutcome, NotPure};
 pub use graph::{BlockId, HBlock, HGraph, HInsn, HTerminator};
-pub use passes::inline::{run_inlining, InlineConfig};
 pub use passes::{run_pipeline, run_pipeline_with, PassStats, PipelineConfig};
 
 // The parallel compile phase in `calibro::build` moves graphs across

@@ -3,9 +3,9 @@
 //!
 //! Known values live in one register-indexed table allocated per run.
 //! The pass relies on `reg < num_regs` (the verifier and
-//! [`check`](crate::check) enforce it, `inline` keeps `num_regs` in
-//! step); a register outside the table on a hand-built graph is never
-//! indexed — its value is simply never known.
+//! [`check`](crate::check) enforce it); a register outside the table
+//! on a hand-built graph is never indexed — its value is simply never
+//! known.
 
 use calibro_dex::VReg;
 

@@ -1,18 +1,18 @@
-//! Global dead-code elimination via backward liveness dataflow, plus
-//! unreachable-block elimination — dex2oat's "dead code and unreachable
-//! code elimination".
+//! Global dead-code elimination via backward liveness dataflow —
+//! dex2oat's dead-code elimination. Blocks a folded branch no longer
+//! reaches are left in place: codegen emits them and nothing jumps to
+//! them.
 //!
 //! Liveness is a dense bitset dataflow: block `b`'s set is the
 //! `words = ceil(num_regs / 64)` words at `b * words` of one flat
 //! `Vec<u64>`. The pass relies on `reg < num_regs` (the verifier and
-//! [`check`](crate::check) enforce it, `inline` keeps `num_regs` in
-//! step); a register outside the bitset on a hand-built graph is never
-//! indexed — it is treated as always live, so nothing that writes it is
-//! removed.
+//! [`check`](crate::check) enforce it); a register outside the bitset
+//! on a hand-built graph is never indexed — it is treated as always
+//! live, so nothing that writes it is removed.
 
 use calibro_dex::VReg;
 
-use crate::graph::{BlockId, HGraph, HTerminator};
+use crate::graph::HGraph;
 
 fn set(bits: &mut [u64], reg: VReg) {
     if let Some(word) = bits.get_mut(reg.0 as usize / 64) {
@@ -103,56 +103,10 @@ pub fn run(graph: &mut HGraph) -> usize {
     removed
 }
 
-/// Removes blocks unreachable from the entry and renumbers the rest.
-/// Returns the number of removed blocks.
-pub fn remove_unreachable(graph: &mut HGraph) -> usize {
-    let reachable = graph.reachable();
-    if reachable.len() == graph.blocks.len() {
-        return 0;
-    }
-    let mut seen = vec![false; graph.blocks.len()];
-    for block in reachable {
-        seen[block.index()] = true;
-    }
-    // Build the renumbering map.
-    let mut remap = vec![None; graph.blocks.len()];
-    let mut next = 0u32;
-    for (slot, &seen) in remap.iter_mut().zip(&seen) {
-        if seen {
-            *slot = Some(BlockId(next));
-            next += 1;
-        }
-    }
-    let removed = graph.blocks.len() - next as usize;
-    let fix = |b: &mut BlockId| {
-        *b = remap[b.index()].expect("edge from a reachable block into a removed block");
-    };
-    graph.blocks.retain(|b| seen[b.id.index()]);
-    for block in &mut graph.blocks {
-        fix(&mut block.id);
-        match &mut block.terminator {
-            HTerminator::Goto { target } => fix(target),
-            HTerminator::If { then_bb, else_bb, .. }
-            | HTerminator::IfZ { then_bb, else_bb, .. } => {
-                fix(then_bb);
-                fix(else_bb);
-            }
-            HTerminator::Switch { targets, default, .. } => {
-                for t in targets {
-                    fix(t);
-                }
-                fix(default);
-            }
-            _ => {}
-        }
-    }
-    removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{HBlock, HInsn};
+    use crate::graph::{BlockId, HBlock, HInsn, HTerminator};
     use calibro_dex::{BinOp, Cmp, MethodId};
 
     #[test]
@@ -231,36 +185,6 @@ mod tests {
             ],
         };
         assert_eq!(run(&mut g), 0);
-    }
-
-    #[test]
-    fn unreachable_blocks_are_dropped_and_renumbered() {
-        let mut g = HGraph {
-            method: MethodId(0),
-            num_regs: 1,
-            num_args: 0,
-            blocks: vec![
-                HBlock {
-                    id: BlockId(0),
-                    insns: vec![],
-                    terminator: HTerminator::Goto { target: BlockId(2) },
-                },
-                HBlock {
-                    id: BlockId(1), // unreachable
-                    insns: vec![HInsn::Const { dst: VReg(0), value: 9 }],
-                    terminator: HTerminator::Return { src: None },
-                },
-                HBlock {
-                    id: BlockId(2),
-                    insns: vec![],
-                    terminator: HTerminator::Return { src: None },
-                },
-            ],
-        };
-        assert_eq!(remove_unreachable(&mut g), 1);
-        assert_eq!(g.blocks.len(), 2);
-        assert_eq!(g.blocks[0].terminator, HTerminator::Goto { target: BlockId(1) });
-        assert_eq!(g.blocks[1].id, BlockId(1));
     }
 
     /// The hash-set implementation the bitsets replaced, kept verbatim as

@@ -3,10 +3,7 @@
 
 pub mod constant_folding;
 pub mod copy_prop;
-pub mod cse;
 pub mod dce;
-pub mod inline;
-pub mod return_merge;
 pub mod simplify;
 
 use calibro_dex::wire::wire_fields;
@@ -20,16 +17,10 @@ pub struct PassStats {
     pub folded: usize,
     /// Operand replacements by copy propagation.
     pub copies_propagated: usize,
-    /// Expressions replaced by moves (CSE).
-    pub cse_hits: usize,
     /// Dead instructions removed.
     pub dead_removed: usize,
     /// Algebraic simplifications applied.
     pub simplified: usize,
-    /// Return edges merged.
-    pub returns_merged: usize,
-    /// Unreachable blocks removed.
-    pub blocks_removed: usize,
     /// Number of pipeline iterations executed.
     pub iterations: usize,
     /// Instructions in the graph before the pipeline ran.
@@ -46,13 +37,7 @@ impl PassStats {
     /// idempotence checks rely on.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.folded
-            + self.copies_propagated
-            + self.cse_hits
-            + self.dead_removed
-            + self.simplified
-            + self.returns_merged
-            + self.blocks_removed
+        self.folded + self.copies_propagated + self.dead_removed + self.simplified
     }
 
     /// Net instructions removed by the pipeline (never negative: passes
@@ -69,11 +54,8 @@ impl core::ops::AddAssign for PassStats {
     fn add_assign(&mut self, other: PassStats) {
         self.folded += other.folded;
         self.copies_propagated += other.copies_propagated;
-        self.cse_hits += other.cse_hits;
         self.dead_removed += other.dead_removed;
         self.simplified += other.simplified;
-        self.returns_merged += other.returns_merged;
-        self.blocks_removed += other.blocks_removed;
         self.iterations += other.iterations;
         self.insns_in += other.insns_in;
         self.insns_out += other.insns_out;
@@ -91,14 +73,8 @@ pub struct PipelineConfig {
     pub constant_folding: bool,
     /// Algebraic simplification / strength reduction.
     pub simplify: bool,
-    /// Local common-subexpression elimination.
-    pub cse: bool,
     /// Dead-code elimination.
     pub dce: bool,
-    /// Return-edge merging.
-    pub return_merge: bool,
-    /// Unreachable-block removal.
-    pub remove_unreachable: bool,
 }
 
 impl Default for PipelineConfig {
@@ -111,29 +87,13 @@ impl PipelineConfig {
     /// Every pass enabled — the standard dex2oat-style pipeline.
     #[must_use]
     pub const fn all() -> PipelineConfig {
-        PipelineConfig {
-            copy_prop: true,
-            constant_folding: true,
-            simplify: true,
-            cse: true,
-            dce: true,
-            return_merge: true,
-            remove_unreachable: true,
-        }
+        PipelineConfig { copy_prop: true, constant_folding: true, simplify: true, dce: true }
     }
 
     /// Every pass disabled — codegen sees the graph as built.
     #[must_use]
     pub const fn none() -> PipelineConfig {
-        PipelineConfig {
-            copy_prop: false,
-            constant_folding: false,
-            simplify: false,
-            cse: false,
-            dce: false,
-            return_merge: false,
-            remove_unreachable: false,
-        }
+        PipelineConfig { copy_prop: false, constant_folding: false, simplify: false, dce: false }
     }
 
     /// A short human-readable tag naming the enabled passes (used in
@@ -150,10 +110,7 @@ impl PipelineConfig {
             (self.copy_prop, "cp"),
             (self.constant_folding, "fold"),
             (self.simplify, "simp"),
-            (self.cse, "cse"),
             (self.dce, "dce"),
-            (self.return_merge, "rm"),
-            (self.remove_unreachable, "unr"),
         ];
         let on: Vec<&str> = flags.iter().filter(|(f, _)| *f).map(|&(_, n)| n).collect();
         on.join("+")
@@ -165,24 +122,13 @@ impl PipelineConfig {
 wire_fields!(PassStats {
     folded,
     copies_propagated,
-    cse_hits,
     dead_removed,
     simplified,
-    returns_merged,
-    blocks_removed,
     iterations,
     insns_in,
     insns_out,
 });
-wire_fields!(PipelineConfig {
-    copy_prop,
-    constant_folding,
-    simplify,
-    cse,
-    dce,
-    return_merge,
-    remove_unreachable,
-});
+wire_fields!(PipelineConfig { copy_prop, constant_folding, simplify, dce });
 
 /// Runs the standard pass pipeline (every pass enabled) to a fixpoint.
 pub fn run_pipeline(graph: &mut HGraph) -> PassStats {
@@ -211,24 +157,9 @@ pub fn run_pipeline_with(graph: &mut HGraph, config: &PipelineConfig) -> PassSta
             stats.simplified += n;
             round += n;
         }
-        if config.cse {
-            let n = cse::run(graph);
-            stats.cse_hits += n;
-            round += n;
-        }
         if config.dce {
             let n = dce::run(graph);
             stats.dead_removed += n;
-            round += n;
-        }
-        if config.return_merge {
-            let n = return_merge::run(graph);
-            stats.returns_merged += n;
-            round += n;
-        }
-        if config.remove_unreachable {
-            let n = dce::remove_unreachable(graph);
-            stats.blocks_removed += n;
             round += n;
         }
         stats.iterations += 1;
@@ -248,8 +179,9 @@ mod tests {
 
     #[test]
     fn pipeline_shrinks_redundant_code() {
-        // Constant condition guards two identical returns through
-        // redundant arithmetic — the pipeline collapses all of it.
+        // A constant condition guards two identical returns through
+        // redundant arithmetic: the branch folds to a jump and the
+        // arithmetic to a constant, and the dead add goes.
         let mut g = HGraph {
             method: MethodId(0),
             num_regs: 4,
@@ -285,10 +217,9 @@ mod tests {
         let stats = run_pipeline(&mut g);
         assert!(stats.total() > 0);
         assert!(g.insn_count() < before);
-        // The constant branch was resolved and the duplicate return block
-        // removed as unreachable.
-        assert_eq!(g.blocks.len(), 2);
-        assert!(matches!(g.blocks[0].terminator, HTerminator::Goto { .. }));
+        // The constant branch was resolved; the block it no longer
+        // reaches stays (codegen emits it, nothing jumps to it).
+        assert_eq!(g.blocks[0].terminator, HTerminator::Goto { target: BlockId(1) });
         // v1 = 3 * 4 folded to 12.
         assert!(g.blocks[0].insns.contains(&HInsn::Const { dst: VReg(1), value: 12 }));
     }
@@ -372,7 +303,7 @@ mod tests {
         assert_eq!(PipelineConfig::all().label(), "all");
         assert_eq!(PipelineConfig::none().label(), "none");
         let cfg = PipelineConfig { dce: false, ..PipelineConfig::all() };
-        assert_eq!(cfg.label(), "cp+fold+simp+cse+rm+unr");
+        assert_eq!(cfg.label(), "cp+fold+simp");
     }
 
     #[test]

@@ -21,17 +21,17 @@ use crate::file::OatFile;
 const EM_AARCH64: u16 = 0xb7;
 // Version 2: merged-island records follow the outlined records.
 // Version 3: the shared-dictionary link record follows the merged records.
-// Function merging is gone, but version 3 stands: its merged-island table
-// is written empty, a zero count, and read back only as one.
-const MAGIC: &[u8; 8] = b"CALOAT3\0";
-/// Bytes of the retired merged-island table: its `u32` count, always 0.
-const RETIRED_MERGED: usize = 4;
+// Version 4: the merged-island table is gone (function merging is); the
+// dictionary link record follows the outlined records. An image of any
+// other version is refused by its magic.
+const MAGIC: &[u8; 8] = b"CALOAT4\0";
 const TEXT_FILE_OFFSET: u64 = 0x1000;
 
 /// A failure while loading an ELF-serialized OAT file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadError {
-    /// Not an ELF file, or not one produced by this crate.
+    /// Not an ELF file, or not one produced by this crate in this
+    /// format version (an older `CALOAT` image is refused unread).
     BadMagic,
     /// A header field, a section or an `.oatdata` row the bytes do not
     /// hold: a truncation, an undefined tag or flag byte, a table count
@@ -68,7 +68,6 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
         + methods.encoded_len()
         + thunks.encoded_len()
         + outlined.encoded_len()
-        + RETIRED_MERGED
         + dict.encoded_len();
 
     let text_len = words.len() as u64 * 4;
@@ -118,7 +117,6 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     methods.put(&mut w);
     thunks.put(&mut w);
     outlined.put(&mut w);
-    w.u32(0);
     dict.put(&mut w);
     let buf = w.buf_mut();
     debug_assert_eq!(
@@ -198,12 +196,6 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
     let methods = Wire::get(&mut r, "methods")?;
     let thunks = Wire::get(&mut r, "thunks")?;
     let outlined = Wire::get(&mut r, "outlined")?;
-    match r.u32("merged")? {
-        0 => {}
-        len => {
-            return Err(WireError::OversizedCollection { what: "merged", len: len.into() }.into())
-        }
-    }
     let dict = Wire::get(&mut r, "dict")?;
     let oat = OatFile { base_address, words: words.collect(), methods, thunks, outlined, dict };
     r.finish()?;
@@ -313,21 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn a_merged_island_record_is_refused() {
+    fn an_image_of_the_previous_format_is_refused_unread() {
         let oat = sample();
         let mut bytes = to_elf_bytes(&oat);
-        let at = TEXT_FILE_OFFSET as usize
-            + oat.words.len() * 4
-            + MAGIC.len()
-            + oat.base_address.encoded_len()
-            + oat.methods.encoded_len()
-            + oat.thunks.encoded_len()
-            + oat.outlined.encoded_len();
-        assert_eq!(bytes[at..at + RETIRED_MERGED], [0; RETIRED_MERGED]);
-        bytes[at] = 1;
-        assert_eq!(
-            from_elf_bytes(&bytes).unwrap_err(),
-            LoadError::Malformed(WireError::OversizedCollection { what: "merged", len: 1 })
-        );
+        let at = TEXT_FILE_OFFSET as usize + oat.words.len() * 4;
+        assert_eq!(&bytes[at..at + MAGIC.len()], MAGIC);
+        bytes[at..at + MAGIC.len()].copy_from_slice(b"CALOAT3\0");
+        assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadMagic);
     }
 }

@@ -9,13 +9,18 @@ use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions};
 use calibro_dex::{
     BinOp, Cmp, DexFile, DexInsn, InvokeKind, Method, MethodBuilder, MethodId, StaticId, VReg,
 };
-use calibro_hgraph::{build_hgraph, eval_pure, run_pipeline, EvalOutcome};
+use calibro_hgraph::{build_hgraph, eval_pure, run_pipeline_with, EvalOutcome, PipelineConfig};
 use calibro_oat::{link, LinkInput};
 use calibro_runtime::{ExecOutcome, NativeMethod, Runtime, RuntimeEnv, ThrowKind};
 use proptest::prelude::*;
 
 /// Compiles a whole dex file and returns a loaded runtime.
 fn boot(dex: &DexFile, cto: bool, env: &RuntimeEnv) -> Runtime {
+    boot_with(dex, cto, env, &PipelineConfig::all())
+}
+
+/// [`boot`] with only the passes `passes` switches on.
+fn boot_with(dex: &DexFile, cto: bool, env: &RuntimeEnv, passes: &PipelineConfig) -> Runtime {
     calibro_dex::verify(dex).expect("verify");
     let opts = CodegenOptions { cto, collect_metadata: true };
     let mut methods = Vec::new();
@@ -24,7 +29,7 @@ fn boot(dex: &DexFile, cto: bool, env: &RuntimeEnv) -> Runtime {
             methods.push(compile_native_stub(m.id, &opts));
         } else {
             let mut graph = build_hgraph(m);
-            run_pipeline(&mut graph);
+            run_pipeline_with(&mut graph, passes);
             calibro_hgraph::check(&graph).expect("graph check");
             methods.push(compile_method(&graph, &opts));
         }
@@ -227,6 +232,52 @@ fn switch_dispatch() {
             ExecOutcome::Returned(expected),
             "switch({input})"
         );
+    }
+}
+
+/// Constant folding resolves the branch, and no pass removes the block
+/// it no longer reaches: the optimized graph keeps that block, and the
+/// method still checks, compiles and runs exactly as its unoptimized
+/// build does.
+#[test]
+fn a_block_a_folded_branch_no_longer_reaches_is_kept_and_harmless() {
+    let mut dex = DexFile::new();
+    let class = dex.add_class("Main", 0);
+    let mut b = MethodBuilder::new("f", 3, 1);
+    let taken = b.label();
+    b.push(DexInsn::Const { dst: VReg(0), value: 1 });
+    b.if_z(Cmp::Ne, VReg(0), taken);
+    b.push(DexInsn::BinLit { op: BinOp::Mul, dst: VReg(1), a: VReg(2), lit: 3 });
+    b.push(DexInsn::Return { src: VReg(1) });
+    b.bind(taken);
+    b.push(DexInsn::BinLit { op: BinOp::Add, dst: VReg(1), a: VReg(2), lit: 5 });
+    b.push(DexInsn::Return { src: VReg(1) });
+    dex.add_method(b.build(class));
+
+    let mut graph = build_hgraph(&dex.methods()[0]);
+    let stats = run_pipeline_with(&mut graph, &PipelineConfig::all());
+    assert!(stats.folded > 0, "the branch folds");
+    let mut reached = vec![false; graph.blocks.len()];
+    let mut stack = vec![graph.entry()];
+    while let Some(block) = stack.pop() {
+        if !std::mem::replace(&mut reached[block.index()], true) {
+            graph.blocks[block.index()].terminator.for_each_successor(|s| stack.push(s));
+        }
+    }
+    assert!(reached.contains(&false), "a block is left unreached: {graph:?}");
+    calibro_hgraph::check(&graph).expect("graph check");
+
+    // `boot` compiles that same graph with `compile_method` and links it.
+    let env = env_with_classes(&dex);
+    for cto in [false, true] {
+        let mut optimized = boot(&dex, cto, &env);
+        let mut plain = boot_with(&dex, cto, &env, &PipelineConfig::none());
+        for arg in [-7, 0, 4] {
+            let a = optimized.call(MethodId(0), &[arg], 10_000).unwrap();
+            let b = plain.call(MethodId(0), &[arg], 10_000).unwrap();
+            assert_eq!(a.outcome, b.outcome, "cto={cto} arg={arg}");
+            assert_eq!(a.outcome, ExecOutcome::Returned(arg + 5), "cto={cto} arg={arg}");
+        }
     }
 }
 

@@ -1057,10 +1057,9 @@ mod samples {
             BuildOptions::cto_ltbo().with_dict(),
             BuildOptions::cto_ltbo_parallel(16, 4).with_hot_filter([4, 1, 9].into_iter().collect()),
             BuildOptions {
-                inlining: true,
                 force_metadata: true,
                 min_seq_len: 5,
-                passes: PipelineConfig { cse: false, dce: false, ..PipelineConfig::all() },
+                passes: PipelineConfig { simplify: false, dce: false, ..PipelineConfig::all() },
                 ..BuildOptions::default()
             },
         ]
@@ -1072,7 +1071,8 @@ mod samples {
     // so every addressing key moved together and old entries miss. The
     // options fingerprints were re-recorded again with the `+s7` bump,
     // when `BuildOptions` lost its `merge` field (the LTBO fingerprints,
-    // which take no schema salt, did not move).
+    // which take no schema salt, did not move), and with `+s8`, when it
+    // lost `inlining` and `PipelineConfig` three pass switches.
 
     #[test]
     fn method_hash_of_the_sample_program_is_unchanged() {
@@ -1097,12 +1097,12 @@ mod samples {
         const GLOBAL_MIN2: Option<Key> = Some((0x7e06_320b_bf02_7fb4, 0xfa1a_a072_dd3d_1c44));
         const SHARDED_HOT: Option<Key> = Some((0xe47b_1e11_4316_2eb4, 0xce3a_0b15_3046_02ae));
         let golden: [(Key, Option<Key>); 6] = [
-            ((0x7bcc_6ea5_a7f7_dc81, 0xbe03_d366_c1cc_8edb), None),
-            ((0xf94a_6a62_b653_55ad, 0x2e92_777a_2d6d_4b3b), None),
-            ((0xd42e_a446_89cf_a5fc, 0xbc1d_6ded_b81d_1197), GLOBAL_MIN2),
-            ((0xc397_bb54_7fa8_3d82, 0x45b0_495f_8918_1e78), GLOBAL_MIN2),
-            ((0xdc5b_e8fb_2026_c029, 0xe0b4_d741_9199_b7fb), SHARDED_HOT),
-            ((0x069f_f0ef_48f3_7ac3, 0xb270_faf2_013d_573e), None),
+            ((0xc660_bdbc_88ad_7000, 0xc3ad_b676_879f_9eb9), None),
+            ((0xce98_8734_e9c5_1832, 0x8f4e_1437_978b_8be7), None),
+            ((0x31e5_8b7e_f1f6_2df9, 0x26f5_ad03_352c_7317), GLOBAL_MIN2),
+            ((0xf257_d24f_71b2_1531, 0xa2be_a6a5_8a3c_35de), GLOBAL_MIN2),
+            ((0xddcf_a023_edcd_40ee, 0xd249_7ff6_7193_7b23), SHARDED_HOT),
+            ((0x361e_e66d_6fe4_ac28, 0x5d29_a9ab_de6e_5a33), None),
         ];
         for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
         {

@@ -41,16 +41,11 @@ pub struct BuildOptions {
     /// Collect LTBO metadata even when LTBO is off (used by the
     /// redundancy-analysis tooling behind the paper's Table 1).
     pub force_metadata: bool,
-    /// Run whole-program inlining of small leaf methods before the
-    /// per-method passes (dex2oat inlines; off by default here so the
-    /// headline numbers isolate the outlining contribution).
-    pub inlining: bool,
     /// Worker threads for the per-method compile phase (HGraph build,
     /// pass pipeline, codegen). `1` (the default) compiles sequentially
     /// on the calling thread. Per-method compilation is independent, so
     /// the linked output is bit-identical for every thread count:
-    /// results land in index-order slots regardless of completion order
-    /// (whole-program inlining stays a sequential pre-phase).
+    /// results land in index-order slots regardless of completion order.
     pub compile_threads: usize,
     /// Per-pass switches for the optimization pipeline. Defaults to every
     /// pass enabled; the conformance harness compiles under pass subsets
@@ -69,7 +64,6 @@ impl Default for BuildOptions {
             hot_methods: None,
             base_address: DEFAULT_BASE_ADDRESS,
             force_metadata: false,
-            inlining: false,
             compile_threads: 1,
             passes: PipelineConfig::all(),
         }
@@ -178,9 +172,6 @@ pub struct BuildStats {
     pub key_time: Duration,
     /// Time building HGraphs (part of `compile_time`).
     pub graph_time: Duration,
-    /// Time in whole-program inlining (part of `compile_time`; zero
-    /// unless [`BuildOptions::inlining`] is set).
-    pub inline_time: Duration,
     /// Time in the pass pipeline + codegen (part of `compile_time`).
     pub codegen_time: Duration,
     /// CPU time summed across compile workers (≈ `compile_time` at one
@@ -272,13 +263,12 @@ impl BuildStats {
                 "{{",
                 r#""methods":{},"methods_from_cache":{},"methods_keyed":{},"words_before_ltbo":{},"#,
                 r#""compile_threads":{},"generation":{},"#,
-                r#""times_us":{{"verify":{},"keys":{},"graphs":{},"inline":{},"codegen":{},"#,
+                r#""times_us":{{"verify":{},"keys":{},"graphs":{},"codegen":{},"#,
                 r#""compile":{},"ltbo":{},"detect":{},"link":{},"total":{}}},"#,
                 r#""compile_cpu_us":{},"per_worker":[{}],"#,
                 r#""cache":{},"#,
-                r#""passes":{{"folded":{},"copies_propagated":{},"cse_hits":{},"#,
-                r#""dead_removed":{},"simplified":{},"returns_merged":{},"#,
-                r#""blocks_removed":{},"iterations":{},"insns_in":{},"insns_out":{}}},"#,
+                r#""passes":{{"folded":{},"copies_propagated":{},"dead_removed":{},"#,
+                r#""simplified":{},"iterations":{},"insns_in":{},"insns_out":{}}},"#,
                 r#""ltbo":{{"candidate_methods":{},"excluded_methods":{},"#,
                 r#""hot_restricted_methods":{},"outlined_functions":{},"#,
                 r#""occurrences_replaced":{},"words_saved":{},"pc_rel_patched":{},"#,
@@ -296,7 +286,6 @@ impl BuildStats {
             us(self.verify_time),
             us(self.key_time),
             us(self.graph_time),
-            us(self.inline_time),
             us(self.codegen_time),
             us(self.compile_time),
             us(self.ltbo_time),
@@ -308,11 +297,8 @@ impl BuildStats {
             self.cache.to_json(),
             p.folded,
             p.copies_propagated,
-            p.cse_hits,
             p.dead_removed,
             p.simplified,
-            p.returns_merged,
-            p.blocks_removed,
             p.iterations,
             p.insns_in,
             p.insns_out,

@@ -126,9 +126,9 @@ pub fn reference_env(dex: &DexFile) -> u64 {
     k.hi ^ k.lo
 }
 
-/// The whole-program salt, folded into every key when whole-program
-/// inlining is enabled (a method's code can then depend on any callee's
-/// body, so per-method hashing alone would under-invalidate).
+/// The whole-program hash: a program's content key (calibrod's
+/// `ProgramId`, tenant identity and fleet routing). No method key
+/// includes it — a method compiles from its own body alone.
 #[must_use]
 pub fn program_salt(dex: &DexFile) -> CacheKey {
     let mut h = StableHasher::new();
@@ -143,15 +143,10 @@ pub fn program_salt(dex: &DexFile) -> CacheKey {
 /// path of every warm rebuild, so it never allocates after a worker's
 /// first method.
 #[must_use]
-pub fn method_cache_key(
-    method: &Method,
-    options_fp: CacheKey,
-    program_salt: Option<CacheKey>,
-) -> CacheKey {
+pub fn method_cache_key(method: &Method, options_fp: CacheKey) -> CacheKey {
     SCRATCH.with(|cell| {
         let mut h = cell.borrow_mut();
         h.write_wire(&options_fp);
-        h.write_wire(&program_salt);
         hash_method(method, &mut h);
         h.finish_reset()
     })
@@ -218,7 +213,6 @@ impl Wire for BuildOptions {
             hot_methods,
             base_address,
             force_metadata,
-            inlining,
             compile_threads,
             passes,
         } = self;
@@ -229,7 +223,6 @@ impl Wire for BuildOptions {
         hot_methods.put(w);
         base_address.put(w);
         force_metadata.put(w);
-        inlining.put(w);
         compile_threads.put(w);
         passes.put(w);
     }
@@ -243,7 +236,6 @@ impl Wire for BuildOptions {
             hot_methods: Wire::get(r, "hot_methods")?,
             base_address: Wire::get(r, "base_address")?,
             force_metadata: Wire::get(r, "force_metadata")?,
-            inlining: Wire::get(r, "inlining")?,
             compile_threads: Wire::get(r, "compile_threads")?,
             passes: Wire::get(r, "passes")?,
         })

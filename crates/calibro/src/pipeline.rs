@@ -8,7 +8,7 @@
 //!
 //! * **Frontend** verifies the dex, computes per-method cache keys,
 //!   probes the [`ArtifactStore`], and builds HGraphs for the methods
-//!   that missed (plus whole-program inlining when enabled);
+//!   that missed;
 //! * **Codegen** runs the pass pipeline and code generation for every
 //!   miss — populating the store — and replays every hit;
 //! * **Size** runs CTO's metadata-assisted LTBO over the compiled
@@ -30,9 +30,8 @@
 //! count:
 //!
 //! * a cache key covers everything per-method compilation reads — the
-//!   schema salt, the full [`BuildOptions`] fingerprint, the method's
-//!   canonical bytecode, and (when whole-program inlining is on) the
-//!   whole-program hash — so equal keys imply equal compile inputs, and
+//!   schema salt, the full [`BuildOptions`] fingerprint and the method's
+//!   canonical bytecode — so equal keys imply equal compile inputs, and
 //!   compilation is a pure function of those inputs;
 //! * results land in method-index-order slots regardless of which
 //!   worker produced them (see [`run_indexed`]);
@@ -50,13 +49,11 @@ use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
 use calibro_dex::{DexFile, Method};
 use calibro_dict::{DictRegistry, DictStats};
-use calibro_hgraph::{
-    build_hgraph, run_inlining, run_pipeline_with, HGraph, InlineConfig, PassStats,
-};
+use calibro_hgraph::{build_hgraph, run_pipeline_with, HGraph, PassStats};
 use calibro_oat::{DictImage, LinkInput, MethodEdits, OatFile, RewriteStats, DICT_BASE_ADDRESS};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
-use crate::fingerprint::{method_cache_key, options_fingerprint, program_salt, reference_env};
+use crate::fingerprint::{method_cache_key, options_fingerprint, reference_env};
 use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 
 /// A build context holding the content-addressed artifact store across
@@ -88,10 +85,12 @@ use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 /// serializes and hashes the method's whole body. A method of a
 /// [`DexFile`] is its own shared allocation, and a clone edited through
 /// [`DexFile::method_mut`] shares every method it did not edit with the
-/// original, so the session keeps one key per allocation it has keyed:
-/// a rebuild hashes only the allocations it has not seen under its
-/// options fingerprint (and, with inlining on, program salt).
-/// [`BuildStats::methods_keyed`] counts them.
+/// original, so the session keeps the keys of every allocation it has
+/// keyed, under the last four options fingerprints it was keyed with: a
+/// rebuild hashes only the allocations it has not seen under its options
+/// fingerprint, and a program built under options that alternate is
+/// keyed once per options. [`BuildStats::methods_keyed`] counts the
+/// hashed ones.
 ///
 /// A remembered key is the key of the method at that address because
 /// the memo holds a [`Weak`] to the allocation. While a `Weak` exists,
@@ -114,61 +113,112 @@ pub struct BuildSession {
     keys: Mutex<KeyMemo>,
 }
 
-/// One remembered method key: the allocation it was computed from (its
-/// address, and a `Weak` that keeps the address from reuse) and the two
-/// inputs besides the method's bytes.
+/// How many options fingerprints a memo entry keeps a key under.
+const MEMO_WAYS: usize = 4;
+
+/// An unused way of a [`MemoEntry`].
+const NO_WAY: u16 = u16::MAX;
+
+/// One method allocation's remembered keys: the allocation they were
+/// computed from (a `Weak`, which keeps its address from reuse and
+/// names it) and up to [`MEMO_WAYS`] keys, each under the options
+/// fingerprint whose id sits at the same place in `fps`, most recently
+/// used first. Ids, not fingerprints, keep the entry at 80 bytes.
 struct MemoEntry {
-    address: usize,
     method: Weak<Method>,
-    options_fp: CacheKey,
-    salt: Option<CacheKey>,
-    key: CacheKey,
+    fps: [u16; MEMO_WAYS],
+    keys: [CacheKey; MEMO_WAYS],
+}
+
+const _: () = assert!(std::mem::size_of::<MemoEntry>() == 80);
+
+impl MemoEntry {
+    fn new(method: &Arc<Method>, fp: u16, key: CacheKey) -> MemoEntry {
+        let mut entry = MemoEntry {
+            method: Arc::downgrade(method),
+            fps: [NO_WAY; MEMO_WAYS],
+            keys: [key; MEMO_WAYS],
+        };
+        entry.fps[0] = fp;
+        entry
+    }
+
+    /// The key under options fingerprint `fp`, moved to the front.
+    fn get(&mut self, fp: u16) -> Option<CacheKey> {
+        let way = self.fps.iter().position(|&f| f == fp)?;
+        self.fps[..=way].rotate_right(1);
+        self.keys[..=way].rotate_right(1);
+        Some(self.keys[0])
+    }
+
+    /// Puts `key` in front under `fp`, dropping the least recently
+    /// used way when every way is taken.
+    fn put(&mut self, fp: u16, key: CacheKey) {
+        let way = self.fps.iter().position(|&f| f == fp).unwrap_or(MEMO_WAYS - 1);
+        self.fps[..=way].rotate_right(1);
+        self.keys[..=way].rotate_right(1);
+        (self.fps[0], self.keys[0]) = (fp, key);
+    }
 }
 
 /// The session's method keys by allocation address. An allocation has
-/// one entry, for the options it was last keyed under. Entries sit in
-/// `slots` in the order they were first recorded, so the methods of a
-/// program keyed in order — and of every clone that shares them — sit
-/// side by side, and a build finds each next one in the next slot
-/// without probing `index`: a warm build then reads its keys
-/// sequentially instead of taking a cache miss per method. Entries
-/// whose method has been dropped are swept once the memo has doubled
-/// since the last sweep, so sweeping costs amortized O(1) per key.
+/// one entry, holding its keys under the last [`MEMO_WAYS`] options it
+/// was keyed with. Entries sit in `slots` in the order they were first
+/// recorded, so the methods of a program keyed in order — and of every
+/// clone that shares them — sit side by side, and a build finds each
+/// next one in the next slot without probing `index`: a warm build then
+/// reads its keys sequentially instead of taking a cache miss per
+/// method. Entries whose method has been dropped are swept once the
+/// memo has doubled since the last sweep, so sweeping costs amortized
+/// O(1) per key.
 #[derive(Default)]
 struct KeyMemo {
     slots: Vec<MemoEntry>,
     /// Each entry's slot, by address.
     index: HashMap<usize, usize>,
     live_at_sweep: usize,
+    /// The options fingerprints entries are keyed under, at their ids.
+    fingerprints: Vec<CacheKey>,
 }
 
 impl KeyMemo {
+    /// The id of `fp`, if any entry may hold a key under it.
+    fn fingerprint_id(&self, fp: CacheKey) -> Option<u16> {
+        self.fingerprints.iter().position(|&f| f == fp).map(|id| id as u16)
+    }
+
+    /// The id of `fp`, given one if it has none. The ids run out only
+    /// after 65 535 distinct options; then the memo starts over.
+    fn intern(&mut self, fp: CacheKey) -> u16 {
+        if let Some(id) = self.fingerprint_id(fp) {
+            return id;
+        }
+        if self.fingerprints.len() == usize::from(NO_WAY) {
+            *self = KeyMemo::default();
+        }
+        self.fingerprints.push(fp);
+        (self.fingerprints.len() - 1) as u16
+    }
+
     /// The slot of `method`'s entry, if it has one: `guess` when that
     /// slot is the method's, else the index's answer. An address has at
     /// most one entry, so a slot holding the address is the method's.
     fn slot(&self, method: &Arc<Method>, guess: usize) -> Option<usize> {
         let address = address(method);
         match self.slots.get(guess) {
-            Some(entry) if entry.address == address => Some(guess),
+            Some(entry) if entry.method.as_ptr() as usize == address => Some(guess),
             _ => self.index.get(&address).copied(),
         }
     }
 
-    /// Records `key` as `method`'s, in place of the entry it had.
-    fn record(
-        &mut self,
-        method: &Arc<Method>,
-        options_fp: CacheKey,
-        salt: Option<CacheKey>,
-        key: CacheKey,
-    ) {
+    /// Records `key` as `method`'s under options fingerprint `fp`.
+    fn record(&mut self, method: &Arc<Method>, fp: u16, key: CacheKey) {
         let address = address(method);
-        let entry = MemoEntry { address, method: Arc::downgrade(method), options_fp, salt, key };
         match self.index.get(&address) {
-            Some(&slot) => self.slots[slot] = entry,
+            Some(&slot) => self.slots[slot].put(fp, key),
             None => {
                 self.index.insert(address, self.slots.len());
-                self.slots.push(entry);
+                self.slots.push(MemoEntry::new(method, fp, key));
             }
         }
     }
@@ -178,7 +228,12 @@ impl KeyMemo {
     fn sweep(&mut self) {
         if self.slots.len() > 2 * self.live_at_sweep {
             self.slots.retain(|entry| entry.method.strong_count() > 0);
-            self.index = self.slots.iter().enumerate().map(|(i, e)| (e.address, i)).collect();
+            self.index = self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.method.as_ptr() as usize, i))
+                .collect();
             self.live_at_sweep = self.slots.len();
         }
     }
@@ -257,7 +312,6 @@ impl BuildSession {
             verify_time: frontend.verify_time,
             key_time: frontend.key_time,
             graph_time: frontend.graph_time,
-            inline_time: frontend.inline_time,
             compile_threads: options.compile_threads.max(1),
             ..BuildStats::default()
         };
@@ -265,8 +319,7 @@ impl BuildSession {
 
         let codegen = self.codegen(dex, options, frontend)?;
         stats.codegen_time = codegen.codegen_time;
-        stats.compile_time =
-            stats.key_time + stats.graph_time + stats.inline_time + stats.codegen_time;
+        stats.compile_time = stats.key_time + stats.graph_time + stats.codegen_time;
         stats.passes = codegen.passes;
         stats.per_worker = codegen.per_worker.clone();
         stats.compile_cpu_time =
@@ -294,10 +347,7 @@ impl BuildSession {
     /// Stage 1 — **Frontend**: computes every method's cache key,
     /// probes the store, verifies the dex (hits skip the intrinsic
     /// per-method checks their key already covers), and builds HGraphs
-    /// for the misses. With whole-program inlining enabled, a single
-    /// miss forces graphs for *all* methods (any callee body may be
-    /// inlined) and the sequential inlining pre-phase runs as in a cold
-    /// build.
+    /// for the misses.
     ///
     /// # Errors
     ///
@@ -341,28 +391,15 @@ impl BuildSession {
         }
         let verify_time = verify_start.elapsed();
 
-        let misses = cached.iter().filter(|c| c.is_none()).count();
-        let inlining = options.inlining && misses > 0;
         // Hit first: a hit reads nothing of its method, so an all-hit
         // build never loads the methods' allocations here.
-        let need_graph: Vec<bool> = inputs
-            .iter()
-            .zip(&cached)
-            .map(|(m, hit)| (inlining || hit.is_none()) && !m.is_native)
-            .collect();
+        let need_graph: Vec<bool> =
+            inputs.iter().zip(&cached).map(|(m, hit)| hit.is_none() && !m.is_native).collect();
         let start = Instant::now();
-        let (mut graphs, graph_loads) =
+        let (graphs, graph_loads) =
             run_indexed(inputs.len(), threads, |i| need_graph[i].then(|| build_hgraph(&inputs[i])))
                 .map_err(|p| BuildError::CompileWorker { method: p.index, message: p.message })?;
         let graph_time = start.elapsed();
-
-        // Whole-program inlining reads callee graphs while rewriting
-        // callers, so it stays a sequential phase between the fans.
-        let inline_start = Instant::now();
-        if inlining {
-            run_inlining(&mut graphs, &InlineConfig::default());
-        }
-        let inline_time = inline_start.elapsed();
 
         Ok(FrontendArtifact {
             keys,
@@ -373,7 +410,6 @@ impl BuildSession {
             verify_time,
             key_time,
             graph_time,
-            inline_time,
             graph_loads,
         })
     }
@@ -389,13 +425,13 @@ impl BuildSession {
         options: &BuildOptions,
     ) -> Result<(Vec<CacheKey>, usize), BuildError> {
         let options_fp = options_fingerprint(options);
-        let salt = options.inlining.then(|| program_salt(dex));
         let methods = dex.methods();
         // A miss's place holds a placeholder until its key is hashed.
         let mut misses = Vec::new();
         let mut keys = Vec::with_capacity(methods.len());
         {
-            let memo = self.key_memo();
+            let mut memo = self.key_memo();
+            let fp = memo.fingerprint_id(options_fp);
             // Guess each method's slot as the last slot found plus the
             // method's distance from that one in this program: the next
             // slot for a program keyed in order, and past an edit too.
@@ -405,9 +441,9 @@ impl BuildSession {
                 if let Some(slot) = slot {
                     (last_slot, last_i) = (slot, i);
                 }
-                match slot.map(|slot| &memo.slots[slot]) {
-                    Some(e) if e.options_fp == options_fp && e.salt == salt => keys.push(e.key),
-                    _ => {
+                match slot.zip(fp).and_then(|(slot, fp)| memo.slots[slot].get(fp)) {
+                    Some(key) => keys.push(key),
+                    None => {
                         misses.push(i);
                         keys.push(options_fp);
                     }
@@ -417,16 +453,17 @@ impl BuildSession {
         if !misses.is_empty() {
             let threads = options.compile_threads.max(1);
             let (hashed, _) = run_indexed(misses.len(), threads, |j| {
-                method_cache_key(&methods[misses[j]], options_fp, salt)
+                method_cache_key(&methods[misses[j]], options_fp)
             })
             .map_err(|p| BuildError::CompileWorker {
                 method: misses[p.index],
                 message: p.message,
             })?;
             let mut memo = self.key_memo();
+            let fp = memo.intern(options_fp);
             for (&i, key) in misses.iter().zip(hashed) {
                 keys[i] = key;
-                memo.record(&methods[i], options_fp, salt, key);
+                memo.record(&methods[i], fp, key);
             }
             memo.sweep();
         }
@@ -434,10 +471,12 @@ impl BuildSession {
     }
 
     /// The key memo. A poisoned lock is recovered (DESIGN.md §7 "Lock
-    /// policy"): a critical section only reads entries, writes whole
-    /// ones (a new one with its index entry) or sweeps, each entry
-    /// naming the allocation it was computed from, so a dead holder
-    /// leaves at worst a key not yet recorded.
+    /// policy"): a critical section only reads entries and moves the way
+    /// it found to the front, records keys (a way, or a new entry with
+    /// its index entry) or sweeps. A way's id and key move together with
+    /// nothing between them that can panic, and each entry names the
+    /// allocation it was computed from, so a dead holder leaves at worst
+    /// a key not yet recorded.
     fn key_memo(&self) -> MutexGuard<'_, KeyMemo> {
         self.keys.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -627,8 +666,6 @@ pub struct FrontendArtifact {
     pub key_time: Duration,
     /// Time building HGraphs.
     pub graph_time: Duration,
-    /// Time in whole-program inlining.
-    pub inline_time: Duration,
     /// Per-worker load of the graph-building fan.
     pub graph_loads: Vec<WorkerLoad>,
 }
@@ -897,15 +934,13 @@ mod tests {
     /// and against a fresh session's bytes.
     mod key_memo {
         use super::*;
-        use crate::fingerprint::program_salt;
         use crate::LtboMode;
         use calibro_dex::{wire, ClassId, DexInsn, MethodBuilder, VReg};
         use calibro_workloads::{generate, mutate_methods, AppSpec};
         use proptest::prelude::*;
 
         /// Every options arm the keys depend on differently: the global
-        /// and the sharded tree, a hot filter, and inlining (the only arm
-        /// whose keys carry the program salt).
+        /// and the sharded tree, and a hot filter.
         fn arms(methods: u32) -> Vec<(&'static str, BuildOptions)> {
             vec![
                 ("global", BuildOptions::cto_ltbo()),
@@ -921,15 +956,13 @@ mod tests {
                     "hot",
                     BuildOptions::cto_ltbo().with_hot_filter((0..methods).step_by(3).collect()),
                 ),
-                ("inlining", BuildOptions { inlining: true, ..BuildOptions::cto_ltbo() }),
             ]
         }
 
         /// Every method's key, hashed afresh.
         fn recomputed(dex: &DexFile, options: &BuildOptions) -> Vec<CacheKey> {
             let fp = options_fingerprint(options);
-            let salt = options.inlining.then(|| program_salt(dex));
-            dex.methods().iter().map(|m| method_cache_key(m, fp, salt)).collect()
+            dex.methods().iter().map(|m| method_cache_key(m, fp)).collect()
         }
 
         fn elf(out: &BuildOutput) -> Vec<u8> {
@@ -957,23 +990,50 @@ mod tests {
             }
         }
 
+        /// Options that differ only in their load address: one options
+        /// fingerprint per `n`.
+        fn at(n: u64) -> BuildOptions {
+            BuildOptions { base_address: 0x4000_0000 + 0x10_0000 * n, ..BuildOptions::cto_ltbo() }
+        }
+
         #[test]
-        fn another_fingerprint_replaces_an_allocations_key() {
-            let app = generate(&AppSpec::small("replace", 72));
+        fn an_allocation_keeps_its_keys_under_four_fingerprints() {
+            let app = generate(&AppSpec::small("ways", 72));
             let methods = app.dex.methods().len();
-            let arms = arms(methods as u32);
-            let (a, b) = (&arms[0].1, &arms[1].1);
             let session = BuildSession::new();
-            let keyed = |options| {
-                let frontend = session.frontend(&app.dex, options).expect("frontend");
-                (frontend.methods_keyed, frontend.keys)
+            let keyed = |n| {
+                let options = at(n);
+                let frontend = session.frontend(&app.dex, &options).expect("frontend");
+                assert_eq!(frontend.keys, recomputed(&app.dex, &options), "keys under {n}");
+                frontend.methods_keyed
             };
-            let (n, first) = keyed(a);
-            assert_eq!(n, methods);
-            assert_eq!(keyed(a), (0, first.clone()), "a repeat is a hit");
-            assert_eq!(keyed(b).0, methods, "another fingerprint is keyed");
-            assert_eq!(keyed(b).0, 0, "and kept");
-            assert_eq!(keyed(a), (methods, first), "the replaced keys come back equal");
+            for n in 0..4 {
+                assert_eq!(keyed(n), methods, "options {n} are new");
+            }
+            for n in [0, 3, 1, 2, 0] {
+                assert_eq!(keyed(n), 0, "options {n} are among the last four");
+            }
+            // Most recently used first: 0, 2, 1, 3. A fifth fingerprint
+            // drops 3, the least recently used, and keeps the rest.
+            assert_eq!(keyed(4), methods);
+            for n in [0, 1, 2, 4] {
+                assert_eq!(keyed(n), 0, "options {n} are kept");
+            }
+            assert_eq!(keyed(3), methods, "options 3 were dropped");
+        }
+
+        /// A held program rebuilt under two options in turn (calibrod
+        /// answering two clients that differ in load address) is keyed
+        /// once under each.
+        #[test]
+        fn alternating_options_key_each_method_once_per_options() {
+            let app = generate(&AppSpec::small("alternating", 75));
+            let session = BuildSession::new();
+            for build in 0..8 {
+                let out = session.build(&app.dex, &at(build % 2)).expect("build");
+                let keyed = out.stats.to_json().contains(r#""methods_keyed":0,"#);
+                assert_eq!(keyed, build >= 2, "build {build}: {}", out.stats.to_json());
+            }
         }
 
         #[test]
@@ -1036,10 +1096,12 @@ mod tests {
 
             /// Random scripts against one session: clone and edit, add a
             /// method, edit a uniquely owned program in place, round-trip
-            /// it through the wire, change the options, turn inlining on.
-            /// After each step, the build hashes exactly the allocations
-            /// the session has not keyed under its options, every key is
-            /// `method_cache_key`'s, and the bytes are a fresh session's.
+            /// it through the wire, change the options arm or the load
+            /// address. After each step, the build hashes exactly the
+            /// allocations the session holds no key of under its options
+            /// (it keeps an allocation's keys under its last four), every
+            /// key is `method_cache_key`'s, and the bytes are a fresh
+            /// session's.
             #[test]
             fn the_memo_hashes_exactly_the_allocations_it_has_not_keyed(
                 seed in any::<u64>(),
@@ -1049,10 +1111,10 @@ mod tests {
                 let arms = arms(dex.methods().len() as u32);
                 let mut options = arms[0].1.clone();
                 let session = BuildSession::new();
-                // The model: what each allocation was last keyed under.
-                // Its `Weak`s keep every address it names from reuse.
-                let mut seen: HashMap<usize, (Weak<Method>, CacheKey, Option<CacheKey>)> =
-                    HashMap::new();
+                // The model: the fingerprints each allocation was keyed
+                // under, most recent first. Its `Weak`s keep every address
+                // it names from reuse.
+                let mut seen: HashMap<usize, (Weak<Method>, Vec<CacheKey>)> = HashMap::new();
                 let mut older: Vec<DexFile> = Vec::new();
                 for (step, (op, arg)) in std::iter::once((6, 0)).chain(script).enumerate() {
                     match op {
@@ -1075,17 +1137,14 @@ mod tests {
                         }
                         3 => dex = wire::decode(&wire::encode(&dex)).expect("round trip"),
                         4 => options = arms[(arg % 3) as usize].1.clone(),
-                        5 => options = arms[3].1.clone(),
+                        5 => options.base_address = 0x4000_0000 + 0x10_0000 * (arg % 6),
                         _ => {}
                     }
                     let fp = options_fingerprint(&options);
-                    let salt = options.inlining.then(|| program_salt(&dex));
                     let unseen = dex
                         .methods()
                         .iter()
-                        .filter(|m| {
-                            seen.get(&address(m)).is_none_or(|(_, f, s)| (*f, *s) != (fp, salt))
-                        })
+                        .filter(|m| seen.get(&address(m)).is_none_or(|(_, fps)| !fps.contains(&fp)))
                         .count();
                     let built = session.build(&dex, &options).expect("build");
                     prop_assert_eq!(built.stats.methods_keyed, unseen, "step {}", step);
@@ -1095,7 +1154,11 @@ mod tests {
                     prop_assert_eq!(frontend.methods_keyed, 0, "step {}", step);
                     prop_assert_eq!(frontend.keys, recomputed(&dex, &options), "step {}", step);
                     for m in dex.methods() {
-                        seen.insert(address(m), (Arc::downgrade(m), fp, salt));
+                        let (_, fps) =
+                            seen.entry(address(m)).or_insert_with(|| (Arc::downgrade(m), vec![]));
+                        fps.retain(|&f| f != fp);
+                        fps.insert(0, fp);
+                        fps.truncate(MEMO_WAYS);
                     }
                 }
             }

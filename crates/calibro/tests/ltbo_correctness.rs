@@ -303,22 +303,3 @@ proptest! {
         assert_all_levels_equal(seed, a0, a1);
     }
 }
-
-#[test]
-fn inlining_composes_with_outlining() {
-    // dex2oat inlines small leaves; the duplicated bodies become LTBO
-    // repeats. Correctness must hold across the composition.
-    let dex = redundant_dex(6);
-    let env = env_for(&dex);
-    let plain = build(&dex, &BuildOptions::baseline()).unwrap();
-    let composed =
-        build(&dex, &BuildOptions { inlining: true, ..BuildOptions::cto_ltbo() }).unwrap();
-    calibro_oat::validate_stack_maps(&composed.oat).unwrap();
-    let mut rt_a = Runtime::new(&plain.oat, &env);
-    let mut rt_b = Runtime::new(&composed.oat, &env);
-    for m in 0..6u32 {
-        let a = rt_a.call(MethodId(m), &[9, -3], 100_000).unwrap();
-        let b = rt_b.call(MethodId(m), &[9, -3], 100_000).unwrap();
-        assert_eq!(a.outcome, b.outcome, "m{m}");
-    }
-}

@@ -16,9 +16,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use calibro::{
-    build, method_cache_key, options_fingerprint, program_salt, reference_env, ArtifactStore,
-    BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, PipelineConfig,
-    StableHasher,
+    build, method_cache_key, options_fingerprint, reference_env, ArtifactStore, BuildError,
+    BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, PipelineConfig, StableHasher,
 };
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
@@ -36,18 +35,8 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
         hot_methods: _,
         base_address: _,
         force_metadata: _,
-        inlining: _,
         compile_threads: _,
-        passes:
-            PipelineConfig {
-                copy_prop: _,
-                constant_folding: _,
-                simplify: _,
-                cse: _,
-                dce: _,
-                return_merge: _,
-                remove_unreachable: _,
-            },
+        passes: PipelineConfig { copy_prop: _, constant_folding: _, simplify: _, dce: _ },
     } = BuildOptions::default();
 
     let base = BuildOptions::default;
@@ -64,18 +53,14 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
         ("hot_methods", BuildOptions { hot_methods: Some(hot), ..base() }),
         ("base_address", BuildOptions { base_address: 0x5000_0000, ..base() }),
         ("force_metadata", BuildOptions { force_metadata: true, ..base() }),
-        ("inlining", BuildOptions { inlining: true, ..base() }),
         ("compile_threads", BuildOptions { compile_threads: 8, ..base() }),
     ];
     type PassFlip = fn(&mut PipelineConfig);
-    let flips: [(&'static str, PassFlip); 7] = [
+    let flips: [(&'static str, PassFlip); 4] = [
         ("pass_copy_prop", |p| p.copy_prop = !p.copy_prop),
         ("pass_constant_folding", |p| p.constant_folding = !p.constant_folding),
         ("pass_simplify", |p| p.simplify = !p.simplify),
-        ("pass_cse", |p| p.cse = !p.cse),
         ("pass_dce", |p| p.dce = !p.dce),
-        ("pass_return_merge", |p| p.return_merge = !p.return_merge),
-        ("pass_remove_unreachable", |p| p.remove_unreachable = !p.remove_unreachable),
     ];
     for (name, flip) in flips {
         let mut options = base();
@@ -107,9 +92,9 @@ fn every_options_field_flip_changes_the_fingerprint() {
     // must move with it.
     let dex = generate(&AppSpec::small("fp", 5)).dex;
     let m = &dex.methods()[0];
-    let base_key = method_cache_key(m, base_fp, None);
+    let base_key = method_cache_key(m, base_fp);
     for (name, fp) in fps.iter().skip(1) {
-        assert_ne!(method_cache_key(m, *fp, None), base_key, "{name}: method key unchanged");
+        assert_ne!(method_cache_key(m, *fp), base_key, "{name}: method key unchanged");
     }
 }
 
@@ -123,18 +108,14 @@ fn editing_a_method_invalidates_exactly_that_method() {
 
     let fp = options_fingerprint(&BuildOptions::default());
     for (old, new) in original.methods().iter().zip(edited.methods()) {
-        let old_key = method_cache_key(old, fp, None);
-        let new_key = method_cache_key(new, fp, None);
+        let old_key = method_cache_key(old, fp);
+        let new_key = method_cache_key(new, fp);
         if mutated.contains(&old.id) {
             assert_ne!(old_key, new_key, "mutated method {} kept its key", old.id);
         } else {
             assert_eq!(old_key, new_key, "untouched method {} lost its key", old.id);
         }
     }
-
-    // Under whole-program inlining the program salt joins each key, so
-    // a one-method edit invalidates everything — by design.
-    assert_ne!(program_salt(&original), program_salt(&edited));
 }
 
 fn warm_configs() -> Vec<(&'static str, BuildOptions)> {
@@ -325,7 +306,7 @@ fn store_entries(
 ) -> Vec<Arc<CacheEntry>> {
     let fp = options_fingerprint(options);
     let entries = dex.methods().iter().map(|m| {
-        let key = method_cache_key(m, fp, None);
+        let key = method_cache_key(m, fp);
         session.store().get(key).expect("a readable store").expect("every method is stored")
     });
     entries.collect()
@@ -523,7 +504,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     let old_store = ArtifactStore::new(config.clone());
     let mut other_keys = Vec::new();
     for m in dex.methods() {
-        let key = method_cache_key(m, other_fp, None);
+        let key = method_cache_key(m, other_fp);
         old_store.insert(
             key,
             CacheEntry {
@@ -550,7 +531,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     // clean typed miss — `Ok(None)`, never an error, never a stale hit.
     let store = ArtifactStore::new(config.clone());
     for m in dex.methods() {
-        let key = method_cache_key(m, fp, None);
+        let key = method_cache_key(m, fp);
         assert!(!other_keys.contains(&key), "schema bump left method {} addressable", m.id);
         let probe = store.get(key);
         assert!(

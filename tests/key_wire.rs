@@ -36,16 +36,12 @@ fn options_from(raw: &[u64], hot: Option<&[u32]>) -> BuildOptions {
         hot_methods: hot.map(|ids| ids.iter().copied().collect()),
         base_address: 0x1000 * (raw[6] % 3),
         force_metadata: bit(7),
-        inlining: bit(8),
-        compile_threads: 1 + small(9),
+        compile_threads: 1 + small(8),
         passes: PipelineConfig {
-            copy_prop: bit(10),
-            constant_folding: bit(11),
-            simplify: bit(12),
-            cse: bit(13),
-            dce: bit(14),
-            return_merge: bit(15),
-            remove_unreachable: bit(16),
+            copy_prop: bit(9),
+            constant_folding: bit(10),
+            simplify: bit(11),
+            dce: bit(12),
         },
     }
 }
@@ -53,7 +49,7 @@ fn options_from(raw: &[u64], hot: Option<&[u32]>) -> BuildOptions {
 /// A strategy for [`options_from`]'s inputs: the raw field draws and an
 /// optional hot set over a handful of method ids.
 fn option_draws() -> impl Strategy<Value = (Vec<u64>, Vec<u32>, bool)> {
-    (prop::collection::vec(any::<u64>(), 17), prop::collection::vec(0u32..6, 0..4), any::<bool>())
+    (prop::collection::vec(any::<u64>(), 13), prop::collection::vec(0u32..6, 0..4), any::<bool>())
 }
 
 proptest! {
