@@ -13,6 +13,24 @@ use bench::{
     WARM_MUTATION_FRACTION,
 };
 
+/// The subcommands that run on the generated six-app suite.
+const SUITE_ARMS: [&str; 14] = [
+    "all",
+    "table1",
+    "fig1",
+    "fig3",
+    "fig4",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "ablation",
+    "incremental",
+    "frontier",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map_or("all", String::as_str);
@@ -28,13 +46,12 @@ fn main() {
         run_drift(&args[1..]);
         return;
     }
-    if which == "dict" {
-        run_dict(&args[1..]);
-        return;
-    }
-    if which == "dict-suite" {
-        run_dict_suite(&args[1..]);
-        return;
+    if !SUITE_ARMS.contains(&which) {
+        eprintln!(
+            "experiments: unknown subcommand {which:?}; expected serve, fleet, drift or one of {}",
+            SUITE_ARMS.join(", ")
+        );
+        std::process::exit(2);
     }
     let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE);
 
@@ -198,119 +215,6 @@ fn run_serve(args: &[String]) {
     }
 }
 
-/// `experiments dict [--socket PATH | --addr HOST:PORT] [--apps N]
-/// [--sdk-methods N] [--unique-methods N] [--workers N]` — the shared
-/// outline dictionary arm (see `bench::dict`): a family of apps
-/// embedding one SDK core through a single daemon, dictionary off then
-/// on, reporting the aggregate `.text` ledger. An external daemon must
-/// run `--dict`.
-fn run_dict(args: &[String]) {
-    let mut config = bench::DictLoadConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("experiments dict: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
-            "--apps" => config.apps = parse_flag(value("--apps"), "--apps"),
-            "--sdk-methods" => {
-                config.sdk_methods = parse_flag(value("--sdk-methods"), "--sdk-methods");
-            }
-            "--unique-methods" => {
-                config.unique_methods = parse_flag(value("--unique-methods"), "--unique-methods");
-            }
-            "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
-            other => {
-                eprintln!("experiments dict: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    header("shared outline dictionary: aggregate .text across an app family");
-    let report = bench::dict_load(&config);
-    let json_path = "BENCH_dict.json";
-    match std::fs::write(json_path, report.to_json()) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
-    println!("| App | private .text | shared .text | delta | hits | publishes | linked |");
-    println!("|---|---|---|---|---|---|---|");
-    for a in &report.apps {
-        println!(
-            "| {} | {} | {} | {:+} | {} | {} | {} |",
-            a.name,
-            a.private_text,
-            a.shared_text,
-            a.shared_text as i64 - a.private_text as i64,
-            a.hits,
-            a.publishes,
-            a.linked
-        );
-    }
-    println!(
-        "island: epoch {}, {} entries, {} bytes (emitted once per daemon)",
-        report.epoch, report.island_entries, report.island_bytes
-    );
-    println!("dictionary: {} hits, {} publishes", report.hits, report.publishes);
-    println!(
-        "aggregate .text: private {} vs shared {} ({:.2}% smaller)",
-        report.aggregate_private, report.aggregate_shared, report.reduction_pct
-    );
-}
-
-/// `experiments dict-suite [--scale S]...` — the shared outline
-/// dictionary over the six-app suite (see `bench::dict_suite`), one row
-/// per scale (default 2): the aggregate `.text` ledger beside the
-/// exact-body ceiling, and the tenants' resident bytes. Prints only.
-fn run_dict_suite(args: &[String]) {
-    let mut scales = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--scale", Some(value)) => scales.push(parse_flag::<f64>(value, "--scale")),
-            _ => {
-                eprintln!("experiments dict-suite: expected --scale S, got {flag}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if scales.is_empty() {
-        scales.push(2.0);
-    }
-
-    header("shared outline dictionary: the six-app suite against the exact-body ceiling");
-    println!(
-        "| scale | private .text | routed + island | island | hits | ceiling, riding | \
-         ceiling, publisher private | resident, private | resident, routed |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for scale in scales {
-        let row = bench::dict_suite(scale);
-        let pct = |bytes: u64| 100.0 * bytes as f64 / row.private_text as f64;
-        let shared = row.routed_text + row.island_bytes;
-        println!(
-            "| {} | {} | {} ({:+.3}%) | {} | {} | {} ({:.3}%) | {} ({:.3}%) | {} | {} |",
-            row.scale,
-            row.private_text,
-            shared,
-            pct(shared) - 100.0,
-            row.island_bytes,
-            row.hits,
-            row.ceiling_riding,
-            pct(row.ceiling_riding),
-            row.ceiling_private,
-            pct(row.ceiling_private),
-            row.resident_private,
-            row.resident_routed
-        );
-    }
-}
-
 /// `experiments fleet [--shard ID=unix:PATH | --shard ID=tcp:ADDR]...
 /// [--workers N] [--methods N] [--routed N]` — the fleet topology arm
 /// (see `bench::fleet`). With no `--shard`s, runs a two-shard
@@ -435,7 +339,7 @@ fn run_drift(args: &[String]) {
     );
 }
 
-/// The external daemon the serve, dict and drift arms can target:
+/// The external daemon the serve and drift arms can target:
 /// `--socket PATH` or `--addr HOST:PORT`.
 fn endpoint(flag: &str, value: &str) -> calibro_server::ShardEndpoint {
     let scheme = if flag == "--socket" { "unix" } else { "tcp" };

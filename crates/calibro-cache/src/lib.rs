@@ -55,7 +55,7 @@ pub use store::{ArtifactStore, CacheConfig, CacheStats};
 /// Schema salt folded into every cache key: the crate version plus a
 /// manually bumped counter for behavioural changes that do not move the
 /// version (e.g. a codegen fix). Keys from other schemas never match.
-/// `+s8`: `BuildOptions`' wire row lost `inlining` and three pass
-/// switches, so a row of the old schema could spell one of the new
-/// under other options.
-pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s8");
+/// `+s9`: `BuildOptions`' wire row lost `dict` (the shared outline
+/// dictionary is gone), so a row of the old schema could spell one of
+/// the new under other options.
+pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s9");

@@ -46,12 +46,6 @@ pub enum CallTarget {
     Thunk(ThunkKind),
     /// A link-time outlined function, by index (created by LTBO, §3.3.3).
     Outlined(u32),
-    /// A shared-dictionary body in the daemon-wide dictionary island, by
-    /// word offset within that island. Unlike [`Outlined`](Self::Outlined)
-    /// the body lives outside this OAT, emitted once per daemon and
-    /// linked by every tenant (cf. ShareJIT's cross-process sharing,
-    /// PAPERS.md).
-    Dict(u32),
 }
 
 /// One intra-method PC-relative record: instruction at `at` targets the
@@ -239,10 +233,6 @@ impl Wire for CallTarget {
                 w.u8(4);
                 i.put(w);
             }
-            CallTarget::Dict(i) => {
-                w.u8(6);
-                i.put(w);
-            }
         }
     }
 
@@ -253,7 +243,6 @@ impl Wire for CallTarget {
             2 => CallTarget::Thunk(ThunkKind::RuntimeEntry(Wire::get(r, what)?)),
             3 => CallTarget::Thunk(ThunkKind::StackCheck),
             4 => CallTarget::Outlined(Wire::get(r, what)?),
-            6 => CallTarget::Dict(Wire::get(r, what)?),
             tag => return Err(WireError::InvalidTag { what, tag }),
         })
     }

@@ -35,14 +35,6 @@
 //!     both the pre-flip and the post-flip (hot-set-restricted)
 //!     artifacts pass the differential oracle against the interpreter
 //!     baseline. Exit 0 on zero divergences.
-//!
-//! conform --dict [--seeds N]
-//!     Shared-dictionary matrix: every generator program is built twice
-//!     through one shared-dictionary session per LTBO matrix row —
-//!     publisher, seal, rider — and both images must pass the
-//!     differential oracle with the island mapped. Exit 0 iff there are
-//!     zero divergences AND the sweep scored at least one island hit
-//!     (a sweep that never routes proves nothing).
 //! ```
 
 use std::process::ExitCode;
@@ -84,7 +76,6 @@ fn main() -> ExitCode {
             "--mutate" => mode = Mode::Mutate,
             "--fleet" => mode = Mode::Fleet,
             "--drift" => mode = Mode::Drift,
-            "--dict" => mode = Mode::Dict,
             "--help" | "-h" => {
                 usage();
             }
@@ -100,7 +91,6 @@ fn main() -> ExitCode {
         Mode::Mutate => mutate(seeds.min(8), seed_base),
         Mode::Fleet => fleet(if seeds == 50 { 10 } else { seeds }),
         Mode::Drift => drift(if seeds == 50 { 6 } else { seeds }),
-        Mode::Dict => dict(if seeds == 50 { 6 } else { seeds }),
     }
 }
 
@@ -110,7 +100,6 @@ enum Mode {
     Mutate,
     Fleet,
     Drift,
-    Dict,
 }
 
 fn usage() -> ! {
@@ -119,8 +108,7 @@ fn usage() -> ! {
          \x20      conform --shrink GENERATOR SEED VARIANT-LABEL\n\
          \x20      conform --mutate [--seeds N] [--seed S]\n\
          \x20      conform --fleet [--seeds N]\n\
-         \x20      conform --drift [--seeds N]\n\
-         \x20      conform --dict [--seeds N]"
+         \x20      conform --drift [--seeds N]"
     );
     std::process::exit(2);
 }
@@ -553,51 +541,6 @@ fn drift(seeds: usize) -> ExitCode {
     println!(
         "conform --drift: {programs} tenants, {flips} generation flips, byte-stable within \
          every generation, zero divergences"
-    );
-    ExitCode::SUCCESS
-}
-
-/// Shared-dictionary matrix mode: every generator program × every
-/// LTBO matrix row, built publisher-then-rider through one dictionary
-/// session, both images oracle-checked with the island mapped. The
-/// sweep must score at least one island hit to count as evidence.
-fn dict(seeds: usize) -> ExitCode {
-    let variants = full_matrix();
-    let ltbo_rows = variants.iter().filter(|v| v.options.ltbo.is_some()).count();
-    let generators = all_generators();
-    let mut programs = 0usize;
-    let (mut hits, mut publishes) = (0u64, 0u64);
-    for seed in 0..seeds as u64 {
-        for g in &generators {
-            let program = Program::from_app(g.name(), seed, g.generate(seed));
-            programs += 1;
-            match calibro_conform::check_program_dict(&program, &variants) {
-                Ok((h, p)) => {
-                    hits += h;
-                    publishes += p;
-                }
-                Err(d) => {
-                    // Dictionary divergences depend on the two-build
-                    // session, which the shrinker's single-build replay
-                    // cannot reproduce — report without shrinking.
-                    let label = d.label().to_owned();
-                    return report(&program, &label, &d, false);
-                }
-            }
-        }
-        println!(
-            "  seed {}/{seeds}: {programs} programs x {ltbo_rows} dict rows, \
-             {hits} hits / {publishes} publishes, 0 divergences",
-            seed + 1
-        );
-    }
-    if hits == 0 {
-        eprintln!("conform --dict: zero island hits across the sweep — the matrix proved nothing");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "conform --dict: {programs} programs x {ltbo_rows} LTBO rows, {hits} island hits, \
-         {publishes} publishes, zero divergences"
     );
     ExitCode::SUCCESS
 }

@@ -39,9 +39,8 @@ pub use corpus::{parse_corpus, SeedLine};
 pub use matrix::{baseline_options, find_variant, full_matrix, Variant};
 pub use mutate::{find_detected_mutation, Mutation};
 pub use oracle::{
-    check_oat, check_oat_with_dict, check_program, check_program_dict, check_program_warm,
-    check_variant, check_variant_dict, check_variant_warm, run_baseline, BaselineRun, Divergence,
-    CYCLE_FACTOR, CYCLE_SLACK, MAX_STEPS,
+    check_oat, check_program, check_program_warm, check_variant, check_variant_warm, run_baseline,
+    BaselineRun, Divergence, CYCLE_FACTOR, CYCLE_SLACK, MAX_STEPS,
 };
 pub use program::Program;
 pub use report::{insn_to_rust, reproducer};

@@ -3,10 +3,8 @@
 //! on both, and demand identical architectural observables plus
 //! structural invariants on the linked OAT.
 
-use std::sync::Arc;
-
-use calibro::{build, BuildSession, DictRegistry, MIN_ISLAND_WORDS};
-use calibro_oat::{validate_stack_maps, validate_structure, DictImage, OatFile};
+use calibro::build;
+use calibro_oat::{validate_stack_maps, validate_structure, OatFile};
 use calibro_runtime::{ExecOutcome, Runtime, StateSnapshot};
 
 use crate::matrix::Variant;
@@ -98,15 +96,6 @@ pub enum Divergence {
         /// What differed.
         detail: String,
     },
-    /// The shared-dictionary contract broke: an unresolvable or
-    /// mis-sized island link, a rider that failed to hit published
-    /// bodies, or dictionary routing that grew the text.
-    Dict {
-        /// Variant label.
-        label: String,
-        /// What broke.
-        detail: String,
-    },
 }
 
 impl Divergence {
@@ -121,8 +110,7 @@ impl Divergence {
             | Divergence::OutcomeMismatch { label, .. }
             | Divergence::StateMismatch { label, .. }
             | Divergence::CycleImbalance { label, .. }
-            | Divergence::WarmMismatch { label, .. }
-            | Divergence::Dict { label, .. } => label,
+            | Divergence::WarmMismatch { label, .. } => label,
         }
     }
 }
@@ -153,9 +141,6 @@ impl core::fmt::Display for Divergence {
             }
             Divergence::WarmMismatch { label, detail } => {
                 write!(f, "[{label}] warm rebuild mismatch: {detail}")
-            }
-            Divergence::Dict { label, detail } => {
-                write!(f, "[{label}] dictionary contract broken: {detail}")
             }
         }
     }
@@ -208,29 +193,12 @@ pub fn check_oat(
     label: &str,
     oat: &OatFile,
 ) -> Result<(), Divergence> {
-    check_oat_with_dict(program, baseline, label, oat, None)
-}
-
-/// Like [`check_oat`], but maps a shared dictionary island alongside
-/// the OAT before replaying the trace — the execution environment a
-/// dictionary-routed build actually runs in.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-pub fn check_oat_with_dict(
-    program: &Program,
-    baseline: &BaselineRun,
-    label: &str,
-    oat: &OatFile,
-    island: Option<&DictImage>,
-) -> Result<(), Divergence> {
     validate_structure(oat)
         .map_err(|e| Divergence::Structure { label: label.to_owned(), error: e.to_string() })?;
     validate_stack_maps(oat)
         .map_err(|e| Divergence::StackMaps { label: label.to_owned(), error: e.to_string() })?;
 
-    let mut runtime = Runtime::new_with_dict(oat, &program.env, island);
+    let mut runtime = Runtime::new(oat, &program.env);
     for (call_index, call) in program.trace.iter().enumerate() {
         let inv = runtime.call(call.method, &call.args, MAX_STEPS).map_err(|t| {
             Divergence::Trap { label: label.to_owned(), call_index, trap: format!("{t:?}") }
@@ -290,7 +258,7 @@ pub fn check_variant(
     check_oat(program, baseline, &variant.label, &oat)
 }
 
-/// Builds one variant twice through the same [`BuildSession`] — cold,
+/// Builds one variant twice through the same [`BuildSession`](calibro::BuildSession) — cold,
 /// then warm through the now-populated artifact cache — and checks that
 /// the warm rebuild (a) replayed every method from the cache, (b)
 /// reproduced the cold OAT byte for byte, and (c) still passes the
@@ -348,139 +316,6 @@ pub fn check_variant_warm(
     check_oat(program, baseline, &variant.label, &warm.oat)
 }
 
-/// Resolves the island an OAT links into from the registry that built
-/// it. `None` when the build never routed (no link recorded).
-///
-/// # Errors
-///
-/// Returns [`Divergence::Dict`] if the linked epoch is gone or its
-/// layout disagrees with the link's recorded size.
-fn island_of(
-    registry: &DictRegistry,
-    oat: &OatFile,
-    label: &str,
-) -> Result<Option<DictImage>, Divergence> {
-    let Some(link) = oat.dict else { return Ok(None) };
-    let layout = registry.layout(link.epoch).ok_or_else(|| Divergence::Dict {
-        label: label.to_owned(),
-        detail: format!("linked island epoch {} is not resolvable", link.epoch),
-    })?;
-    if layout.words().len() != link.size_words as usize {
-        return Err(Divergence::Dict {
-            label: label.to_owned(),
-            detail: format!(
-                "island link records {} words but epoch {} holds {}",
-                link.size_words,
-                link.epoch,
-                layout.words().len()
-            ),
-        });
-    }
-    Ok(Some(DictImage {
-        base_address: link.base_address,
-        epoch: link.epoch,
-        words: layout.words().to_vec(),
-    }))
-}
-
-/// Builds one variant twice through a shared-dictionary session —
-/// publisher against the empty epoch-0 island, then a seal, then the
-/// rider that must route to the now-sealed bodies — and holds *both*
-/// images to the differential oracle with the island mapped. Returns
-/// `(rider_hits, publisher_publishes)` so the driver can gate on the
-/// sweep actually exercising the dictionary.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found: an oracle failure on either
-/// image, or a broken dictionary contract ([`Divergence::Dict`]).
-pub fn check_variant_dict(
-    program: &Program,
-    baseline: &BaselineRun,
-    variant: &Variant,
-) -> Result<(u64, u64), Divergence> {
-    let label = format!("dict/{}", variant.label);
-    let mut options = variant.options.clone();
-    options.dict = true;
-    let registry = Arc::new(DictRegistry::default());
-    let session = BuildSession::new().with_dict_registry(Arc::clone(&registry));
-
-    // Publisher: every candidate misses the empty island, publishes,
-    // and stays privately outlined — the image must pass as-is.
-    let publisher = session
-        .build(&program.dex, &options)
-        .map_err(|e| Divergence::BuildFailed { label: label.clone(), error: e.to_string() })?;
-    if publisher.stats.dict.hits != 0 {
-        return Err(Divergence::Dict {
-            label,
-            detail: format!(
-                "publisher scored {} hits on an empty island",
-                publisher.stats.dict.hits
-            ),
-        });
-    }
-    let island = island_of(&registry, &publisher.oat, &label)?;
-    check_oat_with_dict(program, baseline, &label, &publisher.oat, island.as_ref())?;
-
-    registry.seal_epoch();
-
-    // Rider: the identical program now finds its own bodies sealed in
-    // the island; every eligible candidate must route there — only a
-    // body shorter than the island's minimum may stay private — and the
-    // text must not grow.
-    let rider = session
-        .build(&program.dex, &options)
-        .map_err(|e| Divergence::BuildFailed { label: label.clone(), error: e.to_string() })?;
-    let published = publisher.stats.dict.publishes;
-    // A private record's size counts its `br x30`.
-    let kept =
-        rider.oat.outlined.iter().filter(|f| f.size_words as usize > MIN_ISLAND_WORDS).count();
-    if kept > 0 {
-        return Err(Divergence::Dict {
-            label,
-            detail: format!(
-                "the rider outlined {kept} bodies of {MIN_ISLAND_WORDS}+ words privately \
-                 ({} hits, {published} published)",
-                rider.stats.dict.hits
-            ),
-        });
-    }
-    if rider.oat.text_size_bytes() > publisher.oat.text_size_bytes() {
-        return Err(Divergence::Dict {
-            label,
-            detail: format!(
-                "dictionary routing grew the text: {} -> {} bytes",
-                publisher.oat.text_size_bytes(),
-                rider.oat.text_size_bytes()
-            ),
-        });
-    }
-    let island = island_of(&registry, &rider.oat, &label)?;
-    check_oat_with_dict(program, baseline, &label, &rider.oat, island.as_ref())?;
-    Ok((rider.stats.dict.hits, published))
-}
-
-/// Runs [`check_variant_dict`] over every LTBO-bearing matrix row (the
-/// only rows that can route) and returns the summed `(hits,
-/// publishes)`.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found, or the baseline's own failure.
-pub fn check_program_dict(
-    program: &Program,
-    variants: &[Variant],
-) -> Result<(u64, u64), Divergence> {
-    let baseline = run_baseline(program)?;
-    let (mut hits, mut publishes) = (0u64, 0u64);
-    for variant in variants.iter().filter(|v| v.options.ltbo.is_some()) {
-        let (h, p) = check_variant_dict(program, &baseline, variant)?;
-        hits += h;
-        publishes += p;
-    }
-    Ok((hits, publishes))
-}
-
 /// Runs the whole matrix row list for one program.
 ///
 /// # Errors
@@ -525,27 +360,6 @@ mod tests {
     fn warm_rebuilds_pass_the_full_matrix() {
         let program = Program::from_seed("art-call", 2).unwrap();
         check_program_warm(&program, &full_matrix()).expect("warm rebuilds match cold builds");
-    }
-
-    #[test]
-    fn dict_sessions_pass_the_ltbo_rows() {
-        let program = Program::from_seed("art-call", 3).unwrap();
-        let (hits, publishes) =
-            check_program_dict(&program, &full_matrix()).expect("dict builds stay conformant");
-        assert!(publishes > 0, "art-call programs must stage dictionary bodies");
-        assert!(hits > 0, "riders must route to the sealed bodies");
-    }
-
-    #[test]
-    fn the_rider_routes_every_eligible_candidate_of_a_program_with_register_twins() {
-        // This program outlines register variants of some of its bodies:
-        // each variant must route to its own island copy.
-        let program = Program::from_seed("motif-app", 0).unwrap();
-        let variant = crate::matrix::find_variant("ltbo-global/all/t1").expect("a matrix row");
-        let baseline = run_baseline(&program).expect("the baseline runs");
-        let (hits, publishes) =
-            check_variant_dict(&program, &baseline, &variant).expect("every candidate routes");
-        assert_eq!((hits, publishes), (36, 36));
     }
 
     #[test]

@@ -22,9 +22,11 @@ const EM_AARCH64: u16 = 0xb7;
 // Version 2: merged-island records follow the outlined records.
 // Version 3: the shared-dictionary link record follows the merged records.
 // Version 4: the merged-island table is gone (function merging is); the
-// dictionary link record follows the outlined records. An image of any
-// other version is refused by its magic.
-const MAGIC: &[u8; 8] = b"CALOAT4\0";
+// dictionary link record follows the outlined records.
+// Version 5: the dictionary link record is gone (the shared dictionary
+// is); the outlined records end the section. An image of any other
+// version is refused by its magic.
+const MAGIC: &[u8; 8] = b"CALOAT5\0";
 const TEXT_FILE_OFFSET: u64 = 0x1000;
 
 /// A failure while loading an ELF-serialized OAT file.
@@ -62,13 +64,12 @@ impl std::error::Error for LoadError {}
 /// output.
 #[must_use]
 pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
-    let OatFile { base_address, words, methods, thunks, outlined, dict } = oat;
+    let OatFile { base_address, words, methods, thunks, outlined } = oat;
     let oatdata_len = MAGIC.len()
         + base_address.encoded_len()
         + methods.encoded_len()
         + thunks.encoded_len()
-        + outlined.encoded_len()
-        + dict.encoded_len();
+        + outlined.encoded_len();
 
     let text_len = words.len() as u64 * 4;
     let text_off = TEXT_FILE_OFFSET;
@@ -117,7 +118,6 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     methods.put(&mut w);
     thunks.put(&mut w);
     outlined.put(&mut w);
-    dict.put(&mut w);
     let buf = w.buf_mut();
     debug_assert_eq!(
         buf.len() as u64,
@@ -196,8 +196,7 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
     let methods = Wire::get(&mut r, "methods")?;
     let thunks = Wire::get(&mut r, "thunks")?;
     let outlined = Wire::get(&mut r, "outlined")?;
-    let dict = Wire::get(&mut r, "dict")?;
-    let oat = OatFile { base_address, words: words.collect(), methods, thunks, outlined, dict };
+    let oat = OatFile { base_address, words: words.collect(), methods, thunks, outlined };
     r.finish()?;
     Ok(oat)
 }
@@ -207,7 +206,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::file::{DictLink, OatMethodRecord, OutlinedRecord, ThunkRecord};
+    use crate::file::{OatMethodRecord, OutlinedRecord, ThunkRecord};
     use calibro_codegen::{MethodMetadata, PcRel, StackMapEntry, ThunkKind};
     use calibro_dex::wire::{encode, SeqElem};
     use calibro_dex::MethodId;
@@ -242,11 +241,6 @@ mod tests {
                 size_words: 1,
             }],
             outlined: vec![OutlinedRecord { offset: 12, size_words: 0 }],
-            dict: Some(DictLink {
-                base_address: crate::file::DICT_BASE_ADDRESS,
-                epoch: 3,
-                size_words: 9,
-            }),
         }
     }
 
@@ -267,7 +261,6 @@ mod tests {
         assert_eq!(a.stack_maps, b.stack_maps);
         assert_eq!(back.thunks[0].kind, ThunkKind::RuntimeEntry(0x108));
         assert_eq!(back.outlined[0].offset, 12);
-        assert_eq!(back.dict, oat.dict);
     }
 
     #[test]
@@ -305,12 +298,14 @@ mod tests {
     }
 
     #[test]
-    fn an_image_of_the_previous_format_is_refused_unread() {
+    fn an_image_of_a_previous_format_is_refused_unread() {
         let oat = sample();
-        let mut bytes = to_elf_bytes(&oat);
         let at = TEXT_FILE_OFFSET as usize + oat.words.len() * 4;
-        assert_eq!(&bytes[at..at + MAGIC.len()], MAGIC);
-        bytes[at..at + MAGIC.len()].copy_from_slice(b"CALOAT3\0");
-        assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadMagic);
+        for old in [b"CALOAT3\0", b"CALOAT4\0"] {
+            let mut bytes = to_elf_bytes(&oat);
+            assert_eq!(&bytes[at..at + MAGIC.len()], MAGIC);
+            bytes[at..at + MAGIC.len()].copy_from_slice(old);
+            assert_eq!(from_elf_bytes(&bytes).unwrap_err(), LoadError::BadMagic);
+        }
     }
 }

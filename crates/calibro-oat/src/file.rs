@@ -9,55 +9,6 @@ use calibro_dex::MethodId;
 /// Default load address of the text segment.
 pub const DEFAULT_BASE_ADDRESS: u64 = 0x4000_0000;
 
-/// Default load address of the daemon-wide shared dictionary island.
-/// 64 MiB above [`DEFAULT_BASE_ADDRESS`], so a `bl` from anywhere in a
-/// tenant's text segment stays comfortably inside the ±128 MiB direct
-/// branch range.
-pub const DICT_BASE_ADDRESS: u64 = 0x4400_0000;
-
-/// The shared dictionary island: outlined bodies published by every
-/// tenant of one daemon, sealed into an immutable epoch and emitted
-/// *once per daemon* rather than once per OAT. Tenants link against it
-/// with cross-image `bl`s ([`CallTarget::Dict`](calibro_codegen::CallTarget)).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DictImage {
-    /// Load address of the island.
-    pub base_address: u64,
-    /// Dictionary epoch this island was sealed from.
-    pub epoch: u64,
-    /// The island's encoded instruction words.
-    pub words: Vec<u32>,
-}
-
-impl DictImage {
-    /// An empty island for dictionary-less builds (epoch 0).
-    #[must_use]
-    pub fn empty(base_address: u64) -> Self {
-        DictImage { base_address, epoch: 0, words: Vec::new() }
-    }
-
-    /// Size of the island in bytes (counted once per daemon in the
-    /// aggregate-size experiments, not per tenant).
-    #[must_use]
-    pub fn size_bytes(&self) -> u64 {
-        self.words.len() as u64 * 4
-    }
-}
-
-/// Which dictionary island an [`OatFile`] links against. Recorded so a
-/// sealed generation can pin the epoch its OATs depend on (epoch
-/// fencing: the daemon must not retire an island any live OAT branches
-/// into).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DictLink {
-    /// Load address of the island the OAT's `bl`s resolve into.
-    pub base_address: u64,
-    /// The island's epoch.
-    pub epoch: u64,
-    /// The island's size in words, bounding every dictionary target.
-    pub size_words: u32,
-}
-
 /// One linked method inside an [`OatFile`].
 #[derive(Clone, Debug)]
 pub struct OatMethodRecord {
@@ -124,9 +75,6 @@ pub struct OatFile {
     pub thunks: Vec<ThunkRecord>,
     /// LTBO outlined functions.
     pub outlined: Vec<OutlinedRecord>,
-    /// The shared dictionary island this OAT links against, when any
-    /// relocation targets the dictionary.
-    pub dict: Option<DictLink>,
 }
 
 impl OatFile {
@@ -199,7 +147,6 @@ impl OatFile {
 wire_fields!(OatMethodRecord { method, offset, insn_words, code_words, metadata, stack_maps });
 wire_fields!(ThunkRecord { kind, offset, size_words });
 wire_fields!(OutlinedRecord { offset, size_words });
-wire_fields!(DictLink { base_address, epoch, size_words });
 
 // A method record's smallest form: its id, offset and two counts, four
 // empty metadata tables and two flag bytes, an empty stack-map table.
@@ -237,7 +184,6 @@ mod tests {
             ],
             thunks: vec![],
             outlined: vec![],
-            dict: None,
         }
     }
 

@@ -8,7 +8,7 @@ use std::fmt;
 use calibro_codegen::{thunk_code, CallTarget, CompiledMethod, Reloc, ThunkKind};
 use calibro_isa::{decode, EncodeError, Insn};
 
-use crate::file::{DictImage, DictLink, OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord};
+use crate::file::{OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord};
 use crate::rewrite::{removed_words, MethodEdits, RewriteStats, Rewriter};
 
 /// Input to the linker: every body as its words, and the edits the
@@ -95,56 +95,30 @@ impl From<EncodeError> for LinkError {
 /// Returns a [`LinkError`] for unresolved relocations, malformed inputs,
 /// or out-of-range branches.
 pub fn link(input: LinkInput, base_address: u64) -> Result<OatFile, LinkError> {
-    link_with_dict(input, base_address, None)
+    link_with_stats(input, base_address).map(|(oat, _)| oat)
 }
 
-/// Links the input like [`link`], additionally resolving
-/// `CallTarget::Dict` relocations into the shared dictionary island.
-///
-/// A dictionary call is a cross-image `bl`: the body lives in `dict`
-/// (emitted once per daemon, not in this OAT), so the linker resolves
-/// the target to `dict.base_address + word_offset * 4` and encodes the
-/// pc-relative displacement from the call site. The resulting bytes
-/// depend only on the inputs — the island is an immutable sealed epoch,
-/// so relinking at any thread count, warm or cold, reproduces them.
+/// Links the input like [`link`], and also returns what applying the
+/// edits changed beyond the call sites — counted in the one pass that
+/// rewrites the records, which is why a build reports it from here.
 ///
 /// # Errors
 ///
-/// Returns [`LinkError::UnresolvedTarget`] if a `Dict` relocation
-/// appears without an island or targets a word beyond the island's end,
-/// plus everything [`link`] can return.
-pub fn link_with_dict(
-    input: LinkInput,
-    base_address: u64,
-    dict: Option<&DictImage>,
-) -> Result<OatFile, LinkError> {
-    link_with_stats(input, base_address, dict).map(|(oat, _)| oat)
-}
-
-/// Links the input like [`link_with_dict`], and also returns what
-/// applying the edits changed beyond the call sites — counted in the
-/// one pass that rewrites the records, which is why a build reports it
-/// from here.
-///
-/// # Errors
-///
-/// Everything [`link_with_dict`] can return.
+/// Everything [`link`] can return.
 pub fn link_with_stats(
     input: LinkInput,
     base_address: u64,
-    dict: Option<&DictImage>,
 ) -> Result<(OatFile, RewriteStats), LinkError> {
     let LinkInput { methods, edits, outlined } = input;
-    let mut dict_used = edits.edits.iter().any(|e| matches!(e.target, CallTarget::Dict(_)));
     // --- Collect referenced thunks (sorted for determinism). -----------
     // A handful of kinds against tens of thousands of relocations: a
     // small table scanned per relocation, sorted once.
     let mut thunk_kinds: Vec<ThunkKind> = Vec::new();
     for r in methods.iter().flat_map(|m| m.relocs.iter()) {
-        match r.target {
-            CallTarget::Thunk(kind) if !thunk_kinds.contains(&kind) => thunk_kinds.push(kind),
-            CallTarget::Dict(_) => dict_used = true,
-            _ => {}
+        if let CallTarget::Thunk(kind) = r.target {
+            if !thunk_kinds.contains(&kind) {
+                thunk_kinds.push(kind);
+            }
         }
     }
     thunk_kinds.sort_unstable();
@@ -182,18 +156,6 @@ pub fn link_with_stats(
                 .map(|i| thunks[i].1)
                 .map_err(|_| unresolved),
             CallTarget::Outlined(i) => outlined_offsets.get(i as usize).copied().ok_or(unresolved),
-            // Dictionary bodies live outside this OAT. Resolve to a
-            // pseudo-offset relative to our own base, so the patch
-            // below (`target - site`, both base-relative) yields the
-            // cross-image displacement; `wrapping_sub` keeps the
-            // two's-complement value correct when the island loads
-            // below the tenant's text.
-            CallTarget::Dict(i) => match dict {
-                Some(d) if (i as usize) < d.words.len() => {
-                    Ok((d.base_address + u64::from(i) * 4).wrapping_sub(base_address))
-                }
-                _ => Err(unresolved),
-            },
         }
     };
     // Call sites carry a placeholder `bl`, so the body's words hold a
@@ -277,11 +239,6 @@ pub fn link_with_stats(
         methods: records,
         thunks: thunk_records,
         outlined: outlined_records,
-        dict: dict.filter(|_| dict_used).map(|d| DictLink {
-            base_address: d.base_address,
-            epoch: d.epoch,
-            size_words: d.words.len() as u32,
-        }),
     };
     Ok((oat, stats))
 }
@@ -401,76 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn dict_calls_resolve_into_the_shared_island() {
-        use crate::file::{DictImage, DICT_BASE_ADDRESS};
-        let opts = CodegenOptions { cto: false, collect_metadata: true };
-        let mut m = with_id(simple_method("a", None, &opts), 0);
-        let site = push_insn(&mut m, Insn::Bl { offset: 0 });
-        // Target word 3 of the island (entries need not start at 0).
-        add_reloc(&mut m, site, CallTarget::Dict(3));
-        let island = DictImage {
-            base_address: DICT_BASE_ADDRESS,
-            epoch: 2,
-            words: vec![Insn::Nop.encode().unwrap(); 5],
-        };
-        let input = LinkInput { methods: vec![m], ..Default::default() };
-        let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
-        // The OAT records which island (and epoch) it depends on.
-        let dict = oat.dict.expect("dict link recorded");
-        assert_eq!(dict.epoch, 2);
-        assert_eq!(dict.base_address, DICT_BASE_ADDRESS);
-        assert_eq!(dict.size_words, 5);
-        // The bl's absolute target is the island entry, outside this OAT.
-        let Ok(Insn::Bl { offset }) = decode(oat.words[site]) else {
-            panic!("dict call site did not decode as bl")
-        };
-        let addr = oat.base_address + site as u64 * 4;
-        assert_eq!(addr.wrapping_add_signed(offset), DICT_BASE_ADDRESS + 3 * 4);
-    }
-
-    #[test]
-    fn dict_link_is_omitted_when_no_reloc_uses_the_island() {
-        use crate::file::{DictImage, DICT_BASE_ADDRESS};
-        let opts = CodegenOptions { cto: false, collect_metadata: true };
-        let m = with_id(simple_method("a", None, &opts), 0);
-        let island = DictImage {
-            base_address: DICT_BASE_ADDRESS,
-            epoch: 7,
-            words: vec![Insn::Nop.encode().unwrap()],
-        };
-        let input = LinkInput { methods: vec![m], ..Default::default() };
-        let oat = link_with_dict(input, 0x4000_0000, Some(&island)).unwrap();
-        assert!(oat.dict.is_none(), "an unused island must not pin an epoch");
-    }
-
-    #[test]
-    fn dict_relocs_without_or_past_the_island_error() {
-        use crate::file::{DictImage, DICT_BASE_ADDRESS};
-        let opts = CodegenOptions { cto: false, collect_metadata: true };
-        let make = || {
-            let mut m = with_id(simple_method("a", None, &opts), 0);
-            let at = push_insn(&mut m, Insn::Bl { offset: 0 });
-            add_reloc(&mut m, at, CallTarget::Dict(9));
-            LinkInput { methods: vec![m], ..Default::default() }
-        };
-        // No island at all.
-        assert!(matches!(
-            link_with_dict(make(), 0x4000_0000, None),
-            Err(LinkError::UnresolvedTarget { .. })
-        ));
-        // An island, but the target word is past its end.
-        let short = DictImage {
-            base_address: DICT_BASE_ADDRESS,
-            epoch: 1,
-            words: vec![Insn::Nop.encode().unwrap(); 4],
-        };
-        assert!(matches!(
-            link_with_dict(make(), 0x4000_0000, Some(&short)),
-            Err(LinkError::UnresolvedTarget { .. })
-        ));
-    }
-
-    #[test]
     fn edits_are_applied_as_a_method_is_written_and_an_unedited_record_shares_its_tables() {
         use crate::rewrite::Edit;
         use calibro_codegen::MethodMetadata;
@@ -499,7 +386,7 @@ mod tests {
         };
         let outlined = vec![calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()];
         let input = LinkInput { methods: vec![edited, other], edits, outlined };
-        let (oat, stats) = link_with_stats(input, 0x1000, None).unwrap();
+        let (oat, stats) = link_with_stats(input, 0x1000).unwrap();
 
         let (record, record_1) = (&oat.methods[0], &oat.methods[1]);
         assert_eq!((record.insn_words, record_1.offset), (3, 12));

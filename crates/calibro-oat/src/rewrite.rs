@@ -18,8 +18,7 @@ pub struct Edit {
     pub start: u32,
     /// Its length in words (at least one).
     pub len: u32,
-    /// Where the `bl` that replaces it lands: an outlined function or a
-    /// dictionary body.
+    /// Where the `bl` that replaces it lands: an outlined function.
     pub target: CallTarget,
 }
 

@@ -63,26 +63,10 @@ pub enum StructureError {
         /// Index into [`OatFile::outlined`].
         index: usize,
     },
-    /// A segment the file places — its text, or the dictionary island
-    /// it links against — ends past the 64-bit address space.
+    /// The text segment ends past the 64-bit address space.
     BeyondAddressSpace {
-        /// `text` or `dict`.
-        segment: &'static str,
         /// The segment's claimed load address.
         base_address: u64,
-    },
-    /// A control transfer into the shared dictionary island is not a
-    /// `bl`. Dictionary bodies return through their `ret` to the
-    /// `bl`-installed link register, so any other transfer (a plain
-    /// `b`, a conditional, a literal load) into the island is a
-    /// miscompile.
-    DictBadEntry {
-        /// Symbol the offending transfer belongs to.
-        symbol: String,
-        /// Word index of the transfer within the text segment.
-        word: usize,
-        /// The absolute target address.
-        target: u64,
     },
 }
 
@@ -107,15 +91,8 @@ impl core::fmt::Display for StructureError {
             StructureError::OutlinedNoReturn { index } => {
                 write!(f, "outlined function {index} does not end in `br`")
             }
-            StructureError::BeyondAddressSpace { segment, base_address } => {
-                write!(f, "the {segment} segment at {base_address:#x} ends past the address space")
-            }
-            StructureError::DictBadEntry { symbol, word, target } => {
-                write!(
-                    f,
-                    "transfer at word {word} in {symbol} enters the dictionary island at \
-                     {target:#x} without a `bl`"
-                )
+            StructureError::BeyondAddressSpace { base_address } => {
+                write!(f, "the text segment at {base_address:#x} ends past the address space")
             }
         }
     }
@@ -142,10 +119,7 @@ struct Symbol {
 /// 4. every PC-relative control transfer (`b`, `bl`, `b.cond`, `cbz`,
 ///    `cbnz`, `tbz`, `tbnz`) and literal load stays inside the text
 ///    segment (`adr`/`adrp` are exempt: they may materialize runtime
-///    addresses) — except a `bl` into the shared dictionary island the
-///    file declares via [`OatFile::dict`](crate::file::OatFile), which
-///    is the cross-image dictionary call; any *other* transfer into the
-///    island is a [`StructureError::DictBadEntry`];
+///    addresses);
 /// 5. every outlined function ends in an indirect branch (`br`).
 ///
 /// # Errors
@@ -220,21 +194,12 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
     }
 
     // 3 + 4. Decode instruction words and bound PC-relative targets.
-    // The load addresses are the file's own claims: a segment that ends
-    // past the address space is an error, not a wrapped range.
-    let end = |segment, base_address: u64, bytes| {
-        base_address
-            .checked_add(bytes)
-            .ok_or(StructureError::BeyondAddressSpace { segment, base_address })
-    };
+    // The load address is the file's own claim: a text that ends past
+    // the address space is an error, not a wrapped range.
     let text_base = oat.base_address;
-    let text_end = end("text", text_base, oat.text_size_bytes())?;
-    let dict_range = match &oat.dict {
-        Some(d) => {
-            Some((d.base_address, end("dict", d.base_address, u64::from(d.size_words) * 4)?))
-        }
-        None => None,
-    };
+    let text_end = text_base
+        .checked_add(oat.text_size_bytes())
+        .ok_or(StructureError::BeyondAddressSpace { base_address: text_base })?;
     for s in &symbols {
         for w in s.start_word..s.start_word + s.insn_words {
             let value = oat.words[w];
@@ -242,31 +207,18 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
                 return Err(StructureError::Undecodable { symbol: s.name.clone(), word: w, value });
             };
             let pc = text_base + w as u64 * 4;
-            let (rel_target, is_bl) = match insn {
-                Insn::Bl { offset } => (Some(pc.wrapping_add_signed(offset)), true),
-                Insn::B { offset }
+            let rel_target = match insn {
+                Insn::Bl { offset }
+                | Insn::B { offset }
                 | Insn::BCond { offset, .. }
                 | Insn::Cbz { offset, .. }
                 | Insn::Cbnz { offset, .. }
                 | Insn::Tbz { offset, .. }
                 | Insn::Tbnz { offset, .. }
-                | Insn::LdrLit { offset, .. } => (Some(pc.wrapping_add_signed(offset)), false),
-                _ => (None, false),
+                | Insn::LdrLit { offset, .. } => Some(pc.wrapping_add_signed(offset)),
+                _ => None,
             };
             if let Some(target) = rel_target {
-                if let Some((dict_start, dict_end)) = dict_range {
-                    if target >= dict_start && target < dict_end {
-                        // Cross-image dictionary call: legal only as `bl`.
-                        if is_bl {
-                            continue;
-                        }
-                        return Err(StructureError::DictBadEntry {
-                            symbol: s.name.clone(),
-                            word: w,
-                            target,
-                        });
-                    }
-                }
                 if target < text_base || target >= text_end {
                     return Err(StructureError::BranchOutOfText {
                         symbol: s.name.clone(),
@@ -321,7 +273,6 @@ mod tests {
             methods: vec![record(0, 0, 2), record(1, 8, 2)],
             thunks: vec![],
             outlined: vec![],
-            dict: None,
         }
     }
 
@@ -390,42 +341,16 @@ mod tests {
     }
 
     #[test]
-    fn dict_calls_are_exempt_from_the_text_bound() {
-        use crate::file::{DictLink, DICT_BASE_ADDRESS};
+    fn a_call_out_of_text_is_detected() {
         let mut oat = two_method_file();
-        // Load where a real tenant loads, so the island is in bl range.
         oat.base_address = 0x4000_0000;
-        // m1 word 0 (index 2) calls word 1 of the dictionary island.
-        let target = DICT_BASE_ADDRESS + 4;
-        let pc = oat.base_address + 2 * 4;
+        // m1 word 0 (index 2) calls 64 MiB above the text: no image
+        // lies there, so the call is a wild branch like any other.
+        let (target, pc) = (oat.base_address + 0x0400_0000, oat.base_address + 2 * 4);
         oat.words[2] = Insn::Bl { offset: target as i64 - pc as i64 }.encode().unwrap();
-        // Without a declared island the call is just a wild branch.
         assert!(matches!(
             validate_structure(&oat),
             Err(StructureError::BranchOutOfText { word: 2, .. })
-        ));
-        oat.dict = Some(DictLink { base_address: DICT_BASE_ADDRESS, epoch: 1, size_words: 4 });
-        validate_structure(&oat).expect("declared dictionary call validates");
-        // A target past the declared island is out of text again.
-        oat.dict = Some(DictLink { base_address: DICT_BASE_ADDRESS, epoch: 1, size_words: 1 });
-        assert!(matches!(
-            validate_structure(&oat),
-            Err(StructureError::BranchOutOfText { word: 2, .. })
-        ));
-    }
-
-    #[test]
-    fn non_bl_transfers_into_the_island_are_rejected() {
-        use crate::file::{DictLink, DICT_BASE_ADDRESS};
-        let mut oat = two_method_file();
-        oat.base_address = 0x4000_0000;
-        let target = DICT_BASE_ADDRESS;
-        let pc = oat.base_address + 2 * 4;
-        oat.words[2] = Insn::B { offset: target as i64 - pc as i64 }.encode().unwrap();
-        oat.dict = Some(DictLink { base_address: DICT_BASE_ADDRESS, epoch: 1, size_words: 4 });
-        assert!(matches!(
-            validate_structure(&oat),
-            Err(StructureError::DictBadEntry { word: 2, .. })
         ));
     }
 }

@@ -10,9 +10,8 @@ use calibro_dex::wire::{encode, WireError};
 use calibro_dex::{BinOp, Cmp, DexFile, DexInsn, InvokeKind, MethodBuilder, MethodId, VReg};
 use calibro_hgraph::{build_hgraph, run_pipeline};
 use calibro_oat::{
-    from_elf_bytes, link, to_elf_bytes, validate_stack_maps, validate_structure, DictLink,
-    LinkInput, LoadError, OatFile, OatMethodRecord, OutlinedRecord, StackMapError, StructureError,
-    DICT_BASE_ADDRESS,
+    from_elf_bytes, link, to_elf_bytes, validate_stack_maps, validate_structure, LinkInput,
+    LoadError, OatFile, OatMethodRecord, OutlinedRecord, StackMapError, StructureError,
 };
 
 /// Links a tiny two-method app (a leaf and a caller, so stack maps are
@@ -217,22 +216,14 @@ fn an_empty_outlined_function_has_no_return() {
 }
 
 #[test]
-fn a_segment_ending_past_the_address_space_is_refused() {
+fn a_text_ending_past_the_address_space_is_refused() {
     let base_address = u64::MAX - 3;
     let mut oat = sample_oat();
     oat.base_address = base_address;
     assert_eq!(
         validate_structure(&reloaded(&oat)),
-        Err(StructureError::BeyondAddressSpace { segment: "text", base_address })
+        Err(StructureError::BeyondAddressSpace { base_address })
     );
-    let mut oat = sample_oat();
-    oat.dict = Some(DictLink { base_address, epoch: 1, size_words: 2 });
-    assert_eq!(
-        validate_structure(&reloaded(&oat)),
-        Err(StructureError::BeyondAddressSpace { segment: "dict", base_address })
-    );
-    oat.dict = Some(DictLink { base_address: DICT_BASE_ADDRESS, epoch: 1, size_words: 2 });
-    validate_structure(&reloaded(&oat)).expect("an island inside the address space validates");
 }
 
 /// Edits a record's stack-map table, which it shares with whatever it

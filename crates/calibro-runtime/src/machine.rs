@@ -54,7 +54,7 @@ pub enum Trap {
     /// The pc landed on a word that does not decode — the embedded-data
     /// hazard the paper's metadata exists to prevent.
     ExecutedData(u64),
-    /// The pc left every mapped region.
+    /// The pc left the text.
     BadPc(u64),
     /// A `brk` was executed (unreachable guard reached — a codegen or
     /// outlining bug).
@@ -131,10 +131,6 @@ pub struct Machine {
     text_base: u64,
     /// Per-word owner (method index, `u32::MAX` for thunks/outlined).
     owner: Vec<u32>,
-    /// A second mapped code region (the daemon-wide shared dictionary
-    /// island). Empty until [`Machine::map_extra_code`] is called.
-    extra_decoded: Vec<Option<Insn>>,
-    extra_base: u64,
     /// Cycle cost model.
     pub cost: CostModel,
     /// Cycles attributed per method (`len == methods + 1`; the last slot
@@ -187,8 +183,6 @@ impl Machine {
             decoded,
             text_base,
             owner,
-            extra_decoded: Vec::new(),
-            extra_base: 0,
             cost: CostModel::new(icache),
             method_cycles: vec![0; num_methods + 1],
             natives,
@@ -250,20 +244,6 @@ impl Machine {
     /// Sets the program counter.
     pub fn set_pc(&mut self, pc: u64) {
         self.pc = pc;
-    }
-
-    /// Maps a second code region at `base` — the daemon-wide shared
-    /// dictionary island, which lives outside the tenant's own text
-    /// segment. Cycles executed there are attributed to the aggregate
-    /// slot (the last entry of [`Machine::method_cycles`]), like thunks
-    /// and private outlined functions.
-    pub fn map_extra_code(&mut self, base: u64, words: &[u32]) {
-        self.extra_decoded = words.iter().map(|&w| calibro_isa::decode(w).ok()).collect();
-        self.extra_base = base;
-        // Map the words so literal-style reads see real bytes.
-        for (i, w) in words.iter().enumerate() {
-            self.mem.write_u32(base + i as u64 * 4, *w);
-        }
     }
 
     /// Sets the stack pointer.
@@ -395,22 +375,14 @@ impl Machine {
         }
     }
 
-    /// Resolves the pc to a decoded slot and its cycle-attribution
-    /// owner: the tenant's own text first, then the mapped extra region
-    /// (the shared dictionary island), whose cycles land in the
-    /// aggregate slot.
+    /// Resolves the pc to a decoded slot of the text and its
+    /// cycle-attribution owner.
     fn fetch_slot(&self) -> Result<(Option<Insn>, usize), Trap> {
         if let Some(delta) = self.pc.checked_sub(self.text_base) {
             if delta % 4 == 0 && (delta / 4) < self.decoded.len() as u64 {
                 let word = (delta / 4) as usize;
                 let owner = (self.owner[word] as usize).min(self.method_cycles.len() - 1);
                 return Ok((self.decoded[word], owner));
-            }
-        }
-        if let Some(delta) = self.pc.checked_sub(self.extra_base) {
-            if delta % 4 == 0 && (delta / 4) < self.extra_decoded.len() as u64 {
-                let word = (delta / 4) as usize;
-                return Ok((self.extra_decoded[word], self.method_cycles.len() - 1));
             }
         }
         Err(Trap::BadPc(self.pc))
@@ -993,32 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn calls_into_mapped_extra_code_execute_and_attribute_to_aggregate() {
-        // Tenant text at 0x1000: bl to the island at 0x9000, then return.
-        // Island body: w0 = 123; ret.
-        let island_base = 0x9000u64;
-        let text_base = 0x1000u64;
-        let site = text_base + 4; // the bl is word 1
-        let mut m = machine_with(&[
-            // mov x20, x30 — spill the sentinel before the call clobbers LR.
-            Insn::OrrReg { wide: true, rd: Reg::X20, rn: Reg::ZR, rm: Reg::LR, shift: 0 },
-            Insn::Bl { offset: island_base as i64 - site as i64 },
-            Insn::Ret { rn: Reg::X20 },
-        ]);
-        let island: Vec<u32> =
-            [Insn::Movz { wide: false, rd: Reg::X0, imm16: 123, hw: 0 }, Insn::Ret { rn: Reg::LR }]
-                .iter()
-                .map(|i| i.encode().unwrap())
-                .collect();
-        m.map_extra_code(island_base, &island);
-        assert_eq!(m.run(100), Ok(ExecOutcome::Returned(123)));
-        // Island cycles are in the aggregate (last) slot, not method 0's
-        // alone.
-        assert!(m.method_cycles[1] > 0, "island cycles must land in the aggregate slot");
-    }
-
-    #[test]
-    fn unmapped_island_calls_still_trap() {
+    fn calls_outside_the_text_trap() {
         let mut m = machine_with(&[Insn::Bl { offset: 0x8000 }, Insn::Ret { rn: Reg::LR }]);
         assert_eq!(m.run(100), Err(Trap::BadPc(0x9000)));
     }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use calibro_codegen::layout;
 use calibro_dex::MethodId;
-use calibro_oat::{DictImage, OatFile};
+use calibro_oat::OatFile;
 
 use crate::machine::{addr, native_id, ExecOutcome, Machine, NativeMethod, Trap};
 use crate::memory::RESIDENCY_GRANULE;
@@ -67,15 +67,6 @@ impl Runtime {
     /// Loads an OAT file into a fresh simulated device.
     #[must_use]
     pub fn new(oat: &OatFile, env: &RuntimeEnv) -> Runtime {
-        Runtime::new_with_dict(oat, env, None)
-    }
-
-    /// Loads an OAT file plus a shared dictionary island. Calls into
-    /// `[dict.base_address, dict.base_address + 4 * words.len())` execute
-    /// from the island; without the mapping they trap, mirroring a tenant
-    /// linked against a dictionary epoch the daemon no longer serves.
-    #[must_use]
-    pub fn new_with_dict(oat: &OatFile, env: &RuntimeEnv, dict: Option<&DictImage>) -> Runtime {
         let num_methods = oat.methods.len();
         // Per-word owner map for profiling attribution.
         let mut owner = vec![u32::MAX; oat.words.len()];
@@ -94,9 +85,6 @@ impl Runtime {
             env.natives.clone(),
             env.icache,
         );
-        if let Some(d) = dict {
-            machine.map_extra_code(d.base_address, &d.words);
-        }
 
         // --- Thread structure --------------------------------------------
         machine.mem.write_u64(

@@ -72,7 +72,7 @@ fn usage() -> ! {
          [--max-frame BYTES] [--max-entries N] [--method-budget-bytes N] \
          [--group-budget-bytes N] [--shard-id N] \
          [--peer ID=unix:PATH | --peer ID=tcp:ADDR]... \
-         [--hot-fraction F] [--drift-threshold F] [--dict]"
+         [--hot-fraction F] [--drift-threshold F]"
     );
     std::process::exit(2);
 }
@@ -134,7 +134,6 @@ fn parse_args() -> Args {
                 args.config.drift_threshold =
                     parse_fraction(&value("--drift-threshold"), "--drift-threshold");
             }
-            "--dict" => args.config.dict = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("calibrod: unknown flag {other}");
@@ -226,10 +225,9 @@ fn main() -> ExitCode {
         args.socket.clone().or_else(|| tcp_addr.map(|a| a.to_string())).unwrap_or_default();
     if args.config.peers.is_empty() {
         println!(
-            "calibrod listening on {endpoint} ({} workers, queue depth {}{})",
+            "calibrod listening on {endpoint} ({} workers, queue depth {})",
             args.config.workers.max(1),
             args.config.queue_depth,
-            if args.config.dict { ", shared dict" } else { "" }
         );
     } else {
         println!(

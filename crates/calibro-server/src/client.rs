@@ -38,10 +38,10 @@ use crate::error::{ClientError, ServeError};
 use crate::fleet::ShardEndpoint;
 use crate::programs::{ProgramId, SENT_RING};
 use crate::proto::{
-    self, BuildReply, BuildRequestRef, DictStatsReply, DictStatsRequest, ErrorReply, FrameEvent,
-    GenerationStats, GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats,
-    REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT,
-    RESP_ERROR, RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
+    self, BuildReply, BuildRequestRef, ErrorReply, FrameEvent, GenerationStats,
+    GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats, REQ_BUILD,
+    REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR,
+    RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
 use crate::transport::{self, Stream};
@@ -425,18 +425,6 @@ impl Client {
             .map(|(dex, options)| BuildCall { tenant: None, dex, options, deadline: None })
             .collect();
         self.builds(&calls)
-    }
-
-    /// Fetches the daemon's shared-dictionary snapshot. A daemon
-    /// running without a dictionary answers `enabled: false` with
-    /// every counter zeroed — asking is never an error.
-    ///
-    /// # Errors
-    ///
-    /// Transport-level [`ClientError`]s.
-    pub fn dict_stats(&mut self) -> Result<DictStatsReply, ClientError> {
-        let request = DictStatsRequest { request_id: self.next_id() };
-        self.call(&request)
     }
 
     /// Fetches the daemon's stats snapshot.

@@ -82,7 +82,7 @@ pub use fleet::{
 };
 pub use histogram::{quantile_us, LatencyHistogram};
 pub use proto::{
-    BuildReply, BuildRequest, DictStatsReply, DictStatsRequest, GenerationStats,
-    GenerationStatsRequest, ProfileReply, ProfileRequest, ServerStats, DEFAULT_MAX_FRAME,
+    BuildReply, BuildRequest, GenerationStats, GenerationStatsRequest, ProfileReply,
+    ProfileRequest, ServerStats, DEFAULT_MAX_FRAME,
 };
 pub use server::{ltbo_fingerprint, Daemon, Listener, ServerConfig};

@@ -52,8 +52,7 @@
 //! and never queued; it reports every method as from the cache, no
 //! cache traffic, no build time and generation 0. Builds by edit name
 //! their base, not the program they build, and neither fill nor read a
-//! slot; neither do dictionary builds, whose island epoch moves between
-//! builds. The slot's ELF counts against the same budget as the wire
+//! slot. The slot's ELF counts against the same budget as the wire
 //! bytes and goes with its program.
 
 use std::collections::{HashMap, VecDeque};

@@ -57,9 +57,6 @@ pub const REQ_PROFILE: u8 = 0x06;
 /// Request kind: report one tenant's generation table (see
 /// [`GenerationStatsRequest`]).
 pub const REQ_GENERATION_STATS: u8 = 0x07;
-/// Request kind: report the shared-dictionary state (see
-/// [`DictStatsRequest`]).
-pub const REQ_DICT_STATS: u8 = 0x08;
 /// Request kind: compile a program this connection sent whole before,
 /// named by its [`ProgramId`] (see [`BuildByIdRequest`]).
 pub const REQ_BUILD_BY_ID: u8 = 0x09;
@@ -85,8 +82,6 @@ pub const RESP_PROFILE: u8 = 0x87;
 /// Response kind: one tenant's generation table (see
 /// [`GenerationStats`]).
 pub const RESP_GENERATION_STATS: u8 = 0x88;
-/// Response kind: the shared-dictionary state (see [`DictStatsReply`]).
-pub const RESP_DICT_STATS: u8 = 0x89;
 
 /// Default ceiling on one frame (kind + body): 64 MiB.
 pub const DEFAULT_MAX_FRAME: u64 = 64 << 20;
@@ -268,7 +263,6 @@ requests! {
     PeerGet = REQ_PEER_GET => PeerArtifact = RESP_PEER_ARTIFACT,
     ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
     GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
-    DictStatsRequest = REQ_DICT_STATS => DictStatsReply = RESP_DICT_STATS,
 }
 
 /// A compile request: the program, the full build configuration, an
@@ -806,45 +800,6 @@ message! {
     }
 }
 
-message! {
-    /// Asks for the daemon's shared-dictionary snapshot.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub struct DictStatsRequest {
-        /// Client-chosen id echoed in the response.
-        pub request_id: u64,
-    }
-}
-
-message! {
-    /// A point-in-time view of the daemon's shared outline dictionary. A
-    /// daemon running without a dictionary answers with `enabled == false`
-    /// and every other field zeroed — asking is never an error.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-    pub struct DictStatsReply {
-        /// Echo of the request id.
-        pub request_id: u64,
-        /// Whether the daemon runs a shared dictionary at all.
-        pub enabled: bool,
-        /// The current sealed epoch (0 = nothing sealed yet).
-        pub epoch: u64,
-        /// Bodies published over the daemon's lifetime.
-        pub published: u64,
-        /// Bodies published since the last seal (they join the next epoch).
-        pub staged: u64,
-        /// Size of the current epoch's island, in words.
-        pub island_words: u64,
-        /// Entries in the current epoch's island.
-        pub island_entries: u64,
-        /// Epochs currently pinned by sealed generations (the epoch fence:
-        /// none of these can be retired).
-        pub pinned_epochs: u64,
-        /// Candidates routed to an existing island entry.
-        pub hits: u64,
-        /// Bodies this daemon published.
-        pub publishes: u64,
-    }
-}
-
 /// The daemon's scalar stats, one row per value: `name,` for a value
 /// computed when the snapshot is taken, `name: AtomicU64,` for a counter
 /// the daemon bumps as it serves. [`ServerStats`] (fields, wire body,
@@ -1054,7 +1009,7 @@ mod samples {
             BuildOptions::baseline(),
             BuildOptions::cto(),
             BuildOptions::cto_ltbo().with_compile_threads(8),
-            BuildOptions::cto_ltbo().with_dict(),
+            BuildOptions::cto_ltbo(),
             BuildOptions::cto_ltbo_parallel(16, 4).with_hot_filter([4, 1, 9].into_iter().collect()),
             BuildOptions {
                 force_metadata: true,
@@ -1071,8 +1026,10 @@ mod samples {
     // so every addressing key moved together and old entries miss. The
     // options fingerprints were re-recorded again with the `+s7` bump,
     // when `BuildOptions` lost its `merge` field (the LTBO fingerprints,
-    // which take no schema salt, did not move), and with `+s8`, when it
-    // lost `inlining` and `PipelineConfig` three pass switches.
+    // which take no schema salt, did not move), with `+s8`, when it
+    // lost `inlining` and `PipelineConfig` three pass switches, and with
+    // `+s9`, when it lost `dict` (variant 3, once `cto_ltbo` with the
+    // dictionary, is plain `cto_ltbo` since).
 
     #[test]
     fn method_hash_of_the_sample_program_is_unchanged() {
@@ -1097,12 +1054,12 @@ mod samples {
         const GLOBAL_MIN2: Option<Key> = Some((0x7e06_320b_bf02_7fb4, 0xfa1a_a072_dd3d_1c44));
         const SHARDED_HOT: Option<Key> = Some((0xe47b_1e11_4316_2eb4, 0xce3a_0b15_3046_02ae));
         let golden: [(Key, Option<Key>); 6] = [
-            ((0xc660_bdbc_88ad_7000, 0xc3ad_b676_879f_9eb9), None),
-            ((0xce98_8734_e9c5_1832, 0x8f4e_1437_978b_8be7), None),
-            ((0x31e5_8b7e_f1f6_2df9, 0x26f5_ad03_352c_7317), GLOBAL_MIN2),
-            ((0xf257_d24f_71b2_1531, 0xa2be_a6a5_8a3c_35de), GLOBAL_MIN2),
-            ((0xddcf_a023_edcd_40ee, 0xd249_7ff6_7193_7b23), SHARDED_HOT),
-            ((0x361e_e66d_6fe4_ac28, 0x5d29_a9ab_de6e_5a33), None),
+            ((0x6875_9537_2a59_69ce, 0x4897_e41d_53ea_e973), None),
+            ((0x665f_25ef_0ef5_9063, 0xd598_bc6b_4a5a_809e), None),
+            ((0x3e7e_8968_e3b9_1a9a, 0xdf8c_289a_caa7_9192), GLOBAL_MIN2),
+            ((0x8218_5f8c_df15_9e30, 0xc502_273c_aa44_3111), GLOBAL_MIN2),
+            ((0xa27b_f0df_27e9_a6e7, 0xb439_cd1b_dd71_4ef5), SHARDED_HOT),
+            ((0x8070_2511_c31c_e4fc, 0xd1fb_2d42_fb86_632b), None),
         ];
         for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
         {
@@ -1310,25 +1267,6 @@ mod tests {
             hot_set_size: 17,
             elf_len: 1 << 20,
             elf_fnv: 0xdead_beef_cafe_f00d,
-        }
-    }
-
-    fn dict_stats_request() -> DictStatsRequest {
-        DictStatsRequest { request_id: 9 }
-    }
-
-    fn dict_stats_reply() -> DictStatsReply {
-        DictStatsReply {
-            request_id: 9,
-            enabled: true,
-            epoch: 4,
-            published: 23,
-            staged: 2,
-            island_words: 96,
-            island_entries: 21,
-            pinned_epochs: 3,
-            hits: 64,
-            publishes: 22,
         }
     }
 
@@ -1570,6 +1508,9 @@ mod tests {
 
     #[test]
     fn every_message_body_honours_the_contract() {
+        // The build, by-id and edit requests were last re-recorded when
+        // the options row lost its `dict` byte: each is the previous
+        // file less that one byte.
         for (i, request) in build_requests().iter().enumerate() {
             message_contract(request, &format!("build_request_{i}"), &["options", "dex"]);
         }
@@ -1588,9 +1529,6 @@ mod tests {
         message_contract(&profile_reply(), "profile_reply", &[]);
         message_contract(&generation_stats_request(), "generation_stats_request", &[]);
         message_contract(&generation_stats(), "generation_stats", &[]);
-        message_contract(&dict_stats_request(), "dict_stats_request", &[]);
-        // Re-recorded when its last row, the register-twin counter, went.
-        message_contract(&dict_stats_reply(), "dict_stats_reply", &[]);
         // Re-recorded three times: the stats table gained its
         // `programs_decoded` / `programs_reused` rows (two `u64`s after
         // `refreshes_triggered`), and the cache block lost the twelve
@@ -1631,6 +1569,13 @@ mod tests {
             assert_eq!(
                 ErrorReply::decode(&with(error_replies()[5].encode(), 8, code)),
                 Err(WireError::InvalidTag { what: "error", tag: code })
+            );
+        }
+        // Call-target tags 5 (`Merged`) and 6 (`Dict`) are retired.
+        for tag in [5, 6] {
+            assert_eq!(
+                calibro_dex::wire::decode::<calibro_codegen::CallTarget>(&[tag, 0, 0, 0, 0]),
+                Err(WireError::InvalidTag { what: "message body", tag })
             );
         }
     }

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use calibro::{
     options_fingerprint, panic_message, BuildOptions, BuildSession, CacheConfig, CacheKey,
-    DictRegistry, StableHasher,
+    StableHasher,
 };
 use calibro_cache::ArtifactStore;
 use calibro_dex::wire::{self, WireError};
@@ -73,12 +73,12 @@ use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
 use crate::programs::{apply_edit, ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
-    self, BuildByIdRequest, BuildEditRequest, BuildHeader, DictStatsReply, DictStatsRequest,
-    ErrorReply, FrameEvent, GenerationStats, GenerationStatsRequest, PeerArtifact, PeerGet,
-    ProfileReply, ProfileRequest, Request, SealedReply, ServerCounters, ServerStats, REQ_BUILD,
-    REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING,
-    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_DICT_STATS, RESP_ERROR, RESP_GENERATION_STATS,
-    RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
+    self, BuildByIdRequest, BuildEditRequest, BuildHeader, ErrorReply, FrameEvent, GenerationStats,
+    GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest, Request,
+    SealedReply, ServerCounters, ServerStats, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT,
+    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR,
+    RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
+    RESP_STATS,
 };
 use crate::transport::Stream;
 
@@ -112,13 +112,6 @@ pub struct ServerConfig {
     /// and the freshly recomputed one, in `[0, 1]`) at or above which a
     /// profile upload schedules a background re-optimization.
     pub drift_threshold: f64,
-    /// Run a shared outlined-code dictionary: builds whose options
-    /// enable `dict` route byte-identical outlined bodies to one
-    /// daemon-wide `.text` island instead of each carrying a private
-    /// copy. Off by default — a daemon without the dictionary answers
-    /// `dict-stats` with `enabled: false` and compiles dict-flagged
-    /// requests as plain private-outline builds.
-    pub dict: bool,
 }
 
 impl Default for ServerConfig {
@@ -133,7 +126,6 @@ impl Default for ServerConfig {
             peers: Vec::new(),
             hot_fraction: 0.8,
             drift_threshold: 0.25,
-            dict: false,
         }
     }
 }
@@ -242,27 +234,6 @@ struct SealedGeneration {
     /// The reply that answers a fetch; its ELF may be the one its
     /// program's replay slot holds.
     reply: SealedReply,
-    /// The dictionary-epoch fence: while this generation serves, the
-    /// island its ELF links into cannot be retired. `None` for
-    /// non-dict builds (and for the rare build whose epoch was already
-    /// retired before the flip — its ELF still runs, but the island
-    /// words are no longer fetchable from the registry). Held only for
-    /// its `Drop`.
-    #[allow(dead_code)]
-    dict_pin: Option<DictPin>,
-}
-
-/// One sealed generation's hold on a dictionary epoch; dropping the
-/// generation releases the fence.
-struct DictPin {
-    registry: Arc<DictRegistry>,
-    epoch: u64,
-}
-
-impl Drop for DictPin {
-    fn drop(&mut self) {
-        self.registry.unpin_epoch(self.epoch);
-    }
 }
 
 /// The program a tenant registered via its first build: what a refresh
@@ -387,9 +358,9 @@ fn write_replies(stream: Stream, frames: mpsc::Receiver<Vec<u8>>, backlog: &Atom
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
     config: ServerConfig,
-    /// The one session every job builds through: the shared store, the
-    /// daemon-wide outline dictionary when enabled, and the key memo
-    /// that lets a resent or edited program hash only its new methods.
+    /// The one session every job builds through: the shared store and
+    /// the key memo that lets a resent or edited program hash only its
+    /// new methods.
     session: BuildSession,
     /// Decoded programs by the hash of their wire bytes.
     programs: ProgramTable,
@@ -504,13 +475,9 @@ impl Daemon {
                 store.set_peer_source(Arc::new(source));
             }
         }
-        let mut session = BuildSession::with_store(store);
-        if config.dict {
-            session = session.with_dict_registry(Arc::new(DictRegistry::default()));
-        }
         let shared = Arc::new(Shared {
             config,
-            session,
+            session: BuildSession::with_store(store),
             programs: ProgramTable::default(),
             queue: Mutex::new(std::collections::VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -548,14 +515,6 @@ impl Daemon {
             .spawn(move || accept_loop(listener, &accept_shared))?;
 
         Ok(Daemon { shared, accept_handle: Some(accept_handle), worker_handles, socket_path })
-    }
-
-    /// The shared outline dictionary, when the daemon runs one
-    /// ([`ServerConfig::dict`]). External harnesses use this to read
-    /// the island an ELF's dict link names.
-    #[must_use]
-    pub fn dict_registry(&self) -> Option<Arc<DictRegistry>> {
-        self.shared.session.dict_registry().map(Arc::clone)
     }
 
     /// A point-in-time stats snapshot (same data the `stats` request
@@ -755,7 +714,6 @@ fn handle_frame(
         REQ_PEER_GET => decode_or_reject(body, replies, shared, handle_peer_get),
         REQ_PROFILE => decode_or_reject(body, replies, shared, handle_profile),
         REQ_GENERATION_STATS => decode_or_reject(body, replies, shared, handle_generation_stats),
-        REQ_DICT_STATS => decode_or_reject(body, replies, shared, handle_dict_stats),
         REQ_STATS => replies.send(RESP_STATS, &shared.stats().encode()),
         REQ_PING => replies.send(RESP_PONG, body),
         REQ_SHUTDOWN => {
@@ -946,9 +904,8 @@ fn build_with(
             return replies.send_frame(sealed.reply.frame(request.request_id));
         }
         tenant_job = Some(TenantJob { name: name.clone(), identity });
-    } else if let Some(sealed) = program
-        .filter(|_| !request.options.dict)
-        .and_then(|id| shared.programs.replay(id, request.options_fp, request.ltbo_fp))
+    } else if let Some(sealed) =
+        program.and_then(|id| shared.programs.replay(id, request.options_fp, request.ltbo_fp))
     {
         // A plain build of a held program under its last client build's
         // options: the same bytes, answered without queueing.
@@ -998,18 +955,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn expired(job: &Job) -> bool {
     job.budget.is_some_and(|budget| job.enqueued.elapsed() >= budget)
-}
-
-/// Seals the staged dictionary publishes after a dict-enabled build,
-/// so the bodies it paid for are servable to the very next request
-/// (sealing with nothing staged is a no-op).
-fn seal_dict(shared: &Shared, options: &BuildOptions) {
-    if let Some(registry) = shared.session.dict_registry().filter(|_| options.dict) {
-        registry.seal_epoch();
-        // Epoch-fenced reclamation: only islands no sealed generation
-        // pins are dropped, and never the current one.
-        registry.retire_unpinned();
-    }
 }
 
 fn run_job(job: &Job, shared: &Arc<Shared>) {
@@ -1091,7 +1036,7 @@ fn build_and_seal(job: &Job, shared: &Arc<Shared>) -> Result<Option<Vec<u8>>, St
     // answered with, reporting what a repeat costs: nothing compiled,
     // nothing probed, no build time. Filled before the reply is sent,
     // so the client's next request finds it.
-    if let Some(id) = job.program.filter(|_| job.replies.is_some() && !job.options.dict) {
+    if let Some(id) = job.program.filter(|_| job.replies.is_some()) {
         let replayed = SealedReply {
             methods_from_cache: built.methods,
             cache_hits: 0,
@@ -1101,9 +1046,6 @@ fn build_and_seal(job: &Job, shared: &Arc<Shared>) -> Result<Option<Vec<u8>>, St
         };
         shared.programs.seal(id, Arc::new(replayed));
     }
-    // After a flip: the generation's epoch pin is in place, so
-    // retirement inside the seal cannot touch it.
-    seal_dict(shared, &job.options);
     Ok(frame)
 }
 
@@ -1161,23 +1103,11 @@ fn seal_generation(
     }
     let id = state.generations_sealed + 1;
     output.stats.generation = id;
-    // Fence the dictionary epoch this generation linked against before
-    // anything can retire it. A failed pin (epoch already retired in
-    // the window between build and flip) degrades gracefully: the ELF
-    // still serves, only the island words are no longer fetchable.
-    let dict_pin = match shared.session.dict_registry() {
-        Some(registry) if job.options.dict => {
-            let epoch = output.stats.dict_epoch;
-            registry.pin_epoch(epoch).then(|| DictPin { registry: Arc::clone(registry), epoch })
-        }
-        _ => None,
-    };
     let sealed = Arc::new(SealedGeneration {
         id,
         hot_set: job.options.hot_methods.clone(),
         elf_fnv: fnv1a64(&elf),
         reply: sealed_reply(job, output, elf, build_us),
-        dict_pin,
     });
     state.serving = Some(Arc::clone(&sealed));
     state.generations_sealed = id;
@@ -1321,34 +1251,6 @@ fn handle_generation_stats(
     };
     drop(tenants);
     replies.send(RESP_GENERATION_STATS, &reply.encode());
-}
-
-/// A point-in-time snapshot of the shared outline dictionary. A daemon
-/// running without one answers `enabled: false` with every counter
-/// zeroed — asking is never an error, so external gates need no
-/// special casing.
-fn handle_dict_stats(request: DictStatsRequest, replies: &Replies, shared: &Arc<Shared>) {
-    let reply = match shared.session.dict_registry() {
-        Some(registry) => {
-            let stats = registry.cumulative_stats();
-            let epoch = registry.current_epoch();
-            let layout = registry.layout(epoch);
-            DictStatsReply {
-                request_id: request.request_id,
-                enabled: true,
-                epoch,
-                published: registry.published_count() as u64,
-                staged: registry.staged_count() as u64,
-                island_words: layout.as_ref().map_or(0, |l| l.words().len() as u64),
-                island_entries: layout.as_ref().map_or(0, |l| l.len() as u64),
-                pinned_epochs: registry.pinned_epochs() as u64,
-                hits: stats.hits,
-                publishes: stats.publishes,
-            }
-        }
-        None => DictStatsReply { request_id: request.request_id, ..DictStatsReply::default() },
-    };
-    replies.send(RESP_DICT_STATS, &reply.encode());
 }
 
 #[cfg(all(test, unix))]

@@ -16,8 +16,8 @@ use calibro::BuildOptions;
 use calibro_profile::{DecayedProfile, Profile};
 use calibro_server::proto::{
     read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT,
-    REQ_DICT_STATS, REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS,
-    RESP_BUILT, RESP_ERROR, RESP_PONG, RESP_STATS,
+    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_BUILT, RESP_ERROR,
+    RESP_PONG, RESP_STATS,
 };
 use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig, ServerStats};
 use calibro_workloads::{generate, AppSpec};
@@ -233,7 +233,6 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         REQ_PEER_GET,
         REQ_PROFILE,
         REQ_GENERATION_STATS,
-        REQ_DICT_STATS,
     ];
     {
         let mut raw = UnixStream::connect(&socket).expect("connect raw");
@@ -264,14 +263,19 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
                 assert_eq!(exchange(REQ_PING, b"still-there", RESP_PONG), b"still-there");
             }
         }
-        // The first kind past the defined ones is unknown: typed, counted,
-        // and the connection serves on.
-        let unknown = REQ_BUILD_EDIT + 1;
-        assert_eq!(unknown, 0x0B);
-        let reply = ErrorReply::decode(&exchange(unknown, b"?", RESP_ERROR)).expect("decodes");
-        let detail = "unknown request kind 0x0b".to_owned();
-        assert_eq!((reply.request_id, reply.error), (0, ServeError::Malformed { detail }));
-        assert_eq!(exchange(REQ_PING, b"still-there", RESP_PONG), b"still-there");
+        // The first kind past the defined ones, and the retired
+        // `dict-stats` kind, are unknown: typed, counted, and the
+        // connection serves on.
+        assert_eq!(REQ_BUILD_EDIT + 1, 0x0B);
+        for unknown in [0x0B, 0x08] {
+            let reply = ErrorReply::decode(&exchange(unknown, b"?", RESP_ERROR)).expect("decodes");
+            let detail = format!("unknown request kind {unknown:#04x}");
+            assert_eq!((reply.request_id, reply.error), (0, ServeError::Malformed { detail }));
+            malformed += 1;
+            let stats = ServerStats::decode(&exchange(REQ_STATS, &[], RESP_STATS));
+            assert_eq!(stats.expect("stats decode").malformed_frames, malformed);
+            assert_eq!(exchange(REQ_PING, b"still-there", RESP_PONG), b"still-there");
+        }
     }
 
     // 2. An oversized length prefix: typed FrameTooLarge reply, then
@@ -351,7 +355,8 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    assert_eq!(stats.malformed_frames, 2 * decoded_kinds.len() as u64 + 1);
+    // Two garbage bodies per decoded kind, and the two unknown kinds.
+    assert_eq!(stats.malformed_frames, 2 * decoded_kinds.len() as u64 + 2);
     assert_eq!(stats.oversized_frames, 1);
     assert_eq!(stats.mid_frame_disconnects, 1);
     assert_eq!(stats.requests_completed, 1);
@@ -578,25 +583,6 @@ fn a_held_programs_third_send_is_replayed_and_other_options_are_built() {
 
     let stats = daemon.shutdown();
     assert_eq!((stats.programs_decoded, stats.build_errors), (2, 0));
-}
-
-/// A dictionary build is never answered from a replay slot (the island
-/// its ELF links into moves between builds): a held program's repeat
-/// dict builds are all built.
-#[test]
-fn a_dict_build_is_never_replayed() {
-    let app = generate(&AppSpec::small("dict-repeat", 37));
-    let options = BuildOptions::cto_ltbo().with_dict();
-    let (daemon, socket) = start(ServerConfig { dict: true, ..ServerConfig::default() });
-    let mut client = Client::connect_unix(&socket).expect("connect");
-    for _ in 0..4 {
-        let reply = client.build(&app.dex, &options, None).expect("dict build");
-        assert_eq!(reply.methods as usize, app.dex.methods().len());
-        calibro_oat::from_elf_bytes(&reply.elf).expect("reply ELF loads");
-    }
-    let stats = daemon.shutdown();
-    assert_eq!((stats.builds_replayed, stats.requests_admitted), (0, 4));
-    assert_eq!((stats.requests_completed, stats.programs_by_reference), (4, 2));
 }
 
 /// Runs `exchange` on its own thread and fails the test if it has not

@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use calibro_cache::{CacheError, CacheStats};
 use calibro_dex::DexFile;
-use calibro_dict::DictStats;
 use calibro_hgraph::{PassStats, PipelineConfig};
 use calibro_oat::{LinkError, OatFile, RewriteStats, DEFAULT_BASE_ADDRESS};
 
@@ -25,12 +24,6 @@ pub struct BuildOptions {
     /// and with it the size stage
     /// ([`BuildSession::outline`](crate::BuildSession::outline)).
     pub ltbo: Option<LtboMode>,
-    /// Route LTBO candidates through the session's shared outline
-    /// dictionary (the cross-tenant `.text` island). Only effective when
-    /// [`ltbo`](Self::ltbo) is on and the session carries a
-    /// [`DictRegistry`](calibro_dict::DictRegistry); a one-shot
-    /// [`build`] has no registry, so the flag is inert there.
-    pub dict: bool,
     /// Minimum outlined sequence length (instructions).
     pub min_seq_len: usize,
     /// Hot methods to filter (§3.4.2), usually from
@@ -59,7 +52,6 @@ impl Default for BuildOptions {
         BuildOptions {
             cto: false,
             ltbo: None,
-            dict: false,
             min_seq_len: 2,
             hot_methods: None,
             base_address: DEFAULT_BASE_ADDRESS,
@@ -129,14 +121,6 @@ impl BuildOptions {
         self
     }
 
-    /// Routes outline candidates through the session's shared
-    /// dictionary (see [`dict`](Self::dict)).
-    #[must_use]
-    pub fn with_dict(mut self) -> BuildOptions {
-        self.dict = true;
-        self
-    }
-
     /// The outline pass's configuration under these options (`None`
     /// when LTBO is off) — what the size stage runs with and what the
     /// group-plan keys and the wire's LTBO fingerprint are derived from.
@@ -203,14 +187,6 @@ pub struct BuildStats {
     /// sites: PC-relative sites re-encoded, stack-map entries moved
     /// (zeroed when nothing was outlined). In the JSON form, with `ltbo`.
     pub rewrite: RewriteStats,
-    /// Shared-dictionary routing outcomes (zeroed when the
-    /// dictionary is off or the session has no registry).
-    pub dict: DictStats,
-    /// Dictionary epoch this build linked against (0 = the empty
-    /// island, also the value when the dictionary is off).
-    pub dict_epoch: u64,
-    /// Words in the dictionary island the build linked against.
-    pub dict_island_words: usize,
     /// Methods compiled.
     pub methods: usize,
     /// Methods replayed from the artifact cache instead of compiled
@@ -273,8 +249,7 @@ impl BuildStats {
                 r#""hot_restricted_methods":{},"outlined_functions":{},"#,
                 r#""occurrences_replaced":{},"words_saved":{},"pc_rel_patched":{},"#,
                 r#""stack_maps_updated":{},"detection_groups":{}}},"#,
-                r#""merge":{{"merged_methods":0,"words_saved":0}},"#,
-                r#""dict":{{"epoch":{},"island_words":{},"hits":{},"publishes":{}}}"#,
+                r#""merge":{{"merged_methods":0,"words_saved":0}}"#,
                 "}}",
             ),
             self.methods,
@@ -311,10 +286,6 @@ impl BuildStats {
             r.pc_rel_patched,
             r.stack_maps_updated,
             l.detection_groups,
-            self.dict_epoch,
-            self.dict_island_words,
-            self.dict.hits,
-            self.dict.publishes,
         )
     }
 }
@@ -431,7 +402,7 @@ mod tests {
         assert!(json.contains(r#""ltbo":{"candidate_methods":0"#));
         assert!(json.contains(r#""merge":{"merged_methods":0,"words_saved":0}"#));
         assert!(json.contains(&format!(r#""cache":{},"passes""#, stats.cache.to_json())));
-        assert!(json.contains(r#""dict":{"epoch":0"#));
+        assert!(json.ends_with(r#""merge":{"merged_methods":0,"words_saved":0}}"#));
         assert!(json.contains(r#""compile":0,"ltbo":0"#));
     }
 

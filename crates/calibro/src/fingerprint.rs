@@ -208,7 +208,6 @@ impl Wire for BuildOptions {
         let BuildOptions {
             cto,
             ltbo,
-            dict,
             min_seq_len,
             hot_methods,
             base_address,
@@ -218,7 +217,6 @@ impl Wire for BuildOptions {
         } = self;
         cto.put(w);
         put_ltbo(*ltbo, w);
-        dict.put(w);
         min_seq_len.put(w);
         hot_methods.put(w);
         base_address.put(w);
@@ -231,7 +229,6 @@ impl Wire for BuildOptions {
         Ok(BuildOptions {
             cto: Wire::get(r, "cto")?,
             ltbo: get_ltbo(r, "ltbo")?,
-            dict: Wire::get(r, "dict")?,
             min_seq_len: Wire::get(r, "min_seq_len")?,
             hot_methods: Wire::get(r, "hot_methods")?,
             base_address: Wire::get(r, "base_address")?,

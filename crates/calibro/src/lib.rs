@@ -55,7 +55,6 @@ pub use calibro_cache::{
     ArtifactStore, CacheConfig, CacheEntry, CacheError, CacheKey, CacheStats, StableHasher,
     SymbolTemplate,
 };
-pub use calibro_dict::{DictRegistry, DictSession, DictStats, MIN_ISLAND_WORDS};
 pub use calibro_hgraph::{PassStats, PipelineConfig};
 pub use calibro_oat::RewriteStats;
 pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};

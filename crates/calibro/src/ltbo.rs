@@ -28,7 +28,6 @@ use calibro_cache::{
     ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate,
 };
 use calibro_codegen::{CallTarget, CompiledMethod};
-use calibro_dict::DictSession;
 use calibro_isa::{Insn, Reg};
 use calibro_oat::{Edit, MethodEdits, RewriteStats, Rewriter};
 use calibro_suffix::{
@@ -353,7 +352,7 @@ fn by_method(found: &[(usize, Edit)], methods: usize) -> MethodEdits {
 /// invariants; the compiler produces consistent metadata, and cached
 /// artifacts are validated at load time).
 pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResult {
-    let (mut result, edits) = match outline_methods(methods, &[], config, None, None) {
+    let (mut result, edits) = match outline_methods(methods, &[], config, None) {
         Ok(planned) => planned,
         Err(e) => panic!("{e}"),
     };
@@ -431,14 +430,6 @@ fn rewrite_in_place(methods: &mut [CompiledMethod], edits: &MethodEdits) -> Rewr
 ///   through the same cache (useful when *nothing* changed); under
 ///   [`LtboMode::Parallel`] dirty-group detection runs on the
 ///   configured worker threads.
-/// - **Dictionary routing.** With `dict` set, every selected candidate
-///   goes through [`DictSession::route`] before materialization: a
-///   body the session's pinned island holds becomes `bl`s into the
-///   island (`CallTarget::Dict`, zero body cost this build); everything
-///   else is outlined privately, with misses published for future
-///   epochs. Routing runs sequentially in plan order, so the decision
-///   sequence — and therefore the emitted code — is identical at any
-///   detection thread count, warm or cold.
 ///
 /// # Errors
 ///
@@ -449,7 +440,6 @@ pub(crate) fn outline_methods(
     entries: &[Arc<CacheEntry>],
     config: &LtboConfig,
     store: Option<&ArtifactStore>,
-    mut dict: Option<&mut DictSession>,
 ) -> Result<(LtboResult, MethodEdits), OutlineError> {
     let mut stats = LtboStats::default();
 
@@ -567,25 +557,16 @@ pub(crate) fn outline_methods(
     for (group, entry) in plans.iter().enumerate() {
         let members = &groups[group];
         member_starts(members, methods, &mut starts);
-        let dict = &mut dict;
         let materialized = catch_unwind(AssertUnwindSafe(|| {
             for (words, positions) in entry.candidates() {
                 // A candidate's words are those of the instructions it
                 // repeats (a loaded plan's were checked at the cache's
-                // trust boundary). Dictionary routing: an island body
-                // serves every occurrence at call overhead only.
-                let target = match dict.as_deref_mut().and_then(|session| session.route(words)) {
-                    Some(at) => CallTarget::Dict(at),
-                    None => {
-                        // A private copy ends in `br x30`.
-                        let id = outlined.len() as u32;
-                        let body = [words, &[ret_word]].concat();
-                        stats.words_saved -= body.len() as i64;
-                        outlined.push(body);
-                        stats.outlined_functions += 1;
-                        CallTarget::Outlined(id)
-                    }
-                };
+                // trust boundary); its body ends in `br x30`.
+                let target = CallTarget::Outlined(outlined.len() as u32);
+                let body = [words, &[ret_word]].concat();
+                stats.words_saved -= body.len() as i64;
+                outlined.push(body);
+                stats.outlined_functions += 1;
                 let len = words.len();
                 for &pos in positions {
                     let (idx, start) = locate(members, &starts, pos as usize, len);
@@ -835,8 +816,8 @@ mod tests {
 
         // Entries make the staged run replay templates; the free run
         // builds every one afresh. Either plans the same edits.
-        let (staged, edits) = outline_methods(&original, &entries, &config, None, None).unwrap();
-        let (fresh, fresh_edits) = outline_methods(&original, &[], &config, None, None).unwrap();
+        let (staged, edits) = outline_methods(&original, &entries, &config, None).unwrap();
+        let (fresh, fresh_edits) = outline_methods(&original, &[], &config, None).unwrap();
         assert_eq!((fresh.stats, &fresh.outlined), (staged.stats, &staged.outlined));
         assert_eq!(fresh_edits, edits);
 
@@ -860,7 +841,7 @@ mod tests {
         let base = options.base_address;
         let outlined = staged.outlined;
         let input = LinkInput { methods: original, edits, outlined };
-        let (by_linker, moved) = link_with_stats(input, base, None).unwrap();
+        let (by_linker, moved) = link_with_stats(input, base).unwrap();
         assert_eq!(moved, free.rewrite);
         assert!(moved.pc_rel_patched > 0 && moved.stack_maps_updated > 0);
         let outlined = free.outlined;
@@ -898,8 +879,7 @@ mod tests {
         let config = LtboConfig::default();
         let outline = |m: &CompiledMethod, store: Option<&ArtifactStore>| {
             let methods = [third.clone(), third.clone(), third.clone(), m.clone()];
-            let (run, edits) =
-                outline_methods(&methods, &[], &config, store, None).expect("outline");
+            let (run, edits) = outline_methods(&methods, &[], &config, store).expect("outline");
             (edits, run.outlined, run.stats)
         };
         // A store primed with one layout, rebuilt with the other: the
@@ -1131,10 +1111,7 @@ mod tests {
                     break;
                 }
                 let len = (1 + below(5)).min(n - word);
-                let target = match below(2) {
-                    0 => CallTarget::Outlined(below(9) as u32),
-                    _ => CallTarget::Dict(below(99) as u32),
-                };
+                let target = CallTarget::Outlined(below(99) as u32);
                 edits.push(Edit { start: word as u32, len: len as u32, target });
                 covered[word..word + len].fill(true);
                 interior[word + 1..word + len].fill(true);

@@ -48,9 +48,8 @@ use std::time::{Duration, Instant};
 use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
 use calibro_dex::{DexFile, Method};
-use calibro_dict::{DictRegistry, DictStats};
 use calibro_hgraph::{build_hgraph, run_pipeline_with, HGraph, PassStats};
-use calibro_oat::{DictImage, LinkInput, MethodEdits, OatFile, RewriteStats, DICT_BASE_ADDRESS};
+use calibro_oat::{LinkInput, MethodEdits, OatFile, RewriteStats};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, reference_env};
@@ -104,10 +103,6 @@ use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 /// fresh session's: the memo only decides which ones are hashed again.
 pub struct BuildSession {
     store: Arc<ArtifactStore>,
-    /// The shared outline dictionary, when this session belongs to a
-    /// daemon hosting one. [`BuildOptions::dict`] routes outline
-    /// candidates through it; without a registry the flag is inert.
-    dict: Option<Arc<DictRegistry>>,
     /// The key of every method allocation this session has keyed (see
     /// "Method keys" above).
     keys: Mutex<KeyMemo>,
@@ -274,28 +269,13 @@ impl BuildSession {
     /// A session over an existing (possibly shared) store.
     #[must_use]
     pub fn with_store(store: Arc<ArtifactStore>) -> BuildSession {
-        BuildSession { store, dict: None, keys: Mutex::default() }
-    }
-
-    /// Attaches a shared outline dictionary. Builds with
-    /// [`BuildOptions::dict`] set then route every outline candidate
-    /// against the registry's current epoch island.
-    #[must_use]
-    pub fn with_dict_registry(mut self, registry: Arc<DictRegistry>) -> BuildSession {
-        self.dict = Some(registry);
-        self
+        BuildSession { store, keys: Mutex::default() }
     }
 
     /// The session's artifact store (for counters or sharing).
     #[must_use]
     pub fn store(&self) -> &Arc<ArtifactStore> {
         &self.store
-    }
-
-    /// The attached dictionary registry, if any.
-    #[must_use]
-    pub fn dict_registry(&self) -> Option<&Arc<DictRegistry>> {
-        self.dict.as_ref()
     }
 
     /// Runs the full pipeline: frontend → codegen → outline → link.
@@ -332,9 +312,6 @@ impl BuildSession {
         stats.ltbo = size.ltbo;
         stats.ltbo_time = size.ltbo_time;
         stats.detect_time = size.detect_time;
-        stats.dict = size.dict;
-        stats.dict_epoch = size.dict_epoch;
-        stats.dict_island_words = size.dict_island.as_ref().map_or(0, |d| d.words.len());
 
         let link_start = Instant::now();
         let (oat, rewrite) = self.link_with_stats(options, size)?;
@@ -575,23 +552,15 @@ impl BuildSession {
         let Some(config) = options.ltbo_config() else {
             return Ok(SizeArtifact { methods, words_before, ..SizeArtifact::default() });
         };
-        // The dictionary session pins one epoch's island for the whole
-        // stage; the session is opened lazily so dict-off builds (and
-        // sessions without a registry) pay nothing.
-        let mut dict_session = match &self.dict {
-            Some(registry) if options.dict => Some(registry.session()),
-            _ => None,
-        };
         let start = Instant::now();
-        let (result, edits) =
-            outline_methods(&methods, &entries, &config, Some(&self.store), dict_session.as_mut())
-                .map_err(|e| match e {
-                    OutlineError::Worker { group, message } => {
-                        BuildError::OutlineWorker { group, message }
-                    }
-                    OutlineError::Cache(e) => BuildError::Cache(e),
-                })?;
-        let mut artifact = SizeArtifact {
+        let (result, edits) = outline_methods(&methods, &entries, &config, Some(&self.store))
+            .map_err(|e| match e {
+                OutlineError::Worker { group, message } => {
+                    BuildError::OutlineWorker { group, message }
+                }
+                OutlineError::Cache(e) => BuildError::Cache(e),
+            })?;
+        Ok(SizeArtifact {
             methods,
             edits,
             outlined: result.outlined,
@@ -599,18 +568,7 @@ impl BuildSession {
             ltbo_time: start.elapsed(),
             detect_time: result.detect_time,
             words_before,
-            ..SizeArtifact::default()
-        };
-        if let Some(session) = dict_session {
-            artifact.dict = session.stats();
-            artifact.dict_epoch = session.epoch();
-            artifact.dict_island = Some(DictImage {
-                base_address: DICT_BASE_ADDRESS,
-                epoch: session.epoch(),
-                words: session.layout().words().to_vec(),
-            });
-        }
-        Ok(artifact)
+        })
     }
 
     /// Stage 4 — **Link**: lays out the final text segment from every
@@ -635,13 +593,9 @@ impl BuildSession {
         options: &BuildOptions,
         artifact: SizeArtifact,
     ) -> Result<(OatFile, RewriteStats), BuildError> {
-        let SizeArtifact { methods, edits, outlined, dict_island, .. } = artifact;
-        calibro_oat::link_with_stats(
-            LinkInput { methods, edits, outlined },
-            options.base_address,
-            dict_island.as_ref(),
-        )
-        .map_err(BuildError::Link)
+        let SizeArtifact { methods, edits, outlined, .. } = artifact;
+        calibro_oat::link_with_stats(LinkInput { methods, edits, outlined }, options.base_address)
+            .map_err(BuildError::Link)
     }
 }
 
@@ -723,16 +677,6 @@ pub struct SizeArtifact {
     pub detect_time: Duration,
     /// Total instruction words before outlining.
     pub words_before: usize,
-    /// Shared-dictionary routing outcomes (zeroed without a
-    /// dictionary session).
-    pub dict: DictStats,
-    /// Dictionary epoch the stage routed against (0 without a session).
-    pub dict_epoch: u64,
-    /// The island image this artifact's `CallTarget::Dict` relocations
-    /// resolve into — handed to
-    /// [`link_with_dict`](calibro_oat::link_with_dict). `None` without
-    /// a dictionary session.
-    pub dict_island: Option<DictImage>,
 }
 
 /// A contained worker panic from [`run_indexed`]: the lowest panicking

@@ -4,10 +4,13 @@
 //! `criterion_group!`/`criterion_main!` macros.
 //!
 //! Measurement is intentionally simple — a warm-up pass, then a fixed
-//! wall-clock budget per benchmark in which each iteration is timed on
-//! its own — but the harness shape (and so `cargo bench`) stays intact.
-//! A benchmark reports the median iteration and the p10–p90 range: one
-//! preempted iteration moves neither, where it would move a mean.
+//! wall-clock budget per benchmark in which each sample is timed on its
+//! own — but the harness shape (and so `cargo bench`) stays intact.
+//! `iter` times batches of calls long enough for the clock to resolve
+//! (a sample is a batch's time over its length); `iter_batched` times
+//! each call. A benchmark reports the median sample and the p10–p90
+//! range: one preempted sample moves neither, where it would move a
+//! mean.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -117,28 +120,57 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Most iterations one benchmark times: a routine of nanoseconds stops
-/// here, long before its budget, with its samples in 1.6 MB.
+/// Most samples one benchmark takes: a routine of nanoseconds timed
+/// per call stops here, before its budget, with its samples in 1.6 MB.
 const MAX_SAMPLES: usize = 100_000;
+
+/// Shortest batch `iter` times as one sample. A call of a few hundred
+/// nanoseconds timed alone is mostly the clock's own cost and
+/// resolution; a batch this long is not, and it spans enough of any
+/// brief interference that batches' medians agree from run to run.
+const MIN_BATCH: Duration = Duration::from_micros(100);
+
+/// Longest batch `iter` tries, so a routine the optimizer emptied
+/// still ends its calibration.
+const MAX_BATCH_CALLS: u32 = 1 << 20;
 
 /// Passed to benchmark closures; `iter` runs the measured routine.
 pub struct Bencher {
     budget: Duration,
-    /// The time of each measured iteration.
+    /// The time of one call in each measured sample.
     samples: Vec<Duration>,
+    /// Calls per sample: `iter`'s batch length, 1 for `iter_batched`.
+    calls_per_sample: u32,
 }
 
 impl Bencher {
-    /// Times each call of `routine` until the budget is spent.
+    /// Times `routine` until the budget is spent, in batches of calls:
+    /// after a warm-up call (which also primes lazy state so timing
+    /// excludes it), the batch length doubles from one call until a
+    /// batch takes `MIN_BATCH` (100 µs); then each batch of that length is
+    /// one sample, its time divided by its length.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
-        // Warm-up (also primes lazy state so timing excludes it).
         black_box(routine());
+        let mut calls = 1;
+        loop {
+            let start = Instant::now();
+            for _ in 0..calls {
+                black_box(routine());
+            }
+            if start.elapsed() >= MIN_BATCH || calls >= MAX_BATCH_CALLS {
+                break;
+            }
+            calls *= 2;
+        }
+        self.calls_per_sample = calls;
         let start = Instant::now();
         let mut last = start;
         while last - start < self.budget && self.samples.len() < MAX_SAMPLES {
-            black_box(routine());
+            for _ in 0..calls {
+                black_box(routine());
+            }
             let now = Instant::now();
-            self.samples.push(now - last);
+            self.samples.push((now - last) / calls);
             last = now;
         }
     }
@@ -184,17 +216,18 @@ fn summary(samples: &mut [Duration]) -> Option<[Duration; 3]> {
 
 /// Runs one benchmark closure and returns its bencher, samples taken.
 fn measure<F: FnMut(&mut Bencher)>(budget: Duration, mut f: F) -> Bencher {
-    let mut bencher = Bencher { budget, samples: Vec::new() };
+    let mut bencher = Bencher { budget, samples: Vec::new(), calls_per_sample: 1 };
     f(&mut bencher);
     bencher
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, budget: Duration, f: F) {
-    let mut samples = measure(budget, f).samples;
+    let Bencher { mut samples, calls_per_sample, .. } = measure(budget, f);
     match summary(&mut samples) {
         Some([p10, median, p90]) => println!(
-            "{label:40} {median:>12.3?}/iter (p10-p90 {p10:.3?}-{p90:.3?}, {} iters)",
-            samples.len()
+            "{label:40} {median:>12.3?}/iter (p10-p90 {p10:.3?}-{p90:.3?}, {} samples x {} iters)",
+            samples.len(),
+            calls_per_sample
         ),
         None => println!("{label:40} (no measurement — closure never called iter)"),
     }
@@ -269,9 +302,39 @@ mod tests {
         assert_eq!(samples.len(), calls - 1);
         let [_, median, _] = summary(&mut samples).expect("samples");
         assert!(median >= ms(2) && median < ms(6), "{median:?}");
+    }
 
-        // A routine of nanoseconds stops at the sample cap.
-        let bencher = measure(Duration::from_secs(60), |b| b.iter(|| black_box(1 + 1)));
+    #[test]
+    fn a_routine_of_nanoseconds_is_timed_in_batches() {
+        let mut calls = 0u64;
+        let bencher = measure(Duration::from_millis(20), |b| {
+            b.iter(|| {
+                calls += 1;
+                black_box(calls)
+            });
+        });
+        assert!(bencher.calls_per_sample > 1, "a call of nanoseconds was timed alone");
+        let mut samples = bencher.samples;
+        assert!((samples.len() as u64) < calls, "{} samples of {calls} calls", samples.len());
+        let [_, median, _] = summary(&mut samples).expect("samples");
+        assert!(median < Duration::from_micros(1), "{median:?} per call");
+    }
+
+    #[test]
+    fn a_routine_of_nanoseconds_timed_per_call_stops_at_the_sample_cap() {
+        let bencher = measure(Duration::from_secs(60), |b| {
+            b.iter_batched(|| 1, |x| black_box(x + 1), BatchSize::SmallInput);
+        });
         assert_eq!(bencher.samples.len(), MAX_SAMPLES);
+    }
+
+    #[test]
+    fn a_routine_slower_than_a_batch_is_timed_per_call() {
+        let ms = Duration::from_millis;
+        let bencher = measure(ms(10), |b| b.iter(|| std::thread::sleep(ms(1))));
+        assert_eq!(bencher.calls_per_sample, 1);
+        let mut samples = bencher.samples;
+        let [_, median, _] = summary(&mut samples).expect("samples");
+        assert!(median >= ms(1), "{median:?}");
     }
 }

@@ -30,7 +30,6 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
     let BuildOptions {
         cto: _,
         ltbo: _,
-        dict: _,
         min_seq_len: _,
         hot_methods: _,
         base_address: _,
@@ -48,7 +47,6 @@ fn single_field_variants() -> Vec<(&'static str, BuildOptions)> {
             "ltbo_parallel",
             BuildOptions { ltbo: Some(LtboMode::Parallel { groups: 4, threads: 2 }), ..base() },
         ),
-        ("dict", BuildOptions { dict: true, ..base() }),
         ("min_seq_len", BuildOptions { min_seq_len: 3, ..base() }),
         ("hot_methods", BuildOptions { hot_methods: Some(hot), ..base() }),
         ("base_address", BuildOptions { base_address: 0x5000_0000, ..base() }),

@@ -31,7 +31,6 @@ fn options_from(raw: &[u64], hot: Option<&[u32]>) -> BuildOptions {
             1 => Some(LtboMode::Global),
             _ => Some(LtboMode::Parallel { groups: 1 + small(2), threads: 1 + small(3) }),
         },
-        dict: bit(4),
         min_seq_len: 2 + small(5),
         hot_methods: hot.map(|ids| ids.iter().copied().collect()),
         base_address: 0x1000 * (raw[6] % 3),
