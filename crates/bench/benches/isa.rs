@@ -83,7 +83,7 @@ fn bench_symbolize(c: &mut Criterion) {
         })
         .collect();
     let with_slow_paths: Vec<CompiledMethod> =
-        compiled.iter().filter(|m| !m.metadata.slow_paths.is_empty()).cloned().collect();
+        compiled.iter().filter(|m| !m.tables.slow_paths().is_empty()).cloned().collect();
 
     let mut group = c.benchmark_group("symbolize");
     for (name, methods, hot) in [("all", &compiled, false), ("slow_paths", &with_slow_paths, true)]

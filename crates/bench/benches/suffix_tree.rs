@@ -125,7 +125,7 @@ fn bench_warm_group(c: &mut Criterion) {
         .iter()
         .map(|o| &o.compiled)
         .enumerate()
-        .filter(|(_, m)| !m.metadata.has_indirect_jump && !m.metadata.is_native_stub)
+        .filter(|(_, m)| !m.tables.has_indirect_jump() && !m.tables.is_native_stub())
         .map(|(tag, m)| {
             let symbols = build_template(m, false).replay_symbols(&m.words, &mut unique);
             TaggedSequence { tag, symbols }

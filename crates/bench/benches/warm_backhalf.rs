@@ -14,16 +14,20 @@
 //!
 //! Before the timings it prints the primed store's density: the live
 //! heap bytes the session holds after the priming build (every method's
-//! entry, every group plan), per code word of the app.
+//! entry, every group plan), per code word of the app. After them it
+//! prints the allocations one call of `outline_after_1pct_edit`, `link`
+//! and `to_elf_bytes` makes, its set-up left out; counted last, so the
+//! timed rows start from the primed session alone.
 
-use bench::alloc::retained;
+use bench::alloc::{count_allocs, retained};
 use calibro::{BuildOptions, BuildSession, CodegenArtifact};
 use calibro_dex::DexFile;
 use calibro_oat::LinkInput;
 use calibro_workloads::{generate, mutate_methods, paper_suite};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-// Live heap bytes while `retained` runs.
+// Live heap bytes while `retained` runs, allocation calls while
+// `count_allocs` runs.
 #[global_allocator]
 static ALLOCATOR: bench::alloc::Counting = bench::alloc::Counting;
 
@@ -129,6 +133,20 @@ fn bench_back_half(c: &mut Criterion) {
     });
     group.bench_function("to_elf_bytes", |b| b.iter(|| calibro_oat::to_elf_bytes(&primed.oat)));
     group.finish();
+
+    // Seed 0 edits nothing the timed rows edited (their seeds start at 1).
+    let mut edited = dex.clone();
+    assert!(!mutate_methods(&mut edited, 0, 0.01).is_empty());
+    let codegen = front_half(&session, &edited, &options);
+    let outline = count_allocs(|| session.outline(&options, codegen).expect("outline"));
+    let size = session.outline(&options, front_half(&session, &dex, &options)).expect("outline");
+    let link = count_allocs(|| session.link(&options, size).expect("link"));
+    let elf = count_allocs(|| calibro_oat::to_elf_bytes(&primed.oat));
+    for (row, allocs) in
+        [("outline_after_1pct_edit", outline), ("link", link), ("to_elf_bytes", elf)]
+    {
+        println!("{:40} {allocs:>9} allocations", format!("warm_backhalf/{row}"));
+    }
 }
 
 criterion_group!(benches, bench_back_half);

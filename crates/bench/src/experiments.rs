@@ -176,8 +176,7 @@ fn method_symbols<'a>(
 ) -> impl Iterator<Item = u64> + 'a {
     let start = (record.offset / 4) as usize;
     (0..record.code_words).map(move |w| {
-        if record.metadata.in_embedded_data(w as usize) || record.metadata.terminators.contains(&w)
-        {
+        if record.tables.in_embedded_data(w as usize) || record.tables.terminators().contains(&w) {
             *unique += 1;
             *unique
         } else {
@@ -813,7 +812,7 @@ pub fn frontier_json(rows: &[FrontierRow]) -> String {
 /// replaced-with-outdated-offset conceptual stage, patched final code).
 #[must_use]
 pub fn table2() -> Vec<(String, Vec<String>)> {
-    use calibro_codegen::{CompiledMethod, MethodMetadata, PcRel};
+    use calibro_codegen::{CompiledMethod, MethodTables, TableSlices};
     use calibro_isa::{decode_all, encode_words, Insn, Reg};
 
     // The paper's original sequence (Table 2, code 1):
@@ -833,10 +832,10 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
         Insn::LdrImm { wide: false, rt: Reg::X3, rn: Reg::X0, offset: 0 },
         Insn::Ret { rn: Reg::LR },
     ];
-    let meta = Arc::new(MethodMetadata {
-        pc_rel: vec![PcRel { at: 0, target: 3 }],
-        terminators: vec![0, 5],
-        ..MethodMetadata::default()
+    let tables = MethodTables::new(TableSlices {
+        pc_rel: &[[0, 3]],
+        terminators: &[0, 5],
+        ..TableSlices::default()
     });
     let make = |id: u32| CompiledMethod {
         method: MethodId(id),
@@ -844,8 +843,7 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
         words: encode_words(&body).expect("the example encodes").into(),
         pool: Arc::default(),
         relocs: Arc::default(),
-        metadata: Arc::clone(&meta),
-        stack_maps: Arc::default(),
+        tables: tables.clone(),
     };
     // The paper illustrates with two occurrences; under the Figure 2
     // model a 2-instruction pair needs four occurrences to profit
@@ -861,7 +859,7 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
     let listing = |words: &[u32]| -> Vec<String> {
         decode_all(words).expect("linkable words decode").iter().map(ToString::to_string).collect()
     };
-    let outlined = result.outlined.first().map(|f| listing(f)).unwrap_or_default();
+    let outlined = listing(result.outlined.of(0));
     let patched = listing(&methods[0].words);
 
     vec![

@@ -26,7 +26,7 @@
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 
-use calibro_codegen::{CompiledMethod, PcRel};
+use calibro_codegen::CompiledMethod;
 use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 
 use crate::entry::{CacheEntry, GroupPlanEntry, SymbolTemplate};
@@ -256,7 +256,9 @@ fn is_code_word(word: u32) -> bool {
 
 /// Structural validation of a loaded entry: every code word must be an
 /// instruction's ([`is_code_word`]), every index the LTBO and
-/// link stages will follow must be in bounds, every PC-relative site
+/// link stages will follow must be in bounds, the relocations must
+/// ascend by site (the linker binds them in site order as it copies the
+/// runs between edits), every PC-relative site
 /// must be a PC-relative instruction whose offset reaches its record's
 /// target (outlining patches a site only when that distance changes, and
 /// the linker copies the rest as they are), and the template must
@@ -271,12 +273,16 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
     }
     let code_len = m.words.len();
     let size_words = code_len + m.pool.len();
-    for r in m.relocs.iter() {
+    for (i, r) in m.relocs.iter().enumerate() {
         if r.at >= code_len {
             return Err(format!("relocation at word {} beyond code length {code_len}", r.at));
         }
+        if i > 0 && r.at <= m.relocs[i - 1].at {
+            return Err(format!("relocation at word {} out of site order", r.at));
+        }
     }
-    for &PcRel { at, target } in &m.metadata.pc_rel {
+    let tables = &m.tables;
+    for &[at, target] in tables.pc_rel() {
         if at as usize >= code_len || target as usize >= size_words {
             return Err(format!("pc-rel record {at}→{target} out of bounds"));
         }
@@ -286,25 +292,25 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
             return Err(format!("pc-rel site {at} does not encode its record {at}→{target}"));
         }
     }
-    for &t in &m.metadata.terminators {
+    for &t in tables.terminators() {
         if t as usize >= code_len {
             return Err(format!("terminator at word {t} beyond code length {code_len}"));
         }
     }
-    for &(s, e) in &m.metadata.slow_paths {
+    for &[s, e] in tables.slow_paths() {
         if s > e || e as usize > code_len {
             return Err(format!("slow path {s}..{e} out of bounds"));
         }
     }
-    for &(s, l) in &m.metadata.embedded_data {
+    for &[s, l] in tables.embedded_data() {
         if u64::from(s) + u64::from(l) > size_words as u64 {
             return Err(format!("embedded data {s}+{l} beyond {size_words} words"));
         }
     }
-    for sm in m.stack_maps.iter() {
-        let word = sm.native_offset / 4;
-        if sm.native_offset % 4 != 0 || word == 0 || word as usize > code_len {
-            return Err(format!("stack map at native offset {} invalid", sm.native_offset));
+    for &[native_offset, _] in tables.stack_maps() {
+        let word = native_offset / 4;
+        if native_offset % 4 != 0 || word == 0 || word as usize > code_len {
+            return Err(format!("stack map at native offset {native_offset} invalid"));
         }
     }
     if let Some(t) = &entry.template {
@@ -317,8 +323,8 @@ fn validate_entry(entry: &CacheEntry) -> Result<(), String> {
             return Err(format!("template flag {:#04x} of word {word} is undefined", flags[word]));
         }
         let sites = m.relocs.iter().map(|r| r.at);
-        let sites = sites.chain(m.metadata.pc_rel.iter().map(|rec| rec.at as usize));
-        for word in sites.chain(m.metadata.terminators.iter().map(|&t| t as usize)) {
+        let sites = sites.chain(tables.pc_rel().iter().map(|&[at, _]| at as usize));
+        for word in sites.chain(tables.terminators().iter().map(|&t| t as usize)) {
             if flags[word] & SymbolTemplate::FRESH == 0 {
                 return Err(format!("template leaves word {word} literal, which must be fresh"));
             }
@@ -465,7 +471,7 @@ lanes! {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use calibro_codegen::{CallTarget, MethodMetadata, Reloc, StackMapEntry, ThunkKind};
+    use calibro_codegen::{CallTarget, MethodTables, Reloc, TableSlices, ThunkKind};
     use calibro_dex::wire::FieldEnds;
     use calibro_hgraph::PassStats;
     use calibro_isa::{decode_all, encode_words, Insn, Reg};
@@ -503,15 +509,15 @@ pub(crate) mod tests {
                     at: 1,
                     target: CallTarget::Thunk(ThunkKind::StackCheck),
                 }]),
-                metadata: Arc::new(MethodMetadata {
-                    pc_rel: vec![PcRel { at: 0, target: 2 }],
-                    terminators: vec![0, 3],
-                    embedded_data: vec![(4, 1)],
+                tables: MethodTables::new(TableSlices {
+                    pc_rel: &[[0, 2]],
+                    terminators: &[0, 3],
+                    embedded_data: &[[4, 1]],
+                    slow_paths: &[[1, 3]],
+                    stack_maps: &[[8, 1]],
                     has_indirect_jump: false,
                     is_native_stub: false,
-                    slow_paths: vec![(1, 3)],
                 }),
-                stack_maps: Arc::from([StackMapEntry { native_offset: 8, dex_pc: 1 }]),
             },
             pass_stats: PassStats { folded: 2, insns_in: 9, insns_out: 4, ..PassStats::default() },
             ref_env: 0x5eed_f00d,
@@ -641,10 +647,10 @@ pub(crate) mod tests {
     #[test]
     fn method_frames_keep_the_frame_contract() {
         let entry = sample_entry();
-        let (compiled, metadata) = (&entry.compiled, &*entry.compiled.metadata);
+        let (compiled, tables) = (&entry.compiled, &entry.compiled.tables);
         // `compiled` leads the payload, so its offsets are payload offsets.
         let in_compiled = |field| start_of(compiled, field);
-        let in_metadata = |field| in_compiled("metadata") + start_of(metadata, field);
+        let in_tables = |field| in_compiled("tables") + start_of(tables, field);
         frame_contract(
             &entry,
             &["compiled", "pass_stats"],
@@ -652,20 +658,20 @@ pub(crate) mod tests {
                 (in_compiled("insns"), "insns"),
                 (in_compiled("pool"), "pool"),
                 (in_compiled("relocs"), "relocs"),
-                (in_metadata("pc_rel"), "pc_rel"),
-                (in_metadata("terminators"), "terminators"),
-                (in_metadata("embedded_data"), "embedded_data"),
-                (in_metadata("slow_paths"), "slow_paths"),
-                (in_compiled("stack_maps"), "stack_maps"),
+                (in_tables("pc_rel"), "pc_rel"),
+                (in_tables("terminators"), "terminators"),
+                (in_tables("embedded_data"), "embedded_data"),
+                (in_tables("slow_paths"), "slow_paths"),
+                (in_tables("stack_maps"), "stack_maps"),
                 (start_of(&entry, "template") + 1, "template"), // after the presence tag
             ],
             &[
-                (in_metadata("has_indirect_jump"), "has_indirect_jump"),
-                (in_metadata("is_native_stub"), "is_native_stub"),
+                (in_tables("has_indirect_jump"), "has_indirect_jump"),
+                (in_tables("is_native_stub"), "is_native_stub"),
             ],
         );
-        row_contract(compiled, &["relocs", "metadata", "stack_maps"]);
-        row_contract(metadata, &["pc_rel"]);
+        row_contract(compiled, &["relocs", "tables"]);
+        row_contract(tables, &[]);
         row_contract(&entry.pass_stats, &[]);
         row_contract(&compiled.relocs[0], &[]);
     }
@@ -776,7 +782,9 @@ pub(crate) mod tests {
     fn an_embedded_data_range_that_wraps_is_refused() {
         // Checksummed and decodable; a `u32` sum `s + l` wraps to 1.
         let mut entry = sample_entry();
-        Arc::make_mut(&mut entry.compiled.metadata).embedded_data = vec![(u32::MAX, 2)];
+        let tables = &mut entry.compiled.tables;
+        *tables =
+            MethodTables::new(TableSlices { embedded_data: &[[u32::MAX, 2]], ..tables.sections() });
         let frame = to_frame(FIXTURE_KEY, &entry);
         let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
         assert!(refusal.starts_with("embedded data "), "{refusal}");
@@ -801,11 +809,7 @@ pub(crate) mod tests {
             + size_of_val(&*m.words)
             + size_of_val(&*m.pool)
             + size_of_val(&*m.relocs)
-            + size_of_val(m.metadata.pc_rel.as_slice())
-            + size_of_val(m.metadata.terminators.as_slice())
-            + size_of_val(m.metadata.embedded_data.as_slice())
-            + size_of_val(m.metadata.slow_paths.as_slice())
-            + size_of_val(&*m.stack_maps)
+            + size_of_val(m.tables.block())
             + size_of_val(template.flags())
             + 4 * m.words.len(); // one leader offset per word
         assert!(entry.approx_bytes() >= owned, "{} < {owned}", entry.approx_bytes());
@@ -820,14 +824,22 @@ pub(crate) mod tests {
     #[test]
     fn validation_rejects_out_of_bounds_metadata() {
         let mut entry = sample_entry();
-        Arc::make_mut(&mut entry.compiled.metadata).terminators.push(99);
+        let tables = &mut entry.compiled.tables;
+        *tables = MethodTables::new(TableSlices { terminators: &[0, 3, 99], ..tables.sections() });
         assert!(validate_entry(&entry).is_err());
         let mut entry = sample_entry();
-        Arc::make_mut(&mut entry.compiled.stack_maps)[0].native_offset = 0;
+        let tables = &mut entry.compiled.tables;
+        *tables = MethodTables::new(TableSlices { stack_maps: &[[0, 1]], ..tables.sections() });
         assert!(validate_entry(&entry).is_err());
         let mut entry = sample_entry();
         Arc::make_mut(&mut entry.compiled.relocs)[0].at = 50;
         assert!(validate_entry(&entry).is_err());
+        // Two relocations on one site are out of site order.
+        let mut entry = sample_entry();
+        let relocs = &mut entry.compiled.relocs;
+        *relocs = relocs.iter().chain(relocs.iter()).copied().collect();
+        let refusal = validate_entry(&entry).expect_err("a repeated site was accepted");
+        assert!(refusal.ends_with("out of site order"), "{refusal}");
     }
 
     #[test]

@@ -296,11 +296,7 @@ impl CacheEntry {
         bytes += size_of_val(&*m.words);
         bytes += size_of_val(&*m.pool);
         bytes += size_of_val(&*m.relocs);
-        bytes += size_of_val(m.metadata.pc_rel.as_slice());
-        bytes += size_of_val(m.metadata.terminators.as_slice());
-        bytes += size_of_val(m.metadata.embedded_data.as_slice());
-        bytes += size_of_val(m.metadata.slow_paths.as_slice());
-        bytes += size_of_val(&*m.stack_maps);
+        bytes += size_of_val(m.tables.block());
         if let Some(template) = &self.template {
             bytes += template.flags().len() + 4 * template.leaders.len() + 64;
         }

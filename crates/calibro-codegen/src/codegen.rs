@@ -8,9 +8,7 @@ use calibro_dex::{BinOp, ClassId, Cmp, MethodId, VReg};
 use calibro_hgraph::{BlockId, HGraph, HInsn, HTerminator};
 use calibro_isa::{Cond, Insn, PairMode, Reg};
 
-use crate::compiled::{
-    CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
-};
+use crate::compiled::{CallTarget, CompiledMethod, MethodTables, Reloc, TableSlices, ThunkKind};
 use crate::layout;
 use crate::regalloc::{Frame, Home};
 
@@ -77,9 +75,10 @@ struct Emitter<'a> {
     pool: Vec<u32>,
     pool_fixups: Vec<(usize, usize)>, // (insn index, pool index)
     relocs: Vec<Reloc>,
-    stack_maps: Vec<StackMapEntry>,
+    /// `[native offset, dex pc]` per call site.
+    stack_maps: Vec<[u32; 2]>,
     slow_paths: Vec<SlowPath>,
-    slow_ranges: Vec<(u32, u32)>,
+    slow_ranges: Vec<[u32; 2]>,
     has_indirect_jump: bool,
 }
 
@@ -128,7 +127,7 @@ impl<'a> Emitter<'a> {
     }
 
     fn push_stack_map(&mut self, dex_pc: u32) {
-        self.stack_maps.push(StackMapEntry { native_offset: self.insns.len() as u32 * 4, dex_pc });
+        self.stack_maps.push([self.insns.len() as u32 * 4, dex_pc]);
     }
 
     /// Materializes a 32-bit constant into `dst` (w view). Dual-half
@@ -268,7 +267,7 @@ impl<'a> Emitter<'a> {
             self.emit_runtime_call(sp.entrypoint, sp.dex_pc);
             // Unreachable guard: the throw entrypoints never return.
             self.emit(Insn::Brk { imm: 0xdead });
-            self.slow_ranges.push((start, self.insns.len() as u32));
+            self.slow_ranges.push([start, self.insns.len() as u32]);
         }
     }
 
@@ -312,15 +311,15 @@ impl<'a> Emitter<'a> {
             let target = self.labels[label.0].expect("unbound codegen label");
             let offset = (target as i64 - at as i64) * 4;
             self.insns[at] = self.insns[at].with_pc_rel_offset(offset);
-            pc_rel.push(PcRel { at: at as u32, target: target as u32 });
+            pc_rel.push([at as u32, target as u32]);
         }
         for &(at, pool_idx) in &self.pool_fixups {
             let target = code_len + pool_idx;
             let offset = (target as i64 - at as i64) * 4;
             self.insns[at] = self.insns[at].with_pc_rel_offset(offset);
-            pc_rel.push(PcRel { at: at as u32, target: target as u32 });
+            pc_rel.push([at as u32, target as u32]);
         }
-        pc_rel.sort_by_key(|p| p.at);
+        pc_rel.sort_by_key(|&[at, _]| at);
 
         let terminators: Vec<u32> = self
             .insns
@@ -330,32 +329,29 @@ impl<'a> Emitter<'a> {
             .map(|(idx, _)| idx as u32)
             .collect();
 
-        let embedded_data = if self.pool.is_empty() {
-            Vec::new()
-        } else {
-            vec![(code_len as u32, self.pool.len() as u32)]
-        };
+        let pool = [[code_len as u32, self.pool.len() as u32]];
+        let embedded_data: &[[u32; 2]] = if self.pool.is_empty() { &[] } else { &pool };
 
-        let metadata = if self.opts.collect_metadata {
-            MethodMetadata {
-                pc_rel,
-                terminators,
+        self.stack_maps.sort_by_key(|&[native_offset, _]| native_offset);
+        let stack_maps = &self.stack_maps;
+        let tables = if self.opts.collect_metadata {
+            TableSlices {
+                pc_rel: &pc_rel,
+                terminators: &terminators,
                 embedded_data,
+                slow_paths: &self.slow_ranges,
+                stack_maps,
                 has_indirect_jump: self.has_indirect_jump,
                 is_native_stub,
-                slow_paths: self.slow_ranges.clone(),
             }
         } else {
-            MethodMetadata {
-                // Even the baseline keeps enough structure to link
-                // (nothing): baseline never runs LTBO.
-                ..MethodMetadata::default()
-            }
+            // Even the baseline keeps enough structure to link (nothing)
+            // and to unwind: baseline never runs LTBO.
+            TableSlices { stack_maps, ..TableSlices::default() }
         };
-
-        self.stack_maps.sort_by_key(|s| s.native_offset);
         CompiledMethod {
             method,
+            tables: MethodTables::new(tables),
             // Collected straight into the `Arc`: one allocation.
             words: self
                 .insns
@@ -365,8 +361,6 @@ impl<'a> Emitter<'a> {
             insns: self.insns.into(),
             pool: shared(self.pool),
             relocs: shared(self.relocs),
-            metadata: Arc::new(metadata),
-            stack_maps: shared(self.stack_maps),
         }
     }
 }

@@ -43,6 +43,6 @@ mod regalloc;
 
 pub use codegen::{compile_method, compile_native_stub, thunk_code, CodegenOptions};
 pub use compiled::{
-    CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind,
+    CallTarget, CompiledMethod, MethodTables, Reloc, TableSlices, TablesMut, ThunkKind,
 };
 pub use regalloc::{Frame, Home};

@@ -135,8 +135,8 @@ fn division_produces_slow_path_metadata() {
         DexInsn::Return { src: VReg(0) },
     ];
     let m = compile(body, 3, 2, &opts_baseline());
-    assert_eq!(m.metadata.slow_paths.len(), 1);
-    let (start, end) = m.metadata.slow_paths[0];
+    assert_eq!(m.tables.slow_paths().len(), 1);
+    let [start, end] = m.tables.slow_paths()[0];
     assert!(end > start);
     // The slow path calls the div-zero entrypoint.
     let slow = &m.insns[start as usize..end as usize];
@@ -145,7 +145,7 @@ fn division_produces_slow_path_metadata() {
         Insn::LdrImm { rn, offset, .. } if *rn == Reg::X19 && *offset == layout::EP_THROW_DIV_ZERO
     )));
     // And ends before a Brk guard boundary recorded as terminator.
-    assert!(m.metadata.terminators.iter().any(|&t| t == end - 1 || t == end));
+    assert!(m.tables.terminators().iter().any(|&t| t == end - 1 || t == end));
 }
 
 #[test]
@@ -164,7 +164,7 @@ fn switch_sets_indirect_jump_flag() {
     b.push(DexInsn::Return { src: VReg(0) });
     let graph = build_hgraph(&b.build(ClassId(0)));
     let m = compile_method(&graph, &opts_baseline());
-    assert!(m.metadata.has_indirect_jump);
+    assert!(m.tables.has_indirect_jump());
     assert!(m.insns.iter().any(|i| i.is_indirect_jump()));
 }
 
@@ -180,14 +180,14 @@ fn pc_rel_metadata_covers_every_internal_branch() {
     let m = compile(body, 2, 1, &opts_baseline());
     for (idx, insn) in m.insns.iter().enumerate() {
         if insn.is_pc_relative() && !insn.is_call() {
-            let rec = m
-                .metadata
-                .pc_rel
+            let &[_, target] = m
+                .tables
+                .pc_rel()
                 .iter()
-                .find(|p| p.at as usize == idx)
+                .find(|&&[at, _]| at as usize == idx)
                 .unwrap_or_else(|| panic!("unrecorded PC-relative insn at {idx}: {insn}"));
             // The recorded target matches the instruction's offset.
-            let expected = (rec.target as i64 - idx as i64) * 4;
+            let expected = (target as i64 - idx as i64) * 4;
             assert_eq!(insn.pc_rel_offset(), Some(expected));
         }
     }
@@ -197,7 +197,7 @@ fn pc_rel_metadata_covers_every_internal_branch() {
 fn terminator_metadata_matches_code() {
     let m = compile(caller_body(), 2, 1, &opts_baseline());
     for (idx, insn) in m.insns.iter().enumerate() {
-        let recorded = m.metadata.terminators.contains(&(idx as u32));
+        let recorded = m.tables.terminators().contains(&(idx as u32));
         let expected = insn.is_terminator() || matches!(insn, Insn::Brk { .. });
         assert_eq!(recorded, expected, "at {idx}: {insn}");
     }
@@ -209,7 +209,7 @@ fn dual_half_constants_use_the_literal_pool() {
         vec![DexInsn::Const { dst: VReg(0), value: 0x1234_5678 }, DexInsn::Return { src: VReg(0) }];
     let m = compile(body, 1, 0, &opts_baseline());
     assert_eq!(m.pool[..], [0x1234_5678]);
-    assert_eq!(m.metadata.embedded_data, vec![(m.insns.len() as u32, 1)]);
+    assert_eq!(m.tables.embedded_data(), [[m.insns.len() as u32, 1]]);
     // An LdrLit points at the pool word.
     let lit = m
         .insns
@@ -217,17 +217,21 @@ fn dual_half_constants_use_the_literal_pool() {
         .enumerate()
         .find(|(_, i)| matches!(i, Insn::LdrLit { .. }))
         .expect("literal load");
-    let rec =
-        m.metadata.pc_rel.iter().find(|p| p.at as usize == lit.0).expect("pool pc-rel record");
-    assert_eq!(rec.target as usize, m.insns.len(), "target is the first pool word");
+    let &[_, target] = m
+        .tables
+        .pc_rel()
+        .iter()
+        .find(|&&[at, _]| at as usize == lit.0)
+        .expect("pool pc-rel record");
+    assert_eq!(target as usize, m.insns.len(), "target is the first pool word");
 }
 
 #[test]
 fn stack_maps_follow_calls() {
     let m = compile(caller_body(), 2, 1, &opts_baseline());
-    assert!(!m.stack_maps.is_empty());
-    for sm in m.stack_maps.iter() {
-        let word = (sm.native_offset / 4) as usize;
+    assert!(!m.tables.stack_maps().is_empty());
+    for &[native_offset, _] in m.tables.stack_maps() {
+        let word = (native_offset / 4) as usize;
         assert!(word > 0 && word <= m.insns.len());
         assert!(m.insns[word - 1].is_call(), "stack map not after a call");
     }
@@ -236,7 +240,7 @@ fn stack_maps_follow_calls() {
 #[test]
 fn native_stub_is_flagged_and_bridges() {
     let m = compile_native_stub(MethodId(7), &opts_baseline());
-    assert!(m.metadata.is_native_stub);
+    assert!(m.tables.is_native_stub());
     assert!(m.insns.iter().any(|i| matches!(
         i,
         Insn::LdrImm { rn, offset, .. } if *rn == Reg::X19 && *offset == layout::EP_NATIVE_BRIDGE

@@ -148,6 +148,30 @@ impl Writer {
             item.put(self);
         }
     }
+
+    /// Appends a `u32` count of rows of `width` words, then the words
+    /// little-endian in one copy: the form of a sequence of `u32`s, or of
+    /// `(u32, u32)` pairs when `width` is 2.
+    #[inline]
+    pub fn u32_rows(&mut self, words: &[u32], width: usize) {
+        debug_assert_eq!(words.len() % width, 0, "a partial row");
+        self.u32((words.len() / width) as u32);
+        self.words(words);
+    }
+
+    /// Appends `words` little-endian, uncounted: each output byte is
+    /// written once, from a small staging block, and never zeroed first.
+    pub fn words(&mut self, words: &[u32]) {
+        const BLOCK: usize = 256;
+        self.buf.reserve(4 * words.len());
+        let mut staged = [0u8; 4 * BLOCK];
+        for block in words.chunks(BLOCK) {
+            for (bytes, word) in staged.chunks_exact_mut(4).zip(block) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            self.buf.extend_from_slice(&staged[..4 * block.len()]);
+        }
+    }
 }
 
 /// Decode-side primitives: a bounds-checked cursor over a payload.
@@ -218,6 +242,30 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self, what: &'static str) -> Result<usize, WireError> {
         let n = self.u32(what)?;
         self.bounded(u64::from(n), 1, what)
+    }
+
+    /// Reads what [`Writer::u32_rows`] writes: a `u32` row count,
+    /// bounded like any sequence's, then the rows' words, appended to
+    /// `out`. Returns the row count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::OversizedCollection`] for a count the bytes
+    /// remaining cannot hold, [`WireError::Truncated`] for a missing
+    /// count.
+    pub fn u32_rows(
+        &mut self,
+        width: usize,
+        out: &mut Vec<u32>,
+        what: &'static str,
+    ) -> Result<usize, WireError> {
+        let n = self.u32(what)?;
+        let n = self.bounded(u64::from(n), 4 * width, what)?;
+        let bytes = self.take(4 * width * n, what)?;
+        out.extend(
+            bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))),
+        );
+        Ok(n)
     }
 
     /// Reads a `u32` element count, then that many elements, into a
@@ -932,6 +980,25 @@ mod tests {
         dex.add_method(method("every_insn", insns, false));
         dex.add_method(method("nat", vec![], true));
         dex
+    }
+
+    #[test]
+    fn u32_rows_are_the_form_of_words_and_pairs() {
+        let (words, pairs) = (vec![7u32, u32::MAX, 0], vec![(1u32, 2u32), (3, 4)]);
+        let mut w = Writer::new();
+        w.u32_rows(&words, 1);
+        w.u32_rows(&[1, 2, 3, 4], 2);
+        assert_eq!(w.into_bytes(), [encode(&words), encode(&pairs)].concat());
+
+        let bytes = encode(&pairs);
+        let mut out = vec![9];
+        assert_eq!(Reader::new(&bytes).u32_rows(2, &mut out, "pairs"), Ok(2));
+        assert_eq!(out, [9, 1, 2, 3, 4]);
+        // A count the bytes cannot hold is refused before anything is read.
+        assert_eq!(
+            Reader::new(&bytes[..bytes.len() - 1]).u32_rows(2, &mut out, "pairs"),
+            Err(WireError::OversizedCollection { what: "pairs", len: 2 })
+        );
     }
 
     #[test]

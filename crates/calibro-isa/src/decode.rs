@@ -55,6 +55,14 @@ fn imm19_offset(w: u32) -> i64 {
     sign_extend((w >> 5) & 0x7_ffff, 19) * 4
 }
 
+/// `true` when `w` decodes to a `bl`: the top six bits alone say so, so
+/// a linker checking a call site needs no full decode.
+#[must_use]
+#[inline]
+pub fn is_bl(w: u32) -> bool {
+    w >> 26 == 0b100101
+}
+
 /// Decodes one machine word.
 ///
 /// # Errors

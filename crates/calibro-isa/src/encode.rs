@@ -55,6 +55,17 @@ fn branch_imm(insn: &Insn, offset: i64, bits: u32) -> Result<u32, EncodeError> {
     Ok((scaled as u32) & ((1u32 << bits) - 1))
 }
 
+/// `Insn::Bl { offset }.encode()`, for a linker binding many calls.
+///
+/// # Errors
+///
+/// The same [`EncodeError`] that encoding the instruction returns: a
+/// misaligned or out-of-range offset.
+#[inline]
+pub fn encode_bl(offset: i64) -> Result<u32, EncodeError> {
+    Ok(0x9400_0000 | branch_imm(&Insn::Bl { offset }, offset, 26)?)
+}
+
 impl Insn {
     /// Encodes the instruction into its 32-bit machine word.
     ///
@@ -495,6 +506,18 @@ mod tests {
             .is_err(),
             "imm7 range"
         );
+    }
+
+    #[test]
+    fn the_bl_shortcuts_agree_with_the_full_codec() {
+        for offset in [0, 8, -4, 6, 1 << 27, (1 << 27) - 4, -(1 << 27), -(1 << 27) - 4] {
+            assert_eq!(encode_bl(offset), Insn::Bl { offset }.encode(), "offset {offset}");
+        }
+        let words = (0..=u32::MAX).step_by(0x0013_3337).chain([0x9400_0000, 0x97ff_ffff]);
+        for word in words {
+            let bl = matches!(crate::decode(word), Ok(Insn::Bl { .. }));
+            assert_eq!(crate::is_bl(word), bl, "{word:#010x}");
+        }
     }
 
     #[test]

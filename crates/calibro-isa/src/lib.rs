@@ -53,7 +53,7 @@ mod reg;
 
 pub use buffer::{Asm, AsmError, Label};
 pub use cond::Cond;
-pub use decode::{decode, decode_all, DecodeError};
-pub use encode::{encode_all, encode_words, EncodeError};
+pub use decode::{decode, decode_all, is_bl, DecodeError};
+pub use encode::{encode_all, encode_bl, encode_words, EncodeError};
 pub use insn::{Insn, PairMode};
 pub use reg::{reg_name, Reg};

@@ -61,7 +61,7 @@ impl std::error::Error for LoadError {}
 /// Serializes an [`OatFile`] into a loadable ELF64 image, written once
 /// into one buffer: the rows' encoded lengths fix every offset the
 /// header needs, then `.text` and `.oatdata` go straight into the
-/// output.
+/// output, the text and each record's tables as whole runs of words.
 #[must_use]
 pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     let OatFile { base_address, words, methods, thunks, outlined } = oat;
@@ -107,13 +107,10 @@ pub fn to_elf_bytes(oat: &OatFile) -> Vec<u8> {
     w.u64(text_len);
     w.u64(0x1000);
 
-    // --- Padding, then .text word by word into its final place ---
-    let buf = w.buf_mut();
-    buf.resize(oatdata_off as usize, 0);
-    for (bytes, word) in buf[text_off as usize..].chunks_exact_mut(4).zip(words) {
-        bytes.copy_from_slice(&word.to_le_bytes());
-    }
-    buf.extend_from_slice(MAGIC);
+    // --- Padding, then .text and the records, each byte written once ---
+    w.buf_mut().resize(text_off as usize, 0);
+    w.words(words);
+    w.buf_mut().extend_from_slice(MAGIC);
     base_address.put(&mut w);
     methods.put(&mut w);
     thunks.put(&mut w);
@@ -203,11 +200,9 @@ pub fn from_elf_bytes(bytes: &[u8]) -> Result<OatFile, LoadError> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::file::{OatMethodRecord, OutlinedRecord, ThunkRecord};
-    use calibro_codegen::{MethodMetadata, PcRel, StackMapEntry, ThunkKind};
+    use calibro_codegen::{MethodTables, TableSlices, ThunkKind};
     use calibro_dex::wire::{encode, SeqElem};
     use calibro_dex::MethodId;
     use calibro_isa::Insn;
@@ -225,15 +220,15 @@ mod tests {
                 offset: 0,
                 insn_words: 2,
                 code_words: 3,
-                metadata: Arc::new(MethodMetadata {
-                    pc_rel: vec![PcRel { at: 0, target: 2 }],
-                    terminators: vec![1],
-                    embedded_data: vec![(2, 1)],
+                tables: MethodTables::new(TableSlices {
+                    pc_rel: &[[0, 2]],
+                    terminators: &[1],
+                    embedded_data: &[[2, 1]],
+                    slow_paths: &[[1, 2]],
+                    stack_maps: &[[4, 7]],
                     has_indirect_jump: false,
                     is_native_stub: false,
-                    slow_paths: vec![(1, 2)],
                 }),
-                stack_maps: Arc::from([StackMapEntry { native_offset: 4, dex_pc: 7 }]),
             }],
             thunks: vec![ThunkRecord {
                 kind: ThunkKind::RuntimeEntry(0x108),
@@ -257,8 +252,7 @@ mod tests {
         assert_eq!(a.offset, b.offset);
         assert_eq!(a.insn_words, b.insn_words);
         assert_eq!(a.code_words, b.code_words);
-        assert_eq!(a.metadata, b.metadata);
-        assert_eq!(a.stack_maps, b.stack_maps);
+        assert_eq!(a.tables, b.tables);
         assert_eq!(back.thunks[0].kind, ThunkKind::RuntimeEntry(0x108));
         assert_eq!(back.outlined[0].offset, 12);
     }
@@ -273,8 +267,7 @@ mod tests {
             offset: 0,
             insn_words: 0,
             code_words: 0,
-            metadata: Arc::default(),
-            stack_maps: Arc::default(),
+            tables: MethodTables::default(),
         });
         smallest(ThunkRecord { kind: ThunkKind::JavaEntry, offset: 0, size_words: 0 });
         smallest(OutlinedRecord { offset: 0, size_words: 0 });

@@ -1,8 +1,6 @@
 //! The linked OAT file: the final text segment plus per-method records.
 
-use std::sync::Arc;
-
-use calibro_codegen::{MethodMetadata, StackMapEntry, ThunkKind};
+use calibro_codegen::{MethodTables, ThunkKind};
 use calibro_dex::wire::{wire_fields, wire_seq};
 use calibro_dex::MethodId;
 
@@ -20,11 +18,10 @@ pub struct OatMethodRecord {
     pub insn_words: u32,
     /// Total code words including the literal pool.
     pub code_words: u32,
-    /// LTBO metadata carried through linking: the compiled method's own
-    /// table, shared, when linking moved none of its words.
-    pub metadata: Arc<MethodMetadata>,
-    /// Stack maps, sorted by native offset (shared like `metadata`).
-    pub stack_maps: Arc<[StackMapEntry]>,
+    /// LTBO metadata and stack maps carried through linking: the
+    /// compiled method's own block, shared, when linking moved none of
+    /// its words.
+    pub tables: MethodTables,
 }
 
 impl OatMethodRecord {
@@ -144,14 +141,14 @@ impl OatFile {
 // order — word counts and indices `u32`, offsets `u64`.
 // ---------------------------------------------------------------------
 
-wire_fields!(OatMethodRecord { method, offset, insn_words, code_words, metadata, stack_maps });
+wire_fields!(OatMethodRecord { method, offset, insn_words, code_words, tables });
 wire_fields!(ThunkRecord { kind, offset, size_words });
 wire_fields!(OutlinedRecord { offset, size_words });
 
-// A method record's smallest form: its id, offset and two counts, four
-// empty metadata tables and two flag bytes, an empty stack-map table.
+// A method record's smallest form: its id, offset and two counts, and
+// empty tables.
 wire_seq!(
-    OatMethodRecord: 4 + 8 + 4 + 4 + (4 + 4 + 4 + 1 + 1 + 4) + 4,
+    OatMethodRecord: 4 + 8 + 4 + 4 + MethodTables::EMPTY_ROW_BYTES,
     ThunkRecord: (1 + 2) + 8 + 4,
     OutlinedRecord: 8 + 4,
 );
@@ -170,16 +167,14 @@ mod tests {
                     offset: 0,
                     insn_words: 2,
                     code_words: 2,
-                    metadata: Arc::default(),
-                    stack_maps: Arc::default(),
+                    tables: MethodTables::default(),
                 },
                 OatMethodRecord {
                     method: MethodId(1),
                     offset: 8,
                     insn_words: 4,
                     code_words: 4,
-                    metadata: Arc::default(),
-                    stack_maps: Arc::default(),
+                    tables: MethodTables::default(),
                 },
             ],
             thunks: vec![],

@@ -43,7 +43,7 @@ mod structure;
 
 pub use elf::{from_elf_bytes, to_elf_bytes, LoadError};
 pub use file::{OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord, DEFAULT_BASE_ADDRESS};
-pub use linker::{link, link_with_stats, LinkError, LinkInput};
+pub use linker::{link, link_with_stats, LinkError, LinkInput, OutlinedBodies};
 pub use rewrite::{Edit, MethodEdits, RewriteStats, Rewriter, Rewritten};
 pub use stackmap::{
     dex_pc_for_return_offset, insn_at, validate_method_stack_maps, validate_stack_maps,

@@ -6,7 +6,7 @@
 use std::fmt;
 
 use calibro_codegen::{thunk_code, CallTarget, CompiledMethod, Reloc, ThunkKind};
-use calibro_isa::{decode, EncodeError, Insn};
+use calibro_isa::{encode_bl, is_bl, EncodeError, Insn};
 
 use crate::file::{OatFile, OatMethodRecord, OutlinedRecord, ThunkRecord};
 use crate::rewrite::{removed_words, MethodEdits, RewriteStats, Rewriter};
@@ -25,7 +25,52 @@ pub struct LinkInput {
     pub edits: MethodEdits,
     /// LTBO outlined functions' words, addressed by
     /// `CallTarget::Outlined(i)`.
-    pub outlined: Vec<Vec<u32>>,
+    pub outlined: OutlinedBodies,
+}
+
+/// Every outlined function's words as one flat buffer, the shape of
+/// [`MethodEdits`]: function `i` is `words[bounds[i]..bounds[i + 1]]`.
+/// Empty `bounds` (the default) means there is none.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct OutlinedBodies {
+    /// The bodies' words, back to back in index order.
+    pub words: Vec<u32>,
+    /// Each body's first word, and the buffer's length last.
+    pub bounds: Vec<usize>,
+}
+
+impl OutlinedBodies {
+    /// Appends one body, made of `parts` in order.
+    pub fn push(&mut self, parts: &[&[u32]]) {
+        if self.bounds.is_empty() {
+            self.bounds.push(0);
+        }
+        for part in parts {
+            self.words.extend_from_slice(part);
+        }
+        self.bounds.push(self.words.len());
+    }
+
+    /// How many bodies there are.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
+
+    /// `true` when there is no body.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Body `i`'s words (none past the last).
+    #[must_use]
+    pub fn of(&self, i: usize) -> &[u32] {
+        match self.bounds.get(i..i + 2) {
+            Some(&[start, end]) => &self.words[start..end],
+            _ => &[],
+        }
+    }
 }
 
 /// A linking failure.
@@ -83,11 +128,12 @@ impl From<EncodeError> for LinkError {
 /// Every method and outlined function is sized from its words
 /// (a method's less the words its edits remove) and written into the
 /// text segment once: a method with edits as [`Rewriter::rewrite`]
-/// rewrites it, whose remapped metadata and stack maps go into its
-/// record; any other keeps its own, shared. Call patching then checks
-/// and rewrites the call sites already there. Only the CTO thunks, the
-/// patched call sites and the PC-relative sites whose distance changed
-/// are encoded here — linking is on the warm-rebuild critical path for
+/// rewrites it, whose remapped tables go into its record; any other
+/// keeps its own, shared. Each call site is checked and bound in place
+/// as the rewrite hands it over, in site order. The outlined functions
+/// are one copy of their flat buffer. Only the CTO thunks, the bound
+/// call sites and the PC-relative sites whose distance changed are
+/// encoded here — linking is on the warm-rebuild critical path for
 /// every build.
 ///
 /// # Errors
@@ -133,11 +179,9 @@ pub fn link_with_stats(
         method_offsets.push(offset);
         offset += (m.size_words() - removed_words(edits.of(index))) as u64 * 4;
     }
-    let mut outlined_offsets = Vec::with_capacity(outlined.len());
-    for o in &outlined {
-        outlined_offsets.push(offset);
-        offset += o.len() as u64 * 4;
-    }
+    // Outlined function `i` starts `bounds[i]` words into the buffer.
+    let outlined_offset = offset;
+    offset += outlined.words.len() as u64 * 4;
     // Sorted by kind, so a relocation's thunk is a binary search away.
     let mut thunks: Vec<(ThunkKind, u64, Vec<Insn>)> = Vec::with_capacity(thunk_kinds.len());
     for kind in thunk_kinds {
@@ -155,31 +199,14 @@ pub fn link_with_stats(
                 .binary_search_by_key(&kind, |&(k, _, _)| k)
                 .map(|i| thunks[i].1)
                 .map_err(|_| unresolved),
-            CallTarget::Outlined(i) => outlined_offsets.get(i as usize).copied().ok_or(unresolved),
-        }
-    };
-    // Call sites carry a placeholder `bl`, so the body's words hold a
-    // valid word there and this overwrites it with the resolved offset.
-    // `site` names the method in errors, `code_start` is its offset and
-    // `body` its words in the text segment — the one place a site is
-    // checked.
-    let patch_calls = |site: usize,
-                       relocs: &[Reloc],
-                       code_start: u64,
-                       body: &mut [u32]|
-     -> Result<(), LinkError> {
-        for r in relocs {
-            if !matches!(body.get(r.at).map(|&word| decode(word)), Some(Ok(Insn::Bl { .. }))) {
-                return Err(LinkError::NotACallSite { method: site, at: r.at });
+            CallTarget::Outlined(i) if (i as usize) < outlined.len() => {
+                Ok(outlined_offset + outlined.bounds[i as usize] as u64 * 4)
             }
-            let target = resolve(site, r)?;
-            let insn_addr = code_start + r.at as u64 * 4;
-            body[r.at] = Insn::Bl { offset: target as i64 - insn_addr as i64 }.encode()?;
+            CallTarget::Outlined(_) => Err(unresolved),
         }
-        Ok(())
     };
 
-    // --- Write every body's words, apply edits and patch calls. ---------
+    // --- Write every body's words, apply edits and bind calls. ----------
     let mut words = Vec::with_capacity((offset / 4) as usize);
     let mut records = Vec::with_capacity(methods.len());
     let (mut rewriter, mut stats) = (Rewriter::default(), RewriteStats::default());
@@ -195,9 +222,18 @@ pub fn link_with_stats(
         );
         let code_start = method_offsets[index];
         let start_word = words.len();
-        let rewritten = rewriter.rewrite(m, edits.of(index), &mut words);
+        // Call sites carry a placeholder `bl`, so the body holds a `bl`
+        // there and this overwrites it with the resolved offset — the one
+        // place a site is checked.
+        let bind = |code: &mut [u32], r: Reloc| -> Result<(), LinkError> {
+            let not_a_call = LinkError::NotACallSite { method: index, at: r.at };
+            let site = code.get_mut(r.at).filter(|word| is_bl(**word)).ok_or(not_a_call)?;
+            let target = resolve(index, &r)?;
+            *site = encode_bl(target as i64 - (code_start + r.at as u64 * 4) as i64)?;
+            Ok(())
+        };
+        let rewritten = rewriter.rewrite(m, edits.of(index), &mut words, bind)?;
         stats += rewritten.stats;
-        patch_calls(index, rewritten.relocs, code_start, &mut words[start_word..])?;
         let insn_words = (words.len() - start_word) as u32;
         words.extend_from_slice(&m.pool);
         records.push(OatMethodRecord {
@@ -205,16 +241,19 @@ pub fn link_with_stats(
             offset: code_start,
             insn_words,
             code_words: insn_words + m.pool.len() as u32,
-            metadata: rewritten.metadata,
-            stack_maps: rewritten.stack_maps,
+            tables: rewritten.tables,
         });
     }
 
-    let mut outlined_records = Vec::with_capacity(outlined.len());
-    for (o, &off) in outlined.iter().zip(&outlined_offsets) {
-        words.extend_from_slice(o);
-        outlined_records.push(OutlinedRecord { offset: off, size_words: o.len() as u32 });
-    }
+    words.extend_from_slice(&outlined.words);
+    let outlined_records = outlined
+        .bounds
+        .windows(2)
+        .map(|b| OutlinedRecord {
+            offset: outlined_offset + b[0] as u64 * 4,
+            size_words: (b[1] - b[0]) as u32,
+        })
+        .collect();
 
     let mut thunk_records = Vec::with_capacity(thunks.len());
     for (kind, off, code) in &thunks {
@@ -251,7 +290,7 @@ mod tests {
     use calibro_codegen::{compile_method, CodegenOptions};
     use calibro_dex::{ClassId, DexInsn, InvokeKind, MethodBuilder, MethodId, VReg};
     use calibro_hgraph::build_hgraph;
-    use calibro_isa::Reg;
+    use calibro_isa::{decode, Reg};
 
     fn simple_method(
         name: &str,
@@ -337,8 +376,9 @@ mod tests {
         // over an existing bl... instead create a bl at a known position.
         let at = push_insn(&mut m, Insn::Bl { offset: 0 });
         add_reloc(&mut m, at, CallTarget::Outlined(0));
-        let outlined =
-            vec![calibro_isa::encode_words(&[Insn::Nop, Insn::Br { rn: Reg::LR }]).unwrap()];
+        let mut outlined = OutlinedBodies::default();
+        outlined
+            .push(&[&calibro_isa::encode_words(&[Insn::Nop, Insn::Br { rn: Reg::LR }]).unwrap()]);
         let input = LinkInput { methods: vec![m], outlined, ..Default::default() };
         let oat = link(input, 0x1000).unwrap();
         assert_eq!(oat.outlined.len(), 1);
@@ -360,7 +400,7 @@ mod tests {
     #[test]
     fn edits_are_applied_as_a_method_is_written_and_an_unedited_record_shares_its_tables() {
         use crate::rewrite::Edit;
-        use calibro_codegen::MethodMetadata;
+        use calibro_codegen::{MethodTables, TableSlices};
 
         // Four movs and a `ret`; the first three movs are outlined.
         let mov = |rd: Reg| Insn::OrrReg { wide: true, rd, rn: Reg::ZR, rm: Reg::X9, shift: 0 };
@@ -372,30 +412,67 @@ mod tests {
             words: calibro_isa::encode_words(&body).unwrap().into(),
             pool: Arc::default(),
             relocs: Arc::default(),
-            metadata: Arc::new(MethodMetadata {
-                terminators: vec![4],
-                ..MethodMetadata::default()
-            }),
-            stack_maps: Arc::default(),
+            tables: MethodTables::new(TableSlices { terminators: &[4], ..TableSlices::default() }),
         };
         let other = CompiledMethod { method: MethodId(1), ..edited.clone() };
-        let (metadata, ret) = (Arc::clone(&other.metadata), Insn::Ret { rn: Reg::LR });
+        let (tables, ret) = (other.tables.clone(), Insn::Ret { rn: Reg::LR });
         let edits = MethodEdits {
-            edits: vec![Edit { start: 0, len: 3, target: CallTarget::Outlined(0) }],
+            edits: vec![Edit { start: 0, len: 3, outlined: 0 }],
             bounds: vec![0, 1, 1],
         };
-        let outlined = vec![calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()];
+        let mut outlined = OutlinedBodies::default();
+        outlined.push(&[&calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()]);
         let input = LinkInput { methods: vec![edited, other], edits, outlined };
         let (oat, stats) = link_with_stats(input, 0x1000).unwrap();
 
         let (record, record_1) = (&oat.methods[0], &oat.methods[1]);
         assert_eq!((record.insn_words, record_1.offset), (3, 12));
-        assert_eq!(record.metadata.terminators, [2]);
+        assert_eq!(record.tables.terminators(), [2]);
         assert_eq!(stats, RewriteStats::default(), "no PC-relative site, no stack map");
         let Ok(Insn::Bl { offset }) = decode(oat.words[0]) else { panic!("no bl at word 0") };
         assert_eq!(0x1000 + offset as u64, 0x1000 + oat.outlined[0].offset);
         assert_eq!(decode(oat.words[1]).unwrap(), mov(Reg::X4));
-        assert!(Arc::ptr_eq(&record_1.metadata, &metadata), "an unedited record copied its table");
+        assert!(
+            MethodTables::ptr_eq(&record_1.tables, &tables),
+            "an unedited record copied its table"
+        );
+    }
+
+    #[test]
+    fn each_edit_s_bl_lands_on_the_outlined_function_it_names() {
+        use crate::rewrite::Edit;
+
+        // Six `nop`s and a `ret`; three one-word edits name outlined
+        // functions 2, 0 and 1, bodies of one, two and three words.
+        let body = [[Insn::Nop; 6].as_slice(), &[Insn::Ret { rn: Reg::LR }]].concat();
+        let m = CompiledMethod {
+            method: MethodId(0),
+            insns: body.as_slice().into(),
+            words: calibro_isa::encode_words(&body).unwrap().into(),
+            pool: Arc::default(),
+            relocs: Arc::default(),
+            tables: calibro_codegen::MethodTables::default(),
+        };
+        let named = [(1, 2), (3, 0), (4, 1)];
+        let edits = MethodEdits {
+            edits: named.map(|(start, outlined)| Edit { start, len: 1, outlined }).to_vec(),
+            bounds: vec![0, 3],
+        };
+        let ret = Insn::Br { rn: Reg::LR }.encode().unwrap();
+        let mut outlined = OutlinedBodies::default();
+        for len in 0..3 {
+            outlined.push(&[&vec![Insn::Nop.encode().unwrap(); len], &[ret]]);
+        }
+        let input = LinkInput { methods: vec![m], edits, outlined };
+        let oat = link(input, 0x1000).unwrap();
+        assert_eq!(oat.outlined.iter().map(|o| o.size_words).collect::<Vec<_>>(), [1, 2, 3]);
+        for (start, index) in named {
+            let Ok(Insn::Bl { offset }) = decode(oat.words[start as usize]) else {
+                panic!("no bl at word {start}");
+            };
+            let lands = (start as u64 * 4).wrapping_add(offset as u64);
+            assert_eq!(lands, oat.outlined[index as usize].offset, "the edit at word {start}");
+        }
     }
 
     fn cto_trio() -> Vec<CompiledMethod> {
@@ -472,7 +549,7 @@ mod tests {
         for record in &oat.methods {
             let start = (record.offset / 4) as usize;
             for w in 0..record.code_words as usize {
-                if record.metadata.in_embedded_data(w) {
+                if record.tables.in_embedded_data(w) {
                     continue;
                 }
                 decode(oat.words[start + w])

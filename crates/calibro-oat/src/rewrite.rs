@@ -2,24 +2,24 @@
 //! replacement and PC-relative patching) and §3.5 (the metadata and
 //! stack maps follow the code). The linker calls [`Rewriter::rewrite`]
 //! with the text segment as the sink, so each edited method is written
-//! once, already rewritten; `calibro::run_ltbo` calls it with a
-//! per-method buffer to rewrite a method in place.
+//! once, already rewritten, and each call site is bound as it is copied;
+//! `calibro::run_ltbo` calls it with a per-method buffer to rewrite a
+//! method in place, collecting the call sites into its relocations.
 
-use std::sync::Arc;
-
-use calibro_codegen::{CallTarget, CompiledMethod, MethodMetadata, PcRel, Reloc, StackMapEntry};
+use calibro_codegen::{CallTarget, CompiledMethod, MethodTables, Reloc};
 use calibro_isa::{decode, Insn};
 
 /// One outlined occurrence in a method: its words `start..start + len`
-/// become a single `bl` to `target`.
+/// become a single `bl` to outlined function `outlined`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Edit {
     /// The occurrence's first code word.
     pub start: u32,
     /// Its length in words (at least one).
     pub len: u32,
-    /// Where the `bl` that replaces it lands: an outlined function.
-    pub target: CallTarget,
+    /// The outlined function the `bl` that replaces it lands on, by its
+    /// `CallTarget::Outlined` index.
+    pub outlined: u32,
 }
 
 /// Every method's edits as one flat list: method `idx`'s are
@@ -69,17 +69,12 @@ impl std::ops::AddAssign for RewriteStats {
     }
 }
 
-/// A method's call sites and tables after [`Rewriter::rewrite`]. The
-/// relocations are borrowed: the method's own, or the rewriter's
-/// scratch.
+/// A method's tables after [`Rewriter::rewrite`].
 #[derive(Debug)]
-pub struct Rewritten<'a> {
-    /// Call relocations, sorted by site.
-    pub relocs: &'a [Reloc],
-    /// The §3.2 metadata.
-    pub metadata: Arc<MethodMetadata>,
-    /// Stack maps, ordered by native offset.
-    pub stack_maps: Arc<[StackMapEntry]>,
+pub struct Rewritten {
+    /// The §3.2 metadata and the stack maps: the method's own block,
+    /// shared, when it had no edits.
+    pub tables: MethodTables,
     /// What moved.
     pub stats: RewriteStats,
 }
@@ -87,157 +82,144 @@ pub struct Rewritten<'a> {
 /// Rewrites methods one after another, reusing its scratch.
 #[derive(Debug, Default)]
 pub struct Rewriter {
-    /// The current method's [`Shift::removed`].
-    removed: Vec<u32>,
-    relocs: Vec<Reloc>,
+    /// The current method's new index of each old code word up to its
+    /// last edit's end, [`GONE`] for a word inside an outlined range,
+    /// behind its first.
+    moved: Vec<u32>,
 }
 
-/// Old word index → new, for one method's edits; a copy walks one
-/// table. Codegen emits terminators, PC-relative sites and stack maps in
-/// ascending order, so the edits wholly before a record are found by
-/// stepping on from those before the previous one; an index below the
-/// previous one is found by a binary search, so any order maps right.
+/// [`Rewriter::moved`]'s mark for a word an edit removed.
+const GONE: u32 = u32::MAX;
+
+/// Old word index → new, for one method's edits: one lookup per record,
+/// in any order.
 #[derive(Clone, Copy)]
-struct Shift<'a> {
-    edits: &'a [Edit],
-    /// `removed[k]`: the words the first `k` edits removed.
-    removed: &'a [u32],
-    /// The edits wholly before the previous index.
-    before: usize,
+struct Moved<'a> {
+    /// The new index of each old code word up to the last edit's end,
+    /// or [`GONE`].
+    words: &'a [u32],
+    /// The words all the edits removed: the words behind the last edit,
+    /// the pool and the end of the code move back by this as a block.
+    removed: u32,
 }
 
-impl Shift<'_> {
-    /// How many edits lie wholly before `old`.
-    fn before(&mut self, old: u32) -> usize {
-        let ends_by = |e: &Edit| e.start + e.len <= old;
-        let mut before = self.before;
-        if before > 0 && !ends_by(&self.edits[before - 1]) {
-            before = self.edits.partition_point(ends_by);
-        } else {
-            while before < self.edits.len() && ends_by(&self.edits[before]) {
-                before += 1;
-            }
+impl Moved<'_> {
+    /// Where word `old` lands, for a record no edit may swallow.
+    fn keep(self, old: u32, what: &str) -> u32 {
+        match self.words.get(old as usize) {
+            Some(&GONE) => panic!("{what} removed by outlining"),
+            Some(&new) => new,
+            None => old - self.removed,
         }
-        self.before = before;
-        before
-    }
-
-    /// Where word `old` lands; `None` inside an outlined range, behind
-    /// its first word (which becomes the `bl`). The pool, and the end of
-    /// the code, lie behind every edit and shift as a block.
-    fn map(&mut self, old: u32) -> Option<u32> {
-        let before = self.before(old);
-        match self.edits.get(before) {
-            Some(e) if e.start < old => None,
-            _ => Some(old - self.removed[before]),
-        }
-    }
-
-    /// [`map`](Self::map) for a record no edit may swallow.
-    fn keep(&mut self, old: u32, what: &str) -> u32 {
-        self.map(old).unwrap_or_else(|| panic!("{what} removed by outlining"))
     }
 }
 
 impl Rewriter {
-    /// Fills `removed` for `edits` and returns their shift.
-    fn shift<'a>(&'a mut self, edits: &'a [Edit]) -> Shift<'a> {
-        self.removed.clear();
-        self.removed.push(0);
-        let mut total = 0;
-        for e in edits {
-            total += e.len.saturating_sub(1);
-            self.removed.push(total);
-        }
-        Shift { edits, removed: &self.removed, before: 0 }
-    }
-
     /// Appends `m`'s code with `edits` applied to `sink` — the pool is
-    /// the caller's to append — and returns its relocations, metadata
-    /// and stack maps to match.
+    /// the caller's to append — hands each call site to `call` as it is
+    /// copied, and returns the method's tables to match.
     ///
     /// Each outlined range becomes a placeholder `bl`, and everything
-    /// between two edits is copied as a run of words. A record's new
-    /// index is its old one less the words removed by the edits wholly
-    /// before it, found by walking the method's few edits along each
-    /// table. A PC-relative site is decoded, given its new offset and
-    /// encoded again only when the edits between it and its target
-    /// changed that distance; every other site already encodes it, as
-    /// codegen emits it and the cache's trust boundary demands of a
-    /// loaded method. A method without edits is copied and keeps its own
-    /// tables. The records are counted as they move ([`RewriteStats`]).
+    /// between two edits is copied as a run of words. After each run,
+    /// `call` gets the method's code so far (`sink` from the method's
+    /// first word) and each relocation of the run at its new index, then
+    /// the `bl` of the edit behind the run, as a relocation to
+    /// `CallTarget::Outlined(edit.outlined)`: every call site in site
+    /// order, for the linker to bind in place or `run_ltbo` to collect. A
+    /// relocation at or past the code's end is handed over behind the
+    /// last run, shifted like the pool, for the caller to refuse. The
+    /// first error `call` returns ends the rewrite.
+    ///
+    /// A record's new index is its old one less the words removed by
+    /// the edits wholly before it, looked up in a map of the method's
+    /// words filled as its runs are copied (behind the last edit, every
+    /// record moves back by all they removed); the tables are copied
+    /// once ([`MethodTables::remapped`]) and remapped in place. A
+    /// PC-relative site is re-encoded with its new offset only when the
+    /// edits between it and its target changed that distance; every
+    /// other site already encodes it, as codegen emits it and the
+    /// cache's trust boundary demands of a loaded method. A
+    /// method without edits is copied, its relocations are handed over as
+    /// they are, and it keeps its own tables. The records are counted as
+    /// they move ([`RewriteStats`]).
+    ///
+    /// # Errors
+    ///
+    /// The first error `call` returns.
     ///
     /// # Panics
     ///
-    /// Panics if the edits overlap, are unsorted or leave the code, or
-    /// if one swallows a call site, a PC-relative site or target, a
+    /// Panics if the edits overlap, are unsorted or leave the code, if a
+    /// method with edits has relocations out of site order, or if an
+    /// edit swallows a call site, a PC-relative site or target, a
     /// terminator, a slow-path bound or a stack map's call: outlining
     /// never places an occurrence over any of them.
-    pub fn rewrite<'a>(
-        &'a mut self,
-        m: &'a CompiledMethod,
+    pub fn rewrite<E>(
+        &mut self,
+        m: &CompiledMethod,
         edits: &[Edit],
         sink: &mut Vec<u32>,
-    ) -> Rewritten<'a> {
+        mut call: impl FnMut(&mut [u32], Reloc) -> Result<(), E>,
+    ) -> Result<Rewritten, E> {
+        let base = sink.len();
         if edits.is_empty() {
             sink.extend_from_slice(&m.words);
-            return Rewritten {
-                relocs: &m.relocs,
-                metadata: Arc::clone(&m.metadata),
-                stack_maps: Arc::clone(&m.stack_maps),
-                stats: RewriteStats::default(),
-            };
+            for &r in m.relocs.iter() {
+                call(&mut sink[base..], r)?;
+            }
+            return Ok(Rewritten { tables: m.tables.clone(), stats: RewriteStats::default() });
         }
         let words = &m.words;
         let old_len = words.len();
-        let base = sink.len();
         sink.reserve(old_len);
         let bl_word = Insn::Bl { offset: 0 }.encode().expect("a placeholder bl encodes");
-        let mut word = 0;
+        let mut relocs = m.relocs.iter().peekable();
+        // Sized once to the last edit's end, each outlined range's
+        // interior already marked; each run then writes its new indices.
+        let moved = &mut self.moved;
+        moved.clear();
+        moved.resize(edits.last().map_or(0, |e| e.start as usize + e.len as usize), GONE);
+        let (mut word, mut removed) = (0, 0);
         // One round per edit, and a last one for the run behind the last edit.
         for edit in edits.iter().map(Some).chain([None]) {
             let run_end = edit.map_or(old_len, |e| e.start as usize);
             assert!(word <= run_end, "edits overlap or are unsorted");
-            // Untouched words move as a block.
+            // Untouched words move as a block, back by what the edits
+            // before them removed; so do their call sites.
             sink.extend_from_slice(&words[word..run_end]);
+            if edit.is_some() {
+                for (new, old) in moved[word..run_end].iter_mut().zip(word as u32..) {
+                    *new = old - removed;
+                }
+            }
+            while let Some(r) = relocs.next_if(|r| edit.is_none() || r.at < run_end) {
+                assert!(r.at >= word, "call site removed by outlining, or relocations unsorted");
+                call(&mut sink[base..], Reloc { at: r.at - removed as usize, target: r.target })?;
+            }
             let Some(edit) = edit else { break };
             let end = edit.start as usize + edit.len as usize;
             assert!(edit.len > 0 && end <= old_len, "edit leaves the code");
             // The range's first word becomes the call; its interior vanishes.
             sink.push(bl_word);
+            let at = sink.len() - 1 - base;
+            moved[edit.start as usize] = at as u32;
+            call(&mut sink[base..], Reloc { at, target: CallTarget::Outlined(edit.outlined) })?;
+            removed += edit.len - 1;
             word = end;
         }
+        let moved = Moved { words: moved, removed };
         let code = &mut sink[base..];
 
-        let mut relocs = std::mem::take(&mut self.relocs);
-        let shift = self.shift(edits);
-        // Call relocations move where they sit; each edit's `bl` adds one,
-        // at its first word's new index.
-        relocs.clear();
-        let mut sites = shift;
-        relocs.extend(m.relocs.iter().map(|r| Reloc {
-            at: sites.keep(r.at as u32, "call site") as usize,
-            target: r.target,
-        }));
-        relocs.extend(edits.iter().zip(shift.removed).map(|(edit, &removed)| Reloc {
-            at: (edit.start - removed) as usize,
-            target: edit.target,
-        }));
-        relocs.sort_by_key(|r| r.at);
-
-        let meta = &m.metadata;
         let mut stats = RewriteStats::default();
-        // §3.3.4: patch PC-relative instructions whose distance changed.
-        let (mut sites, mut targets) = (shift, shift);
-        let pc_rel = meta
-            .pc_rel
-            .iter()
-            .map(|rec| {
-                let at = sites.keep(rec.at, "PC-relative instruction");
-                let target = targets.keep(rec.target, "branch target");
+        let tables = m.tables.remapped(|t| {
+            // §3.3.4: patch PC-relative instructions whose distance changed.
+            for pair in t.pc_rel {
+                let [old_at, old_target] = *pair;
+                let at = moved.keep(old_at, "PC-relative instruction");
+                let target = moved.keep(old_target, "branch target");
                 let new_offset = (i64::from(target) - i64::from(at)) * 4;
                 let site = &mut code[at as usize];
-                if rec.at - at != rec.target - target {
+                if old_at - at != old_target - target {
                     // Outlining only removes words between a site and its
                     // target, so the offset keeps its sign and alignment
                     // and shrinks in magnitude: the form that held the old
@@ -257,62 +239,45 @@ impl Rewriter {
                         m.method
                     );
                 }
-                PcRel { at, target }
-            })
-            .collect();
-        let mut walk = shift;
-        let terminators = meta.terminators.iter().map(|&t| walk.keep(t, "terminator")).collect();
-        let mut walk = shift;
-        let embedded_data =
-            meta.embedded_data.iter().map(|&(s, l)| (walk.keep(s, "embedded data"), l)).collect();
-        let (mut starts, mut ends) = (shift, shift);
-        let slow_paths = meta
-            .slow_paths
-            .iter()
-            .map(|&(s, e)| (starts.keep(s, "slow-path start"), ends.keep(e, "slow-path end")))
-            .collect();
-        let metadata = Arc::new(MethodMetadata {
-            pc_rel,
+                *pair = [at, target];
+            }
             // Terminators are separators, so no edit swallows one.
-            terminators,
+            for t in t.terminators {
+                *t = moved.keep(*t, "terminator");
+            }
             // The pool block moved as a whole.
-            embedded_data,
-            has_indirect_jump: meta.has_indirect_jump,
-            is_native_stub: meta.is_native_stub,
+            for [start, _] in t.embedded_data {
+                *start = moved.keep(*start, "embedded data");
+            }
             // Starts are leaders (branch targets) and ends follow
             // terminators or end the code, so both survive; interiors
             // shrink.
-            slow_paths,
+            for [start, end] in t.slow_paths {
+                *start = moved.keep(*start, "slow-path start");
+                *end = moved.keep(*end, "slow-path end");
+            }
+            // §3.5: return offsets move with their call sites.
+            for [native_offset, _] in t.stack_maps {
+                let new_call =
+                    moved.keep(stack_map_call(*native_offset, m), "call under a stack map");
+                let offset = (new_call + 1) * 4;
+                stats.stack_maps_updated += usize::from(offset != *native_offset);
+                *native_offset = offset;
+            }
         });
-        // §3.5: return offsets move with their call sites.
-        let stack_maps = if m.stack_maps.is_empty() {
-            Arc::clone(&m.stack_maps)
-        } else {
-            let mut calls = shift;
-            m.stack_maps
-                .iter()
-                .map(|sm| {
-                    let new_call = calls.keep(stack_map_call(sm, m), "call under a stack map");
-                    let native_offset = (new_call + 1) * 4;
-                    stats.stack_maps_updated += usize::from(native_offset != sm.native_offset);
-                    StackMapEntry { native_offset, dex_pc: sm.dex_pc }
-                })
-                .collect()
-        };
-        self.relocs = relocs;
-        Rewritten { relocs: &self.relocs, metadata, stack_maps, stats }
+        Ok(Rewritten { tables, stats })
     }
 }
 
-/// The word of the call a stack-map entry follows.
+/// The word of the call a stack-map entry at `native_offset` follows.
 ///
 /// # Panics
 ///
 /// An entry names the word *after* its call, so one at native offset 0
 /// follows nothing: corrupt metadata, reported with context instead of
 /// wrapping around.
-fn stack_map_call(sm: &StackMapEntry, m: &CompiledMethod) -> u32 {
-    (sm.native_offset / 4).checked_sub(1).unwrap_or_else(|| {
+fn stack_map_call(native_offset: u32, m: &CompiledMethod) -> u32 {
+    (native_offset / 4).checked_sub(1).unwrap_or_else(|| {
         panic!(
             "stack map at native offset 0 in method {:?}: entries name the word after a call, \
              so offset 0 cannot follow any instruction",

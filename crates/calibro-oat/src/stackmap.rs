@@ -2,16 +2,16 @@
 //! binary code level optimization should ensure the consistency between
 //! the binary code and the stackmap").
 
-use calibro_codegen::StackMapEntry;
 use calibro_isa::{decode, Insn};
 
 use crate::file::{OatFile, OatMethodRecord};
 
-/// Looks up the bytecode pc for a native return offset (exact match),
-/// as ART does during unwinding.
+/// Looks up the bytecode pc for a native return offset (exact match)
+/// in `[native offset, dex pc]` stack maps, as ART does during
+/// unwinding.
 #[must_use]
-pub fn dex_pc_for_return_offset(maps: &[StackMapEntry], native_offset: u32) -> Option<u32> {
-    maps.binary_search_by_key(&native_offset, |m| m.native_offset).ok().map(|i| maps[i].dex_pc)
+pub fn dex_pc_for_return_offset(maps: &[[u32; 2]], native_offset: u32) -> Option<u32> {
+    maps.binary_search_by_key(&native_offset, |&[offset, _]| offset).ok().map(|i| maps[i][1])
 }
 
 /// A stack-map consistency violation.
@@ -53,24 +53,22 @@ pub fn validate_method_stack_maps(
 ) -> Result<(), StackMapError> {
     let method = record.method.0;
     let mut prev = None;
-    for entry in record.stack_maps.iter() {
+    for &[native_offset, _] in record.tables.stack_maps() {
         if let Some(p) = prev {
-            if entry.native_offset <= p {
+            if native_offset <= p {
                 return Err(StackMapError::Unsorted { method });
             }
         }
-        prev = Some(entry.native_offset);
-        let word = (entry.native_offset / 4) as usize;
+        prev = Some(native_offset);
+        let word = (native_offset / 4) as usize;
         if word == 0 || word > record.insn_words as usize {
-            return Err(StackMapError::OutOfRange { method, native_offset: entry.native_offset });
+            return Err(StackMapError::OutOfRange { method, native_offset });
         }
         let abs = (record.offset / 4) as usize + word - 1;
-        let insn = decode(oat.words[abs]).map_err(|_| StackMapError::OutOfRange {
-            method,
-            native_offset: entry.native_offset,
-        })?;
+        let insn = decode(oat.words[abs])
+            .map_err(|_| StackMapError::OutOfRange { method, native_offset })?;
         if !insn.is_call() {
-            return Err(StackMapError::NotAfterCall { method, native_offset: entry.native_offset });
+            return Err(StackMapError::NotAfterCall { method, native_offset });
         }
     }
     Ok(())
@@ -107,10 +105,7 @@ mod tests {
 
     #[test]
     fn lookup_by_return_offset() {
-        let maps = vec![
-            StackMapEntry { native_offset: 8, dex_pc: 1 },
-            StackMapEntry { native_offset: 24, dex_pc: 5 },
-        ];
+        let maps = [[8, 1], [24, 5]];
         assert_eq!(dex_pc_for_return_offset(&maps, 8), Some(1));
         assert_eq!(dex_pc_for_return_offset(&maps, 24), Some(5));
         assert_eq!(dex_pc_for_return_offset(&maps, 12), None);

@@ -245,8 +245,6 @@ pub fn validate_structure(oat: &OatFile) -> Result<(), StructureError> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::file::{OatMethodRecord, OutlinedRecord};
     use calibro_dex::MethodId;
@@ -261,8 +259,7 @@ mod tests {
             offset,
             insn_words: words,
             code_words: words,
-            metadata: Arc::default(),
-            stack_maps: Arc::default(),
+            tables: calibro_codegen::MethodTables::default(),
         }
     }
 

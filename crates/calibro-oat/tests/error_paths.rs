@@ -5,8 +5,8 @@
 //! and the structural validator must refuse whatever a loaded image
 //! claims, never panic on it.
 
-use calibro_codegen::{compile_method, CodegenOptions, StackMapEntry};
-use calibro_dex::wire::{encode, WireError};
+use calibro_codegen::{compile_method, CodegenOptions, MethodTables, TableSlices};
+use calibro_dex::wire::WireError;
 use calibro_dex::{BinOp, Cmp, DexFile, DexInsn, InvokeKind, MethodBuilder, MethodId, VReg};
 use calibro_hgraph::{build_hgraph, run_pipeline};
 use calibro_oat::{
@@ -50,7 +50,7 @@ fn sample_oat() -> OatFile {
         .collect();
     let oat = link(LinkInput { methods, ..LinkInput::default() }, 0x4000_0000).expect("link");
     assert!(
-        oat.methods.iter().any(|r| !r.stack_maps.is_empty()),
+        oat.methods.iter().any(|r| !r.tables.stack_maps().is_empty()),
         "sample must exercise stack maps"
     );
     oat
@@ -166,11 +166,11 @@ fn a_flag_byte_other_than_zero_or_one_is_refused_by_name() {
     // offset, two word counts and three metadata tables.
     let oat = sample_oat();
     let mut bytes = to_elf_bytes(&oat);
-    let md = &oat.methods[0].metadata;
-    let tables = encode(&md.pc_rel).len() + encode(&md.terminators).len();
+    let t = oat.methods[0].tables.sections();
+    let tables = (4 + 8 * t.pc_rel.len()) + (4 + 4 * t.terminators.len());
     let flag = oatdata(&bytes).0 + 8 + 8 + 4 + (4 + 8 + 4 + 4) + tables;
-    let flag = flag + encode(&md.embedded_data).len();
-    assert_eq!(bytes[flag], u8::from(md.has_indirect_jump));
+    let flag = flag + 4 + 8 * t.embedded_data.len();
+    assert_eq!(bytes[flag], u8::from(t.has_indirect_jump));
     bytes[flag] = 2;
     assert_eq!(
         from_elf_bytes(&bytes).unwrap_err(),
@@ -228,10 +228,11 @@ fn a_text_ending_past_the_address_space_is_refused() {
 
 /// Edits a record's stack-map table, which it shares with whatever it
 /// was linked from.
-fn tamper(record: &mut OatMethodRecord, edit: impl FnOnce(&mut Vec<StackMapEntry>)) {
-    let mut maps = record.stack_maps.to_vec();
+fn tamper(record: &mut OatMethodRecord, edit: impl FnOnce(&mut Vec<[u32; 2]>)) {
+    let mut maps = record.tables.stack_maps().to_vec();
     edit(&mut maps);
-    record.stack_maps = maps.into();
+    record.tables =
+        MethodTables::new(TableSlices { stack_maps: &maps, ..record.tables.sections() });
 }
 
 #[test]
@@ -241,9 +242,9 @@ fn stack_map_at_native_offset_zero_is_out_of_range() {
     // otherwise underflow into the previous method's code.
     let mut oat = sample_oat();
     validate_stack_maps(&oat).expect("untampered oat validates");
-    let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
+    let record = oat.methods.iter_mut().find(|r| !r.tables.stack_maps().is_empty()).unwrap();
     let method = record.method.0;
-    tamper(record, |maps| maps.insert(0, StackMapEntry { native_offset: 0, dex_pc: 0 }));
+    tamper(record, |maps| maps.insert(0, [0, 0]));
     assert_eq!(
         validate_stack_maps(&oat).unwrap_err(),
         StackMapError::OutOfRange { method, native_offset: 0 }
@@ -253,10 +254,10 @@ fn stack_map_at_native_offset_zero_is_out_of_range() {
 #[test]
 fn stack_map_past_the_code_is_out_of_range() {
     let mut oat = sample_oat();
-    let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
+    let record = oat.methods.iter_mut().find(|r| !r.tables.stack_maps().is_empty()).unwrap();
     let method = record.method.0;
     let past = (record.insn_words + 1) * 4;
-    tamper(record, |maps| maps.push(StackMapEntry { native_offset: past, dex_pc: 0 }));
+    tamper(record, |maps| maps.push([past, 0]));
     assert_eq!(
         validate_stack_maps(&oat).unwrap_err(),
         StackMapError::OutOfRange { method, native_offset: past }
@@ -266,9 +267,9 @@ fn stack_map_past_the_code_is_out_of_range() {
 #[test]
 fn unsorted_stack_maps_are_rejected() {
     let mut oat = sample_oat();
-    let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
+    let record = oat.methods.iter_mut().find(|r| !r.tables.stack_maps().is_empty()).unwrap();
     let method = record.method.0;
-    let dup = record.stack_maps[0];
+    let dup = record.tables.stack_maps()[0];
     tamper(record, |maps| maps.push(dup)); // duplicate => non-increasing
     assert_eq!(validate_stack_maps(&oat).unwrap_err(), StackMapError::Unsorted { method });
 }
@@ -279,9 +280,9 @@ fn stack_map_not_after_a_call_is_rejected() {
     // Find an offset whose preceding instruction is NOT a call: the
     // second word of the method with stack maps (word 1 follows word 0,
     // which is frame setup, never a call).
-    let record = oat.methods.iter_mut().find(|r| !r.stack_maps.is_empty()).unwrap();
+    let record = oat.methods.iter_mut().find(|r| !r.tables.stack_maps().is_empty()).unwrap();
     let method = record.method.0;
-    tamper(record, |maps| maps.insert(0, StackMapEntry { native_offset: 4, dex_pc: 0 }));
+    tamper(record, |maps| maps.insert(0, [4, 0]));
     let err = validate_stack_maps(&oat).unwrap_err();
     assert!(
         matches!(

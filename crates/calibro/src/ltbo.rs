@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 use calibro_cache::{
     ArtifactStore, CacheEntry, CacheError, CacheKey, GroupPlanEntry, SymbolTemplate,
 };
-use calibro_codegen::{CallTarget, CompiledMethod};
+use calibro_codegen::CompiledMethod;
 use calibro_isa::{Insn, Reg};
-use calibro_oat::{Edit, MethodEdits, RewriteStats, Rewriter};
+use calibro_oat::{Edit, MethodEdits, OutlinedBodies, RewriteStats, Rewriter};
 use calibro_suffix::{
     detect_group, group_text_len, partition_stable_by, GroupPlan, OutlineCandidate, TaggedSequence,
     UNIQUE_SEPARATOR_BASE,
@@ -164,8 +164,8 @@ pub mod detect_fault {
 #[derive(Debug)]
 pub struct LtboResult {
     /// The outlined functions' words, in `CallTarget::Outlined` index
-    /// order.
-    pub outlined: Vec<Vec<u32>>,
+    /// order, as one buffer.
+    pub outlined: OutlinedBodies,
     /// Run statistics.
     pub stats: LtboStats,
     /// What rewriting the methods changed beyond their call sites
@@ -231,11 +231,11 @@ fn symbolize<'a>(
     entry: Option<&'a CacheEntry>,
     hot_methods: Option<&HashSet<u32>>,
 ) -> Option<Symbolized<'a>> {
-    if m.metadata.has_indirect_jump || m.metadata.is_native_stub {
+    if m.tables.has_indirect_jump() || m.tables.is_native_stub() {
         return None;
     }
     let hot = hot_methods.is_some_and(|set| set.contains(&m.method.0));
-    if hot && m.metadata.slow_paths.is_empty() {
+    if hot && m.tables.slow_paths().is_empty() {
         return None;
     }
     let unmodified = entry.filter(|e| !hot && Arc::ptr_eq(&m.words, &e.compiled.words));
@@ -329,7 +329,7 @@ fn by_method(found: &[(usize, Edit)], methods: usize) -> MethodEdits {
         bounds[i] += bounds[i - 1];
     }
     // Back to front, so each method's bound ends at its first edit.
-    let mut edits = vec![Edit { start: 0, len: 0, target: CallTarget::Outlined(0) }; found.len()];
+    let mut edits = vec![Edit { start: 0, len: 0, outlined: 0 }; found.len()];
     for &(idx, edit) in found.iter().rev() {
         bounds[idx] -= 1;
         edits[bounds[idx]] = edit;
@@ -360,30 +360,32 @@ pub fn run_ltbo(methods: &mut [CompiledMethod], config: &LtboConfig) -> LtboResu
     result
 }
 
-/// Applies each method's `edits` to it in place: new words, relocations,
-/// metadata and stack maps, and no instructions. A method without edits
-/// is left as it is.
+/// Applies each method's `edits` to it in place: new words, relocations
+/// (the call sites the rewrite hands over, in site order) and tables,
+/// and no instructions. A method without edits is left as it is.
 fn rewrite_in_place(methods: &mut [CompiledMethod], edits: &MethodEdits) -> RewriteStats {
-    let (mut rewriter, mut words, mut stats) =
-        (Rewriter::default(), Vec::new(), RewriteStats::default());
+    let (mut rewriter, mut stats) = (Rewriter::default(), RewriteStats::default());
+    let (mut words, mut relocs) = (Vec::new(), Vec::new());
     for (idx, m) in methods.iter_mut().enumerate() {
         let method_edits = edits.of(idx);
         if method_edits.is_empty() {
             continue;
         }
         words.clear();
-        let rewritten = rewriter.rewrite(m, method_edits, &mut words);
+        relocs.clear();
+        let collect = |_: &mut [u32], r| {
+            relocs.push(r);
+            Ok::<_, std::convert::Infallible>(())
+        };
+        let Ok(rewritten) = rewriter.rewrite(m, method_edits, &mut words, collect);
         stats += rewritten.stats;
-        let relocs = rewritten.relocs.into();
-        let (metadata, stack_maps) = (rewritten.metadata, rewritten.stack_maps);
         *m = CompiledMethod {
             method: m.method,
             insns: Arc::default(),
             words: words.as_slice().into(),
             pool: Arc::clone(&m.pool),
-            relocs,
-            metadata,
-            stack_maps,
+            relocs: relocs.as_slice().into(),
+            tables: rewritten.tables,
         };
     }
     stats
@@ -549,7 +551,7 @@ pub(crate) fn outline_methods(
     }
 
     // --- Materialize outlined functions; find every occurrence. --------
-    let mut outlined: Vec<Vec<u32>> = Vec::new();
+    let mut outlined = OutlinedBodies::default();
     let mut found: Vec<(usize, Edit)> =
         Vec::with_capacity(plans.iter().map(|entry| entry.positions.len()).sum());
     let mut starts = Vec::new();
@@ -562,15 +564,15 @@ pub(crate) fn outline_methods(
                 // A candidate's words are those of the instructions it
                 // repeats (a loaded plan's were checked at the cache's
                 // trust boundary); its body ends in `br x30`.
-                let target = CallTarget::Outlined(outlined.len() as u32);
-                let body = [words, &[ret_word]].concat();
-                stats.words_saved -= body.len() as i64;
-                outlined.push(body);
+                let index = outlined.len() as u32;
+                outlined.push(&[words, &[ret_word]]);
+                stats.words_saved -= words.len() as i64 + 1;
                 stats.outlined_functions += 1;
                 let len = words.len();
                 for &pos in positions {
                     let (idx, start) = locate(members, &starts, pos as usize, len);
-                    found.push((idx, Edit { start: start as u32, len: len as u32, target }));
+                    let (start, len) = (start as u32, len as u32);
+                    found.push((idx, Edit { start, len, outlined: index }));
                 }
                 stats.occurrences_replaced += positions.len();
                 stats.words_saved += (len as i64 - 1) * positions.len() as i64;
@@ -619,16 +621,16 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
     // fresh and the slow paths are cleared back, before any other mark.
     let mut flags = vec![if hot_slow_paths_only { FRESH } else { 0 }; code_len];
     if hot_slow_paths_only {
-        for &(start, end) in &m.metadata.slow_paths {
+        for &[start, end] in m.tables.slow_paths() {
             let slow = start as usize..(end as usize).min(code_len);
             for f in flags.get_mut(slow).unwrap_or_default() {
                 *f &= !FRESH;
             }
         }
     }
-    for rec in &m.metadata.pc_rel {
-        flags[rec.at as usize] |= FRESH;
-        if let Some(f) = flags.get_mut(rec.target as usize) {
+    for &[at, target] in m.tables.pc_rel() {
+        flags[at as usize] |= FRESH;
+        if let Some(f) = flags.get_mut(target as usize) {
             *f |= LEADER;
         }
     }
@@ -637,7 +639,7 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
     for r in m.relocs.iter() {
         flags[r.at] |= FRESH;
     }
-    for &t in &m.metadata.terminators {
+    for &t in m.tables.terminators() {
         if let Some(f) = flags.get_mut(t as usize) {
             *f |= FRESH;
         }
@@ -653,7 +655,7 @@ pub fn build_template(m: &CompiledMethod, hot_slow_paths_only: bool) -> SymbolTe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calibro_codegen::{PcRel, StackMapEntry};
+    use calibro_codegen::{CallTarget, MethodTables, Reloc, TableSlices};
     use calibro_dex::MethodId;
     use calibro_isa::{decode, encode_words};
 
@@ -665,8 +667,7 @@ mod tests {
             insns: insns.into(),
             pool: Arc::default(),
             relocs: Arc::default(),
-            metadata: Arc::default(),
-            stack_maps: Arc::default(),
+            tables: MethodTables::default(),
         }
     }
 
@@ -682,7 +683,8 @@ mod tests {
 
     fn method_with_stack_map(native_offset: u32) -> CompiledMethod {
         let mut m = compiled(movs_then_ret());
-        m.stack_maps = Arc::from([StackMapEntry { native_offset, dex_pc: 0 }]);
+        let stack_maps = &[[native_offset, 0]];
+        m.tables = MethodTables::new(TableSlices { stack_maps, ..TableSlices::default() });
         m
     }
 
@@ -701,7 +703,7 @@ mod tests {
         // A stack map names the word after its call, so native offset 0 is
         // unconstructible from valid codegen. Before the guard this
         // underflowed `old_word - 1` and indexed `map[usize::MAX]`.
-        let edits = [Edit { start: 0, len: 2, target: CallTarget::Outlined(0) }];
+        let edits = [Edit { start: 0, len: 2, outlined: 0 }];
         let _ = rewritten(&method_with_stack_map(0), &edits);
     }
 
@@ -710,12 +712,18 @@ mod tests {
         // The stack map names word 3 (offset 12); outlining words 0-1 into
         // a single `bl` shifts it back by one word, to offset 8.
         let original = method_with_stack_map(12);
-        let edits = [Edit { start: 0, len: 2, target: CallTarget::Outlined(0) }];
-        let mut sink = Vec::new();
-        let stats = Rewriter::default().rewrite(&original, &edits, &mut sink).stats;
+        let edits = [Edit { start: 0, len: 2, outlined: 0 }];
+        let (mut sink, mut calls) = (Vec::new(), Vec::new());
+        let call = |_: &mut [u32], r| {
+            calls.push(r);
+            Ok::<_, ()>(())
+        };
+        let stats = Rewriter::default().rewrite(&original, &edits, &mut sink, call).unwrap().stats;
         assert_eq!((stats.pc_rel_patched, stats.stack_maps_updated), (0, 1));
+        assert_eq!(calls, [Reloc { at: 0, target: CallTarget::Outlined(0) }]);
         let m = rewritten(&original, &edits);
-        assert_eq!(m.stack_maps[0].native_offset, 8);
+        assert_eq!(m.tables.stack_maps(), [[8, 0]]);
+        assert_eq!(m.relocs[..], calls);
         // The words are the method's code now.
         assert!(m.insns.is_empty());
         assert_eq!(m.words.len(), 3);
@@ -857,9 +865,9 @@ mod tests {
         // replay to a fresh separator, and a `b`'s target to a leader's.
         let method = |body: &[Insn], terminators: &[u32], branches: &[(u32, u32)]| {
             let mut m = compiled(body.to_vec());
-            let metadata = Arc::make_mut(&mut m.metadata);
-            metadata.terminators = terminators.to_vec();
-            metadata.pc_rel = branches.iter().map(|&(at, target)| PcRel { at, target }).collect();
+            let pc_rel: Vec<[u32; 2]> = branches.iter().map(|&(at, target)| [at, target]).collect();
+            let tables = TableSlices { terminators, pc_rel: &pc_rel, ..TableSlices::default() };
+            m.tables = MethodTables::new(tables);
             m
         };
         let motif = &movs_then_ret()[..3];
@@ -894,13 +902,11 @@ mod tests {
 
     /// The per-word implementation the run-copying one replaced, kept
     /// as the oracle — but for the types it reads and writes (edits name
-    /// their call target, a method's tables are shared): it knows
-    /// nothing of encoded words.
+    /// their outlined function, a method's tables are one shared block):
+    /// it knows nothing of encoded words.
     mod reference {
-        use std::sync::Arc;
-
         use super::super::{CompiledMethod, Edit, Insn, UNIQUE_BASE};
-        use calibro_codegen::{PcRel, Reloc};
+        use calibro_codegen::{CallTarget, MethodTables, Reloc, TableSlices};
 
         /// The three-bitmap symbolization the one-pass one replaced, kept
         /// as the oracle — but for the private `writes_sp` it called, now
@@ -917,10 +923,10 @@ mod tests {
             assert_eq!(words.len(), code_len, "one encoded word per instruction");
             let mut is_pc_rel_site = vec![false; code_len];
             let mut is_leader = vec![false; code_len];
-            for rec in &m.metadata.pc_rel {
-                is_pc_rel_site[rec.at as usize] = true;
-                if (rec.target as usize) < code_len {
-                    is_leader[rec.target as usize] = true;
+            for &[at, target] in m.tables.pc_rel() {
+                is_pc_rel_site[at as usize] = true;
+                if (target as usize) < code_len {
+                    is_leader[target as usize] = true;
                 }
             }
             // Call relocations are also position-bound (the linker rewrites their
@@ -929,7 +935,7 @@ mod tests {
                 is_pc_rel_site[r.at] = true;
             }
             let mut is_terminator = vec![false; code_len];
-            for &t in &m.metadata.terminators {
+            for &t in m.tables.terminators() {
                 if (t as usize) < code_len {
                     is_terminator[t as usize] = true;
                 }
@@ -947,7 +953,7 @@ mod tests {
                     || insn.reads_lr()
                     || insn.writes_lr()
                     || insn.writes_sp()
-                    || (hot_slow_paths_only && !m.metadata.in_slow_path(word));
+                    || (hot_slow_paths_only && !m.tables.in_slow_path(word));
                 if excluded {
                     symbols.push((UNIQUE_BASE, word));
                 } else {
@@ -969,7 +975,8 @@ mod tests {
                 if next_edit < edits.len() && edits[next_edit].start as usize == word {
                     let edit = &edits[next_edit];
                     map[word] = new_insns.len();
-                    new_relocs.push(Reloc { at: new_insns.len(), target: edit.target });
+                    let target = CallTarget::Outlined(edit.outlined);
+                    new_relocs.push(Reloc { at: new_insns.len(), target });
                     new_insns.push(Insn::Bl { offset: 0 });
                     // Interior words vanish.
                     word += edit.len as usize;
@@ -997,10 +1004,11 @@ mod tests {
 
             // §3.3.4: patch PC-relative instructions with their updated offsets.
             let mut patched = 0;
-            let mut new_pc_rel = Vec::with_capacity(m.metadata.pc_rel.len());
-            for rec in &m.metadata.pc_rel {
-                let at = map[rec.at as usize];
-                let target = map[rec.target as usize];
+            let tables = m.tables.sections();
+            let mut new_pc_rel = Vec::with_capacity(tables.pc_rel.len());
+            for &[at, target] in tables.pc_rel {
+                let at = map[at as usize];
+                let target = map[target as usize];
                 assert_ne!(at, usize::MAX, "PC-relative instruction removed by outlining");
                 assert_ne!(target, usize::MAX, "branch target removed by outlining");
                 let new_offset = (target as i64 - at as i64) * 4;
@@ -1008,13 +1016,13 @@ mod tests {
                     new_insns[at] = new_insns[at].with_pc_rel_offset(new_offset);
                     patched += 1;
                 }
-                new_pc_rel.push(PcRel { at: at as u32, target: target as u32 });
+                new_pc_rel.push([at as u32, target as u32]);
             }
 
             // Terminators: removed ones (inside outlined ranges) cannot exist —
             // terminators are separators — so every record survives remapping.
-            let mut new_terminators = Vec::with_capacity(m.metadata.terminators.len());
-            for &t in &m.metadata.terminators {
+            let mut new_terminators = Vec::with_capacity(tables.terminators.len());
+            for &t in tables.terminators {
                 let nt = map[t as usize];
                 assert_ne!(nt, usize::MAX, "terminator removed by outlining");
                 new_terminators.push(nt as u32);
@@ -1023,25 +1031,26 @@ mod tests {
             // Slow paths: remap range endpoints. Starts are leaders (branch
             // targets) and ends follow terminators, so both survive; interior
             // shrinkage is fine.
-            let mut new_slow = Vec::with_capacity(m.metadata.slow_paths.len());
-            for &(s, e) in &m.metadata.slow_paths {
+            let mut new_slow = Vec::with_capacity(tables.slow_paths.len());
+            for &[s, e] in tables.slow_paths {
                 let ns = map[s as usize];
                 let ne = if e as usize == old_len { new_code_len } else { map[e as usize] };
                 assert_ne!(ns, usize::MAX);
                 assert_ne!(ne, usize::MAX);
-                new_slow.push((ns as u32, ne as u32));
+                new_slow.push([ns as u32, ne as u32]);
             }
 
             // Embedded data: the pool block moved as a whole.
-            let mut new_embedded = Vec::with_capacity(m.metadata.embedded_data.len());
-            for &(s, l) in &m.metadata.embedded_data {
-                new_embedded.push((map[s as usize] as u32, l));
+            let mut new_embedded = Vec::with_capacity(tables.embedded_data.len());
+            for &[s, l] in tables.embedded_data {
+                new_embedded.push([map[s as usize] as u32, l]);
             }
 
             // §3.5: stack maps — return offsets move with their call sites.
             let mut maps_updated = 0;
-            for sm in Arc::make_mut(&mut m.stack_maps) {
-                let old_word = (sm.native_offset / 4) as usize;
+            let mut new_maps = tables.stack_maps.to_vec();
+            for [native_offset, _] in &mut new_maps {
+                let old_word = (*native_offset / 4) as usize;
                 // The entry names the word *after* the call; remap via the call.
                 // An offset of 0 would name the word before the method, i.e. the
                 // metadata is corrupt — panic with context instead of letting the
@@ -1057,19 +1066,22 @@ mod tests {
                 let new_call = map[call_word];
                 assert_ne!(new_call, usize::MAX, "call under a stack map removed");
                 let new_offset = (new_call as u32 + 1) * 4;
-                if new_offset != sm.native_offset {
-                    sm.native_offset = new_offset;
+                if new_offset != *native_offset {
+                    *native_offset = new_offset;
                     maps_updated += 1;
                 }
             }
 
             m.insns = new_insns.into();
             m.relocs = new_relocs.into();
-            let metadata = Arc::make_mut(&mut m.metadata);
-            metadata.pc_rel = new_pc_rel;
-            metadata.terminators = new_terminators;
-            metadata.slow_paths = new_slow;
-            metadata.embedded_data = new_embedded;
+            m.tables = MethodTables::new(TableSlices {
+                pc_rel: &new_pc_rel,
+                terminators: &new_terminators,
+                embedded_data: &new_embedded,
+                slow_paths: &new_slow,
+                stack_maps: &new_maps,
+                ..tables
+            });
             (patched, maps_updated)
         }
     }
@@ -1081,7 +1093,7 @@ mod tests {
         use super::super::*;
         use super::reference;
         use calibro_cache::LEADER_SEPARATOR;
-        use calibro_codegen::{MethodMetadata, PcRel, Reloc, StackMapEntry, ThunkKind};
+        use calibro_codegen::{CallTarget, MethodTables, Reloc, TableSlices, ThunkKind};
         use calibro_dex::MethodId;
         use calibro_isa::{encode_words, Cond};
 
@@ -1111,8 +1123,8 @@ mod tests {
                     break;
                 }
                 let len = (1 + below(5)).min(n - word);
-                let target = CallTarget::Outlined(below(99) as u32);
-                edits.push(Edit { start: word as u32, len: len as u32, target });
+                let outlined = below(99) as u32;
+                edits.push(Edit { start: word as u32, len: len as u32, outlined });
                 covered[word..word + len].fill(true);
                 interior[word + 1..word + len].fill(true);
                 word += len;
@@ -1142,7 +1154,8 @@ mod tests {
             };
             let mut insns = Vec::with_capacity(n);
             let (mut relocs, mut stack_maps) = (Vec::new(), Vec::new());
-            let mut metadata = MethodMetadata::default();
+            let (mut pc_rel, mut terminators) = (Vec::new(), Vec::new());
+            let (mut slow_paths, mut embedded_data) = (Vec::new(), Vec::new());
             for (w, &in_edit) in covered.iter().enumerate() {
                 let role = if in_edit { 9 } else { below(11) };
                 let insn = match role {
@@ -1155,7 +1168,7 @@ mod tests {
                             _ => landing[below(landing.len())],
                         };
                         let offset = (target as i64 - w as i64) * 4;
-                        metadata.pc_rel.push(PcRel { at: w as u32, target: target as u32 });
+                        pc_rel.push([w as u32, target as u32]);
                         match below(6) {
                             0 => Insn::B { offset },
                             1 => Insn::BCond { cond: Cond::Ne, offset },
@@ -1172,11 +1185,11 @@ mod tests {
                         };
                         relocs.push(Reloc { at: w, target });
                         let native_offset = (w as u32 + 1) * 4;
-                        stack_maps.push(StackMapEntry { native_offset, dex_pc: w as u32 });
+                        stack_maps.push([native_offset, w as u32]);
                         Insn::Bl { offset: 0 }
                     }
                     5 => {
-                        metadata.terminators.push(w as u32);
+                        terminators.push(w as u32);
                         Insn::Ret { rn: Reg::LR }
                     }
                     _ => plain(below(9000)),
@@ -1187,17 +1200,17 @@ mod tests {
                 let (a, b) =
                     (landing[below(landing.len())].min(n), landing[below(landing.len())].min(n));
                 if a != b {
-                    metadata.slow_paths.push((a.min(b) as u32, a.max(b) as u32));
+                    slow_paths.push([a.min(b) as u32, a.max(b) as u32]);
                 }
             }
             if pool_len > 0 {
-                metadata.embedded_data.push((n as u32, pool_len as u32));
+                embedded_data.push([n as u32, pool_len as u32]);
             }
             // Codegen emits its tables ascending; a table in any other
             // order must map the same.
             if below(4) == 0 {
-                metadata.pc_rel.reverse();
-                metadata.terminators.reverse();
+                pc_rel.reverse();
+                terminators.reverse();
                 stack_maps.reverse();
             }
             let m = CompiledMethod {
@@ -1206,8 +1219,15 @@ mod tests {
                 insns: insns.into(),
                 pool: (0..pool_len as u32).map(|i| 0xdead_0000 + i).collect(),
                 relocs: relocs.into(),
-                metadata: Arc::new(metadata),
-                stack_maps: stack_maps.into(),
+                tables: MethodTables::new(TableSlices {
+                    pc_rel: &pc_rel,
+                    terminators: &terminators,
+                    embedded_data: &embedded_data,
+                    slow_paths: &slow_paths,
+                    stack_maps: &stack_maps,
+                    has_indirect_jump: false,
+                    is_native_stub: false,
+                }),
             };
             (m, edits)
         }
@@ -1217,10 +1237,11 @@ mod tests {
 
             /// Copying runs of words yields exactly what rebuilding
             /// instructions word by word did: the words appended to the
-            /// sink are the reference's instructions encoded, and
-            /// relocations, every metadata table, stack maps and the
-            /// counted moves match. Rewritten in place, an edited method
-            /// keeps no instructions of its own.
+            /// sink are the reference's instructions encoded, the call
+            /// sites handed over are the reference's relocations in site
+            /// order, and every table and the counted moves match.
+            /// Rewritten in place, an edited method keeps no instructions
+            /// of its own.
             #[test]
             fn copying_runs_equals_the_per_word_reference(
                 n in 1usize..72,
@@ -1238,14 +1259,21 @@ mod tests {
                 let mut rewriter = Rewriter::default();
                 let mut sink = vec![9; stale];
                 let (before, before_edits) = case(n, pool_len, seed ^ 1);
-                let _ = rewriter.rewrite(&before, &before_edits, &mut sink);
+                let ignore = |_: &mut [u32], _| Ok::<_, ()>(());
+                let _ = rewriter.rewrite(&before, &before_edits, &mut sink, ignore);
                 let base = sink.len();
-                let out = rewriter.rewrite(&method, &edits, &mut sink);
+                let mut calls = Vec::new();
+                let call = |code: &mut [u32], r: Reloc| {
+                    // Each site is in the code so far when it is handed over.
+                    assert!(r.at < code.len());
+                    calls.push(r);
+                    Ok::<_, ()>(())
+                };
+                let out = rewriter.rewrite(&method, &edits, &mut sink, call).unwrap();
                 prop_assert_eq!((out.stats.pc_rel_patched, out.stats.stack_maps_updated), counters);
                 prop_assert_eq!(&sink[base..], &reference[..]);
-                prop_assert_eq!(out.relocs, &expected.relocs[..]);
-                prop_assert_eq!(&out.metadata, &expected.metadata);
-                prop_assert_eq!(&out.stack_maps, &expected.stack_maps);
+                prop_assert_eq!(&calls[..], &expected.relocs[..]);
+                prop_assert_eq!(&out.tables, &expected.tables);
 
                 // A method without edits keeps its words, and with them
                 // its instructions.
@@ -1254,8 +1282,7 @@ mod tests {
                 prop_assert_eq!(actual.insns.is_empty(), !edits.is_empty());
                 prop_assert_eq!(&actual.pool, &expected.pool);
                 prop_assert_eq!(&actual.relocs, &expected.relocs);
-                prop_assert_eq!(&actual.metadata, &expected.metadata);
-                prop_assert_eq!(&actual.stack_maps, &expected.stack_maps);
+                prop_assert_eq!(&actual.tables, &expected.tables);
             }
         }
 
@@ -1313,31 +1340,31 @@ mod tests {
             ];
             let insns: Arc<[Insn]> = (0..n).map(|_| palette[below(palette.len())]).collect();
             let words = (0..n).map(|_| below(1 << 30) as u32).collect();
-            let mut metadata = MethodMetadata::default();
             // Targets inside the code, in the pool, and past both.
+            let mut pc_rel = Vec::new();
             for _ in 0..below(n + 1) {
-                let (at, target) = (below(n) as u32, below(n + pool_len + 3) as u32);
-                metadata.pc_rel.push(PcRel { at, target });
+                pc_rel.push([below(n) as u32, below(n + pool_len + 3) as u32]);
             }
             let mut relocs = Vec::new();
             for _ in 0..below(3) {
                 let target = CallTarget::Thunk(ThunkKind::StackCheck);
                 relocs.push(Reloc { at: below(n), target });
             }
-            for _ in 0..below(4) {
-                metadata.terminators.push(below(n + 3) as u32);
-            }
-            for _ in 0..below(4) {
-                metadata.slow_paths.push((below(n + 2) as u32, below(n + 2) as u32));
-            }
+            let terminators: Vec<u32> = (0..below(4)).map(|_| below(n + 3) as u32).collect();
+            let slow_paths: Vec<[u32; 2]> =
+                (0..below(4)).map(|_| [below(n + 2) as u32, below(n + 2) as u32]).collect();
             CompiledMethod {
                 method: MethodId(5),
                 insns,
                 words,
                 pool: (0..pool_len as u32).map(|i| 0xbeef_0000 + i).collect(),
                 relocs: relocs.into(),
-                metadata: Arc::new(metadata),
-                stack_maps: Arc::default(),
+                tables: MethodTables::new(TableSlices {
+                    pc_rel: &pc_rel,
+                    terminators: &terminators,
+                    slow_paths: &slow_paths,
+                    ..TableSlices::default()
+                }),
             }
         }
 
@@ -1400,8 +1427,7 @@ mod tests {
                 words: words.into(),
                 pool: Arc::default(),
                 relocs: Arc::default(),
-                metadata: Arc::default(),
-                stack_maps: Arc::default(),
+                tables: MethodTables::default(),
             }
         }
 
@@ -1470,14 +1496,14 @@ mod tests {
                 let mut found = Vec::new();
                 let mut want: Vec<Vec<Edit>> = vec![Vec::new(); methods.len()];
                 for (c, ((words, positions), cand)) in rows.candidates().zip(&candidates).enumerate() {
-                    let (len, target) = (words.len(), CallTarget::Outlined(c as u32));
+                    let (len, outlined) = (words.len(), c as u32);
                     for &pos in positions {
                         let (idx, start) = locate(&members, &starts, pos as usize, len);
-                        found.push((idx, Edit { start: start as u32, len: len as u32, target }));
+                        found.push((idx, Edit { start: start as u32, len: len as u32, outlined }));
                     }
                     for &pos in &cand.positions {
                         let (idx, start) = resolved(pos);
-                        want[idx].push(Edit { start: start as u32, len: cand.len as u32, target });
+                        want[idx].push(Edit { start: start as u32, len: cand.len as u32, outlined });
                     }
                 }
                 let MethodEdits { mut edits, bounds } = by_method(&found, methods.len());

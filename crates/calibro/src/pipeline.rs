@@ -49,7 +49,7 @@ use calibro_cache::{ArtifactStore, CacheConfig, CacheEntry, CacheKey};
 use calibro_codegen::{compile_method, compile_native_stub, CodegenOptions, CompiledMethod};
 use calibro_dex::{DexFile, Method};
 use calibro_hgraph::{build_hgraph, run_pipeline_with, HGraph, PassStats};
-use calibro_oat::{LinkInput, MethodEdits, OatFile, RewriteStats};
+use calibro_oat::{LinkInput, MethodEdits, OatFile, OutlinedBodies, RewriteStats};
 
 use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
 use crate::fingerprint::{method_cache_key, options_fingerprint, reference_env};
@@ -665,8 +665,8 @@ pub struct SizeArtifact {
     /// text segment. Empty when LTBO is off.
     pub edits: MethodEdits,
     /// Outlined function bodies' words, in `CallTarget::Outlined` index
-    /// order.
-    pub outlined: Vec<Vec<u32>>,
+    /// order, as one buffer.
+    pub outlined: OutlinedBodies,
     /// LTBO statistics (zeroed when LTBO is off).
     pub ltbo: LtboStats,
     /// Wall time of the stage: planning, not applying, the edits.

@@ -43,7 +43,7 @@ fn linked_words_are_instructions(name: &str, oat: &OatFile) -> usize {
     let mut checked = 0;
     for record in &oat.methods {
         let start = (record.offset / 4) as usize;
-        for w in (0..record.code_words as usize).filter(|&w| !record.metadata.in_embedded_data(w)) {
+        for w in (0..record.code_words as usize).filter(|&w| !record.tables.in_embedded_data(w)) {
             assert!(w < record.insn_words as usize, "{name}: {:?}: pool word {w}", record.method);
             let word = &oat.words[start + w..start + w + 1];
             assert!(instruction_words(word), "{name}: {:?}: word {w}", record.method);
@@ -70,7 +70,7 @@ fn every_codegen_output_is_its_instructions_encoded() {
         for o in &codegen.outcomes {
             let m = &o.compiled;
             assert!(encodes_to(&m.insns, &m.words), "{}: {:?}", app.name, m.method);
-            stubs += usize::from(m.metadata.is_native_stub);
+            stubs += usize::from(m.tables.is_native_stub());
         }
 
         // Outlining rewrites no method, it plans the edits the linker
@@ -106,7 +106,7 @@ fn every_method_codegen_emits_passes_the_trust_boundary() {
             if let Err(refusal) = from_frame::<CacheEntry>(key, &frame) {
                 panic!("{}: {:?}: {refusal}", app.name, o.compiled.method);
             }
-            sites += o.compiled.metadata.pc_rel.len();
+            sites += o.compiled.tables.pc_rel().len();
         }
     }
     assert!(sites > 0, "no PC-relative site was checked");

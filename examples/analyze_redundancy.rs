@@ -63,8 +63,8 @@ fn bench_analysis_sequence(oat: &calibro_oat::OatFile) -> Vec<u64> {
     for record in &oat.methods {
         let start = (record.offset / 4) as usize;
         for w in 0..record.code_words {
-            if record.metadata.in_embedded_data(w as usize)
-                || record.metadata.terminators.contains(&w)
+            if record.tables.in_embedded_data(w as usize)
+                || record.tables.terminators().contains(&w)
             {
                 unique += 1;
                 symbols.push(unique);

@@ -19,17 +19,17 @@ fn dump_method(oat: &OatFile, method: MethodId, title: &str) {
     for w in 0..record.code_words as usize {
         let addr = oat.base_address + record.offset + w as u64 * 4;
         let word = oat.words[start + w];
-        if record.metadata.in_embedded_data(w) {
+        if record.tables.in_embedded_data(w) {
             println!("{addr:#010x}: .word {word:#010x}   ; literal pool (embedded data)");
             continue;
         }
         match decode(word) {
             Ok(insn) => {
                 let mut notes = String::new();
-                if record.metadata.terminators.contains(&(w as u32)) {
+                if record.tables.terminators().contains(&(w as u32)) {
                     notes.push_str("   ; terminator");
                 }
-                if record.metadata.in_slow_path(w) {
+                if record.tables.in_slow_path(w) {
                     notes.push_str("   ; slow path");
                 }
                 println!("{addr:#010x}: {insn}{notes}");

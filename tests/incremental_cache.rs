@@ -274,8 +274,7 @@ fn codegen_shares_words_with_the_store_and_only_a_miss_keeps_instructions() {
                 ("words", Arc::ptr_eq(&m.words, &entry.words)),
                 ("pool", Arc::ptr_eq(&m.pool, &entry.pool)),
                 ("relocs", Arc::ptr_eq(&m.relocs, &entry.relocs)),
-                ("metadata", Arc::ptr_eq(&m.metadata, &entry.metadata)),
-                ("stack_maps", Arc::ptr_eq(&m.stack_maps, &entry.stack_maps)),
+                ("tables", calibro_codegen::MethodTables::ptr_eq(&m.tables, &entry.tables)),
             ];
             for (table, shared) in shared {
                 assert!(shared, "{warmth}: method {i} (hit: {}) copied its {table}", o.cache_hit);
@@ -512,8 +511,7 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
                     words: [calibro_isa::Insn::Nop.encode().expect("a nop encodes")].into(),
                     pool: Arc::default(),
                     relocs: Arc::default(),
-                    metadata: Arc::default(),
-                    stack_maps: Arc::default(),
+                    tables: calibro_codegen::MethodTables::default(),
                 },
                 pass_stats: calibro_hgraph::PassStats::default(),
                 template: None,
