@@ -8,9 +8,9 @@
 //! ```
 
 use bench::{
-    build_variant, fig3, fig4, frontier, frontier_json, suite, table1, table2, table4, table5,
-    table6, table7, warm_rebuild, Variant, DEFAULT_SCALE, FRONTIER_ARMS, PL_GROUPS, PL_THREADS,
-    WARM_MUTATION_FRACTION,
+    build_variant, fig3, fig4, frontier, frontier_gate, frontier_json, suite, table1, table2,
+    table4, table5, table6, table7, warm_rebuild, Variant, DEFAULT_SCALE, FRONTIER_ARMS, PL_GROUPS,
+    PL_THREADS, WARM_MUTATION_FRACTION,
 };
 
 /// The subcommands that run on the generated six-app suite.
@@ -111,6 +111,8 @@ fn main() {
 /// `experiments frontier` — the size/perf frontier of the size stage
 /// off and on (`none` / `outline`), written to
 /// `BENCH_size_frontier.json` and printed as a per-app size table.
+/// Exits 1 unless [`frontier_gate`] passes: six apps, outline `.text`
+/// below none on each.
 fn print_frontier(apps: &[calibro_workloads::App]) {
     header("Size/perf frontier: size stage off and on");
     let rows = frontier(apps);
@@ -137,6 +139,15 @@ fn print_frontier(apps: &[calibro_workloads::App]) {
         println!("aggregate {arm}: {total} bytes");
     }
     println!("outline < none on {wins}/{} apps", rows.len());
+    match frontier_gate(&rows) {
+        Ok(()) => println!("frontier gate passed"),
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("frontier gate: {failure}");
+            }
+            std::process::exit(1);
+        }
+    }
 }
 
 /// `experiments serve [--socket PATH | --addr HOST:PORT] [--clients N]

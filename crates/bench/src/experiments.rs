@@ -767,6 +767,34 @@ pub fn frontier(apps: &[App]) -> Vec<FrontierRow> {
         .collect()
 }
 
+/// How many apps the frontier must cover: the six-app suite.
+pub const FRONTIER_APPS: usize = 6;
+
+/// The frontier's exact gate — `.text` sizes carry no timing, so no
+/// noise tolerance: [`FRONTIER_APPS`] apps, and on each the `outline`
+/// arm's `.text` below the `none` arm's.
+///
+/// # Errors
+///
+/// One line per failed check.
+pub fn frontier_gate(rows: &[FrontierRow]) -> Result<(), Vec<String>> {
+    let mut failures = Vec::new();
+    if rows.len() != FRONTIER_APPS {
+        failures.push(format!("frontier covers {} apps, not {FRONTIER_APPS}", rows.len()));
+    }
+    for r in rows {
+        let (none, outline) = (r.arms[0].text_bytes, r.arms[1].text_bytes);
+        if outline >= none {
+            failures.push(format!("{}: outline .text {outline} is not below none {none}", r.app));
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
 /// Serializes the frontier as one JSON document:
 /// `{"apps": {"<app>": {"methods": N, "<arm>": {...}}},
 ///   "aggregate_text_bytes": {"<arm>": N}}`.
@@ -876,6 +904,33 @@ mod tests {
 
     fn tiny_app() -> App {
         generate(&AppSpec::small("tiny", 3))
+    }
+
+    #[test]
+    fn the_frontier_gate_wants_six_apps_each_shrunk() {
+        let row = |app: &str, none: u64, outline: u64| FrontierRow {
+            app: app.to_owned(),
+            methods: 1,
+            arms: FRONTIER_ARMS
+                .iter()
+                .zip([none, outline])
+                .map(|(&(arm, _), text_bytes)| FrontierArm {
+                    arm,
+                    text_bytes,
+                    outlined_functions: 0,
+                    cycles: 0,
+                })
+                .collect(),
+        };
+        let mut rows: Vec<FrontierRow> = (0..6).map(|i| row(&format!("a{i}"), 10, 9)).collect();
+        assert_eq!(frontier_gate(&rows), Ok(()));
+        rows[2] = row("even", 10, 10);
+        rows.pop();
+        let failures = frontier_gate(&rows).expect_err("two checks fail");
+        assert_eq!(
+            failures,
+            ["frontier covers 5 apps, not 6", "even: outline .text 10 is not below none 10"]
+        );
     }
 
     #[test]

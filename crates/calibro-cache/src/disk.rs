@@ -80,9 +80,6 @@ pub trait LaneEntry: Wire + Send + Sync + 'static {
     ///
     /// Returns a description of the first violated invariant.
     fn validate(&self) -> Result<(), String>;
-
-    /// Approximate resident size in bytes, for the lane's byte budget.
-    fn approx_bytes(&self) -> usize;
 }
 
 fn entry_path<V: LaneEntry>(dir: &Path, key: CacheKey) -> PathBuf {
@@ -456,9 +453,6 @@ macro_rules! lanes {
             fn validate(&self) -> Result<(), String> {
                 $validate(self)
             }
-            fn approx_bytes(&self) -> usize {
-                <$entry>::approx_bytes(self)
-            }
         }
     )*};
 }
@@ -788,37 +782,6 @@ pub(crate) mod tests {
         let frame = to_frame(FIXTURE_KEY, &entry);
         let refusal = from_frame::<CacheEntry>(FIXTURE_KEY, &frame).expect_err("range accepted");
         assert!(refusal.starts_with("embedded data "), "{refusal}");
-    }
-
-    #[test]
-    fn byte_budgets_charge_at_least_the_owned_vectors() {
-        use std::mem::size_of_val;
-        // Grown past the fixed 128-byte allowance, so an under-counted
-        // element size cannot hide behind it.
-        let mut entry = sample_entry();
-        let m = &mut entry.compiled;
-        let insns: Vec<Insn> = m.instructions().iter().copied().chain([Insn::Nop; 64]).collect();
-        m.words = encode_words(&insns).unwrap().into();
-        m.insns = insns.into();
-        m.relocs = m.relocs.iter().copied().chain([m.relocs[0]; 16]).collect();
-        let flags = vec![LEADER; m.words.len()];
-        entry.template = Some(SymbolTemplate::new(flags, &m.words));
-        let m = &entry.compiled;
-        let template = entry.template.as_ref().unwrap();
-        let owned = size_of_val(&*m.insns)
-            + size_of_val(&*m.words)
-            + size_of_val(&*m.pool)
-            + size_of_val(&*m.relocs)
-            + size_of_val(m.tables.block())
-            + size_of_val(template.flags())
-            + 4 * m.words.len(); // one leader offset per word
-        assert!(entry.approx_bytes() >= owned, "{} < {owned}", entry.approx_bytes());
-        let mut plan = sample_group();
-        plan.words.extend([0; 64]);
-        plan.positions.extend([0; 64]);
-        let rows = [&plan.lens, &plan.counts, &plan.words, &plan.positions];
-        let owned: usize = rows.iter().map(|row| size_of_val(row.as_slice())).sum();
-        assert!(plan.approx_bytes() >= owned, "{} < {owned}", plan.approx_bytes());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! counters, and the precomputed LTBO symbolization template.
 
 use std::cell::RefCell;
-use std::mem::size_of_val;
 
 use calibro_codegen::CompiledMethod;
 use calibro_hgraph::PassStats;
@@ -284,26 +283,6 @@ pub struct CacheEntry {
     pub ref_env: u64,
 }
 
-impl CacheEntry {
-    /// Approximate resident size in bytes, for the store's per-lane
-    /// byte budgets. An estimate over the owned vectors — close enough
-    /// for eviction pressure, not an allocator-exact measurement.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let m = &self.compiled;
-        let mut bytes = 128; // struct headers and fixed fields
-        bytes += size_of_val(&*m.insns);
-        bytes += size_of_val(&*m.words);
-        bytes += size_of_val(&*m.pool);
-        bytes += size_of_val(&*m.relocs);
-        bytes += size_of_val(m.tables.block());
-        if let Some(template) = &self.template {
-            bytes += template.flags().len() + 4 * template.leaders.len() + 64;
-        }
-        bytes
-    }
-}
-
 /// One cached LTBO group plan: the outline candidates detected over a
 /// group's concatenated symbol text, keyed by that text's normalized
 /// content plus the `LtboConfig` fingerprint — as four flat `u32` rows.
@@ -396,14 +375,6 @@ impl GroupPlanEntry {
             positions = rest;
             (body, at)
         })
-    }
-
-    /// Approximate resident size in bytes (see
-    /// [`CacheEntry::approx_bytes`]).
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let rows = self.lens.len() + self.counts.len() + self.words.len() + self.positions.len();
-        128 + 4 * rows
     }
 }
 

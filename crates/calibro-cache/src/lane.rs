@@ -1,13 +1,19 @@
 //! One store lane: an in-memory map from [`CacheKey`] to `Arc<V>` with
-//! cost-aware 2Q eviction and its own counter block, over the tiered
+//! second-chance eviction and its own counter block, over the tiered
 //! read path memory → checksummed disk (promoting on a hit) → fleet
 //! peer. Written once, generically over [`LaneEntry`], and
 //! monomorphised per entry type — the two lanes of an
 //! [`ArtifactStore`](crate::ArtifactStore) share every line of logic
 //! here and none of their state, so per-build stats stay attributable
 //! and pressure in one lane never evicts another.
+//!
+//! Eviction is second chance (CLOCK) over insertion order: a memory hit
+//! sets the entry's referenced bit, and an insert into a full lane pops
+//! keys from the front of the queue — a referenced one goes to the back
+//! with its bit cleared, the first unreferenced one is evicted. What
+//! goes is a function of the sequence of lookups and inserts alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
@@ -15,8 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use crate::disk::{self, LaneEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
-use crate::peer::{PeerFetch, PeerFrame, PeerLane, PeerSource};
-use crate::policy::{Lane2Q, Victim};
+use crate::peer::{PeerFetch, PeerLane, PeerSource};
 
 /// The events one lane counts. [`CacheStats`](crate::CacheStats) maps
 /// each of its flat fields to one `(lane, Counter)` pair.
@@ -32,36 +37,42 @@ pub(crate) enum Counter {
     PeerHits,
     PeerMisses,
     PeerErrors,
-    EvictCostUs,
     LockContention,
 }
 
 const COUNTERS: usize = Counter::LockContention as usize + 1;
 
-struct Inner<V> {
-    map: HashMap<CacheKey, Arc<V>>,
-    policy: Lane2Q,
+/// A resident entry and its referenced bit.
+struct Slot<V> {
+    entry: Arc<V>,
+    referenced: bool,
 }
 
-/// One lane of the store: an in-memory map with cost-aware 2Q eviction
+struct Inner<V> {
+    map: HashMap<CacheKey, Slot<V>>,
+    /// Every resident key once, in insertion order (a second chance
+    /// moves a key to the back).
+    queue: VecDeque<CacheKey>,
+}
+
+/// One lane of the store: an in-memory map with second-chance eviction
 /// and its own counters over the tiered read path memory → disk → fleet
 /// peer, generic over what it stores ([`LaneEntry`]). Shared across
 /// compile workers: every method takes `&self` and synchronizes
 /// internally.
 pub struct Lane<V> {
     inner: Mutex<Inner<V>>,
+    max_entries: usize,
     disk_dir: Option<PathBuf>,
     peer: OnceLock<Arc<dyn PeerSource>>,
     counters: [AtomicU64; COUNTERS],
 }
 
 impl<V: LaneEntry> Lane<V> {
-    pub(crate) fn new(max_entries: usize, budget_bytes: usize, disk_dir: Option<PathBuf>) -> Self {
+    pub(crate) fn new(max_entries: usize, disk_dir: Option<PathBuf>) -> Self {
         Lane {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                policy: Lane2Q::new(max_entries, budget_bytes),
-            }),
+            inner: Mutex::new(Inner { map: HashMap::new(), queue: VecDeque::new() }),
+            max_entries: max_entries.max(1),
             disk_dir,
             peer: OnceLock::new(),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -89,8 +100,9 @@ impl<V: LaneEntry> Lane<V> {
     /// A poisoned lock is recovered, never propagated: a panic under the
     /// lock must not take the lane, and every later build of the session,
     /// down with it. The worst a holder can leave behind is a key the map
-    /// and the policy disagree about, which every reader here tolerates
-    /// (`cost_of` → 0, `on_hit` → no-op, `evict` checks the removal).
+    /// and the queue disagree about: a queued key missing from the map is
+    /// skipped when it surfaces, and a mapped key missing from the queue
+    /// is never evicted: it holds its one slot for good.
     fn lock(&self) -> MutexGuard<'_, Inner<V>> {
         match self.inner.try_lock() {
             Ok(guard) => guard,
@@ -107,27 +119,18 @@ impl<V: LaneEntry> Lane<V> {
         self.lock().map.len()
     }
 
-    /// Memory-then-disk lookup shared by every read. Returns the entry
-    /// with its recorded recompute cost; counts nothing when `count` is
-    /// false (the peer-serving path must not pollute this shard's own
-    /// hit/miss attribution) and never counts a miss (the callers own
-    /// that decision).
-    fn local_lookup(
-        &self,
-        key: CacheKey,
-        count: bool,
-    ) -> Result<Option<(Arc<V>, u64)>, CacheError> {
-        {
-            let mut inner = self.lock();
-            if let Some(entry) = inner.map.get(&key) {
-                let arc = Arc::clone(entry);
-                let cost = inner.policy.cost_of(key).unwrap_or(0);
-                inner.policy.on_hit(key);
-                if count {
-                    self.add(Counter::Hits, 1);
-                }
-                return Ok(Some((arc, cost)));
+    /// Memory-then-disk lookup shared by every read. A memory hit sets
+    /// the entry's referenced bit whether or not it is counted. Counts
+    /// nothing when `count` is false (the peer-serving path must not
+    /// pollute this shard's own hit/miss attribution) and never counts a
+    /// miss (the callers own that decision).
+    fn local_lookup(&self, key: CacheKey, count: bool) -> Result<Option<Arc<V>>, CacheError> {
+        if let Some(slot) = self.lock().map.get_mut(&key) {
+            slot.referenced = true;
+            if count {
+                self.add(Counter::Hits, 1);
             }
+            return Ok(Some(Arc::clone(&slot.entry)));
         }
         if let Some(dir) = &self.disk_dir {
             if let Some(entry) = disk::load::<V>(dir, key)? {
@@ -138,14 +141,12 @@ impl<V: LaneEntry> Lane<V> {
                 // Promote into memory. NOT a store: the entry was
                 // produced and persisted by an earlier build, so it is
                 // counted under `promotions` (and a concurrent race is
-                // keep-first, like `insert`). Promotion cost is zero —
-                // re-materializing it is a disk read, not a recompute —
-                // so under pressure disk-backed entries go first.
-                let (arc, promoted) = self.insert_memory(key, entry, 0);
+                // keep-first, like `insert`).
+                let (arc, promoted) = self.insert_memory(key, entry);
                 if count && promoted {
                     self.add(Counter::Promotions, 1);
                 }
-                return Ok(Some((arc, 0)));
+                return Ok(Some(arc));
             }
         }
         Ok(None)
@@ -159,19 +160,17 @@ impl<V: LaneEntry> Lane<V> {
 
     /// Folds one peer outcome for a local miss into the lane. A frame
     /// that passes the [`from_frame`](crate::from_frame) gauntlet is
-    /// adopted at the origin's recorded recompute cost (locally it was
-    /// never computed, but evicting it costs the fleet the same network
-    /// fetch again) — not a store, it is not new output. Not-found, a
-    /// transport failure and a frame that fails validation all degrade
-    /// to a counted miss: the caller recomputes locally and never sees
-    /// the peer problem as an error.
+    /// adopted into memory — not a store, it is not new output.
+    /// Not-found, a transport failure and a frame that fails validation
+    /// all degrade to a counted miss: the caller recomputes locally and
+    /// never sees the peer problem as an error.
     fn adopt(&self, key: CacheKey, fetched: PeerFetch) -> Option<Arc<V>> {
         let degraded = match fetched {
-            Ok(Some(PeerFrame { frame, cost_us })) => match disk::from_frame::<V>(key, &frame) {
+            Ok(Some(frame)) => match disk::from_frame::<V>(key, &frame) {
                 Ok(entry) => {
                     self.add(Counter::PeerHits, 1);
                     self.add(Counter::Hits, 1);
-                    return Some(self.insert_memory(key, entry, cost_us).0);
+                    return Some(self.insert_memory(key, entry).0);
                 }
                 Err(_) => Counter::PeerErrors,
             },
@@ -194,7 +193,7 @@ impl<V: LaneEntry> Lane<V> {
     /// it as a miss, so poisoned caches are diagnosed instead of
     /// silently recomputed around.
     pub fn get(&self, key: CacheKey) -> Result<Option<Arc<V>>, CacheError> {
-        if let Some((arc, _)) = self.local_lookup(key, true)? {
+        if let Some(arc) = self.local_lookup(key, true)? {
             return Ok(Some(arc));
         }
         Ok(match self.peer() {
@@ -220,7 +219,7 @@ impl<V: LaneEntry> Lane<V> {
         let mut out: Vec<Option<Arc<V>>> = Vec::with_capacity(keys.len());
         let mut missing: Vec<usize> = Vec::new();
         for (i, &key) in keys.iter().enumerate() {
-            let found = self.local_lookup(key, true)?.map(|(arc, _)| arc);
+            let found = self.local_lookup(key, true)?;
             if found.is_none() {
                 missing.push(i);
             }
@@ -242,43 +241,34 @@ impl<V: LaneEntry> Lane<V> {
     }
 
     /// The lookup a daemon runs to answer a sibling's `PeerGet`: the
-    /// entry's interchange frame and recorded recompute cost, from
-    /// memory and local disk only — never the peer tier, so a
-    /// fleet-wide miss terminates instead of ricocheting between shards
-    /// — and without touching the hit/miss counters, so serving the
-    /// fleet does not distort this shard's own cache attribution. The
-    /// eviction policy *does* see the access: fleet-hot entries deserve
-    /// residence.
+    /// entry's interchange frame, from memory and local disk only —
+    /// never the peer tier, so a fleet-wide miss terminates instead of
+    /// ricocheting between shards — and without touching the hit/miss
+    /// counters, so serving the fleet does not distort this shard's own
+    /// cache attribution. Eviction *does* see the access as a hit:
+    /// fleet-hot entries deserve residence.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError`] when the local disk entry is corrupt or
     /// unreadable; the requester counts a peer error and recomputes
     /// locally.
-    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<PeerFrame>, CacheError> {
+    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<Vec<u8>>, CacheError> {
         let found = self.local_lookup(key, false)?;
-        Ok(found.map(|(entry, cost_us)| PeerFrame { frame: disk::to_frame(key, &*entry), cost_us }))
+        Ok(found.map(|entry| disk::to_frame(key, &*entry)))
     }
 
-    /// Inserts an entry computed for `key` with the CPU cost (µs) it
-    /// took to produce, returning the shared handle (an existing entry
-    /// for the same key is kept — content addressing makes both
-    /// byte-equivalent). Persists to disk when configured — only for
-    /// genuinely new keys, so two workers inserting the same key
-    /// concurrently produce exactly one disk write and one
+    /// Inserts an entry computed for `key`, returning the shared handle
+    /// (an existing entry for the same key is kept — content addressing
+    /// makes both byte-equivalent). Persists to disk when configured —
+    /// only for genuinely new keys, so two workers inserting the same
+    /// key concurrently produce exactly one disk write and one
     /// `disk_stores` increment.
-    ///
-    /// The cost feeds the 2Q eviction policy: under budget pressure the
-    /// lane sacrifices cheap-to-recompute entries first.
-    pub fn insert_with_cost(&self, key: CacheKey, entry: V, cost_us: u64) -> Arc<V> {
-        let (arc, inserted) = self.insert_memory(key, entry, cost_us);
+    pub fn insert(&self, key: CacheKey, entry: V) -> Arc<V> {
+        let (arc, inserted) = self.insert_memory(key, entry);
         if inserted {
             self.add(Counter::Stores, 1);
-            if let Some(dir) = &self.disk_dir {
-                if disk::store(dir, key, &*arc).is_ok() {
-                    self.add(Counter::DiskStores, 1);
-                }
-            }
+            self.store_to_disk(key, &arc);
         }
         arc
     }
@@ -288,62 +278,68 @@ impl<V: LaneEntry> Lane<V> {
     /// not describe the content `key` addresses (a key collision, a
     /// well-formed frame from a confused peer), and recomputed. The
     /// lookup counted a hit; this counts the miss it turned out to be,
-    /// and the store.
-    pub fn replace_with_cost(&self, key: CacheKey, entry: V, cost_us: u64) -> Arc<V> {
+    /// and the store. A resident key keeps its place in the queue, with
+    /// its referenced bit cleared like any insert's.
+    pub fn replace(&self, key: CacheKey, entry: V) -> Arc<V> {
         let arc = Arc::new(entry);
         {
             let mut inner = self.lock();
-            let bytes = arc.approx_bytes();
-            let victims = match inner.map.insert(key, Arc::clone(&arc)) {
-                Some(_) => inner.policy.on_replace(key, bytes, cost_us),
-                None => inner.policy.on_insert(key, bytes, cost_us),
-            };
-            self.evict(&mut inner, victims);
+            match inner.map.get_mut(&key) {
+                Some(slot) => *slot = Slot { entry: Arc::clone(&arc), referenced: false },
+                None => self.admit(&mut inner, key, Arc::clone(&arc)),
+            }
         }
         self.add(Counter::Misses, 1);
         self.add(Counter::Stores, 1);
-        if let Some(dir) = &self.disk_dir {
-            if disk::store(dir, key, &*arc).is_ok() {
-                self.add(Counter::DiskStores, 1);
-            }
-        }
+        self.store_to_disk(key, &arc);
         arc
     }
 
-    /// [`insert_with_cost`](Self::insert_with_cost) with an unrecorded
-    /// (zero) recompute cost.
-    pub fn insert(&self, key: CacheKey, entry: V) -> Arc<V> {
-        self.insert_with_cost(key, entry, 0)
+    /// Best-effort write of a new entry to the disk layer, if any.
+    fn store_to_disk(&self, key: CacheKey, entry: &V) {
+        if let Some(dir) = &self.disk_dir {
+            if disk::store(dir, key, entry).is_ok() {
+                self.add(Counter::DiskStores, 1);
+            }
+        }
     }
 
     /// Inserts `entry` under `key` if absent, returning the canonical
-    /// handle and whether this call inserted it. Applies the eviction
-    /// policy (counting evictions and their forfeited cost);
-    /// `stores`/`promotions` attribution is the caller's job. The map
-    /// is checked *first*, so a losing racer neither writes disk nor
-    /// touches the counters.
-    fn insert_memory(&self, key: CacheKey, entry: V, cost_us: u64) -> (Arc<V>, bool) {
+    /// handle and whether this call inserted it; `stores`/`promotions`
+    /// attribution is the caller's job. The map is checked *first*, so
+    /// a losing racer neither writes disk nor touches the counters.
+    fn insert_memory(&self, key: CacheKey, entry: V) -> (Arc<V>, bool) {
         let mut inner = self.lock();
-        if let Some(existing) = inner.map.get(&key) {
-            return (Arc::clone(existing), false);
+        if let Some(slot) = inner.map.get(&key) {
+            return (Arc::clone(&slot.entry), false);
         }
-        let bytes = entry.approx_bytes();
         let arc = Arc::new(entry);
-        inner.map.insert(key, Arc::clone(&arc));
-        let victims = inner.policy.on_insert(key, bytes, cost_us);
-        self.evict(&mut inner, victims);
+        self.admit(&mut inner, key, Arc::clone(&arc));
         (arc, true)
     }
 
-    /// Drops the policy's victims from the map, counting each eviction
-    /// and the recompute cost it forfeits.
-    fn evict(&self, inner: &mut Inner<V>, victims: Vec<Victim>) {
-        for victim in victims {
-            if inner.map.remove(&victim.key).is_some() {
-                self.add(Counter::Evictions, 1);
-                self.add(Counter::EvictCostUs, victim.cost_us);
+    /// Maps and queues a key the map does not hold, its referenced bit
+    /// clear, after making room: while the lane is full, the front key
+    /// either goes to the back with its bit cleared (it was hit since
+    /// it last came round) or is evicted. The newcomer is never its own
+    /// victim, and a queued key the map no longer holds is dropped.
+    fn admit(&self, inner: &mut Inner<V>, key: CacheKey, entry: Arc<V>) {
+        while inner.map.len() >= self.max_entries {
+            let Some(front) = inner.queue.pop_front() else { break };
+            match inner.map.get_mut(&front) {
+                Some(slot) if slot.referenced => {
+                    slot.referenced = false;
+                    inner.queue.push_back(front);
+                }
+                Some(_) => {
+                    inner.map.remove(&front);
+                    self.add(Counter::Evictions, 1);
+                }
+                None => {}
             }
         }
+        inner.map.insert(key, Slot { entry, referenced: false });
+        inner.queue.push_back(key);
     }
 
     /// Persists every in-memory entry the disk layer does not already
@@ -352,7 +348,7 @@ impl<V: LaneEntry> Lane<V> {
     pub(crate) fn flush_to_disk(&self) -> usize {
         let Some(dir) = &self.disk_dir else { return 0 };
         let resident: Vec<(CacheKey, Arc<V>)> =
-            self.lock().map.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
+            self.lock().map.iter().map(|(k, slot)| (*k, Arc::clone(&slot.entry))).collect();
         let mut written = 0;
         for (key, entry) in resident {
             if !disk::has::<V>(dir, key) && disk::store(dir, key, &*entry).is_ok() {
@@ -374,9 +370,95 @@ mod tests {
         CacheKey { hi: n, lo: !n }
     }
 
+    /// The resident keys' `hi` words, sorted.
+    fn resident(lane: &Lane<GroupPlanEntry>) -> Vec<u64> {
+        let mut keys: Vec<u64> = lane.lock().map.keys().map(|k| k.hi).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn a_hit_entry_outlives_one_pass_and_an_unhit_older_one_goes_first() {
+        let lane: Lane<GroupPlanEntry> = Lane::new(3, None);
+        for k in 0..3 {
+            lane.insert(key(k), sample_group());
+        }
+        assert!(lane.get(key(0)).expect("no disk tier").is_some());
+        // Key 0 is the oldest but was hit: it goes to the back, and the
+        // unhit key 1 behind it is evicted.
+        lane.insert(key(3), sample_group());
+        assert_eq!(resident(&lane), [0, 2, 3]);
+        // Its second chance spent, key 0 goes in its new turn, after
+        // key 2 — unless it is hit again.
+        lane.insert(key(4), sample_group());
+        assert_eq!(resident(&lane), [0, 3, 4]);
+        lane.insert(key(5), sample_group());
+        assert_eq!(resident(&lane), [3, 4, 5]);
+        // Serving a peer is a hit too, though it counts none.
+        assert!(lane.serve_peer(key(3)).expect("no disk tier").is_some());
+        lane.insert(key(6), sample_group());
+        assert_eq!(resident(&lane), [3, 5, 6]);
+        // An insert starts unreferenced, whatever its origin: a replace
+        // clears the bit a hit set, and keeps the key's turn.
+        assert!(lane.get(key(5)).expect("no disk tier").is_some());
+        lane.replace(key(5), sample_group());
+        lane.insert(key(7), sample_group());
+        assert_eq!(resident(&lane), [3, 6, 7]);
+        assert_eq!(lane.count(Counter::Evictions), 5);
+    }
+
+    #[test]
+    fn the_same_operations_evict_the_same_keys_in_the_same_order() {
+        // A fixed script of inserts and lookups over a key space four
+        // times the lane's size, the lookups skewed to low keys.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let script: Vec<(bool, u64)> =
+            (0..4_000).map(|_| (next() % 3 == 0, next() % 64 % (1 + next() % 64))).collect();
+        let run = || {
+            let lane: Lane<GroupPlanEntry> = Lane::new(16, None);
+            let mut evicted = Vec::new();
+            for &(insert, k) in &script {
+                if insert {
+                    let before = resident(&lane);
+                    lane.insert(key(k), sample_group());
+                    let after = resident(&lane);
+                    evicted.extend(before.into_iter().filter(|k| !after.contains(k)));
+                } else {
+                    lane.get(key(k)).expect("no disk tier");
+                }
+            }
+            (evicted, resident(&lane))
+        };
+        let (first, kept) = run();
+        assert!(first.len() > 100, "the script must evict: {}", first.len());
+        assert_eq!(run(), (first, kept));
+    }
+
+    #[test]
+    fn the_queue_stays_bounded_under_repeated_hits() {
+        const MAX: usize = 8;
+        let lane: Lane<GroupPlanEntry> = Lane::new(MAX, None);
+        for round in 0..10_000u64 {
+            for k in round.saturating_sub(MAX as u64)..round {
+                lane.get(key(k)).expect("no disk tier");
+            }
+            lane.insert(key(round), sample_group());
+            let inner = lane.lock();
+            assert!(inner.map.len() <= MAX, "round {round}: {} resident", inner.map.len());
+            assert!(inner.queue.len() <= MAX + 1, "round {round}: {} queued", inner.queue.len());
+        }
+        assert_eq!(lane.count(Counter::Evictions), 10_000 - MAX as u64);
+    }
+
     #[test]
     fn a_holder_that_panics_leaves_the_lane_working() {
-        let lane: Lane<GroupPlanEntry> = Lane::new(8, usize::MAX, None);
+        let lane: Lane<GroupPlanEntry> = Lane::new(8, None);
         lane.insert(key(1), sample_group());
         let (locked, is_locked) = std::sync::mpsc::channel();
         std::thread::scope(|s| {

@@ -38,7 +38,6 @@ mod hash;
 mod lane;
 mod method_hash;
 mod peer;
-mod policy;
 mod store;
 
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
@@ -49,7 +48,7 @@ pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};
 pub use lane::Lane;
 pub use method_hash::{hash_method, hash_program};
-pub use peer::{PeerError, PeerFetch, PeerFrame, PeerLane, PeerSource};
+pub use peer::{PeerError, PeerFetch, PeerLane, PeerSource};
 pub use store::{ArtifactStore, CacheConfig, CacheStats};
 
 /// Schema salt folded into every cache key: the crate version plus a

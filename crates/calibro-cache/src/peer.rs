@@ -74,21 +74,10 @@ impl core::fmt::Display for PeerError {
 
 impl std::error::Error for PeerError {}
 
-/// One key's outcome of a peer fetch: the frame a peer holds, or `None`
-/// when every reachable peer answered not-found.
-pub type PeerFetch = Result<Option<PeerFrame>, PeerError>;
-
-/// A peer's answer for one key: the framed artifact bytes (not yet
-/// validated) with the recompute cost the origin shard recorded — so the
-/// receiving lane can slot the entry into its cost-aware eviction policy
-/// at the right priority.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PeerFrame {
-    /// The interchange frame, as the origin's disk layer writes it.
-    pub frame: Vec<u8>,
-    /// The origin's recompute cost, in µs.
-    pub cost_us: u64,
-}
+/// One key's outcome of a peer fetch: the interchange frame a peer
+/// holds, as the origin's disk layer writes it and not yet validated,
+/// or `None` when every reachable peer answered not-found.
+pub type PeerFetch = Result<Option<Vec<u8>>, PeerError>;
 
 /// One lane code byte.
 impl Wire for PeerLane {
@@ -105,20 +94,6 @@ impl Wire for PeerLane {
             1 => Ok(PeerLane::Group),
             tag => Err(WireError::InvalidTag { what, tag }),
         }
-    }
-}
-
-/// The cost *before* the frame it describes, both decoded under the
-/// field's name (an `Option<PeerFrame>` puts its presence tag first).
-impl Wire for PeerFrame {
-    fn put(&self, w: &mut Writer) {
-        self.cost_us.put(w);
-        self.frame.put(w);
-    }
-
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PeerFrame, WireError> {
-        let cost_us = Wire::get(r, what)?;
-        Ok(PeerFrame { frame: Wire::get(r, what)?, cost_us })
     }
 }
 

@@ -15,35 +15,24 @@ use crate::entry::{CacheEntry, GroupPlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::lane::{Counter, Lane};
-use crate::peer::{PeerFrame, PeerLane, PeerSource};
+use crate::peer::{PeerLane, PeerSource};
 
 /// Configuration of one [`ArtifactStore`].
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
-    /// Maximum in-memory entries per lane before eviction kicks in.
+    /// Maximum in-memory entries per lane (at least one). An insert into
+    /// a full lane evicts by second chance (see [`Lane`]).
     pub max_entries: usize,
     /// Directory for the persistent layer; `None` keeps the cache
     /// purely in-memory. Entries are written best-effort (an unwritable
     /// directory never fails a build) but *read* strictly: a corrupt
     /// entry surfaces as a [`CacheError`], never as wrong code.
     pub disk_dir: Option<PathBuf>,
-    /// In-memory byte budget of the method-artifact lane (approximate
-    /// entry sizes, see [`CacheEntry::approx_bytes`]); `usize::MAX`
-    /// leaves the lane bounded by `max_entries` alone.
-    pub method_budget_bytes: usize,
-    /// In-memory byte budget of the group-plan lane, enforced
-    /// independently of the method lane.
-    pub group_budget_bytes: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig {
-            max_entries: 1 << 20,
-            disk_dir: None,
-            method_budget_bytes: usize::MAX,
-            group_budget_bytes: usize::MAX,
-        }
+        CacheConfig { max_entries: 1 << 20, disk_dir: None }
     }
 }
 
@@ -114,7 +103,7 @@ cache_stats! {
     misses = Method.Misses,
     /// Entries inserted.
     stores = Method.Stores,
-    /// Entries evicted by the capacity or byte budgets.
+    /// Entries evicted from a full lane.
     evictions = Method.Evictions,
     /// Lookups satisfied from the disk layer.
     disk_hits = Method.DiskHits,
@@ -134,17 +123,13 @@ cache_stats! {
     /// truncation, checksum, remote error) — each degraded to a local
     /// compile.
     peer_errors = Method.PeerErrors,
-    /// Cumulative recompute cost (µs) of evicted entries: what the
-    /// eviction policy gave up. A policy that keeps the right entries
-    /// grows this slowly relative to `evictions`.
-    evict_cost_us = Method.EvictCostUs,
     /// Group-plan lookups that found a plan (LTBO detection skipped).
     group_hits = Group.Hits,
     /// Group-plan lookups that found nothing (group re-detected).
     group_misses = Group.Misses,
     /// Group plans inserted.
     group_stores = Group.Stores,
-    /// Group plans evicted by the capacity or byte budgets.
+    /// Group plans evicted from a full lane.
     group_evictions = Group.Evictions,
     /// Group-plan lookups satisfied from the disk layer.
     group_disk_hits = Group.DiskHits,
@@ -159,8 +144,6 @@ cache_stats! {
     group_peer_misses = Group.PeerMisses,
     /// Group-plan peer consultations that failed.
     group_peer_errors = Group.PeerErrors,
-    /// Cumulative detection cost (µs) of evicted group plans.
-    group_evict_cost_us = Group.EvictCostUs,
     /// Method-lane lock acquisitions that found the lock held by
     /// another thread (a contended shared-store access). Zero in
     /// single-build use; under a multi-tenant daemon this measures how
@@ -258,7 +241,7 @@ impl CacheStats {
 /// Two independent [`Lane`]s share the store — per-method compile
 /// artifacts ([`methods`](Self::methods)) and per-group LTBO plans
 /// ([`groups`](Self::groups)) — each with its own lock, counters,
-/// eviction policy, byte budget and peer tier, so per-build stats stay
+/// `max_entries` ceiling and peer tier, so per-build stats stay
 /// attributable and pressure in one lane never evicts the other.
 pub struct ArtifactStore {
     methods: Lane<CacheEntry>,
@@ -294,8 +277,8 @@ impl ArtifactStore {
         }
         let (max, dir) = (config.max_entries, &config.disk_dir);
         ArtifactStore {
-            methods: Lane::new(max, config.method_budget_bytes, dir.clone()),
-            groups: Lane::new(max, config.group_budget_bytes, dir.clone()),
+            methods: Lane::new(max, dir.clone()),
+            groups: Lane::new(max, dir.clone()),
             config,
         }
     }
@@ -350,11 +333,7 @@ impl ArtifactStore {
     ///
     /// Returns [`CacheError`] when the local disk entry is corrupt or
     /// unreadable.
-    pub fn serve_peer(
-        &self,
-        lane: PeerLane,
-        key: CacheKey,
-    ) -> Result<Option<PeerFrame>, CacheError> {
+    pub fn serve_peer(&self, lane: PeerLane, key: CacheKey) -> Result<Option<Vec<u8>>, CacheError> {
         match lane {
             PeerLane::Method => self.methods.serve_peer(key),
             PeerLane::Group => self.groups.serve_peer(key),
@@ -396,12 +375,11 @@ mod tests {
 
     /// What the generic suites need to know per lane beyond
     /// [`LaneEntry`]: distinguishable same-size entries, the lane's
-    /// accessor, its `CacheStats` field prefix and its budget knob.
+    /// accessor and its `CacheStats` field prefix.
     trait Sample: LaneEntry {
         const PREFIX: &'static str;
         fn make(n: u32) -> Self;
         fn lane(store: &ArtifactStore) -> &Lane<Self>;
-        fn budget(config: &mut CacheConfig) -> &mut usize;
     }
 
     impl Sample for CacheEntry {
@@ -414,9 +392,6 @@ mod tests {
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.methods()
         }
-        fn budget(config: &mut CacheConfig) -> &mut usize {
-            &mut config.method_budget_bytes
-        }
     }
 
     impl Sample for GroupPlanEntry {
@@ -426,9 +401,6 @@ mod tests {
         }
         fn lane(store: &ArtifactStore) -> &Lane<Self> {
             store.groups()
-        }
-        fn budget(config: &mut CacheConfig) -> &mut usize {
-            &mut config.group_budget_bytes
         }
     }
 
@@ -481,20 +453,19 @@ mod tests {
         assert_eq!(stats::<V, 3>(&store, ["hits", "misses", "stores"]), [1, 1, 1]);
         assert_eq!(activity(&store), 3, "{ext}: a sibling lane's counters moved");
 
-        // The byte budget bounds this lane and no other.
-        let mut config = CacheConfig::default();
-        let one = V::make(0).approx_bytes();
-        *V::budget(&mut config) = one + one / 2;
-        let tight = ArtifactStore::new(config);
-        for n in 0..4 {
-            tight.methods().insert(key(n), Sample::make(n as u32));
-            tight.groups().insert(key(n), Sample::make(n as u32));
+        // A full lane evicts from itself and no other.
+        let tight = ArtifactStore::new(CacheConfig { max_entries: 2, ..CacheConfig::default() });
+        tight.methods().insert(key(0), Sample::make(0));
+        tight.groups().insert(key(0), Sample::make(0));
+        for n in 1..4 {
+            V::lane(&tight).insert(key(n), V::make(n as u32));
         }
-        assert_eq!(V::lane(&tight).len(), 1, "{ext}: byte budget must evict");
-        assert_eq!(stats::<V, 1>(&tight, ["evictions"]), [3]);
+        assert_eq!(V::lane(&tight).len(), 2, "{ext}: a full lane must evict");
+        assert_eq!(stats::<V, 1>(&tight, ["evictions"]), [2]);
         let s = tight.stats();
         let evicted = s.evictions + s.group_evictions;
-        assert_eq!(evicted, 3, "{ext}: pressure leaked into a sibling lane");
+        assert_eq!(evicted, 2, "{ext}: pressure leaked into a sibling lane");
+        assert_eq!(tight.methods().len() + tight.groups().len(), 3);
 
         // Entries persist across store instances, and a disk hit is a
         // promotion — never a store (the PR 6 / PR 10 bug class).
@@ -523,7 +494,7 @@ mod tests {
         let store = disk_store(&dir);
         let lane = V::lane(&store);
         assert!(lane.get(key(7)).unwrap().is_some());
-        let replaced = lane.replace_with_cost(key(7), V::make(9), 3);
+        let replaced = lane.replace(key(7), V::make(9));
         assert!(Arc::ptr_eq(&lane.get(key(7)).unwrap().expect("replaced entry"), &replaced));
         assert_eq!(lane.len(), 1);
         let names = ["hits", "misses", "stores", "disk_stores"];
@@ -532,7 +503,7 @@ mod tests {
         let reopened = disk_store(&dir);
         let back = V::lane(&reopened).get(key(7)).unwrap().expect("the overwrite persisted");
         assert_eq!(to_frame(key(7), &*back), to_frame(key(7), &V::make(9)));
-        V::lane(&reopened).replace_with_cost(key(7), V::make(7), 0);
+        V::lane(&reopened).replace(key(7), V::make(7));
         drop(reopened);
 
         // A corrupt payload is a typed error, never a miss.
@@ -627,7 +598,7 @@ mod tests {
         let dir = fresh_dir(&format!("peer-{ext}"));
         let store = peered(disk_store(&dir), move |lane, key| {
             assert_eq!(lane, wire, "asked under another lane's wire code");
-            Ok(Some(PeerFrame { frame: to_frame(key, &V::make(3)), cost_us: 777 }))
+            Ok(Some(to_frame(key, &V::make(3))))
         });
         let lane = V::lane(&store);
         let got = lane.get(key(3)).unwrap().expect("peer tier serves the miss");
@@ -640,11 +611,11 @@ mod tests {
         assert!(lane.get_many(&[key(3), key(4)]).unwrap().iter().all(Option::is_some));
         assert_eq!(stats::<V, 2>(&store, ["peer_hits", "hits"]), [2, 4]);
 
-        // Serving a sibling counts nothing, hands out the frame at its
-        // adopted cost, and never asks this shard's own peers.
+        // Serving a sibling counts nothing, hands out the frame, and
+        // never asks this shard's own peers.
         let before = store.stats();
         let served = lane.serve_peer(key(3)).unwrap().expect("resident entry served");
-        assert_eq!(served, PeerFrame { frame: to_frame(key(3), &V::make(3)), cost_us: 777 });
+        assert_eq!(served, to_frame(key(3), &V::make(3)));
         assert_eq!(store.serve_peer(wire, key(3)).unwrap(), Some(served));
         assert!(lane.serve_peer(key(99)).unwrap().is_none(), "{ext}: serving ricocheted");
         assert_eq!(before, store.stats(), "{ext}: serving distorted local attribution");
@@ -663,8 +634,8 @@ mod tests {
         for (fetched, counted) in [
             (Ok(None), "peer_misses"),
             (Err(hangup), "peer_errors"),
-            (Ok(Some(PeerFrame { frame: tampered, cost_us: 5 })), "peer_errors"),
-            (Ok(Some(PeerFrame { frame: misfiled, cost_us: 5 })), "peer_errors"),
+            (Ok(Some(tampered)), "peer_errors"),
+            (Ok(Some(misfiled)), "peer_errors"),
         ] {
             let store = peered(ArtifactStore::default(), move |_, _| fetched.clone());
             assert!(V::lane(&store).get(key(1)).unwrap().is_none(), "{ext}: {counted}");
@@ -720,7 +691,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // The same bytes from a peer are a counted peer error.
-        let stale = PeerFrame { frame: stale.to_vec(), cost_us: 5 };
+        let stale = stale.to_vec();
         let store = peered(ArtifactStore::default(), move |_, _| Ok(Some(stale.clone())));
         assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
         assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
@@ -734,31 +705,31 @@ mod tests {
     #[test]
     fn counter_table_keeps_the_wire_and_json_order() {
         // Recorded from the 45-argument `format!` / wire destructuring
-        // the table replaced, less the twelve rows of the dictionary lane
-        // and the nine of the merge-plan lane removed since. Append to
-        // both; never reorder.
+        // the table replaced, less the twelve rows of the dictionary lane,
+        // the nine of the merge-plan lane and the two evicted-cost rows
+        // removed since. Append to both; never reorder.
         #[rustfmt::skip]
         let order = [
             "hits", "misses", "stores", "evictions", "disk_hits", "disk_stores", "promotions",
-            "peer_hits", "peer_misses", "peer_errors", "evict_cost_us",
+            "peer_hits", "peer_misses", "peer_errors",
             "group_hits", "group_misses", "group_stores", "group_evictions", "group_disk_hits",
             "group_disk_stores", "group_promotions", "group_peer_hits", "group_peer_misses",
-            "group_peer_errors", "group_evict_cost_us",
+            "group_peer_errors",
             "lock_contention", "group_lock_contention",
         ];
         assert_eq!(CacheStats::NAMES, order);
         let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
         let s = CacheStats::from_array(ramp);
         assert_eq!(s.to_array(), ramp);
-        assert_eq!((s.hits, s.group_hits, s.group_evict_cost_us), (1, 12, 22));
-        assert_eq!((s.lock_contention, s.group_lock_contention), (23, 24));
+        assert_eq!((s.hits, s.group_hits, s.group_peer_errors), (1, 11, 20));
+        assert_eq!((s.lock_contention, s.group_lock_contention), (21, 22));
         assert_eq!((s.merge_hits, s.merge_misses, s.merge_evictions), (0, 0, 0));
         // The JSON object `BuildStats::to_json` embeds, key for key, and
         // then the retired fields.
         let json = s.to_json();
         assert!(json.starts_with(r#"{"hits":1,"misses":2,"stores":3,"evictions":4,"disk_hits":5,"#));
         assert!(json.ends_with(
-            r#","group_lock_contention":24,"merge_hits":0,"merge_misses":0,"merge_evictions":0}"#
+            r#","group_lock_contention":22,"merge_hits":0,"merge_misses":0,"merge_evictions":0}"#
         ));
         let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
         assert_eq!(keys[..order.len()], order);
@@ -811,25 +782,10 @@ mod tests {
         }
         assert_eq!(store.methods().len(), 2);
         assert_eq!(store.stats().evictions, 2);
-        // Oldest entries gone, newest retained: with equal (zero)
-        // costs the 2Q policy degenerates to exactly the seed's FIFO.
+        // Nothing was read, so no entry earned a second chance: the
+        // oldest are gone and the newest are kept.
         assert!(store.get(key(0)).unwrap().is_none());
         assert!(store.get(key(3)).unwrap().is_some());
-    }
-
-    #[test]
-    fn costly_entry_outlives_cheap_same_size_neighbors() {
-        let store = ArtifactStore::new(CacheConfig { max_entries: 2, ..CacheConfig::default() });
-        store.methods().insert_with_cost(key(0), Sample::make(0), 50_000);
-        for n in 1..4 {
-            store.methods().insert_with_cost(key(n), Sample::make(n as u32), 10);
-        }
-        // Same entry shape (same size) throughout: the cheap entries
-        // are sacrificed, the expensive one keeps its seat.
-        assert!(store.get(key(0)).unwrap().is_some(), "high-cost entry evicted");
-        let s = store.stats();
-        assert_eq!(s.evictions, 2);
-        assert_eq!(s.evict_cost_us, 20, "forfeited cost must sum the cheap victims");
     }
 
     #[test]
@@ -840,7 +796,8 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for k in 0..KEYS {
-                        store.methods().insert_with_cost(key(k), Sample::make(k as u32), k);
+                        store.methods().insert(key(k), Sample::make(k as u32));
+                        store.get(key(k / 2)).unwrap();
                     }
                 });
             }

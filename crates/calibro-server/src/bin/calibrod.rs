@@ -69,8 +69,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: calibrod (--socket PATH | --listen ADDR) [--workers N] \
          [--queue-depth N] [--deadline-ms N] [--cache-dir DIR] \
-         [--max-frame BYTES] [--max-entries N] [--method-budget-bytes N] \
-         [--group-budget-bytes N] [--shard-id N] \
+         [--max-frame BYTES] [--max-entries N] [--shard-id N] \
          [--peer ID=unix:PATH | --peer ID=tcp:ADDR]... \
          [--hot-fraction F] [--drift-threshold F]"
     );
@@ -113,14 +112,6 @@ fn parse_args() -> Args {
             }
             "--max-entries" => {
                 args.config.cache.max_entries = parse_num(&value("--max-entries"), "--max-entries");
-            }
-            "--method-budget-bytes" => {
-                args.config.cache.method_budget_bytes =
-                    parse_num(&value("--method-budget-bytes"), "--method-budget-bytes");
-            }
-            "--group-budget-bytes" => {
-                args.config.cache.group_budget_bytes =
-                    parse_num(&value("--group-budget-bytes"), "--group-budget-bytes");
             }
             "--shard-id" => {
                 args.config.shard_id = parse_num(&value("--shard-id"), "--shard-id");

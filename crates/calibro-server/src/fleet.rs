@@ -220,8 +220,7 @@ impl PeerClient {
     }
 
     /// One key's exchange: a pipelined batch of one. Returns the raw
-    /// framed artifact bytes (validated by the receiving lane, not here)
-    /// and the origin's recompute cost.
+    /// framed artifact bytes (validated by the receiving lane, not here).
     fn fetch(&self, lane: PeerLane, key: CacheKey) -> PeerFetch {
         self.fetch_chunk(lane, &[key])?.pop().expect("one reply per request")
     }

@@ -670,9 +670,8 @@ message! {
     }
 }
 
-/// Which store lane a peer fetch targets (the lanes with a peer tier),
-/// and a found artifact's frame and recompute cost.
-pub use calibro_cache::{PeerFrame, PeerLane};
+/// Which store lane a peer fetch targets (the lanes with a peer tier).
+pub use calibro_cache::PeerLane;
 
 message! {
     /// A fleet-internal fetch: "do you hold this key?" One shard sends
@@ -692,10 +691,9 @@ message! {
 message! {
     /// The answer to a [`PeerGet`]: the artifact as a checksummed
     /// interchange frame (the exact bytes the disk layer persists, magic +
-    /// version + key + checksum included) plus the recompute cost the
-    /// serving shard recorded, or not-found. Reusing the disk frame as the
-    /// wire payload means the requester validates remote bytes with the
-    /// same gauntlet it applies to its own disk.
+    /// version + key + checksum included), or not-found. Reusing the disk
+    /// frame as the wire payload means the requester validates remote
+    /// bytes with the same gauntlet it applies to its own disk.
     #[derive(Clone, PartialEq, Eq, Debug)]
     pub struct PeerArtifact {
         /// Echo of the request id.
@@ -704,9 +702,9 @@ message! {
         pub lane: PeerLane,
         /// Echo of the requested key.
         pub key: CacheKey,
-        /// The framed artifact bytes and the origin's recompute cost (µs);
-        /// `None` when the serving shard does not hold the key.
-        pub artifact: Option<PeerFrame>,
+        /// The framed artifact bytes; `None` when the serving shard does
+        /// not hold the key.
+        pub artifact: Option<Vec<u8>>,
     }
 }
 
@@ -1220,7 +1218,7 @@ mod tests {
             request_id: 77,
             lane: PeerLane::Group,
             key: key(3),
-            artifact: Some(PeerFrame { frame: vec![1, 2, 3, 4], cost_us: 9000 }),
+            artifact: Some(vec![1, 2, 3, 4]),
         }
     }
 
@@ -1299,7 +1297,17 @@ mod tests {
             programs_by_edit: 18,
             builds_replayed: 14,
             latency_buckets: vec![0, 5, 10, 0, 2],
-            cache: CacheStats::from_array(std::array::from_fn(|i| 3 * i as u64 + 1)),
+            // The values the fixture was recorded with, `3i + 1` for the
+            // i-th of 24 counters, less the two evicted-cost rows (10
+            // and 21) removed since.
+            cache: CacheStats::from_array(
+                (0..24u64)
+                    .filter(|i| ![10, 21].contains(i))
+                    .map(|i| 3 * i + 1)
+                    .collect::<Vec<u64>>()
+                    .try_into()
+                    .expect("one value per counter"),
+            ),
         }
     }
 
@@ -1586,10 +1594,10 @@ mod tests {
         // spelled the 45 cache counters out by hand, over this same
         // value: cache counters 1..=45 in table order (whose names
         // calibro-cache pins separately). The twelve counters of the
-        // dictionary lane (31..=41 and 45) and the nine of the merge-plan
-        // lane (23..=30 and 44) were removed since, and the others keep
-        // their values.
-        let kept: Vec<u64> = (1..=22).chain(42..=43).collect();
+        // dictionary lane (31..=41 and 45), the nine of the merge-plan
+        // lane (23..=30 and 44) and the two evicted-cost counters (11 and
+        // 22) were removed since, and the others keep their values.
+        let kept: Vec<u64> = (1..=10).chain(12..=21).chain(42..=43).collect();
         let stats = ServerStats {
             uptime_us: 100,
             workers: 2,

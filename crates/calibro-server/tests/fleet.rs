@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use calibro::{BuildOptions, CacheKey};
-use calibro_cache::{ArtifactStore, CacheConfig, PeerFrame, FORMAT_VERSION};
+use calibro_cache::{ArtifactStore, CacheConfig, FORMAT_VERSION};
 use calibro_server::proto::{
     read_frame, write_frame, ErrorReply, FrameEvent, PeerGet, RESP_ERROR, RESP_PEER_ARTIFACT,
 };
@@ -94,7 +94,7 @@ fn spawn_fake_peer(fault: Fault) -> (PathBuf, std::thread::JoinHandle<()>) {
                     request_id: request.request_id,
                     lane: request.lane,
                     key: request.key,
-                    artifact: Some(PeerFrame { frame: framed, cost_us: 1_000 }),
+                    artifact: Some(framed),
                 };
                 write_frame(&mut stream, RESP_PEER_ARTIFACT, &reply.encode()).expect("write");
             }

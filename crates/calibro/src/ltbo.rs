@@ -517,7 +517,7 @@ pub(crate) fn outline_methods(
     // A miss comes back with its candidates as the rows it is cached as.
     let (detected, _loads) = run_indexed(groups.len(), threads, |i| {
         if cached_ref[i].is_some() {
-            return (None, 0);
+            return None;
         }
         let members = &groups_ref[i];
         let text: Vec<TaggedSequence> = members
@@ -525,26 +525,19 @@ pub(crate) fn outline_methods(
             .map(|&idx| materialize(idx, &methods[idx].words, template_of(idx)))
             .collect();
         detect_fault::check(i);
-        let group_start = Instant::now();
         let (plan, candidates) = detect_group(&text, min_len);
-        let cost_us = u64::try_from(group_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let rows = plan_rows(&plan, &candidates, |j| template_of(members[j]).leaders());
-        (Some(rows), cost_us)
+        Some(plan_rows(&plan, &candidates, |j| template_of(members[j]).leaders()))
     })
     .map_err(|p| OutlineError::Worker { group: p.index, message: p.message })?;
     let detect_time = detect_start.elapsed();
 
     // One shape from here on, hit or miss: the lane's rows.
     let mut plans: Vec<Arc<GroupPlanEntry>> = Vec::with_capacity(groups.len());
-    for (i, (fresh, cost_us)) in detected.into_iter().enumerate() {
-        // Detection CPU rides into the plan lane as recompute cost, so
-        // eviction pressure drops cheap plans first.
+    for (i, fresh) in detected.into_iter().enumerate() {
         let entry = match (fresh, store) {
             (None, _) => cached[i].take().expect("a replayed group has its entry"),
-            (Some(entry), Some(store)) if foreign[i] => {
-                store.groups().replace_with_cost(keys[i], entry, cost_us)
-            }
-            (Some(entry), Some(store)) => store.groups().insert_with_cost(keys[i], entry, cost_us),
+            (Some(entry), Some(store)) if foreign[i] => store.groups().replace(keys[i], entry),
+            (Some(entry), Some(store)) => store.groups().insert(keys[i], entry),
             (Some(entry), None) => Arc::new(entry),
         };
         plans.push(entry);

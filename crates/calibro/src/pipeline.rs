@@ -497,7 +497,6 @@ impl BuildSession {
                     cache_hit: true,
                 };
             }
-            let compile_start = Instant::now();
             let graph = cells[i].lock().unwrap_or_else(PoisonError::into_inner).take();
             let (compiled, pass_stats) = match graph {
                 None => (compile_native_stub(inputs[i].id, &codegen_opts), PassStats::default()),
@@ -509,12 +508,7 @@ impl BuildSession {
             let template = want_template.then(|| build_template(&compiled, false));
             let stored = CompiledMethod { insns: Arc::default(), ..compiled.clone() };
             let entry = CacheEntry { compiled: stored, pass_stats, template, ref_env };
-            // The measured compile CPU rides into the store as the
-            // entry's recompute cost: under memory pressure the
-            // cost-aware eviction policy keeps the methods that were
-            // expensive to produce.
-            let cost_us = u64::try_from(compile_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let entry = self.store.methods().insert_with_cost(keys[i], entry, cost_us);
+            let entry = self.store.methods().insert(keys[i], entry);
             MethodOutcome { compiled, pass_stats, entry, cache_hit: false }
         })
         .map_err(|p| BuildError::CompileWorker { method: p.index, message: p.message })?;

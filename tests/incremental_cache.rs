@@ -374,6 +374,54 @@ fn identical_rebuild_hits_for_every_method() {
 }
 
 #[test]
+fn a_bounded_store_keeps_the_re_read_methods_through_many_edits() {
+    // A store with room for the program and three rounds of 1 % edits,
+    // filled by the fourth round; over the 24 rounds the method lane's
+    // queue comes round about seven times and its stale slack is
+    // evicted several times over. Each build re-reads every method of
+    // the current program, so second-chance eviction keeps that working
+    // set and drops the versions edits replaced; plain FIFO evicts the
+    // oldest entries, the methods nobody edited, and fails on round 5.
+    let spec = AppSpec { methods: 200, ..AppSpec::small("bounded", 29) };
+    let mut dex = generate(&spec).dex;
+    let options = BuildOptions::cto_ltbo_parallel(8, 2);
+    let methods = dex.methods().len();
+    let per_round = methods.div_ceil(100);
+    let max_entries = methods + 3 * per_round;
+    let session = BuildSession::with_config(CacheConfig { max_entries, ..CacheConfig::default() });
+    session.build(&dex, &options).expect("cold build");
+
+    const ROUNDS: u64 = 24;
+    let mut filled_on = None;
+    let mut evictions = 0;
+    for round in 1..=ROUNDS {
+        let edited = mutate_methods(&mut dex, round, 0.01);
+        assert!(!edited.is_empty() && edited.len() <= per_round);
+        let warm = session.build(&dex, &options).expect("warm build");
+        let fresh = build(&dex, &options).expect("fresh build");
+        assert_eq!(
+            calibro_oat::to_elf_bytes(&warm.oat),
+            calibro_oat::to_elf_bytes(&fresh.oat),
+            "round {round}: the warm build's bytes differ from a cold build's"
+        );
+        evictions += warm.stats.cache.evictions;
+        if evictions > 0 {
+            filled_on.get_or_insert(round);
+        }
+        assert!(
+            warm.stats.methods_from_cache >= methods - edited.len(),
+            "round {round}: {} of {methods} methods hit, {} edited",
+            warm.stats.methods_from_cache,
+            edited.len()
+        );
+    }
+    let filled_on = filled_on.expect("the store never filled");
+    assert!(filled_on <= 4, "the store filled on round {filled_on}");
+    let slack = (max_entries - methods) as u64;
+    assert!(evictions >= 4 * slack, "{evictions} evictions recycle the slack too few times");
+}
+
+#[test]
 fn environment_change_re_verifies_cache_hits() {
     // Warm hits skip `verify_references` only while the entry's
     // recorded reference-environment fingerprint matches the build's.
