@@ -3,11 +3,16 @@
 //! method of the six-app suite at `paper_suite(0.5)` (the inner loop of
 //! the benchmark's `cache.hash_methods_cal_ms` probe), the options
 //! fingerprint of the three configurations the benchmark builds under,
-//! the whole `method_cache_key`, and the suite's keys through a
-//! session's key memo (`session_keys/*`: a fresh session, a second build
-//! of the same program, and a clone with 1 % of its methods edited).
+//! the whole `method_cache_key` under a compile fingerprint, and the
+//! suite's keys through a session's key memo (`session_keys/*`: a fresh
+//! session, a second build of the same program, the same program at
+//! another load address with a hot set, and a clone with 1 % of its
+//! methods edited).
 
-use calibro::{method_cache_key, options_fingerprint, BuildOptions, BuildSession, StableHasher};
+use calibro::{
+    compile_fingerprint, method_cache_key, options_fingerprint, BuildOptions, BuildSession,
+    StableHasher,
+};
 use calibro_cache::hash_method;
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, paper_suite};
@@ -43,7 +48,7 @@ fn bench_keys(c: &mut Criterion) {
         });
     }
 
-    let fp = options_fingerprint(&BuildOptions::cto_ltbo_parallel(128, 1));
+    let fp = compile_fingerprint(&BuildOptions::cto_ltbo_parallel(128, 1).compile_config());
     group.bench_function("method_cache_key", |b| {
         b.iter(|| methods().fold(0, |acc, m| acc ^ method_cache_key(m, fp).lo));
     });
@@ -51,12 +56,13 @@ fn bench_keys(c: &mut Criterion) {
     // The frontend of each suite app through a session, store probes and
     // verification included: a fresh session keys every method and
     // misses the store; a primed one answers every key from its memo and
-    // hits; an edited clone hashes only its edited 1 %, whose graphs it
-    // then builds.
+    // hits, at its own load address or at another with a hot set (one
+    // compile config); an edited clone hashes only its edited 1 %, whose
+    // graphs it then builds.
     let options = BuildOptions::cto_ltbo_parallel(128, 1);
-    let frontends = |session: &BuildSession, apps: &[DexFile]| {
+    let frontends = |session: &BuildSession, options: &BuildOptions, apps: &[DexFile]| {
         apps.iter()
-            .map(|dex| session.frontend(dex, &options).expect("frontend").keys.len())
+            .map(|dex| session.frontend(dex, options).expect("frontend").keys.len())
             .sum::<usize>()
     };
     let primed = BuildSession::new();
@@ -64,9 +70,22 @@ fn bench_keys(c: &mut Criterion) {
         primed.build(dex, &options).expect("prime");
     }
     group.bench_function("session_keys/fresh", |b| {
-        b.iter_batched(BuildSession::new, |s| frontends(&s, &suite), BatchSize::SmallInput);
+        b.iter_batched(
+            BuildSession::new,
+            |s| frontends(&s, &options, &suite),
+            BatchSize::SmallInput,
+        );
     });
-    group.bench_function("session_keys/held", |b| b.iter(|| frontends(&primed, &suite)));
+    group.bench_function("session_keys/held", |b| b.iter(|| frontends(&primed, &options, &suite)));
+    let rebased = BuildOptions { base_address: 0x7000_0000, ..options.clone() }
+        .with_hot_filter((0..suite[0].methods().len() as u32).step_by(10).collect());
+    for dex in &suite {
+        let keyed = primed.frontend(dex, &rebased).expect("frontend").methods_keyed;
+        assert_eq!(keyed, 0, "a load address and a hot set key no method");
+    }
+    group.bench_function("session_keys/rebased", |b| {
+        b.iter(|| frontends(&primed, &rebased, &suite));
+    });
     let mut nonce = 0;
     group.bench_function("session_keys/edit_1pct", |b| {
         b.iter_batched(
@@ -79,7 +98,7 @@ fn bench_keys(c: &mut Criterion) {
                 };
                 suite.iter().map(edit).collect::<Vec<_>>()
             },
-            |edited| frontends(&primed, &edited),
+            |edited| frontends(&primed, &options, &edited),
             BatchSize::SmallInput,
         );
     });

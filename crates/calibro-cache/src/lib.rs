@@ -8,10 +8,13 @@
 //! precomputed LTBO symbolization, keyed by
 //!
 //! ```text
-//! key = H(schema salt, BuildOptions fingerprint, method bytecode)
+//! key = H(schema salt, compile config, method bytecode)
 //! ```
 //!
-//! (a method compiles from its own body alone). A rebuild after
+//! (a method compiles from its own body and the options codegen reads —
+//! CTO, the pass switches, whether metadata is collected — alone; the
+//! load address, hot set and LTBO mode are read after it and key
+//! nothing). A rebuild after
 //! an N-method delta recompiles only the N changed methods; everything
 //! else replays from the store, and the linked output is byte-identical
 //! to a cold build because compilation is deterministic in exactly the
@@ -54,7 +57,7 @@ pub use store::{ArtifactStore, CacheConfig, CacheStats};
 /// Schema salt folded into every cache key: the crate version plus a
 /// manually bumped counter for behavioural changes that do not move the
 /// version (e.g. a codegen fix). Keys from other schemas never match.
-/// `+s9`: `BuildOptions`' wire row lost `dict` (the shared outline
-/// dictionary is gone), so a row of the old schema could spell one of
-/// the new under other options.
-pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s9");
+/// `+s10`: a method key embeds the compile config's fingerprint in
+/// place of the whole options', and a group-plan key `min_len` in place
+/// of the whole LTBO config's.
+pub const SCHEMA_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+s10");

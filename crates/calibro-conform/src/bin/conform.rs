@@ -5,9 +5,11 @@
 //!     Sweep N seeds through the full configuration matrix. Exit 0 on
 //!     zero divergences; on a divergence, shrink it, print a ready-to-
 //!     paste reproducer plus the corpus seed line, and exit 1. With
-//!     --warm, every matrix row is built twice through one BuildSession
-//!     and the cache-replayed OAT must match the cold build bit for bit
-//!     in addition to passing the oracle.
+//!     --warm, every matrix row of a program is built through one
+//!     BuildSession shared by all the rows, and then rebuilt through it:
+//!     both must match a fresh session's build of the row bit for bit,
+//!     the rebuild must replay every method and group plan, and it must
+//!     pass the oracle.
 //!
 //! conform --shrink GENERATOR SEED VARIANT-LABEL
 //!     Re-run one known case and minimize it. Exits 1 if the case does
@@ -39,6 +41,7 @@
 
 use std::process::ExitCode;
 
+use calibro::BuildSession;
 use calibro_conform::{
     check_variant, check_variant_warm, divergence_of, find_detected_mutation, find_variant,
     full_matrix, reproducer, run_baseline, shrink_divergence, Program, SeedLine,
@@ -114,7 +117,8 @@ fn usage() -> ! {
 }
 
 /// Sweep mode: every seed × every generator × the full matrix. With
-/// `warm`, every row also exercises a cache-replayed rebuild.
+/// `warm`, every row of a program is built through one session shared
+/// by the rows, and rebuilt through it.
 fn sweep(seeds: usize, generator_filter: Option<&str>, do_shrink: bool, warm: bool) -> ExitCode {
     let generators = all_generators();
     let variants = full_matrix();
@@ -131,10 +135,11 @@ fn sweep(seeds: usize, generator_filter: Option<&str>, do_shrink: bool, warm: bo
                 Ok(b) => b,
                 Err(d) => return report(&program, "baseline", &d, do_shrink),
             };
+            let session = BuildSession::new();
             for variant in &variants {
                 checks += 1;
                 let result = if warm {
-                    check_variant_warm(&program, &baseline, variant)
+                    check_variant_warm(&program, &baseline, variant, &session)
                 } else {
                     check_variant(&program, &baseline, variant, None)
                 };

@@ -258,46 +258,52 @@ pub fn check_variant(
     check_oat(program, baseline, &variant.label, &oat)
 }
 
-/// Builds one variant twice through the same [`BuildSession`](calibro::BuildSession) — cold,
-/// then warm through the now-populated artifact cache — and checks that
-/// the warm rebuild (a) replayed every method from the cache, (b)
-/// reproduced the cold OAT byte for byte, and (c) still passes the
+/// Builds one variant through `session`, which may hold other matrix
+/// rows' artifacts of the program, and once more through it, and checks
+/// that (a) the first build reproduced a fresh session's OAT byte for
+/// byte, whatever it replayed from the rows before it (every hit across
+/// configurations the method and group-plan keys allow), (b) the second
+/// replayed every method and every detection group from the cache and
+/// reproduced the same bytes, and (c) the replay still passes the
 /// differential oracle against the baseline.
 ///
 /// # Errors
 ///
-/// Returns a [`Divergence::WarmMismatch`] if the warm rebuild diverges
-/// from the cold one, or the first oracle divergence otherwise.
+/// Returns a [`Divergence::WarmMismatch`] if a session build diverges
+/// from the fresh one, or the first oracle divergence otherwise.
 pub fn check_variant_warm(
     program: &Program,
     baseline: &BaselineRun,
     variant: &Variant,
+    session: &calibro::BuildSession,
 ) -> Result<(), Divergence> {
-    let session = calibro::BuildSession::new();
-    let cold = session.build(&program.dex, &variant.options).map_err(|e| {
-        Divergence::BuildFailed { label: variant.label.clone(), error: e.to_string() }
-    })?;
-    let warm =
-        session.build(&program.dex, &variant.options).map_err(|e| Divergence::WarmMismatch {
-            label: variant.label.clone(),
-            detail: format!("warm rebuild failed: {e}"),
+    let label = || variant.label.clone();
+    let fresh = build(&program.dex, &variant.options)
+        .map_err(|e| Divergence::BuildFailed { label: label(), error: e.to_string() })?;
+    let through_session = |what: &str| {
+        let out = session.build(&program.dex, &variant.options).map_err(|e| {
+            Divergence::WarmMismatch { label: label(), detail: format!("{what} failed: {e}") }
         })?;
+        if fresh.oat.words != out.oat.words || fresh.oat.text_digest() != out.oat.text_digest() {
+            return Err(Divergence::WarmMismatch {
+                label: label(),
+                detail: format!(
+                    "OAT digests differ: fresh session {:#018x}, {what} {:#018x}",
+                    fresh.oat.text_digest(),
+                    out.oat.text_digest()
+                ),
+            });
+        }
+        Ok(out)
+    };
+    through_session("shared-session build")?;
+    let warm = through_session("warm rebuild")?;
     if warm.stats.methods_from_cache != warm.stats.methods {
         return Err(Divergence::WarmMismatch {
-            label: variant.label.clone(),
+            label: label(),
             detail: format!(
                 "only {} of {} methods replayed from cache",
                 warm.stats.methods_from_cache, warm.stats.methods
-            ),
-        });
-    }
-    if cold.oat.words != warm.oat.words || cold.oat.text_digest() != warm.oat.text_digest() {
-        return Err(Divergence::WarmMismatch {
-            label: variant.label.clone(),
-            detail: format!(
-                "OAT digests differ: cold {:#018x}, warm {:#018x}",
-                cold.oat.text_digest(),
-                warm.oat.text_digest()
             ),
         });
     }
@@ -306,7 +312,7 @@ pub fn check_variant_warm(
     // (it covers something that drifted between two identical builds).
     if variant.options.ltbo.is_some() && warm.stats.cache.group_misses != 0 {
         return Err(Divergence::WarmMismatch {
-            label: variant.label.clone(),
+            label: label(),
             detail: format!(
                 "{} of {} detection groups missed the plan cache on an unchanged program",
                 warm.stats.cache.group_misses, warm.stats.ltbo.detection_groups
@@ -329,18 +335,19 @@ pub fn check_program(program: &Program, variants: &[Variant]) -> Result<(), Dive
     Ok(())
 }
 
-/// Like [`check_program`], but every variant is verified through a warm
-/// rebuild: the program is built twice through a populated cache and the
-/// replayed OAT must match the cold build bit for bit *and* satisfy the
-/// oracle.
+/// Like [`check_program`], but every variant is built through one
+/// session shared by all of them ([`check_variant_warm`]): each row's
+/// bytes must equal a fresh session's, its warm rebuild must replay
+/// everything to the same bytes, and the replay must satisfy the oracle.
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found, or the baseline's own failure.
 pub fn check_program_warm(program: &Program, variants: &[Variant]) -> Result<(), Divergence> {
     let baseline = run_baseline(program)?;
+    let session = calibro::BuildSession::new();
     for variant in variants {
-        check_variant_warm(program, &baseline, variant)?;
+        check_variant_warm(program, &baseline, variant, &session)?;
     }
     Ok(())
 }

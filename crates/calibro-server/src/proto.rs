@@ -1025,9 +1025,11 @@ mod samples {
     // options fingerprints were re-recorded again with the `+s7` bump,
     // when `BuildOptions` lost its `merge` field (the LTBO fingerprints,
     // which take no schema salt, did not move), with `+s8`, when it
-    // lost `inlining` and `PipelineConfig` three pass switches, and with
+    // lost `inlining` and `PipelineConfig` three pass switches, with
     // `+s9`, when it lost `dict` (variant 3, once `cto_ltbo` with the
-    // dictionary, is plain `cto_ltbo` since).
+    // dictionary, is plain `cto_ltbo` since), and with `+s10`, when
+    // method keys took the compile fingerprint in its place (recorded
+    // beside them since).
 
     #[test]
     fn method_hash_of_the_sample_program_is_unchanged() {
@@ -1043,26 +1045,45 @@ mod samples {
     }
 
     #[test]
-    fn option_and_ltbo_fingerprints_of_the_variants_are_unchanged() {
-        // Every per-method cache key embeds `options_fingerprint`, every
-        // group-plan key the LTBO fingerprint, and both travel in each
-        // build request: a value moving here orphans every persisted
-        // cache entry and needs a `SCHEMA_VERSION` bump.
+    fn option_compile_and_ltbo_fingerprints_of_the_variants_are_unchanged() {
+        // Every per-method cache key embeds the compile fingerprint: a
+        // value moving there orphans every persisted method entry. The
+        // options and LTBO fingerprints travel in each build request and
+        // name its configuration (the daemon's cross-check, tenants,
+        // routing, replay slots). Any of them moving needs a
+        // `SCHEMA_VERSION` bump.
         type Key = (u64, u64);
         const GLOBAL_MIN2: Option<Key> = Some((0x7e06_320b_bf02_7fb4, 0xfa1a_a072_dd3d_1c44));
         const SHARDED_HOT: Option<Key> = Some((0xe47b_1e11_4316_2eb4, 0xce3a_0b15_3046_02ae));
-        let golden: [(Key, Option<Key>); 6] = [
-            ((0x6875_9537_2a59_69ce, 0x4897_e41d_53ea_e973), None),
-            ((0x665f_25ef_0ef5_9063, 0xd598_bc6b_4a5a_809e), None),
-            ((0x3e7e_8968_e3b9_1a9a, 0xdf8c_289a_caa7_9192), GLOBAL_MIN2),
-            ((0x8218_5f8c_df15_9e30, 0xc502_273c_aa44_3111), GLOBAL_MIN2),
-            ((0xa27b_f0df_27e9_a6e7, 0xb439_cd1b_dd71_4ef5), SHARDED_HOT),
-            ((0x8070_2511_c31c_e4fc, 0xd1fb_2d42_fb86_632b), None),
+        // Variants 2–4 are CTO + LTBO under all passes: one compile config.
+        const CTO_METADATA: Key = (0xd1c3_bb52_0901_f485, 0xe0c8_c921_2d53_9e4b);
+        let golden: [(Key, Key, Option<Key>); 6] = [
+            (
+                (0x41b9_2e22_a66d_84bf, 0xbab8_4fe0_ee4d_3788),
+                (0x64f0_2a63_6175_bff8, 0xfe7f_d8ad_6fae_c2f8),
+                None,
+            ),
+            (
+                (0x70f2_60ef_7ae3_aa70, 0xf19c_e189_c55d_9a86),
+                (0x59d3_2043_1052_28f9, 0x82a0_8c2a_a3fe_d780),
+                None,
+            ),
+            ((0x333c_add3_fcb9_1d40, 0x07f7_f79a_9427_4da5), CTO_METADATA, GLOBAL_MIN2),
+            ((0x354b_df07_999a_72b1, 0xa0c1_b568_9aa0_bd61), CTO_METADATA, GLOBAL_MIN2),
+            ((0xe750_b238_d72a_6aac, 0xc456_8790_5420_805c), CTO_METADATA, SHARDED_HOT),
+            (
+                (0x9fe8_1a60_3b3c_3184, 0x8873_6824_676b_a9ca),
+                (0xcb2f_6fc9_849b_f4de, 0x3b29_2401_4433_aa90),
+                None,
+            ),
         ];
-        for (i, (options, (want_fp, want_ltbo))) in option_variants().iter().zip(golden).enumerate()
+        for (i, (options, (want_fp, want_compile, want_ltbo))) in
+            option_variants().iter().zip(golden).enumerate()
         {
             let fp = calibro::options_fingerprint(options);
             assert_eq!((fp.hi, fp.lo), want_fp, "variant {i}: options fingerprint moved");
+            let compile = calibro::compile_fingerprint(&options.compile_config());
+            assert_eq!((compile.hi, compile.lo), want_compile, "variant {i}: compile fingerprint");
             let ltbo = crate::ltbo_fingerprint(options).map(|k| (k.hi, k.lo));
             assert_eq!(ltbo, want_ltbo, "variant {i}: LTBO fingerprint moved");
         }

@@ -467,12 +467,13 @@ fn profile_feedback_refreshes_serving_generation() {
     assert_eq!(stats.refreshes_triggered, 1);
 }
 
-/// A held program keeps the method keys of the options fingerprint it
-/// was last built under: every answer for it — under options A, then B,
+/// A held program keeps the method keys of the compile config it was
+/// last built under: every answer for it — under options A, then B,
 /// then A again, then as a tenant, then the tenant's refresh under a hot
 /// set — is the artifact a fresh direct `build()` gives. Keys memoized
 /// under the wrong fingerprint would replay one configuration's code for
-/// another.
+/// another. The hot set is read after codegen, so the refresh compiles
+/// no method: the generation-2 reply reports every method from the cache.
 #[test]
 fn a_held_program_answers_each_options_fingerprint_as_a_direct_build() {
     let app = generate(&AppSpec::small("keyed", 81));
@@ -512,6 +513,8 @@ fn a_held_program_answers_each_options_fingerprint_as_a_direct_build() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert_eq!(refreshed.elf, expected_refresh);
+    assert_eq!(refreshed.methods as usize, app.dex.methods().len());
+    assert_eq!(refreshed.methods_from_cache, refreshed.methods, "the refresh compiled a method");
 
     let stats = daemon.shutdown();
     assert_eq!(stats.programs_decoded, 2, "decoded at its first two sightings only");

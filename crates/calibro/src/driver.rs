@@ -121,9 +121,20 @@ impl BuildOptions {
         self
     }
 
+    /// What per-method compilation reads of these options: the one
+    /// input of a method's key besides its body (DESIGN.md §7).
+    #[must_use]
+    pub fn compile_config(&self) -> CompileConfig {
+        CompileConfig {
+            cto: self.cto,
+            passes: self.passes,
+            metadata: self.ltbo.is_some() || self.force_metadata,
+        }
+    }
+
     /// The outline pass's configuration under these options (`None`
     /// when LTBO is off) — what the size stage runs with and what the
-    /// group-plan keys and the wire's LTBO fingerprint are derived from.
+    /// wire's LTBO fingerprint is derived from.
     #[must_use]
     pub fn ltbo_config(&self) -> Option<LtboConfig> {
         self.ltbo.map(|mode| LtboConfig {
@@ -132,6 +143,23 @@ impl BuildOptions {
             hot_methods: self.hot_methods.clone(),
         })
     }
+}
+
+/// The options per-method compilation reads, derived from
+/// [`BuildOptions::compile_config`]: codegen compiles each method from
+/// its body and these alone, so they and the body are all its cache key
+/// covers. `compile_threads` only schedules, and the LTBO mode, hot set,
+/// `min_seq_len` and load address are read after codegen.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompileConfig {
+    /// Compilation-time outlining (§3.1).
+    pub cto: bool,
+    /// The pass pipeline's switches.
+    pub passes: PipelineConfig,
+    /// Whether codegen collects the §3.2 metadata, and with it builds
+    /// each method's symbolization template: under LTBO, or when
+    /// [`BuildOptions::force_metadata`] asks for it.
+    pub metadata: bool,
 }
 
 /// Load record for one compile worker.
@@ -193,9 +221,9 @@ pub struct BuildStats {
     /// (part of `methods`).
     pub methods_from_cache: usize,
     /// Methods whose cache key this build hashed: the methods the
-    /// session had not keyed before under this build's options (the
-    /// rest reuse the key their allocation was given by an earlier
-    /// build, see [`BuildSession`](crate::BuildSession)).
+    /// session had not keyed before under this build's
+    /// [`CompileConfig`] (the rest reuse the key their allocation was
+    /// given by an earlier build, see [`BuildSession`](crate::BuildSession)).
     pub methods_keyed: usize,
     /// Artifact-store activity attributable to this build (hits,
     /// misses, stores, evictions and the disk-layer counters).

@@ -1,31 +1,36 @@
-//! Canonical fingerprints of build configuration — the "BuildOptions
-//! fingerprint" component of every per-method cache key.
+//! Canonical fingerprints of build configuration, and the cache keys
+//! composed from them.
 //!
 //! One walk per configuration type: a fingerprint is a domain tag plus
 //! the type's [`Wire`] row — the same bytes a build request carries to
 //! the daemon — so the rows at the bottom of this file are the only
-//! place a [`BuildOptions`] or [`LtboConfig`] field is
-//! spelled out. Each row destructures its input exhaustively (no `..`)
-//! and decodes into a literal without `..`: adding a field or a variant
-//! fails compilation there, so a new knob can never silently be left
-//! out of the cache key (which would let two different configurations
+//! place a [`BuildOptions`], [`CompileConfig`] or [`LtboConfig`] field
+//! is spelled out. Each row destructures its input exhaustively (no
+//! `..`) and decodes into a literal without `..`: adding a field or a
+//! variant fails compilation there, so a new knob can never silently be
+//! left out of a key (which would let two different configurations
 //! collide on one cached artifact — a stale-hit miscompile). That equal
 //! keys mean equal configurations is the codec's round trip
 //! (`tests/key_wire.rs`), not a separate argument.
 //!
-//! The fingerprint covers *every* field, including fields such as
-//! `compile_threads` and `base_address` that provably do not change
-//! per-method code bytes. That costs a few avoidable cache misses and
-//! buys an unconditional safety argument: equal keys ⇒ equal full
-//! configuration ⇒ equal compile inputs.
+//! Each cached artifact is keyed by exactly what its stage reads. A
+//! method compiles from its body and its [`CompileConfig`] alone, so its
+//! key is those two under the schema salt ([`compile_fingerprint`],
+//! [`method_cache_key`]); a group plan is detected from its members'
+//! symbol text and `min_len` alone, so its key is those
+//! ([`group_plan_key_from`]). The load address, the LTBO mode, the hot
+//! set and the thread counts are in neither: a rebuild that changes only
+//! them replays every method. The full [`options_fingerprint`] names a
+//! configuration on the wire (the daemon's cross-check, tenant identity,
+//! fleet routing, replay slots) and addresses no cache entry.
 
 use std::cell::RefCell;
 
 use calibro_cache::{hash_method, hash_program, CacheKey, StableHasher, SCHEMA_VERSION};
-use calibro_dex::wire::{Reader, Wire, WireError, Writer};
+use calibro_dex::wire::{wire_fields, Reader, Wire, WireError, Writer};
 use calibro_dex::{DexFile, Method};
 
-use crate::driver::BuildOptions;
+use crate::driver::{BuildOptions, CompileConfig};
 use crate::ltbo::{LtboConfig, LtboMode};
 
 thread_local! {
@@ -38,27 +43,32 @@ thread_local! {
     static SCRATCH: RefCell<StableHasher> = RefCell::new(StableHasher::with_capacity(4096));
 }
 
-/// Feeds the full [`BuildOptions`] into `h`.
-pub fn fingerprint_options(options: &BuildOptions, h: &mut StableHasher) {
-    h.write_tag(0x42); // 'B'
-    h.write_wire(options);
-}
-
-/// Feeds an [`LtboConfig`] into `h` — used by harnesses that drive
-/// [`run_ltbo`](crate::run_ltbo) directly rather than through
-/// [`BuildOptions`].
+/// Feeds an [`LtboConfig`] into `h` — the LTBO fingerprint a build
+/// request carries beside the options fingerprint.
 pub fn fingerprint_ltbo_config(config: &LtboConfig, h: &mut StableHasher) {
     h.write_tag(0x4C); // 'L'
     h.write_wire(config);
 }
 
-/// The configuration fingerprint shared by every method key of a build:
-/// schema salt plus the full [`BuildOptions`].
+/// The fingerprint of a whole configuration: schema salt plus the full
+/// [`BuildOptions`]. It names a configuration; no cache key embeds it.
 #[must_use]
 pub fn options_fingerprint(options: &BuildOptions) -> CacheKey {
     let mut h = StableHasher::new();
     h.write_str(SCHEMA_VERSION);
-    fingerprint_options(options, &mut h);
+    h.write_tag(0x42); // 'B'
+    h.write_wire(options);
+    h.finish()
+}
+
+/// The fingerprint every method key of a build embeds: schema salt plus
+/// the [`CompileConfig`] row.
+#[must_use]
+pub fn compile_fingerprint(config: &CompileConfig) -> CacheKey {
+    let mut h = StableHasher::new();
+    h.write_str(SCHEMA_VERSION);
+    h.write_tag(0x43); // 'C'
+    h.write_wire(config);
     h.finish()
 }
 
@@ -66,8 +76,10 @@ pub fn options_fingerprint(options: &BuildOptions) -> CacheKey {
 /// [`GroupPlanEntry`](calibro_cache::GroupPlanEntry), composed
 /// Merkle-style from its members'
 /// [`sequence_content_key`](calibro_cache::sequence_content_key)s: schema
-/// salt, the full [`LtboConfig`], the member count, then each member
-/// key in group order.
+/// salt, `min_len`, the member count, then each member key in group
+/// order. Detection reads the members' symbol text and `min_len` and
+/// nothing else; a hot method's restriction to its slow paths is in its
+/// template, so in its member key.
 ///
 /// The composition makes the warm probe O(members) instead of
 /// O(total symbol text): per-sequence keys are computed once per method
@@ -75,11 +87,11 @@ pub fn options_fingerprint(options: &BuildOptions) -> CacheKey {
 /// mixes. Distinct splits of the same flattened text get distinct keys
 /// because every member key frames its own length.
 #[must_use]
-pub fn group_plan_key_from(config: &LtboConfig, members: &[CacheKey]) -> CacheKey {
+pub fn group_plan_key_from(min_len: usize, members: &[CacheKey]) -> CacheKey {
     let mut h = StableHasher::new();
     h.write_str(SCHEMA_VERSION);
     h.write_tag(0x47); // 'G'
-    fingerprint_ltbo_config(config, &mut h);
+    h.write_usize(min_len);
     h.write_usize(members.len());
     for k in members {
         h.write_wire(k);
@@ -136,21 +148,24 @@ pub fn program_salt(dex: &DexFile) -> CacheKey {
     h.finish()
 }
 
-/// The content address of one method's compilation artifact.
+/// The content address of one method's compilation artifact: its
+/// build's [`compile_fingerprint`] and the method.
 ///
 /// Serializes the method into the calling worker's thread-local scratch
 /// buffer and mixes it in one word-at-a-time pass — the per-method hot
 /// path of every warm rebuild, so it never allocates after a worker's
 /// first method.
 #[must_use]
-pub fn method_cache_key(method: &Method, options_fp: CacheKey) -> CacheKey {
+pub fn method_cache_key(method: &Method, compile_fp: CacheKey) -> CacheKey {
     SCRATCH.with(|cell| {
         let mut h = cell.borrow_mut();
-        h.write_wire(&options_fp);
+        h.write_wire(&compile_fp);
         hash_method(method, &mut h);
         h.finish_reset()
     })
 }
+
+wire_fields!(CompileConfig { cto, passes, metadata });
 
 /// `None` / `Global` / `Parallel { groups, threads }` share one tag
 /// byte, so this is not the generic `Option` form. (Free functions:

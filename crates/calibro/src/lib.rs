@@ -57,9 +57,11 @@ pub use calibro_cache::{
 };
 pub use calibro_hgraph::{PassStats, PipelineConfig};
 pub use calibro_oat::RewriteStats;
-pub use driver::{build, BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
+pub use driver::{
+    build, BuildError, BuildOptions, BuildOutput, BuildStats, CompileConfig, WorkerLoad,
+};
 pub use fingerprint::{
-    fingerprint_ltbo_config, fingerprint_options, method_cache_key, options_fingerprint,
+    compile_fingerprint, fingerprint_ltbo_config, method_cache_key, options_fingerprint,
     program_salt, reference_env,
 };
 #[doc(hidden)]

@@ -416,7 +416,7 @@ fn rewrite_in_place(methods: &mut [CompiledMethod], edits: &MethodEdits) -> Rewr
 /// - **Incremental detection.** With `store` set, each group's selected
 ///   candidates are cached — as the flat rows of a [`GroupPlanEntry`] —
 ///   under a key covering the group's normalized symbol text plus
-///   the `LtboConfig` fingerprint ([`group_plan_key_from`]). Groups
+///   `min_len`, all detection reads ([`group_plan_key_from`]). Groups
 ///   whose key hits read the cached rows in place and find each
 ///   occurrence's method from the members' word counts ([`locate`]),
 ///   skipping both the symbol text and the suffix tree; only dirty groups
@@ -479,8 +479,8 @@ pub(crate) fn outline_methods(
     stats.detection_groups = groups.len();
 
     // Probe the plan cache; a hit means the group's normalized text
-    // and word layout (and the LTBO config) are unchanged since the plan
-    // was detected. The key is composed Merkle-style from the members'
+    // and word layout (and `min_len`) are unchanged since the plan was
+    // detected. The key is composed Merkle-style from the members'
     // precomputed content keys — O(members) here, not O(text).
     let mut keys: Vec<CacheKey> = Vec::new();
     let mut cached: Vec<Option<Arc<GroupPlanEntry>>> = vec![None; groups.len()];
@@ -492,7 +492,7 @@ pub(crate) fn outline_methods(
             .map(|g| {
                 let members: Vec<CacheKey> =
                     g.iter().map(|&idx| template_of(idx).content_key()).collect();
-                group_plan_key_from(config, &members)
+                group_plan_key_from(config.min_len, &members)
             })
             .collect();
         for (i, &key) in keys.iter().enumerate() {

@@ -22,17 +22,19 @@
 //! methods. [`BuildSession::build`] is exactly the four stages in order
 //! plus statistics. The session also remembers the key of every method
 //! allocation it has keyed, so a rebuild hashes only the methods that
-//! are new (see [`BuildSession`]).
+//! are new or compiled under another [`CompileConfig`] (see
+//! [`BuildSession`]).
 //!
 //! # Determinism
 //!
 //! Warm and cold builds produce bit-identical OAT files, for any thread
 //! count:
 //!
-//! * a cache key covers everything per-method compilation reads — the
-//!   schema salt, the full [`BuildOptions`] fingerprint and the method's
-//!   canonical bytecode — so equal keys imply equal compile inputs, and
-//!   compilation is a pure function of those inputs;
+//! * a method key covers exactly what per-method compilation reads — the
+//!   schema salt, the [`CompileConfig`] and the method's canonical
+//!   bytecode — so equal keys imply equal compile inputs, and compilation
+//!   is a pure function of those inputs; a group-plan key covers exactly
+//!   what detection reads, its members' symbol text and `min_len`;
 //! * results land in method-index-order slots regardless of which
 //!   worker produced them (see [`run_indexed`]);
 //! * LTBO consumes cached symbolization *templates*
@@ -51,8 +53,8 @@ use calibro_dex::{DexFile, Method};
 use calibro_hgraph::{build_hgraph, run_pipeline_with, HGraph, PassStats};
 use calibro_oat::{LinkInput, MethodEdits, OatFile, OutlinedBodies, RewriteStats};
 
-use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, WorkerLoad};
-use crate::fingerprint::{method_cache_key, options_fingerprint, reference_env};
+use crate::driver::{BuildError, BuildOptions, BuildOutput, BuildStats, CompileConfig, WorkerLoad};
+use crate::fingerprint::{compile_fingerprint, method_cache_key, reference_env};
 use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 
 /// A build context holding the content-addressed artifact store across
@@ -81,15 +83,16 @@ use crate::ltbo::{build_template, outline_methods, LtboStats, OutlineError};
 /// # Method keys
 ///
 /// Every build addresses each method by [`method_cache_key`], which
-/// serializes and hashes the method's whole body. A method of a
+/// serializes and hashes the method's whole body under the build's
+/// [`compile_fingerprint`](crate::compile_fingerprint). A method of a
 /// [`DexFile`] is its own shared allocation, and a clone edited through
 /// [`DexFile::method_mut`] shares every method it did not edit with the
-/// original, so the session keeps the keys of every allocation it has
-/// keyed, under the last four options fingerprints it was keyed with: a
-/// rebuild hashes only the allocations it has not seen under its options
-/// fingerprint, and a program built under options that alternate is
-/// keyed once per options. [`BuildStats::methods_keyed`] counts the
-/// hashed ones.
+/// original, so the session keeps the key of every allocation it has
+/// keyed, with the compile fingerprint it was keyed under: a rebuild
+/// hashes only the allocations it has not seen under its compile
+/// fingerprint. Options that differ only outside the [`CompileConfig`]
+/// (load address, hot set, LTBO mode, `min_seq_len`, thread counts)
+/// share every key. [`BuildStats::methods_keyed`] counts the hashed ones.
 ///
 /// A remembered key is the key of the method at that address because
 /// the memo holds a [`Weak`] to the allocation. While a `Weak` exists,
@@ -108,96 +111,34 @@ pub struct BuildSession {
     keys: Mutex<KeyMemo>,
 }
 
-/// How many options fingerprints a memo entry keeps a key under.
-const MEMO_WAYS: usize = 4;
-
-/// An unused way of a [`MemoEntry`].
-const NO_WAY: u16 = u16::MAX;
-
-/// One method allocation's remembered keys: the allocation they were
-/// computed from (a `Weak`, which keeps its address from reuse and
-/// names it) and up to [`MEMO_WAYS`] keys, each under the options
-/// fingerprint whose id sits at the same place in `fps`, most recently
-/// used first. Ids, not fingerprints, keep the entry at 80 bytes.
+/// One method allocation's remembered key: the allocation it was
+/// computed from (a `Weak`, which keeps its address from reuse and names
+/// it), and the key with the compile fingerprint it was computed under.
 struct MemoEntry {
     method: Weak<Method>,
-    fps: [u16; MEMO_WAYS],
-    keys: [CacheKey; MEMO_WAYS],
+    fp: CacheKey,
+    key: CacheKey,
 }
 
-const _: () = assert!(std::mem::size_of::<MemoEntry>() == 80);
+const _: () = assert!(std::mem::size_of::<MemoEntry>() == 40);
 
-impl MemoEntry {
-    fn new(method: &Arc<Method>, fp: u16, key: CacheKey) -> MemoEntry {
-        let mut entry = MemoEntry {
-            method: Arc::downgrade(method),
-            fps: [NO_WAY; MEMO_WAYS],
-            keys: [key; MEMO_WAYS],
-        };
-        entry.fps[0] = fp;
-        entry
-    }
-
-    /// The key under options fingerprint `fp`, moved to the front.
-    fn get(&mut self, fp: u16) -> Option<CacheKey> {
-        let way = self.fps.iter().position(|&f| f == fp)?;
-        self.fps[..=way].rotate_right(1);
-        self.keys[..=way].rotate_right(1);
-        Some(self.keys[0])
-    }
-
-    /// Puts `key` in front under `fp`, dropping the least recently
-    /// used way when every way is taken.
-    fn put(&mut self, fp: u16, key: CacheKey) {
-        let way = self.fps.iter().position(|&f| f == fp).unwrap_or(MEMO_WAYS - 1);
-        self.fps[..=way].rotate_right(1);
-        self.keys[..=way].rotate_right(1);
-        (self.fps[0], self.keys[0]) = (fp, key);
-    }
-}
-
-/// The session's method keys by allocation address. An allocation has
-/// one entry, holding its keys under the last [`MEMO_WAYS`] options it
-/// was keyed with. Entries sit in `slots` in the order they were first
-/// recorded, so the methods of a program keyed in order — and of every
-/// clone that shares them — sit side by side, and a build finds each
-/// next one in the next slot without probing `index`: a warm build then
-/// reads its keys sequentially instead of taking a cache miss per
-/// method. Entries whose method has been dropped are swept once the
-/// memo has doubled since the last sweep, so sweeping costs amortized
-/// O(1) per key.
+/// The session's method keys, one entry per allocation, in the order
+/// they were first recorded: the methods of a program keyed in order —
+/// and of every clone sharing them — sit side by side, so a warm build
+/// reads its keys sequentially and probes `index` only past an edit.
+/// Entries of dropped methods are swept once the memo has doubled since
+/// the last sweep, so sweeping costs amortized O(1) per key.
 #[derive(Default)]
 struct KeyMemo {
     slots: Vec<MemoEntry>,
     /// Each entry's slot, by address.
     index: HashMap<usize, usize>,
     live_at_sweep: usize,
-    /// The options fingerprints entries are keyed under, at their ids.
-    fingerprints: Vec<CacheKey>,
 }
 
 impl KeyMemo {
-    /// The id of `fp`, if any entry may hold a key under it.
-    fn fingerprint_id(&self, fp: CacheKey) -> Option<u16> {
-        self.fingerprints.iter().position(|&f| f == fp).map(|id| id as u16)
-    }
-
-    /// The id of `fp`, given one if it has none. The ids run out only
-    /// after 65 535 distinct options; then the memo starts over.
-    fn intern(&mut self, fp: CacheKey) -> u16 {
-        if let Some(id) = self.fingerprint_id(fp) {
-            return id;
-        }
-        if self.fingerprints.len() == usize::from(NO_WAY) {
-            *self = KeyMemo::default();
-        }
-        self.fingerprints.push(fp);
-        (self.fingerprints.len() - 1) as u16
-    }
-
     /// The slot of `method`'s entry, if it has one: `guess` when that
-    /// slot is the method's, else the index's answer. An address has at
-    /// most one entry, so a slot holding the address is the method's.
+    /// slot holds its address (an address has one entry), else `index`'s.
     fn slot(&self, method: &Arc<Method>, guess: usize) -> Option<usize> {
         let address = address(method);
         match self.slots.get(guess) {
@@ -206,14 +147,14 @@ impl KeyMemo {
         }
     }
 
-    /// Records `key` as `method`'s under options fingerprint `fp`.
-    fn record(&mut self, method: &Arc<Method>, fp: u16, key: CacheKey) {
-        let address = address(method);
-        match self.index.get(&address) {
-            Some(&slot) => self.slots[slot].put(fp, key),
+    /// Records `key` as `method`'s under compile fingerprint `fp`.
+    fn record(&mut self, method: &Arc<Method>, fp: CacheKey, key: CacheKey) {
+        let entry = MemoEntry { method: Arc::downgrade(method), fp, key };
+        match self.index.get(&address(method)) {
+            Some(&slot) => self.slots[slot] = entry,
             None => {
-                self.index.insert(address, self.slots.len());
-                self.slots.push(MemoEntry::new(method, fp, key));
+                self.index.insert(address(method), self.slots.len());
+                self.slots.push(entry);
             }
         }
     }
@@ -223,12 +164,8 @@ impl KeyMemo {
     fn sweep(&mut self) {
         if self.slots.len() > 2 * self.live_at_sweep {
             self.slots.retain(|entry| entry.method.strong_count() > 0);
-            self.index = self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.method.as_ptr() as usize, i))
-                .collect();
+            let live = self.slots.iter().enumerate();
+            self.index = live.map(|(i, e)| (e.method.as_ptr() as usize, i)).collect();
             self.live_at_sweep = self.slots.len();
         }
     }
@@ -401,14 +338,13 @@ impl BuildSession {
         dex: &DexFile,
         options: &BuildOptions,
     ) -> Result<(Vec<CacheKey>, usize), BuildError> {
-        let options_fp = options_fingerprint(options);
+        let fp = compile_fingerprint(&options.compile_config());
         let methods = dex.methods();
         // A miss's place holds a placeholder until its key is hashed.
         let mut misses = Vec::new();
         let mut keys = Vec::with_capacity(methods.len());
         {
-            let mut memo = self.key_memo();
-            let fp = memo.fingerprint_id(options_fp);
+            let memo = self.key_memo();
             // Guess each method's slot as the last slot found plus the
             // method's distance from that one in this program: the next
             // slot for a program keyed in order, and past an edit too.
@@ -418,26 +354,24 @@ impl BuildSession {
                 if let Some(slot) = slot {
                     (last_slot, last_i) = (slot, i);
                 }
-                match slot.zip(fp).and_then(|(slot, fp)| memo.slots[slot].get(fp)) {
-                    Some(key) => keys.push(key),
+                match slot.map(|slot| &memo.slots[slot]).filter(|entry| entry.fp == fp) {
+                    Some(entry) => keys.push(entry.key),
                     None => {
                         misses.push(i);
-                        keys.push(options_fp);
+                        keys.push(fp);
                     }
                 }
             }
         }
         if !misses.is_empty() {
             let threads = options.compile_threads.max(1);
-            let (hashed, _) = run_indexed(misses.len(), threads, |j| {
-                method_cache_key(&methods[misses[j]], options_fp)
-            })
-            .map_err(|p| BuildError::CompileWorker {
-                method: misses[p.index],
-                message: p.message,
-            })?;
+            let (hashed, _) =
+                run_indexed(misses.len(), threads, |j| method_cache_key(&methods[misses[j]], fp))
+                    .map_err(|p| BuildError::CompileWorker {
+                    method: misses[p.index],
+                    message: p.message,
+                })?;
             let mut memo = self.key_memo();
-            let fp = memo.intern(options_fp);
             for (&i, key) in misses.iter().zip(hashed) {
                 keys[i] = key;
                 memo.record(&methods[i], fp, key);
@@ -448,20 +382,20 @@ impl BuildSession {
     }
 
     /// The key memo. A poisoned lock is recovered (DESIGN.md §7 "Lock
-    /// policy"): a critical section only reads entries and moves the way
-    /// it found to the front, records keys (a way, or a new entry with
-    /// its index entry) or sweeps. A way's id and key move together with
-    /// nothing between them that can panic, and each entry names the
-    /// allocation it was computed from, so a dead holder leaves at worst
-    /// a key not yet recorded.
+    /// policy"): a critical section only reads entries, records keys (an
+    /// entry written whole, or a new one with its index entry) or sweeps.
+    /// Each entry names the allocation it was computed from, so a dead
+    /// holder leaves at worst a key not yet recorded.
     fn key_memo(&self) -> MutexGuard<'_, KeyMemo> {
         self.keys.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stage 2 — **Codegen**: for every cache miss, runs the pass
     /// pipeline and code generation, builds the LTBO symbolization
-    /// template (when LTBO is on), and populates the store; every hit is
-    /// replayed from its entry. Results land in method-index order.
+    /// template (when it collects metadata), and populates the store;
+    /// every hit is replayed from its entry. It reads the options only
+    /// through [`BuildOptions::compile_config`], and `compile_threads` to
+    /// schedule. Results land in method-index order.
     ///
     /// # Errors
     ///
@@ -474,10 +408,11 @@ impl BuildSession {
         frontend: FrontendArtifact,
     ) -> Result<CodegenArtifact, BuildError> {
         let threads = options.compile_threads.max(1);
-        // LTBO places its separators from method metadata.
-        let collect_metadata = options.ltbo.is_some() || options.force_metadata;
-        let codegen_opts = CodegenOptions { cto: options.cto, collect_metadata };
-        let want_template = options.ltbo.is_some();
+        // All a method's compilation reads of the options, as its key
+        // covers it. LTBO places its separators from method metadata, so
+        // a method compiled with metadata gets its symbolization template.
+        let CompileConfig { cto, passes, metadata } = options.compile_config();
+        let codegen_opts = CodegenOptions { cto, collect_metadata: metadata };
         let inputs = dex.methods();
         let FrontendArtifact { keys, cached, graphs, ref_env, .. } = frontend;
         let start = Instant::now();
@@ -501,11 +436,11 @@ impl BuildSession {
             let (compiled, pass_stats) = match graph {
                 None => (compile_native_stub(inputs[i].id, &codegen_opts), PassStats::default()),
                 Some(mut graph) => {
-                    let pass_stats = run_pipeline_with(&mut graph, &options.passes);
+                    let pass_stats = run_pipeline_with(&mut graph, &passes);
                     (compile_method(&graph, &codegen_opts), pass_stats)
                 }
             };
-            let template = want_template.then(|| build_template(&compiled, false));
+            let template = metadata.then(|| build_template(&compiled, false));
             let stored = CompiledMethod { insns: Arc::default(), ..compiled.clone() };
             let entry = CacheEntry { compiled: stored, pass_stats, template, ref_env };
             let entry = self.store.methods().insert(keys[i], entry);
@@ -877,10 +812,12 @@ mod tests {
         use calibro_workloads::{generate, mutate_methods, AppSpec};
         use proptest::prelude::*;
 
-        /// Every options arm the keys depend on differently: the global
-        /// and the sharded tree, and a hot filter.
+        /// Options arms: the global and the sharded tree and a hot
+        /// filter, which share one compile config, and a plain build,
+        /// which has another.
         fn arms(methods: u32) -> Vec<(&'static str, BuildOptions)> {
             vec![
+                ("plain", BuildOptions::baseline()),
                 ("global", BuildOptions::cto_ltbo()),
                 (
                     "parallel",
@@ -899,7 +836,7 @@ mod tests {
 
         /// Every method's key, hashed afresh.
         fn recomputed(dex: &DexFile, options: &BuildOptions) -> Vec<CacheKey> {
-            let fp = options_fingerprint(options);
+            let fp = compile_fingerprint(&options.compile_config());
             dex.methods().iter().map(|m| method_cache_key(m, fp)).collect()
         }
 
@@ -928,49 +865,89 @@ mod tests {
             }
         }
 
-        /// Options that differ only in their load address: one options
-        /// fingerprint per `n`.
-        fn at(n: u64) -> BuildOptions {
-            BuildOptions { base_address: 0x4000_0000 + 0x10_0000 * n, ..BuildOptions::cto_ltbo() }
+        /// Options that differ from `cto_ltbo` only outside its compile
+        /// config: load address, `min_seq_len` and compile threads, and
+        /// by turns a hot set or the sharded tree.
+        fn outside(n: u64) -> BuildOptions {
+            let options = BuildOptions {
+                base_address: 0x4000_0000 + 0x10_0000 * n,
+                min_seq_len: 2 + n as usize % 3,
+                compile_threads: 1 + n as usize % 2,
+                ..BuildOptions::cto_ltbo()
+            };
+            match n % 3 {
+                0 => options,
+                1 => options.with_hot_filter((0..n as u32).collect()),
+                _ => BuildOptions {
+                    ltbo: Some(LtboMode::Parallel { groups: 4, threads: n as usize }),
+                    ..options
+                },
+            }
         }
 
+        /// One session builds a program under options in turn, each
+        /// build to a fresh session's bytes with every key
+        /// `method_cache_key`'s: options that differ only outside the
+        /// compile config key and compile no method, and a rebuild that
+        /// changes only the sharded tree's thread count replays every
+        /// group plan too; another compile config replaces the keys.
         #[test]
-        fn an_allocation_keeps_its_keys_under_four_fingerprints() {
+        fn an_allocation_keeps_one_key_under_its_last_compile_config() {
             let app = generate(&AppSpec::small("ways", 72));
             let methods = app.dex.methods().len();
             let session = BuildSession::new();
-            let keyed = |n| {
-                let options = at(n);
-                let frontend = session.frontend(&app.dex, &options).expect("frontend");
-                assert_eq!(frontend.keys, recomputed(&app.dex, &options), "keys under {n}");
-                frontend.methods_keyed
+            // How many methods the build keyed and how many it compiled.
+            let build = |options: &BuildOptions| {
+                let out = session.build(&app.dex, options).expect("build");
+                let fresh = BuildSession::new().build(&app.dex, options).expect("fresh build");
+                assert_eq!(elf(&out), elf(&fresh), "artifact under {options:?}");
+                let frontend = session.frontend(&app.dex, options).expect("frontend");
+                assert_eq!(frontend.keys, recomputed(&app.dex, options), "keys under {options:?}");
+                (out.stats.methods_keyed, methods - out.stats.methods_from_cache)
             };
-            for n in 0..4 {
-                assert_eq!(keyed(n), methods, "options {n} are new");
+            assert_eq!(build(&outside(0)), (methods, methods), "a new session keys all");
+            for n in 1..7 {
+                assert_eq!(build(&outside(n)), (0, 0), "options {n} share the compile config");
             }
-            for n in [0, 3, 1, 2, 0] {
-                assert_eq!(keyed(n), 0, "options {n} are among the last four");
-            }
-            // Most recently used first: 0, 2, 1, 3. A fifth fingerprint
-            // drops 3, the least recently used, and keeps the rest.
-            assert_eq!(keyed(4), methods);
-            for n in [0, 1, 2, 4] {
-                assert_eq!(keyed(n), 0, "options {n} are kept");
-            }
-            assert_eq!(keyed(3), methods, "options 3 were dropped");
+            let sharded = |threads| BuildOptions {
+                ltbo: Some(LtboMode::Parallel { groups: 4, threads }),
+                ..outside(0)
+            };
+            assert_eq!(build(&sharded(1)), (0, 0), "the sharded tree shares it too");
+            let out = session.build(&app.dex, &sharded(3)).expect("three threads");
+            let groups = out.stats.ltbo.detection_groups as u64;
+            assert_eq!((out.stats.cache.group_hits, out.stats.cache.group_misses), (groups, 0));
+
+            let plain = BuildOptions::baseline();
+            assert_eq!(build(&plain), (methods, methods), "another compile config is keyed anew");
+            assert_eq!(build(&plain.clone().with_compile_threads(4)), (0, 0));
+            assert_eq!(build(&outside(0)), (methods, 0), "the plain keys replaced the first");
         }
 
-        /// A held program rebuilt under two options in turn (calibrod
-        /// answering two clients that differ in load address) is keyed
-        /// once under each.
+        /// A held program rebuilt under options in turn: two load
+        /// addresses (calibrod answering two clients that differ only
+        /// there) key it once, and two compile configs at every switch.
+        /// Every build of the second kind replays every method but the
+        /// first one's: the store keeps both configs' entries.
         #[test]
-        fn alternating_options_key_each_method_once_per_options() {
+        fn alternating_options_key_each_method_once_per_compile_config_switch() {
             let app = generate(&AppSpec::small("alternating", 75));
+            let methods = app.dex.methods().len();
             let session = BuildSession::new();
+            let at = |n: u64| BuildOptions { base_address: 0x4000_0000 + n, ..outside(0) };
             for build in 0..8 {
                 let out = session.build(&app.dex, &at(build % 2)).expect("build");
-                let keyed = out.stats.to_json().contains(r#""methods_keyed":0,"#);
-                assert_eq!(keyed, build >= 2, "build {build}: {}", out.stats.to_json());
+                let keyed = if build == 0 { methods } else { 0 };
+                assert_eq!(out.stats.methods_keyed, keyed, "build {build}");
+            }
+            for build in 0..4 {
+                let options = if build % 2 == 0 { BuildOptions::baseline() } else { at(0) };
+                let out = session.build(&app.dex, &options).expect("build");
+                assert_eq!(out.stats.methods_keyed, methods, "switch {build}");
+                let replayed = if build == 0 { 0 } else { methods };
+                assert_eq!(out.stats.methods_from_cache, replayed, "switch {build}");
+                let fresh = BuildSession::new().build(&app.dex, &options).expect("fresh");
+                assert_eq!(elf(&out), elf(&fresh), "switch {build}");
             }
         }
 
@@ -1036,10 +1013,10 @@ mod tests {
             /// method, edit a uniquely owned program in place, round-trip
             /// it through the wire, change the options arm or the load
             /// address. After each step, the build hashes exactly the
-            /// allocations the session holds no key of under its options
-            /// (it keeps an allocation's keys under its last four), every
-            /// key is `method_cache_key`'s, and the bytes are a fresh
-            /// session's.
+            /// allocations the session holds no key of under its compile
+            /// config (it keeps an allocation's key under its last one),
+            /// every key is `method_cache_key`'s, and the bytes are a
+            /// fresh session's.
             #[test]
             fn the_memo_hashes_exactly_the_allocations_it_has_not_keyed(
                 seed in any::<u64>(),
@@ -1047,12 +1024,12 @@ mod tests {
             ) {
                 let mut dex = tiny(seed);
                 let arms = arms(dex.methods().len() as u32);
-                let mut options = arms[0].1.clone();
+                let mut options = arms[1].1.clone();
                 let session = BuildSession::new();
-                // The model: the fingerprints each allocation was keyed
-                // under, most recent first. Its `Weak`s keep every address
-                // it names from reuse.
-                let mut seen: HashMap<usize, (Weak<Method>, Vec<CacheKey>)> = HashMap::new();
+                // The model: the compile fingerprint each allocation was
+                // last keyed under. Its `Weak`s keep every address it
+                // names from reuse.
+                let mut seen: HashMap<usize, (Weak<Method>, CacheKey)> = HashMap::new();
                 let mut older: Vec<DexFile> = Vec::new();
                 for (step, (op, arg)) in std::iter::once((6, 0)).chain(script).enumerate() {
                     match op {
@@ -1074,15 +1051,15 @@ mod tests {
                             mutate_methods(&mut dex, arg, 0.2);
                         }
                         3 => dex = wire::decode(&wire::encode(&dex)).expect("round trip"),
-                        4 => options = arms[(arg % 3) as usize].1.clone(),
+                        4 => options = arms[(arg % 4) as usize].1.clone(),
                         5 => options.base_address = 0x4000_0000 + 0x10_0000 * (arg % 6),
                         _ => {}
                     }
-                    let fp = options_fingerprint(&options);
+                    let fp = compile_fingerprint(&options.compile_config());
                     let unseen = dex
                         .methods()
                         .iter()
-                        .filter(|m| seen.get(&address(m)).is_none_or(|(_, fps)| !fps.contains(&fp)))
+                        .filter(|m| seen.get(&address(m)).is_none_or(|&(_, last)| last != fp))
                         .count();
                     let built = session.build(&dex, &options).expect("build");
                     prop_assert_eq!(built.stats.methods_keyed, unseen, "step {}", step);
@@ -1092,11 +1069,7 @@ mod tests {
                     prop_assert_eq!(frontend.methods_keyed, 0, "step {}", step);
                     prop_assert_eq!(frontend.keys, recomputed(&dex, &options), "step {}", step);
                     for m in dex.methods() {
-                        let (_, fps) =
-                            seen.entry(address(m)).or_insert_with(|| (Arc::downgrade(m), vec![]));
-                        fps.retain(|&f| f != fp);
-                        fps.insert(0, fp);
-                        fps.truncate(MEMO_WAYS);
+                        seen.entry(address(m)).or_insert_with(|| (Arc::downgrade(m), fp)).1 = fp;
                     }
                 }
             }

@@ -2,9 +2,10 @@
 //! content-addressed artifact cache:
 //!
 //! 1. **Invalidation matrix** — flipping any [`BuildOptions`] field or
-//!    pass toggle changes the configuration fingerprint (and therefore
-//!    every method's cache key); editing a method changes exactly that
-//!    method's key.
+//!    pass toggle changes the options fingerprint, and flipping one that
+//!    codegen reads (its [`CompileConfig`](calibro::CompileConfig))
+//!    changes every method's cache key; editing a method changes exactly
+//!    that method's key.
 //! 2. **Warm == cold, bit for bit** — after an N-method delta, a warm
 //!    rebuild recompiles only the N changed methods and serializes to
 //!    the same ELF bytes as a cold build, under 1 and 8 compile threads
@@ -16,8 +17,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use calibro::{
-    build, method_cache_key, options_fingerprint, reference_env, ArtifactStore, BuildError,
-    BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode, PipelineConfig, StableHasher,
+    build, compile_fingerprint, method_cache_key, options_fingerprint, reference_env,
+    ArtifactStore, BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode,
+    PipelineConfig, StableHasher,
 };
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
@@ -86,13 +88,44 @@ fn every_options_field_flip_changes_the_fingerprint() {
         }
     }
 
-    // The fingerprint feeds every method key, so a sample method's key
-    // must move with it.
+    // A method key covers what codegen reads: CTO, the pass switches and
+    // whether metadata is collected (under LTBO or `force_metadata`).
+    // The LTBO mode, `min_seq_len`, the hot set, the load address and the
+    // thread count are read after codegen or only schedule it.
     let dex = generate(&AppSpec::small("fp", 5)).dex;
     let m = &dex.methods()[0];
-    let base_key = method_cache_key(m, base_fp);
-    for (name, fp) in fps.iter().skip(1) {
-        assert_ne!(method_cache_key(m, *fp), base_key, "{name}: method key unchanged");
+    let key = |options: &BuildOptions| {
+        method_cache_key(m, compile_fingerprint(&options.compile_config()))
+    };
+    let base_key = key(&BuildOptions::default());
+    let read_by_codegen = [
+        "cto",
+        "ltbo_global",
+        "ltbo_parallel",
+        "force_metadata",
+        "pass_copy_prop",
+        "pass_constant_folding",
+        "pass_simplify",
+        "pass_dce",
+    ];
+    let mut moved = Vec::new();
+    for (name, options) in &variants {
+        let read = read_by_codegen.contains(name);
+        assert_eq!(key(options) != base_key, read, "{name}: method key moved: {}", !read);
+        if read {
+            moved.push((name, key(options)));
+        }
+    }
+    // Either LTBO mode compiles with metadata, as `force_metadata` does:
+    // one key for the three; every other compile-config flip its own.
+    let of = |wanted: &str| moved.iter().find(|(name, _)| **name == wanted).expect("moved").1;
+    assert_eq!(of("ltbo_global"), of("ltbo_parallel"));
+    assert_eq!(of("ltbo_global"), of("force_metadata"));
+    moved.retain(|(name, _)| !["ltbo_parallel", "force_metadata"].contains(name));
+    for (i, (a_name, a)) in moved.iter().enumerate() {
+        for (b_name, b) in moved.iter().skip(i + 1) {
+            assert_ne!(a, b, "{a_name} and {b_name} collide on the method key");
+        }
     }
 }
 
@@ -104,7 +137,7 @@ fn editing_a_method_invalidates_exactly_that_method() {
     let mutated = mutate_methods(&mut edited, 3, 0.05);
     assert!(!mutated.is_empty());
 
-    let fp = options_fingerprint(&BuildOptions::default());
+    let fp = compile_fingerprint(&BuildOptions::default().compile_config());
     for (old, new) in original.methods().iter().zip(edited.methods()) {
         let old_key = method_cache_key(old, fp);
         let new_key = method_cache_key(new, fp);
@@ -301,7 +334,7 @@ fn store_entries(
     dex: &DexFile,
     options: &BuildOptions,
 ) -> Vec<Arc<CacheEntry>> {
-    let fp = options_fingerprint(options);
+    let fp = compile_fingerprint(&options.compile_config());
     let entries = dex.methods().iter().map(|m| {
         let key = method_cache_key(m, fp);
         session.store().get(key).expect("a readable store").expect("every method is stored")
@@ -533,19 +566,24 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     let _ = std::fs::remove_dir_all(&dir);
     let dex = generate(&AppSpec::small("schema", 29)).dex;
     let options = BuildOptions::cto_ltbo();
-    let fp = options_fingerprint(&options);
+    let fp = compile_fingerprint(&options.compile_config());
     let config = CacheConfig { disk_dir: Some(dir.clone()), ..CacheConfig::default() };
 
     // Populate the directory the way a release with any other schema
     // would have: one entry per method, under the key that release
     // mints — the same walk over the same inputs, another schema salt
-    // in the options fingerprint every method key embeds.
+    // in the compile fingerprint every method key embeds.
+    let compile_fp_under = |schema: &str| {
+        let mut h = StableHasher::new();
+        h.write_str(schema);
+        h.write_tag(0x43); // 'C', `compile_fingerprint`'s domain tag
+        h.write_wire(&options.compile_config());
+        h.finish()
+    };
+    assert_eq!(compile_fp_under(calibro_cache::SCHEMA_VERSION), fp);
     let other_schema = "0.1.0+s0";
     assert_ne!(calibro_cache::SCHEMA_VERSION, other_schema);
-    let mut h = StableHasher::new();
-    h.write_str(other_schema);
-    calibro::fingerprint_options(&options, &mut h);
-    let other_fp = h.finish();
+    let other_fp = compile_fp_under(other_schema);
     let old_store = ArtifactStore::new(config.clone());
     let mut other_keys = Vec::new();
     for m in dex.methods() {

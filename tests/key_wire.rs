@@ -10,7 +10,8 @@
 use std::collections::HashSet;
 
 use calibro::{
-    options_fingerprint, program_salt, BuildOptions, LtboConfig, LtboMode, PipelineConfig,
+    compile_fingerprint, options_fingerprint, program_salt, BuildOptions, CompileConfig,
+    LtboConfig, LtboMode, PipelineConfig,
 };
 use calibro_dex::wire::{decode, encode};
 use calibro_dex::DexFile;
@@ -65,21 +66,26 @@ proptest! {
         prop_assert_eq!(program_salt(&back), program_salt(&dex));
     }
 
-    /// `decode(encode(x)) == x` for `BuildOptions` and for the
-    /// `LtboConfig` inside it, which is keyed on its own too (group-plan
-    /// keys).
+    /// `decode(encode(x)) == x` for `BuildOptions`, for the
+    /// `CompileConfig` derived from it, which every method key embeds,
+    /// and for the `LtboConfig` inside it, which a build request carries
+    /// a fingerprint of too.
     #[test]
     fn configurations_round_trip((raw, hot, with_hot) in option_draws()) {
         let options = options_from(&raw, with_hot.then_some(&hot[..]));
         let back: BuildOptions = decode(&encode(&options)).expect("encoded options decode");
         prop_assert_eq!(&back, &options);
+        let compile = options.compile_config();
+        let back: CompileConfig = decode(&encode(&compile)).expect("a compile config decodes");
+        prop_assert_eq!(back, compile);
         if let Some(config) = options.ltbo_config() {
             let back: LtboConfig = decode(&encode(&config)).expect("an LTBO config decodes");
             prop_assert_eq!(back, config);
         }
     }
 
-    /// Equal fingerprints exactly when equal options; and a hot set is
+    /// Equal fingerprints exactly when equal options, and equal compile
+    /// fingerprints exactly when equal compile configs; and a hot set is
     /// a set — the order its ids were inserted in reaches neither the
     /// bytes nor the key.
     #[test]
@@ -93,6 +99,8 @@ proptest! {
         // half share every field draw and differ at most in the hot set.
         let b = options_from(if differ { &raw_b } else { &raw_a }, with_b.then_some(&hot_b[..]));
         prop_assert_eq!(options_fingerprint(&a) == options_fingerprint(&b), a == b);
+        let (ca, cb) = (a.compile_config(), b.compile_config());
+        prop_assert_eq!(compile_fingerprint(&ca) == compile_fingerprint(&cb), ca == cb);
 
         let reversed: HashSet<u32> = hot_a.iter().rev().copied().collect();
         let c = BuildOptions { hot_methods: with_a.then_some(reversed), ..a.clone() };
