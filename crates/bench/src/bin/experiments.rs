@@ -38,8 +38,8 @@ fn main() {
         run_serve(&args[1..]);
         return;
     }
-    if which == "fleet" {
-        run_fleet(&args[1..]);
+    if which == "restart" {
+        run_restart(&args[1..]);
         return;
     }
     if which == "drift" {
@@ -48,7 +48,7 @@ fn main() {
     }
     if !SUITE_ARMS.contains(&which) {
         eprintln!(
-            "experiments: unknown subcommand {which:?}; expected serve, fleet, drift or one of {}",
+            "experiments: unknown subcommand {which:?}; expected serve, restart, drift or one of {}",
             SUITE_ARMS.join(", ")
         );
         std::process::exit(2);
@@ -226,70 +226,50 @@ fn run_serve(args: &[String]) {
     }
 }
 
-/// `experiments fleet [--shard ID=unix:PATH | --shard ID=tcp:ADDR]...
-/// [--workers N] [--methods N] [--routed N]` — the fleet topology arm
-/// (see `bench::fleet`). With no `--shard`s, runs a two-shard
-/// in-process fleet.
-fn run_fleet(args: &[String]) {
-    let mut config = bench::FleetLoadConfig::default();
+/// `experiments restart [--workers N] [--methods N]` — a daemon
+/// restarted over its own disk directory against true cold and
+/// memory-warm builds (see `bench::restart`).
+fn run_restart(args: &[String]) {
+    let (mut workers, mut methods) = (4, 900);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> &String {
             it.next().unwrap_or_else(|| {
-                eprintln!("experiments fleet: {name} requires a value");
+                eprintln!("experiments restart: {name} requires a value");
                 std::process::exit(2);
             })
         };
         match flag.as_str() {
-            "--shard" => {
-                let raw = value("--shard");
-                let Some((id, endpoint)) = raw.split_once('=') else {
-                    eprintln!("experiments fleet: --shard {raw:?} must be ID=unix:PATH|tcp:ADDR");
-                    std::process::exit(2);
-                };
-                let id: u32 = parse_flag(id, "--shard");
-                match calibro_server::ShardEndpoint::parse(endpoint) {
-                    Ok(endpoint) => config.shards.push(calibro_server::ShardSpec { id, endpoint }),
-                    Err(e) => {
-                        eprintln!("experiments fleet: --shard {raw:?}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
-            "--methods" => config.methods = parse_flag(value("--methods"), "--methods"),
-            "--routed" => config.routed_programs = parse_flag(value("--routed"), "--routed"),
+            "--workers" => workers = parse_flag(value("--workers"), "--workers"),
+            "--methods" => methods = parse_flag(value("--methods"), "--methods"),
             other => {
-                eprintln!("experiments fleet: unknown flag {other}");
+                eprintln!("experiments restart: unknown flag {other}");
                 std::process::exit(2);
             }
         }
     }
 
-    header("calibrod fleet: peer-served vs true-cold");
-    let report = bench::fleet_load(&config);
-    let json_path = "BENCH_fleet.json";
+    header("calibrod restart: disk-warm vs true-cold and memory-warm");
+    let report = bench::restart_load(workers, methods);
+    let json_path = "BENCH_restart.json";
     match std::fs::write(json_path, report.to_json()) {
         Ok(()) => eprintln!("wrote {json_path}"),
         Err(e) => eprintln!("could not write {json_path}: {e}"),
     }
+    let [true_cold, disk_cold, restart, memory_warm] = report.walls_us;
     println!(
-        "shards {:>2}   errors {:>3}   warm-A {:>8}us   true-cold-B {:>8}us   peer-served-B {:>8}us",
-        report.shards, report.errors, report.warm_a_us, report.true_cold_us, report.peer_us
+        "methods {:>5}   errors {}   true-cold {true_cold:>8}us   disk-cold {disk_cold:>8}us   \
+         restart {restart:>8}us   memory-warm {memory_warm:>8}us",
+        report.methods, report.errors,
     );
     println!(
-        "peer speedup {:>6.1}x   identical {}   peer hit rate {:>5.1}% \
-         ({} hits / {} misses / {} errors)",
-        report.peer_speedup,
+        "restart speedup {:>5.2}x   identical {}   all from cache {}   \
+         restart disk hits {} / stores {}",
+        report.restart_speedup,
         report.identical,
-        report.peer_hit_rate * 100.0,
-        report.peer_hits,
-        report.peer_misses,
-        report.peer_errors
-    );
-    println!(
-        "shard A served {:>4} peer gets   routed programs {:>3} ({} warm on repeat)",
-        report.peer_gets_served, report.routed_programs, report.routed_warm
+        report.all_from_cache,
+        report.restart_disk_hits,
+        report.restart_stores
     );
 }
 
@@ -352,12 +332,19 @@ fn run_drift(args: &[String]) {
 
 /// The external daemon the serve and drift arms can target:
 /// `--socket PATH` or `--addr HOST:PORT`.
-fn endpoint(flag: &str, value: &str) -> calibro_server::ShardEndpoint {
-    let scheme = if flag == "--socket" { "unix" } else { "tcp" };
-    calibro_server::ShardEndpoint::parse(&format!("{scheme}:{value}")).unwrap_or_else(|e| {
-        eprintln!("experiments: {flag} {value}: {e}");
+fn endpoint(flag: &str, value: &str) -> calibro_server::Endpoint {
+    if flag == "--addr" {
+        return calibro_server::Endpoint::Tcp(value.to_owned());
+    }
+    #[cfg(unix)]
+    {
+        calibro_server::Endpoint::Unix(std::path::PathBuf::from(value))
+    }
+    #[cfg(not(unix))]
+    {
+        eprintln!("experiments: {flag} {value}: unix sockets are not supported on this platform");
         std::process::exit(2);
-    })
+    }
 }
 
 fn parse_flag<T: std::str::FromStr>(raw: &str, flag: &str) -> T {

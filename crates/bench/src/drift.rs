@@ -16,14 +16,15 @@
 //! 3. **Perf recovery** — after the flip, phase B's cycle count on the
 //!    new generation is no worse than on the stale one.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use calibro::{build, BuildOptions};
 use calibro_profile::Profile;
 use calibro_runtime::Runtime;
-use calibro_server::{Daemon, Listener, ServerConfig, ShardEndpoint};
+use calibro_server::{Daemon, Endpoint, ServerConfig};
 use calibro_workloads::{generate, App, AppSpec, TraceCall};
+
+use crate::local_listener;
 
 /// Trace-call steps budget, matching the experiments substrate.
 const STEP_BUDGET: u64 = 4_000_000;
@@ -40,7 +41,7 @@ const MAX_UPLOADS: usize = 50;
 #[derive(Clone, Debug)]
 pub struct DriftConfig {
     /// External daemon to target; `None` starts one in-process.
-    pub endpoint: Option<ShardEndpoint>,
+    pub endpoint: Option<Endpoint>,
     /// Worker threads for the in-process daemon.
     pub workers: usize,
 }
@@ -162,7 +163,7 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
     let endpoint = match &config.endpoint {
         Some(e) => e.clone(),
         None => {
-            let (listener, endpoint) = local_listener();
+            let (listener, endpoint) = local_listener("drift");
             let daemon = Daemon::start(
                 listener,
                 ServerConfig { workers: config.workers, ..ServerConfig::default() },
@@ -279,22 +280,4 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
         daemon.shutdown();
     }
     report
-}
-
-/// Binds an in-process listener: a Unix socket where available, TCP
-/// loopback otherwise.
-fn local_listener() -> (Listener, ShardEndpoint) {
-    #[cfg(unix)]
-    {
-        let socket: PathBuf =
-            std::env::temp_dir().join(format!("calibrod-drift-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&socket);
-        (Listener::unix(&socket).expect("bind drift socket"), ShardEndpoint::Unix(socket))
-    }
-    #[cfg(not(unix))]
-    {
-        let listener = Listener::tcp("127.0.0.1:0").expect("bind drift tcp");
-        let addr = listener.tcp_addr().expect("tcp addr").to_string();
-        (listener, ShardEndpoint::Tcp(addr))
-    }
 }

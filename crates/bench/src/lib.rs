@@ -10,10 +10,31 @@
 pub mod alloc;
 pub mod drift;
 pub mod experiments;
-pub mod fleet;
+pub mod restart;
 pub mod serve;
 
 pub use drift::{drift_feedback, DriftConfig, DriftReport};
 pub use experiments::*;
-pub use fleet::{fleet_load, FleetLoadConfig, FleetReport};
+pub use restart::{restart_load, RestartReport};
 pub use serve::{serve_load, serve_one_slow, ServeLoadConfig, ServeReport};
+
+use calibro_server::{Endpoint, Listener};
+
+/// Binds an in-process daemon's listener: a Unix socket named by `tag`
+/// where available, TCP loopback otherwise.
+pub(crate) fn local_listener(tag: &str) -> (Listener, Endpoint) {
+    #[cfg(unix)]
+    {
+        let socket =
+            std::env::temp_dir().join(format!("calibrod-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        (Listener::unix(&socket).expect("bind the daemon socket"), Endpoint::Unix(socket))
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = tag;
+        let listener = Listener::tcp("127.0.0.1:0").expect("bind the daemon tcp port");
+        let addr = listener.tcp_addr().expect("tcp addr").to_string();
+        (listener, Endpoint::Tcp(addr))
+    }
+}

@@ -12,8 +12,10 @@ use std::time::{Duration, Instant};
 
 use calibro::BuildOptions;
 use calibro_dex::DexFile;
-use calibro_server::{ClientError, Daemon, Listener, ServeError, ServerConfig, ShardEndpoint};
+use calibro_server::{ClientError, Daemon, Endpoint, ServeError, ServerConfig};
 use calibro_workloads::{generate, mutate_methods, AppSpec};
+
+use crate::local_listener;
 
 /// Loadgen configuration (all defaults overridable from the CLI).
 #[derive(Clone, Debug)]
@@ -28,7 +30,7 @@ pub struct ServeLoadConfig {
     /// Admission-queue depth for the in-process daemon.
     pub queue_depth: usize,
     /// External daemon to target; `None` starts one in-process.
-    pub endpoint: Option<ShardEndpoint>,
+    pub endpoint: Option<Endpoint>,
     /// Whether to run the overload burst probe after the mixed stream.
     pub probe_overload: bool,
 }
@@ -174,39 +176,18 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
     let endpoint = match &config.endpoint {
         Some(e) => e.clone(),
         None => {
-            #[cfg(unix)]
-            {
-                let socket = std::env::temp_dir()
-                    .join(format!("calibrod-loadgen-{}.sock", std::process::id()));
-                let _ = std::fs::remove_file(&socket);
-                let daemon = Daemon::start(
-                    Listener::unix(&socket).expect("bind loadgen socket"),
-                    ServerConfig {
-                        workers: config.workers,
-                        queue_depth: config.queue_depth,
-                        ..ServerConfig::default()
-                    },
-                )
-                .expect("start in-process daemon");
-                local = Some(daemon);
-                ShardEndpoint::Unix(socket)
-            }
-            #[cfg(not(unix))]
-            {
-                let listener = Listener::tcp("127.0.0.1:0").expect("bind loadgen tcp");
-                let addr = listener.tcp_addr().expect("tcp addr").to_string();
-                let daemon = Daemon::start(
-                    listener,
-                    ServerConfig {
-                        workers: config.workers,
-                        queue_depth: config.queue_depth,
-                        ..ServerConfig::default()
-                    },
-                )
-                .expect("start in-process daemon");
-                local = Some(daemon);
-                ShardEndpoint::Tcp(addr)
-            }
+            let (listener, endpoint) = local_listener("loadgen");
+            let daemon = Daemon::start(
+                listener,
+                ServerConfig {
+                    workers: config.workers,
+                    queue_depth: config.queue_depth,
+                    ..ServerConfig::default()
+                },
+            )
+            .expect("start in-process daemon");
+            local = Some(daemon);
+            endpoint
         }
     };
 
@@ -386,7 +367,7 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
 /// arrives — the in-flight half of the CI graceful-drain check (the
 /// harness SIGTERMs the daemon while this request is running; drain
 /// semantics require the reply to still be delivered).
-pub fn serve_one_slow(endpoint: &ShardEndpoint) {
+pub fn serve_one_slow(endpoint: &Endpoint) {
     let app = generate(&AppSpec { methods: 1600, classes: 24, ..AppSpec::small("drain-slow", 77) });
     let mut client = endpoint.client().expect("connect to the daemon");
     let reply = client.build(&app.dex, &BuildOptions::cto_ltbo(), None).expect("in-flight build");

@@ -32,13 +32,11 @@ use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
 use crate::entry::{CacheEntry, GroupPlanEntry, SymbolTemplate};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
-use crate::peer::PeerLane;
 
 /// Bumped whenever the on-disk layout changes. A well-formed frame of
 /// another version is not an error: a disk read treats it as absent (an
-/// ordinary miss, and the recompute's store overwrites the file), a
-/// peer fetch as a counted peer error — so upgrading across a version
-/// needs no manual cache wipe.
+/// ordinary miss, and the recompute's store overwrites the file) — so
+/// upgrading across a version needs no manual cache wipe.
 ///
 /// Version 2: call-target tag 5 (`Merged`) and the `.calm` merge-plan
 /// lane (since removed with function merging: no lane reads a `.calm`
@@ -62,15 +60,12 @@ pub const FORMAT_VERSION: u32 = 9;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
-/// atomic disk writes, strict reads, peer adoption — is written once
-/// over this trait.
+/// atomic disk writes, strict reads — is written once over this trait.
 pub trait LaneEntry: Wire + Send + Sync + 'static {
     /// Frame magic, the first four bytes of every interchange frame.
     const MAGIC: [u8; 4];
     /// File extension of the lane's disk entries (`<key>.<EXT>`).
     const EXT: &'static str;
-    /// The lane's fleet wire code.
-    const PEER_LANE: PeerLane;
 
     /// Structural validation: every index a later stage will follow
     /// must be in bounds, so a poisoned entry is rejected with a typed
@@ -102,9 +97,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Serializes `entry` into the checksummed interchange frame — the
-/// exact bytes a lane persists. The frame doubles as the peer-wire
-/// payload so a fetched artifact passes through the same magic /
-/// version / key / checksum gauntlet as a disk read.
+/// exact bytes a lane persists, which a read passes back through the
+/// magic / version / key / checksum gauntlet of [`from_frame`].
 #[must_use]
 pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Vec<u8> {
     let payload = wire::encode(entry);
@@ -201,8 +195,8 @@ pub(crate) fn has<V: LaneEntry>(dir: &Path, key: CacheKey) -> bool {
 }
 
 /// Decodes and fully validates an interchange frame produced by
-/// [`to_frame`], read raw from a lane file, or fetched from a peer —
-/// the one gauntlet every byte entering a lane from outside passes.
+/// [`to_frame`] or read raw from a lane file — the one gauntlet every
+/// byte entering a lane from outside passes.
 ///
 /// # Errors
 ///
@@ -442,14 +436,13 @@ impl wire::FieldEnds for CacheEntry {
 // ---------------------------------------------------------------------
 
 /// The lane table: one row per entry type — frame magic, file
-/// extension, fleet wire code and the structural validator defined
-/// above (the payload codec is the type's `Wire` row).
+/// extension and the structural validator defined above (the payload
+/// codec is the type's `Wire` row).
 macro_rules! lanes {
-    ($($entry:ty: $magic:literal, $ext:literal, $peer:expr, $validate:path;)*) => {$(
+    ($($entry:ty: $magic:literal, $ext:literal, $validate:path;)*) => {$(
         impl LaneEntry for $entry {
             const MAGIC: [u8; 4] = *$magic;
             const EXT: &'static str = $ext;
-            const PEER_LANE: PeerLane = $peer;
             fn validate(&self) -> Result<(), String> {
                 $validate(self)
             }
@@ -458,8 +451,8 @@ macro_rules! lanes {
 }
 
 lanes! {
-    CacheEntry: b"CALC", "calc", PeerLane::Method, validate_entry;
-    GroupPlanEntry: b"CALG", "calg", PeerLane::Group, validate_group_entry;
+    CacheEntry: b"CALC", "calc", validate_entry;
+    GroupPlanEntry: b"CALG", "calg", validate_group_entry;
 }
 
 #[cfg(test)]

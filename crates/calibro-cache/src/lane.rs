@@ -1,7 +1,7 @@
 //! One store lane: an in-memory map from [`CacheKey`] to `Arc<V>` with
 //! second-chance eviction and its own counter block, over the tiered
-//! read path memory → checksummed disk (promoting on a hit) → fleet
-//! peer. Written once, generically over [`LaneEntry`], and
+//! read path memory → checksummed disk (promoting on a hit). Written
+//! once, generically over [`LaneEntry`], and
 //! monomorphised per entry type — the two lanes of an
 //! [`ArtifactStore`](crate::ArtifactStore) share every line of logic
 //! here and none of their state, so per-build stats stay attributable
@@ -16,12 +16,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::disk::{self, LaneEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
-use crate::peer::{PeerFetch, PeerLane, PeerSource};
 
 /// The events one lane counts. [`CacheStats`](crate::CacheStats) maps
 /// each of its flat fields to one `(lane, Counter)` pair.
@@ -34,9 +33,6 @@ pub(crate) enum Counter {
     DiskHits,
     DiskStores,
     Promotions,
-    PeerHits,
-    PeerMisses,
-    PeerErrors,
     LockContention,
 }
 
@@ -56,15 +52,14 @@ struct Inner<V> {
 }
 
 /// One lane of the store: an in-memory map with second-chance eviction
-/// and its own counters over the tiered read path memory → disk → fleet
-/// peer, generic over what it stores ([`LaneEntry`]). Shared across
+/// and its own counters over the tiered read path memory → disk,
+/// generic over what it stores ([`LaneEntry`]). Shared across
 /// compile workers: every method takes `&self` and synchronizes
 /// internally.
 pub struct Lane<V> {
     inner: Mutex<Inner<V>>,
     max_entries: usize,
     disk_dir: Option<PathBuf>,
-    peer: OnceLock<Arc<dyn PeerSource>>,
     counters: [AtomicU64; COUNTERS],
 }
 
@@ -74,14 +69,8 @@ impl<V: LaneEntry> Lane<V> {
             inner: Mutex::new(Inner { map: HashMap::new(), queue: VecDeque::new() }),
             max_entries: max_entries.max(1),
             disk_dir,
-            peer: OnceLock::new(),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
-    }
-
-    /// Installs the peer tier; the first source wins.
-    pub(crate) fn set_peer_source(&self, source: Arc<dyn PeerSource>) {
-        let _ = self.peer.set(source);
     }
 
     fn add(&self, counter: Counter, n: u64) {
@@ -119,143 +108,39 @@ impl<V: LaneEntry> Lane<V> {
         self.lock().map.len()
     }
 
-    /// Memory-then-disk lookup shared by every read. A memory hit sets
-    /// the entry's referenced bit whether or not it is counted. Counts
-    /// nothing when `count` is false (the peer-serving path must not
-    /// pollute this shard's own hit/miss attribution) and never counts a
-    /// miss (the callers own that decision).
-    fn local_lookup(&self, key: CacheKey, count: bool) -> Result<Option<Arc<V>>, CacheError> {
+    /// Looks `key` up in memory, then in the disk layer (validating the
+    /// frame and promoting the entry into memory on a disk hit). A
+    /// memory hit sets the entry's referenced bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError`] when a disk entry exists but is corrupt or
+    /// unreadable — the caller must surface this, not mask it as a
+    /// miss, so poisoned caches are diagnosed instead of silently
+    /// recomputed around.
+    pub fn get(&self, key: CacheKey) -> Result<Option<Arc<V>>, CacheError> {
         if let Some(slot) = self.lock().map.get_mut(&key) {
             slot.referenced = true;
-            if count {
-                self.add(Counter::Hits, 1);
-            }
+            self.add(Counter::Hits, 1);
             return Ok(Some(Arc::clone(&slot.entry)));
         }
         if let Some(dir) = &self.disk_dir {
             if let Some(entry) = disk::load::<V>(dir, key)? {
-                if count {
-                    self.add(Counter::DiskHits, 1);
-                    self.add(Counter::Hits, 1);
-                }
+                self.add(Counter::DiskHits, 1);
+                self.add(Counter::Hits, 1);
                 // Promote into memory. NOT a store: the entry was
                 // produced and persisted by an earlier build, so it is
                 // counted under `promotions` (and a concurrent race is
                 // keep-first, like `insert`).
                 let (arc, promoted) = self.insert_memory(key, entry);
-                if count && promoted {
+                if promoted {
                     self.add(Counter::Promotions, 1);
                 }
                 return Ok(Some(arc));
             }
         }
-        Ok(None)
-    }
-
-    /// The installed peer source and this lane's wire code; `None` for
-    /// a store without a fleet.
-    fn peer(&self) -> Option<(&dyn PeerSource, PeerLane)> {
-        Some((self.peer.get()?.as_ref(), V::PEER_LANE))
-    }
-
-    /// Folds one peer outcome for a local miss into the lane. A frame
-    /// that passes the [`from_frame`](crate::from_frame) gauntlet is
-    /// adopted into memory — not a store, it is not new output.
-    /// Not-found, a transport failure and a frame that fails validation
-    /// all degrade to a counted miss: the caller recomputes locally and
-    /// never sees the peer problem as an error.
-    fn adopt(&self, key: CacheKey, fetched: PeerFetch) -> Option<Arc<V>> {
-        let degraded = match fetched {
-            Ok(Some(frame)) => match disk::from_frame::<V>(key, &frame) {
-                Ok(entry) => {
-                    self.add(Counter::PeerHits, 1);
-                    self.add(Counter::Hits, 1);
-                    return Some(self.insert_memory(key, entry).0);
-                }
-                Err(_) => Counter::PeerErrors,
-            },
-            Ok(None) => Counter::PeerMisses,
-            Err(_) => Counter::PeerErrors,
-        };
-        self.add(degraded, 1);
         self.add(Counter::Misses, 1);
-        None
-    }
-
-    /// Looks `key` up through every tier: memory first, then the disk
-    /// layer (validating and promoting into memory on a disk hit), then
-    /// — in a store with a [`PeerSource`] — a sibling shard's warm lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] when a *local* disk entry exists but is
-    /// corrupt or unreadable — the caller must surface this, not mask
-    /// it as a miss, so poisoned caches are diagnosed instead of
-    /// silently recomputed around.
-    pub fn get(&self, key: CacheKey) -> Result<Option<Arc<V>>, CacheError> {
-        if let Some(arc) = self.local_lookup(key, true)? {
-            return Ok(Some(arc));
-        }
-        Ok(match self.peer() {
-            Some((peer, lane)) => self.adopt(key, peer.fetch(lane, key)),
-            None => {
-                self.add(Counter::Misses, 1);
-                None
-            }
-        })
-    }
-
-    /// Batched [`get`](Self::get): probes every key locally, then
-    /// resolves all local misses through the peer tier in one
-    /// [`PeerSource::fetch_many`] call — with a wire peer source that
-    /// is one pipelined exchange instead of a round trip per key.
-    /// Counter semantics are identical to calling `get` per key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] on a corrupt local disk entry, like
-    /// [`get`](Self::get).
-    pub fn get_many(&self, keys: &[CacheKey]) -> Result<Vec<Option<Arc<V>>>, CacheError> {
-        let mut out: Vec<Option<Arc<V>>> = Vec::with_capacity(keys.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let found = self.local_lookup(key, true)?;
-            if found.is_none() {
-                missing.push(i);
-            }
-            out.push(found);
-        }
-        if missing.is_empty() {
-            return Ok(out);
-        }
-        match self.peer() {
-            Some((peer, lane)) => {
-                let miss_keys: Vec<CacheKey> = missing.iter().map(|&i| keys[i]).collect();
-                for (&slot, fetched) in missing.iter().zip(peer.fetch_many(lane, &miss_keys)) {
-                    out[slot] = self.adopt(keys[slot], fetched);
-                }
-            }
-            None => self.add(Counter::Misses, missing.len() as u64),
-        }
-        Ok(out)
-    }
-
-    /// The lookup a daemon runs to answer a sibling's `PeerGet`: the
-    /// entry's interchange frame, from memory and local disk only —
-    /// never the peer tier, so a fleet-wide miss terminates instead of
-    /// ricocheting between shards — and without touching the hit/miss
-    /// counters, so serving the fleet does not distort this shard's own
-    /// cache attribution. Eviction *does* see the access as a hit:
-    /// fleet-hot entries deserve residence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] when the local disk entry is corrupt or
-    /// unreadable; the requester counts a peer error and recomputes
-    /// locally.
-    pub fn serve_peer(&self, key: CacheKey) -> Result<Option<Vec<u8>>, CacheError> {
-        let found = self.local_lookup(key, false)?;
-        Ok(found.map(|entry| disk::to_frame(key, &*entry)))
+        Ok(None)
     }
 
     /// Inserts an entry computed for `key`, returning the shared handle
@@ -275,8 +160,8 @@ impl<V: LaneEntry> Lane<V> {
 
     /// Overwrites whatever the lane holds under `key`, in memory and on
     /// disk: the caller looked the resident entry up, found that it does
-    /// not describe the content `key` addresses (a key collision, a
-    /// well-formed frame from a confused peer), and recomputed. The
+    /// not describe the content `key` addresses (a key collision, or a
+    /// well-formed frame written for other content), and recomputed. The
     /// lookup counted a hit; this counts the miss it turned out to be,
     /// and the store. A resident key keeps its place in the queue, with
     /// its referenced bit cleared like any insert's.
@@ -394,8 +279,8 @@ mod tests {
         assert_eq!(resident(&lane), [0, 3, 4]);
         lane.insert(key(5), sample_group());
         assert_eq!(resident(&lane), [3, 4, 5]);
-        // Serving a peer is a hit too, though it counts none.
-        assert!(lane.serve_peer(key(3)).expect("no disk tier").is_some());
+        // A hit on key 3 gives it a second chance in its turn.
+        assert!(lane.get(key(3)).expect("no disk tier").is_some());
         lane.insert(key(6), sample_group());
         assert_eq!(resident(&lane), [3, 5, 6]);
         // An insert starts unreferenced, whatever its origin: a replace

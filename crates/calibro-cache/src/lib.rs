@@ -40,7 +40,6 @@ mod error;
 mod hash;
 mod lane;
 mod method_hash;
-mod peer;
 mod store;
 
 pub use disk::{fnv64, from_frame, to_frame, LaneEntry, FORMAT_VERSION};
@@ -51,7 +50,6 @@ pub use error::CacheError;
 pub use hash::{CacheKey, StableHasher};
 pub use lane::Lane;
 pub use method_hash::{hash_method, hash_program};
-pub use peer::{PeerError, PeerFetch, PeerLane, PeerSource};
 pub use store::{ArtifactStore, CacheConfig, CacheStats};
 
 /// Schema salt folded into every cache key: the crate version plus a

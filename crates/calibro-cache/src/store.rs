@@ -1,9 +1,8 @@
 //! The content-addressed artifact store: two [`Lane`]s — method
-//! artifacts and LTBO group plans — over one configuration, one
-//! optional disk directory and one optional peer tier, plus the flat
-//! [`CacheStats`] snapshot of their counters. What a lane does, and how
-//! a peer failure degrades to a counted miss, is [`Lane`]'s story; this
-//! module only wires the two together.
+//! artifacts and LTBO group plans — over one configuration and one
+//! optional disk directory, plus the flat [`CacheStats`] snapshot of
+//! their counters. What a lane does is [`Lane`]'s story; this module
+//! only wires the two together.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,7 +14,6 @@ use crate::entry::{CacheEntry, GroupPlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 use crate::lane::{Counter, Lane};
-use crate::peer::{PeerLane, PeerSource};
 
 /// Configuration of one [`ArtifactStore`].
 #[derive(Clone, Debug)]
@@ -97,9 +95,9 @@ macro_rules! cache_stats {
 }
 
 cache_stats! {
-    /// Lookups that found an entry (in memory, on disk, or on a peer).
+    /// Lookups that found an entry (in memory or on disk).
     hits = Method.Hits,
-    /// Lookups that found nothing on any tier.
+    /// Lookups that found nothing in either tier.
     misses = Method.Misses,
     /// Entries inserted.
     stores = Method.Stores,
@@ -114,15 +112,6 @@ cache_stats! {
     /// this (or an earlier) process already paid to compile and
     /// persist, so it must not read as new compilation output.
     promotions = Method.Promotions,
-    /// Lookups satisfied by a fleet peer's warm lane.
-    peer_hits = Method.PeerHits,
-    /// Peer consultations where every reachable peer answered
-    /// not-found.
-    peer_misses = Method.PeerMisses,
-    /// Peer consultations that failed (connect, hangup, garbage,
-    /// truncation, checksum, remote error) — each degraded to a local
-    /// compile.
-    peer_errors = Method.PeerErrors,
     /// Group-plan lookups that found a plan (LTBO detection skipped).
     group_hits = Group.Hits,
     /// Group-plan lookups that found nothing (group re-detected).
@@ -138,12 +127,6 @@ cache_stats! {
     /// Group-plan disk hits promoted into the in-memory map (see
     /// [`promotions`](Self::promotions)).
     group_promotions = Group.Promotions,
-    /// Group-plan lookups satisfied by a fleet peer.
-    group_peer_hits = Group.PeerHits,
-    /// Group-plan peer consultations that answered not-found.
-    group_peer_misses = Group.PeerMisses,
-    /// Group-plan peer consultations that failed.
-    group_peer_errors = Group.PeerErrors,
     /// Method-lane lock acquisitions that found the lock held by
     /// another thread (a contended shared-store access). Zero in
     /// single-build use; under a multi-tenant daemon this measures how
@@ -220,8 +203,8 @@ impl CacheStats {
         json
     }
 
-    /// Method-lane hit fraction in `[0, 1]` (counting disk and peer
-    /// hits as hits); `0` when no lookups happened.
+    /// Method-lane hit fraction in `[0, 1]` (counting disk hits as
+    /// hits); `0` when no lookups happened.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         hit_fraction(self.hits, self.misses)
@@ -241,7 +224,7 @@ impl CacheStats {
 /// Two independent [`Lane`]s share the store — per-method compile
 /// artifacts ([`methods`](Self::methods)) and per-group LTBO plans
 /// ([`groups`](Self::groups)) — each with its own lock, counters,
-/// `max_entries` ceiling and peer tier, so per-build stats stay
+/// `max_entries` ceiling, so per-build stats stay
 /// attributable and pressure in one lane never evicts the other.
 pub struct ArtifactStore {
     methods: Lane<CacheEntry>,
@@ -283,15 +266,6 @@ impl ArtifactStore {
         }
     }
 
-    /// Installs the peer tier (consulted by every lane that has a wire
-    /// code). One-shot: the first source wins (a daemon wires this once
-    /// at startup, before serving), and lookups read it lock-free
-    /// afterwards.
-    pub fn set_peer_source(&self, source: Arc<dyn PeerSource>) {
-        self.methods.set_peer_source(Arc::clone(&source));
-        self.groups.set_peer_source(source);
-    }
-
     /// The per-method compile-artifact lane.
     #[must_use]
     pub fn methods(&self) -> &Lane<CacheEntry> {
@@ -313,13 +287,14 @@ impl ArtifactStore {
         self.methods.get(key)
     }
 
-    /// [`Lane::get_many`] on the method lane.
+    /// [`Lane::get`] on the method lane for each key in turn, stopping
+    /// at the first error.
     ///
     /// # Errors
     ///
     /// Returns [`CacheError`] on a corrupt local disk entry.
     pub fn get_many(&self, keys: &[CacheKey]) -> Result<Vec<Option<Arc<CacheEntry>>>, CacheError> {
-        self.methods.get_many(keys)
+        keys.iter().map(|&key| self.methods.get(key)).collect()
     }
 
     /// [`Lane::insert`] on the method lane.
@@ -327,24 +302,12 @@ impl ArtifactStore {
         self.methods.insert(key, entry)
     }
 
-    /// [`Lane::serve_peer`] on the lane a sibling's `PeerGet` names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError`] when the local disk entry is corrupt or
-    /// unreadable.
-    pub fn serve_peer(&self, lane: PeerLane, key: CacheKey) -> Result<Option<Vec<u8>>, CacheError> {
-        match lane {
-            PeerLane::Method => self.methods.serve_peer(key),
-            PeerLane::Group => self.groups.serve_peer(key),
-        }
-    }
-
     /// Persists every in-memory entry (all lanes) that the disk layer
     /// does not already hold, returning how many files were written. A
-    /// draining daemon calls this so peer-fetched and promoted entries
-    /// — which skip the insert-time disk write — survive the restart as
-    /// local disk hits instead of going back over the network.
+    /// draining daemon calls this so an entry whose best-effort
+    /// insert-time write failed (a full disk, a directory that was not
+    /// there yet) survives the restart as a disk hit instead of a
+    /// recompile. A promoted entry was read from disk and is skipped.
     ///
     /// Best-effort like all disk writes: an unwritable directory
     /// flushes nothing and fails nothing. No-op without a `disk_dir`.
@@ -367,7 +330,6 @@ mod tests {
     use super::*;
     use crate::disk::tests::{sample_entry, sample_group, FIXTURE_KEY, STALE_FIXTURES};
     use crate::disk::{from_frame, to_frame, LaneEntry, FORMAT_VERSION};
-    use crate::peer::{PeerError, PeerFetch};
 
     fn key(n: u64) -> CacheKey {
         CacheKey { hi: n, lo: !n }
@@ -571,79 +533,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A scripted peer tier.
-    struct FnPeer<F>(F);
-
-    impl<F: Fn(PeerLane, CacheKey) -> PeerFetch + Send + Sync> PeerSource for FnPeer<F> {
-        fn fetch(&self, lane: PeerLane, key: CacheKey) -> PeerFetch {
-            (self.0)(lane, key)
-        }
-    }
-
-    fn peered(
-        store: ArtifactStore,
-        peer: impl Fn(PeerLane, CacheKey) -> PeerFetch + Send + Sync + 'static,
-    ) -> ArtifactStore {
-        store.set_peer_source(Arc::new(FnPeer(peer)));
-        store
-    }
-
-    /// The contract of the peer tier, for every lane.
-    fn peer_contract<V: Sample>() {
-        let ext = V::EXT;
-        let wire = V::PEER_LANE;
-
-        // A peer hit fills memory and counts once; it is not a store
-        // and skips the insert-time disk write.
-        let dir = fresh_dir(&format!("peer-{ext}"));
-        let store = peered(disk_store(&dir), move |lane, key| {
-            assert_eq!(lane, wire, "asked under another lane's wire code");
-            Ok(Some(to_frame(key, &V::make(3))))
-        });
-        let lane = V::lane(&store);
-        let got = lane.get(key(3)).unwrap().expect("peer tier serves the miss");
-        assert_eq!(to_frame(key(3), &*got), to_frame(key(3), &V::make(3)));
-        let names = ["peer_hits", "peer_misses", "hits", "misses", "stores", "disk_stores"];
-        assert_eq!(stats::<V, 6>(&store, names), [1, 0, 1, 0, 0, 0]);
-        assert!(lane.get(key(3)).unwrap().is_some(), "{ext}: now a plain memory hit");
-        assert_eq!(stats::<V, 2>(&store, ["peer_hits", "hits"]), [1, 2]);
-        // A batch resolves its local misses through the peer in one go.
-        assert!(lane.get_many(&[key(3), key(4)]).unwrap().iter().all(Option::is_some));
-        assert_eq!(stats::<V, 2>(&store, ["peer_hits", "hits"]), [2, 4]);
-
-        // Serving a sibling counts nothing, hands out the frame, and
-        // never asks this shard's own peers.
-        let before = store.stats();
-        let served = lane.serve_peer(key(3)).unwrap().expect("resident entry served");
-        assert_eq!(served, to_frame(key(3), &V::make(3)));
-        assert_eq!(store.serve_peer(wire, key(3)).unwrap(), Some(served));
-        assert!(lane.serve_peer(key(99)).unwrap().is_none(), "{ext}: serving ricocheted");
-        assert_eq!(before, store.stats(), "{ext}: serving distorted local attribution");
-
-        // The drain flush persists exactly the two peer fills.
-        assert_eq!(store.flush_to_disk(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Not-found, a transport failure and a frame that fails the
-        // gauntlet (tampered, or framed for another key) all degrade to
-        // a counted local miss — never an error, never an entry.
-        let hangup = PeerError::Hangup { peer: "test".into(), detail: "scripted".into() };
-        let mut tampered = to_frame(key(1), &V::make(1));
-        flip_last_byte(&mut tampered);
-        let misfiled = to_frame(key(2), &V::make(1));
-        for (fetched, counted) in [
-            (Ok(None), "peer_misses"),
-            (Err(hangup), "peer_errors"),
-            (Ok(Some(tampered)), "peer_errors"),
-            (Ok(Some(misfiled)), "peer_errors"),
-        ] {
-            let store = peered(ArtifactStore::default(), move |_, _| fetched.clone());
-            assert!(V::lane(&store).get(key(1)).unwrap().is_none(), "{ext}: {counted}");
-            assert_eq!(stats::<V, 3>(&store, [counted, "misses", "hits"]), [1, 1, 0]);
-            assert_eq!(activity(&store), 2, "{ext}: {counted} counted elsewhere too");
-        }
-    }
-
     /// Instantiates a generic suite once per lane, one `#[test]` each.
     macro_rules! per_lane {
         ($($test:ident = $suite:ident::<$entry:ty>;)*) => {
@@ -657,8 +546,6 @@ mod tests {
     per_lane! {
         method_lane_keeps_the_lane_contract = lane_contract::<CacheEntry>;
         group_lane_keeps_the_lane_contract = lane_contract::<GroupPlanEntry>;
-        method_lane_keeps_the_peer_contract = peer_contract::<CacheEntry>;
-        group_lane_keeps_the_peer_contract = peer_contract::<GroupPlanEntry>;
     }
 
     /// A cache directory written at any other format version (here the
@@ -689,12 +576,6 @@ mod tests {
         assert!(V::lane(&fresh).get(FIXTURE_KEY).unwrap().is_some(), "{ext}: reloads");
         assert_eq!(stats::<V, 1>(&fresh, ["disk_hits"]), [1]);
         let _ = std::fs::remove_dir_all(&dir);
-
-        // The same bytes from a peer are a counted peer error.
-        let stale = stale.to_vec();
-        let store = peered(ArtifactStore::default(), move |_, _| Ok(Some(stale.clone())));
-        assert!(V::lane(&store).get(FIXTURE_KEY).unwrap().is_none());
-        assert_eq!(stats::<V, 2>(&store, ["peer_errors", "misses"]), [1, 1]);
     }
 
     per_lane! {
@@ -706,30 +587,29 @@ mod tests {
     fn counter_table_keeps_the_wire_and_json_order() {
         // Recorded from the 45-argument `format!` / wire destructuring
         // the table replaced, less the twelve rows of the dictionary lane,
-        // the nine of the merge-plan lane and the two evicted-cost rows
-        // removed since. Append to both; never reorder.
+        // the nine of the merge-plan lane, the two evicted-cost rows and
+        // the six peer-tier rows removed since. Append to both; never
+        // reorder.
         #[rustfmt::skip]
         let order = [
             "hits", "misses", "stores", "evictions", "disk_hits", "disk_stores", "promotions",
-            "peer_hits", "peer_misses", "peer_errors",
             "group_hits", "group_misses", "group_stores", "group_evictions", "group_disk_hits",
-            "group_disk_stores", "group_promotions", "group_peer_hits", "group_peer_misses",
-            "group_peer_errors",
+            "group_disk_stores", "group_promotions",
             "lock_contention", "group_lock_contention",
         ];
         assert_eq!(CacheStats::NAMES, order);
         let ramp: [u64; CacheStats::LEN] = std::array::from_fn(|i| i as u64 + 1);
         let s = CacheStats::from_array(ramp);
         assert_eq!(s.to_array(), ramp);
-        assert_eq!((s.hits, s.group_hits, s.group_peer_errors), (1, 11, 20));
-        assert_eq!((s.lock_contention, s.group_lock_contention), (21, 22));
+        assert_eq!((s.hits, s.group_hits, s.group_promotions), (1, 8, 14));
+        assert_eq!((s.lock_contention, s.group_lock_contention), (15, 16));
         assert_eq!((s.merge_hits, s.merge_misses, s.merge_evictions), (0, 0, 0));
         // The JSON object `BuildStats::to_json` embeds, key for key, and
         // then the retired fields.
         let json = s.to_json();
         assert!(json.starts_with(r#"{"hits":1,"misses":2,"stores":3,"evictions":4,"disk_hits":5,"#));
         assert!(json.ends_with(
-            r#","group_lock_contention":22,"merge_hits":0,"merge_misses":0,"merge_evictions":0}"#
+            r#","group_lock_contention":16,"merge_hits":0,"merge_misses":0,"merge_evictions":0}"#
         ));
         let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
         assert_eq!(keys[..order.len()], order);

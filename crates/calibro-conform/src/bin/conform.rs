@@ -21,14 +21,6 @@
 //!     every injected miscompile was detected and shrank to a small
 //!     reproducer — this tests the oracle itself.
 //!
-//! conform --fleet [--seeds N]
-//!     Fleet smoke: start two peered in-process calibrod shards, build
-//!     every program on shard A and then on cold shard B (peer-served
-//!     over `PeerGet`), and demand (a) byte-identical ELF output from
-//!     both shards and (b) that the peer-served artifact passes the
-//!     differential oracle against the interpreter baseline. Exit 0 on
-//!     zero divergences.
-//!
 //! conform --drift [--seeds N]
 //!     Profile-feedback smoke: for every program, register it as a
 //!     calibrod tenant, upload a skewed profile until a re-optimization
@@ -77,7 +69,6 @@ fn main() -> ExitCode {
             "--warm" => warm = true,
             "--shrink" => mode = Mode::ShrinkOne,
             "--mutate" => mode = Mode::Mutate,
-            "--fleet" => mode = Mode::Fleet,
             "--drift" => mode = Mode::Drift,
             "--help" | "-h" => {
                 usage();
@@ -92,7 +83,6 @@ fn main() -> ExitCode {
         Mode::Sweep => sweep(seeds, generator_filter.as_deref(), do_shrink, warm),
         Mode::ShrinkOne => shrink_one(&positional),
         Mode::Mutate => mutate(seeds.min(8), seed_base),
-        Mode::Fleet => fleet(if seeds == 50 { 10 } else { seeds }),
         Mode::Drift => drift(if seeds == 50 { 6 } else { seeds }),
     }
 }
@@ -101,7 +91,6 @@ enum Mode {
     Sweep,
     ShrinkOne,
     Mutate,
-    Fleet,
     Drift,
 }
 
@@ -110,7 +99,6 @@ fn usage() -> ! {
         "usage: conform [--seeds N] [--generator NAME] [--no-shrink] [--warm]\n\
          \x20      conform --shrink GENERATOR SEED VARIANT-LABEL\n\
          \x20      conform --mutate [--seeds N] [--seed S]\n\
-         \x20      conform --fleet [--seeds N]\n\
          \x20      conform --drift [--seeds N]"
     );
     std::process::exit(2);
@@ -269,131 +257,6 @@ fn report(
         }
     }
     ExitCode::FAILURE
-}
-
-/// Fleet-smoke mode: two peered in-process shards; every program built
-/// on shard A must be served byte-identically to cold shard B over the
-/// peer tier, and the peer-served artifact must pass the oracle.
-#[cfg(unix)]
-fn fleet(seeds: usize) -> ExitCode {
-    use calibro_server::{Daemon, Listener, ServerConfig, ShardEndpoint, ShardSpec};
-
-    let specs: Vec<ShardSpec> = (0..2u32)
-        .map(|i| {
-            let socket = std::env::temp_dir()
-                .join(format!("calibrod-conform-{}-{i}.sock", std::process::id()));
-            let _ = std::fs::remove_file(&socket);
-            ShardSpec { id: i, endpoint: ShardEndpoint::Unix(socket) }
-        })
-        .collect();
-    let daemons: Vec<Daemon> = specs
-        .iter()
-        .map(|spec| {
-            let ShardEndpoint::Unix(path) = &spec.endpoint else { unreachable!() };
-            Daemon::start(
-                Listener::unix(path).expect("bind conform fleet socket"),
-                ServerConfig {
-                    workers: 2,
-                    shard_id: spec.id,
-                    peers: specs.clone(),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("start conform fleet shard")
-        })
-        .collect();
-    let mut client_a = specs[0].endpoint.client().expect("connect shard A");
-    let mut client_b = specs[1].endpoint.client().expect("connect shard B");
-
-    // The most artifact-heavy arm: CTO + global LTBO exercises both the
-    // method lane and the group-plan lane of the peer tier.
-    let variant = find_variant("ltbo-global/all/t1").expect("known matrix row");
-    let generators = all_generators();
-    let mut programs = 0usize;
-    let outcome = 'sweep: {
-        for seed in 0..seeds as u64 {
-            for g in &generators {
-                let program = Program::from_app(g.name(), seed, g.generate(seed));
-                programs += 1;
-                let baseline = match run_baseline(&program) {
-                    Ok(b) => b,
-                    Err(d) => break 'sweep Some((program, "baseline".to_owned(), d)),
-                };
-                let label = format!("fleet/{}", variant.label);
-                let reply_a = match client_a.build(&program.dex, &variant.options, None) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let d = calibro_conform::Divergence::BuildFailed {
-                            label: label.clone(),
-                            error: format!("shard A build failed: {e}"),
-                        };
-                        break 'sweep Some((program, label, d));
-                    }
-                };
-                let reply_b = match client_b.build(&program.dex, &variant.options, None) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let d = calibro_conform::Divergence::BuildFailed {
-                            label: label.clone(),
-                            error: format!("shard B build failed: {e}"),
-                        };
-                        break 'sweep Some((program, label, d));
-                    }
-                };
-                if reply_a.elf != reply_b.elf {
-                    let d = calibro_conform::Divergence::WarmMismatch {
-                        label: label.clone(),
-                        detail: format!(
-                            "peer-served ELF differs from shard A's ({} vs {} bytes)",
-                            reply_b.elf.len(),
-                            reply_a.elf.len()
-                        ),
-                    };
-                    break 'sweep Some((program, label, d));
-                }
-                let oat = match calibro_oat::from_elf_bytes(&reply_b.elf) {
-                    Ok(oat) => oat,
-                    Err(e) => {
-                        let d = calibro_conform::Divergence::Structure {
-                            label: label.clone(),
-                            error: format!("peer-served ELF failed to load: {e:?}"),
-                        };
-                        break 'sweep Some((program, label, d));
-                    }
-                };
-                if let Err(d) = calibro_conform::check_oat(&program, &baseline, &label, &oat) {
-                    break 'sweep Some((program, label, d));
-                }
-            }
-        }
-        None
-    };
-
-    let stats_b = client_b.server_stats().expect("shard B stats");
-    for daemon in daemons {
-        daemon.shutdown();
-    }
-    if let Some((program, label, d)) = outcome {
-        // Fleet divergences are not shrinkable through the local build
-        // path, so report without shrinking.
-        return report(&program, &label, &d, false);
-    }
-    let peer_hits = stats_b.cache.peer_hits + stats_b.cache.group_peer_hits;
-    if peer_hits == 0 {
-        eprintln!("conform --fleet: shard B never hit the peer tier — the smoke proved nothing");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "conform --fleet: {programs} programs peer-served byte-identical through 2 shards \
-         ({peer_hits} peer hits), zero divergences"
-    );
-    ExitCode::SUCCESS
-}
-
-#[cfg(not(unix))]
-fn fleet(_seeds: usize) -> ExitCode {
-    eprintln!("conform --fleet requires unix sockets on this platform");
-    ExitCode::SUCCESS
 }
 
 /// Drift-smoke mode: every program becomes a calibrod tenant whose

@@ -5,8 +5,8 @@
 //! ([`DexFile`]).
 //! Every other row sits beside its type, in the crate that defines it
 //! (the orphan rule): a compiled method's in `calibro-codegen`, an OAT's
-//! `.oatdata` records in `calibro-oat`, the cache's disk and peer frames
-//! in `calibro-cache`, the daemon's message table in `calibro-server`.
+//! `.oatdata` records in `calibro-oat`, the cache's disk frames in
+//! `calibro-cache`, the daemon's message table in `calibro-server`.
 //!
 //! Decoding is strictly bounds-checked: every read that would run past
 //! the payload returns [`WireError::Truncated`] (never panics, never
@@ -514,7 +514,7 @@ wire_seq!(u32: 4, u64: 8, usize: 8, (u32, u32): 8, VReg: 2, DexInsn: 1);
 
 /// A word range, `(start, end)` or `(start, len)`: both halves decode
 /// under the field's name. (Concrete, not a blanket tuple impl — a pair
-/// can have a form of its own, as the cache's peer answer does.)
+/// can have a form of its own.)
 impl Wire for (u32, u32) {
     fn put(&self, w: &mut Writer) {
         w.u32(self.0);

@@ -4,13 +4,10 @@
 //! calibrod --socket /run/calibrod.sock [--workers N] [--queue-depth N]
 //!          [--deadline-ms N] [--cache-dir DIR] [--max-frame BYTES]
 //! calibrod --listen 127.0.0.1:7461 ...
-//! calibrod --socket /run/calibrod-a.sock --shard-id 0 \
-//!          --peer 1=unix:/run/calibrod-b.sock --peer 2=tcp:10.0.0.3:7461
 //! ```
 //!
-//! With `--shard-id`/`--peer` the daemon joins a fleet: a cache miss is
-//! served from a sibling's warm lane over `PeerGet` before falling back
-//! to a local compile.
+//! With `--cache-dir` the store persists every artifact it compiles: a
+//! daemon restarted over the same directory serves them as disk hits.
 //!
 //! Runs until SIGTERM/SIGINT or a client `shutdown` request, then
 //! drains gracefully: stops accepting, finishes in-flight requests
@@ -19,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use calibro_server::{Daemon, Listener, ServerConfig, ShardEndpoint, ShardSpec};
+use calibro_server::{Daemon, Listener, ServerConfig};
 
 #[cfg(unix)]
 mod sig {
@@ -69,8 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: calibrod (--socket PATH | --listen ADDR) [--workers N] \
          [--queue-depth N] [--deadline-ms N] [--cache-dir DIR] \
-         [--max-frame BYTES] [--max-entries N] [--shard-id N] \
-         [--peer ID=unix:PATH | --peer ID=tcp:ADDR]... \
+         [--max-frame BYTES] [--max-entries N] \
          [--hot-fraction F] [--drift-threshold F]"
     );
     std::process::exit(2);
@@ -113,10 +109,6 @@ fn parse_args() -> Args {
             "--max-entries" => {
                 args.config.cache.max_entries = parse_num(&value("--max-entries"), "--max-entries");
             }
-            "--shard-id" => {
-                args.config.shard_id = parse_num(&value("--shard-id"), "--shard-id");
-            }
-            "--peer" => args.config.peers.push(parse_peer(&value("--peer"))),
             "--hot-fraction" => {
                 args.config.hot_fraction =
                     parse_fraction(&value("--hot-fraction"), "--hot-fraction");
@@ -154,22 +146,6 @@ fn parse_fraction(raw: &str, flag: &str) -> f64 {
         usage();
     }
     f
-}
-
-/// `ID=unix:PATH` or `ID=tcp:ADDR` — one sibling shard.
-fn parse_peer(raw: &str) -> ShardSpec {
-    let Some((id, endpoint)) = raw.split_once('=') else {
-        eprintln!("calibrod: --peer {raw:?} must be ID=unix:PATH or ID=tcp:ADDR");
-        usage();
-    };
-    let id: u32 = parse_num(id, "--peer");
-    match ShardEndpoint::parse(endpoint) {
-        Ok(endpoint) => ShardSpec { id, endpoint },
-        Err(e) => {
-            eprintln!("calibrod: --peer {raw:?}: {e}");
-            usage();
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -214,21 +190,11 @@ fn main() -> ExitCode {
 
     let endpoint =
         args.socket.clone().or_else(|| tcp_addr.map(|a| a.to_string())).unwrap_or_default();
-    if args.config.peers.is_empty() {
-        println!(
-            "calibrod listening on {endpoint} ({} workers, queue depth {})",
-            args.config.workers.max(1),
-            args.config.queue_depth,
-        );
-    } else {
-        println!(
-            "calibrod shard {} listening on {endpoint} ({} workers, queue depth {}, {} peers)",
-            args.config.shard_id,
-            args.config.workers.max(1),
-            args.config.queue_depth,
-            args.config.peers.iter().filter(|p| p.id != args.config.shard_id).count()
-        );
-    }
+    println!(
+        "calibrod listening on {endpoint} ({} workers, queue depth {})",
+        args.config.workers.max(1),
+        args.config.queue_depth,
+    );
 
     while !sig::termed() && !daemon.shutdown_requested() {
         std::thread::sleep(Duration::from_millis(25));
@@ -238,14 +204,12 @@ fn main() -> ExitCode {
     let stats = daemon.shutdown();
     println!(
         "calibrod: drained. {} completed, {} rejected overloaded, {} timeouts, \
-         cache {} hits / {} misses, {} peer hits, {} peer gets served",
+         cache {} hits / {} misses",
         stats.requests_completed,
         stats.rejected_overloaded,
         stats.deadline_timeouts,
         stats.cache.hits,
         stats.cache.misses,
-        stats.cache.peer_hits + stats.cache.group_peer_hits,
-        stats.peer_gets_served
     );
     ExitCode::SUCCESS
 }

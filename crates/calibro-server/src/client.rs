@@ -35,7 +35,6 @@ use calibro_dex::wire;
 use calibro_dex::{Class, DexFile, Method};
 
 use crate::error::{ClientError, ServeError};
-use crate::fleet::ShardEndpoint;
 use crate::programs::{ProgramId, SENT_RING};
 use crate::proto::{
     self, BuildReply, BuildRequestRef, ErrorReply, FrameEvent, GenerationStats,
@@ -44,7 +43,7 @@ use crate::proto::{
     RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
-use crate::transport::{self, Stream};
+use crate::transport::{self, Endpoint, Stream};
 
 /// One connection to a running `calibrod`.
 pub struct Client {
@@ -129,7 +128,7 @@ struct Sent {
 
 impl Client {
     /// Connects to the daemon listening at `endpoint`.
-    pub(crate) fn connect(endpoint: &ShardEndpoint) -> Result<Client, ClientError> {
+    pub(crate) fn connect(endpoint: &Endpoint) -> Result<Client, ClientError> {
         Ok(Client {
             stream: transport::connect(endpoint)?,
             max_frame: proto::DEFAULT_MAX_FRAME,
@@ -145,7 +144,7 @@ impl Client {
     /// [`ClientError::Io`] when the connect fails.
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        Client::connect(&ShardEndpoint::Unix(path.as_ref().to_path_buf()))
+        Client::connect(&Endpoint::Unix(path.as_ref().to_path_buf()))
     }
 
     /// Connects over TCP (the `--listen` transport).
@@ -154,7 +153,7 @@ impl Client {
     ///
     /// [`ClientError::Io`] when the connect fails.
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        Client::connect(&ShardEndpoint::Tcp(addr.to_owned()))
+        Client::connect(&Endpoint::Tcp(addr.to_owned()))
     }
 
     fn next_id(&mut self) -> u64 {

@@ -10,8 +10,7 @@ use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 pub enum ServeError {
     /// The admission queue was full, or the connection had more than
     /// a frame ceiling of replies unread — the daemon applies
-    /// backpressure instead of buffering unboundedly. Retry later (or
-    /// against another shard).
+    /// backpressure instead of buffering unboundedly. Retry later.
     Overloaded {
         /// The bound that was hit: the admission queue's depth (in
         /// requests) when the queue was full, or the frame ceiling (in

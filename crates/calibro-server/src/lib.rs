@@ -4,8 +4,8 @@
 //! Calibro pipeline, plus its client library.
 //!
 //! Many Android build jobs compile overlapping inputs — incremental
-//! rebuilds of the same app, CI shards of one repository, a fleet of
-//! developer machines behind one cache host. Running each `build()` in
+//! rebuilds of the same app, CI shards of one repository, developer
+//! machines behind one cache host. Running each `build()` in
 //! its own process wastes the warm [`calibro_cache::ArtifactStore`]:
 //! every process re-compiles methods a sibling just finished. The
 //! daemon inverts that: one long-lived process owns one shared store
@@ -21,11 +21,12 @@
 //!   compiled OAT as ELF bytes plus build statistics.
 //!   The codec under the table is [`calibro_dex::wire`], where the
 //!   `Wire` trait (one wire form per field type) lives so the cache's
-//!   disk and peer frames and the OAT's `.oatdata` are rows of the
-//!   same table.
+//!   disk frames and the OAT's `.oatdata` are rows of the same table.
 //! * `transport` — the one socket type (Unix domain socket, with a TCP
-//!   fallback) the daemon, the client and the fleet's peer connections
-//!   all read and write.
+//!   fallback) the daemon and the client both read and write, and the
+//!   [`Endpoint`] a client dials. A daemon restarted over the same
+//!   [`calibro::CacheConfig::disk_dir`] starts warm from the disk
+//!   frames its predecessor wrote.
 //! * [`server`] — the daemon: bounded admission queue (typed
 //!   [`ServeError::Overloaded`] on overflow), worker pool over
 //!   [`calibro::BuildSession::with_store`], per-request deadlines,
@@ -66,7 +67,6 @@
 
 pub mod client;
 pub mod error;
-pub mod fleet;
 pub mod histogram;
 mod programs;
 pub mod proto;
@@ -76,13 +76,10 @@ mod transport;
 pub use calibro_dex::wire::WireError;
 pub use client::Client;
 pub use error::{ClientError, ServeError};
-pub use fleet::{
-    rendezvous_order, route, routing_key, shard_score, FleetPeerSource, FleetRouter, ShardEndpoint,
-    ShardSpec,
-};
 pub use histogram::{quantile_us, LatencyHistogram};
 pub use proto::{
     BuildReply, BuildRequest, GenerationStats, GenerationStatsRequest, ProfileReply,
     ProfileRequest, ServerStats, DEFAULT_MAX_FRAME,
 };
 pub use server::{ltbo_fingerprint, Daemon, Listener, ServerConfig};
+pub use transport::Endpoint;

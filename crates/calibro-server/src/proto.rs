@@ -48,9 +48,6 @@ pub const REQ_STATS: u8 = 0x02;
 pub const REQ_SHUTDOWN: u8 = 0x03;
 /// Request kind: liveness probe.
 pub const REQ_PING: u8 = 0x04;
-/// Request kind: fetch a cache artifact for a sibling shard (fleet
-/// peer-to-peer; see [`PeerGet`]).
-pub const REQ_PEER_GET: u8 = 0x05;
 /// Request kind: upload a per-tenant execution profile (see
 /// [`ProfileRequest`]).
 pub const REQ_PROFILE: u8 = 0x06;
@@ -74,9 +71,6 @@ pub const RESP_STATS: u8 = 0x83;
 pub const RESP_SHUTDOWN_ACK: u8 = 0x84;
 /// Response kind: liveness reply.
 pub const RESP_PONG: u8 = 0x85;
-/// Response kind: a peer-fetch answer (found or not; see
-/// [`PeerArtifact`]).
-pub const RESP_PEER_ARTIFACT: u8 = 0x86;
 /// Response kind: a profile upload was absorbed (see [`ProfileReply`]).
 pub const RESP_PROFILE: u8 = 0x87;
 /// Response kind: one tenant's generation table (see
@@ -167,7 +161,7 @@ fn read_exact_or_eof(stream: &mut impl Read, buf: &mut [u8]) -> std::io::Result<
 /// One whole frame (length prefix, kind, body) in one buffer, so it
 /// goes out in one write: separate prefix/kind/body writes would cost
 /// three syscalls (and three skb charges) per frame, which dominates
-/// pipelined small-frame exchanges like peer gets.
+/// pipelined small-frame exchanges.
 pub(crate) fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
     let len = (body.len() + 1) as u32;
     [&len.to_le_bytes()[..], &[kind], body].concat()
@@ -260,7 +254,6 @@ requests! {
     BuildRequest = REQ_BUILD => BuildReply = RESP_BUILT,
     BuildByIdRequest = REQ_BUILD_BY_ID => BuildReply = RESP_BUILT,
     BuildEditRequest = REQ_BUILD_EDIT => BuildReply = RESP_BUILT,
-    PeerGet = REQ_PEER_GET => PeerArtifact = RESP_PEER_ARTIFACT,
     ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
     GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
 }
@@ -670,44 +663,6 @@ message! {
     }
 }
 
-/// Which store lane a peer fetch targets (the lanes with a peer tier).
-pub use calibro_cache::PeerLane;
-
-message! {
-    /// A fleet-internal fetch: "do you hold this key?" One shard sends
-    /// this to a sibling when a lookup misses its own memory and disk
-    /// tiers.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub struct PeerGet {
-        /// Requester-chosen id echoed in the response.
-        pub request_id: u64,
-        /// Which lane to probe.
-        pub lane: PeerLane,
-        /// The 128-bit content key.
-        pub key: CacheKey,
-    }
-}
-
-message! {
-    /// The answer to a [`PeerGet`]: the artifact as a checksummed
-    /// interchange frame (the exact bytes the disk layer persists, magic +
-    /// version + key + checksum included), or not-found. Reusing the disk
-    /// frame as the wire payload means the requester validates remote
-    /// bytes with the same gauntlet it applies to its own disk.
-    #[derive(Clone, PartialEq, Eq, Debug)]
-    pub struct PeerArtifact {
-        /// Echo of the request id.
-        pub request_id: u64,
-        /// Echo of the requested lane.
-        pub lane: PeerLane,
-        /// Echo of the requested key.
-        pub key: CacheKey,
-        /// The framed artifact bytes; `None` when the serving shard does
-        /// not hold the key.
-        pub artifact: Option<Vec<u8>>,
-    }
-}
-
 message! {
     /// A profile upload: per-method cycle attributions for one tenant, in
     /// the calibro-profile text format (the daemon parses and merges them
@@ -815,7 +770,7 @@ macro_rules! server_stats {
                 /// Request-latency histogram bucket counts (see
                 /// [`crate::histogram`]).
                 pub latency_buckets: Vec<u64>,
-                /// Cumulative shared-store counters (all three lanes +
+                /// Cumulative shared-store counters (both lanes +
                 /// contention).
                 pub cache: CacheStats,
             }
@@ -889,11 +844,6 @@ server_stats! {
     mid_frame_disconnects: AtomicU64,
     /// Builds that failed with a typed build error.
     build_errors: AtomicU64,
-    /// This daemon's shard id within the fleet (0 when standalone).
-    shard_id,
-    /// `PeerGet` requests this daemon answered for sibling shards
-    /// (found or not).
-    peer_gets_served: AtomicU64,
     /// Tenants in the generation table (registered or profile-only).
     tenants,
     /// Profile uploads absorbed across all tenants.
@@ -1230,23 +1180,6 @@ mod tests {
         .collect()
     }
 
-    fn peer_get() -> PeerGet {
-        PeerGet { request_id: 77, lane: PeerLane::Group, key: key(3) }
-    }
-
-    fn peer_artifact_found() -> PeerArtifact {
-        PeerArtifact {
-            request_id: 77,
-            lane: PeerLane::Group,
-            key: key(3),
-            artifact: Some(vec![1, 2, 3, 4]),
-        }
-    }
-
-    fn peer_artifact_missing() -> PeerArtifact {
-        PeerArtifact { request_id: 78, lane: PeerLane::Method, key: key(4), artifact: None }
-    }
-
     fn profile_request() -> ProfileRequest {
         ProfileRequest {
             request_id: 11,
@@ -1306,8 +1239,6 @@ mod tests {
             oversized_frames: 1,
             mid_frame_disconnects: 4,
             build_errors: 5,
-            shard_id: 9,
-            peer_gets_served: 42,
             tenants: 10,
             profile_uploads: 31,
             generations_sealed: 11,
@@ -1320,10 +1251,11 @@ mod tests {
             latency_buckets: vec![0, 5, 10, 0, 2],
             // The values the fixture was recorded with, `3i + 1` for the
             // i-th of 24 counters, less the two evicted-cost rows (10
-            // and 21) removed since.
+            // and 21) and the six peer-tier rows (7..=9, 18..=20)
+            // removed since.
             cache: CacheStats::from_array(
                 (0..24u64)
-                    .filter(|i| ![10, 21].contains(i))
+                    .filter(|i| ![7, 8, 9, 10, 18, 19, 20, 21].contains(i))
                     .map(|i| 3 * i + 1)
                     .collect::<Vec<u64>>()
                     .try_into()
@@ -1549,11 +1481,6 @@ mod tests {
         for reply in &error_replies() {
             message_contract(reply, &format!("error_{}", reply.error.code()), &["error"]);
         }
-        message_contract(&peer_get(), "peer_get", &[]);
-        // Re-recorded when the dictionary lane went: its sample lane
-        // byte was that lane's 2.
-        message_contract(&peer_artifact_found(), "peer_artifact_found", &[]);
-        message_contract(&peer_artifact_missing(), "peer_artifact_missing", &[]);
         message_contract(&profile_request(), "profile_request", &[]);
         message_contract(&profile_reply(), "profile_reply", &[]);
         message_contract(&generation_stats_request(), "generation_stats_request", &[]);
@@ -1566,7 +1493,10 @@ mod tests {
         // `programs_by_reference` row appended after `programs_reused`.
         // Re-recorded a fourth time for one row, `programs_by_edit`,
         // appended after `programs_by_reference`, and a fifth for one
-        // row, `builds_replayed`, appended after `programs_by_edit`.
+        // row, `builds_replayed`, appended after `programs_by_edit`. The
+        // sixth took out the fleet's rows, the scalar `shard_id` and
+        // `peer_gets_served` and the six peer-tier cache counters: the
+        // file is the previous one less exactly those 64 bytes.
         message_contract(&server_stats(), "server_stats", &["cache"]);
     }
 
@@ -1576,16 +1506,6 @@ mod tests {
             body[at] = byte;
             body
         };
-        for lane in [2, 9] {
-            assert_eq!(
-                PeerGet::decode(&with(peer_get().encode(), 8, lane)),
-                Err(WireError::InvalidTag { what: "lane", tag: lane })
-            );
-            assert_eq!(
-                PeerArtifact::decode(&with(peer_artifact_found().encode(), 8, lane)),
-                Err(WireError::InvalidTag { what: "lane", tag: lane })
-            );
-        }
         assert_eq!(
             ProfileReply::decode(&with(profile_reply().encode(), 32, 2)),
             Err(WireError::InvalidTag { what: "refresh_scheduled", tag: 2 })
@@ -1616,9 +1536,10 @@ mod tests {
         // value: cache counters 1..=45 in table order (whose names
         // calibro-cache pins separately). The twelve counters of the
         // dictionary lane (31..=41 and 45), the nine of the merge-plan
-        // lane (23..=30 and 44) and the two evicted-cost counters (11 and
-        // 22) were removed since, and the others keep their values.
-        let kept: Vec<u64> = (1..=10).chain(12..=21).chain(42..=43).collect();
+        // lane (23..=30 and 44), the two evicted-cost counters (11 and
+        // 22) and the six of the peer tier (8..=10 and 19..=21) were
+        // removed since, and the others keep their values.
+        let kept: Vec<u64> = (1..=7).chain(12..=18).chain(42..=43).collect();
         let stats = ServerStats {
             uptime_us: 100,
             workers: 2,
@@ -1630,13 +1551,17 @@ mod tests {
         assert_eq!(ServerStats::decode(&body).expect("stats decode"), stats);
         // Five scalar rows were appended since (`programs_decoded`,
         // `programs_reused`, `programs_by_reference`, `programs_by_edit`,
-        // `builds_replayed`, zero here): they sit after the 21 rows of
-        // that codec and ahead of the histogram, and every other byte is
+        // `builds_replayed`, zero here): they sit after the rows of that
+        // codec and ahead of the histogram. Two of its 21 rows were
+        // removed since, `shard_id` and `peer_gets_served` (the 16th and
+        // 17th, zero here): put back their zeros, and every other byte is
         // where it was.
         const RECORDED_ROWS: usize = 21;
-        assert_eq!(ServerStats::LEN, RECORDED_ROWS + 5);
+        const KEPT_ROWS: usize = RECORDED_ROWS - 2;
+        assert_eq!(ServerStats::LEN, KEPT_ROWS + 5);
         let mut recorded = body;
-        assert!(recorded.drain(8 * RECORDED_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
+        assert!(recorded.drain(8 * KEPT_ROWS..8 * ServerStats::LEN).all(|byte| byte == 0));
+        recorded.splice(8 * 15..8 * 15, [0u8; 16]);
         // The cache block ends the body: put back the recorded one.
         recorded.truncate(recorded.len() - 8 * CacheStats::LEN);
         recorded.extend((1..=45u64).flat_map(u64::to_le_bytes));

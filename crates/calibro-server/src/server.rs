@@ -69,16 +69,14 @@ use calibro_dex::DexFile;
 use calibro_profile::{DecayedProfile, Profile};
 
 use crate::error::ServeError;
-use crate::fleet::{FleetPeerSource, ShardSpec};
 use crate::histogram::LatencyHistogram;
 use crate::programs::{apply_edit, ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
     self, BuildByIdRequest, BuildEditRequest, BuildHeader, ErrorReply, FrameEvent, GenerationStats,
-    GenerationStatsRequest, PeerArtifact, PeerGet, ProfileReply, ProfileRequest, Request,
-    SealedReply, ServerCounters, ServerStats, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT,
-    REQ_GENERATION_STATS, REQ_PEER_GET, REQ_PING, REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR,
-    RESP_GENERATION_STATS, RESP_PEER_ARTIFACT, RESP_PONG, RESP_PROFILE, RESP_SHUTDOWN_ACK,
-    RESP_STATS,
+    GenerationStatsRequest, ProfileReply, ProfileRequest, Request, SealedReply, ServerCounters,
+    ServerStats, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_GENERATION_STATS, REQ_PING,
+    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PONG,
+    RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::transport::Stream;
 
@@ -98,13 +96,6 @@ pub struct ServerConfig {
     /// Configuration of the shared artifact store (set
     /// [`CacheConfig::disk_dir`] for persistence across restarts).
     pub cache: CacheConfig,
-    /// This daemon's shard id within a fleet (0 for a solo daemon).
-    pub shard_id: u32,
-    /// Sibling shards to consult on cache misses before recompiling.
-    /// Empty for a solo daemon. An entry matching
-    /// [`shard_id`](Self::shard_id) is ignored, so every fleet member
-    /// can receive the same roster.
-    pub peers: Vec<ShardSpec>,
     /// Fraction of decayed cycle weight the per-tenant hot set must
     /// cover (the paper's PlOpti hot-set fraction, default 0.8).
     pub hot_fraction: f64,
@@ -122,8 +113,6 @@ impl Default for ServerConfig {
             default_deadline: None,
             max_frame: proto::DEFAULT_MAX_FRAME,
             cache: CacheConfig::default(),
-            shard_id: 0,
-            peers: Vec::new(),
             hot_fraction: 0.8,
             drift_threshold: 0.25,
         }
@@ -402,7 +391,6 @@ impl Shared {
             workers: self.config.workers.max(1) as u64,
             queue_capacity: self.config.queue_depth as u64,
             queue_depth,
-            shard_id: u64::from(self.config.shard_id),
             tenants,
             latency_buckets: self.histogram.snapshot(),
             cache,
@@ -469,12 +457,6 @@ impl Daemon {
     pub fn start(listener: Listener, config: ServerConfig) -> io::Result<Daemon> {
         let store = Arc::new(ArtifactStore::new(config.cache.clone()));
         let workers = config.workers.max(1);
-        if !config.peers.is_empty() {
-            let source = FleetPeerSource::new(config.peers.clone(), config.shard_id);
-            if source.peer_count() > 0 {
-                store.set_peer_source(Arc::new(source));
-            }
-        }
         let shared = Arc::new(Shared {
             config,
             session: BuildSession::with_store(store),
@@ -582,10 +564,9 @@ impl Daemon {
         if let Some(path) = &self.socket_path {
             let _ = std::fs::remove_file(path);
         }
-        // Flush the hot lanes to disk so a restarted shard — or a
-        // sibling reading through `PeerGet` after this one restarts —
-        // still finds the artifacts this shard paid for, including
-        // peer-fetched entries that were never written locally.
+        // Persist what the best-effort insert-time writes missed, so a
+        // daemon restarted over the same directory finds every artifact
+        // this one paid for as a disk hit.
         self.shared.session.store().flush_to_disk();
         self.shared.stats()
     }
@@ -645,8 +626,8 @@ fn connection_loop(stream: Stream, conn_id: u64, shared: &Arc<Shared>) {
     else {
         return;
     };
-    // Buffered: a pipelined peer-get batch is hundreds of 30-byte
-    // frames, and unbuffered each would cost two read syscalls.
+    // Buffered: a pipelined batch of small requests would otherwise
+    // cost two read syscalls per frame.
     let mut reader = io::BufReader::with_capacity(64 * 1024, stream);
     let mut sent = SentPrograms::default();
     let ceiling = shared.config.max_frame;
@@ -711,7 +692,6 @@ fn handle_frame(
             Ok(request) => handle_build_edit(request, sent, replies, shared),
             Err(e) => reject_malformed(body, e, replies, shared),
         },
-        REQ_PEER_GET => decode_or_reject(body, replies, shared, handle_peer_get),
         REQ_PROFILE => decode_or_reject(body, replies, shared, handle_profile),
         REQ_GENERATION_STATS => decode_or_reject(body, replies, shared, handle_generation_stats),
         REQ_STATS => replies.send(RESP_STATS, &shared.stats().encode()),
@@ -753,32 +733,6 @@ fn reject_malformed(body: &[u8], error: WireError, replies: &Replies, shared: &A
 fn malformed(request_id: u64, error: ServeError, replies: &Replies, shared: &Shared) {
     shared.counters.malformed_frames.fetch_add(1, Ordering::Relaxed);
     replies.error(request_id, error);
-}
-
-/// Serves one sibling's `PeerGet`: memory and disk tiers only (never
-/// this shard's own peers — the fan-out terminates after one hop), as
-/// the checksummed disk-frame bytes the requester re-validates.
-fn handle_peer_get(request: PeerGet, replies: &Replies, shared: &Arc<Shared>) {
-    match shared.session.store().serve_peer(request.lane, request.key) {
-        Ok(artifact) => {
-            if artifact.is_some() {
-                shared.counters.peer_gets_served.fetch_add(1, Ordering::Relaxed);
-            }
-            let reply = PeerArtifact {
-                request_id: request.request_id,
-                lane: request.lane,
-                key: request.key,
-                artifact,
-            };
-            replies.send(RESP_PEER_ARTIFACT, &reply.encode());
-        }
-        Err(detail) => {
-            // A corrupt local entry: the requester treats this as a
-            // peer error and compiles locally.
-            let detail = format!("peer artifact unavailable: {detail}");
-            replies.error(request.request_id, ServeError::Build { detail });
-        }
-    }
 }
 
 /// One build request with its program whole: the header decoded, the

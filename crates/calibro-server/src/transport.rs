@@ -1,14 +1,38 @@
-//! The one socket type every side of the protocol reads and writes:
-//! the daemon's accepted connections, the client's dialed one and the
-//! fleet's pooled peer connections are all a [`Stream`], over a Unix
-//! domain socket or TCP.
+//! The one socket type both sides of the protocol read and write: the
+//! daemon's accepted connections and the client's dialed one are a
+//! [`Stream`], over a Unix domain socket or TCP, dialed at an
+//! [`Endpoint`].
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
+#[cfg(unix)]
+use std::path::PathBuf;
 
-use crate::fleet::ShardEndpoint;
+use crate::client::Client;
+use crate::error::ClientError;
+
+/// Where a daemon listens.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Endpoint {
+    /// A Unix domain socket path.
+    #[cfg(unix)]
+    Unix(PathBuf),
+    /// A TCP address (`host:port`).
+    Tcp(String),
+}
+
+impl Endpoint {
+    /// Opens a request [`Client`] to this endpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] when the connect fails.
+    pub fn client(&self) -> Result<Client, ClientError> {
+        Client::connect(self)
+    }
+}
 
 /// One bidirectional connection, over either transport.
 pub(crate) enum Stream {
@@ -18,11 +42,11 @@ pub(crate) enum Stream {
 }
 
 /// Dials `endpoint`.
-pub(crate) fn connect(endpoint: &ShardEndpoint) -> io::Result<Stream> {
+pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
     Ok(match endpoint {
         #[cfg(unix)]
-        ShardEndpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-        ShardEndpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
+        Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        Endpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
     })
 }
 

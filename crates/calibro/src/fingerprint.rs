@@ -22,7 +22,7 @@
 //! set and the thread counts are in neither: a rebuild that changes only
 //! them replays every method. The full [`options_fingerprint`] names a
 //! configuration on the wire (the daemon's cross-check, tenant identity,
-//! fleet routing, replay slots) and addresses no cache entry.
+//! replay slots) and addresses no cache entry.
 
 use std::cell::RefCell;
 
@@ -139,7 +139,7 @@ pub fn reference_env(dex: &DexFile) -> u64 {
 }
 
 /// The whole-program hash: a program's content key (calibrod's
-/// `ProgramId`, tenant identity and fleet routing). No method key
+/// `ProgramId` and tenant identity). No method key
 /// includes it — a method compiles from its own body alone.
 #[must_use]
 pub fn program_salt(dex: &DexFile) -> CacheKey {

@@ -277,9 +277,6 @@ impl BuildSession {
         let inputs = dex.methods();
         let threads = options.compile_threads.max(1);
         let (keys, methods_keyed) = self.method_keys(dex, options)?;
-        // One batched probe: local tiers per key, then every local miss
-        // resolved through the peer tier in a single pipelined exchange
-        // (a fleet sibling's warm lane) instead of a round trip per key.
         let cached = self.store.get_many(&keys).map_err(BuildError::Cache)?;
         let key_time = key_start.elapsed();
 

@@ -165,8 +165,8 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
     let cold_elf = to_elf_bytes(&cold.oat);
 
     // Put one group's plan under another group's key: a well-formed,
-    // checksummed, structurally valid frame — everything the disk and
-    // peer gauntlets can check — that was detected on some other text.
+    // checksummed, structurally valid frame — everything the disk
+    // gauntlet can check — that was detected on some other text.
     let plans = persisted_plans(&dir);
     let (victim_key, victim) = plans
         .iter()
