@@ -418,7 +418,9 @@ fn print_incremental(apps: &[calibro_workloads::App]) {
     }
     // Warm hot-path anatomy (sharded arm): where the residual warm
     // wall time goes. Keys is the fingerprint+probe phase, detect the
-    // LTBO probe/replay core; both must stay small next to the CPU
+    // re-detection of the groups whose plan missed (zero when every
+    // plan replays: probes and replay are outside it); both must stay
+    // small next to the CPU
     // cost the cache *elides* — the cold build's compile CPU. (Dividing
     // by the warm build's own compile CPU would grade the probe against
     // the near-zero cost of compiling just the delta and report >100%

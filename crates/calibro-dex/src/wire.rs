@@ -510,7 +510,7 @@ impl Wire for Vec<u8> {
     }
 }
 
-wire_seq!(u32: 4, u64: 8, usize: 8, (u32, u32): 8, VReg: 2, DexInsn: 1);
+wire_seq!(u16: 2, u32: 4, u64: 8, usize: 8, (u32, u32): 8, VReg: 2, DexInsn: 1);
 
 /// A word range, `(start, end)` or `(start, len)`: both halves decode
 /// under the field's name. (Concrete, not a blanket tuple impl — a pair
@@ -1083,6 +1083,7 @@ mod tests {
         fn smallest<T: SeqElem>(value: T) {
             assert_eq!(encode(&value).len(), T::MIN_BYTES, "{}", core::any::type_name::<T>());
         }
+        smallest(0u16);
         smallest(0u32);
         smallest(0u64);
         smallest(0usize);

@@ -418,7 +418,7 @@ mod tests {
         let (tables, ret) = (other.tables.clone(), Insn::Ret { rn: Reg::LR });
         let edits = MethodEdits {
             edits: vec![Edit { start: 0, len: 3, outlined: 0 }],
-            bounds: vec![0, 1, 1],
+            spans: vec![[0, 1], [1, 1]],
         };
         let mut outlined = OutlinedBodies::default();
         outlined.push(&[&calibro_isa::encode_words(&[mov(Reg::X1), ret]).unwrap()]);
@@ -456,7 +456,7 @@ mod tests {
         let named = [(1, 2), (3, 0), (4, 1)];
         let edits = MethodEdits {
             edits: named.map(|(start, outlined)| Edit { start, len: 1, outlined }).to_vec(),
-            bounds: vec![0, 3],
+            spans: vec![[0, 3]],
         };
         let ret = Insn::Br { rn: Reg::LR }.encode().unwrap();
         let mut outlined = OutlinedBodies::default();

@@ -23,23 +23,26 @@ pub struct Edit {
 }
 
 /// Every method's edits as one flat list: method `idx`'s are
-/// `edits[bounds[idx]..bounds[idx + 1]]`, sorted by `start` and not
-/// overlapping. Empty `bounds` (the default) means no method has any.
+/// `edits[spans[idx][0]..spans[idx][1]]`, sorted by `start` and not
+/// overlapping. A method's span is wherever its edits were written, so
+/// the outline pass writes each group's edits in one run whatever the
+/// method order; a method past the end of `spans` (every method, for
+/// the default) has none.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MethodEdits {
-    /// The edits, grouped by method in method-index order.
+    /// The edits, one method's after another's.
     pub edits: Vec<Edit>,
-    /// Each method's first edit, and the list's length last.
-    pub bounds: Vec<usize>,
+    /// Each method's range of `edits`, as `[start, end]`.
+    pub spans: Vec<[u32; 2]>,
 }
 
 impl MethodEdits {
-    /// Method `idx`'s edits (none past the last method with bounds).
+    /// Method `idx`'s edits (none past the last method with a span).
     #[must_use]
     pub fn of(&self, idx: usize) -> &[Edit] {
-        match self.bounds.get(idx..idx + 2) {
-            Some(&[start, end]) => &self.edits[start..end],
-            _ => &[],
+        match self.spans.get(idx) {
+            Some(&[start, end]) => &self.edits[start as usize..end as usize],
+            None => &[],
         }
     }
 }

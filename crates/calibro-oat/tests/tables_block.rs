@@ -206,10 +206,11 @@ proptest! {
         let bodies = 1 + rng.below(3) as u32;
         let (methods, per_method): (Vec<_>, Vec<_>) =
             (0..count).map(|id| method(&mut rng, id, count, bodies)).unzip();
-        let mut edits = MethodEdits { edits: Vec::new(), bounds: vec![0] };
+        let mut edits = MethodEdits::default();
         for method_edits in per_method {
+            let start = edits.edits.len() as u32;
             edits.edits.extend(method_edits);
-            edits.bounds.push(edits.edits.len());
+            edits.spans.push([start, edits.edits.len() as u32]);
         }
         let mut outlined = OutlinedBodies::default();
         let ret = Insn::Br { rn: Reg::LR }.encode().unwrap();

@@ -200,10 +200,11 @@ pub struct BuildStats {
     /// Time in LTBO: suffix trees (or plan replay), outlined bodies, and
     /// planning each method's edits. Applying them is link time.
     pub ltbo_time: Duration,
-    /// Time in LTBO's detection core alone: group-plan cache probes
-    /// plus suffix-tree detection / plan replay. A subset of
-    /// [`ltbo_time`](Self::ltbo_time); on a warm build this is the
-    /// plan-replay cost the cache is supposed to make negligible.
+    /// Time re-detecting the groups whose plan the cache did not hold:
+    /// their symbol text, suffix trees and plan rows. A subset of
+    /// [`ltbo_time`](Self::ltbo_time) that excludes the group keys,
+    /// the store probes and replaying plans into edits; on a build that
+    /// replays every plan it is zero.
     pub detect_time: Duration,
     /// Time linking: laying out and writing the text segment, applying
     /// LTBO's edits (call sites, PC-relative patches, remapped records)

@@ -86,17 +86,29 @@ pub fn compile_fingerprint(config: &CompileConfig) -> CacheKey {
 /// (when its template is built) and a group's key is then a handful of
 /// mixes. Distinct splits of the same flattened text get distinct keys
 /// because every member key frames its own length.
+///
+/// The members come as an iterator, and the bytes go through one
+/// reusable buffer per thread: a warm build keys every group, and needs
+/// no allocation to do it.
 #[must_use]
-pub fn group_plan_key_from(min_len: usize, members: &[CacheKey]) -> CacheKey {
-    let mut h = StableHasher::new();
-    h.write_str(SCHEMA_VERSION);
-    h.write_tag(0x47); // 'G'
-    h.write_usize(min_len);
-    h.write_usize(members.len());
-    for k in members {
-        h.write_wire(k);
+pub fn group_plan_key_from(
+    min_len: usize,
+    members: impl ExactSizeIterator<Item = CacheKey>,
+) -> CacheKey {
+    thread_local! {
+        static SCRATCH: RefCell<StableHasher> = RefCell::new(StableHasher::with_capacity(1024));
     }
-    h.finish()
+    SCRATCH.with(|cell| {
+        let mut h = cell.borrow_mut();
+        h.write_str(SCHEMA_VERSION);
+        h.write_tag(0x47); // 'G'
+        h.write_usize(min_len);
+        h.write_usize(members.len());
+        for k in members {
+            h.write_wire(&k);
+        }
+        h.finish_reset()
+    })
 }
 
 /// Fingerprint of the *reference environment*: exactly the

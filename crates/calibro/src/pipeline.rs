@@ -597,9 +597,9 @@ pub struct SizeArtifact {
     pub ltbo: LtboStats,
     /// Wall time of the stage: planning, not applying, the edits.
     pub ltbo_time: Duration,
-    /// Wall time of LTBO's detection core: cache-key probes plus, per
-    /// group, plan replay or symbol text and suffix-tree detection
-    /// (excludes finding the templates and planning the edits).
+    /// Wall time re-detecting the dirty groups: their symbol text,
+    /// suffix trees and plan rows (excludes the templates, the group
+    /// keys and store probes, and replaying the plans into edits).
     pub detect_time: Duration,
     /// Total instruction words before outlining.
     pub words_before: usize,

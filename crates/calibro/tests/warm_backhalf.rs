@@ -12,15 +12,20 @@
 //! * a cached group plan is replayed only on the code it was detected
 //!   on: a foreign plan under a live group's key is a miss, not a replay.
 
-use calibro::{BuildOptions, BuildSession, SizeArtifact};
+use calibro::{BuildOptions, BuildSession};
 use calibro_cache::{from_frame, to_frame, CacheConfig, CacheEntry, CacheKey, GroupPlanEntry};
-use calibro_dex::DexFile;
 use calibro_isa::{decode_all, encode_words, Insn};
 use calibro_oat::{to_elf_bytes, OatFile};
 use calibro_workloads::{generate, paper_suite, AppSpec};
 
-/// The size artifact of `dex` under `options`, through the public stages.
-fn size_artifact(session: &BuildSession, dex: &DexFile, options: &BuildOptions) -> SizeArtifact {
+/// The size artifact of `dex` under `options`, through the public stages
+/// (its one caller runs under the debug profile only).
+#[cfg(debug_assertions)]
+fn size_artifact(
+    session: &BuildSession,
+    dex: &calibro_dex::DexFile,
+    options: &BuildOptions,
+) -> calibro::SizeArtifact {
     let frontend = session.frontend(dex, options).expect("frontend");
     let codegen = session.codegen(dex, options, frontend).expect("codegen");
     session.outline(options, codegen).expect("outline")
