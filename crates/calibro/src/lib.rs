@@ -64,9 +64,9 @@ pub use fingerprint::{
     compile_fingerprint, fingerprint_ltbo_config, method_cache_key, options_fingerprint,
     program_salt, reference_env,
 };
-#[doc(hidden)]
-pub use ltbo::build_template;
 pub use ltbo::detect_fault;
+#[doc(hidden)]
+pub use ltbo::{build_template, detect_rows};
 pub use ltbo::{run_ltbo, LtboConfig, LtboMode, LtboResult, LtboStats, OutlineError};
 pub use pipeline::{
     panic_message, BuildSession, CodegenArtifact, FrontendArtifact, MethodOutcome, SizeArtifact,
