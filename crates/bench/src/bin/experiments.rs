@@ -228,7 +228,8 @@ fn run_serve(args: &[String]) {
 
 /// `experiments restart [--workers N] [--methods N]` — a daemon
 /// restarted over its own disk directory against true cold and
-/// memory-warm builds (see `bench::restart`).
+/// memory-warm builds (see `bench::restart`). Exits 1 unless
+/// [`bench::restart_gate`] passes.
 fn run_restart(args: &[String]) {
     let (mut workers, mut methods) = (4, 900);
     let mut it = args.iter();
@@ -271,6 +272,15 @@ fn run_restart(args: &[String]) {
         report.restart_disk_hits,
         report.restart_stores
     );
+    match bench::restart_gate(&report) {
+        Ok(()) => println!("restart gate passed"),
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("restart gate: {failure}");
+            }
+            std::process::exit(1);
+        }
+    }
 }
 
 /// `experiments drift [--socket PATH | --addr HOST:PORT] [--workers N]`

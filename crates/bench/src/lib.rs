@@ -15,7 +15,7 @@ pub mod serve;
 
 pub use drift::{drift_feedback, DriftConfig, DriftReport};
 pub use experiments::*;
-pub use restart::{restart_load, RestartReport};
+pub use restart::{restart_gate, restart_load, RestartReport};
 pub use serve::{serve_load, serve_one_slow, ServeLoadConfig, ServeReport};
 
 use calibro_server::{Endpoint, Listener};

@@ -70,6 +70,30 @@ impl RestartReport {
     }
 }
 
+/// The restart arm's exact gate, with no timing in it: no build
+/// failed, every disk-cold and restart reply equalled its round's
+/// true-cold one, every restart and memory-warm build took every method
+/// from the store, and no restart stored anything.
+///
+/// # Errors
+///
+/// One line per failed check.
+pub fn restart_gate(report: &RestartReport) -> Result<(), Vec<String>> {
+    let checks = [
+        (report.errors == 0, format!("{} builds failed", report.errors)),
+        (report.identical, "a disk-cold or restart reply differs from true cold".to_owned()),
+        (report.all_from_cache, "a restart or memory-warm build compiled a method".to_owned()),
+        (report.restart_stores == 0, format!("the restarts stored {}", report.restart_stores)),
+    ];
+    let failures: Vec<String> =
+        checks.into_iter().filter(|(passed, _)| !passed).map(|(_, failure)| failure).collect();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
 fn start(tag: &str, workers: usize, disk_dir: Option<PathBuf>) -> (Daemon, Client) {
     let (listener, endpoint) = local_listener(tag);
     let cache = CacheConfig { disk_dir, ..CacheConfig::default() };
@@ -146,4 +170,25 @@ pub fn restart_load(workers: usize, methods: usize) -> RestartReport {
     drop(cold_client);
     memory_only.shutdown();
     RestartReport { walls_us: walls.map(median), restart_speedup: median(ratios), ..report }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_restart_gate_wants_identical_replies_from_the_store_and_no_stores() {
+        let passing = RestartReport { identical: true, all_from_cache: true, ..Default::default() };
+        assert_eq!(restart_gate(&passing), Ok(()));
+        let failing = RestartReport { errors: 2, restart_stores: 7, ..Default::default() };
+        assert_eq!(
+            restart_gate(&failing).expect_err("four checks fail"),
+            [
+                "2 builds failed",
+                "a disk-cold or restart reply differs from true cold",
+                "a restart or memory-warm build compiled a method",
+                "the restarts stored 7",
+            ]
+        );
+    }
 }

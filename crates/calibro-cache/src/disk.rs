@@ -1,10 +1,10 @@
-//! The persistent layer: one file per cache entry, written atomically
-//! (temp file + rename) and read strictly (magic, format version,
-//! checksum, full structural validation).
+//! The persistent layer: one append-only log per lane, its frames read
+//! strictly (magic, format version, checksum, full structural
+//! validation).
 //!
-//! Framing, file I/O and the validation gauntlet are written once,
-//! generically over [`LaneEntry`]; what differs per lane — magic, file
-//! extension, structural validator — is the entry type's `LaneEntry`
+//! Framing, the log and the validation gauntlet are written once,
+//! generically over [`LaneEntry`]; what differs per lane — magic, log
+//! name, structural validator — is the entry type's `LaneEntry`
 //! row at the bottom of this file. The payload codec is not written
 //! here at all: every persisted type is a row of the [`Wire`] table
 //! (`wire_fields!` over its fields, in payload order), so its binary
@@ -23,8 +23,11 @@
 //! compilation here until the format (and [`FORMAT_VERSION`]) is
 //! updated.
 
-use std::io::Read as _;
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use calibro_codegen::CompiledMethod;
 use calibro_dex::wire::{self, wire_fields, Reader, Wire, WireError, Writer};
@@ -33,41 +36,20 @@ use crate::entry::{CacheEntry, GroupPlanEntry, Row, SymbolTemplate};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 
-/// Bumped whenever the on-disk layout changes. A well-formed frame of
-/// another version is not an error: a disk read treats it as absent (an
-/// ordinary miss, and the recompute's store overwrites the file) — so
-/// upgrading across a version needs no manual cache wipe.
-///
-/// Version 2: call-target tag 5 (`Merged`) and the `.calm` merge-plan
-/// lane (since removed with function merging: no lane reads a `.calm`
-/// file, and tag 5 is undefined; no surviving frame changed, so the
-/// version stands). Version 3: call-target tag 6 (`Dict`) and a shared-dictionary
-/// lane (since removed: no lane reads its files). Version 4: payloads
-/// are [`Wire`] rows — collection counts are `u32` (were `u64`), a
-/// runtime-entry thunk offset is a `u16` (was `u32`), a bool byte other
-/// than 0 or 1 is rejected. Version 5: a method's template is one flag byte per word
-/// (was a tagged slot per symbol, literals repeated), and a group plan is
-/// four flat `u32` rows (was a sequence of candidates with 64-bit
-/// symbols and positions). Version 6: a group plan's occurrences are
-/// offsets into the group's code words, and its length is the group's
-/// word count (were symbol-text positions and the text length).
-/// Version 7: a dictionary body is its words alone (its register record
-/// is gone). Version 8: a method's metadata tables are `u32` word
-/// indices (were `u64`) — the form the OAT's `.oatdata` writes.
-/// Version 9: a method's pass counters lost `cse_hits`,
-/// `returns_merged` and `blocks_removed`. Version 10: a group plan's
-/// occurrences are one ascending row with a body index each (were one
-/// row per candidate with a count each), and a body's words are read
-/// from the code at its first occurrence (the `words` row is gone).
+/// Bumped whenever the frame layout changes; CHANGES.md says what each
+/// version changed. A well-formed frame of another version is not an
+/// error: the log scan leaves it out of the index, so a read of its key
+/// is an ordinary miss whose recompute appends a current frame — a
+/// cache directory survives a version bump without a manual wipe.
 pub const FORMAT_VERSION: u32 = 10;
 
 /// Exactly what differs between the store's lanes. Everything else —
 /// the in-memory tier and its counters ([`Lane`](crate::Lane)), framing,
-/// atomic disk writes, strict reads — is written once over this trait.
+/// the log, strict reads — is written once over this trait.
 pub trait LaneEntry: Wire + Send + Sync + 'static {
     /// Frame magic, the first four bytes of every interchange frame.
     const MAGIC: [u8; 4];
-    /// File extension of the lane's disk entries (`<key>.<EXT>`).
+    /// Name of the lane's log under the disk directory (`<EXT>.log`).
     const EXT: &'static str;
 
     /// Structural validation: every index a later stage will follow
@@ -78,10 +60,6 @@ pub trait LaneEntry: Wire + Send + Sync + 'static {
     ///
     /// Returns a description of the first violated invariant.
     fn validate(&self) -> Result<(), String>;
-}
-
-fn entry_path<V: LaneEntry>(dir: &Path, key: CacheKey) -> PathBuf {
-    dir.join(format!("{}.{}", key.to_hex(), V::EXT))
 }
 
 /// FNV-1a over `bytes`: the frame checksum, and the digest the daemon
@@ -96,7 +74,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Store.
+// Frames and the log.
 // ---------------------------------------------------------------------
 
 /// Serializes `entry` into the checksummed interchange frame — the
@@ -116,85 +94,104 @@ pub fn to_frame<V: LaneEntry>(key: CacheKey, entry: &V) -> Vec<u8> {
     bytes
 }
 
-/// Write-then-rename, removing the tmp file if either step fails so a
-/// failed store never strands `<key>.*.tmp<pid>` litter in the cache
-/// directory. (A *killed* process can still strand one — those are
-/// reclaimed by [`sweep_stale_tmp`] on the next store open.)
-fn write_atomic(dir: &Path, path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(), CacheError> {
-    let io = |e: std::io::Error| CacheError::Io { path: path.to_path_buf(), detail: e.to_string() };
-    std::fs::create_dir_all(dir).map_err(io)?;
-    if let Err(e) = std::fs::write(tmp, bytes).and_then(|()| std::fs::rename(tmp, path)) {
-        let _ = std::fs::remove_file(tmp);
-        return Err(io(e));
-    }
-    Ok(())
+/// One lane's persistent layer: `<dir>/<EXT>.log`, the lane's frames
+/// back to back, only ever appended to, and the index from each key to
+/// the offset and length of its last current-version frame (a later
+/// frame for a key wins). The store that opens a log holds its lock
+/// until it drops, so a log has one writer: a second store over the
+/// same directory finds it held and runs memory-only.
+pub(crate) struct Log {
+    path: PathBuf,
+    state: Mutex<LogState>,
 }
 
-/// Removes stale temp files (`*.tmp<pid>`) left behind by crashed or
-/// killed writers, returning how many were removed. Entries proper
-/// (`*.calc` / `*.calg`) and files of no lane are never
-/// touched. Called when a store opens a disk directory; racing an
-/// in-flight writer is harmless because a clobbered rename is
-/// best-effort anyway and the writer's entry is rewritten on its next
-/// store.
-pub(crate) fn sweep_stale_tmp(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let is_tmp =
-            path.extension().and_then(|e| e.to_str()).is_some_and(|e| e.starts_with("tmp"));
-        if is_tmp && std::fs::remove_file(&path).is_ok() {
-            removed += 1;
+struct LogState {
+    file: File,
+    index: HashMap<CacheKey, (u64, usize)>,
+    /// Where the next frame goes: the end of the last whole frame.
+    end: u64,
+}
+
+impl Log {
+    /// Opens, locks and scans the lane's log under `dir`, cutting a torn
+    /// tail — whatever follows the last whole frame of this lane — back
+    /// to that frame. `None` when the log cannot be opened or read, or
+    /// another store holds it.
+    pub(crate) fn open<V: LaneEntry>(dir: &Path) -> Option<Log> {
+        std::fs::create_dir_all(dir).ok()?;
+        let path = dir.join(format!("{}.log", V::EXT));
+        let mut file =
+            File::options().read(true).write(true).create(true).truncate(false).open(&path).ok()?;
+        file.try_lock().ok()?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).ok()?;
+        let (mut index, mut end) = (HashMap::new(), 0);
+        while let Ok(version) = frame_version::<V>(&bytes[end..]) {
+            let frame = &bytes[end..];
+            let len =
+                usize::try_from(le_u64(frame, 24)).ok().filter(|&len| len <= frame.len() - 40);
+            let Some(len) = len else { break };
+            if version == FORMAT_VERSION {
+                let key = CacheKey { hi: le_u64(frame, 8), lo: le_u64(frame, 16) };
+                index.insert(key, (end as u64, 40 + len));
+            }
+            end += 40 + len;
         }
+        file.set_len(end as u64).ok()?;
+        Some(Log { path, state: Mutex::new(LogState { file, index, end: end as u64 }) })
     }
-    removed
-}
 
-/// Persists `entry` under `dir` as `<key>.<EXT>`, best-effort atomic.
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] on filesystem failures.
-pub(crate) fn store<V: LaneEntry>(dir: &Path, key: CacheKey, entry: &V) -> Result<(), CacheError> {
-    let path = entry_path::<V>(dir, key);
-    let tmp = dir.join(format!("{}.{}.tmp{}", key.to_hex(), V::EXT, std::process::id()));
-    write_atomic(dir, &path, &tmp, &to_frame(key, entry))
-}
-
-/// Loads and validates the entry for `key`, `Ok(None)` when absent —
-/// or when the file is a well-formed frame of another
-/// [`FORMAT_VERSION`]: a cache directory written by an older or newer
-/// build is a miss per entry, and the recompute's store overwrites the
-/// file.
-///
-/// # Errors
-///
-/// Returns [`CacheError`] when the file exists but cannot be read or
-/// fails any other validation step.
-pub(crate) fn load<V: LaneEntry>(dir: &Path, key: CacheKey) -> Result<Option<V>, CacheError> {
-    let path = entry_path::<V>(dir, key);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CacheError::Io { path, detail: e.to_string() }),
-    };
-    let corrupt = |detail| CacheError::Corrupt { path: path.clone(), detail };
-    if frame_version::<V>(&bytes).map_err(corrupt)? != FORMAT_VERSION {
-        return Ok(None);
+    /// A poisoned lock is recovered: every update leaves the index
+    /// naming whole frames only.
+    fn state(&self) -> MutexGuard<'_, LogState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    from_frame(key, &bytes).map(Some).map_err(corrupt)
+
+    /// `true` when the index holds a current-version frame for `key`.
+    pub(crate) fn holds(&self, key: CacheKey) -> bool {
+        self.state().index.contains_key(&key)
+    }
+
+    /// The entry of `key`'s indexed frame, through the whole
+    /// [`from_frame`] gauntlet; `Ok(None)` when the index has none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError`], naming the log, when the frame cannot be
+    /// read or fails a check.
+    pub(crate) fn read<V: LaneEntry>(&self, key: CacheKey) -> Result<Option<V>, CacheError> {
+        let state = self.state();
+        let Some(&(at, len)) = state.index.get(&key) else { return Ok(None) };
+        let (mut file, mut frame) = (&state.file, vec![0; len]);
+        let read = file.seek(SeekFrom::Start(at)).and_then(|_| file.read_exact(&mut frame));
+        drop(state);
+        let path = || self.path.clone();
+        read.map_err(|e| CacheError::Io { path: path(), detail: format!("frame at {at}: {e}") })?;
+        let corrupt =
+            |e| CacheError::Corrupt { path: path(), detail: format!("frame at {at}: {e}") };
+        from_frame(key, &frame).map(Some).map_err(corrupt)
+    }
+
+    /// Appends `entry`'s frame under `key` with one write and indexes
+    /// it; `false` when the write fails (best-effort, like every disk
+    /// write), its partial frame cut off again.
+    pub(crate) fn append<V: LaneEntry>(&self, key: CacheKey, entry: &V) -> bool {
+        let frame = to_frame(key, entry);
+        let mut state = self.state();
+        let (mut file, at) = (&state.file, state.end);
+        if file.seek(SeekFrom::Start(at)).and_then(|_| file.write_all(&frame)).is_err() {
+            let _ = file.set_len(at);
+            return false;
+        }
+        state.index.insert(key, (at, frame.len()));
+        state.end += frame.len() as u64;
+        true
+    }
 }
 
-/// `true` when a persisted entry for `key` exists under `dir` at the
-/// current [`FORMAT_VERSION`] — the header is read, the payload is not
-/// validated. Used by the drain flush to skip rewrites; a file [`load`]
-/// would read as absent is absent here too, so the flush replaces it.
-pub(crate) fn has<V: LaneEntry>(dir: &Path, key: CacheKey) -> bool {
-    let mut header = [0u8; 40];
-    std::fs::File::open(entry_path::<V>(dir, key))
-        .and_then(|mut file| file.read_exact(&mut header))
-        .is_ok_and(|()| frame_version::<V>(&header) == Ok(FORMAT_VERSION))
+/// The little-endian `u64` at `at`.
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
 /// Decodes and fully validates an interchange frame produced by
@@ -211,15 +208,14 @@ pub fn from_frame<V: LaneEntry>(key: CacheKey, bytes: &[u8]) -> Result<V, String
     if version != FORMAT_VERSION {
         return Err(format!("format version {version}, expected {FORMAT_VERSION}"));
     }
-    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
-    if word(8) != key.hi || word(16) != key.lo {
+    if le_u64(bytes, 8) != key.hi || le_u64(bytes, 16) != key.lo {
         return Err("key mismatch".to_owned());
     }
-    if word(24) != (bytes.len() - 40) as u64 {
+    if le_u64(bytes, 24) != (bytes.len() - 40) as u64 {
         return Err("payload length mismatch".to_owned());
     }
     let payload = &bytes[40..];
-    if fnv64(payload) != word(32) {
+    if fnv64(payload) != le_u64(bytes, 32) {
         return Err("checksum mismatch".to_owned());
     }
     let entry: V = wire::decode(payload).map_err(|e| e.to_string())?;
@@ -460,9 +456,9 @@ impl wire::FieldEnds for CacheEntry {
 // The two lanes.
 // ---------------------------------------------------------------------
 
-/// The lane table: one row per entry type — frame magic, file
-/// extension and the structural validator defined above (the payload
-/// codec is the type's `Wire` row).
+/// The lane table: one row per entry type — frame magic, log name and
+/// the structural validator defined above (the payload codec is the
+/// type's `Wire` row).
 macro_rules! lanes {
     ($($entry:ty: $magic:literal, $ext:literal, $validate:path;)*) => {$(
         impl LaneEntry for $entry {
@@ -899,43 +895,11 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn failed_rename_cleans_up_its_tmp_file() {
-        let dir = std::env::temp_dir().join(format!("calibro-tmpfail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = CacheKey { hi: 3, lo: 4 };
-        // Make the rename target un-creatable: a *directory* occupies
-        // the entry path, so rename(tmp, path) fails after the tmp is
-        // written.
-        std::fs::create_dir_all(entry_path::<CacheEntry>(&dir, key)).unwrap();
-        assert!(matches!(store(&dir, key, &sample_entry()), Err(CacheError::Io { .. })));
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| {
-                e.path().extension().is_some_and(|x| x.to_string_lossy().starts_with("tmp"))
-            })
-            .collect();
-        assert!(leftovers.is_empty(), "tmp file leaked: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_removes_stale_tmp_but_keeps_entries() {
-        let dir = std::env::temp_dir().join(format!("calibro-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey { hi: 21, lo: 22 };
-        store(&dir, key, &sample_entry()).unwrap();
-        store(&dir, key, &sample_group()).unwrap();
-        // Simulate two killed writers (a method entry and a group plan).
-        std::fs::write(dir.join(format!("{}.calc.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
-        std::fs::write(dir.join(format!("{}.calg.tmp{}", key.to_hex(), 99999)), b"junk").unwrap();
-        assert_eq!(sweep_stale_tmp(&dir), 2);
-        // Real entries survive and still load.
-        assert!(load::<CacheEntry>(&dir, key).unwrap().is_some());
-        assert!(load::<GroupPlanEntry>(&dir, key).unwrap().is_some());
-        assert_eq!(sweep_stale_tmp(&dir), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+    impl Log {
+        /// Puts `file` in place of the log's file, returning the one it
+        /// held: a read-only stand-in makes every append fail.
+        pub(crate) fn swap_file(&self, file: File) -> File {
+            std::mem::replace(&mut self.state().file, file)
+        }
     }
 }

@@ -39,14 +39,6 @@ pub struct CacheKey {
     pub lo: u64,
 }
 
-impl CacheKey {
-    /// Renders the key as 32 lowercase hex digits (disk file names).
-    #[must_use]
-    pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-}
-
 impl core::fmt::Display for CacheKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{:016x}{:016x}", self.hi, self.lo)
@@ -313,14 +305,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn hex_roundtrip_is_32_digits() {
-        let k = key_of(|h| h.write_u64(42));
-        let hex = k.to_hex();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(hex, format!("{k}"));
     }
 
     #[test]

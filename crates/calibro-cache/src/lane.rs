@@ -1,7 +1,7 @@
 //! One store lane: an in-memory map from [`CacheKey`] to `Arc<V>` with
 //! second-chance eviction and its own counter block, over the tiered
-//! read path memory → checksummed disk (promoting on a hit). Written
-//! once, generically over [`LaneEntry`], and
+//! read path memory → the lane's checksummed log (promoting on a hit).
+//! Written once, generically over [`LaneEntry`], and
 //! monomorphised per entry type — the two lanes of an
 //! [`ArtifactStore`](crate::ArtifactStore) share every line of logic
 //! here and none of their state, so per-build stats stay attributable
@@ -14,11 +14,11 @@
 //! goes is a function of the sequence of lookups and inserts alone.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use crate::disk::{self, LaneEntry};
+use crate::disk::{LaneEntry, Log};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
 
@@ -59,16 +59,17 @@ struct Inner<V> {
 pub struct Lane<V> {
     inner: Mutex<Inner<V>>,
     max_entries: usize,
-    disk_dir: Option<PathBuf>,
+    /// The disk tier, when the store has a directory and holds its log.
+    log: Option<Log>,
     counters: [AtomicU64; COUNTERS],
 }
 
 impl<V: LaneEntry> Lane<V> {
-    pub(crate) fn new(max_entries: usize, disk_dir: Option<PathBuf>) -> Self {
+    pub(crate) fn new(max_entries: usize, disk_dir: Option<&Path>) -> Self {
         Lane {
             inner: Mutex::new(Inner { map: HashMap::new(), queue: VecDeque::new() }),
             max_entries: max_entries.max(1),
-            disk_dir,
+            log: disk_dir.and_then(Log::open::<V>),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -108,36 +109,35 @@ impl<V: LaneEntry> Lane<V> {
         self.lock().map.len()
     }
 
-    /// Looks `key` up in memory, then in the disk layer (validating the
-    /// frame and promoting the entry into memory on a disk hit). A
-    /// memory hit sets the entry's referenced bit.
+    /// Looks `key` up in memory, then in the log (validating the frame
+    /// and promoting the entry into memory on a disk hit). A memory hit
+    /// sets the entry's referenced bit.
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError`] when a disk entry exists but is corrupt or
-    /// unreadable — the caller must surface this, not mask it as a
-    /// miss, so poisoned caches are diagnosed instead of silently
-    /// recomputed around.
+    /// Returns [`CacheError`] when the log indexes a frame for `key` that
+    /// is corrupt or unreadable — the caller must surface this, not mask
+    /// it as a miss, so poisoned caches are diagnosed instead of
+    /// silently recomputed around.
     pub fn get(&self, key: CacheKey) -> Result<Option<Arc<V>>, CacheError> {
         if let Some(slot) = self.lock().map.get_mut(&key) {
             slot.referenced = true;
             self.add(Counter::Hits, 1);
             return Ok(Some(Arc::clone(&slot.entry)));
         }
-        if let Some(dir) = &self.disk_dir {
-            if let Some(entry) = disk::load::<V>(dir, key)? {
-                self.add(Counter::DiskHits, 1);
-                self.add(Counter::Hits, 1);
-                // Promote into memory. NOT a store: the entry was
-                // produced and persisted by an earlier build, so it is
-                // counted under `promotions` (and a concurrent race is
-                // keep-first, like `insert`).
-                let (arc, promoted) = self.insert_memory(key, entry);
-                if promoted {
-                    self.add(Counter::Promotions, 1);
-                }
-                return Ok(Some(arc));
+        let loaded = self.log.as_ref().map(|log| log.read::<V>(key)).transpose()?;
+        if let Some(entry) = loaded.flatten() {
+            self.add(Counter::DiskHits, 1);
+            self.add(Counter::Hits, 1);
+            // Promote into memory. NOT a store: the entry was produced
+            // and persisted by an earlier build, so it is counted under
+            // `promotions` (and a concurrent race is keep-first, like
+            // `insert`).
+            let (arc, promoted) = self.insert_memory(key, entry);
+            if promoted {
+                self.add(Counter::Promotions, 1);
             }
+            return Ok(Some(arc));
         }
         self.add(Counter::Misses, 1);
         Ok(None)
@@ -145,9 +145,9 @@ impl<V: LaneEntry> Lane<V> {
 
     /// Inserts an entry computed for `key`, returning the shared handle
     /// (an existing entry for the same key is kept — content addressing
-    /// makes both byte-equivalent). Persists to disk when configured —
-    /// only for genuinely new keys, so two workers inserting the same
-    /// key concurrently produce exactly one disk write and one
+    /// makes both byte-equivalent). Appends it to the log when there is
+    /// one — only for genuinely new keys, so two workers inserting the
+    /// same key concurrently produce exactly one frame and one
     /// `disk_stores` increment.
     pub fn insert(&self, key: CacheKey, entry: V) -> Arc<V> {
         let (arc, inserted) = self.insert_memory(key, entry);
@@ -158,13 +158,14 @@ impl<V: LaneEntry> Lane<V> {
         arc
     }
 
-    /// Overwrites whatever the lane holds under `key`, in memory and on
-    /// disk: the caller looked the resident entry up, found that it does
-    /// not describe the content `key` addresses (a key collision, or a
-    /// well-formed frame written for other content), and recomputed. The
-    /// lookup counted a hit; this counts the miss it turned out to be,
-    /// and the store. A resident key keeps its place in the queue, with
-    /// its referenced bit cleared like any insert's.
+    /// Overwrites whatever the lane holds under `key`, in memory and in
+    /// the log (a later frame for the key): the caller looked the
+    /// resident entry up, found that it does not describe the content
+    /// `key` addresses (a key collision, or a well-formed frame written
+    /// for other content), and recomputed. The lookup counted a hit;
+    /// this counts the miss it turned out to be, and the store. A
+    /// resident key keeps its place in the queue, with its referenced
+    /// bit cleared like any insert's.
     pub fn replace(&self, key: CacheKey, entry: V) -> Arc<V> {
         let arc = Arc::new(entry);
         {
@@ -180,13 +181,12 @@ impl<V: LaneEntry> Lane<V> {
         arc
     }
 
-    /// Best-effort write of a new entry to the disk layer, if any.
-    fn store_to_disk(&self, key: CacheKey, entry: &V) {
-        if let Some(dir) = &self.disk_dir {
-            if disk::store(dir, key, entry).is_ok() {
-                self.add(Counter::DiskStores, 1);
-            }
-        }
+    /// Best-effort append of an entry to the log, if any: whether it
+    /// was appended (and counted).
+    fn store_to_disk(&self, key: CacheKey, entry: &V) -> bool {
+        let stored = self.log.as_ref().is_some_and(|log| log.append(key, entry));
+        self.add(Counter::DiskStores, u64::from(stored));
+        stored
     }
 
     /// Inserts `entry` under `key` if absent, returning the canonical
@@ -227,21 +227,17 @@ impl<V: LaneEntry> Lane<V> {
         inner.queue.push_back(key);
     }
 
-    /// Persists every in-memory entry the disk layer does not already
-    /// hold, returning how many files were written (see
+    /// Appends every in-memory entry the log's index does not hold,
+    /// returning how many frames were written (see
     /// [`ArtifactStore::flush_to_disk`](crate::ArtifactStore::flush_to_disk)).
     pub(crate) fn flush_to_disk(&self) -> usize {
-        let Some(dir) = &self.disk_dir else { return 0 };
+        let Some(log) = &self.log else { return 0 };
         let resident: Vec<(CacheKey, Arc<V>)> =
             self.lock().map.iter().map(|(k, slot)| (*k, Arc::clone(&slot.entry))).collect();
-        let mut written = 0;
-        for (key, entry) in resident {
-            if !disk::has::<V>(dir, key) && disk::store(dir, key, &*entry).is_ok() {
-                self.add(Counter::DiskStores, 1);
-                written += 1;
-            }
-        }
-        written
+        resident
+            .iter()
+            .filter(|(key, entry)| !log.holds(*key) && self.store_to_disk(*key, entry))
+            .count()
     }
 }
 
@@ -370,5 +366,29 @@ mod tests {
         assert_eq!(lane.len(), 2);
         let counted = [Counter::Hits, Counter::Misses, Counter::Stores, Counter::LockContention];
         assert_eq!(counted.map(|c| lane.count(c)), [2, 1, 2, 1]);
+    }
+
+    #[test]
+    fn the_drain_flush_appends_what_a_failed_append_left_out() {
+        // A read-only stand-in for the log's file fails the insert-time
+        // append; once the log is writable again, the flush persists
+        // the entry, and a second flush finds nothing left to write.
+        let dir = std::env::temp_dir().join(format!("calibro-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lane: Lane<GroupPlanEntry> = Lane::new(8, Some(&dir));
+        let log = lane.log.as_ref().expect("the log opens");
+        let writable = log.swap_file(std::fs::File::open(dir.join("calg.log")).unwrap());
+        lane.insert(key(3), sample_group());
+        assert_eq!([Counter::Stores, Counter::DiskStores].map(|c| lane.count(c)), [1, 0]);
+        log.swap_file(writable);
+        assert_eq!(lane.flush_to_disk(), 1);
+        assert_eq!(lane.flush_to_disk(), 0, "the second flush finds everything persisted");
+        assert_eq!(lane.count(Counter::DiskStores), 1);
+        drop(lane);
+        let revived: Lane<GroupPlanEntry> = Lane::new(8, Some(&dir));
+        assert!(revived.get(key(3)).unwrap().is_some());
+        assert_eq!(revived.count(Counter::DiskHits), 1);
+        drop(revived);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use calibro_dex::wire::{Reader, Wire, WireError, Writer};
 
-use crate::disk;
 use crate::entry::{CacheEntry, GroupPlanEntry};
 use crate::error::CacheError;
 use crate::hash::CacheKey;
@@ -21,10 +20,11 @@ pub struct CacheConfig {
     /// Maximum in-memory entries per lane (at least one). An insert into
     /// a full lane evicts by second chance (see [`Lane`]).
     pub max_entries: usize,
-    /// Directory for the persistent layer; `None` keeps the cache
-    /// purely in-memory. Entries are written best-effort (an unwritable
-    /// directory never fails a build) but *read* strictly: a corrupt
-    /// entry surfaces as a [`CacheError`], never as wrong code.
+    /// Directory for the persistent layer, one log per lane; `None`
+    /// keeps the cache purely in-memory. Entries are appended
+    /// best-effort (an unwritable directory never fails a build) but
+    /// *read* strictly: a corrupt frame surfaces as a [`CacheError`],
+    /// never as wrong code.
     pub disk_dir: Option<PathBuf>,
 }
 
@@ -249,21 +249,14 @@ impl core::fmt::Debug for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// An empty store under `config`. Opening a disk-backed store
-    /// sweeps stale tmp files left by crashed writers (satisfying the
-    /// atomic-write contract: half-written files are never visible and
-    /// never accumulate).
+    /// An empty store under `config`. A disk-backed store opens and
+    /// locks each lane's log for its lifetime, cutting a frame a killed
+    /// writer left half-written; a log another live store holds leaves
+    /// its lane memory-only.
     #[must_use]
     pub fn new(config: CacheConfig) -> ArtifactStore {
-        if let Some(dir) = &config.disk_dir {
-            disk::sweep_stale_tmp(dir);
-        }
-        let (max, dir) = (config.max_entries, &config.disk_dir);
-        ArtifactStore {
-            methods: Lane::new(max, dir.clone()),
-            groups: Lane::new(max, dir.clone()),
-            config,
-        }
+        let (max, dir) = (config.max_entries, config.disk_dir.as_deref());
+        ArtifactStore { methods: Lane::new(max, dir), groups: Lane::new(max, dir), config }
     }
 
     /// The per-method compile-artifact lane.
@@ -302,15 +295,15 @@ impl ArtifactStore {
         self.methods.insert(key, entry)
     }
 
-    /// Persists every in-memory entry (all lanes) that the disk layer
-    /// does not already hold, returning how many files were written. A
+    /// Persists every in-memory entry (all lanes) that the logs do not
+    /// already hold, returning how many frames were appended. A
     /// draining daemon calls this so an entry whose best-effort
-    /// insert-time write failed (a full disk, a directory that was not
-    /// there yet) survives the restart as a disk hit instead of a
-    /// recompile. A promoted entry was read from disk and is skipped.
+    /// insert-time append failed (a full disk, say) survives the restart
+    /// as a disk hit instead of a recompile. A promoted entry was read
+    /// from its log and is skipped.
     ///
-    /// Best-effort like all disk writes: an unwritable directory
-    /// flushes nothing and fails nothing. No-op without a `disk_dir`.
+    /// Best-effort like all disk writes: an unwritable log flushes
+    /// nothing and fails nothing. No-op for a lane without a log.
     pub fn flush_to_disk(&self) -> usize {
         self.methods.flush_to_disk() + self.groups.flush_to_disk()
     }
@@ -399,6 +392,23 @@ mod tests {
         *bytes.last_mut().expect("non-empty") ^= 0xFF;
     }
 
+    fn log_path<V: LaneEntry>(dir: &std::path::Path) -> PathBuf {
+        dir.join(format!("{}.log", V::EXT))
+    }
+
+    /// The key and byte range of each frame of a log, in log order.
+    fn frames(log: &[u8]) -> Vec<(CacheKey, std::ops::Range<usize>)> {
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            let word = |i: usize| u64::from_le_bytes(log[at + i..at + i + 8].try_into().unwrap());
+            let end = at + 40 + word(24) as usize;
+            frames.push((CacheKey { hi: word(8), lo: word(16) }, at..end));
+            at = end;
+        }
+        frames
+    }
+
     /// The contract every lane keeps, whatever it stores.
     fn lane_contract<V: Sample>() {
         let ext = V::EXT;
@@ -432,6 +442,7 @@ mod tests {
         // Entries persist across store instances, and a disk hit is a
         // promotion — never a store (the PR 6 / PR 10 bug class).
         let dir = fresh_dir(&format!("contract-{ext}"));
+        let log = log_path::<V>(&dir);
         let first = disk_store(&dir);
         V::lane(&first).insert(key(7), V::make(7));
         assert_eq!(stats::<V, 2>(&first, ["stores", "disk_stores"]), [1, 1]);
@@ -442,7 +453,7 @@ mod tests {
         assert!(V::lane(&second).get(key(7)).unwrap().is_some(), "{ext}: memory hit");
         let names = ["hits", "disk_hits", "promotions", "stores", "disk_stores"];
         assert_eq!(stats::<V, 5>(&second, names), [2, 1, 1, 0, 0], "{ext}: promotion misread");
-        // The same key in the sibling lanes is a different file.
+        // The same key in the sibling lanes is a different log.
         let found = [
             second.methods().get(key(7)).unwrap().is_some(),
             second.groups().get(key(7)).unwrap().is_some(),
@@ -450,9 +461,9 @@ mod tests {
         assert_eq!(found.iter().filter(|&&f| f).count(), 1, "{ext}: lanes alias on disk");
         drop(second);
 
-        // An overwrite replaces the resident entry in memory and on
-        // disk, and counts the miss the lookup before it turned out to
-        // be.
+        // An overwrite replaces the resident entry in memory, appends a
+        // later frame for the key, which a reopened store reads, and
+        // counts the miss the lookup before it turned out to be.
         let store = disk_store(&dir);
         let lane = V::lane(&store);
         assert!(lane.get(key(7)).unwrap().is_some());
@@ -467,18 +478,22 @@ mod tests {
         assert_eq!(to_frame(key(7), &*back), to_frame(key(7), &V::make(9)));
         V::lane(&reopened).replace(key(7), V::make(7));
         drop(reopened);
+        assert_eq!(frames(&std::fs::read(&log).unwrap()).len(), 3, "{ext}: a frame was rewritten");
 
-        // A corrupt payload is a typed error, never a miss.
-        let path = dir.join(format!("{}.{ext}", key(7).to_hex()));
-        let mut bytes = std::fs::read(&path).unwrap();
+        // A corrupt payload is a typed error naming the log, never a miss.
+        let mut bytes = std::fs::read(&log).unwrap();
         flip_last_byte(&mut bytes);
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&log, &bytes).unwrap();
         let third = disk_store(&dir);
         match V::lane(&third).get(key(7)) {
-            Err(CacheError::Corrupt { detail, .. }) => assert!(detail.contains("checksum")),
+            Err(CacheError::Corrupt { path, detail }) => {
+                assert_eq!(path, log);
+                assert!(detail.contains("checksum"), "{detail}");
+            }
             other => panic!("{ext}: expected Corrupt, got {:?}", other.map(|o| o.is_some())),
         }
         assert_eq!(activity(&third), 0, "{ext}: a poisoned entry counted as hit or miss");
+        drop(third);
         let _ = std::fs::remove_dir_all(&dir);
 
         // The interchange frame rejects a wrong key, tampering,
@@ -495,7 +510,8 @@ mod tests {
         assert!(from_frame::<V>(key(7), &foreign).is_err(), "{ext}: foreign magic accepted");
 
         // Two threads racing to insert the same 16 keys: only the
-        // winner of each key may persist it.
+        // winner of each key may persist it, and the directory holds
+        // the two logs and nothing else — no tmp file, no file per key.
         let dir = fresh_dir(&format!("dup-{ext}"));
         let dup = disk_store(&dir);
         let start = std::sync::Barrier::new(2);
@@ -511,25 +527,13 @@ mod tests {
         });
         assert_eq!(stats::<V, 3>(&dup, ["stores", "disk_stores", "evictions"]), [16, 16, 0]);
         assert_eq!(V::lane(&dup).len(), 16);
-        let files = std::fs::read_dir(&dir).unwrap().flatten();
-        assert_eq!(files.filter(|f| f.path().extension().is_some_and(|x| x == ext)).count(), 16);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // The drain flush persists what the insert-time write skipped —
-        // here because a file squats on the directory path.
-        let dir = fresh_dir(&format!("flush-{ext}"));
-        std::fs::write(&dir, b"not a directory").unwrap();
-        let store = disk_store(&dir);
-        V::lane(&store).insert(key(3), V::make(3));
-        assert_eq!(stats::<V, 2>(&store, ["stores", "disk_stores"]), [1, 0], "{ext}: best-effort");
-        std::fs::remove_file(&dir).unwrap();
-        assert_eq!(store.flush_to_disk(), 1);
-        assert_eq!(store.flush_to_disk(), 0, "{ext}: second flush finds everything persisted");
-        assert_eq!(stats::<V, 1>(&store, ["disk_stores"]), [1]);
-        drop(store);
-        let revived = disk_store(&dir);
-        assert!(V::lane(&revived).get(key(3)).unwrap().is_some());
-        assert_eq!(stats::<V, 1>(&revived, ["disk_hits"]), [1]);
+        let logged = frames(&std::fs::read(log_path::<V>(&dir)).unwrap());
+        assert_eq!(logged.len(), 16, "{ext}: one frame per key");
+        let mut files: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().flatten().map(|f| f.file_name()).collect();
+        files.sort();
+        assert_eq!(files, ["calc.log", "calg.log"], "{ext}");
+        drop(dup);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -549,32 +553,36 @@ mod tests {
     }
 
     /// A cache directory written at any other format version (here the
-    /// committed stale-version files) costs one miss per entry — never a
-    /// `CacheError` — and the recompute's insert replaces the file.
+    /// committed stale-version frame, between two current ones) costs
+    /// one miss per entry — never a `CacheError` — the frames after it
+    /// still hit, and the recompute's insert appends a current frame.
     fn stale_version_contract<V: Sample>() {
         let ext = V::EXT;
         let dir = fresh_dir(&format!("stale-{ext}"));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.{ext}", FIXTURE_KEY.to_hex()));
         let (_, stale) = STALE_FIXTURES.iter().find(|(e, _)| *e == ext).expect("lane fixture");
         assert_ne!(stale[4..8], FORMAT_VERSION.to_le_bytes(), "{ext}: the kept frame is current");
-        std::fs::write(&path, stale).unwrap();
+        let log =
+            [&to_frame(key(1), &V::make(1))[..], stale, &to_frame(key(2), &V::make(2))].concat();
+        std::fs::write(log_path::<V>(&dir), &log).unwrap();
 
         let store = disk_store(&dir);
         assert!(V::lane(&store).get(FIXTURE_KEY).expect("no CacheError").is_none());
         assert_eq!(stats::<V, 3>(&store, ["hits", "misses", "disk_hits"]), [0, 1, 0]);
         assert_eq!(activity(&store), 1, "{ext}: a stale frame is one miss and nothing else");
-        assert!(!crate::disk::has::<V>(&dir, FIXTURE_KEY), "{ext}: the drain flush would skip it");
+        for k in [1, 2] {
+            assert!(V::lane(&store).get(key(k)).unwrap().is_some(), "{ext}: key {k} lost");
+        }
 
         V::lane(&store).insert(FIXTURE_KEY, V::make(0));
-        assert!(crate::disk::has::<V>(&dir, FIXTURE_KEY));
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(rewritten[4..8], FORMAT_VERSION.to_le_bytes(), "{ext}: file not replaced");
-        assert_eq!(rewritten, to_frame(FIXTURE_KEY, &V::make(0)));
+        assert_eq!(store.flush_to_disk(), 0, "{ext}: the appended frame is indexed");
         drop(store);
+        let appended = std::fs::read(log_path::<V>(&dir)).unwrap();
+        assert_eq!(appended, [&log[..], &to_frame(FIXTURE_KEY, &V::make(0))].concat());
         let fresh = disk_store(&dir);
         assert!(V::lane(&fresh).get(FIXTURE_KEY).unwrap().is_some(), "{ext}: reloads");
         assert_eq!(stats::<V, 1>(&fresh, ["disk_hits"]), [1]);
+        drop(fresh);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -625,33 +633,46 @@ mod tests {
 
     #[test]
     fn a_file_of_a_retired_lane_is_ignored() {
-        // The dictionary lane's frames (magic `CALD`, extension `cald`)
-        // and the merge-plan lane's (`CALM`, `calm`) may outlive them in
-        // a cache directory: no lane reads one, and neither the tmp
-        // sweep nor the drain flush touches it.
-        for (ext, magic) in [("cald", b"CALD"), ("calm", b"CALM")] {
-            let dir = fresh_dir(&format!("retired-{ext}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join(FIXTURE_KEY.to_hex()).with_extension(ext);
+        // Per-key files may outlive their layout in a cache directory:
+        // the dictionary lane's (magic `CALD`, `<key>.cald`), the
+        // merge-plan lane's (`CALM`, `<key>.calm`) and the two live
+        // lanes' from before their logs (`<key>.calc`, `<key>.calg`). No
+        // lane reads one — a directory of them is a cold start — and
+        // neither opening a store nor the drain flush touches it.
+        let dir = fresh_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let retired = |magic: &[u8; 4]| {
             let mut frame = to_frame(FIXTURE_KEY, &sample_group());
             frame[..4].copy_from_slice(magic);
-            std::fs::write(&path, &frame).unwrap();
-
-            let store = disk_store(&dir);
-            assert!(store.methods().get(FIXTURE_KEY).unwrap().is_none());
-            assert!(store.groups().get(FIXTURE_KEY).unwrap().is_none());
-            let s = store.stats();
-            assert_eq!((s.misses, s.group_misses), (1, 1), "{ext}");
-            assert_eq!(activity(&store), 2, "{ext}: a leftover frame counted as more than misses");
-            assert_eq!(store.flush_to_disk(), 0);
-            drop(store);
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                frame,
-                "{ext}: the leftover file was touched"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+            frame
+        };
+        let files = [
+            ("cald", retired(b"CALD")),
+            ("calm", retired(b"CALM")),
+            ("calc", to_frame(FIXTURE_KEY, &sample_entry())),
+            ("calg", to_frame(FIXTURE_KEY, &sample_group())),
+        ];
+        let path = |ext: &str| dir.join(format!("{FIXTURE_KEY}.{ext}"));
+        for (ext, frame) in &files {
+            std::fs::write(path(ext), frame).unwrap();
         }
+
+        let store = disk_store(&dir);
+        assert!(store.methods().get(FIXTURE_KEY).unwrap().is_none());
+        assert!(store.groups().get(FIXTURE_KEY).unwrap().is_none());
+        let s = store.stats();
+        assert_eq!((s.misses, s.group_misses), (1, 1));
+        assert_eq!(activity(&store), 2, "a leftover file counted as more than misses");
+        assert_eq!(store.flush_to_disk(), 0);
+        drop(store);
+        for (ext, frame) in &files {
+            assert_eq!(
+                &std::fs::read(path(ext)).unwrap(),
+                frame,
+                "{ext}: the leftover was touched"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -695,18 +716,75 @@ mod tests {
         assert!(store.methods().len() <= 16);
     }
 
-    #[test]
-    fn opening_a_store_sweeps_stale_tmp_files() {
-        let dir = fresh_dir("store-sweep");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A stale tmp from a killed writer, shaped like a valid entry
-        // for key(2) so "never served" is meaningful.
-        let stale = dir.join(format!("{}.tmp{}", key(2).to_hex(), 424242));
-        std::fs::write(&stale, b"half-written garbage").unwrap();
+    /// What a lane's log owes its readers after a killed writer: a log
+    /// cut inside a frame, or followed by bytes that are no frame of
+    /// this lane, is cut back to its last whole frame when a store opens
+    /// it — every earlier frame still a hit, the torn key a clean miss
+    /// that the next append persists again. A second store over a log
+    /// another holds runs memory-only and leaves its bytes alone.
+    fn log_contract<V: Sample>() {
+        let ext = V::EXT;
+        let dir = fresh_dir(&format!("log-{ext}"));
+        let log = log_path::<V>(&dir);
         let store = disk_store(&dir);
-        assert!(!stale.exists(), "stale tmp survived store open");
-        // The tmp is never served: the key simply misses.
-        assert!(store.get(key(2)).unwrap().is_none());
+        for k in 0..3 {
+            V::lane(&store).insert(key(k), V::make(k as u32));
+        }
+        drop(store);
+        let whole = std::fs::read(&log).unwrap();
+        let ends: Vec<usize> = frames(&whole).into_iter().map(|(_, range)| range.end).collect();
+
+        let cases = [
+            (whole[..ends[2] - 5].to_vec(), 2u64, "a payload cut short"),
+            (whole[..ends[1] + 20].to_vec(), 2, "a header cut short"),
+            ([&whole[..], b"bytes with no magic"].concat(), 3, "a tail of no frame"),
+        ];
+        for (bytes, kept, what) in cases {
+            std::fs::write(&log, &bytes).unwrap();
+            let store = disk_store(&dir);
+            assert_eq!(
+                std::fs::metadata(&log).unwrap().len(),
+                ends[kept as usize - 1] as u64,
+                "{what}"
+            );
+            for k in 0..3 {
+                let hit = V::lane(&store).get(key(k)).expect("a cut log reads clean").is_some();
+                assert_eq!(hit, k < kept, "{ext}, {what}: key {k}");
+            }
+            for k in kept..3 {
+                V::lane(&store).insert(key(k), V::make(k as u32));
+            }
+            drop(store);
+            // The torn key's frame went where the cut left off.
+            assert_eq!(std::fs::read(&log).unwrap(), whole, "{ext}, {what}");
+            let reopened = disk_store(&dir);
+            for k in 0..3 {
+                assert!(V::lane(&reopened).get(key(k)).unwrap().is_some(), "{ext}, {what}: {k}");
+            }
+        }
+
+        // A store over a log another store holds runs memory-only: it
+        // neither reads nor cuts nor appends to it, and its flush is
+        // a no-op.
+        let holder = disk_store(&dir);
+        let torn = [&whole[..], &whole[..50]].concat();
+        std::fs::write(&log, &torn).unwrap();
+        let second = disk_store(&dir);
+        assert!(V::lane(&second).get(key(0)).unwrap().is_none(), "{ext}: read a held log");
+        V::lane(&second).insert(key(5), V::make(5));
+        assert_eq!(second.flush_to_disk(), 0);
+        assert_eq!(
+            stats::<V, 4>(&second, ["misses", "disk_hits", "stores", "disk_stores"]),
+            [1, 0, 1, 0]
+        );
+        drop(second);
+        assert_eq!(std::fs::read(&log).unwrap(), torn, "{ext}: a held log was written");
+        drop(holder);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    per_lane! {
+        method_lane_cuts_a_torn_log = log_contract::<CacheEntry>;
+        group_lane_cuts_a_torn_log = log_contract::<GroupPlanEntry>;
     }
 }

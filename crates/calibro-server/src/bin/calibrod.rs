@@ -6,8 +6,10 @@
 //! calibrod --listen 127.0.0.1:7461 ...
 //! ```
 //!
-//! With `--cache-dir` the store persists every artifact it compiles: a
-//! daemon restarted over the same directory serves them as disk hits.
+//! With `--cache-dir` the store appends every artifact it compiles to
+//! one log per lane, which it holds locked while it runs: a daemon
+//! restarted over the same directory, after a drain or a crash, serves
+//! them as disk hits.
 //!
 //! Runs until SIGTERM/SIGINT or a client `shutdown` request, then
 //! drains gracefully: stops accepting, finishes in-flight requests

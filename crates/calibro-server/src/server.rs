@@ -550,14 +550,16 @@ impl Daemon {
         }
         // Workers are done: every admitted request has its reply
         // queued. Shutting the read halves ends each connection loop;
-        // its writer delivers the queue and the connection leaves the
-        // registry. A client that does not read is cut after the grace.
+        // its writer delivers the queue, the connection leaves the
+        // registry and its thread lets go of the shared state, so the
+        // store, and the lock on each of its logs, goes with the daemon.
+        // A client that does not read is cut after the grace.
         let shutdown_all = |how| {
             recover(self.shared.conns.lock()).values().for_each(|stream| stream.shutdown(how));
         };
         shutdown_all(Shutdown::Read);
         let grace = Instant::now() + DRAIN_GRACE;
-        while !recover(self.shared.conns.lock()).is_empty() && Instant::now() < grace {
+        while Arc::strong_count(&self.shared) > 1 && Instant::now() < grace {
             std::thread::sleep(Duration::from_millis(5));
         }
         shutdown_all(Shutdown::Both);
@@ -1371,6 +1373,7 @@ mod tests {
         assert!(!snapshot.is_finished(), "the snapshot cannot finish while the table is held");
         drop(tenants);
         assert_eq!(snapshot.join().expect("snapshot").tenants, 0);
+        drop(shared);
         daemon.shutdown();
     }
 
@@ -1432,6 +1435,7 @@ mod tests {
         run_job(&refresh, &shared);
         assert!(!recover(shared.tenants.lock())["t"].refresh_in_flight);
         assert_eq!(shared.counters.build_errors.load(Ordering::Relaxed), 2);
+        drop(shared);
         assert_eq!(daemon.shutdown().build_errors, 2);
     }
 }

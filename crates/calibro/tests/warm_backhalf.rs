@@ -12,6 +12,8 @@
 //! * a cached group plan is replayed only on the code it was detected
 //!   on: a foreign plan under a live group's key is a miss, not a replay.
 
+use std::io::Write as _;
+
 use calibro::{BuildOptions, BuildSession};
 use calibro_cache::{from_frame, to_frame, CacheConfig, CacheEntry, CacheKey, GroupPlanEntry};
 use calibro_isa::{decode_all, encode_words, Insn};
@@ -143,19 +145,19 @@ fn a_word_that_drifted_from_its_instruction_trips_the_debug_assertion() {
     let _ = session.link(&options, size);
 }
 
-/// The `(key, entry)` of every `.calg` frame under `dir`.
+/// The `(key, entry)` of the last frame of each key in the group log
+/// under `dir`, the one a store reads.
 fn persisted_plans(dir: &std::path::Path) -> Vec<(CacheKey, GroupPlanEntry)> {
-    let mut plans = Vec::new();
-    for file in std::fs::read_dir(dir).expect("cache dir").flatten() {
-        if file.path().extension().is_some_and(|ext| ext == "calg") {
-            let bytes = std::fs::read(file.path()).expect("frame");
-            let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8"));
-            let key = CacheKey { hi: word(8), lo: word(16) };
-            plans.push((key, from_frame(key, &bytes).expect("a frame this suite wrote")));
-        }
+    let log = std::fs::read(dir.join("calg.log")).expect("the group log");
+    let mut plans = std::collections::BTreeMap::new();
+    let mut at = 0;
+    while at < log.len() {
+        let word = |i: usize| u64::from_le_bytes(log[at + i..at + i + 8].try_into().expect("8"));
+        let (key, end) = (CacheKey { hi: word(8), lo: word(16) }, at + 40 + word(24) as usize);
+        plans.insert(key, from_frame(key, &log[at..end]).expect("a frame this suite wrote"));
+        at = end;
     }
-    plans.sort_by_key(|(key, _)| (key.hi, key.lo));
-    plans
+    plans.into_iter().collect()
 }
 
 #[test]
@@ -181,8 +183,9 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
         .iter()
         .find(|(_, plan)| plan.code_len != victim.code_len && !plan.lens.is_empty())
         .expect("a plan over code of another length");
-    let path = dir.join(format!("{}.calg", victim_key.to_hex()));
-    std::fs::write(&path, to_frame(*victim_key, foreign)).expect("plant");
+    let mut log = std::fs::OpenOptions::new().append(true).open(dir.join("calg.log")).expect("log");
+    log.write_all(&to_frame(*victim_key, foreign)).expect("plant");
+    drop(log);
 
     // A new session over that directory: every method and every other
     // group replays from disk; the planted plan is refused, its group
@@ -192,9 +195,13 @@ fn a_foreign_plan_under_a_live_key_is_a_miss_not_a_replay() {
     assert_eq!(warm.stats.ltbo, cold.stats.ltbo);
     assert_eq!(warm.stats.methods_from_cache, warm.stats.methods);
     assert_eq!(warm.stats.cache.group_misses, 1, "exactly the planted group re-detects");
-    // ...and overwrote the impostor with its own plan.
-    let healed = std::fs::read(&path).expect("frame");
-    assert_eq!(&from_frame::<GroupPlanEntry>(*victim_key, &healed).expect("healed frame"), victim);
+    // ...and appended its own plan, the key's last frame, after the
+    // impostor.
+    let healed = persisted_plans(&dir);
+    assert_eq!(
+        healed.iter().find(|(key, _)| key == victim_key).map(|(_, plan)| plan),
+        Some(victim)
+    );
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use calibro::{
     build, compile_fingerprint, method_cache_key, options_fingerprint, reference_env,
-    ArtifactStore, BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, LtboMode,
-    PipelineConfig, StableHasher,
+    ArtifactStore, BuildError, BuildOptions, BuildSession, CacheConfig, CacheEntry, CacheKey,
+    LtboMode, PipelineConfig, StableHasher,
 };
 use calibro_dex::DexFile;
 use calibro_workloads::{generate, mutate_methods, AppSpec};
@@ -537,6 +537,19 @@ fn sharded_detection_is_thread_and_warmth_stable() {
     }
 }
 
+/// The key and byte range of each frame of a lane's log, in log order.
+fn frames(log: &[u8]) -> Vec<(CacheKey, std::ops::Range<usize>)> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        let word = |i: usize| u64::from_le_bytes(log[at + i..at + i + 8].try_into().expect("8"));
+        let end = at + 40 + word(24) as usize;
+        frames.push((CacheKey { hi: word(8), lo: word(16) }, at..end));
+        at = end;
+    }
+    frames
+}
+
 #[test]
 fn disk_cache_carries_artifacts_across_sessions() {
     let dir = std::env::temp_dir().join(format!("calibro-disk-cache-{}", std::process::id()));
@@ -628,16 +641,17 @@ fn schema_bump_turns_old_disk_entries_into_clean_typed_misses() {
     drop(store);
 
     // A full build over the stale directory recompiles everything and
-    // matches a pristine build bit for bit; the old files are never
-    // clobbered (file names are keys, and the generations are disjoint).
+    // matches a pristine build bit for bit; the old frames are never
+    // clobbered (the log is only appended to, and the generations'
+    // keys are disjoint).
     let session = BuildSession::with_config(config);
     let rebuilt = session.build(&dex, &options).unwrap();
     assert_eq!(rebuilt.stats.methods_from_cache, 0);
     let fresh = build(&dex, &options).unwrap();
     assert_eq!(calibro_oat::to_elf_bytes(&rebuilt.oat), calibro_oat::to_elf_bytes(&fresh.oat));
-    for key in &other_keys {
-        assert!(dir.join(format!("{}.calc", key.to_hex())).exists(), "other-schema file clobbered");
-    }
+    let log = std::fs::read(dir.join("calc.log")).unwrap();
+    let logged: HashSet<CacheKey> = frames(&log).into_iter().map(|(key, _)| key).collect();
+    assert!(other_keys.iter().all(|key| logged.contains(key)), "other-schema frames clobbered");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -651,19 +665,16 @@ fn poisoned_disk_entry_surfaces_as_typed_cache_error() {
     let config = CacheConfig { disk_dir: Some(dir.clone()), ..CacheConfig::default() };
     BuildSession::with_config(config.clone()).build(&dex, &options).unwrap();
 
-    // Flip one payload byte in every persisted entry: checksums break.
-    let mut poisoned = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "calc") {
-            let mut bytes = std::fs::read(&path).unwrap();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xff;
-            std::fs::write(&path, bytes).unwrap();
-            poisoned += 1;
-        }
+    // Flip the last payload byte of every frame in the method log:
+    // checksums break.
+    let path = dir.join("calc.log");
+    let mut log = std::fs::read(&path).unwrap();
+    let frames = frames(&log);
+    assert!(!frames.is_empty(), "no persisted entries to poison");
+    for (_, frame) in frames {
+        log[frame.end - 1] ^= 0xff;
     }
-    assert!(poisoned > 0, "no persisted entries to poison");
+    std::fs::write(&path, log).unwrap();
 
     let err = BuildSession::with_config(config)
         .build(&dex, &options)
