@@ -7,49 +7,51 @@
 //! cargo run --release -p bench --bin experiments all 1.0    # custom scale
 //! ```
 
+use bench::record::{top_level_number, Record};
 use bench::{
-    build_variant, fig3, fig4, frontier, frontier_gate, frontier_json, suite, table1, table2,
-    table4, table5, table6, table7, warm_rebuild, Variant, DEFAULT_SCALE, FRONTIER_ARMS, PL_GROUPS,
-    PL_THREADS, WARM_MUTATION_FRACTION,
+    fig3, fig4, frontier, frontier_gate, frontier_record, incremental_gate, suite, table1, table2,
+    table4, table5, table6, table6_gate, table6_record, table7, warm_rebuild, warm_rebuild_record,
+    Variant, DEFAULT_SCALE, PL_GROUPS, PL_THREADS, WARM_MUTATION_FRACTION,
 };
+use calibro_workloads::App;
 
-/// The subcommands that run on the generated six-app suite.
-const SUITE_ARMS: [&str; 14] = [
-    "all",
-    "table1",
-    "fig1",
-    "fig3",
-    "fig4",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "ablation",
-    "incremental",
-    "frontier",
+/// A subcommand and what runs it: on its flags, or on the suite's apps.
+type Arm<T> = (&'static str, fn(&[T]));
+
+/// The subcommands that drive a daemon, each with its own flags.
+const DAEMON_ARMS: [Arm<String>; 3] =
+    [("serve", run_serve), ("restart", run_restart), ("drift", run_drift)];
+
+/// The subcommands that run on the generated six-app suite, in the
+/// order `all` runs them.
+const SUITE_ARMS: [Arm<App>; 13] = [
+    ("table1", print_table1),
+    ("fig1", |_| print_fig1()),
+    ("fig3", print_fig3),
+    ("fig4", print_fig4),
+    ("table2", |_| print_table2()),
+    ("table3", |_| print_table3()),
+    ("table4", print_table4),
+    ("table5", print_table5),
+    ("table6", print_table6),
+    ("table7", print_table7),
+    ("ablation", print_ablation),
+    ("incremental", print_incremental),
+    ("frontier", print_frontier),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map_or("all", String::as_str);
-    if which == "serve" {
-        run_serve(&args[1..]);
+    if let Some((_, run)) = DAEMON_ARMS.iter().find(|&&(name, _)| name == which) {
+        run(&args[1..]);
         return;
     }
-    if which == "restart" {
-        run_restart(&args[1..]);
-        return;
-    }
-    if which == "drift" {
-        run_drift(&args[1..]);
-        return;
-    }
-    if !SUITE_ARMS.contains(&which) {
+    if which != "all" && !SUITE_ARMS.iter().any(|&(name, _)| name == which) {
+        let names: Vec<&str> = SUITE_ARMS.iter().map(|&(name, _)| name).collect();
         eprintln!(
-            "experiments: unknown subcommand {which:?}; expected serve, restart, drift or one of {}",
-            SUITE_ARMS.join(", ")
+            "experiments: unknown subcommand {which:?}; expected serve, restart, drift, all or one of {}",
+            names.join(", ")
         );
         std::process::exit(2);
     }
@@ -65,165 +67,74 @@ fn main() {
             app.dex.total_insns()
         );
     }
-
-    let run_all = which == "all";
-    if run_all || which == "table1" {
-        print_table1(&apps);
-    }
-    if run_all || which == "fig1" {
-        print_fig1();
-    }
-    if run_all || which == "fig3" {
-        print_fig3(&apps);
-    }
-    if run_all || which == "fig4" {
-        print_fig4(&apps);
-    }
-    if run_all || which == "table2" {
-        print_table2();
-    }
-    if run_all || which == "table3" {
-        print_table3();
-    }
-    if run_all || which == "table4" {
-        print_table4(&apps);
-    }
-    if run_all || which == "table5" {
-        print_table5(&apps);
-    }
-    if run_all || which == "table6" {
-        print_table6(&apps);
-    }
-    if run_all || which == "table7" {
-        print_table7(&apps);
-    }
-    if run_all || which == "ablation" {
-        print_ablation(&apps);
-    }
-    if run_all || which == "incremental" {
-        print_incremental(&apps);
-    }
-    if run_all || which == "frontier" {
-        print_frontier(&apps);
+    for (name, run) in SUITE_ARMS {
+        if which == "all" || which == name {
+            run(&apps);
+        }
     }
 }
 
 /// `experiments frontier` — the size/perf frontier of the size stage
-/// off and on (`none` / `outline`), written to
+/// off and on (`none` / `outline`), recorded in
 /// `BENCH_size_frontier.json` and printed as a per-app size table.
 /// Exits 1 unless [`frontier_gate`] passes: six apps, outline `.text`
 /// below none on each.
-fn print_frontier(apps: &[calibro_workloads::App]) {
+fn print_frontier(apps: &[App]) {
     header("Size/perf frontier: size stage off and on");
     let rows = frontier(apps);
-    let json_path = "BENCH_size_frontier.json";
-    match std::fs::write(json_path, frontier_json(&rows)) {
-        Ok(()) => eprintln!("  wrote {json_path}"),
-        Err(e) => eprintln!("  could not write {json_path}: {e}"),
-    }
-    println!("| App | Arm | .text bytes | vs none | Outlined | Cycles |");
-    println!("|---|---|---|---|---|---|");
-    for r in &rows {
-        let none_bytes = r.arms[0].text_bytes;
-        for a in &r.arms {
-            let delta = 100.0 * (none_bytes as f64 - a.text_bytes as f64) / none_bytes as f64;
-            println!(
-                "| {} | {} | {} | {:+.2}% | {} | {} |",
-                r.app, a.arm, a.text_bytes, -delta, a.outlined_functions, a.cycles
-            );
-        }
-    }
-    let wins = rows.iter().filter(|r| r.arms[1].text_bytes < r.arms[0].text_bytes).count();
-    for (i, &(arm, _)) in FRONTIER_ARMS.iter().enumerate() {
-        let total: u64 = rows.iter().map(|r| r.arms[i].text_bytes).sum();
-        println!("aggregate {arm}: {total} bytes");
-    }
-    println!("outline < none on {wins}/{} apps", rows.len());
-    match frontier_gate(&rows) {
-        Ok(()) => println!("frontier gate passed"),
-        Err(failures) => {
-            for failure in failures {
-                eprintln!("frontier gate: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let record = frontier_record(&rows);
+    save("BENCH_size_frontier.json", &record);
+    print!("{}", record.table());
+    finish("frontier", frontier_gate(&rows));
 }
 
-/// `experiments serve [--socket PATH | --addr HOST:PORT] [--clients N]
+/// `experiments serve [--socket PATH | --addr HOST:PORT]... [--clients N]
 /// [--requests N] [--workers N] [--queue-depth N] [--no-probe]
-/// [--one-slow]` — the calibrod load generator (see `bench::serve`).
+/// [--one-slow]` — the calibrod load generator (see `bench::serve`):
+/// one run per `--socket`/`--addr`, each against a fresh daemon, or
+/// one against an in-process daemon without one. Exits 1 unless
+/// [`bench::serve_gate`] passes on every run and on their median warm
+/// reply against the committed record's.
 fn run_serve(args: &[String]) {
     let mut config = bench::ServeLoadConfig::default();
-    let mut one_slow = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("experiments serve: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
-            "--clients" => config.clients = parse_flag(value("--clients"), "--clients"),
-            "--requests" => config.requests = parse_flag(value("--requests"), "--requests"),
-            "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
-            "--queue-depth" => {
-                config.queue_depth = parse_flag(value("--queue-depth"), "--queue-depth");
-            }
+    let (mut endpoints, mut one_slow) = (Vec::new(), false);
+    each_flag(
+        "serve",
+        args,
+        &["--socket", "--addr", "--clients", "--requests", "--workers", "--queue-depth"],
+        &["--no-probe", "--one-slow"],
+        |flag, value| match flag {
+            "--socket" | "--addr" => endpoints.push(endpoint(flag, value)),
+            "--clients" => config.clients = number("serve", flag, value),
+            "--requests" => config.requests = number("serve", flag, value),
+            "--workers" => config.workers = number("serve", flag, value),
+            "--queue-depth" => config.queue_depth = number("serve", flag, value),
             "--no-probe" => config.probe_overload = false,
-            "--one-slow" => one_slow = true,
-            other => {
-                eprintln!("experiments serve: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+            _ => one_slow = true,
+        },
+    );
     if one_slow {
-        let endpoint = config.endpoint.unwrap_or_else(|| {
-            eprintln!("experiments serve --one-slow requires --socket or --addr");
-            std::process::exit(2);
+        let endpoint = endpoints.first().unwrap_or_else(|| {
+            usage("serve", "--one-slow requires --socket or --addr");
         });
-        bench::serve_one_slow(&endpoint);
+        bench::serve_one_slow(endpoint);
         println!("serve: in-flight slow request completed");
         return;
     }
 
     header("calibrod load generation");
-    let report = bench::serve_load(&config);
-    let json_path = "BENCH_serve.json";
-    match std::fs::write(json_path, report.to_json()) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
-    println!(
-        "clients {:>3}   completed {:>5}   errors {:>3}   throughput {:>8.1} req/s",
-        report.clients, report.completed, report.errors, report.throughput_rps
-    );
-    println!(
-        "latency  p50 {:>8}us   p95 {:>8}us   p99 {:>8}us",
-        report.p50_us, report.p95_us, report.p99_us
-    );
-    println!(
-        "shared cache: cold {:>8}us   warm {:>8}us   speedup {:>6.1}x   identical {}",
-        report.cold_us, report.warm_us, report.warm_speedup, report.identical
-    );
-    println!(
-        "warm half: {:>4} requests, {:>5.1}% methods from cache",
-        report.warm_requests,
-        report.warm_hit_rate * 100.0
-    );
-    println!(
-        "edits of the warm app: {:>3} sent by edit, identical to a whole send {}",
-        report.edits, report.edit_identical
-    );
-    if report.probe_sent > 0 {
-        println!(
-            "overload probe: {} sent, {} rejected Overloaded",
-            report.probe_sent, report.probe_rejected
-        );
-    }
+    let path = "BENCH_serve.json";
+    let committed = committed(path, "warm_us");
+    let targets =
+        if endpoints.is_empty() { vec![None] } else { endpoints.into_iter().map(Some).collect() };
+    let runs: Vec<_> = targets
+        .into_iter()
+        .map(|endpoint| bench::serve_load(&bench::ServeLoadConfig { endpoint, ..config.clone() }))
+        .collect();
+    let record = bench::serve_record(&runs);
+    save(path, &record);
+    print!("{}", record.table());
+    finish("serve", bench::serve_gate(&runs, committed));
 }
 
 /// `experiments restart [--workers N] [--methods N]` — a daemon
@@ -232,112 +143,72 @@ fn run_serve(args: &[String]) {
 /// [`bench::restart_gate`] passes.
 fn run_restart(args: &[String]) {
     let (mut workers, mut methods) = (4, 900);
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("experiments restart: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--workers" => workers = parse_flag(value("--workers"), "--workers"),
-            "--methods" => methods = parse_flag(value("--methods"), "--methods"),
-            other => {
-                eprintln!("experiments restart: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    each_flag("restart", args, &["--workers", "--methods"], &[], |flag, value| match flag {
+        "--workers" => workers = number("restart", flag, value),
+        _ => methods = number("restart", flag, value),
+    });
 
     header("calibrod restart: disk-warm vs true-cold and memory-warm");
     let report = bench::restart_load(workers, methods);
-    let json_path = "BENCH_restart.json";
-    match std::fs::write(json_path, report.to_json()) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
-    let [true_cold, disk_cold, restart, memory_warm] = report.walls_us;
-    println!(
-        "methods {:>5}   errors {}   true-cold {true_cold:>8}us   disk-cold {disk_cold:>8}us   \
-         restart {restart:>8}us   memory-warm {memory_warm:>8}us",
-        report.methods, report.errors,
-    );
-    println!(
-        "restart speedup {:>5.2}x   identical {}   all from cache {}   \
-         restart disk hits {} / stores {}",
-        report.restart_speedup,
-        report.identical,
-        report.all_from_cache,
-        report.restart_disk_hits,
-        report.restart_stores
-    );
-    match bench::restart_gate(&report) {
-        Ok(()) => println!("restart gate passed"),
-        Err(failures) => {
-            for failure in failures {
-                eprintln!("restart gate: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let record = Record { arm: "restart", fields: report.fields(), rows: Vec::new() };
+    save("BENCH_restart.json", &record);
+    print!("{}", record.table());
+    finish("restart", bench::restart_gate(&report));
 }
 
 /// `experiments drift [--socket PATH | --addr HOST:PORT] [--workers N]`
 /// — the profile-feedback re-optimization arm (see `bench::drift`):
 /// phase shift, drift-triggered refresh, no-serving-gap and
-/// byte-determinism checks, written to `BENCH_drift.json`.
+/// byte-determinism checks, recorded in `BENCH_drift.json`. Exits 1
+/// unless [`bench::drift_gate`] passes.
 fn run_drift(args: &[String]) {
     let mut config = bench::DriftConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("experiments drift: {name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--socket" | "--addr" => config.endpoint = Some(endpoint(flag, value(flag))),
-            "--workers" => config.workers = parse_flag(value("--workers"), "--workers"),
-            other => {
-                eprintln!("experiments drift: unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    each_flag("drift", args, &["--socket", "--addr", "--workers"], &[], |flag, value| match flag {
+        "--workers" => config.workers = number("drift", flag, value),
+        _ => config.endpoint = Some(endpoint(flag, value)),
+    });
 
     header("calibrod profile feedback: drift-triggered re-optimization");
     let report = bench::drift_feedback(&config);
-    let json_path = "BENCH_drift.json";
-    match std::fs::write(json_path, report.to_json()) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
+    let record = Record { arm: "drift", fields: report.fields(), rows: Vec::new() };
+    save("BENCH_drift.json", &record);
+    print!("{}", record.table());
+    finish("drift", bench::drift_gate(&report));
+}
+
+/// The one flag loop: walks `args` as flags, where one in `valued`
+/// takes the next argument as its value and one in `switches` takes
+/// none (its value is empty), handing each to `apply` in order. An
+/// unknown flag or a missing value exits 2.
+fn each_flag(
+    arm: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+    mut apply: impl FnMut(&str, &str),
+) {
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        let value = if valued.contains(&flag) {
+            it.next().unwrap_or_else(|| usage(arm, &format!("{flag} requires a value")))
+        } else if switches.contains(&flag) {
+            ""
+        } else {
+            usage(arm, &format!("unknown flag {flag}"))
+        };
+        apply(flag, value);
     }
-    println!(
-        "generations {} -> {}   uploads to refresh {:>2}   drift {:.1}% -> {:.1}%",
-        report.gen1,
-        report.gen2,
-        report.uploads_to_refresh,
-        report.drift_ppm_at_refresh as f64 / 10_000.0,
-        report.drift_ppm_after as f64 / 10_000.0
-    );
-    println!(
-        "during refresh: {:>3} fetches answered, {} serving-gap errors",
-        report.fetches_during_refresh, report.serving_gap_errors
-    );
-    println!(
-        "byte-stable: gen1 {}   gen2 {}   elf {} -> {} bytes (hot set {})",
-        report.gen1_byte_stable,
-        report.gen2_byte_stable,
-        report.elf_len_gen1,
-        report.elf_len_gen2,
-        report.hot_set_size
-    );
-    println!(
-        "phase-B cycles: stale {:>10}   fresh {:>10}   recovered {}",
-        report.phase_b_cycles_stale, report.phase_b_cycles_fresh, report.perf_recovered
-    );
+}
+
+/// A flag's value as a number; exits 2 when it is not one.
+fn number<T: std::str::FromStr>(arm: &str, flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| usage(arm, &format!("invalid value {raw:?} for {flag}")))
+}
+
+fn usage(arm: &str, message: &str) -> ! {
+    eprintln!("experiments {arm}: {message}");
+    std::process::exit(2);
 }
 
 /// The external daemon the serve and drift arms can target:
@@ -352,106 +223,77 @@ fn endpoint(flag: &str, value: &str) -> calibro_server::Endpoint {
     }
     #[cfg(not(unix))]
     {
-        eprintln!("experiments: {flag} {value}: unix sockets are not supported on this platform");
-        std::process::exit(2);
+        usage("serve", &format!("{flag} {value}: unix sockets are not supported on this platform"));
     }
 }
 
-fn parse_flag<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("experiments serve: invalid value {raw:?} for {flag}");
-        std::process::exit(2);
-    })
+/// The ratchet's baseline: the number at `key` of the record at `path`
+/// in the working directory, read before the arm overwrites it. In a
+/// checkout that is the committed record; without one the ratchet is
+/// skipped.
+fn committed(path: &str, key: &str) -> Option<f64> {
+    let committed =
+        std::fs::read_to_string(path).ok().and_then(|json| top_level_number(&json, key));
+    if committed.is_none() {
+        println!("no committed {key} in {path}: the ratchet is skipped");
+    }
+    committed
 }
 
-fn print_incremental(apps: &[calibro_workloads::App]) {
+/// Writes `record` to `path`; a record that cannot be written exits 1,
+/// so nothing downstream reads a stale one.
+fn save(path: &str, record: &Record) {
+    if let Err(e) = std::fs::write(path, record.to_json()) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}
+
+/// Prints the gate's verdict; a failed check exits 1.
+fn finish(arm: &str, gate: Result<(), Vec<String>>) {
+    match gate {
+        Ok(()) => println!("{arm} gate passed"),
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("{arm} gate: {failure}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+fn print_incremental(apps: &[App]) {
     header(&format!(
         "Incremental rebuild: cold vs warm wall time after a {:.0}% method update",
         WARM_MUTATION_FRACTION * 100.0
     ));
+    let path = "BENCH_warm_rebuild.json";
+    let committed = committed(path, "suite_warm_us");
     let rows = warm_rebuild(apps);
-    let json_path = "BENCH_warm_rebuild.json";
-    match std::fs::write(json_path, bench::warm_rebuild_json(&rows)) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
-    }
-    println!(
-        "{:>10} {:>12} {:>8} {:>8} {:>10} {:>10} {:>8} {:>9} {:>9} {:>7}",
-        "app",
-        "variant",
-        "methods",
-        "mutated",
-        "cold",
-        "warm",
-        "speedup",
-        "hit rate",
-        "grp rate",
-        "bytes"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>12} {:>8} {:>8} {:>8.1}ms {:>8.1}ms {:>7.1}x {:>8.1}% {:>8.1}% {:>7}",
-            r.app,
-            r.variant,
-            r.methods,
-            r.mutated,
-            r.cold.as_secs_f64() * 1000.0,
-            r.warm.as_secs_f64() * 1000.0,
-            r.speedup(),
-            r.hit_rate * 100.0,
-            r.group_hit_rate * 100.0,
-            if r.digests_match { "match" } else { "DIFFER" }
-        );
-    }
+    let record = warm_rebuild_record(&rows);
+    save(path, &record);
+    print!("{}", record.table());
     // The Table 4 trade-off behind the sharded arm: finer detection
     // groups buy incrementality but give back some size vs one global
     // tree. Report the regression so it is a number, not a surprise.
     println!();
     println!("{:>10} {:>12} {:>12} {:>12}", "app", "global .text", "sharded", "regression");
-    let mut i = 0;
-    while i < rows.len() {
-        let app = &rows[i].app;
-        let by = |v: &str| rows[i..].iter().filter(|r| r.app == *app).find(|r| r.variant == v);
-        if let (Some(g), Some(p)) = (by("cto_ltbo"), by("cto_ltbo_pl")) {
-            let regression = p.text_bytes as f64 / g.text_bytes as f64 - 1.0;
-            println!(
-                "{:>10} {:>11}K {:>11}K {:>11.2}%",
-                app,
-                g.text_bytes / 1024,
-                p.text_bytes / 1024,
-                regression * 100.0
-            );
-        }
-        while i < rows.len() && rows[i].app == *app {
-            i += 1;
-        }
-    }
-    // Warm hot-path anatomy (sharded arm): where the residual warm
-    // wall time goes. Keys is the fingerprint+probe phase, detect the
-    // re-detection of the groups whose plan missed (zero when every
-    // plan replays: probes and replay are outside it); both must stay
-    // small next to the CPU
-    // cost the cache *elides* — the cold build's compile CPU. (Dividing
-    // by the warm build's own compile CPU would grade the probe against
-    // the near-zero cost of compiling just the delta and report >100%
-    // on a healthy cache.)
-    println!();
-    println!("{:>10} {:>10} {:>10} {:>14} {:>10}", "app", "keys", "detect", "cold cpu", "keys/cpu");
-    for r in rows.iter().filter(|r| r.variant == "cto_ltbo_pl") {
-        let s = &r.warm_stats;
-        let cpu = r.cold_compile_cpu.as_secs_f64();
+    // `warm_rebuild` yields each app's variants together, in order.
+    for variants in rows.chunks(3) {
+        let [_, g, p] = variants else { continue };
         println!(
-            "{:>10} {:>8.2}ms {:>8.2}ms {:>12.2}ms {:>9.1}%",
-            r.app,
-            s.key_time.as_secs_f64() * 1000.0,
-            s.detect_time.as_secs_f64() * 1000.0,
-            cpu * 1000.0,
-            if cpu > 0.0 { s.key_time.as_secs_f64() / cpu * 100.0 } else { 0.0 }
+            "{:>10} {:>11}K {:>11}K {:>11.2}%",
+            g.app,
+            g.text_bytes / 1024,
+            p.text_bytes / 1024,
+            (p.text_bytes as f64 / g.text_bytes as f64 - 1.0) * 100.0
         );
     }
+    finish("incremental", incremental_gate(&rows, committed));
 }
 
-fn print_ablation(apps: &[calibro_workloads::App]) {
+fn print_ablation(apps: &[App]) {
     let app = apps.iter().find(|a| a.name == "wechat").unwrap_or(&apps[0]);
     header(&format!(
         "Ablation: paralleled suffix-tree count vs size/time trade-off ({})",
@@ -473,21 +315,34 @@ fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-fn print_table1(apps: &[calibro_workloads::App]) {
+fn print_table1(apps: &[App]) {
     header("Table 1: estimated code size reduction ratios (suffix-tree analysis, paper avg 25.4%)");
     let rows = table1(apps);
-    let mut sum = 0.0;
-    print!("{:24}", "app");
-    for r in &rows {
-        print!("{:>10}", r.app);
+    apps_row("app", rows.iter().map(|r| r.app.as_str()));
+    ratio_row("estimated reduction", rows.iter().map(|r| r.estimated_ratio), 1);
+}
+
+/// One line of an app-by-app table: a 24-column label, then one
+/// 10-column cell per app.
+fn grid_row(label: &str, cells: impl Iterator<Item = String>) {
+    print!("{label:24}");
+    for cell in cells {
+        print!("{cell:>10}");
     }
-    println!("{:>10}", "AVG");
-    print!("{:24}", "estimated reduction");
-    for r in &rows {
-        sum += r.estimated_ratio;
-        print!("{:>9.1}%", r.estimated_ratio * 100.0);
-    }
-    println!("{:>9.1}%", sum / rows.len() as f64 * 100.0);
+    println!();
+}
+
+/// The app names across, then `AVG`.
+fn apps_row<'a>(corner: &str, apps: impl Iterator<Item = &'a str>) {
+    grid_row(corner, apps.chain(["AVG"]).map(str::to_owned));
+}
+
+/// One ratio per app as a percentage to `decimals` places, then their
+/// mean.
+fn ratio_row(label: &str, ratios: impl Iterator<Item = f64>, decimals: usize) {
+    let ratios: Vec<f64> = ratios.collect();
+    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    grid_row(label, ratios.iter().chain([&mean]).map(|r| format!("{:.*}%", decimals, r * 100.0)));
 }
 
 fn print_fig1() {
@@ -506,7 +361,7 @@ fn print_fig1() {
     }
 }
 
-fn print_fig3(apps: &[calibro_workloads::App]) {
+fn print_fig3(apps: &[App]) {
     let app = apps.iter().find(|a| a.name == "wechat").unwrap_or(&apps[0]);
     header(&format!("Figure 3: sequence length vs number of repeats ({} baseline)", app.name));
     println!("{:>6} {:>12} {:>14}", "len", "sequences", "total repeats");
@@ -515,7 +370,7 @@ fn print_fig3(apps: &[calibro_workloads::App]) {
     }
 }
 
-fn print_fig4(apps: &[calibro_workloads::App]) {
+fn print_fig4(apps: &[App]) {
     let app = apps.iter().find(|a| a.name == "wechat").unwrap_or(&apps[0]);
     header(&format!("Figure 4: ART-specific repetitive pattern census ({} baseline)", app.name));
     let c = fig4(app);
@@ -551,114 +406,62 @@ fn print_table3() {
     println!("  {:26} speed (all methods compiled)", "Compile mode");
 }
 
-fn print_table4(apps: &[calibro_workloads::App]) {
+fn print_table4(apps: &[App]) {
     header("Table 4: OAT .text size per variant (paper: CTO 3.56%, +LTBO 19.19%, +PlOpti 16.40%, +HfOpti 15.19%)");
     let cols = table4(apps);
-    print!("{:24}", "");
-    for c in &cols {
-        print!("{:>10}", c.app);
-    }
-    println!("{:>10}", "AVG");
+    apps_row("", cols.iter().map(|c| c.app.as_str()));
     for (i, v) in Variant::ALL.into_iter().enumerate() {
-        print!("{:24}", v.label());
-        for c in &cols {
-            print!("{:>9}K", c.bytes[i] / 1024);
-        }
-        println!();
+        grid_row(v.label(), cols.iter().map(|c| format!("{}K", c.values[i] / 1024)));
     }
-    for i in 1..5 {
-        print!("{:24}", format!("{} reduction", Variant::ALL[i].label()));
-        let mut sum = 0.0;
-        for c in &cols {
-            sum += c.ratio(i);
-            print!("{:>9.2}%", c.ratio(i) * 100.0);
-        }
-        println!("{:>9.2}%", sum / cols.len() as f64 * 100.0);
+    for (i, v) in Variant::ALL.into_iter().enumerate().skip(1) {
+        ratio_row(&format!("{} reduction", v.label()), cols.iter().map(|c| c.reduction(i)), 2);
     }
 }
 
-fn print_table5(apps: &[calibro_workloads::App]) {
+fn print_table5(apps: &[App]) {
     header("Table 5: memory usage after the trace (paper: CTO 2.03%, CTO+LTBO 6.82%)");
     let cols = table5(apps);
-    print!("{:24}", "");
-    for c in &cols {
-        print!("{:>10}", c.app);
+    apps_row("", cols.iter().map(|c| c.app.as_str()));
+    let names = ["Baseline", "CTO", "CTO+LTBO"];
+    for (i, name) in names.into_iter().enumerate() {
+        grid_row(name, cols.iter().map(|c| format!("{}K", c.values[i] / 1024)));
     }
-    println!("{:>10}", "AVG");
-    for (i, name) in ["Baseline", "CTO", "CTO+LTBO"].iter().enumerate() {
-        print!("{:24}", *name);
-        for c in &cols {
-            print!("{:>9}K", c.resident[i] / 1024);
-        }
-        println!();
-    }
-    for i in 1..3 {
-        print!("{:24}", format!("{} reduction", ["", "CTO", "CTO+LTBO"][i]));
-        let mut sum = 0.0;
-        for c in &cols {
-            sum += c.ratio(i);
-            print!("{:>9.2}%", c.ratio(i) * 100.0);
-        }
-        println!("{:>9.2}%", sum / cols.len() as f64 * 100.0);
+    for (i, name) in names.into_iter().enumerate().skip(1) {
+        ratio_row(&format!("{name} reduction"), cols.iter().map(|c| c.reduction(i)), 2);
     }
 }
 
-fn print_table6(apps: &[calibro_workloads::App]) {
+fn print_table6(apps: &[App]) {
     header("Table 6: building time (paper: single tree +489.5%, PlOpti +70.8%)");
-    let cols = table6(apps);
-    // Dump the full observability payload (per-phase wall/cpu timings,
-    // pass counters, per-worker loads) next to the human-readable table.
-    let json_path = "BENCH_table6.json";
-    match std::fs::write(json_path, bench::table6_json(&cols)) {
-        Ok(()) => eprintln!("wrote {json_path}"),
-        Err(e) => eprintln!("could not write {json_path}: {e}"),
+    let rows = table6(apps);
+    // The full observability payload (per-phase wall/cpu timings, pass
+    // counters, per-worker loads) next to the human-readable table.
+    save("BENCH_table6.json", &table6_record(&rows));
+    // One column per app: its three builds.
+    let cols: Vec<&[bench::Table6Row]> = rows.chunks(3).collect();
+    let secs = |col: &[bench::Table6Row], i: usize| col[i].stats.total_time().as_secs_f64();
+    apps_row("", cols.iter().map(|c| c[0].app.as_str()));
+    for (i, name) in ["Baseline", "CTO+LTBO", "CTO+LTBO+PlOpti"].into_iter().enumerate() {
+        grid_row(name, cols.iter().map(|c| format!("{:.0}ms", secs(c, i) * 1000.0)));
     }
-    print!("{:24}", "");
-    for c in &cols {
-        print!("{:>10}", c.app);
+    for (i, name) in ["CTO+LTBO", "+PlOpti"].into_iter().enumerate() {
+        ratio_row(
+            &format!("{name} growth"),
+            cols.iter().map(|c| secs(c, i + 1) / secs(c, 0) - 1.0),
+            0,
+        );
     }
-    println!("{:>10}", "AVG");
-    for (i, name) in ["Baseline", "CTO+LTBO", "CTO+LTBO+PlOpti"].iter().enumerate() {
-        print!("{:24}", *name);
-        for c in &cols {
-            print!("{:>8.0}ms", c.times[i].as_secs_f64() * 1000.0);
-        }
-        println!();
-    }
-    for i in 1..3 {
-        print!("{:24}", format!("{} growth", ["", "CTO+LTBO", "+PlOpti"][i]));
-        let mut sum = 0.0;
-        for c in &cols {
-            sum += c.growth(i);
-            print!("{:>9.0}%", c.growth(i) * 100.0);
-        }
-        println!("{:>9.0}%", sum / cols.len() as f64 * 100.0);
-    }
+    finish("table6", table6_gate(&rows));
 }
 
-fn print_table7(apps: &[calibro_workloads::App]) {
+fn print_table7(apps: &[App]) {
     header("Table 7: runtime performance in CPU cycles (paper: PlOpti +1.51%, +HfOpti +0.90%)");
     let cols = table7(apps, 3);
-    print!("{:24}", "");
-    for c in &cols {
-        print!("{:>10}", c.app);
+    apps_row("", cols.iter().map(|c| c.app.as_str()));
+    for (i, name) in ["Baseline", "CTO+LTBO+PlOpti", "+HfOpti"].into_iter().enumerate() {
+        grid_row(name, cols.iter().map(|c| format!("{}K", c.values[i] / 1000)));
     }
-    println!("{:>10}", "AVG");
-    for (i, name) in ["Baseline", "CTO+LTBO+PlOpti", "+HfOpti"].iter().enumerate() {
-        print!("{:24}", *name);
-        for c in &cols {
-            print!("{:>9}K", c.cycles[i] / 1000);
-        }
-        println!();
+    for (i, name) in ["PlOpti", "+HfOpti"].into_iter().enumerate() {
+        ratio_row(&format!("{name} degradation"), cols.iter().map(|c| c.change(i + 1)), 2);
     }
-    for i in 1..3 {
-        print!("{:24}", format!("{} degradation", ["", "PlOpti", "+HfOpti"][i]));
-        let mut sum = 0.0;
-        for c in &cols {
-            sum += c.degradation(i);
-            print!("{:>9.2}%", c.degradation(i) * 100.0);
-        }
-        println!("{:>9.2}%", sum / cols.len() as f64 * 100.0);
-    }
-    let _ = build_variant(&apps[0], Variant::Baseline); // keep the API exercised
 }

@@ -15,16 +15,19 @@
 //!    with generation *g* returns the same bytes as the first.
 //! 3. **Perf recovery** — after the flip, phase B's cycle count on the
 //!    new generation is no worse than on the stale one.
+//!
+//! The record is `BENCH_drift.json`; [`drift_gate`] checks the three.
 
 use std::time::{Duration, Instant};
 
 use calibro::{build, BuildOptions};
 use calibro_profile::Profile;
 use calibro_runtime::Runtime;
-use calibro_server::{Daemon, Endpoint, ServerConfig};
+use calibro_server::{Endpoint, ServerConfig};
 use calibro_workloads::{generate, App, AppSpec, TraceCall};
 
-use crate::local_listener;
+use crate::daemon_or;
+use crate::record::{gate, report};
 
 /// Trace-call steps budget, matching the experiments substrate.
 const STEP_BUDGET: u64 = 4_000_000;
@@ -52,72 +55,71 @@ impl Default for DriftConfig {
     }
 }
 
-/// What the drift arm measured.
-#[derive(Clone, Debug)]
-pub struct DriftReport {
-    /// Generation id of the initial (phase-A-restricted) build.
-    pub gen1: u64,
-    /// Generation id after the drift-triggered refresh.
-    pub gen2: u64,
-    /// Phase-B uploads needed before a refresh was scheduled.
-    pub uploads_to_refresh: usize,
-    /// Drift (ppm) reported on the scheduling upload.
-    pub drift_ppm_at_refresh: u64,
-    /// Drift (ppm) after the flip (steady state).
-    pub drift_ppm_after: u64,
-    /// Fetches issued while the refresh was compiling.
-    pub fetches_during_refresh: usize,
-    /// Fetches that failed — the serving-gap count, which must be 0.
-    pub serving_gap_errors: usize,
-    /// Whether every generation-1 fetch was byte-identical.
-    pub gen1_byte_stable: bool,
-    /// Whether every generation-2 fetch was byte-identical.
-    pub gen2_byte_stable: bool,
-    /// Phase-B cycles on the stale generation's artifact.
-    pub phase_b_cycles_stale: u64,
-    /// Phase-B cycles on the refreshed generation's artifact.
-    pub phase_b_cycles_fresh: u64,
-    /// `phase_b_cycles_fresh <= phase_b_cycles_stale`.
-    pub perf_recovered: bool,
-    /// Size of the refreshed generation's hot set.
-    pub hot_set_size: u64,
-    /// ELF sizes of the two generations.
-    pub elf_len_gen1: u64,
-    /// Refreshed generation's ELF size.
-    pub elf_len_gen2: u64,
+report! {
+    /// What the drift arm measured.
+    pub struct DriftReport {
+        /// Generation id of the initial (phase-A-restricted) build.
+        pub gen1: u64,
+        /// Generation id after the drift-triggered refresh.
+        pub gen2: u64,
+        /// Phase-B uploads needed before a refresh was scheduled.
+        pub uploads_to_refresh: usize,
+        /// Drift (ppm) reported on the scheduling upload.
+        pub drift_ppm_at_refresh: u64,
+        /// Drift (ppm) after the flip (steady state).
+        pub drift_ppm_after: u64,
+        /// Fetches issued while the refresh was compiling.
+        pub fetches_during_refresh: usize,
+        /// Fetches that failed — the serving-gap count, which must be 0.
+        pub serving_gap_errors: usize,
+        /// Whether every generation-1 fetch was byte-identical.
+        pub gen1_byte_stable: bool,
+        /// Whether every generation-2 fetch was byte-identical.
+        pub gen2_byte_stable: bool,
+        /// Phase-B cycles on the stale generation's artifact.
+        pub phase_b_cycles_stale: u64,
+        /// Phase-B cycles on the refreshed generation's artifact.
+        pub phase_b_cycles_fresh: u64,
+        /// `phase_b_cycles_fresh <= phase_b_cycles_stale`.
+        pub perf_recovered: bool,
+        /// Size of the refreshed generation's hot set.
+        pub hot_set_size: u64,
+        /// ELF sizes of the two generations.
+        pub elf_len_gen1: u64,
+        /// Refreshed generation's ELF size.
+        pub elf_len_gen2: u64,
+    }
 }
 
-impl DriftReport {
-    /// Serializes the report as one JSON object (`BENCH_drift.json`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                r#"{{"gen1":{},"gen2":{},"uploads_to_refresh":{},"#,
-                r#""drift_ppm_at_refresh":{},"drift_ppm_after":{},"#,
-                r#""fetches_during_refresh":{},"serving_gap_errors":{},"#,
-                r#""gen1_byte_stable":{},"gen2_byte_stable":{},"#,
-                r#""phase_b_cycles_stale":{},"phase_b_cycles_fresh":{},"#,
-                r#""perf_recovered":{},"hot_set_size":{},"#,
-                r#""elf_len_gen1":{},"elf_len_gen2":{}}}"#
+/// The drift arm's exact gate: no fetch failed during the refresh, the
+/// serving generation flipped, each generation's bytes held across its
+/// fetches, phase B ran no slower on the refreshed generation, and the
+/// refreshed generation has a hot set.
+///
+/// # Errors
+///
+/// One line per failed check.
+pub fn drift_gate(report: &DriftReport) -> Result<(), Vec<String>> {
+    gate([
+        (
+            report.serving_gap_errors == 0,
+            format!("{} fetches failed during the refresh", report.serving_gap_errors),
+        ),
+        (
+            report.gen2 > report.gen1,
+            format!("no generation flip (gen {} -> {})", report.gen1, report.gen2),
+        ),
+        (report.gen1_byte_stable, "generation 1 bytes unstable across fetches".to_owned()),
+        (report.gen2_byte_stable, "generation 2 bytes unstable across fetches".to_owned()),
+        (
+            report.perf_recovered,
+            format!(
+                "phase-B cycles did not recover: stale {} vs fresh {}",
+                report.phase_b_cycles_stale, report.phase_b_cycles_fresh
             ),
-            self.gen1,
-            self.gen2,
-            self.uploads_to_refresh,
-            self.drift_ppm_at_refresh,
-            self.drift_ppm_after,
-            self.fetches_during_refresh,
-            self.serving_gap_errors,
-            self.gen1_byte_stable,
-            self.gen2_byte_stable,
-            self.phase_b_cycles_stale,
-            self.phase_b_cycles_fresh,
-            self.perf_recovered,
-            self.hot_set_size,
-            self.elf_len_gen1,
-            self.elf_len_gen2,
-        )
-    }
+        ),
+        (report.hot_set_size > 0, "the re-optimized generation has no hot set".to_owned()),
+    ])
 }
 
 /// The drifting tenant's app: big enough that the hot-set restriction
@@ -159,20 +161,8 @@ fn run_phase(elf: &[u8], app: &App, calls: &[TraceCall]) -> (Profile, u64) {
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
-    let mut local = None;
-    let endpoint = match &config.endpoint {
-        Some(e) => e.clone(),
-        None => {
-            let (listener, endpoint) = local_listener("drift");
-            let daemon = Daemon::start(
-                listener,
-                ServerConfig { workers: config.workers, ..ServerConfig::default() },
-            )
-            .expect("start in-process daemon");
-            local = Some(daemon);
-            endpoint
-        }
-    };
+    let daemon = ServerConfig { workers: config.workers, ..ServerConfig::default() };
+    let (local, endpoint) = daemon_or(config.endpoint.as_ref(), "drift", daemon);
 
     let app = generate(&drift_spec());
     let (phase_a, phase_b) = split_phases(&app);
@@ -210,39 +200,40 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
     // The workload shifts: stream phase-B profiles until the decayed
     // accumulator drifts past the threshold and a refresh is scheduled.
     let text_b = profile_b.to_text();
-    let mut uploads_to_refresh = 0;
-    let mut drift_ppm_at_refresh = 0;
+    let mut r = DriftReport {
+        gen1: gen1.generation,
+        gen1_byte_stable: true,
+        gen2_byte_stable: true,
+        phase_b_cycles_stale: cycles_stale,
+        elf_len_gen1: gen1.elf.len() as u64,
+        ..DriftReport::default()
+    };
     for n in 1..=MAX_UPLOADS {
         let reply = client.upload_profile(&tenant, &text_b).expect("phase-B upload");
         eprintln!("  upload {n}: drift {} ppm", reply.drift_ppm);
         if reply.refresh_scheduled {
-            uploads_to_refresh = n;
-            drift_ppm_at_refresh = reply.drift_ppm;
+            (r.uploads_to_refresh, r.drift_ppm_at_refresh) = (n, reply.drift_ppm);
             break;
         }
     }
-    assert!(uploads_to_refresh > 0, "phase-B drift never crossed the refresh threshold");
+    assert!(r.uploads_to_refresh > 0, "phase-B drift never crossed the refresh threshold");
 
     // While the refresh compiles: hammer fetches. Every one must be
     // answered from a sealed generation, byte-identical within it.
-    let mut fetches_during_refresh = 0;
-    let mut serving_gap_errors = 0;
-    let mut gen1_byte_stable = true;
-    let mut gen2_byte_stable = true;
     let mut gen2_reply = None;
     let deadline = Instant::now() + Duration::from_secs(120);
     while gen2_reply.is_none() {
         assert!(Instant::now() < deadline, "refresh never flipped the serving generation");
         match client.build_for_tenant(&tenant, &app.dex, &options, None) {
             Ok(reply) if reply.generation == gen1.generation => {
-                fetches_during_refresh += 1;
-                gen1_byte_stable &= reply.elf == gen1.elf;
+                r.fetches_during_refresh += 1;
+                r.gen1_byte_stable &= reply.elf == gen1.elf;
             }
             Ok(reply) => {
-                fetches_during_refresh += 1;
+                r.fetches_during_refresh += 1;
                 gen2_reply = Some(reply);
             }
-            Err(_) => serving_gap_errors += 1,
+            Err(_) => r.serving_gap_errors += 1,
         }
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -250,7 +241,7 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
     for _ in 0..3 {
         let reply =
             client.build_for_tenant(&tenant, &app.dex, &options, None).expect("post-flip fetch");
-        gen2_byte_stable &= reply.generation == gen2.generation && reply.elf == gen2.elf;
+        r.gen2_byte_stable &= reply.generation == gen2.generation && reply.elf == gen2.elf;
     }
 
     // The recovered perf envelope: phase B on the refreshed artifact,
@@ -259,25 +250,45 @@ pub fn drift_feedback(config: &DriftConfig) -> DriftReport {
 
     let stats = client.generation_stats(&tenant).expect("generation stats");
     let report = DriftReport {
-        gen1: gen1.generation,
         gen2: gen2.generation,
-        uploads_to_refresh,
-        drift_ppm_at_refresh,
         drift_ppm_after: stats.drift_ppm,
-        fetches_during_refresh,
-        serving_gap_errors,
-        gen1_byte_stable,
-        gen2_byte_stable,
-        phase_b_cycles_stale: cycles_stale,
         phase_b_cycles_fresh: cycles_fresh,
         perf_recovered: cycles_fresh <= cycles_stale,
         hot_set_size: stats.hot_set_size,
-        elf_len_gen1: gen1.elf.len() as u64,
         elf_len_gen2: gen2.elf.len() as u64,
+        ..r
     };
 
     if let Some(daemon) = local {
         daemon.shutdown();
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::record::{assert_each_break_fails_alone, Break};
+
+    #[test]
+    fn the_drift_gate_names_each_broken_check() {
+        let passing = DriftReport {
+            gen1: 1,
+            gen2: 2,
+            gen1_byte_stable: true,
+            gen2_byte_stable: true,
+            perf_recovered: true,
+            hot_set_size: 1,
+            ..DriftReport::default()
+        };
+        let breaks: [Break<DriftReport>; 6] = [
+            (|r| r.serving_gap_errors = 1, "1 fetches failed during the refresh"),
+            (|r| r.gen2 = 1, "no generation flip (gen 1 -> 1)"),
+            (|r| r.gen1_byte_stable = false, "generation 1 bytes unstable"),
+            (|r| r.gen2_byte_stable = false, "generation 2 bytes unstable"),
+            (|r| r.perf_recovered = false, "phase-B cycles did not recover"),
+            (|r| r.hot_set_size = 0, "no hot set"),
+        ];
+        assert_each_break_fails_alone(&passing, drift_gate, &breaks);
+    }
 }

@@ -15,6 +15,8 @@ use calibro_suffix::{
 };
 use calibro_workloads::{generate, mutate_methods, paper_suite, App};
 
+use crate::record::{gate, micros, ratchet, report, Record};
+
 /// Default scale: methods per MB of the paper's baseline OAT size.
 /// `2.0` puts the six-app suite at roughly 4,000 methods / 600k
 /// instructions total — big enough for stable ratios, small enough to
@@ -103,18 +105,22 @@ pub fn build_variant(app: &App, variant: Variant) -> BuildOutput {
 #[must_use]
 pub fn profile_hot_set(app: &App, fraction: f64) -> HashSet<u32> {
     let baseline = build(&app.dex, &BuildOptions::baseline()).expect("baseline build");
-    let mut rt = Runtime::new(&baseline.oat, &app.env);
-    run_trace(&mut rt, app, 1);
-    Profile::capture(&rt).hot_set(fraction).expect("fraction validated by caller")
+    Profile::capture(&run_trace(&baseline.oat, app, 1))
+        .hot_set(fraction)
+        .expect("fraction validated by caller")
 }
 
-/// Executes the app's usage trace `iterations` times.
-pub fn run_trace(rt: &mut Runtime, app: &App, iterations: usize) {
+/// Runs the app's usage trace `iterations` times on `oat`, returning
+/// the runtime for its counters.
+#[must_use]
+pub fn run_trace(oat: &OatFile, app: &App, iterations: usize) -> Runtime {
+    let mut rt = Runtime::new(oat, &app.env);
     for _ in 0..iterations {
         for call in &app.trace {
             rt.call(call.method, &call.args, STEP_BUDGET).expect("trace call");
         }
     }
+    rt
 }
 
 /// Generates the paper's six-app suite at the given scale.
@@ -231,12 +237,11 @@ pub fn fig3(app: &App, max_len: usize) -> Vec<Fig3Point> {
     (2..=max_len)
         .map(|len| {
             let of_len = rows.iter().filter(|r| r.len == len);
-            let (mut sequences, mut total) = (0, 0);
-            for r in of_len {
-                sequences += 1;
-                total += r.count;
+            Fig3Point {
+                len,
+                sequences: of_len.clone().count(),
+                total_repeats: of_len.map(|r| r.count).sum(),
             }
-            Fig3Point { len, sequences, total_repeats: total }
         })
         .collect()
 }
@@ -296,195 +301,159 @@ pub fn fig4(app: &App) -> PatternCensus {
 // Table 4: code size reduction per variant.
 // ---------------------------------------------------------------------
 
-/// One Table 4 column (one app).
+/// One app's column of Table 4, 5 or 7: one measurement per variant.
 #[derive(Clone, Debug)]
-pub struct Table4Col {
+pub struct VariantCol {
     /// App name.
     pub app: String,
-    /// `.text` bytes per variant, in [`Variant::ALL`] order.
-    pub bytes: [u64; 5],
+    /// One value per variant, in the table's variant order.
+    pub values: Vec<u64>,
 }
 
-impl Table4Col {
-    /// Reduction ratio of variant `i` relative to the baseline.
+impl VariantCol {
+    /// The relative change of variant `i` against the first, the
+    /// baseline (negative for a reduction).
     #[must_use]
-    pub fn ratio(&self, i: usize) -> f64 {
-        1.0 - self.bytes[i] as f64 / self.bytes[0] as f64
+    pub fn change(&self, i: usize) -> f64 {
+        self.values[i] as f64 / self.values[0] as f64 - 1.0
+    }
+
+    /// The reduction of variant `i` against the baseline.
+    #[must_use]
+    pub fn reduction(&self, i: usize) -> f64 {
+        1.0 - self.values[i] as f64 / self.values[0] as f64
     }
 }
 
-/// Reproduces Table 4: on-disk `.text` size per app and variant.
+/// Builds every app under each of `variants` and measures each build.
+fn per_variant(
+    apps: &[App],
+    variants: &[Variant],
+    measure: impl Fn(&App, BuildOutput) -> u64,
+) -> Vec<VariantCol> {
+    let col = |app: &App| VariantCol {
+        app: app.name.clone(),
+        values: variants.iter().map(|&v| measure(app, build_variant(app, v))).collect(),
+    };
+    apps.iter().map(col).collect()
+}
+
+/// Reproduces Table 4: on-disk `.text` size per app and variant, in
+/// [`Variant::ALL`] order — measured on the serialized ELF text, like
+/// `pm compile` + section inspection in the paper.
 #[must_use]
-pub fn table4(apps: &[App]) -> Vec<Table4Col> {
-    apps.iter()
-        .map(|app| {
-            let mut bytes = [0u64; 5];
-            for (i, v) in Variant::ALL.into_iter().enumerate() {
-                let out = build_variant(app, v);
-                // Size measured on the serialized ELF text, like `pm
-                // compile` + section inspection in the paper.
-                bytes[i] = out.oat.text_size_bytes();
-            }
-            Table4Col { app: app.name.clone(), bytes }
-        })
-        .collect()
+pub fn table4(apps: &[App]) -> Vec<VariantCol> {
+    per_variant(apps, &Variant::ALL, |_, out| out.oat.text_size_bytes())
 }
 
 // ---------------------------------------------------------------------
 // Table 5: memory usage reduction.
 // ---------------------------------------------------------------------
 
-/// One Table 5 column.
-#[derive(Clone, Debug)]
-pub struct Table5Col {
-    /// App name.
-    pub app: String,
-    /// Resident bytes after the trace: Baseline, CTO, CTO+LTBO.
-    pub resident: [u64; 3],
-}
-
-impl Table5Col {
-    /// Reduction relative to baseline for variant `i`.
-    #[must_use]
-    pub fn ratio(&self, i: usize) -> f64 {
-        1.0 - self.resident[i] as f64 / self.resident[0] as f64
-    }
-}
-
 /// Reproduces Table 5: memory usage (resident pages) after running the
 /// usage trace, for Baseline / CTO / CTO+LTBO.
 #[must_use]
-pub fn table5(apps: &[App]) -> Vec<Table5Col> {
-    apps.iter()
-        .map(|app| {
-            // The dex/vdex file, .art image and runtime metadata stay
-            // resident regardless of variant; the paper's memory numbers
-            // include those non-.text portions, which is why its Table 5
-            // percentages sit well below the Table 4 code reductions.
-            let fixed = (app.dex.total_insns() * 8) as u64;
-            let mut resident = [0u64; 3];
-            for (i, v) in
-                [Variant::Baseline, Variant::Cto, Variant::CtoLtbo].into_iter().enumerate()
-            {
-                let out = build_variant(app, v);
-                let mut rt = Runtime::new(&out.oat, &app.env);
-                run_trace(&mut rt, app, 1);
-                // The paper measures the OAT file's memory usage: its
-                // resident code pages plus the always-mapped oatdata.
-                resident[i] = rt.resident_code_bytes() + fixed;
-            }
-            Table5Col { app: app.name.clone(), resident }
-        })
-        .collect()
+pub fn table5(apps: &[App]) -> Vec<VariantCol> {
+    per_variant(apps, &[Variant::Baseline, Variant::Cto, Variant::CtoLtbo], |app, out| {
+        // The dex/vdex file, .art image and runtime metadata stay
+        // resident regardless of variant; the paper's memory numbers
+        // include those non-.text portions, which is why its Table 5
+        // percentages sit well below the Table 4 code reductions.
+        let fixed = (app.dex.total_insns() * 8) as u64;
+        // The paper measures the OAT file's memory usage: its
+        // resident code pages plus the always-mapped oatdata.
+        run_trace(&out.oat, app, 1).resident_code_bytes() + fixed
+    })
 }
 
 // ---------------------------------------------------------------------
 // Table 6: build time.
 // ---------------------------------------------------------------------
 
-/// One Table 6 column.
-#[derive(Clone, Debug)]
-pub struct Table6Col {
-    /// App name.
-    pub app: String,
-    /// Build times: Baseline, CTO+LTBO (single tree), CTO+LTBO+PlOpti.
-    pub times: [Duration; 3],
-    /// Full per-build stats backing `times`, in the same order — the
-    /// observability payload serialized into `BENCH_table6.json`.
-    pub stats: [BuildStats; 3],
-}
-
-impl Table6Col {
-    /// Build-time growth of variant `i` relative to the baseline.
-    #[must_use]
-    pub fn growth(&self, i: usize) -> f64 {
-        self.times[i].as_secs_f64() / self.times[0].as_secs_f64() - 1.0
+report! {
+    /// One Table 6 build: one app under one variant, with its full
+    /// stats — the observability payload `BENCH_table6.json` records.
+    pub struct Table6Row {
+        /// App name.
+        pub app: String,
+        /// Variant label (`baseline`, `cto_ltbo` or `cto_ltbo_pl`).
+        pub variant: &'static str,
+        /// The build's stats; its time is [`BuildStats::total_time`].
+        pub stats: BuildStats,
     }
 }
 
 /// Reproduces Table 6: wall-clock build time per variant, as
-/// [`BuildStats::total_time`]. That total includes dex verification
-/// (the same cost in all three variants), which it left out when the
-/// committed `BENCH_*.json` / EXPERIMENTS.md tables were generated: a
-/// regenerated table reads slightly higher times and slightly lower
-/// growth percentages than those.
+/// [`BuildStats::total_time`], one row per app × variant with each
+/// app's Baseline, CTO+LTBO (single tree) and CTO+LTBO+PlOpti builds
+/// together. That total includes dex verification (the same cost in
+/// all three variants), which it left out when the committed
+/// `BENCH_*.json` / EXPERIMENTS.md tables were generated: a regenerated
+/// table reads slightly higher times and slightly lower growth
+/// percentages than those.
 #[must_use]
-pub fn table6(apps: &[App]) -> Vec<Table6Col> {
-    apps.iter()
-        .map(|app| {
-            let mut times = [Duration::ZERO; 3];
-            let mut stats: [BuildStats; 3] = Default::default();
-            for (i, v) in
-                [Variant::Baseline, Variant::CtoLtbo, Variant::CtoLtboPl].into_iter().enumerate()
-            {
-                let out = build_variant(app, v);
-                times[i] = out.stats.total_time();
-                stats[i] = out.stats;
-            }
-            Table6Col { app: app.name.clone(), times, stats }
-        })
-        .collect()
+pub fn table6(apps: &[App]) -> Vec<Table6Row> {
+    let variants = [
+        ("baseline", Variant::Baseline),
+        ("cto_ltbo", Variant::CtoLtbo),
+        ("cto_ltbo_pl", Variant::CtoLtboPl),
+    ];
+    let row = |app: &App, &(variant, v): &(&'static str, Variant)| Table6Row {
+        app: app.name.clone(),
+        variant,
+        stats: build_variant(app, v).stats,
+    };
+    apps.iter().flat_map(|app| variants.iter().map(move |v| row(app, v))).collect()
 }
 
-/// Serializes Table 6's per-build stats as one JSON document:
-/// `{"app": {"variant": {stats...}, ...}, ...}`.
+/// Table 6's record: the app count, then one row per app × variant.
 #[must_use]
-pub fn table6_json(cols: &[Table6Col]) -> String {
-    let variants = ["baseline", "cto_ltbo", "cto_ltbo_pl"];
-    let apps: Vec<String> = cols
-        .iter()
-        .map(|col| {
-            let builds: Vec<String> = variants
-                .iter()
-                .zip(&col.stats)
-                .map(|(name, s)| format!(r#""{name}":{}"#, s.to_json()))
-                .collect();
-            format!(r#""{}":{{{}}}"#, col.app, builds.join(","))
-        })
-        .collect();
-    format!("{{{}}}", apps.join(","))
+pub fn table6_record(rows: &[Table6Row]) -> Record {
+    let apps = rows.iter().filter(|r| r.variant == "baseline").count();
+    Record {
+        arm: "table6",
+        fields: vec![("apps", apps.into())],
+        rows: rows.iter().map(Table6Row::fields).collect(),
+    }
+}
+
+/// Table 6's exact gate: no build's passes grew the code, and each
+/// PlOpti build's workers compiled every method between them.
+///
+/// # Errors
+///
+/// One line per failed check.
+pub fn table6_gate(rows: &[Table6Row]) -> Result<(), Vec<String>> {
+    let mut checks = Vec::new();
+    for r in rows {
+        let (insns_in, insns_out) = (r.stats.passes.insns_in, r.stats.passes.insns_out);
+        let name = format!("{}/{}", r.app, r.variant);
+        checks.push((
+            insns_in >= insns_out,
+            format!("{name}: the passes grew {insns_in} insns to {insns_out}"),
+        ));
+        let items: usize = r.stats.per_worker.iter().map(|w| w.items).sum();
+        let methods = r.stats.methods;
+        let compiled_all = r.variant != "cto_ltbo_pl" || items == methods;
+        checks.push((
+            compiled_all,
+            format!("{name}: the workers compiled {items} of {methods} methods"),
+        ));
+    }
+    gate(checks)
 }
 
 // ---------------------------------------------------------------------
 // Table 7: runtime performance (CPU cycle counts).
 // ---------------------------------------------------------------------
 
-/// One Table 7 column.
-#[derive(Clone, Debug)]
-pub struct Table7Col {
-    /// App name.
-    pub app: String,
-    /// Cycle counts: Baseline, CTO+LTBO+PlOpti, +HfOpti.
-    pub cycles: [u64; 3],
-}
-
-impl Table7Col {
-    /// Degradation of variant `i` relative to the baseline.
-    #[must_use]
-    pub fn degradation(&self, i: usize) -> f64 {
-        self.cycles[i] as f64 / self.cycles[0] as f64 - 1.0
-    }
-}
-
 /// Reproduces Table 7: CPU cycle counts over the usage trace
-/// (`iterations` runs, like the paper's 20 repeated uiautomator runs).
+/// (`iterations` runs, like the paper's 20 repeated uiautomator runs),
+/// for Baseline / CTO+LTBO+PlOpti / +HfOpti.
 #[must_use]
-pub fn table7(apps: &[App], iterations: usize) -> Vec<Table7Col> {
-    apps.iter()
-        .map(|app| {
-            let mut cycles = [0u64; 3];
-            for (i, v) in [Variant::Baseline, Variant::CtoLtboPl, Variant::CtoLtboPlHf]
-                .into_iter()
-                .enumerate()
-            {
-                let out = build_variant(app, v);
-                let mut rt = Runtime::new(&out.oat, &app.env);
-                run_trace(&mut rt, app, iterations);
-                cycles[i] = rt.total_cycles();
-            }
-            Table7Col { app: app.name.clone(), cycles }
-        })
-        .collect()
+pub fn table7(apps: &[App], iterations: usize) -> Vec<VariantCol> {
+    let variants = [Variant::Baseline, Variant::CtoLtboPl, Variant::CtoLtboPlHf];
+    per_variant(apps, &variants, |app, out| run_trace(&out.oat, app, iterations).total_cycles())
 }
 
 // ---------------------------------------------------------------------
@@ -538,46 +507,47 @@ pub fn ablation_groups(app: &App, groups: &[usize]) -> Vec<AblationRow> {
 /// "small app update" the incremental scenario models.
 pub const WARM_MUTATION_FRACTION: f64 = 0.01;
 
-/// One incremental-rebuild measurement: one app under one variant.
-#[derive(Clone, Debug)]
-pub struct WarmRebuildRow {
-    /// App name.
-    pub app: String,
-    /// Variant label (`baseline`, `cto_ltbo` or `cto_ltbo_pl`).
-    pub variant: &'static str,
-    /// Methods in the app.
-    pub methods: usize,
-    /// Methods mutated between the builds.
-    pub mutated: usize,
-    /// Wall time of a cold (empty-cache) build of the mutated program.
-    pub cold: Duration,
-    /// CPU time the cold build spent compiling method bodies — the work
-    /// the warm cache elides, and the denominator the keys phase must
-    /// stay small against ("keys under 30% of compile CPU" compares the
-    /// probe cost with what compilation *would* cost, not with the
-    /// near-zero CPU a fully-warm rebuild happens to spend).
-    pub cold_compile_cpu: Duration,
-    /// Wall time of the warm rebuild through the populated cache.
-    pub warm: Duration,
-    /// Method-artifact cache hit rate observed during the warm rebuild.
-    pub hit_rate: f64,
-    /// Group-plan cache hit rate during the warm rebuild (`0` for
-    /// variants that never probe the group lane, i.e. `baseline`).
-    pub group_hit_rate: f64,
-    /// On-disk `.text` bytes of the warm output — lets the report put
-    /// the sharded variant's size regression next to its speedup.
-    pub text_bytes: u64,
-    /// Whether the warm rebuild matched the cold build bit for bit.
-    pub digests_match: bool,
-    /// Full stats of the warm rebuild.
-    pub warm_stats: BuildStats,
-}
-
-impl WarmRebuildRow {
-    /// Cold-over-warm wall-time ratio.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.warm.as_secs_f64()
+report! {
+    /// One incremental-rebuild measurement: one app under one variant,
+    /// walls and CPU in µs.
+    pub struct WarmRebuildRow {
+        /// App name.
+        pub app: String,
+        /// Variant label (`baseline`, `cto_ltbo` or `cto_ltbo_pl`).
+        pub variant: &'static str,
+        /// Methods in the app.
+        pub methods: usize,
+        /// Methods mutated between the builds.
+        pub mutated: usize,
+        /// Wall time of a cold (empty-cache) build of the mutated program.
+        pub cold_us: u64,
+        /// CPU time the cold build spent compiling method bodies — the
+        /// work the warm cache elides, and the denominator the keys phase
+        /// must stay small against (it compares the probe cost with what
+        /// compilation *would* cost, not with the near-zero CPU a
+        /// fully-warm rebuild happens to spend).
+        pub cold_compile_cpu_us: u64,
+        /// Wall time of the warm rebuild through the populated cache.
+        pub warm_us: u64,
+        /// The warm rebuild's keys phase: fingerprints and store probes.
+        pub keys_us: u64,
+        /// The warm rebuild's re-detection of the groups whose plan
+        /// missed (zero when every plan replays).
+        pub detect_us: u64,
+        /// Cold-over-warm wall-time ratio.
+        pub speedup: f64,
+        /// Method-artifact cache hit rate observed during the warm rebuild.
+        pub hit_rate: f64,
+        /// Group-plan cache hit rate during the warm rebuild (`0` for
+        /// variants that never probe the group lane, i.e. `baseline`).
+        pub group_hit_rate: f64,
+        /// On-disk `.text` bytes of the warm output — lets the report put
+        /// the sharded variant's size regression next to its speedup.
+        pub text_bytes: u64,
+        /// Whether the warm rebuild matched the cold build bit for bit.
+        pub digests_match: bool,
+        /// Full stats of the warm rebuild.
+        pub warm_stats: BuildStats,
     }
 }
 
@@ -612,96 +582,121 @@ pub fn warm_rebuild(apps: &[App]) -> Vec<WarmRebuildRow> {
     ];
     let mut rows = Vec::new();
     for app in apps {
-        for (variant, options) in &variants {
-            let mut row: Option<WarmRebuildRow> = None;
-            for _ in 0..WARM_REPS {
-                let session = BuildSession::new();
-                session.build(&app.dex, options).expect("priming build");
-
-                let mut edited = app.dex.clone();
-                let mutated = mutate_methods(&mut edited, 13, WARM_MUTATION_FRACTION);
-
-                let t = Instant::now();
-                let cold_out = build(&edited, options).expect("cold build");
-                let cold = t.elapsed();
-
-                let t = Instant::now();
-                let warm_out = session.build(&edited, options).expect("warm build");
-                let warm = t.elapsed();
-
-                let digests_match = cold_out.oat.words == warm_out.oat.words
-                    && cold_out.oat.text_digest() == warm_out.oat.text_digest();
-                match &mut row {
-                    Some(row) => {
-                        // Phase minima; the non-timing fields are
-                        // identical across repetitions (same program,
-                        // same deterministic mutation) except
-                        // digests_match, which must hold on every run.
-                        if cold < row.cold {
-                            row.cold = cold;
-                            row.cold_compile_cpu = cold_out.stats.compile_cpu_time;
-                        }
-                        row.digests_match &= digests_match;
-                        if warm < row.warm {
-                            row.warm = warm;
-                            row.warm_stats = warm_out.stats;
-                        }
-                    }
-                    None => {
-                        row = Some(WarmRebuildRow {
-                            app: app.name.clone(),
-                            variant,
-                            methods: warm_out.stats.methods,
-                            mutated: mutated.len(),
-                            cold,
-                            cold_compile_cpu: cold_out.stats.compile_cpu_time,
-                            warm,
-                            hit_rate: warm_out.stats.cache.hit_rate(),
-                            group_hit_rate: warm_out.stats.cache.group_hit_rate(),
-                            text_bytes: warm_out.oat.text_size_bytes(),
-                            digests_match,
-                            warm_stats: warm_out.stats,
-                        });
-                    }
-                }
-            }
-            rows.push(row.expect("WARM_REPS >= 1"));
+        for &(variant, ref options) in &variants {
+            let reps: Vec<_> = (0..WARM_REPS).map(|_| race(app, variant, options)).collect();
+            // Phase minima; the other fields are identical across
+            // repetitions (same program, same deterministic mutation)
+            // except digests_match, which must hold on every run.
+            let cold = reps.iter().min_by_key(|r| r.cold_us).expect("WARM_REPS >= 1");
+            let warm = reps.iter().min_by_key(|r| r.warm_us).expect("WARM_REPS >= 1");
+            #[allow(clippy::cast_precision_loss)]
+            rows.push(WarmRebuildRow {
+                cold_us: cold.cold_us,
+                cold_compile_cpu_us: cold.cold_compile_cpu_us,
+                speedup: cold.cold_us as f64 / warm.warm_us.max(1) as f64,
+                digests_match: reps.iter().all(|r| r.digests_match),
+                ..warm.clone()
+            });
         }
     }
     rows
 }
 
-/// Serializes the incremental scenario as one JSON document:
-/// `{"app": {"variant": {measurements..., "warm": {stats...}}, ...}, ...}`.
-#[must_use]
-pub fn warm_rebuild_json(rows: &[WarmRebuildRow]) -> String {
-    let mut apps: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < rows.len() {
-        let app = &rows[i].app;
-        let mut variants = Vec::new();
-        while i < rows.len() && rows[i].app == *app {
-            let r = &rows[i];
-            variants.push(format!(
-                r#""{}":{{"methods":{},"mutated":{},"cold_us":{},"cold_compile_cpu_us":{},"warm_us":{},"speedup":{:.3},"hit_rate":{:.6},"group_hit_rate":{:.6},"text_bytes":{},"digests_match":{},"warm":{}}}"#,
-                r.variant,
-                r.methods,
-                r.mutated,
-                r.cold.as_micros(),
-                r.cold_compile_cpu.as_micros(),
-                r.warm.as_micros(),
-                r.speedup(),
-                r.hit_rate,
-                r.group_hit_rate,
-                r.text_bytes,
-                r.digests_match,
-                r.warm_stats.to_json()
-            ));
-            i += 1;
-        }
-        apps.push(format!(r#""{app}":{{{}}}"#, variants.join(",")));
+/// One repetition of [`warm_rebuild`]'s race: prime a fresh session
+/// with the app, edit it, then time a cold build of the edit against
+/// the session's warm rebuild.
+fn race(app: &App, variant: &'static str, options: &BuildOptions) -> WarmRebuildRow {
+    let session = BuildSession::new();
+    session.build(&app.dex, options).expect("priming build");
+    let mut edited = app.dex.clone();
+    let mutated = mutate_methods(&mut edited, 13, WARM_MUTATION_FRACTION).len();
+
+    let t = Instant::now();
+    let cold = build(&edited, options).expect("cold build");
+    let cold_us = micros(t.elapsed());
+    let t = Instant::now();
+    let warm = session.build(&edited, options).expect("warm build");
+    let warm_us = micros(t.elapsed());
+
+    WarmRebuildRow {
+        app: app.name.clone(),
+        variant,
+        methods: warm.stats.methods,
+        mutated,
+        cold_us,
+        cold_compile_cpu_us: micros(cold.stats.compile_cpu_time),
+        warm_us,
+        keys_us: micros(warm.stats.key_time),
+        detect_us: micros(warm.stats.detect_time),
+        speedup: 0.0,
+        hit_rate: warm.stats.cache.hit_rate(),
+        group_hit_rate: warm.stats.cache.group_hit_rate(),
+        text_bytes: warm.oat.text_size_bytes(),
+        digests_match: cold.oat.words == warm.oat.words
+            && cold.oat.text_digest() == warm.oat.text_digest(),
+        warm_stats: warm.stats,
     }
-    format!("{{{}}}", apps.join(","))
+}
+
+/// The sum of the sharded (`cto_ltbo_pl`) rows' warm walls in µs: the
+/// incremental ratchet's number. One sum over the suite, not one
+/// comparison per app: a single app's warm wall (a few ms) swings by
+/// more than [`NOISE`](crate::record::NOISE) between runner states; the sum does not.
+#[must_use]
+pub fn suite_warm_us(rows: &[WarmRebuildRow]) -> u64 {
+    rows.iter().filter(|r| r.variant == "cto_ltbo_pl").map(|r| r.warm_us).sum()
+}
+
+/// The incremental scenario's record: the suite's sharded warm walls
+/// summed ([`suite_warm_us`]), then one row per app × variant.
+#[must_use]
+pub fn warm_rebuild_record(rows: &[WarmRebuildRow]) -> Record {
+    Record {
+        arm: "incremental",
+        fields: vec![("suite_warm_us", suite_warm_us(rows).into())],
+        rows: rows.iter().map(WarmRebuildRow::fields).collect(),
+    }
+}
+
+/// The incremental gate, on every sharded (`cto_ltbo_pl`) row: the
+/// warm keys phase under half the compile CPU the cold build spent
+/// (the work the cache elides — keys must stay off the warm critical
+/// path), warm bytes equal to cold, and the warm rebuild faster than
+/// the cold build. Then [`suite_warm_us`] against the `committed` sum
+/// ([`ratchet`]); the gate is on the warm wall, not on cold / warm, so
+/// a faster compiler cannot trip it.
+///
+/// # Errors
+///
+/// One line per failed check.
+pub fn incremental_gate(
+    rows: &[WarmRebuildRow],
+    committed: Option<f64>,
+) -> Result<(), Vec<String>> {
+    let mut checks = Vec::new();
+    for r in rows.iter().filter(|r| r.variant == "cto_ltbo_pl") {
+        let (keys, cpu) = (r.keys_us, r.cold_compile_cpu_us);
+        let (warm, cold) = (r.warm_us, r.cold_us);
+        checks.extend([
+            (
+                keys * 2 < cpu,
+                format!(
+                    "{}: warm keys {keys}us not under half the cold compile CPU {cpu}us",
+                    r.app
+                ),
+            ),
+            (r.digests_match, format!("{}: warm output differs from cold build", r.app)),
+            (
+                warm < cold,
+                format!(
+                    "{}: warm rebuild {warm}us is no faster than the cold build {cold}us",
+                    r.app
+                ),
+            ),
+        ]);
+    }
+    checks.extend(ratchet("the suite's warm CTO+LTBO rebuilds", suite_warm_us(rows), committed));
+    gate(checks)
 }
 
 // ---------------------------------------------------------------------
@@ -717,54 +712,42 @@ pub type FrontierArmSpec = (&'static str, fn() -> BuildOptions);
 pub const FRONTIER_ARMS: [FrontierArmSpec; 2] =
     [("none", BuildOptions::cto), ("outline", BuildOptions::cto_ltbo)];
 
-/// One arm's measurements on one app.
-#[derive(Clone, Debug)]
-pub struct FrontierArm {
-    /// Arm name (`none` / `outline`).
-    pub arm: &'static str,
-    /// `.text` bytes on disk after the arm's size stage.
-    pub text_bytes: u64,
-    /// Outlined functions created.
-    pub outlined_functions: usize,
-    /// Total simulator cycles over one pass of the usage trace — the
-    /// perf axis of the frontier (each outlined call costs cycles).
-    pub cycles: u64,
-}
-
-/// One app's row: every arm, in [`FRONTIER_ARMS`] order.
-#[derive(Clone, Debug)]
-pub struct FrontierRow {
-    /// App name.
-    pub app: String,
-    /// Java + native method count.
-    pub methods: usize,
-    /// Per-arm measurements.
-    pub arms: Vec<FrontierArm>,
+report! {
+    /// One arm's measurements on one app.
+    pub struct FrontierRow {
+        /// App name.
+        pub app: String,
+        /// Arm name (`none` / `outline`).
+        pub arm: &'static str,
+        /// Java + native method count.
+        pub methods: usize,
+        /// `.text` bytes on disk after the arm's size stage.
+        pub text_bytes: u64,
+        /// Outlined functions created.
+        pub outlined_functions: usize,
+        /// Total simulator cycles over one pass of the usage trace — the
+        /// perf axis of the frontier (each outlined call costs cycles).
+        pub cycles: u64,
+    }
 }
 
 /// Builds every [`FRONTIER_ARMS`] composition for every app and
-/// measures the size/perf frontier.
+/// measures the size/perf frontier: one row per app × arm, each app's
+/// arms together in [`FRONTIER_ARMS`] order.
 #[must_use]
 pub fn frontier(apps: &[App]) -> Vec<FrontierRow> {
-    apps.iter()
-        .map(|app| {
-            let arms = FRONTIER_ARMS
-                .iter()
-                .map(|&(arm, options)| {
-                    let out = build(&app.dex, &options()).expect("frontier build");
-                    let mut rt = Runtime::new(&out.oat, &app.env);
-                    run_trace(&mut rt, app, 1);
-                    FrontierArm {
-                        arm,
-                        text_bytes: out.oat.text_size_bytes(),
-                        outlined_functions: out.stats.ltbo.outlined_functions,
-                        cycles: rt.total_cycles(),
-                    }
-                })
-                .collect();
-            FrontierRow { app: app.name.clone(), methods: app.dex.methods().len(), arms }
-        })
-        .collect()
+    let measure = |app: &App, &(arm, options): &FrontierArmSpec| {
+        let out = build(&app.dex, &options()).expect("frontier build");
+        FrontierRow {
+            app: app.name.clone(),
+            arm,
+            methods: app.dex.methods().len(),
+            text_bytes: out.oat.text_size_bytes(),
+            outlined_functions: out.stats.ltbo.outlined_functions,
+            cycles: run_trace(&out.oat, app, 1).total_cycles(),
+        }
+    };
+    apps.iter().flat_map(|app| FRONTIER_ARMS.iter().map(move |arm| measure(app, arm))).collect()
 }
 
 /// How many apps the frontier must cover: the six-app suite.
@@ -778,57 +761,34 @@ pub const FRONTIER_APPS: usize = 6;
 ///
 /// One line per failed check.
 pub fn frontier_gate(rows: &[FrontierRow]) -> Result<(), Vec<String>> {
-    let mut failures = Vec::new();
-    if rows.len() != FRONTIER_APPS {
-        failures.push(format!("frontier covers {} apps, not {FRONTIER_APPS}", rows.len()));
+    let apps = rows.chunks(FRONTIER_ARMS.len());
+    let mut checks = vec![(
+        apps.len() == FRONTIER_APPS,
+        format!("frontier covers {} apps, not {FRONTIER_APPS}", apps.len()),
+    )];
+    for arms in apps {
+        let (none, outline) = (arms[0].text_bytes, arms.last().map_or(0, |a| a.text_bytes));
+        checks.push((
+            outline < none,
+            format!("{}: outline .text {outline} is not below none {none}", arms[0].app),
+        ));
     }
-    for r in rows {
-        let (none, outline) = (r.arms[0].text_bytes, r.arms[1].text_bytes);
-        if outline >= none {
-            failures.push(format!("{}: outline .text {outline} is not below none {none}", r.app));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
+    gate(checks)
 }
 
-/// Serializes the frontier as one JSON document:
-/// `{"apps": {"<app>": {"methods": N, "<arm>": {...}}},
-///   "aggregate_text_bytes": {"<arm>": N}}`.
+/// The frontier's record: each arm's `.text` summed over the apps
+/// (`<arm>_text_bytes`), then one row per app × arm.
 #[must_use]
-pub fn frontier_json(rows: &[FrontierRow]) -> String {
-    let apps: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let arms: Vec<String> = r
-                .arms
-                .iter()
-                .map(|a| {
-                    format!(
-                        r#""{}":{{"text_bytes":{},"outlined_functions":{},"cycles":{}}}"#,
-                        a.arm, a.text_bytes, a.outlined_functions, a.cycles
-                    )
-                })
-                .collect();
-            format!(r#""{}":{{"methods":{},{}}}"#, r.app, r.methods, arms.join(","))
-        })
-        .collect();
-    let aggregate: Vec<String> = FRONTIER_ARMS
-        .iter()
-        .enumerate()
-        .map(|(i, &(arm, _))| {
-            let total: u64 = rows.iter().map(|r| r.arms[i].text_bytes).sum();
-            format!(r#""{arm}":{total}"#)
-        })
-        .collect();
-    format!(
-        r#"{{"apps":{{{}}},"aggregate_text_bytes":{{{}}}}}"#,
-        apps.join(","),
-        aggregate.join(",")
-    )
+pub fn frontier_record(rows: &[FrontierRow]) -> Record {
+    let total = |arm| rows.iter().filter(|r| r.arm == arm).map(|r| r.text_bytes).sum::<u64>();
+    Record {
+        arm: "frontier",
+        fields: vec![
+            ("none_text_bytes", total("none").into()),
+            ("outline_text_bytes", total("outline").into()),
+        ],
+        rows: rows.iter().map(FrontierRow::fields).collect(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -900,6 +860,7 @@ pub fn table2() -> Vec<(String, Vec<String>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{assert_each_break_fails_alone, top_level_number, Break};
     use calibro_workloads::AppSpec;
 
     fn tiny_app() -> App {
@@ -907,30 +868,102 @@ mod tests {
     }
 
     #[test]
-    fn the_frontier_gate_wants_six_apps_each_shrunk() {
-        let row = |app: &str, none: u64, outline: u64| FrontierRow {
-            app: app.to_owned(),
-            methods: 1,
-            arms: FRONTIER_ARMS
-                .iter()
-                .zip([none, outline])
-                .map(|(&(arm, _), text_bytes)| FrontierArm {
-                    arm,
-                    text_bytes,
-                    outlined_functions: 0,
-                    cycles: 0,
-                })
-                .collect(),
+    fn the_frontier_gate_names_each_broken_check() {
+        let app = |app: &str, none: u64, outline: u64| {
+            let row = |&(arm, _): &FrontierArmSpec, text_bytes| FrontierRow {
+                app: app.to_owned(),
+                arm,
+                text_bytes,
+                ..FrontierRow::default()
+            };
+            [row(&FRONTIER_ARMS[0], none), row(&FRONTIER_ARMS[1], outline)]
         };
-        let mut rows: Vec<FrontierRow> = (0..6).map(|i| row(&format!("a{i}"), 10, 9)).collect();
+        let rows: Vec<FrontierRow> = (0..6).flat_map(|i| app(&format!("a{i}"), 10, 9)).collect();
         assert_eq!(frontier_gate(&rows), Ok(()));
-        rows[2] = row("even", 10, 10);
-        rows.pop();
-        let failures = frontier_gate(&rows).expect_err("two checks fail");
+        assert_eq!(frontier_gate(&rows[2..]), Err(vec!["frontier covers 5 apps, not 6".into()]));
+        let mut even = rows.clone();
+        even.splice(4..6, app("even", 10, 10));
         assert_eq!(
-            failures,
-            ["frontier covers 5 apps, not 6", "even: outline .text 10 is not below none 10"]
+            frontier_gate(&even),
+            Err(vec!["even: outline .text 10 is not below none 10".into()])
         );
+        let json = frontier_record(&rows).to_json();
+        assert_eq!(top_level_number(&json, "outline_text_bytes"), Some(54.0));
+        assert_eq!(top_level_number(&json, "none_text_bytes"), Some(60.0));
+    }
+
+    #[test]
+    fn the_table6_gate_names_each_broken_check() {
+        let row = |variant| {
+            let mut stats = BuildStats { methods: 2, ..BuildStats::default() };
+            stats.passes.insns_in = 5;
+            stats.per_worker = vec![calibro::WorkerLoad { items: 2, ..Default::default() }];
+            Table6Row { app: "tiny".into(), variant, stats }
+        };
+        let rows = vec![row("baseline"), row("cto_ltbo"), row("cto_ltbo_pl")];
+        let breaks: [Break<Vec<Table6Row>>; 2] = [
+            (|r| r[0].stats.passes.insns_out = 6, "tiny/baseline: the passes grew 5 insns to 6"),
+            (|r| r[2].stats.methods = 3, "tiny/cto_ltbo_pl: the workers compiled 2 of 3 methods"),
+        ];
+        assert_each_break_fails_alone(&rows, |rows| table6_gate(rows), &breaks);
+        // Only the PlOpti build is held to its workers' count.
+        let mut unsharded = rows.clone();
+        unsharded[0].stats.methods = 3;
+        assert_eq!(table6_gate(&unsharded), Ok(()));
+    }
+
+    fn warm_row(variant: &'static str, warm_us: u64) -> WarmRebuildRow {
+        WarmRebuildRow {
+            app: "tiny".into(),
+            variant,
+            cold_us: 4 * warm_us,
+            cold_compile_cpu_us: 21,
+            warm_us,
+            keys_us: 10,
+            digests_match: true,
+            ..WarmRebuildRow::default()
+        }
+    }
+
+    #[test]
+    fn the_incremental_gate_names_each_broken_check_of_the_sharded_rows() {
+        let rows = vec![warm_row("baseline", 1), warm_row("cto_ltbo_pl", 100)];
+        let breaks: [Break<Vec<WarmRebuildRow>>; 3] = [
+            (
+                |r| r[1].cold_compile_cpu_us = 20,
+                "tiny: warm keys 10us not under half the cold compile CPU 20us",
+            ),
+            (|r| r[1].digests_match = false, "tiny: warm output differs from cold build"),
+            (
+                |r| r[1].cold_us = r[1].warm_us,
+                "tiny: warm rebuild 100us is no faster than the cold build 100us",
+            ),
+        ];
+        let gate = |rows: &Vec<WarmRebuildRow>| incremental_gate(rows, None);
+        assert_each_break_fails_alone(&rows, gate, &breaks);
+        // The unsharded rows are not gated.
+        let mut unsharded = rows.clone();
+        (unsharded[0].digests_match, unsharded[0].cold_us) = (false, 0);
+        assert_eq!(gate(&unsharded), Ok(()));
+    }
+
+    #[test]
+    fn the_incremental_ratchet_reads_the_sum_the_writer_wrote() {
+        let committed = [warm_row("cto_ltbo_pl", 21_000), warm_row("cto_ltbo_pl", 755)];
+        let json = warm_rebuild_record(&committed).to_json();
+        let baseline = top_level_number(&json, "suite_warm_us");
+        assert_eq!(baseline, Some(21_755.0));
+        // 21 755 / 0.75 = 29 006.7: the sum may reach 29 006, not 29 007.
+        let fresh = |second| [warm_row("cto_ltbo_pl", 29_000), warm_row("cto_ltbo_pl", second)];
+        assert_eq!(incremental_gate(&fresh(6), baseline), Ok(()));
+        assert_eq!(
+            incremental_gate(&fresh(7), baseline),
+            Err(vec![
+                "the suite's warm CTO+LTBO rebuilds: 29007us, over the committed 21755us / 0.75"
+                    .to_owned()
+            ])
+        );
+        assert_eq!(incremental_gate(&fresh(7), None), Ok(()), "no committed record, no ratchet");
     }
 
     #[test]
@@ -940,11 +973,12 @@ mod tests {
         let col = &cols[0];
         // CTO strictly shrinks; LTBO shrinks further; PlOpti and HfOpti
         // give back some of the reduction but never exceed baseline.
-        assert!(col.bytes[1] < col.bytes[0], "CTO shrinks");
-        assert!(col.bytes[2] < col.bytes[1], "LTBO shrinks more");
-        assert!(col.bytes[3] >= col.bytes[2], "PlOpti loses a little");
-        assert!(col.bytes[4] >= col.bytes[3], "HfOpti loses a little more");
-        assert!(col.bytes[4] < col.bytes[0], "net reduction stays positive");
+        let bytes = &col.values;
+        assert!(bytes[1] < bytes[0], "CTO shrinks");
+        assert!(bytes[2] < bytes[1], "LTBO shrinks more");
+        assert!(bytes[3] >= bytes[2], "PlOpti loses a little");
+        assert!(bytes[4] >= bytes[3], "HfOpti loses a little more");
+        assert!(bytes[4] < bytes[0], "net reduction stays positive");
     }
 
     #[test]
@@ -952,7 +986,7 @@ mod tests {
         let apps = vec![tiny_app()];
         let est = table1(&apps)[0].estimated_ratio;
         let col = &table4(&apps)[0];
-        assert!(est > col.ratio(2), "estimate {est} vs achieved {}", col.ratio(2));
+        assert!(est > col.reduction(2), "estimate {est} vs achieved {}", col.reduction(2));
         assert!(est > 0.05);
     }
 
@@ -968,8 +1002,8 @@ mod tests {
     fn table7_degradation_is_small_and_hfopti_helps() {
         let apps = vec![tiny_app()];
         let col = &table7(&apps, 1)[0];
-        let pl = col.degradation(1);
-        let hf = col.degradation(2);
+        let pl = col.change(1);
+        let hf = col.change(2);
         assert!(pl > -0.05, "outlined build should not be much faster: {pl}");
         assert!(hf <= pl + 1e-9, "HfOpti must not worsen degradation: {hf} vs {pl}");
     }
@@ -977,26 +1011,24 @@ mod tests {
     #[test]
     fn table6_stats_and_json_are_consistent() {
         let apps = vec![tiny_app()];
-        let cols = table6(&apps);
-        let col = &cols[0];
-        // The stats array backs the times array.
-        for (time, stats) in col.times.iter().zip(&col.stats) {
-            assert_eq!(*time, stats.total_time());
-            assert!(stats.methods > 0);
-            assert!(stats.passes.insns_in >= stats.passes.insns_out);
+        let rows = table6(&apps);
+        assert_eq!(
+            rows.iter().map(|r| r.variant).collect::<Vec<_>>(),
+            ["baseline", "cto_ltbo", "cto_ltbo_pl"]
+        );
+        for r in &rows {
+            assert!(r.stats.methods > 0);
+            assert!(r.stats.passes.insns_in >= r.stats.passes.insns_out);
         }
         // PlOpti builds compile on the worker pool.
-        assert_eq!(col.stats[2].compile_threads, PL_THREADS);
-        assert_eq!(
-            col.stats[2].per_worker.iter().map(|w| w.items).sum::<usize>(),
-            col.stats[2].methods,
-        );
-        // The JSON document nests app -> variant -> stats and is balanced.
-        let json = table6_json(&cols);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains(r#""tiny":{"baseline":{"#));
-        assert!(json.contains(r#""cto_ltbo_pl":{"#));
+        let pl = &rows[2].stats;
+        assert_eq!(pl.compile_threads, PL_THREADS);
+        assert_eq!(pl.per_worker.iter().map(|w| w.items).sum::<usize>(), pl.methods);
+        assert_eq!(table6_gate(&rows), Ok(()));
+        // One row per app x variant, each with its build's stats.
+        let json = table6_record(&rows).to_json();
+        assert!(json.contains(r#"{"arm":"table6","apps":1,"rows":[{"app":"tiny","variant":"baseline","stats":{"methods":"#));
+        assert!(json.contains(r#"{"app":"tiny","variant":"cto_ltbo_pl","stats":{"#));
     }
 
     #[test]
@@ -1020,14 +1052,10 @@ mod tests {
         let global = rows.iter().find(|r| r.variant == "cto_ltbo").unwrap();
         assert_eq!(global.warm_stats.ltbo.detection_groups, 1);
         assert_eq!(global.warm_stats.cache.group_hits, 0);
-        let json = warm_rebuild_json(&rows);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains(r#""tiny":{"baseline":{"#));
-        assert!(json.contains(r#""cto_ltbo":{"#));
-        assert!(json.contains(r#""cto_ltbo_pl":{"#));
-        assert!(json.contains(r#""group_hit_rate""#));
-        assert!(json.contains(r#""digests_match":true"#));
+        let json = warm_rebuild_record(&rows).to_json();
+        assert_eq!(top_level_number(&json, "suite_warm_us"), Some(pl.warm_us as f64));
+        assert!(json.contains(r#"{"app":"tiny","variant":"cto_ltbo","methods":"#));
+        assert!(json.contains(r#""digests_match":true,"warm_stats":{"methods":"#));
     }
 
     #[test]

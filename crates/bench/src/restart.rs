@@ -1,15 +1,16 @@
 //! `experiments restart` — what a fresh daemon pays for a program an
 //! earlier daemon built. Each of [`ROUNDS`] rounds builds its own
-//! program four times, timing the four [`WALLS`] in order: on a daemon
-//! without a disk directory that has never seen it (true cold); on a
-//! daemon over an empty directory, which then drains (disk cold); on a
-//! fresh daemon over that directory, where every lookup is a disk hit
-//! and the reply must equal the true-cold one byte for byte (restart);
-//! and on the restarted daemon at another load address, where every
-//! lookup is a memory hit (memory-warm — the same options would be
-//! answered from its replay slot without building). Walls are medians
-//! over the rounds, the speedup the median of the per-round
-//! `true_cold / restart` ratios. Results land in `BENCH_restart.json`.
+//! program four times, timing the four walls of [`RestartReport`] in
+//! order: on a daemon without a disk directory that has never seen it
+//! (true cold); on a daemon over an empty directory, which then drains
+//! (disk cold); on a fresh daemon over that directory, where every
+//! lookup is a disk hit and the reply must equal the true-cold one byte
+//! for byte (restart); and on the restarted daemon at another load
+//! address, where every lookup is a memory hit (memory-warm — the same
+//! options would be answered from its replay slot without building).
+//! Walls are medians over the rounds, the speedup the median of the
+//! per-round `true_cold / restart` ratios. The record is
+//! `BENCH_restart.json`.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -19,54 +20,43 @@ use calibro_dex::DexFile;
 use calibro_server::{BuildReply, Client, Daemon, ServerConfig};
 use calibro_workloads::{generate, AppSpec};
 
-use crate::local_listener;
+use crate::daemon_or;
+use crate::record::{gate, micros, quantile, report};
 
 /// Programs measured; each round builds a distinct one.
 pub const ROUNDS: usize = 5;
 
-/// The four timed builds of a round, in order.
-pub const WALLS: [&str; 4] = ["true_cold_us", "disk_cold_us", "restart_us", "memory_warm_us"];
-
-/// What the restart arm measured.
-#[derive(Clone, Debug, Default)]
-pub struct RestartReport {
-    /// Methods per program.
-    pub methods: usize,
-    /// Builds that failed.
-    pub errors: usize,
-    /// Median walls in µs, in [`WALLS`] order.
-    pub walls_us: [u64; 4],
-    /// Median of the per-round `true_cold / restart` ratios.
-    pub restart_speedup: f64,
-    /// Every disk-cold and restart reply equalled its round's true-cold
-    /// reply byte for byte.
-    pub identical: bool,
-    /// Every restart and memory-warm build took every method from the
-    /// store.
-    pub all_from_cache: bool,
-    /// Disk hits (both lanes) of the restart builds.
-    pub restart_disk_hits: u64,
-    /// Store inserts (both lanes) of the restart builds: 0 when the
-    /// directory held everything.
-    pub restart_stores: u64,
-}
-
-impl RestartReport {
-    /// The report as one JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let walls: String =
-            WALLS.iter().zip(self.walls_us).map(|(n, v)| format!(r#""{n}":{v},"#)).collect();
-        format!(
-            r#"{{"methods":{},"rounds":{ROUNDS},"errors":{},{walls}"restart_speedup":{:.3},"identical":{},"all_from_cache":{},"restart_disk_hits":{},"restart_stores":{}}}"#,
-            self.methods,
-            self.errors,
-            self.restart_speedup,
-            self.identical,
-            self.all_from_cache,
-            self.restart_disk_hits,
-            self.restart_stores,
-        )
+report! {
+    /// What the restart arm measured. Walls are medians over the rounds
+    /// in µs.
+    pub struct RestartReport {
+        /// Methods per program.
+        pub methods: usize,
+        /// Rounds run: [`ROUNDS`].
+        pub rounds: usize,
+        /// Builds that failed.
+        pub errors: usize,
+        /// On a daemon without a disk directory that never saw the program.
+        pub true_cold_us: u64,
+        /// On a daemon over an empty directory.
+        pub disk_cold_us: u64,
+        /// On a fresh daemon over that directory.
+        pub restart_us: u64,
+        /// On the restarted daemon again, at another load address.
+        pub memory_warm_us: u64,
+        /// Median of the per-round `true_cold / restart` ratios.
+        pub restart_speedup: f64,
+        /// Every disk-cold and restart reply equalled its round's
+        /// true-cold reply byte for byte.
+        pub identical: bool,
+        /// Every restart and memory-warm build took every method from
+        /// the store.
+        pub all_from_cache: bool,
+        /// Disk hits (both lanes) of the restart builds.
+        pub restart_disk_hits: u64,
+        /// Store inserts (both lanes) of the restart builds: 0 when the
+        /// directory held everything.
+        pub restart_stores: u64,
     }
 }
 
@@ -79,39 +69,29 @@ impl RestartReport {
 ///
 /// One line per failed check.
 pub fn restart_gate(report: &RestartReport) -> Result<(), Vec<String>> {
-    let checks = [
+    gate([
         (report.errors == 0, format!("{} builds failed", report.errors)),
         (report.identical, "a disk-cold or restart reply differs from true cold".to_owned()),
         (report.all_from_cache, "a restart or memory-warm build compiled a method".to_owned()),
         (report.restart_stores == 0, format!("the restarts stored {}", report.restart_stores)),
-    ];
-    let failures: Vec<String> =
-        checks.into_iter().filter(|(passed, _)| !passed).map(|(_, failure)| failure).collect();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
-    }
+    ])
 }
 
 fn start(tag: &str, workers: usize, disk_dir: Option<PathBuf>) -> (Daemon, Client) {
-    let (listener, endpoint) = local_listener(tag);
     let cache = CacheConfig { disk_dir, ..CacheConfig::default() };
-    let config = ServerConfig { workers, cache, ..ServerConfig::default() };
-    let daemon = Daemon::start(listener, config).expect("start the daemon");
-    (daemon, endpoint.client().expect("connect to the daemon"))
+    let (daemon, endpoint) =
+        daemon_or(None, tag, ServerConfig { workers, cache, ..ServerConfig::default() });
+    (
+        daemon.expect("no endpoint, so an in-process daemon"),
+        endpoint.client().expect("connect to the daemon"),
+    )
 }
 
 /// One timed build: its wall in µs and its reply, `None` on an error.
 fn timed(client: &mut Client, dex: &DexFile, options: &BuildOptions) -> (u64, Option<BuildReply>) {
     let t = Instant::now();
     let reply = client.build(dex, options, None).ok();
-    (t.elapsed().as_micros().try_into().unwrap_or(u64::MAX), reply)
-}
-
-fn median<T: Copy + PartialOrd>(mut samples: Vec<T>) -> T {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("samples are ordered"));
-    samples[samples.len() / 2]
+    (micros(t.elapsed()), reply)
 }
 
 /// Runs the restart arm on in-process daemons of `workers` workers
@@ -127,6 +107,7 @@ pub fn restart_load(workers: usize, methods: usize) -> RestartReport {
     let (memory_only, mut cold_client) = start("restart-cold", workers, None);
     let mut report = RestartReport {
         methods,
+        rounds: ROUNDS,
         identical: true,
         all_from_cache: true,
         ..RestartReport::default()
@@ -169,26 +150,33 @@ pub fn restart_load(workers: usize, methods: usize) -> RestartReport {
     }
     drop(cold_client);
     memory_only.shutdown();
-    RestartReport { walls_us: walls.map(median), restart_speedup: median(ratios), ..report }
+    let [true_cold_us, disk_cold_us, restart_us, memory_warm_us] =
+        walls.map(|samples| quantile(&samples, 0.5));
+    let restart_speedup = quantile(&ratios, 0.5);
+    RestartReport {
+        true_cold_us,
+        disk_cold_us,
+        restart_us,
+        memory_warm_us,
+        restart_speedup,
+        ..report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{assert_each_break_fails_alone, Break};
 
     #[test]
-    fn the_restart_gate_wants_identical_replies_from_the_store_and_no_stores() {
+    fn the_restart_gate_names_each_broken_check() {
         let passing = RestartReport { identical: true, all_from_cache: true, ..Default::default() };
-        assert_eq!(restart_gate(&passing), Ok(()));
-        let failing = RestartReport { errors: 2, restart_stores: 7, ..Default::default() };
-        assert_eq!(
-            restart_gate(&failing).expect_err("four checks fail"),
-            [
-                "2 builds failed",
-                "a disk-cold or restart reply differs from true cold",
-                "a restart or memory-warm build compiled a method",
-                "the restarts stored 7",
-            ]
-        );
+        let breaks: [Break<RestartReport>; 4] = [
+            (|r| r.errors = 2, "2 builds failed"),
+            (|r| r.identical = false, "a disk-cold or restart reply differs from true cold"),
+            (|r| r.all_from_cache = false, "a restart or memory-warm build compiled a method"),
+            (|r| r.restart_stores = 7, "the restarts stored 7"),
+        ];
+        assert_each_break_fails_alone(&passing, restart_gate, &breaks);
     }
 }
