@@ -15,29 +15,39 @@ use bench::{
 };
 use calibro_workloads::App;
 
-/// A subcommand and what runs it: on its flags, or on the suite's apps.
-type Arm<T> = (&'static str, fn(&[T]));
+/// A subcommand that reads its own flags, and what runs it.
+type FlagArm = (&'static str, fn(&[String]));
 
 /// The subcommands that drive a daemon, each with its own flags.
-const DAEMON_ARMS: [Arm<String>; 3] =
+const DAEMON_ARMS: [FlagArm; 3] =
     [("serve", run_serve), ("restart", run_restart), ("drift", run_drift)];
 
-/// The subcommands that run on the generated six-app suite, in the
-/// order `all` runs them.
-const SUITE_ARMS: [Arm<App>; 13] = [
-    ("table1", print_table1),
-    ("fig1", |_| print_fig1()),
-    ("fig3", print_fig3),
-    ("fig4", print_fig4),
-    ("table2", |_| print_table2()),
-    ("table3", |_| print_table3()),
-    ("table4", print_table4),
-    ("table5", print_table5),
-    ("table6", print_table6),
-    ("table7", print_table7),
-    ("ablation", print_ablation),
-    ("incremental", print_incremental),
-    ("frontier", print_frontier),
+/// What a paper arm runs on.
+#[derive(Clone, Copy)]
+enum Runs {
+    /// Nothing: it prints a worked example or the setup.
+    Alone(fn()),
+    /// The generated six-app suite.
+    Suite(fn(&[App])),
+}
+
+/// The subcommands that reproduce the paper's tables and figures, in
+/// the order `all` runs them. The suite is generated only when an arm
+/// that runs on it is asked for.
+const PAPER_ARMS: [(&str, Runs); 13] = [
+    ("table1", Runs::Suite(print_table1)),
+    ("fig1", Runs::Alone(print_fig1)),
+    ("fig3", Runs::Suite(print_fig3)),
+    ("fig4", Runs::Suite(print_fig4)),
+    ("table2", Runs::Alone(print_table2)),
+    ("table3", Runs::Alone(print_table3)),
+    ("table4", Runs::Suite(print_table4)),
+    ("table5", Runs::Suite(print_table5)),
+    ("table6", Runs::Suite(print_table6)),
+    ("table7", Runs::Suite(print_table7)),
+    ("ablation", Runs::Suite(print_ablation)),
+    ("incremental", Runs::Suite(print_incremental)),
+    ("frontier", Runs::Suite(print_frontier)),
 ];
 
 fn main() {
@@ -47,8 +57,13 @@ fn main() {
         run(&args[1..]);
         return;
     }
-    if which != "all" && !SUITE_ARMS.iter().any(|&(name, _)| name == which) {
-        let names: Vec<&str> = SUITE_ARMS.iter().map(|&(name, _)| name).collect();
+    let arms: Vec<Runs> = PAPER_ARMS
+        .iter()
+        .filter(|&&(name, _)| which == "all" || which == name)
+        .map(|&(_, runs)| runs)
+        .collect();
+    if arms.is_empty() {
+        let names: Vec<&str> = PAPER_ARMS.iter().map(|&(name, _)| name).collect();
         eprintln!(
             "experiments: unknown subcommand {which:?}; expected serve, restart, drift, all or one of {}",
             names.join(", ")
@@ -57,19 +72,23 @@ fn main() {
     }
     let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE);
 
-    eprintln!("generating the six-app suite (scale {scale}) ...");
-    let apps = suite(scale);
-    for app in &apps {
-        eprintln!(
-            "  {:10} {:5} methods, {:6} dex instructions",
-            app.name,
-            app.dex.methods().len(),
-            app.dex.total_insns()
-        );
+    let mut apps = Vec::new();
+    if arms.iter().any(|runs| matches!(runs, Runs::Suite(_))) {
+        eprintln!("generating the six-app suite (scale {scale}) ...");
+        apps = suite(scale);
+        for app in &apps {
+            eprintln!(
+                "  {:10} {:5} methods, {:6} dex instructions",
+                app.name,
+                app.dex.methods().len(),
+                app.dex.total_insns()
+            );
+        }
     }
-    for (name, run) in SUITE_ARMS {
-        if which == "all" || which == name {
-            run(&apps);
+    for runs in arms {
+        match runs {
+            Runs::Alone(run) => run(),
+            Runs::Suite(run) => run(&apps),
         }
     }
 }
@@ -89,38 +108,29 @@ fn print_frontier(apps: &[App]) {
 }
 
 /// `experiments serve [--socket PATH | --addr HOST:PORT]... [--clients N]
-/// [--requests N] [--workers N] [--queue-depth N] [--no-probe]
-/// [--one-slow]` — the calibrod load generator (see `bench::serve`):
-/// one run per `--socket`/`--addr`, each against a fresh daemon, or
-/// one against an in-process daemon without one. Exits 1 unless
+/// [--requests N] [--workers N] [--queue-depth N] [--no-probe]` — the
+/// calibrod load generator (see `bench::serve`): one run per
+/// `--socket`/`--addr`, each against a fresh daemon, or one against an
+/// in-process daemon without one. Exits 1 unless
 /// [`bench::serve_gate`] passes on every run and on their median warm
 /// reply against the committed record's.
 fn run_serve(args: &[String]) {
     let mut config = bench::ServeLoadConfig::default();
-    let (mut endpoints, mut one_slow) = (Vec::new(), false);
+    let mut endpoints = Vec::new();
     each_flag(
         "serve",
         args,
         &["--socket", "--addr", "--clients", "--requests", "--workers", "--queue-depth"],
-        &["--no-probe", "--one-slow"],
+        &["--no-probe"],
         |flag, value| match flag {
             "--socket" | "--addr" => endpoints.push(endpoint(flag, value)),
             "--clients" => config.clients = number("serve", flag, value),
             "--requests" => config.requests = number("serve", flag, value),
             "--workers" => config.workers = number("serve", flag, value),
             "--queue-depth" => config.queue_depth = number("serve", flag, value),
-            "--no-probe" => config.probe_overload = false,
-            _ => one_slow = true,
+            _ => config.probe_overload = false,
         },
     );
-    if one_slow {
-        let endpoint = endpoints.first().unwrap_or_else(|| {
-            usage("serve", "--one-slow requires --socket or --addr");
-        });
-        bench::serve_one_slow(endpoint);
-        println!("serve: in-flight slow request completed");
-        return;
-    }
 
     header("calibrod load generation");
     let path = "BENCH_serve.json";

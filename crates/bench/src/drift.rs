@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use calibro::{build, BuildOptions};
 use calibro_profile::Profile;
 use calibro_runtime::Runtime;
+use calibro_server::server::HOT_FRACTION;
 use calibro_server::{Endpoint, ServerConfig};
 use calibro_workloads::{generate, App, AppSpec, TraceCall};
 
@@ -31,9 +32,6 @@ use crate::record::{gate, report};
 
 /// Trace-call steps budget, matching the experiments substrate.
 const STEP_BUDGET: u64 = 4_000_000;
-
-/// The hot-set fraction, matching the daemon default (`ServerConfig`).
-const HOT_FRACTION: f64 = 0.8;
 
 /// Upload cap: the decayed accumulator converges to the phase-B
 /// distribution geometrically, so needing more than this many uploads

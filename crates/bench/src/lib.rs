@@ -17,9 +17,7 @@ pub mod serve;
 pub use drift::{drift_feedback, drift_gate, DriftConfig, DriftReport};
 pub use experiments::*;
 pub use restart::{restart_gate, restart_load, RestartReport};
-pub use serve::{
-    serve_gate, serve_load, serve_one_slow, serve_record, ServeLoadConfig, ServeReport,
-};
+pub use serve::{serve_gate, serve_load, serve_record, ServeLoadConfig, ServeReport};
 
 use calibro_server::{Daemon, Endpoint, Listener, ServerConfig};
 

@@ -366,17 +366,6 @@ pub fn serve_load(config: &ServeLoadConfig) -> ServeReport {
     report
 }
 
-/// Sends one deliberately slow build and returns once its reply
-/// arrives — the in-flight half of the CI graceful-drain check (the
-/// harness SIGTERMs the daemon while this request is running; drain
-/// semantics require the reply to still be delivered).
-pub fn serve_one_slow(endpoint: &Endpoint) {
-    let app = generate(&AppSpec { methods: 1600, classes: 24, ..AppSpec::small("drain-slow", 77) });
-    let mut client = endpoint.client().expect("connect to the daemon");
-    let reply = client.build(&app.dex, &BuildOptions::cto_ltbo(), None).expect("in-flight build");
-    assert!(!reply.elf.is_empty());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

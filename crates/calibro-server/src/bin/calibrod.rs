@@ -2,9 +2,14 @@
 //!
 //! ```text
 //! calibrod --socket /run/calibrod.sock [--workers N] [--queue-depth N]
-//!          [--deadline-ms N] [--cache-dir DIR] [--max-frame BYTES]
+//!          [--cache-dir DIR] [--max-frame BYTES] [--max-entries N]
+//!          [--drift-threshold F]
 //! calibrod --listen 127.0.0.1:7461 ...
 //! ```
+//!
+//! A deadline is the request's own; a tenant's hot set covers
+//! [`HOT_FRACTION`](calibro_server::server::HOT_FRACTION) of its decayed
+//! cycle weight.
 //!
 //! With `--cache-dir` the store appends every artifact it compiles to
 //! one log per lane, which it holds locked while it runs: a daemon
@@ -67,9 +72,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: calibrod (--socket PATH | --listen ADDR) [--workers N] \
-         [--queue-depth N] [--deadline-ms N] [--cache-dir DIR] \
-         [--max-frame BYTES] [--max-entries N] \
-         [--hot-fraction F] [--drift-threshold F]"
+         [--queue-depth N] [--cache-dir DIR] [--max-frame BYTES] \
+         [--max-entries N] [--drift-threshold F]"
     );
     std::process::exit(2);
 }
@@ -98,10 +102,6 @@ fn parse_args() -> Args {
             "--queue-depth" => {
                 args.config.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth");
             }
-            "--deadline-ms" => {
-                let ms: u64 = parse_num(&value("--deadline-ms"), "--deadline-ms");
-                args.config.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-            }
             "--cache-dir" => {
                 args.config.cache.disk_dir = Some(std::path::PathBuf::from(value("--cache-dir")));
             }
@@ -110,10 +110,6 @@ fn parse_args() -> Args {
             }
             "--max-entries" => {
                 args.config.cache.max_entries = parse_num(&value("--max-entries"), "--max-entries");
-            }
-            "--hot-fraction" => {
-                args.config.hot_fraction =
-                    parse_fraction(&value("--hot-fraction"), "--hot-fraction");
             }
             "--drift-threshold" => {
                 args.config.drift_threshold =
@@ -140,7 +136,7 @@ fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
     })
 }
 
-/// A fraction in `[0, 1]` (hot-set coverage, drift threshold).
+/// A fraction in `[0, 1]` (the drift threshold).
 fn parse_fraction(raw: &str, flag: &str) -> f64 {
     let f: f64 = parse_num(raw, flag);
     if !(0.0..=1.0).contains(&f) {

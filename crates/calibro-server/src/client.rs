@@ -4,25 +4,26 @@
 //! worker pool, not via client-side pipelining).
 //!
 //! A build sends its program whole until the daemon can be trusted to
-//! hold it, and by reference after that. The client remembers the
-//! programs it sent whole on this connection (`SentProgram`); the
-//! second whole send of one is when the daemon admits it to its program
-//! table, so the client hashes the program's id then, and names it by
-//! that id from the third build on.
+//! hold it, and names it after that: one request kind, a build by edit,
+//! carries the named program's id, the method count and the rows of the
+//! methods that differ from it. The client remembers the programs it
+//! sent whole on this connection (`SentProgram`); the second whole send
+//! of one is when the daemon admits it to its program table, so the
+//! client hashes the program's id then, and names it by that id, with
+//! no rows, from the third build on.
 //!
 //! A program that is not one of those but an edit of a named one — the
 //! same classes and statics, and at least half of its methods the named
 //! program's allocations at the same positions, as a clone edited
 //! through [`DexFile::method_mut`] or [`DexFile::add_method`] is — goes
-//! by edit: the base's id, the method count, and the rows of the
-//! methods whose allocation differs. It is not recorded as sent whole,
-//! so its next build goes by edit again. Tenant builds never go by
-//! edit: a tenant's program is named by the whole program's id.
+//! with the rows of the methods whose allocation differs. It is not
+//! recorded as sent whole, so its next build goes by edit again. Tenant
+//! builds never send rows: a tenant's program is named by the whole
+//! program's id.
 //!
 //! A daemon that no longer holds the named program answers
-//! [`ServeError::UnknownProgram`] to a reference or an edit, and the
-//! client sends the program whole again — the caller never sees the
-//! difference.
+//! [`ServeError::UnknownProgram`], and the client sends the program
+//! whole again — the caller never sees the difference.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -39,8 +40,8 @@ use crate::programs::{ProgramId, SENT_RING};
 use crate::proto::{
     self, BuildReply, BuildRequestRef, ErrorReply, FrameEvent, GenerationStats,
     GenerationStatsRequest, ProfileReply, ProfileRequest, Request, ServerStats, REQ_BUILD,
-    REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR,
-    RESP_PONG, RESP_SHUTDOWN_ACK, RESP_STATS,
+    REQ_BUILD_EDIT, REQ_PING, REQ_SHUTDOWN, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
+    RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::server::ltbo_fingerprint;
 use crate::transport::{self, Endpoint, Stream};
@@ -122,7 +123,7 @@ struct BuildCall<'a> {
 /// How one build request went out.
 struct Sent {
     request_id: u64,
-    /// The program named, by reference or as an edit's base.
+    /// The program named as the edit's base (with or without rows).
     named: Option<ProgramId>,
 }
 
@@ -162,12 +163,13 @@ impl Client {
         id
     }
 
-    /// Writes the next build request for `dex` under `options`: by id
-    /// when this connection sent the program whole twice already, by
-    /// edit when it is an edit of such a program (unless `whole`, or a
-    /// tenant build), whole otherwise — and then `dex` is recorded, or
-    /// hashed at its second send. The request is encoded straight from
-    /// the borrows: neither the program nor the options are copied.
+    /// Writes the next build request for `dex` under `options`: named,
+    /// as an edit with no rows, when this connection sent the program
+    /// whole twice already; as an edit with rows when it is an edit of
+    /// such a program (unless `whole`, or a tenant build); whole
+    /// otherwise — and then `dex` is recorded, or hashed at its second
+    /// send. The request is encoded straight from the borrows: neither
+    /// the program nor the options are copied.
     fn send_build(&mut self, call: &BuildCall<'_>, whole: bool) -> io::Result<Sent> {
         let BuildCall { tenant, dex, options, deadline } = *call;
         let request = BuildRequestRef {
@@ -181,7 +183,11 @@ impl Client {
         };
         let found = self.sent.iter().rposition(|sent| sent.is(dex));
         let may_edit = found.is_none() && tenant.is_none() && !whole;
-        if let Some((at, changed)) = may_edit.then(|| self.edit_base(dex)).flatten() {
+        let named = match found {
+            Some(at) => self.sent[at].id.map(|_| (at, Vec::new())),
+            None => may_edit.then(|| self.edit_base(dex)).flatten(),
+        };
+        if let Some((at, changed)) = named {
             let base = self.sent.remove(at).expect("the position was just found");
             let id = base.id.expect("only a named program is a base");
             self.sent.push_back(base);
@@ -202,19 +208,13 @@ impl Client {
                 SentProgram::of(dex)
             }
         };
-        let (kind, body, named) = match entry.id {
-            Some(id) => (REQ_BUILD_BY_ID, request.encode_by_id(id), Some(id)),
-            None => {
-                let (body, start) = request.encode_split();
-                if found.is_some() {
-                    entry.id = Some(ProgramId::of(&body[start..]));
-                }
-                (REQ_BUILD, body, None)
-            }
-        };
+        let (body, start) = request.encode_split();
+        if found.is_some() {
+            entry.id = Some(ProgramId::of(&body[start..]));
+        }
         self.sent.push_back(entry);
-        proto::write_frame(&mut self.stream, kind, &body)?;
-        Ok(Sent { request_id: request.request_id, named })
+        proto::write_frame(&mut self.stream, REQ_BUILD, &body)?;
+        Ok(Sent { request_id: request.request_id, named: None })
     }
 
     /// The named program `dex` goes out as an edit of — of those it can
@@ -318,10 +318,10 @@ impl Client {
     }
 
     /// Compiles `dex` with `options` on the daemon. `deadline` caps the
-    /// daemon-side queue+compile time; `None` defers to the daemon's
-    /// default. From the third build of the same program on this
-    /// connection, the request names the program instead of carrying it
-    /// (see the module docs); the reply is the same.
+    /// daemon-side queue+compile time; `None` sets no cap. From the
+    /// third build of the same program on this connection, the request
+    /// names the program instead of carrying it (see the module docs);
+    /// the reply is the same.
     ///
     /// # Errors
     ///

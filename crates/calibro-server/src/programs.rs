@@ -27,21 +27,19 @@
 //! the ELFs of their replay slots, exceed a fixed budget. Both bounds
 //! are constants, not configuration.
 //!
-//! **A held program can be named instead of sent.** A build by
-//! reference carries a [`ProgramId`] where the program's bytes would
-//! be. Each connection keeps the ids of the programs it sent whole in a
-//! [`SentPrograms`] ring, and the daemon resolves a reference only to a
-//! program that is both in that ring and held in the table: a reference
-//! never names more than the bytes its own client already sent.
-//!
-//! **A held program can be edited instead of sent.** A build by edit
-//! names a base program by the same rule, and carries the edited
-//! program's method count and the rows of its methods that differ from
-//! the base's ([`apply_edit`]). The edited program is a clone of the
-//! held base, so every method it did not change is the base's
-//! allocation, neither sent, nor decoded, nor keyed again. It is a
-//! program of one build: the table is not offered it, and the
-//! connection's ring does not record it as sent.
+//! **A held program can be named instead of sent.** A build by edit
+//! carries a base [`ProgramId`] where the program's bytes would be, the
+//! method count of the program to build, and the rows of its methods
+//! that differ from the base's. Each connection keeps the ids of the
+//! programs it sent whole in a [`SentPrograms`] ring, and the daemon
+//! resolves a base only to a program that is both in that ring and held
+//! in the table: a name never reaches more than the bytes its own
+//! client already sent. No rows and the base's own count name the held
+//! program itself (a build by reference). Any other edit builds a clone
+//! of the held base ([`apply_edit`]), so every method it did not change
+//! is the base's allocation, neither sent, nor decoded, nor keyed
+//! again. It is a program of one build: the table is not offered it,
+//! and the connection's ring does not record it as sent.
 //!
 //! **A held program's repeat build is answered, not built.** A build's
 //! output is a pure function of the program and the options, so each
@@ -50,9 +48,9 @@
 //! tenant build, whose generation shares the slot's ELF). A plain build
 //! of the program under the same fingerprints is answered from the slot
 //! and never queued; it reports every method as from the cache, no
-//! cache traffic, no build time and generation 0. Builds by edit name
-//! their base, not the program they build, and neither fill nor read a
-//! slot. The slot's ELF counts against the same budget as the wire
+//! cache traffic, no build time and generation 0. An edit that changes
+//! its base names the base, not the program it builds, and neither
+//! fills nor reads a slot. The slot's ELF counts against the same budget as the wire
 //! bytes and goes with its program.
 
 use std::collections::{HashMap, VecDeque};
@@ -75,7 +73,7 @@ pub(crate) const HELD_WIRE_BYTES: usize = 4 << 20;
 pub(crate) const SENT_RING: usize = 64;
 
 /// What names a program: its content key and the length of the bytes
-/// that were hashed. On the wire (a build by reference) the key, then
+/// that were hashed. On the wire (a build by edit's base) the key, then
 /// the length as a `u64`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ProgramId {
@@ -99,7 +97,7 @@ impl ProgramId {
 }
 
 /// The ids one connection has sent whole, most recently used last: the
-/// programs a build by reference on it may name.
+/// programs a build by edit on it may name.
 #[derive(Default)]
 pub(crate) struct SentPrograms {
     ids: VecDeque<ProgramId>,

@@ -55,11 +55,8 @@ pub const REQ_PROFILE: u8 = 0x06;
 /// [`GenerationStatsRequest`]).
 pub const REQ_GENERATION_STATS: u8 = 0x07;
 /// Request kind: compile a program this connection sent whole before,
-/// named by its [`ProgramId`] (see [`BuildByIdRequest`]).
-pub const REQ_BUILD_BY_ID: u8 = 0x09;
-/// Request kind: compile an edit of a program this connection sent
-/// whole before, sent as the rows of its changed methods (see
-/// [`BuildEditRequest`]).
+/// named by its [`ProgramId`], with the rows of the methods that changed
+/// (none for the program itself; see [`BuildEditRequest`]).
 pub const REQ_BUILD_EDIT: u8 = 0x0A;
 /// Response kind: a successful build.
 pub const RESP_BUILT: u8 = 0x81;
@@ -252,7 +249,6 @@ macro_rules! requests {
 
 requests! {
     BuildRequest = REQ_BUILD => BuildReply = RESP_BUILT,
-    BuildByIdRequest = REQ_BUILD_BY_ID => BuildReply = RESP_BUILT,
     BuildEditRequest = REQ_BUILD_EDIT => BuildReply = RESP_BUILT,
     ProfileRequest = REQ_PROFILE => ProfileReply = RESP_PROFILE,
     GenerationStatsRequest = REQ_GENERATION_STATS => GenerationStats = RESP_GENERATION_STATS,
@@ -266,7 +262,7 @@ requests! {
 pub struct BuildRequest {
     /// Client-chosen id echoed in the response.
     pub request_id: u64,
-    /// Per-request deadline; `None` uses the daemon's default.
+    /// Per-request deadline; `None` means none.
     pub deadline: Option<Duration>,
     /// Client-side [`calibro::options_fingerprint`] of `options`.
     pub options_fp: CacheKey,
@@ -289,8 +285,7 @@ pub struct BuildRequest {
 /// from the caller's program and options without copying either. Its
 /// `put` is the one written-down field order of a build request — the
 /// owned request encodes through it, and [`BuildHeader::split`] below
-/// reads the same fields back — and it encodes the request by reference
-/// ([`encode_by_id`](Self::encode_by_id)) and by edit
+/// reads the same fields back — and it encodes the request by edit
 /// ([`encode_edit`](Self::encode_edit)) too.
 pub struct BuildRequestRef<'a> {
     /// See [`BuildRequest::request_id`].
@@ -328,16 +323,6 @@ impl BuildRequestRef<'_> {
         (w.into_bytes(), start)
     }
 
-    /// Encodes the [`BuildByIdRequest`] that names `program` in place
-    /// of this request's program.
-    #[must_use]
-    pub fn encode_by_id(&self, program: ProgramId) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.put_header(&mut w);
-        program.put(&mut w);
-        w.into_bytes()
-    }
-
     /// Encodes the [`BuildEditRequest`] that sends this request's
     /// program as an edit of `base`: the rows of the methods at
     /// `changed` (in increasing order), written from the borrowed
@@ -371,7 +356,7 @@ impl BuildRequestRef<'_> {
 
 /// The fields of a build request ahead of the program, in the order
 /// [`BuildHeader`] reads them: the one written-down header order of
-/// both build kinds, whole and by reference.
+/// both build kinds, whole and named.
 fn put_header(
     w: &mut Writer,
     request_id: u64,
@@ -474,21 +459,6 @@ impl Wire for BuildRequest {
 
 body_codec!(BuildRequest);
 
-message! {
-    /// A compile request by reference: a build request's header, then
-    /// the [`ProgramId`] of a program this connection sent whole before,
-    /// where the program's bytes would be. The daemon answers it as the
-    /// whole request for that program, or with
-    /// [`ServeError::UnknownProgram`] when the id is not one this
-    /// connection sent or the daemon no longer holds the program.
-    pub struct BuildByIdRequest {
-        /// Every field of the request ahead of the program.
-        pub header: BuildHeader,
-        /// The program, by name.
-        pub program: ProgramId,
-    }
-}
-
 /// One method of a [`BuildEditRequest`]: the position it takes in the
 /// edited program, then its row as a whole program carries it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -525,15 +495,17 @@ message! {
     /// count, and one row for each method that differs from the base's,
     /// in increasing index order. The edited program has the base's
     /// classes and statics, and the base's methods cut or extended to
-    /// `count` with each row dropped in at its index. The daemon answers
-    /// it as the whole request for the edited program;
-    /// [`ServeError::UnknownProgram`] when it cannot name the base (the
-    /// rule of a [`BuildByIdRequest`]); [`ServeError::Malformed`] when
-    /// the rows do not make a program of the base (an index at or past
-    /// the count, out of order or repeated, a method past the base's
-    /// length without a row, a class the base does not have), or when
-    /// the request names a tenant — a tenant's builds are grouped by the
-    /// whole program's id, which an edit does not carry.
+    /// `count` with each row dropped in at its index; no rows and the
+    /// base's own count name the base itself (a build by reference). The
+    /// daemon answers it as the whole request for the edited program;
+    /// [`ServeError::UnknownProgram`] when the base is not a program this
+    /// connection sent whole or the daemon no longer holds it;
+    /// [`ServeError::Malformed`] when the rows do not make a program of
+    /// the base (an index at or past the count, out of order or
+    /// repeated, a method past the base's length without a row, a class
+    /// the base does not have), or when an edit that changes the base
+    /// names a tenant — a tenant's builds are grouped by the whole
+    /// program's id, which such an edit does not carry.
     pub struct BuildEditRequest {
         /// Every field of the request ahead of the program.
         pub header: BuildHeader,
@@ -858,12 +830,13 @@ server_stats! {
     /// Build requests whose program the table already held decoded —
     /// named by the hash of the bytes that arrived, nothing decoded.
     programs_reused: AtomicU64,
-    /// Build requests by reference that the table answered: the program
-    /// named by its id, which its connection had sent whole before.
+    /// Builds by reference that the table answered: an edit with no rows
+    /// and the base's own count, naming a held program its connection
+    /// had sent whole before.
     programs_by_reference: AtomicU64,
-    /// Build requests by edit that the table answered: the program made
-    /// from a held base its connection had sent whole before, and the
-    /// rows of the methods that changed.
+    /// Builds by edit that the table answered: the program made from a
+    /// held base its connection had sent whole before, and the rows of
+    /// the methods that changed.
     programs_by_edit: AtomicU64,
     /// Plain build requests answered from their held program's replay
     /// slot: the sealed reply of its last client build under the same
@@ -1117,16 +1090,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    fn build_by_id_request() -> BuildByIdRequest {
-        let BuildRequest { request_id, deadline, options_fp, ltbo_fp, tenant, options, dex } =
-            build_requests().swap_remove(4);
-        let program = ProgramId::of(&wire::encode(&dex));
-        BuildByIdRequest {
-            header: BuildHeader { request_id, deadline, options_fp, ltbo_fp, tenant, options },
-            program,
-        }
     }
 
     /// An edit of the sample program: its second method changed, and a
@@ -1421,16 +1384,11 @@ mod tests {
                 dex: &owned.dex,
             };
             prop_assert_eq!(&borrowed.encode(), &body);
-            // By reference: the same header, then the program's id.
+            // The program's id is the hash of its bytes in the body.
             let (split, start) = borrowed.encode_split();
             prop_assert_eq!(&split, &body);
             let id = ProgramId::of(&body[start..]);
             prop_assert_eq!(id.key, calibro::program_salt(&owned.dex));
-            let by_id = borrowed.encode_by_id(id);
-            prop_assert_eq!(&by_id[..start], &body[..start]);
-            let decoded = BuildByIdRequest::decode(&by_id).expect("the by-id body decodes");
-            prop_assert!(same_header(&decoded.header, &owned) && decoded.program == id);
-            prop_assert_eq!(&decoded.encode(), &by_id);
             // By edit: the same header, the base's id, then the rows of
             // the methods named, written from the borrowed program as the
             // owned rows encode.
@@ -1469,13 +1427,12 @@ mod tests {
 
     #[test]
     fn every_message_body_honours_the_contract() {
-        // The build, by-id and edit requests were last re-recorded when
-        // the options row lost its `dict` byte: each is the previous
-        // file less that one byte.
+        // The build and edit requests were last re-recorded when the
+        // options row lost its `dict` byte: each is the previous file
+        // less that one byte.
         for (i, request) in build_requests().iter().enumerate() {
             message_contract(request, &format!("build_request_{i}"), &["options", "dex"]);
         }
-        message_contract(&build_by_id_request(), "build_by_id_request", &["header", "program"]);
         message_contract(&build_edit_request(), "build_edit_request", &["header", "base", "rows"]);
         message_contract(&build_reply(), "build_reply", &[]);
         for reply in &error_replies() {

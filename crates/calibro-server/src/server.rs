@@ -72,13 +72,17 @@ use crate::error::ServeError;
 use crate::histogram::LatencyHistogram;
 use crate::programs::{apply_edit, ProgramId, ProgramTable, SentPrograms};
 use crate::proto::{
-    self, BuildByIdRequest, BuildEditRequest, BuildHeader, ErrorReply, FrameEvent, GenerationStats,
+    self, BuildEditRequest, BuildHeader, ErrorReply, FrameEvent, GenerationStats,
     GenerationStatsRequest, ProfileReply, ProfileRequest, Request, SealedReply, ServerCounters,
-    ServerStats, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_GENERATION_STATS, REQ_PING,
-    REQ_PROFILE, REQ_SHUTDOWN, REQ_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PONG,
-    RESP_PROFILE, RESP_SHUTDOWN_ACK, RESP_STATS,
+    ServerStats, REQ_BUILD, REQ_BUILD_EDIT, REQ_GENERATION_STATS, REQ_PING, REQ_PROFILE,
+    REQ_SHUTDOWN, REQ_STATS, RESP_ERROR, RESP_GENERATION_STATS, RESP_PONG, RESP_PROFILE,
+    RESP_SHUTDOWN_ACK, RESP_STATS,
 };
 use crate::transport::Stream;
+
+/// Fraction of decayed cycle weight a tenant's hot set must cover (the
+/// paper's PlOpti hot-set fraction).
+pub const HOT_FRACTION: f64 = 0.8;
 
 /// Configuration of one daemon.
 #[derive(Clone, Debug)]
@@ -88,17 +92,11 @@ pub struct ServerConfig {
     /// Admission-queue depth; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_depth: usize,
-    /// Default per-request deadline applied when a request carries
-    /// none. `None` means no deadline.
-    pub default_deadline: Option<Duration>,
     /// Ceiling on one protocol frame (kind byte + body).
     pub max_frame: u64,
     /// Configuration of the shared artifact store (set
     /// [`CacheConfig::disk_dir`] for persistence across restarts).
     pub cache: CacheConfig,
-    /// Fraction of decayed cycle weight the per-tenant hot set must
-    /// cover (the paper's PlOpti hot-set fraction, default 0.8).
-    pub hot_fraction: f64,
     /// Drift (symmetric-difference weight between the serving hot set
     /// and the freshly recomputed one, in `[0, 1]`) at or above which a
     /// profile upload schedules a background re-optimization.
@@ -110,10 +108,8 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_depth: 64,
-            default_deadline: None,
             max_frame: proto::DEFAULT_MAX_FRAME,
             cache: CacheConfig::default(),
-            hot_fraction: 0.8,
             drift_threshold: 0.25,
         }
     }
@@ -175,16 +171,15 @@ struct Job {
     /// The program table's entry (or a program it does not hold).
     dex: Arc<DexFile>,
     /// The id of `dex`, whose replay slot a client build fills; `None`
-    /// for a build by edit (whose program the table never holds) and a
-    /// refresh.
+    /// for an edit that changes its base (whose program the table never
+    /// holds) and a refresh.
     program: Option<ProgramId>,
     options: BuildOptions,
     /// The fingerprints of `options`, as admission cross-checked them —
     /// echoed in the reply.
     options_fp: CacheKey,
     ltbo_fp: Option<CacheKey>,
-    /// Effective deadline budget (request's, else the daemon default;
-    /// none for a refresh).
+    /// The request's deadline budget (none for a refresh).
     budget: Option<Duration>,
     enqueued: Instant,
     /// The requesting connection's replies; `None` for a refresh.
@@ -401,14 +396,19 @@ impl Shared {
     /// Admits `job` unless the daemon is draining — checked under the
     /// lock the flag is set under, so every admitted job runs. A full
     /// queue refuses a client build; a refresh takes a slot but is never
-    /// refused for depth (`refresh_in_flight` allows one per tenant).
+    /// refused for depth (`refresh_in_flight` allows one per tenant). A
+    /// client build is counted before a worker can take it, so no reply
+    /// precedes its count.
     fn admit(&self, job: Job) -> Result<(), ServeError> {
         let mut queue = recover(self.queue.lock());
         if self.draining.load(Ordering::SeqCst) {
             return Err(ServeError::Draining);
         }
-        if job.replies.is_some() && queue.len() >= self.config.queue_depth.max(1) {
-            return Err(self.overloaded(self.config.queue_depth));
+        if job.replies.is_some() {
+            if queue.len() >= self.config.queue_depth.max(1) {
+                return Err(self.overloaded(self.config.queue_depth));
+            }
+            self.counters.requests_admitted.fetch_add(1, Ordering::Relaxed);
         }
         queue.push_back(job);
         drop(queue);
@@ -686,10 +686,6 @@ fn handle_frame(
 ) {
     match kind {
         REQ_BUILD => handle_build(body, sent, replies, shared),
-        REQ_BUILD_BY_ID => match BuildByIdRequest::decode(body) {
-            Ok(request) => handle_build_by_id(request, sent, replies, shared),
-            Err(e) => reject_malformed(body, e, replies, shared),
-        },
         REQ_BUILD_EDIT => match BuildEditRequest::decode(body) {
             Ok(request) => handle_build_edit(request, sent, replies, shared),
             Err(e) => reject_malformed(body, e, replies, shared),
@@ -765,31 +761,16 @@ fn handle_build(body: &[u8], sent: &mut SentPrograms, replies: &Replies, shared:
     build_with(request, Some(program_id), dex, replies, shared);
 }
 
-/// One build request by reference: the program is the table's entry
-/// for its id, when this connection sent that program whole and the
-/// table still holds it; otherwise the typed `UnknownProgram` asks the
-/// client to send it whole.
-fn handle_build_by_id(
-    request: BuildByIdRequest,
-    sent: &mut SentPrograms,
-    replies: &Replies,
-    shared: &Arc<Shared>,
-) {
-    let BuildByIdRequest { header, program } = request;
-    let held = sent.contains(program).then(|| shared.programs.get(program)).flatten();
-    let Some(dex) = held else {
-        return replies.error(header.request_id, ServeError::UnknownProgram);
-    };
-    shared.counters.programs_by_reference.fetch_add(1, Ordering::Relaxed);
-    sent.touch(program);
-    build_with(header, Some(program), dex, replies, shared);
-}
-
-/// One build request by edit: the held base, resolved as a reference
-/// is, with the request's rows applied to a clone of it. The edited
-/// program is neither offered to the table nor recorded as sent; the
-/// base's use is recorded. A tenant's builds are grouped by the whole
-/// program's id, which an edit does not carry: naming one is malformed.
+/// One build request that names its program: a held base its
+/// connection sent whole (else the typed `UnknownProgram` asks the
+/// client to send it whole), and the rows that change it. With no rows
+/// and the base's own count it is a build by reference: the held
+/// program itself, which may name a tenant and fills and reads its
+/// replay slot. Otherwise the rows are applied to a clone of the base,
+/// which is neither offered to the table nor recorded as sent; a
+/// tenant's builds are grouped by the whole program's id, which such an
+/// edit does not carry, so naming one is malformed. The base's use is
+/// recorded either way.
 fn handle_build_edit(
     request: BuildEditRequest,
     sent: &mut SentPrograms,
@@ -797,31 +778,36 @@ fn handle_build_edit(
     shared: &Arc<Shared>,
 ) {
     let BuildEditRequest { header, base, count, rows } = request;
-    if header.tenant.is_some() {
-        let detail = "a build by edit names no tenant".to_owned();
-        return malformed(header.request_id, ServeError::Malformed { detail }, replies, shared);
-    }
     let held = sent.contains(base).then(|| shared.programs.get(base)).flatten();
     let Some(base_dex) = held else {
         return replies.error(header.request_id, ServeError::UnknownProgram);
     };
-    let dex = match apply_edit(&base_dex, count, rows) {
-        Ok(dex) => dex,
-        Err(detail) => {
-            return malformed(header.request_id, ServeError::Malformed { detail }, replies, shared);
+    let (program, dex, counter) = if rows.is_empty() && count as usize == base_dex.methods().len() {
+        (Some(base), base_dex, &shared.counters.programs_by_reference)
+    } else if header.tenant.is_some() {
+        let detail = "an edit that changes its base names no tenant".to_owned();
+        return malformed(header.request_id, ServeError::Malformed { detail }, replies, shared);
+    } else {
+        match apply_edit(&base_dex, count, rows) {
+            Ok(dex) => (None, Arc::new(dex), &shared.counters.programs_by_edit),
+            Err(detail) => {
+                let error = ServeError::Malformed { detail };
+                return malformed(header.request_id, error, replies, shared);
+            }
         }
     };
-    shared.counters.programs_by_edit.fetch_add(1, Ordering::Relaxed);
+    counter.fetch_add(1, Ordering::Relaxed);
     sent.touch(base);
-    build_with(header, None, Arc::new(dex), replies, shared);
+    build_with(header, program, dex, replies, shared);
 }
 
 /// Everything after the program is found, for every build kind: the
 /// drain and fingerprint checks, a tenant fetch answered from its
 /// sealed generation, a plain build answered from its program's replay
 /// slot, or admission to the queue. `program` is the id of `dex`, which
-/// a tenant's builds are grouped under; a build by edit, which names no
-/// tenant and builds a program the table does not hold, passes `None`.
+/// a tenant's builds are grouped under; an edit that changes its base,
+/// which names no tenant and builds a program the table does not hold,
+/// passes `None`.
 fn build_with(
     mut request: BuildHeader,
     program: Option<ProgramId>,
@@ -877,15 +863,14 @@ fn build_with(
         options: request.options,
         options_fp: request.options_fp,
         ltbo_fp: request.ltbo_fp,
-        budget: request.deadline.or(shared.config.default_deadline),
+        budget: request.deadline,
         enqueued: Instant::now(),
         replies: Some(replies.clone()),
         tenant: tenant_job,
     };
     if let Err(error) = shared.admit(job) {
-        return replies.error(request.request_id, error);
+        replies.error(request.request_id, error);
     }
-    shared.counters.requests_admitted.fetch_add(1, Ordering::Relaxed);
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -1101,21 +1086,20 @@ fn handle_profile(request: ProfileRequest, replies: &Replies, shared: &Arc<Share
             return replies.error(request.request_id, ServeError::Malformed { detail });
         }
     };
-    let fraction = shared.config.hot_fraction;
     let (mut reply, refresh) = {
         let mut tenants = recover(shared.tenants.lock());
         let state = tenants.entry(request.tenant.clone()).or_insert_with(TenantState::new);
         state.profile.record(&profile);
         let serving_set =
             state.serving.as_ref().and_then(|s| s.hot_set.clone()).unwrap_or_default();
-        let drift = state.profile.drift(&serving_set, fraction).unwrap_or(0.0);
+        let drift = state.profile.drift(&serving_set, HOT_FRACTION).unwrap_or(0.0);
         // The refresh is snapshotted under the lock this upload holds:
         // the registered program, under the hot set just computed.
         let refresh = match (&state.program, &state.serving) {
             (Some(program), Some(_))
                 if drift >= shared.config.drift_threshold && !state.refresh_in_flight =>
             {
-                state.profile.hot_set(fraction).ok().map(|hot| {
+                state.profile.hot_set(HOT_FRACTION).ok().map(|hot| {
                     let options = program.options.clone().with_hot_filter(hot);
                     let tenant =
                         TenantJob { name: request.tenant.clone(), identity: program.identity };
@@ -1180,8 +1164,7 @@ fn handle_generation_stats(
             let serving = state.serving.as_deref();
             let hot_set = serving.and_then(|s| s.hot_set.as_ref());
             let serving_set = hot_set.cloned().unwrap_or_default();
-            let drift =
-                state.profile.drift(&serving_set, shared.config.hot_fraction).unwrap_or(0.0);
+            let drift = state.profile.drift(&serving_set, HOT_FRACTION).unwrap_or(0.0);
             GenerationStats {
                 request_id: request.request_id,
                 tenant: request.tenant.clone(),

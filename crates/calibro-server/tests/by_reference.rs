@@ -1,10 +1,11 @@
 //! Builds by reference and by edit end to end: a client names a program
-//! it sent whole before instead of sending it again, or sends an edit
-//! of it as the rows of the methods that changed; the daemon resolves
-//! the name only to a program that connection sent, and every way the
-//! daemon can fail to know it ends in a whole send the caller never
-//! sees. Also the client's side of the trust boundary: replies that
-//! answer no outstanding request are typed errors, not panics.
+//! it sent whole before instead of sending it again — an edit with no
+//! rows — or sends an edit of it as the rows of the methods that
+//! changed; the daemon resolves the name only to a program that
+//! connection sent, and every way the daemon can fail to know it ends
+//! in a whole send the caller never sees. Also the client's side of the
+//! trust boundary: replies that answer no outstanding request are typed
+//! errors, not panics.
 
 #![cfg(unix)]
 
@@ -17,8 +18,7 @@ use calibro::BuildOptions;
 use calibro_dex::{wire, ClassId, DexFile, DexInsn, MethodId};
 use calibro_server::proto::{
     read_frame, write_frame, BuildEditRequest, BuildHeader, BuildRequestRef, EditRow, ErrorReply,
-    FrameEvent, ProgramId, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PING, RESP_BUILT,
-    RESP_ERROR, RESP_PONG,
+    FrameEvent, ProgramId, REQ_BUILD, REQ_BUILD_EDIT, REQ_PING, RESP_BUILT, RESP_ERROR, RESP_PONG,
 };
 use calibro_server::{
     BuildReply, Client, ClientError, Daemon, Listener, ServeError, ServerConfig, ServerStats,
@@ -44,7 +44,8 @@ fn direct(dex: &DexFile, options: &BuildOptions) -> Vec<u8> {
     calibro_oat::to_elf_bytes(&calibro::build(dex, options).expect("direct build").oat)
 }
 
-/// A build request for `dex` on the wire: whole, or naming its id.
+/// A build request for `dex` on the wire: whole, or naming its id as an
+/// edit with no rows.
 fn request<'a>(
     request_id: u64,
     tenant: Option<&'a str>,
@@ -114,14 +115,15 @@ fn a_reference_resolves_only_on_a_connection_that_sent_the_program_whole() {
 
     // A second connection naming that id is refused, and keeps serving.
     let mut second = UnixStream::connect(&socket).expect("connect");
-    let by_id = request(7, None, &app.dex, &options).encode_by_id(id);
-    let refused = exchange(&mut second, REQ_BUILD_BY_ID, &by_id).expect_err("not its program");
+    let by_reference = request(7, None, &app.dex, &options).encode_edit(id, &[]);
+    let refused =
+        exchange(&mut second, REQ_BUILD_EDIT, &by_reference).expect_err("not its program");
     assert_eq!((refused.request_id, refused.error), (7, ServeError::UnknownProgram));
     still_serves(&mut second);
     // Once it has sent the program whole, its reference resolves.
     exchange(&mut second, REQ_BUILD, &request(8, None, &app.dex, &options).encode())
         .expect("whole build");
-    let named = exchange(&mut second, REQ_BUILD_BY_ID, &by_id).expect("by reference");
+    let named = exchange(&mut second, REQ_BUILD_EDIT, &by_reference).expect("by reference");
     assert_eq!((named.request_id, &named.elf), (7, &expected));
 
     // On the first connection: the by-reference reply is the whole
@@ -130,8 +132,8 @@ fn a_reference_resolves_only_on_a_connection_that_sent_the_program_whole() {
         .expect("whole build");
     let named = exchange(
         &mut first,
-        REQ_BUILD_BY_ID,
-        &request(4, None, &app.dex, &options).encode_by_id(id),
+        REQ_BUILD_EDIT,
+        &request(4, None, &app.dex, &options).encode_edit(id, &[]),
     )
     .expect("by reference");
     assert_eq!((named.elf, named.methods, named.generation), (whole.elf, whole.methods, 0));
@@ -140,8 +142,8 @@ fn a_reference_resolves_only_on_a_connection_that_sent_the_program_whole() {
             .expect("tenant registration");
     let fetched = exchange(
         &mut first,
-        REQ_BUILD_BY_ID,
-        &request(6, Some("t"), &app.dex, &options).encode_by_id(id),
+        REQ_BUILD_EDIT,
+        &request(6, Some("t"), &app.dex, &options).encode_edit(id, &[]),
     )
     .expect("tenant fetch by reference");
     assert_eq!((fetched.request_id, fetched.generation), (6, 1));
@@ -168,10 +170,12 @@ fn a_truncated_or_wrong_length_id_is_a_typed_error_and_the_connection_serves_on(
             .expect("whole build");
     }
     let id = id_of(&app.dex);
-    let body = request(9, None, &app.dex, &options).encode_by_id(id);
+    let body = request(9, None, &app.dex, &options).encode_edit(id, &[]);
+    // The id ends eight bytes before the body: the count, then no rows.
+    let id_end = body.len() - 8;
     for cut in [1, 8, 16, 23] {
         let refused =
-            exchange(&mut raw, REQ_BUILD_BY_ID, &body[..body.len() - cut]).expect_err("cut id");
+            exchange(&mut raw, REQ_BUILD_EDIT, &body[..id_end - cut]).expect_err("cut id");
         assert_eq!(refused.request_id, 9);
         assert!(matches!(refused.error, ServeError::Malformed { .. }), "{}", refused.error);
         still_serves(&mut raw);
@@ -179,12 +183,12 @@ fn a_truncated_or_wrong_length_id_is_a_typed_error_and_the_connection_serves_on(
     let longer = ProgramId { len: id.len + 1, ..id };
     let refused = exchange(
         &mut raw,
-        REQ_BUILD_BY_ID,
-        &request(10, None, &app.dex, &options).encode_by_id(longer),
+        REQ_BUILD_EDIT,
+        &request(10, None, &app.dex, &options).encode_edit(longer, &[]),
     )
     .expect_err("no such program");
     assert_eq!(refused.error, ServeError::UnknownProgram);
-    let named = exchange(&mut raw, REQ_BUILD_BY_ID, &body).expect("the whole id still resolves");
+    let named = exchange(&mut raw, REQ_BUILD_EDIT, &body).expect("the whole id still resolves");
     assert_eq!(named.elf, direct(&app.dex, &options));
 
     let stats = daemon.shutdown();
@@ -609,6 +613,41 @@ fn an_edit_of_a_base_whose_replay_slot_is_full_is_built() {
     assert_eq!(base.elf, expected);
     assert_eq!(counts(&mut client), (3, 2, 1), "the base's slot still holds the base");
     daemon.shutdown();
+}
+
+/// An edit with no rows names its base itself only at the base's own
+/// method count: one that drops the base's last method is built as the
+/// program it makes, not answered from the base's full replay slot.
+#[test]
+fn an_empty_edit_to_fewer_methods_is_built_not_replayed() {
+    let mut base = generate(&AppSpec { methods: 20, ..AppSpec::small("dropped", 45) }).dex;
+    let mut tail = (*base.methods()[0]).clone();
+    tail.name = "tail".to_owned();
+    base.add_method(tail);
+    let options = BuildOptions::cto_ltbo();
+    let expected = direct(&base, &options);
+    let (daemon, socket) = start();
+    let mut raw = UnixStream::connect(&socket).expect("connect");
+    for request_id in 1..=2 {
+        let body = request(request_id, None, &base, &options).encode();
+        assert_eq!(exchange(&mut raw, REQ_BUILD, &body).expect("whole build").elf, expected);
+    }
+    let n = base.methods().len() as u32;
+    let replayed =
+        exchange(&mut raw, REQ_BUILD_EDIT, &edit_request(3, None, &base, &options, n, vec![]))
+            .expect("by reference");
+    assert_eq!(replayed.elf, expected);
+
+    let mut dropped = base.clone();
+    dropped.set_methods(base.methods()[..n as usize - 1].to_vec());
+    let body = edit_request(4, None, &base, &options, n - 1, vec![]);
+    let built = exchange(&mut raw, REQ_BUILD_EDIT, &body).expect("an edit with no rows");
+    assert_eq!((built.request_id, &built.elf), (4, &direct(&dropped, &options)));
+    assert_ne!(built.elf, expected);
+
+    let stats = daemon.shutdown();
+    assert_eq!((stats.requests_admitted, stats.builds_replayed), (3, 1));
+    assert_eq!((stats.programs_by_reference, stats.programs_by_edit), (1, 1));
 }
 
 /// A scripted daemon: answers each build request it reads by

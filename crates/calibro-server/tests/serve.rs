@@ -15,10 +15,11 @@ use std::time::{Duration, Instant};
 use calibro::BuildOptions;
 use calibro_profile::{DecayedProfile, Profile};
 use calibro_server::proto::{
-    read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT,
+    read_frame, write_frame, ErrorReply, FrameEvent, REQ_BUILD, REQ_BUILD_EDIT,
     REQ_GENERATION_STATS, REQ_PING, REQ_PROFILE, REQ_STATS, RESP_BUILT, RESP_ERROR, RESP_PONG,
     RESP_STATS,
 };
+use calibro_server::server::HOT_FRACTION;
 use calibro_server::{Client, Daemon, Listener, ServeError, ServerConfig, ServerStats};
 use calibro_workloads::{generate, AppSpec};
 
@@ -226,8 +227,7 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
     //    id when the id's eight bytes arrived (0 otherwise), exactly one
     //    `malformed_frames` tick, and the *same connection* keeps
     //    serving (stats and ping work after).
-    let decoded_kinds =
-        [REQ_BUILD, REQ_BUILD_BY_ID, REQ_BUILD_EDIT, REQ_PROFILE, REQ_GENERATION_STATS];
+    let decoded_kinds = [REQ_BUILD, REQ_BUILD_EDIT, REQ_PROFILE, REQ_GENERATION_STATS];
     {
         let mut raw = UnixStream::connect(&socket).expect("connect raw");
         let mut exchange = |kind: u8, body: &[u8], reply_kind: u8| -> Vec<u8> {
@@ -258,10 +258,10 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
             }
         }
         // The first kind past the defined ones, and the retired
-        // `dict-stats` and `peer-get` kinds, are unknown: typed,
-        // counted, and the connection serves on.
+        // `build-by-id`, `dict-stats` and `peer-get` kinds, are unknown:
+        // typed, counted, and the connection serves on.
         assert_eq!(REQ_BUILD_EDIT + 1, 0x0B);
-        for unknown in [0x0B, 0x08, 0x05] {
+        for unknown in [0x0B, 0x09, 0x08, 0x05] {
             let reply = ErrorReply::decode(&exchange(unknown, b"?", RESP_ERROR)).expect("decodes");
             let detail = format!("unknown request kind {unknown:#04x}");
             assert_eq!((reply.request_id, reply.error), (0, ServeError::Malformed { detail }));
@@ -349,8 +349,8 @@ fn misbehaving_clients_get_typed_errors_and_leave_daemon_serving() {
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    // Two garbage bodies per decoded kind, and the three unknown kinds.
-    assert_eq!(stats.malformed_frames, 2 * decoded_kinds.len() as u64 + 3);
+    // Two garbage bodies per decoded kind, and the four unknown kinds.
+    assert_eq!(stats.malformed_frames, 2 * decoded_kinds.len() as u64 + 4);
     assert_eq!(stats.oversized_frames, 1);
     assert_eq!(stats.mid_frame_disconnects, 1);
     assert_eq!(stats.requests_completed, 1);
@@ -494,7 +494,7 @@ fn a_held_program_answers_each_options_fingerprint_as_a_direct_build() {
     let (num, den) = DecayedProfile::DEFAULT_DECAY;
     let mut decayed = DecayedProfile::new(num, den).expect("default decay");
     decayed.record(&Profile::from_text(profile_text).expect("profile"));
-    let hot = decayed.hot_set(ServerConfig::default().hot_fraction).expect("hot set");
+    let hot = decayed.hot_set(HOT_FRACTION).expect("hot set");
     let expected_refresh = direct(&a.clone().with_hot_filter(hot));
     assert_ne!(expected_refresh, expected_a);
     let deadline = Instant::now() + Duration::from_secs(60);
